@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-shards bench-server bench-smoke smoke golden server-smoke modelcheck fuzz-smoke qd qd-smoke blame blame-smoke cache cache-smoke ycsb ycsb-smoke ci
+.PHONY: all build test race vet fmt bench bench-shards bench-server bench-smoke smoke golden server-smoke modelcheck fuzz-smoke qd qd-smoke blame blame-smoke cache cache-smoke ycsb ycsb-smoke artifacts-check benchmark-check ci
 
 all: build
 
@@ -155,4 +155,23 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload
 
-ci: build vet test race smoke bench-smoke server-smoke modelcheck qd-smoke blame-smoke cache-smoke ycsb-smoke fuzz-smoke
+# Artifact gate: regenerate every simulated artifact under results/ — the
+# figure, ablation, breakdown, read and scan CSVs plus the qd/blame/cache/ycsb
+# JSON — at the committed -scale/-seed into a scratch directory and require
+# each file to be byte-identical to its committed copy. The *-smoke gates only
+# diff run against run; this one catches a committed artifact going stale.
+ARTIFACT_EXPERIMENTS = all ablations breakdown read scan qd blame cache ycsb
+artifacts-check:
+	rm -rf .artifacts
+	for e in $(ARTIFACT_EXPERIMENTS); do \
+		$(GO) run ./cmd/bandslim-bench -experiment $$e -scale 20000 -seed 42 -csv .artifacts -json .artifacts > /dev/null || exit 1; \
+	done
+	for f in .artifacts/*; do diff -u results/$${f##*/} $$f || exit 1; done
+	rm -rf .artifacts
+
+# The benchmark/ harness is its own module (tier-1 never builds it) yet
+# compiles against this module's packages: vet and test it against the tree.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet test race smoke bench-smoke server-smoke modelcheck qd-smoke blame-smoke cache-smoke ycsb-smoke artifacts-check benchmark-check fuzz-smoke

@@ -387,8 +387,8 @@ func TestCacheHitAllocsSteadyState(t *testing.T) {
 }
 
 // TestShardedCacheHitAllocsSteadyState repeats the cache-hit assertion
-// through the sharded front-end: the shard worker hand-off and the per-shard
-// caches must add nothing to the hit path.
+// through the sharded front-end: key routing and the per-shard caches must
+// add nothing to the hit path.
 func TestShardedCacheHitAllocsSteadyState(t *testing.T) {
 	for trName, tr := range tracers() {
 		t.Run(trName, func(t *testing.T) {
@@ -428,6 +428,94 @@ func TestShardedCacheHitAllocsSteadyState(t *testing.T) {
 			if hits := s.Stats().Cache.Hits - base; hits == 0 {
 				t.Error("measured reads never hit the value cache")
 			}
+		})
+	}
+}
+
+// TestShardedBatchAllocsTwoCallers extends the guards to the sharded batch
+// fan-out under concurrency: two callers run batches against the same shards
+// at once — each batch takes its own lane set from the ShardedDB's free list
+// and visits its shards one lock at a time — and the steady state must still
+// allocate nothing, with and without a tracer. AllocsPerRun counts every
+// goroutine's mallocs, so the background caller's batches are measured too.
+func TestShardedBatchAllocsTwoCallers(t *testing.T) {
+	const nkeys = 16
+	newBatch := func(prefix string) (keys, vals [][]byte) {
+		keys, vals = make([][]byte, nkeys), make([][]byte, nkeys)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("%s%02d", prefix, i))
+			vals[i] = make([]byte, 96)
+		}
+		return keys, vals
+	}
+	// measure runs batch("b") on a background goroutine for as long as the
+	// foreground measures batch("a").
+	measure := func(t *testing.T, what string, batch func(prefix string) func()) {
+		t.Helper()
+		fg, bg := batch("a"), batch("b")
+		for r := 0; r < 8; r++ { // warm pools, scratch, and both lane sets
+			fg()
+			bg()
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					bg()
+				}
+			}
+		}()
+		assertZeroAllocs(t, what, 400, fg)
+		close(stop)
+		<-done
+	}
+	for trName, tr := range tracers() {
+		t.Run(trName, func(t *testing.T) {
+			// Writes on a NAND-off stack, reads on a NAND-on one, as in
+			// TestShardedAllocsSteadyState.
+			w, err := bandslim.OpenSharded(bandslim.ShardedConfig{
+				Shards:   2,
+				PerShard: allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, false, tr),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			measure(t, "ShardedDB.PutBatch x2 callers", func(prefix string) func() {
+				keys, vals := newBatch(prefix)
+				return func() {
+					if err := w.PutBatch(keys, vals); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+
+			cfg := allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr)
+			cfg.Submission = bandslim.SubmissionConfig{QueueDepth: 8}
+			g, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			for _, prefix := range []string{"a", "b"} {
+				keys, vals := newBatch(prefix)
+				if err := g.PutBatch(keys, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			measure(t, "ShardedDB.GetBatchSparse x2 callers", func(prefix string) func() {
+				keys, lanes := newBatch(prefix)
+				miss := make([]bool, nkeys)
+				return func() {
+					if _, err := g.GetBatchSparse(keys, lanes, miss); err != nil || miss[0] {
+						t.Errorf("GetBatchSparse: miss=%v err=%v", miss[0], err)
+					}
+				}
+			})
 		})
 	}
 }

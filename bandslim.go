@@ -23,6 +23,7 @@ package bandslim
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"bandslim/internal/cache"
@@ -83,9 +84,8 @@ type Thresholds = driver.Thresholds
 // the paper's synchronous passthrough byte-identically.
 type SubmissionConfig = driver.SubmissionConfig
 
-// PipelinedSubmission returns the policy the deprecated Config.Pipelined
-// toggle maps to: depth-1 burst mode (multi-command PUTs submit as one
-// doorbell burst; reads keep the synchronous passthrough).
+// PipelinedSubmission returns the depth-1 burst-mode policy: multi-command
+// PUTs submit as one doorbell burst; reads keep the synchronous passthrough.
 func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission() }
 
 // ConfigError reports a submission-policy field that failed validation;
@@ -168,10 +168,6 @@ type Config struct {
 	// timings byte-identical to earlier releases. Validated at Open; a bad
 	// field fails with a wrapped ConfigError.
 	Submission SubmissionConfig
-	// Pipelined is the deprecated burst-submission toggle. When Submission
-	// is zero, Pipelined: true maps to PipelinedSubmission() (depth-1 burst
-	// mode); when Submission is set, Pipelined is ignored. Use Submission.
-	Pipelined bool
 	// Tracer, when non-nil, receives every command-level event the stack
 	// emits: driver submissions, doorbell MMIO, command fetches, SQ/CQ ring
 	// transitions, DMA transfers, page-buffer placements and flushes, and
@@ -215,25 +211,54 @@ func DefaultConfig() Config {
 	}
 }
 
-// DB is one simulated host + KV-SSD pair. All methods are safe for
-// concurrent use; operations serialize on an internal mutex, mirroring the
-// single submission queue of the paper's passthrough path (the simulated
-// clock is shared, so concurrency does not change simulated timings).
-type DB struct {
-	mu      sync.Mutex
-	cfg     Config
-	st      *shard.Stack
-	sampler *timeseries.Sampler // nil unless Config.MetricsInterval > 0
-	// batch backs PutBatch, created lazily under mu.
-	batch *driver.Batcher
-	// winH/winI are the windowed batch-read FIFO scratch (StartGet handles
-	// and their key indices), guarded by mu and reused across batches.
-	winH, winI []int
-	closed     bool
+// Store is the key-value surface DB and ShardedDB share, so harnesses,
+// servers, and tests drive either through one type. Every method is safe for
+// concurrent use. After Close, operations fail with ErrClosed while Now,
+// Stats, Series, WritePrometheus, and Blame stay readable.
+type Store interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	GetInto(key, dst []byte) ([]byte, error)
+	PutBatch(keys, values [][]byte) error
+	GetBatch(keys, vals [][]byte) ([][]byte, error)
+	GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error)
+	Delete(key []byte) error
+	NewIterator(start []byte) (*Iterator, error)
+	Flush() error
+	Recover() error
+	Tune(t Tuning) error
+	Close() error
+	Now() SimTime
+	Stats() Stats
+	Series() MetricSeries
+	WritePrometheus(w io.Writer) error
+	Blame() *BlameReport
 }
 
-// stackOptions normalizes a Config into the per-stack options shared by the
-// single-DB and sharded front-ends, so both build byte-identical stacks.
+var (
+	_ Store = (*DB)(nil)
+	_ Store = (*ShardedDB)(nil)
+)
+
+// DB is one simulated host + KV-SSD pair. All methods are safe for
+// concurrent use; operations run on the caller's goroutine and serialize on
+// an internal mutex, mirroring the single submission queue of the paper's
+// passthrough path (the simulated clock is shared, so concurrency does not
+// change simulated timings).
+type DB struct {
+	mu      sync.Mutex
+	closed  bool
+	st      *shard.Stack        // the op engine; every access holds mu
+	sampler *timeseries.Sampler // nil unless Config.MetricsInterval > 0
+	rings   rings               // the ring recorder behind Config.Tracer, if any
+	// faults/cached report whether the injector and a read-cache tier are
+	// armed — the switches that add the fault_* and cache_* exporter columns.
+	// Runs without them keep byte-identical exposition (the golden-smoke
+	// guarantee).
+	faults, cached bool
+}
+
+// stackOptions normalizes a Config into the engine's options.
 func stackOptions(cfg Config) shard.Options {
 	dcfg := cfg.Device
 	if dcfg.Geometry == (nand.Geometry{}) {
@@ -245,10 +270,6 @@ func stackOptions(cfg Config) shard.Options {
 	if thr.IsZero() {
 		thr = driver.DefaultThresholds()
 	}
-	sub := cfg.Submission
-	if sub == (SubmissionConfig{}) && cfg.Pipelined {
-		sub = driver.PipelinedSubmission()
-	}
 	if cfg.Cache != (CacheConfig{}) {
 		dcfg.Cache = cfg.Cache
 	}
@@ -256,43 +277,35 @@ func stackOptions(cfg Config) shard.Options {
 		Device:     dcfg,
 		Method:     cfg.Method,
 		Thresholds: thr,
-		Submission: sub,
+		Submission: cfg.Submission,
 		Tracer:     cfg.Tracer,
 		Faults:     cfg.Faults,
 		Retry:      cfg.Retry,
 	}
 }
 
-// cacheEnabled reports whether the normalized config arms any read-cache
-// tier — the switch that adds the cache_* exporter columns. Cache-free runs
-// keep byte-identical exposition (the golden-smoke guarantee).
-func cacheEnabled(cfg Config) bool {
-	return stackOptions(cfg).Device.Cache.Enabled()
-}
-
 // Open builds the full stack.
-func Open(cfg Config) (*DB, error) {
-	st, err := shard.NewStack(stackOptions(cfg))
+func Open(cfg Config) (*DB, error) { return open(cfg, 0) }
+
+// open builds one stack as shard shardID: the id stamps trace events and
+// salts the fault plan's RNG streams.
+func open(cfg Config, shardID int) (*DB, error) {
+	opts := stackOptions(cfg)
+	opts.ShardID = shardID
+	st, err := shard.NewStack(opts)
 	if err != nil {
 		return nil, fmt.Errorf("bandslim: %w", err)
 	}
-	db := &DB{cfg: cfg, st: st}
+	db := &DB{st: st, rings: ringsOf(cfg.Tracer),
+		faults: cfg.Faults != nil, cached: opts.Device.Cache.Enabled()}
 	if cfg.MetricsInterval > 0 {
-		faults := cfg.Faults != nil
-		cached := cacheEnabled(cfg)
-		db.sampler = timeseries.NewSampler(cfg.MetricsInterval, descsFor(faults, cached),
-			func() timeseries.Snapshot { return snapshotStack(st, faults, cached) })
+		// Simulated-time metric samples due since the last operation are
+		// recorded after every engine op: a single comparison when no
+		// boundary was crossed.
+		db.sampler = timeseries.NewSampler(cfg.MetricsInterval, db.descs(), db.snapshot)
+		st.AfterOp = func() { db.sampler.Poll(st.Clock.Now()) }
 	}
 	return db, nil
-}
-
-// poll records any simulated-time metric samples due since the last
-// operation; callers hold db.mu. A single comparison when sampling is off
-// or no boundary was crossed.
-func (db *DB) poll() {
-	if db.sampler != nil {
-		db.sampler.Poll(db.st.Clock.Now())
-	}
 }
 
 // Error sentinels. Both are plain errors.New values: match them with
@@ -301,8 +314,7 @@ var (
 	// ErrClosed is returned by operations on a closed DB or ShardedDB.
 	ErrClosed = errors.New("bandslim: DB is closed")
 	// ErrIterDone reports an exhausted device-side iterator, surfaced by
-	// the raw SEEK/NEXT path; the Iterator types translate it into
-	// Valid() == false.
+	// the raw SEEK/NEXT path; Iterator translates it into Valid() == false.
 	ErrIterDone = driver.ErrIterDone
 )
 
@@ -313,9 +325,7 @@ func (db *DB) Put(key, value []byte) error {
 	if db.closed {
 		return ErrClosed
 	}
-	err := db.st.Drv.Put(key, value)
-	db.poll()
-	return err
+	return db.st.Put(key, value)
 }
 
 // Get fetches the value for key. The returned slice is a view into the
@@ -329,9 +339,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	v, err := db.st.Drv.Get(key)
-	db.poll()
-	return v, err
+	return db.st.Get(key)
 }
 
 // GetInto fetches the value for key and copies it into dst (grown as
@@ -344,15 +352,7 @@ func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	v, err := db.st.Drv.Get(key)
-	if err == nil {
-		dst = append(dst[:0], v...)
-	}
-	db.poll()
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return db.st.GetInto(key, dst)
 }
 
 // PutBatch writes the pairs through the host-side batcher as bulk
@@ -363,169 +363,71 @@ func (db *DB) PutBatch(keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("bandslim: PutBatch got %d keys, %d values", len(keys), len(values))
 	}
+	return db.putBatch(keys, values, nil)
+}
+
+// putBatch writes the lane-indexed subset of the pairs (nil lane = all).
+func (db *DB) putBatch(keys, values [][]byte, lane []int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	if db.batch == nil {
-		b, err := db.st.Drv.NewBatcher(shard.DefaultBatchOps)
-		if err != nil {
-			return err
-		}
-		db.batch = b
-	}
-	for i := range keys {
-		if err := db.batch.Put(keys[i], values[i]); err != nil {
-			db.poll()
-			return err
-		}
-	}
-	err := db.batch.Flush()
-	db.poll()
-	return err
+	return db.st.PutBatch(keys, values, lane)
 }
 
 // GetBatch resolves every key, copying each value into the matching vals
 // lane (vals[i], grown as needed; a nil vals allocates one). The filled
-// slice-of-slices is returned; values are caller-owned copies. On error,
-// lanes past the failing key are left untouched.
+// slice-of-slices is returned; values are caller-owned copies, so passing the
+// returned slice back in makes the steady state allocation-free. With a
+// submission window configured (Config.Submission.QueueDepth >= 2) the reads
+// ride it, up to that many in flight. An absent key fails the batch; lanes
+// past the failing key are left untouched.
 func (db *DB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
-	if vals == nil {
-		vals = make([][]byte, len(keys))
+	vals, err := batchLanes("GetBatch", keys, vals, len(keys))
+	if err != nil {
+		return vals, err
 	}
-	if len(vals) != len(keys) {
-		return nil, fmt.Errorf("bandslim: GetBatch got %d keys, %d value lanes", len(keys), len(vals))
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if db.st.Drv.WindowDepth() >= 2 {
-		if _, err := db.getBatchWindowed(keys, vals, nil); err != nil {
-			return nil, err
-		}
-		return vals, nil
-	}
-	for i := range keys {
-		v, err := db.st.Drv.Get(keys[i])
-		if err != nil {
-			db.poll()
-			return nil, err
-		}
-		vals[i] = append(vals[i][:0], v...)
-		db.poll()
-	}
-	return vals, nil
-}
-
-// getBatchWindowed pumps keys through the driver's asynchronous submission
-// window — up to WindowDepth reads in flight, completions reaped out of
-// order and claimed in submission order. Callers hold db.mu. A nil miss
-// makes any error fatal; a non-nil miss absorbs not-found completions.
-// The loop is written closure-free: the steady-state batch-read path must
-// not allocate, and closures over the cursor variables would escape.
-func (db *DB) getBatchWindowed(keys, vals [][]byte, miss []bool) (int, error) {
-	drv := db.st.Drv
-	depth := drv.WindowDepth()
-	db.winH, db.winI = db.winH[:0], db.winI[:0]
-	head, next, n := 0, 0, 0
-	for {
-		// Reap the oldest in-flight read while the window is full, or once
-		// every key has been submitted.
-		for head < len(db.winH) && (len(db.winH)-head >= depth || next == len(keys)) {
-			h, i := db.winH[head], db.winI[head]
-			head++
-			v, err := drv.WaitGetInto(h, vals[i])
-			if err != nil {
-				if miss != nil && IsNotFound(err) {
-					miss[i] = true
-					vals[i] = vals[i][:0]
-					n++
-					db.poll()
-					continue
-				}
-				drv.DrainWindow()
-				db.poll()
-				return n, err
-			}
-			if miss != nil {
-				miss[i] = false
-			}
-			vals[i] = v
-			n++
-			db.poll()
-		}
-		if next == len(keys) {
-			return n, nil
-		}
-		// A known-missing key resolves host-side: no command is built and no
-		// simulated time passes, exactly as Driver.Get short-circuits the
-		// serial path.
-		if drv.NegativeKnown(keys[next]) {
-			if miss == nil {
-				drv.DrainWindow()
-				db.poll()
-				return n, driver.ErrNegativeHit
-			}
-			miss[next] = true
-			vals[next] = vals[next][:0]
-			n++
-			next++
-			db.poll()
-			continue
-		}
-		h, err := drv.StartGet(keys[next])
-		if err != nil {
-			drv.DrainWindow()
-			db.poll()
-			return n, err
-		}
-		db.winH = append(db.winH, h)
-		db.winI = append(db.winI, next)
-		next++
-	}
+	return vals, db.getBatch(keys, vals, nil, nil)
 }
 
 // GetBatchSparse resolves keys in bulk like GetBatch, but a missing key sets
 // miss[i] (leaving vals[i] empty) instead of failing the whole batch. miss
-// must have len(keys) entries. This is the lookup MGET rides: absent keys
-// become null replies, not errors.
+// must have len(keys) entries. This is the lookup the serving front-end rides
+// for MGET and coalesced GET runs: absent keys become null replies, not
+// errors.
 func (db *DB) GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error) {
+	vals, err := batchLanes("GetBatchSparse", keys, vals, len(miss))
+	if err != nil {
+		return vals, err
+	}
+	return vals, db.getBatch(keys, vals, miss, nil)
+}
+
+// batchLanes validates a batch read's arguments: one vals lane per key (a nil
+// vals allocates them) and, on the sparse form, one miss flag per key.
+func batchLanes(op string, keys, vals [][]byte, nmiss int) ([][]byte, error) {
 	if vals == nil {
 		vals = make([][]byte, len(keys))
 	}
-	if len(vals) != len(keys) || len(miss) != len(keys) {
-		return vals, fmt.Errorf("bandslim: GetBatchSparse got %d keys, %d dst lanes, %d miss flags",
-			len(keys), len(vals), len(miss))
+	switch {
+	case len(vals) != len(keys):
+		return vals, fmt.Errorf("bandslim: %s got %d keys, %d dst lanes", op, len(keys), len(vals))
+	case nmiss != len(keys):
+		return vals, fmt.Errorf("bandslim: %s got %d keys, %d miss flags", op, len(keys), nmiss)
 	}
+	return vals, nil
+}
+
+// getBatch resolves the lane-indexed subset of keys (nil lane = all); a nil
+// miss is strict, a non-nil miss sparse.
+func (db *DB) getBatch(keys, vals [][]byte, miss []bool, lane []int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return vals, ErrClosed
+		return ErrClosed
 	}
-	if db.st.Drv.WindowDepth() >= 2 {
-		_, err := db.getBatchWindowed(keys, vals, miss)
-		return vals, err
-	}
-	for i := range keys {
-		v, err := db.st.Drv.Get(keys[i])
-		if err != nil {
-			if IsNotFound(err) {
-				miss[i] = true
-				vals[i] = vals[i][:0]
-				db.poll()
-				continue
-			}
-			db.poll()
-			return vals, err
-		}
-		miss[i] = false
-		vals[i] = append(vals[i][:0], v...)
-		db.poll()
-	}
-	return vals, nil
+	return db.st.GetBatch(keys, vals, miss, lane)
 }
 
 // Delete removes a key.
@@ -535,9 +437,7 @@ func (db *DB) Delete(key []byte) error {
 	if db.closed {
 		return ErrClosed
 	}
-	err := db.st.Drv.Delete(key)
-	db.poll()
-	return err
+	return db.st.Delete(key)
 }
 
 // Flush forces buffered values and index entries to NAND.
@@ -547,9 +447,7 @@ func (db *DB) Flush() error {
 	if db.closed {
 		return ErrClosed
 	}
-	err := db.st.Drv.Flush()
-	db.poll()
-	return err
+	return db.st.Flush()
 }
 
 // Close flushes and shuts the DB. Further operations fail with ErrClosed.
@@ -559,89 +457,66 @@ func (db *DB) Close() error {
 	if db.closed {
 		return nil
 	}
-	err := db.st.Drv.Flush()
-	db.poll()
 	db.closed = true
-	return err
+	return db.st.Flush()
 }
 
 // Iterator streams key-value pairs in key order via the device-side
-// SEEK/NEXT commands.
-type Iterator struct {
-	db    *DB
-	key   []byte
-	value []byte
-	err   error
-	valid bool
-}
+// SEEK/NEXT commands: a k-way merge over one device cursor per shard (a
+// single cursor on a DB). It is positioned on its first pair when opened;
+// loop on Valid/Next, read Key/Value, and check Err when Valid turns false.
+// Each device holds a single iterator, so writes interleaved with iteration
+// invalidate the snapshot (as on the real device); iterate before mutating.
+// After Close, Next stops the iterator with ErrClosed.
+type Iterator = shard.MergeIterator
 
 // NewIterator opens an iterator at the first key >= start (nil starts at the
 // beginning). The iterator is positioned on its first pair; check Valid.
 func (db *DB) NewIterator(start []byte) (*Iterator, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
+	return newIterator([]*DB{db}, start)
+}
+
+// newIterator seeks every DB's device iterator and merges the cursors.
+func newIterator(dbs []*DB, start []byte) (*Iterator, error) {
 	if start == nil {
 		start = []byte{0}
 	}
-	if err := db.st.Drv.Seek(start); err != nil {
-		return nil, err
+	cursors := make([]shard.Cursor, len(dbs))
+	for i, db := range dbs {
+		if err := db.seek(start); err != nil {
+			return nil, err
+		}
+		cursors[i] = db.next
 	}
-	it := &Iterator{db: db}
-	it.next()
-	return it, nil
+	return shard.NewMergeIterator(cursors)
 }
 
-// Valid reports whether the iterator holds a pair.
-func (it *Iterator) Valid() bool { return it.valid }
-
-// Key returns the current key.
-func (it *Iterator) Key() []byte { return it.key }
-
-// Value returns the current value.
-func (it *Iterator) Value() []byte { return it.value }
-
-// Err reports the error that stopped iteration, if any.
-func (it *Iterator) Err() error { return it.err }
-
-// Next advances to the following pair. The device holds a single iterator,
-// so writes interleaved with iteration invalidate the snapshot (as on the
-// real device); iterate before mutating.
-func (it *Iterator) Next() {
-	it.db.mu.Lock()
-	defer it.db.mu.Unlock()
-	it.next()
+func (db *DB) seek(start []byte) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	return db.st.Seek(start)
 }
 
-func (it *Iterator) next() {
-	if it.db.closed {
-		it.err = ErrClosed
-		it.valid = false
-		return
+// next is the DB's shard.Cursor: Stack.Next under the lock, so the pair is
+// copied out of the driver's read buffer before another operation can run.
+func (db *DB) next(key, value []byte) ([]byte, []byte, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return nil, nil, ErrClosed
 	}
-	k, v, err := it.db.st.Drv.Next()
-	it.db.poll()
-	if errors.Is(err, ErrIterDone) {
-		it.valid = false
-		return
-	}
-	if err != nil {
-		it.err = err
-		it.valid = false
-		return
-	}
-	// Copy the driver's read-buffer views into iterator-owned reused
-	// buffers, so the pair stays valid while the caller interleaves other
-	// DB operations.
-	it.key = append(it.key[:0], k...)
-	it.value = append(it.value[:0], v...)
-	it.valid = true
+	return db.st.Next(key, value)
 }
 
-// Now reports the DB's simulated time.
-func (db *DB) Now() sim.Time { return db.st.Clock.Now() }
+// Now reports the DB's simulated time. It stays readable after Close.
+func (db *DB) Now() sim.Time {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.st.Clock.Now()
+}
 
 // Tune applies the present (non-nil) fields of a Tuning to the live DB in
 // one step — transfer method, thresholds, retry policy, and submission
@@ -653,21 +528,7 @@ func (db *DB) Tune(t Tuning) error {
 	if db.closed {
 		return ErrClosed
 	}
-	return db.st.Drv.Tune(t)
-}
-
-// SetMethod switches the transfer method on the live DB (between benchmark
-// phases). It is shorthand for Tune with only Method set and fails with
-// ErrClosed after Close.
-func (db *DB) SetMethod(m TransferMethod) error {
-	return db.Tune(Tuning{Method: &m})
-}
-
-// SetThresholds replaces the adaptive calibration on the live DB. It is
-// shorthand for Tune with only Thresholds set and fails with ErrClosed
-// after Close.
-func (db *DB) SetThresholds(t Thresholds) error {
-	return db.Tune(Tuning{Thresholds: &t})
+	return db.st.Tune(t)
 }
 
 // OpLatency is one named latency distribution inside an Inspection — a
@@ -682,11 +543,9 @@ type OpLatency struct {
 // pointers. Every field is a copy; holding one never races with ongoing
 // operations.
 type Inspection struct {
-	// Host-side configuration in effect. Pipelined mirrors
-	// Submission.DoorbellBatch > 1 for callers of the legacy toggle.
+	// Host-side configuration in effect.
 	Method     TransferMethod
 	Thresholds Thresholds
-	Pipelined  bool
 	Submission SubmissionConfig
 	// Device-side packing policy in effect.
 	Policy PackingPolicy
@@ -730,22 +589,12 @@ func summarizeSet(set *metrics.HistogramSet) []OpLatency {
 func (db *DB) Inspect() Inspection {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	ins := inspectStack(db.st)
-	if rec, ok := db.cfg.Tracer.(*Recorder); ok && rec != nil {
-		ins.Trace = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
-	}
-	return ins
-}
-
-// inspectStack builds an Inspection from one stack; the caller must hold
-// whatever serializes access to it.
-func inspectStack(st *shard.Stack) Inspection {
+	st := db.st
 	buf := st.Dev.Buffer()
 	now := st.Clock.Now()
 	return Inspection{
 		Method:          st.Drv.Method(),
 		Thresholds:      st.Drv.Thresholds(),
-		Pipelined:       st.Drv.Pipelined(),
 		Submission:      st.Drv.Submission(),
 		Policy:          buf.Policy(),
 		Now:             now,
@@ -757,6 +606,7 @@ func inspectStack(st *shard.Stack) Inspection {
 		MaxWear:         st.Dev.Flash().MaxWear(),
 		OpLatency:       summarizeSet(st.Drv.Stats().PerOp),
 		MethodLatency:   summarizeSet(st.Drv.Stats().PerMethod),
+		Trace:           db.rings.health(),
 	}
 }
 
@@ -786,14 +636,16 @@ func (db *DB) CompactVLog(pages int) (int, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	n, err := db.st.Drv.CompactVLog(pages)
-	db.poll()
-	return n, err
+	return db.st.CompactVLog(pages)
 }
 
 // VLogFreeBytes reports how much value-log space remains before compaction
 // is required.
-func (db *DB) VLogFreeBytes() int64 { return db.st.Dev.VLog().FreeBytes() }
+func (db *DB) VLogFreeBytes() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.st.Dev.VLog().FreeBytes()
+}
 
 // DeviceInfo is the controller's identify structure (model, capacity,
 // geometry, and BandSlim capability fields).

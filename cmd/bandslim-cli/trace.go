@@ -52,7 +52,7 @@ func runTrace(args []string) {
 // traceStack opens the fixed stack configuration record and replay share:
 // identical configs are what make the live and replayed runs comparable
 // byte for byte.
-func traceStack(shards int) (bench.ScenarioDB, error) {
+func traceStack(shards int) (bandslim.Store, error) {
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
 	if shards <= 1 {
@@ -65,7 +65,7 @@ func traceStack(shards int) (bench.ScenarioDB, error) {
 // by record and replay so the two files are diffable. Progress messages go
 // to human, which is stderr when the trace itself is being streamed to
 // stdout.
-func writeExposition(db bench.ScenarioDB, path string, human io.Writer) error {
+func writeExposition(db bandslim.Store, path string, human io.Writer) error {
 	if path == "" {
 		return nil
 	}
@@ -73,16 +73,9 @@ func writeExposition(db bench.ScenarioDB, path string, human io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var werr error
-	switch d := db.(type) {
-	case *bandslim.DB:
-		werr = d.WritePrometheus(f)
-	case *bandslim.ShardedDB:
-		werr = d.WritePrometheus(f)
-	}
-	if werr != nil {
+	if err := db.WritePrometheus(f); err != nil {
 		f.Close()
-		return werr
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
@@ -91,27 +84,16 @@ func writeExposition(db bench.ScenarioDB, path string, human io.Writer) error {
 	return nil
 }
 
-// closeStack closes either stack flavor.
-func closeStack(db bench.ScenarioDB) error {
-	switch d := db.(type) {
-	case *bandslim.DB:
-		return d.Close()
-	case *bandslim.ShardedDB:
-		return d.Close()
-	}
-	return nil
-}
-
 // driveAndReport runs a scenario, closes the stack, and exports artifacts.
-func driveAndReport(db bench.ScenarioDB, s workload.Scenario, seed uint64,
+func driveAndReport(db bandslim.Store, s workload.Scenario, seed uint64,
 	rec *workload.Trace, metricsOut string, human io.Writer) {
 	res, err := bench.DriveScenario(db, s, seed, rec)
 	if err != nil {
-		closeStack(db)
+		db.Close()
 		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
 		os.Exit(1)
 	}
-	if err := closeStack(db); err != nil {
+	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
 		os.Exit(1)
 	}

@@ -144,7 +144,5 @@ func (db *DB) Recover() error {
 	if db.closed {
 		return ErrClosed
 	}
-	err := db.st.Drv.Recover()
-	db.poll()
-	return err
+	return db.st.Recover()
 }

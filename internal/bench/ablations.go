@@ -335,7 +335,7 @@ func RunAblationPipeline(o Options) (*Table, error) {
 			return nil, err
 		}
 		pipeCfg := benchConfig(bandslim.Piggyback, bandslim.Block, false)
-		pipeCfg.Pipelined = true
+		pipeCfg.Submission = bandslim.PipelinedSubmission()
 		pipe, err := runWith(workload.NewFillSeq(o.Scale, size), pipeCfg)
 		if err != nil {
 			return nil, err

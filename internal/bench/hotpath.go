@@ -348,7 +348,7 @@ func runHotpathWall(o Options) ([]HotpathWall, error) {
 // runShardBatchPoint replays the same pre-generated workload through the
 // batched submission fast path: records ship through ShardedDB.PutBatch in
 // fixed-size chunks, which partitions each chunk into per-shard lanes and
-// fans bulk OpKVBatchWrite commands out to the shard workers in parallel.
+// ships each lane as bulk OpKVBatchWrite commands, one shard at a time.
 func runShardBatchPoint(o Options, shards int, method bandslim.TransferMethod, policy bandslim.PackingPolicy) (int64, time.Duration, error) {
 	s, err := openShardedStack(shards, method, policy)
 	if err != nil {

@@ -82,17 +82,9 @@ func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	return sdb.TraceEvents(), nil
 }
 
-// traceKV is the subset of the front-end surface the capture workload needs;
-// both DB and ShardedDB satisfy it.
-type traceKV interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Flush() error
-}
-
 // traceWorkload writes ops values cycling through traceValueSizes, reads
 // each back, and flushes so the capture ends with NAND programs.
-func traceWorkload(kv traceKV, ops int) error {
+func traceWorkload(kv bandslim.Store, ops int) error {
 	for i := 0; i < ops; i++ {
 		size := traceValueSizes[i%len(traceValueSizes)]
 		if err := kv.Put(traceKey(i), make([]byte, size)); err != nil {

@@ -20,43 +20,6 @@ import (
 	"bandslim/internal/workload"
 )
 
-// ScenarioDB is the stack surface a scenario run drives; *bandslim.DB and
-// *bandslim.ShardedDB both satisfy it (scans go through NewIterator via a
-// type switch, as the two return distinct iterator types).
-type ScenarioDB interface {
-	Put(key, value []byte) error
-	GetInto(key, dst []byte) ([]byte, error)
-	Delete(key []byte) error
-	Flush() error
-	Now() sim.Time
-}
-
-var (
-	_ ScenarioDB = (*bandslim.DB)(nil)
-	_ ScenarioDB = (*bandslim.ShardedDB)(nil)
-)
-
-// scenIter is the common iterator surface of the two stacks.
-type scenIter interface {
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Err() error
-	Next()
-}
-
-// openIter starts a scan on either stack flavor.
-func openIter(db ScenarioDB, start []byte) (scenIter, error) {
-	switch d := db.(type) {
-	case *bandslim.DB:
-		return d.NewIterator(start)
-	case *bandslim.ShardedDB:
-		return d.NewIterator(start)
-	default:
-		return nil, fmt.Errorf("bench: scans unsupported on %T", db)
-	}
-}
-
 // ScenarioResult aggregates one scenario run: per-class op counts and
 // virtual-clock latency samples.
 type ScenarioResult struct {
@@ -103,7 +66,7 @@ func (r ScenarioResult) SimKops() float64 {
 // exact bytes. When rec is non-nil every op is appended to it (keys copied)
 // before execution — recording a run and replaying the resulting trace is
 // bit-identical to the live run by construction.
-func DriveScenario(db ScenarioDB, s workload.Scenario, valueSeed uint64, rec *workload.Trace) (ScenarioResult, error) {
+func DriveScenario(db bandslim.Store, s workload.Scenario, valueSeed uint64, rec *workload.Trace) (ScenarioResult, error) {
 	res := ScenarioResult{Name: s.Name()}
 	if rec != nil {
 		rec.Seed = valueSeed
@@ -148,7 +111,7 @@ func DriveScenario(db ScenarioDB, s workload.Scenario, valueSeed uint64, rec *wo
 			}
 			res.Deletes++
 		case OpScan:
-			it, err := openIter(db, op.Key)
+			it, err := db.NewIterator(op.Key)
 			if err != nil {
 				return res, fmt.Errorf("bench: %s: scan %q: %w", s.Name(), op.Key, err)
 			}

@@ -23,7 +23,7 @@ func mixedScenario(t *testing.T, seed uint64) workload.Scenario {
 	return s
 }
 
-func openDrive(t *testing.T, shards int) ScenarioDB {
+func openDrive(t *testing.T, shards int) bandslim.Store {
 	t.Helper()
 	cfg := bandslim.DefaultConfig()
 	if shards <= 1 {
@@ -40,16 +40,9 @@ func openDrive(t *testing.T, shards int) ScenarioDB {
 	return db
 }
 
-func closeDrive(t *testing.T, db ScenarioDB) {
+func closeDrive(t *testing.T, db bandslim.Store) {
 	t.Helper()
-	var err error
-	switch d := db.(type) {
-	case *bandslim.DB:
-		err = d.Close()
-	case *bandslim.ShardedDB:
-		err = d.Close()
-	}
-	if err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,9 +8,11 @@
 // parses — when all slots are in flight it stops reading, which propagates
 // backpressure to the client through TCP flow control. The writer drains
 // every queued slot per wakeup and coalesces the burst: consecutive SETs
-// become one PutBatch, consecutive GETs one GetBatchSparse, fanned across
-// shard lanes by the ShardedDB batch path, with a single output flush per
-// burst. Pipelined clients therefore get batch-path service automatically.
+// become one PutBatch, consecutive GETs one GetBatchSparse, split into shard
+// lanes by the ShardedDB batch path and run inline on the writer goroutine
+// one shard lock at a time (so two connections' bursts interleave shard by
+// shard), with a single output flush per burst. Pipelined clients therefore
+// get batch-path service automatically.
 //
 // Clocking is hybrid, after OpenCXD: the network edge (accept, parse, reply)
 // runs on the wall clock and feeds wall-time latency digests, while the

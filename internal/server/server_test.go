@@ -546,6 +546,10 @@ func TestWriteMetrics(t *testing.T) {
 	c := dial(t, addr)
 	c.expectSimple("OK", "SET", "mk", "mv")
 	c.expectBulk("mv", "GET", "mk")
+	// A command's latency is observed after its reply is flushed, so the GET's
+	// reply alone does not order its observation before the scrape; the reply
+	// to a later command on the same connection does.
+	c.expectSimple("PONG", "PING")
 
 	var buf bytes.Buffer
 	if err := s.WriteMetrics(&buf); err != nil {
@@ -708,4 +712,26 @@ func TestDelCommandBudget(t *testing.T) {
 	if got := db.Stats().Host.Commands - before; got != 2 {
 		t.Errorf("mixed DEL issued %d commands, want 2 (probe + delete)", got)
 	}
+}
+
+// TestInfoAfterDBClose reaches the closed-store path the way a client can: the
+// owning process closed the DB while a connection is still open. INFO must
+// answer from the final snapshot (it used to panic inside Submission) and a
+// write must get the stable shutting-down error on a connection that stays up.
+func TestInfoAfterDBClose(t *testing.T) {
+	db := testDB(t, 2)
+	_, addr, _ := startServer(t, db, 0)
+	c := dial(t, addr)
+	c.expectSimple("OK", "SET", "k", "v")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.do("INFO")
+	if rep.Kind != resp.KindBulk || !strings.Contains(string(rep.Str), "submission_queue_depth:") {
+		t.Fatalf("INFO after DB close: %+v", rep)
+	}
+	if rep := c.do("SET", "k", "v2"); rep.Kind != resp.KindError || !strings.Contains(string(rep.Str), "shutting down") {
+		t.Fatalf("SET after DB close: %+v (%q)", rep, rep.Str)
+	}
+	c.expectSimple("PONG", "PING")
 }

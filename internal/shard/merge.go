@@ -3,37 +3,47 @@ package shard
 import (
 	"bytes"
 	"container/heap"
+	"errors"
 
 	"bandslim/internal/driver"
 )
 
-// MergeIterator is a k-way merge over per-shard device iterators, the same
-// idiom internal/lsm uses to merge SSTable runs: each shard contributes its
-// key-ordered stream and a min-heap surfaces the globally smallest key.
-// Keys are unique across shards (the partitioner assigns each key to exactly
-// one shard), so no cross-shard shadowing arises; ties — impossible under a
-// consistent partition — break by shard ID for determinism anyway.
+// Cursor is one key-ordered stream feeding a MergeIterator — a positioned
+// device iterator. Each call copies the stream's current pair into key and
+// value (grown as needed), returns the filled slices, and advances;
+// driver.ErrIterDone signals exhaustion. Stack.Next is the canonical Cursor;
+// a front-end wraps it in whatever serializes access to the stack.
+type Cursor func(key, value []byte) ([]byte, []byte, error)
+
+// MergeIterator streams key-value pairs in key order by k-way merging N
+// cursors (N = 1 for a single device), the same idiom internal/lsm uses to
+// merge SSTable runs: each cursor contributes its key-ordered stream and a
+// min-heap surfaces the globally smallest key. Keys are unique across shards
+// (the partitioner assigns each key to exactly one shard), so no cross-shard
+// shadowing arises; ties — impossible under a consistent partition — break
+// by cursor index for determinism anyway.
 //
-// Like the single-device iterator, the snapshot is invalidated by writes
-// interleaved with iteration; iterate before mutating.
+// Each device holds a single iterator, so writes interleaved with iteration
+// invalidate the snapshot (as on the real device); iterate before mutating.
 type MergeIterator struct {
 	srcs sourceHeap
 	err  error
 }
 
-// source holds one shard's current pair, copied out of the shard driver's
-// read-buffer views into source-owned reused buffers (the heap retains pairs
-// across other shards' operations).
+// source holds one cursor's current pair in source-owned reused buffers, so
+// the pair stays valid while the caller interleaves other operations (and
+// the heap retains it across other cursors' advances).
 type source struct {
-	sh    *Shard
+	id    int
+	next  Cursor
 	key   []byte
 	value []byte
 }
 
-// set copies a pair into the source's reused buffers.
-func (s *source) set(k, v []byte) {
-	s.key = append(s.key[:0], k...)
-	s.value = append(s.value[:0], v...)
+// advance loads the cursor's next pair into the source's buffers.
+func (s *source) advance() (err error) {
+	s.key, s.value, err = s.next(s.key, s.value)
+	return err
 }
 
 type sourceHeap []*source
@@ -43,7 +53,7 @@ func (h sourceHeap) Less(i, j int) bool {
 	if c := bytes.Compare(h[i].key, h[j].key); c != 0 {
 		return c < 0
 	}
-	return h[i].sh.ID() < h[j].sh.ID()
+	return h[i].id < h[j].id
 }
 func (h sourceHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *sourceHeap) Push(x any)   { *h = append(*h, x.(*source)) }
@@ -56,30 +66,24 @@ func (h *sourceHeap) Pop() any {
 	return x
 }
 
-// NewMergeIterator seeks every shard to the first key >= start and positions
-// the merged view on the globally smallest pair; check Valid.
-func NewMergeIterator(shards []*Shard, start []byte) (*MergeIterator, error) {
+// NewMergeIterator takes cursors already positioned by Seek and places the
+// merged view on the globally smallest pair; check Valid.
+func NewMergeIterator(cursors []Cursor) (*MergeIterator, error) {
 	m := &MergeIterator{}
-	for _, sh := range shards {
-		if err := sh.Seek(start); err != nil {
+	for id, next := range cursors {
+		src := &source{id: id, next: next}
+		switch err := src.advance(); {
+		case err == nil:
+			m.srcs = append(m.srcs, src)
+		case !errors.Is(err, driver.ErrIterDone):
 			return nil, err
 		}
-		k, v, err := sh.Next()
-		if err == driver.ErrIterDone {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		src := &source{sh: sh}
-		src.set(k, v)
-		m.srcs = append(m.srcs, src)
 	}
 	heap.Init(&m.srcs)
 	return m, nil
 }
 
-// Valid reports whether the merged iterator holds a pair.
+// Valid reports whether the iterator holds a pair.
 func (m *MergeIterator) Valid() bool { return m.err == nil && len(m.srcs) > 0 }
 
 // Key returns the current key.
@@ -106,16 +110,12 @@ func (m *MergeIterator) Next() {
 	if !m.Valid() {
 		return
 	}
-	top := m.srcs[0]
-	k, v, err := top.sh.Next()
-	if err == driver.ErrIterDone {
+	switch err := m.srcs[0].advance(); {
+	case err == nil:
+		heap.Fix(&m.srcs, 0)
+	case errors.Is(err, driver.ErrIterDone):
 		heap.Pop(&m.srcs)
-		return
-	}
-	if err != nil {
+	default:
 		m.err = err
-		return
 	}
-	top.set(k, v)
-	heap.Fix(&m.srcs, 0)
 }

@@ -1,28 +1,24 @@
-// Package shard runs N independent BandSlim host+device stacks in parallel.
+// Package shard holds the op engine both front-ends run on, plus the two
+// pieces a sharded front-end adds to it: the key Partitioner and the k-way
+// MergeIterator.
 //
 // The paper's testbed is deliberately serialized: one passthrough SQ/CQ pair
 // and one synchronous round trip per command (§4.2 notes the improvement
-// that serialization leaves on the table). A Shard is one such serialized
-// stack — its own sim.Clock, pcie.Link, nvme.HostMemory, device.Device, and
-// driver.Driver — bound to a dedicated worker goroutine, so a front-end that
-// hash-partitions keys across shards (see Partitioner) advances N simulated
-// devices concurrently on N host cores, like parallel NVMe queue pairs
-// feeding independent controllers.
+// that serialization leaves on the table). A Stack is one such serialized
+// host+device pair — its own sim.Clock, pcie.Link, nvme.HostMemory,
+// device.Device, and driver.Driver — and the single implementation of every
+// operation the public API offers over it. bandslim.DB is one Stack behind a
+// mutex; bandslim.ShardedDB hash-partitions keys across N such DBs, like
+// parallel NVMe queue pairs feeding independent controllers.
 //
-// Each shard stays exactly as deterministic as a single stack: given the
-// key partition, every shard sees the same command sequence regardless of
-// host scheduling, because all device access happens on the shard's worker
-// goroutine in submission order.
-//
-// Operations cross to the worker through one reusable typed call frame per
-// shard (guarded by a submit mutex) rather than per-op closures, so the
-// steady-state request path allocates nothing.
+// A Stack has no goroutine and no lock of its own: operations run on the
+// caller's goroutine, and whoever owns the Stack serializes access to it
+// (one mutex per shard). Given the key partition, every shard therefore sees
+// its commands in lock-acquisition order, and parallelism lives where the
+// model needs it — on the per-shard simulated clocks — not in host threads.
 package shard
 
 import (
-	"fmt"
-	"sync"
-
 	"bandslim/internal/device"
 	"bandslim/internal/driver"
 	"bandslim/internal/fault"
@@ -57,15 +53,26 @@ type Options struct {
 	Retry driver.RetryPolicy
 }
 
-// Stack is one full simulated host+device pair: the components bandslim.DB
-// wires together, shared here so the single-DB and sharded front-ends build
-// byte-identical stacks.
+// Stack is one full simulated host+device pair and the op engine over it.
+// It is not safe for concurrent use: the owner serializes every method (and
+// any direct component access) behind one lock.
 type Stack struct {
 	Clock *sim.Clock
 	Link  *pcie.Link
 	Mem   *nvme.HostMemory
 	Dev   *device.Device
 	Drv   *driver.Driver
+
+	// AfterOp, when non-nil, runs after every engine operation (per key on
+	// the batch-read path) — the sampling point for simulated-time metrics.
+	// Install it before the first operation.
+	AfterOp func()
+
+	// batch backs PutBatch, created on first use.
+	batch *driver.Batcher
+	// winH/winI are the windowed batch-read FIFO scratch (StartGet handles
+	// and their key indices), reused across batches.
+	winH, winI []int
 }
 
 // NewStack builds the full stack from normalized options.
@@ -104,239 +111,194 @@ func NewStack(o Options) (*Stack, error) {
 	return &Stack{Clock: clock, Link: link, Mem: mem, Dev: dev, Drv: drv}, nil
 }
 
-// DefaultBatchOps is the record cap of the per-shard batcher behind PutBatch.
+// DefaultBatchOps is the record cap of the batcher behind PutBatch.
 const DefaultBatchOps = 128
 
-// opKind discriminates the typed call frame.
-type opKind int
-
-const (
-	opFn opKind = iota
-	opPut
-	opGet
-	opGetInto
-	opDelete
-	opFlush
-	opSeek
-	opNext
-	opPutBatch
-	opGetBatch
-	opGetBatchSparse
-	opGetTime
-)
-
-// call is the reusable request frame a shard's submitters fill in and its
-// worker executes. One frame per shard suffices: ops serialize on the worker
-// anyway, and the submit mutex serializes the fill-in.
-type call struct {
-	kind opKind
-	fn   func()
-
-	key, value []byte   // scalar inputs; value doubles as the GetInto dst
-	keys, vals [][]byte // batch inputs; vals holds GetBatch dst lanes
-	lane       []int    // batch indices this shard owns (nil = all)
-	miss       []bool   // sparse-batch not-found flags, parallel to keys
-
-	rkey, rvalue []byte // scalar outputs (views or grown dst)
-	n            int    // batch record count
-	t            sim.Time
-	err          error
-
-	done chan struct{} // buffered (cap 1); signaled by the worker per call
-}
-
-// reset drops input/output references so the frame does not retain caller
-// memory between ops.
-func (c *call) reset() {
-	c.fn = nil
-	c.key, c.value = nil, nil
-	c.keys, c.vals, c.lane = nil, nil, nil
-	c.miss = nil
-	c.rkey, c.rvalue = nil, nil
-	c.err = nil
-	c.n = 0
-}
-
-// Shard is one stack plus the worker goroutine that owns it. All simulation
-// state is touched only from the worker, so shards need no internal locking
-// and different shards run truly in parallel.
-type Shard struct {
-	id      int
-	stack   *Stack
-	afterOp func()
-	reqs    chan *call
-	done    chan struct{}
-	stop    sync.Once
-
-	// mu serializes submitters onto the single call frame; it is held from
-	// fill-in until the worker's completion signal has been consumed (for
-	// async batch fan-out, Pending.Wait releases it).
-	mu   sync.Mutex
-	call call
-	// batch is the worker-owned batcher behind PutBatch, created lazily on
-	// the worker goroutine.
-	batch *driver.Batcher
-	// winH/winI are the windowed batch-read FIFO scratch (StartGet handles
-	// and their key indices), worker-owned and reused across batches.
-	winH, winI []int
-}
-
-// New builds a shard and starts its worker. Callers must Close it to stop
-// the goroutine.
-func New(id int, o Options) (*Shard, error) {
-	st, err := NewStack(o)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", id, err)
+// opDone fires the after-op hook.
+func (s *Stack) opDone() {
+	if s.AfterOp != nil {
+		s.AfterOp()
 	}
-	s := &Shard{id: id, stack: st, reqs: make(chan *call), done: make(chan struct{})}
-	s.call.done = make(chan struct{}, 1)
-	go s.loop()
-	return s, nil
 }
 
-func (s *Shard) loop() {
-	for c := range s.reqs {
-		s.run(c)
-		c.done <- struct{}{}
-	}
-	close(s.done)
+// Put stores a key-value pair.
+func (s *Stack) Put(key, value []byte) error {
+	err := s.Drv.Put(key, value)
+	s.opDone()
+	return err
 }
 
-// run executes one call frame on the worker goroutine.
-func (s *Shard) run(c *call) {
-	drv := s.stack.Drv
-	switch c.kind {
-	case opFn:
-		c.fn()
-		return
-	case opPut:
-		c.err = drv.Put(c.key, c.value)
-	case opGet:
-		c.rvalue, c.err = drv.Get(c.key)
-	case opGetInto:
-		// Copy the driver's view into the caller-owned dst here on the
-		// worker, before completion is signaled — race-free under
-		// concurrent shard use.
-		var v []byte
-		v, c.err = drv.Get(c.key)
-		if c.err == nil {
-			c.rvalue = append(c.value[:0], v...)
-		}
-	case opDelete:
-		c.err = drv.Delete(c.key)
-	case opFlush:
-		c.err = drv.Flush()
-	case opSeek:
-		c.err = drv.Seek(c.key)
-	case opNext:
-		c.rkey, c.rvalue, c.err = drv.Next()
-	case opPutBatch:
-		// Batch runners fire the after-op hook themselves (per batch / per
-		// record).
-		c.n, c.err = s.runPutBatch(c.keys, c.vals, c.lane)
-		return
-	case opGetBatch:
-		c.n, c.err = s.runGetBatch(c.keys, c.vals, c.lane)
-		return
-	case opGetBatchSparse:
-		c.n, c.err = s.runGetBatchSparse(c.keys, c.vals, c.miss, c.lane)
-		return
-	case opGetTime:
-		c.t = s.stack.Clock.Now()
-		return
+// Get fetches the value for key. The returned slice is a view into the
+// driver's read buffer, valid until the stack's next operation.
+func (s *Stack) Get(key []byte) ([]byte, error) {
+	v, err := s.Drv.Get(key)
+	s.opDone()
+	return v, err
+}
+
+// GetInto fetches the value for key, copying it into dst (grown as needed).
+// The returned slice is caller-owned.
+func (s *Stack) GetInto(key, dst []byte) ([]byte, error) {
+	v, err := s.Drv.Get(key)
+	if err == nil {
+		v = append(dst[:0], v...)
 	}
 	s.opDone()
+	return v, err
 }
 
-// runPutBatch feeds this shard's lane of records through the worker-owned
-// batcher and flushes, so every record is durable on return.
-func (s *Shard) runPutBatch(keys, values [][]byte, lane []int) (int, error) {
+// Delete removes a key.
+func (s *Stack) Delete(key []byte) error {
+	err := s.Drv.Delete(key)
+	s.opDone()
+	return err
+}
+
+// Flush forces buffered values and index entries to NAND.
+func (s *Stack) Flush() error {
+	err := s.Drv.Flush()
+	s.opDone()
+	return err
+}
+
+// Seek positions the device-side iterator at the first key >= start.
+func (s *Stack) Seek(start []byte) error {
+	err := s.Drv.Seek(start)
+	s.opDone()
+	return err
+}
+
+// Next copies the device iterator's current pair into key and value (grown
+// as needed), returns the filled slices, and advances the iterator;
+// driver.ErrIterDone signals exhaustion.
+func (s *Stack) Next(key, value []byte) ([]byte, []byte, error) {
+	k, v, err := s.Drv.Next()
+	if err == nil {
+		k, v = append(key[:0], k...), append(value[:0], v...)
+	}
+	s.opDone()
+	return k, v, err
+}
+
+// Recover mounts the device after a power cut, replaying the battery-backed
+// journal.
+func (s *Stack) Recover() error {
+	err := s.Drv.Recover()
+	s.opDone()
+	return err
+}
+
+// Tune applies the present fields of t to the driver's runtime knobs.
+func (s *Stack) Tune(t driver.Tuning) error { return s.Drv.Tune(t) }
+
+// CompactVLog garbage-collects the oldest pages value-log pages and reports
+// how many values were relocated.
+func (s *Stack) CompactVLog(pages int) (int, error) {
+	n, err := s.Drv.CompactVLog(pages)
+	s.opDone()
+	return n, err
+}
+
+// at maps batch position n to its key index: lane[n], or n itself when lane
+// is nil (the whole key set).
+func at(lane []int, n int) int {
+	if lane == nil {
+		return n
+	}
+	return lane[n]
+}
+
+// span reports how many keys a batch over lane covers.
+func span(keys [][]byte, lane []int) int {
+	if lane == nil {
+		return len(keys)
+	}
+	return len(lane)
+}
+
+// PutBatch writes the lane-indexed subset of keys/values (nil lane = all)
+// through the host-side batcher as bulk OpKVBatchWrite commands and flushes,
+// so every accepted record is durable on return.
+func (s *Stack) PutBatch(keys, values [][]byte, lane []int) error {
+	err := s.putBatch(keys, values, lane)
+	s.opDone()
+	return err
+}
+
+func (s *Stack) putBatch(keys, values [][]byte, lane []int) error {
 	if s.batch == nil {
-		b, err := s.stack.Drv.NewBatcher(DefaultBatchOps)
+		b, err := s.Drv.NewBatcher(DefaultBatchOps)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		s.batch = b
 	}
-	n := 0
-	put := func(i int) error {
+	for n, total := 0, span(keys, lane); n < total; n++ {
+		i := at(lane, n)
 		if err := s.batch.Put(keys[i], values[i]); err != nil {
 			return err
 		}
-		n++
-		return nil
 	}
-	if lane == nil {
-		for i := range keys {
-			if err := put(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := put(i); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := s.batch.Flush(); err != nil {
-		return n, err
-	}
-	s.opDone()
-	return n, nil
+	return s.batch.Flush()
 }
 
-// runGetBatch resolves this shard's lane of keys, copying each value into the
-// caller's dst lane (vals[i], grown as needed) on the worker goroutine. With
-// an asynchronous submission window configured the lane rides it — up to
-// WindowDepth reads in flight at once; otherwise reads stay serial.
-func (s *Shard) runGetBatch(keys, vals [][]byte, lane []int) (int, error) {
-	if s.stack.Drv.WindowDepth() >= 2 {
-		return s.runGetBatchWindowed(keys, vals, nil, lane)
-	}
-	n := 0
-	get := func(i int) error {
-		v, err := s.stack.Drv.Get(keys[i])
-		if err != nil {
+// resolved books key i's outcome on the batch-read path. A hit has already
+// filled vals[i]; a not-found under a non-nil miss empties the lane and sets
+// miss[i]; any other error — or a not-found when miss is nil — is returned
+// and ends the batch.
+func (s *Stack) resolved(i int, vals [][]byte, miss []bool, err error) error {
+	if err != nil {
+		if st, ok := nvme.StatusOf(err); miss == nil || !ok || st != nvme.StatusKeyNotFound {
 			return err
 		}
-		vals[i] = append(vals[i][:0], v...)
-		n++
-		s.opDone()
-		return nil
+		vals[i] = vals[i][:0]
 	}
-	if lane == nil {
-		for i := range keys {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
+	if miss != nil {
+		miss[i] = err != nil
 	}
-	return n, nil
+	s.opDone()
+	return nil
 }
 
-// runGetBatchWindowed pumps the lane through the driver's asynchronous
-// submission window: keep up to WindowDepth reads in flight, wait for the
-// oldest before starting the next, then drain in submission order. Results
-// land in the caller's lanes exactly as the serial path places them; a nil
-// miss makes any error fatal (GetBatch), a non-nil miss absorbs not-found
-// completions (GetBatchSparse). Written closure-free so the steady-state
-// batch-read path stays allocation-free.
-func (s *Shard) runGetBatchWindowed(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	drv := s.stack.Drv
-	depth := drv.WindowDepth()
-	s.winH, s.winI = s.winH[:0], s.winI[:0]
-	total := len(keys)
-	if lane != nil {
-		total = len(lane)
+// GetBatch resolves the lane-indexed subset of keys (nil lane = all), copying
+// each value into the matching caller-owned lane (vals[i], grown as needed).
+// A nil miss is strict: the first absent key fails the batch, leaving lanes
+// past it untouched. A non-nil miss (len(keys) entries) is sparse: an absent
+// key sets miss[i] and empties vals[i] instead. Reads are serial below a
+// window depth of 2; above it they ride the driver's asynchronous submission
+// window — up to WindowDepth in flight, completions reaped out of order and
+// claimed in submission order — landing results exactly where the serial
+// path places them. Written closure-free: the steady-state batch-read path
+// must not allocate.
+func (s *Stack) GetBatch(keys, vals [][]byte, miss []bool, lane []int) error {
+	err := s.getBatch(keys, vals, miss, lane)
+	if err != nil {
+		// Leave the rings empty for the next operation.
+		s.Drv.DrainWindow()
+		s.opDone()
 	}
-	head, next, n := 0, 0, 0
+	return err
+}
+
+func (s *Stack) getBatch(keys, vals [][]byte, miss []bool, lane []int) error {
+	drv := s.Drv
+	depth := drv.WindowDepth()
+	total := span(keys, lane)
+	if depth < 2 {
+		for n := 0; n < total; n++ {
+			i := at(lane, n)
+			v, err := drv.Get(keys[i])
+			if err == nil {
+				vals[i] = append(vals[i][:0], v...)
+			}
+			if err := s.resolved(i, vals, miss, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	s.winH, s.winI = s.winH[:0], s.winI[:0]
+	head, next := 0, 0
 	for {
 		// Reap the oldest in-flight read while the window is full, or once
 		// every key has been submitted.
@@ -344,314 +306,32 @@ func (s *Shard) runGetBatchWindowed(keys, vals [][]byte, miss []bool, lane []int
 			h, i := s.winH[head], s.winI[head]
 			head++
 			v, err := drv.WaitGetInto(h, vals[i])
-			if err != nil {
-				if miss != nil {
-					if st, ok := nvme.StatusOf(err); ok && st == nvme.StatusKeyNotFound {
-						miss[i] = true
-						vals[i] = vals[i][:0]
-						n++
-						s.opDone()
-						continue
-					}
-				}
-				drv.DrainWindow()
-				return n, err
+			if err == nil {
+				vals[i] = v
 			}
-			if miss != nil {
-				miss[i] = false
+			if err := s.resolved(i, vals, miss, err); err != nil {
+				return err
 			}
-			vals[i] = v
-			n++
-			s.opDone()
 		}
 		if next == total {
-			return n, nil
+			return nil
 		}
-		i := next
-		if lane != nil {
-			i = lane[next]
-		}
+		i := at(lane, next)
+		next++
 		// A known-missing key resolves host-side: no command is built and no
 		// simulated time passes, exactly as Driver.Get short-circuits the
 		// serial path.
 		if drv.NegativeKnown(keys[i]) {
-			if miss == nil {
-				drv.DrainWindow()
-				return n, driver.ErrNegativeHit
+			if err := s.resolved(i, vals, miss, driver.ErrNegativeHit); err != nil {
+				return err
 			}
-			miss[i] = true
-			vals[i] = vals[i][:0]
-			n++
-			next++
-			s.opDone()
 			continue
 		}
 		h, err := drv.StartGet(keys[i])
 		if err != nil {
-			drv.DrainWindow()
-			return n, err
+			return err
 		}
 		s.winH = append(s.winH, h)
 		s.winI = append(s.winI, i)
-		next++
 	}
-}
-
-// runGetBatchSparse resolves this shard's lane of keys like runGetBatch, but
-// tolerates absent keys: a key-not-found completion sets miss[i] and empties
-// the dst lane instead of failing the batch — the semantics a serving
-// front-end needs for MGET and coalesced GET runs, where a miss is an answer
-// ("no such key"), not an error.
-func (s *Shard) runGetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	if s.stack.Drv.WindowDepth() >= 2 {
-		return s.runGetBatchWindowed(keys, vals, miss, lane)
-	}
-	n := 0
-	get := func(i int) error {
-		v, err := s.stack.Drv.Get(keys[i])
-		if err != nil {
-			if st, ok := nvme.StatusOf(err); ok && st == nvme.StatusKeyNotFound {
-				miss[i] = true
-				vals[i] = vals[i][:0]
-				n++
-				s.opDone()
-				return nil
-			}
-			return err
-		}
-		miss[i] = false
-		vals[i] = append(vals[i][:0], v...)
-		n++
-		s.opDone()
-		return nil
-	}
-	if lane == nil {
-		for i := range keys {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// ID reports the shard's index.
-func (s *Shard) ID() int { return s.id }
-
-// Stack exposes the shard's simulation components. Touch them only inside
-// Do (or after Close, when the worker has exited).
-func (s *Shard) Stack() *Stack { return s.stack }
-
-// SetAfterOp installs a hook the worker runs after every driver operation
-// (Put/Get/Delete/Flush/Seek/Next) — the sampling point for simulated-time
-// metrics. Install it before the first operation; the hook executes on the
-// worker goroutine, so it may touch the Stack freely.
-func (s *Shard) SetAfterOp(fn func()) { s.afterOp = fn }
-
-// opDone fires the after-op hook; called on the worker goroutine.
-func (s *Shard) opDone() {
-	if s.afterOp != nil {
-		s.afterOp()
-	}
-}
-
-// finish hands the filled-in frame to the worker and waits. Callers must
-// hold s.mu and have set every input field; finish consumes the completion,
-// resets the frame's references, and releases the mutex.
-func (s *Shard) finish() (rkey, rvalue []byte, n int, err error) {
-	c := &s.call
-	s.reqs <- c
-	<-c.done
-	rkey, rvalue, n, err = c.rkey, c.rvalue, c.n, c.err
-	c.reset()
-	s.mu.Unlock()
-	return rkey, rvalue, n, err
-}
-
-// Do runs fn on the shard's worker goroutine and waits for it to finish.
-// Calling Do on a closed shard panics; front-ends gate on their own closed
-// state first.
-func (s *Shard) Do(fn func()) {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opFn
-	c.fn = fn
-	s.finish()
-}
-
-// Recover mounts this shard's device after a power cut, replaying the
-// battery-backed journal on the worker goroutine.
-func (s *Shard) Recover() error {
-	var err error
-	s.Do(func() { err = s.stack.Drv.Recover() })
-	return err
-}
-
-// Close stops the worker goroutine and waits for it to exit. Idempotent.
-func (s *Shard) Close() {
-	s.stop.Do(func() { close(s.reqs) })
-	<-s.done
-}
-
-// Put stores a key-value pair on this shard.
-func (s *Shard) Put(key, value []byte) error {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opPut
-	c.key, c.value = key, value
-	_, _, _, err := s.finish()
-	return err
-}
-
-// Get fetches the value for key from this shard. The returned slice is a
-// view into the shard driver's read buffer, valid until the shard's next
-// operation; callers that retain it — or share the shard across goroutines —
-// must use GetInto instead.
-func (s *Shard) Get(key []byte) ([]byte, error) {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGet
-	c.key = key
-	_, v, _, err := s.finish()
-	return v, err
-}
-
-// GetInto fetches the value for key, copying it into dst (grown as needed)
-// before the op completes. The returned slice is caller-owned and safe under
-// concurrent shard use.
-func (s *Shard) GetInto(key, dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetInto
-	c.key, c.value = key, dst
-	_, v, _, err := s.finish()
-	return v, err
-}
-
-// Delete removes a key from this shard.
-func (s *Shard) Delete(key []byte) error {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opDelete
-	c.key = key
-	_, _, _, err := s.finish()
-	return err
-}
-
-// Flush forces this shard's buffered values and index entries to NAND.
-func (s *Shard) Flush() error {
-	s.mu.Lock()
-	s.call.kind = opFlush
-	_, _, _, err := s.finish()
-	return err
-}
-
-// Seek positions this shard's device-side iterator at the first key >= start.
-func (s *Shard) Seek(start []byte) error {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opSeek
-	c.key = start
-	_, _, _, err := s.finish()
-	return err
-}
-
-// Next returns the shard iterator's current pair and advances it;
-// driver.ErrIterDone signals exhaustion. Like Get, the returned slices are
-// views valid until the shard's next operation.
-func (s *Shard) Next() (key, value []byte, err error) {
-	s.mu.Lock()
-	s.call.kind = opNext
-	key, value, _, err = s.finish()
-	return key, value, err
-}
-
-// PutBatch writes the lane-indexed subset of keys/values (nil lane = all)
-// through the shard's batcher as bulk OpKVBatchWrite commands and flushes, so
-// every accepted record is durable on return. It reports how many records
-// were written.
-func (s *Shard) PutBatch(keys, values [][]byte, lane []int) (int, error) {
-	return s.StartPutBatch(keys, values, lane).Wait()
-}
-
-// GetBatch resolves the lane-indexed subset of keys (nil lane = all), copying
-// each value into the matching vals lane (vals[i], grown as needed). It
-// reports how many lanes were filled; on error, lanes beyond the failing key
-// are left untouched.
-func (s *Shard) GetBatch(keys, vals [][]byte, lane []int) (int, error) {
-	return s.StartGetBatch(keys, vals, lane).Wait()
-}
-
-// Pending is an in-flight batch handed to the shard worker; exactly one Wait
-// call must follow each Start.
-type Pending struct{ s *Shard }
-
-// StartPutBatch enqueues a PutBatch without waiting, so a front-end can fan
-// one logical batch out across shards and overlap their simulated work.
-func (s *Shard) StartPutBatch(keys, values [][]byte, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opPutBatch
-	c.keys, c.vals, c.lane = keys, values, lane
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// StartGetBatch enqueues a GetBatch without waiting; see StartPutBatch.
-func (s *Shard) StartGetBatch(keys, vals [][]byte, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetBatch
-	c.keys, c.vals, c.lane = keys, vals, lane
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// GetBatchSparse resolves the lane-indexed subset of keys like GetBatch, but
-// an absent key sets miss[i] (and empties vals[i]) instead of failing the
-// batch. It reports how many lanes were resolved (hits plus misses).
-func (s *Shard) GetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	return s.StartGetBatchSparse(keys, vals, miss, lane).Wait()
-}
-
-// StartGetBatchSparse enqueues a GetBatchSparse without waiting; see
-// StartPutBatch.
-func (s *Shard) StartGetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetBatchSparse
-	c.keys, c.vals, c.lane = keys, vals, lane
-	c.miss = miss
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// Wait blocks until the batch completes and releases the shard for the next
-// submitter.
-func (p Pending) Wait() (int, error) {
-	c := &p.s.call
-	<-c.done
-	n, err := c.n, c.err
-	c.reset()
-	p.s.mu.Unlock()
-	return n, err
-}
-
-// Now reports the shard's simulated time.
-func (s *Shard) Now() sim.Time {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetTime
-	s.reqs <- c
-	<-c.done
-	t := c.t
-	c.reset()
-	s.mu.Unlock()
-	return t
 }

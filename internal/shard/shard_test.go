@@ -3,9 +3,9 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"bandslim/internal/device"
@@ -27,21 +27,17 @@ func testOptions() Options {
 	}
 }
 
-func newTestShard(t *testing.T, id int) *Shard {
+func newTestStack(t *testing.T) *Stack {
 	t.Helper()
-	s, err := New(id, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
-func TestStackConstruction(t *testing.T) {
 	st, err := NewStack(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+func TestStackConstruction(t *testing.T) {
+	st := newTestStack(t)
 	if st.Clock == nil || st.Link == nil || st.Mem == nil || st.Dev == nil || st.Drv == nil {
 		t.Fatal("NewStack left a component nil")
 	}
@@ -50,8 +46,11 @@ func TestStackConstruction(t *testing.T) {
 	}
 }
 
+// The engine's point ops, with AfterOp firing exactly once per op.
 func TestShardPutGetDelete(t *testing.T) {
-	s := newTestShard(t, 0)
+	s := newTestStack(t)
+	ops := 0
+	s.AfterOp = func() { ops++ }
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -59,60 +58,102 @@ func TestShardPutGetDelete(t *testing.T) {
 	if err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
+	dst := make([]byte, 0, 8)
+	if got, err = s.GetInto([]byte("k"), dst); err != nil || string(got) != "v" || &got[0] != &dst[:1][0] {
+		t.Fatalf("GetInto = %q, %v (must fill the caller's buffer)", got, err)
+	}
 	if err := s.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get([]byte("k")); err == nil {
 		t.Fatal("deleted key still readable")
 	}
-	if s.Now() <= 0 {
-		t.Fatal("shard clock did not advance")
-	}
-	if s.ID() != 0 {
-		t.Fatalf("ID = %d", s.ID())
-	}
-}
-
-func TestShardCloseIdempotent(t *testing.T) {
-	s, err := New(3, testOptions())
-	if err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	s.Close() // must not panic or hang
+	if s.Clock.Now() <= 0 {
+		t.Fatal("stack clock did not advance")
+	}
+	if ops != 6 {
+		t.Fatalf("AfterOp fired %d times over 6 ops", ops)
+	}
 }
 
-// Do serializes concurrent callers onto the worker; under -race this
-// validates that all simulation state is single-goroutine confined.
-func TestShardDoSerializes(t *testing.T) {
-	s := newTestShard(t, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Get returns a view into the shard worker's read buffer, only
-			// valid until the next op; concurrent readers need the copying
-			// GetInto with goroutine-owned scratch.
-			var dst []byte
-			for i := 0; i < 20; i++ {
-				key := []byte(fmt.Sprintf("g%d-%d", g, i))
-				if err := s.Put(key, []byte{byte(g)}); err != nil {
-					t.Error(err)
-					return
-				}
-				v, err := s.GetInto(key, dst)
-				if err != nil || len(v) != 1 || v[0] != byte(g) {
-					t.Errorf("GetInto(%s) = %v, %v", key, v, err)
-					return
-				}
-				dst = v
+// The engine's one batch pair: lanes select key subsets, a nil miss is
+// strict, a non-nil miss absorbs absent keys (including a negative-cache
+// hit), and the serial and windowed paths land identical results.
+func TestStackBatchLanes(t *testing.T) {
+	for _, depth := range []int{1, 8} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			o := testOptions()
+			o.Device.Cache.NegativeEntries = 16
+			if depth > 1 {
+				o.Submission = driver.SubmissionConfig{QueueDepth: depth}
 			}
-		}(g)
-	}
-	wg.Wait()
-	if got := s.Stack().Drv.Stats().Puts.Value(); got != 8*20 {
-		t.Fatalf("Puts = %d, want %d", got, 8*20)
+			s, err := NewStack(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polls := 0
+			s.AfterOp = func() { polls++ }
+			keys := make([][]byte, 12)
+			vals := make([][]byte, len(keys))
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("b%02d", i))
+				vals[i] = bytes.Repeat([]byte{byte(i)}, 40+i)
+			}
+			even := []int{0, 2, 4, 6, 8, 10}
+			if err := s.PutBatch(keys, vals, even); err != nil {
+				t.Fatal(err)
+			}
+			if polls != 1 {
+				t.Fatalf("PutBatch fired AfterOp %d times, want 1", polls)
+			}
+			// Strict over the written lane: every lane fills, odd lanes stay
+			// untouched.
+			got := make([][]byte, len(keys))
+			polls = 0
+			if err := s.GetBatch(keys, got, nil, even); err != nil {
+				t.Fatal(err)
+			}
+			if polls != len(even) {
+				t.Fatalf("GetBatch fired AfterOp %d times over %d keys", polls, len(even))
+			}
+			for i := range keys {
+				if i%2 == 0 && !bytes.Equal(got[i], vals[i]) {
+					t.Fatalf("lane %d = %x", i, got[i])
+				}
+				if i%2 == 1 && got[i] != nil {
+					t.Fatalf("lane %d outside the batch was written", i)
+				}
+			}
+			// Strict over everything: the first absent key fails the batch.
+			if err := s.GetBatch(keys, got, nil, nil); err == nil {
+				t.Fatal("strict GetBatch over absent keys succeeded")
+			}
+			if s.Drv.InFlight() != 0 {
+				t.Fatal("failed batch left reads in flight")
+			}
+			// Sparse over everything, three times: the repeats resolve the odd
+			// keys from the negative cache.
+			miss := make([]bool, len(keys))
+			for r := 0; r < 3; r++ {
+				if err := s.GetBatch(keys, got, miss, nil); err != nil {
+					t.Fatal(err)
+				}
+				for i := range keys {
+					if miss[i] != (i%2 == 1) {
+						t.Fatalf("round %d: miss[%d] = %v", r, i, miss[i])
+					}
+					if miss[i] && len(got[i]) != 0 || !miss[i] && !bytes.Equal(got[i], vals[i]) {
+						t.Fatalf("round %d: lane %d = %x", r, i, got[i])
+					}
+				}
+			}
+			if s.Drv.Stats().NegativeHits.Value() == 0 {
+				t.Fatal("repeated misses never hit the negative cache")
+			}
+		})
 	}
 }
 
@@ -164,8 +205,22 @@ func TestPartitionerSingleShard(t *testing.T) {
 	}
 }
 
+// seekAll positions every stack's device iterator at start and returns the
+// stacks' cursors, the way a front-end builds a MergeIterator.
+func seekAll(t *testing.T, stacks []*Stack, start []byte) []Cursor {
+	t.Helper()
+	cursors := make([]Cursor, len(stacks))
+	for i, st := range stacks {
+		if err := st.Seek(start); err != nil {
+			t.Fatal(err)
+		}
+		cursors[i] = st.Next
+	}
+	return cursors
+}
+
 func TestMergeIteratorGlobalOrder(t *testing.T) {
-	shards := []*Shard{newTestShard(t, 0), newTestShard(t, 1), newTestShard(t, 2)}
+	shards := []*Stack{newTestStack(t), newTestStack(t), newTestStack(t)}
 	p, err := NewPartitioner(len(shards), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +234,7 @@ func TestMergeIteratorGlobalOrder(t *testing.T) {
 		want = append(want, string(key))
 	}
 	sort.Strings(want)
-	mi, err := NewMergeIterator(shards, []byte{0})
+	mi, err := NewMergeIterator(seekAll(t, shards, []byte{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +260,7 @@ func TestMergeIteratorGlobalOrder(t *testing.T) {
 }
 
 func TestMergeIteratorSeekMidRange(t *testing.T) {
-	shards := []*Shard{newTestShard(t, 0), newTestShard(t, 1)}
+	shards := []*Stack{newTestStack(t), newTestStack(t)}
 	p, err := NewPartitioner(len(shards), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +271,7 @@ func TestMergeIteratorSeekMidRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mi, err := NewMergeIterator(shards, []byte("sk25"))
+	mi, err := NewMergeIterator(seekAll(t, shards, []byte("sk25")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +295,7 @@ func TestMergeIteratorSeekMidRange(t *testing.T) {
 }
 
 func TestMergeIteratorEmpty(t *testing.T) {
-	shards := []*Shard{newTestShard(t, 0)}
-	mi, err := NewMergeIterator(shards, []byte{0})
+	mi, err := NewMergeIterator(seekAll(t, []*Stack{newTestStack(t)}, []byte{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,4 +306,47 @@ func TestMergeIteratorEmpty(t *testing.T) {
 		t.Fatal("invalid iterator must report nil key/value and no error")
 	}
 	mi.Next() // must be a no-op, not a panic
+}
+
+// A cursor that fails mid-stream (a closed DB, a power cut) stops the merged
+// view with that error instead of surfacing a stale pair.
+func TestMergeIteratorCursorError(t *testing.T) {
+	st := newTestStack(t)
+	for i := 0; i < 4; i++ {
+		if err := st.Put([]byte(fmt.Sprintf("ek%d", i)), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seek([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	boom, calls := errors.New("cursor gone"), 0
+	failing := func(key, value []byte) ([]byte, []byte, error) {
+		if calls++; calls > 2 {
+			return nil, nil, boom
+		}
+		return st.Next(key, value)
+	}
+	mi, err := NewMergeIterator([]Cursor{failing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mi.Valid() || string(mi.Key()) != "ek0" {
+		t.Fatalf("first pair = %q", mi.Key())
+	}
+	mi.Next()
+	if !mi.Valid() || string(mi.Key()) != "ek1" {
+		t.Fatalf("second pair = %q", mi.Key())
+	}
+	mi.Next()
+	if mi.Valid() || mi.Err() != boom || mi.Key() != nil || mi.Value() != nil {
+		t.Fatalf("after cursor error: valid=%v err=%v key=%q", mi.Valid(), mi.Err(), mi.Key())
+	}
+	mi.Next() // stays stopped
+	if mi.Err() != boom {
+		t.Fatalf("Err changed to %v", mi.Err())
+	}
+	if _, err := NewMergeIterator([]Cursor{failing}); err != boom {
+		t.Fatalf("NewMergeIterator over a failing cursor = %v", err)
+	}
 }

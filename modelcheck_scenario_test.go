@@ -52,20 +52,9 @@ func scenarioKeyNum(key []byte) (int, bool) {
 
 // mcScanScenario checks a scenario-driven scan against the model, the
 // y-keyspace analog of mcScan.
-func mcScanScenario(t *testing.T, db mcRecoverable, model *mcModel, start []byte, limit int, faulty bool) {
+func mcScanScenario(t *testing.T, db bandslim.Store, model *mcModel, start []byte, limit int, faulty bool) {
 	t.Helper()
-	var (
-		it  mcIter
-		err error
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		it, err = d.NewIterator(start)
-	case *bandslim.ShardedDB:
-		it, err = d.NewIterator(start)
-	default:
-		t.Fatalf("mcScanScenario: unknown db type %T", db)
-	}
+	it, err := db.NewIterator(start)
 	if err != nil {
 		if bandslim.IsPowerLoss(err) {
 			mcRecover(t, db)
@@ -96,7 +85,7 @@ func mcScanScenario(t *testing.T, db mcRecoverable, model *mcModel, start []byte
 
 // runScenarioModelSequence drives one scenario stream through db and the
 // reference model, then verifies the whole keyspace.
-func runScenarioModelSequence(t *testing.T, db mcRecoverable, name string, seed uint64, faulty bool) {
+func runScenarioModelSequence(t *testing.T, db bandslim.Store, name string, seed uint64, faulty bool) {
 	t.Helper()
 	s, err := workload.NewScenario(name, scenarioModelConfig(seed))
 	if err != nil {

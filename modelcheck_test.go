@@ -26,28 +26,6 @@ import (
 // mcOps is the operation count per model-check sequence.
 const mcOps = 40
 
-// mcKV is the driver-facing surface the harness exercises; DB and ShardedDB
-// both satisfy it (plus Recover, asserted below).
-type mcKV interface {
-	Put(key, value []byte) error
-	GetInto(key, dst []byte) ([]byte, error)
-	PutBatch(keys, values [][]byte) error
-	GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error)
-	Delete(key []byte) error
-	Flush() error
-	Close() error
-}
-
-type mcRecoverable interface {
-	mcKV
-	Recover() error
-}
-
-var (
-	_ mcRecoverable = (*bandslim.DB)(nil)
-	_ mcRecoverable = (*bandslim.ShardedDB)(nil)
-)
-
 // mcModel is the reference state machine. sure maps keys to the exact value
 // an acknowledged operation left behind (nil = acknowledged absent, i.e. an
 // acked delete or never written). candidates holds keys whose last mutation
@@ -212,33 +190,13 @@ func mcPlan(seed uint64) *bandslim.FaultPlan {
 	return p
 }
 
-// mcIter is the common surface of bandslim.Iterator and ShardedIterator.
-type mcIter interface {
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Err() error
-	Next()
-}
-
 // mcScan opens an iterator and checks every scanned pair within the model's
 // keyspace: a returned value must be one the model allows, and a key the
 // model holds certainly-absent must not appear. Iteration errors under an
 // active fault plan abandon the scan (the snapshot died with the fault).
-func mcScan(t *testing.T, db mcRecoverable, model *mcModel, start string, faulty bool) {
+func mcScan(t *testing.T, db bandslim.Store, model *mcModel, start string, faulty bool) {
 	t.Helper()
-	var (
-		it  mcIter
-		err error
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		it, err = d.NewIterator([]byte(start))
-	case *bandslim.ShardedDB:
-		it, err = d.NewIterator([]byte(start))
-	default:
-		t.Fatalf("mcScan: unknown db type %T", db)
-	}
+	it, err := db.NewIterator([]byte(start))
 	if err != nil {
 		if bandslim.IsPowerLoss(err) {
 			mcRecover(t, db)
@@ -269,7 +227,7 @@ func mcScan(t *testing.T, db mcRecoverable, model *mcModel, start string, faulty
 
 // mcRecover brings the stack back after a power-loss completion. A plan can
 // cut power again during replay, so recovery itself may need a few attempts.
-func mcRecover(t *testing.T, db mcRecoverable) {
+func mcRecover(t *testing.T, db bandslim.Store) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		err := db.Recover()
@@ -284,7 +242,7 @@ func mcRecover(t *testing.T, db mcRecoverable) {
 
 // mcGet reads a key, recovering across power cuts and tolerating one-shot
 // injected media read faults. Returns nil for an absent key.
-func mcGet(t *testing.T, db mcRecoverable, key string, scratch []byte) ([]byte, []byte) {
+func mcGet(t *testing.T, db bandslim.Store, key string, scratch []byte) ([]byte, []byte) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		v, err := db.GetInto([]byte(key), scratch[:0])
@@ -308,7 +266,7 @@ func mcGet(t *testing.T, db mcRecoverable, key string, scratch []byte) ([]byte, 
 
 // runModelSequence drives one seeded sequence against db and the model, then
 // verifies every key.
-func runModelSequence(t *testing.T, db mcRecoverable, seed uint64, faulty bool) {
+func runModelSequence(t *testing.T, db bandslim.Store, seed uint64, faulty bool) {
 	t.Helper()
 	model := newMCModel()
 	rng := sim.NewRNG(seed)

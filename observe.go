@@ -32,9 +32,9 @@ import (
 	"bandslim/internal/trace"
 )
 
-// Tracer receives command-level events. Implementations must be safe for
-// use from the goroutine running the simulation (ShardedDB shards emit from
-// their worker goroutines, each wrapped to stamp its shard id).
+// Tracer receives command-level events on whichever goroutine is running the
+// operation that emits them. A Tracer shared across ShardedDB shards (each
+// wrapped to stamp its shard id) must be safe for concurrent use.
 type Tracer = trace.Tracer
 
 // TraceEvent is one traced occurrence: a span (End > Start) such as a DMA
@@ -139,17 +139,59 @@ func WriteBlameBreakdown(w io.Writer, r *BlameReport, topK int) error {
 	return spans.WriteBreakdown(w, r, topK)
 }
 
+// rings is the set of distinct ring recorders behind a front-end: none, the
+// one *Recorder Config.Tracer names, or one per shard (TraceCapacity). Health
+// and attribution go through it so a recorder shared by every shard is
+// counted once.
+type rings []*Recorder
+
+// ringsOf returns the ring behind t, if t is a *Recorder.
+func ringsOf(t Tracer) rings {
+	if rec, ok := t.(*Recorder); ok && rec != nil {
+		return rings{rec}
+	}
+	return nil
+}
+
+// health sums the rings' buffered and dropped event counts.
+func (r rings) health() TraceStats {
+	var h TraceStats
+	for _, rec := range r {
+		h.Buffered += int64(rec.Len())
+		h.Dropped += rec.Dropped()
+	}
+	return h
+}
+
+// events returns the buffered events — one ring's in emission order, several
+// rings' merged by simulated start time — or nil when there is no ring.
+func (r rings) events() []TraceEvent {
+	switch len(r) {
+	case 0:
+		return nil
+	case 1:
+		return r[0].TraceEvents()
+	}
+	streams := make([][]TraceEvent, len(r))
+	for i, rec := range r {
+		streams[i] = rec.TraceEvents()
+	}
+	return MergeTraces(streams...)
+}
+
+// blame analyzes the buffered events, or returns nil when there is no ring.
+func (r rings) blame() *BlameReport {
+	if len(r) == 0 {
+		return nil
+	}
+	return spans.Analyze(r.events())
+}
+
 // Blame analyzes the DB's attached ring recorder (Config.Tracer must be a
 // *Recorder) and returns the attribution report, or nil when no recorder is
 // attached. The report covers whatever the ring currently holds; check
 // Lossy() before trusting per-op numbers near the buffer's start.
-func (db *DB) Blame() *BlameReport {
-	rec, ok := db.cfg.Tracer.(*Recorder)
-	if !ok || rec == nil {
-		return nil
-	}
-	return spans.Analyze(rec.TraceEvents())
-}
+func (db *DB) Blame() *BlameReport { return db.rings.blame() }
 
 // MetricSeries is a sampled sequence of metric snapshots on a fixed
 // simulated-time grid: sample i sits at t = i × Config.MetricsInterval,
@@ -178,29 +220,26 @@ func (db *DB) Series() MetricSeries {
 
 // WritePrometheus writes the DB's current metric state — every counter,
 // gauge, and full-bucket latency histogram — in the Prometheus text
-// exposition format. It works with or without the sampler, remains usable
-// after Close, and is deterministic: same-seed runs produce byte-identical
-// output.
+// exposition format. It works with or without the sampler, is safe to call
+// while the DB is serving, remains usable after Close, and is deterministic:
+// same-seed runs produce byte-identical output.
 func (db *DB) WritePrometheus(w io.Writer) error {
-	faults := db.cfg.Faults != nil
-	cached := cacheEnabled(db.cfg)
-	db.mu.Lock()
-	snap := snapshotStack(db.st, faults, cached)
-	db.mu.Unlock()
-	if err := timeseries.WritePrometheus(w, "bandslim", descsFor(faults, cached), snap, histHelp); err != nil {
+	return writeExposition(w, db.descs(), db.lockedSnapshot(), db.rings)
+}
+
+// writeExposition renders one metric snapshot, then — only when a ring
+// recorder is attached, so untraced runs keep byte-identical exposition (the
+// golden-smoke guarantee) — the trace-ring health and stage-blame families as
+// a separate section.
+func writeExposition(w io.Writer, descs []timeseries.Desc, snap timeseries.Snapshot, r rings) error {
+	if err := timeseries.WritePrometheus(w, "bandslim", descs, snap, histHelp); err != nil {
 		return err
 	}
-	// Trace-ring health and stage-blame families follow as a separate
-	// section, only when a ring recorder is attached: untraced runs keep
-	// byte-identical exposition (the golden-smoke guarantee).
-	rec, ok := db.cfg.Tracer.(*Recorder)
-	if !ok || rec == nil {
+	rep := r.blame()
+	if rep == nil {
 		return nil
 	}
-	events := rec.TraceEvents()
-	rep := spans.Analyze(events)
-	bsnap := blameSnapshot(int64(len(events)), rec.Dropped(), rep)
-	return timeseries.WritePrometheus(w, "bandslim", traceDescs, bsnap, blameHistHelp)
+	return timeseries.WritePrometheus(w, "bandslim", traceDescs, blameSnapshot(r.health(), rep), blameHistHelp)
 }
 
 // WriteServerPrometheus writes a network front-end's counters in the

@@ -158,40 +158,25 @@ func TestErrorSentinelsMatchable(t *testing.T) {
 }
 
 func TestSettersFailAfterClose(t *testing.T) {
-	db := openSmall(t, nil)
-	if err := db.SetMethod(Piggyback); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetThresholds(DefaultConfig().Thresholds); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetMethod(Baseline); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DB.SetMethod after Close = %v, want ErrClosed", err)
-	}
-	if err := db.SetThresholds(DefaultConfig().Thresholds); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DB.SetThresholds after Close = %v, want ErrClosed", err)
-	}
-
+	method, thr := Piggyback, DefaultConfig().Thresholds
+	tunings := []Tuning{{Method: &method}, {Thresholds: &thr}}
 	sdb, err := OpenSharded(ShardedConfig{Shards: 2, PerShard: smallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sdb.SetMethod(Piggyback); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.SetThresholds(DefaultConfig().Thresholds); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.SetMethod(Baseline); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ShardedDB.SetMethod after Close = %v, want ErrClosed", err)
-	}
-	if err := sdb.SetThresholds(DefaultConfig().Thresholds); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ShardedDB.SetThresholds after Close = %v, want ErrClosed", err)
+	for name, st := range map[string]Store{"DB": openSmall(t, nil), "ShardedDB": sdb} {
+		for _, tn := range tunings {
+			if err := st.Tune(tn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tn := range tunings {
+			if err := st.Tune(tn); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s.Tune after Close = %v, want ErrClosed", name, err)
+			}
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // replayStack mirrors the bandslim-cli trace stack: default config with the
 // metrics sampler armed, sharded when shards > 1.
-func replayStack(t *testing.T, shards int) bench.ScenarioDB {
+func replayStack(t *testing.T, shards int) bandslim.Store {
 	t.Helper()
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
@@ -43,33 +43,11 @@ func replayStack(t *testing.T, shards int) bench.ScenarioDB {
 // replayFingerprint closes the stack and renders everything the equivalence
 // check compares: the Prometheus exposition, the Stats structure, and a full
 // ordered dump of the surviving key/value pairs.
-func replayFingerprint(t *testing.T, db bench.ScenarioDB) (prom string, stats bandslim.Stats, dump string) {
+func replayFingerprint(t *testing.T, db bandslim.Store) (prom string, stats bandslim.Stats, dump string) {
 	t.Helper()
-	var (
-		buf bytes.Buffer
-		it  interface {
-			Valid() bool
-			Key() []byte
-			Value() []byte
-			Err() error
-			Next()
-		}
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		iter, err := d.NewIterator(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it = iter
-	case *bandslim.ShardedDB:
-		iter, err := d.NewIterator(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it = iter
-	default:
-		t.Fatalf("unknown stack %T", db)
+	it, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sb strings.Builder
 	for it.Valid() {
@@ -81,25 +59,14 @@ func replayFingerprint(t *testing.T, db bench.ScenarioDB) (prom string, stats ba
 	}
 	// Close before rendering the exposition so it includes the final flush,
 	// matching the order the CLI gate exports in.
-	switch d := db.(type) {
-	case *bandslim.DB:
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		stats = d.Stats()
-	case *bandslim.ShardedDB:
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		stats = d.Stats()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return buf.String(), stats, sb.String()
+	var buf bytes.Buffer
+	if err := db.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), db.Stats(), sb.String()
 }
 
 func TestReplayEquivalence(t *testing.T) {

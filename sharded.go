@@ -9,7 +9,6 @@ import (
 	"bandslim/internal/shard"
 	"bandslim/internal/sim"
 	"bandslim/internal/timeseries"
-	"bandslim/internal/trace"
 )
 
 // partitionSeed keys the shard partitioner. Fixed, so a given key always
@@ -20,7 +19,7 @@ const partitionSeed = 0xBA4D511E
 type ShardedConfig struct {
 	// Shards is the number of independent device shards (>= 1). Each shard
 	// is a full host+device stack with its own simulated clock, PCIe link,
-	// NVMe queue pair, driver, and device, driven by its own goroutine.
+	// NVMe queue pair, driver, and device, behind its own mutex.
 	Shards int
 	// PerShard configures every shard's stack, with the same semantics and
 	// defaults as Open. A non-nil PerShard.Tracer is shared by every shard
@@ -38,43 +37,46 @@ func DefaultShardedConfig(shards int) ShardedConfig {
 	return ShardedConfig{Shards: shards, PerShard: DefaultConfig()}
 }
 
-// ShardedDB fans Put/Get/Delete out across N independent device shards by
-// hash-partitioning keys, lifting the single-queue serialization of DB: the
-// paper's testbed pins every command to one synchronous SQ/CQ pair, while a
-// ShardedDB advances N such pairs concurrently on N host cores, like a
-// multi-queue NVMe deployment with per-queue controllers.
+// ShardedDB is N independent DBs behind a key partitioner, lifting the
+// single-queue serialization of DB: the paper's testbed pins every command
+// to one synchronous SQ/CQ pair, while a ShardedDB advances N such pairs on N
+// independent simulated clocks, like a multi-queue NVMe deployment with
+// per-queue controllers. Every method either routes to the key's shard or
+// loops over the shards.
 //
-// Each shard stays exactly as deterministic as a DB: the key partition
-// fixes which shard serves each operation, every shard executes its
-// operations in submission order on a dedicated goroutine, and per-shard
-// simulated clocks advance independently. Aggregate Stats are therefore
-// order-independent: byte ledgers and NAND counts sum exactly, latency
-// distributions merge exactly, and aggregate simulated time is the max over
-// shard clocks (shards run in parallel, so the slowest defines the span).
+// There is one mutex per shard and no lock above them: an operation runs on
+// the caller's goroutine under its shard's mutex, so operations on different
+// shards proceed in parallel and operations on one shard serialize in
+// lock-acquisition order. A batch visits its shards one at a time — lock,
+// run that shard's lane, unlock — so it never holds two shard locks.
 //
-// With Shards: 1 a ShardedDB produces byte-identical PCIe traffic ledgers
-// and NAND write counts to a plain DB over the same workload.
+// Each shard stays exactly as deterministic as a DB: the key partition fixes
+// which shard serves each operation and per-shard simulated clocks advance
+// independently. Aggregate Stats are therefore order-independent: byte
+// ledgers and NAND counts sum exactly, latency distributions merge exactly,
+// and aggregate simulated time is the max over shard clocks (shards run in
+// parallel on the simulated clock, so the slowest defines the span).
 //
-// All methods are safe for concurrent use; operations on different shards
-// proceed in parallel, operations on one shard serialize in arrival order.
+// With Shards: 1 a ShardedDB is a DB: the same engine behind the same mutex,
+// producing identical Stats, Series, and exposition over the same workload.
+//
+// All methods are safe for concurrent use.
 type ShardedDB struct {
-	mu       sync.RWMutex
-	cfg      ShardedConfig
-	shards   []*shard.Shard
-	part     *shard.Partitioner
-	recs     []*trace.Recorder     // per-shard recorders (TraceCapacity > 0)
-	samplers []*timeseries.Sampler // per-shard samplers (MetricsInterval > 0)
-	closed   bool
+	dbs  []*DB
+	part *shard.Partitioner
+	// rings are the distinct ring recorders behind the shards: one per shard
+	// (TraceCapacity > 0), else the shared PerShard.Tracer if it is one.
+	rings rings
 
-	// batchMu guards the reusable lane-partition scratch below; holding it
-	// across a whole batch keeps the lane index slices stable while shard
-	// workers read them.
-	batchMu sync.Mutex
-	lanes   [][]int
-	pending []shard.Pending
+	// free holds idle lane sets (one key-index slice per shard), one taken
+	// per batch call. A mutex-guarded free list held only to pop and push —
+	// not a sync.Pool, which may drop entries and make a steady-state batch
+	// allocate.
+	freeMu sync.Mutex
+	free   [][][]int
 }
 
-// OpenSharded builds Shards independent stacks and starts their workers.
+// OpenSharded builds Shards independent stacks.
 func OpenSharded(cfg ShardedConfig) (*ShardedDB, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("bandslim: ShardedConfig.Shards must be >= 1, got %d", cfg.Shards)
@@ -83,79 +85,33 @@ func OpenSharded(cfg ShardedConfig) (*ShardedDB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bandslim: %w", err)
 	}
-	opts := stackOptions(cfg.PerShard)
-	shards := make([]*shard.Shard, cfg.Shards)
-	var recs []*trace.Recorder
-	for i := range shards {
-		o := opts
-		o.ShardID = i
+	s := &ShardedDB{dbs: make([]*DB, cfg.Shards), part: part}
+	for i := range s.dbs {
+		per := cfg.PerShard
 		if cfg.TraceCapacity > 0 {
-			rec := trace.NewRecorder(cfg.TraceCapacity)
-			recs = append(recs, rec)
-			o.Tracer = rec
+			per.Tracer = NewRecorder(cfg.TraceCapacity)
 		}
-		sh, err := shard.New(i, o)
-		if err != nil {
-			for _, open := range shards[:i] {
-				open.Close()
-			}
-			return nil, fmt.Errorf("bandslim: %w", err)
+		if s.dbs[i], err = open(per, i); err != nil {
+			return nil, err
 		}
-		shards[i] = sh
-	}
-	var samplers []*timeseries.Sampler
-	if interval := cfg.PerShard.MetricsInterval; interval > 0 {
-		// One sampler per shard, polled on the shard's worker goroutine
-		// after every operation. Safe to install here: no operations have
-		// been submitted yet.
-		samplers = make([]*timeseries.Sampler, len(shards))
-		faults := cfg.PerShard.Faults != nil
-		cached := cacheEnabled(cfg.PerShard)
-		for i, sh := range shards {
-			st := sh.Stack()
-			smp := timeseries.NewSampler(interval, descsFor(faults, cached),
-				func() timeseries.Snapshot { return snapshotStack(st, faults, cached) })
-			sh.SetAfterOp(func() { smp.Poll(st.Clock.Now()) })
-			samplers[i] = smp
+		// A shared PerShard.Tracer ring is shard 0's ring; count it once.
+		if i == 0 || cfg.TraceCapacity > 0 {
+			s.rings = append(s.rings, s.dbs[i].rings...)
 		}
 	}
-	return &ShardedDB{cfg: cfg, shards: shards, part: part, recs: recs, samplers: samplers}, nil
+	return s, nil
 }
 
-// TraceEvents merges the per-shard recorders (TraceCapacity > 0) into one
-// stream ordered by simulated start time, with (shard, seq) breaking ties.
-// It returns nil when tracing was not enabled through TraceCapacity.
-func (s *ShardedDB) TraceEvents() []TraceEvent {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.recs) == 0 {
-		return nil
-	}
-	streams := make([][]TraceEvent, len(s.recs))
-	for i, rec := range s.recs {
-		streams[i] = rec.Events()
-	}
-	return MergeTraces(streams...)
-}
+// TraceEvents returns the buffered trace events: the per-shard recorders'
+// streams (TraceCapacity > 0) merged by simulated start time, with (shard,
+// seq) breaking ties, or a shared PerShard.Tracer recorder's stream in
+// emission order. It returns nil when no ring recorder is attached.
+func (s *ShardedDB) TraceEvents() []TraceEvent { return s.rings.events() }
 
 // TraceDropped reports the total events evicted across the per-shard trace
 // rings (TraceCapacity > 0), or by a shared PerShard.Tracer recorder. Zero
 // when tracing is off or nothing was evicted.
-func (s *ShardedDB) TraceDropped() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	if len(s.recs) > 0 {
-		for _, rec := range s.recs {
-			total += rec.Dropped()
-		}
-		return total
-	}
-	if rec, ok := s.cfg.PerShard.Tracer.(*Recorder); ok && rec != nil {
-		total = rec.Dropped()
-	}
-	return total
-}
+func (s *ShardedDB) TraceDropped() int64 { return s.rings.health().Dropped }
 
 // ResetTrace discards every buffered trace event (and, per ring, restarts
 // the eviction window) without detaching the recorders. Sequence numbers
@@ -163,216 +119,134 @@ func (s *ShardedDB) TraceDropped() int64 {
 // reused number. Benchmarks use it to scope attribution to a measured phase
 // after an unmeasured fill.
 func (s *ShardedDB) ResetTrace() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rec := range s.recs {
+	for _, rec := range s.rings {
 		rec.Reset()
-	}
-	if len(s.recs) == 0 {
-		if rec, ok := s.cfg.PerShard.Tracer.(*Recorder); ok && rec != nil {
-			rec.Reset()
-		}
 	}
 }
 
-// Blame analyzes the merged per-shard trace stream and returns the latency
+// Blame analyzes the buffered trace events and returns the latency
 // attribution report, or nil when tracing is not enabled (neither
 // TraceCapacity nor a *Recorder PerShard.Tracer). Per-shard streams are
 // reconstructed independently, so the result is deterministic regardless of
 // shard interleaving.
-func (s *ShardedDB) Blame() *BlameReport {
-	events := s.TraceEvents()
-	if events == nil {
-		s.mu.RLock()
-		rec, ok := s.cfg.PerShard.Tracer.(*Recorder)
-		s.mu.RUnlock()
-		if !ok || rec == nil {
-			return nil
-		}
-		events = rec.TraceEvents()
-	}
-	return AnalyzeTrace(events)
-}
+func (s *ShardedDB) Blame() *BlameReport { return s.rings.blame() }
 
-// Tune applies the present (non-nil) fields of a Tuning to every shard in
-// one step. Each shard's driver validates Submission before applying any
-// field, and every shard sees the same Tuning, so an invalid policy fails
-// with a ConfigError without leaving the fleet half-tuned. It fails with
-// ErrClosed after Close.
-func (s *ShardedDB) Tune(t Tuning) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	errs := make([]error, len(s.shards))
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		sh.Do(func() { errs[i] = sh.Stack().Drv.Tune(t) })
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetMethod switches the transfer method on every shard. It is shorthand
-// for Tune with only Method set and fails with ErrClosed after Close.
-func (s *ShardedDB) SetMethod(m TransferMethod) error {
-	return s.Tune(Tuning{Method: &m})
-}
-
-// SetThresholds replaces the adaptive calibration on every shard. It is
-// shorthand for Tune with only Thresholds set and fails with ErrClosed
-// after Close.
-func (s *ShardedDB) SetThresholds(t Thresholds) error {
-	return s.Tune(Tuning{Thresholds: &t})
-}
-
-// Submission reports the submission policy in effect on shard 0 (Tune keeps
-// every shard on the same policy).
-func (s *ShardedDB) Submission() SubmissionConfig {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var sub SubmissionConfig
-	sh := s.shards[0]
-	sh.Do(func() { sub = sh.Stack().Drv.Submission() })
-	return sub
-}
-
-// NumShards reports the shard count.
-func (s *ShardedDB) NumShards() int { return len(s.shards) }
-
-func (s *ShardedDB) shardFor(key []byte) *shard.Shard {
-	return s.shards[s.part.Shard(key)]
-}
-
-// Put stores a key-value pair on the key's shard. Keys are 1–16 bytes.
-func (s *ShardedDB) Put(key, value []byte) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.shardFor(key).Put(key, value)
-}
-
-// Get fetches the value for key from its shard. The returned slice is a view
-// into that shard's driver read buffer, valid until the shard's next
-// operation; callers that retain the value — or race it against concurrent
-// operations on the same shard — must use GetInto instead.
-func (s *ShardedDB) Get(key []byte) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.shardFor(key).Get(key)
-}
-
-// GetInto fetches the value for key, copying it into dst (grown as needed)
-// on the shard worker before the operation completes. The returned slice is
-// caller-owned: it stays valid across later operations and under concurrent
-// use, and reusing dst across calls makes the steady state allocation-free.
-func (s *ShardedDB) GetInto(key, dst []byte) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.shardFor(key).GetInto(key, dst)
-}
-
-// partitionLanes splits the key set into per-shard index lanes using the
-// reusable scratch; callers hold batchMu.
-func (s *ShardedDB) partitionLanes(keys [][]byte) {
-	if len(s.lanes) != len(s.shards) {
-		s.lanes = make([][]int, len(s.shards))
-		s.pending = make([]shard.Pending, 0, len(s.shards))
-	}
-	for i := range s.lanes {
-		s.lanes[i] = s.lanes[i][:0]
-	}
-	for i, k := range keys {
-		sh := s.part.Shard(k)
-		s.lanes[sh] = append(s.lanes[sh], i)
-	}
-}
-
-// PutBatch stores the key-value pairs through each shard's host-side batcher
-// (bulk OpKVBatchWrite commands), fanning the per-shard lanes out in parallel
-// and flushing before returning, so every record is durable on return. Keys
-// are 1–16 bytes. The first error wins; records on other shards may still
-// have been written.
-func (s *ShardedDB) PutBatch(keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("bandslim: PutBatch got %d keys and %d values", len(keys), len(values))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	s.partitionLanes(keys)
-	// Start every involved shard first so their simulated work overlaps, then
-	// collect in shard order. Shard mutexes are taken in ascending order here
-	// and held until the matching Wait, which is deadlock-free because every
-	// batch acquires them in the same order.
-	s.pending = s.pending[:0]
-	for i, lane := range s.lanes {
-		if len(lane) == 0 {
-			continue
-		}
-		s.pending = append(s.pending, s.shards[i].StartPutBatch(keys, values, lane))
-	}
+// each runs fn on every shard in index order. The first error wins; later
+// shards still run.
+func (s *ShardedDB) each(fn func(*DB) error) error {
 	var first error
-	for _, p := range s.pending {
-		if _, err := p.Wait(); err != nil && first == nil {
+	for _, db := range s.dbs {
+		if err := fn(db); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// GetBatch resolves keys in bulk, fanning the per-shard lanes out in
-// parallel. Each value is copied into the matching vals lane (vals[i], grown
-// as needed) on its shard worker, so the results are caller-owned; passing
-// the returned slice back in makes the steady state allocation-free. A nil
-// vals allocates one. On error, lanes after the failing key on that shard
-// are left untouched.
-func (s *ShardedDB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
-	if vals == nil {
-		vals = make([][]byte, len(keys))
+// Tune applies the present (non-nil) fields of a Tuning to every shard. Each
+// shard's driver validates Submission before applying any field, and every
+// shard sees the same Tuning, so an invalid policy fails with a ConfigError
+// without leaving the fleet half-tuned. It fails with ErrClosed after Close.
+func (s *ShardedDB) Tune(t Tuning) error {
+	return s.each(func(db *DB) error { return db.Tune(t) })
+}
+
+// Submission reports the submission policy in effect on shard 0 (Tune keeps
+// every shard on the same policy). It stays readable after Close.
+func (s *ShardedDB) Submission() SubmissionConfig {
+	db := s.dbs[0]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.st.Drv.Submission()
+}
+
+// NumShards reports the shard count.
+func (s *ShardedDB) NumShards() int { return len(s.dbs) }
+
+// ShardFor reports which shard index serves key.
+func (s *ShardedDB) ShardFor(key []byte) int { return s.part.Shard(key) }
+
+func (s *ShardedDB) dbFor(key []byte) *DB { return s.dbs[s.part.Shard(key)] }
+
+// Put stores a key-value pair on the key's shard. Keys are 1–16 bytes.
+func (s *ShardedDB) Put(key, value []byte) error { return s.dbFor(key).Put(key, value) }
+
+// Get fetches the value for key from its shard. The returned slice is a view
+// into that shard's driver read buffer, valid until the shard's next
+// operation; callers that retain the value — or race it against concurrent
+// operations on the same shard — must use GetInto instead.
+func (s *ShardedDB) Get(key []byte) ([]byte, error) { return s.dbFor(key).Get(key) }
+
+// GetInto fetches the value for key, copying it into dst (grown as needed)
+// under the shard's lock. The returned slice is caller-owned: it stays valid
+// across later operations and under concurrent use, and reusing dst across
+// calls makes the steady state allocation-free.
+func (s *ShardedDB) GetInto(key, dst []byte) ([]byte, error) {
+	return s.dbFor(key).GetInto(key, dst)
+}
+
+// Delete removes a key from its shard.
+func (s *ShardedDB) Delete(key []byte) error { return s.dbFor(key).Delete(key) }
+
+// fanOut splits keys into per-shard index lanes and runs every non-empty lane
+// on its shard in index order, one shard lock at a time. The first error
+// wins; later lanes still run. An empty batch touches no shard.
+func (s *ShardedDB) fanOut(keys [][]byte, run func(db *DB, lane []int) error) error {
+	s.freeMu.Lock()
+	var lanes [][]int
+	if n := len(s.free); n > 0 {
+		lanes, s.free = s.free[n-1], s.free[:n-1]
 	}
-	if len(vals) != len(keys) {
-		return vals, fmt.Errorf("bandslim: GetBatch got %d keys and %d dst lanes", len(keys), len(vals))
+	s.freeMu.Unlock()
+	if lanes == nil {
+		lanes = make([][]int, len(s.dbs))
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return vals, ErrClosed
+	for i := range lanes {
+		lanes[i] = lanes[i][:0]
 	}
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	s.partitionLanes(keys)
-	s.pending = s.pending[:0]
-	for i, lane := range s.lanes {
+	for i, k := range keys {
+		sh := s.part.Shard(k)
+		lanes[sh] = append(lanes[sh], i)
+	}
+	var first error
+	for i, lane := range lanes {
 		if len(lane) == 0 {
 			continue
 		}
-		s.pending = append(s.pending, s.shards[i].StartGetBatch(keys, vals, lane))
-	}
-	var first error
-	for _, p := range s.pending {
-		if _, err := p.Wait(); err != nil && first == nil {
+		if err := run(s.dbs[i], lane); err != nil && first == nil {
 			first = err
 		}
 	}
-	return vals, first
+	s.freeMu.Lock()
+	s.free = append(s.free, lanes)
+	s.freeMu.Unlock()
+	return first
+}
+
+// PutBatch stores the key-value pairs through each shard's host-side batcher
+// (bulk OpKVBatchWrite commands), one shard's lane at a time, flushing each
+// before moving on, so every record is durable on return. Keys are 1–16
+// bytes. The first error wins; records on other shards may still have been
+// written.
+func (s *ShardedDB) PutBatch(keys, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("bandslim: PutBatch got %d keys, %d values", len(keys), len(values))
+	}
+	return s.fanOut(keys, func(db *DB, lane []int) error { return db.putBatch(keys, values, lane) })
+}
+
+// GetBatch resolves keys in bulk, one shard's lane at a time. Each value is
+// copied into the matching vals lane (vals[i], grown as needed) under its
+// shard's lock, so the results are caller-owned; passing the returned slice
+// back in makes the steady state allocation-free. A nil vals allocates one.
+// An absent key fails the batch; lanes after the failing key on that shard
+// are left untouched.
+func (s *ShardedDB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
+	vals, err := batchLanes("GetBatch", keys, vals, len(keys))
+	if err != nil {
+		return vals, err
+	}
+	return vals, s.getBatch(keys, vals, nil)
 }
 
 // GetBatchSparse resolves keys in bulk like GetBatch, but an absent key sets
@@ -383,115 +257,44 @@ func (s *ShardedDB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
 // GetBatch does, so reusing keys/vals/miss keeps the steady state
 // allocation-free.
 func (s *ShardedDB) GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error) {
-	if vals == nil {
-		vals = make([][]byte, len(keys))
+	vals, err := batchLanes("GetBatchSparse", keys, vals, len(miss))
+	if err != nil {
+		return vals, err
 	}
-	if len(vals) != len(keys) || len(miss) != len(keys) {
-		return vals, fmt.Errorf("bandslim: GetBatchSparse got %d keys, %d dst lanes, %d miss flags",
-			len(keys), len(vals), len(miss))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return vals, ErrClosed
-	}
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	s.partitionLanes(keys)
-	s.pending = s.pending[:0]
-	for i, lane := range s.lanes {
-		if len(lane) == 0 {
-			continue
-		}
-		s.pending = append(s.pending, s.shards[i].StartGetBatchSparse(keys, vals, miss, lane))
-	}
-	var first error
-	for _, p := range s.pending {
-		if _, err := p.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return vals, first
+	return vals, s.getBatch(keys, vals, miss)
 }
 
-// Delete removes a key from its shard.
-func (s *ShardedDB) Delete(key []byte) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.shardFor(key).Delete(key)
+func (s *ShardedDB) getBatch(keys, vals [][]byte, miss []bool) error {
+	return s.fanOut(keys, func(db *DB, lane []int) error { return db.getBatch(keys, vals, miss, lane) })
 }
 
-// Flush forces every shard's buffered values and index entries to NAND, in
-// parallel. The first error wins.
-func (s *ShardedDB) Flush() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.flushAll()
-}
+// Flush forces every shard's buffered values and index entries to NAND. The
+// first error wins.
+func (s *ShardedDB) Flush() error { return s.each((*DB).Flush) }
 
-// flushAll fans a flush out across shards; callers hold at least an RLock.
-func (s *ShardedDB) flushAll() error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard.Shard) {
-			defer wg.Done()
-			errs[i] = sh.Flush()
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Close flushes and shuts every shard. Further operations fail with
+// ErrClosed. Stats remains readable.
+func (s *ShardedDB) Close() error { return s.each((*DB).Close) }
 
-// Close flushes every shard, stops the shard workers, and shuts the DB.
-// Further operations fail with ErrClosed. Stats remains readable.
-func (s *ShardedDB) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	err := s.flushAll()
-	for _, sh := range s.shards {
-		sh.Close()
-	}
-	s.closed = true
-	return err
-}
+// Recover remounts every power-cut shard device: fresh queues, the LSM index
+// rolled back to its last durable flush, and the battery-backed journal
+// replayed, restoring every acknowledged write on every shard. Mounting a
+// shard that never lost power is a harmless no-op (its journal replays into
+// the same state), so Recover is safe to call whenever any operation reports
+// IsPowerLoss. The first error wins; a plan can cut power again during
+// replay, in which case a subsequent Recover resumes.
+func (s *ShardedDB) Recover() error { return s.each((*DB).Recover) }
 
 // Now reports the aggregate simulated time: the max over shard clocks, since
 // shards advance independently like parallel NVMe queues.
 func (s *ShardedDB) Now() sim.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var max sim.Time
-	for _, sh := range s.shards {
-		t := s.shardNow(sh)
-		if t > max {
+	for _, db := range s.dbs {
+		if t := db.Now(); t > max {
 			max = t
 		}
 	}
 	return max
-}
-
-func (s *ShardedDB) shardNow(sh *shard.Shard) sim.Time {
-	if s.closed {
-		// Workers have exited; direct reads are safe.
-		return sh.Stack().Clock.Now()
-	}
-	return sh.Now()
 }
 
 // shardSnapshot is one shard's raw measurement: the flattened counters plus
@@ -503,53 +306,40 @@ type shardSnapshot struct {
 	bufFlushed int64 // pagebuf pages flushed, weighting BufferUtil
 }
 
+func (db *DB) shardSnapshot() shardSnapshot {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ds := db.st.Drv.Stats()
+	return shardSnapshot{
+		stats:      stackStats(db.st),
+		write:      ds.WriteResponse.Clone(),
+		read:       ds.ReadResponse.Clone(),
+		bufFlushed: db.st.Dev.Buffer().Stats().Flushes.Value(),
+	}
+}
+
 // Stats aggregates a point-in-time snapshot across every shard: counters and
 // byte ledgers sum exactly, latency distributions merge exactly (see
 // metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
-// BufferUtil is the flush-weighted mean.
+// BufferUtil is the flush-weighted mean. Shards are snapshotted one after
+// another, each under its own lock. It stays readable after Close.
 func (s *ShardedDB) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snaps := make([]shardSnapshot, len(s.shards))
-	collect := func(i int, sh *shard.Shard) {
-		st := sh.Stack()
-		snaps[i] = shardSnapshot{
-			stats:      stackStats(st),
-			write:      st.Drv.Stats().WriteResponse.Clone(),
-			read:       st.Drv.Stats().ReadResponse.Clone(),
-			bufFlushed: st.Dev.Buffer().Stats().Flushes.Value(),
-		}
-	}
-	if s.closed {
-		// Workers have exited; direct reads are safe.
-		for i, sh := range s.shards {
-			collect(i, sh)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *shard.Shard) {
-				defer wg.Done()
-				sh.Do(func() { collect(i, sh) })
-			}(i, sh)
-		}
-		wg.Wait()
+	snaps := make([]shardSnapshot, len(s.dbs))
+	for i, db := range s.dbs {
+		snaps[i] = db.shardSnapshot()
 	}
 	out := mergeSnapshots(snaps)
-	if len(s.recs) > 0 {
-		for _, rec := range s.recs {
-			out.Trace.Buffered += int64(rec.Len())
-			out.Trace.Dropped += rec.Dropped()
-		}
-	} else if rec, ok := s.cfg.PerShard.Tracer.(*Recorder); ok && rec != nil {
-		out.Trace = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
-	}
+	out.Trace = s.rings.health()
 	return out
 }
 
 // mergeSnapshots folds per-shard snapshots into one aggregate Stats.
 func mergeSnapshots(snaps []shardSnapshot) Stats {
+	if len(snaps) == 1 {
+		// One shard: the merge is the identity (and skips the weighted-mean
+		// rounding below, so a one-shard ShardedDB reports a DB's exact Stats).
+		return snaps[0].stats
+	}
 	var out Stats
 	write, read := metrics.NewHistogram(), metrics.NewHistogram()
 	var flushed int64
@@ -628,28 +418,9 @@ func mergeSnapshots(snaps []shardSnapshot) Stats {
 // the series a plain DB records over the same workload. Remains readable
 // after Close.
 func (s *ShardedDB) Series() MetricSeries {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.samplers) == 0 {
-		return MetricSeries{}
-	}
-	parts := make([]timeseries.Series, len(s.samplers))
-	collect := func(i int) { parts[i] = s.samplers[i].Series() }
-	if s.closed {
-		// Workers have exited; direct reads are safe.
-		for i := range s.samplers {
-			collect(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *shard.Shard) {
-				defer wg.Done()
-				sh.Do(func() { collect(i) })
-			}(i, sh)
-		}
-		wg.Wait()
+	parts := make([]timeseries.Series, len(s.dbs))
+	for i, db := range s.dbs {
+		parts[i] = db.Series()
 	}
 	return timeseries.MergeSeries(parts...)
 }
@@ -659,182 +430,21 @@ func (s *ShardedDB) Series() MetricSeries {
 // their mode, histograms merge bucket-exactly. Safe to call while shards
 // are actively serving (the live /metrics scrape path) and after Close.
 func (s *ShardedDB) WritePrometheus(w io.Writer) error {
-	faults := s.cfg.PerShard.Faults != nil
-	cached := cacheEnabled(s.cfg.PerShard)
-	s.mu.RLock()
-	snaps := make([]timeseries.Snapshot, len(s.shards))
-	collect := func(i int, sh *shard.Shard) { snaps[i] = snapshotStack(sh.Stack(), faults, cached) }
-	if s.closed {
-		for i, sh := range s.shards {
-			collect(i, sh)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *shard.Shard) {
-				defer wg.Done()
-				sh.Do(func() { collect(i, sh) })
-			}(i, sh)
-		}
-		wg.Wait()
+	snaps := make([]timeseries.Snapshot, len(s.dbs))
+	for i, db := range s.dbs {
+		snaps[i] = db.lockedSnapshot()
 	}
-	s.mu.RUnlock()
-	descs := descsFor(faults, cached)
-	merged := timeseries.MergeSnapshots(descs, snaps)
-	if err := timeseries.WritePrometheus(w, "bandslim", descs, merged, histHelp); err != nil {
-		return err
-	}
-	// Trace-ring health and stage blame, as on DB: a separate section only
-	// when tracing is on, so untraced runs keep byte-identical exposition.
-	rep := s.Blame()
-	if rep == nil {
-		return nil
-	}
-	var buffered int64
-	s.mu.RLock()
-	if len(s.recs) > 0 {
-		for _, rec := range s.recs {
-			buffered += int64(rec.Len())
-		}
-	} else if rec, ok := s.cfg.PerShard.Tracer.(*Recorder); ok && rec != nil {
-		buffered = int64(rec.Len())
-	}
-	s.mu.RUnlock()
-	bsnap := blameSnapshot(buffered, s.TraceDropped(), rep)
-	return timeseries.WritePrometheus(w, "bandslim", traceDescs, bsnap, blameHistHelp)
-}
-
-// Recover remounts every power-cut shard device in parallel: fresh queues,
-// the LSM index rolled back to its last durable flush, and the battery-backed
-// journal replayed, restoring every acknowledged write on every shard.
-// Mounting a shard that never lost power is a harmless no-op (its journal
-// replays into the same state), so Recover is safe to call whenever any
-// operation reports IsPowerLoss. The first error wins; a plan can cut power
-// again during replay, in which case a subsequent Recover resumes.
-func (s *ShardedDB) Recover() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard.Shard) {
-			defer wg.Done()
-			errs[i] = sh.Recover()
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	descs := s.dbs[0].descs()
+	return writeExposition(w, descs, timeseries.MergeSnapshots(descs, snaps), s.rings)
 }
 
 // ShardStats snapshots one shard's counters (for per-shard balance checks).
-func (s *ShardedDB) ShardStats(i int) Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sh := s.shards[i]
-	if s.closed {
-		return stackStats(sh.Stack())
-	}
-	var out Stats
-	sh.Do(func() { out = stackStats(sh.Stack()) })
-	return out
-}
-
-// ShardFor reports which shard index serves key.
-func (s *ShardedDB) ShardFor(key []byte) int { return s.part.Shard(key) }
-
-// ShardedIterator streams key-value pairs in global key order by k-way
-// merging the per-shard device iterators.
-type ShardedIterator struct {
-	s   *ShardedDB
-	mi  *shard.MergeIterator
-	err error
-}
+func (s *ShardedDB) ShardStats(i int) Stats { return s.dbs[i].Stats() }
 
 // NewIterator opens a merged iterator at the first key >= start (nil starts
-// at the beginning). Like DB's iterator, each shard's device holds a single
-// iterator and writes interleaved with iteration invalidate the snapshot;
-// iterate before mutating.
-func (s *ShardedDB) NewIterator(start []byte) (*ShardedIterator, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if start == nil {
-		start = []byte{0}
-	}
-	mi, err := shard.NewMergeIterator(s.shards, start)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedIterator{s: s, mi: mi}, nil
+// at the beginning), streaming pairs in global key order. Each shard's
+// device holds a single iterator and writes interleaved with iteration
+// invalidate the snapshot; iterate before mutating.
+func (s *ShardedDB) NewIterator(start []byte) (*Iterator, error) {
+	return newIterator(s.dbs, start)
 }
-
-// Valid reports whether the iterator holds a pair.
-func (it *ShardedIterator) Valid() bool { return it.err == nil && it.mi.Valid() }
-
-// Key returns the current key.
-func (it *ShardedIterator) Key() []byte {
-	if it.err != nil {
-		return nil
-	}
-	return it.mi.Key()
-}
-
-// Value returns the current value.
-func (it *ShardedIterator) Value() []byte {
-	if it.err != nil {
-		return nil
-	}
-	return it.mi.Value()
-}
-
-// Err reports the error that stopped iteration, if any.
-func (it *ShardedIterator) Err() error {
-	if it.err != nil {
-		return it.err
-	}
-	return it.mi.Err()
-}
-
-// Next advances to the following pair in global key order.
-func (it *ShardedIterator) Next() {
-	it.s.mu.RLock()
-	defer it.s.mu.RUnlock()
-	if it.s.closed {
-		it.err = ErrClosed
-		return
-	}
-	it.mi.Next()
-}
-
-// coreKV is the key-value surface DB and ShardedDB share; the assignments
-// below keep the two front-ends in lockstep at compile time.
-type coreKV interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	GetInto(key, dst []byte) ([]byte, error)
-	PutBatch(keys, values [][]byte) error
-	GetBatch(keys, vals [][]byte) ([][]byte, error)
-	GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error)
-	Delete(key []byte) error
-	Flush() error
-	Close() error
-	Now() sim.Time
-	Stats() Stats
-}
-
-var (
-	_ coreKV = (*DB)(nil)
-	_ coreKV = (*ShardedDB)(nil)
-)

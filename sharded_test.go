@@ -25,8 +25,8 @@ func openSharded(t *testing.T, shards int, mutate func(*Config)) *ShardedDB {
 }
 
 // shardedWorkload is a deterministic mixed workload, applied identically to
-// any coreKV front-end.
-func shardedWorkload(t *testing.T, kv coreKV, ops int) {
+// any Store.
+func shardedWorkload(t *testing.T, kv Store, ops int) {
 	t.Helper()
 	rng := sim.NewRNG(99)
 	key := make([]byte, 4)

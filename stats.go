@@ -147,21 +147,17 @@ type Stats struct {
 	Trace    TraceStats
 }
 
-// Stats snapshots the current counters.
+// Stats snapshots the current counters. It stays readable after Close.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := stackStats(db.st)
-	if rec, ok := db.cfg.Tracer.(*Recorder); ok && rec != nil {
-		s.Trace = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
-	}
+	s.Trace = db.rings.health()
 	return s
 }
 
-// stackStats flattens one stack's counters into a Stats; shared by DB.Stats
-// and the per-shard snapshots ShardedDB.Stats aggregates. The caller must
-// hold whatever serializes access to the stack (the DB mutex, or the shard
-// worker goroutine).
+// stackStats flattens one stack's counters into a Stats; the caller holds the
+// mutex that serializes access to the stack.
 func stackStats(st *shard.Stack) Stats {
 	ds := st.Drv.Stats()
 	fs := st.Dev.Flash().Stats()
@@ -386,11 +382,11 @@ var blameHistHelp = func() map[string]string {
 // blameSnapshot flattens a span report plus ring health into the exposition
 // snapshot traceDescs describes: scalars in desc order, then one histogram
 // per (stage family, op kind), op kinds in first-observation order.
-func blameSnapshot(buffered, dropped int64, rep *spans.Report) timeseries.Snapshot {
+func blameSnapshot(ring TraceStats, rep *spans.Report) timeseries.Snapshot {
 	agg := spans.Summarize(rep)
 	values := []float64{
-		float64(buffered),
-		float64(dropped),
+		float64(ring.Buffered),
+		float64(ring.Dropped),
 		float64(len(rep.Ops)),
 		float64(rep.Unclaimed),
 		float64(rep.Incomplete),
@@ -415,19 +411,19 @@ func blameSnapshot(buffered, dropped int64, rep *spans.Report) timeseries.Snapsh
 	return timeseries.Snapshot{Values: values, Hists: hists}
 }
 
-// descsFor returns the sampler/exporter column set: the base descriptors,
+// descs returns the DB's sampler/exporter column set: the base descriptors,
 // plus the fault columns when the injector is armed and the cache columns
 // when a read-cache tier is configured.
-func descsFor(faults, cached bool) []timeseries.Desc {
-	if !faults && !cached {
+func (db *DB) descs() []timeseries.Desc {
+	if !db.faults && !db.cached {
 		return seriesDescs
 	}
 	out := make([]timeseries.Desc, 0, len(seriesDescs)+len(faultDescs)+len(cacheDescs))
 	out = append(out, seriesDescs...)
-	if faults {
+	if db.faults {
 		out = append(out, faultDescs...)
 	}
-	if cached {
+	if db.cached {
 		out = append(out, cacheDescs...)
 	}
 	return out
@@ -441,11 +437,19 @@ var histHelp = map[string]string{
 	"put_method_response_ns": "PUT response time by chosen transfer method, ns.",
 }
 
-// snapshotStack reads one stack's full metric state as a timeseries
-// snapshot: the flattened Stats tree, the Inspect-style gauges, and clones
-// of every latency histogram. Values are built in seriesDescs order. The
-// caller must hold whatever serializes access to the stack.
-func snapshotStack(st *shard.Stack, faults, cached bool) timeseries.Snapshot {
+// lockedSnapshot is snapshot for callers outside an operation.
+func (db *DB) lockedSnapshot() timeseries.Snapshot {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.snapshot()
+}
+
+// snapshot reads the stack's full metric state as a timeseries snapshot: the
+// flattened Stats tree, the Inspect-style gauges, and clones of every latency
+// histogram. Values are built in db.descs order. The caller holds db.mu (the
+// sampler calls it from inside an operation).
+func (db *DB) snapshot() timeseries.Snapshot {
+	st := db.st
 	s := stackStats(st)
 	buf := st.Dev.Buffer()
 	now := st.Clock.Now()
@@ -483,7 +487,7 @@ func snapshotStack(st *shard.Stack, faults, cached bool) timeseries.Snapshot {
 		float64(st.Dev.Flash().MaxWear()),
 		st.Link.WireUtilization(now),
 	}
-	if faults {
+	if db.faults {
 		values = append(values,
 			float64(s.Faults.NandProgramFaults),
 			float64(s.Faults.NandReadFaults),
@@ -499,7 +503,7 @@ func snapshotStack(st *shard.Stack, faults, cached bool) timeseries.Snapshot {
 			float64(s.Faults.Recoveries),
 		)
 	}
-	if cached {
+	if db.cached {
 		values = append(values,
 			float64(s.Cache.Hits),
 			float64(s.Cache.Misses),
