@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/nand"
 	"bandslim/internal/workload"
 )
@@ -14,56 +12,6 @@ import (
 // one design choice DESIGN.md calls out (transfer mechanism alternatives,
 // DLT sizing, buffer-entry cap, adaptive coefficients, NAND parallelism) and
 // quantifies its contribution.
-
-// runWith feeds a workload through a stack built from an explicit config.
-func runWith(gen workload.Generator, cfg bandslim.Config) (runResult, error) {
-	db, err := bandslim.Open(cfg)
-	if err != nil {
-		return runResult{}, err
-	}
-	defer db.Close()
-	var payload, ops int64
-	var buf []byte
-	filler := workload.NewValueFiller(1)
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
-		buf = filler.Fill(buf, op.ValueSize)
-		if err := db.Put(op.Key, buf); err != nil {
-			return runResult{}, fmt.Errorf("bench: %s: put: %w", gen.Name(), err)
-		}
-		payload += int64(op.ValueSize)
-		ops++
-	}
-	timing := db.Stats()
-	if !cfg.DisableNAND {
-		if err := db.Flush(); err != nil {
-			return runResult{}, err
-		}
-	}
-	s := db.Stats()
-	s.Host.WriteResp.Mean = timing.Host.WriteResp.Mean
-	s.Host.WriteResp.P99 = timing.Host.WriteResp.P99
-	s.Host.Elapsed = timing.Host.Elapsed
-	s.Host.ThroughputKops = timing.Host.ThroughputKops
-	s.Device.FlushWaitTime = timing.Device.FlushWaitTime
-	s.Device.MemcpyTime = timing.Device.MemcpyTime
-	return runResult{Stats: s, PayloadBytes: payload, Ops: ops}, nil
-}
-
-func benchConfig(method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) bandslim.Config {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = method
-	cfg.Policy = policy
-	cfg.DisableNAND = !nandOn
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
-	return cfg
-}
 
 // RunAblationSGL compares PRP, SGL, and piggybacking across value sizes,
 // reproducing the §2.5 argument for ruling SGL out: its setup cost only
@@ -116,50 +64,11 @@ func RunAblationBatch(o Options) (*Table, error) {
 		},
 	}
 	for _, batch := range []int{8, 64, 256} {
-		cfg := benchConfig(bandslim.Baseline, bandslim.AllPacking, true)
-		db, err := bandslim.Open(cfg)
+		cells, err := batchPoint(o, batch)
 		if err != nil {
 			return nil, err
 		}
-		b, err := db.NewBatcher(batch)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		gen := workload.NewWorkloadM(o.Scale, o.Seed)
-		filler := workload.NewValueFiller(1)
-		var buf []byte
-		ops := 0
-		for {
-			op, ok := gen.Next()
-			if !ok {
-				break
-			}
-			buf = filler.Fill(buf, op.ValueSize)
-			if err := b.Put(op.Key, buf); err != nil {
-				db.Close()
-				return nil, err
-			}
-			ops++
-		}
-		if err := b.Flush(); err != nil {
-			db.Close()
-			return nil, err
-		}
-		timing := db.Stats()
-		if err := db.Flush(); err != nil {
-			db.Close()
-			return nil, err
-		}
-		s := db.Stats()
-		t.AddRow(fmt.Sprintf("batch=%d", batch),
-			float64(s.PCIe.Bytes)/float64(ops),
-			timing.Host.Elapsed.Micros()/float64(ops),
-			float64(ops)/timing.Host.Elapsed.Seconds()/1000,
-			float64(s.Device.NANDPageWrites),
-			float64(b.Stats().PeakAtRiskOps),
-		)
-		db.Close()
+		t.AddRow(fmt.Sprintf("batch=%d", batch), cells...)
 	}
 	// BandSlim reference rows.
 	for _, row := range []struct {
@@ -183,6 +92,39 @@ func RunAblationBatch(o Options) (*Table, error) {
 		)
 	}
 	return t, nil
+}
+
+// batchPoint runs W(M) through a host-side batcher of the given size on the
+// stock PRP + All Packing stack and returns the row's cells.
+func batchPoint(o Options, batch int) ([]float64, error) {
+	db, err := bandslim.Open(benchConfig(bandslim.Baseline, bandslim.AllPacking, true))
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	b, err := db.NewBatcher(batch)
+	if err != nil {
+		return nil, err
+	}
+	ops, _, err := feed(workload.NewWorkloadM(o.Scale, o.Seed), b.Put)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Flush(); err != nil {
+		return nil, err
+	}
+	timing := db.Stats()
+	if err := db.Flush(); err != nil {
+		return nil, err
+	}
+	s := db.Stats()
+	return []float64{
+		float64(s.PCIe.Bytes) / float64(ops),
+		timing.Host.Elapsed.Micros() / float64(ops),
+		float64(ops) / timing.Host.Elapsed.Seconds() / 1000,
+		float64(s.Device.NANDPageWrites),
+		float64(b.Stats().PeakAtRiskOps),
+	}, nil
 }
 
 // RunAblationDLT sweeps the DMA Log Table capacity under W(B): a tiny DLT
@@ -254,9 +196,7 @@ func RunAblationAlpha(o Options) (*Table, error) {
 	}
 	for _, alpha := range []float64{0.25, 0.5, 1, 2, 4, 8} {
 		cfg := benchConfig(bandslim.Adaptive, bandslim.Block, false)
-		thr := driver.DefaultThresholds()
-		thr.Alpha = alpha
-		cfg.Thresholds = thr
+		cfg.Thresholds.Alpha = alpha
 		res, err := runWith(workload.NewWorkloadM(o.Scale, o.Seed), cfg)
 		if err != nil {
 			return nil, err
@@ -365,53 +305,47 @@ func RunScanPath(o Options) (*Table, error) {
 		},
 	}
 	for _, p := range []string{"Block", "All", "Backfill"} {
-		cfg := benchConfig(bandslim.Adaptive, policyFor[p], true)
-		db, err := bandslim.Open(cfg)
+		reads, us, err := scanPoint(o, policyFor[p])
 		if err != nil {
 			return nil, err
 		}
-		gen := workload.NewFillSeq(o.Scale, 512)
-		filler := workload.NewValueFiller(1)
-		var buf []byte
-		for {
-			op, ok := gen.Next()
-			if !ok {
-				break
-			}
-			buf = filler.Fill(buf, op.ValueSize)
-			if err := db.Put(op.Key, buf); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
-		if err := db.Flush(); err != nil {
-			db.Close()
-			return nil, err
-		}
-		before := db.Stats()
-		start := db.Now()
-		it, err := db.NewIterator(nil)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		scanned := 0
-		for it.Valid() {
-			scanned++
-			it.Next()
-		}
-		if err := it.Err(); err != nil {
-			db.Close()
-			return nil, err
-		}
-		after := db.Stats()
-		elapsed := db.Now().Sub(start)
-		t.AddRow(p,
-			float64(after.Device.NANDPageReads-before.Device.NANDPageReads)/float64(scanned),
-			elapsed.Micros()/float64(scanned))
-		db.Close()
+		t.AddRow(p, reads, us)
 	}
 	return t, nil
+}
+
+// scanPoint fills a fresh stack with 512 B values, flushes, and scans it end
+// to end, returning NAND page reads and simulated µs per scanned value.
+func scanPoint(o Options, policy bandslim.PackingPolicy) (reads, us float64, err error) {
+	db, err := bandslim.Open(benchConfig(bandslim.Adaptive, policy, true))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer db.Close()
+	if _, _, err := feed(workload.NewFillSeq(o.Scale, 512), db.Put); err != nil {
+		return 0, 0, err
+	}
+	if err := db.Flush(); err != nil {
+		return 0, 0, err
+	}
+	before := db.Stats()
+	start := db.Now()
+	it, err := db.NewIterator(nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	scanned := 0
+	for it.Valid() {
+		scanned++
+		it.Next()
+	}
+	if err := it.Err(); err != nil {
+		return 0, 0, err
+	}
+	after := db.Stats()
+	elapsed := db.Now().Sub(start)
+	return float64(after.Device.NANDPageReads-before.Device.NANDPageReads) / float64(scanned),
+		elapsed.Micros() / float64(scanned), nil
 }
 
 // RunBreakdown decomposes the mean PUT response into its simulated
@@ -463,45 +397,46 @@ func RunReadPath(o Options) (*Table, error) {
 		},
 	}
 	for _, size := range []int{32, 512, 2048, 8192} {
-		cfg := benchConfig(bandslim.Adaptive, bandslim.BackfillPacking, true)
-		db, err := bandslim.Open(cfg)
+		cells, err := readPoint(o, size)
 		if err != nil {
 			return nil, err
 		}
-		keys := make([][]byte, o.Scale)
-		gen := workload.NewFillSeq(o.Scale, size)
-		filler := workload.NewValueFiller(1)
-		var buf []byte
-		for i := 0; ; i++ {
-			op, ok := gen.Next()
-			if !ok {
-				break
-			}
-			keys[i] = op.Key
-			buf = filler.Fill(buf, op.ValueSize)
-			if err := db.Put(op.Key, buf); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
-		if err := db.Flush(); err != nil {
-			db.Close()
-			return nil, err
-		}
-		before := db.Stats()
-		reads := o.Scale / 2
-		for i := 0; i < reads; i++ {
-			if _, err := db.Get(keys[(i*2654435761)%len(keys)]); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
-		after := db.Stats()
-		t.AddRow(sizeLabel(size),
-			after.Host.ReadResp.Mean.Micros(),
-			float64(after.PCIe.DMABytes-before.PCIe.DMABytes)/float64(reads),
-			float64(after.Device.NANDPageReads-before.Device.NANDPageReads)/float64(reads))
-		db.Close()
+		t.AddRow(sizeLabel(size), cells...)
 	}
 	return t, nil
+}
+
+// readPoint fills a fresh headline stack with size-byte values, flushes, and
+// reads half the keys back in a fixed scattered order, returning the row's
+// cells.
+func readPoint(o Options, size int) ([]float64, error) {
+	db, err := bandslim.Open(headlineConfig())
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	keys := make([][]byte, 0, o.Scale)
+	_, _, err = feed(workload.NewFillSeq(o.Scale, size), func(key, value []byte) error {
+		keys = append(keys, key)
+		return db.Put(key, value)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := db.Flush(); err != nil {
+		return nil, err
+	}
+	before := db.Stats()
+	reads := o.Scale / 2
+	for i := 0; i < reads; i++ {
+		if _, err := db.Get(keys[(i*2654435761)%len(keys)]); err != nil {
+			return nil, err
+		}
+	}
+	after := db.Stats()
+	return []float64{
+		after.Host.ReadResp.Mean.Micros(),
+		float64(after.PCIe.DMABytes-before.PCIe.DMABytes) / float64(reads),
+		float64(after.Device.NANDPageReads-before.Device.NANDPageReads) / float64(reads),
+	}, nil
 }

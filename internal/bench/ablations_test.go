@@ -243,31 +243,3 @@ func TestReadPathShapes(t *testing.T) {
 		t.Errorf("nand reads per GET = %v", reads)
 	}
 }
-
-func TestRunAblationsProducesEveryTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tables, err := RunAblations(Options{Scale: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 10 {
-		t.Fatalf("RunAblations produced %d tables, want 10", len(tables))
-	}
-}
-
-func TestRunDispatchesAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	for _, id := range []string{"ablation-dlt", "read"} {
-		tables, err := Run(id, Options{Scale: 200})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tables) != 1 {
-			t.Fatalf("%s returned %d tables", id, len(tables))
-		}
-	}
-}

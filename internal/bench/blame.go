@@ -4,19 +4,16 @@ package bench
 // workload goes as the submission window deepens — and the machine check
 // that attribution itself is sound. Every point re-runs the stage
 // reconstruction over a fresh trace and fails hard if any op violates the
-// residual-zero invariant, so `make blame-smoke` doubles as a correctness
-// gate, not just a determinism diff.
+// residual-zero invariant, so every run of the sweep — `make artifacts-check`
+// and the determinism test alike — doubles as a correctness gate, not just a
+// determinism diff.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/sim"
 	"bandslim/internal/spans"
-	"bandslim/internal/workload"
 )
 
 // blameDepths is the sweep: the paper's synchronous testbed, a saturated
@@ -58,22 +55,11 @@ type BlamePoint struct {
 	Stages          []BlameStageShare `json:"stages"`
 }
 
-// BlameSweepJSON renders the points as indented JSON for BENCH_blame.json.
-func BlameSweepJSON(points []BlamePoint) ([]byte, error) {
-	return json.MarshalIndent(points, "", "  ")
-}
-
 // runBlamePoint builds a fresh traced stack at the given depth, loads the
 // keyspace untraced, then traces a mixed measured phase (rewrites, random
 // reads with misses, deletes) and attributes every op.
 func runBlamePoint(o Options, depth int) (BlamePoint, error) {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = bandslim.Adaptive
-	cfg.Policy = bandslim.BackfillPacking
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
+	cfg := headlineConfig()
 	cfg.Submission = qdSubmission(depth)
 	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:        blameShards,
@@ -85,26 +71,11 @@ func runBlamePoint(o Options, depth int) (BlamePoint, error) {
 	}
 	defer s.Close()
 
-	nkeys := o.Scale
-	if nkeys < blameChunk {
-		nkeys = blameChunk
-	}
-	keys := make([][]byte, nkeys)
+	nkeys := max(o.Scale, blameChunk)
 	rng := sim.NewRNG(o.Seed ^ 0xB1A3E)
-	filler := workload.NewValueFiller(1)
-	vals := make([][]byte, nkeys)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("bl%07d", i))
-		vals[i] = filler.Fill(nil, 16+rng.Intn(2048))
-	}
-	for at := 0; at < nkeys; at += blameChunk {
-		end := at + blameChunk
-		if end > nkeys {
-			end = nkeys
-		}
-		if err := s.PutBatch(keys[at:end], vals[at:end]); err != nil {
-			return BlamePoint{}, fmt.Errorf("bench: blame depth=%d: fill: %w", depth, err)
-		}
+	keys, vals, err := loadKeyspace(s, "bl", nkeys, 2048, blameChunk, rng)
+	if err != nil {
+		return BlamePoint{}, fmt.Errorf("bench: blame depth=%d: fill: %w", depth, err)
 	}
 
 	// The fill is warm-up: attribution measures the steady-state phase.
@@ -113,17 +84,9 @@ func runBlamePoint(o Options, depth int) (BlamePoint, error) {
 	// Measured phase: rewrite an eighth of the keyspace, read everything in
 	// a seeded random order with a sprinkle of guaranteed misses, delete a
 	// tail slice — every op kind and the miss path land in the trace.
-	order := make([][]byte, nkeys)
-	copy(order, keys)
-	for i := nkeys - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
+	order := shuffled(keys, rng)
 	for at := 0; at < nkeys/8; at += blameChunk {
-		end := at + blameChunk
-		if end > nkeys/8 {
-			end = nkeys / 8
-		}
+		end := min(at+blameChunk, nkeys/8)
 		if err := s.PutBatch(order[at:end], vals[at:end]); err != nil {
 			return BlamePoint{}, fmt.Errorf("bench: blame depth=%d: rewrite: %w", depth, err)
 		}
@@ -131,10 +94,7 @@ func runBlamePoint(o Options, depth int) (BlamePoint, error) {
 	dst := make([][]byte, blameChunk)
 	miss := make([]bool, blameChunk)
 	for at := 0; at < nkeys; at += blameChunk {
-		end := at + blameChunk
-		if end > nkeys {
-			end = nkeys
-		}
+		end := min(at+blameChunk, nkeys)
 		batch := order[at:end]
 		if at%(8*blameChunk) == 0 {
 			// Swap one key for a never-written one: the sparse miss path.

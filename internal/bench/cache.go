@@ -6,19 +6,15 @@ package bench
 // the virtual clock, and splits latencies into the hot set (the top 1% of
 // ranks, which the cache must capture) and the cold remainder. Every figure
 // is simulated, so two runs with the same scale and seed produce
-// byte-identical BENCH_cache.json — the determinism gate `make cache-smoke`
-// relies on that. The sweep hard-fails if the hot-read p99 at the default
-// operating point (LRU, 4 MiB, s=0.99) does not improve at least 3x over
-// cache-off at the same skew.
+// byte-identical BENCH_cache.json — the determinism gate
+// TestEveryExperimentRunsAndRepeats relies on that. The sweep hard-fails if
+// the hot-read p99 at the default operating point (LRU, 4 MiB, s=0.99) does
+// not improve at least 3x over cache-off at the same skew.
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
@@ -67,31 +63,11 @@ type CachePoint struct {
 	HotP99SpeedupVsOff float64 `json:"hot_p99_speedup_vs_off"`
 }
 
-// CacheSweepJSON renders the points as indented JSON for BENCH_cache.json.
-func CacheSweepJSON(points []CachePoint) ([]byte, error) {
-	return json.MarshalIndent(points, "", "  ")
-}
-
-// cachePct is the nearest-rank percentile of a sorted latency slice.
-func cachePct(sorted []sim.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i].Micros()
-}
-
 // runCachePoint builds a fresh single-shard stack with the given cache
 // config (zero = cache off), loads the keyspace, warms the hot set, then
 // times a Zipfian read phase op by op on the virtual clock.
 func runCachePoint(o Options, cc bandslim.CacheConfig, skew float64, label string) (CachePoint, error) {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = bandslim.Adaptive
-	cfg.Policy = bandslim.BackfillPacking
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
+	cfg := headlineConfig()
 	cfg.Cache = cc
 	db, err := bandslim.Open(cfg)
 	if err != nil {
@@ -99,33 +75,14 @@ func runCachePoint(o Options, cc bandslim.CacheConfig, skew float64, label strin
 	}
 	defer db.Close()
 
-	nkeys := o.Scale
-	if nkeys < 1024 {
-		nkeys = 1024
-	}
+	nkeys := max(o.Scale, 1024)
 	// Key index is Zipfian rank: rc0000000 is the hottest key. The hot set
 	// is the top 1% of ranks — small enough that every policy and size in
 	// the sweep can retain it against cold-read pollution.
-	hotN := nkeys / 100
-	if hotN < 1 {
-		hotN = 1
-	}
-	keys := make([][]byte, nkeys)
-	vals := make([][]byte, nkeys)
-	rng := sim.NewRNG(o.Seed ^ 0xCA)
-	filler := workload.NewValueFiller(1)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("rc%07d", i))
-		vals[i] = filler.Fill(nil, 16+rng.Intn(1024))
-	}
-	for at := 0; at < nkeys; at += cacheChunk {
-		end := at + cacheChunk
-		if end > nkeys {
-			end = nkeys
-		}
-		if err := db.PutBatch(keys[at:end], vals[at:end]); err != nil {
-			return CachePoint{}, fmt.Errorf("bench: cache %s: fill: %w", label, err)
-		}
+	hotN := max(nkeys/100, 1)
+	keys, _, err := loadKeyspace(db, "rc", nkeys, 1024, cacheChunk, sim.NewRNG(o.Seed^0xCA))
+	if err != nil {
+		return CachePoint{}, fmt.Errorf("bench: cache %s: fill: %w", label, err)
 	}
 
 	// Warm: one pass over the hot set so the measured phase sees the cache
@@ -163,15 +120,9 @@ func runCachePoint(o Options, cc bandslim.CacheConfig, skew float64, label strin
 	elapsed := db.Now().Sub(start)
 	st := db.Stats()
 
-	sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
-	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
 	hitRate := 0.0
 	if lookups := (st.Cache.Hits - pre.Cache.Hits) + (st.Cache.Misses - pre.Cache.Misses); lookups > 0 {
 		hitRate = float64(st.Cache.Hits-pre.Cache.Hits) / float64(lookups)
-	}
-	kops := 0.0
-	if us := elapsed.Micros(); us > 0 {
-		kops = float64(reads) / (us / 1e6) / 1000
 	}
 	return CachePoint{
 		Policy:    label,
@@ -182,11 +133,11 @@ func runCachePoint(o Options, cc bandslim.CacheConfig, skew float64, label strin
 		Reads:     reads,
 		HotReads:  int64(len(hot)),
 		HitRate:   hitRate,
-		HotP50Us:  cachePct(hot, 0.50),
-		HotP99Us:  cachePct(hot, 0.99),
-		ColdP50Us: cachePct(cold, 0.50),
-		ColdP99Us: cachePct(cold, 0.99),
-		SimKops:   kops,
+		HotP50Us:  pct(hot, 0.50),
+		HotP99Us:  pct(hot, 0.99),
+		ColdP50Us: pct(cold, 0.50),
+		ColdP99Us: pct(cold, 0.99),
+		SimKops:   simKops(reads, elapsed),
 	}, nil
 }
 

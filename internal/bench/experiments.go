@@ -293,150 +293,3 @@ func RunFig12(o Options) ([]*Table, error) {
 	}
 	return []*Table{resp, thr, nandIO, memcpy}, nil
 }
-
-// RunAll executes every experiment and returns the tables in paper order.
-func RunAll(o Options) ([]*Table, error) {
-	var out []*Table
-	f3a, f3b, err := RunFig3(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f3a, f3b)
-	f4a, f4b, err := RunFig4(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f4a, f4b)
-	f8, err := RunFig8(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f8)
-	f9, err := RunFig9(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f9)
-	f10, err := RunFig10(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f10...)
-	f11, err := RunFig11(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f11)
-	f12, err := RunFig12(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f12...)
-	return out, nil
-}
-
-// Experiments lists the runnable experiment IDs for CLIs.
-func Experiments() []string {
-	return []string{
-		"fig3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"ablation-sgl", "ablation-batch", "ablation-dlt", "ablation-buffer",
-		"ablation-alpha", "ablation-nand", "ablation-pipeline", "breakdown", "read", "scan",
-		"shards", "server", "qd", "blame", "cache", "ycsb", "all", "ablations",
-	}
-}
-
-// Run executes one experiment by ID.
-func Run(id string, o Options) ([]*Table, error) {
-	switch id {
-	case "fig3":
-		a, b, err := RunFig3(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{a, b}, nil
-	case "fig4":
-		a, b, err := RunFig4(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{a, b}, nil
-	case "fig8":
-		t, err := RunFig8(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig9":
-		t, err := RunFig9(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig10":
-		return RunFig10(o)
-	case "fig11":
-		t, err := RunFig11(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig12":
-		return RunFig12(o)
-	case "ablation-sgl":
-		return one(RunAblationSGL(o))
-	case "ablation-batch":
-		return one(RunAblationBatch(o))
-	case "ablation-dlt":
-		return one(RunAblationDLT(o))
-	case "ablation-buffer":
-		return one(RunAblationBuffer(o))
-	case "ablation-alpha":
-		return one(RunAblationAlpha(o))
-	case "ablation-nand":
-		return one(RunAblationNAND(o))
-	case "ablation-pipeline":
-		return one(RunAblationPipeline(o))
-	case "breakdown":
-		return one(RunBreakdown(o))
-	case "read":
-		return one(RunReadPath(o))
-	case "scan":
-		return one(RunScanPath(o))
-	case "shards":
-		t, _, err := RunShardScaling(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "ablations":
-		return RunAblations(o)
-	case "all":
-		return RunAll(o)
-	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments())
-}
-
-func one(t *Table, err error) ([]*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
-// RunAblations executes every ablation study plus the read-path extension.
-func RunAblations(o Options) ([]*Table, error) {
-	runners := []func(Options) (*Table, error){
-		RunAblationSGL, RunAblationBatch, RunAblationDLT,
-		RunAblationBuffer, RunAblationAlpha, RunAblationNAND,
-		RunAblationPipeline, RunBreakdown, RunReadPath, RunScanPath,
-	}
-	var out []*Table
-	for _, r := range runners {
-		t, err := r(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

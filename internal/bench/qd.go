@@ -4,17 +4,13 @@ package bench
 // throughput over the paper's synchronous testbed. Every figure in the
 // output is simulated (no wall-clock fields), so two runs with the same
 // scale and seed produce byte-identical BENCH_qd.json — the determinism
-// gate `make qd-smoke` relies on that.
+// gate TestEveryExperimentRunsAndRepeats relies on that.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/sim"
-	"bandslim/internal/workload"
 )
 
 // qdDepths is the sweep: 1 is the paper's sync passthrough, the rest open
@@ -42,11 +38,6 @@ type QDPoint struct {
 	SpeedupVsSync float64 `json:"speedup_vs_sync"` // SimKops / depth-1 SimKops
 }
 
-// QDSweepJSON renders the points as indented JSON for BENCH_qd.json.
-func QDSweepJSON(points []QDPoint) ([]byte, error) {
-	return json.MarshalIndent(points, "", "  ")
-}
-
 // qdSubmission maps a sweep depth to the submission policy under test.
 func qdSubmission(depth int) bandslim.SubmissionConfig {
 	if depth <= 1 {
@@ -63,13 +54,7 @@ func qdSubmission(depth int) bandslim.SubmissionConfig {
 // keyspace, then reads every key back in qdChunk batches and reports the
 // read phase in simulated terms.
 func runQDPoint(o Options, depth int) (QDPoint, error) {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = bandslim.Adaptive
-	cfg.Policy = bandslim.BackfillPacking
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
+	cfg := headlineConfig()
 	cfg.Submission = qdSubmission(depth)
 	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: qdShards, PerShard: cfg})
 	if err != nil {
@@ -77,26 +62,11 @@ func runQDPoint(o Options, depth int) (QDPoint, error) {
 	}
 	defer s.Close()
 
-	nkeys := o.Scale
-	if nkeys < qdChunk {
-		nkeys = qdChunk
-	}
-	keys := make([][]byte, nkeys)
+	nkeys := max(o.Scale, qdChunk)
 	rng := sim.NewRNG(o.Seed ^ 0x9D)
-	filler := workload.NewValueFiller(1)
-	vals := make([][]byte, nkeys)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("qd%07d", i))
-		vals[i] = filler.Fill(nil, 16+rng.Intn(2048))
-	}
-	for at := 0; at < nkeys; at += qdChunk {
-		end := at + qdChunk
-		if end > nkeys {
-			end = nkeys
-		}
-		if err := s.PutBatch(keys[at:end], vals[at:end]); err != nil {
-			return QDPoint{}, fmt.Errorf("bench: qd depth=%d: fill: %w", depth, err)
-		}
+	keys, _, err := loadKeyspace(s, "qd", nkeys, 2048, qdChunk, rng)
+	if err != nil {
+		return QDPoint{}, fmt.Errorf("bench: qd depth=%d: fill: %w", depth, err)
 	}
 
 	// Read back in a seeded uniform-random order. Insertion order would
@@ -104,20 +74,12 @@ func runQDPoint(o Options, depth int) (QDPoint, error) {
 	// on the same NAND way — which serializes any window; random reads
 	// spread across channels and ways, the access pattern the depth sweep
 	// is about.
-	order := make([][]byte, nkeys)
-	copy(order, keys)
-	for i := nkeys - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
+	order := shuffled(keys, rng)
 	loaded := s.Stats()
 	dst := make([][]byte, qdChunk)
 	var ops int64
 	for at := 0; at < nkeys; at += qdChunk {
-		end := at + qdChunk
-		if end > nkeys {
-			end = nkeys
-		}
+		end := min(at+qdChunk, nkeys)
 		out, err := s.GetBatch(order[at:end], dst[:end-at])
 		if err != nil {
 			return QDPoint{}, fmt.Errorf("bench: qd depth=%d: read: %w", depth, err)
@@ -128,18 +90,13 @@ func runQDPoint(o Options, depth int) (QDPoint, error) {
 	st := s.Stats()
 
 	elapsed := st.Host.Elapsed - loaded.Host.Elapsed
-	us := elapsed.Micros()
-	kops := 0.0
-	if us > 0 {
-		kops = float64(ops) / (us / 1e6) / 1000
-	}
 	return QDPoint{
 		Depth:         depth,
 		Shards:        qdShards,
 		Ops:           ops,
-		SimElapsedUs:  us,
-		SimKops:       kops,
-		SimUsPerOp:    us / float64(ops),
+		SimElapsedUs:  elapsed.Micros(),
+		SimKops:       simKops(ops, elapsed),
+		SimUsPerOp:    elapsed.Micros() / float64(ops),
 		ReadRespUs:    st.Host.ReadResp.Mean.Micros(),
 		ReadRespP99Us: st.Host.ReadResp.P99.Micros(),
 		MMIOBytes:     st.PCIe.MMIOBytes - loaded.PCIe.MMIOBytes,

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/nand"
 	"bandslim/internal/pagebuf"
+	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
 
@@ -20,9 +20,6 @@ type Options struct {
 	Scale int
 	// Seed feeds the workload generators.
 	Seed uint64
-	// Shards lists the shard counts the shard-scaling experiment sweeps.
-	// Empty means the default sweep {1, 2, 4, 8}.
-	Shards []int
 }
 
 // DefaultOptions returns the default scale (20k ops per point).
@@ -31,9 +28,6 @@ func DefaultOptions() Options { return Options{Scale: 20000, Seed: 42} }
 func (o Options) normalized() Options {
 	if o.Scale <= 0 {
 		o.Scale = DefaultOptions().Scale
-	}
-	if len(o.Shards) == 0 {
-		o.Shards = []int{1, 2, 4, 8}
 	}
 	return o
 }
@@ -50,17 +44,23 @@ func benchGeometry() nand.Geometry {
 	}
 }
 
-// stack opens a fresh simulated host+device pair.
-func stack(method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (*bandslim.DB, error) {
+// benchConfig is the one stack every experiment opens: the library defaults
+// on the bench geometry, with the transfer method, packing policy and NAND
+// switch under test.
+func benchConfig(method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) bandslim.Config {
 	cfg := bandslim.DefaultConfig()
 	cfg.Method = method
 	cfg.Policy = policy
 	cfg.DisableNAND = !nandOn
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
-	return bandslim.Open(cfg)
+	cfg.Device.Geometry = benchGeometry()
+	return cfg
+}
+
+// headlineConfig is the paper's headline configuration — Adaptive transfer,
+// Selective Packing with Backfilling, NAND on — so a run shows the full
+// command fetch → DMA → memcpy → NAND program chain.
+func headlineConfig() bandslim.Config {
+	return benchConfig(bandslim.Adaptive, bandslim.BackfillPacking, true)
 }
 
 // runResult carries one configuration's measurements.
@@ -70,33 +70,46 @@ type runResult struct {
 	Ops          int64
 }
 
-// run feeds a workload through a fresh stack.
-func run(gen workload.Generator, method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (runResult, error) {
-	db, err := stack(method, policy, nandOn)
-	if err != nil {
-		return runResult{}, err
-	}
-	defer db.Close()
-	var payload, ops int64
+// feed drains gen through put with deterministic value bytes, returning the
+// number of ops and the value payload they carried.
+func feed(gen workload.Generator, put func(key, value []byte) error) (ops, payload int64, err error) {
 	var buf []byte
 	filler := workload.NewValueFiller(1)
 	for {
 		op, ok := gen.Next()
 		if !ok {
-			break
+			return ops, payload, nil
 		}
 		buf = filler.Fill(buf, op.ValueSize)
-		if err := db.Put(op.Key, buf); err != nil {
-			return runResult{}, fmt.Errorf("bench: %s: put: %w", gen.Name(), err)
+		if err := put(op.Key, buf); err != nil {
+			return ops, payload, fmt.Errorf("bench: %s: put: %w", gen.Name(), err)
 		}
 		payload += int64(op.ValueSize)
 		ops++
+	}
+}
+
+// run feeds a workload through a fresh stack.
+func run(gen workload.Generator, method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (runResult, error) {
+	return runWith(gen, benchConfig(method, policy, nandOn))
+}
+
+// runWith feeds a workload through a stack built from an explicit config.
+func runWith(gen workload.Generator, cfg bandslim.Config) (runResult, error) {
+	db, err := bandslim.Open(cfg)
+	if err != nil {
+		return runResult{}, err
+	}
+	defer db.Close()
+	ops, payload, err := feed(gen, db.Put)
+	if err != nil {
+		return runResult{}, err
 	}
 	// Timing metrics (response, throughput) reflect the steady-state run;
 	// the final flush below drains the open window and would skew them at
 	// reduced scale.
 	timing := db.Stats()
-	if nandOn {
+	if !cfg.DisableNAND {
 		// Count the buffered tail: the paper's NAND totals cover the whole
 		// workload, and at reduced scale the open buffer entries and
 		// MemTable are not negligible.
@@ -112,6 +125,51 @@ func run(gen workload.Generator, method bandslim.TransferMethod, policy bandslim
 	s.Device.FlushWaitTime = timing.Device.FlushWaitTime
 	s.Device.MemcpyTime = timing.Device.MemcpyTime
 	return runResult{Stats: s, PayloadBytes: payload, Ops: ops}, nil
+}
+
+// loadKeyspace writes n keys "<prefix>%07d" to db in chunk-sized PutBatch
+// calls, each value 16..16+spread-1 bytes. The committed artifacts pin how
+// rng is consumed: one draw per key, in key order, before the caller draws
+// anything else (the read-order shuffle) from the same stream.
+func loadKeyspace(db bandslim.Store, prefix string, n, spread, chunk int, rng *sim.RNG) (keys, vals [][]byte, err error) {
+	keys, vals = make([][]byte, n), make([][]byte, n)
+	filler := workload.NewValueFiller(1)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("%s%07d", prefix, i))
+		vals[i] = filler.Fill(nil, 16+rng.Intn(spread))
+	}
+	for at := 0; at < n; at += chunk {
+		end := min(at+chunk, n)
+		if err := db.PutBatch(keys[at:end], vals[at:end]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return keys, vals, nil
+}
+
+// shuffled returns a copy of keys in a seeded uniform-random order.
+func shuffled(keys [][]byte, rng *sim.RNG) [][]byte {
+	order := append([][]byte(nil), keys...)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// pct reports the nearest-rank q-quantile of a latency class in µs.
+func pct(lat []sim.Duration, q float64) float64 {
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := append([]sim.Duration(nil), lat...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[int(q*float64(len(sorted)-1))].Micros()
+}
+
+// simKops converts ops over a simulated duration to Kops/s.
+func simKops(ops int64, elapsed sim.Duration) float64 {
+	if us := elapsed.Micros(); us > 0 {
+		return float64(ops) / (us / 1e6) / 1000
+	}
+	return 0
 }
 
 // policyFor maps a paper packing-policy label to the pagebuf policy.

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
@@ -46,11 +44,7 @@ func StartTelemetry(o Options, shards int, interval sim.Duration) (*Telemetry, e
 	if interval <= 0 {
 		interval = DefaultMetricsInterval
 	}
-	cfg := bandslim.DefaultConfig()
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
+	cfg := headlineConfig()
 	cfg.MetricsInterval = interval
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: cfg})
 	if err != nil {

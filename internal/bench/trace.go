@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 )
 
 // traceCaptureOps caps the captured workload: a trace is a readable window
@@ -21,20 +19,6 @@ const traceCaptureCapacity = 1 << 16
 // make: inline piggybacking (under Threshold1), PRP page-unit DMA
 // (over-threshold), hybrid page+inline-tail, and multi-page PRP.
 var traceValueSizes = []int{32, 512, 4096 + 64, 8192}
-
-// traceConfig is the paper's headline configuration — Adaptive transfer,
-// Selective Packing with Backfilling, NAND on — so a capture shows the full
-// command fetch → DMA → memcpy → NAND program chain.
-func traceConfig() bandslim.Config {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = bandslim.Adaptive
-	cfg.Policy = bandslim.BackfillPacking
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
-	return cfg
-}
 
 // traceKey derives the i-th deterministic 4-byte key.
 func traceKey(i int) []byte {
@@ -55,7 +39,7 @@ func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	}
 	if shards <= 1 {
 		rec := bandslim.NewRecorder(traceCaptureCapacity)
-		cfg := traceConfig()
+		cfg := headlineConfig()
 		cfg.Tracer = rec
 		db, err := bandslim.Open(cfg)
 		if err != nil {
@@ -69,7 +53,7 @@ func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	}
 	sdb, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:        shards,
-		PerShard:      traceConfig(),
+		PerShard:      headlineConfig(),
 		TraceCapacity: traceCaptureCapacity,
 	})
 	if err != nil {

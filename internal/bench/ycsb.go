@@ -6,16 +6,12 @@ package bench
 // the root replay-equivalence tests all push ops through it, so a recorded
 // trace replayed against a fresh stack takes exactly the code path the live
 // generator run took. Every figure is simulated; identical options produce
-// byte-identical BENCH_ycsb.json (the `make ycsb-smoke` gate).
+// byte-identical BENCH_ycsb.json (the TestEveryExperimentRunsAndRepeats gate).
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/driver"
 	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
@@ -42,23 +38,8 @@ type ScenarioResult struct {
 	readLat, updateLat, scanLat, rmwLat []sim.Duration
 }
 
-// pct reports the nearest-rank q-quantile of a latency class in µs.
-func pct(lat []sim.Duration, q float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]sim.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(q*float64(len(sorted)-1))].Micros()
-}
-
 // SimKops reports simulated throughput over the whole run.
-func (r ScenarioResult) SimKops() float64 {
-	if us := r.Elapsed.Micros(); us > 0 {
-		return float64(r.Ops) / (us / 1e6) / 1000
-	}
-	return 0
-}
+func (r ScenarioResult) SimKops() float64 { return simKops(r.Ops, r.Elapsed) }
 
 // DriveScenario executes a scenario against db, timing every op on the
 // virtual clock. Value contents are regenerated deterministically from
@@ -181,11 +162,6 @@ type YCSBPoint struct {
 	RMWP99Us     float64 `json:"rmw_p99_us"`
 }
 
-// YCSBJSON renders the points as indented JSON for BENCH_ycsb.json.
-func YCSBJSON(points []YCSBPoint) ([]byte, error) {
-	return json.MarshalIndent(points, "", "  ")
-}
-
 // ycsbSpec gives each scenario row its time-varying behavior: A runs under
 // a diurnal load curve with a mid-run hotspot shift, B under periodic
 // bursts, D under jittered (Poisson) arrivals; the rest arrive at a steady
@@ -217,18 +193,6 @@ func ycsbSpecs(n int) []ycsbSpec {
 		{kind: "e", arrival: workload.ArrivalConfig{Rate: ycsbRate}},
 		{kind: "f", arrival: workload.ArrivalConfig{Rate: ycsbRate}},
 	}
-}
-
-// ycsbStack opens the fresh single-device stack every scenario row runs on.
-func ycsbStack() (*bandslim.DB, error) {
-	cfg := bandslim.DefaultConfig()
-	cfg.Method = bandslim.Adaptive
-	cfg.Policy = bandslim.BackfillPacking
-	dev := device.DefaultConfig()
-	dev.Geometry = benchGeometry()
-	cfg.Device = dev
-	cfg.Thresholds = driver.DefaultThresholds()
-	return bandslim.Open(cfg)
 }
 
 // ycsbMixTolerance is the acceptance band on each scenario's realized op
@@ -307,7 +271,7 @@ func RunYCSB(o Options) (*Table, []YCSBPoint, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		db, err := ycsbStack()
+		db, err := bandslim.Open(headlineConfig())
 		if err != nil {
 			return nil, nil, err
 		}

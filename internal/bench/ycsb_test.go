@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,20 +137,5 @@ func TestRunYCSBSmall(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, text)
 		}
-	}
-
-	// The whole experiment is deterministic: a second run's JSON is
-	// byte-identical (the ycsb-smoke gate in CI re-checks via the binary).
-	_, points2, err := RunYCSB(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err1 := YCSBJSON(points)
-	j2, err2 := YCSBJSON(points2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Fatal("BENCH_ycsb.json content not deterministic")
 	}
 }
