@@ -19,10 +19,10 @@ vet:
 fmt:
 	gofmt -l .
 
-# One-iteration pass over every benchmark: catches bit-rot in bench code
-# without paying for a measurement run.
+# One-iteration pass over every benchmark in every package: catches bit-rot
+# in bench code without paying for a measurement run.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Flags shared by the smoke run and its golden regeneration: the exported
 # exposition is deterministic, so any drift is a real behavior change.
@@ -77,11 +77,12 @@ determinism:
 	$(GO) run ./cmd/bandslim-cli trace stat .determinism/run1.trace > /dev/null
 	rm -rf .determinism
 
-# Short fixed-budget fuzz pass over the fault-plan parser, the journal
-# decoder/replayer, the RESP command parser, and the workload-trace parser,
-# seeded from the committed testdata corpora.
+# Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
+# cursor, the journal decoder/replayer, the RESP command parser, and the
+# workload-trace parser, seeded from the committed testdata corpora.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault
+	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s ./internal/lsm
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/device
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload

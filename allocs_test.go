@@ -5,11 +5,15 @@ package bandslim_test
 // allocations are behind us — pools warmed, scratch buffers grown to their
 // working size, and (for writes) keys already present so the MemTable
 // overwrites in place instead of inserting. New-key inserts, SSTable
-// flushes, and compactions legitimately allocate; they are amortized
-// structural work, not the per-op path.
+// flushes, and compactions legitimately allocate, but only what they keep:
+// TestFillAllocBudget holds a stream of new keys, flushes and compactions
+// included, to a per-op budget, and TestColdGetAllocs holds reads that go all
+// the way to flash to zero.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bandslim"
@@ -129,6 +133,124 @@ func TestGetAllocsSteadyState(t *testing.T) {
 				i++
 			})
 		})
+	}
+}
+
+// storeKinds names the front-ends the whole-path guards run on.
+var storeKinds = []string{"db", "sharded"}
+
+// openStore opens one of storeKinds with NAND on and reports how many
+// devices are behind it.
+func openStore(t *testing.T, kind string, tr bandslim.Tracer) (bandslim.Store, int) {
+	t.Helper()
+	cfg := allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr)
+	if kind == "db" {
+		db, err := bandslim.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, 1
+	}
+	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, 2
+}
+
+// fillKey is the i-th key of a scattered 8-byte key space, so consecutive
+// Puts land all over every SSTable's range as hashed keys do.
+func fillKey(dst []byte, i int) []byte {
+	return binary.BigEndian.AppendUint64(dst[:0], uint64(i)*0x9E3779B97F4A7C15)
+}
+
+// TestFillAllocBudget is the write path's guard beyond steady-state
+// overwrites: a stream of new keys long enough that every device flushes its
+// MemTable ~20 times, compacts L0 into L1 four times and overflows L1 into L2
+// at least once. What one Put may cost, all of that included: its MemTable
+// node, its share of the NAND pages that stay live, and next to nothing else
+// — no per-entry garbage from merging, no page copies.
+func TestFillAllocBudget(t *testing.T) {
+	const (
+		perDevice   = 80_000 // 19 flushes of 4096, L0 compactions at 4, 8, 12, 16
+		allocBudget = 1.2
+		byteBudget  = 768
+	)
+	for trName, tr := range tracers() {
+		for _, kind := range storeKinds {
+			t.Run(kind+"/"+trName, func(t *testing.T) {
+				s, devices := openStore(t, kind, tr)
+				defer s.Close()
+				puts := perDevice * devices
+				value := make([]byte, 48)
+				var key []byte
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < puts; i++ {
+					key = fillKey(key, i)
+					if err := s.Put(key, value); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				// Only level compactions can push the count past one per four
+				// flushes.
+				if c, l0 := s.Stats().Device.Compactions, int64(puts/(4*4096)); c <= l0 {
+					t.Fatalf("%d compactions over %d Puts: the stream never overflowed L1", c, puts)
+				}
+				allocs := float64(m1.Mallocs-m0.Mallocs) / float64(puts)
+				bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(puts)
+				if allocs > allocBudget || bytes > byteBudget {
+					t.Errorf("a Put costs %.2f allocations and %.0f B with flushes and compactions included; budget %.1f and %d B",
+						allocs, bytes, allocBudget, byteBudget)
+				}
+			})
+		}
+	}
+}
+
+// TestColdGetAllocs: a Get that finds nothing in DRAM — MemTable empty, no
+// cache — walks SSTable pages on flash level by level and then reads the
+// value's vLog page. Every one of those pages is borrowed from the flash
+// model and searched in place, so the read allocates nothing.
+func TestColdGetAllocs(t *testing.T) {
+	for trName, tr := range tracers() {
+		for _, kind := range storeKinds {
+			t.Run(kind+"/"+trName, func(t *testing.T) {
+				s, devices := openStore(t, kind, tr)
+				defer s.Close()
+				nkeys := 20_000 * devices // L0 and L1 populated on every device
+				var key []byte
+				for i := 0; i < nkeys; i++ {
+					key = fillKey(key, i)
+					if err := s.Put(key, make([]byte, 128)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				dst := make([]byte, 0, 128)
+				i := 0
+				get := func() {
+					key = fillKey(key, i*7919%nkeys)
+					v, err := s.GetInto(key, dst)
+					if err != nil || len(v) != 128 {
+						t.Fatalf("GetInto: %d bytes, %v", len(v), err)
+					}
+					dst = v
+					i++
+				}
+				for r := 0; r < 64; r++ { // grow the read scratch on every device
+					get()
+				}
+				reads := s.Stats().Device.NANDPageReads
+				assertZeroAllocs(t, "cold GetInto", 400, get)
+				if got := s.Stats().Device.NANDPageReads - reads; got < 400 {
+					t.Errorf("%d NAND page reads over 401 Gets: the reads were not cold", got)
+				}
+			})
+		}
 	}
 }
 

@@ -316,6 +316,11 @@ var (
 	// ErrIterDone reports an exhausted device-side iterator, surfaced by
 	// the raw SEEK/NEXT path; Iterator translates it into Valid() == false.
 	ErrIterDone = driver.ErrIterDone
+	// ErrIteratorInvalidated stops an Iterator whose snapshot the device could
+	// no longer honor: writes issued since it was opened triggered a
+	// compaction that freed SSTable pages it had yet to read. Pairs already
+	// returned were correct; open a new iterator past the last key to go on.
+	ErrIteratorInvalidated = driver.ErrIterInvalidated
 )
 
 // Put stores a key-value pair. Keys are 1–16 bytes.
@@ -465,8 +470,10 @@ func (db *DB) Close() error {
 // SEEK/NEXT commands: a k-way merge over one device cursor per shard (a
 // single cursor on a DB). It is positioned on its first pair when opened;
 // loop on Valid/Next, read Key/Value, and check Err when Valid turns false.
-// Each device holds a single iterator, so writes interleaved with iteration
-// invalidate the snapshot (as on the real device); iterate before mutating.
+// Each device holds a single iterator over a snapshot of its index; iterate
+// before mutating. Writes interleaved with iteration are not seen, and once
+// they make the device compact the tables under the snapshot, Next stops the
+// iterator with ErrIteratorInvalidated rather than return pairs out of order.
 // After Close, Next stops the iterator with ErrClosed.
 type Iterator = shard.MergeIterator
 

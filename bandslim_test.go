@@ -2,6 +2,7 @@ package bandslim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -211,6 +212,125 @@ func TestIteratorInvalidatedByClose(t *testing.T) {
 	}
 	if it.Err() != ErrClosed {
 		t.Fatalf("Err after Close: %v, want ErrClosed", it.Err())
+	}
+}
+
+// An iterator left open across enough writes to compact the index must not
+// go on reading: compaction frees and recycles the SSTable pages under its
+// snapshot, and before the fix the scan came back out of order ("16380 after
+// 18103") with a nil Err. Whatever it returns is ordered and is a prefix of
+// the keys present at open; it either covers them all or says why it stopped.
+func TestIteratorAcrossCompaction(t *testing.T) {
+	db, err := Open(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const before, during = 20000, 60000
+	name := func(i int) []byte { return []byte(fmt.Sprintf("%08d", i*7919%100003)) }
+	for i := 0; i < before; i++ {
+		if err := db.Put(name(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	seen := 0
+	step := func() {
+		if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+			t.Fatalf("scan out of order after %d keys: %s after %s", seen, it.Key(), prev)
+		}
+		prev = append(prev[:0], it.Key()...)
+		seen++
+		it.Next()
+	}
+	for seen < 100 && it.Valid() {
+		step()
+	}
+	for i := before; i < before+during; i++ {
+		if err := db.Put(name(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for it.Valid() {
+		step()
+	}
+	switch err := it.Err(); {
+	case err == nil && seen < before:
+		t.Fatalf("scan ended silently after %d of the %d keys present at open", seen, before)
+	case err != nil && !errors.Is(err, ErrIteratorInvalidated):
+		t.Fatalf("scan stopped with %v, want ErrIteratorInvalidated", err)
+	case err != nil:
+		// A stopped iterator stays stopped, with the same answer.
+		it.Next()
+		if it.Valid() || !errors.Is(it.Err(), ErrIteratorInvalidated) {
+			t.Fatalf("after the error: valid=%v err=%v", it.Valid(), it.Err())
+		}
+	}
+	// A fresh iterator sees everything, in order.
+	it, err = db.NewIterator(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, seen = nil, 0
+	for it.Valid() {
+		step()
+	}
+	if it.Err() != nil || seen != before+during {
+		t.Fatalf("fresh scan: %d keys, err %v; want %d", seen, it.Err(), before+during)
+	}
+}
+
+// Filling a small device to the brim is an answer, not an accident: the Put
+// that does not fit fails as IsNoSpace (NVMe capacity exceeded), nothing
+// panics, and every key acknowledged before it still reads back.
+func TestFillToFullIsNoSpace(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		valueSize int
+		vlogShare float64
+	}{
+		{"value_log_full", 4096, 0.75},
+		{"index_region_full", 1, 0.97},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Device.Geometry = nand.Geometry{
+				Channels: 1, WaysPerChannel: 2, BlocksPerWay: 8, PagesPerBlock: 8, PageSize: 16 * 1024,
+			}
+			cfg.Device.Buffer.MaxEntries = 4
+			cfg.Device.LSM.MemTableEntries = 64
+			cfg.Device.VLogFraction = tc.vlogShare
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			value := bytes.Repeat([]byte{0xA5}, tc.valueSize)
+			name := func(i int) []byte { return []byte(fmt.Sprintf("full%06d", i)) }
+			stored := 0
+			for ; stored < 1<<20; stored++ {
+				value[0] = byte(stored)
+				if err = db.Put(name(stored), value); err != nil {
+					break
+				}
+			}
+			if !IsNoSpace(err) {
+				t.Fatalf("Put %d failed with %v, want a no-space error", stored, err)
+			}
+			if stored == 0 {
+				t.Fatal("the device was full before the first Put")
+			}
+			for i := 0; i < stored; i++ {
+				got, err := db.Get(name(i))
+				if err != nil || len(got) != tc.valueSize || got[0] != byte(i) {
+					t.Fatalf("key %d of %d after the device filled: %d bytes, %v", i, stored, len(got), err)
+				}
+			}
+		})
 	}
 }
 

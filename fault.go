@@ -126,6 +126,14 @@ func IsMedia(err error) bool {
 	return ok && s == nvme.StatusMedia
 }
 
+// IsNoSpace reports whether err is a capacity-exceeded completion: the value
+// log, the index region or the flash itself is full. Everything acknowledged
+// before the failed operation stays readable.
+func IsNoSpace(err error) bool {
+	s, ok := nvme.StatusOf(err)
+	return ok && s == nvme.StatusCapacity
+}
+
 // IsNotFound reports whether err is a key-not-found completion.
 func IsNotFound(err error) bool {
 	s, ok := nvme.StatusOf(err)

@@ -442,6 +442,10 @@ func classify(err error) nvme.Status {
 		return nvme.StatusTransient
 	case errors.Is(err, nand.ErrIOFault):
 		return nvme.StatusMedia
+	case errors.Is(err, ftl.ErrNoSpace):
+		return nvme.StatusCapacity
+	case errors.Is(err, lsm.ErrIteratorInvalidated):
+		return nvme.StatusIterInvalid
 	default:
 		return nvme.StatusInternal
 	}
@@ -801,7 +805,15 @@ func (d *Device) execSeek(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 // [keyLen u8][key][value] and advances. The returned int is the total bytes
 // written.
 func (d *Device) execNext(t sim.Time, cmd nvme.Command) (int, sim.Time, error) {
-	if d.iter == nil || !d.iter.Valid() {
+	if d.iter == nil {
+		return 0, t, errIterEnd
+	}
+	// A failed iterator keeps failing: answering a later NEXT with "end"
+	// would turn the error into a silently truncated scan.
+	if err := d.iter.Err(); err != nil {
+		return 0, t, err
+	}
+	if !d.iter.Valid() {
 		return 0, t, errIterEnd
 	}
 	e := d.iter.Entry()

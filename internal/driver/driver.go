@@ -738,6 +738,11 @@ func (d *Driver) Seek(start []byte) error {
 // match it with errors.Is, including through wrapped returns.
 var ErrIterDone = errors.New("driver: iterator exhausted")
 
+// ErrIterInvalidated reports that writes since Seek made the device compact
+// away tables the iterator was still walking; the scan must be restarted.
+// Like ErrIterDone it is a sentinel for errors.Is.
+var ErrIterInvalidated = errors.New("driver: iterator invalidated by compaction")
+
 // Next returns the device iterator's current pair and advances it. Like Get,
 // the returned key and value are views into the driver's reusable read
 // buffer, valid until the next driver operation; retaining callers must copy.
@@ -751,8 +756,11 @@ func (d *Driver) Next() (key, value []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if comp.Status == nvme.StatusIterEnd {
+	switch comp.Status {
+	case nvme.StatusIterEnd:
 		return nil, nil, ErrIterDone
+	case nvme.StatusIterInvalid:
+		return nil, nil, ErrIterInvalidated
 	}
 	if err := comp.Status.Err(); err != nil {
 		return nil, nil, err

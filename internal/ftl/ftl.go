@@ -21,6 +21,11 @@ import (
 
 const unmapped = int32(-1)
 
+// ErrNoSpace reports that the device has run out of room: every error that
+// means "full" anywhere below the controller wraps it, and the controller
+// completes the command with the NVMe capacity-exceeded status.
+var ErrNoSpace = errors.New("ftl: no space left on device")
+
 // Stats tallies FTL activity, including the GC write amplification the
 // device-level WAF includes.
 type Stats struct {
@@ -157,11 +162,11 @@ func (f *FTL) allocPage(t sim.Time, way int) (int, sim.Time, error) {
 				return 0, t, err
 			}
 			if !reclaimed {
-				return 0, t, fmt.Errorf("ftl: way %d out of free blocks (device full)", way)
+				return 0, t, fmt.Errorf("ftl: way %d out of free blocks and GC found no victim: %w", way, ErrNoSpace)
 			}
 		}
 		if len(f.freeBlocks[way]) == 0 {
-			return 0, t, fmt.Errorf("ftl: way %d out of free blocks", way)
+			return 0, t, fmt.Errorf("ftl: way %d out of free blocks: %w", way, ErrNoSpace)
 		}
 		// FIFO consumption rotates every free block through service, so
 		// erases spread across the way instead of recycling one block.
@@ -185,7 +190,9 @@ func (f *FTL) Write(t sim.Time, lpn int, data []byte) (sim.Time, error) {
 	if err != nil {
 		return t, err
 	}
-	f.remap(lpn, phys)
+	if err := f.remap(lpn, phys); err != nil {
+		return end, err
+	}
 	if err := f.maybeGC(t, f.wayOf(phys)); err != nil {
 		return end, err
 	}
@@ -256,26 +263,40 @@ func (f *FTL) retireActive(way int) {
 }
 
 // remap points lpn at phys, invalidating any prior mapping.
-func (f *FTL) remap(lpn, phys int) {
+func (f *FTL) remap(lpn, phys int) error {
 	if old := f.l2p[lpn]; old != unmapped {
-		f.p2l[old] = unmapped
-		f.validCount[f.blockIndexOf(int(old))]--
+		if err := f.invalidate(int(old)); err != nil {
+			return err
+		}
 	}
 	f.l2p[lpn] = int32(phys)
 	f.p2l[phys] = int32(lpn)
 	f.validCount[f.blockIndexOf(phys)]++
 	f.stats.MapUpdates.Inc()
+	return nil
+}
+
+// invalidate takes a physical page out of the map: its block loses a valid
+// page and the flash drops the payload nothing can address any more, instead
+// of holding it until GC gets round to erasing the block.
+func (f *FTL) invalidate(phys int) error {
+	f.p2l[phys] = unmapped
+	f.validCount[f.blockIndexOf(phys)]--
+	return f.flash.Discard(f.addrOf(phys))
 }
 
 // Read fetches a logical page. Unmapped pages read as zeros (like an
-// unwritten LBA on a block SSD).
+// unwritten LBA on a block SSD). The result is the flash's read-only view
+// (see nand.Array.Read): it dies when the logical page is next written or
+// trimmed and when GC migrates it, so a caller keeping the bytes across any
+// FTL call copies them.
 func (f *FTL) Read(t sim.Time, lpn int) ([]byte, sim.Time, error) {
 	if lpn < 0 || lpn >= len(f.l2p) {
 		return nil, t, fmt.Errorf("ftl: logical page %d out of range", lpn)
 	}
 	phys := f.l2p[lpn]
 	if phys == unmapped {
-		return make([]byte, f.geo.PageSize), t, nil
+		return f.flash.ZeroPage(), t, nil
 	}
 	return f.flash.Read(t, f.addrOf(int(phys)))
 }
@@ -286,9 +307,8 @@ func (f *FTL) Trim(lpn int) error {
 		return fmt.Errorf("ftl: logical page %d out of range", lpn)
 	}
 	if old := f.l2p[lpn]; old != unmapped {
-		f.p2l[old] = unmapped
-		f.validCount[f.blockIndexOf(int(old))]--
 		f.l2p[lpn] = unmapped
+		return f.invalidate(int(old))
 	}
 	return nil
 }
@@ -384,7 +404,9 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("ftl: GC program: %w", err)
 		}
-		f.remap(int(lpn), newPhys)
+		if err := f.remap(int(lpn), newPhys); err != nil {
+			return false, err
+		}
 		f.stats.GCWrites.Inc()
 	}
 	addr := nand.BlockAddr{

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +299,99 @@ func TestRandomWritesConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Payloads follow the map: every way a physical page can lose its mapping —
+// overwrite, Trim, GC migration — gives back exactly that page's buffer, so
+// the flash holds one payload per mapped logical page at all times, and a
+// view of the old page shows poison, not the old data.
+func TestPayloadsFollowTheMap(t *testing.T) {
+	f := newFTL(t)
+	mapped := make(map[int]bool)
+	check := func(when string) {
+		t.Helper()
+		if held, _ := f.flash.Payloads(); held != len(mapped) {
+			t.Fatalf("%s: flash holds %d payloads for %d mapped pages", when, held, len(mapped))
+		}
+	}
+	page := func(lpn, ver int) []byte { return bytes.Repeat([]byte{byte(lpn), byte(ver)}, 2048) }
+	write := func(lpn, ver int) {
+		t.Helper()
+		if _, err := f.Write(0, lpn, page(lpn, ver)); err != nil {
+			t.Fatal(err)
+		}
+		mapped[lpn] = true
+	}
+
+	write(3, 0)
+	old, _, _ := f.Read(0, 3)
+	_, spare0 := f.flash.Payloads()
+	write(3, 1)
+	check("overwrite")
+	if _, spare := f.flash.Payloads(); spare != spare0+1 {
+		t.Fatalf("overwrite returned %d buffers, want 1", spare-spare0)
+	}
+	if old[0] <= 16 {
+		t.Fatalf("stale view starts with %#x: it would parse as a key length", old[0])
+	}
+
+	write(4, 0)
+	old, _, _ = f.Read(0, 4)
+	_, spare0 = f.flash.Payloads()
+	if err := f.Trim(4); err != nil {
+		t.Fatal(err)
+	}
+	delete(mapped, 4)
+	check("trim")
+	if _, spare := f.flash.Payloads(); spare != spare0+1 {
+		t.Fatalf("trim returned %d buffers, want 1", spare-spare0)
+	}
+	if old[0] <= 16 {
+		t.Fatal("view of a trimmed page still shows its data")
+	}
+	if err := f.Trim(4); err != nil { // already unmapped: nothing to release
+		t.Fatal(err)
+	}
+	check("second trim")
+
+	// Churn a small hot set with a cold page dropped in now and then, so the
+	// blocks GC picks hold live data it has to migrate; the cold pages must
+	// survive every move.
+	for i := 0; i < 2000; i++ {
+		write(100+i%7, i)
+		if i%50 == 0 {
+			write(10+i/50, 0)
+		}
+		check("churn")
+	}
+	if f.Stats().GCWrites.Value() == 0 || f.Stats().GCErases.Value() == 0 {
+		t.Fatalf("churn never migrated (%d) or erased (%d)", f.Stats().GCWrites.Value(), f.Stats().GCErases.Value())
+	}
+	for lpn := 10; lpn < 50; lpn++ {
+		got, _, err := f.Read(0, lpn)
+		if err != nil || !bytes.Equal(got, page(lpn, 0)) {
+			t.Fatalf("lpn %d after GC: err %v", lpn, err)
+		}
+	}
+	if _, spare := f.flash.Payloads(); spare > f.geo.PagesPerBlock {
+		t.Fatalf("free list grew to %d buffers", spare)
+	}
+}
+
+// Running out of blocks is a typed answer: every program fails here, each
+// failure retires a block, and once none are left the write reports
+// ErrNoSpace instead of an anonymous error.
+func TestOutOfBlocksIsErrNoSpace(t *testing.T) {
+	f := newFTL(t)
+	f.flash.SetFaultEvery(1)
+	var err error
+	for i := 0; i < 100 && !errors.Is(err, ErrNoSpace); i++ {
+		if _, err = f.Write(0, i, []byte{1}); err == nil {
+			t.Fatal("a write succeeded on a flash whose every program fails")
+		}
+	}
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("last error %v, want ErrNoSpace", err)
 	}
 }

@@ -50,12 +50,15 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
-// FuzzDecodePage: whole-page decoding must never panic and must return
-// key-ordered entries when the page came from a real builder.
+// FuzzDecodePage drives the one page decoder — the cursor behind lookups,
+// iterators and compaction — over arbitrary page bytes. It must never panic;
+// every entry it yields has a legal key and re-encodes to the bytes it was
+// parsed from (reserved flag bits aside); and a point lookup refuses a page
+// whose corruption lies before the key it is looking for.
 func FuzzDecodePage(f *testing.F) {
 	store := newMemStore(16)
 	alloc := newPageAllocator(16)
-	b := newTableBuilder(store, alloc, 1)
+	b := newTableBuilder(store, alloc, 1, make([]byte, store.PageSize()))
 	for i := 0; i < 50; i++ {
 		b.add(0, Entry{Key: []byte{byte(i), byte(i + 1)}, Addr: vlog.Addr(i), Size: uint32(i)})
 	}
@@ -69,15 +72,39 @@ func FuzzDecodePage(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), page...))
 	f.Add([]byte{3, 1, 2})
+	// A valid entry followed by one whose key length is a released page's
+	// poison byte.
+	f.Add(append(append([]byte(nil), page[:entryFixed+2]...), bytes.Repeat([]byte{0xDB}, 32)...))
+	beyond := bytes.Repeat([]byte{0xFF}, MaxKeySize) // >= every legal key
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodePage(data)
-		if err != nil {
-			return
-		}
-		for _, e := range entries {
+		c := pageCursor{data: data}
+		var walkErr error
+		sawBeyond := false
+		re := make([]byte, entryFixed+MaxKeySize)
+		for {
+			from := c.off
+			var e Entry
+			ok, err := c.next(&e)
+			if !ok {
+				walkErr = err
+				break
+			}
 			if len(e.Key) == 0 || len(e.Key) > MaxKeySize {
 				t.Fatalf("bad decoded key %x", e.Key)
 			}
+			n := encodeEntry(re, e)
+			consumed := append([]byte(nil), data[from:c.off]...)
+			consumed[len(consumed)-1] &= flagTombstone
+			if !bytes.Equal(re[:n], consumed) {
+				t.Fatalf("entry at %d re-encodes to %x, parsed from %x", from, re[:n], consumed)
+			}
+			sawBeyond = sawBeyond || bytes.Equal(e.Key, beyond)
+		}
+		if c.off > len(data) {
+			t.Fatalf("cursor ran to %d of %d bytes", c.off, len(data))
+		}
+		if _, found, err := searchPage(data, beyond); walkErr != nil && !sawBeyond && (err == nil || found) {
+			t.Fatalf("lookup past a corrupt entry (%v) answered found=%v err=%v", walkErr, found, err)
 		}
 	})
 }

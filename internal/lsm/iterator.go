@@ -2,24 +2,31 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 
 	"bandslim/internal/sim"
 )
+
+// ErrIteratorInvalidated reports that compaction freed SSTable pages after
+// the iterator was opened: the tables it was built over may no longer exist
+// on flash, so it stops rather than read recycled pages.
+var ErrIteratorInvalidated = errors.New("lsm: iterator invalidated by compaction")
 
 // Iterator is a merged, key-ordered view over the MemTable and every level,
 // backing the device-side SEEK/NEXT interface (the iterator-extended KV-SSD
 // of [22] the paper builds on). Duplicate keys resolve newest-first and
 // tombstoned keys are skipped.
 //
-// The iterator is a snapshot of the tree at Seek time; concurrent mutation
-// invalidates it (the device serializes commands, so this cannot happen
-// in normal operation).
+// The iterator is a snapshot of the tree at Seek time. Writes that only add
+// tables leave it intact; once a compaction's page frees are committed it
+// fails with ErrIteratorInvalidated at its next page load.
 type Iterator struct {
-	tree    *Tree
-	sources []*iterSource
-	current Entry
+	tree     *Tree
+	reclaims uint64 // tree.reclaims at Seek
+	sources  []*iterSource
+	current  Entry
 	// keyBuf backs current.Key for table-sourced entries: source entries are
-	// views into per-source decode arenas, which advancing a source past a
+	// views into per-source page copies, which advancing a source past a
 	// page boundary overwrites, so the winning key is copied out before the
 	// sources consume past it.
 	keyBuf []byte
@@ -34,18 +41,19 @@ type iterSource struct {
 	mem     *MemIterator
 	table   *SSTable
 	pageIdx int
-	entries []Entry
-	arena   []byte // backs entries' keys (see decodePageInto)
-	pos     int
-	done    bool
-	cur     Entry
-	hasCur  bool
+	// page is the source's own copy of the page under cur: the store's view
+	// does not outlive the next store call, and a scan interleaves sources.
+	page   []byte
+	cur    pageCursor
+	done   bool
+	head   Entry
+	hasCur bool
 }
 
 // Seek returns an iterator positioned at the first live key >= start.
 // NAND reads performed while positioning are reflected in End().
 func (tr *Tree) Seek(t sim.Time, start []byte) (*Iterator, error) {
-	it := &Iterator{tree: tr, end: t}
+	it := &Iterator{tree: tr, reclaims: tr.reclaims, end: t}
 	prio := 0
 	mi := tr.mem.Iterator()
 	mi.Seek(tr.mem, start)
@@ -80,7 +88,7 @@ func (s *iterSource) seekTable(start []byte) {
 	s.pageIdx = pi
 }
 
-// advance loads the source's next entry into cur.
+// advance loads the source's next entry into head.
 func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 	if s.done {
 		s.hasCur = false
@@ -88,7 +96,7 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 	}
 	if s.mem != nil {
 		if s.mem.Next() {
-			s.cur = s.mem.Entry()
+			s.head = s.mem.Entry()
 			s.hasCur = true
 		} else {
 			s.done = true
@@ -97,9 +105,11 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 		return nil
 	}
 	for {
-		if s.pos < len(s.entries) {
-			s.cur = s.entries[s.pos]
-			s.pos++
+		ok, err := s.cur.next(&s.head)
+		if err != nil {
+			return err
+		}
+		if ok {
 			s.hasCur = true
 			return nil
 		}
@@ -107,6 +117,9 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 			s.done = true
 			s.hasCur = false
 			return nil
+		}
+		if it.tree.reclaims != it.reclaims {
+			return ErrIteratorInvalidated
 		}
 		data, end, err := it.tree.store.ReadPage(t, s.table.pages[s.pageIdx])
 		if err != nil {
@@ -117,11 +130,8 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 			it.end = end
 		}
 		s.pageIdx++
-		s.entries, s.arena, err = decodePageInto(s.entries, s.arena, data)
-		if err != nil {
-			return err
-		}
-		s.pos = 0
+		s.page = append(s.page[:0], data...)
+		s.cur = pageCursor{data: s.page}
 	}
 }
 
@@ -132,7 +142,7 @@ func (it *Iterator) step(t sim.Time, floor []byte) {
 		// Drain every source past keys below the floor.
 		if floor != nil {
 			for _, s := range it.sources {
-				for s.hasCur && bytes.Compare(s.cur.Key, floor) < 0 {
+				for s.hasCur && bytes.Compare(s.head.Key, floor) < 0 {
 					if err := s.advance(it, t); err != nil {
 						it.err = err
 						it.valid = false
@@ -150,7 +160,7 @@ func (it *Iterator) step(t sim.Time, floor []byte) {
 				best = i
 				continue
 			}
-			c := bytes.Compare(s.cur.Key, it.sources[best].cur.Key)
+			c := bytes.Compare(s.head.Key, it.sources[best].head.Key)
 			if c < 0 || (c == 0 && s.prio < it.sources[best].prio) {
 				best = i
 			}
@@ -159,15 +169,15 @@ func (it *Iterator) step(t sim.Time, floor []byte) {
 			it.valid = false
 			return
 		}
-		e := it.sources[best].cur
-		// Copy the winning key out of its source's decode arena: consuming
-		// the key below can advance that source past a page boundary, which
-		// overwrites the arena backing e.Key.
+		e := it.sources[best].head
+		// Copy the winning key out of its source's page: consuming the key
+		// below can advance that source past a page boundary, which
+		// overwrites the page backing e.Key.
 		it.keyBuf = append(it.keyBuf[:0], e.Key...)
 		e.Key = it.keyBuf
 		// Consume this key from every source holding it.
 		for _, s := range it.sources {
-			for s.hasCur && bytes.Equal(s.cur.Key, e.Key) {
+			for s.hasCur && bytes.Equal(s.head.Key, e.Key) {
 				if err := s.advance(it, t); err != nil {
 					it.err = err
 					it.valid = false

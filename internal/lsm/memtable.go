@@ -28,8 +28,11 @@ const (
 	MaxKeySize = 16
 )
 
+// skipNode carries its key inline — entry.Key slices key — so an insert is
+// one allocation and a search touches one object per comparison.
 type skipNode struct {
 	entry Entry
+	key   [MaxKeySize]byte
 	next  [maxHeight]*skipNode
 }
 
@@ -102,13 +105,9 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 		}
 		m.height = h
 	}
-	node := &skipNode{entry: Entry{
-		Key:       append([]byte(nil), key...),
-		Addr:      addr,
-		Size:      size,
-		Tombstone: tombstone,
-		seq:       m.seq,
-	}}
+	node := &skipNode{entry: Entry{Addr: addr, Size: size, Tombstone: tombstone, seq: m.seq}}
+	kl := copy(node.key[:], key)
+	node.entry.Key = node.key[:kl:kl]
 	for lvl := 0; lvl < h; lvl++ {
 		node.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = node

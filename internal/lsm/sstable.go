@@ -13,6 +13,11 @@ import (
 // PageStore abstracts the NAND meta region SSTables are serialized into.
 // Page numbers are region-relative. The FTL-backed implementation charges
 // simulated NAND time; tests may use an in-memory store.
+//
+// ReadPage returns a read-only, PageSize-long view that is only good until
+// the next call on the store (a write can make FTL GC move the page, a read
+// can evict it from the device page cache): the tree decodes it in place at
+// once or copies it. WritePage copies data before returning.
 type PageStore interface {
 	WritePage(t sim.Time, page int, data []byte) (sim.Time, error)
 	ReadPage(t sim.Time, page int) ([]byte, sim.Time, error)
@@ -45,7 +50,7 @@ func (s *FTLStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, error
 	return s.f.Write(t, s.base+page, data)
 }
 
-// ReadPage fetches one meta page.
+// ReadPage fetches one meta page as the FTL's read view.
 func (s *FTLStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) {
 	if page < 0 || page >= s.pages {
 		return nil, t, fmt.Errorf("lsm: page %d out of store range %d", page, s.pages)
@@ -90,11 +95,10 @@ func encodeEntry(dst []byte, e Entry) int {
 	dst[i] = byte(len(e.Key))
 	i++
 	i += copy(dst[i:], e.Key)
-	a := uint64(e.Addr)
-	for b := 0; b < addrBytes; b++ {
-		dst[i] = byte(a >> (8 * b))
-		i++
-	}
+	// The address is the low addrBytes of an 8-byte store; the size lands on
+	// the bytes above them.
+	binary.LittleEndian.PutUint64(dst[i:], uint64(e.Addr))
+	i += addrBytes
 	binary.LittleEndian.PutUint32(dst[i:], e.Size)
 	i += 4
 	var fl byte
@@ -119,24 +123,13 @@ func parseEntry(src []byte) (kl int, addr vlog.Addr, size uint32, tomb bool, n i
 		return 0, 0, 0, false, 0, fmt.Errorf("lsm: corrupt entry (keyLen %d, %d bytes left)", kl, len(src))
 	}
 	i := 1 + kl
-	var a uint64
-	for b := 0; b < addrBytes; b++ {
-		a |= uint64(src[i]) << (8 * b)
-		i++
-	}
+	// addr + size + flags are 10 bytes, so the 8-byte load stays inside them.
+	a := binary.LittleEndian.Uint64(src[i:]) & (1<<(8*addrBytes) - 1)
+	i += addrBytes
 	size = binary.LittleEndian.Uint32(src[i:])
 	i += 4
 	tomb = src[i]&flagTombstone != 0
 	return kl, vlog.Addr(a), size, tomb, i + 1, nil
-}
-
-func decodeEntry(src []byte) (Entry, int, error) {
-	kl, addr, size, tomb, n, err := parseEntry(src)
-	if err != nil {
-		return Entry{}, 0, err
-	}
-	key := append([]byte(nil), src[1:1+kl]...)
-	return Entry{Key: key, Addr: addr, Size: size, Tombstone: tomb}, n, nil
 }
 
 var errEndOfPage = fmt.Errorf("lsm: end of page")
@@ -193,76 +186,72 @@ func (t *SSTable) pageForKey(key []byte) int {
 	return best
 }
 
-// decodePage parses every entry in a page image. Each entry's key is a fresh
-// allocation, so results may be retained freely (compaction and merge paths).
-func decodePage(data []byte) ([]Entry, error) {
-	var out []Entry
-	i := 0
-	for i < len(data) {
-		e, n, err := decodeEntry(data[i:])
-		if err == errEndOfPage {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-		i += n
-	}
-	return out, nil
+// pageCursor walks the entries of one page image in place. It is the only
+// decoder: point lookups, iterators and compaction all read pages through it,
+// so every entry any of them yields has passed parseEntry.
+type pageCursor struct {
+	data []byte
+	off  int
 }
 
-// decodePageInto parses every entry in a page image into reused scratch: the
-// entry slice is truncated and refilled, and every key sub-slices the arena.
-// The arena is pre-sized to the page so appends never move it mid-decode.
-// Returned entries are views valid until the next call with the same scratch;
-// the read hot paths (point lookups, scans) use this to avoid a key
-// allocation per decoded entry.
-func decodePageInto(entries []Entry, arena, data []byte) ([]Entry, []byte, error) {
-	if cap(arena) < len(data) {
-		arena = make([]byte, 0, len(data))
+// next stores the entry at the cursor in e and steps past it; ok is false at
+// the end of the page. The entry's Key is a view into the page image.
+func (c *pageCursor) next(e *Entry) (ok bool, err error) {
+	if c.off >= len(c.data) {
+		return false, nil
 	}
-	arena = arena[:0]
-	entries = entries[:0]
-	i := 0
-	for i < len(data) {
-		kl, addr, size, tomb, n, err := parseEntry(data[i:])
+	kl, addr, size, tomb, n, err := parseEntry(c.data[c.off:])
+	if err != nil {
 		if err == errEndOfPage {
-			break
+			err = nil
 		}
-		if err != nil {
-			return entries, arena, err
-		}
-		start := len(arena)
-		arena = append(arena, data[i+1:i+1+kl]...)
-		key := arena[start : start+kl : start+kl]
-		entries = append(entries, Entry{Key: key, Addr: addr, Size: size, Tombstone: tomb})
-		i += n
+		return false, err
 	}
-	return entries, arena, nil
+	*e = Entry{Key: c.data[c.off+1 : c.off+1+kl : c.off+1+kl], Addr: addr, Size: size, Tombstone: tomb}
+	c.off += n
+	return true, nil
 }
 
-// tableBuilder streams sorted entries into pages through a PageStore.
+// searchPage looks key up in a page image. Entries are key-ordered, so the
+// walk stops at the first key >= the target; an entry that fails to parse
+// before that point fails the lookup.
+func searchPage(data, key []byte) (Entry, bool, error) {
+	c := pageCursor{data: data}
+	var e Entry
+	for {
+		if ok, err := c.next(&e); !ok {
+			return Entry{}, false, err
+		}
+		switch cmp := bytes.Compare(e.Key, key); {
+		case cmp == 0:
+			e.Key = key // the caller's key, not the view into the page
+			return e, true, nil
+		case cmp > 0:
+			return Entry{}, false, nil
+		}
+	}
+}
+
+// tableBuilder streams sorted entries into pages through a PageStore. page is
+// the caller's PageSize staging buffer; only page[:used] is ever meaningful,
+// so one buffer serves every table the tree builds.
 type tableBuilder struct {
 	store PageStore
 	alloc *pageAllocator
 	table *SSTable
 	page  []byte
 	used  int
+	last  []byte // the newest key added: the caller's slice, good until finish
 	end   sim.Time
 }
 
-func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64) *tableBuilder {
-	return &tableBuilder{
-		store: store,
-		alloc: alloc,
-		table: &SSTable{id: id},
-		page:  make([]byte, store.PageSize()),
-	}
+func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64, page []byte) *tableBuilder {
+	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{id: id}, page: page}
 }
 
 // add appends one entry (entries must arrive in strictly increasing key
-// order; the caller guarantees this).
+// order, and their keys stay untouched until finish; the caller guarantees
+// both).
 func (b *tableBuilder) add(t sim.Time, e Entry) error {
 	need := encodedLen(e)
 	if b.used+need > len(b.page) {
@@ -277,7 +266,7 @@ func (b *tableBuilder) add(t sim.Time, e Entry) error {
 	if b.table.smallest == nil {
 		b.table.smallest = append([]byte(nil), e.Key...)
 	}
-	b.table.largest = append(b.table.largest[:0], e.Key...)
+	b.last = e.Key
 	b.table.entries++
 	return nil
 }
@@ -299,9 +288,6 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 		b.end = end
 	}
 	b.table.pages = append(b.table.pages, page)
-	for i := range b.page {
-		b.page[i] = 0
-	}
 	b.used = 0
 	return nil
 }
@@ -314,6 +300,7 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if b.table.entries == 0 {
 		return nil, b.end, nil
 	}
+	b.table.largest = append([]byte(nil), b.last...)
 	return b.table, b.end, nil
 }
 
@@ -335,7 +322,7 @@ func (a *pageAllocator) alloc() (int, error) {
 		return p, nil
 	}
 	if a.next >= a.limit {
-		return 0, fmt.Errorf("lsm: meta region full (%d pages)", a.limit)
+		return 0, fmt.Errorf("lsm: meta region full (%d pages): %w", a.limit, ftl.ErrNoSpace)
 	}
 	p := a.next
 	a.next++

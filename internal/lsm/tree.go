@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -69,12 +70,16 @@ type Tree struct {
 	levels [][]*SSTable // levels[0]: newest first; deeper: sorted by smallest
 	nextID uint64
 	stats  Stats
-	// searchEntries/searchArena are the point-lookup decode scratch: Get
-	// returns as soon as a table hits, so entries never outlive one
-	// searchTable call. The returned Entry's key is a view valid until the
-	// next lookup.
-	searchEntries []Entry
-	searchArena   []byte
+	// buildPage is the staging page every tableBuilder fills; slab holds the
+	// input page images of the merge in progress (grown to the largest merge
+	// seen, never past it).
+	buildPage []byte
+	slab      []byte
+	// reclaims counts the commits that freed pages. An open Iterator holds
+	// page numbers of the tables it was built over; once any page has been
+	// freed those numbers may name recycled pages, so an iterator older than
+	// the latest reclaim must not load another page.
+	reclaims uint64
 
 	// Crash-atomicity state. The catalog (levels + allocator + nextID) is
 	// snapshotted at the end of every successful Flush; Restore rolls back to
@@ -106,6 +111,9 @@ func (tr *Tree) snapshotCatalog() catalog {
 // commit applies the deferred page frees and snapshots the catalog. Called
 // at the end of every successful Flush — the tree's durability point.
 func (tr *Tree) commit() {
+	if len(tr.pendingFree) > 0 {
+		tr.reclaims++
+	}
 	for _, pg := range tr.pendingFree {
 		tr.alloc.free(pg)
 		// Trim failures only occur for out-of-range pages, which would be a
@@ -150,6 +158,8 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		alloc:  newPageAllocator(store.Pages()),
 		mem:    NewMemTable(),
 		levels: make([][]*SSTable, cfg.MaxLevels),
+
+		buildPage: make([]byte, store.PageSize()),
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -203,7 +213,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 		return t, nil
 	}
 	tr.nextID++
-	b := newTableBuilder(tr.store, tr.alloc, tr.nextID)
+	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
 	it := tr.mem.Iterator()
 	for it.Next() {
 		if err := b.add(t, it.Entry()); err != nil {
@@ -287,7 +297,8 @@ func (tr *Tree) findInLevel(lvl int, key []byte) *SSTable {
 	return nil
 }
 
-// searchTable reads the one candidate page and scans it for the key.
+// searchTable reads the one candidate page and searches it, in place, for the
+// key.
 func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool, sim.Time, error) {
 	pi := table.pageForKey(key)
 	if pi < 0 {
@@ -298,18 +309,11 @@ func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool
 		return Entry{}, false, t, err
 	}
 	tr.stats.PageReadsServed.Inc()
-	entries, arena, err := decodePageInto(tr.searchEntries, tr.searchArena, data)
-	tr.searchEntries, tr.searchArena = entries, arena
+	e, ok, err := searchPage(data, key)
 	if err != nil {
 		return Entry{}, false, t, err
 	}
-	i := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].Key, key) >= 0
-	})
-	if i < len(entries) && bytes.Equal(entries[i].Key, key) {
-		return entries[i], true, end, nil
-	}
-	return Entry{}, false, end, nil
+	return e, ok, end, nil
 }
 
 func (tr *Tree) maxTables(lvl int) int {
@@ -379,16 +383,85 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	return end, nil
 }
 
+// mergeRun is one sorted input of a merge: the page images of one or more
+// input tables, walked entry by entry.
+type mergeRun struct {
+	pages []byte // images not yet opened, PageSize each
+	cur   pageCursor
+	e     Entry  // head entry; its Key is a view into the slab
+	head  uint64 // keyPrefix(e.Key)
+	ok    bool   // false once the run is exhausted
+}
+
+// keyPrefix packs the first eight bytes of a key, zero-padded, so that two
+// keys whose prefixes differ order the way the prefixes do; equal prefixes
+// decide nothing. The merge compares heads several times per entry, and this
+// turns all but the ties into integer compares.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, b := range k {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
+}
+
+// before reports whether r's head key sorts before o's.
+func (r *mergeRun) before(o *mergeRun) bool {
+	if r.head != o.head {
+		return r.head < o.head
+	}
+	return bytes.Compare(r.e.Key, o.e.Key) < 0
+}
+
+// advance moves the run's head to its next entry.
+func (r *mergeRun) advance(pageSize int) error {
+	for {
+		ok, err := r.cur.next(&r.e)
+		if ok || err != nil {
+			r.head, r.ok = keyPrefix(r.e.Key), ok
+			return err
+		}
+		if len(r.pages) == 0 {
+			r.ok = false
+			return nil
+		}
+		r.cur = pageCursor{data: r.pages[:pageSize]}
+		r.pages = r.pages[pageSize:]
+	}
+}
+
 // merge performs a k-way merge of the inputs (ordered newest-first for
 // duplicate resolution) into size-capped output tables. Tombstones are
 // dropped when merging into the bottom level.
+//
+// It runs in two phases, and the split is what the device sees. First every
+// page of every input is read, in input order and all at time t (reads
+// charged to the request that triggered the compaction, as synchronous
+// firmware does), and copied into the slab: the outputs' writes can make FTL
+// GC move an input page, which kills the store's view of it. Only then are
+// entries merged, straight from the slab into the table builder.
 func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, sim.Time, error) {
 	end := t
-	// Load and decode every input run (reads charged to the request that
-	// triggered the compaction, as synchronous firmware does).
-	runs := make([][]Entry, len(inputs))
+	ps := tr.store.PageSize()
+	need := 0
+	for _, table := range inputs {
+		need += len(table.pages) * ps
+	}
+	if cap(tr.slab) < need {
+		tr.slab = make([]byte, need)
+	}
+	slab := tr.slab[:need]
+	// Consecutive inputs whose key ranges ascend without overlap (the tables
+	// taken from one level >= 1) chain into a single run, which keeps the
+	// pick below at L0CompactionTrigger+1 candidates however wide the overlap.
+	// A run spans whole inputs, so run order is still newest-first.
+	runs := make([]mergeRun, 0, len(inputs))
+	off := 0
 	for i, table := range inputs {
-		var entries []Entry
+		lo := off
 		for _, pg := range table.pages {
 			data, e, err := tr.store.ReadPage(t, pg)
 			if err != nil {
@@ -398,37 +471,57 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			if e > end {
 				end = e
 			}
-			pe, err := decodePage(data)
-			if err != nil {
-				return nil, end, err
-			}
-			entries = append(entries, pe...)
+			n := copy(slab[off:off+ps], data)
+			clear(slab[off+n : off+ps])
+			off += ps
 		}
-		runs[i] = entries
+		if i > 0 && bytes.Compare(inputs[i-1].largest, table.smallest) < 0 {
+			last := &runs[len(runs)-1]
+			last.pages = last.pages[:len(last.pages)+off-lo]
+		} else {
+			runs = append(runs, mergeRun{pages: slab[lo:off]})
+		}
+	}
+	for i := range runs {
+		if err := runs[i].advance(ps); err != nil {
+			return nil, end, err
+		}
 	}
 	var out []*SSTable
 	var builder *tableBuilder
-	pos := make([]int, len(runs))
+	finish := func() error {
+		table, bEnd, err := builder.finish(t)
+		builder = nil
+		if err != nil {
+			return err
+		}
+		if bEnd > end {
+			end = bEnd
+		}
+		if table != nil {
+			out = append(out, table)
+			tr.stats.TablesWritten.Inc()
+		}
+		return nil
+	}
 	for {
-		// Pick the smallest key; ties resolved by input order (newest
-		// input first in `inputs`).
+		// Pick the smallest key; ties resolved by run order (newest first).
 		best := -1
 		for i := range runs {
-			if pos[i] >= len(runs[i]) {
-				continue
-			}
-			if best < 0 || bytes.Compare(runs[i][pos[i]].Key, runs[best][pos[best]].Key) < 0 {
+			if runs[i].ok && (best < 0 || runs[i].before(&runs[best])) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := runs[best][pos[best]]
-		// Skip older duplicates in every run.
+		e, head := runs[best].e, runs[best].head
+		// Step every run past this key: the winner, and its older duplicates.
 		for i := range runs {
-			for pos[i] < len(runs[i]) && bytes.Equal(runs[i][pos[i]].Key, e.Key) {
-				pos[i]++
+			for runs[i].ok && runs[i].head == head && bytes.Equal(runs[i].e.Key, e.Key) {
+				if err := runs[i].advance(ps); err != nil {
+					return nil, end, err
+				}
 			}
 		}
 		tr.stats.EntriesMerged.Inc()
@@ -438,37 +531,20 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		}
 		if builder == nil {
 			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID)
+			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
 		}
 		if len(builder.table.pages) >= tr.cfg.TablePages {
-			table, bEnd, err := builder.finish(t)
-			if err != nil {
+			if err := finish(); err != nil {
 				return nil, end, err
 			}
-			if bEnd > end {
-				end = bEnd
-			}
-			if table != nil {
-				out = append(out, table)
-				tr.stats.TablesWritten.Inc()
-			}
-			builder = nil
 		}
 	}
 	if builder != nil {
-		table, bEnd, err := builder.finish(t)
-		if err != nil {
+		if err := finish(); err != nil {
 			return nil, end, err
-		}
-		if bEnd > end {
-			end = bEnd
-		}
-		if table != nil {
-			out = append(out, table)
-			tr.stats.TablesWritten.Inc()
 		}
 	}
 	return out, end, nil

@@ -28,9 +28,12 @@ func (s *memStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, error
 	if page < 0 || page >= s.limit {
 		return t, fmt.Errorf("memStore: page %d out of range", page)
 	}
-	cp := make([]byte, s.pageSize)
-	copy(cp, data)
-	s.pages[page] = cp
+	cp, ok := s.pages[page]
+	if !ok {
+		cp = make([]byte, s.pageSize)
+		s.pages[page] = cp
+	}
+	clear(cp[copy(cp, data):])
 	s.writes++
 	return t.Add(400 * sim.Microsecond), nil
 }
@@ -54,6 +57,16 @@ func (s *memStore) TrimPage(page int) error {
 
 func (s *memStore) PageSize() int { return s.pageSize }
 func (s *memStore) Pages() int    { return s.limit }
+
+// decodeEntry materialises the entry at the head of src with its own key
+// copy: the shape the encoding tests and the reference merge want.
+func decodeEntry(src []byte) (Entry, int, error) {
+	kl, addr, size, tomb, n, err := parseEntry(src)
+	if err != nil {
+		return Entry{}, 0, err
+	}
+	return Entry{Key: append([]byte(nil), src[1:1+kl]...), Addr: addr, Size: size, Tombstone: tomb}, n, nil
+}
 
 func smallTreeConfig() Config {
 	return Config{

@@ -2,6 +2,12 @@
 // 1 TB across 4 channels × 8 ways, 16 KiB pages, erase-before-program blocks,
 // per-way busy timelines for parallelism, and operation latencies that
 // dominate write response times as in the paper's §2.4.
+//
+// Host memory follows the live data, not the programmed pages: a page's
+// payload is one PageSize buffer that exists from Program until the FTL
+// Discards the page (or its block is erased), when it returns to a small
+// array-owned free list. Read hands out a view of that buffer, not a copy;
+// see Array.Read for how long the view lives.
 package nand
 
 import (
@@ -24,9 +30,9 @@ type Geometry struct {
 }
 
 // DefaultGeometry is a scaled Cosmos+ layout: 4 channels × 8 ways with 16 KiB
-// pages. BlocksPerWay is kept modest (the simulator allocates page data
-// lazily, but mapping tables are dense) while preserving the real page size
-// and parallelism. Capacity: 4*8*256*256*16 KiB = 32 GiB.
+// pages. BlocksPerWay is kept modest (only pages holding live data have a
+// payload buffer, but state and mapping tables are dense) while preserving
+// the real page size and parallelism. Capacity: 4*8*256*256*16 KiB = 32 GiB.
 func DefaultGeometry() Geometry {
 	return Geometry{
 		Channels:       4,
@@ -119,8 +125,8 @@ type Stats struct {
 	EraseFaults   metrics.Counter
 }
 
-// Array is the flash device: geometry, latencies, per-way timelines, page
-// state tracking and (lazily allocated) page data.
+// Array is the flash device: geometry, latencies, per-way timelines, dense
+// page state, and the payloads of the pages that still hold live data.
 type Array struct {
 	geo   Geometry
 	lat   Latency
@@ -128,7 +134,13 @@ type Array struct {
 	ways  []sim.BusyLine // index: channel*WaysPerChannel + way
 	state []pageState    // dense, one per physical page
 	wear  []int32        // erase count per block
-	data  map[int][]byte // page index -> contents (lazy)
+	// data maps a programmed page's index to its PageSize payload. free holds
+	// released payloads for the next Program, at most one erase block's worth
+	// so a burst of discards cannot pin memory; zero is the shared image every
+	// erased page reads as.
+	data  map[int][]byte
+	free  [][]byte
+	zero  []byte
 	stats Stats
 	tr    trace.Tracer
 	// faultEvery injects a program failure every N-th program when > 0
@@ -144,13 +156,22 @@ type pageState byte
 const (
 	pageErased pageState = iota
 	pageProgrammed
+	// pageDiscarded still needs an erase before it can be programmed again,
+	// but its payload is gone: the FTL declared the contents dead.
+	pageDiscarded
 )
+
+// poison overwrites a released payload so a view held past its lifetime
+// decodes as corrupt, never as the old contents. Any value above the largest
+// legal SSTable key length (16) works.
+const poison = 0xDB
 
 // Common operation errors.
 var (
 	ErrNotErased = fmt.Errorf("nand: program to non-erased page")
 	ErrBadAddr   = fmt.Errorf("nand: address out of range")
 	ErrIOFault   = fmt.Errorf("nand: injected program fault")
+	ErrDiscarded = fmt.Errorf("nand: read of discarded page")
 )
 
 // New returns a flash array with the given geometry and latencies, sharing
@@ -167,6 +188,7 @@ func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
 		state: make([]pageState, geo.Pages()),
 		wear:  make([]int32, geo.Blocks()),
 		data:  make(map[int][]byte),
+		zero:  make([]byte, geo.PageSize),
 	}, nil
 }
 
@@ -224,10 +246,37 @@ func (a *Array) blockIndex(b BlockAddr) (int, error) {
 	return a.wayIndex(b.Channel, b.Way)*a.geo.BlocksPerWay + b.Block, nil
 }
 
-// Program writes data (at most one page) to an erased page. The operation is
-// scheduled on the page's way starting no earlier than t and the completion
-// time is returned. Programming a non-erased page is an error (flash cannot
-// overwrite in place).
+// takePayload returns a PageSize buffer with unspecified contents.
+func (a *Array) takePayload() []byte {
+	if n := len(a.free); n > 0 {
+		buf := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		return buf
+	}
+	return make([]byte, a.geo.PageSize)
+}
+
+// releasePayload ends the life of programmed page idx's payload: poisoned, so
+// that a stale view cannot be mistaken for data, and kept for reuse while the
+// free list has room.
+func (a *Array) releasePayload(idx int) {
+	buf := a.data[idx]
+	delete(a.data, idx)
+	buf[0] = poison
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
+	if len(a.free) < a.geo.PagesPerBlock {
+		a.free = append(a.free, buf)
+	}
+}
+
+// Program writes data (at most one page, copied and zero-padded to a full
+// page) to an erased page. The operation is scheduled on the page's way
+// starting no earlier than t and the completion time is returned.
+// Programming a non-erased page is an error (flash cannot overwrite in
+// place).
 func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 	idx, err := a.pageIndex(p)
 	if err != nil {
@@ -248,8 +297,8 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 		a.stats.ProgramFaults.Inc()
 		return t, faultErr(eff, p)
 	}
-	stored := make([]byte, len(data))
-	copy(stored, data)
+	stored := a.takePayload()
+	clear(stored[copy(stored, data):])
 	a.data[idx] = stored
 	a.state[idx] = pageProgrammed
 	a.stats.PageWrites.Inc()
@@ -265,10 +314,19 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 // Read returns the contents of a programmed page and the completion time of
 // the read operation. Reading an erased page returns a zero-filled page, as
 // real flash does.
+//
+// The returned slice is a read-only, PageSize-long view of the stored
+// payload (of a shared zero page for an erased page), valid until the page
+// is discarded or its block erased. A caller that keeps the bytes longer, or
+// across any call that can discard or erase, copies them. Reading a
+// discarded page is ErrDiscarded: its contents no longer exist.
 func (a *Array) Read(t sim.Time, p PageAddr) ([]byte, sim.Time, error) {
 	idx, err := a.pageIndex(p)
 	if err != nil {
 		return nil, t, err
+	}
+	if a.state[idx] == pageDiscarded {
+		return nil, t, fmt.Errorf("%w: %v", ErrDiscarded, p)
 	}
 	if eff, ok := a.inj.Check(fault.SiteNandRead, t); ok {
 		a.stats.PageReads.Inc() // the attempt still occupies the op slot
@@ -283,15 +341,39 @@ func (a *Array) Read(t sim.Time, p PageAddr) ([]byte, sim.Time, error) {
 		a.tr.Emit(trace.Event{Cat: trace.CatNAND, Name: trace.EvRead, Start: start, End: end, Bytes: int64(a.geo.PageSize), Arg: int64(way)})
 	}
 	if a.state[idx] == pageErased {
-		return make([]byte, a.geo.PageSize), end, nil
+		return a.zero, end, nil
 	}
-	page := make([]byte, a.geo.PageSize)
-	copy(page, a.data[idx])
-	return page, end, nil
+	return a.data[idx], end, nil
 }
 
-// Erase resets every page of a block to the erased state and returns the
-// completion time.
+// ZeroPage returns the read-only image of an erased page — what Read returns
+// for one — for layers above that answer a read without touching the flash.
+func (a *Array) ZeroPage() []byte { return a.zero }
+
+// Payloads reports how many pages currently hold a payload and how many
+// released buffers wait on the free list: the array's host memory is
+// (held + spare + 1) pages, whatever has been programmed and died since.
+func (a *Array) Payloads() (held, spare int) { return len(a.data), len(a.free) }
+
+// Discard declares a programmed page's contents dead: the payload is
+// released at once instead of at block erase, while the page itself stays
+// unprogrammable until then. The FTL calls it wherever a physical page loses
+// its logical mapping. Discarding an erased or already discarded page is a
+// no-op.
+func (a *Array) Discard(p PageAddr) error {
+	idx, err := a.pageIndex(p)
+	if err != nil {
+		return err
+	}
+	if a.state[idx] == pageProgrammed {
+		a.state[idx] = pageDiscarded
+		a.releasePayload(idx)
+	}
+	return nil
+}
+
+// Erase resets every page of a block to the erased state, releasing whatever
+// payloads it still held, and returns the completion time.
 func (a *Array) Erase(t sim.Time, b BlockAddr) (sim.Time, error) {
 	bi, err := a.blockIndex(b)
 	if err != nil {
@@ -304,8 +386,10 @@ func (a *Array) Erase(t sim.Time, b BlockAddr) (sim.Time, error) {
 	}
 	base := bi * a.geo.PagesPerBlock
 	for i := 0; i < a.geo.PagesPerBlock; i++ {
+		if a.state[base+i] == pageProgrammed {
+			a.releasePayload(base + i)
+		}
 		a.state[base+i] = pageErased
-		delete(a.data, base+i)
 	}
 	a.wear[bi]++
 	a.stats.BlockErases.Inc()

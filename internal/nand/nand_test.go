@@ -260,3 +260,147 @@ func TestProgramIsolationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Read lends the stored bytes instead of copying them: same backing array on
+// every read, a full page long, and one shared zero page for everything
+// erased.
+func TestReadReturnsView(t *testing.T) {
+	a := testArray(t)
+	p := PageAddr{Block: 1, Page: 2}
+	if _, err := a.Program(0, p, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	v1, _, err1 := a.Read(0, p)
+	v2, _, err2 := a.Read(0, p)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if len(v1) != a.Geometry().PageSize || &v1[0] != &v2[0] {
+		t.Fatalf("two reads of one page: %d bytes at %p and %p, want one full-page view", len(v1), &v1[0], &v2[0])
+	}
+	z1, _, _ := a.Read(0, PageAddr{Page: 7})
+	z2, _, _ := a.Read(0, PageAddr{Channel: 1, Page: 1})
+	if len(z1) != a.Geometry().PageSize || &z1[0] != &z2[0] || &z1[0] != &a.ZeroPage()[0] {
+		t.Fatal("erased pages do not share the zero page")
+	}
+	if !bytes.Equal(z1, make([]byte, len(z1))) {
+		t.Fatal("zero page is not zero")
+	}
+}
+
+// Discard ends a payload's life at once: the buffer goes to the free list
+// poisoned, the page reads as ErrDiscarded (never as zeros or old data) and
+// still needs an erase, and a view taken earlier shows the poison.
+func TestDiscardReleasesPayload(t *testing.T) {
+	a := testArray(t)
+	p := PageAddr{Way: 1, Block: 3, Page: 4}
+	if _, err := a.Program(0, p, bytes.Repeat([]byte{7}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	view, _, _ := a.Read(0, p)
+	reads := a.Stats().PageReads.Value()
+	if err := a.Discard(p); err != nil {
+		t.Fatal(err)
+	}
+	if held, spare := a.Payloads(); held != 0 || spare != 1 {
+		t.Fatalf("after Discard: %d held, %d spare; want 0, 1", held, spare)
+	}
+	if _, _, err := a.Read(0, p); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("read of a discarded page: %v, want ErrDiscarded", err)
+	}
+	if a.Stats().PageReads.Value() != reads {
+		t.Fatal("a refused read was charged as a flash operation")
+	}
+	for i, b := range view {
+		if b != poison {
+			t.Fatalf("stale view byte %d = %#x, want poison", i, b)
+		}
+	}
+	if erased, _ := a.IsErased(p); erased {
+		t.Fatal("discarded page reports erased")
+	}
+	if _, err := a.Program(0, p, []byte{1}); !errors.Is(err, ErrNotErased) {
+		t.Fatalf("program of a discarded page: %v, want ErrNotErased", err)
+	}
+	// Idempotent, a no-op on erased pages, and address-checked.
+	for _, q := range []PageAddr{p, {Page: 1}} {
+		if err := a.Discard(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held, spare := a.Payloads(); held != 0 || spare != 1 {
+		t.Fatalf("after repeated Discard: %d held, %d spare", held, spare)
+	}
+	if err := a.Discard(PageAddr{Block: 99}); !errors.Is(err, ErrBadAddr) {
+		t.Fatalf("Discard out of range: %v", err)
+	}
+	// Erase makes it programmable again, from the released buffer, and the
+	// poison does not leak into the new page's zero tail.
+	if _, err := a.Erase(0, BlockAddr{Way: 1, Block: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Program(0, p, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if held, spare := a.Payloads(); held != 1 || spare != 0 {
+		t.Fatalf("after reprogram: %d held, %d spare; want 1, 0", held, spare)
+	}
+	got, _, _ := a.Read(0, p)
+	if got[0] != 9 || !bytes.Equal(got[1:], make([]byte, len(got)-1)) {
+		t.Fatal("reused payload not zero-padded")
+	}
+}
+
+// Erase returns whatever payloads the block still held — exactly those — and
+// the free list never grows past one block's worth.
+func TestEraseReleasesTheRest(t *testing.T) {
+	a := testArray(t)
+	b := BlockAddr{Channel: 1, Block: 2}
+	for i := 0; i < 5; i++ {
+		if _, err := a.Program(0, b.Page(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Discard(b.Page(0))
+	a.Discard(b.Page(3))
+	live, _, _ := a.Read(0, b.Page(1))
+	if _, err := a.Erase(0, b); err != nil {
+		t.Fatal(err)
+	}
+	if held, spare := a.Payloads(); held != 0 || spare != 5 {
+		t.Fatalf("after Erase: %d held, %d spare; want 0, 5", held, spare)
+	}
+	if live[0] != poison {
+		t.Fatal("view of an erased page still shows its data")
+	}
+	// Two more blocks' worth of payloads die; the list stops at one block.
+	for blk := 0; blk < 2; blk++ {
+		for i := 0; i < a.Geometry().PagesPerBlock; i++ {
+			if _, err := a.Program(0, PageAddr{Block: blk, Page: i}, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for blk := 0; blk < 2; blk++ {
+		if _, err := a.Erase(0, BlockAddr{Block: blk}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, spare := a.Payloads(); spare != a.Geometry().PagesPerBlock {
+		t.Fatalf("free list holds %d buffers, bound is %d", spare, a.Geometry().PagesPerBlock)
+	}
+}
+
+// A program that faults stores nothing, so it must not take a buffer either.
+func TestFaultedProgramTakesNoPayload(t *testing.T) {
+	a := testArray(t)
+	a.Program(0, PageAddr{Page: 0}, []byte{1})
+	a.Discard(PageAddr{Page: 0})
+	a.SetFaultEvery(2)
+	if _, err := a.Program(0, PageAddr{Page: 1}, []byte{1}); !errors.Is(err, ErrIOFault) {
+		t.Fatalf("err = %v, want ErrIOFault", err)
+	}
+	if held, spare := a.Payloads(); held != 0 || spare != 1 {
+		t.Fatalf("after a faulted program: %d held, %d spare; want 0, 1", held, spare)
+	}
+}

@@ -22,6 +22,7 @@ const (
 	StatusInternal     Status = 0x6
 	StatusMedia        Status = 0x281 // unrecovered media error (NAND)
 	StatusIterEnd      Status = 0x93  // device-side iterator exhausted
+	StatusIterInvalid  Status = 0x94  // device-side iterator outlived the tables it walks
 )
 
 func (s Status) String() string {
@@ -44,6 +45,8 @@ func (s Status) String() string {
 		return "MediaError"
 	case StatusIterEnd:
 		return "IteratorEnd"
+	case StatusIterInvalid:
+		return "IteratorInvalidated"
 	default:
 		return fmt.Sprintf("Status(0x%x)", uint16(s))
 	}

@@ -23,8 +23,9 @@ type Cursor func(key, value []byte) ([]byte, []byte, error)
 // shadowing arises; ties — impossible under a consistent partition — break
 // by cursor index for determinism anyway.
 //
-// Each device holds a single iterator, so writes interleaved with iteration
-// invalidate the snapshot (as on the real device); iterate before mutating.
+// Each device holds a single iterator over a snapshot of its index; iterate
+// before mutating. A cursor whose snapshot the device had to drop reports
+// driver.ErrIterInvalidated, which stops the merged view like any other error.
 type MergeIterator struct {
 	srcs sourceHeap
 	err  error

@@ -47,7 +47,8 @@ type VLog struct {
 	// page in DRAM, so sequential scans over a densely packed log
 	// amortize one NAND read across every value on the page. Virtual page
 	// numbers are unique forever (the log is circular but offsets are
-	// monotonic), so the cache can never serve stale data.
+	// monotonic), so the cache can never serve stale data. cacheData is the
+	// vLog's own copy: the FTL's read view dies when GC migrates the page.
 	cachePage int64
 	cacheData []byte
 	stats     Stats
@@ -124,8 +125,8 @@ func (v *VLog) AppendDMA(t sim.Time, value []byte) (Addr, sim.Time, error) {
 
 func (v *VLog) checkRoom(n int) error {
 	if v.buf.Frontier()+int64(n)+int64(v.pageSize) > v.tail+v.CapacityBytes() {
-		return fmt.Errorf("vlog: full (live span [%d,%d), capacity %d); run garbage collection",
-			v.tail, v.buf.Frontier(), v.CapacityBytes())
+		return fmt.Errorf("vlog: full (live span [%d,%d), capacity %d); run garbage collection: %w",
+			v.tail, v.buf.Frontier(), v.CapacityBytes(), ftl.ErrNoSpace)
 	}
 	return nil
 }
@@ -221,7 +222,7 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 				return nil, t, fmt.Errorf("vlog: page %d: %w", pageNo, err)
 			}
 			copy(out[off:off+take], data[inPage:])
-			v.cachePage, v.cacheData = pageNo, data
+			v.cachePage, v.cacheData = pageNo, append(v.cacheData[:0], data...)
 			v.stats.ReadPages.Inc()
 			if e > end {
 				end = e

@@ -116,6 +116,38 @@ func TestAppendReadAfterFlush(t *testing.T) {
 	}
 }
 
+// The last-page cache is the vLog's own copy of the page. The FTL only lends
+// its bytes: when GC migrates the page (here: the physical page is simply
+// dropped) the lent view turns to poison, and a cache holding it would serve
+// that.
+func TestLastPageCacheOutlivesTheFlashView(t *testing.T) {
+	v := newVLog(t, pagebuf.PolicyAll)
+	val := bytes.Repeat([]byte{0x17}, 300)
+	addr, _, err := v.AppendDMA(0, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Read(0, addr, len(val)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ftl.Trim(v.lpnOf(int64(addr) / int64(v.pageSize))); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := v.Read(0, addr, len(val))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Stats().CacheHits.Value() != 1 {
+		t.Fatalf("second read: %d cache hits, want 1", v.Stats().CacheHits.Value())
+	}
+	if !bytes.Equal(got, val) {
+		t.Fatalf("cached page changed under the vLog: value starts %x", got[:4])
+	}
+}
+
 // A value straddling the durability boundary reads correctly: its head from
 // NAND, its tail from the open buffer.
 func TestReadStraddlesFlushBoundary(t *testing.T) {
