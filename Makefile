@@ -28,8 +28,10 @@ bench-smoke:
 # exposition is deterministic, so any drift is a real behavior change.
 SMOKE_FLAGS = -shards 2 -scale 1000 -seed 42 -metrics-interval-us 100
 
-# Bench smoke: run a tiny instrumented workload and verify the Prometheus
-# exposition is byte-identical to the committed golden file.
+# Bench smoke: run a tiny instrumented workload through the CLI and verify the
+# Prometheus exposition is byte-identical to the committed golden file. (The
+# same run driven in-process is the tier-1 TestSmokeExpositionMatchesGolden in
+# internal/bench; this target checks the CLI path to the same bytes.)
 smoke:
 	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out .smoke.prom -series-out .smoke.csv
 	diff -u results/golden/bench_smoke.prom .smoke.prom

@@ -77,6 +77,19 @@ const (
 // Thresholds re-exports the adaptive transfer calibration.
 type Thresholds = driver.Thresholds
 
+// CalibrateThresholds performs the §3.2 exploratory runs: it probes PUT
+// response times across value sizes on throwaway stacks (NAND disabled, as the
+// paper's transfer benchmarks do) and derives Threshold1 (where piggybacking
+// stops beating PRP) and Threshold2 (the largest over-page tail for which
+// hybrid beats PRP). Alpha and Beta default to 1.
+func CalibrateThresholds(perSize int) (Thresholds, error) {
+	thr, err := shard.Calibrate(perSize)
+	if err != nil {
+		return Thresholds{}, fmt.Errorf("bandslim: %w", err)
+	}
+	return thr, nil
+}
+
 // SubmissionConfig is the driver's complete submission policy: the
 // in-flight window depth behind the batch-read paths, doorbell batching
 // (which also enables burst submission of multi-command PUTs), and
@@ -251,11 +264,10 @@ type DB struct {
 	st      *shard.Stack        // the op engine; every access holds mu
 	sampler *timeseries.Sampler // nil unless Config.MetricsInterval > 0
 	rings   rings               // the ring recorder behind Config.Tracer, if any
-	// faults/cached report whether the injector and a read-cache tier are
-	// armed — the switches that add the fault_* and cache_* exporter columns.
-	// Runs without them keep byte-identical exposition (the golden-smoke
-	// guarantee).
-	faults, cached bool
+	// rows is the sampler/exporter column set (see exportedRows) and descs its
+	// descriptor column; both fixed at open.
+	rows  []row
+	descs []timeseries.Desc
 }
 
 // stackOptions normalizes a Config into the engine's options.
@@ -297,12 +309,13 @@ func open(cfg Config, shardID int) (*DB, error) {
 		return nil, fmt.Errorf("bandslim: %w", err)
 	}
 	db := &DB{st: st, rings: ringsOf(cfg.Tracer),
-		faults: cfg.Faults != nil, cached: opts.Device.Cache.Enabled()}
+		rows: exportedRows(cfg.Faults != nil, opts.Device.Cache.Enabled())}
+	db.descs = rowDescs(db.rows)
 	if cfg.MetricsInterval > 0 {
 		// Simulated-time metric samples due since the last operation are
 		// recorded after every engine op: a single comparison when no
 		// boundary was crossed.
-		db.sampler = timeseries.NewSampler(cfg.MetricsInterval, db.descs(), db.snapshot)
+		db.sampler = timeseries.NewSampler(cfg.MetricsInterval, db.descs, db.snapshot)
 		st.AfterOp = func() { db.sampler.Poll(st.Clock.Now()) }
 	}
 	return db, nil

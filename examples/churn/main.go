@@ -13,21 +13,15 @@ import (
 	"log"
 
 	"bandslim"
-	"bandslim/internal/device"
-	"bandslim/internal/nand"
-	"bandslim/internal/sim"
 )
 
 func main() {
 	cfg := bandslim.DefaultConfig()
 	// A deliberately small device so GC pressure appears in seconds.
-	dev := device.DefaultConfig()
-	dev.Geometry = nand.Geometry{
-		Channels: 2, WaysPerChannel: 2, BlocksPerWay: 16, PagesPerBlock: 32, PageSize: 16 * 1024,
-	}
-	dev.Buffer.MaxEntries = 8
-	dev.LSM.MemTableEntries = 256
-	cfg.Device = dev
+	g := &cfg.Device.Geometry
+	g.Channels, g.WaysPerChannel, g.BlocksPerWay, g.PagesPerBlock, g.PageSize = 2, 2, 16, 32, 16*1024
+	cfg.Device.Buffer.MaxEntries = 8
+	cfg.Device.LSM.MemTableEntries = 256
 
 	db, err := bandslim.Open(cfg)
 	if err != nil {
@@ -43,12 +37,20 @@ func main() {
 	fmt.Printf("vLog capacity ~%d KiB; live set %d keys x %d B = %d KiB\n",
 		capacity/1024, liveKeys, valueSize, liveKeys*valueSize/1024)
 
-	rng := sim.NewRNG(99)
+	// A seeded splitmix64 stream picks the keys, so every run prints the same
+	// figures.
+	state := uint64(99) + 0x9E3779B97F4A7C15
+	next := func() uint64 {
+		state += 0x9E3779B97F4A7C15
+		z := (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
 	var written int64
 	var compactions, relocated int
 	value := make([]byte, valueSize)
 	for round := 0; written < 4*capacity; round++ {
-		k := rng.Intn(liveKeys)
+		k := int((next() >> 1) % liveKeys)
 		value[0], value[1] = byte(round), byte(k)
 		if err := db.Put([]byte(fmt.Sprintf("key%04d", k)), value); err != nil {
 			log.Fatalf("round %d: %v", round, err)

@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"bandslim"
-	"bandslim/internal/sim"
 )
 
 func main() {
@@ -25,7 +24,17 @@ func main() {
 	}
 	defer db.Close()
 
-	rng := sim.NewRNG(2024)
+	// A seeded splitmix64 stream draws the event mix, so every run prints the
+	// same figures.
+	state := uint64(2024) + 0x9E3779B97F4A7C15
+	next := func() uint64 {
+		state += 0x9E3779B97F4A7C15
+		z := (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	chance := func(p float64) bool { return float64(next()>>11)/(1<<53) < p }
+	upTo := func(n int) int { return int((next() >> 1) % uint64(n)) }
 	const events = 20000
 	fmt.Printf("ingesting %d events (90%% tiny counters, 10%% KB-scale blobs)...\n", events)
 
@@ -37,14 +46,14 @@ func main() {
 		binary.BigEndian.PutUint64(key, uint64(i))
 		var value []byte
 		switch {
-		case rng.Float64() < 0.9:
-			value = make([]byte, 8+rng.Intn(24)) // counter deltas
+		case chance(0.9):
+			value = make([]byte, 8+upTo(24)) // counter deltas
 			counters++
-		case rng.Float64() < 0.9:
-			value = make([]byte, 1024+rng.Intn(3072)) // payload blob
+		case chance(0.9):
+			value = make([]byte, 1024+upTo(3072)) // payload blob
 			blobs++
 		default:
-			value = make([]byte, 4096+rng.Intn(128)) // just over a page: hybrid
+			value = make([]byte, 4096+upTo(128)) // just over a page: hybrid
 			oversize++
 		}
 		value[0] = byte(i)

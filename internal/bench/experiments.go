@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bandslim"
+	"bandslim/internal/shard"
 	"bandslim/internal/workload"
 )
 
@@ -292,4 +293,42 @@ func RunFig12(o Options) ([]*Table, error) {
 		memcpy.AddRow(p, mc...)
 	}
 	return []*Table{resp, thr, nandIO, memcpy}, nil
+}
+
+// RunThresholds reproduces the exploratory calibration of §3.2/§4.1: the PUT
+// response of each transfer method from 4 B to 8 KiB (NAND disabled), and the
+// adaptive thresholds bandslim.CalibrateThresholds derives from the same
+// probe (threshold1: where piggybacking stops beating PRP; threshold2: the
+// largest over-page tail for which hybrid wins).
+func RunThresholds(o Options) ([]*Table, error) {
+	o = o.normalized()
+	probes := &Table{
+		ID: "thresholds", Title: "PUT Response by Transfer Method (NAND off)",
+		XLabel:  "value size (B)",
+		Columns: []string{"Piggyback_resp_us", "Baseline_resp_us", "Hybrid_resp_us"},
+		Notes:   []string{fmt.Sprintf("scale=%d PUTs per probe", o.Scale)},
+	}
+	for _, size := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 4096 + 32, 4096 + 512, 8192} {
+		var resp []float64
+		for _, m := range []bandslim.TransferMethod{bandslim.Piggyback, bandslim.Baseline, bandslim.Hybrid} {
+			mean, err := shard.ProbePut(m, size, o.Scale)
+			if err != nil {
+				return nil, err
+			}
+			resp = append(resp, mean.Micros())
+		}
+		probes.AddRow(fmt.Sprintf("%d", size), resp...)
+	}
+	thr, err := bandslim.CalibrateThresholds(o.Scale)
+	if err != nil {
+		return nil, err
+	}
+	derived := &Table{
+		ID: "thresholds_derived", Title: "Derived Adaptive Thresholds",
+		XLabel: "threshold", Columns: []string{"bytes"},
+		Notes: []string{"adaptive policy: inline up to alpha*threshold1; hybrid for over-page tails up to beta*threshold2; PRP otherwise"},
+	}
+	derived.AddRow("threshold1", float64(thr.Threshold1))
+	derived.AddRow("threshold2", float64(thr.Threshold2))
+	return []*Table{probes, derived}, nil
 }

@@ -54,6 +54,7 @@ var registry = []experiment{
 	{"blame", "", sweep(RunBlameSweep)},
 	{"cache", "", sweep(RunCacheSweep)},
 	{"ycsb", "", sweep(RunYCSB)},
+	{"thresholds", "", many(RunThresholds)},
 	{id: "all"},
 	{id: "ablations"},
 }

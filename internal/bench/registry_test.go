@@ -43,10 +43,10 @@ func TestEveryExperimentRunsAndRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
-	// fig3/fig4 publish panels (a) and (b), fig10/fig12 (a)–(d); "all" is
-	// fig3a … fig12d and "ablations" the ten studies. Everything else is one
-	// table.
-	tables := map[string]int{"fig3": 2, "fig4": 2, "fig10": 4, "fig12": 4, "all": 15, "ablations": 10}
+	// fig3/fig4 publish panels (a) and (b), fig10/fig12 (a)–(d), thresholds
+	// the probe table and the derived pair; "all" is fig3a … fig12d and
+	// "ablations" the ten studies. Everything else is one table.
+	tables := map[string]int{"fig3": 2, "fig4": 2, "fig10": 4, "fig12": 4, "thresholds": 2, "all": 15, "ablations": 10}
 	withPoints := map[string]bool{"qd": true, "blame": true, "cache": true, "ycsb": true}
 	o := Options{Scale: 300, Seed: 42}
 	seen := map[string]bool{}

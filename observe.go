@@ -224,7 +224,7 @@ func (db *DB) Series() MetricSeries {
 // while the DB is serving, remains usable after Close, and is deterministic:
 // same-seed runs produce byte-identical output.
 func (db *DB) WritePrometheus(w io.Writer) error {
-	return writeExposition(w, db.descs(), db.lockedSnapshot(), db.rings)
+	return writeExposition(w, db.descs, db.lockedSnapshot(), db.rings)
 }
 
 // writeExposition renders one metric snapshot, then — only when a ring
@@ -239,7 +239,8 @@ func writeExposition(w io.Writer, descs []timeseries.Desc, snap timeseries.Snaps
 	if rep == nil {
 		return nil
 	}
-	return timeseries.WritePrometheus(w, "bandslim", traceDescs, blameSnapshot(r.health(), rep), blameHistHelp)
+	descs, snap = blameSection(r.health(), rep)
+	return timeseries.WritePrometheus(w, "bandslim", descs, snap, blameHistHelp)
 }
 
 // WriteServerPrometheus writes a network front-end's counters in the
@@ -248,8 +249,8 @@ func writeExposition(w io.Writer, descs []timeseries.Desc, snap timeseries.Snaps
 // DB.WritePrometheus to form one valid exposition; embedded runs that never
 // call it keep byte-identical exporter output.
 func WriteServerPrometheus(w io.Writer, s ServerStats) error {
-	snap := timeseries.Snapshot{Values: serverSnapshotValues(s)}
-	return timeseries.WritePrometheus(w, "bandslim", serverDescs, snap, nil)
+	snap := timeseries.Snapshot{Values: rowValues(serverRows, &Stats{Server: s}, nil)}
+	return timeseries.WritePrometheus(w, "bandslim", rowDescs(serverRows), snap, nil)
 }
 
 // WriteSeriesCSV writes a metric series as one CSV table: a t_us time axis,

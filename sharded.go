@@ -297,117 +297,43 @@ func (s *ShardedDB) Now() sim.Time {
 	return max
 }
 
-// shardSnapshot is one shard's raw measurement: the flattened counters plus
-// the pieces that cannot be aggregated from flattened values alone.
-type shardSnapshot struct {
-	stats      Stats
-	write      *metrics.Histogram
-	read       *metrics.Histogram
-	bufFlushed int64 // pagebuf pages flushed, weighting BufferUtil
-}
-
-func (db *DB) shardSnapshot() shardSnapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ds := db.st.Drv.Stats()
-	return shardSnapshot{
-		stats:      stackStats(db.st),
-		write:      ds.WriteResponse.Clone(),
-		read:       ds.ReadResponse.Clone(),
-		bufFlushed: db.st.Dev.Buffer().Stats().Flushes.Value(),
-	}
-}
-
-// Stats aggregates a point-in-time snapshot across every shard: counters and
-// byte ledgers sum exactly, latency distributions merge exactly (see
+// Stats aggregates a point-in-time snapshot across every shard: every row's
+// field sums exactly, latency distributions merge exactly (see
 // metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
 // BufferUtil is the flush-weighted mean. Shards are snapshotted one after
 // another, each under its own lock. It stays readable after Close.
 func (s *ShardedDB) Stats() Stats {
-	snaps := make([]shardSnapshot, len(s.dbs))
-	for i, db := range s.dbs {
-		snaps[i] = db.shardSnapshot()
-	}
-	out := mergeSnapshots(snaps)
-	out.Trace = s.rings.health()
-	return out
-}
-
-// mergeSnapshots folds per-shard snapshots into one aggregate Stats.
-func mergeSnapshots(snaps []shardSnapshot) Stats {
-	if len(snaps) == 1 {
+	if len(s.dbs) == 1 {
 		// One shard: the merge is the identity (and skips the weighted-mean
 		// rounding below, so a one-shard ShardedDB reports a DB's exact Stats).
-		return snaps[0].stats
+		return s.dbs[0].Stats()
 	}
 	var out Stats
 	write, read := metrics.NewHistogram(), metrics.NewHistogram()
-	var flushed int64
-	for _, sn := range snaps {
-		p := sn.stats
-		out.Host.Puts += p.Host.Puts
-		out.Host.Gets += p.Host.Gets
-		out.Host.Deletes += p.Host.Deletes
-		out.Host.Commands += p.Host.Commands
-		out.PCIe.Bytes += p.PCIe.Bytes
-		out.PCIe.TotalBytes += p.PCIe.TotalBytes
-		out.PCIe.DMABytes += p.PCIe.DMABytes
-		out.PCIe.CommandBytes += p.PCIe.CommandBytes
-		out.PCIe.MMIOBytes += p.PCIe.MMIOBytes
-		out.PCIe.CompletionBytes += p.PCIe.CompletionBytes
-		out.Device.NANDPageWrites += p.Device.NANDPageWrites
-		out.Device.NANDPageReads += p.Device.NANDPageReads
-		out.Device.BlockErases += p.Device.BlockErases
-		out.Device.VLogFlushes += p.Device.VLogFlushes
-		out.Device.ForcedFlushes += p.Device.ForcedFlushes
-		out.Device.BackfillJumps += p.Device.BackfillJumps
-		out.Device.MemcpyTime += p.Device.MemcpyTime
-		out.Device.FlushWaitTime += p.Device.FlushWaitTime
-		out.Device.Memcpys += p.Device.Memcpys
-		out.Device.GCWrites += p.Device.GCWrites
-		out.Device.Compactions += p.Device.Compactions
-		out.Adaptive.Inline += p.Adaptive.Inline
-		out.Adaptive.PRP += p.Adaptive.PRP
-		out.Adaptive.Hybrid += p.Adaptive.Hybrid
-		out.Cache.Hits += p.Cache.Hits
-		out.Cache.Misses += p.Cache.Misses
-		out.Cache.PageHits += p.Cache.PageHits
-		out.Cache.PageMisses += p.Cache.PageMisses
-		out.Cache.Evictions += p.Cache.Evictions
-		out.Cache.Invalidations += p.Cache.Invalidations
-		out.Cache.NegHits += p.Cache.NegHits
-		out.Cache.NegLearned += p.Cache.NegLearned
-		out.Faults.NandProgramFaults += p.Faults.NandProgramFaults
-		out.Faults.NandReadFaults += p.Faults.NandReadFaults
-		out.Faults.NandEraseFaults += p.Faults.NandEraseFaults
-		out.Faults.TransferFaults += p.Faults.TransferFaults
-		out.Faults.BadBlocks += p.Faults.BadBlocks
-		out.Faults.FTLRetries += p.Faults.FTLRetries
-		out.Faults.PowerCuts += p.Faults.PowerCuts
-		out.Faults.Mounts += p.Faults.Mounts
-		out.Faults.ReplayedRecords += p.Faults.ReplayedRecords
-		out.Faults.Retries += p.Faults.Retries
-		out.Faults.RetriesExhausted += p.Faults.RetriesExhausted
-		out.Faults.Recoveries += p.Faults.Recoveries
-		if p.Host.Elapsed > out.Host.Elapsed {
-			out.Host.Elapsed = p.Host.Elapsed
+	var weighted float64
+	for _, db := range s.dbs {
+		db.mu.Lock()
+		p := stackStats(db.st)
+		write.Merge(db.st.Drv.Stats().WriteResponse)
+		read.Merge(db.st.Drv.Stats().ReadResponse)
+		db.mu.Unlock()
+		for _, r := range stackRows {
+			if r.field != nil {
+				*r.field(&out) += *r.field(&p)
+			}
 		}
-		write.Merge(sn.write)
-		read.Merge(sn.read)
-		flushed += sn.bufFlushed
+		out.Host.Elapsed = max(out.Host.Elapsed, p.Host.Elapsed)
+		// VLogFlushes is the page buffer's flushed-page count: the weight of
+		// the shard's BufferUtil.
+		weighted += p.Device.BufferUtil * float64(p.Device.VLogFlushes)
 	}
 	out.Host.WriteResp = latencySummary(write)
 	out.Host.ReadResp = latencySummary(read)
-	if flushed > 0 {
-		var weighted float64
-		for _, sn := range snaps {
-			weighted += sn.stats.Device.BufferUtil * float64(sn.bufFlushed)
-		}
-		out.Device.BufferUtil = weighted / float64(flushed)
+	out.Host.ThroughputKops = throughputKops(out.Host)
+	if out.Device.VLogFlushes > 0 {
+		out.Device.BufferUtil = weighted / float64(out.Device.VLogFlushes)
 	}
-	if out.Host.Elapsed > 0 && out.Host.Puts > 0 {
-		out.Host.ThroughputKops = float64(out.Host.Puts) / out.Host.Elapsed.Seconds() / 1000
-	}
+	out.Trace = s.rings.health()
 	return out
 }
 
@@ -434,7 +360,7 @@ func (s *ShardedDB) WritePrometheus(w io.Writer) error {
 	for i, db := range s.dbs {
 		snaps[i] = db.lockedSnapshot()
 	}
-	descs := s.dbs[0].descs()
+	descs := s.dbs[0].descs
 	return writeExposition(w, descs, timeseries.MergeSnapshots(descs, snaps), s.rings)
 }
 

@@ -2,10 +2,9 @@ package bandslim
 
 import (
 	"fmt"
+	"slices"
 
-	"bandslim/internal/driver"
 	"bandslim/internal/metrics"
-	"bandslim/internal/pcie"
 	"bandslim/internal/shard"
 	"bandslim/internal/sim"
 	"bandslim/internal/spans"
@@ -156,216 +155,286 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// stackStats flattens one stack's counters into a Stats; the caller holds the
+// stackStats flattens one stack's counters into a Stats: every row's field,
+// then the handful of fields that are not plain sums. The caller holds the
 // mutex that serializes access to the stack.
 func stackStats(st *shard.Stack) Stats {
+	var s Stats
+	for _, r := range stackRows {
+		if r.field != nil {
+			*r.field(&s) = r.read(st)
+		}
+	}
 	ds := st.Drv.Stats()
-	fs := st.Dev.Flash().Stats()
-	bs := st.Dev.Buffer().Stats()
-	es := st.Dev.Engine().Stats()
-	elapsed := st.Clock.Now().Sub(0)
-	s := Stats{
-		Host: HostStats{
-			Puts:      ds.Puts.Value(),
-			Gets:      ds.Gets.Value(),
-			Deletes:   ds.Deletes.Value(),
-			Commands:  ds.CommandsIssued.Value(),
-			WriteResp: latencySummary(ds.WriteResponse),
-			ReadResp:  latencySummary(ds.ReadResponse),
-			Elapsed:   elapsed,
-		},
-		PCIe: PCIeStats{
-			Bytes:           st.Link.HostToDeviceBytes(),
-			TotalBytes:      st.Link.TotalBytes(),
-			DMABytes:        st.Link.Traf.DMABytes.Value(),
-			CommandBytes:    st.Link.Traf.CommandBytes.Value(),
-			MMIOBytes:       st.Link.MMIOTrafficBytes(),
-			CompletionBytes: st.Link.Traf.CompletionBytes.Value(),
-		},
-		Device: DeviceStats{
-			NANDPageWrites: fs.PageWrites.Value(),
-			NANDPageReads:  fs.PageReads.Value(),
-			BlockErases:    fs.BlockErases.Value(),
-			VLogFlushes:    bs.Flushes.Value(),
-			ForcedFlushes:  bs.ForcedFlushes.Value(),
-			BackfillJumps:  bs.BackfillJumps.Value(),
-			MemcpyTime:     sim.Duration(es.MemcpyTime.Value()),
-			FlushWaitTime:  sim.Duration(bs.FlushWaitTime.Value()),
-			Memcpys:        es.Memcpys.Value(),
-			BufferUtil:     st.Dev.Buffer().Utilization(),
-			GCWrites:       st.Dev.FTL().Stats().GCWrites.Value(),
-			Compactions:    st.Dev.Tree().Stats().Compactions.Value(),
-		},
-		Adaptive: AdaptiveStats{
-			Inline: ds.InlineChosen.Value(),
-			PRP:    ds.PRPChosen.Value(),
-			Hybrid: ds.HybridChosen.Value(),
-		},
-		Cache: CacheStats{
-			Hits:          st.Dev.Stats().CacheHits.Value(),
-			Misses:        st.Dev.Stats().CacheMisses.Value(),
-			PageHits:      st.Dev.Stats().PageCacheHits.Value(),
-			PageMisses:    st.Dev.Stats().PageCacheMisses.Value(),
-			Evictions:     st.Dev.Stats().CacheEvictions.Value(),
-			Invalidations: st.Dev.Stats().CacheInvalidations.Value(),
-			NegHits:       ds.NegativeHits.Value(),
-			NegLearned:    ds.NegativeLearned.Value(),
-		},
-		Faults: FaultStats{
-			NandProgramFaults: fs.ProgramFaults.Value(),
-			NandReadFaults:    fs.ReadFaults.Value(),
-			NandEraseFaults:   fs.EraseFaults.Value(),
-			TransferFaults:    es.TransferFaults.Value(),
-			BadBlocks:         st.Dev.FTL().Stats().BadBlocks.Value(),
-			FTLRetries:        st.Dev.FTL().Stats().ProgramFaults.Value(),
-			PowerCuts:         st.Dev.Stats().PowerCuts.Value(),
-			Mounts:            st.Dev.Stats().Mounts.Value(),
-			ReplayedRecords:   st.Dev.Stats().ReplayedRecords.Value(),
-			Retries:           ds.Retries.Value(),
-			RetriesExhausted:  ds.RetriesExhausted.Value(),
-			Recoveries:        ds.Recoveries.Value(),
-		},
-	}
-	if elapsed > 0 && s.Host.Puts > 0 {
-		s.Host.ThroughputKops = float64(s.Host.Puts) / elapsed.Seconds() / 1000
-	}
+	s.Host.WriteResp = latencySummary(ds.WriteResponse)
+	s.Host.ReadResp = latencySummary(ds.ReadResponse)
+	s.Host.Elapsed = st.Clock.Now().Sub(0)
+	s.Host.ThroughputKops = throughputKops(s.Host)
+	s.Device.BufferUtil = st.Dev.Buffer().Utilization()
 	return s
 }
 
-// counter and gauge shorthand for the seriesDescs table.
-func counter(name, help string) timeseries.Desc {
+// throughputKops derives PUTs per simulated second / 1000.
+func throughputKops(h HostStats) float64 {
+	if h.Elapsed <= 0 || h.Puts <= 0 {
+		return 0
+	}
+	return float64(h.Puts) / h.Elapsed.Seconds() / 1000
+}
+
+// row declares one scalar metric, once: its exposition descriptor, where its
+// value lives in a Stats, and how it is read off a live stack. stackStats, the
+// shard merge, the sampler snapshot and the exposition are loops over rows, so
+// adding a metric is a Stats field plus one row (DESIGN.md §5.3); a field left
+// without a row fails TestEveryStatsFieldHasOneRow.
+type row struct {
+	timeseries.Desc
+	// field locates the value in a Stats; fields are additive across shards.
+	// Nil for a gauge only the sampler and the exposition carry.
+	field func(*Stats) *int64
+	// read takes field's value off a stack. Nil for the server rows, which a
+	// serving process fills instead.
+	read func(*shard.Stack) int64
+	// live is a fieldless gauge's reading.
+	live func(*shard.Stack) float64
+}
+
+func counterDesc(name, help string) timeseries.Desc {
 	return timeseries.Desc{Name: name, Kind: timeseries.KindCounter, Agg: timeseries.AggSum, Help: help}
 }
 
-func gauge(name string, agg timeseries.Agg, help string) timeseries.Desc {
+func gaugeDesc(name string, agg timeseries.Agg, help string) timeseries.Desc {
 	return timeseries.Desc{Name: name, Kind: timeseries.KindGauge, Agg: agg, Help: help}
 }
 
-// seriesDescs declares every scalar metric the sampler records, in column
-// order; snapshotStack builds Values in exactly this order.
-var seriesDescs = []timeseries.Desc{
-	counter("host_puts", "PUT operations completed at the driver."),
-	counter("host_gets", "GET operations completed at the driver."),
-	counter("host_deletes", "DELETE operations completed at the driver."),
-	counter("host_commands", "NVMe commands issued."),
-	counter("pcie_bytes", "PCIe command-fetch plus DMA payload bytes (the paper's PCIe traffic)."),
-	counter("pcie_total_bytes", "All PCIe bytes including completions and doorbells, as PCM counts TLPs."),
-	counter("pcie_dma_bytes", "PCIe DMA payload bytes."),
-	counter("pcie_command_bytes", "PCIe command-fetch bytes."),
-	counter("pcie_mmio_bytes", "PCIe doorbell MMIO bytes."),
-	counter("pcie_completion_bytes", "PCIe completion bytes."),
-	counter("nand_page_writes", "NAND pages programmed, incl. LSM flush/compaction/GC."),
-	counter("nand_page_reads", "NAND pages read."),
-	counter("nand_block_erases", "NAND blocks erased."),
-	counter("vlog_flushes", "Value-log page writes."),
-	counter("vlog_forced_flushes", "Forced (early) page-buffer flushes."),
-	counter("backfill_jumps", "Write-pointer backfill jumps in the page buffer."),
-	counter("device_memcpys", "In-device memcpy operations."),
-	counter("device_memcpy_time_ns", "Cumulative in-device copy time, simulated ns."),
-	counter("device_flush_wait_time_ns", "Cumulative request time blocked on NAND flushes, simulated ns."),
-	counter("vlog_gc_writes", "NAND page writes caused by vLog garbage collection."),
-	counter("lsm_compactions", "LSM-tree compactions run."),
-	counter("adaptive_inline", "Adaptive method: values sent inline."),
-	counter("adaptive_prp", "Adaptive method: values sent via PRP DMA."),
-	counter("adaptive_hybrid", "Adaptive method: values sent hybrid."),
-	gauge("sim_time_ns", timeseries.AggMax, "Simulated time of the snapshot, ns."),
-	gauge("buffer_util", timeseries.AggMean, "Payload bytes per flushed NAND byte in the vLog page buffer."),
-	gauge("buffer_wp", timeseries.AggSum, "Page-buffer write pointer (vLog byte offset)."),
-	gauge("buffer_frontier", timeseries.AggSum, "Page-buffer placement frontier (vLog byte offset)."),
-	gauge("buffer_open_pages", timeseries.AggSum, "Open page-buffer entries."),
-	gauge("vlog_free_bytes", timeseries.AggSum, "Value-log space left before compaction."),
-	gauge("flash_max_wear", timeseries.AggMax, "Highest per-block erase count in the flash array."),
-	gauge("wire_utilization", timeseries.AggMean, "Fraction of simulated time the PCIe wire was busy."),
+func counter(name, help string, field func(*Stats) *int64, read func(*shard.Stack) int64) row {
+	return row{Desc: counterDesc(name, help), field: field, read: read}
 }
 
-// faultDescs extend seriesDescs when Config.Faults arms the injector. They
-// are appended only then, so fault-free runs keep byte-identical exporter
-// output (the golden-smoke guarantee).
-var faultDescs = []timeseries.Desc{
-	counter("fault_nand_program", "Injected NAND program failures."),
-	counter("fault_nand_read", "Injected NAND read failures."),
-	counter("fault_nand_erase", "Injected NAND erase failures."),
-	counter("fault_dma_transfer", "Injected DMA transfer errors."),
-	counter("ftl_bad_blocks", "NAND blocks retired by the FTL."),
-	counter("ftl_program_retries", "FTL program redirect-retries after media faults."),
-	counter("device_power_cuts", "Power cuts taken by the device."),
-	counter("device_mounts", "Recovery mounts performed."),
-	counter("device_replayed_records", "Journal records replayed at mount."),
-	counter("host_retries", "Host re-submissions of retryable completions."),
-	counter("host_retries_exhausted", "Commands that failed every retry."),
-	counter("host_recoveries", "Host-initiated recoveries."),
+func gauge(name string, agg timeseries.Agg, help string, field func(*Stats) *int64, live func(*shard.Stack) float64) row {
+	return row{Desc: gaugeDesc(name, agg, help), field: field, live: live}
 }
 
-// cacheDescs extend seriesDescs when Config.Cache arms a read-cache tier.
-// Like faultDescs they are appended only then, so cache-free runs keep
-// byte-identical exporter output (the golden-smoke guarantee).
-var cacheDescs = []timeseries.Desc{
-	counter("cache_value_hits", "Device value-tier cache hits (reads served from device DRAM)."),
-	counter("cache_value_misses", "Device value-tier cache misses (reads that walked the LSM)."),
-	counter("cache_page_hits", "Device SSTable-page-tier cache hits."),
-	counter("cache_page_misses", "Device SSTable-page-tier cache misses."),
-	counter("cache_evictions", "Entries evicted across both device cache tiers."),
-	counter("cache_invalidations", "Cache entries dropped by the strict invalidation protocol."),
-	counter("cache_negative_hits", "GETs short-circuited host-side by the negative cache."),
-	counter("cache_negative_learned", "Keys admitted to the negative cache's recent-miss ring."),
-}
-
-// serverDescs declare the network front-end's scalar metrics. Like
-// faultDescs they ride a separate exposition (WriteServerPrometheus, written
-// only by a serving process), so embedded and simulation-only runs keep
-// byte-identical exporter output.
-var serverDescs = []timeseries.Desc{
-	counter("server_conns_accepted", "Client connections accepted."),
-	gauge("server_conns_active", timeseries.AggSum, "Client connections currently open."),
-	counter("server_cmd_ping", "PING commands served."),
-	counter("server_cmd_set", "SET commands served."),
-	counter("server_cmd_get", "GET commands served."),
-	counter("server_cmd_del", "DEL commands served."),
-	counter("server_cmd_mset", "MSET commands served."),
-	counter("server_cmd_mget", "MGET commands served."),
-	counter("server_cmd_scan", "SCAN commands served."),
-	counter("server_cmd_info", "INFO commands served."),
-	counter("server_cmd_shutdown", "SHUTDOWN commands served."),
-	counter("server_cmd_other", "Unrecognized commands (answered with an error)."),
-	counter("server_errors", "RESP error replies written."),
-	counter("server_backpressure_stalls", "Reader stalls on a full in-flight window."),
-	counter("server_bytes_in", "Bytes read off client sockets."),
-	counter("server_bytes_out", "Bytes written to client sockets."),
-}
-
-// serverSnapshotValues flattens a ServerStats in serverDescs order.
-func serverSnapshotValues(s ServerStats) []float64 {
-	return []float64{
-		float64(s.Accepted),
-		float64(s.Active),
-		float64(s.Ping),
-		float64(s.Set),
-		float64(s.Get),
-		float64(s.Del),
-		float64(s.MSet),
-		float64(s.MGet),
-		float64(s.Scan),
-		float64(s.Info),
-		float64(s.Shutdown),
-		float64(s.Other),
-		float64(s.Errors),
-		float64(s.Stalls),
-		float64(s.BytesIn),
-		float64(s.BytesOut),
+// rowValues reads rows in order: a row's Stats field, else its live gauge.
+func rowValues(rows []row, s *Stats, st *shard.Stack) []float64 {
+	values := make([]float64, len(rows))
+	for i, r := range rows {
+		if r.field != nil {
+			values[i] = float64(*r.field(s))
+		} else {
+			values[i] = r.live(st)
+		}
 	}
+	return values
 }
 
-// traceDescs declare the trace-ring health and latency-attribution scalar
-// metrics. They ride a separate exposition section appended only when a
-// ring-buffered Recorder is attached, so untraced runs (including the golden
-// smoke) keep byte-identical exporter output.
-var traceDescs = []timeseries.Desc{
-	gauge("trace_buffered", timeseries.AggSum, "Trace events currently held by the ring recorder."),
-	counter("trace_dropped", "Trace events evicted after the ring filled (attribution over the buffer is truncated)."),
-	counter("blame_ops", "Operations reconstructed by latency attribution."),
-	counter("blame_unclaimed_commands", "Completed commands no operation claimed (flushes, scans, missed keys)."),
-	counter("blame_incomplete_commands", "Commands in flight at snapshot time or lost to power cuts."),
-	counter("blame_truncated_events", "Events the trace Seq numbering proves missing."),
+// rowDescs is the rows' descriptor column, in order.
+func rowDescs(rows []row) []timeseries.Desc {
+	descs := make([]timeseries.Desc, len(rows))
+	for i, r := range rows {
+		descs[i] = r.Desc
+	}
+	return descs
+}
+
+// baseRows are the scalar metrics every DB records, in column order.
+var baseRows = []row{
+	counter("host_puts", "PUT operations completed at the driver.",
+		func(s *Stats) *int64 { return &s.Host.Puts }, func(st *shard.Stack) int64 { return st.Drv.Stats().Puts.Value() }),
+	counter("host_gets", "GET operations completed at the driver.",
+		func(s *Stats) *int64 { return &s.Host.Gets }, func(st *shard.Stack) int64 { return st.Drv.Stats().Gets.Value() }),
+	counter("host_deletes", "DELETE operations completed at the driver.",
+		func(s *Stats) *int64 { return &s.Host.Deletes }, func(st *shard.Stack) int64 { return st.Drv.Stats().Deletes.Value() }),
+	counter("host_commands", "NVMe commands issued.",
+		func(s *Stats) *int64 { return &s.Host.Commands }, func(st *shard.Stack) int64 { return st.Drv.Stats().CommandsIssued.Value() }),
+	counter("pcie_bytes", "PCIe command-fetch plus DMA payload bytes (the paper's PCIe traffic).",
+		func(s *Stats) *int64 { return &s.PCIe.Bytes }, func(st *shard.Stack) int64 { return st.Link.HostToDeviceBytes() }),
+	counter("pcie_total_bytes", "All PCIe bytes including completions and doorbells, as PCM counts TLPs.",
+		func(s *Stats) *int64 { return &s.PCIe.TotalBytes }, func(st *shard.Stack) int64 { return st.Link.TotalBytes() }),
+	counter("pcie_dma_bytes", "PCIe DMA payload bytes.",
+		func(s *Stats) *int64 { return &s.PCIe.DMABytes }, func(st *shard.Stack) int64 { return st.Link.Traf.DMABytes.Value() }),
+	counter("pcie_command_bytes", "PCIe command-fetch bytes.",
+		func(s *Stats) *int64 { return &s.PCIe.CommandBytes }, func(st *shard.Stack) int64 { return st.Link.Traf.CommandBytes.Value() }),
+	counter("pcie_mmio_bytes", "PCIe doorbell MMIO bytes.",
+		func(s *Stats) *int64 { return &s.PCIe.MMIOBytes }, func(st *shard.Stack) int64 { return st.Link.MMIOTrafficBytes() }),
+	counter("pcie_completion_bytes", "PCIe completion bytes.",
+		func(s *Stats) *int64 { return &s.PCIe.CompletionBytes }, func(st *shard.Stack) int64 { return st.Link.Traf.CompletionBytes.Value() }),
+	counter("nand_page_writes", "NAND pages programmed, incl. LSM flush/compaction/GC.",
+		func(s *Stats) *int64 { return &s.Device.NANDPageWrites }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().PageWrites.Value() }),
+	counter("nand_page_reads", "NAND pages read.",
+		func(s *Stats) *int64 { return &s.Device.NANDPageReads }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().PageReads.Value() }),
+	counter("nand_block_erases", "NAND blocks erased.",
+		func(s *Stats) *int64 { return &s.Device.BlockErases }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().BlockErases.Value() }),
+	counter("vlog_flushes", "Value-log page writes.",
+		func(s *Stats) *int64 { return &s.Device.VLogFlushes }, func(st *shard.Stack) int64 { return st.Dev.Buffer().Stats().Flushes.Value() }),
+	counter("vlog_forced_flushes", "Forced (early) page-buffer flushes.",
+		func(s *Stats) *int64 { return &s.Device.ForcedFlushes }, func(st *shard.Stack) int64 { return st.Dev.Buffer().Stats().ForcedFlushes.Value() }),
+	counter("backfill_jumps", "Write-pointer backfill jumps in the page buffer.",
+		func(s *Stats) *int64 { return &s.Device.BackfillJumps }, func(st *shard.Stack) int64 { return st.Dev.Buffer().Stats().BackfillJumps.Value() }),
+	counter("device_memcpys", "In-device memcpy operations.",
+		func(s *Stats) *int64 { return &s.Device.Memcpys }, func(st *shard.Stack) int64 { return st.Dev.Engine().Stats().Memcpys.Value() }),
+	counter("device_memcpy_time_ns", "Cumulative in-device copy time, simulated ns.",
+		func(s *Stats) *int64 { return (*int64)(&s.Device.MemcpyTime) }, func(st *shard.Stack) int64 { return st.Dev.Engine().Stats().MemcpyTime.Value() }),
+	counter("device_flush_wait_time_ns", "Cumulative request time blocked on NAND flushes, simulated ns.",
+		func(s *Stats) *int64 { return (*int64)(&s.Device.FlushWaitTime) }, func(st *shard.Stack) int64 { return st.Dev.Buffer().Stats().FlushWaitTime.Value() }),
+	counter("vlog_gc_writes", "NAND page writes caused by vLog garbage collection.",
+		func(s *Stats) *int64 { return &s.Device.GCWrites }, func(st *shard.Stack) int64 { return st.Dev.FTL().Stats().GCWrites.Value() }),
+	counter("lsm_compactions", "LSM-tree compactions run.",
+		func(s *Stats) *int64 { return &s.Device.Compactions }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().Compactions.Value() }),
+	counter("adaptive_inline", "Adaptive method: values sent inline.",
+		func(s *Stats) *int64 { return &s.Adaptive.Inline }, func(st *shard.Stack) int64 { return st.Drv.Stats().InlineChosen.Value() }),
+	counter("adaptive_prp", "Adaptive method: values sent via PRP DMA.",
+		func(s *Stats) *int64 { return &s.Adaptive.PRP }, func(st *shard.Stack) int64 { return st.Drv.Stats().PRPChosen.Value() }),
+	counter("adaptive_hybrid", "Adaptive method: values sent hybrid.",
+		func(s *Stats) *int64 { return &s.Adaptive.Hybrid }, func(st *shard.Stack) int64 { return st.Drv.Stats().HybridChosen.Value() }),
+	gauge("sim_time_ns", timeseries.AggMax, "Simulated time of the snapshot, ns.",
+		nil, func(st *shard.Stack) float64 { return float64(st.Clock.Now()) }),
+	gauge("buffer_util", timeseries.AggMean, "Payload bytes per flushed NAND byte in the vLog page buffer.",
+		nil, func(st *shard.Stack) float64 { return st.Dev.Buffer().Utilization() }),
+	gauge("buffer_wp", timeseries.AggSum, "Page-buffer write pointer (vLog byte offset).",
+		nil, func(st *shard.Stack) float64 { return float64(st.Dev.Buffer().WP()) }),
+	gauge("buffer_frontier", timeseries.AggSum, "Page-buffer placement frontier (vLog byte offset).",
+		nil, func(st *shard.Stack) float64 { return float64(st.Dev.Buffer().Frontier()) }),
+	gauge("buffer_open_pages", timeseries.AggSum, "Open page-buffer entries.",
+		nil, func(st *shard.Stack) float64 { return float64(st.Dev.Buffer().OpenPages()) }),
+	gauge("vlog_free_bytes", timeseries.AggSum, "Value-log space left before compaction.",
+		nil, func(st *shard.Stack) float64 { return float64(st.Dev.VLog().FreeBytes()) }),
+	gauge("flash_max_wear", timeseries.AggMax, "Highest per-block erase count in the flash array.",
+		nil, func(st *shard.Stack) float64 { return float64(st.Dev.Flash().MaxWear()) }),
+	gauge("wire_utilization", timeseries.AggMean, "Fraction of simulated time the PCIe wire was busy.",
+		nil, func(st *shard.Stack) float64 { return st.Link.WireUtilization(st.Clock.Now()) }),
+}
+
+// faultRows extend baseRows when Config.Faults arms the injector. They are
+// appended only then, so fault-free runs keep byte-identical exporter output
+// (the golden-smoke guarantee).
+var faultRows = []row{
+	counter("fault_nand_program", "Injected NAND program failures.",
+		func(s *Stats) *int64 { return &s.Faults.NandProgramFaults }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().ProgramFaults.Value() }),
+	counter("fault_nand_read", "Injected NAND read failures.",
+		func(s *Stats) *int64 { return &s.Faults.NandReadFaults }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().ReadFaults.Value() }),
+	counter("fault_nand_erase", "Injected NAND erase failures.",
+		func(s *Stats) *int64 { return &s.Faults.NandEraseFaults }, func(st *shard.Stack) int64 { return st.Dev.Flash().Stats().EraseFaults.Value() }),
+	counter("fault_dma_transfer", "Injected DMA transfer errors.",
+		func(s *Stats) *int64 { return &s.Faults.TransferFaults }, func(st *shard.Stack) int64 { return st.Dev.Engine().Stats().TransferFaults.Value() }),
+	counter("ftl_bad_blocks", "NAND blocks retired by the FTL.",
+		func(s *Stats) *int64 { return &s.Faults.BadBlocks }, func(st *shard.Stack) int64 { return st.Dev.FTL().Stats().BadBlocks.Value() }),
+	counter("ftl_program_retries", "FTL program redirect-retries after media faults.",
+		func(s *Stats) *int64 { return &s.Faults.FTLRetries }, func(st *shard.Stack) int64 { return st.Dev.FTL().Stats().ProgramFaults.Value() }),
+	counter("device_power_cuts", "Power cuts taken by the device.",
+		func(s *Stats) *int64 { return &s.Faults.PowerCuts }, func(st *shard.Stack) int64 { return st.Dev.Stats().PowerCuts.Value() }),
+	counter("device_mounts", "Recovery mounts performed.",
+		func(s *Stats) *int64 { return &s.Faults.Mounts }, func(st *shard.Stack) int64 { return st.Dev.Stats().Mounts.Value() }),
+	counter("device_replayed_records", "Journal records replayed at mount.",
+		func(s *Stats) *int64 { return &s.Faults.ReplayedRecords }, func(st *shard.Stack) int64 { return st.Dev.Stats().ReplayedRecords.Value() }),
+	counter("host_retries", "Host re-submissions of retryable completions.",
+		func(s *Stats) *int64 { return &s.Faults.Retries }, func(st *shard.Stack) int64 { return st.Drv.Stats().Retries.Value() }),
+	counter("host_retries_exhausted", "Commands that failed every retry.",
+		func(s *Stats) *int64 { return &s.Faults.RetriesExhausted }, func(st *shard.Stack) int64 { return st.Drv.Stats().RetriesExhausted.Value() }),
+	counter("host_recoveries", "Host-initiated recoveries.",
+		func(s *Stats) *int64 { return &s.Faults.Recoveries }, func(st *shard.Stack) int64 { return st.Drv.Stats().Recoveries.Value() }),
+}
+
+// cacheRows extend baseRows when Config.Cache arms a read-cache tier. Like
+// faultRows they are appended only then, so cache-free runs keep
+// byte-identical exporter output (the golden-smoke guarantee).
+var cacheRows = []row{
+	counter("cache_value_hits", "Device value-tier cache hits (reads served from device DRAM).",
+		func(s *Stats) *int64 { return &s.Cache.Hits }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheHits.Value() }),
+	counter("cache_value_misses", "Device value-tier cache misses (reads that walked the LSM).",
+		func(s *Stats) *int64 { return &s.Cache.Misses }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheMisses.Value() }),
+	counter("cache_page_hits", "Device SSTable-page-tier cache hits.",
+		func(s *Stats) *int64 { return &s.Cache.PageHits }, func(st *shard.Stack) int64 { return st.Dev.Stats().PageCacheHits.Value() }),
+	counter("cache_page_misses", "Device SSTable-page-tier cache misses.",
+		func(s *Stats) *int64 { return &s.Cache.PageMisses }, func(st *shard.Stack) int64 { return st.Dev.Stats().PageCacheMisses.Value() }),
+	counter("cache_evictions", "Entries evicted across both device cache tiers.",
+		func(s *Stats) *int64 { return &s.Cache.Evictions }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheEvictions.Value() }),
+	counter("cache_invalidations", "Cache entries dropped by the strict invalidation protocol.",
+		func(s *Stats) *int64 { return &s.Cache.Invalidations }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheInvalidations.Value() }),
+	counter("cache_negative_hits", "GETs short-circuited host-side by the negative cache.",
+		func(s *Stats) *int64 { return &s.Cache.NegHits }, func(st *shard.Stack) int64 { return st.Drv.Stats().NegativeHits.Value() }),
+	counter("cache_negative_learned", "Keys admitted to the negative cache's recent-miss ring.",
+		func(s *Stats) *int64 { return &s.Cache.NegLearned }, func(st *shard.Stack) int64 { return st.Drv.Stats().NegativeLearned.Value() }),
+}
+
+// stackRows is every row a stack feeds — what Stats carries whether or not
+// the fault and cache sections are exported.
+var stackRows = slices.Concat(baseRows, faultRows, cacheRows)
+
+// exportedRows is a DB's sampler/exporter column set: the base rows, plus the
+// fault rows when the injector is armed and the cache rows when a read-cache
+// tier is configured.
+func exportedRows(faults, cached bool) []row {
+	rows := baseRows
+	if faults {
+		rows = slices.Concat(rows, faultRows)
+	}
+	if cached {
+		rows = slices.Concat(rows, cacheRows)
+	}
+	return rows
+}
+
+// serverRows declare the network front-end's scalar metrics. They ride a
+// separate exposition (WriteServerPrometheus, written only by a serving
+// process), so embedded and simulation-only runs keep byte-identical exporter
+// output.
+var serverRows = []row{
+	counter("server_conns_accepted", "Client connections accepted.",
+		func(s *Stats) *int64 { return &s.Server.Accepted }, nil),
+	gauge("server_conns_active", timeseries.AggSum, "Client connections currently open.",
+		func(s *Stats) *int64 { return &s.Server.Active }, nil),
+	counter("server_cmd_ping", "PING commands served.",
+		func(s *Stats) *int64 { return &s.Server.Ping }, nil),
+	counter("server_cmd_set", "SET commands served.",
+		func(s *Stats) *int64 { return &s.Server.Set }, nil),
+	counter("server_cmd_get", "GET commands served.",
+		func(s *Stats) *int64 { return &s.Server.Get }, nil),
+	counter("server_cmd_del", "DEL commands served.",
+		func(s *Stats) *int64 { return &s.Server.Del }, nil),
+	counter("server_cmd_mset", "MSET commands served.",
+		func(s *Stats) *int64 { return &s.Server.MSet }, nil),
+	counter("server_cmd_mget", "MGET commands served.",
+		func(s *Stats) *int64 { return &s.Server.MGet }, nil),
+	counter("server_cmd_scan", "SCAN commands served.",
+		func(s *Stats) *int64 { return &s.Server.Scan }, nil),
+	counter("server_cmd_info", "INFO commands served.",
+		func(s *Stats) *int64 { return &s.Server.Info }, nil),
+	counter("server_cmd_shutdown", "SHUTDOWN commands served.",
+		func(s *Stats) *int64 { return &s.Server.Shutdown }, nil),
+	counter("server_cmd_other", "Unrecognized commands (answered with an error).",
+		func(s *Stats) *int64 { return &s.Server.Other }, nil),
+	counter("server_errors", "RESP error replies written.",
+		func(s *Stats) *int64 { return &s.Server.Errors }, nil),
+	counter("server_backpressure_stalls", "Reader stalls on a full in-flight window.",
+		func(s *Stats) *int64 { return &s.Server.Stalls }, nil),
+	counter("server_bytes_in", "Bytes read off client sockets.",
+		func(s *Stats) *int64 { return &s.Server.BytesIn }, nil),
+	counter("server_bytes_out", "Bytes written to client sockets.",
+		func(s *Stats) *int64 { return &s.Server.BytesOut }, nil),
+}
+
+// traceRows declare the trace-ring health and latency-attribution scalars,
+// each with its reading off the ring health and a span report. They ride a
+// separate exposition section appended only when a ring-buffered Recorder is
+// attached, so untraced runs (including the golden smoke) keep byte-identical
+// exporter output.
+var traceRows = []struct {
+	timeseries.Desc
+	value func(TraceStats, *spans.Report) int64
+}{
+	{gaugeDesc("trace_buffered", timeseries.AggSum, "Trace events currently held by the ring recorder."),
+		func(h TraceStats, _ *spans.Report) int64 { return h.Buffered }},
+	{counterDesc("trace_dropped", "Trace events evicted after the ring filled (attribution over the buffer is truncated)."),
+		func(h TraceStats, _ *spans.Report) int64 { return h.Dropped }},
+	{counterDesc("blame_ops", "Operations reconstructed by latency attribution."),
+		func(_ TraceStats, rep *spans.Report) int64 { return int64(len(rep.Ops)) }},
+	{counterDesc("blame_unclaimed_commands", "Completed commands no operation claimed (flushes, scans, missed keys)."),
+		func(_ TraceStats, rep *spans.Report) int64 { return int64(rep.Unclaimed) }},
+	{counterDesc("blame_incomplete_commands", "Commands in flight at snapshot time or lost to power cuts."),
+		func(_ TraceStats, rep *spans.Report) int64 { return int64(rep.Incomplete) }},
+	{counterDesc("blame_truncated_events", "Events the trace Seq numbering proves missing."),
+		func(_ TraceStats, rep *spans.Report) int64 { return int64(rep.TruncatedEvents) }},
 }
 
 // blameHistHelp supplies HELP text for the per-stage blame families.
@@ -379,19 +448,16 @@ var blameHistHelp = func() map[string]string {
 	return m
 }()
 
-// blameSnapshot flattens a span report plus ring health into the exposition
-// snapshot traceDescs describes: scalars in desc order, then one histogram
-// per (stage family, op kind), op kinds in first-observation order.
-func blameSnapshot(ring TraceStats, rep *spans.Report) timeseries.Snapshot {
-	agg := spans.Summarize(rep)
-	values := []float64{
-		float64(ring.Buffered),
-		float64(ring.Dropped),
-		float64(len(rep.Ops)),
-		float64(rep.Unclaimed),
-		float64(rep.Incomplete),
-		float64(rep.TruncatedEvents),
+// blameSection flattens a span report plus ring health into the trace
+// exposition section: the traceRows scalars, then one histogram per (stage
+// family, op kind), op kinds in first-observation order.
+func blameSection(ring TraceStats, rep *spans.Report) ([]timeseries.Desc, timeseries.Snapshot) {
+	descs := make([]timeseries.Desc, len(traceRows))
+	values := make([]float64, len(traceRows))
+	for i, r := range traceRows {
+		descs[i], values[i] = r.Desc, float64(r.value(ring, rep))
 	}
+	agg := spans.Summarize(rep)
 	var hists []timeseries.Hist
 	for _, name := range agg.E2E.Names() {
 		hists = append(hists, timeseries.Hist{
@@ -408,25 +474,7 @@ func blameSnapshot(ring TraceStats, rep *spans.Report) timeseries.Snapshot {
 			})
 		}
 	}
-	return timeseries.Snapshot{Values: values, Hists: hists}
-}
-
-// descs returns the DB's sampler/exporter column set: the base descriptors,
-// plus the fault columns when the injector is armed and the cache columns
-// when a read-cache tier is configured.
-func (db *DB) descs() []timeseries.Desc {
-	if !db.faults && !db.cached {
-		return seriesDescs
-	}
-	out := make([]timeseries.Desc, 0, len(seriesDescs)+len(faultDescs)+len(cacheDescs))
-	out = append(out, seriesDescs...)
-	if db.faults {
-		out = append(out, faultDescs...)
-	}
-	if db.cached {
-		out = append(out, cacheDescs...)
-	}
-	return out
+	return descs, timeseries.Snapshot{Values: values, Hists: hists}
 }
 
 // histHelp supplies Prometheus HELP text per histogram family.
@@ -445,76 +493,13 @@ func (db *DB) lockedSnapshot() timeseries.Snapshot {
 }
 
 // snapshot reads the stack's full metric state as a timeseries snapshot: the
-// flattened Stats tree, the Inspect-style gauges, and clones of every latency
-// histogram. Values are built in db.descs order. The caller holds db.mu (the
-// sampler calls it from inside an operation).
+// db.rows scalars (the flattened Stats tree and the Inspect-style gauges) and
+// clones of every latency histogram. The caller holds db.mu (the sampler calls
+// it from inside an operation).
 func (db *DB) snapshot() timeseries.Snapshot {
 	st := db.st
 	s := stackStats(st)
-	buf := st.Dev.Buffer()
-	now := st.Clock.Now()
-	values := []float64{
-		float64(s.Host.Puts),
-		float64(s.Host.Gets),
-		float64(s.Host.Deletes),
-		float64(s.Host.Commands),
-		float64(s.PCIe.Bytes),
-		float64(s.PCIe.TotalBytes),
-		float64(s.PCIe.DMABytes),
-		float64(s.PCIe.CommandBytes),
-		float64(s.PCIe.MMIOBytes),
-		float64(s.PCIe.CompletionBytes),
-		float64(s.Device.NANDPageWrites),
-		float64(s.Device.NANDPageReads),
-		float64(s.Device.BlockErases),
-		float64(s.Device.VLogFlushes),
-		float64(s.Device.ForcedFlushes),
-		float64(s.Device.BackfillJumps),
-		float64(s.Device.Memcpys),
-		float64(s.Device.MemcpyTime),
-		float64(s.Device.FlushWaitTime),
-		float64(s.Device.GCWrites),
-		float64(s.Device.Compactions),
-		float64(s.Adaptive.Inline),
-		float64(s.Adaptive.PRP),
-		float64(s.Adaptive.Hybrid),
-		float64(now),
-		s.Device.BufferUtil,
-		float64(buf.WP()),
-		float64(buf.Frontier()),
-		float64(buf.OpenPages()),
-		float64(st.Dev.VLog().FreeBytes()),
-		float64(st.Dev.Flash().MaxWear()),
-		st.Link.WireUtilization(now),
-	}
-	if db.faults {
-		values = append(values,
-			float64(s.Faults.NandProgramFaults),
-			float64(s.Faults.NandReadFaults),
-			float64(s.Faults.NandEraseFaults),
-			float64(s.Faults.TransferFaults),
-			float64(s.Faults.BadBlocks),
-			float64(s.Faults.FTLRetries),
-			float64(s.Faults.PowerCuts),
-			float64(s.Faults.Mounts),
-			float64(s.Faults.ReplayedRecords),
-			float64(s.Faults.Retries),
-			float64(s.Faults.RetriesExhausted),
-			float64(s.Faults.Recoveries),
-		)
-	}
-	if db.cached {
-		values = append(values,
-			float64(s.Cache.Hits),
-			float64(s.Cache.Misses),
-			float64(s.Cache.PageHits),
-			float64(s.Cache.PageMisses),
-			float64(s.Cache.Evictions),
-			float64(s.Cache.Invalidations),
-			float64(s.Cache.NegHits),
-			float64(s.Cache.NegLearned),
-		)
-	}
+	values := rowValues(db.rows, &s, st)
 	ds := st.Drv.Stats()
 	hists := []timeseries.Hist{
 		{Key: timeseries.HistKey{Name: "write_response_ns"}, H: ds.WriteResponse.Clone()},
@@ -560,68 +545,4 @@ func (s Stats) String() string {
 		s.Host.Puts, s.Host.Gets, s.Host.Commands, s.Host.WriteResp.Mean,
 		metrics.FormatBytes(s.PCIe.Bytes), metrics.FormatBytes(s.PCIe.MMIOBytes),
 		s.Device.NANDPageWrites, s.Device.MemcpyTime, s.Host.ThroughputKops)
-}
-
-// CalibrateThresholds performs the §3.2 exploratory runs: it probes PUT
-// response times across value sizes on throwaway DBs (NAND disabled, as the
-// paper's transfer benchmarks do) and derives Threshold1 (where piggybacking
-// stops beating PRP) and Threshold2 (the largest over-page tail for which
-// hybrid beats PRP). Alpha and Beta default to 1.
-func CalibrateThresholds(perSize int) (Thresholds, error) {
-	if perSize < 1 {
-		return Thresholds{}, fmt.Errorf("bandslim: perSize must be >= 1")
-	}
-	probe := func(m TransferMethod, size int) (sim.Duration, error) {
-		cfg := DefaultConfig()
-		cfg.Method = m
-		cfg.DisableNAND = true
-		db, err := Open(cfg)
-		if err != nil {
-			return 0, err
-		}
-		filler := make([]byte, size)
-		key := []byte{0, 0, 0, 0}
-		for i := 0; i < perSize; i++ {
-			key[0], key[1] = byte(i>>8), byte(i)
-			if err := db.Put(key, filler); err != nil {
-				return 0, err
-			}
-		}
-		return sim.Duration(db.st.Drv.Stats().WriteResponse.Mean()), nil
-	}
-	thr := driver.DefaultThresholds()
-	// Threshold1: largest probed size where piggybacking is no slower.
-	thr.Threshold1 = 35
-	for _, size := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
-		pig, err := probe(Piggyback, size)
-		if err != nil {
-			return thr, err
-		}
-		prp, err := probe(Baseline, size)
-		if err != nil {
-			return thr, err
-		}
-		if pig <= prp {
-			thr.Threshold1 = size
-		}
-	}
-	// Threshold2: largest over-page tail where hybrid is no slower.
-	thr.Threshold2 = 0
-	for _, tail := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4095} {
-		hyb, err := probe(Hybrid, pcie.MemoryPageSize+tail)
-		if err != nil {
-			return thr, err
-		}
-		prp, err := probe(Baseline, pcie.MemoryPageSize+tail)
-		if err != nil {
-			return thr, err
-		}
-		if hyb <= prp {
-			thr.Threshold2 = tail
-		}
-	}
-	if thr.Threshold2 == 0 {
-		thr.Threshold2 = driver.DefaultThresholds().Threshold2
-	}
-	return thr, nil
 }
