@@ -66,7 +66,7 @@ type DeviceStats struct {
 	FlushWaitTime  sim.Duration // cumulative request time blocked on NAND flushes
 	Memcpys        int64
 	BufferUtil     float64 // payload bytes / flushed NAND bytes in the vLog
-	GCWrites       int64
+	GCWrites       int64   // FTL block-GC page migrations (not vLog GC relocations)
 	Compactions    int64
 }
 
@@ -277,7 +277,7 @@ var baseRows = []row{
 		func(s *Stats) *int64 { return (*int64)(&s.Device.MemcpyTime) }, func(st *shard.Stack) int64 { return st.Dev.Engine().Stats().MemcpyTime.Value() }),
 	counter("device_flush_wait_time_ns", "Cumulative request time blocked on NAND flushes, simulated ns.",
 		func(s *Stats) *int64 { return (*int64)(&s.Device.FlushWaitTime) }, func(st *shard.Stack) int64 { return st.Dev.Buffer().Stats().FlushWaitTime.Value() }),
-	counter("vlog_gc_writes", "NAND page writes caused by vLog garbage collection.",
+	counter("ftl_gc_writes", "NAND page migrations performed by FTL garbage collection.",
 		func(s *Stats) *int64 { return &s.Device.GCWrites }, func(st *shard.Stack) int64 { return st.Dev.FTL().Stats().GCWrites.Value() }),
 	counter("lsm_compactions", "LSM-tree compactions run.",
 		func(s *Stats) *int64 { return &s.Device.Compactions }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().Compactions.Value() }),
