@@ -250,7 +250,7 @@ func writeExposition(w io.Writer, descs []timeseries.Desc, snap timeseries.Snaps
 // call it keep byte-identical exporter output.
 func WriteServerPrometheus(w io.Writer, s ServerStats) error {
 	snap := timeseries.Snapshot{Values: rowValues(serverRows, &Stats{Server: s}, nil)}
-	return timeseries.WritePrometheus(w, "bandslim", rowDescs(serverRows), snap, nil)
+	return timeseries.WritePrometheus(w, "bandslim", serverDescs, snap, nil)
 }
 
 // WriteSeriesCSV writes a metric series as one CSV table: a t_us time axis,

@@ -297,8 +297,8 @@ func (s *ShardedDB) Now() sim.Time {
 	return max
 }
 
-// Stats aggregates a point-in-time snapshot across every shard: every row's
-// field sums exactly, latency distributions merge exactly (see
+// Stats aggregates a point-in-time snapshot across every shard: counters and
+// byte ledgers sum exactly, latency distributions merge exactly (see
 // metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
 // BufferUtil is the flush-weighted mean. Shards are snapshotted one after
 // another, each under its own lock. It stays readable after Close.

@@ -414,6 +414,8 @@ var serverRows = []row{
 		func(s *Stats) *int64 { return &s.Server.BytesOut }, nil),
 }
 
+var serverDescs = rowDescs(serverRows)
+
 // traceRows declare the trace-ring health and latency-attribution scalars,
 // each with its reading off the ring health and a span report. They ride a
 // separate exposition section appended only when a ring-buffered Recorder is
