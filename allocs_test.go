@@ -254,6 +254,51 @@ func TestColdGetAllocs(t *testing.T) {
 	}
 }
 
+// TestColdGetGrowthAllocs: a cold Get of a value bigger than any read before
+// pays for the scratch buffers it outgrows — the device's read buffer and the
+// host's transfer buffer, one new size class each — and for nothing else: no
+// throwaway slice of the value's size on the way.
+func TestColdGetGrowthAllocs(t *testing.T) {
+	db, err := bandslim.Open(allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const nkeys, big = 20_000, 3000
+	var key []byte
+	for i := 0; i < nkeys; i++ {
+		key = fillKey(key, i)
+		if err := db.Put(key, make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bigKey := []byte("big")
+	if err := db.Put(bigKey, make([]byte, big)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, big)
+	for i := 0; i < 64; i++ { // every scratch grown to the small values
+		key = fillKey(key, i*7919%nkeys)
+		if _, err := db.GetInto(key, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := db.GetInto(bigKey, dst)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(v) != big {
+		t.Fatalf("GetInto: %d bytes, %v", len(v), err)
+	}
+	// 3072 is the size class a 3000-byte buffer lands in.
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 2 || b > 2*3072 {
+		t.Errorf("the first %d-byte cold Get costs %d allocations and %d B; two scratch buffers of one size class each are the budget", big, n, b)
+	}
+}
+
 func TestDeleteAllocsSteadyState(t *testing.T) {
 	db, err := bandslim.Open(allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, false, nil))
 	if err != nil {

@@ -301,6 +301,21 @@ func (f *FTL) Read(t sim.Time, lpn int) ([]byte, sim.Time, error) {
 	return f.flash.Read(t, f.addrOf(int(phys)))
 }
 
+// View returns the bytes a Read of the logical page would, found through the
+// map at call time and without the flash operation (see nand.Array.View):
+// nothing is counted, scheduled, traced or faulted. The view dies when a
+// Read's would.
+func (f *FTL) View(lpn int) ([]byte, error) {
+	if lpn < 0 || lpn >= len(f.l2p) {
+		return nil, fmt.Errorf("ftl: logical page %d out of range", lpn)
+	}
+	phys := f.l2p[lpn]
+	if phys == unmapped {
+		return f.flash.ZeroPage(), nil
+	}
+	return f.flash.View(f.addrOf(int(phys)))
+}
+
 // Trim drops the mapping of a logical page, freeing its physical page for GC.
 func (f *FTL) Trim(lpn int) error {
 	if lpn < 0 || lpn >= len(f.l2p) {

@@ -100,6 +100,35 @@ func TestOutOfRangeOps(t *testing.T) {
 	}
 }
 
+// View follows the map like Read — current mapping, zeros when unmapped, range
+// checked — without reading the flash.
+func TestViewFollowsTheMapUncharged(t *testing.T) {
+	f := newFTL(t)
+	f.Write(0, 3, []byte{1})
+	f.Write(0, 3, []byte{2})
+	reads := f.flash.Stats().PageReads.Value()
+	if got, err := f.View(3); err != nil || got[0] != 2 || len(got) != f.PageSize() {
+		t.Fatalf("View after an overwrite: %v, first byte %d", err, got[0])
+	}
+	if got, err := f.View(5); err != nil || &got[0] != &f.flash.ZeroPage()[0] {
+		t.Fatalf("View of an unmapped page: %v; want the zero page", err)
+	}
+	if err := f.Trim(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.View(3); err != nil || got[0] != 0 {
+		t.Fatalf("View of a trimmed page: %v, first byte %d", err, got[0])
+	}
+	for _, lpn := range []int{-1, f.LogicalPages()} {
+		if _, err := f.View(lpn); err == nil {
+			t.Fatalf("View of logical page %d accepted", lpn)
+		}
+	}
+	if n := f.flash.Stats().PageReads.Value() - reads; n != 0 {
+		t.Fatalf("View read the flash %d times", n)
+	}
+}
+
 func TestOverwriteRemapsOutOfPlace(t *testing.T) {
 	f := newFTL(t)
 	f.Write(0, 3, []byte{1})

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -16,22 +17,24 @@ import (
 
 const benchPageSize = 16 * 1024
 
-// benchKey is the i-th key of a fixed pseudo-random permutation of uint64.
-func benchKey(i int) []byte {
+// benchKey is the i-th key of a fixed pseudo-random permutation of uint64,
+// followed by as many bytes of a second hash of i as keyLen asks beyond eight.
+func benchKey(i, keyLen int) []byte {
 	x := uint64(i)*0x9E3779B97F4A7C15 ^ 0x6b65797370616365
 	x ^= x >> 32
 	x *= 0xD6E8FEB86659FD93
 	x ^= x >> 32
-	return binary.BigEndian.AppendUint64(nil, x)
+	k := binary.BigEndian.AppendUint64(nil, x)
+	return binary.BigEndian.AppendUint64(k, x*0x9E3779B97F4A7C15)[:keyLen]
 }
 
 // benchTables builds tables holding keys [from, to) in key order, cut every
 // tablePages pages (0: one table).
-func benchTables(b *testing.B, tr *Tree, from, to, tablePages int) []*SSTable {
+func benchTables(b *testing.B, tr *Tree, keyLen, from, to, tablePages int) []*SSTable {
 	b.Helper()
 	entries := make([]Entry, 0, to-from)
 	for i := from; i < to; i++ {
-		entries = append(entries, Entry{Key: benchKey(i), Addr: vlog.Addr(i), Size: 64})
+		entries = append(entries, Entry{Key: benchKey(i, keyLen), Addr: vlog.Addr(i), Size: 64})
 	}
 	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
 	return buildTables(b, tr, entries, tablePages)
@@ -57,10 +60,10 @@ func BenchmarkCompaction(b *testing.B) {
 	var inputs []*SSTable
 	next := 0
 	for i := 0; i < cfg.L0CompactionTrigger; i++ {
-		inputs = append(inputs, benchTables(b, tr, next, next+cfg.MemTableEntries, 0)...)
+		inputs = append(inputs, benchTables(b, tr, 8, next, next+cfg.MemTableEntries, 0)...)
 		next += cfg.MemTableEntries
 	}
-	l1 := benchTables(b, tr, next, next+32*1024, cfg.TablePages)
+	l1 := benchTables(b, tr, 8, next, next+32*1024, cfg.TablePages)
 	inputs = append(inputs, l1...)
 	entries := 0
 	for _, t := range inputs {
@@ -82,23 +85,61 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
 }
 
-// BenchmarkColdGet is a point lookup that misses the MemTable and walks a
-// three-deep tree (L0 + L1 + L2 candidates), one page search per level.
-func BenchmarkColdGet(b *testing.B) {
+// benchColdTree is a three-deep tree (L0 + L1 + L2) of n hashed keys of the
+// given length under an empty MemTable, and 1024 of its keys spread over all
+// three levels.
+func benchColdTree(b *testing.B, keyLen int) (*Tree, [][]byte) {
 	tr := benchTree(b)
 	const n = 96 * 1024
-	tr.levels[2] = benchTables(b, tr, 0, n/2, DefaultConfig().TablePages)
-	tr.levels[1] = benchTables(b, tr, n/2, n-4096, DefaultConfig().TablePages)
-	tr.levels[0] = benchTables(b, tr, n-4096, n, 0)
+	tr.levels[2] = benchTables(b, tr, keyLen, 0, n/2, DefaultConfig().TablePages)
+	tr.levels[1] = benchTables(b, tr, keyLen, n/2, n-4096, DefaultConfig().TablePages)
+	tr.levels[0] = benchTables(b, tr, keyLen, n-4096, n, 0)
 	keys := make([][]byte, 1024)
 	for i := range keys {
-		keys[i] = benchKey(i * (n / len(keys)))
+		keys[i] = benchKey(i*(n/len(keys)), keyLen)
 	}
+	return tr, keys
+}
+
+// BenchmarkColdGet is a point lookup that misses the MemTable and searches one
+// page per level of a three-deep tree, with the benchmark's 8-byte keys and
+// with keys of MaxKeySize.
+func BenchmarkColdGet(b *testing.B) {
+	for _, keyLen := range []int{8, MaxKeySize} {
+		b.Run(fmt.Sprintf("key%d", keyLen), func(b *testing.B) {
+			tr, keys := benchColdTree(b, keyLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, _, err := tr.Get(0, keys[i%len(keys)]); err != nil || !ok {
+					b.Fatalf("Get: found=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSeek is what a Seek pays to place one table source: the first page
+// that may hold the key, copied out of the store and entered at the key.
+func BenchmarkSeek(b *testing.B) {
+	tr, keys := benchColdTree(b, 8)
+	var tables []*SSTable // tables[i] is the L2 table covering keys[i]
+	for _, key := range keys {
+		if table := tr.findInLevel(2, key); table != nil {
+			keys[len(tables)] = key
+			tables = append(tables, table)
+		}
+	}
+	it := &Iterator{tree: tr}
+	src := &iterSource{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, _, err := tr.Get(0, keys[i%len(keys)]); err != nil || !ok {
-			b.Fatalf("Get: found=%v err=%v", ok, err)
+		key := keys[i%len(tables)]
+		*src = iterSource{table: tables[i%len(tables)], page: src.page}
+		src.seekTable(key)
+		if err := src.advance(it, 0); err != nil || !src.hasCur || bytes.Compare(src.head.Key, key) < 0 {
+			b.Fatalf("seek: head %x for %x, err %v", src.head.Key, key, err)
 		}
 	}
 }

@@ -41,6 +41,9 @@ type iterSource struct {
 	mem     *MemIterator
 	table   *SSTable
 	pageIdx int
+	// start is the Seek key until the source has loaded its first page, which
+	// it enters at the first entry >= start instead of at byte 0.
+	start []byte
 	// page is the source's own copy of the page under cur: the store's view
 	// does not outlive the next store call, and a scan interleaves sources.
 	page   []byte
@@ -75,17 +78,18 @@ func (tr *Tree) Seek(t sim.Time, start []byte) (*Iterator, error) {
 			return nil, err
 		}
 	}
-	it.step(t, start)
+	it.step(t)
 	return it, it.err
 }
 
-// seekTable positions a table source at the first page that may hold start.
+// seekTable positions a table source at the first page that may hold start;
+// advance finds start's place within it when it loads the page.
 func (s *iterSource) seekTable(start []byte) {
 	pi := s.table.pageForKey(start)
 	if pi < 0 {
 		pi = 0
 	}
-	s.pageIdx = pi
+	s.pageIdx, s.start = pi, start
 }
 
 // advance loads the source's next entry into head.
@@ -129,28 +133,25 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 		if end > it.end {
 			it.end = end
 		}
-		s.pageIdx++
 		s.page = append(s.page[:0], data...)
 		s.cur = pageCursor{data: s.page}
+		if s.start != nil {
+			err := s.cur.seek(s.start, s.table.pageRestarts(s.pageIdx))
+			s.start = nil
+			if err != nil {
+				return err
+			}
+		}
+		s.pageIdx++
 	}
 }
 
-// step advances the merged view to the first live key >= floor (exclusive of
-// keys < floor; inclusive of floor itself).
-func (it *Iterator) step(t sim.Time, floor []byte) {
+// step advances the merged view to the next live key. Every source stands at
+// or past the Seek key from its first entry on (the MemTable seeks its skip
+// list, a table enters its first page through the restart search), so there
+// is nothing to skip but older duplicates and tombstones.
+func (it *Iterator) step(t sim.Time) {
 	for {
-		// Drain every source past keys below the floor.
-		if floor != nil {
-			for _, s := range it.sources {
-				for s.hasCur && bytes.Compare(s.head.Key, floor) < 0 {
-					if err := s.advance(it, t); err != nil {
-						it.err = err
-						it.valid = false
-						return
-					}
-				}
-			}
-		}
 		best := -1
 		for i, s := range it.sources {
 			if !s.hasCur {
@@ -186,7 +187,6 @@ func (it *Iterator) step(t sim.Time, floor []byte) {
 			}
 		}
 		if e.Tombstone {
-			floor = nil // already consumed; look at next key
 			continue
 		}
 		it.current = e
@@ -214,5 +214,5 @@ func (it *Iterator) Next(t sim.Time) {
 	if !it.valid {
 		return
 	}
-	it.step(t, nil)
+	it.step(t)
 }

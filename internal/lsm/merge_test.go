@@ -27,7 +27,7 @@ func buildTables(tb testing.TB, tr *Tree, entries []Entry, tablePages int) []*SS
 	for _, e := range entries {
 		if b == nil {
 			tr.nextID++
-			b = newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
+			b = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
 		}
 		if err := b.add(0, e); err != nil {
 			tb.Fatal(err)
@@ -149,7 +149,7 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 		}
 		if builder == nil {
 			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
+			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
@@ -257,7 +257,9 @@ func TestMergeReadsEverythingFirst(t *testing.T) {
 
 // Same bytes: over random inputs — duplicates across runs, tombstones, bottom
 // and non-bottom, 1 to 12 inputs, overlapping and chained — the cursor merge
-// writes exactly the pages, tables and counters the materialising merge does.
+// writes exactly the pages, tables and counters the materialising merge does,
+// and the restart index in each output handle is what a walk of its pages
+// finds.
 func TestMergeMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -308,6 +310,7 @@ func TestMergeMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d: table %d page %d differs from the reference", seed, i, pg)
 				}
 			}
+			checkRestarts(t, trees[0].store.(*hostileStore).memStore, g)
 		}
 		if gs, ws := trees[0].stats, trees[1].stats; gs != ws {
 			t.Fatalf("seed %d: counters %+v, reference %+v", seed, gs, ws)
@@ -315,6 +318,135 @@ func TestMergeMatchesReference(t *testing.T) {
 		if trees[0].nextID != trees[1].nextID || trees[0].alloc.inUse() != trees[1].alloc.inUse() {
 			t.Fatalf("seed %d: ids/pages %d/%d, reference %d/%d", seed,
 				trees[0].nextID, trees[0].alloc.inUse(), trees[1].nextID, trees[1].alloc.inUse())
+		}
+	}
+	treeRestartsMatchPages(t)
+}
+
+// walkRestarts recomputes a page's restart offsets the slow way: a full walk
+// from byte 0, noting where every restartInterval-th entry starts.
+func walkRestarts(tb testing.TB, page []byte) []uint16 {
+	tb.Helper()
+	var restarts []uint16
+	c := pageCursor{data: page}
+	for i := 0; ; i++ {
+		from := c.off
+		var e Entry
+		ok, err := c.next(&e)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			return restarts
+		}
+		if i > 0 && i%restartInterval == 0 {
+			restarts = append(restarts, uint16(from))
+		}
+	}
+}
+
+// checkRestarts requires the handle's restart index to be exactly what a walk
+// of the table's pages on the store finds, in one exact-sized slice.
+func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
+	tb.Helper()
+	total := len(table.pages) + 1
+	for i, pg := range table.pages {
+		page, _, err := store.ReadPage(0, pg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want := walkRestarts(tb, page)
+		if got := table.pageRestarts(i); fmt.Sprint(got) != fmt.Sprint(want) {
+			tb.Fatalf("table %d page %d: restarts %v, a walk finds %v", table.id, i, got, want)
+		}
+		total += len(want)
+	}
+	if len(table.restarts) != total || cap(table.restarts) != total {
+		tb.Fatalf("table %d: restart index len %d cap %d, want exactly %d", table.id, len(table.restarts), cap(table.restarts), total)
+	}
+}
+
+// A table's restart index is one allocation however many restarts it holds:
+// the offsets are staged in the tree's scratch and copied once, exact-sized,
+// at finish. A one-page table costs eight allocations — the builder, the
+// handle, the page list, the first-key list and its one key, smallest, largest
+// and the index — whether the page has no restart or a dozen.
+func TestTableBuildAllocs(t *testing.T) {
+	store := newMemStore(16)
+	tr, err := NewTree(smallTreeConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []Entry
+	for i := 0; i < 200; i++ {
+		entries = append(entries, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8})
+	}
+	for _, n := range []int{restartInterval, len(entries)} {
+		var table *SSTable
+		allocs := testing.AllocsPerRun(20, func() {
+			table = buildTables(t, tr, entries[:n], 0)[0]
+			for _, pg := range table.pages {
+				tr.alloc.free(pg) // the next build reuses the page, and memStore its image
+			}
+		})
+		allocs-- // buildTables' own result slice
+		if len(table.pages) != 1 || len(table.pageRestarts(0)) != (n-1)/restartInterval {
+			t.Fatalf("%d entries: %d pages, restarts %v", n, len(table.pages), table.pageRestarts(0))
+		}
+		if allocs != 8 {
+			t.Errorf("building a one-page table of %d entries (%d restarts) costs %.0f allocations, want 8", n, len(table.pageRestarts(0)), allocs)
+		}
+	}
+}
+
+// treeRestartsMatchPages is the tree-level half of TestMergeMatchesReference:
+// the restart index of every table a tree builds — by flush, by compactL0, by
+// compactLevel — matches its pages, and still does after Restore rolls the
+// tree back to a catalog that shares those handles.
+func treeRestartsMatchPages(t *testing.T) {
+	store := newMemStore(8192)
+	store.pageSize = 512 // ~27 entries a page: restarts on every full page
+	cfg := smallTreeConfig()
+	cfg.MemTableEntries = 100
+	tr, err := NewTree(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		tables, restarts := 0, 0
+		for _, level := range tr.levels {
+			for _, table := range level {
+				checkRestarts(t, store, table)
+				tables++
+				restarts += len(table.restarts) - len(table.pages) - 1
+			}
+		}
+		if tables == 0 || restarts == 0 {
+			t.Fatalf("%s: %d tables with %d restarts: nothing checked", when, tables, restarts)
+		}
+	}
+	const n = 4000
+	for i := 0; i < n; i++ {
+		if _, err := tr.Put(0, key(i*7%n), vlog.Addr(i), 8); err != nil {
+			t.Fatal(err)
+		}
+		if i == 150 {
+			check("after the first flush") // one L0 table, nothing merged yet
+		}
+	}
+	if lt := tr.LevelTables(); lt[1] == 0 || lt[2] == 0 {
+		t.Fatalf("levels %v: compactL0 and compactLevel did not both run", lt)
+	}
+	check("after compactions")
+	for i := 0; i < 50; i++ { // uncommitted tail, lost by the rollback
+		tr.Put(0, key(n+i), 1, 8)
+	}
+	tr.Restore()
+	check("after Restore")
+	for i := 0; i < n; i++ {
+		if e, ok, _, err := tr.Get(0, key(i)); err != nil || !ok || e.Tombstone {
+			t.Fatalf("after Restore: key %d found=%v err=%v", i, ok, err)
 		}
 	}
 }
@@ -412,32 +544,54 @@ func TestIteratorInvalidatedByReclaim(t *testing.T) {
 	}
 }
 
-// A page that is not what it should be — a stale view of a released flash
-// page, or a page with one bad entry — fails the walk; a lookup fails too
-// unless it found its key before reaching the damage.
+// A page that is not what it should be. A lookup is a restart search and a
+// short walk, so it fails exactly when that path touches a damaged entry; a
+// released flash page (every byte the 0xDB poison) fails every lookup whatever
+// the key, because every probe and every walk start lands on a key length of
+// 219. A full cursor walk, a merge and a scan still stop at the damaged entry.
 func TestCursorRejectsCorruptPages(t *testing.T) {
 	store := newMemStore(16)
 	tr, err := NewTree(smallTreeConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const n, bad = 100, 40 // restarts at entries 16, 32, ... 96; entry 40 is off all of them
 	var entries []Entry
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		entries = append(entries, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8})
 	}
 	table := buildTables(t, tr, entries, 0)[0]
-	page, _, _ := store.ReadPage(0, table.pages[0])
-	page = append([]byte(nil), page...)
-	page[3*encodedLen(entries[0])] = 0xDB // entry 3's key length
-
-	if e, ok, err := searchPage(page, key(2)); err != nil || !ok || e.Addr != 2 {
-		t.Fatalf("key before the damage: %+v found=%v err=%v", e, ok, err)
+	if len(table.pages) != 1 || len(table.pageRestarts(0)) != (n-1)/restartInterval {
+		t.Fatalf("%d pages, restarts %v: the test wants one page of %d entries", len(table.pages), table.pageRestarts(0), n)
 	}
-	for _, k := range [][]byte{key(3), key(7), []byte("zzz")} {
-		if _, ok, err := searchPage(page, k); err == nil || ok {
-			t.Fatalf("lookup of %q past the damage: found=%v err=%v", k, ok, err)
+	restarts := table.pageRestarts(0)
+	page, _, _ := store.ReadPage(0, table.pages[0]) // the store's own image
+	page[bad*encodedLen(entries[0])] = 0xDB         // entry 40's key length
+
+	// Searches that never come near entry 40 answer; the ones that walk
+	// 32..47 into it fail. A miss fails the same way as a hit.
+	for i, wantErr := range map[int]bool{2: false, 16: false, 35: false, 39: false, 40: true, 45: true, 48: false, 70: false, 99: false} {
+		e, ok, err := searchPage(page, key(i), restarts)
+		if wantErr && (err == nil || ok) {
+			t.Fatalf("key %d, searched through the damage: found=%v err=%v", i, ok, err)
+		}
+		if !wantErr && (err != nil || !ok || e.Addr != vlog.Addr(i)) {
+			t.Fatalf("key %d, searched clear of the damage: %+v found=%v err=%v", i, e, ok, err)
 		}
 	}
+	if _, ok, err := searchPage(page, append(key(44), '!'), restarts); err == nil || ok {
+		t.Fatalf("absent key searched through the damage: found=%v err=%v", ok, err)
+	}
+	if _, ok, err := searchPage(page, []byte("zzz"), restarts); err != nil || ok {
+		t.Fatalf("absent key past every entry: found=%v err=%v", ok, err)
+	}
+	// A damaged restart entry fails the searches that probe it.
+	probed := append([]byte(nil), page...)
+	probed[restarts[3]] = 0xDB // entry 64: the first probe of six
+	if _, ok, err := searchPage(probed, key(2), restarts); err == nil || ok {
+		t.Fatalf("search probing a damaged restart: found=%v err=%v", ok, err)
+	}
+
 	c := pageCursor{data: page}
 	var e Entry
 	walked := 0
@@ -451,12 +605,38 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 		}
 		walked++
 	}
-	if walked != 3 {
-		t.Fatalf("walk yielded %d entries before the damage, want 3", walked)
+	if walked != bad {
+		t.Fatalf("walk yielded %d entries before the damage, want %d", walked, bad)
+	}
+	if _, _, err := tr.merge(0, []*SSTable{table}, false); err == nil {
+		t.Fatal("merge over a damaged page succeeded")
+	}
+	tr.levels[0] = []*SSTable{table}
+	it, err := tr.Seek(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for ; it.Valid(); it.Next(0) {
+		scanned++
+	}
+	// The scan holds one entry of look-ahead, so it stops one short.
+	if it.Err() == nil || scanned != bad-1 {
+		t.Fatalf("scan yielded %d entries, err %v; want %d and an error", scanned, it.Err(), bad-1)
+	}
+	if _, err := tr.Seek(0, key(45)); err == nil {
+		t.Fatal("Seek through the damage succeeded")
+	}
+	if it, err := tr.Seek(0, key(70)); err != nil || !it.Valid() || !bytes.Equal(it.Entry().Key, key(70)) {
+		t.Fatalf("Seek clear of the damage: err %v", err)
 	}
 
 	stale := bytes.Repeat([]byte{0xDB}, store.PageSize())
-	if _, ok, err := searchPage(stale, key(0)); err == nil || ok {
-		t.Fatalf("lookup in a released page: found=%v err=%v", ok, err)
+	for _, r := range [][]uint16{restarts, nil, {19}} {
+		for _, k := range [][]byte{key(0), key(50), key(99), {0}, []byte("zzz"), bytes.Repeat([]byte{0xFF}, MaxKeySize)} {
+			if _, ok, err := searchPage(stale, k, r); err == nil || ok {
+				t.Fatalf("lookup of %q in a released page (restarts %v): found=%v err=%v", k, r, ok, err)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"bandslim/internal/ftl"
 	"bandslim/internal/sim"
@@ -134,16 +135,36 @@ func parseEntry(src []byte) (kl int, addr vlog.Addr, size uint32, tomb bool, n i
 
 var errEndOfPage = fmt.Errorf("lsm: end of page")
 
+// restartInterval is how many entries apart a page's restart points lie:
+// the handle remembers where every restartInterval-th entry of each page
+// starts, so a lookup binary-searches those and then walks at most
+// restartInterval entries instead of half the page.
+const restartInterval = 16
+
 // SSTable is one immutable sorted run. Pages hold the encoded entries; the
-// in-memory handle keeps the page list and a sparse index (first key per
-// page), as in-device LSM-trees keep their level lists in DRAM.
+// in-memory handle keeps the page list and a sparse index, as in-device
+// LSM-trees keep their level lists in DRAM. The index is two-level: the first
+// key of each page picks the page, the restart offsets pick the stretch of it
+// to walk. Its modelled DRAM is the first key plus 2 B per restartInterval
+// entries per page — about 108 B for a full 16 KiB page of 8-byte keys — which
+// any device-DRAM budget (caches, filters) has to count beside its own.
 type SSTable struct {
 	id       uint64
 	pages    []int    // region-relative page numbers, in key order
 	firstKey [][]byte // first key of each page
+	// restarts holds, for every page, the byte offsets of its entries number
+	// restartInterval, 2*restartInterval, ... (entry 0 sits at offset 0 and is
+	// not recorded). One allocation: restarts[:len(pages)+1] are the bounds,
+	// page i's offsets being restarts[restarts[i]:restarts[i+1]].
+	restarts []uint16
 	smallest []byte
 	largest  []byte
 	entries  int
+}
+
+// pageRestarts returns the restart offsets of the table's i-th page.
+func (t *SSTable) pageRestarts(i int) []uint16 {
+	return t.restarts[t.restarts[i]:t.restarts[i+1]]
 }
 
 // ID reports the table's unique id.
@@ -212,41 +233,97 @@ func (c *pageCursor) next(e *Entry) (ok bool, err error) {
 	return true, nil
 }
 
-// searchPage looks key up in a page image. Entries are key-ordered, so the
-// walk stops at the first key >= the target; an entry that fails to parse
-// before that point fails the lookup.
-func searchPage(data, key []byte) (Entry, bool, error) {
-	c := pageCursor{data: data}
-	var e Entry
-	for {
-		if ok, err := c.next(&e); !ok {
-			return Entry{}, false, err
+// seek moves the cursor to the first entry whose key is >= key, so that next
+// yields it, or to the end of the page when there is none. restarts are the
+// page's restart offsets (SSTable.pageRestarts): a binary search over the
+// entries they name finds the last one not above key, and the walk from there
+// covers at most restartInterval entries. Every entry the search compares
+// against has passed parseEntry, and an entry on that path that does not
+// parse fails the seek; entries off the path are not looked at.
+func (c *pageCursor) seek(key []byte, restarts []uint16) error {
+	c.off = 0
+	lo, hi := 0, len(restarts) // restarts[:lo] name keys <= key, restarts[hi:] keys > key
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		off := int(restarts[mid])
+		if off >= len(c.data) {
+			return fmt.Errorf("lsm: restart offset %d beyond the page (%d bytes)", off, len(c.data))
 		}
-		switch cmp := bytes.Compare(e.Key, key); {
-		case cmp == 0:
-			e.Key = key // the caller's key, not the view into the page
-			return e, true, nil
-		case cmp > 0:
-			return Entry{}, false, nil
+		k, _, err := c.keyAt(off)
+		if err != nil {
+			return fmt.Errorf("lsm: restart offset %d: %w", off, err)
+		}
+		if bytes.Compare(k, key) <= 0 {
+			lo, c.off = mid+1, off
+		} else {
+			hi = mid
 		}
 	}
+	for c.off < len(c.data) {
+		k, n, err := c.keyAt(c.off)
+		if err != nil {
+			if err == errEndOfPage {
+				err = nil
+			}
+			return err
+		}
+		if bytes.Compare(k, key) >= 0 {
+			return nil
+		}
+		c.off += n
+	}
+	return nil
 }
 
-// tableBuilder streams sorted entries into pages through a PageStore. page is
-// the caller's PageSize staging buffer; only page[:used] is ever meaningful,
-// so one buffer serves every table the tree builds.
+// keyAt validates the entry at off and returns its key, a view into the page,
+// and its encoded length.
+func (c *pageCursor) keyAt(off int) (key []byte, n int, err error) {
+	kl, _, _, _, n, err := parseEntry(c.data[off:])
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.data[off+1 : off+1+kl], n, nil
+}
+
+// searchPage looks key up in a page image whose restart offsets are restarts.
+func searchPage(data, key []byte, restarts []uint16) (Entry, bool, error) {
+	c := pageCursor{data: data}
+	if err := c.seek(key, restarts); err != nil {
+		return Entry{}, false, err
+	}
+	var e Entry
+	if ok, err := c.next(&e); !ok || !bytes.Equal(e.Key, key) {
+		return Entry{}, false, err
+	}
+	e.Key = key // the caller's key, not the view into the page
+	return e, true, nil
+}
+
+// tableScratch is what a tableBuilder stages a table in before the store and
+// the handle get it, owned by the tree so that one serves every table it
+// builds: page is the PageSize image being filled, of which only page[:used]
+// is ever meaningful; restarts collects the restart offsets of the table so
+// far, each page's run closed by a 0 (no restart sits at offset 0).
+type tableScratch struct {
+	page     []byte
+	restarts []uint16
+}
+
+// tableBuilder streams sorted entries into pages through a PageStore.
 type tableBuilder struct {
-	store PageStore
-	alloc *pageAllocator
-	table *SSTable
-	page  []byte
-	used  int
-	last  []byte // the newest key added: the caller's slice, good until finish
-	end   sim.Time
+	store   PageStore
+	alloc   *pageAllocator
+	table   *SSTable
+	scratch *tableScratch
+	used    int    // bytes of scratch.page filled
+	inPage  int    // entries in scratch.page
+	last    []byte // the newest key added: the caller's slice, good until finish
+	end     sim.Time
 }
 
-func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64, page []byte) *tableBuilder {
-	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{id: id}, page: page}
+func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64, scratch *tableScratch) *tableBuilder {
+	scratch.restarts = scratch.restarts[:0]
+	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{id: id}, scratch: scratch}
 }
 
 // add appends one entry (entries must arrive in strictly increasing key
@@ -254,15 +331,18 @@ func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64, page []by
 // both).
 func (b *tableBuilder) add(t sim.Time, e Entry) error {
 	need := encodedLen(e)
-	if b.used+need > len(b.page) {
+	if b.used+need > len(b.scratch.page) {
 		if err := b.flushPage(t); err != nil {
 			return err
 		}
 	}
 	if b.used == 0 {
 		b.table.firstKey = append(b.table.firstKey, append([]byte(nil), e.Key...))
+	} else if b.inPage%restartInterval == 0 {
+		b.scratch.restarts = append(b.scratch.restarts, uint16(b.used))
 	}
-	b.used += encodeEntry(b.page[b.used:], e)
+	b.used += encodeEntry(b.scratch.page[b.used:], e)
+	b.inPage++
 	if b.table.smallest == nil {
 		b.table.smallest = append([]byte(nil), e.Key...)
 	}
@@ -279,7 +359,7 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 	if err != nil {
 		return err
 	}
-	end, err := b.store.WritePage(t, page, b.page[:b.used])
+	end, err := b.store.WritePage(t, page, b.scratch.page[:b.used])
 	if err != nil {
 		b.alloc.free(page)
 		return err
@@ -288,7 +368,8 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 		b.end = end
 	}
 	b.table.pages = append(b.table.pages, page)
-	b.used = 0
+	b.scratch.restarts = append(b.scratch.restarts, 0)
+	b.used, b.inPage = 0, 0
 	return nil
 }
 
@@ -300,6 +381,25 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if b.table.entries == 0 {
 		return nil, b.end, nil
 	}
+	// The staged list holds one terminator per page, the handle's one bound
+	// per page and one more.
+	staged := b.scratch.restarts
+	if len(staged)+1 > math.MaxUint16 {
+		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, len(b.table.pages))
+	}
+	restarts := make([]uint16, len(staged)+1)
+	page, next := 0, len(b.table.pages)+1
+	restarts[0] = uint16(next)
+	for _, off := range staged {
+		if off == 0 {
+			page++
+			restarts[page] = uint16(next)
+			continue
+		}
+		restarts[next] = off
+		next++
+	}
+	b.table.restarts = restarts
 	b.table.largest = append([]byte(nil), b.last...)
 	return b.table, b.end, nil
 }

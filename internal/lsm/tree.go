@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"bandslim/internal/metrics"
@@ -70,11 +71,11 @@ type Tree struct {
 	levels [][]*SSTable // levels[0]: newest first; deeper: sorted by smallest
 	nextID uint64
 	stats  Stats
-	// buildPage is the staging page every tableBuilder fills; slab holds the
+	// build is the staging area every tableBuilder fills; slab holds the
 	// input page images of the merge in progress (grown to the largest merge
 	// seen, never past it).
-	buildPage []byte
-	slab      []byte
+	build tableScratch
+	slab  []byte
 	// reclaims counts the commits that freed pages. An open Iterator holds
 	// page numbers of the tables it was built over; once any page has been
 	// freed those numbers may name recycled pages, so an iterator older than
@@ -152,6 +153,9 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if store.PageSize() > math.MaxUint16+1 {
+		return nil, fmt.Errorf("lsm: page size %d beyond the %d a restart offset can address", store.PageSize(), math.MaxUint16+1)
+	}
 	tr := &Tree{
 		cfg:    cfg,
 		store:  store,
@@ -159,7 +163,7 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		mem:    NewMemTable(),
 		levels: make([][]*SSTable, cfg.MaxLevels),
 
-		buildPage: make([]byte, store.PageSize()),
+		build: tableScratch{page: make([]byte, store.PageSize())},
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -213,7 +217,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 		return t, nil
 	}
 	tr.nextID++
-	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
+	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
 	it := tr.mem.Iterator()
 	for it.Next() {
 		if err := b.add(t, it.Entry()); err != nil {
@@ -298,7 +302,7 @@ func (tr *Tree) findInLevel(lvl int, key []byte) *SSTable {
 }
 
 // searchTable reads the one candidate page and searches it, in place, for the
-// key.
+// key: a binary search over the page's restart points, then a short walk.
 func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool, sim.Time, error) {
 	pi := table.pageForKey(key)
 	if pi < 0 {
@@ -309,7 +313,7 @@ func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool
 		return Entry{}, false, t, err
 	}
 	tr.stats.PageReadsServed.Inc()
-	e, ok, err := searchPage(data, key)
+	e, ok, err := searchPage(data, key, table.pageRestarts(pi))
 	if err != nil {
 		return Entry{}, false, t, err
 	}
@@ -531,7 +535,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		}
 		if builder == nil {
 			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, tr.buildPage)
+			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err

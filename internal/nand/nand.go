@@ -321,12 +321,9 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 // across any call that can discard or erase, copies them. Reading a
 // discarded page is ErrDiscarded: its contents no longer exist.
 func (a *Array) Read(t sim.Time, p PageAddr) ([]byte, sim.Time, error) {
-	idx, err := a.pageIndex(p)
+	data, err := a.View(p)
 	if err != nil {
 		return nil, t, err
-	}
-	if a.state[idx] == pageDiscarded {
-		return nil, t, fmt.Errorf("%w: %v", ErrDiscarded, p)
 	}
 	if eff, ok := a.inj.Check(fault.SiteNandRead, t); ok {
 		a.stats.PageReads.Inc() // the attempt still occupies the op slot
@@ -340,10 +337,26 @@ func (a *Array) Read(t sim.Time, p PageAddr) ([]byte, sim.Time, error) {
 	if a.tr != nil {
 		a.tr.Emit(trace.Event{Cat: trace.CatNAND, Name: trace.EvRead, Start: start, End: end, Bytes: int64(a.geo.PageSize), Arg: int64(way)})
 	}
-	if a.state[idx] == pageErased {
-		return a.zero, end, nil
+	return data, end, nil
+}
+
+// View returns the bytes a Read of the page would, without performing the
+// flash operation: no counter ticks, the way is not occupied, no trace event
+// is emitted and no fault is injected. It is how device DRAM that already
+// holds a page's contents is modelled without a host copy of them. The view
+// lives exactly as long as a Read's.
+func (a *Array) View(p PageAddr) ([]byte, error) {
+	idx, err := a.pageIndex(p)
+	if err != nil {
+		return nil, err
 	}
-	return a.data[idx], end, nil
+	switch a.state[idx] {
+	case pageDiscarded:
+		return nil, fmt.Errorf("%w: %v", ErrDiscarded, p)
+	case pageErased:
+		return a.zero, nil
+	}
+	return a.data[idx], nil
 }
 
 // ZeroPage returns the read-only image of an erased page — what Read returns

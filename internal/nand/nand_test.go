@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bandslim/internal/fault"
 	"bandslim/internal/sim"
+	"bandslim/internal/trace"
 )
 
 func testArray(t *testing.T) *Array {
@@ -285,6 +287,48 @@ func TestReadReturnsView(t *testing.T) {
 	}
 	if !bytes.Equal(z1, make([]byte, len(z1))) {
 		t.Fatal("zero page is not zero")
+	}
+}
+
+// View answers what Read answers — the same view of a programmed page, the
+// zero page, ErrDiscarded, a bad address — but is not a flash operation: with
+// every read set to fault and a tracer attached, it counts nothing, occupies
+// no way, emits nothing and is not a fault site.
+func TestViewIsAReadWithoutTheOperation(t *testing.T) {
+	a := testArray(t)
+	p := PageAddr{Way: 1, Block: 2, Page: 3}
+	if _, err := a.Program(0, p, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	read, _, err := a.Read(0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(16)
+	a.SetTracer(rec)
+	inj := fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: fault.SiteNandRead, Effect: fault.EffectMedia, Every: 1}}}, 0)
+	a.SetInjector(inj)
+	before, busy := *a.Stats(), a.WayFreeAt(0, 1)
+
+	view, err := a.View(p)
+	if err != nil || len(view) != a.Geometry().PageSize || &view[0] != &read[0] {
+		t.Fatalf("View of a programmed page: %d bytes, err %v; want Read's view", len(view), err)
+	}
+	if zero, err := a.View(PageAddr{Page: 7}); err != nil || &zero[0] != &a.ZeroPage()[0] {
+		t.Fatalf("View of an erased page: err %v; want the zero page", err)
+	}
+	if _, err := a.View(PageAddr{Channel: 9}); !errors.Is(err, ErrBadAddr) {
+		t.Fatalf("View of a bad address: %v", err)
+	}
+	if err := a.Discard(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.View(p); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("View of a discarded page: %v, want ErrDiscarded", err)
+	}
+	if *a.Stats() != before || a.WayFreeAt(0, 1) != busy || rec.Len() != 0 || inj.Fired() != 0 {
+		t.Fatalf("View left a trace: stats %+v (were %+v), way free at %v (was %v), %d events, %d faults",
+			*a.Stats(), before, a.WayFreeAt(0, 1), busy, rec.Len(), inj.Fired())
 	}
 }
 

@@ -47,10 +47,12 @@ type VLog struct {
 	// page in DRAM, so sequential scans over a densely packed log
 	// amortize one NAND read across every value on the page. Virtual page
 	// numbers are unique forever (the log is circular but offsets are
-	// monotonic), so the cache can never serve stale data. cacheData is the
-	// vLog's own copy: the FTL's read view dies when GC migrates the page.
+	// monotonic) and a flushed page is never rewritten, so the cache can never
+	// serve stale data. The host keeps only the page number: a hit looks the
+	// bytes up through the FTL map (ftl.FTL.View, uncharged), which follows a
+	// GC migration by construction, so the 16 KiB of modelled DRAM cost no
+	// host copy.
 	cachePage int64
-	cacheData []byte
 	stats     Stats
 }
 
@@ -195,11 +197,13 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 			addr, int64(addr)+int64(n), v.tail, v.buf.Frontier())
 	}
 	start := len(dst)
-	if cap(dst)-start >= n {
-		dst = dst[:start+n]
-	} else {
-		dst = append(dst, make([]byte, n)...)
+	if cap(dst)-start < n {
+		// One exact-sized allocation. append(dst, make([]byte, n)...) — which
+		// is also what slices.Grow does inside — costs a throwaway n-byte slice
+		// as well wherever the compiler does not elide it (-race builds).
+		dst = append(make([]byte, 0, start+n), dst...)
 	}
+	dst = dst[:start+n]
 	out := dst[start:]
 	off := 0
 	end := t
@@ -214,7 +218,11 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 		if page, ok := v.buf.OpenPage(pageNo); ok {
 			copy(out[off:off+take], page[inPage:])
 		} else if pageNo == v.cachePage {
-			copy(out[off:off+take], v.cacheData[inPage:])
+			data, err := v.ftl.View(v.lpnOf(pageNo))
+			if err != nil {
+				return nil, t, fmt.Errorf("vlog: cached page %d: %w", pageNo, err)
+			}
+			copy(out[off:off+take], data[inPage:])
 			v.stats.CacheHits.Inc()
 		} else {
 			data, e, err := v.ftl.Read(t, v.lpnOf(pageNo))
@@ -222,7 +230,7 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 				return nil, t, fmt.Errorf("vlog: page %d: %w", pageNo, err)
 			}
 			copy(out[off:off+take], data[inPage:])
-			v.cachePage, v.cacheData = pageNo, append(v.cacheData[:0], data...)
+			v.cachePage = pageNo
 			v.stats.ReadPages.Inc()
 			if e > end {
 				end = e

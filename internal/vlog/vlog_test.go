@@ -13,7 +13,9 @@ import (
 	"bandslim/internal/sim"
 )
 
-func newVLog(t *testing.T, policy pagebuf.Policy) *VLog {
+// buildVLog stacks a vLog of `pages` pages (0: half the FTL) on a small flash
+// array, which it also returns for tests that watch the NAND counters.
+func buildVLog(t *testing.T, bufCfg pagebuf.Config, pages int) (*VLog, *nand.Array) {
 	t.Helper()
 	geo := nand.Geometry{Channels: 2, WaysPerChannel: 2, BlocksPerWay: 16, PagesPerBlock: 16, PageSize: 16 * 1024}
 	fl, err := nand.New(geo, nand.DefaultLatency(), sim.NewClock())
@@ -24,11 +26,20 @@ func newVLog(t *testing.T, policy pagebuf.Policy) *VLog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pages == 0 {
+		pages = f.LogicalPages() / 2
+	}
 	eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
-	v, err := Build(f, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 8, Policy: policy}, eng, 0, f.LogicalPages()/2)
+	v, err := Build(f, bufCfg, eng, 0, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return v, fl
+}
+
+func newVLog(t *testing.T, policy pagebuf.Policy) *VLog {
+	t.Helper()
+	v, _ := buildVLog(t, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 8, Policy: policy}, 0)
 	return v
 }
 
@@ -36,20 +47,7 @@ func newVLog(t *testing.T, policy pagebuf.Policy) *VLog {
 // circular-log tests.
 func smallRegionVLog(t *testing.T, pages int) *VLog {
 	t.Helper()
-	geo := nand.Geometry{Channels: 2, WaysPerChannel: 2, BlocksPerWay: 16, PagesPerBlock: 16, PageSize: 16 * 1024}
-	fl, err := nand.New(geo, nand.DefaultLatency(), sim.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ftl.New(fl, ftl.Config{OverprovisionPct: 10, GCFreeBlockLow: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
-	v, err := Build(f, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 4, Policy: pagebuf.PolicyAll}, eng, 0, pages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, _ := buildVLog(t, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 4, Policy: pagebuf.PolicyAll}, pages)
 	return v
 }
 
@@ -116,12 +114,13 @@ func TestAppendReadAfterFlush(t *testing.T) {
 	}
 }
 
-// The last-page cache is the vLog's own copy of the page. The FTL only lends
-// its bytes: when GC migrates the page (here: the physical page is simply
-// dropped) the lent view turns to poison, and a cache holding it would serve
-// that.
+// The last-page cache remembers a page number, not the page: the FTL only
+// lends its bytes, and when GC migrates the cached page the lent view turns to
+// poison. A hit finds the page through the map again, so it serves the right
+// bytes from wherever GC put them — as a hit: CacheHits ticks and the flash is
+// not read.
 func TestLastPageCacheOutlivesTheFlashView(t *testing.T) {
-	v := newVLog(t, pagebuf.PolicyAll)
+	v, flash := buildVLog(t, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 4, Policy: pagebuf.PolicyAll}, 8)
 	val := bytes.Repeat([]byte{0x17}, 300)
 	addr, _, err := v.AppendDMA(0, val)
 	if err != nil {
@@ -133,15 +132,58 @@ func TestLastPageCacheOutlivesTheFlashView(t *testing.T) {
 	if _, _, err := v.Read(0, addr, len(val)); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.ftl.Trim(v.lpnOf(int64(addr) / int64(v.pageSize))); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := v.Read(0, addr, len(val))
+	lpn := v.lpnOf(int64(addr) / int64(v.pageSize))
+	lent, err := v.ftl.View(lpn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Stats().CacheHits.Value() != 1 {
-		t.Fatalf("second read: %d cache hits, want 1", v.Stats().CacheHits.Value())
+
+	// Make GC want the cached page's block: the pages written right after it
+	// share its blocks and then die, while everything else on the device stays
+	// live, so when a way runs short of free blocks the victim is the block
+	// whose one live page is the cached one.
+	write := func(lpn int) {
+		t.Helper()
+		if _, err := v.ftl.Write(0, lpn, []byte{byte(lpn)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doomed := v.maxPages // first logical page past the vLog's region
+	next := doomed
+	for ; next < doomed+63+700; next++ { // 63 to die, then 700 to stay
+		write(next)
+	}
+	for lpn := doomed; lpn < doomed+63; lpn++ {
+		write(lpn)
+	}
+	moved := func() bool {
+		now, err := v.ftl.View(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &now[0] != &lent[0]
+	}
+	for ; !moved(); next++ {
+		if next == v.ftl.LogicalPages() {
+			t.Fatal("device full and GC never migrated the cached page")
+		}
+		write(next)
+	}
+	if v.ftl.Stats().GCWrites.Value() == 0 || lent[0] != 0xDB {
+		t.Fatalf("cached page moved without a GC migration releasing its old payload (GC writes %d, old view starts %#x)",
+			v.ftl.Stats().GCWrites.Value(), lent[0])
+	}
+
+	flashReads := flash.Stats().PageReads.Value()
+	got, end, err := v.Read(7, addr, len(val))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, pages := v.Stats().CacheHits.Value(), v.Stats().ReadPages.Value(); hits != 1 || pages != 1 {
+		t.Fatalf("read after the migration: %d cache hits, %d pages read; want 1 and 1", hits, pages)
+	}
+	if n := flash.Stats().PageReads.Value() - flashReads; n != 0 || end != 7 {
+		t.Fatalf("a last-page hit read the flash %d times and ended at %v, want 0 and 7", n, end)
 	}
 	if !bytes.Equal(got, val) {
 		t.Fatalf("cached page changed under the vLog: value starts %x", got[:4])
