@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench-smoke smoke golden server-smoke modelcheck fuzz-smoke determinism artifacts artifacts-check benchmark-check ci
+.PHONY: all build test race vet fmt bench-smoke smoke golden server-smoke modelcheck fuzz-smoke determinism artifacts artifacts-check compaction benchmark-check ci
 
 all: build
 
@@ -114,6 +114,13 @@ artifacts-check:
 	$(call artifacts,.artifacts)
 	for f in .artifacts/*; do diff -u results/$${f##*/} $$f || exit 1; done
 	rm -rf .artifacts
+
+# The index write path as a design space (ROADMAP item 1(b)): key order x L0
+# trigger x L1 tables x table pages at the paper's 1 M Puts per cell, each row
+# beside the closed-form band of internal/lsm/oracle.go. ~2 min and ~0.5 GB;
+# run by hand after a change to compaction, not part of artifacts-check or ci.
+compaction:
+	$(GO) run ./cmd/bandslim-bench -experiment compaction -scale 1000000 -seed 42 -csv results > /dev/null
 
 # The benchmark/ harness is its own module (tier-1 never builds it) yet
 # compiles against this module's packages: vet and test it against the tree.

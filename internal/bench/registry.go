@@ -55,6 +55,7 @@ var registry = []experiment{
 	{"cache", "", sweep(RunCacheSweep)},
 	{"ycsb", "", sweep(RunYCSB)},
 	{"thresholds", "", many(RunThresholds)},
+	{"compaction", "", one(RunCompaction)},
 	{id: "all"},
 	{id: "ablations"},
 }

@@ -15,8 +15,9 @@ import (
 type Options struct {
 	// Scale is the number of operations per data point. The paper uses
 	// 1 M (10 M for Fig. 11); the default keeps full-suite runtimes and
-	// memory sane — traffic and NAND counts scale linearly, and simulated
-	// response times are scale-invariant, so shapes are unaffected.
+	// memory sane — traffic scales linearly and simulated response times are
+	// scale-invariant, so shapes are unaffected; NAND counts scale linearly
+	// only while the index is shallow (EXPERIMENTS.md, "Scale").
 	Scale int
 	// Seed feeds the workload generators.
 	Seed uint64

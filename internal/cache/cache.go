@@ -215,17 +215,18 @@ func (c *Values) dropSlot(s int) {
 	c.free = append(c.free, s)
 }
 
-// Pages is the page-granular device tier: SSTable page images keyed by page
-// number, bounded by resident page count. Page numbers are recycled by the
-// LSM after commits, so callers must invalidate on every write and trim.
+// Pages is the page-granular device tier: which SSTable pages device DRAM
+// holds, keyed by page number and bounded by resident page count. It keeps the
+// numbers only: a resident page's bytes are the ones on flash, and the device
+// serves a hit from a view of those instead of from a second copy on the host.
+// Page numbers are recycled by the LSM after commits, so callers must
+// invalidate on every write and trim.
 type Pages struct {
 	pol      Policy
 	idx      map[int]int
-	data     [][]byte // slot-indexed page images (arena-backed)
-	pageOf   []int    // slot -> page number, for eviction bookkeeping
+	pageOf   []int // slot -> page number, for eviction bookkeeping
 	free     []int
 	capPages int
-	arena    pool.Bytes
 }
 
 // NewPages builds the page tier holding up to capPages pages under pol.
@@ -237,20 +238,18 @@ func NewPages(capPages int, pol Policy) *Pages {
 	}
 }
 
-// Get returns the cached image of page. The slice aliases the cache's arena
-// and is only valid until the next mutation.
-func (c *Pages) Get(page int) ([]byte, bool) {
+// Get reports whether page is resident, touching it if so.
+func (c *Pages) Get(page int) bool {
 	s, ok := c.idx[page]
-	if !ok {
-		return nil, false
+	if ok {
+		c.pol.Touch(s)
 	}
-	c.pol.Touch(s)
-	return c.data[s], true
+	return ok
 }
 
-// Put admits a copy of data for page, evicting at capacity. It returns how
-// many pages were evicted.
-func (c *Pages) Put(page int, data []byte) (evicted int) {
+// Put admits page, evicting at capacity. It returns how many pages were
+// evicted.
+func (c *Pages) Put(page int) (evicted int) {
 	if c == nil || c.capPages <= 0 {
 		return 0
 	}
@@ -267,7 +266,6 @@ func (c *Pages) Put(page int, data []byte) (evicted int) {
 		evicted++
 	}
 	s := c.allocSlot()
-	c.data[s] = append(c.arena.Get(len(data))[:0], data...)
 	c.pageOf[s] = page
 	c.idx[page] = s
 	c.pol.Admit(s)
@@ -296,8 +294,6 @@ func (c *Pages) Reset() {
 		return
 	}
 	for p, s := range c.idx {
-		c.arena.Put(c.data[s])
-		c.data[s] = nil
 		c.free = append(c.free, s)
 		delete(c.idx, p)
 	}
@@ -313,15 +309,12 @@ func (c *Pages) allocSlot() int {
 		c.free = c.free[:n-1]
 		return s
 	}
-	c.data = append(c.data, nil)
 	c.pageOf = append(c.pageOf, -1)
-	return len(c.data) - 1
+	return len(c.pageOf) - 1
 }
 
 func (c *Pages) dropSlot(s int) {
 	delete(c.idx, c.pageOf[s])
-	c.arena.Put(c.data[s])
-	c.data[s] = nil
 	c.pageOf[s] = -1
 	c.free = append(c.free, s)
 }

@@ -20,7 +20,7 @@ import (
 // can be attached or detached by Tune at runtime. dev is bound after
 // construction (the store exists before the Device does).
 type cachingStore struct {
-	inner lsm.PageStore
+	inner *lsm.FTLStore
 	pages *cache.Pages
 	dev   *Device
 }
@@ -30,7 +30,13 @@ func (s *cachingStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 		return s.inner.ReadPage(t, page)
 	}
 	d := s.dev
-	if data, ok := s.pages.Get(page); ok {
+	if s.pages.Get(page) {
+		// The tier holds page numbers: the bytes device DRAM would serve are
+		// the ones on flash, viewed without the flash operation.
+		data, err := s.inner.ViewPage(page)
+		if err != nil {
+			return nil, t, err
+		}
 		d.stats.PageCacheHits.Inc()
 		end := t.Add(d.cacheLat)
 		if d.tr != nil {
@@ -43,7 +49,7 @@ func (s *cachingStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 	if err != nil {
 		return data, end, err
 	}
-	d.noteEvictions(end, s.pages.Put(page, data))
+	d.noteEvictions(end, s.pages.Put(page))
 	return data, end, nil
 }
 

@@ -121,7 +121,7 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 		}
 		if table != nil {
 			out = append(out, table)
-			tr.stats.TablesWritten.Inc()
+			tr.wrote(table)
 		}
 		return nil
 	}

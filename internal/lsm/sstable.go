@@ -59,6 +59,15 @@ func (s *FTLStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) {
 	return s.f.Read(t, s.base+page)
 }
 
+// ViewPage returns what ReadPage would without the flash operation (see
+// ftl.FTL.View): for device DRAM that already holds the page.
+func (s *FTLStore) ViewPage(page int) ([]byte, error) {
+	if page < 0 || page >= s.pages {
+		return nil, fmt.Errorf("lsm: page %d out of store range %d", page, s.pages)
+	}
+	return s.f.View(s.base + page)
+}
+
 // TrimPage releases one meta page back to the FTL.
 func (s *FTLStore) TrimPage(page int) error {
 	if page < 0 || page >= s.pages {

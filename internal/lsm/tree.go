@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bandslim/internal/metrics"
@@ -54,11 +55,13 @@ type Stats struct {
 	Puts            metrics.Counter
 	Gets            metrics.Counter
 	Flushes         metrics.Counter
-	Compactions     metrics.Counter
+	Compactions     metrics.Counter // L0 merges and level pushes, trivial moves included
 	TablesWritten   metrics.Counter
 	EntriesMerged   metrics.Counter
 	TombstonesDrop  metrics.Counter
 	PageReadsServed metrics.Counter // meta pages read for lookups/compaction
+	PagesWritten    metrics.Counter // meta pages of every table written: WAF's index term
+	TrivialMoves    metrics.Counter // level pushes that re-linked the victim instead of merging it
 }
 
 // Tree is the LSM index. Values never live here — only (addr, size) pairs
@@ -69,8 +72,15 @@ type Tree struct {
 	alloc  *pageAllocator
 	mem    *MemTable
 	levels [][]*SSTable // levels[0]: newest first; deeper: sorted by smallest
-	nextID uint64
-	stats  Stats
+	// pointer[lvl] is the largest key of the table lvl last pushed down (nil:
+	// none yet): the next push takes the first table past it, so a level is
+	// evicted round-robin over the key space instead of from its low end.
+	pointer [][]byte
+	nextID  uint64
+	stats   Stats
+	// pushLevel is compactLevel; the policy tests swap in a lowest-table-first
+	// push to measure it against.
+	pushLevel func(tr *Tree, t sim.Time, lvl int) (sim.Time, error)
 	// build is the staging area every tableBuilder fills; slab holds the
 	// input page images of the merge in progress (grown to the largest merge
 	// seen, never past it).
@@ -82,11 +92,12 @@ type Tree struct {
 	// the latest reclaim must not load another page.
 	reclaims uint64
 
-	// Crash-atomicity state. The catalog (levels + allocator + nextID) is
-	// snapshotted at the end of every successful Flush; Restore rolls back to
-	// that snapshot after a power cut. Pages vacated by compaction are only
-	// trimmed at commit (pendingFree), so the committed catalog's tables are
-	// always intact on flash.
+	// Crash-atomicity state. The catalog (levels + compaction pointers +
+	// allocator + nextID) is snapshotted at the end of every successful Flush;
+	// Restore rolls back to that snapshot after a power cut, and a Flush that
+	// fails without one rolls itself back the same way. Pages vacated by
+	// compaction are only trimmed at commit (pendingFree), so the committed
+	// catalog's tables are always intact on flash.
 	pendingFree []int
 	committed   catalog
 	onDurable   func()
@@ -95,18 +106,28 @@ type Tree struct {
 // catalog is the durable view of the tree: everything needed to rebuild it
 // at mount, as firmware would persist in a superblock.
 type catalog struct {
-	levels [][]*SSTable // SSTables are immutable; sharing pointers is safe
-	alloc  allocState
-	nextID uint64
+	levels  [][]*SSTable // SSTables are immutable; sharing pointers is safe
+	pointer [][]byte     // keys are immutable too
+	alloc   allocState
+	nextID  uint64
 }
 
 // snapshotCatalog deep-copies the level structure (table pointers shared).
 func (tr *Tree) snapshotCatalog() catalog {
-	levels := make([][]*SSTable, len(tr.levels))
-	for i, lvl := range tr.levels {
-		levels[i] = append([]*SSTable(nil), lvl...)
+	return catalog{
+		levels:  copyLevels(tr.levels),
+		pointer: slices.Clone(tr.pointer),
+		alloc:   tr.alloc.snapshot(),
+		nextID:  tr.nextID,
 	}
-	return catalog{levels: levels, alloc: tr.alloc.snapshot(), nextID: tr.nextID}
+}
+
+func copyLevels(levels [][]*SSTable) [][]*SSTable {
+	out := make([][]*SSTable, len(levels))
+	for i, lvl := range levels {
+		out[i] = slices.Clone(lvl)
+	}
+	return out
 }
 
 // commit applies the deferred page frees and snapshots the catalog. Called
@@ -138,13 +159,18 @@ func (tr *Tree) SetOnDurable(fn func()) { tr.onDurable = fn }
 // (their pages were never trimmed, so the committed tables remain intact).
 // The device mount calls this before replaying its journal.
 func (tr *Tree) Restore() {
-	tr.levels = make([][]*SSTable, len(tr.committed.levels))
-	for i, lvl := range tr.committed.levels {
-		tr.levels[i] = append([]*SSTable(nil), lvl...)
-	}
+	tr.rollback()
+	tr.mem = NewMemTable()
+}
+
+// rollback returns everything but the MemTable to the committed catalog.
+// Restoring the allocator is what hands back the pages written since: they
+// are in no catalog, and their numbers are rewritten before they are read.
+func (tr *Tree) rollback() {
+	tr.levels = copyLevels(tr.committed.levels)
+	tr.pointer = append(tr.pointer[:0], tr.committed.pointer...)
 	tr.alloc.restore(tr.committed.alloc)
 	tr.nextID = tr.committed.nextID
-	tr.mem = NewMemTable()
 	tr.pendingFree = tr.pendingFree[:0]
 }
 
@@ -157,13 +183,15 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		return nil, fmt.Errorf("lsm: page size %d beyond the %d a restart offset can address", store.PageSize(), math.MaxUint16+1)
 	}
 	tr := &Tree{
-		cfg:    cfg,
-		store:  store,
-		alloc:  newPageAllocator(store.Pages()),
-		mem:    NewMemTable(),
-		levels: make([][]*SSTable, cfg.MaxLevels),
+		cfg:     cfg,
+		store:   store,
+		alloc:   newPageAllocator(store.Pages()),
+		mem:     NewMemTable(),
+		levels:  make([][]*SSTable, cfg.MaxLevels),
+		pointer: make([][]byte, cfg.MaxLevels),
 
-		build: tableScratch{page: make([]byte, store.PageSize())},
+		pushLevel: (*Tree).compactLevel,
+		build:     tableScratch{page: make([]byte, store.PageSize())},
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -211,11 +239,24 @@ func (tr *Tree) insert(t sim.Time, key []byte, addr vlog.Addr, size uint32, tomb
 }
 
 // Flush persists the MemTable as a new L0 table and runs any compactions it
-// triggers. Flushing an empty MemTable is a no-op.
+// triggers. Flushing an empty MemTable is a no-op. A Flush that fails leaves
+// nothing behind: the tree is the committed catalog plus the MemTable it had,
+// so every key stays readable and the next Put tries again.
 func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 	if tr.mem.Len() == 0 {
 		return t, nil
 	}
+	end, err := tr.flush(t)
+	if err != nil {
+		tr.rollback()
+		return end, err
+	}
+	tr.mem = NewMemTable()
+	tr.commit()
+	return end, nil
+}
+
+func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
 	tr.nextID++
 	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
 	it := tr.mem.Iterator()
@@ -230,9 +271,8 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 	}
 	if table != nil {
 		tr.levels[0] = append([]*SSTable{table}, tr.levels[0]...)
-		tr.stats.TablesWritten.Inc()
+		tr.wrote(table)
 	}
-	tr.mem = NewMemTable()
 	tr.stats.Flushes.Inc()
 	cEnd, err := tr.maybeCompact(t)
 	if err != nil {
@@ -241,8 +281,13 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 	if cEnd > end {
 		end = cEnd
 	}
-	tr.commit()
 	return end, nil
+}
+
+// wrote tallies one finished table.
+func (tr *Tree) wrote(table *SSTable) {
+	tr.stats.TablesWritten.Inc()
+	tr.stats.PagesWritten.Add(int64(len(table.pages)))
 }
 
 // Get resolves a key to its vLog location, searching MemTable, then L0
@@ -323,7 +368,7 @@ func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool
 func (tr *Tree) maxTables(lvl int) int {
 	n := tr.cfg.LevelTableBase
 	for i := 1; i < lvl; i++ {
-		n *= 10
+		n *= levelFanout
 	}
 	return n
 }
@@ -342,7 +387,7 @@ func (tr *Tree) maybeCompact(t sim.Time) (sim.Time, error) {
 	}
 	for lvl := 1; lvl < len(tr.levels)-1; lvl++ {
 		for len(tr.levels[lvl]) > tr.maxTables(lvl) {
-			e, err := tr.compactLevel(t, lvl)
+			e, err := tr.pushLevel(tr, t, lvl)
 			if err != nil {
 				return end, err
 			}
@@ -371,19 +416,40 @@ func (tr *Tree) compactL0(t sim.Time) (sim.Time, error) {
 	return end, nil
 }
 
-// compactLevel pushes one table from lvl into lvl+1.
+// compactLevel pushes one table from lvl into lvl+1. The victim is the first
+// table past the level's compaction pointer, wrapping to the lowest, so that
+// successive pushes sweep the key space and the level keeps covering all of
+// it; always taking the lowest table instead leaves the level holding only the
+// largest keys seen, each table of which spans most of the level below. A
+// victim that overlaps nothing below is re-linked as it is: no page is read,
+// written or freed.
 func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
-	victim := tr.levels[lvl][0]
-	tr.levels[lvl] = tr.levels[lvl][1:]
-	over, rest := splitOverlap(tr.levels[lvl+1], victim.smallest, victim.largest)
-	inputs := append([]*SSTable{victim}, over...)
-	out, end, err := tr.merge(t, inputs, lvl+1 == len(tr.levels)-1)
-	if err != nil {
-		return t, err
+	level := tr.levels[lvl]
+	vi := 0
+	if after := tr.pointer[lvl]; after != nil {
+		vi = sort.Search(len(level), func(i int) bool {
+			return bytes.Compare(level[i].smallest, after) > 0
+		}) % len(level)
 	}
-	tr.levels[lvl+1] = insertSorted(rest, out)
-	tr.freeTables(inputs)
+	victim := level[vi]
+	over, rest := splitOverlap(tr.levels[lvl+1], victim.smallest, victim.largest)
+	out, end := []*SSTable{victim}, t
+	if len(over) == 0 {
+		tr.stats.TrivialMoves.Inc()
+	} else {
+		inputs := append([]*SSTable{victim}, over...)
+		var err error
+		out, end, err = tr.merge(t, inputs, lvl+1 == len(tr.levels)-1)
+		if err != nil {
+			return t, err
+		}
+		tr.freeTables(inputs)
+	}
 	tr.stats.Compactions.Inc()
+	// The victim leaves its level only now: a merge that failed left it there.
+	tr.levels[lvl] = slices.Delete(level, vi, vi+1)
+	tr.levels[lvl+1] = insertSorted(rest, out)
+	tr.pointer[lvl] = victim.largest
 	return end, nil
 }
 
@@ -504,7 +570,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		}
 		if table != nil {
 			out = append(out, table)
-			tr.stats.TablesWritten.Inc()
+			tr.wrote(table)
 		}
 		return nil
 	}

@@ -67,7 +67,11 @@ type DeviceStats struct {
 	Memcpys        int64
 	BufferUtil     float64 // payload bytes / flushed NAND bytes in the vLog
 	GCWrites       int64   // FTL block-GC page migrations (not vLog GC relocations)
-	Compactions    int64
+	Compactions    int64   // L0 merges and level pushes, trivial moves included
+	// IndexPageWrites is the LSM's share of NANDPageWrites: the pages of every
+	// SSTable written by a flush or a compaction.
+	IndexPageWrites int64
+	TrivialMoves    int64 // level pushes that re-linked a table instead of rewriting it
 }
 
 // AdaptiveStats count the adaptive method's per-value transfer decisions.
@@ -281,6 +285,10 @@ var baseRows = []row{
 		func(s *Stats) *int64 { return &s.Device.GCWrites }, func(st *shard.Stack) int64 { return st.Dev.FTL().Stats().GCWrites.Value() }),
 	counter("lsm_compactions", "LSM-tree compactions run.",
 		func(s *Stats) *int64 { return &s.Device.Compactions }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().Compactions.Value() }),
+	counter("lsm_pages_written", "NAND pages written by the LSM-tree: every SSTable page of a flush or a compaction.",
+		func(s *Stats) *int64 { return &s.Device.IndexPageWrites }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().PagesWritten.Value() }),
+	counter("lsm_trivial_moves", "LSM-tree level pushes that re-linked a table into the next level without rewriting it.",
+		func(s *Stats) *int64 { return &s.Device.TrivialMoves }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().TrivialMoves.Value() }),
 	counter("adaptive_inline", "Adaptive method: values sent inline.",
 		func(s *Stats) *int64 { return &s.Adaptive.Inline }, func(st *shard.Stack) int64 { return st.Drv.Stats().InlineChosen.Value() }),
 	counter("adaptive_prp", "Adaptive method: values sent via PRP DMA.",
