@@ -1,0 +1,228 @@
+package driver
+
+// The command-stream golden: a fixed script driven through every Method under
+// three submission policies, plus one run under transient DMA faults. Each
+// run's op results, driver Stats, link byte ledger and driver trace (JSONL)
+// are byte-compared with testdata/command_stream.golden, so a refactor of the
+// put/get/retry paths that moves one command, byte or simulated nanosecond
+// fails here. To regenerate after an intentional change, delete the file and
+// run the test once.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+	"testing"
+
+	"bandslim/internal/cache"
+	"bandslim/internal/fault"
+	"bandslim/internal/metrics"
+	"bandslim/internal/trace"
+)
+
+const goldenPath = "testdata/command_stream.golden"
+
+// goldenSizes straddle every boundary choose and the inline/transfer split
+// use: the write command's 35 inline bytes, one transfer command more (91),
+// Threshold1 (128), the memory page, Threshold2's hybrid tail (4096+64), and
+// the staging region (MaxValueSize).
+var goldenSizes = []int{35, 36, 91, 92, 128, 129, 4096, 4160, 4161, MaxValueSize + 1}
+
+func TestCommandStreamGolden(t *testing.T) {
+	var out bytes.Buffer
+	subs := []struct {
+		name string
+		sub  SubmissionConfig
+	}{
+		{"sync", SubmissionConfig{}},
+		{"pipelined", PipelinedSubmission()},
+		{"qd4", SubmissionConfig{QueueDepth: 4}},
+	}
+	for _, s := range subs {
+		for _, m := range []Method{MethodBaseline, MethodPiggyback, MethodHybrid, MethodAdaptive, MethodSGL} {
+			fmt.Fprintf(&out, "== method=%v submission=%s\n", m, s.name)
+			goldenScript(t, &out, m, s.sub, "")
+		}
+	}
+	const plan = "seed 7\ndma.in every=3 transient\ndma.out every=4 transient\n"
+	fmt.Fprintf(&out, "== method=%v submission=qd4 faults=%q\n", MethodAdaptive, plan)
+	goldenScript(t, &out, MethodAdaptive, SubmissionConfig{QueueDepth: 4}, plan)
+
+	want, err := os.ReadFile(goldenPath)
+	if errors.Is(err, os.ErrNotExist) {
+		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s (%d bytes); re-run to compare", goldenPath, out.Len())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) && i < len(exp); i++ {
+		if got[i] != exp[i] {
+			t.Fatalf("command stream drifted from %s at line %d:\n got %s\nwant %s", goldenPath, i+1, got[i], exp[i])
+		}
+	}
+	t.Fatalf("command stream has %d lines, %s %d", len(got), goldenPath, len(exp))
+}
+
+// goldenScript runs the fixed op script on a fresh stack and writes its
+// results, Stats, link ledger and trace to w.
+func goldenScript(t *testing.T, w io.Writer, m Method, sub SubmissionConfig, plan string) {
+	t.Helper()
+	d, dev, link := newStack(t, m, true)
+	rec := trace.NewRecorder(1 << 16)
+	d.SetTracer(rec)
+	if plan != "" {
+		p, err := fault.ParsePlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetInjector(fault.NewInjector(p, 0))
+	}
+	if err := d.Tune(Tuning{Submission: &sub, Cache: &cache.Config{NegativeEntries: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	// The value above MaxValueSize tests the fresh staging fallback of the
+	// DMA paths; inline it is only 1 170 more transfer commands.
+	sizes := goldenSizes
+	if m == MethodPiggyback {
+		sizes = sizes[:len(sizes)-1]
+	}
+	keys := make([][]byte, len(sizes))
+	values := make([][]byte, len(sizes))
+	for i, size := range sizes {
+		keys[i] = []byte(fmt.Sprintf("g%05d", size))
+		values[i] = make([]byte, size)
+		for j := range values[i] {
+			values[i][j] = byte(j*7 + i)
+		}
+		fmt.Fprintf(w, "put %s: %s\n", keys[i], goldenErr(d.Put(keys[i], values[i])))
+	}
+	read := func(label string, key, want []byte, v []byte, err error) {
+		switch {
+		case err != nil:
+			fmt.Fprintf(w, "%s %s: %s\n", label, key, goldenErr(err))
+		case !bytes.Equal(v, want):
+			fmt.Fprintf(w, "%s %s: MISMATCH (%d bytes)\n", label, key, len(v))
+		default:
+			fmt.Fprintf(w, "%s %s: ok %d bytes\n", label, key, len(v))
+		}
+	}
+	for i := range keys {
+		v, err := d.Get(keys[i])
+		read("get", keys[i], values[i], v, err)
+	}
+	// A miss arms the bloom filter, a repeat admits the key, the third Get
+	// is a negative hit.
+	for i := 0; i < 3; i++ {
+		v, err := d.Get([]byte("absent"))
+		read("get", []byte("absent"), nil, v, err)
+	}
+	if d.WindowDepth() >= 2 {
+		// A value above MaxValueSize stays out of the window: its read would
+		// overrun the slot's staging run (ROADMAP open item).
+		var batch, want [][]byte
+		for i := range keys {
+			if len(values[i]) <= MaxValueSize {
+				batch, want = append(batch, keys[i]), append(want, values[i])
+			}
+		}
+		batch, want = append(batch, []byte("absent"), []byte("nokey")), append(want, nil, nil)
+		var handles, idx []int
+		head := 0
+		wait := func() {
+			h, i := handles[head], idx[head]
+			head++
+			v, err := d.WaitGetInto(h, nil)
+			read("wget", batch[i], want[i], v, err)
+		}
+		for i, key := range batch {
+			if len(handles)-head >= d.WindowDepth() {
+				wait()
+			}
+			if d.NegativeKnown(key) {
+				fmt.Fprintf(w, "wget %s: negative hit\n", key)
+				continue
+			}
+			h, err := d.StartGet(key)
+			if err != nil {
+				fmt.Fprintf(w, "wget %s: start: %s\n", key, goldenErr(err))
+				continue
+			}
+			handles, idx = append(handles, h), append(idx, i)
+		}
+		for head < len(handles) {
+			wait()
+		}
+	}
+	fmt.Fprintf(w, "delete %s: %s\n", keys[0], goldenErr(d.Delete(keys[0])))
+	v, err := d.Get(keys[0])
+	read("get", keys[0], nil, v, err)
+	fmt.Fprintf(w, "seek g: %s\n", goldenErr(d.Seek([]byte("g"))))
+	for {
+		k, v, err := d.Next()
+		if err != nil {
+			fmt.Fprintf(w, "next: %s\n", goldenErr(err))
+			break
+		}
+		fmt.Fprintf(w, "next %s: %d bytes\n", k, len(v))
+	}
+	fmt.Fprintf(w, "flush: %s\n", goldenErr(d.Flush()))
+	id, err := d.Identify()
+	fmt.Fprintf(w, "identify: %+v %s\n", id, goldenErr(err))
+	n, err := d.CompactVLog(1)
+	fmt.Fprintf(w, "compact 1: relocated %d %s\n", n, goldenErr(err))
+
+	s := d.Stats()
+	for _, c := range []struct {
+		name string
+		c    *metrics.Counter
+	}{
+		{"puts", &s.Puts}, {"gets", &s.Gets}, {"deletes", &s.Deletes}, {"scans", &s.Scans},
+		{"inline", &s.InlineChosen}, {"prp", &s.PRPChosen}, {"hybrid", &s.HybridChosen},
+		{"commands", &s.CommandsIssued}, {"retries", &s.Retries}, {"retries_exhausted", &s.RetriesExhausted},
+		{"recoveries", &s.Recoveries}, {"neg_hits", &s.NegativeHits}, {"neg_learned", &s.NegativeLearned},
+	} {
+		fmt.Fprintf(w, "stat %s %d\n", c.name, c.c.Value())
+	}
+	goldenHist(w, "write_response", s.WriteResponse)
+	goldenHist(w, "read_response", s.ReadResponse)
+	for _, set := range []struct {
+		name string
+		set  *metrics.HistogramSet
+	}{{"per_op", s.PerOp}, {"per_method", s.PerMethod}} {
+		for _, name := range set.set.Names() {
+			goldenHist(w, set.name+"/"+name, set.set.Get(name))
+		}
+	}
+	tr := &link.Traf
+	fmt.Fprintf(w, "link cmd=%d dma=%d sgl_desc=%d mmio=%d cpl=%d commands=%d doorbells=%d h2d=%d\n",
+		tr.CommandBytes.Value(), tr.DMABytes.Value(), tr.SGLDescBytes.Value(), tr.MMIOBytes.Value(),
+		tr.CompletionBytes.Value(), tr.Commands.Value(), tr.Doorbells.Value(), link.HostToDeviceBytes())
+	fmt.Fprintf(w, "now %d\n", int64(d.Now()))
+	if rec.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d events", rec.Dropped())
+	}
+	if err := trace.WriteJSONL(w, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func goldenHist(w io.Writer, name string, h *metrics.Histogram) {
+	fmt.Fprintf(w, "hist %s count=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f\n", name, h.Count(), h.Mean(), h.P50(), h.P99(), h.Max())
+}
+
+func goldenErr(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return "error: " + err.Error()
+}
