@@ -16,7 +16,7 @@
 // -cache enables the tiered read path: a simulated device-DRAM value/page
 // cache plus a host-side negative cache that short-circuits known-miss GETs
 // and DEL existence probes before any NVMe command is issued. "serving"
-// picks the default profile; a policy name (lru|clock|2q) selects the
+// picks the default profile; a policy name (lru|2q) selects the
 // eviction policy; "off" (the default) keeps the seed read path.
 //
 // Clocking is hybrid: the network edge runs on the wall clock while the
@@ -69,7 +69,7 @@ func main() {
 		shards        = flag.Int("shards", 4, "simulated device shards")
 		window        = flag.Int("window", server.DefaultWindow, "per-connection in-flight command window")
 		method        = flag.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
-		cacheProfile  = flag.String("cache", "off", "read cache: off|serving|lru|clock|2q (serving = 4MiB device-DRAM value cache + 64-page cache + negative cache; a policy name uses the serving profile with that eviction policy)")
+		cacheProfile  = flag.String("cache", "off", "read cache: off|serving|lru|2q (serving = 4MiB device-DRAM value cache + 64-page cache + negative cache; a policy name uses the serving profile with that eviction policy)")
 		metricsListen = flag.String("metrics-listen", "", "serve /metrics on this address (empty: off)")
 		pprofListen   = flag.String("pprof", "", "serve net/http/pprof on this address (empty: off; reuses -metrics-listen's mux when equal)")
 		traceCap      = flag.Int("trace", 0, "per-shard trace ring capacity in events (0: tracing off; enables INFO blame and /metrics blame families)")
@@ -119,7 +119,7 @@ func parseCache(name string) (bandslim.CacheConfig, error) {
 	}
 	pol, err := bandslim.ParseCachePolicy(name)
 	if err != nil {
-		return bandslim.CacheConfig{}, fmt.Errorf("unknown cache profile %q (want off|serving|lru|clock|2q)", name)
+		return bandslim.CacheConfig{}, fmt.Errorf("unknown cache profile %q (want off|serving|lru|2q)", name)
 	}
 	cc := bandslim.ServingCacheConfig()
 	cc.Policy = pol

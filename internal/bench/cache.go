@@ -26,7 +26,7 @@ var cacheSkews = []float64{0.80, 0.99, 1.20}
 var cacheSizes = []int{1 << 20, 4 << 20}
 
 // cachePolicies is the eviction-policy sweep for each size.
-var cachePolicies = []bandslim.CachePolicy{bandslim.CacheLRU, bandslim.CacheCLOCK, bandslim.Cache2Q}
+var cachePolicies = []bandslim.CachePolicy{bandslim.CacheLRU, bandslim.Cache2Q}
 
 // cacheChunk is the keys-per-PutBatch call during the load phase.
 const cacheChunk = 256
@@ -45,7 +45,7 @@ const (
 // CachePoint is one sweep cell, shaped for BENCH_cache.json. All fields are
 // simulated and deterministic.
 type CachePoint struct {
-	Policy    string  `json:"policy"` // "off", "lru", "clock", "2q"
+	Policy    string  `json:"policy"` // "off", "lru", "2q"
 	SizeBytes int     `json:"size_bytes"`
 	Skew      float64 `json:"skew"`
 	Keys      int     `json:"keys"`

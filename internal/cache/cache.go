@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: negative hit latency %v", c.HitLatency)
 	}
 	switch c.Policy {
-	case LRU, CLOCK, TwoQ:
+	case LRU, TwoQ:
 	default:
 		return fmt.Errorf("cache: unknown policy kind %d", int(c.Policy))
 	}

@@ -13,7 +13,7 @@ func TestParseKind(t *testing.T) {
 	}{
 		{"lru", LRU, true},
 		{"LRU", LRU, true},
-		{"clock", CLOCK, true},
+		{"clock", 0, false},
 		{"2q", TwoQ, true},
 		{"twoq", TwoQ, true},
 		{"arc", 0, false},
@@ -25,7 +25,7 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, k := range []Kind{LRU, CLOCK, TwoQ} {
+	for _, k := range []Kind{LRU, TwoQ} {
 		back, err := ParseKind(k.String())
 		if err != nil || back != k {
 			t.Errorf("round trip %v: got %v, %v", k, back, err)
@@ -78,62 +78,6 @@ func TestLRUOrder(t *testing.T) {
 	}
 	if got := p.Evict(); got != -1 {
 		t.Fatalf("empty evict returned %d", got)
-	}
-}
-
-// TestClockHandWrap drives the second-chance sweep through a full wrap: with
-// every reference bit set, the hand must clear all bits in one lap and evict
-// the slot it started on; the next eviction then proceeds from the hand
-// without re-clearing.
-func TestClockHandWrap(t *testing.T) {
-	p := NewPolicy(CLOCK)
-	for s := 0; s < 4; s++ {
-		p.Admit(s) // all admitted with ref=1; ring order 0,1,2,3
-	}
-	// Every bit set → the hand sweeps 0,1,2,3 clearing bits, wraps back to
-	// 0 (now clear) and evicts it.
-	if got := p.Evict(); got != 0 {
-		t.Fatalf("wrap eviction: got slot %d, want 0", got)
-	}
-	// Bits are now all clear and the hand sits on 1: straight eviction.
-	if got := p.Evict(); got != 1 {
-		t.Fatalf("post-wrap eviction: got slot %d, want 1", got)
-	}
-	// A touch grants slot 2 a second chance; 3 goes first.
-	p.Touch(2)
-	if got := p.Evict(); got != 3 {
-		t.Fatalf("second-chance eviction: got slot %d, want 3", got)
-	}
-	if got := p.Evict(); got != 2 {
-		t.Fatalf("final eviction: got slot %d, want 2", got)
-	}
-	if p.Len() != 0 {
-		t.Fatalf("len after draining: %d", p.Len())
-	}
-}
-
-// TestClockRemoveHand removes the slot the hand points at and checks the
-// sweep continues correctly instead of dereferencing a dead slot.
-func TestClockRemoveHand(t *testing.T) {
-	p := NewPolicy(CLOCK)
-	for s := 0; s < 3; s++ {
-		p.Admit(s)
-	}
-	if got := p.Evict(); got != 0 { // full wrap, hand now on 1
-		t.Fatalf("first eviction: got %d, want 0", got)
-	}
-	p.Remove(1) // hand must advance to 2
-	if got := p.Evict(); got != 2 {
-		t.Fatalf("eviction after removing hand slot: got %d, want 2", got)
-	}
-	if p.Len() != 0 {
-		t.Fatalf("len: %d", p.Len())
-	}
-	// Removing the last element must park the hand, not wedge it.
-	p.Admit(7)
-	p.Remove(7)
-	if got := p.Evict(); got != -1 {
-		t.Fatalf("evict on emptied ring returned %d", got)
 	}
 }
 
@@ -205,7 +149,7 @@ func TestTwoQScanResistance(t *testing.T) {
 // TestPolicyRecycleSlots checks slot indices can be reused after eviction and
 // removal across all policies (the caches recycle slots through free lists).
 func TestPolicyRecycleSlots(t *testing.T) {
-	for _, k := range []Kind{LRU, CLOCK, TwoQ} {
+	for _, k := range []Kind{LRU, TwoQ} {
 		t.Run(k.String(), func(t *testing.T) {
 			p := NewPolicy(k)
 			for round := 0; round < 3; round++ {
@@ -379,7 +323,7 @@ func TestValuesHitPathAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Values.Get allocates %.2f per op, want 0", avg)
 	}
-	p := NewPages(16, NewPolicy(CLOCK))
+	p := NewPages(16, NewPolicy(LRU))
 	for pg := 0; pg < 16; pg++ {
 		p.Put(pg)
 	}

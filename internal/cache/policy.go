@@ -1,4 +1,4 @@
-// Replacement policies for the device-DRAM read caches. All three run over
+// Replacement policies for the device-DRAM read caches. Both run over
 // slot indices (the caches own the entry storage; the policy only orders
 // residency), are deterministic — no wall clock, no randomness — and are
 // allocation-free in steady state: the intrusive linked lists grow their
@@ -13,9 +13,6 @@ type Kind int
 const (
 	// LRU evicts the least-recently-used entry (an intrusive recency list).
 	LRU Kind = iota
-	// CLOCK approximates LRU with one reference bit per entry and a
-	// sweeping hand, as firmware caches usually do.
-	CLOCK
 	// TwoQ keeps new entries in a FIFO probation queue (A1in) and promotes
 	// them to a protected LRU (Am) on their second access, so one-touch
 	// scans cannot flush the hot set.
@@ -26,8 +23,6 @@ func (k Kind) String() string {
 	switch k {
 	case LRU:
 		return "lru"
-	case CLOCK:
-		return "clock"
 	case TwoQ:
 		return "2q"
 	default:
@@ -40,8 +35,6 @@ func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "lru", "LRU":
 		return LRU, nil
-	case "clock", "CLOCK":
-		return CLOCK, nil
 	case "2q", "2Q", "twoq":
 		return TwoQ, nil
 	}
@@ -66,8 +59,6 @@ type Policy interface {
 // NewPolicy builds the policy for a Kind (unknown kinds fall back to LRU).
 func NewPolicy(k Kind) Policy {
 	switch k {
-	case CLOCK:
-		return &clockPolicy{list: newList()}
 	case TwoQ:
 		return &twoQPolicy{in: newList(), am: newList()}
 	default:
@@ -149,99 +140,6 @@ func (p *lruPolicy) Evict() int {
 func (p *lruPolicy) Remove(s int) { p.list.remove(s) }
 func (p *lruPolicy) Len() int     { return p.list.n }
 func (p *lruPolicy) Reset()       { p.list.reset() }
-
-// clockPolicy is the second-chance ring: one reference bit per slot and a
-// hand that sweeps from the oldest entry, clearing bits until it finds a
-// clear one. A fully-referenced ring makes the hand wrap the whole circle
-// and evict the slot it started on (its bit was cleared first).
-type clockPolicy struct {
-	list list
-	ref  []bool
-	hand int // slot the next sweep starts at; -1 when empty
-}
-
-func (p *clockPolicy) Name() string { return CLOCK.String() }
-
-func (p *clockPolicy) growRef(s int) {
-	for len(p.ref) <= s {
-		p.ref = append(p.ref, false)
-	}
-}
-
-// nextWrap advances one position around the ring (list order, back wraps to
-// front).
-func (p *clockPolicy) nextWrap(s int) int {
-	nx := p.list.next[s]
-	if nx < 0 {
-		return p.list.head
-	}
-	return nx
-}
-
-func (p *clockPolicy) Admit(s int) {
-	p.growRef(s)
-	p.ref[s] = true
-	// Insert at the back (just behind the hand's wrap point): new entries
-	// are the last the sweep reaches.
-	l := &p.list
-	l.grow(s)
-	l.next[s] = -1
-	l.prev[s] = l.tail
-	if l.tail >= 0 {
-		l.next[l.tail] = s
-	} else {
-		l.head = s
-	}
-	l.tail = s
-	l.n++
-	if p.hand < 0 || l.n == 1 {
-		p.hand = l.head
-	}
-}
-
-func (p *clockPolicy) Touch(s int) { p.ref[s] = true }
-
-func (p *clockPolicy) Evict() int {
-	if p.list.n == 0 {
-		return -1
-	}
-	cur := p.hand
-	if cur < 0 {
-		cur = p.list.head
-	}
-	// Bounded by 2n: the first lap clears every set bit.
-	for p.ref[cur] {
-		p.ref[cur] = false
-		cur = p.nextWrap(cur)
-	}
-	p.hand = p.nextWrap(cur)
-	if p.hand == cur {
-		p.hand = -1 // last element leaves
-	}
-	p.list.remove(cur)
-	return cur
-}
-
-func (p *clockPolicy) Remove(s int) {
-	if p.hand == s {
-		p.hand = p.nextWrap(s)
-		if p.hand == s {
-			p.hand = -1
-		}
-	}
-	p.list.remove(s)
-	p.ref[s] = false
-}
-
-func (p *clockPolicy) Len() int { return p.list.n }
-
-func (p *clockPolicy) Reset() {
-	p.list.reset()
-	for i := range p.ref {
-		p.ref[i] = false
-	}
-	p.hand = -1
-}
 
 // twoQKinDen bounds the probation queue to 1/twoQKinDen of residency.
 const twoQKinDen = 4
