@@ -19,6 +19,7 @@
 package shard
 
 import (
+	"bandslim/internal/cache"
 	"bandslim/internal/device"
 	"bandslim/internal/driver"
 	"bandslim/internal/fault"
@@ -80,22 +81,17 @@ func NewStack(o Options) (*Stack, error) {
 	clock := sim.NewClock()
 	link := pcie.NewLink(pcie.DefaultCostModel())
 	mem := nvme.NewHostMemory()
-	dev, err := device.New(o.Device, clock, link, mem)
+	// The device starts cache-less: the Tune below arms its tiers and the
+	// host-side negative cache in one step, so neither is built twice.
+	dcfg := o.Device
+	dcfg.Cache = cache.Config{}
+	dev, err := device.New(dcfg, clock, link, mem)
 	if err != nil {
 		return nil, err
 	}
 	drv := driver.New(clock, link, mem, dev, o.Method, o.Thresholds)
-	if err := drv.SetSubmission(o.Submission); err != nil {
+	if err := drv.Tune(driver.Tuning{Submission: &o.Submission, Retry: &o.Retry, Cache: &o.Device.Cache}); err != nil {
 		return nil, err
-	}
-	drv.SetRetry(o.Retry)
-	// The device tiers were armed by device.New; this additionally builds
-	// the host-side negative cache. Guarded so a zero config leaves the
-	// stack bit-identical to a cache-free build.
-	if o.Device.Cache.Enabled() {
-		if err := drv.SetCache(o.Device.Cache); err != nil {
-			return nil, err
-		}
 	}
 	if o.Faults != nil {
 		if err := o.Faults.Validate(); err != nil {
