@@ -497,29 +497,6 @@ func TestPipelinedConfig(t *testing.T) {
 	}
 }
 
-func TestBatcherAPI(t *testing.T) {
-	db := openSmall(t, nil)
-	defer db.Close()
-	b, err := db.NewBatcher(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := b.Put([]byte(fmt.Sprintf("bk%d", i)), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Batch size 4: auto-flushed, readable.
-	got, err := db.Get([]byte("bk2"))
-	if err != nil || got[0] != 2 {
-		t.Fatalf("batched record: %v %v", got, err)
-	}
-	db.Close()
-	if _, err := db.NewBatcher(4); err != ErrClosed {
-		t.Fatalf("NewBatcher after close: %v", err)
-	}
-}
-
 func TestSGLMethodAPI(t *testing.T) {
 	db := openSmall(t, func(c *Config) { c.Method = SGL })
 	defer db.Close()

@@ -77,29 +77,26 @@ func ExampleDB_Stats() {
 	// reduction: 98.5%
 }
 
-// Host-side batching (the Dotori/KV-CSD approach) amortizes commands at the
-// cost of a volatile window; the per-PUT path is durable on completion.
-func ExampleDB_NewBatcher() {
+// PutBatch ships bulk ingest as batched OpKVBatchWrite commands and flushes
+// before it returns, so one call amortizes command round trips without the
+// volatile host window of Dotori/KV-CSD-style batching.
+func ExampleDB_PutBatch() {
 	db, err := bandslim.Open(bandslim.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
 
-	b, err := db.NewBatcher(3)
-	if err != nil {
+	keys := [][]byte{[]byte("x"), []byte("y"), []byte("z")}
+	values := [][]byte{[]byte("1"), []byte("2"), []byte("3")}
+	if err := db.PutBatch(keys, values); err != nil {
 		log.Fatal(err)
 	}
-	b.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("y"), []byte("2"))
-	fmt.Println("volatile records:", b.AtRiskOps())
-	b.Put([]byte("z"), []byte("3")) // third record triggers the bulk flush
-	fmt.Println("volatile records after flush:", b.AtRiskOps())
+	fmt.Println("commands:", db.Stats().Host.Commands)
 
 	v, _ := db.Get([]byte("y"))
 	fmt.Println("y =", string(v))
 	// Output:
-	// volatile records: 2
-	// volatile records after flush: 0
+	// commands: 1
 	// y = 2
 }

@@ -5,6 +5,7 @@ import (
 
 	"bandslim"
 	"bandslim/internal/nand"
+	"bandslim/internal/shard"
 	"bandslim/internal/workload"
 )
 
@@ -95,14 +96,19 @@ func RunAblationBatch(o Options) (*Table, error) {
 }
 
 // batchPoint runs W(M) through a host-side batcher of the given size on the
-// stock PRP + All Packing stack and returns the row's cells.
+// stock PRP + All Packing stack and returns the row's cells. The batcher
+// drives the driver directly, so the stack is built from shard.Options the
+// way bandslim.Open builds one from the same benchConfig.
 func batchPoint(o Options, batch int) ([]float64, error) {
-	db, err := bandslim.Open(benchConfig(bandslim.Baseline, bandslim.AllPacking, true))
+	cfg := benchConfig(bandslim.Baseline, bandslim.AllPacking, true)
+	dcfg := cfg.Device
+	dcfg.Buffer.Policy = cfg.Policy
+	dcfg.NANDEnabled = true
+	st, err := shard.NewStack(shard.Options{Device: dcfg, Method: cfg.Method, Thresholds: cfg.Thresholds})
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	b, err := db.NewBatcher(batch)
+	b, err := st.Drv.NewBatcher(batch)
 	if err != nil {
 		return nil, err
 	}
@@ -113,16 +119,15 @@ func batchPoint(o Options, batch int) ([]float64, error) {
 	if err := b.Flush(); err != nil {
 		return nil, err
 	}
-	timing := db.Stats()
-	if err := db.Flush(); err != nil {
+	elapsed := st.Clock.Now().Sub(0)
+	if err := st.Flush(); err != nil {
 		return nil, err
 	}
-	s := db.Stats()
 	return []float64{
-		float64(s.PCIe.Bytes) / float64(ops),
-		timing.Host.Elapsed.Micros() / float64(ops),
-		float64(ops) / timing.Host.Elapsed.Seconds() / 1000,
-		float64(s.Device.NANDPageWrites),
+		float64(st.Link.HostToDeviceBytes()) / float64(ops),
+		elapsed.Micros() / float64(ops),
+		float64(ops) / elapsed.Seconds() / 1000,
+		float64(st.Dev.Flash().Stats().PageWrites.Value()),
 		float64(b.Stats().PeakAtRiskOps),
 	}, nil
 }

@@ -12,8 +12,10 @@ import (
 // (§2): PUTs accumulate in host memory and ship as one bulk OpKVBatchWrite
 // when the batch fills. It exists as the comparator BandSlim argues against:
 // batching amortizes per-command overhead but (i) everything buffered on the
-// host is lost on power failure — tracked in AtRiskOps/AtRiskBytes — and
-// (ii) the device pays an unpacking pass per record.
+// host is lost on power failure — the peak of that window is tracked in
+// BatcherStats — and (ii) the device pays an unpacking pass per record.
+// Stack.PutBatch flushes before it returns, so its records are durable; the
+// ablation-batch experiment drives one directly to measure the window.
 type Batcher struct {
 	d       *Driver
 	maxOps  int
@@ -58,13 +60,6 @@ func (d *Driver) NewBatcher(maxOps int) (*Batcher, error) {
 
 // Stats exposes the batching tallies.
 func (b *Batcher) Stats() *BatcherStats { return &b.stats }
-
-// AtRiskOps reports how many accepted records are currently volatile.
-func (b *Batcher) AtRiskOps() int { return len(b.keys) }
-
-// AtRiskBytes reports how many buffered payload bytes are currently
-// volatile.
-func (b *Batcher) AtRiskBytes() int { return len(b.payload) }
 
 // Put buffers one record, flushing the batch if full. The record is NOT
 // durable until the flush that carries it completes.
@@ -123,21 +118,12 @@ func (b *Batcher) Flush() error {
 	if fresh {
 		defer prp.Free(b.d.mem)
 	}
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVBatchWrite)
+	cmd := b.d.command(nvme.OpKVBatchWrite)
 	cmd.SetTransferMode(nvme.ModePRP)
-	cmd.SetCommandID(b.d.allocID())
 	cmd.SetValueSize(uint32(len(b.payload)))
-	cmd.SetPRP1(prp.Pages[0])
-	if len(prp.Pages) > 1 {
-		cmd.SetPRP2(prp.Pages[1])
-	}
-	comp, err := b.d.submit(cmd)
+	pointAt(&cmd, prp, nvme.ModePRP)
+	comp, err := b.d.call(cmd)
 	if err != nil {
-		b.discard()
-		return err
-	}
-	if err := comp.Status.Err(); err != nil {
 		b.discard()
 		return err
 	}
@@ -158,23 +144,4 @@ func (b *Batcher) discard() {
 	b.keys = b.keys[:0]
 	b.keyArena = b.keyArena[:0]
 	b.payload = b.payload[:0]
-}
-
-// SimulatePowerFailure models the §2 data-loss scenario host-side batching
-// exposes: host DRAM is volatile, so every record accepted since the last
-// flush vanishes. It returns the lost keys. Records already flushed — and
-// every record written through the ordinary per-PUT path, which lands in the
-// device's battery-backed buffer before the command completes — survive.
-func (b *Batcher) SimulatePowerFailure() [][]byte {
-	// Copy the keys out: the buffered sub-slices point into the reusable
-	// arena, which the next Put would overwrite (a cold path — power failure
-	// is not a steady-state event).
-	var lost [][]byte
-	for _, k := range b.keys {
-		lost = append(lost, append([]byte(nil), k...))
-	}
-	b.keys = b.keys[:0]
-	b.keyArena = b.keyArena[:0]
-	b.payload = b.payload[:0]
-	return lost
 }

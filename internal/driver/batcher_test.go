@@ -45,13 +45,13 @@ func TestBatcherFlushOnFullAndReadBack(t *testing.T) {
 	if got := b.Stats().Flushes.Value(); got != 2 {
 		t.Fatalf("Flushes = %d, want 2", got)
 	}
-	if b.AtRiskOps() != 2 {
-		t.Fatalf("AtRiskOps = %d, want 2", b.AtRiskOps())
+	if len(b.keys) != 2 {
+		t.Fatalf("%d records buffered, want 2", len(b.keys))
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.AtRiskOps() != 0 || b.AtRiskBytes() != 0 {
+	if len(b.keys) != 0 || len(b.payload) != 0 {
 		t.Fatal("flush left volatile records")
 	}
 	if dev.Stats().BatchedRecords.Value() != 10 {

@@ -142,20 +142,19 @@ type Driver struct {
 	link  *pcie.Link
 	mem   *nvme.HostMemory
 	dev   *device.Device
-	// sub is the submission policy (see SubmissionConfig); pipelined caches
-	// sub.burst() — whether the commands of one PUT are submitted as a
-	// doorbell burst so trailing transfer commands pay only a fetch/parse
-	// interval instead of a full round trip each. This is the what-if the
-	// paper's §4.2 points at when it blames "synchronous and serialized"
-	// submission for piggybacking's large-value collapse.
-	sub       SubmissionConfig
-	pipelined bool
-	method    Method
-	thr       Thresholds
-	retry     RetryPolicy
-	nextID    uint16
-	stats     Stats
-	tr        trace.Tracer
+	// sub is the submission policy (see SubmissionConfig). In its burst mode
+	// the commands of one PUT go out as a doorbell burst, so trailing
+	// transfer commands pay only a fetch/parse interval instead of a full
+	// round trip each — the what-if the paper's §4.2 points at when it blames
+	// "synchronous and serialized" submission for piggybacking's large-value
+	// collapse.
+	sub    SubmissionConfig
+	method Method
+	thr    Thresholds
+	retry  RetryPolicy
+	nextID uint16
+	stats  Stats
+	tr     trace.Tracer
 	// neg is the host-side negative cache (nil when disabled): known-miss
 	// Gets fail fast here without issuing any NVMe command. See negcache.go.
 	neg *negCache
@@ -179,11 +178,11 @@ type Driver struct {
 	// readBuf receives gathered GET/NEXT/Identify payloads. Get and Next
 	// return views into it, valid until the next driver operation.
 	readBuf []byte
-	// keyScratch re-extracts a command's key on the windowed not-found path
-	// (the negative cache learns from it without allocating).
+	// keyScratch re-extracts a read command's key on the not-found path (the
+	// negative cache learns from it without allocating).
 	keyScratch []byte
-	// cmdScratch backs the per-op command bursts (inline tails); compScratch
-	// backs submitBurst's completion slice.
+	// cmdScratch backs the per-op command lists (inline heads and tails);
+	// compScratch backs submitBurst's completion slice.
 	cmdScratch  []nvme.Command
 	compScratch []nvme.Completion
 }
@@ -218,37 +217,8 @@ func (d *Driver) SetTracer(tr trace.Tracer) { d.tr = tr }
 // Method reports the configured transfer method.
 func (d *Driver) Method() Method { return d.method }
 
-// SetMethod switches the transfer method (between benchmark phases). It is
-// a thin wrapper over Tune.
-func (d *Driver) SetMethod(m Method) { _ = d.Tune(Tuning{Method: &m}) }
-
 // Thresholds reports the adaptive calibration.
 func (d *Driver) Thresholds() Thresholds { return d.thr }
-
-// SetThresholds replaces the adaptive calibration; a thin wrapper over Tune.
-func (d *Driver) SetThresholds(t Thresholds) { _ = d.Tune(Tuning{Thresholds: &t}) }
-
-// Retry reports the active retry policy.
-func (d *Driver) Retry() RetryPolicy { return d.retry }
-
-// SetRetry replaces the retry policy (the zero value restores defaults); a
-// thin wrapper over Tune.
-func (d *Driver) SetRetry(r RetryPolicy) { _ = d.Tune(Tuning{Retry: &r}) }
-
-// SetPipelined toggles burst submission of multi-command PUTs (default off,
-// matching the paper's serialized passthrough testbed). It is a thin
-// wrapper over SetSubmission: on maps to PipelinedSubmission(), off to the
-// zero (synchronous) policy.
-func (d *Driver) SetPipelined(on bool) {
-	if on {
-		_ = d.SetSubmission(PipelinedSubmission())
-	} else {
-		_ = d.SetSubmission(SubmissionConfig{})
-	}
-}
-
-// Pipelined reports whether burst submission is enabled.
-func (d *Driver) Pipelined() bool { return d.pipelined }
 
 // Now reports the simulated time.
 func (d *Driver) Now() sim.Time { return d.clock.Now() }
@@ -286,31 +256,92 @@ func (d *Driver) choose(size int) nvme.TransferMode {
 	}
 }
 
+// command starts a command of opcode op under a fresh command ID.
+func (d *Driver) command(op nvme.Opcode) nvme.Command {
+	var cmd nvme.Command
+	cmd.SetOpcode(op)
+	d.nextID++
+	cmd.SetCommandID(d.nextID)
+	return cmd
+}
+
+// keyed starts a command of opcode op addressing key.
+func (d *Driver) keyed(op nvme.Opcode, key []byte) (nvme.Command, error) {
+	cmd := d.command(op)
+	err := cmd.SetKey(key)
+	return cmd, err
+}
+
+// pointAt aims cmd's PRP fields at the staged run prp: PRP1 at its first
+// page and, for page-unit modes, PRP2 at its second (an SGL walk needs only
+// PRP1).
+func pointAt(cmd *nvme.Command, prp nvme.PRPList, mode nvme.TransferMode) {
+	if len(prp.Pages) == 0 {
+		return
+	}
+	cmd.SetPRP1(prp.Pages[0])
+	if len(prp.Pages) > 1 && mode != nvme.ModeSGL {
+		cmd.SetPRP2(prp.Pages[1])
+	}
+}
+
+// readCommand builds the KV read of key into the staged run prp.
+func (d *Driver) readCommand(key []byte, prp nvme.PRPList) (nvme.Command, error) {
+	cmd, err := d.keyed(nvme.OpKVRead, key)
+	pointAt(&cmd, prp, nvme.ModePRP)
+	return cmd, err
+}
+
 // submit pushes one command through submitOnce, re-submitting on retryable
-// completions (transient transfer errors) under the retry policy: an
-// exponentially growing host-side backoff between attempts. Bursts are never
-// retried — partial burst completion makes replayed side effects ambiguous,
-// so burst callers surface the error instead.
+// completions (transient transfer errors) under the retry policy. Bursts are
+// never retried — partial burst completion makes replayed side effects
+// ambiguous, so burst callers surface the error instead.
 func (d *Driver) submit(cmd nvme.Command) (nvme.Completion, error) {
 	comp, err := d.submitOnce(cmd)
-	if err != nil || !comp.Status.Retryable() || d.retry.MaxRetries < 0 {
-		return comp, err
-	}
-	backoff := d.retry.Backoff
-	for attempt := 0; attempt < d.retry.MaxRetries; attempt++ {
-		d.stats.Retries.Inc()
-		if d.tr != nil {
-			d.tr.Emit(trace.Event{Cat: trace.CatDriver, Name: trace.EvRetry, Op: byte(cmd.Opcode()), Start: d.clock.Now(), End: d.clock.Now().Add(backoff), Arg: int64(attempt + 1)})
-		}
-		d.clock.Advance(backoff)
-		backoff *= 2
+	r := retryState{backoff: d.retry.Backoff}
+	for err == nil && comp.Status.Retryable() && d.retryStep(cmd.Opcode(), &r) {
 		comp, err = d.submitOnce(cmd)
-		if err != nil || !comp.Status.Retryable() {
-			return comp, err
-		}
 	}
-	d.stats.RetriesExhausted.Inc()
 	return comp, err
+}
+
+// call submits cmd and reports a failing completion status as its error.
+func (d *Driver) call(cmd nvme.Command) (nvme.Completion, error) {
+	comp, err := d.submit(cmd)
+	if err == nil {
+		err = comp.Status.Err()
+	}
+	return comp, err
+}
+
+// retryState is one command's progress through the retry policy.
+type retryState struct {
+	attempts int
+	backoff  sim.Duration // the wait before the next attempt
+}
+
+// retryStep decides whether a retryable completion gets another attempt
+// (both the synchronous path and the window ask it). Once the policy's
+// retries are spent it counts the command as exhausted and says no;
+// otherwise it counts and traces the retry, waits out the backoff on the
+// host clock and doubles it. A negative MaxRetries never retries.
+func (d *Driver) retryStep(op nvme.Opcode, r *retryState) bool {
+	if d.retry.MaxRetries < 0 {
+		return false
+	}
+	if r.attempts >= d.retry.MaxRetries {
+		d.stats.RetriesExhausted.Inc()
+		return false
+	}
+	r.attempts++
+	d.stats.Retries.Inc()
+	if d.tr != nil {
+		now := d.clock.Now()
+		d.tr.Emit(trace.Event{Cat: trace.CatDriver, Name: trace.EvRetry, Op: byte(op), Start: now, End: now.Add(r.backoff), Arg: int64(r.attempts)})
+	}
+	d.clock.Advance(r.backoff)
+	r.backoff *= 2
+	return true
 }
 
 // submitOnce pushes one command through the full synchronous round trip: SQ
@@ -396,9 +427,28 @@ func (d *Driver) submitBurst(cmds []nvme.Command) ([]nvme.Completion, error) {
 	return out, nil
 }
 
-func (d *Driver) allocID() uint16 {
-	d.nextID++
-	return d.nextID
+// send submits cmds in order — one doorbell burst under the burst policy,
+// else one synchronous round trip each — and stops at the first failing
+// status.
+func (d *Driver) send(cmds []nvme.Command) error {
+	if !d.sub.burst() {
+		for _, cmd := range cmds {
+			if _, err := d.call(cmd); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	comps, err := d.submitBurst(cmds)
+	if err != nil {
+		return err
+	}
+	for _, comp := range comps {
+		if err := comp.Status.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // staging returns the persistent staging region, allocating it on first use.
@@ -435,18 +485,15 @@ func (d *Driver) Put(key, value []byte) error {
 	mode := d.choose(len(value))
 	var err error
 	switch mode {
-	case nvme.ModePRP:
-		d.stats.PRPChosen.Inc()
-		err = d.putPRP(key, value)
 	case nvme.ModeInline:
 		d.stats.InlineChosen.Inc()
 		err = d.putInline(key, value)
 	case nvme.ModeHybrid:
 		d.stats.HybridChosen.Inc()
-		err = d.putHybrid(key, value)
-	case nvme.ModeSGL:
-		d.stats.PRPChosen.Inc() // SGL is a DMA-class choice in the ledger
-		err = d.putSGL(key, value)
+		err = d.putDMA(mode, key, value)
+	default: // PRP, and SGL: a DMA-class choice in the ledger
+		d.stats.PRPChosen.Inc()
+		err = d.putDMA(mode, key, value)
 	}
 	if err != nil {
 		return err
@@ -461,180 +508,59 @@ func (d *Driver) Put(key, value []byte) error {
 	return nil
 }
 
-// putPRP stages the value in the persistent staging region and sends one
-// write command whose PRP fields describe it.
-func (d *Driver) putPRP(key, value []byte) error {
-	prp, fresh, err := d.stagePayload(value)
-	if err != nil {
-		return err
-	}
-	if fresh {
-		defer prp.Free(d.mem)
-	}
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVWrite)
-	cmd.SetTransferMode(nvme.ModePRP)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
-		return err
-	}
-	cmd.SetValueSize(uint32(len(value)))
-	if len(prp.Pages) > 0 {
-		cmd.SetPRP1(prp.Pages[0])
-		if len(prp.Pages) > 1 {
-			cmd.SetPRP2(prp.Pages[1])
-		}
-	}
-	comp, err := d.submit(cmd)
-	if err != nil {
-		return err
-	}
-	return comp.Status.Err()
-}
-
-// putSGL stages the value in the persistent staging region and sends one
-// write command whose pages the device walks as SGL segments.
-func (d *Driver) putSGL(key, value []byte) error {
-	prp, fresh, err := d.stagePayload(value)
-	if err != nil {
-		return err
-	}
-	if fresh {
-		defer prp.Free(d.mem)
-	}
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVWrite)
-	cmd.SetTransferMode(nvme.ModeSGL)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
-		return err
-	}
-	cmd.SetValueSize(uint32(len(value)))
-	if len(prp.Pages) > 0 {
-		cmd.SetPRP1(prp.Pages[0])
-	}
-	comp, err := d.submit(cmd)
-	if err != nil {
-		return err
-	}
-	return comp.Status.Err()
-}
-
 // putInline ships the value entirely in command fields: one write command
 // plus trailing transfer commands in 56-byte increments (§3.2).
 func (d *Driver) putInline(key, value []byte) error {
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVWrite)
-	cmd.SetTransferMode(nvme.ModeInline)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
-		return err
-	}
-	cmd.SetValueSize(uint32(len(value)))
-	n := cmd.SetWritePiggyback(value)
-	if d.pipelined {
-		cmds := append(d.cmdScratch[:0], cmd)
-		cmds = d.appendTailCommands(cmds, value[n:])
-		d.cmdScratch = cmds[:0]
-		comps, err := d.submitBurst(cmds)
-		if err != nil {
-			return err
-		}
-		for _, comp := range comps {
-			if err := comp.Status.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	comp, err := d.submit(cmd)
+	cmd, err := d.keyed(nvme.OpKVWrite, key)
 	if err != nil {
 		return err
 	}
-	if err := comp.Status.Err(); err != nil {
-		return err
-	}
-	return d.sendTail(value[n:])
+	cmd.SetTransferMode(nvme.ModeInline)
+	cmd.SetValueSize(uint32(len(value)))
+	n := cmd.SetWritePiggyback(value)
+	return d.sendTail(append(d.cmdScratch[:0], cmd), value[n:])
 }
 
-// putHybrid DMAs the page-aligned head and piggybacks the tail.
-func (d *Driver) putHybrid(key, value []byte) error {
-	dmaPart := len(value) / pcie.MemoryPageSize * pcie.MemoryPageSize
-	if dmaPart == 0 {
-		return d.putInline(key, value)
+// putDMA stages the DMA-carried part of value in the persistent staging
+// region — all of it under PRP and SGL, the page-aligned head under Hybrid —
+// and sends one write command of that mode describing it; a hybrid tail then
+// follows inline.
+func (d *Driver) putDMA(mode nvme.TransferMode, key, value []byte) error {
+	head := value
+	if mode == nvme.ModeHybrid {
+		head = value[:len(value)/pcie.MemoryPageSize*pcie.MemoryPageSize]
 	}
-	prp, fresh, err := d.stagePayload(value[:dmaPart])
+	prp, fresh, err := d.stagePayload(head)
 	if err != nil {
 		return err
 	}
 	if fresh {
 		defer prp.Free(d.mem)
 	}
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVWrite)
-	cmd.SetTransferMode(nvme.ModeHybrid)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
-		return err
-	}
-	cmd.SetValueSize(uint32(len(value)))
-	cmd.SetPRP1(prp.Pages[0])
-	if len(prp.Pages) > 1 {
-		cmd.SetPRP2(prp.Pages[1])
-	}
-	comp, err := d.submit(cmd)
+	cmd, err := d.keyed(nvme.OpKVWrite, key)
 	if err != nil {
 		return err
 	}
-	if err := comp.Status.Err(); err != nil {
+	cmd.SetTransferMode(mode)
+	cmd.SetValueSize(uint32(len(value)))
+	pointAt(&cmd, prp, mode)
+	if _, err := d.call(cmd); err != nil {
 		return err
 	}
-	return d.sendTail(value[dmaPart:])
+	return d.sendTail(d.cmdScratch[:0], value[len(head):])
 }
 
-// appendTailCommands appends the trailing transfer commands for the
-// remaining value bytes to dst (pass scratch[:0] to reuse capacity).
-func (d *Driver) appendTailCommands(dst []nvme.Command, rest []byte) []nvme.Command {
+// sendTail appends one transfer command per 56-byte fragment of rest to
+// cmds (built on cmdScratch) and sends them all.
+func (d *Driver) sendTail(cmds []nvme.Command, rest []byte) error {
 	for len(rest) > 0 {
-		var tr nvme.Command
-		tr.SetOpcode(nvme.OpKVTransfer)
+		tr := d.command(nvme.OpKVTransfer)
 		tr.SetTransferMode(nvme.ModeInline)
-		tr.SetCommandID(d.allocID())
-		k := tr.SetTransferPiggyback(rest)
-		dst = append(dst, tr)
-		rest = rest[k:]
+		rest = rest[tr.SetTransferPiggyback(rest):]
+		cmds = append(cmds, tr)
 	}
-	return dst
-}
-
-// sendTail streams the remaining value bytes in transfer commands — one
-// synchronous round trip each under the paper's passthrough, or a single
-// burst when pipelining is enabled.
-func (d *Driver) sendTail(rest []byte) error {
-	cmds := d.appendTailCommands(d.cmdScratch[:0], rest)
 	d.cmdScratch = cmds[:0]
-	if d.pipelined {
-		comps, err := d.submitBurst(cmds)
-		if err != nil {
-			return err
-		}
-		for _, comp := range comps {
-			if err := comp.Status.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, tr := range cmds {
-		comp, err := d.submit(tr)
-		if err != nil {
-			return err
-		}
-		if err := comp.Status.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.send(cmds)
 }
 
 // MaxValueSize bounds the read buffer the driver stages for GETs.
@@ -651,35 +577,41 @@ func (d *Driver) Get(key []byte) ([]byte, error) {
 		return nil, ErrNegativeHit
 	}
 	start := d.clock.Now()
-	prp := d.staging().WithPayload(MaxValueSize)
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVRead)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
+	prp := d.staging()
+	cmd, err := d.readCommand(key, prp)
+	if err != nil {
 		return nil, err
-	}
-	cmd.SetPRP1(prp.Pages[0])
-	if len(prp.Pages) > 1 {
-		cmd.SetPRP2(prp.Pages[1])
 	}
 	comp, err := d.submit(cmd)
 	if err != nil {
 		return nil, err
 	}
-	if err := comp.Status.Err(); err != nil {
-		if comp.Status == nvme.StatusKeyNotFound {
-			d.negLearn(key)
-		}
-		return nil, err
-	}
-	// Gather exactly the bytes the device reported; stale staging bytes
-	// beyond the payload are never read.
-	n := int(comp.Result)
-	data, err := prp.WithPayload(n).GatherInto(d.mem, d.readBuf[:0])
+	data, err := d.finishGet(&cmd, comp, prp, d.readBuf, start)
 	if err != nil {
 		return nil, err
 	}
 	d.readBuf = data[:0]
+	return data, nil
+}
+
+// finishGet books a read's completion, synchronous or windowed. A not-found
+// feeds the negative cache; a hit gathers exactly the bytes the device
+// reported (stale staging bytes beyond them are never read) from the staged
+// run into dst and counts the Get, its response time since start and its
+// EvGet span.
+func (d *Driver) finishGet(cmd *nvme.Command, comp nvme.Completion, stage nvme.PRPList, dst []byte, start sim.Time) ([]byte, error) {
+	if err := comp.Status.Err(); err != nil {
+		if comp.Status == nvme.StatusKeyNotFound && d.neg != nil {
+			d.keyScratch = cmd.AppendKey(d.keyScratch[:0])
+			d.negLearn(d.keyScratch)
+		}
+		return nil, err
+	}
+	n := int(comp.Result)
+	data, err := stage.WithPayload(n).GatherInto(d.mem, dst[:0])
+	if err != nil {
+		return nil, err
+	}
 	d.stats.Gets.Inc()
 	now := d.clock.Now()
 	d.stats.ReadResponse.Observe(float64(now.Sub(start)))
@@ -692,17 +624,11 @@ func (d *Driver) Get(key []byte) ([]byte, error) {
 // Delete removes a key.
 func (d *Driver) Delete(key []byte) error {
 	start := d.clock.Now()
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVDelete)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(key); err != nil {
-		return err
-	}
-	comp, err := d.submit(cmd)
+	cmd, err := d.keyed(nvme.OpKVDelete, key)
 	if err != nil {
 		return err
 	}
-	if err := comp.Status.Err(); err != nil {
+	if _, err := d.call(cmd); err != nil {
 		return err
 	}
 	// The device acknowledged the tombstone: the key is now authoritatively
@@ -717,17 +643,11 @@ func (d *Driver) Delete(key []byte) error {
 
 // Seek positions the device-side iterator at the first key >= start.
 func (d *Driver) Seek(start []byte) error {
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVSeek)
-	cmd.SetCommandID(d.allocID())
-	if err := cmd.SetKey(start); err != nil {
-		return err
-	}
-	comp, err := d.submit(cmd)
+	cmd, err := d.keyed(nvme.OpKVSeek, start)
 	if err != nil {
 		return err
 	}
-	if err := comp.Status.Err(); err != nil {
+	if _, err := d.call(cmd); err != nil {
 		return err
 	}
 	d.stats.Scans.Inc()
@@ -747,10 +667,8 @@ var ErrIterInvalidated = errors.New("driver: iterator invalidated by compaction"
 // the returned key and value are views into the driver's reusable read
 // buffer, valid until the next driver operation; retaining callers must copy.
 func (d *Driver) Next() (key, value []byte, err error) {
-	prp := d.staging().WithPayload(MaxValueSize)
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVNext)
-	cmd.SetCommandID(d.allocID())
+	prp := d.staging()
+	cmd := d.command(nvme.OpKVNext)
 	cmd.SetPRP1(prp.Pages[0])
 	comp, err := d.submit(cmd)
 	if err != nil {
@@ -783,14 +701,8 @@ func (d *Driver) Next() (key, value []byte, err error) {
 
 // Flush forces buffered state to NAND.
 func (d *Driver) Flush() error {
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVFlush)
-	cmd.SetCommandID(d.allocID())
-	comp, err := d.submit(cmd)
-	if err != nil {
-		return err
-	}
-	return comp.Status.Err()
+	_, err := d.call(d.command(nvme.OpKVFlush))
+	return err
 }
 
 // Identify fetches the controller's identify structure — model, capacity,
@@ -798,15 +710,9 @@ func (d *Driver) Flush() error {
 // active packing policy).
 func (d *Driver) Identify() (device.IdentifyData, error) {
 	prp := d.staging().WithPayload(4096)
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpAdminIdentify)
-	cmd.SetCommandID(d.allocID())
+	cmd := d.command(nvme.OpAdminIdentify)
 	cmd.SetPRP1(prp.Pages[0])
-	comp, err := d.submit(cmd)
-	if err != nil {
-		return device.IdentifyData{}, err
-	}
-	if err := comp.Status.Err(); err != nil {
+	if _, err := d.call(cmd); err != nil {
 		return device.IdentifyData{}, err
 	}
 	data, err := prp.GatherInto(d.mem, d.readBuf[:0])
@@ -846,15 +752,10 @@ func (d *Driver) CompactVLog(pages int) (int, error) {
 	if pages <= 0 {
 		return 0, fmt.Errorf("driver: pages must be positive")
 	}
-	var cmd nvme.Command
-	cmd.SetOpcode(nvme.OpKVCompact)
-	cmd.SetCommandID(d.allocID())
+	cmd := d.command(nvme.OpKVCompact)
 	cmd.SetValueSize(uint32(pages))
-	comp, err := d.submit(cmd)
+	comp, err := d.call(cmd)
 	if err != nil {
-		return 0, err
-	}
-	if err := comp.Status.Err(); err != nil {
 		return 0, err
 	}
 	return int(comp.Result), nil

@@ -200,13 +200,15 @@ func TestAdaptiveCoefficients(t *testing.T) {
 	d, _, _ := newStack(t, MethodAdaptive, false)
 	thr := DefaultThresholds()
 	thr.Alpha = 4 // prefer piggybacking up to 512 B
-	d.SetThresholds(thr)
+	if err := d.Tune(Tuning{Thresholds: &thr}); err != nil {
+		t.Fatal(err)
+	}
 	d.Put([]byte("a"), make([]byte, 500))
 	if d.Stats().InlineChosen.Value() != 1 {
 		t.Fatal("alpha scaling ignored")
 	}
 	if d.Thresholds().Alpha != 4 {
-		t.Fatal("SetThresholds lost alpha")
+		t.Fatal("Tune lost alpha")
 	}
 }
 

@@ -20,7 +20,6 @@ package driver
 // the power cut swallowed).
 
 import (
-	"bandslim/internal/cache"
 	"bandslim/internal/nvme"
 	"bandslim/internal/pool"
 )
@@ -149,23 +148,6 @@ func (n *negCache) clear() {
 		n.bloom[i] = 0
 	}
 	n.next = 0
-}
-
-// SetCache applies a read-cache configuration to the stack this driver
-// fronts: the device tiers via Device.SetCache and the host-side negative
-// cache here. An invalid config is rejected without changing anything.
-func (d *Driver) SetCache(cfg cache.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := d.dev.SetCache(cfg); err != nil {
-		return err
-	}
-	d.neg = nil
-	if cfg.NegativeEntries > 0 {
-		d.neg = newNegCache(cfg.NegativeEntries)
-	}
-	return nil
 }
 
 // NegativeKnown reports whether key is a known-missing key the caller may

@@ -69,8 +69,7 @@ func TestStoreAfterClose(t *testing.T) {
 			if db, ok := st.(*DB); ok {
 				closed = append(closed,
 					result{"Identify", one(db.Identify())},
-					result{"CompactVLog", one(db.CompactVLog(1))},
-					result{"NewBatcher", one(db.NewBatcher(4))})
+					result{"CompactVLog", one(db.CompactVLog(1))})
 			}
 			for _, c := range closed {
 				if !errors.Is(c.err, ErrClosed) {
