@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench-smoke smoke golden server-smoke modelcheck fuzz-smoke determinism artifacts artifacts-check compaction benchmark-check ci
+.PHONY: all build test race vet fmt bench-smoke golden server-smoke modelcheck fuzz-smoke determinism artifacts artifacts-check compaction benchmark-check ci
 
 all: build
 
@@ -24,18 +24,12 @@ fmt:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Flags shared by the smoke run and its golden regeneration: the exported
-# exposition is deterministic, so any drift is a real behavior change.
+# Flags of the bench smoke run: a tiny instrumented workload through the CLI
+# whose Prometheus exposition must be byte-identical to the committed golden.
+# The exposition is deterministic, so any drift is a real behavior change. The
+# check is the tier-1 TestSmokeMatchesGolden in cmd/bandslim-bench, which reads
+# these flags from this line.
 SMOKE_FLAGS = -shards 2 -scale 1000 -seed 42 -metrics-interval-us 100
-
-# Bench smoke: run a tiny instrumented workload through the CLI and verify the
-# Prometheus exposition is byte-identical to the committed golden file. (The
-# same run driven in-process is the tier-1 TestSmokeExpositionMatchesGolden in
-# internal/bench; this target checks the CLI path to the same bytes.)
-smoke:
-	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out .smoke.prom -series-out .smoke.csv
-	diff -u results/golden/bench_smoke.prom .smoke.prom
-	rm -f .smoke.prom .smoke.csv
 
 # Regenerate the golden after an intentional metrics change.
 golden:
@@ -127,4 +121,4 @@ compaction:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet test race smoke bench-smoke server-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke
+ci: build vet test race bench-smoke server-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke

@@ -79,6 +79,49 @@ func TestBadArgumentsReturnErrors(t *testing.T) {
 	}
 }
 
+// The smoke exposition is golden: run with the Makefile's SMOKE_FLAGS, the
+// -metrics-out file must reproduce results/golden/bench_smoke.prom byte for
+// byte, so exposition drift fails `go test ./...`. After an intentional
+// metrics change, regenerate the file with `make golden`.
+func TestSmokeMatchesGolden(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(mk), "\n") {
+		if rest, ok := strings.CutPrefix(line, "SMOKE_FLAGS = "); ok {
+			flags = strings.Fields(rest)
+		}
+	}
+	if flags == nil {
+		t.Fatal("no SMOKE_FLAGS line in the Makefile")
+	}
+	want, err := os.ReadFile("../../results/golden/bench_smoke.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := filepath.Join(t.TempDir(), "smoke.prom")
+	var out bytes.Buffer
+	if err := run(append(flags, "-metrics-out", prom), &out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("exposition drifted from the golden at line %d:\n got %q\nwant %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("exposition has %d lines, the golden %d", len(gotLines), len(wantLines))
+}
+
 // The profile writers are deferred inside run, so a run that fails after
 // profiling started still flushes them.
 func TestFailedRunKeepsProfiles(t *testing.T) {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"strings"
 	"testing"
 
 	"bandslim"
@@ -62,38 +60,4 @@ func TestTelemetryDefaultsInterval(t *testing.T) {
 	if s := tr.DB.Series(); s.Interval != DefaultMetricsInterval {
 		t.Fatalf("series interval = %v, want default %v", s.Interval, DefaultMetricsInterval)
 	}
-}
-
-// The smoke exposition is golden: `make smoke`'s run, driven in-process, must
-// reproduce results/golden/bench_smoke.prom byte for byte, so exposition drift
-// fails `go test ./...` and not only the Makefile's CLI-path check. After an
-// intentional metrics change, regenerate the file with `make golden`.
-func TestSmokeExpositionMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile("../../results/golden/bench_smoke.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := StartTelemetry(Options{Scale: 1000, Seed: 42}, 2, 100*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.DB.Close()
-	if err := tr.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := tr.DB.WritePrometheus(&got); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("exposition drifted from the golden at line %d (`make smoke` shows the whole diff):\n got %q\nwant %q",
-				i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("exposition has %d lines, the golden %d (`make smoke` shows the diff)", len(gotLines), len(wantLines))
 }
