@@ -13,12 +13,17 @@ import (
 	"bandslim/internal/sim"
 )
 
-func newStack(t *testing.T, method Method, nandOn bool) (*Driver, *device.Device, *pcie.Link) {
+// newStack builds a driver over a small device; tweaks adjust the device
+// config before it is built.
+func newStack(t *testing.T, method Method, nandOn bool, tweaks ...func(*device.Config)) (*Driver, *device.Device, *pcie.Link) {
 	t.Helper()
 	cfg := device.DefaultConfig()
 	cfg.Geometry = nand.Geometry{Channels: 2, WaysPerChannel: 2, BlocksPerWay: 64, PagesPerBlock: 32, PageSize: 16 * 1024}
 	cfg.NANDEnabled = nandOn
 	cfg.LSM.MemTableEntries = 256
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
 	clock := sim.NewClock()
 	link := pcie.NewLink(pcie.DefaultCostModel())
 	mem := nvme.NewHostMemory()
