@@ -100,11 +100,11 @@ type Completion struct {
 	// of a read, so short reads are visible to the driver).
 	Result uint32
 	// Ready is simulation bookkeeping, not wire content: the simulated time
-	// the controller posted this entry. ProcessPending stamps it with the
-	// command's device-work end; ProcessWindow additionally quantizes it onto
-	// the coalescing grid, so the host can advance its clock to each
-	// completion's arrival out of order and the trace layer can expose the
-	// post time as a latency-attribution boundary.
+	// the controller posted this entry. The device's one sweep stamps it with
+	// the command's device-work end, never before the command's start, and
+	// quantizes it onto the coalescing grid when one is set, so the host can
+	// advance its clock to each completion's arrival out of order and the
+	// trace layer can expose the post time as a latency-attribution boundary.
 	Ready sim.Time
 }
 
