@@ -39,6 +39,7 @@ func readBack(t *testing.T, dev *Device, mem *nvme.HostMemory, key string) ([]by
 	rd.SetOpcode(nvme.OpKVRead)
 	rd.SetKey([]byte(key))
 	rd.SetPRP1(rbuf.Pages[0])
+	rd.SetValueSize(uint32(rbuf.TransferSize()))
 	comp, _ := submit(t, dev, rd)
 	if comp.Status != nvme.StatusSuccess {
 		return nil, comp.Status

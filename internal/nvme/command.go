@@ -237,7 +237,8 @@ func (c *Command) AppendKey(dst []byte) []byte {
 // KeySize reads the recorded key length.
 func (c *Command) KeySize() int { return int(c.raw[offKeySize]) }
 
-// SetValueSize stores the total value size in dword10.
+// SetValueSize stores the total value size in dword10; a read stores the
+// size of the host buffer its PRP describes there instead.
 func (c *Command) SetValueSize(n uint32) {
 	binary.LittleEndian.PutUint32(c.raw[offValueSize:], n)
 }
