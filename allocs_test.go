@@ -141,7 +141,7 @@ var storeKinds = []string{"db", "sharded"}
 
 // openStore opens one of storeKinds with NAND on and reports how many
 // devices are behind it.
-func openStore(t *testing.T, kind string, tr bandslim.Tracer) (bandslim.Store, int) {
+func openStore(t *testing.T, kind string, tr bandslim.Tracer) (*bandslim.DB, int) {
 	t.Helper()
 	cfg := allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr)
 	if kind == "db" {
@@ -435,7 +435,7 @@ func TestShardedAllocsSteadyState(t *testing.T) {
 				}
 			}
 			i := 0
-			assertZeroAllocs(t, "ShardedDB.Put", 400, func() {
+			assertZeroAllocs(t, "sharded DB.Put", 400, func() {
 				if err := s.Put(keys[i%nkeys], value); err != nil {
 					t.Fatal(err)
 				}
@@ -458,7 +458,7 @@ func TestShardedAllocsSteadyState(t *testing.T) {
 				}
 			}
 			i = 0
-			assertZeroAllocs(t, "ShardedDB.Get", 400, func() {
+			assertZeroAllocs(t, "sharded DB.Get", 400, func() {
 				v, err := g.Get(keys[i%nkeys])
 				if err != nil || len(v) != 256 {
 					t.Fatalf("Get: %d bytes, %v", len(v), err)
@@ -467,7 +467,7 @@ func TestShardedAllocsSteadyState(t *testing.T) {
 			})
 			dst := make([]byte, 0, 256)
 			i = 0
-			assertZeroAllocs(t, "ShardedDB.GetInto", 400, func() {
+			assertZeroAllocs(t, "sharded DB.GetInto", 400, func() {
 				v, err := g.GetInto(keys[i%nkeys], dst)
 				if err != nil || len(v) != 256 {
 					t.Fatalf("GetInto: %d bytes, %v", len(v), err)
@@ -585,7 +585,7 @@ func TestShardedCacheHitAllocsSteadyState(t *testing.T) {
 			}
 			base := s.Stats().Cache.Hits
 			i := 0
-			assertZeroAllocs(t, "ShardedDB.Get cache hit", 400, func() {
+			assertZeroAllocs(t, "sharded DB.Get cache hit", 400, func() {
 				v, err := s.Get(keys[i%nkeys])
 				if err != nil || len(v) != 128 {
 					t.Fatalf("Get: %d bytes, %v", len(v), err)
@@ -601,7 +601,7 @@ func TestShardedCacheHitAllocsSteadyState(t *testing.T) {
 
 // TestShardedBatchAllocsTwoCallers extends the guards to the sharded batch
 // fan-out under concurrency: two callers run batches against the same shards
-// at once — each batch takes its own lane set from the ShardedDB's free list
+// at once — each batch takes its own lane set from the DB's free list
 // and visits its shards one lock at a time — and the steady state must still
 // allocate nothing, with and without a tracer. AllocsPerRun counts every
 // goroutine's mallocs, so the background caller's batches are measured too.
@@ -652,7 +652,7 @@ func TestShardedBatchAllocsTwoCallers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			measure(t, "ShardedDB.PutBatch x2 callers", func(prefix string) func() {
+			measure(t, "sharded DB.PutBatch x2 callers", func(prefix string) func() {
 				keys, vals := newBatch(prefix)
 				return func() {
 					if err := w.PutBatch(keys, vals); err != nil {
@@ -674,7 +674,7 @@ func TestShardedBatchAllocsTwoCallers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			measure(t, "ShardedDB.GetBatchSparse x2 callers", func(prefix string) func() {
+			measure(t, "sharded DB.GetBatchSparse x2 callers", func(prefix string) func() {
 				keys, lanes := newBatch(prefix)
 				miss := make([]bool, nkeys)
 				return func() {

@@ -144,17 +144,17 @@ func TestBatchArgumentErrors(t *testing.T) {
 		t.Error("DB.GetBatch accepted mismatched key/lane counts")
 	}
 	if err := s.PutBatch(keys, one); err == nil {
-		t.Error("ShardedDB.PutBatch accepted mismatched key/value counts")
+		t.Error("sharded DB.PutBatch accepted mismatched key/value counts")
 	}
 	if _, err := s.GetBatch(keys, one); err == nil {
-		t.Error("ShardedDB.GetBatch accepted mismatched key/lane counts")
+		t.Error("sharded DB.GetBatch accepted mismatched key/lane counts")
 	}
 
 	if _, err := db.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
 		t.Error("DB.GetBatch of an absent key succeeded")
 	}
 	if _, err := s.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
-		t.Error("ShardedDB.GetBatch of an absent key succeeded")
+		t.Error("sharded DB.GetBatch of an absent key succeeded")
 	}
 }
 
@@ -221,7 +221,7 @@ func TestGetBatchSparse(t *testing.T) {
 		}
 	}
 	check("DB", db.GetBatchSparse)
-	check("ShardedDB", s.GetBatchSparse)
+	check("sharded DB", s.GetBatchSparse)
 }
 
 // TestBatchPathDeterminism replays the same batched workload twice and

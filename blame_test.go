@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// blameWorkload drives a mixed workload through a ShardedDB: puts across the
+// blameWorkload drives a mixed workload through a sharded DB: puts across the
 // transfer-method spectrum, batch reads (dense and sparse with misses),
 // deletes, and a flush, so the trace holds every command shape the analyzer
 // must reconstruct.
-func blameWorkload(t *testing.T, s *ShardedDB) {
+func blameWorkload(t *testing.T, s *DB) {
 	t.Helper()
 	sizes := []int{16, 512, 2048, 4096 + 32, 8192}
 	nkeys := 48
@@ -49,7 +49,7 @@ func blameWorkload(t *testing.T, s *ShardedDB) {
 	}
 }
 
-func openBlameSharded(t *testing.T, depth int) *ShardedDB {
+func openBlameSharded(t *testing.T, depth int) *DB {
 	t.Helper()
 	cfg := smallConfig()
 	if depth > 1 {
@@ -140,7 +140,7 @@ func TestBlameResidualZeroAcrossDepths(t *testing.T) {
 }
 
 // Two identical runs must render byte-identical CSV and breakdown output —
-// the property the blame-smoke golden gate enforces.
+// the property `make determinism` checks on the CLI's analyze output.
 func TestBlameOutputsDeterministic(t *testing.T) {
 	capture := func() ([]byte, []byte) {
 		s := openBlameSharded(t, 8)

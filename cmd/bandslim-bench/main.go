@@ -44,7 +44,7 @@
 // -trace skips the experiments and instead captures a short adaptive-method
 // workload with command-level tracing on, writing Chrome trace_event JSON
 // loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing. With
-// -shards above 1 the capture runs a ShardedDB and the shards render as
+// -shards above 1 the capture runs that many shards and they render as
 // processes. -trace-jsonl writes the same capture as one JSON object per
 // event — the input format of `bandslim-cli analyze`, which reconstructs
 // per-op latency attribution offline.

@@ -1,8 +1,8 @@
 // The analyze subcommand: offline latency attribution over a JSONL trace.
 // It reconstructs every operation from the event stream (see internal/spans),
 // prints the per-op-kind stage breakdown with the critical-path digest and
-// the slowest ops, and optionally writes the machine-readable CSV the
-// blame-smoke gate diffs.
+// the slowest ops, and optionally writes the machine-readable CSV that
+// `make determinism` diffs across two analyses of one trace.
 package main
 
 import (

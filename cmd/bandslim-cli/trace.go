@@ -14,8 +14,8 @@ package main
 // through the identical execution engine on an identically configured fresh
 // stack: because the simulation is deterministic, the replayed run's Stats
 // and Prometheus exposition are byte-identical to the recorded run's
-// (-metrics-out on both sides makes that diffable — the `make ycsb-smoke`
-// gate does exactly that). `stat` summarizes a trace without running it.
+// (-metrics-out on both sides makes that diffable — `make determinism` does
+// exactly that). `stat` summarizes a trace without running it.
 
 import (
 	"flag"
@@ -52,12 +52,9 @@ func runTrace(args []string) {
 // traceStack opens the fixed stack configuration record and replay share:
 // identical configs are what make the live and replayed runs comparable
 // byte for byte.
-func traceStack(shards int) (bandslim.Store, error) {
+func traceStack(shards int) (*bandslim.DB, error) {
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
-	if shards <= 1 {
-		return bandslim.Open(per)
-	}
 	return bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 }
 
@@ -65,7 +62,7 @@ func traceStack(shards int) (bandslim.Store, error) {
 // by record and replay so the two files are diffable. Progress messages go
 // to human, which is stderr when the trace itself is being streamed to
 // stdout.
-func writeExposition(db bandslim.Store, path string, human io.Writer) error {
+func writeExposition(db *bandslim.DB, path string, human io.Writer) error {
 	if path == "" {
 		return nil
 	}
@@ -85,7 +82,7 @@ func writeExposition(db bandslim.Store, path string, human io.Writer) error {
 }
 
 // driveAndReport runs a scenario, closes the stack, and exports artifacts.
-func driveAndReport(db bandslim.Store, s workload.Scenario, seed uint64,
+func driveAndReport(db *bandslim.DB, s workload.Scenario, seed uint64,
 	rec *workload.Trace, metricsOut string, human io.Writer) {
 	res, err := bench.DriveScenario(db, s, seed, rec)
 	if err != nil {
@@ -113,7 +110,7 @@ func runTraceRecord(args []string) {
 	records := fs.Int("records", 1000, "initial keyspace size (load-phase inserts)")
 	ops := fs.Int("ops", 2000, "run-phase operations")
 	seed := fs.Uint64("seed", 42, "scenario and value-content seed")
-	shards := fs.Int("shards", 1, "shard count (1 = single DB)")
+	shards := fs.Int("shards", 1, "shard count")
 	rate := fs.Float64("rate", 50000, "open-loop arrival rate, ops per simulated second (0 = unpaced)")
 	out := fs.String("o", "", "trace output path (- for stdout); required")
 	metricsOut := fs.String("metrics-out", "", "write the live run's Prometheus exposition here")

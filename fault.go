@@ -4,6 +4,7 @@ import (
 	"bandslim/internal/driver"
 	"bandslim/internal/fault"
 	"bandslim/internal/nvme"
+	"bandslim/internal/shard"
 )
 
 // Deterministic fault injection and crash recovery.
@@ -107,7 +108,7 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // IsPowerLoss reports whether err is a power-loss completion — the device is
-// down and DB.Recover (or ShardedDB.Recover) is required.
+// down and DB.Recover is required.
 func IsPowerLoss(err error) bool {
 	s, ok := nvme.StatusOf(err)
 	return ok && s == nvme.StatusPowerLoss
@@ -140,17 +141,12 @@ func IsNotFound(err error) bool {
 	return ok && s == nvme.StatusKeyNotFound
 }
 
-// Recover remounts the device after a power cut: fresh queues, the LSM index
-// rolled back to its last durable flush, and the battery-backed index journal
-// replayed — restoring every acknowledged write. Unacknowledged operations
-// that were in flight when power was lost are atomically present or absent.
-// A plan can cut power again during replay; Recover then returns a power-loss
-// error and a subsequent Recover resumes where replay stopped.
-func (db *DB) Recover() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.st.Recover()
-}
+// Recover remounts every shard's device after a power cut: fresh queues, the
+// LSM index rolled back to its last durable flush, and the battery-backed
+// index journal replayed — restoring every acknowledged write. Unacknowledged
+// operations that were in flight when power was lost are atomically present
+// or absent. Mounting a shard that never lost power is a harmless no-op, so
+// Recover is safe whenever any operation reports IsPowerLoss. The first error
+// wins; a plan can cut power again during replay, and a subsequent Recover
+// resumes where replay stopped.
+func (db *DB) Recover() error { return db.each((*shard.Stack).Recover) }

@@ -1,6 +1,6 @@
 package bandslim_test
 
-// Race-detector coverage for the fault path: concurrent ShardedDB traffic
+// Race-detector coverage for the fault path: concurrent traffic across shards
 // while the plan injects retryable transients, media failures and a power
 // cut, with recovery issued from a racing goroutine. Run under `make race`.
 

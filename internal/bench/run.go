@@ -132,7 +132,7 @@ func runWith(gen workload.Generator, cfg bandslim.Config) (runResult, error) {
 // calls, each value 16..16+spread-1 bytes. The committed artifacts pin how
 // rng is consumed: one draw per key, in key order, before the caller draws
 // anything else (the read-order shuffle) from the same stream.
-func loadKeyspace(db bandslim.Store, prefix string, n, spread, chunk int, rng *sim.RNG) (keys, vals [][]byte, err error) {
+func loadKeyspace(db *bandslim.DB, prefix string, n, spread, chunk int, rng *sim.RNG) (keys, vals [][]byte, err error) {
 	keys, vals = make([][]byte, n), make([][]byte, n)
 	filler := workload.NewValueFiller(1)
 	for i := range keys {

@@ -29,29 +29,12 @@ func traceKey(i int) []byte {
 // command-level tracing enabled and returns the event stream, merged across
 // shards and ordered by simulated start time. Value sizes cycle through
 // inline, PRP, hybrid, and multi-page transfers, and every key is read back,
-// so the capture exercises each path the driver can take. shards <= 1 traces
-// a plain DB; larger counts trace a ShardedDB with per-shard recorders.
+// so the capture exercises each path the driver can take. Every shard gets
+// its own recorder.
 func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	o = o.normalized()
-	ops := o.Scale
-	if ops > traceCaptureOps {
-		ops = traceCaptureOps
-	}
-	if shards <= 1 {
-		rec := bandslim.NewRecorder(traceCaptureCapacity)
-		cfg := headlineConfig()
-		cfg.Tracer = rec
-		db, err := bandslim.Open(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer db.Close()
-		if err := traceWorkload(db, ops); err != nil {
-			return nil, err
-		}
-		return rec.TraceEvents(), nil
-	}
-	sdb, err := bandslim.OpenSharded(bandslim.ShardedConfig{
+	ops := min(o.Scale, traceCaptureOps)
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:        shards,
 		PerShard:      headlineConfig(),
 		TraceCapacity: traceCaptureCapacity,
@@ -59,16 +42,16 @@ func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sdb.Close()
-	if err := traceWorkload(sdb, ops); err != nil {
+	defer db.Close()
+	if err := traceWorkload(db, ops); err != nil {
 		return nil, err
 	}
-	return sdb.TraceEvents(), nil
+	return db.TraceEvents(), nil
 }
 
 // traceWorkload writes ops values cycling through traceValueSizes, reads
 // each back, and flushes so the capture ends with NAND programs.
-func traceWorkload(kv bandslim.Store, ops int) error {
+func traceWorkload(kv *bandslim.DB, ops int) error {
 	for i := 0; i < ops; i++ {
 		size := traceValueSizes[i%len(traceValueSizes)]
 		if err := kv.Put(traceKey(i), make([]byte, size)); err != nil {

@@ -47,7 +47,7 @@ func (r ScenarioResult) SimKops() float64 { return simKops(r.Ops, r.Elapsed) }
 // exact bytes. When rec is non-nil every op is appended to it (keys copied)
 // before execution — recording a run and replaying the resulting trace is
 // bit-identical to the live run by construction.
-func DriveScenario(db bandslim.Store, s workload.Scenario, valueSeed uint64, rec *workload.Trace) (ScenarioResult, error) {
+func DriveScenario(db *bandslim.DB, s workload.Scenario, valueSeed uint64, rec *workload.Trace) (ScenarioResult, error) {
 	res := ScenarioResult{Name: s.Name()}
 	if rec != nil {
 		rec.Seed = valueSeed

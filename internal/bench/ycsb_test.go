@@ -22,24 +22,16 @@ func mixedScenario(t *testing.T, seed uint64) workload.Scenario {
 	return s
 }
 
-func openDrive(t *testing.T, shards int) bandslim.Store {
+func openDrive(t *testing.T, shards int) *bandslim.DB {
 	t.Helper()
-	cfg := bandslim.DefaultConfig()
-	if shards <= 1 {
-		db, err := bandslim.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: cfg})
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: bandslim.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db
 }
 
-func closeDrive(t *testing.T, db bandslim.Store) {
+func closeDrive(t *testing.T, db *bandslim.DB) {
 	t.Helper()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -254,7 +254,7 @@ func (rs *ruleState) step(now sim.Time) bool {
 }
 
 // Injector evaluates one Plan against one stack. It is not safe for
-// concurrent use; each shard owns its own Injector (ShardedDB salts each
+// concurrent use; each shard owns its own Injector (bandslim.DB salts each
 // with the shard id, so shards draw decorrelated schedules from one plan).
 type Injector struct {
 	rules  []ruleState

@@ -9,7 +9,7 @@
 // backpressure to the client through TCP flow control. The writer drains
 // every queued slot per wakeup and coalesces the burst: consecutive SETs
 // become one PutBatch, consecutive GETs one GetBatchSparse, split into shard
-// lanes by the ShardedDB batch path and run inline on the writer goroutine
+// lanes by the DB batch path and run inline on the writer goroutine
 // one shard lock at a time (so two connections' bursts interleave shard by
 // shard), with a single output flush per burst. Pipelined clients therefore
 // get batch-path service automatically.
@@ -42,7 +42,7 @@ type Config struct {
 
 	// DB is the store being served. The server does not close it; the
 	// process owning both shuts the server down first, then the DB.
-	DB *bandslim.ShardedDB
+	DB *bandslim.DB
 
 	// Window bounds in-flight parsed commands per connection (the slot
 	// ring). When every slot is in flight the reader stops reading — TCP
@@ -80,7 +80,7 @@ var opNames = [numOpcodes]string{
 	"ping", "set", "get", "del", "mset", "mget", "scan", "info", "shutdown", "other",
 }
 
-// Server is a RESP front-end over one ShardedDB. Create with New, start with
+// Server is a RESP front-end over one DB. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown.
 type Server struct {
 	cfg    Config

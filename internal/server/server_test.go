@@ -17,7 +17,7 @@ import (
 )
 
 // testDB opens a small sharded stack for serving tests.
-func testDB(t *testing.T, shards int) *bandslim.ShardedDB {
+func testDB(t *testing.T, shards int) *bandslim.DB {
 	t.Helper()
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:   shards,
@@ -31,7 +31,7 @@ func testDB(t *testing.T, shards int) *bandslim.ShardedDB {
 
 // startServer builds a server over db, starts Serve on a loopback listener,
 // and registers an idempotent stop func that shuts everything down.
-func startServer(t *testing.T, db *bandslim.ShardedDB, window int) (*Server, string, func()) {
+func startServer(t *testing.T, db *bandslim.DB, window int) (*Server, string, func()) {
 	t.Helper()
 	s, err := New(Config{DB: db, Window: window, Logf: t.Logf})
 	if err != nil {
@@ -590,7 +590,7 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 		}
 		return out
 	}
-	run := func(t *testing.T, db *bandslim.ShardedDB, burst []*cmd, templates [][][]byte) {
+	run := func(t *testing.T, db *bandslim.DB, burst []*cmd, templates [][][]byte) {
 		t.Helper()
 		s, err := New(Config{DB: db})
 		if err != nil {

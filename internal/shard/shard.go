@@ -1,5 +1,5 @@
-// Package shard holds the op engine both front-ends run on, plus the two
-// pieces a sharded front-end adds to it: the key Partitioner and the k-way
+// Package shard holds the op engine every shard of a bandslim.DB runs, plus
+// the two pieces sharding adds to it: the key Partitioner and the k-way
 // MergeIterator.
 //
 // The paper's testbed is deliberately serialized: one passthrough SQ/CQ pair
@@ -7,9 +7,9 @@
 // that serialization leaves on the table). A Stack is one such serialized
 // host+device pair — its own sim.Clock, pcie.Link, nvme.HostMemory,
 // device.Device, and driver.Driver — and the single implementation of every
-// operation the public API offers over it. bandslim.DB is one Stack behind a
-// mutex; bandslim.ShardedDB hash-partitions keys across N such DBs, like
-// parallel NVMe queue pairs feeding independent controllers.
+// operation the public API offers over it. bandslim.DB hash-partitions keys
+// across N >= 1 Stacks, each behind its own mutex, like parallel NVMe queue
+// pairs feeding independent controllers.
 //
 // A Stack has no goroutine and no lock of its own: operations run on the
 // caller's goroutine, and whoever owns the Stack serializes access to it

@@ -1,7 +1,7 @@
 // Aggregation and rendering over reconstructed operations: per-opcode ×
 // per-stage histograms, the top-K slowest-op forensics list, the critical-
 // path digest, and the deterministic table/CSV writers the CLI and the
-// blame-smoke golden gate consume.
+// `make determinism` gate consume.
 package spans
 
 import (
@@ -159,8 +159,8 @@ func formatFloat(v float64) string {
 // WriteCSV writes the per-op-kind × per-stage breakdown as one CSV table:
 // an e2e row followed by one row per stage, per op kind in first-observation
 // order. share is the stage's fraction of the kind's total latency; the
-// distribution columns come from the stage histograms. Deterministic: the
-// blame-smoke gate diffs this byte-for-byte.
+// distribution columns come from the stage histograms. Deterministic:
+// `make determinism` diffs this byte-for-byte.
 func WriteCSV(w io.Writer, r *Report) error {
 	a := Summarize(r)
 	bw := bufio.NewWriter(w)

@@ -142,8 +142,8 @@ func histAt(sm Sample, key HistKey) *metrics.Histogram {
 }
 
 // Sampler polls a snapshot source whenever the simulated clock crosses a
-// boundary of its interval. It is not internally synchronized: each DB (one
-// per shard of a ShardedDB) serializes its sampler's polls under its mutex.
+// boundary of its interval. It is not internally synchronized: each shard
+// of a bandslim.DB serializes its sampler's polls under its mutex.
 type Sampler struct {
 	interval sim.Duration
 	source   func() Snapshot

@@ -52,7 +52,7 @@ func scenarioKeyNum(key []byte) (int, bool) {
 
 // mcScanScenario checks a scenario-driven scan against the model, the
 // y-keyspace analog of mcScan.
-func mcScanScenario(t *testing.T, db bandslim.Store, model *mcModel, start []byte, limit int, faulty bool) {
+func mcScanScenario(t *testing.T, db *bandslim.DB, model *mcModel, start []byte, limit int, faulty bool) {
 	t.Helper()
 	it, err := db.NewIterator(start)
 	if err != nil {
@@ -85,7 +85,7 @@ func mcScanScenario(t *testing.T, db bandslim.Store, model *mcModel, start []byt
 
 // runScenarioModelSequence drives one scenario stream through db and the
 // reference model, then verifies the whole keyspace.
-func runScenarioModelSequence(t *testing.T, db bandslim.Store, name string, seed uint64, faulty bool) {
+func runScenarioModelSequence(t *testing.T, db *bandslim.DB, name string, seed uint64, faulty bool) {
 	t.Helper()
 	s, err := workload.NewScenario(name, scenarioModelConfig(seed))
 	if err != nil {

@@ -1,7 +1,7 @@
 package bandslim_test
 
 // Model-based differential test harness for the fault-injection and
-// crash-recovery subsystem. Each sequence drives a DB (or ShardedDB) and an
+// crash-recovery subsystem. Each sequence drives a DB (one shard or several) and an
 // in-memory reference model through the same seeded random operation stream —
 // with and without a generated fault plan — and checks the two agree:
 //
@@ -194,7 +194,7 @@ func mcPlan(seed uint64) *bandslim.FaultPlan {
 // keyspace: a returned value must be one the model allows, and a key the
 // model holds certainly-absent must not appear. Iteration errors under an
 // active fault plan abandon the scan (the snapshot died with the fault).
-func mcScan(t *testing.T, db bandslim.Store, model *mcModel, start string, faulty bool) {
+func mcScan(t *testing.T, db *bandslim.DB, model *mcModel, start string, faulty bool) {
 	t.Helper()
 	it, err := db.NewIterator([]byte(start))
 	if err != nil {
@@ -227,7 +227,7 @@ func mcScan(t *testing.T, db bandslim.Store, model *mcModel, start string, fault
 
 // mcRecover brings the stack back after a power-loss completion. A plan can
 // cut power again during replay, so recovery itself may need a few attempts.
-func mcRecover(t *testing.T, db bandslim.Store) {
+func mcRecover(t *testing.T, db *bandslim.DB) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		err := db.Recover()
@@ -242,7 +242,7 @@ func mcRecover(t *testing.T, db bandslim.Store) {
 
 // mcGet reads a key, recovering across power cuts and tolerating one-shot
 // injected media read faults. Returns nil for an absent key.
-func mcGet(t *testing.T, db bandslim.Store, key string, scratch []byte) ([]byte, []byte) {
+func mcGet(t *testing.T, db *bandslim.DB, key string, scratch []byte) ([]byte, []byte) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		v, err := db.GetInto([]byte(key), scratch[:0])
@@ -266,7 +266,7 @@ func mcGet(t *testing.T, db bandslim.Store, key string, scratch []byte) ([]byte,
 
 // runModelSequence drives one seeded sequence against db and the model, then
 // verifies every key.
-func runModelSequence(t *testing.T, db bandslim.Store, seed uint64, faulty bool) {
+func runModelSequence(t *testing.T, db *bandslim.DB, seed uint64, faulty bool) {
 	t.Helper()
 	model := newMCModel()
 	rng := sim.NewRNG(seed)
@@ -398,7 +398,7 @@ func TestModelCheckDB(t *testing.T) {
 }
 
 // TestModelCheckSharded runs 350 differential sequences against 2-shard
-// ShardedDBs. Shards derive independent fault streams from the same plan
+// DBs. Shards derive independent fault streams from the same plan
 // (salted by shard id), so cuts and recoveries interleave across devices.
 func TestModelCheckSharded(t *testing.T) {
 	sequences := 350

@@ -33,7 +33,7 @@ import (
 )
 
 // Tracer receives command-level events on whichever goroutine is running the
-// operation that emits them. A Tracer shared across ShardedDB shards (each
+// operation that emits them. A Tracer shared across a DB's shards (each
 // wrapped to stamp its shard id) must be safe for concurrent use.
 type Tracer = trace.Tracer
 
@@ -115,7 +115,7 @@ type BlameStage = spans.Stage
 type BlameCriticalPath = spans.CriticalPath
 
 // AnalyzeTrace reconstructs per-operation latency attribution from an event
-// stream (a recorder's buffer, a merged ShardedDB stream, or a re-read JSONL
+// stream (a recorder's buffer, a DB's merged shard streams, or a re-read JSONL
 // file). Pure and deterministic: the same events yield the same report.
 func AnalyzeTrace(events []TraceEvent) *BlameReport {
 	return spans.Analyze(events)
@@ -130,7 +130,7 @@ func BlameCriticalPaths(r *BlameReport) []BlameCriticalPath {
 }
 
 // WriteBlameCSV writes the per-op-kind × per-stage breakdown as a CSV table.
-// Byte-deterministic for identical runs (the blame-smoke gate diffs it).
+// Byte-deterministic for identical runs (`make determinism` diffs it).
 func WriteBlameCSV(w io.Writer, r *BlameReport) error { return spans.WriteCSV(w, r) }
 
 // WriteBlameBreakdown writes the human-readable attribution report: stage
@@ -139,7 +139,7 @@ func WriteBlameBreakdown(w io.Writer, r *BlameReport, topK int) error {
 	return spans.WriteBreakdown(w, r, topK)
 }
 
-// rings is the set of distinct ring recorders behind a front-end: none, the
+// rings is the set of distinct ring recorders behind a DB: none, the
 // one *Recorder Config.Tracer names, or one per shard (TraceCapacity). Health
 // and attribution go through it so a recorder shared by every shard is
 // counted once.
@@ -187,9 +187,11 @@ func (r rings) blame() *BlameReport {
 	return spans.Analyze(r.events())
 }
 
-// Blame analyzes the DB's attached ring recorder (Config.Tracer must be a
-// *Recorder) and returns the attribution report, or nil when no recorder is
-// attached. The report covers whatever the ring currently holds; check
+// Blame analyzes the buffered trace events and returns the latency
+// attribution report, or nil when no ring recorder is attached (neither
+// TraceCapacity nor a *Recorder Config.Tracer). Per-shard streams are
+// reconstructed independently, so the result does not depend on shard
+// interleaving. The report covers whatever the rings currently hold; check
 // Lossy() before trusting per-op numbers near the buffer's start.
 func (db *DB) Blame() *BlameReport { return db.rings.blame() }
 
@@ -206,25 +208,32 @@ type MetricSample = timeseries.Sample
 // cross-shard aggregation mode, and Prometheus HELP text.
 type MetricDesc = timeseries.Desc
 
-// Series returns the simulated-time metric series recorded so far. It is
-// empty (Len() == 0) unless Config.MetricsInterval was set at Open. The
-// series remains readable after Close and includes the final flush.
+// Series returns the simulated-time metric series recorded so far, the
+// shards' series merged onto one time axis: counters and sum-gauges add,
+// max-gauges take the max, mean-gauges average, and latency histograms merge
+// bucket-exactly. It is empty (Len() == 0) unless Config.MetricsInterval was
+// set at open. The series remains readable after Close and includes the final
+// flush.
 func (db *DB) Series() MetricSeries {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.sampler == nil {
+	if db.shards[0].sampler == nil {
 		return MetricSeries{}
 	}
-	return db.sampler.Series()
+	parts := make([]timeseries.Series, len(db.shards))
+	db.peek(func(i int, sh *dbShard) { parts[i] = sh.sampler.Series() })
+	return timeseries.MergeSeries(parts...)
 }
 
-// WritePrometheus writes the DB's current metric state — every counter,
-// gauge, and full-bucket latency histogram — in the Prometheus text
-// exposition format. It works with or without the sampler, is safe to call
-// while the DB is serving, remains usable after Close, and is deterministic:
-// same-seed runs produce byte-identical output.
+// WritePrometheus writes the current metric state across the shards — every
+// counter, gauge, and full-bucket latency histogram; counters sum, gauges
+// aggregate per their mode, histograms merge bucket-exactly — in the
+// Prometheus text exposition format. It works with or without the sampler, is
+// safe to call while the DB is serving (the live /metrics scrape path),
+// remains usable after Close, and is deterministic: same-seed runs produce
+// byte-identical output.
 func (db *DB) WritePrometheus(w io.Writer) error {
-	return writeExposition(w, db.descs, db.lockedSnapshot(), db.rings)
+	snaps := make([]timeseries.Snapshot, len(db.shards))
+	db.peek(func(i int, sh *dbShard) { snaps[i] = snapshot(sh.st, db.rows) })
+	return writeExposition(w, db.descs, timeseries.MergeSnapshots(db.descs, snaps), db.rings)
 }
 
 // writeExposition renders one metric snapshot, then — only when a ring

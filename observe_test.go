@@ -128,7 +128,7 @@ func TestShardedTraceMergeOrdering(t *testing.T) {
 }
 
 func TestShardedTraceDisabledByDefault(t *testing.T) {
-	sdb, err := OpenSharded(DefaultShardedConfig(2))
+	sdb, err := OpenSharded(ShardedConfig{Shards: 2, PerShard: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSettersFailAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]Store{"DB": openSmall(t, nil), "ShardedDB": sdb} {
+	for name, st := range map[string]*DB{"one shard": openSmall(t, nil), "two shards": sdb} {
 		for _, tn := range tunings {
 			if err := st.Tune(tn); err != nil {
 				t.Fatal(err)

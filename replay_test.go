@@ -4,8 +4,8 @@ package bandslim_test
 // the trace through its text format, replay it against a fresh identically
 // configured stack, and require the replayed run to be indistinguishable —
 // same Stats, same Prometheus exposition bytes, same final key/value
-// contents by full iteration — on both stack flavors. This is the in-tree
-// twin of the `make ycsb-smoke` CLI gate.
+// contents by full iteration — at one shard and at several. This is the
+// in-tree twin of the record → replay exposition diff in `make determinism`.
 
 import (
 	"bytes"
@@ -21,18 +21,11 @@ import (
 )
 
 // replayStack mirrors the bandslim-cli trace stack: default config with the
-// metrics sampler armed, sharded when shards > 1.
-func replayStack(t *testing.T, shards int) bandslim.Store {
+// metrics sampler armed, over shards shards.
+func replayStack(t *testing.T, shards int) *bandslim.DB {
 	t.Helper()
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
-	if shards <= 1 {
-		db, err := bandslim.Open(per)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +36,7 @@ func replayStack(t *testing.T, shards int) bandslim.Store {
 // replayFingerprint closes the stack and renders everything the equivalence
 // check compares: the Prometheus exposition, the Stats structure, and a full
 // ordered dump of the surviving key/value pairs.
-func replayFingerprint(t *testing.T, db bandslim.Store) (prom string, stats bandslim.Stats, dump string) {
+func replayFingerprint(t *testing.T, db *bandslim.DB) (prom string, stats bandslim.Stats, dump string) {
 	t.Helper()
 	it, err := db.NewIterator(nil)
 	if err != nil {

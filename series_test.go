@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bandslim/internal/sim"
-	"bandslim/internal/timeseries"
 )
 
 // metricsWorkload drives enough mixed-size PUTs and GETs to advance the
@@ -107,59 +106,6 @@ func TestExportsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(c1, c2) {
 		t.Fatal("same-seed runs produced different series CSV")
-	}
-}
-
-// A one-shard ShardedDB running the same serialized workload must agree with
-// a plain DB on every counter metric, sample by sample — the acceptance
-// contract for the cross-shard series merge.
-func TestShardedSeriesMatchesSingleDB(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MetricsInterval = 5 * sim.Microsecond
-
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsWorkload(t, db.Put, db.Get, db.Flush)
-	defer db.Close()
-
-	sdb, err := OpenSharded(ShardedConfig{Shards: 1, PerShard: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsWorkload(t, sdb.Put, sdb.Get, sdb.Flush)
-	defer sdb.Close()
-
-	single, merged := db.Series(), sdb.Series()
-	if single.Len() != merged.Len() {
-		t.Fatalf("series lengths differ: single %d, sharded %d", single.Len(), merged.Len())
-	}
-	for _, d := range single.Descs {
-		if d.Kind != timeseries.KindCounter {
-			continue
-		}
-		a, _ := single.Column(d.Name)
-		b, ok := merged.Column(d.Name)
-		if !ok {
-			t.Fatalf("sharded series missing %s", d.Name)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d]: single %v, sharded %v", d.Name, i, a[i], b[i])
-			}
-		}
-	}
-
-	var p1, p2 bytes.Buffer
-	if err := db.WritePrometheus(&p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.WritePrometheus(&p2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p1.Bytes(), p2.Bytes()) {
-		t.Fatal("one-shard ShardedDB exposition differs from plain DB")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"bandslim/internal/sim"
 )
 
-func openSharded(t *testing.T, shards int, mutate func(*Config)) *ShardedDB {
+func openSharded(t *testing.T, shards int, mutate func(*Config)) *DB {
 	t.Helper()
 	cfg := smallConfig()
 	if mutate != nil {
@@ -25,8 +25,8 @@ func openSharded(t *testing.T, shards int, mutate func(*Config)) *ShardedDB {
 }
 
 // shardedWorkload is a deterministic mixed workload, applied identically to
-// any Store.
-func shardedWorkload(t *testing.T, kv Store, ops int) {
+// any DB.
+func shardedWorkload(t *testing.T, kv *DB, ops int) {
 	t.Helper()
 	rng := sim.NewRNG(99)
 	key := make([]byte, 4)
@@ -49,50 +49,6 @@ func shardedWorkload(t *testing.T, kv Store, ops int) {
 	}
 	if err := kv.Flush(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A one-shard ShardedDB must be byte-identical to a plain DB: same PCIe
-// traffic ledgers, same NAND write counts, same simulated time.
-func TestShardedSingleShardMatchesDB(t *testing.T) {
-	db := openSmall(t, nil)
-	defer db.Close()
-	s := openSharded(t, 1, nil)
-
-	shardedWorkload(t, db, 600)
-	shardedWorkload(t, s, 600)
-
-	a, b := db.Stats(), s.Stats()
-	checks := []struct {
-		name string
-		x, y int64
-	}{
-		{"Puts", a.Host.Puts, b.Host.Puts},
-		{"Commands", a.Host.Commands, b.Host.Commands},
-		{"PCIeBytes", a.PCIe.Bytes, b.PCIe.Bytes},
-		{"PCIeTotalBytes", a.PCIe.TotalBytes, b.PCIe.TotalBytes},
-		{"PCIeDMABytes", a.PCIe.DMABytes, b.PCIe.DMABytes},
-		{"PCIeCmdBytes", a.PCIe.CommandBytes, b.PCIe.CommandBytes},
-		{"MMIOBytes", a.PCIe.MMIOBytes, b.PCIe.MMIOBytes},
-		{"CompletionBytes", a.PCIe.CompletionBytes, b.PCIe.CompletionBytes},
-		{"NANDPageWrites", a.Device.NANDPageWrites, b.Device.NANDPageWrites},
-		{"VLogFlushes", a.Device.VLogFlushes, b.Device.VLogFlushes},
-		{"InlineChosen", a.Adaptive.Inline, b.Adaptive.Inline},
-		{"PRPChosen", a.Adaptive.PRP, b.Adaptive.PRP},
-		{"HybridChosen", a.Adaptive.Hybrid, b.Adaptive.Hybrid},
-		{"Elapsed", int64(a.Host.Elapsed), int64(b.Host.Elapsed)},
-	}
-	for _, c := range checks {
-		if c.x != c.y {
-			t.Errorf("%s diverged: DB=%d ShardedDB=%d", c.name, c.x, c.y)
-		}
-	}
-	if a.Host.WriteResp.Mean != b.Host.WriteResp.Mean || a.Host.WriteResp.P99 != b.Host.WriteResp.P99 {
-		t.Errorf("latency diverged: DB mean=%v p99=%v, ShardedDB mean=%v p99=%v",
-			a.Host.WriteResp.Mean, a.Host.WriteResp.P99, b.Host.WriteResp.Mean, b.Host.WriteResp.P99)
-	}
-	if db.Now() != s.Now() {
-		t.Errorf("clocks diverged: DB=%v ShardedDB=%v", db.Now(), s.Now())
 	}
 }
 
@@ -285,7 +241,7 @@ func TestOpenShardedValidates(t *testing.T) {
 	}
 }
 
-// Run with -race: concurrent Put/Get/Delete plus Stats against a ShardedDB.
+// Run with -race: concurrent Put/Get/Delete plus Stats against four shards.
 func TestShardedConcurrentAccess(t *testing.T) {
 	s := openSharded(t, 4, nil)
 	var wg sync.WaitGroup

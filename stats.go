@@ -150,12 +150,53 @@ type Stats struct {
 	Trace    TraceStats
 }
 
-// Stats snapshots the current counters. It stays readable after Close.
+// Stats aggregates a point-in-time snapshot across the shards: counters and
+// byte ledgers sum exactly, latency distributions merge exactly (see
+// metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
+// BufferUtil is the flush-weighted mean. Shards are snapshotted one after
+// another, each under its own lock. It stays readable after Close.
 func (db *DB) Stats() Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := stackStats(db.st)
-	s.Trace = db.rings.health()
+	if len(db.shards) == 1 {
+		// One shard: the merge is the identity (and skips the weighted-mean
+		// rounding below).
+		return db.ShardStats(0)
+	}
+	var out Stats
+	write, read := metrics.NewHistogram(), metrics.NewHistogram()
+	var weighted float64
+	db.peek(func(_ int, sh *dbShard) {
+		p := stackStats(sh.st)
+		write.Merge(sh.st.Drv.Stats().WriteResponse)
+		read.Merge(sh.st.Drv.Stats().ReadResponse)
+		for _, r := range stackRows {
+			if r.field != nil {
+				*r.field(&out) += *r.field(&p)
+			}
+		}
+		out.Host.Elapsed = max(out.Host.Elapsed, p.Host.Elapsed)
+		// VLogFlushes is the page buffer's flushed-page count: the weight of
+		// the shard's BufferUtil.
+		weighted += p.Device.BufferUtil * float64(p.Device.VLogFlushes)
+	})
+	out.Host.WriteResp = latencySummary(write)
+	out.Host.ReadResp = latencySummary(read)
+	out.Host.ThroughputKops = throughputKops(out.Host)
+	if out.Device.VLogFlushes > 0 {
+		out.Device.BufferUtil = weighted / float64(out.Device.VLogFlushes)
+	}
+	out.Trace = db.rings.health()
+	return out
+}
+
+// ShardStats snapshots shard i's counters (for per-shard balance checks),
+// with its Trace the health of that shard's ring recorder. It stays readable
+// after Close.
+func (db *DB) ShardStats(i int) Stats {
+	sh := db.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s := stackStats(sh.st)
+	s.Trace = sh.rings.health()
 	return s
 }
 
@@ -495,21 +536,13 @@ var histHelp = map[string]string{
 	"put_method_response_ns": "PUT response time by chosen transfer method, ns.",
 }
 
-// lockedSnapshot is snapshot for callers outside an operation.
-func (db *DB) lockedSnapshot() timeseries.Snapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.snapshot()
-}
-
-// snapshot reads the stack's full metric state as a timeseries snapshot: the
-// db.rows scalars (the flattened Stats tree and the Inspect-style gauges) and
-// clones of every latency histogram. The caller holds db.mu (the sampler calls
-// it from inside an operation).
-func (db *DB) snapshot() timeseries.Snapshot {
-	st := db.st
+// snapshot reads a stack's full metric state as a timeseries snapshot: the
+// rows' scalars (the flattened Stats tree and the Inspect-style gauges) and
+// clones of every latency histogram. The caller holds the shard's lock (the
+// sampler calls it from inside an operation).
+func snapshot(st *shard.Stack, rows []row) timeseries.Snapshot {
 	s := stackStats(st)
-	values := rowValues(db.rows, &s, st)
+	values := rowValues(rows, &s, st)
 	ds := st.Drv.Stats()
 	hists := []timeseries.Hist{
 		{Key: timeseries.HistKey{Name: "write_response_ns"}, H: ds.WriteResponse.Clone()},

@@ -69,7 +69,7 @@ func TestEveryStatsFieldHasOneRow(t *testing.T) {
 
 // statsChurn is a deterministic mixed workload that keeps going through
 // injected faults: failed ops are skipped and a power cut is recovered.
-func statsChurn(t *testing.T, kv Store) {
+func statsChurn(t *testing.T, kv *DB) {
 	t.Helper()
 	sizes := []int{8, 64, 900, 4096 + 40, 8192, 16}
 	for i := 0; i < 3000; i++ {
@@ -97,7 +97,7 @@ func statsChurn(t *testing.T, kv Store) {
 }
 
 // expositionValue parses one scalar out of a Prometheus exposition.
-func expositionValue(t *testing.T, kv Store, metric string) float64 {
+func expositionValue(t *testing.T, kv *DB, metric string) float64 {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := kv.WritePrometheus(&buf); err != nil {
@@ -116,7 +116,7 @@ func expositionValue(t *testing.T, kv Store, metric string) float64 {
 	return 0
 }
 
-// With faults and caches armed, a ShardedDB's Stats is its shards' Stats
+// With faults and caches armed, a sharded DB's Stats is its shards' Stats
 // folded row by row: every AggSum row's field is the exact sum, Elapsed the
 // max, and BufferUtil the flush-weighted mean.
 func TestShardedStatsFoldEveryRow(t *testing.T) {
@@ -183,26 +183,5 @@ func TestShardedStatsFoldEveryRow(t *testing.T) {
 	}
 	if agg.Device.BufferUtil == unweighted/float64(len(parts)) {
 		t.Error("the shards flushed equal page counts: the two buffer_util aggregations cannot be told apart")
-	}
-}
-
-// A one-shard ShardedDB is a DB: over the same workload, faults and caches
-// armed, the two report the same Stats field for field.
-func TestOneShardStatsEqualDB(t *testing.T) {
-	plan, err := ParseFaultPlan("seed 7\ndma.in every=40 transient\nexec nth=900 powercut\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arm := func(c *Config) {
-		c.Faults = plan
-		c.Cache = ServingCacheConfig()
-	}
-	db := openSmall(t, arm)
-	defer db.Close()
-	s := openSharded(t, 1, arm)
-	statsChurn(t, db)
-	statsChurn(t, s)
-	if a, b := db.Stats(), s.Stats(); a != b {
-		t.Errorf("Stats diverged:\nDB        %+v\nShardedDB %+v", a, b)
 	}
 }

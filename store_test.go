@@ -1,8 +1,8 @@
 package bandslim
 
-// Tests that pin the one-engine shape: DB and ShardedDB are the same Store,
-// a one-shard ShardedDB is a DB, nothing panics after Close, and concurrent
-// callers, scrapers, and a mid-run Close only ever see ErrClosed.
+// Tests that pin the DB surface at several shard counts: nothing panics after
+// Close, the former single-device methods keep one meaning across shards, and
+// concurrent callers, scrapers, and a mid-run Close only ever see ErrClosed.
 
 import (
 	"bytes"
@@ -13,38 +13,32 @@ import (
 	"testing"
 )
 
-// openStores opens a DB and a ShardedDB over the same per-stack config.
-func openStores(t *testing.T, shards int, cfg Config) map[string]Store {
-	t.Helper()
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := OpenSharded(ShardedConfig{Shards: shards, PerShard: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Store{"DB": db, "ShardedDB": sdb}
-}
-
-// Every method of a closed store answers ErrClosed or a readable snapshot —
-// never a panic. (ShardedDB.Submission after Close used to send on the shard
-// worker's closed channel; the server's INFO reaches it.)
+// Every exported method of a closed DB answers ErrClosed or a readable
+// snapshot — never a panic — at one shard and at four. (Submission after Close
+// used to send on a shard worker's closed channel; the server's INFO reaches
+// it.)
 func TestStoreAfterClose(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MetricsInterval = 50 * SimMicrosecond
-	cfg.Tracer = NewRecorder(1 << 12)
-	for name, st := range openStores(t, 2, cfg) {
-		t.Run(name, func(t *testing.T) {
-			key, val := []byte("k"), []byte("v")
-			if err := st.Put(key, val); err != nil {
-				t.Fatal(err)
-			}
-			it, err := st.NewIterator(nil)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"DB", 1}, {"sharded", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.MetricsInterval = 50 * SimMicrosecond
+			cfg.Tracer = NewRecorder(1 << 12)
+			db, err := OpenSharded(ShardedConfig{Shards: tc.shards, PerShard: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Close(); err != nil {
+			key, val := []byte("k"), []byte("v")
+			if err := db.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+			it, err := db.NewIterator(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
 			type result struct {
@@ -53,25 +47,21 @@ func TestStoreAfterClose(t *testing.T) {
 			}
 			keys, one := [][]byte{key}, func(_ any, err error) error { return err }
 			method := Piggyback
-			closed := []result{
-				{"Put", st.Put(key, val)},
-				{"Get", one(st.Get(key))},
-				{"GetInto", one(st.GetInto(key, nil))},
-				{"PutBatch", st.PutBatch(keys, keys)},
-				{"GetBatch", one(st.GetBatch(keys, nil))},
-				{"GetBatchSparse", one(st.GetBatchSparse(keys, nil, make([]bool, 1)))},
-				{"Delete", st.Delete(key)},
-				{"NewIterator", one(st.NewIterator(nil))},
-				{"Flush", st.Flush()},
-				{"Recover", st.Recover()},
-				{"Tune", st.Tune(Tuning{Method: &method})},
-			}
-			if db, ok := st.(*DB); ok {
-				closed = append(closed,
-					result{"Identify", one(db.Identify())},
-					result{"CompactVLog", one(db.CompactVLog(1))})
-			}
-			for _, c := range closed {
+			for _, c := range []result{
+				{"Put", db.Put(key, val)},
+				{"Get", one(db.Get(key))},
+				{"GetInto", one(db.GetInto(key, nil))},
+				{"PutBatch", db.PutBatch(keys, keys)},
+				{"GetBatch", one(db.GetBatch(keys, nil))},
+				{"GetBatchSparse", one(db.GetBatchSparse(keys, nil, make([]bool, 1)))},
+				{"Delete", db.Delete(key)},
+				{"NewIterator", one(db.NewIterator(nil))},
+				{"Flush", db.Flush()},
+				{"Recover", db.Recover()},
+				{"Tune", db.Tune(Tuning{Method: &method})},
+				{"Identify", one(db.Identify())},
+				{"CompactVLog", one(db.CompactVLog(1))},
+			} {
 				if !errors.Is(c.err, ErrClosed) {
 					t.Errorf("%s after Close = %v, want ErrClosed", c.op, c.err)
 				}
@@ -79,56 +69,115 @@ func TestStoreAfterClose(t *testing.T) {
 			if it.Next(); it.Valid() || !errors.Is(it.Err(), ErrClosed) {
 				t.Errorf("outstanding iterator after Close: valid=%v err=%v, want ErrClosed", it.Valid(), it.Err())
 			}
-			if err := st.Close(); err != nil {
+			if err := db.Close(); err != nil {
 				t.Errorf("second Close = %v, want nil", err)
 			}
 
 			// The read-only surface stays a snapshot of the final state.
-			if st.Now() <= 0 {
+			if db.Now() <= 0 {
 				t.Error("Now unreadable after Close")
 			}
-			stats := st.Stats()
+			stats := db.Stats()
 			if stats.Host.Puts != 1 || stats.Trace.Buffered == 0 {
 				t.Errorf("Stats after Close: puts=%d trace=%+v", stats.Host.Puts, stats.Trace)
 			}
-			if st.Series().Len() == 0 {
+			if db.Series().Len() == 0 {
 				t.Error("Series unreadable after Close")
 			}
-			if err := st.WritePrometheus(io.Discard); err != nil {
+			if err := db.WritePrometheus(io.Discard); err != nil {
 				t.Errorf("WritePrometheus after Close = %v", err)
 			}
-			if rep := st.Blame(); rep == nil || len(rep.Ops) == 0 {
+			if rep := db.Blame(); rep == nil || len(rep.Ops) == 0 {
 				t.Error("Blame unreadable after Close")
 			}
-			switch d := st.(type) {
-			case *DB:
-				if ins := d.Inspect(); ins.Now != st.Now() || ins.Trace != stats.Trace {
-					t.Errorf("Inspect after Close = now %v trace %+v", ins.Now, ins.Trace)
-				}
-				if d.VLogFreeBytes() <= 0 {
-					t.Error("VLogFreeBytes unreadable after Close")
-				}
-			case *ShardedDB:
-				if sub := d.Submission(); sub != cfg.Submission {
-					t.Errorf("Submission after Close = %+v", sub)
-				}
-				var puts int64
-				for i := 0; i < d.NumShards(); i++ {
-					puts += d.ShardStats(i).Host.Puts
-				}
-				if puts != 1 {
-					t.Errorf("ShardStats after Close sum to %d puts", puts)
-				}
-				if len(d.TraceEvents()) == 0 || d.TraceDropped() != 0 {
-					t.Error("trace stream unreadable after Close")
-				}
-				d.ResetTrace()
-				if got := d.Stats().Trace.Buffered; got != 0 {
-					t.Errorf("ResetTrace after Close left %d events", got)
-				}
+			// Inspect describes shard 0; the shared recorder is its ring too.
+			if ins := db.Inspect(); ins.Now <= 0 || ins.Now > db.Now() || ins.Trace != stats.Trace {
+				t.Errorf("Inspect after Close = now %v trace %+v", ins.Now, ins.Trace)
+			}
+			if ins, free := db.Inspect(), db.VLogFreeBytes(); ins.VLogFreeBytes <= 0 || (free == ins.VLogFreeBytes) != (tc.shards == 1) {
+				t.Errorf("VLogFreeBytes after Close = %d, shard 0 holds %d", free, ins.VLogFreeBytes)
+			}
+			if sub := db.Submission(); sub != cfg.Submission {
+				t.Errorf("Submission after Close = %+v", sub)
+			}
+			if db.NumShards() != tc.shards {
+				t.Errorf("NumShards = %d, want %d", db.NumShards(), tc.shards)
+			}
+			var puts int64
+			for i := 0; i < db.NumShards(); i++ {
+				puts += db.ShardStats(i).Host.Puts
+			}
+			if puts != 1 || db.ShardStats(db.ShardFor(key)).Host.Puts != 1 {
+				t.Errorf("ShardStats after Close sum to %d puts", puts)
+			}
+			if len(db.TraceEvents()) == 0 || db.TraceDropped() != 0 {
+				t.Error("trace stream unreadable after Close")
+			}
+			db.ResetTrace()
+			if got := db.Stats().Trace.Buffered; got != 0 {
+				t.Errorf("ResetTrace after Close left %d events", got)
 			}
 		})
 	}
+}
+
+// CompactVLog and VLogFreeBytes sum over shards: a four-shard DB relocates
+// exactly what four one-shard DBs fed its shards' key streams relocate, and
+// at one shard and at four VLogFreeBytes equals the exposition's sum gauge.
+func TestVLogMethodsSumShards(t *testing.T) {
+	const shards, pages = 4, 2
+	churn := func(db *DB, keep func(key []byte) bool) {
+		t.Helper()
+		for i := 0; i < 800; i++ {
+			// The first 80 keys stay live in the oldest pages; the rest churn.
+			key := []byte(fmt.Sprintf("live%02d", i))
+			if i >= 80 {
+				key = []byte(fmt.Sprintf("cv%02d", i%40))
+			}
+			if keep(key) {
+				if err := db.Put(key, bytes.Repeat([]byte{byte(i)}, 700)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkFree := func(db *DB) {
+		t.Helper()
+		if free := db.VLogFreeBytes(); free <= 0 || float64(free) != expositionValue(t, db, "vlog_free_bytes") {
+			t.Errorf("%d shards: VLogFreeBytes = %d, exposition %v", db.NumShards(), free, expositionValue(t, db, "vlog_free_bytes"))
+		}
+	}
+	sdb := openSharded(t, shards, nil)
+	churn(sdb, func([]byte) bool { return true })
+	checkFree(sdb)
+	want := 0
+	for i := 0; i < shards; i++ {
+		// Without a tracer or fault plan the shard id changes nothing, so a
+		// one-shard DB fed shard i's keys in order is shard i.
+		one := openSharded(t, 1, nil)
+		churn(one, func(key []byte) bool { return sdb.ShardFor(key) == i })
+		checkFree(one)
+		n, err := one.CompactVLog(pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += n
+	}
+	free := sdb.VLogFreeBytes()
+	got, err := sdb.CompactVLog(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || want == 0 {
+		t.Errorf("CompactVLog(%d) on %d shards relocated %d values, its shards alone %d", pages, shards, got, want)
+	}
+	if sdb.VLogFreeBytes() <= free {
+		t.Error("compaction freed no vLog space")
+	}
+	checkFree(sdb)
 }
 
 // Run with -race: Now and VLogFreeBytes are documented safe for concurrent
@@ -171,7 +220,7 @@ func TestNowAndVLogFreeBytesBesideWriter(t *testing.T) {
 // (repeated, so the negative cache answers some), a scan, and — when the
 // config arms a fault plan — Recover after every power cut. It reports how
 // many recoveries it performed.
-func storeScript(t *testing.T, st Store) (recoveries int) {
+func storeScript(t *testing.T, st *DB) (recoveries int) {
 	t.Helper()
 	// must recovers from a power cut (the op it interrupted stays lost, so
 	// later reads of its key may miss) and fails on anything else.
@@ -256,81 +305,6 @@ func storeScript(t *testing.T, st Store) (recoveries int) {
 	}
 	must("Close", st.Close())
 	return recoveries
-}
-
-// fingerprint renders everything the equivalence check compares.
-func fingerprint(t *testing.T, st Store) (Stats, string, string) {
-	t.Helper()
-	var prom, csv bytes.Buffer
-	if err := st.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSeriesCSV(&csv, st.Series()); err != nil {
-		t.Fatal(err)
-	}
-	return st.Stats(), prom.String(), csv.String()
-}
-
-// A one-shard ShardedDB is a DB: the same script leaves equal Stats, Series,
-// and exposition bytes — plain, traced, and under a fault plan with Recover.
-func TestOneShardEqualsDB(t *testing.T) {
-	base := func() Config {
-		cfg := smallConfig()
-		cfg.MetricsInterval = 50 * SimMicrosecond
-		cfg.Cache = CacheConfig{ValueBytes: 256 << 10, Pages: 8, Policy: CacheLRU, NegativeEntries: 64}
-		return cfg
-	}
-	cases := []struct {
-		name   string
-		config func(t *testing.T) Config
-	}{
-		{"plain", func(*testing.T) Config { return base() }},
-		{"traced", func(*testing.T) Config {
-			cfg := base()
-			cfg.Tracer = NewRecorder(1 << 16)
-			return cfg
-		}},
-		{"faults", func(t *testing.T) Config {
-			plan, err := ParseFaultPlan("seed 7\nexec nth=90 powercut\nexec nth=400 powercut\ndma.in every=25 transient\n")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := base()
-			cfg.Faults = plan
-			return cfg
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			// Separate configs, so a traced run gives each store its own ring.
-			db, err := Open(tc.config(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sdb, err := OpenSharded(ShardedConfig{Shards: 1, PerShard: tc.config(t)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ra, rb := storeScript(t, db), storeScript(t, sdb)
-			if ra != rb || (tc.name == "faults") != (ra > 0) {
-				t.Fatalf("recoveries: DB %d, ShardedDB %d", ra, rb)
-			}
-			sa, pa, ca := fingerprint(t, db)
-			sb, pb, cb := fingerprint(t, sdb)
-			if sa != sb {
-				t.Errorf("Stats diverged:\nDB        %+v\nShardedDB %+v", sa, sb)
-			}
-			if pa != pb {
-				t.Error("WritePrometheus bytes diverged")
-			}
-			if ca != cb {
-				t.Error("Series CSV bytes diverged")
-			}
-			if sa.Cache.NegHits == 0 || (tc.name == "traced") != (sa.Trace.Buffered > 0) {
-				t.Errorf("script coverage: neg hits %d, trace %+v", sa.Cache.NegHits, sa.Trace)
-			}
-		})
-	}
 }
 
 // A recorder shared by every shard through PerShard.Tracer is one ring: its
