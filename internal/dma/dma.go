@@ -103,28 +103,13 @@ func (e *Engine) checkFault(site fault.Site, t sim.Time) error {
 	return ErrTransfer
 }
 
-// TransferIn performs a host→device page-unit DMA described by a PRP list:
-// it gathers the payload from host memory, moves full pages across the link
-// (the traffic bloat of §2.3), and returns the payload plus the completion
-// time. The returned slice is padded to the page-aligned transfer size, as
-// the engine writes whole pages into device memory; the first prp.Payload
-// bytes are the value.
-func (e *Engine) TransferIn(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList) ([]byte, sim.Time, error) {
-	payload, end, err := e.TransferInTo(t, m, prp, nil)
-	if err != nil || payload == nil {
-		return nil, end, err
-	}
-	buf := make([]byte, prp.TransferSize())
-	copy(buf, payload)
-	return buf, end, nil
-}
-
-// TransferInTo is the scratch-reusing variant of TransferIn: the payload is
-// gathered by appending to dst (pass scratch[:0] to reuse capacity) and the
-// returned slice holds exactly prp.Payload bytes — no page padding, no
-// allocation once dst has grown to the working-set size. Link occupancy and
-// the byte ledger are identical to TransferIn: full pages still cross the
-// wire.
+// TransferInTo performs a host→device page-unit DMA described by a PRP list:
+// it gathers the payload from host memory by appending to dst (pass
+// scratch[:0] to reuse capacity, nil to allocate), moves full pages across
+// the link (the traffic bloat of §2.3), and returns the payload plus the
+// completion time. The returned slice holds exactly prp.Payload bytes — no
+// page padding, no allocation once dst has grown to the working-set size —
+// while the byte ledger and link occupancy count the full pages.
 func (e *Engine) TransferInTo(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList, dst []byte) ([]byte, sim.Time, error) {
 	if prp.Payload == 0 {
 		return nil, t, nil
@@ -151,23 +136,12 @@ func (e *Engine) TransferInTo(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList, 
 	return payload, end, nil
 }
 
-// TransferInSGL performs a host→device Scatter-Gather List transfer: exact
-// payload bytes cross the link (no page-unit bloat), but the engine pays the
-// SGL setup and per-descriptor costs that make SGL a loser below ~32 KB
-// (§2.5). One descriptor per host page, as the Linux driver maps buffers.
-func (e *Engine) TransferInSGL(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList) ([]byte, sim.Time, error) {
-	payload, end, err := e.TransferInSGLTo(t, m, prp, nil)
-	if err != nil || payload == nil {
-		return nil, end, err
-	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return out, end, nil
-}
-
-// TransferInSGLTo is the scratch-reusing variant of TransferInSGL: the payload
-// is gathered by appending to dst (pass scratch[:0] to reuse capacity). Link
-// occupancy and the byte ledger are identical to TransferInSGL.
+// TransferInSGLTo performs a host→device Scatter-Gather List transfer,
+// gathering the payload by appending to dst (pass scratch[:0] to reuse
+// capacity): exact payload bytes cross the link (no page-unit bloat), but the
+// engine pays the SGL setup and per-descriptor costs that make SGL a loser
+// below ~32 KB (§2.5). One descriptor per host page, as the Linux driver maps
+// buffers.
 func (e *Engine) TransferInSGLTo(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList, dst []byte) ([]byte, sim.Time, error) {
 	if prp.Payload == 0 {
 		return nil, t, nil

@@ -44,14 +44,11 @@ func TestTransferInPageUnitBloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, end, err := e.TransferIn(0, m, prp)
+	got, end, err := e.TransferInTo(0, m, prp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4096 {
-		t.Fatalf("staged buffer %d bytes, want 4096", len(got))
-	}
-	if !bytes.Equal(got[:32], v) {
+	if !bytes.Equal(got, v) {
 		t.Fatal("payload mismatch")
 	}
 	if link.Traf.DMABytes.Value() != 4096 {
@@ -74,14 +71,11 @@ func TestTransferInTwoPages(t *testing.T) {
 		v[i] = byte(i * 7)
 	}
 	prp, _ := nvme.BuildPRP(m, v)
-	got, _, err := e.TransferIn(0, m, prp)
+	got, _, err := e.TransferInTo(0, m, prp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 8192 {
-		t.Fatalf("staged %d bytes, want 8192", len(got))
-	}
-	if !bytes.Equal(got[:len(v)], v) {
+	if !bytes.Equal(got, v) {
 		t.Fatal("payload mismatch")
 	}
 	if link.Traf.DMABytes.Value() != 8192 {
@@ -91,7 +85,7 @@ func TestTransferInTwoPages(t *testing.T) {
 
 func TestTransferInEmpty(t *testing.T) {
 	e, link, m := newEngine()
-	got, end, err := e.TransferIn(5, m, nvme.PRPList{})
+	got, end, err := e.TransferInTo(5, m, nvme.PRPList{}, nil)
 	if err != nil || got != nil || end != 5 {
 		t.Fatalf("empty transfer: %v %v %v", got, end, err)
 	}
@@ -171,11 +165,11 @@ func TestDMASerializesOnWire(t *testing.T) {
 	v := make([]byte, 4096)
 	prp1, _ := nvme.BuildPRP(m, v)
 	prp2, _ := nvme.BuildPRP(m, v)
-	_, end1, err := e.TransferIn(0, m, prp1)
+	_, end1, err := e.TransferInTo(0, m, prp1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, end2, err := e.TransferIn(0, m, prp2)
+	_, end2, err := e.TransferInTo(0, m, prp2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

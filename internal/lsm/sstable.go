@@ -179,18 +179,6 @@ func (t *SSTable) pageRestarts(i int) []uint16 {
 // ID reports the table's unique id.
 func (t *SSTable) ID() uint64 { return t.id }
 
-// Entries reports how many entries the table holds.
-func (t *SSTable) Entries() int { return t.entries }
-
-// Smallest reports the table's smallest key.
-func (t *SSTable) Smallest() []byte { return t.smallest }
-
-// Largest reports the table's largest key.
-func (t *SSTable) Largest() []byte { return t.largest }
-
-// PageCount reports how many NAND pages the table occupies.
-func (t *SSTable) PageCount() int { return len(t.pages) }
-
 // overlaps reports whether the table's key range intersects [lo, hi].
 func (t *SSTable) overlaps(lo, hi []byte) bool {
 	if len(t.smallest) == 0 {

@@ -371,17 +371,3 @@ func FormatBytes(n int64) string {
 	}
 	return fmt.Sprintf("%.2f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
 }
-
-// FormatCount renders a count with K/M/G suffixes ("1.00M").
-func FormatCount(n int64) string {
-	switch {
-	case n >= 1e9:
-		return fmt.Sprintf("%.2fG", float64(n)/1e9)
-	case n >= 1e6:
-		return fmt.Sprintf("%.2fM", float64(n)/1e6)
-	case n >= 1e3:
-		return fmt.Sprintf("%.2fK", float64(n)/1e3)
-	default:
-		return fmt.Sprintf("%d", n)
-	}
-}

@@ -259,23 +259,6 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-func TestFormatCount(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{999, "999"},
-		{1500, "1.50K"},
-		{2500000, "2.50M"},
-		{3000000000, "3.00G"},
-	}
-	for _, c := range cases {
-		if got := FormatCount(c.in); got != c.want {
-			t.Errorf("FormatCount(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 // A single-sample histogram's quantile estimates must collapse to that
 // sample: the bucket midpoint of a sparse top (or bottom) bucket would
 // otherwise exceed the observed max or undershoot the min, corrupting P99

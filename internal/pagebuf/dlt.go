@@ -42,10 +42,6 @@ type DLT struct {
 	size int
 }
 
-// DefaultDLTCapacity matches the paper's sizing: one entry per NAND page
-// buffer entry, capped at 512.
-const DefaultDLTCapacity = 512
-
 // NewDLT returns an empty table with the given capacity.
 func NewDLT(capacity int) *DLT {
 	if capacity < 1 {

@@ -473,10 +473,6 @@ func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 	return handoff, nil
 }
 
-// LastFlushEnd reports when the most recent NAND program completes (the
-// durability horizon an explicit flush must wait for).
-func (b *Buffer) LastFlushEnd() sim.Time { return b.lastFlushEnd }
-
 // forceFlushOldest flushes page minOpen even though the WP has not passed
 // it, abandoning any unfilled gaps (fragmentation) and retiring DLT entries
 // the WP can no longer reach.

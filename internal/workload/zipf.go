@@ -51,44 +51,3 @@ func (z *Zipfian) Next() int {
 	u := z.rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
 }
-
-// Hotspot draws ranks from a two-tier model: a hot set of the first
-// ⌈hotFrac·n⌉ ranks receives hotProb of the draws, uniformly; the remaining
-// cold ranks share the rest, uniformly. The 80/20-style alternative to
-// Zipfian when a sharp hot/cold boundary is wanted.
-type Hotspot struct {
-	rng     *sim.RNG
-	n, hot  int
-	hotProb float64
-}
-
-// NewHotspot builds a generator over n ranks with the given hot fraction of
-// the rank space and hit probability (both strictly inside (0, 1)).
-func NewHotspot(n int, hotFrac, hotProb float64, seed uint64) (*Hotspot, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("workload: Hotspot needs n >= 2 ranks, got %d", n)
-	}
-	if !(hotFrac > 0 && hotFrac < 1) || !(hotProb > 0 && hotProb < 1) {
-		return nil, fmt.Errorf("workload: Hotspot fractions must be in (0,1), got frac=%v prob=%v",
-			hotFrac, hotProb)
-	}
-	hot := int(math.Ceil(hotFrac * float64(n)))
-	if hot >= n {
-		hot = n - 1
-	}
-	return &Hotspot{rng: sim.NewRNG(seed), n: n, hot: hot, hotProb: hotProb}, nil
-}
-
-// N reports the rank-space size.
-func (h *Hotspot) N() int { return h.n }
-
-// HotRanks reports how many leading ranks form the hot set.
-func (h *Hotspot) HotRanks() int { return h.hot }
-
-// Next draws one rank in [0, N()).
-func (h *Hotspot) Next() int {
-	if h.rng.Float64() < h.hotProb {
-		return int(h.rng.Uint64() % uint64(h.hot))
-	}
-	return h.hot + int(h.rng.Uint64()%uint64(h.n-h.hot))
-}

@@ -87,60 +87,3 @@ func TestZipfianSingleRank(t *testing.T) {
 		}
 	}
 }
-
-func TestHotspotValidate(t *testing.T) {
-	cases := []struct {
-		n        int
-		frac, pr float64
-		want     bool
-	}{
-		{1, 0.1, 0.9, false},
-		{100, 0, 0.9, false},
-		{100, 1, 0.9, false},
-		{100, 0.1, 0, false},
-		{100, 0.1, 1, false},
-		{100, 0.1, 0.9, true},
-		{2, 0.5, 0.5, true},
-	}
-	for _, tc := range cases {
-		_, err := NewHotspot(tc.n, tc.frac, tc.pr, 1)
-		if (err == nil) != tc.want {
-			t.Errorf("NewHotspot(%d, %v, %v): err=%v, want ok=%v", tc.n, tc.frac, tc.pr, err, tc.want)
-		}
-	}
-}
-
-func TestHotspotShape(t *testing.T) {
-	// 10% of ranks take 90% of draws.
-	const n, draws = 1000, 100000
-	h, err := NewHotspot(n, 0.1, 0.9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.HotRanks() != 100 {
-		t.Fatalf("HotRanks = %d, want 100", h.HotRanks())
-	}
-	var hot int
-	for i := 0; i < draws; i++ {
-		r := h.Next()
-		if r < 0 || r >= n {
-			t.Fatalf("rank %d out of [0,%d)", r, n)
-		}
-		if r < h.HotRanks() {
-			hot++
-		}
-	}
-	if frac := float64(hot) / draws; frac < 0.88 || frac > 0.92 {
-		t.Errorf("hot set got %.3f of draws, want ~0.90", frac)
-	}
-}
-
-func TestHotspotDeterministic(t *testing.T) {
-	a, _ := NewHotspot(500, 0.2, 0.8, 9)
-	b, _ := NewHotspot(500, 0.2, 0.8, 9)
-	for i := 0; i < 5000; i++ {
-		if x, y := a.Next(), b.Next(); x != y {
-			t.Fatalf("draw %d diverged: %d vs %d", i, x, y)
-		}
-	}
-}
