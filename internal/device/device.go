@@ -768,8 +768,10 @@ func (d *Device) execSeek(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 }
 
 // execNext returns the iterator's current pair into the host buffer as
-// [keyLen u8][key][value] and advances. The returned int is the total bytes
-// written.
+// [keyLen u8][key][value] and advances. The command's value-size field
+// declares that buffer's size, as on a read: a pair that does not fit fails
+// the engine's scatter before any byte moves, and the iterator stays put. The
+// returned int is the total bytes written.
 func (d *Device) execNext(t sim.Time, cmd nvme.Command) (int, sim.Time, error) {
 	if d.iter == nil {
 		return 0, t, errIterEnd
@@ -793,7 +795,7 @@ func (d *Device) execNext(t sim.Time, cmd nvme.Command) (int, sim.Time, error) {
 	payload = append(payload, e.Key...)
 	payload = append(payload, value...)
 	d.nextBuf = payload[:0]
-	end, err = d.transferOut(end, cmd, payload)
+	end, err = d.eng.TransferOut(end, d.hostMem, d.prpFor(cmd, min(len(payload), int(cmd.ValueSize()))), payload)
 	if err != nil {
 		return 0, end, err
 	}

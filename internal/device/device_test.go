@@ -127,6 +127,7 @@ func TestProcessSweep(t *testing.T) {
 				var next nvme.Command
 				next.SetOpcode(nvme.OpKVNext)
 				next.SetCommandID(3)
+				next.SetValueSize(uint32(buf.TransferSize()))
 				next.SetPRP1(buf.Pages[0])
 				return []nvme.Command{next}
 			},
@@ -399,6 +400,7 @@ func TestSeekNextIteration(t *testing.T) {
 		rbuf, _ := nvme.BuildPRP(mem, make([]byte, 4096))
 		var next nvme.Command
 		next.SetOpcode(nvme.OpKVNext)
+		next.SetValueSize(uint32(rbuf.TransferSize()))
 		next.SetPRP1(rbuf.Pages[0])
 		comp, _ := submit(t, dev, next)
 		if comp.Status != nvme.StatusSuccess {

@@ -554,9 +554,12 @@ var ErrIterInvalidated = errors.New("driver: iterator invalidated by compaction"
 // Next returns the device iterator's current pair and advances it. Like Get,
 // the returned key and value are views into the driver's reusable read
 // buffer, valid until the next driver operation; retaining callers must copy.
+// The command declares the staging run's size as the host buffer the device
+// may fill, so a pair that does not fit fails without advancing the iterator.
 func (d *Driver) Next() (key, value []byte, err error) {
 	prp := d.staging()
 	cmd := d.command(nvme.OpKVNext)
+	cmd.SetValueSize(uint32(prp.TransferSize()))
 	cmd.SetPRP1(prp.Pages[0])
 	comp, err := d.dispatch(kindCall, cmd)
 	if err != nil {

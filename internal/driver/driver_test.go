@@ -109,6 +109,44 @@ func TestDeleteAndScan(t *testing.T) {
 	}
 }
 
+// A pair that does not fit NEXT's staging run fails before any byte moves:
+// the device scatters into the run the command declares, never into the host
+// page after it, and its iterator stays on the entry.
+func TestNextAboveMaxValueSizeStaysInStaging(t *testing.T) {
+	d, _, link := newStack(t, MethodBaseline, true)
+	if err := d.Put([]byte("a"), make([]byte, MaxValueSize+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put([]byte("b"), []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	stage := d.staging()
+	guard := d.mem.AllocPage()
+	if guard != stage.Pages[len(stage.Pages)-1]+pcie.MemoryPageSize {
+		t.Fatalf("guard page %#x does not follow the staging run", guard)
+	}
+	page, _ := d.mem.Page(guard)
+	for i := range page {
+		page[i] = 0xEE
+	}
+	if err := d.Seek([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	dma := link.Traf.DMABytes.Value()
+	for i := 0; i < 2; i++ {
+		_, _, err := d.Next()
+		if st, ok := nvme.StatusOf(err); !ok || st != nvme.StatusInternal {
+			t.Fatalf("NEXT %d of the oversized pair = %v, want an InternalError completion", i, err)
+		}
+	}
+	if !bytes.Equal(page, bytes.Repeat([]byte{0xEE}, len(page))) {
+		t.Fatal("NEXT wrote past its staging run")
+	}
+	if got := link.Traf.DMABytes.Value(); got != dma {
+		t.Fatalf("failed NEXTs moved %d DMA bytes", got-dma)
+	}
+}
+
 // Traffic: a 32 B baseline PUT moves 64 B command + 4 KiB DMA (TAF 130);
 // the same PUT via piggybacking moves one 64 B command — a 97.9%+ saving
 // excluding doorbells, matching Fig. 8.
