@@ -168,13 +168,13 @@ func fillKey(dst []byte, i int) []byte {
 // overwrites: a stream of new keys long enough that every device flushes its
 // MemTable ~20 times, compacts L0 into L1 four times and overflows L1 into L2
 // at least once. What one Put may cost, all of that included: its MemTable
-// node, its share of the NAND pages that stay live, and next to nothing else
-// — no per-entry garbage from merging, no page copies.
+// node, its share of the kept bytes of the NAND pages that stay live, and
+// next to nothing else — no per-entry garbage from merging, no page copies.
 func TestFillAllocBudget(t *testing.T) {
 	const (
 		perDevice   = 80_000 // 19 flushes of 4096, L0 compactions at 4, 8, 12, 16
 		allocBudget = 1.2
-		byteBudget  = 768
+		byteBudget  = 285
 	)
 	for trName, tr := range tracers() {
 		for _, kind := range storeKinds {

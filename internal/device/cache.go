@@ -32,7 +32,8 @@ func (s *cachingStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 	d := s.dev
 	if s.pages.Get(page) {
 		// The tier holds page numbers: the bytes device DRAM would serve are
-		// the ones on flash, viewed without the flash operation.
+		// the ones on flash, viewed without the flash operation. The hit
+		// serves a whole page, however short the view.
 		data, err := s.inner.ViewPage(page)
 		if err != nil {
 			return nil, t, err
@@ -40,7 +41,7 @@ func (s *cachingStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 		d.stats.PageCacheHits.Inc()
 		end := t.Add(d.cacheLat)
 		if d.tr != nil {
-			d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvCacheHit, Start: t, End: end, Bytes: int64(len(data))})
+			d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvCacheHit, Start: t, End: end, Bytes: int64(s.inner.PageSize())})
 		}
 		return data, end, nil
 	}

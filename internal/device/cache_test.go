@@ -6,6 +6,7 @@ import (
 
 	"bandslim/internal/nand"
 	"bandslim/internal/sim"
+	"bandslim/internal/trace"
 )
 
 // The page tier keeps page numbers, not bytes: a hit is served from a view of
@@ -84,7 +85,43 @@ func TestPageCacheHitFollowsFTLGC(t *testing.T) {
 	if n, want := dev.flash.Stats().PageReads.Value()-flashReads, sim.Time(7).Add(dev.cacheLat); n != 0 || end != want {
 		t.Fatalf("a page-cache hit read the flash %d times and ended at %v, want 0 and %v", n, end, want)
 	}
-	if len(got) != store.PageSize() || !bytes.Equal(got[:len(image)], image) || got[len(image)] != 0 {
-		t.Fatalf("hit after the migration returned %d bytes starting %x", len(got), got[:4])
+	if !bytes.Equal(got, image) {
+		t.Fatalf("hit after the migration returned %d bytes, want the %d-byte image", len(got), len(image))
+	}
+}
+
+// A page-tier hit serves a whole page from device DRAM, so its trace event
+// carries PageSize bytes however short the view of the page is: trace byte
+// counts, and the spans and blame built on them, do not depend on how the
+// flash model stores the page.
+func TestPageCacheHitTracesAWholePage(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Cache.Pages = 4
+	dev, _, _, _ := newDev(t, cfg)
+	store := dev.pstore
+	if _, err := store.WritePage(0, 0, bytes.Repeat([]byte{0x5A}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.ReadPage(0, 0); err != nil { // the miss that admits it
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(64)
+	dev.SetTracer(rec)
+	got, _, err := store.ReadPage(0, 0)
+	if err != nil || len(got) != 300 {
+		t.Fatalf("hit: %d bytes, %v; want the 300-byte view", len(got), err)
+	}
+	var hits int
+	for _, e := range rec.Events() {
+		if e.Name != trace.EvCacheHit {
+			continue
+		}
+		hits++
+		if e.Bytes != int64(store.PageSize()) {
+			t.Fatalf("page-tier hit traced %d bytes, want the page size %d", e.Bytes, store.PageSize())
+		}
+	}
+	if hits != 1 {
+		t.Fatalf("%d cache-hit events, want 1", hits)
 	}
 }

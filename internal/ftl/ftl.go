@@ -66,8 +66,9 @@ type FTL struct {
 	freeBlocks [][]int // per way: stack of free block numbers
 	bad        []bool  // per physical block: retired after a media failure
 	active     []activeBlock
-	nextWay    int  // round-robin write striping cursor
-	inGC       bool // guards against re-entrant emergency GC
+	nextWay    int    // round-robin write striping cursor
+	inGC       bool   // guards against re-entrant emergency GC
+	gcPage     []byte // the page GC migrates through
 	stats      Stats
 }
 
@@ -99,6 +100,7 @@ func New(flash *nand.Array, cfg Config) (*FTL, error) {
 		freeBlocks: make([][]int, geo.Ways()),
 		bad:        make([]bool, geo.Blocks()),
 		active:     make([]activeBlock, geo.Ways()),
+		gcPage:     make([]byte, geo.PageSize),
 	}
 	logicalPages := geo.Pages() * (100 - cfg.OverprovisionPct) / 100
 	f.l2p = make([]int32, logicalPages)
@@ -285,20 +287,44 @@ func (f *FTL) invalidate(phys int) error {
 	return f.flash.Discard(f.addrOf(phys))
 }
 
+// lookup returns the physical page lpn maps to, or unmapped.
+func (f *FTL) lookup(lpn int) (int32, error) {
+	if lpn < 0 || lpn >= len(f.l2p) {
+		return unmapped, fmt.Errorf("ftl: logical page %d out of range", lpn)
+	}
+	return f.l2p[lpn], nil
+}
+
 // Read fetches a logical page. Unmapped pages read as zeros (like an
 // unwritten LBA on a block SSD). The result is the flash's read-only view
-// (see nand.Array.Read): it dies when the logical page is next written or
-// trimmed and when GC migrates it, so a caller keeping the bytes across any
-// FTL call copies them.
+// (see nand.Array.Read): the page's first len(view) bytes, the rest zeros,
+// or nand.ErrSparsePage for a page with gaps (read it with ReadAt). The view
+// dies when the logical page is next written or trimmed and when GC migrates
+// it, so a caller keeping the bytes across any FTL call copies them.
 func (f *FTL) Read(t sim.Time, lpn int) ([]byte, sim.Time, error) {
-	if lpn < 0 || lpn >= len(f.l2p) {
-		return nil, t, fmt.Errorf("ftl: logical page %d out of range", lpn)
-	}
-	phys := f.l2p[lpn]
-	if phys == unmapped {
+	phys, err := f.lookup(lpn)
+	switch {
+	case err != nil:
+		return nil, t, err
+	case phys == unmapped:
 		return f.flash.ZeroPage(), t, nil
 	}
 	return f.flash.Read(t, f.addrOf(int(phys)))
+}
+
+// ReadAt copies bytes [off, off+len(dst)) of a logical page into dst (see
+// nand.Array.ReadAt) and returns the read's completion time; an unmapped
+// page reads as zeros.
+func (f *FTL) ReadAt(t sim.Time, lpn int, dst []byte, off int) (sim.Time, error) {
+	phys, err := f.lookup(lpn)
+	switch {
+	case err != nil:
+		return t, err
+	case phys == unmapped:
+		clear(dst)
+		return t, nil
+	}
+	return f.flash.ReadAt(t, f.addrOf(int(phys)), dst, off)
 }
 
 // View returns the bytes a Read of the logical page would, found through the
@@ -306,26 +332,38 @@ func (f *FTL) Read(t sim.Time, lpn int) ([]byte, sim.Time, error) {
 // nothing is counted, scheduled, traced or faulted. The view dies when a
 // Read's would.
 func (f *FTL) View(lpn int) ([]byte, error) {
-	if lpn < 0 || lpn >= len(f.l2p) {
-		return nil, fmt.Errorf("ftl: logical page %d out of range", lpn)
-	}
-	phys := f.l2p[lpn]
-	if phys == unmapped {
+	phys, err := f.lookup(lpn)
+	switch {
+	case err != nil:
+		return nil, err
+	case phys == unmapped:
 		return f.flash.ZeroPage(), nil
 	}
 	return f.flash.View(f.addrOf(int(phys)))
 }
 
+// ViewAt copies what a ReadAt of the logical page would into dst, found
+// through the map at call time and without the flash operation.
+func (f *FTL) ViewAt(lpn int, dst []byte, off int) error {
+	phys, err := f.lookup(lpn)
+	switch {
+	case err != nil:
+		return err
+	case phys == unmapped:
+		clear(dst)
+		return nil
+	}
+	return f.flash.ViewAt(f.addrOf(int(phys)), dst, off)
+}
+
 // Trim drops the mapping of a logical page, freeing its physical page for GC.
 func (f *FTL) Trim(lpn int) error {
-	if lpn < 0 || lpn >= len(f.l2p) {
-		return fmt.Errorf("ftl: logical page %d out of range", lpn)
+	old, err := f.lookup(lpn)
+	if err != nil || old == unmapped {
+		return err
 	}
-	if old := f.l2p[lpn]; old != unmapped {
-		f.l2p[lpn] = unmapped
-		return f.invalidate(int(old))
-	}
-	return nil
+	f.l2p[lpn] = unmapped
+	return f.invalidate(int(old))
 }
 
 // FreeBlocks reports the free-block count of every way.
@@ -411,11 +449,17 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 		if lpn == unmapped {
 			continue
 		}
-		data, _, err := f.flash.Read(t, f.addrOf(phys))
+		// Copy the page out up to its extent, so the new copy keeps exactly
+		// the bytes the old one did and every view of it stays as long.
+		addr := f.addrOf(phys)
+		n, err := f.flash.Extent(addr)
+		if err == nil {
+			_, err = f.flash.ReadAt(t, addr, f.gcPage[:n], 0)
+		}
 		if err != nil {
 			return false, fmt.Errorf("ftl: GC read: %w", err)
 		}
-		_, newPhys, err := f.programOnWay(t, way, data)
+		_, newPhys, err := f.programOnWay(t, way, f.gcPage[:n])
 		if err != nil {
 			return false, fmt.Errorf("ftl: GC program: %w", err)
 		}

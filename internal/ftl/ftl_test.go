@@ -100,18 +100,29 @@ func TestOutOfRangeOps(t *testing.T) {
 	}
 }
 
-// View follows the map like Read — current mapping, zeros when unmapped, range
-// checked — without reading the flash.
+// View follows the map like Read — current mapping, the bytes written with a
+// zero tail, the zero page when unmapped, range checked — without reading the
+// flash, and ViewAt copies the same bytes by range, gaps included.
 func TestViewFollowsTheMapUncharged(t *testing.T) {
 	f := newFTL(t)
 	f.Write(0, 3, []byte{1})
 	f.Write(0, 3, []byte{2})
 	reads := f.flash.Stats().PageReads.Value()
-	if got, err := f.View(3); err != nil || got[0] != 2 || len(got) != f.PageSize() {
-		t.Fatalf("View after an overwrite: %v, first byte %d", err, got[0])
+	if got, err := f.View(3); err != nil || !bytes.Equal(got, []byte{2}) {
+		t.Fatalf("View after an overwrite: %v, %v; want the byte written", err, got)
 	}
 	if got, err := f.View(5); err != nil || &got[0] != &f.flash.ZeroPage()[0] {
 		t.Fatalf("View of an unmapped page: %v; want the zero page", err)
+	}
+	sparse := make([]byte, f.PageSize())
+	sparse[0], sparse[f.PageSize()-1] = 7, 8 // one byte at each end of the sector
+	f.Write(0, 6, sparse)
+	got := make([]byte, f.PageSize())
+	if err := f.ViewAt(6, got, 0); err != nil || !bytes.Equal(got, sparse) {
+		t.Fatalf("ViewAt of a page with a gap: %v", err)
+	}
+	if err := f.ViewAt(5, got[:10], 3); err != nil || !bytes.Equal(got[:10], make([]byte, 10)) {
+		t.Fatalf("ViewAt of an unmapped page: %v, %v; want zeros", err, got[:10])
 	}
 	if err := f.Trim(3); err != nil {
 		t.Fatal(err)
@@ -122,6 +133,9 @@ func TestViewFollowsTheMapUncharged(t *testing.T) {
 	for _, lpn := range []int{-1, f.LogicalPages()} {
 		if _, err := f.View(lpn); err == nil {
 			t.Fatalf("View of logical page %d accepted", lpn)
+		}
+		if err := f.ViewAt(lpn, got, 0); err == nil {
+			t.Fatalf("ViewAt of logical page %d accepted", lpn)
 		}
 	}
 	if n := f.flash.Stats().PageReads.Value() - reads; n != 0 {
@@ -340,7 +354,7 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 	mapped := make(map[int]bool)
 	check := func(when string) {
 		t.Helper()
-		if held, _ := f.flash.Payloads(); held != len(mapped) {
+		if held, _, _ := f.flash.Payloads(); held != len(mapped) {
 			t.Fatalf("%s: flash holds %d payloads for %d mapped pages", when, held, len(mapped))
 		}
 	}
@@ -355,10 +369,10 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 
 	write(3, 0)
 	old, _, _ := f.Read(0, 3)
-	_, spare0 := f.flash.Payloads()
+	_, spare0, _ := f.flash.Payloads()
 	write(3, 1)
 	check("overwrite")
-	if _, spare := f.flash.Payloads(); spare != spare0+1 {
+	if _, spare, _ := f.flash.Payloads(); spare != spare0+1 {
 		t.Fatalf("overwrite returned %d buffers, want 1", spare-spare0)
 	}
 	if old[0] <= 16 {
@@ -367,13 +381,13 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 
 	write(4, 0)
 	old, _, _ = f.Read(0, 4)
-	_, spare0 = f.flash.Payloads()
+	_, spare0, _ = f.flash.Payloads()
 	if err := f.Trim(4); err != nil {
 		t.Fatal(err)
 	}
 	delete(mapped, 4)
 	check("trim")
-	if _, spare := f.flash.Payloads(); spare != spare0+1 {
+	if _, spare, _ := f.flash.Payloads(); spare != spare0+1 {
 		t.Fatalf("trim returned %d buffers, want 1", spare-spare0)
 	}
 	if old[0] <= 16 {
@@ -403,8 +417,61 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 			t.Fatalf("lpn %d after GC: err %v", lpn, err)
 		}
 	}
-	if _, spare := f.flash.Payloads(); spare > f.geo.PagesPerBlock {
+	if _, spare, _ := f.flash.Payloads(); spare > f.geo.PagesPerBlock {
 		t.Fatalf("free list grew to %d buffers", spare)
+	}
+}
+
+// GC moves a page's payload byte for byte: the copy keeps what the old page
+// kept, so a page stored as one run keeps a view exactly as long — the zero
+// bytes an SSTable page's last entry ends with included — and a page with
+// gaps still has none and reads back the same by range.
+func TestGCMigratesPagesByteForByte(t *testing.T) {
+	geo := nand.Geometry{Channels: 1, WaysPerChannel: 2, BlocksPerWay: 8, PagesPerBlock: 8, PageSize: 16 * 1024}
+	fl, err := nand.New(geo, nand.DefaultLatency(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(fl, Config{OverprovisionPct: 25, GCFreeBlockLow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := append(bytes.Repeat([]byte{0x11}, 5000), make([]byte, 10)...)
+	sparse := make([]byte, geo.PageSize)
+	copy(sparse, "a value")
+	copy(sparse[8192:], "another value")
+	write := func(lpn int, data []byte) {
+		t.Helper()
+		if _, err := f.Write(0, lpn, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The two pages open a block on each way; the 14 pages written next
+	// fill both blocks and then die, and fresh pages fill the rest of the
+	// device with live data, so GC's victims are the two blocks.
+	write(0, table)
+	write(1, sparse)
+	phys0, phys1 := f.l2p[0], f.l2p[1]
+	for round := 0; round < 2; round++ {
+		for lpn := 2; lpn < 16; lpn++ {
+			write(lpn, []byte{byte(lpn)})
+		}
+	}
+	for lpn := 16; f.l2p[0] == phys0 || f.l2p[1] == phys1; lpn++ {
+		if lpn == f.LogicalPages() {
+			t.Fatal("device full and GC never migrated both pages")
+		}
+		write(lpn, []byte{byte(lpn)})
+	}
+	if got, err := f.View(0); err != nil || !bytes.Equal(got, table) {
+		t.Fatalf("migrated one-run page: %d-byte view, %v; want the %d bytes written", len(got), err, len(table))
+	}
+	if _, err := f.View(1); !errors.Is(err, nand.ErrSparsePage) {
+		t.Fatalf("View of the migrated page with gaps: %v, want nand.ErrSparsePage", err)
+	}
+	got := make([]byte, geo.PageSize)
+	if _, err := f.ReadAt(0, 1, got, 0); err != nil || !bytes.Equal(got, sparse) {
+		t.Fatalf("ReadAt of the migrated page with gaps: %v", err)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // Page numbers are region-relative. The FTL-backed implementation charges
 // simulated NAND time; tests may use an in-memory store.
 //
-// ReadPage returns a read-only, PageSize-long view that is only good until
-// the next call on the store (a write can make FTL GC move the page, a read
-// can evict it from the device page cache): the tree decodes it in place at
-// once or copies it. WritePage copies data before returning.
+// ReadPage returns a read-only view of the page's first len(view) bytes (at
+// most PageSize; the rest of the page reads as zero, and an SSTable page's
+// view holds the whole image written) that is only good until the next call
+// on the store (a write can make FTL GC move the page, a read can evict it
+// from the device page cache): the tree decodes it in place at once or
+// copies it. WritePage copies data before returning.
 type PageStore interface {
 	WritePage(t sim.Time, page int, data []byte) (sim.Time, error)
 	ReadPage(t sim.Time, page int) ([]byte, sim.Time, error)
@@ -90,8 +92,8 @@ func (s *FTLStore) Pages() int { return s.pages }
 //	size     uint32
 //	flags    uint8 (bit0 = tombstone)
 //
-// Entries never span pages; a page ends with a 0 keyLen sentinel (or runs to
-// the page boundary).
+// Entries never span pages; a page's entries end where its view does, or at
+// a 0 keyLen sentinel where the view runs on into zero padding.
 const (
 	addrBytes     = 5
 	entryFixed    = 1 + addrBytes + 4 + 1 // keyLen + addr + size + flags

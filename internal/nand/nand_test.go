@@ -263,9 +263,12 @@ func TestProgramIsolationProperty(t *testing.T) {
 	}
 }
 
+// fullPage is a page-sized image of b, one that keeps every byte.
+func fullPage(a *Array, b byte) []byte { return bytes.Repeat([]byte{b}, a.Geometry().PageSize) }
+
 // Read lends the stored bytes instead of copying them: same backing array on
-// every read, a full page long, and one shared zero page for everything
-// erased.
+// every read, exactly the bytes written (the page's tail reads as zero), and
+// one shared full-page zero image for everything erased.
 func TestReadReturnsView(t *testing.T) {
 	a := testArray(t)
 	p := PageAddr{Block: 1, Page: 2}
@@ -277,8 +280,11 @@ func TestReadReturnsView(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if len(v1) != a.Geometry().PageSize || &v1[0] != &v2[0] {
-		t.Fatalf("two reads of one page: %d bytes at %p and %p, want one full-page view", len(v1), &v1[0], &v2[0])
+	if !bytes.Equal(v1, []byte{1, 2, 3}) || &v1[0] != &v2[0] {
+		t.Fatalf("two reads of one page: %v at %p and %v at %p, want one view of the 3 bytes written", v1, &v1[0], v2, &v2[0])
+	}
+	if n, err := a.Extent(p); err != nil || n != len(v1) {
+		t.Fatalf("Extent = %d, %v; want the view's length %d", n, err, len(v1))
 	}
 	z1, _, _ := a.Read(0, PageAddr{Page: 7})
 	z2, _, _ := a.Read(0, PageAddr{Channel: 1, Page: 1})
@@ -290,14 +296,92 @@ func TestReadReturnsView(t *testing.T) {
 	}
 }
 
+// Program keeps each whole 4 KiB sector up to a zero tail of 64 bytes or
+// more and drops the tail; a page so stored with a gap has no view (Read and
+// View refuse it uncharged) and is read by range, zeros in the gaps, charged
+// as one page read.
+func TestProgramKeepsSectorPrefixes(t *testing.T) {
+	a := testArray(t)
+	page := make([]byte, a.Geometry().PageSize)
+	copy(page[0:], bytes.Repeat([]byte{1}, 100))           // sector 0: 100 bytes, then 3996 zeros
+	copy(page[sectorSize:], bytes.Repeat([]byte{2}, 4033)) // sector 1: a 63-byte zero tail stays
+	copy(page[3*sectorSize:], []byte{3})                   // sector 2 empty, sector 3: one byte
+	p := PageAddr{Way: 1, Page: 1}
+	if _, err := a.Program(0, p, page); err != nil {
+		t.Fatal(err)
+	}
+	if held, _, stored := a.Payloads(); held != 1 || stored != 100+sectorSize+1 {
+		t.Fatalf("payloads: %d held, %d bytes stored; want 1 and %d", held, stored, 100+sectorSize+1)
+	}
+	if n, _ := a.Extent(p); n != 3*sectorSize+1 {
+		t.Fatalf("Extent = %d, want %d", n, 3*sectorSize+1)
+	}
+	if _, _, err := a.Read(0, p); !errors.Is(err, ErrSparsePage) {
+		t.Fatalf("Read of a page with gaps: %v, want ErrSparsePage", err)
+	}
+	if _, err := a.View(p); !errors.Is(err, ErrSparsePage) {
+		t.Fatalf("View of a page with gaps: %v, want ErrSparsePage", err)
+	}
+	if n := a.Stats().PageReads.Value(); n != 0 {
+		t.Fatalf("refused reads charged %d flash reads", n)
+	}
+	got := make([]byte, len(page))
+	for i := range got {
+		got[i] = 0xEE // ReadAt must overwrite the gaps too
+	}
+	free := a.WayFreeAt(0, 1)
+	end, err := a.ReadAt(0, p, got, 0)
+	if err != nil || !bytes.Equal(got, page) {
+		t.Fatalf("ReadAt of the whole page: %v, equal %v", err, bytes.Equal(got, page))
+	}
+	if end != free.Add(a.Latency().Read) || a.Stats().PageReads.Value() != 1 || a.Stats().BytesRead.Value() != int64(len(page)) {
+		t.Fatalf("ReadAt ended at %v after %d reads of %d bytes; want one whole-page read", end, a.Stats().PageReads.Value(), a.Stats().BytesRead.Value())
+	}
+	part := make([]byte, 200)
+	if err := a.ViewAt(p, part, sectorSize-100); err != nil || !bytes.Equal(part, page[sectorSize-100:sectorSize+100]) {
+		t.Fatalf("ViewAt across a gap: %v", err)
+	}
+	if err := a.ViewAt(p, part, len(page)-100); err == nil {
+		t.Fatal("ViewAt past the end of the page accepted")
+	}
+	// A page that ends inside a sector keeps all of it, zero tail included:
+	// the tail is not at a 4 KiB boundary.
+	short := append(bytes.Repeat([]byte{4}, 10), make([]byte, 500)...)
+	if _, err := a.Program(0, PageAddr{Way: 1, Page: 2}, short); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := a.View(PageAddr{Way: 1, Page: 2}); err != nil || !bytes.Equal(v, short) {
+		t.Fatalf("View of a short page: %d bytes, %v; want the %d bytes written", len(v), err, len(short))
+	}
+	// A page a few bytes short of full leaves no room for the sector table,
+	// so it is kept whole, zero-padded: a full-page buffer like any other.
+	nearly := bytes.Repeat([]byte{5}, a.Geometry().PageSize-3)
+	_, _, before := a.Payloads()
+	if _, err := a.Program(0, PageAddr{Way: 1, Page: 3}, nearly); err != nil {
+		t.Fatal(err)
+	}
+	v, err := a.View(PageAddr{Way: 1, Page: 3})
+	if _, _, after := a.Payloads(); err != nil || len(v) != a.Geometry().PageSize || after-before != int64(len(v)) ||
+		!bytes.Equal(v[:len(nearly)], nearly) || !bytes.Equal(v[len(nearly):], make([]byte, 3)) {
+		t.Fatalf("View of a nearly full page: %d bytes, %v; want the page, zero-padded", len(v), err)
+	}
+}
+
 // View answers what Read answers — the same view of a programmed page, the
-// zero page, ErrDiscarded, a bad address — but is not a flash operation: with
-// every read set to fault and a tracer attached, it counts nothing, occupies
-// no way, emits nothing and is not a fault site.
+// zero page, ErrSparsePage, ErrDiscarded, a bad address — and ViewAt what
+// ReadAt answers, but neither is a flash operation: with every read set to
+// fault and a tracer attached, they count nothing, occupy no way, emit
+// nothing and are not fault sites.
 func TestViewIsAReadWithoutTheOperation(t *testing.T) {
 	a := testArray(t)
 	p := PageAddr{Way: 1, Block: 2, Page: 3}
 	if _, err := a.Program(0, p, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	sparse := PageAddr{Way: 1, Block: 2, Page: 4}
+	img := make([]byte, 2*sectorSize)
+	img[0], img[sectorSize] = 5, 6
+	if _, err := a.Program(0, sparse, img); err != nil {
 		t.Fatal(err)
 	}
 	read, _, err := a.Read(0, p)
@@ -311,11 +395,18 @@ func TestViewIsAReadWithoutTheOperation(t *testing.T) {
 	before, busy := *a.Stats(), a.WayFreeAt(0, 1)
 
 	view, err := a.View(p)
-	if err != nil || len(view) != a.Geometry().PageSize || &view[0] != &read[0] {
+	if err != nil || len(view) != len(read) || &view[0] != &read[0] {
 		t.Fatalf("View of a programmed page: %d bytes, err %v; want Read's view", len(view), err)
 	}
 	if zero, err := a.View(PageAddr{Page: 7}); err != nil || &zero[0] != &a.ZeroPage()[0] {
 		t.Fatalf("View of an erased page: err %v; want the zero page", err)
+	}
+	if _, err := a.View(sparse); !errors.Is(err, ErrSparsePage) {
+		t.Fatalf("View of a page with gaps: %v, want ErrSparsePage", err)
+	}
+	got := make([]byte, len(img))
+	if err := a.ViewAt(sparse, got, 0); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("ViewAt of a page with gaps: %v", err)
 	}
 	if _, err := a.View(PageAddr{Channel: 9}); !errors.Is(err, ErrBadAddr) {
 		t.Fatalf("View of a bad address: %v", err)
@@ -326,19 +417,24 @@ func TestViewIsAReadWithoutTheOperation(t *testing.T) {
 	if _, err := a.View(p); !errors.Is(err, ErrDiscarded) {
 		t.Fatalf("View of a discarded page: %v, want ErrDiscarded", err)
 	}
+	if err := a.ViewAt(p, got[:1], 0); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("ViewAt of a discarded page: %v, want ErrDiscarded", err)
+	}
 	if *a.Stats() != before || a.WayFreeAt(0, 1) != busy || rec.Len() != 0 || inj.Fired() != 0 {
 		t.Fatalf("View left a trace: stats %+v (were %+v), way free at %v (was %v), %d events, %d faults",
 			*a.Stats(), before, a.WayFreeAt(0, 1), busy, rec.Len(), inj.Fired())
 	}
 }
 
-// Discard ends a payload's life at once: the buffer goes to the free list
-// poisoned, the page reads as ErrDiscarded (never as zeros or old data) and
-// still needs an erase, and a view taken earlier shows the poison.
+// Discard ends a payload's life at once: the bytes are poisoned, the page
+// reads as ErrDiscarded (never as zeros or old data) and still needs an
+// erase, and a view taken earlier shows the poison. A full-page buffer goes
+// to the free list for the next Program of more than half a page; a small,
+// exact-size one is left to the garbage collector.
 func TestDiscardReleasesPayload(t *testing.T) {
 	a := testArray(t)
 	p := PageAddr{Way: 1, Block: 3, Page: 4}
-	if _, err := a.Program(0, p, bytes.Repeat([]byte{7}, 64)); err != nil {
+	if _, err := a.Program(0, p, fullPage(a, 7)); err != nil {
 		t.Fatal(err)
 	}
 	view, _, _ := a.Read(0, p)
@@ -346,11 +442,14 @@ func TestDiscardReleasesPayload(t *testing.T) {
 	if err := a.Discard(p); err != nil {
 		t.Fatal(err)
 	}
-	if held, spare := a.Payloads(); held != 0 || spare != 1 {
-		t.Fatalf("after Discard: %d held, %d spare; want 0, 1", held, spare)
+	if held, spare, stored := a.Payloads(); held != 0 || spare != 1 || stored != 0 {
+		t.Fatalf("after Discard: %d held, %d spare, %d bytes stored; want 0, 1, 0", held, spare, stored)
 	}
 	if _, _, err := a.Read(0, p); !errors.Is(err, ErrDiscarded) {
 		t.Fatalf("read of a discarded page: %v, want ErrDiscarded", err)
+	}
+	if _, err := a.ReadAt(0, p, make([]byte, 8), 0); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("ReadAt of a discarded page: %v, want ErrDiscarded", err)
 	}
 	if a.Stats().PageReads.Value() != reads {
 		t.Fatal("a refused read was charged as a flash operation")
@@ -372,26 +471,37 @@ func TestDiscardReleasesPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if held, spare := a.Payloads(); held != 0 || spare != 1 {
+	if held, spare, _ := a.Payloads(); held != 0 || spare != 1 {
 		t.Fatalf("after repeated Discard: %d held, %d spare", held, spare)
 	}
 	if err := a.Discard(PageAddr{Block: 99}); !errors.Is(err, ErrBadAddr) {
 		t.Fatalf("Discard out of range: %v", err)
+	}
+	// A small payload is poisoned too but not kept.
+	small := PageAddr{Page: 2}
+	if _, err := a.Program(0, small, bytes.Repeat([]byte{3}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	smallView, _, _ := a.Read(0, small)
+	a.Discard(small)
+	if _, spare, _ := a.Payloads(); spare != 1 || smallView[0] != poison || smallView[63] != poison {
+		t.Fatalf("after discarding a small payload: %d spare, view %#x…%#x; want 1 and poison", spare, smallView[0], smallView[63])
 	}
 	// Erase makes it programmable again, from the released buffer, and the
 	// poison does not leak into the new page's zero tail.
 	if _, err := a.Erase(0, BlockAddr{Way: 1, Block: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Program(0, p, []byte{9}); err != nil {
+	half := bytes.Repeat([]byte{9}, a.Geometry().PageSize/2+1)
+	if _, err := a.Program(0, p, half); err != nil {
 		t.Fatal(err)
 	}
-	if held, spare := a.Payloads(); held != 1 || spare != 0 {
+	if held, spare, _ := a.Payloads(); held != 1 || spare != 0 {
 		t.Fatalf("after reprogram: %d held, %d spare; want 1, 0", held, spare)
 	}
-	got, _, _ := a.Read(0, p)
-	if got[0] != 9 || !bytes.Equal(got[1:], make([]byte, len(got)-1)) {
-		t.Fatal("reused payload not zero-padded")
+	got := make([]byte, a.Geometry().PageSize)
+	if _, err := a.ReadAt(0, p, got, 0); err != nil || !bytes.Equal(got[:len(half)], half) || !bytes.Equal(got[len(half):], make([]byte, len(got)-len(half))) {
+		t.Fatalf("reused payload not zero-padded: %v", err)
 	}
 }
 
@@ -401,7 +511,7 @@ func TestEraseReleasesTheRest(t *testing.T) {
 	a := testArray(t)
 	b := BlockAddr{Channel: 1, Block: 2}
 	for i := 0; i < 5; i++ {
-		if _, err := a.Program(0, b.Page(i), []byte{byte(i)}); err != nil {
+		if _, err := a.Program(0, b.Page(i), fullPage(a, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,8 +521,8 @@ func TestEraseReleasesTheRest(t *testing.T) {
 	if _, err := a.Erase(0, b); err != nil {
 		t.Fatal(err)
 	}
-	if held, spare := a.Payloads(); held != 0 || spare != 5 {
-		t.Fatalf("after Erase: %d held, %d spare; want 0, 5", held, spare)
+	if held, spare, stored := a.Payloads(); held != 0 || spare != 5 || stored != 0 {
+		t.Fatalf("after Erase: %d held, %d spare, %d bytes stored; want 0, 5, 0", held, spare, stored)
 	}
 	if live[0] != poison {
 		t.Fatal("view of an erased page still shows its data")
@@ -420,7 +530,7 @@ func TestEraseReleasesTheRest(t *testing.T) {
 	// Two more blocks' worth of payloads die; the list stops at one block.
 	for blk := 0; blk < 2; blk++ {
 		for i := 0; i < a.Geometry().PagesPerBlock; i++ {
-			if _, err := a.Program(0, PageAddr{Block: blk, Page: i}, []byte{1}); err != nil {
+			if _, err := a.Program(0, PageAddr{Block: blk, Page: i}, fullPage(a, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -430,7 +540,7 @@ func TestEraseReleasesTheRest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, spare := a.Payloads(); spare != a.Geometry().PagesPerBlock {
+	if _, spare, _ := a.Payloads(); spare != a.Geometry().PagesPerBlock {
 		t.Fatalf("free list holds %d buffers, bound is %d", spare, a.Geometry().PagesPerBlock)
 	}
 }
@@ -438,13 +548,13 @@ func TestEraseReleasesTheRest(t *testing.T) {
 // A program that faults stores nothing, so it must not take a buffer either.
 func TestFaultedProgramTakesNoPayload(t *testing.T) {
 	a := testArray(t)
-	a.Program(0, PageAddr{Page: 0}, []byte{1})
+	a.Program(0, PageAddr{Page: 0}, fullPage(a, 1))
 	a.Discard(PageAddr{Page: 0})
 	a.SetFaultEvery(2)
-	if _, err := a.Program(0, PageAddr{Page: 1}, []byte{1}); !errors.Is(err, ErrIOFault) {
+	if _, err := a.Program(0, PageAddr{Page: 1}, fullPage(a, 1)); !errors.Is(err, ErrIOFault) {
 		t.Fatalf("err = %v, want ErrIOFault", err)
 	}
-	if held, spare := a.Payloads(); held != 0 || spare != 1 {
-		t.Fatalf("after a faulted program: %d held, %d spare; want 0, 1", held, spare)
+	if held, spare, stored := a.Payloads(); held != 0 || spare != 1 || stored != 0 {
+		t.Fatalf("after a faulted program: %d held, %d spare, %d bytes stored; want 0, 1, 0", held, spare, stored)
 	}
 }

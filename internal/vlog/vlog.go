@@ -48,9 +48,9 @@ type VLog struct {
 	// amortize one NAND read across every value on the page. Virtual page
 	// numbers are unique forever (the log is circular but offsets are
 	// monotonic) and a flushed page is never rewritten, so the cache can never
-	// serve stale data. The host keeps only the page number: a hit looks the
-	// bytes up through the FTL map (ftl.FTL.View, uncharged), which follows a
-	// GC migration by construction, so the 16 KiB of modelled DRAM cost no
+	// serve stale data. The host keeps only the page number: a hit copies the
+	// bytes out through the FTL map (ftl.FTL.ViewAt, uncharged), which follows
+	// a GC migration by construction, so the 16 KiB of modelled DRAM cost no
 	// host copy.
 	cachePage int64
 	stats     Stats
@@ -215,21 +215,19 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 		if take > n-off {
 			take = n - off
 		}
+		part := out[off : off+take]
 		if page, ok := v.buf.OpenPage(pageNo); ok {
-			copy(out[off:off+take], page[inPage:])
+			copy(part, page[inPage:])
 		} else if pageNo == v.cachePage {
-			data, err := v.ftl.View(v.lpnOf(pageNo))
-			if err != nil {
+			if err := v.ftl.ViewAt(v.lpnOf(pageNo), part, inPage); err != nil {
 				return nil, t, fmt.Errorf("vlog: cached page %d: %w", pageNo, err)
 			}
-			copy(out[off:off+take], data[inPage:])
 			v.stats.CacheHits.Inc()
 		} else {
-			data, e, err := v.ftl.Read(t, v.lpnOf(pageNo))
+			e, err := v.ftl.ReadAt(t, v.lpnOf(pageNo), part, inPage)
 			if err != nil {
 				return nil, t, fmt.Errorf("vlog: page %d: %w", pageNo, err)
 			}
-			copy(out[off:off+take], data[inPage:])
 			v.cachePage = pageNo
 			v.stats.ReadPages.Inc()
 			if e > end {

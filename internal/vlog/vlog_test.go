@@ -11,6 +11,7 @@ import (
 	"bandslim/internal/pagebuf"
 	"bandslim/internal/pcie"
 	"bandslim/internal/sim"
+	"bandslim/internal/workload"
 )
 
 // buildVLog stacks a vLog of `pages` pages (0: half the FTL) on a small flash
@@ -314,5 +315,48 @@ func TestAppendReadPropertyAllPolicies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Backfill fill with mixgraph value sizes costs the flash model's host
+// memory about its payload, not its pages: DMA values sit at 4 KiB
+// boundaries, so most of every flushed page is zero sector tails, and
+// Program keeps none of them. Values read back the same from the pages so
+// stored.
+func TestBackfillFillStoresItsPayload(t *testing.T) {
+	v, flash := buildVLog(t, pagebuf.Config{PageSize: 16 * 1024, MaxEntries: 8, Policy: pagebuf.PolicyBackfill}, 0)
+	gen, fill := workload.NewWorkloadM(8000, 42), workload.NewValueFiller(42)
+	type rec struct {
+		addr Addr
+		val  []byte
+	}
+	var recs []rec
+	for op, ok := gen.Next(); ok; op, ok = gen.Next() {
+		val := fill.Fill(nil, op.ValueSize)
+		place := v.AppendDMA
+		if len(val) <= 128 { // the driver's default piggyback threshold
+			place = v.AppendPiggybacked
+		}
+		addr, _, err := place(0, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec{addr, val})
+	}
+	if _, err := v.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	payload := v.Buffer().Stats().PayloadBytes.Value()
+	held, _, stored := flash.Payloads()
+	t.Logf("%d pages hold %d bytes for %d payload bytes (%.3f); the pages are %d bytes",
+		held, stored, payload, float64(stored)/float64(payload), int64(held)*int64(v.pageSize))
+	if stored > payload*5/4 {
+		t.Fatalf("%d pages store %d bytes for %d payload bytes: more than 1.25x", held, stored, payload)
+	}
+	for _, r := range recs {
+		got, _, err := v.Read(0, r.addr, len(r.val))
+		if err != nil || !bytes.Equal(got, r.val) {
+			t.Fatalf("value at %d: %v", r.addr, err)
+		}
 	}
 }
