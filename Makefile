@@ -74,13 +74,12 @@ determinism:
 	rm -rf .determinism
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
-# cursor, the journal decoder/replayer, the RESP command parser, the
-# workload-trace parser, and the NAND page store's round trip, seeded from the
-# committed testdata corpora and the targets' own seeds.
+# cursor, the RESP command parser, the workload-trace parser, and the NAND
+# page store's round trip, seeded from the committed testdata corpora and the
+# targets' own seeds.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/device
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s ./internal/nand

@@ -631,6 +631,36 @@ func TestOpenZeroDeviceConfigGetsDefaults(t *testing.T) {
 	}
 }
 
+// Open answers a device setting no hardware has with an error, never a panic
+// or a run on nonsense timings.
+func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*device.Config)
+	}{
+		{"Buffer.DLTCap", func(d *device.Config) { d.Buffer.DLTCap = -1 }},
+		{"Latency.Read", func(d *device.Config) { d.Latency.Read = -1 }},
+		{"Latency.Prog", func(d *device.Config) { d.Latency.Prog = -1 }},
+		{"Latency.Erase", func(d *device.Config) { d.Latency.Erase = -1 }},
+		{"Memcpy.Fixed", func(d *device.Config) { d.Memcpy.Fixed = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Open panicked: %v", r)
+				}
+			}()
+			cfg := smallConfig()
+			c.mutate(&cfg.Device)
+			db, err := Open(cfg)
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted the config")
+			}
+		})
+	}
+}
+
 func TestIdentifyAPI(t *testing.T) {
 	db := openSmall(t, nil)
 	id, err := db.Identify()

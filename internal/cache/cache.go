@@ -191,9 +191,8 @@ func (c *Values) Reset() {
 	c.used = 0
 }
 
-// Len reports resident entries; Used reports resident payload bytes.
-func (c *Values) Len() int  { return len(c.idx) }
-func (c *Values) Used() int { return c.used }
+// Len reports resident entries.
+func (c *Values) Len() int { return len(c.idx) }
 
 func (c *Values) allocSlot() int {
 	if n := len(c.free); n > 0 {
@@ -299,9 +298,6 @@ func (c *Pages) Reset() {
 	}
 	c.pol.Reset()
 }
-
-// Len reports resident pages.
-func (c *Pages) Len() int { return len(c.idx) }
 
 func (c *Pages) allocSlot() int {
 	if n := len(c.free); n > 0 {

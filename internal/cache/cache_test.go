@@ -113,6 +113,17 @@ func TestTwoQPromotionDemotion(t *testing.T) {
 
 // TestTwoQScanResistance is the property 2Q exists for: a long one-touch
 // scan must not displace the promoted hot set.
+// policyLen reports how many slots p holds resident.
+func policyLen(p Policy) int {
+	switch p := p.(type) {
+	case *lruPolicy:
+		return p.list.n
+	case *twoQPolicy:
+		return p.in.n + p.am.n
+	}
+	panic("unknown policy")
+}
+
 func TestTwoQScanResistance(t *testing.T) {
 	p := NewPolicy(TwoQ)
 	// Build a hot set of 4 promoted slots.
@@ -124,7 +135,7 @@ func TestTwoQScanResistance(t *testing.T) {
 	// then evict back down to 8 resident.
 	for s := 10; s < 110; s++ {
 		p.Admit(s)
-		for p.Len() > 8 {
+		for policyLen(p) > 8 {
 			if v := p.Evict(); v < 4 && v >= 0 {
 				t.Fatalf("scan evicted hot slot %d", v)
 			}
@@ -165,13 +176,13 @@ func TestPolicyRecycleSlots(t *testing.T) {
 				if n != 7 {
 					t.Fatalf("round %d: drained %d slots, want 7", round, n)
 				}
-				if p.Len() != 0 {
-					t.Fatalf("round %d: len %d after drain", round, p.Len())
+				if policyLen(p) != 0 {
+					t.Fatalf("round %d: len %d after drain", round, policyLen(p))
 				}
 			}
 			p.Admit(2)
 			p.Reset()
-			if p.Len() != 0 || p.Evict() != -1 {
+			if policyLen(p) != 0 || p.Evict() != -1 {
 				t.Fatal("reset did not empty policy")
 			}
 		})
@@ -210,8 +221,8 @@ func TestValuesBasic(t *testing.T) {
 	if c.Invalidate(key) {
 		t.Fatal("second invalidate reported resident")
 	}
-	if c.Used() != 0 {
-		t.Fatalf("used bytes after drain: %d", c.Used())
+	if c.used != 0 {
+		t.Fatalf("used bytes after drain: %d", c.used)
 	}
 }
 
@@ -239,8 +250,8 @@ func TestValuesEvictionBudget(t *testing.T) {
 	if _, ok := c.Get([]byte("ek005")); !ok {
 		t.Fatal("newest entry missing")
 	}
-	if c.Used() > 256 {
-		t.Fatalf("used %d exceeds budget", c.Used())
+	if c.used > 256 {
+		t.Fatalf("used %d exceeds budget", c.used)
 	}
 }
 
@@ -262,8 +273,8 @@ func TestValuesReset(t *testing.T) {
 		c.Put([]byte(fmt.Sprintf("rk%02d", i)), make([]byte, 32))
 	}
 	c.Reset()
-	if c.Len() != 0 || c.Used() != 0 {
-		t.Fatalf("after reset: len=%d used=%d", c.Len(), c.Used())
+	if c.Len() != 0 || c.used != 0 {
+		t.Fatalf("after reset: len=%d used=%d", c.Len(), c.used)
 	}
 	// The cache must be fully usable after reset.
 	c.Put([]byte("rk00"), make([]byte, 32))
@@ -292,15 +303,15 @@ func TestPagesBasic(t *testing.T) {
 	// Page numbers are recycled by the LSM: re-putting a page re-admits it
 	// without growing the tier.
 	c.Put(10)
-	if !c.Get(10) || c.Len() != 2 {
-		t.Fatalf("after re-put: resident %v, len %d", c.Get(10), c.Len())
+	if !c.Get(10) || len(c.idx) != 2 {
+		t.Fatalf("after re-put: resident %v, len %d", c.Get(10), len(c.idx))
 	}
 	if !c.Invalidate(10) || c.Invalidate(10) {
 		t.Fatal("invalidate bookkeeping wrong")
 	}
 	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("len after reset: %d", c.Len())
+	if len(c.idx) != 0 {
+		t.Fatalf("len after reset: %d", len(c.idx))
 	}
 }
 

@@ -46,13 +46,11 @@ func ParseKind(s string) (Kind, error) {
 // victim, and Remove on invalidation. Implementations never allocate after
 // their arrays reach the high-water slot index.
 type Policy interface {
-	Name() string
 	Admit(slot int)
 	Touch(slot int)
 	// Evict removes and returns the policy's victim slot, or -1 when empty.
 	Evict() int
 	Remove(slot int)
-	Len() int
 	Reset()
 }
 
@@ -120,8 +118,7 @@ func (l *list) reset() {
 // lruPolicy is the recency list: Touch moves to front, Evict takes the back.
 type lruPolicy struct{ list list }
 
-func (p *lruPolicy) Name() string { return LRU.String() }
-func (p *lruPolicy) Admit(s int)  { p.list.pushFront(s) }
+func (p *lruPolicy) Admit(s int) { p.list.pushFront(s) }
 func (p *lruPolicy) Touch(s int) {
 	if p.list.head == s {
 		return
@@ -138,7 +135,6 @@ func (p *lruPolicy) Evict() int {
 	return s
 }
 func (p *lruPolicy) Remove(s int) { p.list.remove(s) }
-func (p *lruPolicy) Len() int     { return p.list.n }
 func (p *lruPolicy) Reset()       { p.list.reset() }
 
 // twoQKinDen bounds the probation queue to 1/twoQKinDen of residency.
@@ -151,8 +147,6 @@ type twoQPolicy struct {
 	in, am list
 	where  []uint8 // 0 = untracked, 1 = A1in, 2 = Am
 }
-
-func (p *twoQPolicy) Name() string { return TwoQ.String() }
 
 func (p *twoQPolicy) growWhere(s int) {
 	for len(p.where) <= s {
@@ -208,8 +202,6 @@ func (p *twoQPolicy) Remove(s int) {
 	}
 	p.where[s] = 0
 }
-
-func (p *twoQPolicy) Len() int { return p.in.n + p.am.n }
 
 func (p *twoQPolicy) Reset() {
 	p.in.reset()

@@ -98,8 +98,6 @@ func (d *Device) execBatchWrite(t sim.Time, cmd nvme.Command) (int, sim.Time, er
 				return count, end, err
 			}
 		}
-		d.stats.WritesCompleted.Inc()
-		d.stats.BatchedRecords.Inc()
 		count++
 	}
 	return count, end, nil

@@ -94,9 +94,6 @@ func (d *Device) SetCache(cfg cache.Config) error {
 	return nil
 }
 
-// CacheConfig reports the device's active read-cache configuration.
-func (d *Device) CacheConfig() cache.Config { return d.cfg.Cache }
-
 // invalidateValue drops key from the value tier (overwrite, delete, batch
 // record, GC relocation).
 func (d *Device) invalidateValue(key []byte) {

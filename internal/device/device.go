@@ -71,18 +71,9 @@ func DefaultConfig() Config {
 
 // Stats tallies controller activity.
 type Stats struct {
-	WritesCompleted   metrics.Counter
-	ReadsCompleted    metrics.Counter
-	DeletesCompleted  metrics.Counter
-	TransferFragments metrics.Counter // transfer commands consumed
-	InlineBytes       metrics.Counter // value bytes received inline
-	DMAValueBytes     metrics.Counter // value bytes received via DMA
-	BatchedRecords    metrics.Counter // records unpacked from bulk PUTs
-	GCRelocated       metrics.Counter // values moved by vLog garbage collection
-	BadCommands       metrics.Counter
-	PowerCuts         metrics.Counter // power-cut faults taken
-	Mounts            metrics.Counter // recovery mounts performed
-	ReplayedRecords   metrics.Counter // journal records replayed at mount
+	PowerCuts       metrics.Counter // power-cut faults taken
+	Mounts          metrics.Counter // recovery mounts performed
+	ReplayedRecords metrics.Counter // journal records replayed at mount
 
 	// Device-DRAM read-cache tallies (zero while the cache is disabled).
 	CacheHits          metrics.Counter // value-tier hits (reads served from DRAM)
@@ -159,6 +150,12 @@ func New(cfg Config, clock *sim.Clock, link *pcie.Link, hostMem *nvme.HostMemory
 	}
 	if cfg.QueueDepth < 2 {
 		return nil, fmt.Errorf("device: QueueDepth %d too small", cfg.QueueDepth)
+	}
+	if l := cfg.Latency; l.Read < 0 || l.Prog < 0 || l.Erase < 0 {
+		return nil, fmt.Errorf("device: negative NAND latency %+v", l)
+	}
+	if cfg.Memcpy.Fixed < 0 {
+		return nil, fmt.Errorf("device: negative memcpy overhead %v", cfg.Memcpy.Fixed)
 	}
 	flash, err := nand.New(cfg.Geometry, cfg.Latency, clock)
 	if err != nil {
@@ -372,7 +369,6 @@ func (d *Device) execute(t sim.Time, cmd nvme.Command) (nvme.Completion, sim.Tim
 		n, end, err = d.execIdentify(t, cmd)
 		comp.Result = uint32(n)
 	default:
-		d.stats.BadCommands.Inc()
 		comp.Status = nvme.StatusInvalidField
 		return comp, t
 	}
@@ -529,7 +525,6 @@ func (d *Device) execWrite(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 	pw := &d.pwScratch
 	pw.key = cmd.AppendKey(pw.key[:0])
 	if len(pw.key) == 0 {
-		d.stats.BadCommands.Inc()
 		return t, errBadField
 	}
 	total := int(cmd.ValueSize())
@@ -558,7 +553,6 @@ func (d *Device) execWrite(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 	case nvme.ModeInline:
 		n := min(total, nvme.PiggybackWriteCapacity)
 		pw.value = cmd.AppendWritePiggyback(pw.value, n)
-		d.stats.InlineBytes.Add(int64(n))
 	case nvme.ModeHybrid:
 		dmaPart := total / pcie.MemoryPageSize * pcie.MemoryPageSize
 		if dmaPart == 0 {
@@ -602,7 +596,6 @@ func (d *Device) dmaValue(t sim.Time, cmd nvme.Command, n int, dst []byte) ([]by
 	if err != nil {
 		return nil, t, err
 	}
-	d.stats.DMAValueBytes.Add(int64(n))
 	return value, end, nil
 }
 
@@ -613,7 +606,6 @@ func (d *Device) sglValue(t sim.Time, cmd nvme.Command, n int, dst []byte) ([]by
 	if err != nil {
 		return nil, t, err
 	}
-	d.stats.DMAValueBytes.Add(int64(n))
 	return value, end, nil
 }
 
@@ -621,15 +613,12 @@ func (d *Device) sglValue(t sim.Time, cmd nvme.Command, n int, dst []byte) ([]by
 func (d *Device) execTransfer(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 	pw := d.pending
 	if pw == nil {
-		d.stats.BadCommands.Inc()
 		return t, errBadField
 	}
 	remain := pw.want - len(pw.value)
 	n := min(remain, nvme.PiggybackTransferCapacity)
 	pw.value = cmd.AppendTransferPiggyback(pw.value, n)
 	d.valueBuf = pw.value[:0]
-	d.stats.InlineBytes.Add(int64(n))
-	d.stats.TransferFragments.Inc()
 	if t > pw.reached {
 		pw.reached = t
 	}
@@ -672,7 +661,6 @@ func (d *Device) commitWrite(pw *pendingWrite) (sim.Time, error) {
 			return end, err
 		}
 	}
-	d.stats.WritesCompleted.Inc()
 	return end, nil
 }
 
@@ -722,7 +710,6 @@ func (d *Device) execRead(t sim.Time, cmd nvme.Command) (int, sim.Time, error) {
 	if !hit {
 		d.fillValue(end, key, value)
 	}
-	d.stats.ReadsCompleted.Inc()
 	return len(value), end, nil
 }
 
@@ -751,7 +738,6 @@ func (d *Device) execDelete(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 			return end, err
 		}
 	}
-	d.stats.DeletesCompleted.Inc()
 	return end, nil
 }
 

@@ -74,7 +74,6 @@ func (d *Device) CompactVLog(t sim.Time, pages int) (int, sim.Time, error) {
 		if err != nil {
 			return 0, end, fmt.Errorf("device: GC reindex: %w", err)
 		}
-		d.stats.GCRelocated.Inc()
 	}
 	if err := d.vlog.AdvanceTail(reclaimEnd); err != nil {
 		return 0, end, err
@@ -105,31 +104,4 @@ func (d *Device) liveEntriesBelow(t sim.Time, limit vlog.Addr) ([]lsm.Entry, sim
 		return nil, t, it.Err()
 	}
 	return live, it.End(), nil
-}
-
-// GarbageRatio estimates the dead fraction of the flushed vLog span: live
-// bytes referenced by the index below the frontier vs. the span length.
-// A cheap planning metric for when to trigger CompactVLog.
-func (d *Device) GarbageRatio(t sim.Time) (float64, error) {
-	span := d.vlog.LiveBytes()
-	if span <= 0 {
-		return 0, nil
-	}
-	it, err := d.tree.Seek(t, nil)
-	if err != nil {
-		return 0, err
-	}
-	var liveBytes int64
-	for it.Valid() {
-		liveBytes += int64(it.Entry().Size)
-		it.Next(t)
-	}
-	if it.Err() != nil {
-		return 0, it.Err()
-	}
-	g := 1 - float64(liveBytes)/float64(span)
-	if g < 0 {
-		g = 0
-	}
-	return g, nil
 }

@@ -25,7 +25,7 @@ func TestIdentifyRoundTrip(t *testing.T) {
 	if comp.Result != 4096 {
 		t.Fatalf("identify size %d", comp.Result)
 	}
-	data, _ := rbuf.Gather(mem)
+	data, _ := rbuf.GatherInto(mem, nil)
 	id := ParseIdentify(data)
 	if id.Model != "BandSlim KV-SSD (simulated Cosmos+)" {
 		t.Fatalf("Model = %q", id.Model)

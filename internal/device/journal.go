@@ -1,12 +1,6 @@
 package device
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"bandslim/internal/nvme"
-	"bandslim/internal/vlog"
-)
+import "bandslim/internal/vlog"
 
 // The index journal is the device's battery-backed record of every LSM
 // insert since the last durable point (the last committed tree flush). The
@@ -30,9 +24,9 @@ type journalRecord struct {
 	tomb   bool
 }
 
-// journalRecordOverhead is the non-key wire size of one encoded record:
-// keyLen u8 + addr i64 + size u32 + flags u8. Mount replay charges a device
-// memcpy of key+overhead per record.
+// journalRecordOverhead is the non-key size of one record in battery-backed
+// DRAM: keyLen u8 + addr i64 + size u32 + flags u8. Mount replay charges a
+// device memcpy of key+overhead per record.
 const journalRecordOverhead = 1 + 8 + 4 + 1
 
 type journal struct {
@@ -52,56 +46,3 @@ func (j *journal) reset() {
 }
 
 func (j *journal) len() int { return len(j.recs) }
-
-func (j *journal) key(i int) []byte {
-	r := j.recs[i]
-	return j.arena[r.keyOff : r.keyOff+r.keyLen]
-}
-
-// encodeJournal renders the journal in its battery-backed wire format:
-// per record [keyLen u8][key][addr i64 LE][size u32 LE][flags u8].
-func encodeJournal(j *journal, dst []byte) []byte {
-	for i, r := range j.recs {
-		key := j.key(i)
-		dst = append(dst, byte(len(key)))
-		dst = append(dst, key...)
-		var buf [13]byte
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(r.addr))
-		binary.LittleEndian.PutUint32(buf[8:12], r.size)
-		if r.tomb {
-			buf[12] = 1
-		}
-		dst = append(dst, buf[:]...)
-	}
-	return dst
-}
-
-// decodeJournal parses the wire format back into a journal, validating every
-// record (this is the surface the replay fuzz target drives). Keys must be
-// non-empty and within the NVMe key-size bound; flags other than 0/1 are
-// corruption.
-func decodeJournal(data []byte) (*journal, error) {
-	j := &journal{}
-	for len(data) > 0 {
-		kl := int(data[0])
-		if kl == 0 || kl > nvme.MaxKeySize {
-			return nil, fmt.Errorf("device: journal key length %d out of range", kl)
-		}
-		if len(data) < 1+kl+13 {
-			return nil, fmt.Errorf("device: truncated journal record")
-		}
-		key := data[1 : 1+kl]
-		addr := vlog.Addr(binary.LittleEndian.Uint64(data[1+kl : 1+kl+8]))
-		size := binary.LittleEndian.Uint32(data[1+kl+8 : 1+kl+12])
-		flags := data[1+kl+12]
-		if flags > 1 {
-			return nil, fmt.Errorf("device: journal record flags %#x corrupt", flags)
-		}
-		if addr < 0 {
-			return nil, fmt.Errorf("device: journal record addr %d negative", addr)
-		}
-		j.append(key, addr, size, flags == 1)
-		data = data[1+kl+13:]
-	}
-	return j, nil
-}

@@ -52,12 +52,9 @@ func (m MemcpyModel) Cost(n int) sim.Duration {
 
 // Stats tallies engine activity.
 type Stats struct {
-	Transfers        metrics.Counter // page-unit DMA operations
-	BytesTransferred metrics.Counter // wire bytes (page multiples)
-	Memcpys          metrics.Counter
-	MemcpyBytes      metrics.Counter
-	MemcpyTime       metrics.Counter // nanoseconds of device CPU copy time
-	TransferFaults   metrics.Counter // injected transfer failures
+	Memcpys        metrics.Counter
+	MemcpyTime     metrics.Counter // nanoseconds of device CPU copy time
+	TransferFaults metrics.Counter // injected transfer failures
 }
 
 // Engine is the device's DMA engine. Transfers occupy the PCIe link and are
@@ -126,8 +123,6 @@ func (e *Engine) TransferInTo(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList, 
 		return nil, t, fmt.Errorf("dma: transfer size %d not page aligned", size)
 	}
 	e.link.RecordDMA(int64(size))
-	e.stats.Transfers.Inc()
-	e.stats.BytesTransferred.Add(int64(size))
 	perPage := sim.Duration(size/pcie.MemoryPageSize) * e.link.Model.DMAPerPage
 	end := e.link.Occupy(t.Add(perPage), int64(size))
 	if e.tr != nil {
@@ -156,8 +151,6 @@ func (e *Engine) TransferInSGLTo(t sim.Time, m *nvme.HostMemory, prp nvme.PRPLis
 	segments := len(prp.Pages)
 	e.link.RecordSGLDescriptors(segments)
 	e.link.RecordDMA(int64(prp.Payload))
-	e.stats.Transfers.Inc()
-	e.stats.BytesTransferred.Add(int64(prp.Payload))
 	setup := e.link.Model.SGLSetup + sim.Duration(segments)*e.link.Model.SGLPerSegment
 	end := e.link.Occupy(t.Add(setup), int64(prp.Payload))
 	if e.tr != nil {
@@ -181,8 +174,6 @@ func (e *Engine) TransferOut(t sim.Time, m *nvme.HostMemory, prp nvme.PRPList, d
 	}
 	size := int64(prp.TransferSize())
 	e.link.RecordDMA(size)
-	e.stats.Transfers.Inc()
-	e.stats.BytesTransferred.Add(size)
 	perPage := sim.Duration(size/pcie.MemoryPageSize) * e.link.Model.DMAPerPage
 	end := e.link.Occupy(t.Add(perPage), size)
 	if e.tr != nil {
@@ -199,7 +190,6 @@ func (e *Engine) Memcpy(t sim.Time, n int) sim.Time {
 	}
 	d := e.memcpy.Cost(n)
 	e.stats.Memcpys.Inc()
-	e.stats.MemcpyBytes.Add(int64(n))
 	e.stats.MemcpyTime.Add(int64(d))
 	end := t.Add(d)
 	if e.tr != nil {
@@ -207,7 +197,3 @@ func (e *Engine) Memcpy(t sim.Time, n int) sim.Time {
 	}
 	return end
 }
-
-// MemcpyCost exposes the copy price without performing one (used by packing
-// policies for planning).
-func (e *Engine) MemcpyCost(n int) sim.Duration { return e.memcpy.Cost(n) }

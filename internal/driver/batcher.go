@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bandslim/internal/device"
-	"bandslim/internal/metrics"
 	"bandslim/internal/nvme"
 )
 
@@ -31,9 +30,6 @@ type Batcher struct {
 
 // BatcherStats tallies batching behaviour.
 type BatcherStats struct {
-	Ops          metrics.Counter // records accepted
-	Flushes      metrics.Counter // bulk commands issued
-	FlushedBytes metrics.Counter // payload bytes shipped
 	// PeakAtRiskOps/Bytes record the largest volatile host buffer seen —
 	// the data-loss window on power failure.
 	PeakAtRiskOps   int
@@ -86,7 +82,6 @@ func (b *Batcher) Put(key, value []byte) error {
 	b.keyArena = append(b.keyArena, key...)
 	b.keys = append(b.keys, b.keyArena[start:len(b.keyArena):len(b.keyArena)])
 	b.payload = device.EncodeBatchRecord(b.payload, key, value)
-	b.stats.Ops.Inc()
 	if len(b.keys) > b.stats.PeakAtRiskOps {
 		b.stats.PeakAtRiskOps = len(b.keys)
 	}
@@ -132,8 +127,6 @@ func (b *Batcher) Flush() error {
 		b.discard()
 		return fmt.Errorf("driver: batch wrote %d of %d records", n, want)
 	}
-	b.stats.Flushes.Inc()
-	b.stats.FlushedBytes.Add(int64(len(b.payload)))
 	b.d.stats.Puts.Add(int64(len(b.keys)))
 	b.discard()
 	return nil

@@ -27,7 +27,7 @@ func TestBatcherValidation(t *testing.T) {
 }
 
 func TestBatcherFlushOnFullAndReadBack(t *testing.T) {
-	d, dev, _ := newStack(t, MethodBaseline, true)
+	d, _, link := newStack(t, MethodBaseline, true)
 	b, err := d.NewBatcher(4)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +41,10 @@ func TestBatcherFlushOnFullAndReadBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 10 puts at batch size 4: two automatic flushes, 2 records pending.
-	if got := b.Stats().Flushes.Value(); got != 2 {
-		t.Fatalf("Flushes = %d, want 2", got)
+	// 10 puts at batch size 4: two automatic flushes, one bulk command
+	// each, 2 records pending.
+	if got := commands(link); got != 2 {
+		t.Fatalf("%d commands, want 2 bulk writes", got)
 	}
 	if len(b.keys) != 2 {
 		t.Fatalf("%d records buffered, want 2", len(b.keys))
@@ -53,9 +54,6 @@ func TestBatcherFlushOnFullAndReadBack(t *testing.T) {
 	}
 	if len(b.keys) != 0 || len(b.payload) != 0 {
 		t.Fatal("flush left volatile records")
-	}
-	if dev.Stats().BatchedRecords.Value() != 10 {
-		t.Fatalf("BatchedRecords = %d", dev.Stats().BatchedRecords.Value())
 	}
 	for key, v := range values {
 		got, err := d.Get([]byte(key))
@@ -108,11 +106,11 @@ func TestBatcherAmortizesCommands(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := blink.Traf.Commands.Value(); got != 1 {
+	if got := commands(blink); got != 1 {
 		t.Fatalf("batched commands = %d, want 1", got)
 	}
-	if slink.Traf.Commands.Value() != 64 {
-		t.Fatalf("single commands = %d", slink.Traf.Commands.Value())
+	if commands(slink) != 64 {
+		t.Fatalf("single commands = %d", commands(slink))
 	}
 	// 64 × (1+1+4+16) = 1408 B of payload → one 4 KiB page vs 64 pages.
 	if blink.Traf.DMABytes.Value() != 4096 {
@@ -126,7 +124,7 @@ func TestBatchedFlushEmptyIsNoOp(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if link.Traf.Commands.Value() != 0 {
+	if commands(link) != 0 {
 		t.Fatal("empty flush sent a command")
 	}
 }

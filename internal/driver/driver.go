@@ -125,7 +125,6 @@ type Stats struct {
 	Puts             metrics.Counter
 	Gets             metrics.Counter
 	Deletes          metrics.Counter
-	Scans            metrics.Counter
 	InlineChosen     metrics.Counter
 	PRPChosen        metrics.Counter
 	HybridChosen     metrics.Counter
@@ -226,9 +225,6 @@ func (d *Driver) Method() Method { return d.method }
 
 // Thresholds reports the adaptive calibration.
 func (d *Driver) Thresholds() Thresholds { return d.thr }
-
-// Now reports the simulated time.
-func (d *Driver) Now() sim.Time { return d.clock.Now() }
 
 // choose picks the transfer mode for one value size.
 func (d *Driver) choose(size int) nvme.TransferMode {
@@ -538,7 +534,6 @@ func (d *Driver) Seek(start []byte) error {
 	if _, err := d.call(cmd); err != nil {
 		return err
 	}
-	d.stats.Scans.Inc()
 	return nil
 }
 

@@ -13,6 +13,10 @@ import (
 	"bandslim/internal/sim"
 )
 
+// commands and doorbells count what the link's byte ledger recorded.
+func commands(l *pcie.Link) int64  { return l.Traf.CommandBytes.Value() / pcie.CommandSize }
+func doorbells(l *pcie.Link) int64 { return l.Traf.MMIOBytes.Value() / pcie.DoorbellSize }
+
 // newStack builds a driver over a small device; tweaks adjust the device
 // config before it is built.
 func newStack(t *testing.T, method Method, nandOn bool, tweaks ...func(*device.Config)) (*Driver, *device.Device, *pcie.Link) {
@@ -260,7 +264,7 @@ func TestMMIODoorbellAccounting(t *testing.T) {
 	d, _, link := newStack(t, MethodPiggyback, false)
 	d.Put([]byte("k"), make([]byte, 128)) // 3 commands
 	wantDoorbells := int64(3 * 2)
-	if got := link.Traf.Doorbells.Value(); got != wantDoorbells {
+	if got := doorbells(link); got != wantDoorbells {
 		t.Fatalf("doorbells = %d, want %d", got, wantDoorbells)
 	}
 	if got := link.MMIOTrafficBytes(); got != wantDoorbells*pcie.DoorbellSize {
@@ -319,9 +323,9 @@ func TestFlushViaDriver(t *testing.T) {
 
 func TestClockAdvancesPerOp(t *testing.T) {
 	d, _, _ := newStack(t, MethodBaseline, false)
-	t0 := d.Now()
+	t0 := d.clock.Now()
 	d.Put([]byte("k"), make([]byte, 32))
-	if d.Now() <= t0 {
+	if d.clock.Now() <= t0 {
 		t.Fatal("clock did not advance")
 	}
 }

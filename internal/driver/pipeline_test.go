@@ -36,10 +36,10 @@ func TestPipelinedFewerDoorbells(t *testing.T) {
 	d, _, link := newStack(t, MethodPiggyback, false)
 	tuneSub(t, d, PipelinedSubmission())
 	d.Put([]byte("k"), make([]byte, 1024)) // 19 commands, one burst
-	if got := link.Traf.Doorbells.Value(); got != 2 {
+	if got := doorbells(link); got != 2 {
 		t.Fatalf("doorbells = %d, want 2 (one SQ + one CQ)", got)
 	}
-	if got := link.Traf.Commands.Value(); got != 19 {
+	if got := commands(link); got != 19 {
 		t.Fatalf("commands = %d, want 19", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestPipelinedBurstSplitsAtQueueDepth(t *testing.T) {
 	if err := d.Put([]byte("big"), v); err != nil {
 		t.Fatal(err)
 	}
-	if got := link.Traf.Doorbells.Value(); got != 4 {
+	if got := doorbells(link); got != 4 {
 		t.Fatalf("doorbells = %d, want 4 (two bursts)", got)
 	}
 	got, err := d.Get([]byte("big"))
@@ -137,7 +137,7 @@ func TestCompactVLogViaDriver(t *testing.T) {
 	if relocated > 1 {
 		t.Fatalf("relocated %d; only the live version should move", relocated)
 	}
-	if dev.VLog().Stats().ReclaimedPages.Value() == 0 {
+	if dev.VLog().Tail() == 0 {
 		t.Fatal("nothing reclaimed")
 	}
 	got, err := d.Get([]byte("hot"))

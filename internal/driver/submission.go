@@ -196,10 +196,6 @@ func (d *Driver) Tune(tn Tuning) error {
 // WindowDepth reports the effective in-flight window (1 = synchronous).
 func (d *Driver) WindowDepth() int { return d.sub.depth() }
 
-// InFlight reports the commands currently outstanding in the submission
-// window (always 0 between synchronous operations).
-func (d *Driver) InFlight() int { return d.inflight }
-
 // kind selects a dispatch's device sweep and when it is charged. Every kind
 // charges max(start + RTT + (n−1)·PipelineInterval, Ready + RTT) for its n
 // commands, Ready being the latest completion's.

@@ -281,7 +281,7 @@ func TestWindowedDoorbellBatching(t *testing.T) {
 			}
 		}
 		tuneSub(t, d, sub)
-		before := link.Traf.Doorbells.Value()
+		before := doorbells(link)
 		if sub.QueueDepth >= 2 {
 			windowedGetAll(t, d, keys)
 		} else {
@@ -291,7 +291,7 @@ func TestWindowedDoorbellBatching(t *testing.T) {
 				}
 			}
 		}
-		return link.Traf.Doorbells.Value() - before
+		return doorbells(link) - before
 	}
 	sync := run(SubmissionConfig{})
 	if sync != 2*nkeys {
@@ -370,8 +370,8 @@ func TestDrainWindowAfterError(t *testing.T) {
 	}
 	// Simulate a caller bailing out mid-batch.
 	d.DrainWindow()
-	if d.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after DrainWindow, want 0", d.InFlight())
+	if d.inflight != 0 {
+		t.Fatalf("InFlight = %d after DrainWindow, want 0", d.inflight)
 	}
 	// Scalar and windowed paths both still work.
 	if v, err := d.Get([]byte("dr05")); err != nil || v[0] != 5 {

@@ -207,12 +207,9 @@ func (p *Plan) Validate() error {
 }
 
 // mix folds the plan seed, the rule index, and the per-stack salt into one
-// decorrelated RNG seed (SplitMix64 finalizer over the combination).
+// decorrelated RNG seed.
 func mix(seed uint64, idx int, salt uint64) uint64 {
-	z := seed + 0x9E3779B97F4A7C15*uint64(idx+1) + 0xD1B54A32D192ED03*(salt+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return sim.Mix64(seed + 0x9E3779B97F4A7C15*uint64(idx+1) + 0xD1B54A32D192ED03*(salt+1))
 }
 
 // ruleState is one rule plus its per-stack evaluation state.
@@ -259,7 +256,6 @@ func (rs *ruleState) step(now sim.Time) bool {
 type Injector struct {
 	rules  []ruleState
 	bySite [numSites][]int
-	fired  int64
 }
 
 // NewInjector builds the evaluation state for plan, salted per stack.
@@ -288,18 +284,7 @@ func (in *Injector) Check(site Site, now sim.Time) (Effect, bool) {
 			eff = in.rules[ri].Effect
 		}
 	}
-	if hit {
-		in.fired++
-	}
 	return eff, hit
-}
-
-// Fired reports how many occurrences triggered an effect so far.
-func (in *Injector) Fired() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.fired
 }
 
 // ScheduleEntry is one resolved firing in a Plan's occurrence-indexed

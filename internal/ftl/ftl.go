@@ -29,10 +29,7 @@ var ErrNoSpace = errors.New("ftl: no space left on device")
 // Stats tallies FTL activity, including the GC write amplification the
 // device-level WAF includes.
 type Stats struct {
-	HostWrites    metrics.Counter // logical page writes requested
 	GCWrites      metrics.Counter // page migrations performed by GC
-	GCErases      metrics.Counter // blocks reclaimed by GC
-	MapUpdates    metrics.Counter
 	ProgramFaults metrics.Counter // programs retried due to injected faults
 	BadBlocks     metrics.Counter // blocks retired after media failures
 }
@@ -187,7 +184,6 @@ func (f *FTL) Write(t sim.Time, lpn int, data []byte) (sim.Time, error) {
 	if lpn < 0 || lpn >= len(f.l2p) {
 		return t, fmt.Errorf("ftl: logical page %d out of range [0,%d)", lpn, len(f.l2p))
 	}
-	f.stats.HostWrites.Inc()
 	end, phys, err := f.program(t, data)
 	if err != nil {
 		return t, err
@@ -274,7 +270,6 @@ func (f *FTL) remap(lpn, phys int) error {
 	f.l2p[lpn] = int32(phys)
 	f.p2l[phys] = int32(lpn)
 	f.validCount[f.blockIndexOf(phys)]++
-	f.stats.MapUpdates.Inc()
 	return nil
 }
 
@@ -364,15 +359,6 @@ func (f *FTL) Trim(lpn int) error {
 	}
 	f.l2p[lpn] = unmapped
 	return f.invalidate(int(old))
-}
-
-// FreeBlocks reports the free-block count of every way.
-func (f *FTL) FreeBlocks() []int {
-	out := make([]int, f.geo.Ways())
-	for w := range f.freeBlocks {
-		out[w] = len(f.freeBlocks[w])
-	}
-	return out
 }
 
 // maybeGC reclaims blocks on a way whose free pool has run low, using a
@@ -485,7 +471,6 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 		return true, nil
 	}
 	f.freeBlocks[way] = append(f.freeBlocks[way], victim)
-	f.stats.GCErases.Inc()
 	return true, nil
 }
 

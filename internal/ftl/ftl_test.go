@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bandslim/internal/fault"
 	"bandslim/internal/nand"
 	"bandslim/internal/sim"
 )
@@ -18,6 +19,12 @@ func smallFlash(t *testing.T) *nand.Array {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// failPrograms makes every n-th program of fl from now on fail with a media
+// fault.
+func failPrograms(fl *nand.Array, n int) {
+	fl.SetInjector(fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: fault.SiteNandProgram, Effect: fault.EffectMedia, Every: n}}}, 0))
 }
 
 func newFTL(t *testing.T) *FTL {
@@ -154,8 +161,8 @@ func TestOverwriteRemapsOutOfPlace(t *testing.T) {
 	if got[0] != 2 {
 		t.Fatalf("after overwrite, read %d", got[0])
 	}
-	if f.Stats().MapUpdates.Value() != 2 {
-		t.Fatalf("MapUpdates = %d", f.Stats().MapUpdates.Value())
+	if n := f.flash.Stats().PageWrites.Value(); n != 2 {
+		t.Fatalf("overwrite programmed %d pages, want 2", n)
 	}
 }
 
@@ -183,8 +190,8 @@ func TestWritesStripeAcrossWays(t *testing.T) {
 		}
 	}
 	// 4 writes over 4 ways: each way consumed exactly one active block.
-	for w, free := range f.FreeBlocks() {
-		if free != 7 {
+	for w := range f.freeBlocks {
+		if free := len(f.freeBlocks[w]); free != 7 {
 			t.Fatalf("way %d free blocks = %d, want 7", w, free)
 		}
 	}
@@ -199,7 +206,7 @@ func TestGCReclaimsOverwrittenSpace(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if f.Stats().GCErases.Value() == 0 {
+	if f.flash.Stats().BlockErases.Value() == 0 {
 		t.Fatal("GC never ran")
 	}
 	got, _, err := f.Read(0, 0)
@@ -245,7 +252,7 @@ func TestGCPreservesLiveData(t *testing.T) {
 
 func TestFaultRetryDuringWrite(t *testing.T) {
 	fl := smallFlash(t)
-	fl.SetFaultEvery(5)
+	failPrograms(fl, 5)
 	f, err := New(fl, Config{OverprovisionPct: 25, GCFreeBlockLow: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +290,8 @@ func TestGCWearSpreadBounded(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if f.Stats().GCErases.Value() < 100 {
-		t.Fatalf("only %d erases; churn too light", f.Stats().GCErases.Value())
+	if n := fl.Stats().BlockErases.Value(); n < 100 {
+		t.Fatalf("only %d erases; churn too light", n)
 	}
 	// Collect wear across every block of way 0.
 	geo := fl.Geometry()
@@ -408,8 +415,8 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 		}
 		check("churn")
 	}
-	if f.Stats().GCWrites.Value() == 0 || f.Stats().GCErases.Value() == 0 {
-		t.Fatalf("churn never migrated (%d) or erased (%d)", f.Stats().GCWrites.Value(), f.Stats().GCErases.Value())
+	if f.Stats().GCWrites.Value() == 0 || f.flash.Stats().BlockErases.Value() == 0 {
+		t.Fatalf("churn never migrated (%d) or erased (%d)", f.Stats().GCWrites.Value(), f.flash.Stats().BlockErases.Value())
 	}
 	for lpn := 10; lpn < 50; lpn++ {
 		got, _, err := f.Read(0, lpn)
@@ -480,7 +487,7 @@ func TestGCMigratesPagesByteForByte(t *testing.T) {
 // ErrNoSpace instead of an anonymous error.
 func TestOutOfBlocksIsErrNoSpace(t *testing.T) {
 	f := newFTL(t)
-	f.flash.SetFaultEvery(1)
+	failPrograms(f.flash, 1)
 	var err error
 	for i := 0; i < 100 && !errors.Is(err, ErrNoSpace); i++ {
 		if _, err = f.Write(0, i, []byte{1}); err == nil {

@@ -91,7 +91,7 @@ func withRestarts(entries []byte, restarts []uint16) []byte {
 func FuzzDecodePage(f *testing.F) {
 	store := newMemStore(16)
 	alloc := newPageAllocator(16)
-	b := newTableBuilder(store, alloc, 1, &tableScratch{page: make([]byte, store.PageSize())})
+	b := newTableBuilder(store, alloc, &tableScratch{page: make([]byte, store.PageSize())})
 	for i := 0; i < 50; i++ {
 		b.add(0, Entry{Key: []byte{byte(i), byte(i + 1)}, Addr: vlog.Addr(i), Size: uint32(i)})
 	}

@@ -129,7 +129,6 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 		if err != nil {
 			return err
 		}
-		it.tree.stats.PageReadsServed.Inc()
 		if end > it.end {
 			it.end = end
 		}

@@ -42,7 +42,6 @@ type MemTable struct {
 	head   *skipNode
 	height int
 	count  int
-	bytes  int // approximate index bytes held
 	rng    *simRNG
 	seq    uint64
 }
@@ -64,9 +63,6 @@ func NewMemTable() *MemTable {
 
 // Len reports the number of entries (including tombstones).
 func (m *MemTable) Len() int { return m.count }
-
-// ApproxBytes reports the approximate index memory held.
-func (m *MemTable) ApproxBytes() int { return m.bytes }
 
 func (m *MemTable) randomHeight() int {
 	h := 1
@@ -113,12 +109,8 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 		prev[lvl].next[lvl] = node
 	}
 	m.count++
-	m.bytes += len(key) + entryOverhead
 	return nil
 }
-
-// entryOverhead approximates the per-entry index cost (addr+size+flags+links).
-const entryOverhead = 16
 
 // Get looks a key up. The second result reports whether the key is present
 // (a tombstone is present — the entry's Tombstone field distinguishes it).

@@ -114,15 +114,6 @@ func TestMemTableIteratorSeek(t *testing.T) {
 	}
 }
 
-func TestMemTableApproxBytesGrows(t *testing.T) {
-	m := NewMemTable()
-	before := m.ApproxBytes()
-	m.Put([]byte("abcd"), 0, 0, false)
-	if m.ApproxBytes() <= before {
-		t.Fatal("ApproxBytes did not grow")
-	}
-}
-
 // Property: the memtable agrees with a map reference under random workloads,
 // and iteration is always sorted and complete.
 func TestMemTableMatchesMapProperty(t *testing.T) {

@@ -26,8 +26,7 @@ func buildTables(tb testing.TB, tr *Tree, entries []Entry, tablePages int) []*SS
 	}
 	for _, e := range entries {
 		if b == nil {
-			tr.nextID++
-			b = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
+			b = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
 		if err := b.add(0, e); err != nil {
 			tb.Fatal(err)
@@ -91,7 +90,6 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 			if err != nil {
 				return nil, end, err
 			}
-			tr.stats.PageReadsServed.Inc()
 			if e > end {
 				end = e
 			}
@@ -142,14 +140,11 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 				pos[i]++
 			}
 		}
-		tr.stats.EntriesMerged.Inc()
 		if e.Tombstone && bottom {
-			tr.stats.TombstonesDrop.Inc()
 			continue
 		}
 		if builder == nil {
-			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
+			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
@@ -299,7 +294,7 @@ func TestMergeMatchesReference(t *testing.T) {
 		}
 		for i := range got {
 			g, w := got[i], want[i]
-			if g.id != w.id || g.entries != w.entries || !bytes.Equal(g.smallest, w.smallest) || !bytes.Equal(g.largest, w.largest) ||
+			if g.entries != w.entries || !bytes.Equal(g.smallest, w.smallest) || !bytes.Equal(g.largest, w.largest) ||
 				fmt.Sprint(g.pages) != fmt.Sprint(w.pages) || fmt.Sprint(g.firstKey) != fmt.Sprint(w.firstKey) {
 				t.Fatalf("seed %d: table %d = %+v, reference %+v", seed, i, g, w)
 			}
@@ -315,9 +310,8 @@ func TestMergeMatchesReference(t *testing.T) {
 		if gs, ws := trees[0].stats, trees[1].stats; gs != ws {
 			t.Fatalf("seed %d: counters %+v, reference %+v", seed, gs, ws)
 		}
-		if trees[0].nextID != trees[1].nextID || trees[0].alloc.inUse() != trees[1].alloc.inUse() {
-			t.Fatalf("seed %d: ids/pages %d/%d, reference %d/%d", seed,
-				trees[0].nextID, trees[0].alloc.inUse(), trees[1].nextID, trees[1].alloc.inUse())
+		if pagesInUse(trees[0].alloc) != pagesInUse(trees[1].alloc) {
+			t.Fatalf("seed %d: %d pages in use, reference %d", seed, pagesInUse(trees[0].alloc), pagesInUse(trees[1].alloc))
 		}
 	}
 	treeRestartsMatchPages(t)
@@ -357,12 +351,12 @@ func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 		}
 		want := walkRestarts(tb, page)
 		if got := table.pageRestarts(i); fmt.Sprint(got) != fmt.Sprint(want) {
-			tb.Fatalf("table %d page %d: restarts %v, a walk finds %v", table.id, i, got, want)
+			tb.Fatalf("table on pages %v, page %d: restarts %v, a walk finds %v", table.pages, i, got, want)
 		}
 		total += len(want)
 	}
 	if len(table.restarts) != total || cap(table.restarts) != total {
-		tb.Fatalf("table %d: restart index len %d cap %d, want exactly %d", table.id, len(table.restarts), cap(table.restarts), total)
+		tb.Fatalf("table on pages %v: restart index len %d cap %d, want exactly %d", table.pages, len(table.restarts), cap(table.restarts), total)
 	}
 }
 
@@ -435,7 +429,7 @@ func treeRestartsMatchPages(t *testing.T) {
 			check("after the first flush") // one L0 table, nothing merged yet
 		}
 	}
-	if lt := tr.LevelTables(); lt[1] == 0 || lt[2] == 0 {
+	if lt := levelTables(tr); lt[1] == 0 || lt[2] == 0 {
 		t.Fatalf("levels %v: compactL0 and compactLevel did not both run", lt)
 	}
 	check("after compactions")

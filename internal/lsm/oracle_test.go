@@ -44,7 +44,7 @@ func TestRewritesPerEntryMatchTheClosedForm(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rewrites := func(push func(*Tree, sim.Time, int) (sim.Time, error)) float64 {
 				tr, store := fill(t, tc.puts, tc.key, push)
-				if populated := tr.LevelTables(); tc.puts > l1+levelFanout*l1 && populated[3] == 0 {
+				if populated := levelTables(tr); tc.puts > l1+levelFanout*l1 && populated[3] == 0 {
 					t.Fatalf("levels %v: the fill never reached L3", populated)
 				}
 				return float64(store.writes) * float64(perPage) / float64(tc.puts)

@@ -154,7 +154,7 @@ func TestVictimRotates(t *testing.T) {
 	tr.levels[2] = levelOf(t, tr, [2]int{32, 34}, [2]int{52, 53})
 	push := func(wantSmallest int, trivial bool) {
 		t.Helper()
-		writes, moves, reads, inUse, pending := store.writes, tr.stats.TrivialMoves.Value(), store.reads, tr.MetaPagesInUse(), len(tr.pendingFree)
+		writes, moves, reads, inUse, pending := store.writes, tr.stats.TrivialMoves.Value(), store.reads, pagesInUse(tr.alloc), len(tr.pendingFree)
 		if _, err := tr.compactLevel(0, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -165,10 +165,10 @@ func TestVictimRotates(t *testing.T) {
 			t.Fatalf("key %d after its table was pushed: %+v %v %v", wantSmallest, e, ok, err)
 		}
 		moved := tr.stats.TrivialMoves.Value() - moves
-		if trivial && (moved != 1 || store.writes != writes || store.reads != reads+1 || tr.MetaPagesInUse() != inUse || len(tr.pendingFree) != pending) {
+		if trivial && (moved != 1 || store.writes != writes || store.reads != reads+1 || pagesInUse(tr.alloc) != inUse || len(tr.pendingFree) != pending) {
 			// (the one read is the Get above)
 			t.Fatalf("re-linking the table at %q: %d moves, %d writes, %d reads, pages %d -> %d, %d -> %d pending frees", key(wantSmallest),
-				moved, store.writes-writes, store.reads-reads-1, inUse, tr.MetaPagesInUse(), pending, len(tr.pendingFree))
+				moved, store.writes-writes, store.reads-reads-1, inUse, pagesInUse(tr.alloc), pending, len(tr.pendingFree))
 		}
 		if !trivial && (moved != 0 || store.writes == writes) {
 			t.Fatalf("merging the table at %q: %d moves, %d writes", key(wantSmallest), moved, store.writes-writes)
@@ -183,7 +183,7 @@ func TestVictimRotates(t *testing.T) {
 	push(50, false)
 	push(70, true)
 	push(0, true) // wrapped
-	if lt := tr.LevelTables(); lt[1] != 0 {
+	if lt := levelTables(tr); lt[1] != 0 {
 		t.Fatalf("levels %v after six pushes of six tables", lt)
 	}
 	if tr.reclaims != 0 {
@@ -267,11 +267,11 @@ func findCascade(t *testing.T) (put, writes int) {
 	t.Helper()
 	tr, store := newScriptedTree(t)
 	for i := 0; i < 100_000; i++ {
-		before, l3, moves := len(store.log), tr.LevelTables()[3], tr.stats.TrivialMoves.Value()
+		before, l3, moves := len(store.log), levelTables(tr)[3], tr.stats.TrivialMoves.Value()
 		if _, err := tr.Put(0, cascadeKey(i), vlog.Addr(i), 8); err != nil {
 			t.Fatal(err)
 		}
-		if tr.LevelTables()[3] > l3 && tr.LevelTables()[0] == 0 && tr.stats.TrivialMoves.Value() == moves {
+		if levelTables(tr)[3] > l3 && levelTables(tr)[0] == 0 && tr.stats.TrivialMoves.Value() == moves {
 			return i, len(store.log) - before
 		}
 	}
@@ -299,15 +299,15 @@ func TestFailedFlushLeavesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		inUse, levels, pointer := tr.MetaPagesInUse(), tr.LevelTables(), slices.Clone(tr.pointer)
+		inUse, levels, pointer := pagesInUse(tr.alloc), levelTables(tr), slices.Clone(tr.pointer)
 		store.failAt = n
 		if _, err := tr.Put(0, cascadeKey(put), vlog.Addr(put), 8); !errors.Is(err, errScripted) {
 			t.Fatalf("write %d of %d failed but the Put returned %v", n, writes, err)
 		}
-		if got := tr.MetaPagesInUse(); got != inUse {
+		if got := pagesInUse(tr.alloc); got != inUse {
 			t.Fatalf("write %d of %d failed: %d meta pages in use, %d before the Put", n, writes, got, inUse)
 		}
-		if got := tr.LevelTables(); !slices.Equal(got, levels) || !slices.EqualFunc(tr.pointer, pointer, bytes.Equal) || len(tr.pendingFree) != 0 {
+		if got := levelTables(tr); !slices.Equal(got, levels) || !slices.EqualFunc(tr.pointer, pointer, bytes.Equal) || len(tr.pendingFree) != 0 {
 			t.Fatalf("write %d of %d failed: levels %v (were %v), pointers %q (were %q), %d pending frees", n, writes, got, levels, tr.pointer, pointer, len(tr.pendingFree))
 		}
 		for i := 0; i < put; i++ {
@@ -320,9 +320,9 @@ func TestFailedFlushLeavesNothing(t *testing.T) {
 		if _, err := tr.Put(0, cascadeKey(put), vlog.Addr(put), 8); err != nil {
 			t.Fatalf("write %d of %d failed: the retry: %v", n, writes, err)
 		}
-		if got, want := tr.LevelTables(), clean.LevelTables(); !slices.Equal(got, want) || tr.MetaPagesInUse() != clean.MetaPagesInUse() || tr.nextID != clean.nextID {
-			t.Fatalf("write %d of %d failed: after the retry levels %v pages %d next id %d, never-failed tree %v %d %d", n, writes,
-				got, tr.MetaPagesInUse(), tr.nextID, want, clean.MetaPagesInUse(), clean.nextID)
+		if got, want := levelTables(tr), levelTables(clean); !slices.Equal(got, want) || pagesInUse(tr.alloc) != pagesInUse(clean.alloc) {
+			t.Fatalf("write %d of %d failed: after the retry levels %v pages %d, never-failed tree %v %d", n, writes,
+				got, pagesInUse(tr.alloc), want, pagesInUse(clean.alloc))
 		}
 		for i := 0; i <= put; i++ {
 			if e, ok, _, err := tr.Get(0, cascadeKey(i)); err != nil || !ok || e.Addr != vlog.Addr(i) {
@@ -352,7 +352,7 @@ func TestCompactionPointerSurvivesRestore(t *testing.T) {
 	for i := 0; i < put; i++ {
 		tr.Put(0, cascadeKey(i), vlog.Addr(i), 8)
 	}
-	lost := tr.MemLen()
+	lost := tr.mem.Len()
 	pointer := slices.Clone(tr.pointer)
 	store.failAt = writes
 	if _, err := tr.Put(0, cascadeKey(put), vlog.Addr(put), 8); !errors.Is(err, errScripted) {

@@ -149,8 +149,7 @@ func TestRestartIndexLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.nextID++
-	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
+	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
 	for i := 0; i < 3*(1<<16); i++ {
 		if err := b.add(0, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8}); err != nil {
 			t.Fatal(err)

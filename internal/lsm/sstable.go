@@ -160,7 +160,6 @@ const restartInterval = 16
 // entries per page — about 108 B for a full 16 KiB page of 8-byte keys — which
 // any device-DRAM budget (caches, filters) has to count beside its own.
 type SSTable struct {
-	id       uint64
 	pages    []int    // region-relative page numbers, in key order
 	firstKey [][]byte // first key of each page
 	// restarts holds, for every page, the byte offsets of its entries number
@@ -177,9 +176,6 @@ type SSTable struct {
 func (t *SSTable) pageRestarts(i int) []uint16 {
 	return t.restarts[t.restarts[i]:t.restarts[i+1]]
 }
-
-// ID reports the table's unique id.
-func (t *SSTable) ID() uint64 { return t.id }
 
 // overlaps reports whether the table's key range intersects [lo, hi].
 func (t *SSTable) overlaps(lo, hi []byte) bool {
@@ -320,9 +316,9 @@ type tableBuilder struct {
 	end     sim.Time
 }
 
-func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64, scratch *tableScratch) *tableBuilder {
+func newTableBuilder(store PageStore, alloc *pageAllocator, scratch *tableScratch) *tableBuilder {
 	scratch.restarts = scratch.restarts[:0]
-	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{id: id}, scratch: scratch}
+	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{}, scratch: scratch}
 }
 
 // add appends one entry (entries must arrive in strictly increasing key
@@ -429,9 +425,6 @@ func (a *pageAllocator) alloc() (int, error) {
 }
 
 func (a *pageAllocator) free(p int) { a.freeList = append(a.freeList, p) }
-
-// inUse reports how many pages are currently allocated.
-func (a *pageAllocator) inUse() int { return a.next - len(a.freeList) }
 
 // allocState is a restorable copy of the allocator, captured in the tree's
 // committed catalog.

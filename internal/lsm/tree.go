@@ -52,16 +52,9 @@ func (c Config) Validate() error {
 
 // Stats tallies tree activity.
 type Stats struct {
-	Puts            metrics.Counter
-	Gets            metrics.Counter
-	Flushes         metrics.Counter
-	Compactions     metrics.Counter // L0 merges and level pushes, trivial moves included
-	TablesWritten   metrics.Counter
-	EntriesMerged   metrics.Counter
-	TombstonesDrop  metrics.Counter
-	PageReadsServed metrics.Counter // meta pages read for lookups/compaction
-	PagesWritten    metrics.Counter // meta pages of every table written: WAF's index term
-	TrivialMoves    metrics.Counter // level pushes that re-linked the victim instead of merging it
+	Compactions  metrics.Counter // L0 merges and level pushes, trivial moves included
+	PagesWritten metrics.Counter // meta pages of every table written: WAF's index term
+	TrivialMoves metrics.Counter // level pushes that re-linked the victim instead of merging it
 }
 
 // Tree is the LSM index. Values never live here — only (addr, size) pairs
@@ -76,7 +69,6 @@ type Tree struct {
 	// none yet): the next push takes the first table past it, so a level is
 	// evicted round-robin over the key space instead of from its low end.
 	pointer [][]byte
-	nextID  uint64
 	stats   Stats
 	// pushLevel is compactLevel; the policy tests swap in a lowest-table-first
 	// push to measure it against.
@@ -93,7 +85,7 @@ type Tree struct {
 	reclaims uint64
 
 	// Crash-atomicity state. The catalog (levels + compaction pointers +
-	// allocator + nextID) is snapshotted at the end of every successful Flush;
+	// allocator) is snapshotted at the end of every successful Flush;
 	// Restore rolls back to that snapshot after a power cut, and a Flush that
 	// fails without one rolls itself back the same way. Pages vacated by
 	// compaction are only trimmed at commit (pendingFree), so the committed
@@ -109,7 +101,6 @@ type catalog struct {
 	levels  [][]*SSTable // SSTables are immutable; sharing pointers is safe
 	pointer [][]byte     // keys are immutable too
 	alloc   allocState
-	nextID  uint64
 }
 
 // snapshotCatalog deep-copies the level structure (table pointers shared).
@@ -118,7 +109,6 @@ func (tr *Tree) snapshotCatalog() catalog {
 		levels:  copyLevels(tr.levels),
 		pointer: slices.Clone(tr.pointer),
 		alloc:   tr.alloc.snapshot(),
-		nextID:  tr.nextID,
 	}
 }
 
@@ -170,7 +160,6 @@ func (tr *Tree) rollback() {
 	tr.levels = copyLevels(tr.committed.levels)
 	tr.pointer = append(tr.pointer[:0], tr.committed.pointer...)
 	tr.alloc.restore(tr.committed.alloc)
-	tr.nextID = tr.committed.nextID
 	tr.pendingFree = tr.pendingFree[:0]
 }
 
@@ -200,21 +189,6 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 // Stats exposes the tree's tallies.
 func (tr *Tree) Stats() *Stats { return &tr.stats }
 
-// MemLen reports the MemTable's entry count (introspection for tests).
-func (tr *Tree) MemLen() int { return tr.mem.Len() }
-
-// LevelTables reports the table count of each level.
-func (tr *Tree) LevelTables() []int {
-	out := make([]int, len(tr.levels))
-	for i, lvl := range tr.levels {
-		out[i] = len(lvl)
-	}
-	return out
-}
-
-// MetaPagesInUse reports how many meta-region pages the tree occupies.
-func (tr *Tree) MetaPagesInUse() int { return tr.alloc.inUse() }
-
 // Put records key → (addr, size). It may trigger a MemTable flush and
 // cascading compactions, whose NAND time is charged to the returned
 // completion time (firmware performs them synchronously).
@@ -231,7 +205,6 @@ func (tr *Tree) insert(t sim.Time, key []byte, addr vlog.Addr, size uint32, tomb
 	if err := tr.mem.Put(key, addr, size, tomb); err != nil {
 		return t, err
 	}
-	tr.stats.Puts.Inc()
 	if tr.mem.Len() < tr.cfg.MemTableEntries {
 		return t, nil
 	}
@@ -257,8 +230,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 }
 
 func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
-	tr.nextID++
-	b := newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
+	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
 	it := tr.mem.Iterator()
 	for it.Next() {
 		if err := b.add(t, it.Entry()); err != nil {
@@ -273,7 +245,6 @@ func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
 		tr.levels[0] = append([]*SSTable{table}, tr.levels[0]...)
 		tr.wrote(table)
 	}
-	tr.stats.Flushes.Inc()
 	cEnd, err := tr.maybeCompact(t)
 	if err != nil {
 		return end, err
@@ -286,7 +257,6 @@ func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
 
 // wrote tallies one finished table.
 func (tr *Tree) wrote(table *SSTable) {
-	tr.stats.TablesWritten.Inc()
 	tr.stats.PagesWritten.Add(int64(len(table.pages)))
 }
 
@@ -294,7 +264,6 @@ func (tr *Tree) wrote(table *SSTable) {
 // newest-first, then each deeper level. The boolean reports presence; a
 // present tombstone means "deleted".
 func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
-	tr.stats.Gets.Inc()
 	if e, ok := tr.mem.Get(key); ok {
 		return e, true, t, nil
 	}
@@ -357,7 +326,6 @@ func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool
 	if err != nil {
 		return Entry{}, false, t, err
 	}
-	tr.stats.PageReadsServed.Inc()
 	e, ok, err := searchPage(data, key, table.pageRestarts(pi))
 	if err != nil {
 		return Entry{}, false, t, err
@@ -537,7 +505,6 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			if err != nil {
 				return nil, end, err
 			}
-			tr.stats.PageReadsServed.Inc()
 			if e > end {
 				end = e
 			}
@@ -594,14 +561,11 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 				}
 			}
 		}
-		tr.stats.EntriesMerged.Inc()
 		if e.Tombstone && bottom {
-			tr.stats.TombstonesDrop.Inc()
 			continue
 		}
 		if builder == nil {
-			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID, &tr.build)
+			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err

@@ -90,6 +90,18 @@ func newTestTree(t *testing.T) (*Tree, *memStore) {
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }
 
+// levelTables is the table count of each level.
+func levelTables(tr *Tree) []int {
+	out := make([]int, len(tr.levels))
+	for i, lvl := range tr.levels {
+		out[i] = len(lvl)
+	}
+	return out
+}
+
+// inUse is how many pages the allocator has handed out and not taken back.
+func pagesInUse(a *pageAllocator) int { return a.next - len(a.freeList) }
+
 func TestTreeConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -122,11 +134,11 @@ func TestTreeFlushCreatesL0Table(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.MemLen() != 0 {
-		t.Fatalf("MemTable not flushed: %d entries", tr.MemLen())
+	if tr.mem.Len() != 0 {
+		t.Fatalf("MemTable not flushed: %d entries", tr.mem.Len())
 	}
-	if tr.LevelTables()[0] != 1 {
-		t.Fatalf("L0 tables = %d", tr.LevelTables()[0])
+	if levelTables(tr)[0] != 1 {
+		t.Fatalf("L0 tables = %d", levelTables(tr)[0])
 	}
 	if store.writes == 0 {
 		t.Fatal("flush wrote no pages")
@@ -166,7 +178,7 @@ func TestTreeCompactionCascades(t *testing.T) {
 	if tr.Stats().Compactions.Value() == 0 {
 		t.Fatal("no compactions ran")
 	}
-	levels := tr.LevelTables()
+	levels := levelTables(tr)
 	if levels[0] >= smallTreeConfig().L0CompactionTrigger {
 		t.Fatalf("L0 never compacted: %v", levels)
 	}
@@ -246,7 +258,7 @@ func TestTreeMetaPagesReclaimedByCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.MetaPagesInUse(); got > 200 {
+	if got := pagesInUse(tr.alloc); got > 200 {
 		t.Fatalf("meta pages in use = %d; compaction is not reclaiming", got)
 	}
 }
@@ -448,7 +460,7 @@ func TestPageAllocatorReuse(t *testing.T) {
 	if _, err := a.alloc(); err == nil {
 		t.Fatal("exhausted allocator kept allocating")
 	}
-	if a.inUse() != 3 {
-		t.Fatalf("inUse = %d", a.inUse())
+	if pagesInUse(a) != 3 {
+		t.Fatalf("inUse = %d", pagesInUse(a))
 	}
 }

@@ -113,18 +113,11 @@ func (a BlockAddr) String() string {
 	return fmt.Sprintf("ch%d/w%d/b%d", a.Channel, a.Way, a.Block)
 }
 
-// Page reports the address of page p within the block.
-func (a BlockAddr) Page(p int) PageAddr {
-	return PageAddr{Channel: a.Channel, Way: a.Way, Block: a.Block, Page: p}
-}
-
-// Stats tallies flash operations and bytes.
+// Stats tallies flash operations.
 type Stats struct {
-	PageReads    metrics.Counter
-	PageWrites   metrics.Counter
-	BlockErases  metrics.Counter
-	BytesWritten metrics.Counter
-	BytesRead    metrics.Counter
+	PageReads   metrics.Counter
+	PageWrites  metrics.Counter
+	BlockErases metrics.Counter
 	// Injected faults, by operation. A faulted attempt still counts in the
 	// operation counter above (it occupied the op slot).
 	ProgramFaults metrics.Counter
@@ -157,9 +150,6 @@ type Array struct {
 	hdr   int
 	stats Stats
 	tr    trace.Tracer
-	// faultEvery injects a program failure every N-th program when > 0
-	// (test hook for error-path coverage).
-	faultEvery int64
 	// inj is the plan-driven injector consulted before every operation
 	// commits (nil: no injection, a single pointer check per op).
 	inj *fault.Injector
@@ -226,14 +216,8 @@ func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
 // Geometry reports the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
 
-// Latency reports the array's timing parameters.
-func (a *Array) Latency() Latency { return a.lat }
-
 // Stats exposes the operation tallies.
 func (a *Array) Stats() *Stats { return &a.stats }
-
-// SetFaultEvery makes every n-th program operation fail (0 disables).
-func (a *Array) SetFaultEvery(n int64) { a.faultEvery = n }
 
 // SetInjector installs a plan-driven fault injector (nil disables). The
 // array consults it before committing each program, read, and erase.
@@ -414,10 +398,6 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 	if a.state[idx] != pageErased {
 		return t, fmt.Errorf("%w: %v", ErrNotErased, p)
 	}
-	if a.faultEvery > 0 && (a.stats.PageWrites.Value()+1)%a.faultEvery == 0 {
-		a.stats.PageWrites.Inc() // the attempt still occupies the op slot
-		return t, fmt.Errorf("%w: %v", ErrIOFault, p)
-	}
 	if eff, ok := a.inj.Check(fault.SiteNandProgram, t); ok {
 		a.stats.PageWrites.Inc() // the attempt still occupies the op slot
 		a.stats.ProgramFaults.Inc()
@@ -426,7 +406,6 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 	a.data[idx] = a.store(data)
 	a.state[idx] = pageProgrammed
 	a.stats.PageWrites.Inc()
-	a.stats.BytesWritten.Add(int64(a.geo.PageSize)) // NAND programs whole pages
 	way := a.wayIndex(p.Channel, p.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Prog)
 	if a.tr != nil {
@@ -480,7 +459,6 @@ func (a *Array) read(t sim.Time, p PageAddr) (sim.Time, error) {
 		return t, faultErr(eff, p)
 	}
 	a.stats.PageReads.Inc()
-	a.stats.BytesRead.Add(int64(a.geo.PageSize))
 	way := a.wayIndex(p.Channel, p.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Read)
 	if a.tr != nil {
@@ -653,15 +631,6 @@ func (a *Array) Erase(t sim.Time, b BlockAddr) (sim.Time, error) {
 	return end, nil
 }
 
-// IsErased reports whether the page is in the erased state.
-func (a *Array) IsErased(p PageAddr) (bool, error) {
-	idx, err := a.pageIndex(p)
-	if err != nil {
-		return false, err
-	}
-	return a.state[idx] == pageErased, nil
-}
-
 // EraseCount reports how many times a block has been erased (wear).
 func (a *Array) EraseCount(b BlockAddr) (int, error) {
 	bi, err := a.blockIndex(b)
@@ -680,18 +649,4 @@ func (a *Array) MaxWear() int {
 		}
 	}
 	return int(m)
-}
-
-// WayUtilization reports the busy fraction of each way at time now.
-func (a *Array) WayUtilization(now sim.Time) []float64 {
-	out := make([]float64, len(a.ways))
-	for i := range a.ways {
-		out[i] = a.ways[i].Utilization(now)
-	}
-	return out
-}
-
-// WayFreeAt reports when the given way becomes idle.
-func (a *Array) WayFreeAt(ch, way int) sim.Time {
-	return a.ways[a.wayIndex(ch, way)].FreeAt()
 }

@@ -21,6 +21,22 @@ func testArray(t *testing.T) *Array {
 	return a
 }
 
+// pageOf is the address of page i of block b.
+func pageOf(b BlockAddr, i int) PageAddr {
+	return PageAddr{Channel: b.Channel, Way: b.Way, Block: b.Block, Page: i}
+}
+
+// isErased reports whether page p is in the erased state.
+func isErased(a *Array, p PageAddr) bool {
+	idx, err := a.pageIndex(p)
+	return err == nil && a.state[idx] == pageErased
+}
+
+// failPrograms makes every n-th program from now on fail with a media fault.
+func failPrograms(a *Array, n int) {
+	a.SetInjector(fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: fault.SiteNandProgram, Effect: fault.EffectMedia, Every: n}}}, 0))
+}
+
 func TestGeometryMath(t *testing.T) {
 	g := DefaultGeometry()
 	if g.Ways() != 32 {
@@ -58,8 +74,8 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != sim.Time(a.Latency().Prog) {
-		t.Fatalf("program completed at %v, want %v", end, a.Latency().Prog)
+	if end != sim.Time(a.lat.Prog) {
+		t.Fatalf("program completed at %v, want %v", end, a.lat.Prog)
 	}
 	got, _, err := a.Read(end, p)
 	if err != nil {
@@ -106,8 +122,8 @@ func TestBadAddresses(t *testing.T) {
 		if _, _, err := a.Read(0, p); !errors.Is(err, ErrBadAddr) {
 			t.Errorf("Read(%v) err = %v, want ErrBadAddr", p, err)
 		}
-		if _, err := a.IsErased(p); !errors.Is(err, ErrBadAddr) {
-			t.Errorf("IsErased(%v) err = %v, want ErrBadAddr", p, err)
+		if _, err := a.View(p); !errors.Is(err, ErrBadAddr) {
+			t.Errorf("View(%v) err = %v, want ErrBadAddr", p, err)
 		}
 	}
 	if _, err := a.Erase(0, BlockAddr{Block: 99}); !errors.Is(err, ErrBadAddr) {
@@ -122,7 +138,7 @@ func TestEraseResetsPagesAndWear(t *testing.T) {
 	a := testArray(t)
 	b := BlockAddr{Channel: 0, Way: 1, Block: 2}
 	for i := 0; i < 3; i++ {
-		if _, err := a.Program(0, b.Page(i), []byte{byte(i)}); err != nil {
+		if _, err := a.Program(0, pageOf(b, i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,11 +146,7 @@ func TestEraseResetsPagesAndWear(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		erased, err := a.IsErased(b.Page(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !erased {
+		if !isErased(a, pageOf(b, i)) {
 			t.Fatalf("page %d not erased", i)
 		}
 	}
@@ -145,7 +157,7 @@ func TestEraseResetsPagesAndWear(t *testing.T) {
 		t.Fatalf("MaxWear = %d", a.MaxWear())
 	}
 	// Reprogramming after erase works.
-	if _, err := a.Program(0, b.Page(0), []byte{7}); err != nil {
+	if _, err := a.Program(0, pageOf(b, 0), []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +177,7 @@ func TestReadErasedPageIsZeros(t *testing.T) {
 
 func TestWayParallelismAndSerialization(t *testing.T) {
 	a := testArray(t)
-	prog := a.Latency().Prog
+	prog := a.lat.Prog
 	// Two programs to the same way serialize.
 	end1, _ := a.Program(0, PageAddr{Block: 0, Page: 0}, []byte{1})
 	end2, _ := a.Program(0, PageAddr{Block: 0, Page: 1}, []byte{2})
@@ -177,13 +189,16 @@ func TestWayParallelismAndSerialization(t *testing.T) {
 	if end3 != sim.Time(prog) {
 		t.Fatalf("cross-way program ended at %v, want %v", end3, prog)
 	}
-	if free := a.WayFreeAt(0, 0); free != end2 {
-		t.Fatalf("WayFreeAt = %v, want %v", free, end2)
+	// The next program on the first way queues behind the second.
+	if end4, _ := a.Program(0, PageAddr{Block: 0, Page: 2}, []byte{4}); end4 != end2.Add(prog) {
+		t.Fatalf("third same-way program ended at %v, want %v", end4, end2.Add(prog))
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	a := testArray(t)
+	rec := trace.NewRecorder(16)
+	a.SetTracer(rec)
 	a.Program(0, PageAddr{}, []byte{1})
 	a.Read(0, PageAddr{})
 	a.Erase(0, BlockAddr{Block: 1})
@@ -191,18 +206,17 @@ func TestStatsAccounting(t *testing.T) {
 	if s.PageWrites.Value() != 1 || s.PageReads.Value() != 1 || s.BlockErases.Value() != 1 {
 		t.Fatalf("stats = %d/%d/%d", s.PageWrites.Value(), s.PageReads.Value(), s.BlockErases.Value())
 	}
-	// NAND writes whole pages regardless of payload size.
-	if s.BytesWritten.Value() != 16*1024 {
-		t.Fatalf("BytesWritten = %d", s.BytesWritten.Value())
-	}
-	if s.BytesRead.Value() != 16*1024 {
-		t.Fatalf("BytesRead = %d", s.BytesRead.Value())
+	// NAND moves whole pages regardless of payload size.
+	for _, ev := range rec.Events() {
+		if ev.Name != trace.EvErase && ev.Bytes != 16*1024 {
+			t.Fatalf("%s event moved %d bytes, want a whole page", ev.Name, ev.Bytes)
+		}
 	}
 }
 
 func TestFaultInjection(t *testing.T) {
 	a := testArray(t)
-	a.SetFaultEvery(2)
+	failPrograms(a, 2)
 	if _, err := a.Program(0, PageAddr{Page: 0}, []byte{1}); err != nil {
 		t.Fatalf("first program failed: %v", err)
 	}
@@ -210,8 +224,7 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatalf("second program err = %v, want ErrIOFault", err)
 	}
 	// Faulted page stays erased and can be retried at another address.
-	erased, _ := a.IsErased(PageAddr{Page: 1})
-	if !erased {
+	if !isErased(a, PageAddr{Page: 1}) {
 		t.Fatal("faulted page left programmed")
 	}
 }
@@ -219,12 +232,11 @@ func TestFaultInjection(t *testing.T) {
 func TestWayUtilization(t *testing.T) {
 	a := testArray(t)
 	end, _ := a.Program(0, PageAddr{}, []byte{1})
-	u := a.WayUtilization(end)
-	if u[0] != 1.0 {
-		t.Fatalf("way0 utilization = %v", u[0])
+	if u := a.ways[0].Utilization(end); u != 1.0 {
+		t.Fatalf("way0 utilization = %v", u)
 	}
-	if u[1] != 0 {
-		t.Fatalf("way1 utilization = %v", u[1])
+	if u := a.ways[1].Utilization(end); u != 0 {
+		t.Fatalf("way1 utilization = %v", u)
 	}
 }
 
@@ -307,7 +319,8 @@ func TestProgramKeepsSectorPrefixes(t *testing.T) {
 	copy(page[sectorSize:], bytes.Repeat([]byte{2}, 4033)) // sector 1: a 63-byte zero tail stays
 	copy(page[3*sectorSize:], []byte{3})                   // sector 2 empty, sector 3: one byte
 	p := PageAddr{Way: 1, Page: 1}
-	if _, err := a.Program(0, p, page); err != nil {
+	free, err := a.Program(0, p, page)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if held, _, stored := a.Payloads(); held != 1 || stored != 100+sectorSize+1 {
@@ -329,13 +342,12 @@ func TestProgramKeepsSectorPrefixes(t *testing.T) {
 	for i := range got {
 		got[i] = 0xEE // ReadAt must overwrite the gaps too
 	}
-	free := a.WayFreeAt(0, 1)
 	end, err := a.ReadAt(0, p, got, 0)
 	if err != nil || !bytes.Equal(got, page) {
 		t.Fatalf("ReadAt of the whole page: %v, equal %v", err, bytes.Equal(got, page))
 	}
-	if end != free.Add(a.Latency().Read) || a.Stats().PageReads.Value() != 1 || a.Stats().BytesRead.Value() != int64(len(page)) {
-		t.Fatalf("ReadAt ended at %v after %d reads of %d bytes; want one whole-page read", end, a.Stats().PageReads.Value(), a.Stats().BytesRead.Value())
+	if end != free.Add(a.lat.Read) || a.Stats().PageReads.Value() != 1 {
+		t.Fatalf("ReadAt ended at %v after %d reads; want one page read", end, a.Stats().PageReads.Value())
 	}
 	part := make([]byte, 200)
 	if err := a.ViewAt(p, part, sectorSize-100); err != nil || !bytes.Equal(part, page[sectorSize-100:sectorSize+100]) {
@@ -390,9 +402,8 @@ func TestViewIsAReadWithoutTheOperation(t *testing.T) {
 	}
 	rec := trace.NewRecorder(16)
 	a.SetTracer(rec)
-	inj := fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: fault.SiteNandRead, Effect: fault.EffectMedia, Every: 1}}}, 0)
-	a.SetInjector(inj)
-	before, busy := *a.Stats(), a.WayFreeAt(0, 1)
+	a.SetInjector(fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: fault.SiteNandRead, Effect: fault.EffectMedia, Nth: 1}}}, 0))
+	before, busy := *a.Stats(), a.ways[a.wayIndex(0, 1)]
 
 	view, err := a.View(p)
 	if err != nil || len(view) != len(read) || &view[0] != &read[0] {
@@ -420,9 +431,13 @@ func TestViewIsAReadWithoutTheOperation(t *testing.T) {
 	if err := a.ViewAt(p, got[:1], 0); !errors.Is(err, ErrDiscarded) {
 		t.Fatalf("ViewAt of a discarded page: %v, want ErrDiscarded", err)
 	}
-	if *a.Stats() != before || a.WayFreeAt(0, 1) != busy || rec.Len() != 0 || inj.Fired() != 0 {
-		t.Fatalf("View left a trace: stats %+v (were %+v), way free at %v (was %v), %d events, %d faults",
-			*a.Stats(), before, a.WayFreeAt(0, 1), busy, rec.Len(), inj.Fired())
+	if *a.Stats() != before || a.ways[a.wayIndex(0, 1)] != busy || rec.Len() != 0 {
+		t.Fatalf("View left a trace: stats %+v (were %+v), way %+v (was %+v), %d events",
+			*a.Stats(), before, a.ways[a.wayIndex(0, 1)], busy, rec.Len())
+	}
+	// The first read's fault is still armed: no View consumed it.
+	if _, _, err := a.Read(0, PageAddr{Page: 7}); !errors.Is(err, ErrIOFault) {
+		t.Fatalf("first Read after the Views: %v, want the injected fault", err)
 	}
 }
 
@@ -459,7 +474,7 @@ func TestDiscardReleasesPayload(t *testing.T) {
 			t.Fatalf("stale view byte %d = %#x, want poison", i, b)
 		}
 	}
-	if erased, _ := a.IsErased(p); erased {
+	if isErased(a, p) {
 		t.Fatal("discarded page reports erased")
 	}
 	if _, err := a.Program(0, p, []byte{1}); !errors.Is(err, ErrNotErased) {
@@ -511,13 +526,13 @@ func TestEraseReleasesTheRest(t *testing.T) {
 	a := testArray(t)
 	b := BlockAddr{Channel: 1, Block: 2}
 	for i := 0; i < 5; i++ {
-		if _, err := a.Program(0, b.Page(i), fullPage(a, byte(i+1))); err != nil {
+		if _, err := a.Program(0, pageOf(b, i), fullPage(a, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a.Discard(b.Page(0))
-	a.Discard(b.Page(3))
-	live, _, _ := a.Read(0, b.Page(1))
+	a.Discard(pageOf(b, 0))
+	a.Discard(pageOf(b, 3))
+	live, _, _ := a.Read(0, pageOf(b, 1))
 	if _, err := a.Erase(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +565,7 @@ func TestFaultedProgramTakesNoPayload(t *testing.T) {
 	a := testArray(t)
 	a.Program(0, PageAddr{Page: 0}, fullPage(a, 1))
 	a.Discard(PageAddr{Page: 0})
-	a.SetFaultEvery(2)
+	failPrograms(a, 1)
 	if _, err := a.Program(0, PageAddr{Page: 1}, fullPage(a, 1)); !errors.Is(err, ErrIOFault) {
 		t.Fatalf("err = %v, want ErrIOFault", err)
 	}

@@ -98,7 +98,6 @@ const (
 	offOpcode    = 0  // dword0 byte 0
 	offFlags     = 1  // dword0 byte 1: P/F flags
 	offCommandID = 2  // dword0 bytes 2-3
-	offNamespace = 4  // dword1
 	offKeyLow    = 8  // dword2-3: key[0:8]
 	offMeta      = 16 // dword4-5: metadata pointer (PRP)
 	offPRP1      = 24 // dword6-7
@@ -115,9 +114,6 @@ const (
 type Command struct {
 	raw [CommandSize]byte
 }
-
-// Raw exposes the wire image of the command.
-func (c *Command) Raw() [CommandSize]byte { return c.raw }
 
 // SetOpcode stores the opcode in dword0.
 func (c *Command) SetOpcode(o Opcode) { c.raw[offOpcode] = byte(o) }
@@ -178,16 +174,6 @@ func (c *Command) CommandID() uint16 {
 	return binary.LittleEndian.Uint16(c.raw[offCommandID:])
 }
 
-// SetNamespace stores the namespace ID.
-func (c *Command) SetNamespace(ns uint32) {
-	binary.LittleEndian.PutUint32(c.raw[offNamespace:], ns)
-}
-
-// Namespace reads the namespace ID.
-func (c *Command) Namespace() uint32 {
-	return binary.LittleEndian.Uint32(c.raw[offNamespace:])
-}
-
 // SetKey stores a key of up to MaxKeySize bytes across dwords 2-3 and 14-15
 // and records its length in dword11. Longer keys are an error.
 func (c *Command) SetKey(key []byte) error {
@@ -210,11 +196,6 @@ func (c *Command) SetKey(key []byte) error {
 	return nil
 }
 
-// Key reads the key back using the recorded key size.
-func (c *Command) Key() []byte {
-	return c.AppendKey(nil)
-}
-
 // AppendKey appends the command's key to dst and returns the extended slice —
 // the allocation-free reader the device's hot path uses with a reusable
 // scratch buffer (AppendKey(scratch[:0])).
@@ -233,9 +214,6 @@ func (c *Command) AppendKey(dst []byte) []byte {
 	}
 	return dst
 }
-
-// KeySize reads the recorded key length.
-func (c *Command) KeySize() int { return int(c.raw[offKeySize]) }
 
 // SetValueSize stores the total value size in dword10; a read stores the
 // size of the host buffer its PRP describes there instead.
@@ -262,9 +240,6 @@ func (c *Command) SetPRP2(addr uint64) {
 	binary.LittleEndian.PutUint64(c.raw[offPRP2:], addr)
 }
 
-// PRP2 reads the second PRP entry.
-func (c *Command) PRP2() uint64 { return binary.LittleEndian.Uint64(c.raw[offPRP2:]) }
-
 // writePiggybackRegions lists the (offset, length) spans a write command may
 // repurpose for inline value bytes, in shipping order.
 var writePiggybackRegions = [...]struct{ off, n int }{
@@ -287,11 +262,6 @@ func (c *Command) SetWritePiggyback(value []byte) int {
 		n += copy(c.raw[r.off:r.off+r.n], value[n:])
 	}
 	return n
-}
-
-// WritePiggyback extracts n inline bytes from a write command.
-func (c *Command) WritePiggyback(n int) []byte {
-	return c.AppendWritePiggyback(nil, n)
 }
 
 // AppendWritePiggyback appends n inline bytes from a write command to dst and
@@ -322,11 +292,6 @@ func (c *Command) SetTransferPiggyback(fragment []byte) int {
 	return copy(c.raw[offKeyLow:], fragment)
 }
 
-// TransferPiggyback extracts n inline bytes from a transfer command.
-func (c *Command) TransferPiggyback(n int) []byte {
-	return c.AppendTransferPiggyback(nil, n)
-}
-
 // AppendTransferPiggyback appends n inline bytes from a transfer command to
 // dst and returns the extended slice (the allocation-free variant).
 func (c *Command) AppendTransferPiggyback(dst []byte, n int) []byte {
@@ -334,15 +299,4 @@ func (c *Command) AppendTransferPiggyback(dst []byte, n int) []byte {
 		n = PiggybackTransferCapacity
 	}
 	return append(dst, c.raw[offKeyLow:offKeyLow+n]...)
-}
-
-// TransferCommandsFor reports how many NVMe commands a pure piggybacking
-// transfer of an n-byte value needs: one write command plus enough trailing
-// transfer commands for the remainder (§3.2).
-func TransferCommandsFor(n int) int {
-	if n <= PiggybackWriteCapacity {
-		return 1
-	}
-	rest := n - PiggybackWriteCapacity
-	return 1 + (rest+PiggybackTransferCapacity-1)/PiggybackTransferCapacity
 }

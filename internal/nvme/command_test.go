@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -30,12 +31,12 @@ func TestOpcodeStrings(t *testing.T) {
 func TestCommandIDAndNamespace(t *testing.T) {
 	var c Command
 	c.SetCommandID(0xBEEF)
-	c.SetNamespace(42)
 	if c.CommandID() != 0xBEEF {
 		t.Fatalf("CommandID = %#x", c.CommandID())
 	}
-	if c.Namespace() != 42 {
-		t.Fatalf("Namespace = %d", c.Namespace())
+	// dword1 is the namespace; the model has one and never writes it.
+	if ns := binary.LittleEndian.Uint32(c.raw[4:]); ns != 0 {
+		t.Fatalf("namespace = %d", ns)
 	}
 }
 
@@ -45,11 +46,11 @@ func TestKeyRoundTripShort(t *testing.T) {
 	if err := c.SetKey(key); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(c.Key(), key) {
-		t.Fatalf("Key = %x, want %x", c.Key(), key)
+	if !bytes.Equal(c.AppendKey(nil), key) {
+		t.Fatalf("Key = %x, want %x", c.AppendKey(nil), key)
 	}
-	if c.KeySize() != 4 {
-		t.Fatalf("KeySize = %d", c.KeySize())
+	if c.raw[offKeySize] != 4 {
+		t.Fatalf("key size = %d", c.raw[offKeySize])
 	}
 }
 
@@ -59,8 +60,8 @@ func TestKeyRoundTripLong(t *testing.T) {
 	if err := c.SetKey(key); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(c.Key(), key) {
-		t.Fatalf("Key = %q", c.Key())
+	if !bytes.Equal(c.AppendKey(nil), key) {
+		t.Fatalf("Key = %q", c.AppendKey(nil))
 	}
 }
 
@@ -79,7 +80,7 @@ func TestKeyOverwriteClearsOldBytes(t *testing.T) {
 	if err := c.SetKey([]byte("xy")); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Key(); !bytes.Equal(got, []byte("xy")) {
+	if got := c.AppendKey(nil); !bytes.Equal(got, []byte("xy")) {
 		t.Fatalf("Key after overwrite = %q", got)
 	}
 }
@@ -92,8 +93,8 @@ func TestValueSizeAndPRP(t *testing.T) {
 	if c.ValueSize() != 123456 {
 		t.Fatalf("ValueSize = %d", c.ValueSize())
 	}
-	if c.PRP1() != 0xAAAA000 || c.PRP2() != 0xBBBB000 {
-		t.Fatalf("PRP = %#x/%#x", c.PRP1(), c.PRP2())
+	if prp2 := binary.LittleEndian.Uint64(c.raw[offPRP2:]); c.PRP1() != 0xAAAA000 || prp2 != 0xBBBB000 {
+		t.Fatalf("PRP = %#x/%#x", c.PRP1(), prp2)
 	}
 }
 
@@ -109,7 +110,7 @@ func TestWritePiggybackCapacityIs35(t *testing.T) {
 	if n != PiggybackWriteCapacity && n != 35 {
 		t.Fatalf("embedded %d bytes, want 35", n)
 	}
-	if got := c.WritePiggyback(n); !bytes.Equal(got, value[:35]) {
+	if got := c.AppendWritePiggyback(nil, n); !bytes.Equal(got, value[:35]) {
 		t.Fatalf("extracted %x, want %x", got, value[:35])
 	}
 }
@@ -120,7 +121,7 @@ func TestWritePiggybackPreservesEssentialFields(t *testing.T) {
 	var c Command
 	c.SetOpcode(OpKVWrite)
 	c.SetCommandID(7)
-	c.SetNamespace(1)
+	binary.LittleEndian.PutUint32(c.raw[4:], 1) // dword1: namespace
 	key := []byte{1, 2, 3, 4}
 	if err := c.SetKey(key); err != nil {
 		t.Fatal(err)
@@ -128,16 +129,16 @@ func TestWritePiggybackPreservesEssentialFields(t *testing.T) {
 	c.SetValueSize(999)
 	payload := bytes.Repeat([]byte{0xFF}, 35)
 	c.SetWritePiggyback(payload)
-	if c.Opcode() != OpKVWrite || c.CommandID() != 7 || c.Namespace() != 1 {
+	if c.Opcode() != OpKVWrite || c.CommandID() != 7 || binary.LittleEndian.Uint32(c.raw[4:]) != 1 {
 		t.Fatal("dword0/1 corrupted by piggybacking")
 	}
-	if !bytes.Equal(c.Key(), key) {
-		t.Fatalf("key corrupted: %x", c.Key())
+	if !bytes.Equal(c.AppendKey(nil), key) {
+		t.Fatalf("key corrupted: %x", c.AppendKey(nil))
 	}
 	if c.ValueSize() != 999 {
 		t.Fatalf("value size corrupted: %d", c.ValueSize())
 	}
-	if got := c.WritePiggyback(35); !bytes.Equal(got, payload) {
+	if got := c.AppendWritePiggyback(nil, 35); !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted by field setters")
 	}
 }
@@ -156,7 +157,7 @@ func TestTransferPiggybackCapacityIs56(t *testing.T) {
 	if n != PiggybackTransferCapacity && n != 56 {
 		t.Fatalf("embedded %d bytes, want 56", n)
 	}
-	if got := c.TransferPiggyback(n); !bytes.Equal(got, frag[:56]) {
+	if got := c.AppendTransferPiggyback(nil, n); !bytes.Equal(got, frag[:56]) {
 		t.Fatal("transfer payload mismatch")
 	}
 	if c.Opcode() != OpKVTransfer || c.CommandID() != 9 {
@@ -170,25 +171,25 @@ func TestPiggybackPartialFill(t *testing.T) {
 	if n := c.SetWritePiggyback(v); n != 3 {
 		t.Fatalf("embedded %d", n)
 	}
-	if got := c.WritePiggyback(3); !bytes.Equal(got, v) {
+	if got := c.AppendWritePiggyback(nil, 3); !bytes.Equal(got, v) {
 		t.Fatalf("got %v", got)
 	}
 	var tr Command
 	if n := tr.SetTransferPiggyback(v); n != 3 {
 		t.Fatalf("embedded %d", n)
 	}
-	if got := tr.TransferPiggyback(3); !bytes.Equal(got, v) {
+	if got := tr.AppendTransferPiggyback(nil, 3); !bytes.Equal(got, v) {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestPiggybackExtractClampsOversizedRequest(t *testing.T) {
 	var c Command
-	if got := c.WritePiggyback(100); len(got) != 35 {
-		t.Fatalf("WritePiggyback(100) returned %d bytes", len(got))
+	if got := c.AppendWritePiggyback(nil, 100); len(got) != 35 {
+		t.Fatalf("AppendWritePiggyback(nil, 100) returned %d bytes", len(got))
 	}
-	if got := c.TransferPiggyback(100); len(got) != 56 {
-		t.Fatalf("TransferPiggyback(100) returned %d bytes", len(got))
+	if got := c.AppendTransferPiggyback(nil, 100); len(got) != 56 {
+		t.Fatalf("AppendTransferPiggyback(nil, 100) returned %d bytes", len(got))
 	}
 }
 
@@ -200,10 +201,25 @@ func TestTransferCommandsForMatchesPaper(t *testing.T) {
 		{4096, 1 + (4096-35+55)/56}, // 74 total
 	}
 	for _, c := range cases {
-		if got := TransferCommandsFor(c.size); got != c.want {
-			t.Errorf("TransferCommandsFor(%d) = %d, want %d", c.size, got, c.want)
+		if got := commandsFor(c.size); got != c.want {
+			t.Errorf("commandsFor(%d) = %d, want %d", c.size, got, c.want)
 		}
 	}
+}
+
+// commandsFor fragments an n-byte value the way the driver's inline path
+// does, one write command and then transfer commands, and counts them.
+func commandsFor(n int) int {
+	value := make([]byte, n)
+	var w Command
+	rest := value[w.SetWritePiggyback(value):]
+	cmds := 1
+	for len(rest) > 0 {
+		var tr Command
+		rest = rest[tr.SetTransferPiggyback(rest):]
+		cmds++
+	}
+	return cmds
 }
 
 // Property: any value round-trips through (write cmd + transfer cmds)
@@ -215,12 +231,12 @@ func TestPiggybackFragmentationRoundTripProperty(t *testing.T) {
 		}
 		var w Command
 		n := w.SetWritePiggyback(value)
-		got := w.WritePiggyback(n)
+		got := w.AppendWritePiggyback(nil, n)
 		rest := value[n:]
 		for len(rest) > 0 {
 			var tr Command
 			k := tr.SetTransferPiggyback(rest)
-			got = append(got, tr.TransferPiggyback(k)...)
+			got = append(got, tr.AppendTransferPiggyback(nil, k)...)
 			rest = rest[k:]
 		}
 		return bytes.Equal(got, value)
@@ -239,7 +255,7 @@ func TestTransferCommandsForProperty(t *testing.T) {
 		if size > 35 {
 			want += (size - 35 + 55) / 56
 		}
-		return TransferCommandsFor(size) == want
+		return commandsFor(size) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -47,10 +47,6 @@ func (m *HostMemory) Page(addr uint64) ([]byte, error) {
 	return p, nil
 }
 
-// LivePages reports how many pages are currently mapped (leak detection in
-// tests).
-func (m *HostMemory) LivePages() int { return len(m.pages) }
-
 // PRPList describes a payload in host memory as a list of page addresses,
 // exactly as the PRP mechanism does: the payload occupies each listed page
 // from its start, and only the last page may be partially used.
@@ -121,30 +117,8 @@ func (l PRPList) WithPayload(n int) PRPList {
 	return PRPList{Pages: l.Pages[:pages], Payload: n}
 }
 
-// Gather copies the payload out of host memory (device-side view after DMA).
-func (l PRPList) Gather(m *HostMemory) ([]byte, error) {
-	out := make([]byte, 0, l.Payload)
-	remain := l.Payload
-	for _, addr := range l.Pages {
-		page, err := m.Page(addr)
-		if err != nil {
-			return nil, err
-		}
-		take := remain
-		if take > len(page) {
-			take = len(page)
-		}
-		out = append(out, page[:take]...)
-		remain -= take
-	}
-	if remain != 0 {
-		return nil, fmt.Errorf("nvme: PRP list short by %d bytes", remain)
-	}
-	return out, nil
-}
-
-// GatherInto appends the payload to dst and returns the extended slice — the
-// allocation-free Gather the driver's read path uses with its reusable
+// GatherInto appends the payload to dst and returns the extended slice
+// (device-side view after DMA); the driver's read path passes its reusable
 // staging buffer (GatherInto(m, buf[:0])).
 func (l PRPList) GatherInto(m *HostMemory, dst []byte) ([]byte, error) {
 	remain := l.Payload

@@ -18,12 +18,12 @@ func TestHostMemoryAllocFree(t *testing.T) {
 	if a%pcie.MemoryPageSize != 0 || b%pcie.MemoryPageSize != 0 {
 		t.Fatal("page addresses not 4 KiB aligned")
 	}
-	if m.LivePages() != 2 {
-		t.Fatalf("LivePages = %d", m.LivePages())
+	if len(m.pages) != 2 {
+		t.Fatalf("live pages = %d", len(m.pages))
 	}
 	m.FreePage(a)
-	if m.LivePages() != 1 {
-		t.Fatalf("LivePages after free = %d", m.LivePages())
+	if len(m.pages) != 1 {
+		t.Fatalf("live pages after free = %d", len(m.pages))
 	}
 	if _, err := m.Page(a); err == nil {
 		t.Fatal("freed page still accessible")
@@ -55,7 +55,7 @@ func TestBuildPRPSmallValue(t *testing.T) {
 	if l.TransferSize() != pcie.MemoryPageSize {
 		t.Fatalf("TransferSize = %d", l.TransferSize())
 	}
-	got, err := l.Gather(m)
+	got, err := l.GatherInto(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBuildPRPSmallValue(t *testing.T) {
 		t.Fatalf("gathered %q", got)
 	}
 	l.Free(m)
-	if m.LivePages() != 0 {
+	if len(m.pages) != 0 {
 		t.Fatal("pages leaked after Free")
 	}
 }
@@ -85,7 +85,7 @@ func TestBuildPRPPageBoundaryBloat(t *testing.T) {
 	if l.TransferSize() != 8192 {
 		t.Fatalf("TransferSize = %d, want 8192", l.TransferSize())
 	}
-	got, err := l.Gather(m)
+	got, err := l.GatherInto(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBuildPRPEmptyValue(t *testing.T) {
 	if len(l.Pages) != 0 || l.TransferSize() != 0 {
 		t.Fatal("empty value allocated pages")
 	}
-	got, err := l.Gather(m)
+	got, err := l.GatherInto(m, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("gather of empty list: %v, %v", got, err)
 	}
@@ -122,7 +122,7 @@ func TestScatterRoundTrip(t *testing.T) {
 	if err := l.Scatter(m, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.Gather(m)
+	got, err := l.GatherInto(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPRPRoundTripProperty(t *testing.T) {
 		if len(l.Pages) != pcie.PagesFor(len(v)) {
 			return false
 		}
-		got, err := l.Gather(m)
+		got, err := l.GatherInto(m, nil)
 		if err != nil {
 			return false
 		}
@@ -168,7 +168,7 @@ func TestPRPRoundTripProperty(t *testing.T) {
 			return false
 		}
 		l.Free(m)
-		return m.LivePages() == 0
+		return len(m.pages) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

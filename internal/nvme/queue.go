@@ -209,9 +209,6 @@ func NewCompletionQueue(size int) *CompletionQueue {
 	return &CompletionQueue{entries: make([]Completion, size)}
 }
 
-// Size reports the ring capacity in slots.
-func (q *CompletionQueue) Size() int { return len(q.entries) }
-
 func (q *CompletionQueue) next(i uint16) uint16 {
 	return uint16((int(i) + 1) % len(q.entries))
 }

@@ -148,7 +148,7 @@ func TestCQTooSmallPanics(t *testing.T) {
 
 func TestQueuePair(t *testing.T) {
 	qp := NewQueuePair(16)
-	if qp.SQ.Size() != 16 || qp.CQ.Size() != 16 {
+	if qp.SQ.Size() != 16 || len(qp.CQ.entries) != 16 {
 		t.Fatal("queue pair sizes wrong")
 	}
 }

@@ -16,21 +16,6 @@ type DLTEntry struct {
 	Size int64 // value bytes occupied starting at Addr
 }
 
-// EncodedBits reports the bit width of the entry's address encoding given
-// the NAND page size: page-number bits + log2(pageSize/4 KiB) offset bits.
-func (e DLTEntry) EncodedBits(nandPageSize int, totalBytes int64) int {
-	pages := totalBytes / int64(nandPageSize)
-	pageBits := 0
-	for p := int64(1); p < pages; p <<= 1 {
-		pageBits++
-	}
-	offBits := 0
-	for s := 4096; s < nandPageSize; s <<= 1 {
-		offBits++
-	}
-	return pageBits + offBits
-}
-
 // DLT is the DMA Log Table: a fixed-capacity circular queue of DMA
 // placements, consumed oldest-first as the write pointer sweeps past them.
 // Entries are pushed in increasing address order (the vLog frontier only
@@ -49,12 +34,6 @@ func NewDLT(capacity int) *DLT {
 	}
 	return &DLT{ring: make([]DLTEntry, capacity)}
 }
-
-// Len reports the number of unconsumed entries.
-func (d *DLT) Len() int { return d.size }
-
-// Cap reports the table capacity.
-func (d *DLT) Cap() int { return len(d.ring) }
 
 // Full reports whether another Push would overflow.
 func (d *DLT) Full() bool { return d.size == len(d.ring) }

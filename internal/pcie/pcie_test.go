@@ -59,12 +59,8 @@ func TestLedgerSplit(t *testing.T) {
 	if got := l.TotalBytes(); got != 64+4096+8+16 {
 		t.Fatalf("TotalBytes = %d", got)
 	}
-	if l.Traf.Commands.Value() != 1 || l.Traf.Doorbells.Value() != 2 {
-		t.Fatal("command/doorbell counts wrong")
-	}
-	l.ResetTraffic()
-	if l.TotalBytes() != 0 || l.Traf.Commands.Value() != 0 {
-		t.Fatal("ResetTraffic did not clear ledger")
+	if l.Traf.CommandBytes.Value() != CommandSize || l.Traf.MMIOBytes.Value() != 2*DoorbellSize {
+		t.Fatal("command/doorbell bytes wrong")
 	}
 }
 
@@ -117,34 +113,19 @@ func TestCostModelDefaults(t *testing.T) {
 	if m.DMAPerPage != 8200*sim.Nanosecond {
 		t.Fatalf("DMAPerPage = %v", m.DMAPerPage)
 	}
-	// One page: 8200 ns processing + 1280 ns wire.
-	if got := m.DMATime(4096); got != 9480 {
-		t.Fatalf("DMATime(4096) = %v, want 9480ns", got)
-	}
-	// Two pages: twice the per-page cost (the Fig. 3a cascade).
-	if got := m.DMATime(8192); got != 18960 {
-		t.Fatalf("DMATime(8192) = %v, want 18960ns", got)
-	}
-	if got := m.DMATime(0); got != 0 {
-		t.Fatalf("DMATime(0) = %v", got)
-	}
 }
 
-// §2.5: the SGL/PRP crossover must land at the Linux sgl_threshold (32 KB).
+// §2.5: the default constants put the one-descriptor SGL/PRP crossover at
+// the Linux sgl_threshold (32 KB). Both paths move the same wire bytes for a
+// page multiple, so SGL wins once its fixed cost drops below the PRP path's
+// per-page cost.
 func TestSGLCrossoverMatchesLinuxThreshold(t *testing.T) {
 	m := DefaultCostModel()
-	if got := m.SGLCrossoverBytes(); got != 32*1024 {
-		t.Fatalf("SGLCrossoverBytes = %d, want 32768", got)
-	}
-	if m.SGLTime(0, 0) != 0 {
-		t.Fatal("empty SGL transfer has nonzero cost")
-	}
-	// Below threshold PRP wins; above it SGL wins.
-	if m.SGLTime(8192, 2) <= m.DMATime(8192) {
-		t.Fatal("SGL should lose at 8 KiB")
-	}
-	if m.SGLTime(64*1024, 16) >= m.DMATime(64*1024) {
-		t.Fatal("SGL should win at 64 KiB")
+	sgl := m.SGLSetup + m.SGLPerSegment
+	prp := func(n int) sim.Duration { return sim.Duration(n/MemoryPageSize) * m.DMAPerPage }
+	if sgl >= prp(32*1024) || sgl < prp(32*1024-MemoryPageSize) {
+		t.Fatalf("SGL fixed cost %v: PRP costs %v at 28 KiB and %v at 32 KiB; want the crossover at 32 KiB",
+			sgl, prp(32*1024-MemoryPageSize), prp(32*1024))
 	}
 }
 
@@ -156,9 +137,5 @@ func TestSGLDescriptorLedger(t *testing.T) {
 	}
 	if got := l.HostToDeviceBytes(); got != 48 {
 		t.Fatalf("HostToDeviceBytes = %d", got)
-	}
-	l.ResetTraffic()
-	if l.Traf.SGLDescBytes.Value() != 0 {
-		t.Fatal("ResetTraffic missed SGL ledger")
 	}
 }

@@ -91,12 +91,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r, buf: make([]byte, 4096)}
 }
 
-// Reset rebinds the reader to a new stream, keeping the grown buffer.
-func (r *Reader) Reset(rd io.Reader) {
-	r.r = rd
-	r.mark, r.off, r.end, r.n = 0, 0, 0, 0
-}
-
 // BytesRead reports the total bytes consumed from the underlying reader.
 func (r *Reader) BytesRead() int64 { return r.n }
 
@@ -439,18 +433,8 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, buf: make([]byte, 0, 4096)}
 }
 
-// Reset rebinds the writer to a new stream, keeping the grown buffer.
-func (w *Writer) Reset(wr io.Writer) {
-	w.w = wr
-	w.buf = w.buf[:0]
-	w.n, w.err = 0, nil
-}
-
 // BytesWritten reports the total bytes flushed to the underlying writer.
 func (w *Writer) BytesWritten() int64 { return w.n }
-
-// Buffered reports the bytes encoded but not yet flushed.
-func (w *Writer) Buffered() int { return len(w.buf) }
 
 // Simple writes a simple string reply: +s\r\n.
 func (w *Writer) Simple(s string) {

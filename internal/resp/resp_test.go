@@ -289,8 +289,7 @@ func TestReaderSteadyStateAllocs(t *testing.T) {
 	src := bytes.NewReader(in)
 	r := NewReader(src)
 	parseAll := func() {
-		src.Reset(in)
-		r.Reset(src)
+		src.Reset(in) // r reads on from the rewound stream
 		for {
 			if _, err := r.ReadCommand(); err != nil {
 				if err != io.EOF {

@@ -37,9 +37,6 @@ import (
 
 // Config configures a Server. DB is required; everything else has defaults.
 type Config struct {
-	// Addr is the TCP listen address, e.g. ":6379" or "127.0.0.1:0".
-	Addr string
-
 	// DB is the store being served. The server does not close it; the
 	// process owning both shuts the server down first, then the DB.
 	DB *bandslim.DB
@@ -81,7 +78,7 @@ var opNames = [numOpcodes]string{
 }
 
 // Server is a RESP front-end over one DB. Create with New, start with
-// Serve or ListenAndServe, stop with Shutdown.
+// Serve, stop with Shutdown.
 type Server struct {
 	cfg    Config
 	logf   func(string, ...any)
@@ -145,15 +142,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ListenAndServe listens on Config.Addr and serves until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown. It returns nil on a clean
 // shutdown, or the first accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
@@ -209,14 +197,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.connMu.Unlock()
 		go c.serve()
 	}
-}
-
-// Addr reports the bound listen address (useful with ":0").
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // finish removes a connection from the live set.

@@ -6,15 +6,15 @@ import (
 	"bandslim/internal/sim"
 )
 
-// Partitioner assigns keys to shards with the keyed 32-bit Feistel family
-// internal/workload uses for key generation: the key bytes fold to 32 bits,
-// a 4-round Feistel permutation decorrelates them from any structure in the
-// key space (sequential fillseq keys spread evenly), and the result reduces
-// modulo the shard count. The assignment is a pure function of (key, seed),
+// Partitioner assigns keys to shards with sim.Feistel, the keyed 32-bit
+// permutation internal/workload also generates keys with: the key bytes fold
+// to 32 bits, the 4-round permutation decorrelates them from any structure in
+// the key space (sequential fillseq keys spread evenly), and the result
+// reduces modulo the shard count. The assignment is a pure function of (key, seed),
 // so a workload replays onto the same shards in every run.
 type Partitioner struct {
-	keys [4]uint32
-	n    uint32
+	f sim.Feistel
+	n uint32
 }
 
 // NewPartitioner returns a partitioner over shards shards, keyed by seed.
@@ -22,29 +22,15 @@ func NewPartitioner(shards int, seed uint64) (*Partitioner, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: partitioner needs >= 1 shard, got %d", shards)
 	}
-	r := sim.NewRNG(seed)
-	p := &Partitioner{n: uint32(shards)}
-	for i := range p.keys {
-		p.keys[i] = r.Uint32()
-	}
-	return p, nil
+	return &Partitioner{f: sim.NewFeistel(seed), n: uint32(shards)}, nil
 }
 
-// Shards reports the shard count.
-func (p *Partitioner) Shards() int { return int(p.n) }
-
-// Shard maps a key to its shard index in [0, Shards()).
+// Shard maps a key to its shard index in [0, shards).
 func (p *Partitioner) Shard(key []byte) int {
 	if p.n == 1 {
 		return 0
 	}
-	x := fold(key)
-	l, r := uint16(x>>16), uint16(x)
-	for _, k := range p.keys {
-		fr := uint16((uint32(r)*0x9E37 + k) >> 3)
-		l, r = r, l^fr
-	}
-	return int((uint32(l)<<16 | uint32(r)) % p.n)
+	return int(p.f.Permute(fold(key)) % p.n)
 }
 
 // fold collapses a key of any length (the API allows 1–16 bytes) into the

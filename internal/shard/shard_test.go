@@ -131,8 +131,9 @@ func TestStackBatchLanes(t *testing.T) {
 			if err := s.GetBatch(keys, got, nil, nil); err == nil {
 				t.Fatal("strict GetBatch over absent keys succeeded")
 			}
-			if s.Drv.InFlight() != 0 {
-				t.Fatal("failed batch left reads in flight")
+			// Tune refuses a new submission policy while commands are in flight.
+			if err := s.Drv.Tune(driver.Tuning{Submission: &o.Submission}); err != nil {
+				t.Fatalf("failed batch left reads in flight: %v", err)
 			}
 			// Sparse over everything, three times: the repeats resolve the odd
 			// keys from the negative cache.
@@ -184,9 +185,6 @@ func TestPartitionerDeterministicAndCovering(t *testing.T) {
 		if c < 4096/4/2 || c > 4096/4*2 {
 			t.Fatalf("unbalanced partition: shard %d got %d of 4096", i, c)
 		}
-	}
-	if p.Shards() != 4 {
-		t.Fatalf("Shards() = %d", p.Shards())
 	}
 }
 

@@ -7,17 +7,7 @@ package sim
 type BusyLine struct {
 	freeAt Time
 	busy   Duration // total busy time, for utilization accounting
-	ops    int64
 }
-
-// FreeAt reports the earliest time at which the resource is idle.
-func (b *BusyLine) FreeAt() Time { return b.freeAt }
-
-// Ops reports how many operations have been scheduled on the line.
-func (b *BusyLine) Ops() int64 { return b.ops }
-
-// BusyTime reports the cumulative time the resource has spent serving.
-func (b *BusyLine) BusyTime() Duration { return b.busy }
 
 // Schedule books an operation of length d that becomes eligible at time t.
 // It returns the operation's start and end times. The resource is occupied
@@ -30,7 +20,6 @@ func (b *BusyLine) Schedule(t Time, d Duration) (start, end Time) {
 	end = start.Add(d)
 	b.freeAt = end
 	b.busy += d
-	b.ops++
 	return start, end
 }
 
@@ -41,6 +30,3 @@ func (b *BusyLine) Utilization(now Time) float64 {
 	}
 	return float64(b.busy) / float64(now)
 }
-
-// Reset clears the line for a fresh run.
-func (b *BusyLine) Reset() { *b = BusyLine{} }

@@ -21,7 +21,12 @@ func (r *RNG) Split() *RNG {
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+	return Mix64(r.state)
+}
+
+// Mix64 is the SplitMix64 finalizer: a bijection on 64-bit values that
+// spreads every input bit over the whole output.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
@@ -40,28 +45,9 @@ func (r *RNG) Intn(n int) int {
 	return int((r.Uint64() >> 1) % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). n must be positive.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64((r.Uint64() >> 1) % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
@@ -70,4 +56,28 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
+}
+
+// Feistel is a 4-round keyed Feistel permutation over 32-bit values: every
+// input maps to a distinct pseudo-random output.
+type Feistel [4]uint32
+
+// NewFeistel draws the round keys from a generator seeded with seed.
+func NewFeistel(seed uint64) Feistel {
+	r := NewRNG(seed)
+	var f Feistel
+	for i := range f {
+		f[i] = r.Uint32()
+	}
+	return f
+}
+
+// Permute maps x to its image under the permutation.
+func (f Feistel) Permute(x uint32) uint32 {
+	l, r := uint16(x>>16), uint16(x)
+	for _, k := range f {
+		fr := uint16((uint32(r)*0x9E37 + k) >> 3)
+		l, r = r, l^fr
+	}
+	return uint32(l)<<16 | uint32(r)
 }

@@ -13,7 +13,6 @@ import (
 
 	"bandslim/internal/dma"
 	"bandslim/internal/ftl"
-	"bandslim/internal/metrics"
 	"bandslim/internal/pagebuf"
 	"bandslim/internal/sim"
 )
@@ -21,15 +20,6 @@ import (
 // Addr is a byte-granular vLog address. The paper widens the LSM-tree's
 // value-address fields to hold these (§3.4); 40 bits cover 1 TB.
 type Addr int64
-
-// Stats tallies vLog activity.
-type Stats struct {
-	Appends        metrics.Counter
-	Reads          metrics.Counter
-	ReadPages      metrics.Counter // NAND pages touched by reads
-	CacheHits      metrics.Counter // reads served by the last-page cache
-	ReclaimedPages metrics.Counter // pages freed by garbage collection
-}
 
 // VLog is the value log: a *circular* log over the region's pages. Virtual
 // byte addresses grow monotonically; the page a virtual address lives on is
@@ -53,7 +43,6 @@ type VLog struct {
 	// a GC migration by construction, so the 16 KiB of modelled DRAM cost no
 	// host copy.
 	cachePage int64
-	stats     Stats
 }
 
 // Build constructs the page buffer and vLog together over FTL pages
@@ -93,9 +82,6 @@ func (v *VLog) flushPage(t sim.Time, pageNo int64, data []byte) (sim.Time, error
 // Buffer exposes the underlying page buffer (for policy stats).
 func (v *VLog) Buffer() *pagebuf.Buffer { return v.buf }
 
-// Stats exposes the vLog tallies.
-func (v *VLog) Stats() *Stats { return &v.stats }
-
 // CapacityBytes reports the byte size of the vLog region.
 func (v *VLog) CapacityBytes() int64 { return int64(v.maxPages) * int64(v.pageSize) }
 
@@ -108,7 +94,6 @@ func (v *VLog) AppendPiggybacked(t sim.Time, value []byte) (Addr, sim.Time, erro
 	if err != nil {
 		return 0, t, err
 	}
-	v.stats.Appends.Inc()
 	return Addr(a), end, nil
 }
 
@@ -121,7 +106,6 @@ func (v *VLog) AppendDMA(t sim.Time, value []byte) (Addr, sim.Time, error) {
 	if err != nil {
 		return 0, t, err
 	}
-	v.stats.Appends.Inc()
 	return Addr(a), end, nil
 }
 
@@ -136,9 +120,6 @@ func (v *VLog) checkRoom(n int) error {
 // Tail reports the lowest live virtual offset (everything below has been
 // reclaimed).
 func (v *VLog) Tail() int64 { return v.tail }
-
-// LiveBytes reports the currently addressable span of the log.
-func (v *VLog) LiveBytes() int64 { return v.buf.Frontier() - v.tail }
 
 // FreeBytes reports how much can still be appended before GC is needed.
 func (v *VLog) FreeBytes() int64 {
@@ -167,7 +148,6 @@ func (v *VLog) AdvanceTail(newTail int64) error {
 		if err := v.ftl.Trim(v.lpnOf(p)); err != nil {
 			return fmt.Errorf("vlog: trim page %d: %w", p, err)
 		}
-		v.stats.ReclaimedPages.Inc()
 	}
 	v.tail = newTail
 	return nil
@@ -222,21 +202,18 @@ func (v *VLog) ReadInto(t sim.Time, addr Addr, n int, dst []byte) ([]byte, sim.T
 			if err := v.ftl.ViewAt(v.lpnOf(pageNo), part, inPage); err != nil {
 				return nil, t, fmt.Errorf("vlog: cached page %d: %w", pageNo, err)
 			}
-			v.stats.CacheHits.Inc()
 		} else {
 			e, err := v.ftl.ReadAt(t, v.lpnOf(pageNo), part, inPage)
 			if err != nil {
 				return nil, t, fmt.Errorf("vlog: page %d: %w", pageNo, err)
 			}
 			v.cachePage = pageNo
-			v.stats.ReadPages.Inc()
 			if e > end {
 				end = e
 			}
 		}
 		off += take
 	}
-	v.stats.Reads.Inc()
 	return dst, end, nil
 }
 

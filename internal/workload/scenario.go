@@ -69,8 +69,6 @@ type Scenario interface {
 	// Next returns the next operation; ok is false when exhausted. The Key
 	// slice is owned by the caller.
 	Next() (op ScenarioOp, ok bool)
-	// Remaining reports how many operations are left (load + run).
-	Remaining() int
 	// Name identifies the scenario in reports and trace headers.
 	Name() string
 }
@@ -240,23 +238,9 @@ func NewScenario(name string, cfg ScenarioConfig) (*YCSB, error) {
 // Name implements Scenario.
 func (y *YCSB) Name() string { return y.name }
 
-// Remaining implements Scenario.
-func (y *YCSB) Remaining() int {
-	return (y.cfg.Records - y.loaded) + (y.cfg.Ops - y.done)
-}
-
 // scenarioKey renders key number n in the scenario keyspace.
 func scenarioKey(n int) []byte {
 	return []byte(fmt.Sprintf("y%08d", n))
-}
-
-// scramble spreads zipfian ranks over the keyspace (SplitMix64 finalizer),
-// so the hot head is not a contiguous key range. Collisions merely merge
-// rank probabilities, as in YCSB's hashed key chooser.
-func scramble(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // chooseKey picks an existing key number for a skewed access arriving at
@@ -270,7 +254,10 @@ func (y *YCSB) chooseKey(c opClass, at sim.Time) int {
 		}
 		return y.count - 1 - rank
 	}
-	n := int(scramble(uint64(rank)) % uint64(y.cfg.Records))
+	// Mixing spreads the ranks over the keyspace, so the hot head is not a
+	// contiguous key range. Collisions merely merge rank probabilities, as in
+	// YCSB's hashed key chooser.
+	n := int(sim.Mix64(uint64(rank)) % uint64(y.cfg.Records))
 	if rot := y.cfg.Shifts.Offset(at); rot != 0 {
 		n = (n + rot) % y.cfg.Records
 	}

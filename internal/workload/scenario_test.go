@@ -20,8 +20,8 @@ func drainScenario(t *testing.T, s Scenario) []ScenarioOp {
 		}
 		ops = append(ops, op)
 	}
-	if s.Remaining() != 0 {
-		t.Fatalf("%s: Remaining() = %d after exhaustion", s.Name(), s.Remaining())
+	if _, ok := s.Next(); ok {
+		t.Fatalf("%s: Next after exhaustion returned an op", s.Name())
 	}
 	return ops
 }
@@ -90,9 +90,6 @@ func TestScenarioLoadPhaseAndShape(t *testing.T) {
 		s, err := NewScenario(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if want := cfg.Records + cfg.Ops; s.Remaining() != want {
-			t.Fatalf("%s: Remaining() = %d, want %d", name, s.Remaining(), want)
 		}
 		ops := drainScenario(t, s)
 		if len(ops) != cfg.Records+cfg.Ops {
@@ -166,7 +163,7 @@ func TestScenarioMixFractions(t *testing.T) {
 }
 
 // TestScenarioZipfianChiSquared checks the realized key histogram of the
-// read-only workload against the exact zipfian-through-scramble expectation
+// read-only workload against the exact zipfian-through-Mix64 expectation
 // with a chi-squared statistic. The run is seeded and deterministic, so the
 // bound is a regression tripwire, not a flaky statistical test.
 func TestScenarioZipfianChiSquared(t *testing.T) {
@@ -183,8 +180,8 @@ func TestScenarioZipfianChiSquared(t *testing.T) {
 	for _, op := range drainScenario(t, s)[records:] {
 		counts[keyNum(t, op.Key)]++
 	}
-	// Expected counts: zipfian pmf over ranks, pushed through the scramble
-	// map (collisions merge probabilities, exactly as the generator does).
+	// Expected counts: zipfian pmf over ranks, pushed through the rank
+	// mix (collisions merge probabilities, exactly as the generator does).
 	h := 0.0
 	for r := 1; r <= records; r++ {
 		h += 1 / math.Pow(float64(r), theta)
@@ -192,7 +189,7 @@ func TestScenarioZipfianChiSquared(t *testing.T) {
 	expect := make([]float64, records)
 	for r := 0; r < records; r++ {
 		p := 1 / math.Pow(float64(r+1), theta) / h
-		expect[scramble(uint64(r))%records] += p * ops
+		expect[sim.Mix64(uint64(r))%records] += p * ops
 	}
 	chi2, df := 0.0, 0
 	for k := 0; k < records; k++ {
@@ -204,15 +201,15 @@ func TestScenarioZipfianChiSquared(t *testing.T) {
 		df++
 	}
 	if df < records/2 {
-		t.Fatalf("only %d usable cells; scramble collapsed the keyspace?", df)
+		t.Fatalf("only %d usable cells; mixing collapsed the keyspace?", df)
 	}
 	// 99.9th percentile of chi-squared with df≈100 is ~149; allow headroom.
 	if limit := 2 * float64(df); chi2 > limit {
 		t.Fatalf("chi-squared %.1f over %d cells exceeds %.1f: key histogram "+
 			"does not match the zipfian spec", chi2, df, limit)
 	}
-	if counts[int(scramble(0)%records)] < ops/10 {
-		t.Fatalf("hottest rank drew only %d of %d accesses", counts[scramble(0)%records], ops)
+	if counts[int(sim.Mix64(0)%records)] < ops/10 {
+		t.Fatalf("hottest rank drew only %d of %d accesses", counts[sim.Mix64(0)%records], ops)
 	}
 }
 

@@ -317,9 +317,6 @@ func NewReplay(tr *Trace) *Replay { return &Replay{tr: tr} }
 // Name implements Scenario.
 func (r *Replay) Name() string { return "replay" }
 
-// Remaining implements Scenario.
-func (r *Replay) Remaining() int { return len(r.tr.Ops) - r.i }
-
 // Next implements Scenario.
 func (r *Replay) Next() (ScenarioOp, bool) {
 	if r.i >= len(r.tr.Ops) {

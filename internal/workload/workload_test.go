@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"bandslim/internal/sim"
 )
 
 func drain(g Generator) []Op {
@@ -18,12 +20,12 @@ func drain(g Generator) []Op {
 }
 
 func TestFeistelIsPermutation(t *testing.T) {
-	f := newFeistel(42)
+	f := sim.NewFeistel(42)
 	seen := make(map[uint32]bool, 1<<16)
 	// Full 2^32 is too slow; verify injectivity over a 2^16 sample plus
 	// structured inputs.
 	for i := uint32(0); i < 1<<16; i++ {
-		v := f.permute(i)
+		v := f.Permute(i)
 		if seen[v] {
 			t.Fatalf("collision at input %d", i)
 		}
@@ -66,9 +68,6 @@ func TestRandomKeysUniqueAndSeeded(t *testing.T) {
 
 func TestFillSeq(t *testing.T) {
 	w := NewFillSeq(10, 512)
-	if w.Remaining() != 10 {
-		t.Fatalf("Remaining = %d", w.Remaining())
-	}
 	ops := drain(w)
 	if len(ops) != 10 {
 		t.Fatalf("drained %d ops", len(ops))

@@ -43,10 +43,7 @@ func NewZipfian(n int, s float64, seed uint64) (*Zipfian, error) {
 	return &Zipfian{rng: sim.NewRNG(seed), cdf: cdf}, nil
 }
 
-// N reports the rank-space size.
-func (z *Zipfian) N() int { return len(z.cdf) }
-
-// Next draws one rank in [0, N()); rank 0 is the most probable.
+// Next draws one rank in [0, n); rank 0 is the most probable.
 func (z *Zipfian) Next() int {
 	u := z.rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
