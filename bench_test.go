@@ -192,7 +192,7 @@ func BenchmarkPutAdaptiveMixgraph(b *testing.B) {
 		if !ok {
 			b.Fatal("generator exhausted")
 		}
-		buf = filler.Fill(buf, op.ValueSize)
+		buf = filler.Fill(buf, op.N)
 		if err := db.Put(op.Key, buf); err != nil {
 			b.Fatal(err)
 		}

@@ -33,10 +33,10 @@
 // hot-read p99 at the default operating point does not improve at least 3x
 // over cache-off.
 //
-// The ycsb experiment runs the six YCSB core scenarios (A: update-heavy
-// under a diurnal load curve with a mid-run hotspot shift, B: read-mostly
-// under bursts, C: read-only, D: read-latest with insert-ordered keyspace
-// growth, E: scan-heavy, F: read-modify-write). It fails hard if any
+// The ycsb experiment runs the six YCSB core scenarios closed-loop, one op
+// at a time (A: update-heavy with a mid-run hotspot shift, B: read-mostly,
+// C: read-only, D: read-latest with insert-ordered keyspace growth, E:
+// scan-heavy, F: read-modify-write). It fails hard if any
 // scenario's realized op mix drifts from its spec. Use `bandslim-cli trace
 // record|replay|stat` to capture any scenario to a deterministic trace file
 // and replay it bit-identically.

@@ -9,8 +9,8 @@ package main
 //	bandslim-cli trace stat <trace|->
 //
 // `record` runs the named scenario (ycsb-a..ycsb-f or mixed) live against a
-// fresh simulated stack while capturing every op — arrival stamp, key, and
-// size — to the versioned trace format. `replay` drives a trace file
+// fresh simulated stack while capturing every op — kind, key, and size — to
+// the versioned trace format (bandslim-trace v2). `replay` drives a trace file
 // through the identical execution engine on an identically configured fresh
 // stack: because the simulation is deterministic, the replayed run's Stats
 // and Prometheus exposition are byte-identical to the recorded run's
@@ -111,7 +111,6 @@ func runTraceRecord(args []string) {
 	ops := fs.Int("ops", 2000, "run-phase operations")
 	seed := fs.Uint64("seed", 42, "scenario and value-content seed")
 	shards := fs.Int("shards", 1, "shard count")
-	rate := fs.Float64("rate", 50000, "open-loop arrival rate, ops per simulated second (0 = unpaced)")
 	out := fs.String("o", "", "trace output path (- for stdout); required")
 	metricsOut := fs.String("metrics-out", "", "write the live run's Prometheus exposition here")
 	fs.Usage = func() {
@@ -129,7 +128,6 @@ func runTraceRecord(args []string) {
 		Records: *records,
 		Ops:     *ops,
 		Seed:    *seed,
-		Arrival: workload.ArrivalConfig{Rate: *rate},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
@@ -234,7 +232,6 @@ func runTraceStat(args []string) {
 		counts [5]int
 		keys   = map[string]struct{}{}
 		bytes  int64
-		span   sim.Time
 	)
 	for _, op := range tr.Ops {
 		counts[op.Kind]++
@@ -242,10 +239,8 @@ func runTraceStat(args []string) {
 		if op.Kind == workload.OpPut || op.Kind == workload.OpRMW {
 			bytes += int64(op.N)
 		}
-		span = op.At
 	}
-	fmt.Printf("trace: v%d, seed %d, %d ops over %v\n",
-		workload.TraceVersion, tr.Seed, len(tr.Ops), span)
+	fmt.Printf("trace: v%d, seed %d, %d ops\n", workload.TraceVersion, tr.Seed, len(tr.Ops))
 	var kinds []string
 	for k, n := range counts {
 		if n > 0 {

@@ -2,7 +2,14 @@ package bandslim_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"log"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
 
 	"bandslim"
 )
@@ -99,4 +106,29 @@ func ExampleDB_PutBatch() {
 	// Output:
 	// commands: 1
 	// y = 2
+}
+
+// TestExamplesImportOnlyPublicAPI keeps the programs under examples/ on
+// package bandslim's public API: an example that imports bandslim/internal/...
+// shows users code they cannot write.
+func TestExamplesImportOnlyPublicAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "bandslim/internal/") {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -10,11 +10,13 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
+	"math"
+	"math/rand"
 
 	"bandslim"
-	"bandslim/internal/workload"
 )
 
 const ops = 30000
@@ -29,16 +31,18 @@ func runStore(name string, method bandslim.TransferMethod, policy bandslim.Packi
 	}
 	defer db.Close()
 
-	gen := workload.NewWorkloadM(ops, 7) // production-like value sizes
-	filler := workload.NewValueFiller(1)
-	var buf []byte
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
-		buf = filler.Fill(buf, op.ValueSize)
-		if err := db.Put(op.Key, buf); err != nil {
+	rng := rand.New(rand.NewSource(7)) // both stores see the same pairs
+	buf := make([]byte, 1024)
+	for i := 0; i < ops; i++ {
+		// An odd multiplier permutes uint32, so the keys are unique yet
+		// scattered.
+		key := binary.BigEndian.AppendUint32(nil, uint32(i)*2654435761)
+		// Production-like sizes: a Generalized Pareto draw (σ=14, ξ=0.9)
+		// capped at 1 KiB puts ~70% of values under 35 B.
+		x := 14 / 0.9 * (math.Pow(1-rng.Float64(), -0.9) - 1)
+		value := buf[:min(1+int(x), len(buf))]
+		rng.Read(value)
+		if err := db.Put(key, value); err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
 	}

@@ -8,12 +8,13 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
+	"math/rand"
 
 	"bandslim"
-	"bandslim/internal/workload"
 )
 
 func main() {
@@ -48,22 +49,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen, err := workload.NewMix("mix", *ops, 11, []workload.SizeRatio{
-			{Size: 8, Ratio: 1 - *mix},
-			{Size: 2048, Ratio: *mix},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		filler := workload.NewValueFiller(5)
-		var buf []byte
-		for {
-			op, ok := gen.Next()
-			if !ok {
-				break
+		rng := rand.New(rand.NewSource(11)) // every policy sees the same pairs
+		buf := make([]byte, 2048)
+		for i := 0; i < *ops; i++ {
+			value := buf[:8]
+			if rng.Float64() < *mix {
+				value = buf
 			}
-			buf = filler.Fill(buf, op.ValueSize)
-			if err := db.Put(op.Key, buf); err != nil {
+			rng.Read(value)
+			// An odd multiplier permutes uint32: unique, scattered keys.
+			key := binary.BigEndian.AppendUint32(nil, uint32(i)*2654435761)
+			if err := db.Put(key, value); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -112,9 +112,13 @@ func batchPoint(o Options, batch int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops, _, err := feed(workload.NewWorkloadM(o.Scale, o.Seed), b.Put)
-	if err != nil {
-		return nil, err
+	gen, filler := workload.NewWorkloadM(o.Scale, o.Seed), workload.NewValueFiller(1)
+	var buf []byte
+	for op, ok := gen.Next(); ok; op, ok = gen.Next() {
+		buf = filler.Fill(buf, op.N)
+		if err := b.Put(op.Key, buf); err != nil {
+			return nil, err
+		}
 	}
 	if err := b.Flush(); err != nil {
 		return nil, err
@@ -123,10 +127,11 @@ func batchPoint(o Options, batch int) ([]float64, error) {
 	if err := st.Flush(); err != nil {
 		return nil, err
 	}
+	ops := float64(o.Scale)
 	return []float64{
-		float64(st.Link.HostToDeviceBytes()) / float64(ops),
-		elapsed.Micros() / float64(ops),
-		float64(ops) / elapsed.Seconds() / 1000,
+		float64(st.Link.HostToDeviceBytes()) / ops,
+		elapsed.Micros() / ops,
+		ops / elapsed.Seconds() / 1000,
 		float64(st.Dev.Flash().Stats().PageWrites.Value()),
 		float64(b.Stats().PeakAtRiskOps),
 	}, nil
@@ -327,7 +332,7 @@ func scanPoint(o Options, policy bandslim.PackingPolicy) (reads, us float64, err
 		return 0, 0, err
 	}
 	defer db.Close()
-	if _, _, err := feed(workload.NewFillSeq(o.Scale, 512), db.Put); err != nil {
+	if _, err := DriveScenario(db, workload.NewFillSeq(o.Scale, 512), 1, nil); err != nil {
 		return 0, 0, err
 	}
 	if err := db.Flush(); err != nil {
@@ -420,12 +425,8 @@ func readPoint(o Options, size int) ([]float64, error) {
 		return nil, err
 	}
 	defer db.Close()
-	keys := make([][]byte, 0, o.Scale)
-	_, _, err = feed(workload.NewFillSeq(o.Scale, size), func(key, value []byte) error {
-		keys = append(keys, key)
-		return db.Put(key, value)
-	})
-	if err != nil {
+	var fill workload.Trace
+	if _, err := DriveScenario(db, workload.NewFillSeq(o.Scale, size), 1, &fill); err != nil {
 		return nil, err
 	}
 	if err := db.Flush(); err != nil {
@@ -434,7 +435,7 @@ func readPoint(o Options, size int) ([]float64, error) {
 	before := db.Stats()
 	reads := o.Scale / 2
 	for i := 0; i < reads; i++ {
-		if _, err := db.Get(keys[(i*2654435761)%len(keys)]); err != nil {
+		if _, err := db.Get(fill.Ops[(i*2654435761)%len(fill.Ops)].Key); err != nil {
 			return nil, err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"bandslim"
 	"bandslim/internal/lsm"
-	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
 
@@ -37,15 +36,15 @@ var compactionColumns = []string{
 	"trivial_moves", "waf", "sim_p99_us", "sim_p9999_us",
 }
 
-// sequentialKeys re-keys a generator's stream 0, 1, 2, …, keeping its value
-// sizes, so the two key orders of a sweep differ in nothing else.
+// sequentialKeys re-keys a stream 0, 1, 2, …, keeping its value sizes, so
+// the two key orders of a sweep differ in nothing else.
 type sequentialKeys struct {
-	workload.Generator
+	workload.Scenario
 	keys *workload.KeyGen
 }
 
-func (g sequentialKeys) Next() (workload.Op, bool) {
-	op, ok := g.Generator.Next()
+func (g sequentialKeys) Next() (workload.ScenarioOp, bool) {
+	op, ok := g.Scenario.Next()
 	if ok {
 		op.Key = g.keys.Next()
 	}
@@ -66,31 +65,26 @@ func runCompactionCell(o Options, c compactionCell) ([]float64, error) {
 		return nil, err
 	}
 	defer db.Close()
-	var gen workload.Generator = workload.NewWorkloadM(o.Scale, o.Seed)
+	var gen workload.Scenario = workload.NewWorkloadM(o.Scale, o.Seed)
 	if c.sequential {
 		gen = sequentialKeys{gen, workload.NewSequentialKeys()}
 	}
-	lat := make([]sim.Duration, 0, o.Scale)
-	puts, payload, err := feed(gen, func(key, value []byte) error {
-		t0 := db.Now()
-		err := db.Put(key, value)
-		lat = append(lat, db.Now().Sub(t0))
-		return err
-	})
+	res, err := DriveScenario(db, gen, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	s := db.Stats()
 	pageSize := cfg.Device.Geometry.PageSize
 	perPage := lsm.EntriesPerPage(pageSize, 4) // KeyGen keys are 4 bytes
-	lo, hi := cfg.Device.LSM.RewriteBand(int(puts), c.tablePages*perPage, c.sequential)
+	puts := float64(res.Updates)
+	lo, hi := cfg.Device.LSM.RewriteBand(int(res.Updates), c.tablePages*perPage, c.sequential)
 	return []float64{
-		float64(s.Device.IndexPageWrites) * 1000 / float64(puts),
-		float64(s.Device.IndexPageWrites) * float64(perPage) / float64(puts),
+		float64(s.Device.IndexPageWrites) * 1000 / puts,
+		float64(s.Device.IndexPageWrites) * float64(perPage) / puts,
 		lo, hi,
 		float64(s.Device.TrivialMoves),
-		s.WriteAmplification(payload, pageSize),
-		pct(lat, 0.99), pct(lat, 0.9999),
+		s.WriteAmplification(res.BytesWritten, pageSize),
+		pct(res.updateLat, 0.99), pct(res.updateLat, 0.9999),
 	}, nil
 }
 

@@ -71,38 +71,19 @@ type runResult struct {
 	Ops          int64
 }
 
-// feed drains gen through put with deterministic value bytes, returning the
-// number of ops and the value payload they carried.
-func feed(gen workload.Generator, put func(key, value []byte) error) (ops, payload int64, err error) {
-	var buf []byte
-	filler := workload.NewValueFiller(1)
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			return ops, payload, nil
-		}
-		buf = filler.Fill(buf, op.ValueSize)
-		if err := put(op.Key, buf); err != nil {
-			return ops, payload, fmt.Errorf("bench: %s: put: %w", gen.Name(), err)
-		}
-		payload += int64(op.ValueSize)
-		ops++
-	}
-}
-
-// run feeds a workload through a fresh stack.
-func run(gen workload.Generator, method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (runResult, error) {
+// run drives a workload through a fresh stack.
+func run(gen workload.Scenario, method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (runResult, error) {
 	return runWith(gen, benchConfig(method, policy, nandOn))
 }
 
-// runWith feeds a workload through a stack built from an explicit config.
-func runWith(gen workload.Generator, cfg bandslim.Config) (runResult, error) {
+// runWith drives a workload through a stack built from an explicit config.
+func runWith(gen workload.Scenario, cfg bandslim.Config) (runResult, error) {
 	db, err := bandslim.Open(cfg)
 	if err != nil {
 		return runResult{}, err
 	}
 	defer db.Close()
-	ops, payload, err := feed(gen, db.Put)
+	res, err := DriveScenario(db, gen, 1, nil)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -125,7 +106,7 @@ func runWith(gen workload.Generator, cfg bandslim.Config) (runResult, error) {
 	s.Host.ThroughputKops = timing.Host.ThroughputKops
 	s.Device.FlushWaitTime = timing.Device.FlushWaitTime
 	s.Device.MemcpyTime = timing.Device.MemcpyTime
-	return runResult{Stats: s, PayloadBytes: payload, Ops: ops}, nil
+	return runResult{Stats: s, PayloadBytes: res.BytesWritten, Ops: res.Ops}, nil
 }
 
 // loadKeyspace writes n keys "<prefix>%07d" to db in chunk-sized PutBatch
@@ -182,8 +163,8 @@ var policyFor = map[string]bandslim.PackingPolicy{
 }
 
 // workloadsBCDM builds the four mixed workloads of §4.1.
-func workloadsBCDM(o Options) []workload.Generator {
-	return []workload.Generator{
+func workloadsBCDM(o Options) []workload.Scenario {
+	return []workload.Scenario{
 		workload.NewWorkloadB(o.Scale, o.Seed),
 		workload.NewWorkloadC(o.Scale, o.Seed),
 		workload.NewWorkloadD(o.Scale, o.Seed),

@@ -64,7 +64,7 @@ func StartTelemetry(o Options, shards int, interval sim.Duration) (*Telemetry, e
 			break
 		}
 		lane := db.ShardFor(next.Key)
-		lanes[lane] = append(lanes[lane], op{key: next.Key, size: next.ValueSize})
+		lanes[lane] = append(lanes[lane], op{key: next.Key, size: next.N})
 		total++
 	}
 

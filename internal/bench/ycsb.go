@@ -1,7 +1,8 @@
 package bench
 
 // YCSB-style scenario suite + deterministic trace replay. DriveScenario is
-// the one execution engine every scenario consumer shares: the ycsb
+// the one execution engine every op stream shares: the figure and ablation
+// fills (run, readPoint, scanPoint, the compaction cells), the ycsb
 // experiment below, the `bandslim-cli trace record|replay` subcommands, and
 // the root replay-equivalence tests all push ops through it, so a recorded
 // trace replayed against a fresh stack takes exactly the code path the live
@@ -162,77 +163,27 @@ type YCSBPoint struct {
 	RMWP99Us     float64 `json:"rmw_p99_us"`
 }
 
-// ycsbSpec gives each scenario row its time-varying behavior: A runs under
-// a diurnal load curve with a mid-run hotspot shift, B under periodic
-// bursts, D under jittered (Poisson) arrivals; the rest arrive at a steady
-// open-loop rate. Rates are simulated-time annotations — they shape arrival
-// stamps (and through them the shift schedule), not device speed.
-type ycsbSpec struct {
-	kind    string
-	arrival workload.ArrivalConfig
-	shifts  workload.HotShifts
-}
-
-// ycsbRate is the open-loop arrival rate every spec builds on, ops per
-// simulated second.
-const ycsbRate = 50000
-
-// ycsbSpecs derives the six scenario specs for a run of n ops: the expected
-// run-phase span is n/ycsbRate seconds, so the diurnal period covers the
-// run in two cycles and the A-row hotspot shift re-seats the head halfway.
-func ycsbSpecs(n int) []ycsbSpec {
-	span := sim.Duration(float64(n) / ycsbRate * float64(sim.Second))
-	return []ycsbSpec{
-		{kind: "a",
-			arrival: workload.ArrivalConfig{Rate: ycsbRate, DiurnalAmp: 0.6, DiurnalPeriod: span / 2},
-			shifts:  workload.HotShifts{{At: sim.Time(span / 2), Rotate: 7919}}},
-		{kind: "b",
-			arrival: workload.ArrivalConfig{Rate: ycsbRate, BurstFactor: 8, BurstEvery: span / 8, BurstLen: span / 64}},
-		{kind: "c", arrival: workload.ArrivalConfig{Rate: ycsbRate}},
-		{kind: "d", arrival: workload.ArrivalConfig{Rate: ycsbRate, Jitter: true}},
-		{kind: "e", arrival: workload.ArrivalConfig{Rate: ycsbRate}},
-		{kind: "f", arrival: workload.ArrivalConfig{Rate: ycsbRate}},
-	}
-}
-
 // ycsbMixTolerance is the acceptance band on each scenario's realized op
 // mix against its specified shares.
 const ycsbMixTolerance = 0.05
 
 // checkMix hard-fails a row whose realized run-phase class fractions drift
-// from the scenario's specification — the cheap in-process sanity on the
-// generators before the differential harness gets to them.
+// from the scenario's mix — the cheap in-process sanity on the generators
+// before the differential harness gets to them.
 func checkMix(name string, res ScenarioResult, records int) error {
 	runOps := res.Ops - int64(records)
 	if runOps <= 0 {
 		return nil
 	}
-	frac := func(n int64) float64 { return float64(n) / float64(runOps) }
-	var want map[workload.OpKind]float64
-	switch name {
-	case "ycsb-a":
-		want = map[workload.OpKind]float64{OpGet: 0.5, OpPut: 0.5}
-	case "ycsb-b":
-		want = map[workload.OpKind]float64{OpGet: 0.95, OpPut: 0.05}
-	case "ycsb-c":
-		want = map[workload.OpKind]float64{OpGet: 1.0}
-	case "ycsb-d":
-		want = map[workload.OpKind]float64{OpGet: 0.95, OpPut: 0.05}
-	case "ycsb-e":
-		want = map[workload.OpKind]float64{OpScan: 0.95, OpPut: 0.05}
-	case "ycsb-f":
-		want = map[workload.OpKind]float64{OpGet: 0.5, OpRMW: 0.5}
-	default:
-		return nil
+	got := map[workload.OpKind]int64{
+		OpGet:    res.Reads,
+		OpPut:    res.Updates - int64(records),
+		OpDelete: res.Deletes,
+		OpScan:   res.Scans,
+		OpRMW:    res.RMWs,
 	}
-	got := map[workload.OpKind]float64{
-		OpGet:  frac(res.Reads),
-		OpPut:  frac(res.Updates - int64(records)),
-		OpScan: frac(res.Scans),
-		OpRMW:  frac(res.RMWs),
-	}
-	for kind, w := range want {
-		if g := got[kind]; g < w-ycsbMixTolerance || g > w+ycsbMixTolerance {
+	for kind, w := range workload.MixShares(name) {
+		if g := float64(got[kind]) / float64(runOps); g < w-ycsbMixTolerance || g > w+ycsbMixTolerance {
 			return fmt.Errorf("bench: ycsb: %s realized %v fraction %.3f outside %.2f±%.2f",
 				name, kind, g, w, ycsbMixTolerance)
 		}
@@ -255,18 +206,22 @@ func RunYCSB(o Options) (*Table, []YCSBPoint, error) {
 		Columns: []string{"sim_kops", "read_p50_us", "read_p99_us", "update_p99_us", "scan_p99_us", "rmw_p99_us", "misses"},
 		Notes: []string{
 			fmt.Sprintf("records=%d, ops=%d per scenario, single shard, zipfian s=0.99", records, o.Scale),
-			"A diurnal arrivals + mid-run hotspot shift; B bursty; D jittered read-latest; E scans",
+			"A mid-run hotspot shift; D read-latest; E scans; each op issued when the previous completes",
 			"all values simulated and deterministic for a given -scale/-seed",
 		},
 	}
 	var points []YCSBPoint
-	for _, spec := range ycsbSpecs(o.Scale) {
-		s, err := workload.NewScenario(spec.kind, workload.ScenarioConfig{
+	for _, kind := range []string{"a", "b", "c", "d", "e", "f"} {
+		// A re-seats its zipfian head halfway through the run phase.
+		var shifts workload.HotShifts
+		if kind == "a" {
+			shifts = workload.HotShifts{{Op: o.Scale / 2, Rotate: 7919}}
+		}
+		s, err := workload.NewScenario(kind, workload.ScenarioConfig{
 			Records: records,
 			Ops:     o.Scale,
 			Seed:    o.Seed,
-			Arrival: spec.arrival,
-			Shifts:  spec.shifts,
+			Shifts:  shifts,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -12,10 +12,7 @@ import (
 // mixedScenario builds the all-kinds scenario the drive tests use.
 func mixedScenario(t *testing.T, seed uint64) workload.Scenario {
 	t.Helper()
-	s, err := workload.NewScenario("mixed", workload.ScenarioConfig{
-		Records: 150, Ops: 400, Seed: seed,
-		Arrival: workload.ArrivalConfig{Rate: 50000, Jitter: true},
-	})
+	s, err := workload.NewScenario("mixed", workload.ScenarioConfig{Records: 150, Ops: 400, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,6 @@ type pendingWrite struct {
 	want    int
 	mode    nvme.TransferMode
 	dmaPart int // bytes of the value that arrived by DMA (hybrid head)
-	start   sim.Time
 	reached sim.Time
 }
 
@@ -532,7 +531,7 @@ func (d *Device) execWrite(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 	pw.want = total
 	pw.mode = cmd.TransferMode()
 	pw.dmaPart = 0
-	pw.start, pw.reached = t, t
+	pw.reached = t
 	switch pw.mode {
 	case nvme.ModePRP:
 		value, end, err := d.dmaValue(t, cmd, total, pw.value)

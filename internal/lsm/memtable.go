@@ -19,7 +19,6 @@ type Entry struct {
 	Addr      vlog.Addr
 	Size      uint32
 	Tombstone bool
-	seq       uint64 // recency; larger wins during merges
 }
 
 const (
@@ -43,7 +42,6 @@ type MemTable struct {
 	height int
 	count  int
 	rng    *simRNG
-	seq    uint64
 }
 
 // simRNG is a tiny xorshift so the skiplist is deterministic per table.
@@ -78,7 +76,6 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("lsm: key length %d out of range [1,%d]", len(key), MaxKeySize)
 	}
-	m.seq++
 	var prev [maxHeight]*skipNode
 	n := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
@@ -91,7 +88,6 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 		c.entry.Addr = addr
 		c.entry.Size = size
 		c.entry.Tombstone = tombstone
-		c.entry.seq = m.seq
 		return nil
 	}
 	h := m.randomHeight()
@@ -101,7 +97,7 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 		}
 		m.height = h
 	}
-	node := &skipNode{entry: Entry{Addr: addr, Size: size, Tombstone: tombstone, seq: m.seq}}
+	node := &skipNode{entry: Entry{Addr: addr, Size: size, Tombstone: tombstone}}
 	kl := copy(node.key[:], key)
 	node.entry.Key = node.key[:kl:kl]
 	for lvl := 0; lvl < h; lvl++ {

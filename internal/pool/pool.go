@@ -28,9 +28,6 @@ const (
 // own pool (they are single-owner structures anyway).
 type Bytes struct {
 	free [numClasses][][]byte
-	// Hits/Misses count steady-state reuse vs. fresh allocations, so tests
-	// can assert the pool actually carries the hot path.
-	Hits, Misses int64
 }
 
 // classFor returns the smallest class whose buffers hold n bytes, or -1 when
@@ -55,17 +52,14 @@ func (p *Bytes) Get(n int) []byte {
 	}
 	c := classFor(n)
 	if c < 0 {
-		p.Misses++
 		return make([]byte, n)
 	}
 	if l := len(p.free[c]); l > 0 {
 		buf := p.free[c][l-1]
 		p.free[c][l-1] = nil
 		p.free[c] = p.free[c][:l-1]
-		p.Hits++
 		return buf[:n]
 	}
-	p.Misses++
 	return make([]byte, n, 1<<(minClassBits+c))
 }
 

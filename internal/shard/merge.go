@@ -16,9 +16,10 @@ import (
 type Cursor func(key, value []byte) ([]byte, []byte, error)
 
 // MergeIterator streams key-value pairs in key order by k-way merging N
-// cursors (N = 1 for a single device), the same idiom internal/lsm uses to
-// merge SSTable runs: each cursor contributes its key-ordered stream and a
-// min-heap surfaces the globally smallest key. Keys are unique across shards
+// cursors (N = 1 for a single device): each cursor contributes its
+// key-ordered stream and a min-heap surfaces the globally smallest key.
+// (internal/lsm merges its runs with a linear pick over the sources instead;
+// a tree has few.) Keys are unique across shards
 // (the partitioner assigns each key to exactly one shard), so no cross-shard
 // shadowing arises; ties — impossible under a consistent partition — break
 // by cursor index for determinism anyway.

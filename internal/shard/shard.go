@@ -60,7 +60,6 @@ type Options struct {
 type Stack struct {
 	Clock *sim.Clock
 	Link  *pcie.Link
-	Mem   *nvme.HostMemory
 	Dev   *device.Device
 	Drv   *driver.Driver
 
@@ -104,7 +103,7 @@ func NewStack(o Options) (*Stack, error) {
 		dev.SetTracer(tr)
 		drv.SetTracer(tr)
 	}
-	return &Stack{Clock: clock, Link: link, Mem: mem, Dev: dev, Drv: drv}, nil
+	return &Stack{Clock: clock, Link: link, Dev: dev, Drv: drv}, nil
 }
 
 // DefaultBatchOps is the record cap of the batcher behind PutBatch.

@@ -38,7 +38,7 @@ func newTestStack(t *testing.T) *Stack {
 
 func TestStackConstruction(t *testing.T) {
 	st := newTestStack(t)
-	if st.Clock == nil || st.Link == nil || st.Mem == nil || st.Dev == nil || st.Drv == nil {
+	if st.Clock == nil || st.Link == nil || st.Dev == nil || st.Drv == nil {
 		t.Fatal("NewStack left a component nil")
 	}
 	if st.Clock.Now() != 0 {

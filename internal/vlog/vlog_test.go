@@ -328,7 +328,7 @@ func TestBackfillFillStoresItsPayload(t *testing.T) {
 	}
 	var recs []rec
 	for op, ok := gen.Next(); ok; op, ok = gen.Next() {
-		val := fill.Fill(nil, op.ValueSize)
+		val := fill.Fill(nil, op.N)
 		place := v.AppendDMA
 		if len(val) <= 128 { // the driver's default piggyback threshold
 			place = v.AppendPiggybacked

@@ -11,12 +11,12 @@ import (
 // FormatTrace rendering round-trips to an identical trace and is a fixed
 // point.
 func FuzzTraceParse(f *testing.F) {
-	f.Add("bandslim-trace v1\nseed 42\nput 0us \"k\" 128\nget 20us \"k\"\n")
-	f.Add("bandslim-trace v1\nscan 1500ns \"y00000001\" 7\nrmw 2us \"y00000001\" 64\n")
-	f.Add("bandslim-trace v1\n# comment\ndel 0us \"a#b\"\n")
-	f.Add("bandslim-trace v1\nseed 0xdead\nput 1s `raw` 1\n")
-	f.Add("bandslim-trace v1\nget 0us \"\\x00\\xff\"\n")
-	f.Add("seed 1\nput 0us \"k\" 8\n")
+	f.Add("bandslim-trace v2\nseed 42\nput \"k\" 128\nget \"k\"\n")
+	f.Add("bandslim-trace v2\nscan \"y00000001\" 7\nrmw \"y00000001\" 64\n")
+	f.Add("bandslim-trace v2\n# comment\ndel \"a#b\"\n")
+	f.Add("bandslim-trace v2\nseed 0xdead\nput `raw` 1\n")
+	f.Add("bandslim-trace v2\nget \"\\x00\\xff\"\n")
+	f.Add("bandslim-trace v1\nput 0us \"k\" 8\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		tr, err := ParseTrace(strings.NewReader(text))
 		if err != nil {

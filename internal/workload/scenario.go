@@ -6,12 +6,14 @@ import (
 	"bandslim/internal/sim"
 )
 
-// The scenario subsystem generalizes the write-only paper workloads into
-// full request streams: reads, updates, inserts, scans, read-modify-writes,
-// and deletes, each stamped with an open-loop arrival instant. A Scenario is
-// a seeded, deterministic op-stream generator; the same configuration and
-// seed always produce the identical stream, so any run can be captured to a
-// trace (tracefmt.go) and replayed bit-identically.
+// A Scenario is the one op-stream type of this package: the paper's
+// write-only workloads (workload.go) and the YCSB-style request streams below
+// — reads, updates, inserts, scans, read-modify-writes and deletes — all
+// implement it. Every stream is seeded and deterministic; the same
+// configuration and seed always produce the identical stream, so any run can
+// be captured to a trace (tracefmt.go) and replayed bit-identically. Streams
+// are driven closed-loop, each op issued when the previous one completes, as
+// db_bench drives the paper's device.
 
 // OpKind classifies one scenario operation.
 type OpKind uint8
@@ -54,8 +56,6 @@ func ParseOpKind(s string) (OpKind, bool) {
 // ScenarioOp is one operation of a scenario stream.
 type ScenarioOp struct {
 	Kind OpKind
-	// At is the op's open-loop arrival instant (0 when unpaced).
-	At sim.Time
 	// Key is the primary key (scan start key for OpScan).
 	Key []byte
 	// N is the value size for OpPut/OpRMW and the entry count for OpScan;
@@ -63,8 +63,7 @@ type ScenarioOp struct {
 	N int
 }
 
-// Scenario produces a finite, deterministic operation stream: a load phase
-// that builds the initial keyspace followed by the run-phase mix.
+// Scenario produces a finite, deterministic operation stream.
 type Scenario interface {
 	// Next returns the next operation; ok is false when exhausted. The Key
 	// slice is owned by the caller.
@@ -90,10 +89,47 @@ type ScenarioConfig struct {
 	// ScanMax caps scan lengths, drawn uniformly from [1, ScanMax]
 	// (0 = 64).
 	ScanMax int
-	// Arrival paces the run phase (the load phase is always unpaced).
-	Arrival ArrivalConfig
-	// Shifts re-seat the zipfian head mid-run, keyed on arrival instants.
+	// Shifts re-seat the zipfian head mid-run, keyed on run-phase op index.
 	Shifts HotShifts
+}
+
+// HotShift re-seats the hot head of a skewed key-choice distribution at a
+// run-phase op: from the 0-based op index Op onward, every drawn key index is
+// rotated by Rotate positions through the initial keyspace. Offsets are
+// absolute, not cumulative — the shift in effect at op i is the last one with
+// Op <= i.
+type HotShift struct {
+	Op     int
+	Rotate int
+}
+
+// HotShifts is a schedule of hotspot shifts ordered by Op.
+type HotShifts []HotShift
+
+// Validate checks ordering and bounds.
+func (hs HotShifts) Validate() error {
+	for i, s := range hs {
+		if s.Rotate < 0 {
+			return fmt.Errorf("workload: shift %d: negative rotation %d", i, s.Rotate)
+		}
+		if i > 0 && hs[i-1].Op >= s.Op {
+			return fmt.Errorf("workload: shift %d: op %d not after previous %d", i, s.Op, hs[i-1].Op)
+		}
+	}
+	return nil
+}
+
+// Offset reports the rotation in effect at run-phase op i: the Rotate of the
+// last shift whose Op <= i, or 0 before the first shift.
+func (hs HotShifts) Offset(i int) int {
+	off := 0
+	for _, s := range hs {
+		if s.Op > i {
+			break
+		}
+		off = s.Rotate
+	}
+	return off
 }
 
 // withDefaults fills the zero-value knobs.
@@ -125,9 +161,6 @@ func (c ScenarioConfig) Validate() error {
 	}
 	if c.ScanMax < 1 {
 		return fmt.Errorf("workload: ScanMax must be >= 1, got %d", c.ScanMax)
-	}
-	if err := c.Arrival.Validate(); err != nil {
-		return err
 	}
 	return c.Shifts.Validate()
 }
@@ -174,6 +207,20 @@ var mixes = map[string][]opClass{
 	},
 }
 
+// MixShares reports the run-phase share of each op kind for a name in
+// ScenarioNames, or nil for any other name.
+func MixShares(name string) map[OpKind]float64 {
+	classes, ok := mixes[name]
+	if !ok {
+		return nil
+	}
+	shares := map[OpKind]float64{}
+	for _, c := range classes {
+		shares[c.kind] += c.share
+	}
+	return shares
+}
+
 // ScenarioNames lists the buildable scenario names in canonical order.
 func ScenarioNames() []string {
 	return []string{"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f", "mixed"}
@@ -188,7 +235,6 @@ type YCSB struct {
 	cum     []float64
 	rng     *sim.RNG
 	zipf    *Zipfian
-	arrival Arrival
 	count   int // current keyspace size (grows with inserts)
 	loaded  int // load-phase progress
 	done    int // run-phase progress
@@ -220,10 +266,9 @@ func NewScenario(name string, cfg ScenarioConfig) (*YCSB, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrival, err := NewArrival(cfg.Arrival, rng.Split().Uint64())
-	if err != nil {
-		return nil, err
-	}
+	// A discarded draw: it seeded the simulated arrival clock the scenarios
+	// no longer have, and taking it keeps every seed's stream unchanged.
+	rng.Uint64()
 	return &YCSB{
 		name:    canon,
 		cfg:     cfg,
@@ -231,7 +276,6 @@ func NewScenario(name string, cfg ScenarioConfig) (*YCSB, error) {
 		cum:     cum,
 		rng:     rng,
 		zipf:    zipf,
-		arrival: arrival,
 	}, nil
 }
 
@@ -243,9 +287,9 @@ func scenarioKey(n int) []byte {
 	return []byte(fmt.Sprintf("y%08d", n))
 }
 
-// chooseKey picks an existing key number for a skewed access arriving at
-// instant at.
-func (y *YCSB) chooseKey(c opClass, at sim.Time) int {
+// chooseKey picks an existing key number for a skewed access by run-phase
+// op i.
+func (y *YCSB) chooseKey(c opClass, i int) int {
 	rank := y.zipf.Next()
 	if c.latest {
 		// Recency rank: 0 is the most recently inserted key.
@@ -258,7 +302,7 @@ func (y *YCSB) chooseKey(c opClass, at sim.Time) int {
 	// contiguous key range. Collisions merely merge rank probabilities, as in
 	// YCSB's hashed key chooser.
 	n := int(sim.Mix64(uint64(rank)) % uint64(y.cfg.Records))
-	if rot := y.cfg.Shifts.Offset(at); rot != 0 {
+	if rot := y.cfg.Shifts.Offset(i); rot != 0 {
 		n = (n + rot) % y.cfg.Records
 	}
 	return n
@@ -280,8 +324,8 @@ func (y *YCSB) Next() (ScenarioOp, bool) {
 	if y.done >= y.cfg.Ops {
 		return ScenarioOp{}, false
 	}
+	idx := y.done
 	y.done++
-	at := y.arrival.Next()
 	x := y.rng.Float64()
 	class := y.classes[len(y.classes)-1]
 	for i, c := range y.cum {
@@ -290,20 +334,20 @@ func (y *YCSB) Next() (ScenarioOp, bool) {
 			break
 		}
 	}
-	op := ScenarioOp{Kind: class.kind, At: at}
+	op := ScenarioOp{Kind: class.kind}
 	switch {
 	case class.insert:
 		op.Key = scenarioKey(y.count)
 		op.N = y.valueSize()
 		y.count++
 	case class.kind == OpScan:
-		op.Key = scenarioKey(y.chooseKey(class, at))
+		op.Key = scenarioKey(y.chooseKey(class, idx))
 		op.N = 1 + y.rng.Intn(y.cfg.ScanMax)
 	case class.kind == OpPut || class.kind == OpRMW:
-		op.Key = scenarioKey(y.chooseKey(class, at))
+		op.Key = scenarioKey(y.chooseKey(class, idx))
 		op.N = y.valueSize()
 	default: // get, delete
-		op.Key = scenarioKey(y.chooseKey(class, at))
+		op.Key = scenarioKey(y.chooseKey(class, idx))
 	}
 	return op, true
 }

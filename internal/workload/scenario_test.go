@@ -45,7 +45,6 @@ func TestNewScenarioValidation(t *testing.T) {
 		{Records: 0, Ops: 10},
 		{Records: 10, Ops: -1},
 		{Records: 10, Ops: 10, ValueMin: 8, ValueMax: 4},
-		{Records: 10, Ops: 10, Arrival: ArrivalConfig{Rate: -5}},
 		{Records: 10, Ops: 10, Shifts: HotShifts{{Rotate: -1}}},
 	}
 	for i, cfg := range bad {
@@ -61,10 +60,7 @@ func TestNewScenarioValidation(t *testing.T) {
 }
 
 func TestScenarioDeterminism(t *testing.T) {
-	cfg := ScenarioConfig{
-		Records: 200, Ops: 1000, Seed: 42,
-		Arrival: ArrivalConfig{Rate: 50000, Jitter: true},
-	}
+	cfg := ScenarioConfig{Records: 200, Ops: 1000, Seed: 42}
 	for _, name := range ScenarioNames() {
 		a, err := NewScenario(name, cfg)
 		if err != nil {
@@ -98,8 +94,8 @@ func TestScenarioLoadPhaseAndShape(t *testing.T) {
 		inserts := 0
 		for i, op := range ops {
 			if i < cfg.Records {
-				if op.Kind != OpPut || keyNum(t, op.Key) != i || op.At != 0 {
-					t.Fatalf("%s: load op %d = %+v, want sequential unpaced put", name, i, op)
+				if op.Kind != OpPut || keyNum(t, op.Key) != i {
+					t.Fatalf("%s: load op %d = %+v, want sequential put", name, i, op)
 				}
 				continue
 			}
@@ -135,7 +131,7 @@ func TestScenarioLoadPhaseAndShape(t *testing.T) {
 func TestScenarioMixFractions(t *testing.T) {
 	const tol = 0.03
 	cfg := ScenarioConfig{Records: 500, Ops: 20000, Seed: 11}
-	for name, classes := range mixes {
+	for _, name := range ScenarioNames() {
 		s, err := NewScenario(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -145,10 +141,7 @@ func TestScenarioMixFractions(t *testing.T) {
 		for _, op := range ops {
 			got[op.Kind] += 1 / float64(len(ops))
 		}
-		want := map[OpKind]float64{}
-		for _, c := range classes {
-			want[c.kind] += c.share
-		}
+		want := MixShares(name)
 		for kind, w := range want {
 			if g := got[kind]; math.Abs(g-w) > tol {
 				t.Errorf("%s: realized %v fraction %.3f, want %.2f±%.2f", name, kind, g, w, tol)
@@ -243,22 +236,18 @@ func TestScenarioLatestRecency(t *testing.T) {
 	}
 }
 
-// TestScenarioHotspotShiftBoundary pins the shift semantics at the exact
-// instant: with a steady 20µs arrival spacing and a shift at 100µs, ops
-// stamped before 100µs use the original mapping and the op stamped exactly
-// 100µs is already rotated.
+// TestScenarioHotspotShiftBoundary pins the shift semantics at the exact op:
+// with a shift at run-phase op 5, ops 0..4 use the original mapping and op 5
+// is already rotated.
 func TestScenarioHotspotShiftBoundary(t *testing.T) {
 	const (
 		records = 100
 		rot     = 37
+		shiftAt = 5
 	)
-	shiftAt := sim.Time(100 * sim.Microsecond)
-	base := ScenarioConfig{
-		Records: records, Ops: 50, Seed: 21,
-		Arrival: ArrivalConfig{Rate: 50000}, // exact 20µs spacing
-	}
+	base := ScenarioConfig{Records: records, Ops: 50, Seed: 21}
 	shifted := base
-	shifted.Shifts = HotShifts{{At: shiftAt, Rotate: rot}}
+	shifted.Shifts = HotShifts{{Op: shiftAt, Rotate: rot}}
 	plain, err := NewScenario("c", base)
 	if err != nil {
 		t.Fatal(err)
@@ -269,22 +258,50 @@ func TestScenarioHotspotShiftBoundary(t *testing.T) {
 	}
 	opsP := drainScenario(t, plain)[records:]
 	opsM := drainScenario(t, moved)[records:]
-	crossed := false
 	for i := range opsP {
-		if opsP[i].At != opsM[i].At {
-			t.Fatalf("op %d: arrival stamps diverge (%v vs %v)", i, opsP[i].At, opsM[i].At)
-		}
 		want := keyNum(t, opsP[i].Key)
-		if opsP[i].At >= shiftAt {
-			crossed = true
+		if i >= shiftAt {
 			want = (want + rot) % records
 		}
 		if got := keyNum(t, opsM[i].Key); got != want {
-			t.Fatalf("op %d at %v: key %d, want %d (shift at %v)",
-				i, opsM[i].At, got, want, shiftAt)
+			t.Fatalf("op %d: key %d, want %d (shift at op %d)", i, got, want, shiftAt)
 		}
 	}
-	if !crossed {
-		t.Fatal("no op arrived at or after the shift instant; test misconfigured")
+}
+
+func TestHotShiftsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		hs   HotShifts
+		ok   bool
+	}{
+		{"empty", nil, true},
+		{"single", HotShifts{{Op: 1, Rotate: 5}}, true},
+		{"ascending", HotShifts{{Op: 1, Rotate: 5}, {Op: 2, Rotate: 0}}, true},
+		{"negative rotate", HotShifts{{Op: 1, Rotate: -1}}, false},
+		{"duplicate op", HotShifts{{Op: 1, Rotate: 1}, {Op: 1, Rotate: 2}}, false},
+		{"descending", HotShifts{{Op: 2, Rotate: 1}, {Op: 1, Rotate: 2}}, false},
+	}
+	for _, tc := range cases {
+		if err := tc.hs.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+func TestHotShiftsOffsetBoundaries(t *testing.T) {
+	hs := HotShifts{{Op: 10, Rotate: 7}, {Op: 20, Rotate: 3}}
+	cases := []struct{ op, want int }{
+		{0, 0},
+		{9, 0},         // one op before the shift: old mapping
+		{10, 7},        // exactly at the shift: new mapping already
+		{11, 7},        //
+		{20, 3},        // offsets are absolute, not cumulative
+		{1_000_000, 3}, // last shift holds forever
+	}
+	for _, tc := range cases {
+		if got := hs.Offset(tc.op); got != tc.want {
+			t.Errorf("Offset(%d) = %d, want %d", tc.op, got, tc.want)
+		}
 	}
 }

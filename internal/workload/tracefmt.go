@@ -5,39 +5,37 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"bandslim/internal/sim"
 )
 
 // Deterministic trace format — versioned, line-oriented, hand-writable:
 //
-//	bandslim-trace v1
+//	bandslim-trace v2
 //	# anything after '#' is a comment
 //	seed 42
-//	put 0us "y00000000" 128
-//	get 1250ns "y00000007"
-//	scan 2us "y00000010" 17
-//	rmw 3us "y00000003" 64
-//	del 4us "k"
+//	put "y00000000" 128
+//	get "y00000007"
+//	scan "y00000010" 17
+//	rmw "y00000003" 64
+//	del "k"
 //
 // The first directive must be the version line. An optional `seed N` line
 // (at most one) carries the value-content seed: value bytes for put/rmw ops
 // are regenerated from it in op order, so a replayed trace writes the exact
-// bytes of the recorded run. Each op line is `<verb> <at> <quoted-key> [n]`:
-// at is an integer simulated instant with an ns/us/ms/s suffix (arrival
-// instants never decrease), the key is a Go-quoted string, and n is the
-// value size (put/rmw) or entry count (scan). get/del take no n.
+// bytes of the recorded run. Each op line is `<verb> <quoted-key> [n]`: the
+// key is a Go-quoted string, and n is the value size (put/rmw) or entry count
+// (scan). get/del take no n. Ops replay in file order, each issued when the
+// previous one completes.
 //
 // Determinism contract: FormatTrace is canonical — parsing its output
 // reproduces the Trace exactly, and re-formatting is byte-identical. Any
-// generator run recorded through Trace.Append replays bit-identically:
-// same ops, same arrival stamps, same value bytes.
+// scenario run recorded through Trace.Append replays bit-identically: same
+// ops, same value bytes.
 
 // TraceVersion is the format version this package reads and writes.
-const TraceVersion = 1
+const TraceVersion = 2
 
 // traceHeader is the required first directive of a trace file.
-const traceHeader = "bandslim-trace v1"
+const traceHeader = "bandslim-trace v2"
 
 // Limits keeping hostile hand-written traces from ballooning a replay.
 const (
@@ -64,9 +62,8 @@ func (tr *Trace) Append(op ScenarioOp) {
 }
 
 // Validate checks the trace's structural invariants: known op kinds,
-// non-empty bounded keys, sane sizes, and non-decreasing arrival stamps.
+// non-empty bounded keys, and sane sizes.
 func (tr *Trace) Validate() error {
-	prev := sim.Time(0)
 	for i, op := range tr.Ops {
 		if int(op.Kind) >= int(opKinds) {
 			return fmt.Errorf("workload: trace op %d: unknown kind %d", i, op.Kind)
@@ -75,11 +72,6 @@ func (tr *Trace) Validate() error {
 			return fmt.Errorf("workload: trace op %d: key length %d outside [1, %d]",
 				i, len(op.Key), maxTraceKeyLen)
 		}
-		if op.At < prev {
-			return fmt.Errorf("workload: trace op %d: arrival %v before previous %v",
-				i, op.At, prev)
-		}
-		prev = op.At
 		switch op.Kind {
 		case OpPut, OpRMW:
 			if op.N < 1 || op.N > maxTraceValue {
@@ -99,56 +91,6 @@ func (tr *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// atUnits render arrival instants in the coarsest exact unit; longest
-// suffixes first so "ms" is never read as a malformed "s".
-var atUnits = []struct {
-	suffix string
-	dur    sim.Duration
-}{
-	{"ns", sim.Nanosecond},
-	{"us", sim.Microsecond},
-	{"ms", sim.Millisecond},
-	{"s", sim.Second},
-}
-
-// parseAt parses an integer simulated instant like "10us" or "1500ns".
-// Unlike the fault-plan parser this one is integer-only, so formatting and
-// re-parsing is exact for every representable instant.
-func parseAt(s string) (sim.Time, error) {
-	for _, u := range atUnits {
-		num, ok := strings.CutSuffix(s, u.suffix)
-		if !ok || num == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(num, 10, 64)
-		if err != nil {
-			continue // "5m"+"s" would strip the wrong suffix; keep looking
-		}
-		if v < 0 {
-			return 0, fmt.Errorf("negative time %q", s)
-		}
-		if v > int64(1)<<62/int64(u.dur) {
-			return 0, fmt.Errorf("time %q too large", s)
-		}
-		return sim.Time(v * int64(u.dur)), nil
-	}
-	return 0, fmt.Errorf("bad time %q (want an integer with ns/us/ms/s suffix)", s)
-}
-
-// formatAt renders t in the coarsest unit that divides it exactly.
-func formatAt(t sim.Time) string {
-	if t == 0 {
-		return "0us"
-	}
-	for i := len(atUnits) - 1; i >= 0; i-- {
-		u := atUnits[i]
-		if t%sim.Time(u.dur) == 0 {
-			return fmt.Sprintf("%d%s", int64(t)/int64(u.dur), u.suffix)
-		}
-	}
-	return fmt.Sprintf("%dns", int64(t))
 }
 
 // splitTraceFields tokenizes one op line: whitespace-separated fields, with
@@ -237,7 +179,7 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// parseTraceOp decodes one `<verb> <at> <quoted-key> [n]` line.
+// parseTraceOp decodes one `<verb> <quoted-key> [n]` line.
 func parseTraceOp(fields []string) (ScenarioOp, error) {
 	var op ScenarioOp
 	kind, ok := ParseOpKind(fields[0])
@@ -246,23 +188,18 @@ func parseTraceOp(fields []string) (ScenarioOp, error) {
 	}
 	op.Kind = kind
 	wantN := kind == OpPut || kind == OpRMW || kind == OpScan
-	if want := 3 + b2i(wantN); len(fields) != want {
+	if want := 2 + b2i(wantN); len(fields) != want {
 		return op, fmt.Errorf("%s takes %d fields, got %d", fields[0], want, len(fields))
 	}
-	at, err := parseAt(fields[1])
+	key, err := strconv.Unquote(fields[1])
 	if err != nil {
-		return op, err
-	}
-	op.At = at
-	key, err := strconv.Unquote(fields[2])
-	if err != nil {
-		return op, fmt.Errorf("key must be a quoted string, got %s", fields[2])
+		return op, fmt.Errorf("key must be a quoted string, got %s", fields[1])
 	}
 	op.Key = []byte(key)
 	if wantN {
-		n, err := strconv.Atoi(fields[3])
+		n, err := strconv.Atoi(fields[2])
 		if err != nil {
-			return op, fmt.Errorf("bad count %q", fields[3])
+			return op, fmt.Errorf("bad count %q", fields[2])
 		}
 		op.N = n
 	}
@@ -285,8 +222,6 @@ func FormatTrace(tr *Trace) string {
 	fmt.Fprintf(&b, "seed %d\n", tr.Seed)
 	for _, op := range tr.Ops {
 		b.WriteString(op.Kind.String())
-		b.WriteByte(' ')
-		b.WriteString(formatAt(op.At))
 		b.WriteByte(' ')
 		b.WriteString(strconv.Quote(string(op.Key)))
 		if op.Kind == OpPut || op.Kind == OpRMW || op.Kind == OpScan {

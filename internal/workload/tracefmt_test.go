@@ -4,71 +4,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"bandslim/internal/sim"
 )
 
-func TestParseAtFormatAtRoundTrip(t *testing.T) {
-	cases := []struct {
-		in   string
-		want sim.Time
-	}{
-		{"0us", 0},
-		{"0ns", 0},
-		{"1ns", sim.Time(sim.Nanosecond)},
-		{"20us", sim.Time(20 * sim.Microsecond)},
-		{"1500ns", sim.Time(1500 * sim.Nanosecond)},
-		{"3ms", sim.Time(3 * sim.Millisecond)},
-		{"2s", sim.Time(2 * sim.Second)},
-	}
-	for _, tc := range cases {
-		got, err := parseAt(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("parseAt(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-			continue
-		}
-		// formatAt is canonical: re-parsing its output is exact.
-		back, err := parseAt(formatAt(got))
-		if err != nil || back != got {
-			t.Errorf("formatAt(%v) = %q does not re-parse exactly", got, formatAt(got))
-		}
-	}
-	for _, bad := range []string{"", "5", "ns", "-1us", "1.5us", "5m", "1e3us",
-		"99999999999999999999ns", "9223372036854775807s"} {
-		if _, err := parseAt(bad); err == nil {
-			t.Errorf("parseAt(%q) accepted", bad)
-		}
-	}
-}
-
-func TestFormatAtCoarsestUnit(t *testing.T) {
-	cases := []struct {
-		t    sim.Time
-		want string
-	}{
-		{0, "0us"},
-		{sim.Time(sim.Nanosecond), "1ns"},
-		{sim.Time(sim.Microsecond), "1us"},
-		{sim.Time(sim.Millisecond), "1ms"},
-		{sim.Time(sim.Second), "1s"},
-		{sim.Time(1500 * sim.Microsecond), "1500us"},
-	}
-	for _, tc := range cases {
-		if got := formatAt(tc.t); got != tc.want {
-			t.Errorf("formatAt(%v) = %q, want %q", tc.t, got, tc.want)
-		}
-	}
-}
-
-const sampleTrace = `bandslim-trace v1
+const sampleTrace = `bandslim-trace v2
 # comment line
 seed 99
 
-put 0us "k1" 128   # trailing comment
-get 20us "k1"
-scan 40us "k#weird" 7
-rmw 60us "\x00bin" 64
-del 80us "k1"
+put "k1" 128   # trailing comment
+get "k1"
+scan "k#weird" 7
+rmw "\x00bin" 64
+del "k1"
 `
 
 func TestParseTraceSample(t *testing.T) {
@@ -80,11 +26,11 @@ func TestParseTraceSample(t *testing.T) {
 		t.Fatalf("got seed %d, %d ops", tr.Seed, len(tr.Ops))
 	}
 	want := []ScenarioOp{
-		{Kind: OpPut, At: 0, Key: []byte("k1"), N: 128},
-		{Kind: OpGet, At: sim.Time(20 * sim.Microsecond), Key: []byte("k1")},
-		{Kind: OpScan, At: sim.Time(40 * sim.Microsecond), Key: []byte("k#weird"), N: 7},
-		{Kind: OpRMW, At: sim.Time(60 * sim.Microsecond), Key: []byte("\x00bin"), N: 64},
-		{Kind: OpDelete, At: sim.Time(80 * sim.Microsecond), Key: []byte("k1")},
+		{Kind: OpPut, Key: []byte("k1"), N: 128},
+		{Kind: OpGet, Key: []byte("k1")},
+		{Kind: OpScan, Key: []byte("k#weird"), N: 7},
+		{Kind: OpRMW, Key: []byte("\x00bin"), N: 64},
+		{Kind: OpDelete, Key: []byte("k1")},
 	}
 	if !reflect.DeepEqual(tr.Ops, want) {
 		t.Fatalf("ops mismatch:\n got %+v\nwant %+v", tr.Ops, want)
@@ -94,32 +40,40 @@ func TestParseTraceSample(t *testing.T) {
 func TestParseTraceErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":             "",
-		"missing header":    "seed 1\nput 0us \"k\" 8\n",
-		"ops before header": "put 0us \"k\" 8\nbandslim-trace v1\n",
-		"wrong version":     "bandslim-trace v2\n",
-		"duplicate seed":    "bandslim-trace v1\nseed 1\nseed 2\n",
-		"bad seed":          "bandslim-trace v1\nseed banana\n",
-		"seed arity":        "bandslim-trace v1\nseed 1 2\n",
-		"unknown verb":      "bandslim-trace v1\nfrob 0us \"k\"\n",
-		"unquoted key":      "bandslim-trace v1\nget 0us k\n",
-		"bad quote":         "bandslim-trace v1\nget 0us \"k\n",
-		"missing count":     "bandslim-trace v1\nput 0us \"k\"\n",
-		"extra count":       "bandslim-trace v1\nget 0us \"k\" 5\n",
-		"bad count":         "bandslim-trace v1\nput 0us \"k\" x\n",
-		"zero value":        "bandslim-trace v1\nput 0us \"k\" 0\n",
-		"huge value":        "bandslim-trace v1\nput 0us \"k\" 999999999\n",
-		"huge scan":         "bandslim-trace v1\nscan 0us \"k\" 99999999\n",
-		"empty key":         "bandslim-trace v1\nget 0us \"\"\n",
-		"bad time":          "bandslim-trace v1\nget zebra \"k\"\n",
-		"time regression":   "bandslim-trace v1\nget 5us \"k\"\nget 1us \"k\"\n",
-		"negative scan":     "bandslim-trace v1\nscan 0us \"k\" -3\n",
-		"long key": "bandslim-trace v1\nget 0us \"" +
+		"missing header":    "seed 1\nput \"k\" 8\n",
+		"ops before header": "put \"k\" 8\nbandslim-trace v2\n",
+		"wrong version":     "bandslim-trace v3\n",
+		"duplicate seed":    "bandslim-trace v2\nseed 1\nseed 2\n",
+		"bad seed":          "bandslim-trace v2\nseed banana\n",
+		"seed arity":        "bandslim-trace v2\nseed 1 2\n",
+		"unknown verb":      "bandslim-trace v2\nfrob \"k\"\n",
+		"unquoted key":      "bandslim-trace v2\nget k\n",
+		"bad quote":         "bandslim-trace v2\nget \"k\n",
+		"missing count":     "bandslim-trace v2\nput \"k\"\n",
+		"extra count":       "bandslim-trace v2\nget \"k\" 5\n",
+		"bad count":         "bandslim-trace v2\nput \"k\" x\n",
+		"zero value":        "bandslim-trace v2\nput \"k\" 0\n",
+		"huge value":        "bandslim-trace v2\nput \"k\" 999999999\n",
+		"huge scan":         "bandslim-trace v2\nscan \"k\" 99999999\n",
+		"empty key":         "bandslim-trace v2\nget \"\"\n",
+		"v1 time field":     "bandslim-trace v2\nget 5us \"k\"\n",
+		"negative scan":     "bandslim-trace v2\nscan \"k\" -3\n",
+		"long key": "bandslim-trace v2\nget \"" +
 			strings.Repeat("a", maxTraceKeyLen+1) + "\"\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseTrace(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted:\n%s", name, src)
 		}
+	}
+}
+
+// A v1 trace carries arrival stamps this format no longer has; it is refused
+// by its header, and the error names the header the parser wants.
+func TestParseTraceRejectsV1(t *testing.T) {
+	_, err := ParseTrace(strings.NewReader("bandslim-trace v1\nget 0us \"k\"\n"))
+	if err == nil || !strings.Contains(err.Error(), `"bandslim-trace v2"`) {
+		t.Fatalf("v1 trace: err = %v, want one naming the v2 header", err)
 	}
 }
 
@@ -143,10 +97,7 @@ func TestFormatTraceCanonical(t *testing.T) {
 
 func TestTraceRecordedRoundTrip(t *testing.T) {
 	// A recorded generator stream must survive the text format exactly.
-	s, err := NewScenario("mixed", ScenarioConfig{
-		Records: 50, Ops: 300, Seed: 17,
-		Arrival: ArrivalConfig{Rate: 50000, Jitter: true},
-	})
+	s, err := NewScenario("mixed", ScenarioConfig{Records: 50, Ops: 300, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +124,7 @@ func TestTraceRecordedRoundTrip(t *testing.T) {
 func TestReplayScenario(t *testing.T) {
 	tr := &Trace{Seed: 3}
 	tr.Append(ScenarioOp{Kind: OpPut, Key: []byte("a"), N: 8})
-	tr.Append(ScenarioOp{Kind: OpGet, At: sim.Time(sim.Microsecond), Key: []byte("a")})
+	tr.Append(ScenarioOp{Kind: OpGet, Key: []byte("a")})
 	r := NewReplay(tr)
 	if r.Name() != "replay" {
 		t.Fatalf("fresh replay: name %q", r.Name())

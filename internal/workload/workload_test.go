@@ -8,17 +8,6 @@ import (
 	"bandslim/internal/sim"
 )
 
-func drain(g Generator) []Op {
-	var out []Op
-	for {
-		op, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, op)
-	}
-}
-
 func TestFeistelIsPermutation(t *testing.T) {
 	f := sim.NewFeistel(42)
 	seen := make(map[uint32]bool, 1<<16)
@@ -68,20 +57,17 @@ func TestRandomKeysUniqueAndSeeded(t *testing.T) {
 
 func TestFillSeq(t *testing.T) {
 	w := NewFillSeq(10, 512)
-	ops := drain(w)
+	ops := drainScenario(t, w)
 	if len(ops) != 10 {
 		t.Fatalf("drained %d ops", len(ops))
 	}
 	for i, op := range ops {
-		if op.ValueSize != 512 {
-			t.Fatalf("op %d size %d", i, op.ValueSize)
+		if op.Kind != OpPut || op.N != 512 {
+			t.Fatalf("op %d = %+v, want a 512 B put", i, op)
 		}
 		if binary.BigEndian.Uint32(op.Key) != uint32(i) {
 			t.Fatalf("op %d key %x", i, op.Key)
 		}
-	}
-	if _, ok := w.Next(); ok {
-		t.Fatal("exhausted generator kept producing")
 	}
 	if w.Name() == "" {
 		t.Fatal("empty name")
@@ -92,13 +78,13 @@ func TestWorkloadBRatio(t *testing.T) {
 	const n = 100000
 	w := NewWorkloadB(n, 1)
 	small := 0
-	for _, op := range drain(w) {
-		switch op.ValueSize {
+	for _, op := range drainScenario(t, w) {
+		switch op.N {
 		case 8:
 			small++
 		case 2048:
 		default:
-			t.Fatalf("unexpected size %d", op.ValueSize)
+			t.Fatalf("unexpected size %d", op.N)
 		}
 	}
 	frac := float64(small) / n
@@ -111,8 +97,8 @@ func TestWorkloadCRatio(t *testing.T) {
 	const n = 100000
 	w := NewWorkloadC(n, 1)
 	big := 0
-	for _, op := range drain(w) {
-		if op.ValueSize == 2048 {
+	for _, op := range drainScenario(t, w) {
+		if op.N == 2048 {
 			big++
 		}
 	}
@@ -126,8 +112,8 @@ func TestWorkloadDUniform(t *testing.T) {
 	const n = 90000
 	w := NewWorkloadD(n, 1)
 	counts := map[int]int{}
-	for _, op := range drain(w) {
-		counts[op.ValueSize]++
+	for _, op := range drainScenario(t, w) {
+		counts[op.N]++
 	}
 	if len(counts) != 9 {
 		t.Fatalf("%d distinct sizes, want 9", len(counts))
@@ -144,15 +130,15 @@ func TestWorkloadMShape(t *testing.T) {
 	const n = 100000
 	w := NewWorkloadM(n, 1)
 	under35, max := 0, 0
-	for _, op := range drain(w) {
-		if op.ValueSize < 35 {
+	for _, op := range drainScenario(t, w) {
+		if op.N < 35 {
 			under35++
 		}
-		if op.ValueSize > max {
-			max = op.ValueSize
+		if op.N > max {
+			max = op.N
 		}
-		if op.ValueSize < 1 {
-			t.Fatalf("non-positive size %d", op.ValueSize)
+		if op.N < 1 {
+			t.Fatalf("non-positive size %d", op.N)
 		}
 	}
 	frac := float64(under35) / n
@@ -192,11 +178,11 @@ func TestValueFillerDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// Property: every generator yields exactly n ops with unique keys.
+// Property: every write-only stream yields exactly n puts with unique keys.
 func TestGeneratorsExactCountUniqueKeysProperty(t *testing.T) {
 	f := func(seed uint64, nn uint8) bool {
 		n := int(nn)%500 + 1
-		gens := []Generator{
+		gens := []Scenario{
 			NewFillSeq(n, 64),
 			NewWorkloadB(n, seed),
 			NewWorkloadC(n, seed),
@@ -204,13 +190,13 @@ func TestGeneratorsExactCountUniqueKeysProperty(t *testing.T) {
 			NewWorkloadM(n, seed),
 		}
 		for _, g := range gens {
-			ops := drain(g)
+			ops := drainScenario(t, g)
 			if len(ops) != n {
 				return false
 			}
 			seen := make(map[string]bool, n)
 			for _, op := range ops {
-				if len(op.Key) != 4 || seen[string(op.Key)] || op.ValueSize <= 0 {
+				if op.Kind != OpPut || len(op.Key) != 4 || seen[string(op.Key)] || op.N <= 0 {
 					return false
 				}
 				seen[string(op.Key)] = true

@@ -20,20 +20,18 @@ import (
 	"testing"
 
 	"bandslim"
-	"bandslim/internal/sim"
 	"bandslim/internal/workload"
 )
 
 // scenarioModelConfig shapes the small scenarios the differential mode runs:
-// a 12-key load keeps the keyspace verifiable, the arrival rate gives ops
-// µs-scale stamps, and the mid-run shift exercises time-keyed key choice.
+// a 12-key load keeps the keyspace verifiable, and the mid-run shift
+// exercises op-keyed key choice.
 func scenarioModelConfig(seed uint64) workload.ScenarioConfig {
 	return workload.ScenarioConfig{
 		Records: 12,
 		Ops:     48,
 		Seed:    seed,
-		Arrival: workload.ArrivalConfig{Rate: 1_000_000, Jitter: seed%2 == 0},
-		Shifts:  workload.HotShifts{{At: sim.Time(10 * sim.Microsecond), Rotate: 5}},
+		Shifts:  workload.HotShifts{{Op: 10, Rotate: 5}},
 	}
 }
 

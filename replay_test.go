@@ -68,10 +68,7 @@ func TestReplayEquivalence(t *testing.T) {
 			const seed = 1234
 			s, err := workload.NewScenario("mixed", workload.ScenarioConfig{
 				Records: 300, Ops: 900, Seed: seed,
-				Arrival: workload.ArrivalConfig{
-					Rate: 50000, DiurnalAmp: 0.5, DiurnalPeriod: 8 * sim.Millisecond,
-				},
-				Shifts: workload.HotShifts{{At: sim.Time(10 * sim.Millisecond), Rotate: 97}},
+				Shifts: workload.HotShifts{{Op: 450, Rotate: 97}},
 			})
 			if err != nil {
 				t.Fatal(err)

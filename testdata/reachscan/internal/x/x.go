@@ -5,14 +5,20 @@ import "fixture/internal/metrics"
 type Stats struct {
 	LiveRead  metrics.Counter // incremented and read
 	DeadWrite metrics.Counter // only incremented
+	liveField int             // written and read
+	deadField int             // only written
 }
 
-var stats Stats
+var stats = Stats{deadField: 1}
 
 // LiveCalled is called from package fixture.
 func LiveCalled() int64 {
 	stats.LiveRead.Inc()
 	stats.DeadWrite.Inc()
+	stats.liveField = 2
+	stats.deadField = stats.liveField
+	stats.deadField *= 2
+	stats.deadField++
 	liveTable[0]()
 	return stats.LiveRead.Load()
 }
