@@ -16,8 +16,9 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fails, naming the files, when gofmt would change any file.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # One-iteration pass over every benchmark in every package: catches bit-rot
 # in bench code without paying for a measurement run.
@@ -123,4 +124,4 @@ compaction:
 benchmark-check:
 	cd benchmark && $(GO) test ./...
 
-ci: build vet test race bench-smoke server-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke
+ci: fmt build vet test race bench-smoke server-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke

@@ -28,7 +28,6 @@ import (
 	"bandslim/internal/cache"
 	"bandslim/internal/device"
 	"bandslim/internal/driver"
-	"bandslim/internal/metrics"
 	"bandslim/internal/nand"
 	"bandslim/internal/pagebuf"
 	"bandslim/internal/shard"
@@ -100,14 +99,9 @@ type SubmissionConfig = driver.SubmissionConfig
 // PUTs submit as one doorbell burst; reads keep the synchronous passthrough.
 func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission() }
 
-// ConfigError reports a submission-policy field that failed validation;
-// Open, OpenSharded, and Tune return it wrapped — match with errors.As.
+// ConfigError reports a submission or retry setting that failed validation;
+// Open and OpenSharded return it wrapped — match with errors.As.
 type ConfigError = driver.ConfigError
-
-// Tuning is a snapshot update for a live DB's runtime knobs, with per-field
-// presence semantics: nil fields keep their current value, set fields apply
-// together after validation. See DB.Tune.
-type Tuning = driver.Tuning
 
 // CacheConfig sizes the tiered read path: the simulated device-DRAM read
 // cache (a value tier for vLog entries and a page tier for SSTable pages,
@@ -138,21 +132,16 @@ func ParseCachePolicy(s string) (CachePolicy, error) { return cache.ParseKind(s)
 func ServingCacheConfig() CacheConfig { return cache.ServingProfile() }
 
 // SimTime is a point on the simulated clock (nanoseconds since open); DB.Now
-// and MetricSample.T use it.
+// reports it.
 type SimTime = sim.Time
 
 // SimDuration is a span of simulated time in nanoseconds — the unit of
 // Config.MetricsInterval and the latency fields of Stats.
 type SimDuration = sim.Duration
 
-// Simulated-time units for building SimDuration values without reaching
-// into internal packages, e.g. cfg.MetricsInterval = 100 * bandslim.SimMicrosecond.
-const (
-	SimNanosecond  = sim.Nanosecond
-	SimMicrosecond = sim.Microsecond
-	SimMillisecond = sim.Millisecond
-	SimSecond      = sim.Second
-)
+// SimMicrosecond builds SimDuration values without reaching into internal
+// packages, e.g. cfg.MetricsInterval = 100 * bandslim.SimMicrosecond.
+const SimMicrosecond = sim.Microsecond
 
 // Config assembles a DB.
 type Config struct {
@@ -199,8 +188,9 @@ type Config struct {
 	// outputs are byte-identical to a build without the subsystem.
 	Faults *FaultPlan
 	// Retry tunes the driver's response to transient (retryable) completions.
-	// The zero value means DefaultRetryPolicy; a negative MaxRetries disables
-	// retries entirely.
+	// The zero value is the default: four retries with an exponential backoff
+	// starting at 10 µs. A negative MaxRetries disables retries entirely; a
+	// negative Backoff fails Open with a wrapped ConfigError.
 	Retry RetryPolicy
 	// Cache arms the tiered read path: device-DRAM value/page caches plus
 	// the host-side negative cache. The zero value (the default) disables
@@ -243,9 +233,8 @@ func DefaultConfig() Config {
 // With one shard every aggregate is that shard's own reading.
 //
 // After Close, operations fail with ErrClosed while the read-only surface —
-// Now, Stats, ShardStats, Series, WritePrometheus, Blame, Inspect,
-// VLogFreeBytes, Submission, and the trace accessors — stays a snapshot of
-// the final state.
+// Now, Stats, ShardStats, Series, WritePrometheus, Blame, VLogFreeBytes,
+// Submission, and the trace accessors — stays a snapshot of the final state.
 type DB struct {
 	shards []*dbShard
 	part   *shard.Partitioner
@@ -299,9 +288,6 @@ func Open(cfg Config) (*DB, error) { return OpenSharded(ShardedConfig{Shards: 1,
 var (
 	// ErrClosed is returned by operations on a closed DB.
 	ErrClosed = errors.New("bandslim: DB is closed")
-	// ErrIterDone reports an exhausted device-side iterator, surfaced by
-	// the raw SEEK/NEXT path; Iterator translates it into Valid() == false.
-	ErrIterDone = driver.ErrIterDone
 	// ErrIteratorInvalidated stops an Iterator whose snapshot the device could
 	// no longer honor: writes issued since it was opened triggered a
 	// compaction that freed SSTable pages it had yet to read. Pairs already
@@ -480,96 +466,6 @@ func (db *DB) Now() SimTime {
 	var now SimTime
 	db.peek(func(_ int, sh *dbShard) { now = max(now, sh.st.Clock.Now()) })
 	return now
-}
-
-// Tune applies the present (non-nil) fields of a Tuning to every shard in one
-// step — transfer method, thresholds, retry policy, and submission policy.
-// Each shard's driver validates Submission before applying any field and
-// every shard sees the same Tuning, so an invalid policy fails with a
-// ConfigError without leaving the shards half-tuned. It fails with ErrClosed
-// after Close.
-func (db *DB) Tune(t Tuning) error {
-	return db.each(func(st *shard.Stack) error { return st.Tune(t) })
-}
-
-// OpLatency is one named latency distribution inside an Inspection — a
-// per-opcode command round trip or a per-transfer-method PUT response.
-type OpLatency struct {
-	Name string
-	LatencySummary
-}
-
-// Inspection is a read-only snapshot of one shard's internal state. Every
-// field is a copy; holding one never races with ongoing operations.
-type Inspection struct {
-	// Host-side configuration in effect.
-	Method     TransferMethod
-	Thresholds Thresholds
-	Submission SubmissionConfig
-	// Device-side packing policy in effect.
-	Policy PackingPolicy
-	// Now is the simulated time of the snapshot.
-	Now sim.Time
-	// WireUtilization is the fraction of simulated time the PCIe wire was
-	// busy.
-	WireUtilization float64
-	// Page-buffer state: write pointer, placement frontier (vLog byte
-	// offsets), and open buffer entries.
-	BufferWP       int64
-	BufferFrontier int64
-	OpenPages      int
-	// VLogFreeBytes is the value-log space left before compaction.
-	VLogFreeBytes int64
-	// MaxWear is the highest per-block erase count in the flash array.
-	MaxWear int
-	// OpLatency breaks command round-trip time down by NVMe opcode;
-	// MethodLatency breaks PUT response time down by transfer mode chosen.
-	// Both are in first-observation order.
-	OpLatency     []OpLatency
-	MethodLatency []OpLatency
-	// Trace reports the health of the shard's ring recorder (zero when its
-	// tracer is absent or not a *Recorder). Nonzero Dropped means latency
-	// attribution over the buffer sees a truncated stream.
-	Trace TraceStats
-}
-
-// summarizeSet digests a HistogramSet into the public OpLatency slice.
-func summarizeSet(set *metrics.HistogramSet) []OpLatency {
-	names := set.Names()
-	out := make([]OpLatency, 0, len(names))
-	for _, name := range names {
-		out = append(out, OpLatency{Name: name, LatencySummary: latencySummary(set.Get(name))})
-	}
-	return out
-}
-
-// Inspect snapshots shard 0's internal state, the shard Submission also
-// describes (every shard is built from one Config and Tune keeps them on the
-// same host settings). It remains usable after Close (the snapshot reflects
-// the final state).
-func (db *DB) Inspect() Inspection {
-	sh := db.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.st
-	buf := st.Dev.Buffer()
-	now := st.Clock.Now()
-	return Inspection{
-		Method:          st.Drv.Method(),
-		Thresholds:      st.Drv.Thresholds(),
-		Submission:      st.Drv.Submission(),
-		Policy:          buf.Policy(),
-		Now:             now,
-		WireUtilization: st.Link.WireUtilization(now),
-		BufferWP:        buf.WP(),
-		BufferFrontier:  buf.Frontier(),
-		OpenPages:       buf.OpenPages(),
-		VLogFreeBytes:   st.Dev.VLog().FreeBytes(),
-		MaxWear:         st.Dev.Flash().MaxWear(),
-		OpLatency:       summarizeSet(st.Drv.Stats().PerOp),
-		MethodLatency:   summarizeSet(st.Drv.Stats().PerMethod),
-		Trace:           sh.rings.health(),
-	}
 }
 
 // CompactVLog garbage-collects the oldest `pages` value-log pages of every

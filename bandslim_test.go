@@ -413,38 +413,6 @@ func TestCalibrateThresholds(t *testing.T) {
 	}
 }
 
-func TestInspectSnapshot(t *testing.T) {
-	db := openSmall(t, nil)
-	defer db.Close()
-	if got := db.Inspect(); got.Now != 0 {
-		t.Fatalf("fresh DB clock at %v", got.Now)
-	}
-	if err := db.Put([]byte("k"), make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	insp := db.Inspect()
-	if insp.Now <= 0 {
-		t.Fatal("clock did not advance")
-	}
-	if insp.VLogFreeBytes <= 0 {
-		t.Fatal("no vLog space reported")
-	}
-	if len(insp.OpLatency) == 0 || insp.OpLatency[0].Count == 0 {
-		t.Fatalf("per-opcode latency missing: %+v", insp.OpLatency)
-	}
-	if len(insp.MethodLatency) == 0 {
-		t.Fatal("per-method latency missing")
-	}
-	if want := smallConfig().Policy; insp.Policy != want {
-		t.Fatalf("Policy = %v, want %v", insp.Policy, want)
-	}
-	// The snapshot is a copy: mutating it must not touch the DB.
-	insp.BufferWP = -1
-	if db.Inspect().BufferWP == -1 {
-		t.Fatal("Inspect returned live state")
-	}
-}
-
 func TestCompactVLogAPI(t *testing.T) {
 	db := openSmall(t, nil)
 	defer db.Close()
@@ -658,6 +626,29 @@ func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {
 				t.Fatal("Open accepted the config")
 			}
 		})
+	}
+}
+
+// A negative retry backoff fails Open with a ConfigError. It used to be
+// accepted, and the first retried transient then wound the clock backwards
+// and panicked.
+func TestOpenRejectsNegativeRetryBackoff(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Retry = RetryPolicy{MaxRetries: 2, Backoff: -1}
+	plan, err := ParseFaultPlan("dma.in every=1 transient")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = plan
+	db, err := Open(cfg)
+	if err == nil {
+		defer db.Close()
+		// A DMA-sized value meets the transient on its first transfer.
+		err = db.Put([]byte("k"), make([]byte, 8192))
+	}
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Retry.Backoff" {
+		t.Fatalf("Open with Retry.Backoff -1 = %v, want a wrapped ConfigError on Retry.Backoff", err)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bandslim/internal/spans"
 )
 
 // blameWorkload drives a mixed workload through a sharded DB: puts across the
@@ -79,7 +81,7 @@ func TestBlameResidualZeroAcrossDepths(t *testing.T) {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			s := openBlameSharded(t, depth)
 			blameWorkload(t, s)
-			if d := s.TraceDropped(); d != 0 {
+			if d := s.Stats().Trace.Dropped; d != 0 {
 				t.Fatalf("ring dropped %d events; grow TraceCapacity", d)
 			}
 			rep := s.Blame()
@@ -104,7 +106,7 @@ func TestBlameResidualZeroAcrossDepths(t *testing.T) {
 				for st, d := range op.Stages {
 					if d < 0 {
 						t.Fatalf("op %s shard=%d seq=%d: stage %v negative: %v",
-							op.Name, op.Shard, op.Seq, BlameStage(st), d)
+							op.Name, op.Shard, op.Seq, spans.Stage(st), d)
 					}
 				}
 				if op.E2E() < 0 {
@@ -229,7 +231,7 @@ func TestBlameLossyRingDegradesGracefully(t *testing.T) {
 		}
 		for st, d := range op.Stages {
 			if d < 0 {
-				t.Fatalf("lossy op %s seq=%d: stage %v negative", op.Name, op.Seq, BlameStage(st))
+				t.Fatalf("lossy op %s seq=%d: stage %v negative", op.Name, op.Seq, spans.Stage(st))
 			}
 		}
 	}
@@ -241,10 +243,11 @@ func TestBlameCountsRetries(t *testing.T) {
 	rec := NewRecorder(1 << 16)
 	db := openSmall(t, func(c *Config) {
 		c.Tracer = rec
-		c.Faults = &FaultPlan{
-			Seed:  7,
-			Rules: []FaultRule{{Site: FaultDMAIn, Effect: FaultTransient, Every: 5}},
+		plan, err := ParseFaultPlan("seed 7\ndma.in every=5 transient")
+		if err != nil {
+			t.Fatal(err)
 		}
+		c.Faults = plan
 	})
 	defer db.Close()
 	for i := 0; i < 48; i++ {
@@ -298,7 +301,7 @@ func TestMergeTracesDuplicateShardSeq(t *testing.T) {
 	}
 }
 
-// Trace-ring health must surface through Stats and Inspect, and the blame
+// Trace-ring health must surface through Stats, and the blame
 // families must appear in the exposition only when a recorder is attached.
 func TestTraceStatsAndPrometheusSurface(t *testing.T) {
 	s := openBlameSharded(t, 8)
@@ -342,9 +345,8 @@ func TestTraceStatsAndPrometheusSurface(t *testing.T) {
 	if db.Blame() != nil {
 		t.Error("Blame() non-nil without a recorder")
 	}
-	insp := db.Inspect()
-	if insp.Trace.Buffered != 0 || insp.Trace.Dropped != 0 {
-		t.Error("untraced Inspect reports nonzero trace stats")
+	if st := db.Stats(); st.Trace != (TraceStats{}) {
+		t.Errorf("untraced Stats reports trace health %+v", st.Trace)
 	}
 }
 
@@ -372,11 +374,11 @@ func TestWriteServerPrometheusDeterministic(t *testing.T) {
 }
 
 // TopK and the critical-path digest must agree with the raw report.
-func TestBlameTopKAndCriticalPaths(t *testing.T) {
+func TestBlameCriticalPathsAndTopK(t *testing.T) {
 	s := openBlameSharded(t, 8)
 	blameWorkload(t, s)
 	rep := s.Blame()
-	top := BlameTopK(rep, 5)
+	top := spans.TopK(rep, 5)
 	if len(top) != 5 {
 		t.Fatalf("TopK(5) returned %d ops", len(top))
 	}

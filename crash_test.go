@@ -147,13 +147,9 @@ func crashVerify(t *testing.T, db *bandslim.DB, acked map[string][]byte, cut boo
 // proves the caches drop and repopulate coherently), so the sweep covers
 // every depth and cache tier; both determinism runs of a point share its
 // depth and cache config.
-func runCrashPoint(t *testing.T, site bandslim.FaultSite, nth int) []byte {
+func runCrashPoint(t *testing.T, site string, nth int) []byte {
 	t.Helper()
-	plan := &bandslim.FaultPlan{
-		Seed:  1,
-		Rules: []bandslim.FaultRule{{Site: site, Effect: bandslim.FaultPowerCut, Nth: nth}},
-	}
-	cfg := tinyFaultConfig(plan)
+	cfg := tinyFaultConfig(faultPlan(t, 1, fmt.Sprintf("%s nth=%d powercut", site, nth)))
 	cfg.Submission = mcSubmission(uint64(nth))
 	cfg.Cache = mcCache(uint64(nth))
 	db, err := bandslim.Open(cfg)
@@ -172,19 +168,19 @@ func runCrashPoint(t *testing.T, site bandslim.FaultSite, nth int) []byte {
 // run.
 func TestCrashSweep(t *testing.T) {
 	type point struct {
-		site bandslim.FaultSite
+		site string
 		nth  int
 	}
 	var points []point
 	for k := 1; k <= 60; k++ {
-		points = append(points, point{bandslim.FaultExec, k})
+		points = append(points, point{"exec", k})
 	}
 	for k := 1; k <= 12; k++ {
-		points = append(points, point{bandslim.FaultDMAIn, k})
-		points = append(points, point{bandslim.FaultNandProgram, k})
+		points = append(points, point{"dma.in", k})
+		points = append(points, point{"nand.program", k})
 	}
 	for _, p := range points {
-		name := fmt.Sprintf("%v/nth=%d", p.site, p.nth)
+		name := fmt.Sprintf("%s/nth=%d", p.site, p.nth)
 		first := runCrashPoint(t, p.site, p.nth)
 		second := runCrashPoint(t, p.site, p.nth)
 		if !bytes.Equal(first, second) {
@@ -192,8 +188,8 @@ func TestCrashSweep(t *testing.T) {
 		}
 	}
 	// The uncut baseline must also be reproducible.
-	base1 := runCrashPoint(t, bandslim.FaultExec, 100000)
-	base2 := runCrashPoint(t, bandslim.FaultExec, 100000)
+	base1 := runCrashPoint(t, "exec", 100000)
+	base2 := runCrashPoint(t, "exec", 100000)
 	if !bytes.Equal(base1, base2) {
 		t.Fatalf("baseline non-deterministic:\nrun1:\n%srun2:\n%s", base1, base2)
 	}

@@ -15,29 +15,39 @@ import (
 	"testing"
 )
 
-// testOnlyExempt names the declarations under internal/ that only tests reach
-// but that stay on purpose, each with its reason.
-var testOnlyExempt = map[string]string{
+// reachExempt names the declarations the scan reports but that stay on
+// purpose, each with its reason.
+var reachExempt = map[string]string{
 	"nand.Array.Payloads": "the only view of held payload bytes; the host-memory tests in ftl, vlog and lsm read it",
 	"bench.Table.Cell":    "one figure value by row and column; the figure tests here and the root benchmarks both read it",
 	"bench.Table.Column":  "one figure curve by column name; the figure-shape tests read it beside Cell",
 	"nand.Array.clock":    "benchmark/ladder.go passes nand.New a clock; the parameter and its field go with a change to that harness",
+
+	"bandslim.ConfigError":              "the typed class of a rejected setting; callers match Open's error with errors.As",
+	"bandslim.ErrIteratorInvalidated":   "the typed end of an iterator whose snapshot compaction freed; callers match it with errors.Is",
+	"bandslim.IsMedia":                  "the typed class of an unrecovered NAND media error; callers branch on it",
+	"bandslim.IsNoSpace":                "the typed class of a full device; callers branch on it",
+	"bandslim.IsTransient":              "the typed class of a transfer error that outlived the retry policy; callers branch on it",
+	"device.IdentifyData.BufferEntries": "a field of the identify page the device encodes and the driver decodes",
 }
 
-// TestInternalHasNoTestOnlyCode fails on any function, method, unexported
-// struct field or metrics.Counter field under internal/ that no non-test code
-// reaches. It type-checks the non-test files of this module and of benchmark/
-// (which compiles against internal/), the standard library from source, and
-// walks the references out from everything outside internal/. Package
-// bandslim's exported API is reached as a whole: every exported method and
-// Counter field of an internal type it hands its users, through an alias, a
-// field or a signature. A package-level variable under internal/ is reached
-// only when reached code reads it. A field or counter is reached only where
-// something reads it: assignment targets, ++/--, composite-literal keys and a
-// counter's Inc and Add are writes. What an exempt declaration uses counts as
-// reached. A method that satisfies an interface is reached when that
-// interface's method is, or always, for an interface declared outside
-// internal/.
+// TestInternalHasNoTestOnlyCode fails on any declaration that no consumer
+// reaches. It type-checks the non-test files of this module and of
+// benchmark/ (which compiles against internal/), example_test.go as a package
+// of its own, and the standard library from source, then walks the
+// references out from the consumers: every package outside package bandslim
+// and internal/, and the Example functions.
+//
+// The nodes are package bandslim's declarations (its API names among them:
+// its top-level names and the exported methods and fields of every module
+// type that API exposes) and, under internal/, every function, method,
+// unexported struct field and metrics.Counter field. A package-level variable
+// is reached only when reached code reads it, and a field or counter only
+// where something reads it: assignment targets, ++/--, composite-literal keys
+// and a counter's Inc and Add are writes. A type declaration owns the names it
+// references. What an exempt declaration uses counts as reached. A method that
+// satisfies an interface is reached when that interface's method is, or
+// always, for an interface declared outside the scanned packages.
 func TestInternalHasNoTestOnlyCode(t *testing.T) {
 	s := newReachScan(t, "bandslim")
 	s.load("bandslim", ".")
@@ -46,7 +56,7 @@ func TestInternalHasNoTestOnlyCode(t *testing.T) {
 	// An exemption keeps what its declaration uses, too.
 	kept := map[types.Object]bool{}
 	for obj, name := range s.candidates {
-		if _, exempt := testOnlyExempt[name]; exempt {
+		if _, exempt := reachExempt[name]; exempt {
 			s.mark(s.edges[obj], kept)
 		}
 	}
@@ -54,31 +64,34 @@ func TestInternalHasNoTestOnlyCode(t *testing.T) {
 	var dead []string
 	exempted := map[string]bool{}
 	for obj, name := range s.candidates {
-		_, exempt := testOnlyExempt[name]
+		_, exempt := reachExempt[name]
 		switch {
 		case exempt && s.live[obj]:
-			t.Errorf("exemption %s: non-test code reaches it; drop the exemption", name)
+			t.Errorf("exemption %s: a consumer reaches it; drop the exemption", name)
 		case exempt:
 			exempted[name] = true
 		case !s.live[obj] && !kept[obj]:
+			if s.api[obj] {
+				name += " [API]"
+			}
 			dead = append(dead, name+" ("+s.fset.Position(obj.Pos()).String()+")")
 		}
 	}
-	for name := range testOnlyExempt {
+	for name := range reachExempt {
 		if !exempted[name] {
-			t.Errorf("exemption %s: no test-only declaration by that name; drop the exemption", name)
+			t.Errorf("exemption %s: no unreached declaration by that name; drop the exemption", name)
 		}
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d declarations under internal/ are reached only by tests; delete them or list them in testOnlyExempt with a reason:\n\t%s",
+		t.Errorf("%d declarations no consumer reaches; delete them, give them a consumer, or list them in reachExempt with a reason:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}
 }
 
 // TestReachScanFixture runs the scan over testdata/reachscan, where every
-// declaration under internal/ says by its name whether the scan must report
-// it: those named dead, and no others.
+// declaration says by its name whether the scan must report it: those named
+// dead, and no others.
 func TestReachScanFixture(t *testing.T) {
 	s := newReachScan(t, "fixture")
 	s.load("fixture", filepath.Join("testdata", "reachscan"))
@@ -87,7 +100,7 @@ func TestReachScanFixture(t *testing.T) {
 	for _, name := range s.candidates {
 		names[name] = true
 	}
-	for _, name := range []string{"x.Stats.liveField", "x.Stats.deadField"} {
+	for _, name := range []string{"x.Stats.liveField", "x.Stats.deadField", "x.Series.Parts", "fixture.DeadHolder.Held", "fixture.DeadHeld"} {
 		if !names[name] {
 			t.Errorf("%s is not a candidate", name)
 		}
@@ -102,7 +115,7 @@ func TestReachScanFixture(t *testing.T) {
 // reachScan is the loaded, type-checked tree and its reference graph.
 type reachScan struct {
 	t        *testing.T
-	module   string // path of the module whose internal/ is scanned
+	module   string // path of the module's root package, whose API is scanned
 	internal string // module + "/internal/"
 	fset     *token.FileSet
 	std      types.Importer
@@ -111,9 +124,13 @@ type reachScan struct {
 
 	files map[*types.Package][]*ast.File
 	infos map[*types.Package]*types.Info
+	// examples is example_test.go, type-checked as its own package; its
+	// Example functions are roots.
+	examples *types.Package
 
-	candidates map[types.Object]string // declarations under internal/ -> pkg.Recv.Name
-	vars       map[types.Object]bool   // package-level variables under internal/
+	candidates map[types.Object]string // scanned declarations -> pkg.Recv.Name
+	api        map[types.Object]bool   // the API names among them
+	vars       map[types.Object]bool   // package-level variables that are nodes but no candidates
 	edges      map[types.Object][]types.Object
 	live       map[types.Object]bool
 }
@@ -136,15 +153,16 @@ func newReachScan(t *testing.T, module string) *reachScan {
 		files:      map[*types.Package][]*ast.File{},
 		infos:      map[*types.Package]*types.Info{},
 		candidates: map[types.Object]string{},
+		api:        map[types.Object]bool{},
 		vars:       map[types.Object]bool{},
 		edges:      map[types.Object][]types.Object{},
 		live:       map[types.Object]bool{},
 	}
 }
 
-// load type-checks every package of the module rooted at root. Nested
-// modules (benchmark/ inside this one) are skipped; load them by their own
-// root.
+// load type-checks every package of the module rooted at root, and the
+// root's example_test.go when it has one. Nested modules (benchmark/ inside
+// this one) are skipped; load them by their own root.
 func (s *reachScan) load(module, root string) {
 	var paths []string
 	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
@@ -170,6 +188,14 @@ func (s *reachScan) load(module, root string) {
 	for _, path := range paths {
 		s.Import(path)
 	}
+	if module != s.module {
+		return
+	}
+	name := filepath.Join(root, "example_test.go")
+	if _, err := os.Stat(name); err != nil {
+		return
+	}
+	s.examples = s.check(module+"_test", []string{name})
 }
 
 func hasGoMod(dir string) bool {
@@ -194,9 +220,20 @@ func (s *reachScan) Import(path string) (*types.Package, error) {
 		}
 		s.t.Fatalf("%s: %v", dir, err)
 	}
-	var files []*ast.File
+	var names []string
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		names = append(names, filepath.Join(dir, name))
+	}
+	pkg := s.check(path, names)
+	s.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// check parses and type-checks the named files as package path.
+func (s *reachScan) check(path string, names []string) *types.Package {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(s.fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			s.t.Fatal(err)
 		}
@@ -212,26 +249,38 @@ func (s *reachScan) Import(path string) (*types.Package, error) {
 	if err != nil {
 		s.t.Fatalf("type-check %s: %v", path, err)
 	}
-	s.pkgs[path] = pkg
 	s.files[pkg] = files
 	s.infos[pkg] = info
-	return pkg, nil
+	return pkg
+}
+
+// scanned reports whether pkg's declarations are nodes: the module's root
+// package and everything under internal/.
+func (s *reachScan) scanned(pkg *types.Package) bool {
+	return pkg.Path() == s.module || strings.HasPrefix(pkg.Path(), s.internal)
 }
 
 // link finds the candidates, records who references whom, and marks what the
-// code outside internal/ reaches.
+// consumers reach.
 func (s *reachScan) link() {
 	for pkg, info := range s.infos {
-		if strings.HasPrefix(pkg.Path(), s.internal) {
+		if s.scanned(pkg) {
 			s.collect(pkg, info)
 		}
+	}
+	// The exported fields of the internal types the API hands out are API
+	// names too.
+	for _, obj := range s.exported() {
+		if _, ok := s.candidates[obj]; !ok {
+			s.candidates[obj] = s.short(obj.Pkg()) + "." + s.structName(obj.Pkg(), obj.(*types.Var)) + "." + obj.Name()
+		}
+		s.api[obj] = true
 	}
 	var roots []types.Object
 	for pkg := range s.infos {
 		roots = append(roots, s.references(pkg)...)
 	}
 	roots = append(roots, s.satisfactions()...)
-	roots = append(roots, s.exported()...)
 	s.mark(roots, s.live)
 }
 
@@ -249,11 +298,19 @@ func (s *reachScan) mark(roots []types.Object, reached map[types.Object]bool) {
 	}
 }
 
+// short names a scanned package: the module's root by its path, an internal
+// package by its path below internal/.
+func (s *reachScan) short(pkg *types.Package) string {
+	return strings.TrimPrefix(pkg.Path(), s.internal)
+}
+
 // collect names every function, method, interface method, Counter field and
 // unexported struct field that pkg declares, and notes its package-level
-// variables.
+// variables. In the module's root package every top-level name and every
+// field is a candidate too, but an unexported variable is only a node.
 func (s *reachScan) collect(pkg *types.Package, info *types.Info) {
-	short := strings.TrimPrefix(pkg.Path(), s.internal)
+	short := s.short(pkg)
+	root := pkg.Path() == s.module
 	for _, obj := range info.Defs {
 		switch obj := obj.(type) {
 		case *types.Func:
@@ -267,10 +324,16 @@ func (s *reachScan) collect(pkg *types.Package, info *types.Info) {
 			s.candidates[obj] = name
 		case *types.Var:
 			switch {
-			case obj.IsField() && (s.isCounter(obj.Type()) || !obj.Exported() && !obj.Embedded() && obj.Name() != "_"):
+			case obj.IsField() && (s.isCounter(obj.Type()) || (root || !obj.Exported()) && !obj.Embedded() && obj.Name() != "_"):
 				s.candidates[obj] = short + "." + s.structName(pkg, obj) + "." + obj.Name()
+			case obj.Parent() == pkg.Scope() && root && obj.Exported():
+				s.candidates[obj] = short + "." + obj.Name()
 			case obj.Parent() == pkg.Scope():
 				s.vars[obj] = true
+			}
+		case *types.TypeName, *types.Const:
+			if root && obj.Parent() == pkg.Scope() {
+				s.candidates[obj] = short + "." + obj.Name()
 			}
 		}
 	}
@@ -309,15 +372,16 @@ func (s *reachScan) isCounter(t types.Type) bool {
 }
 
 // node reports whether obj is in the reference graph: a candidate or a
-// package-level variable under internal/.
+// package-level variable of a scanned package.
 func (s *reachScan) node(obj types.Object) bool {
 	_, ok := s.candidates[obj]
 	return ok || s.vars[obj]
 }
 
-// references records, for every candidate function body and every
-// package-level variable declaration in pkg, the nodes it uses, and returns
-// the nodes used anywhere else.
+// references records, for every candidate function body, type declaration and
+// package-level variable or constant declaration in pkg, the nodes it uses,
+// and returns the nodes used anywhere else — of example_test.go, only inside
+// its Example functions.
 func (s *reachScan) references(pkg *types.Package) []types.Object {
 	info := s.infos[pkg]
 	// writes holds the field uses that store rather than load: assignment
@@ -382,26 +446,35 @@ func (s *reachScan) references(pkg *types.Package) []types.Object {
 			return true
 		})
 	}
+	owned := func(ids ...*ast.Ident) []types.Object {
+		var owners []types.Object
+		for _, id := range ids {
+			if obj := info.Defs[id]; s.node(obj) {
+				owners = append(owners, obj)
+			}
+		}
+		return owners
+	}
 	for _, f := range s.files[pkg] {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				var owners []types.Object
-				if obj := info.Defs[decl.Name]; s.node(obj) {
-					owners = append(owners, obj)
+				if pkg != s.examples || strings.HasPrefix(decl.Name.Name, "Example") {
+					use(decl, owned(decl.Name))
 				}
-				use(decl, owners)
 			case *ast.GenDecl:
+				if pkg == s.examples {
+					continue
+				}
 				for _, spec := range decl.Specs {
-					var owners []types.Object
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, name := range vs.Names {
-							if obj := info.Defs[name]; s.node(obj) {
-								owners = append(owners, obj)
-							}
-						}
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						use(spec, owned(spec.Names...))
+					case *ast.TypeSpec:
+						use(spec, owned(spec.Name))
+					default:
+						use(spec, nil)
 					}
-					use(spec, owners)
 				}
 			}
 		}
@@ -409,15 +482,16 @@ func (s *reachScan) references(pkg *types.Package) []types.Object {
 	return roots
 }
 
-// exported returns every exported method and Counter field of the module
-// types that package module's exported API hands its users, following
-// aliases, fields, signatures and element types.
+// exported returns the API names of the module's root package: its exported
+// top-level names and the exported methods and fields of every module type
+// its API hands users, following aliases, fields, signatures and element
+// types.
 func (s *reachScan) exported() []types.Object {
 	api := s.pkgs[s.module]
 	if api == nil {
 		return nil
 	}
-	var roots []types.Object
+	var names []types.Object
 	seen := map[*types.Named]bool{}
 	var visit func(types.Type)
 	visit = func(t types.Type) {
@@ -434,7 +508,7 @@ func (s *reachScan) exported() []types.Object {
 			ms := types.NewMethodSet(recv)
 			for i := 0; i < ms.Len(); i++ {
 				if m := ms.At(i).Obj(); m.Exported() {
-					roots = append(roots, m)
+					names = append(names, m)
 					visit(m.Type())
 				}
 			}
@@ -458,8 +532,11 @@ func (s *reachScan) exported() []types.Object {
 			}
 		case *types.Struct:
 			for i := 0; i < t.NumFields(); i++ {
-				if f := t.Field(i); f.Exported() || f.Embedded() {
-					roots = append(roots, f)
+				f := t.Field(i)
+				if f.Exported() && !f.Embedded() {
+					names = append(names, f)
+				}
+				if f.Exported() || f.Embedded() {
 					visit(f.Type())
 				}
 			}
@@ -468,21 +545,17 @@ func (s *reachScan) exported() []types.Object {
 	scope := api.Scope()
 	for _, name := range scope.Names() {
 		if obj := scope.Lookup(name); obj.Exported() {
+			names = append(names, obj)
 			visit(obj.Type())
 		}
 	}
-	var live []types.Object
-	for _, obj := range roots {
-		if s.node(obj) {
-			live = append(live, obj)
-		}
-	}
-	return live
+	return names
 }
 
 // satisfactions links each interface method to the methods that implement it
 // on module types, and returns the implementations of interfaces declared
-// outside internal/, which the standard library or an API may call.
+// outside the scanned packages, which the standard library or a consumer may
+// call.
 func (s *reachScan) satisfactions() []types.Object {
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Package]bool{}

@@ -43,42 +43,6 @@ import (
 // ParseFaultPlan for the text format.
 type FaultPlan = fault.Plan
 
-// FaultRule arms one injection site with a trigger and an effect.
-type FaultRule = fault.Rule
-
-// FaultSite identifies where in the stack a rule injects.
-type FaultSite = fault.Site
-
-// Injection sites.
-const (
-	// FaultNandProgram fires on NAND page programs.
-	FaultNandProgram = fault.SiteNandProgram
-	// FaultNandRead fires on NAND page reads.
-	FaultNandRead = fault.SiteNandRead
-	// FaultNandErase fires on NAND block erases.
-	FaultNandErase = fault.SiteNandErase
-	// FaultDMAIn fires on host-to-device DMA transfers.
-	FaultDMAIn = fault.SiteDMAIn
-	// FaultDMAOut fires on device-to-host DMA transfers.
-	FaultDMAOut = fault.SiteDMAOut
-	// FaultExec fires on device command dispatch (any opcode).
-	FaultExec = fault.SiteExec
-)
-
-// FaultEffect is what an armed rule does when it fires.
-type FaultEffect = fault.Effect
-
-// Effects.
-const (
-	// FaultMedia is a permanent NAND failure: the FTL retires the block.
-	FaultMedia = fault.EffectMedia
-	// FaultTransient is a retryable error: the driver re-submits.
-	FaultTransient = fault.EffectTransient
-	// FaultPowerCut truncates all volatile device state; recover with
-	// DB.Recover.
-	FaultPowerCut = fault.EffectPowerCut
-)
-
 // ParseFaultPlan parses the text plan format: one directive per line,
 // '#' comments. `seed N` sets the plan seed; every other line is
 // `<site> <trigger...> <effect>` with sites nand.program, nand.read,
@@ -90,22 +54,9 @@ func ParseFaultPlan(text string) (*FaultPlan, error) {
 	return fault.ParsePlan(text)
 }
 
-// FormatFaultPlan renders a plan back into the canonical text format
-// ParseFaultPlan accepts (a fixed point: formatting a parsed plan and
-// re-parsing yields the same plan).
-func FormatFaultPlan(p *FaultPlan) string {
-	return fault.FormatPlan(p)
-}
-
 // RetryPolicy bounds the driver's re-submission of retryable completions;
 // see Config.Retry.
 type RetryPolicy = driver.RetryPolicy
-
-// DefaultRetryPolicy returns the driver's default: four retries with an
-// exponential backoff starting at 10 µs.
-func DefaultRetryPolicy() RetryPolicy {
-	return driver.DefaultRetryPolicy()
-}
 
 // IsPowerLoss reports whether err is a power-loss completion — the device is
 // down and DB.Recover is required.

@@ -14,14 +14,7 @@ import (
 )
 
 func TestFaultRaceSharded(t *testing.T) {
-	plan := &bandslim.FaultPlan{
-		Seed: 7,
-		Rules: []bandslim.FaultRule{
-			{Site: bandslim.FaultDMAIn, Effect: bandslim.FaultTransient, Every: 5},
-			{Site: bandslim.FaultNandProgram, Effect: bandslim.FaultMedia, Every: 9},
-			{Site: bandslim.FaultExec, Effect: bandslim.FaultPowerCut, Nth: 120},
-		},
-	}
+	plan := faultPlan(t, 7, "dma.in every=5 transient", "nand.program every=9 media", "exec nth=120 powercut")
 	cfg := bandslim.ShardedConfig{Shards: 4, PerShard: tinyFaultConfig(plan)}
 	db, err := bandslim.OpenSharded(cfg)
 	if err != nil {

@@ -15,10 +15,9 @@ import (
 )
 
 // cachingStore wraps the tree's PageStore with the page-granular device
-// tier. With no cache attached it is a pure pass-through — identical timing,
-// identical allocations — so the wrapper is always installed and the cache
-// can be attached or detached by Tune at runtime. dev is bound after
-// construction (the store exists before the Device does).
+// tier. With no page tier it is a pure pass-through — identical timing,
+// identical allocations. dev is bound after construction (the store exists
+// before the Device does).
 type cachingStore struct {
 	inner *lsm.FTLStore
 	pages *cache.Pages
@@ -73,26 +72,6 @@ func (s *cachingStore) TrimPage(page int) error {
 
 func (s *cachingStore) PageSize() int { return s.inner.PageSize() }
 func (s *cachingStore) Pages() int    { return s.inner.Pages() }
-
-// SetCache swaps the device's read-cache configuration at runtime (the
-// Tuning path). Both tiers restart cold; an invalid config is rejected
-// without touching the running caches.
-func (d *Device) SetCache(cfg cache.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	d.cfg.Cache = cfg
-	d.cacheLat = cfg.EffectiveHitLatency()
-	d.vcache = nil
-	if cfg.ValueBytes > 0 {
-		d.vcache = cache.NewValues(cfg.ValueBytes, cache.NewPolicy(cfg.Policy))
-	}
-	d.pstore.pages = nil
-	if cfg.Pages > 0 {
-		d.pstore.pages = cache.NewPages(cfg.Pages, cache.NewPolicy(cfg.Policy))
-	}
-	return nil
-}
 
 // invalidateValue drops key from the value tier (overwrite, delete, batch
 // record, GC relocation).

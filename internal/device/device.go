@@ -156,6 +156,9 @@ func New(cfg Config, clock *sim.Clock, link *pcie.Link, hostMem *nvme.HostMemory
 	if cfg.Memcpy.Fixed < 0 {
 		return nil, fmt.Errorf("device: negative memcpy overhead %v", cfg.Memcpy.Fixed)
 	}
+	if err := cfg.Cache.Validate(); err != nil {
+		return nil, err
+	}
 	flash, err := nand.New(cfg.Geometry, cfg.Latency, clock)
 	if err != nil {
 		return nil, err
@@ -174,29 +177,33 @@ func New(cfg Config, clock *sim.Clock, link *pcie.Link, hostMem *nvme.HostMemory
 	if err != nil {
 		return nil, err
 	}
-	// The caching wrapper is always interposed (pure pass-through while no
-	// page cache is attached) so Tune can enable the tier on a live device.
+	// The caching wrapper is always interposed: a pure pass-through without a
+	// page tier.
 	pstore := &cachingStore{inner: store}
+	if cfg.Cache.Pages > 0 {
+		pstore.pages = cache.NewPages(cfg.Cache.Pages, cache.NewPolicy(cfg.Cache.Policy))
+	}
 	tree, err := lsm.NewTree(cfg.LSM, pstore)
 	if err != nil {
 		return nil, err
 	}
 	d := &Device{
-		cfg:     cfg,
-		clock:   clock,
-		link:    link,
-		eng:     eng,
-		flash:   flash,
-		ftl:     f,
-		vlog:    v,
-		tree:    tree,
-		hostMem: hostMem,
-		qp:      nvme.NewQueuePair(cfg.QueueDepth),
-		pstore:  pstore,
+		cfg:      cfg,
+		clock:    clock,
+		link:     link,
+		eng:      eng,
+		flash:    flash,
+		ftl:      f,
+		vlog:     v,
+		tree:     tree,
+		hostMem:  hostMem,
+		qp:       nvme.NewQueuePair(cfg.QueueDepth),
+		pstore:   pstore,
+		cacheLat: cfg.Cache.EffectiveHitLatency(),
 	}
 	pstore.dev = d
-	if err := d.SetCache(cfg.Cache); err != nil {
-		return nil, err
+	if cfg.Cache.ValueBytes > 0 {
+		d.vcache = cache.NewValues(cfg.Cache.ValueBytes, cache.NewPolicy(cfg.Cache.Policy))
 	}
 	// A committed tree flush is the durability point: acknowledged records
 	// are on flash, so the battery-backed journal empties.

@@ -106,7 +106,8 @@ type RetryPolicy struct {
 	// MaxRetries bounds the re-submissions per command. Negative disables
 	// retry entirely; the zero value is the "use defaults" sentinel.
 	MaxRetries int
-	// Backoff is the wait before the first retry; it doubles per attempt.
+	// Backoff is the wait before the first retry, at least 0; it doubles
+	// per attempt.
 	Backoff sim.Duration
 }
 
@@ -119,6 +120,35 @@ func DefaultRetryPolicy() RetryPolicy {
 // IsZero reports whether the policy is the "use defaults" sentinel. A caller
 // who deliberately wants no retries sets MaxRetries negative.
 func (r RetryPolicy) IsZero() bool { return r == RetryPolicy{} }
+
+// Config is the driver's host-side configuration, validated and applied once
+// by New.
+type Config struct {
+	Method     Method
+	Thresholds Thresholds
+	// Submission is the submission policy (see SubmissionConfig); the zero
+	// value is the paper's synchronous passthrough.
+	Submission SubmissionConfig
+	// Retry is the retry policy; the zero value means DefaultRetryPolicy.
+	Retry RetryPolicy
+	// NegativeEntries sizes the host-side negative cache's recent-miss ring;
+	// zero disables the cache.
+	NegativeEntries int
+}
+
+// validate checks the config against the device ring size sqSize.
+func (c Config) validate(sqSize int) error {
+	if err := c.Submission.validate(sqSize); err != nil {
+		return err
+	}
+	if c.Retry.Backoff < 0 {
+		return &ConfigError{Field: "Retry.Backoff", Reason: fmt.Sprintf("must be >= 0, got %v", c.Retry.Backoff)}
+	}
+	if c.NegativeEntries < 0 {
+		return &ConfigError{Field: "Cache.NegativeEntries", Reason: fmt.Sprintf("must be >= 0, got %d", c.NegativeEntries)}
+	}
+	return nil
+}
 
 // Stats tallies host-side activity.
 type Stats struct {
@@ -193,17 +223,22 @@ type Driver struct {
 }
 
 // New binds a driver to a device sharing the same clock, link and host
-// memory arena.
-func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.Device, method Method, thr Thresholds) *Driver {
-	return &Driver{
+// memory arena. It fails with a *ConfigError on a setting the device's ring
+// or the driver cannot honor.
+func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.Device, cfg Config) (*Driver, error) {
+	if err := cfg.validate(dev.Queues().SQ.Size()); err != nil {
+		return nil, err
+	}
+	d := &Driver{
 		clock:  clock,
 		link:   link,
 		mem:    mem,
 		dev:    dev,
-		method: method,
-		thr:    thr,
-		retry:  DefaultRetryPolicy(),
-		frames: make([]frame, 1),
+		sub:    cfg.Submission,
+		method: cfg.Method,
+		thr:    cfg.Thresholds,
+		retry:  cfg.Retry,
+		frames: make([]frame, cfg.Submission.depth()),
 		stats: Stats{
 			WriteResponse: metrics.NewHistogram(),
 			ReadResponse:  metrics.NewHistogram(),
@@ -211,6 +246,16 @@ func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.De
 			PerMethod:     metrics.NewHistogramSet(),
 		},
 	}
+	if d.retry.IsZero() {
+		d.retry = DefaultRetryPolicy()
+	}
+	if cfg.Submission.async() {
+		d.slotStage = make([]nvme.PRPList, cfg.Submission.depth())
+	}
+	if cfg.NegativeEntries > 0 {
+		d.neg = newNegCache(cfg.NegativeEntries)
+	}
+	return d, nil
 }
 
 // Stats exposes the driver tallies.
@@ -219,12 +264,6 @@ func (d *Driver) Stats() *Stats { return &d.stats }
 // SetTracer enables host-side operation/submission tracing; nil turns it
 // back off.
 func (d *Driver) SetTracer(tr trace.Tracer) { d.tr = tr }
-
-// Method reports the configured transfer method.
-func (d *Driver) Method() Method { return d.method }
-
-// Thresholds reports the adaptive calibration.
-func (d *Driver) Thresholds() Thresholds { return d.thr }
 
 // choose picks the transfer mode for one value size.
 func (d *Driver) choose(size int) nvme.TransferMode {
@@ -537,13 +576,13 @@ func (d *Driver) Seek(start []byte) error {
 	return nil
 }
 
-// ErrIterDone reports an exhausted device-side iterator. It is a sentinel:
+// ErrIterEnd reports an exhausted device-side iterator. It is a sentinel:
 // match it with errors.Is, including through wrapped returns.
-var ErrIterDone = errors.New("driver: iterator exhausted")
+var ErrIterEnd = errors.New("driver: iterator exhausted")
 
 // ErrIterInvalidated reports that writes since Seek made the device compact
 // away tables the iterator was still walking; the scan must be restarted.
-// Like ErrIterDone it is a sentinel for errors.Is.
+// Like ErrIterEnd it is a sentinel for errors.Is.
 var ErrIterInvalidated = errors.New("driver: iterator invalidated by compaction")
 
 // Next returns the device iterator's current pair and advances it. Like Get,
@@ -562,7 +601,7 @@ func (d *Driver) Next() (key, value []byte, err error) {
 	}
 	switch comp.Status {
 	case nvme.StatusIterEnd:
-		return nil, nil, ErrIterDone
+		return nil, nil, ErrIterEnd
 	case nvme.StatusIterInvalid:
 		return nil, nil, ErrIterInvalidated
 	}

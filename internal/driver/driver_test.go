@@ -17,9 +17,16 @@ import (
 func commands(l *pcie.Link) int64  { return l.Traf.CommandBytes.Value() / pcie.CommandSize }
 func doorbells(l *pcie.Link) int64 { return l.Traf.MMIOBytes.Value() / pcie.DoorbellSize }
 
-// newStack builds a driver over a small device; tweaks adjust the device
-// config before it is built.
+// newStack builds a driver of the given method, with the default thresholds,
+// over a small device; tweaks adjust the device config before it is built.
 func newStack(t *testing.T, method Method, nandOn bool, tweaks ...func(*device.Config)) (*Driver, *device.Device, *pcie.Link) {
+	t.Helper()
+	return newStackWith(t, Config{Method: method, Thresholds: DefaultThresholds()}, nandOn, tweaks...)
+}
+
+// newStackWith builds a driver of config dc over a small device; tweaks
+// adjust the device config before it is built.
+func newStackWith(t *testing.T, dc Config, nandOn bool, tweaks ...func(*device.Config)) (*Driver, *device.Device, *pcie.Link) {
 	t.Helper()
 	cfg := device.DefaultConfig()
 	cfg.Geometry = nand.Geometry{Channels: 2, WaysPerChannel: 2, BlocksPerWay: 64, PagesPerBlock: 32, PageSize: 16 * 1024}
@@ -35,7 +42,11 @@ func newStack(t *testing.T, method Method, nandOn bool, tweaks ...func(*device.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(clock, link, mem, dev, method, DefaultThresholds()), dev, link
+	d, err := New(clock, link, mem, dev, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, dev, link
 }
 
 func TestMethodStringsAndParse(t *testing.T) {
@@ -104,7 +115,7 @@ func TestDeleteAndScan(t *testing.T) {
 	// Drain to the end.
 	for {
 		_, _, err := d.Next()
-		if err == ErrIterDone {
+		if err == ErrIterEnd {
 			break
 		}
 		if err != nil {
@@ -244,18 +255,12 @@ func TestAdaptiveChoosesPerThresholds(t *testing.T) {
 
 // Alpha and beta scale the thresholds toward traffic savings.
 func TestAdaptiveCoefficients(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, false)
 	thr := DefaultThresholds()
 	thr.Alpha = 4 // prefer piggybacking up to 512 B
-	if err := d.Tune(Tuning{Thresholds: &thr}); err != nil {
-		t.Fatal(err)
-	}
+	d, _, _ := newStackWith(t, Config{Method: MethodAdaptive, Thresholds: thr}, false)
 	d.Put([]byte("a"), make([]byte, 500))
 	if d.Stats().InlineChosen.Value() != 1 {
 		t.Fatal("alpha scaling ignored")
-	}
-	if d.Thresholds().Alpha != 4 {
-		t.Fatal("Tune lost alpha")
 	}
 }
 

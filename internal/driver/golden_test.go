@@ -18,7 +18,6 @@ import (
 	"strings"
 	"testing"
 
-	"bandslim/internal/cache"
 	"bandslim/internal/device"
 	"bandslim/internal/fault"
 	"bandslim/internal/metrics"
@@ -112,7 +111,8 @@ func TestCommandStreamGolden(t *testing.T) {
 // results, Stats, link ledger and trace to w.
 func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 	t.Helper()
-	d, dev, link := newStack(t, c.m, true, func(cfg *device.Config) {
+	dc := Config{Method: c.m, Thresholds: DefaultThresholds(), Submission: c.sub, NegativeEntries: 8}
+	d, dev, link := newStackWith(t, dc, true, func(cfg *device.Config) {
 		if c.ring != 0 {
 			cfg.QueueDepth = c.ring
 		}
@@ -125,9 +125,6 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 			t.Fatal(err)
 		}
 		dev.SetInjector(fault.NewInjector(p, 0))
-	}
-	if err := d.Tune(Tuning{Submission: &c.sub, Cache: &cache.Config{NegativeEntries: 8}}); err != nil {
-		t.Fatal(err)
 	}
 	// The value above MaxValueSize tests the fresh staging fallback of the
 	// DMA paths; inline it is only 1 170 more transfer commands.

@@ -4,15 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"bandslim/internal/device"
+	"bandslim/internal/pcie"
 )
+
+// newPipelined builds a piggyback driver under PipelinedSubmission.
+func newPipelined(t *testing.T, nandOn bool) (*Driver, *device.Device, *pcie.Link) {
+	t.Helper()
+	return newStackWith(t, Config{Method: MethodPiggyback, Thresholds: DefaultThresholds(), Submission: PipelinedSubmission()}, nandOn)
+}
 
 func TestPipelinedToggle(t *testing.T) {
 	d, _, _ := newStack(t, MethodPiggyback, false)
 	if d.sub.burst() {
 		t.Fatal("pipelining on by default; the paper's testbed serializes")
 	}
-	tuneSub(t, d, PipelinedSubmission())
-	if !d.sub.burst() {
+	if d, _, _ = newPipelined(t, false); !d.sub.burst() {
 		t.Fatal("PipelinedSubmission lost")
 	}
 }
@@ -22,8 +30,7 @@ func TestPipelinedPutFasterThanSerial(t *testing.T) {
 	serial.Put([]byte("k"), make([]byte, 2048))
 	sResp := serial.Stats().WriteResponse.Mean()
 
-	pipe, _, _ := newStack(t, MethodPiggyback, false)
-	tuneSub(t, pipe, PipelinedSubmission())
+	pipe, _, _ := newPipelined(t, false)
 	pipe.Put([]byte("k"), make([]byte, 2048))
 	pResp := pipe.Stats().WriteResponse.Mean()
 
@@ -33,8 +40,7 @@ func TestPipelinedPutFasterThanSerial(t *testing.T) {
 }
 
 func TestPipelinedFewerDoorbells(t *testing.T) {
-	d, _, link := newStack(t, MethodPiggyback, false)
-	tuneSub(t, d, PipelinedSubmission())
+	d, _, link := newPipelined(t, false)
 	d.Put([]byte("k"), make([]byte, 1024)) // 19 commands, one burst
 	if got := doorbells(link); got != 2 {
 		t.Fatalf("doorbells = %d, want 2 (one SQ + one CQ)", got)
@@ -47,8 +53,7 @@ func TestPipelinedFewerDoorbells(t *testing.T) {
 func TestPipelinedBurstSplitsAtQueueDepth(t *testing.T) {
 	// A 4 KiB value needs 74 commands; the default 64-deep SQ forces two
 	// bursts, and everything still lands correctly.
-	d, _, link := newStack(t, MethodPiggyback, true)
-	tuneSub(t, d, PipelinedSubmission())
+	d, _, link := newPipelined(t, true)
 	v := make([]byte, 4096)
 	for i := range v {
 		v[i] = byte(i * 11)
@@ -66,8 +71,7 @@ func TestPipelinedBurstSplitsAtQueueDepth(t *testing.T) {
 }
 
 func TestPipelinedRoundTripsAllSizes(t *testing.T) {
-	d, _, _ := newStack(t, MethodPiggyback, true)
-	tuneSub(t, d, PipelinedSubmission())
+	d, _, _ := newPipelined(t, true)
 	for _, size := range []int{1, 35, 36, 100, 500, 3000} {
 		key := []byte(fmt.Sprintf("p%d", size))
 		v := bytes.Repeat([]byte{byte(size)}, size)

@@ -21,9 +21,7 @@ package driver
 import (
 	"fmt"
 
-	"bandslim/internal/cache"
 	"bandslim/internal/nvme"
-	"bandslim/internal/pool"
 	"bandslim/internal/sim"
 	"bandslim/internal/trace"
 )
@@ -87,8 +85,8 @@ func (c SubmissionConfig) doorbellEvery() int {
 	return n
 }
 
-// ConfigError reports a SubmissionConfig (or Tuning) field that failed
-// validation. Open and Tune return it wrapped; match with errors.As.
+// ConfigError reports a Config field that failed validation. New returns it,
+// and bandslim's Open wraps it; match with errors.As.
 type ConfigError struct {
 	Field  string
 	Reason string
@@ -121,78 +119,6 @@ func (c SubmissionConfig) validate(sqSize int) error {
 // Submission reports the active submission policy.
 func (d *Driver) Submission() SubmissionConfig { return d.sub }
 
-// setSubmission installs a validated submission policy. The window must be
-// empty (Tune checks; every batch path drains before returning, so callers
-// between operations always satisfy this).
-func (d *Driver) setSubmission(c SubmissionConfig) {
-	d.sub = c
-	if c.async() {
-		// The wait frames and their staging slots come from internal/pool's
-		// Reuse: retuning never reallocates a frame that still fits, only a
-		// grown tail starts blank, and the steady-state window allocates nothing.
-		n := len(d.frames)
-		d.frames = pool.Reuse(d.frames, c.depth())
-		d.slotStage = pool.Reuse(d.slotStage, c.depth())
-		clear(d.frames[min(n, len(d.frames)):])
-		clear(d.slotStage[min(n, len(d.slotStage)):])
-	}
-}
-
-// Tuning is a snapshot update for the driver's runtime knobs. Nil fields
-// keep their current value (per-field presence semantics); set fields apply
-// together after validation, so a rejected tuning changes nothing.
-type Tuning struct {
-	Method     *Method
-	Thresholds *Thresholds
-	Retry      *RetryPolicy
-	Submission *SubmissionConfig
-	// Cache reconfigures the tiered read path: the device-DRAM value/page
-	// caches and the host-side negative cache. Both restart cold.
-	Cache *cache.Config
-}
-
-// Tune applies every present field of tn; it is the driver's one knob entry
-// point. Every field is checked — the submission policy against the device
-// ring and the open window — before any applies.
-func (d *Driver) Tune(tn Tuning) error {
-	if tn.Submission != nil {
-		if err := tn.Submission.validate(d.dev.Queues().SQ.Size()); err != nil {
-			return err
-		}
-		if d.inflight > 0 {
-			return &ConfigError{Field: "Submission", Reason: "cannot change with commands in flight"}
-		}
-	}
-	if tn.Cache != nil {
-		if err := tn.Cache.Validate(); err != nil {
-			return err
-		}
-	}
-	if tn.Method != nil {
-		d.method = *tn.Method
-	}
-	if tn.Thresholds != nil {
-		d.thr = *tn.Thresholds
-	}
-	if tn.Retry != nil {
-		d.retry = *tn.Retry
-		if d.retry.IsZero() {
-			d.retry = DefaultRetryPolicy()
-		}
-	}
-	if tn.Submission != nil {
-		d.setSubmission(*tn.Submission)
-	}
-	if tn.Cache != nil {
-		d.neg = nil
-		if tn.Cache.NegativeEntries > 0 {
-			d.neg = newNegCache(tn.Cache.NegativeEntries)
-		}
-		return d.dev.SetCache(*tn.Cache) // validated above, so it applies
-	}
-	return nil
-}
-
 // WindowDepth reports the effective in-flight window (1 = synchronous).
 func (d *Driver) WindowDepth() int { return d.sub.depth() }
 
@@ -217,9 +143,9 @@ const (
 )
 
 // frame is one dispatch's wait state, from open to release; a burst's
-// commands carry consecutive IDs from cid. Frames live in a pool.Reuse-managed
-// slice sized to the window depth (at least one); a windowed read in frame i
-// lands in staging slot i.
+// commands carry consecutive IDs from cid. Frames live in a slice sized to the
+// window depth (at least one); a windowed read in frame i lands in staging
+// slot i.
 type frame struct {
 	used     bool
 	kind     kind

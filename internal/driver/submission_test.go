@@ -1,8 +1,8 @@
 package driver
 
 // Tests for the submission-policy API and the asynchronous queue-depth-N
-// window: config validation, presence-based Tune semantics, out-of-order
-// completion reaping, doorbell batching, and trace-level determinism.
+// window: config validation, out-of-order completion reaping, doorbell
+// batching, and trace-level determinism.
 
 import (
 	"bytes"
@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"testing"
 
+	"bandslim/internal/device"
 	"bandslim/internal/nvme"
+	"bandslim/internal/pcie"
 	"bandslim/internal/sim"
 	"bandslim/internal/trace"
 )
@@ -49,33 +51,34 @@ func windowedGetAll(t *testing.T, d *Driver, keys [][]byte) [][]byte {
 	return out
 }
 
-// tuneSub installs sub through Tune, failing the test on rejection.
-func tuneSub(t *testing.T, d *Driver, sub SubmissionConfig) {
+// newWindowed builds an adaptive driver over a NAND-backed device with
+// submission policy sub.
+func newWindowed(t *testing.T, sub SubmissionConfig) (*Driver, *device.Device, *pcie.Link) {
 	t.Helper()
-	if err := d.Tune(Tuning{Submission: &sub}); err != nil {
-		t.Fatal(err)
-	}
+	return newStackWith(t, Config{Method: MethodAdaptive, Thresholds: DefaultThresholds(), Submission: sub}, true)
 }
 
 func TestSubmissionConfigValidation(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, false)
+	_, dev, link := newStack(t, MethodAdaptive, false)
 	cases := []struct {
 		name  string
-		cfg   SubmissionConfig
+		cfg   Config
 		field string
 	}{
-		{"negative_depth", SubmissionConfig{QueueDepth: -1}, "Submission.QueueDepth"},
-		{"depth_exceeds_ring", SubmissionConfig{QueueDepth: 64}, "Submission.QueueDepth"},
-		{"negative_doorbell", SubmissionConfig{DoorbellBatch: -2}, "Submission.DoorbellBatch"},
-		{"negative_coalesce", SubmissionConfig{QueueDepth: 4, CoalesceInterval: -1}, "Submission.CoalesceInterval"},
-		{"coalesce_without_window", SubmissionConfig{QueueDepth: 1, CoalesceInterval: sim.Microsecond}, "Submission.CoalesceInterval"},
+		{"negative_depth", Config{Submission: SubmissionConfig{QueueDepth: -1}}, "Submission.QueueDepth"},
+		{"depth_exceeds_ring", Config{Submission: SubmissionConfig{QueueDepth: 64}}, "Submission.QueueDepth"},
+		{"negative_doorbell", Config{Submission: SubmissionConfig{DoorbellBatch: -2}}, "Submission.DoorbellBatch"},
+		{"negative_coalesce", Config{Submission: SubmissionConfig{QueueDepth: 4, CoalesceInterval: -1}}, "Submission.CoalesceInterval"},
+		{"coalesce_without_window", Config{Submission: SubmissionConfig{QueueDepth: 1, CoalesceInterval: sim.Microsecond}}, "Submission.CoalesceInterval"},
+		{"negative_backoff", Config{Retry: RetryPolicy{MaxRetries: 2, Backoff: -1}}, "Retry.Backoff"},
+		{"negative_cache_entries", Config{NegativeEntries: -1}, "Cache.NegativeEntries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := d.Tune(Tuning{Submission: &tc.cfg})
+			_, err := New(sim.NewClock(), link, nvme.NewHostMemory(), dev, tc.cfg)
 			var ce *ConfigError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Tune(Submission: %+v) = %v, want *ConfigError", tc.cfg, err)
+				t.Fatalf("New(%+v) = %v, want *ConfigError", tc.cfg, err)
 			}
 			if ce.Field != tc.field {
 				t.Fatalf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
@@ -84,9 +87,8 @@ func TestSubmissionConfigValidation(t *testing.T) {
 	}
 	// Valid settings round-trip through the accessor.
 	want := SubmissionConfig{QueueDepth: 8, DoorbellBatch: 4, CoalesceInterval: 2 * sim.Microsecond}
-	tuneSub(t, d, want)
-	if got := d.Submission(); got != want {
-		t.Fatalf("Submission() = %+v, want %+v", got, want)
+	if d, _, _ := newWindowed(t, want); d.Submission() != want {
+		t.Fatalf("Submission() = %+v, want %+v", d.Submission(), want)
 	}
 }
 
@@ -97,67 +99,10 @@ func TestSubmissionZeroValueIsSync(t *testing.T) {
 			d.sub.burst(), d.WindowDepth())
 	}
 	// PipelinedSubmission is depth-1 burst mode: bursts, but no window.
-	tuneSub(t, d, PipelinedSubmission())
+	d, _, _ = newWindowed(t, PipelinedSubmission())
 	if !d.sub.burst() || d.WindowDepth() != 1 {
 		t.Fatalf("PipelinedSubmission: burst=%v WindowDepth=%d, want burst at depth 1",
 			d.sub.burst(), d.WindowDepth())
-	}
-	tuneSub(t, d, SubmissionConfig{})
-	if d.sub.burst() {
-		t.Fatal("zero submission after PipelinedSubmission still bursts")
-	}
-}
-
-func TestTunePresenceSemantics(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, false)
-	thr := d.Thresholds()
-	m := MethodPiggyback
-	if err := d.Tune(Tuning{Method: &m}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Method() != MethodPiggyback || d.Thresholds() != thr || d.Submission() != (SubmissionConfig{}) {
-		t.Fatal("Tune with only Method set disturbed absent fields")
-	}
-	// An invalid Submission rejects the whole Tuning before applying any
-	// present field.
-	bad := SubmissionConfig{QueueDepth: -5}
-	m2 := MethodBaseline
-	err := d.Tune(Tuning{Method: &m2, Submission: &bad})
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Tune with invalid Submission = %v, want *ConfigError", err)
-	}
-	if d.Method() != MethodPiggyback {
-		t.Fatal("rejected Tune still applied its Method")
-	}
-}
-
-// TestTuneRejectedInFlightChangesNothing: a Tuning whose Submission the open
-// window refuses leaves its other present fields unapplied too.
-func TestTuneRejectedInFlightChangesNothing(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
-	if err := d.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	sub := SubmissionConfig{QueueDepth: 4}
-	if err := d.Tune(Tuning{Submission: &sub}); err != nil {
-		t.Fatal(err)
-	}
-	h, err := d.StartGet([]byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, deeper := MethodPiggyback, SubmissionConfig{QueueDepth: 8}
-	err = d.Tune(Tuning{Method: &m, Submission: &deeper})
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Tune with a command in flight = %v, want *ConfigError", err)
-	}
-	if d.Method() != MethodAdaptive || d.Submission() != sub {
-		t.Fatalf("rejected Tune applied Method %v / Submission %+v", d.Method(), d.Submission())
-	}
-	if _, err := d.WaitGetInto(h, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -165,7 +110,11 @@ func TestTuneRejectedInFlightChangesNothing(t *testing.T) {
 // device latencies differ (so completions post out of simulated-time order)
 // and checks every wait frame is matched back to its command by CID.
 func TestWindowedGetOutOfOrderCompletion(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
+	d, _, _ := newWindowed(t, SubmissionConfig{
+		QueueDepth:       8,
+		DoorbellBatch:    4,
+		CoalesceInterval: 2 * sim.Microsecond,
+	})
 	// Mixed sizes: over-page values take DMA round trips and multi-page NAND
 	// reads; tiny ones complete quickly. Interleaved in one window, their
 	// completions coalesce and reorder.
@@ -179,11 +128,6 @@ func TestWindowedGetOutOfOrderCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tuneSub(t, d, SubmissionConfig{
-		QueueDepth:       8,
-		DoorbellBatch:    4,
-		CoalesceInterval: 2 * sim.Microsecond,
-	})
 	handles := make([]int, len(keys))
 	for i := range keys {
 		h, err := d.StartGet(keys[i])
@@ -216,12 +160,11 @@ func TestWindowedGetOutOfOrderCompletion(t *testing.T) {
 // acknowledged write even when earlier reads of the same key are still in
 // flight.
 func TestWindowedGetPerKeyOrdering(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
+	d, _, _ := newWindowed(t, SubmissionConfig{QueueDepth: 4})
 	key := []byte("ord")
 	if err := d.Put(key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	tuneSub(t, d, SubmissionConfig{QueueDepth: 4})
 	h1, err := d.StartGet(key)
 	if err != nil {
 		t.Fatal(err)
@@ -244,11 +187,10 @@ func TestWindowedGetPerKeyOrdering(t *testing.T) {
 }
 
 func TestWindowedGetMiss(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
+	d, _, _ := newWindowed(t, SubmissionConfig{QueueDepth: 4})
 	if err := d.Put([]byte("present"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	tuneSub(t, d, SubmissionConfig{QueueDepth: 4})
 	h, err := d.StartGet([]byte("absent"))
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +214,7 @@ func TestWindowedGetMiss(t *testing.T) {
 func TestWindowedDoorbellBatching(t *testing.T) {
 	const nkeys = 16
 	run := func(sub SubmissionConfig) int64 {
-		d, _, link := newStack(t, MethodAdaptive, true)
+		d, _, link := newWindowed(t, sub)
 		keys := make([][]byte, nkeys)
 		for i := range keys {
 			keys[i] = []byte(fmt.Sprintf("db%02d", i))
@@ -280,7 +222,6 @@ func TestWindowedDoorbellBatching(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tuneSub(t, d, sub)
 		before := doorbells(link)
 		if sub.QueueDepth >= 2 {
 			windowedGetAll(t, d, keys)
@@ -308,7 +249,11 @@ func TestWindowedDoorbellBatching(t *testing.T) {
 // timestamps, same order.
 func TestWindowedTraceDeterminism(t *testing.T) {
 	run := func() []trace.Event {
-		d, _, _ := newStack(t, MethodAdaptive, true)
+		d, _, _ := newWindowed(t, SubmissionConfig{
+			QueueDepth:       6,
+			DoorbellBatch:    3,
+			CoalesceInterval: sim.Microsecond,
+		})
 		rec := trace.NewRecorder(4096)
 		d.SetTracer(rec)
 		keys := make([][]byte, 12)
@@ -318,11 +263,6 @@ func TestWindowedTraceDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tuneSub(t, d, SubmissionConfig{
-			QueueDepth:       6,
-			DoorbellBatch:    3,
-			CoalesceInterval: sim.Microsecond,
-		})
 		windowedGetAll(t, d, keys)
 		var out []trace.Event
 		for _, ev := range rec.Events() {
@@ -356,13 +296,12 @@ func TestWindowedTraceDeterminism(t *testing.T) {
 // TestDrainWindowAfterError: abandoning a partially reaped window leaves
 // the driver consistent for the next operation.
 func TestDrainWindowAfterError(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
+	d, _, _ := newWindowed(t, SubmissionConfig{QueueDepth: 4})
 	for i := 0; i < 6; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("dr%02d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tuneSub(t, d, SubmissionConfig{QueueDepth: 4})
 	for i := 0; i < 4; i++ {
 		if _, err := d.StartGet([]byte(fmt.Sprintf("dr%02d", i))); err != nil {
 			t.Fatal(err)
@@ -390,7 +329,7 @@ func TestDrainWindowAfterError(t *testing.T) {
 // slot's staging run fails with the status a synchronous Get reports, and
 // the in-flight read in the next slot still returns its own bytes.
 func TestWindowedReadAboveStaging(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
+	d, _, _ := newWindowed(t, SubmissionConfig{QueueDepth: 4})
 	big, near := []byte("big"), bytes.Repeat([]byte{0xA5}, 100)
 	for _, kv := range []struct{ k, v []byte }{{big, make([]byte, MaxValueSize+1)}, {[]byte("near"), near}, {[]byte("warm"), []byte("w")}} {
 		if err := d.Put(kv.k, kv.v); err != nil {
@@ -402,7 +341,6 @@ func TestWindowedReadAboveStaging(t *testing.T) {
 	if !ok {
 		t.Fatalf("synchronous Get of an oversized value: %v, want a status error", err)
 	}
-	tuneSub(t, d, SubmissionConfig{QueueDepth: 4})
 	// Slot 1's staging run directly follows slot 0's: a warm-up read takes
 	// slot 0 and the neighbour slot 1, then the oversized read reuses slot 0.
 	warm, err := d.StartGet([]byte("warm"))
@@ -429,32 +367,6 @@ func TestWindowedReadAboveStaging(t *testing.T) {
 	}
 }
 
-// TestRetuneWindowDepth retunes the window deeper, shallower, to the
-// synchronous passthrough and back, reading through it after every step.
-func TestRetuneWindowDepth(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
-	keys := [][]byte{[]byte("rt0"), []byte("rt1"), []byte("rt2")}
-	for i, k := range keys {
-		if err := d.Put(k, bytes.Repeat([]byte{byte(i + 1)}, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, depth := range []int{8, 4, 1, 2} {
-		tuneSub(t, d, SubmissionConfig{QueueDepth: depth})
-		if depth < 2 {
-			if v, err := d.Get(keys[0]); err != nil || v[0] != 1 {
-				t.Fatalf("depth %d: Get = %v, %v", depth, v, err)
-			}
-			continue
-		}
-		for i, v := range windowedGetAll(t, d, keys) {
-			if len(v) != 100 || v[0] != byte(i+1) {
-				t.Fatalf("depth %d: key %d read %d bytes of %d", depth, i, len(v), v[0])
-			}
-		}
-	}
-}
-
 // TestBurstReportsFirstFailureInFetchOrder: completions reap in readiness
 // order, but a burst's frame keeps the failing status of its earliest
 // fetched command, and the latest reaped completion otherwise.
@@ -475,29 +387,5 @@ func TestBurstReportsFirstFailureInFetchOrder(t *testing.T) {
 	if f := d.frames[0]; f.left != 0 || f.comp.Status != nvme.StatusTransient || f.comp.Ready != 4 {
 		t.Fatalf("frame after the burst: left %d, status %v, ready %v; want 0, %v, 4",
 			f.left, f.comp.Status, f.comp.Ready, nvme.StatusTransient)
-	}
-}
-
-// TestSetSubmissionRejectedInFlight: Tune cannot change the policy under an
-// open window.
-func TestSetSubmissionRejectedInFlight(t *testing.T) {
-	d, _, _ := newStack(t, MethodAdaptive, true)
-	if err := d.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	tuneSub(t, d, SubmissionConfig{QueueDepth: 4})
-	h, err := d.StartGet([]byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deeper := SubmissionConfig{QueueDepth: 8}
-	if err := d.Tune(Tuning{Submission: &deeper}); err == nil {
-		t.Fatal("Tune(Submission) succeeded with a command in flight")
-	}
-	if _, err := d.WaitGetInto(h, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Tune(Tuning{Submission: &deeper}); err != nil {
-		t.Fatalf("Tune(Submission) after window drained: %v", err)
 	}
 }

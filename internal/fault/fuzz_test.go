@@ -7,7 +7,7 @@ import (
 
 // FuzzParsePlan feeds arbitrary text to the plan parser. Invariants: the
 // parser never panics, every accepted plan validates, and the canonical
-// FormatPlan rendering round-trips to an identical plan.
+// formatPlan rendering round-trips to an identical plan.
 func FuzzParsePlan(f *testing.F) {
 	f.Add("seed 42\nnand.program nth=3 media\n")
 	f.Add("dma.in p=0.01 from=0us to=5ms transient\n")
@@ -23,7 +23,7 @@ func FuzzParsePlan(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted plan fails Validate: %v", err)
 		}
-		canon := FormatPlan(p)
+		canon := formatPlan(p)
 		p2, err := ParsePlan(canon)
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\n%s", err, canon)
@@ -31,8 +31,8 @@ func FuzzParsePlan(f *testing.F) {
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("round trip diverged:\n%+v\n%+v\ncanonical:\n%s", p, p2, canon)
 		}
-		if got := FormatPlan(p2); got != canon {
-			t.Fatalf("FormatPlan not a fixed point:\n%q\n%q", canon, got)
+		if got := formatPlan(p2); got != canon {
+			t.Fatalf("formatPlan not a fixed point:\n%q\n%q", canon, got)
 		}
 	})
 }

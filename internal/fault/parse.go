@@ -211,15 +211,3 @@ func FormatRule(r Rule) string {
 	b.WriteString(r.Effect.String())
 	return b.String()
 }
-
-// FormatPlan renders a plan in canonical text form; ParsePlan of the result
-// reproduces the plan.
-func FormatPlan(p *Plan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed %d\n", p.Seed)
-	for _, r := range p.Rules {
-		b.WriteString(FormatRule(r))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

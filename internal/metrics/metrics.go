@@ -29,11 +29,10 @@ func (c *Counter) Inc() { c.v++ }
 // Value reports the current tally.
 func (c *Counter) Value() int64 { return c.v }
 
-// Welford accumulates mean/variance online without storing samples.
+// Welford accumulates the mean and extremes online without storing samples.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -51,9 +50,7 @@ func (w *Welford) Observe(x float64) {
 			w.max = x
 		}
 	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // Count reports the number of samples observed.
@@ -68,22 +65,8 @@ func (w *Welford) Min() float64 { return w.min }
 // Max reports the largest sample (0 with no samples).
 func (w *Welford) Max() float64 { return w.max }
 
-// Variance reports the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev reports the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
 // Sum reports the total of all samples (mean × count).
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Merge folds other's samples into w, as if every sample had been observed
 // on w directly (the parallel-run combination of Chan et al.). Used to
@@ -98,7 +81,6 @@ func (w *Welford) Merge(other *Welford) {
 	}
 	n := w.n + other.n
 	d := other.mean - w.mean
-	w.m2 += other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
 	w.mean += d * float64(other.n) / float64(n)
 	if other.min < w.min {
 		w.min = other.min
@@ -155,14 +137,8 @@ func (h *Histogram) Count() int64 { return h.w.Count() }
 // Mean reports the exact sample mean.
 func (h *Histogram) Mean() float64 { return h.w.Mean() }
 
-// Min reports the exact sample minimum.
-func (h *Histogram) Min() float64 { return h.w.Min() }
-
 // Max reports the exact sample maximum.
 func (h *Histogram) Max() float64 { return h.w.Max() }
-
-// Stddev reports the exact sample standard deviation.
-func (h *Histogram) Stddev() float64 { return h.w.Stddev() }
 
 // Sum reports the exact total of all samples.
 func (h *Histogram) Sum() float64 { return h.w.Sum() }
@@ -267,35 +243,6 @@ func (h *Histogram) Clone() *Histogram {
 	c := NewHistogram()
 	c.Merge(h)
 	return c
-}
-
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.under = 0
-	h.w.Reset()
-}
-
-// Summary is a point-in-time digest of a Histogram: the numbers a snapshot
-// API can carry without exposing the live accumulator.
-type Summary struct {
-	Count          int64
-	Mean, P50, P99 float64
-	Min, Max       float64
-}
-
-// Summary digests the histogram's current samples.
-func (h *Histogram) Summary() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.P50(),
-		P99:   h.P99(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-	}
 }
 
 // HistogramSet keys histograms by label (an opcode, a transfer method),

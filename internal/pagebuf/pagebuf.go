@@ -167,9 +167,6 @@ func (b *Buffer) Stats() *Stats { return &b.stats }
 // SetTracer enables placement/flush tracing; nil turns it back off.
 func (b *Buffer) SetTracer(tr trace.Tracer) { b.tr = tr }
 
-// Policy reports the active packing policy.
-func (b *Buffer) Policy() Policy { return b.cfg.Policy }
-
 // WP reports the current write pointer (for tests and introspection).
 func (b *Buffer) WP() int64 { return b.wp }
 

@@ -2,7 +2,7 @@
 // simulator's zero-allocation hot path: size-classed []byte free lists à la
 // sync.Pool (but single-owner and deterministic — every simulation stack is
 // driven from one goroutine at a time, so no locking or per-P sharding is
-// needed) and a capacity-reusing helper for typed scratch slices.
+// needed).
 //
 // Ownership discipline: a buffer obtained from Get is owned by the caller
 // until returned with Put; returning it transfers ownership back and the
@@ -84,15 +84,4 @@ func capClass(n int) int {
 		c++
 	}
 	return c
-}
-
-// Reuse returns s resized to length n, reusing its capacity when possible.
-// Contents are unspecified — it is scratch, not a copy-preserving resize.
-// This is the typed-slice analog of Bytes for command/completion scratch
-// ([]nvme.Command bursts, []uint64 PRP page lists, ...).
-func Reuse[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }

@@ -83,18 +83,6 @@ func TestTinyPutDropped(t *testing.T) {
 	}
 }
 
-func TestReuse(t *testing.T) {
-	s := make([]int, 4, 16)
-	r := Reuse(s, 10)
-	if len(r) != 10 || cap(r) != 16 {
-		t.Fatalf("Reuse kept-capacity: len %d cap %d", len(r), cap(r))
-	}
-	r2 := Reuse(r, 32)
-	if len(r2) != 32 {
-		t.Fatalf("Reuse grow: len %d", len(r2))
-	}
-}
-
 func TestSteadyStateGetPutAllocationFree(t *testing.T) {
 	var p Bytes
 	p.Put(make([]byte, 4096))

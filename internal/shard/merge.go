@@ -11,7 +11,7 @@ import (
 // Cursor is one key-ordered stream feeding a MergeIterator — a positioned
 // device iterator. Each call copies the stream's current pair into key and
 // value (grown as needed), returns the filled slices, and advances;
-// driver.ErrIterDone signals exhaustion. Stack.Next is the canonical Cursor;
+// driver.ErrIterEnd signals exhaustion. Stack.Next is the canonical Cursor;
 // a front-end wraps it in whatever serializes access to the stack.
 type Cursor func(key, value []byte) ([]byte, []byte, error)
 
@@ -77,7 +77,7 @@ func NewMergeIterator(cursors []Cursor) (*MergeIterator, error) {
 		switch err := src.advance(); {
 		case err == nil:
 			m.srcs = append(m.srcs, src)
-		case !errors.Is(err, driver.ErrIterDone):
+		case !errors.Is(err, driver.ErrIterEnd):
 			return nil, err
 		}
 	}
@@ -115,7 +115,7 @@ func (m *MergeIterator) Next() {
 	switch err := m.srcs[0].advance(); {
 	case err == nil:
 		heap.Fix(&m.srcs, 0)
-	case errors.Is(err, driver.ErrIterDone):
+	case errors.Is(err, driver.ErrIterEnd):
 		heap.Pop(&m.srcs)
 	default:
 		m.err = err

@@ -19,7 +19,6 @@
 package shard
 
 import (
-	"bandslim/internal/cache"
 	"bandslim/internal/device"
 	"bandslim/internal/driver"
 	"bandslim/internal/fault"
@@ -80,16 +79,18 @@ func NewStack(o Options) (*Stack, error) {
 	clock := sim.NewClock()
 	link := pcie.NewLink(pcie.DefaultCostModel())
 	mem := nvme.NewHostMemory()
-	// The device starts cache-less: the Tune below arms its tiers and the
-	// host-side negative cache in one step, so neither is built twice.
-	dcfg := o.Device
-	dcfg.Cache = cache.Config{}
-	dev, err := device.New(dcfg, clock, link, mem)
+	dev, err := device.New(o.Device, clock, link, mem)
 	if err != nil {
 		return nil, err
 	}
-	drv := driver.New(clock, link, mem, dev, o.Method, o.Thresholds)
-	if err := drv.Tune(driver.Tuning{Submission: &o.Submission, Retry: &o.Retry, Cache: &o.Device.Cache}); err != nil {
+	drv, err := driver.New(clock, link, mem, dev, driver.Config{
+		Method:          o.Method,
+		Thresholds:      o.Thresholds,
+		Submission:      o.Submission,
+		Retry:           o.Retry,
+		NegativeEntries: o.Device.Cache.NegativeEntries,
+	})
+	if err != nil {
 		return nil, err
 	}
 	if o.Faults != nil {
@@ -165,7 +166,7 @@ func (s *Stack) Seek(start []byte) error {
 
 // Next copies the device iterator's current pair into key and value (grown
 // as needed), returns the filled slices, and advances the iterator;
-// driver.ErrIterDone signals exhaustion.
+// driver.ErrIterEnd signals exhaustion.
 func (s *Stack) Next(key, value []byte) ([]byte, []byte, error) {
 	k, v, err := s.Drv.Next()
 	if err == nil {
@@ -182,9 +183,6 @@ func (s *Stack) Recover() error {
 	s.opDone()
 	return err
 }
-
-// Tune applies the present fields of t to the driver's runtime knobs.
-func (s *Stack) Tune(t driver.Tuning) error { return s.Drv.Tune(t) }
 
 // CompactVLog garbage-collects the oldest pages value-log pages and reports
 // how many values were relocated.

@@ -31,9 +31,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Micros reports the time as fractional microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Seconds reports the time as fractional seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
 
 // Micros reports the duration as fractional microseconds.

@@ -56,9 +56,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if m := Time(2500).Micros(); m != 2.5 {
 		t.Fatalf("Micros: got %v", m)
 	}
-	if s := Time(Second).Seconds(); s != 1.0 {
-		t.Fatalf("Seconds: got %v", s)
-	}
 }
 
 func TestDurationFormatting(t *testing.T) {

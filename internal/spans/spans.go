@@ -97,8 +97,6 @@ var stagePriority = [NumStages]int{
 type Op struct {
 	// Name is the operation event's name: "put", "get", or "delete".
 	Name string
-	// Opcode is the NVMe opcode of the op event.
-	Opcode uint8
 	// Shard and Seq identify the closing op event in the source stream.
 	Shard int32
 	Seq   uint64
@@ -112,8 +110,6 @@ type Op struct {
 	Commands int
 	// Retries is how many retry backoffs fired inside the op's span.
 	Retries int
-	// Bytes is the payload byte count the op event reported.
-	Bytes int64
 }
 
 // E2E reports the end-to-end simulated latency.
@@ -461,14 +457,12 @@ func (r *Report) claim(st *shardState, e trace.Event) {
 
 	op := Op{
 		Name:     e.Name.String(),
-		Opcode:   e.Op,
 		Shard:    e.Shard,
 		Seq:      e.Seq,
 		Start:    opStart,
 		End:      opEnd,
 		Commands: len(claimed),
 		Retries:  nret,
-		Bytes:    e.Bytes,
 	}
 	var ivs []interval
 	for _, c := range claimed {

@@ -101,35 +101,6 @@ type Series struct {
 // Len reports the number of samples.
 func (s Series) Len() int { return len(s.Samples) }
 
-// Column extracts one scalar metric's values across all samples.
-func (s Series) Column(name string) ([]float64, bool) {
-	for i, d := range s.Descs {
-		if d.Name == name {
-			col := make([]float64, len(s.Samples))
-			for j, sm := range s.Samples {
-				col[j] = sm.Values[i]
-			}
-			return col, true
-		}
-	}
-	return nil, false
-}
-
-// Rate derives a counter's per-simulated-second rate series from successive
-// deltas: out[i] = (v[i] - v[i-1]) / Interval, with out[0] = 0.
-func (s Series) Rate(name string) ([]float64, bool) {
-	col, ok := s.Column(name)
-	if !ok {
-		return nil, false
-	}
-	out := make([]float64, len(col))
-	secs := s.Interval.Seconds()
-	for i := 1; i < len(col); i++ {
-		out[i] = (col[i] - col[i-1]) / secs
-	}
-	return out, true
-}
-
 // histAt finds one sample's histogram for key, or nil if the key had not
 // been observed yet at that sample.
 func histAt(sm Sample, key HistKey) *metrics.Histogram {

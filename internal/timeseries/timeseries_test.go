@@ -92,43 +92,18 @@ func TestSamplerPanicsOnBadInterval(t *testing.T) {
 	NewSampler(0, testDescs, (&fakeSource{}).snapshot)
 }
 
-func TestColumnAndRate(t *testing.T) {
-	src := &fakeSource{}
-	s := NewSampler(sim.Duration(sim.Microsecond), testDescs, src.snapshot)
-	for i := 1; i <= 4; i++ {
-		src.ops = float64(i * 10)
-		s.Poll(sim.Time(i) * sim.Time(sim.Microsecond))
-	}
-	series := s.Series()
-
-	col, ok := series.Column("ops")
-	if !ok {
-		t.Fatal("Column(ops) missing")
-	}
-	want := []float64{0, 10, 20, 30, 40}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("Column(ops)[%d] = %v, want %v", i, col[i], want[i])
+// column extracts one scalar metric's values across a series' samples.
+func column(s Series, name string) []float64 {
+	for i, d := range s.Descs {
+		if d.Name == name {
+			col := make([]float64, len(s.Samples))
+			for j, sm := range s.Samples {
+				col[j] = sm.Values[i]
+			}
+			return col
 		}
 	}
-
-	rate, ok := series.Rate("ops")
-	if !ok {
-		t.Fatal("Rate(ops) missing")
-	}
-	if rate[0] != 0 {
-		t.Fatalf("Rate[0] = %v, want 0", rate[0])
-	}
-	// 10 ops per simulated microsecond = 1e7 per simulated second.
-	for i := 1; i < len(rate); i++ {
-		if rate[i] != 1e7 {
-			t.Fatalf("Rate[%d] = %v, want 1e7", i, rate[i])
-		}
-	}
-
-	if _, ok := series.Column("no_such_metric"); ok {
-		t.Fatal("Column on unknown name reported ok")
-	}
+	return nil
 }
 
 func TestSamplerTracksNewHistKeys(t *testing.T) {
@@ -176,8 +151,7 @@ func TestMergeSeriesIdentityOnCounters(t *testing.T) {
 		t.Fatalf("identity merge changed length: %d vs %d", merged.Len(), one.Len())
 	}
 	for _, name := range []string{"ops", "clock_ns", "util"} {
-		a, _ := one.Column(name)
-		b, _ := merged.Column(name)
+		a, b := column(one, name), column(merged, name)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("identity merge changed %s[%d]: %v vs %v", name, i, a[i], b[i])
@@ -205,20 +179,20 @@ func TestMergeSeriesAggregatesAndCarriesForward(t *testing.T) {
 	if m.Len() != 4 {
 		t.Fatalf("merged length = %d, want 4 (longest part)", m.Len())
 	}
-	ops, _ := m.Column("ops")
+	ops := column(m, "ops")
 	// Counter sums; b stays flat at 5 after its clock stops.
 	for i, want := range []float64{0, 15, 25, 35} {
 		if ops[i] != want {
 			t.Fatalf("ops[%d] = %v, want %v", i, ops[i], want)
 		}
 	}
-	clock, _ := m.Column("clock_ns")
+	clock := column(m, "clock_ns")
 	for i, want := range []float64{0, 100, 200, 300} {
 		if clock[i] != want {
 			t.Fatalf("clock_ns[%d] = %v, want %v (AggMax)", i, clock[i], want)
 		}
 	}
-	util, _ := m.Column("util")
+	util := column(m, "util")
 	for i, want := range []float64{0, 0.6, 0.7, 0.8} { // mean of a and carried-forward b
 		if util[i] != want {
 			t.Fatalf("util[%d] = %v, want %v (AggMean)", i, util[i], want)

@@ -182,7 +182,7 @@ func TestModelCheckScenariosDB(t *testing.T) {
 			faulty := seed%2 == 1
 			var plan *bandslim.FaultPlan
 			if faulty {
-				plan = mcPlan(seed ^ 0x5CE7A1)
+				plan = mcPlan(t, seed^0x5CE7A1)
 			}
 			cfg := tinyFaultConfig(plan)
 			cfg.Submission = mcSubmission(seed)
@@ -206,7 +206,7 @@ func TestModelCheckScenariosSharded(t *testing.T) {
 			faulty := seed%2 == 1
 			var plan *bandslim.FaultPlan
 			if faulty {
-				plan = mcPlan(seed ^ 0xB1A5E)
+				plan = mcPlan(t, seed^0xB1A5E)
 			}
 			per := tinyFaultConfig(plan)
 			per.Submission = mcSubmission(seed)
@@ -381,13 +381,9 @@ func chaosVerify(t *testing.T, db *bandslim.DB, acked, pending map[string][]byte
 
 // runChaosPoint runs the mixed scenario with one power cut at the given
 // site/occurrence and returns the verified state dump.
-func runChaosPoint(t *testing.T, site bandslim.FaultSite, nth int) []byte {
+func runChaosPoint(t *testing.T, site string, nth int) []byte {
 	t.Helper()
-	plan := &bandslim.FaultPlan{
-		Seed:  2,
-		Rules: []bandslim.FaultRule{{Site: site, Effect: bandslim.FaultPowerCut, Nth: nth}},
-	}
-	cfg := tinyFaultConfig(plan)
+	cfg := tinyFaultConfig(faultPlan(t, 2, fmt.Sprintf("%s nth=%d powercut", site, nth)))
 	cfg.Submission = mcSubmission(uint64(nth))
 	cfg.Cache = mcCache(uint64(nth))
 	db, err := bandslim.Open(cfg)
@@ -409,23 +405,23 @@ func runChaosPoint(t *testing.T, site bandslim.FaultSite, nth int) []byte {
 // reproduce its exact final state on a second run.
 func TestChaosUnderLoad(t *testing.T) {
 	type point struct {
-		site bandslim.FaultSite
+		site string
 		nth  int
 	}
 	points := []point{
-		{bandslim.FaultExec, 3}, {bandslim.FaultExec, 9}, {bandslim.FaultExec, 17},
-		{bandslim.FaultExec, 30}, {bandslim.FaultExec, 48}, {bandslim.FaultExec, 70},
-		{bandslim.FaultDMAIn, 2}, {bandslim.FaultDMAIn, 7},
-		{bandslim.FaultNandProgram, 2}, {bandslim.FaultNandProgram, 7},
-		{bandslim.FaultExec, 100000}, // uncut baseline
+		{"exec", 3}, {"exec", 9}, {"exec", 17},
+		{"exec", 30}, {"exec", 48}, {"exec", 70},
+		{"dma.in", 2}, {"dma.in", 7},
+		{"nand.program", 2}, {"nand.program", 7},
+		{"exec", 100000}, // uncut baseline
 	}
 	if !testing.Short() {
 		for k := 1; k <= 24; k++ {
-			points = append(points, point{bandslim.FaultExec, 3*k + 1})
+			points = append(points, point{"exec", 3*k + 1})
 		}
 	}
 	for _, p := range points {
-		name := fmt.Sprintf("%v/nth=%d", p.site, p.nth)
+		name := fmt.Sprintf("%s/nth=%d", p.site, p.nth)
 		first := runChaosPoint(t, p.site, p.nth)
 		second := runChaosPoint(t, p.site, p.nth)
 		if !bytes.Equal(first, second) {

@@ -17,6 +17,7 @@ package bandslim_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bandslim"
@@ -156,38 +157,39 @@ func mcCache(seed uint64) bandslim.CacheConfig {
 	}
 }
 
+// faultPlan parses the plan of the given seed and rule lines, failing the
+// test on a malformed rule.
+func faultPlan(t testing.TB, seed uint64, rules ...string) *bandslim.FaultPlan {
+	t.Helper()
+	p, err := bandslim.ParseFaultPlan(fmt.Sprintf("seed %d\n%s", seed, strings.Join(rules, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // mcPlan derives a fault plan from the sequence seed: transient transfer
 // errors (ride-out-able by the retry policy), media program failures (block
 // retirement), and one or two power cuts.
-func mcPlan(seed uint64) *bandslim.FaultPlan {
+func mcPlan(t testing.TB, seed uint64) *bandslim.FaultPlan {
 	rng := sim.NewRNG(seed ^ 0xFA017)
-	p := &bandslim.FaultPlan{Seed: seed}
+	var rules []string
 	if rng.Intn(2) == 0 {
-		p.Rules = append(p.Rules, bandslim.FaultRule{
-			Site: bandslim.FaultDMAIn, Effect: bandslim.FaultTransient, Every: 7 + rng.Intn(20),
-		})
+		rules = append(rules, fmt.Sprintf("dma.in every=%d transient", 7+rng.Intn(20)))
 	}
 	if rng.Intn(2) == 0 {
-		p.Rules = append(p.Rules, bandslim.FaultRule{
-			Site: bandslim.FaultNandProgram, Effect: bandslim.FaultMedia, Nth: 1 + rng.Intn(30),
-		})
+		rules = append(rules, fmt.Sprintf("nand.program nth=%d media", 1+rng.Intn(30)))
 	}
 	switch rng.Intn(3) {
 	case 0:
-		p.Rules = append(p.Rules, bandslim.FaultRule{
-			Site: bandslim.FaultExec, Effect: bandslim.FaultPowerCut, Nth: 5 + rng.Intn(50),
-		})
+		rules = append(rules, fmt.Sprintf("exec nth=%d powercut", 5+rng.Intn(50)))
 	case 1:
-		p.Rules = append(p.Rules, bandslim.FaultRule{
-			Site: bandslim.FaultExec, Effect: bandslim.FaultPowerCut, Every: 30 + rng.Intn(40),
-		})
+		rules = append(rules, fmt.Sprintf("exec every=%d powercut", 30+rng.Intn(40)))
 	}
-	if len(p.Rules) == 0 {
-		p.Rules = append(p.Rules, bandslim.FaultRule{
-			Site: bandslim.FaultDMAIn, Effect: bandslim.FaultTransient, Nth: 3,
-		})
+	if len(rules) == 0 {
+		rules = append(rules, "dma.in nth=3 transient")
 	}
-	return p
+	return faultPlan(t, seed, rules...)
 }
 
 // mcScan opens an iterator and checks every scanned pair within the model's
@@ -381,7 +383,7 @@ func TestModelCheckDB(t *testing.T) {
 		faulty := seed%2 == 1
 		var plan *bandslim.FaultPlan
 		if faulty {
-			plan = mcPlan(seed)
+			plan = mcPlan(t, seed)
 		}
 		cfg := tinyFaultConfig(plan)
 		cfg.Submission = mcSubmission(seed)
@@ -409,7 +411,7 @@ func TestModelCheckSharded(t *testing.T) {
 		faulty := seed%2 == 1
 		var plan *bandslim.FaultPlan
 		if faulty {
-			plan = mcPlan(seed ^ 0x51A4DED)
+			plan = mcPlan(t, seed^0x51A4DED)
 		}
 		per := tinyFaultConfig(plan)
 		per.Submission = mcSubmission(seed)

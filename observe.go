@@ -103,13 +103,6 @@ func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) {
 // (unclaimed commands, in-flight commands, proven event loss).
 type BlameReport = spans.Report
 
-// BlameOp is one reconstructed operation with its stage durations.
-type BlameOp = spans.Op
-
-// BlameStage identifies one latency-attribution stage; see
-// internal/spans for the stage taxonomy and priority rules.
-type BlameStage = spans.Stage
-
 // BlameCriticalPath digests one op kind's p99 tail: the stage that absorbs
 // the largest share of the slowest ops' latency.
 type BlameCriticalPath = spans.CriticalPath
@@ -120,9 +113,6 @@ type BlameCriticalPath = spans.CriticalPath
 func AnalyzeTrace(events []TraceEvent) *BlameReport {
 	return spans.Analyze(events)
 }
-
-// BlameTopK returns the k slowest reconstructed ops, worst first.
-func BlameTopK(r *BlameReport, k int) []BlameOp { return spans.TopK(r, k) }
 
 // BlameCriticalPaths digests each op kind's p99 tail.
 func BlameCriticalPaths(r *BlameReport) []BlameCriticalPath {
@@ -198,15 +188,8 @@ func (db *DB) Blame() *BlameReport { return db.rings.blame() }
 // MetricSeries is a sampled sequence of metric snapshots on a fixed
 // simulated-time grid: sample i sits at t = i × Config.MetricsInterval,
 // starting from a zero-state sample at t = 0. Counters are cumulative;
-// derive rates with Rate ("pcie_bytes" → PCIe bytes per simulated second).
+// WriteSeriesCSV derives their per-second rates.
 type MetricSeries = timeseries.Series
-
-// MetricSample is one recorded snapshot within a MetricSeries.
-type MetricSample = timeseries.Sample
-
-// MetricDesc declares one scalar metric: name, kind (counter or gauge),
-// cross-shard aggregation mode, and Prometheus HELP text.
-type MetricDesc = timeseries.Desc
 
 // Series returns the simulated-time metric series recorded so far, the
 // shards' series merged onto one time axis: counters and sum-gauges add,

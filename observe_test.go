@@ -145,8 +145,8 @@ func TestErrorSentinelsMatchable(t *testing.T) {
 	if !errors.Is(fmt.Errorf("op failed: %w", ErrClosed), ErrClosed) {
 		t.Fatal("wrapped ErrClosed not matchable with errors.Is")
 	}
-	if !errors.Is(fmt.Errorf("scan: %w", ErrIterDone), ErrIterDone) {
-		t.Fatal("wrapped ErrIterDone not matchable with errors.Is")
+	if !errors.Is(fmt.Errorf("scan: %w", ErrIteratorInvalidated), ErrIteratorInvalidated) {
+		t.Fatal("wrapped ErrIteratorInvalidated not matchable with errors.Is")
 	}
 	db := openSmall(t, nil)
 	if err := db.Close(); err != nil {
@@ -154,29 +154,5 @@ func TestErrorSentinelsMatchable(t *testing.T) {
 	}
 	if err := db.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestSettersFailAfterClose(t *testing.T) {
-	method, thr := Piggyback, DefaultConfig().Thresholds
-	tunings := []Tuning{{Method: &method}, {Thresholds: &thr}}
-	sdb, err := OpenSharded(ShardedConfig{Shards: 2, PerShard: smallConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, st := range map[string]*DB{"one shard": openSmall(t, nil), "two shards": sdb} {
-		for _, tn := range tunings {
-			if err := st.Tune(tn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, tn := range tunings {
-			if err := st.Tune(tn); !errors.Is(err, ErrClosed) {
-				t.Fatalf("%s.Tune after Close = %v, want ErrClosed", name, err)
-			}
-		}
 	}
 }

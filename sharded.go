@@ -178,11 +178,6 @@ func (db *DB) fanOut(keys [][]byte, run func(st *shard.Stack, lane []int) error)
 // order. It returns nil when no ring recorder is attached.
 func (db *DB) TraceEvents() []TraceEvent { return db.rings.events() }
 
-// TraceDropped reports the total events evicted across the per-shard trace
-// rings (TraceCapacity > 0), or by a shared Config.Tracer recorder. Zero when
-// tracing is off or nothing was evicted.
-func (db *DB) TraceDropped() int64 { return db.rings.health().Dropped }
-
 // ResetTrace discards every buffered trace event (and, per ring, restarts
 // the eviction window) without detaching the recorders. Sequence numbers
 // keep running, so an analyzer sees the reset as a truncation, never as a
@@ -194,17 +189,14 @@ func (db *DB) ResetTrace() {
 	}
 }
 
-// Submission reports the submission policy in effect on shard 0 (Tune keeps
-// every shard on the same policy). It stays readable after Close.
+// Submission reports the submission policy in effect; every shard is built
+// from one Config, so shard 0 speaks for all. It stays readable after Close.
 func (db *DB) Submission() SubmissionConfig {
 	sh := db.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.st.Drv.Submission()
 }
-
-// NumShards reports the shard count.
-func (db *DB) NumShards() int { return len(db.shards) }
 
 // ShardFor reports which shard index serves key.
 func (db *DB) ShardFor(key []byte) int { return db.part.Shard(key) }

@@ -12,25 +12,16 @@ import (
 )
 
 // LatencySummary digests one response-time distribution: the numbers a
-// snapshot can carry without exposing the live histogram.
+// snapshot can carry without exposing the live histogram. The exposition
+// (DB.WritePrometheus) carries the full buckets.
 type LatencySummary struct {
-	Count int64
-	Mean  sim.Duration
-	P50   sim.Duration
-	P99   sim.Duration
-	Max   sim.Duration
+	Mean sim.Duration
+	P99  sim.Duration
 }
 
 // latencySummary digests a histogram into the public summary type.
 func latencySummary(h *metrics.Histogram) LatencySummary {
-	s := h.Summary()
-	return LatencySummary{
-		Count: s.Count,
-		Mean:  sim.Duration(s.Mean),
-		P50:   sim.Duration(s.P50),
-		P99:   sim.Duration(s.P99),
-		Max:   sim.Duration(s.Max),
-	}
+	return LatencySummary{Mean: sim.Duration(h.Mean()), P99: sim.Duration(h.P99())}
 }
 
 // HostStats are the metrics observed at the driver: operation counts and
@@ -537,7 +528,7 @@ var histHelp = map[string]string{
 }
 
 // snapshot reads a stack's full metric state as a timeseries snapshot: the
-// rows' scalars (the flattened Stats tree and the Inspect-style gauges) and
+// rows' scalars (the flattened Stats tree and the live gauges) and
 // clones of every latency histogram. The caller holds the shard's lock (the
 // sampler calls it from inside an operation).
 func snapshot(st *shard.Stack, rows []row) timeseries.Snapshot {

@@ -132,7 +132,7 @@ func TestShardedStatsFoldEveryRow(t *testing.T) {
 	statsChurn(t, s)
 
 	agg := s.Stats()
-	parts := make([]Stats, s.NumShards())
+	parts := make([]Stats, len(s.shards))
 	for i := range parts {
 		parts[i] = s.ShardStats(i)
 	}

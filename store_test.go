@@ -9,14 +9,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 )
 
 // Every exported method of a closed DB answers ErrClosed or a readable
-// snapshot — never a panic — at one shard and at four. (Submission after Close
-// used to send on a shard worker's closed channel; the server's INFO reaches
-// it.)
+// snapshot — never a panic — at one shard and at four; the method set comes
+// from reflection, so a new method must join one of the two lists.
+// (Submission after Close used to send on a shard worker's closed channel;
+// the server's INFO reaches it.)
 func TestStoreAfterClose(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -46,8 +48,7 @@ func TestStoreAfterClose(t *testing.T) {
 				err error
 			}
 			keys, one := [][]byte{key}, func(_ any, err error) error { return err }
-			method := Piggyback
-			for _, c := range []result{
+			closedOps := []result{
 				{"Put", db.Put(key, val)},
 				{"Get", one(db.Get(key))},
 				{"GetInto", one(db.GetInto(key, nil))},
@@ -58,12 +59,31 @@ func TestStoreAfterClose(t *testing.T) {
 				{"NewIterator", one(db.NewIterator(nil))},
 				{"Flush", db.Flush()},
 				{"Recover", db.Recover()},
-				{"Tune", db.Tune(Tuning{Method: &method})},
 				{"Identify", one(db.Identify())},
 				{"CompactVLog", one(db.CompactVLog(1))},
-			} {
+			}
+			// The snapshot methods, each called below.
+			snapshots := []string{"Close", "Now", "Stats", "Series", "WritePrometheus", "Blame",
+				"VLogFreeBytes", "Submission", "ShardStats", "ShardFor", "TraceEvents", "ResetTrace"}
+			checked := map[string]bool{}
+			for _, c := range closedOps {
+				checked[c.op] = true
 				if !errors.Is(c.err, ErrClosed) {
 					t.Errorf("%s after Close = %v, want ErrClosed", c.op, c.err)
+				}
+			}
+			for _, name := range snapshots {
+				checked[name] = true
+			}
+			methods := reflect.TypeOf(db)
+			for i := 0; i < methods.NumMethod(); i++ {
+				if name := methods.Method(i).Name; !checked[name] {
+					t.Errorf("DB.%s is in neither the ErrClosed list nor the snapshot list", name)
+				}
+			}
+			for name := range checked {
+				if _, ok := methods.MethodByName(name); !ok {
+					t.Errorf("DB has no method %s; drop it from the lists", name)
 				}
 			}
 			if it.Next(); it.Valid() || !errors.Is(it.Err(), ErrClosed) {
@@ -90,27 +110,20 @@ func TestStoreAfterClose(t *testing.T) {
 			if rep := db.Blame(); rep == nil || len(rep.Ops) == 0 {
 				t.Error("Blame unreadable after Close")
 			}
-			// Inspect describes shard 0; the shared recorder is its ring too.
-			if ins := db.Inspect(); ins.Now <= 0 || ins.Now > db.Now() || ins.Trace != stats.Trace {
-				t.Errorf("Inspect after Close = now %v trace %+v", ins.Now, ins.Trace)
-			}
-			if ins, free := db.Inspect(), db.VLogFreeBytes(); ins.VLogFreeBytes <= 0 || (free == ins.VLogFreeBytes) != (tc.shards == 1) {
-				t.Errorf("VLogFreeBytes after Close = %d, shard 0 holds %d", free, ins.VLogFreeBytes)
+			if free := db.VLogFreeBytes(); free <= 0 || float64(free) != expositionValue(t, db, "vlog_free_bytes") {
+				t.Errorf("VLogFreeBytes after Close = %d, exposition %v", free, expositionValue(t, db, "vlog_free_bytes"))
 			}
 			if sub := db.Submission(); sub != cfg.Submission {
 				t.Errorf("Submission after Close = %+v", sub)
 			}
-			if db.NumShards() != tc.shards {
-				t.Errorf("NumShards = %d, want %d", db.NumShards(), tc.shards)
-			}
 			var puts int64
-			for i := 0; i < db.NumShards(); i++ {
+			for i := 0; i < len(db.shards); i++ {
 				puts += db.ShardStats(i).Host.Puts
 			}
 			if puts != 1 || db.ShardStats(db.ShardFor(key)).Host.Puts != 1 {
 				t.Errorf("ShardStats after Close sum to %d puts", puts)
 			}
-			if len(db.TraceEvents()) == 0 || db.TraceDropped() != 0 {
+			if len(db.TraceEvents()) == 0 || stats.Trace.Dropped != 0 {
 				t.Error("trace stream unreadable after Close")
 			}
 			db.ResetTrace()
@@ -147,7 +160,7 @@ func TestVLogMethodsSumShards(t *testing.T) {
 	checkFree := func(db *DB) {
 		t.Helper()
 		if free := db.VLogFreeBytes(); free <= 0 || float64(free) != expositionValue(t, db, "vlog_free_bytes") {
-			t.Errorf("%d shards: VLogFreeBytes = %d, exposition %v", db.NumShards(), free, expositionValue(t, db, "vlog_free_bytes"))
+			t.Errorf("%d shards: VLogFreeBytes = %d, exposition %v", len(db.shards), free, expositionValue(t, db, "vlog_free_bytes"))
 		}
 	}
 	sdb := openSharded(t, shards, nil)
@@ -216,7 +229,7 @@ func TestNowAndVLogFreeBytesBesideWriter(t *testing.T) {
 }
 
 // storeScript drives one fixed op sequence through st: point ops, PutBatch,
-// strict and sparse batch reads at window depth 1 and 8 with absent keys
+// strict and sparse batch reads at st's window depth with absent keys
 // (repeated, so the negative cache answers some), a scan, and — when the
 // config arms a fault plan — Recover after every power cut. It reports how
 // many recoveries it performed.
@@ -270,25 +283,21 @@ func storeScript(t *testing.T, st *DB) (recoveries int) {
 		probe = append(probe, key(i))
 	}
 	lanes, miss := make([][]byte, len(probe)), make([]bool, len(probe))
-	for _, depth := range []int{1, 8} {
-		sub := SubmissionConfig{QueueDepth: depth}
-		must("Tune", st.Tune(Tuning{Submission: &sub}))
-		_, err := st.GetBatch(bkeys, lanes[:len(bkeys)])
-		must("GetBatch", err)
-		for round := 0; round < 3; round++ {
-			_, err := st.GetBatchSparse(probe, lanes, miss)
-			must("GetBatchSparse", err)
-			for i := range probe {
-				if err == nil && miss[i] != (i >= len(bkeys)) {
-					t.Fatalf("depth %d: miss[%d] = %v", depth, i, miss[i])
-				}
+	_, err := st.GetBatch(bkeys, lanes[:len(bkeys)])
+	must("GetBatch", err)
+	for round := 0; round < 3; round++ {
+		_, err := st.GetBatchSparse(probe, lanes, miss)
+		must("GetBatchSparse", err)
+		for i := range probe {
+			if err == nil && miss[i] != (i >= len(bkeys)) {
+				t.Fatalf("miss[%d] = %v", i, miss[i])
 			}
 		}
-		if _, err = st.GetBatch(probe, lanes); err == nil {
-			t.Fatalf("depth %d: strict GetBatch over absent keys succeeded", depth)
-		} else if !IsNotFound(err) {
-			must("strict GetBatch", err)
-		}
+	}
+	if _, err = st.GetBatch(probe, lanes); err == nil {
+		t.Fatal("strict GetBatch over absent keys succeeded")
+	} else if !IsNotFound(err) {
+		must("strict GetBatch", err)
 	}
 
 	it, err := st.NewIterator(key(50))
@@ -313,6 +322,7 @@ func TestSharedRecorderCountedOnce(t *testing.T) {
 	rec := NewRecorder(1 << 16)
 	cfg := smallConfig()
 	cfg.Tracer = rec
+	cfg.Submission = SubmissionConfig{QueueDepth: 8}
 	sdb, err := OpenSharded(ShardedConfig{Shards: 2, PerShard: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -324,9 +334,6 @@ func TestSharedRecorderCountedOnce(t *testing.T) {
 	}
 	if got := sdb.Stats().Trace; got != want {
 		t.Errorf("Stats().Trace = %+v, want %+v", got, want)
-	}
-	if got := sdb.TraceDropped(); got != want.Dropped {
-		t.Errorf("TraceDropped = %d, want %d", got, want.Dropped)
 	}
 	var prom bytes.Buffer
 	if err := sdb.WritePrometheus(&prom); err != nil {

@@ -1,6 +1,6 @@
 // Package fixture is the input of TestReachScanFixture. Every declaration
-// under internal/ whose name contains "dead" is one that only tests could
-// reach; the scan must report exactly those.
+// whose name contains "dead" is one that no consumer reaches; the scan must
+// report exactly those.
 package fixture
 
 import "fixture/internal/x"
@@ -9,5 +9,17 @@ import "fixture/internal/x"
 // its exported fields hold.
 type Series = x.Series
 
-// Run is the module's one non-test call into internal/.
+// Run is reached only from the consumer package cmd/use.
 func Run() int64 { return x.LiveCalled() }
+
+// LiveByExample is reached only from an Example function.
+func LiveByExample() Series { return Series{} }
+
+// DeadAPI is reached by nothing, so neither is what it calls.
+func DeadAPI() { x.Hidden{}.DeadViaAPI() }
+
+// DeadHolder's declaration is the only reference to DeadHeld: a type owns
+// the names it references.
+type DeadHolder struct{ Held DeadHeld }
+
+type DeadHeld struct{}

@@ -50,3 +50,6 @@ func (*Part) LiveThroughField() {}
 type Hidden struct{}
 
 func (Hidden) DeadMethod() {}
+
+// DeadViaAPI is called only by fixture.DeadAPI.
+func (Hidden) DeadViaAPI() {}
