@@ -32,10 +32,10 @@ bench-smoke:
 # these flags from this line.
 SMOKE_FLAGS = -shards 2 -scale 1000 -seed 42 -metrics-interval-us 100
 
-# Regenerate the golden after an intentional metrics change.
+# Regenerate the goldens (exposition and sampled series) after an intentional
+# metrics change.
 golden:
-	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out results/golden/bench_smoke.prom -series-out .smoke.csv
-	rm -f .smoke.csv
+	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out results/golden/bench_smoke.prom -series-out results/golden/bench_smoke_series.csv
 
 # Server smoke: boot bandslim-server on a loopback port, drive
 # PING/SET/GET/DEL/INFO through a real client connection, and require a

@@ -79,10 +79,11 @@ func TestBadArgumentsReturnErrors(t *testing.T) {
 	}
 }
 
-// The smoke exposition is golden: run with the Makefile's SMOKE_FLAGS, the
-// -metrics-out file must reproduce results/golden/bench_smoke.prom byte for
-// byte, so exposition drift fails `go test ./...`. After an intentional
-// metrics change, regenerate the file with `make golden`.
+// The smoke run is golden: run with the Makefile's SMOKE_FLAGS, the
+// -metrics-out file must reproduce results/golden/bench_smoke.prom and the
+// -series-out file results/golden/bench_smoke_series.csv byte for byte, so
+// drift in the exposition or in the sampled series fails `go test ./...`.
+// After an intentional metrics change, regenerate both with `make golden`.
 func TestSmokeMatchesGolden(t *testing.T) {
 	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
@@ -97,29 +98,38 @@ func TestSmokeMatchesGolden(t *testing.T) {
 	if flags == nil {
 		t.Fatal("no SMOKE_FLAGS line in the Makefile")
 	}
-	want, err := os.ReadFile("../../results/golden/bench_smoke.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom := filepath.Join(t.TempDir(), "smoke.prom")
+	dir := t.TempDir()
+	prom, series := filepath.Join(dir, "smoke.prom"), filepath.Join(dir, "smoke.csv")
 	var out bytes.Buffer
-	if err := run(append(flags, "-metrics-out", prom), &out); err != nil {
+	if err := run(append(flags, "-metrics-out", prom, "-series-out", series), &out); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(prom)
+	diffGolden(t, prom, "../../results/golden/bench_smoke.prom")
+	diffGolden(t, series, "../../results/golden/bench_smoke_series.csv")
+}
+
+// diffGolden fails naming the first line where the file at got differs from
+// the golden at want.
+func diffGolden(t *testing.T, got, want string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got, want) {
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(g, w) {
 		return
 	}
-	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(string(g), "\n"), strings.Split(string(w), "\n")
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Fatalf("exposition drifted from the golden at line %d:\n got %q\nwant %q", i+1, gotLines[i], wantLines[i])
+			t.Fatalf("%s drifted from the golden at line %d:\n got %q\nwant %q", filepath.Base(want), i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("exposition has %d lines, the golden %d", len(gotLines), len(wantLines))
+	t.Fatalf("%s has %d lines, the golden %d", filepath.Base(want), len(gotLines), len(wantLines))
 }
 
 // The profile writers are deferred inside run, so a run that fails after
