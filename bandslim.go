@@ -99,7 +99,7 @@ type SubmissionConfig = driver.SubmissionConfig
 // PUTs submit as one doorbell burst; reads keep the synchronous passthrough.
 func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission() }
 
-// ConfigError reports a submission or retry setting that failed validation;
+// ConfigError reports a submission or cache setting that failed validation;
 // Open and OpenSharded return it wrapped — match with errors.As.
 type ConfigError = driver.ConfigError
 
@@ -185,13 +185,10 @@ type Config struct {
 	// rules fire NAND media errors, transient transfer errors, and power cuts
 	// at seed-determined points (see ParseFaultPlan). Nil — the default —
 	// leaves every fault path disabled at zero cost, and the simulation's
-	// outputs are byte-identical to a build without the subsystem.
+	// outputs are byte-identical to a build without the subsystem. The driver
+	// retries a transient completion four times, with a backoff that starts at
+	// 10 µs and doubles.
 	Faults *FaultPlan
-	// Retry tunes the driver's response to transient (retryable) completions.
-	// The zero value is the default: four retries with an exponential backoff
-	// starting at 10 µs. A negative MaxRetries disables retries entirely; a
-	// negative Backoff fails Open with a wrapped ConfigError.
-	Retry RetryPolicy
 	// Cache arms the tiered read path: device-DRAM value/page caches plus
 	// the host-side negative cache. The zero value (the default) disables
 	// every tier at zero cost — timings, allocations, and exporter output
@@ -276,7 +273,6 @@ func stackOptions(cfg Config) shard.Options {
 		Submission: cfg.Submission,
 		Tracer:     cfg.Tracer,
 		Faults:     cfg.Faults,
-		Retry:      cfg.Retry,
 	}
 }
 
@@ -298,12 +294,12 @@ var (
 // Put stores a key-value pair on the key's shard. Keys are 1–16 bytes.
 func (db *DB) Put(key, value []byte) error {
 	sh := db.shardFor(key)
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return err
 	}
-	defer sh.mu.Unlock()
-	return st.Put(key, value)
+	defer sh.unlock()
+	return drv.Put(key, value)
 }
 
 // Get fetches the value for key from its shard. The returned slice is a view
@@ -313,12 +309,12 @@ func (db *DB) Put(key, value []byte) error {
 // should use GetInto, which copies before the lock is released.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	sh := db.shardFor(key)
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return nil, err
 	}
-	defer sh.mu.Unlock()
-	return st.Get(key)
+	defer sh.unlock()
+	return drv.Get(key)
 }
 
 // GetInto fetches the value for key and copies it into dst (grown as
@@ -328,25 +324,29 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // allocation-free.
 func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
 	sh := db.shardFor(key)
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return nil, err
 	}
-	defer sh.mu.Unlock()
-	return st.GetInto(key, dst)
+	defer sh.unlock()
+	v, err := drv.Get(key)
+	if err == nil {
+		v = append(dst[:0], v...)
+	}
+	return v, err
 }
 
 // PutBatch writes the pairs through each shard's host-side batcher as bulk
 // OpKVBatchWrite commands, one shard's lane at a time, flushing each before
 // moving on, so every record is durable when it returns. One bulk command
-// amortizes per-command round trips across up to shard.DefaultBatchOps
+// amortizes per-command round trips across up to driver.DefaultBatchOps
 // records — the high-throughput ingest path. The first error wins; records on
 // other shards may still have been written.
 func (db *DB) PutBatch(keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("bandslim: PutBatch got %d keys, %d values", len(keys), len(values))
 	}
-	return db.fanOut(keys, func(st *shard.Stack, lane []int) error { return st.PutBatch(keys, values, lane) })
+	return db.fanOut(keys, func(drv *driver.Driver, lane []int) error { return drv.PutBatch(keys, values, lane) })
 }
 
 // GetBatch resolves every key, copying each value into the matching vals
@@ -396,23 +396,23 @@ func batchLanes(op string, keys, vals [][]byte, nmiss int) ([][]byte, error) {
 // getBatch resolves keys shard lane by shard lane; a nil miss is strict, a
 // non-nil miss sparse.
 func (db *DB) getBatch(keys, vals [][]byte, miss []bool) error {
-	return db.fanOut(keys, func(st *shard.Stack, lane []int) error { return st.GetBatch(keys, vals, miss, lane) })
+	return db.fanOut(keys, func(drv *driver.Driver, lane []int) error { return drv.GetBatch(keys, vals, miss, lane) })
 }
 
 // Delete removes a key from its shard.
 func (db *DB) Delete(key []byte) error {
 	sh := db.shardFor(key)
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return err
 	}
-	defer sh.mu.Unlock()
-	return st.Delete(key)
+	defer sh.unlock()
+	return drv.Delete(key)
 }
 
 // Flush forces every shard's buffered values and index entries to NAND. The
 // first error wins.
-func (db *DB) Flush() error { return db.each((*shard.Stack).Flush) }
+func (db *DB) Flush() error { return db.each((*driver.Driver).Flush) }
 
 // Close flushes and shuts every shard. Further operations fail with
 // ErrClosed; closing again is a no-op. The first error wins.
@@ -422,11 +422,11 @@ func (db *DB) Close() error {
 		sh.mu.Lock()
 		if !sh.closed {
 			sh.closed = true
-			if err := sh.st.Flush(); err != nil && first == nil {
+			if err := sh.st.Drv.Flush(); err != nil && first == nil {
 				first = err
 			}
 		}
-		sh.mu.Unlock()
+		sh.unlock()
 	}
 	return first
 }
@@ -451,7 +451,7 @@ func (db *DB) NewIterator(start []byte) (*Iterator, error) {
 	}
 	cursors := make([]shard.Cursor, len(db.shards))
 	for i, sh := range db.shards {
-		if err := sh.do(func(st *shard.Stack) error { return st.Seek(start) }); err != nil {
+		if err := sh.do(func(drv *driver.Driver) error { return drv.Seek(start) }); err != nil {
 			return nil, err
 		}
 		cursors[i] = sh.next
@@ -476,8 +476,8 @@ func (db *DB) Now() SimTime {
 // runs low on delete/overwrite-heavy workloads.
 func (db *DB) CompactVLog(pages int) (int, error) {
 	moved := 0
-	err := db.each(func(st *shard.Stack) error {
-		n, err := st.CompactVLog(pages)
+	err := db.each(func(drv *driver.Driver) error {
+		n, err := drv.CompactVLog(pages)
 		moved += n
 		return err
 	})
@@ -500,10 +500,10 @@ type DeviceInfo = device.IdentifyData
 // paper's design preserves; every shard's device is built from one Config.
 func (db *DB) Identify() (DeviceInfo, error) {
 	sh := db.shards[0]
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return DeviceInfo{}, err
 	}
-	defer sh.mu.Unlock()
-	return st.Drv.Identify()
+	defer sh.unlock()
+	return drv.Identify()
 }

@@ -629,29 +629,6 @@ func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {
 	}
 }
 
-// A negative retry backoff fails Open with a ConfigError. It used to be
-// accepted, and the first retried transient then wound the clock backwards
-// and panicked.
-func TestOpenRejectsNegativeRetryBackoff(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Retry = RetryPolicy{MaxRetries: 2, Backoff: -1}
-	plan, err := ParseFaultPlan("dma.in every=1 transient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = plan
-	db, err := Open(cfg)
-	if err == nil {
-		defer db.Close()
-		// A DMA-sized value meets the transient on its first transfer.
-		err = db.Put([]byte("k"), make([]byte, 8192))
-	}
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Retry.Backoff" {
-		t.Fatalf("Open with Retry.Backoff -1 = %v, want a wrapped ConfigError on Retry.Backoff", err)
-	}
-}
-
 func TestIdentifyAPI(t *testing.T) {
 	db := openSmall(t, nil)
 	id, err := db.Identify()

@@ -237,6 +237,39 @@ func TestBlameLossyRingDegradesGracefully(t *testing.T) {
 	}
 }
 
+// A Recorder shared by several shards numbers each shard's events on their
+// own, so a ring that dropped nothing yields a lossless blame — the same
+// report per-shard rings (TraceCapacity) give.
+func TestSharedRecorderBlameIsLossless(t *testing.T) {
+	var reports []*BlameReport
+	for _, shared := range []bool{true, false} {
+		cfg := ShardedConfig{Shards: 2, PerShard: smallConfig()}
+		if shared {
+			cfg.PerShard.Tracer = NewRecorder(1 << 18)
+		} else {
+			cfg.TraceCapacity = 1 << 18
+		}
+		db, err := OpenSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("sr%03d", i)), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := db.Blame()
+		if dropped := db.Stats().Trace.Dropped; dropped != 0 || rep.TruncatedEvents != 0 || rep.Lossy() {
+			t.Fatalf("shared=%v: dropped %d, blame truncated %d lossy %v; want no loss", shared, dropped, rep.TruncatedEvents, rep.Lossy())
+		}
+		reports = append(reports, rep)
+		db.Close()
+	}
+	if len(reports[0].Ops) != 200 || len(reports[1].Ops) != 200 {
+		t.Fatalf("shared ring blamed %d ops, per-shard rings %d; want 200 each", len(reports[0].Ops), len(reports[1].Ops))
+	}
+}
+
 // Transient transfer faults force synchronous retries; the attribution must
 // count them and keep the invariant across multi-attempt ops.
 func TestBlameCountsRetries(t *testing.T) {

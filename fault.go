@@ -4,7 +4,6 @@ import (
 	"bandslim/internal/driver"
 	"bandslim/internal/fault"
 	"bandslim/internal/nvme"
-	"bandslim/internal/shard"
 )
 
 // Deterministic fault injection and crash recovery.
@@ -22,7 +21,8 @@ import (
 //   - Media errors retire the failing NAND block; the FTL redirects the
 //     write and the operation usually still succeeds (bounded retries).
 //   - Transient errors surface as retryable NVMe completions; the driver
-//     re-submits under Config.Retry.
+//     re-submits up to four times, after a backoff that starts at 10 µs and
+//     doubles.
 //   - Power cuts freeze the device: every volatile structure (MemTable,
 //     open command, iterator, SQ/CQ rings) is lost, while battery-backed
 //     state (the vLog page buffer and the index journal) survives, matching
@@ -54,10 +54,6 @@ func ParseFaultPlan(text string) (*FaultPlan, error) {
 	return fault.ParsePlan(text)
 }
 
-// RetryPolicy bounds the driver's re-submission of retryable completions;
-// see Config.Retry.
-type RetryPolicy = driver.RetryPolicy
-
 // IsPowerLoss reports whether err is a power-loss completion — the device is
 // down and DB.Recover is required.
 func IsPowerLoss(err error) bool {
@@ -66,7 +62,7 @@ func IsPowerLoss(err error) bool {
 }
 
 // IsTransient reports whether err is a retryable transfer error that
-// outlived the retry policy.
+// outlived the driver's retries.
 func IsTransient(err error) bool {
 	s, ok := nvme.StatusOf(err)
 	return ok && s == nvme.StatusTransient
@@ -100,4 +96,4 @@ func IsNotFound(err error) bool {
 // Recover is safe whenever any operation reports IsPowerLoss. The first error
 // wins; a plan can cut power again during replay, and a subsequent Recover
 // resumes where replay stopped.
-func (db *DB) Recover() error { return db.each((*shard.Stack).Recover) }
+func (db *DB) Recover() error { return db.each((*driver.Driver).Recover) }

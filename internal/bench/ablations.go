@@ -124,7 +124,7 @@ func batchPoint(o Options, batch int) ([]float64, error) {
 		return nil, err
 	}
 	elapsed := st.Clock.Now().Sub(0)
-	if err := st.Flush(); err != nil {
+	if err := st.Drv.Flush(); err != nil {
 		return nil, err
 	}
 	ops := float64(o.Scale)

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bandslim"
@@ -18,7 +16,7 @@ const DefaultMetricsInterval = 100 * sim.Microsecond
 
 // Telemetry drives one instrumented workload-M run on a sharded DB with the
 // simulated-time metrics sampler enabled, and exposes live progress while
-// the feeders execute — the backing for bandslim-bench's -metrics-out,
+// the run executes — the backing for bandslim-bench's -metrics-out,
 // -series-out, and -listen flags. Simulated results are deterministic for a
 // given (scale, seed, shards, interval); only wall-clock figures vary.
 type Telemetry struct {
@@ -26,16 +24,14 @@ type Telemetry struct {
 	// WritePrometheus/Stats; the caller closes it when done.
 	DB       *bandslim.DB
 	opsTotal int64
-	opsDone  atomic.Int64
 	start    time.Time
-	wg       sync.WaitGroup
-	errs     []error
+	done     chan struct{}
+	err      error
 }
 
 // StartTelemetry opens the instrumented stack (paper headline config:
-// adaptive transfer, backfill packing, NAND on) and starts one feeder
-// goroutine per shard over pre-partitioned workload-M lanes. It returns as
-// soon as the feeders are running.
+// adaptive transfer, backfill packing, NAND on) and starts DriveScenario over
+// workload M on one goroutine. It returns as soon as the run has started.
 func StartTelemetry(o Options, shards int, interval sim.Duration) (*Telemetry, error) {
 	o = o.normalized()
 	if shards < 1 {
@@ -51,52 +47,21 @@ func StartTelemetry(o Options, shards int, interval sim.Duration) (*Telemetry, e
 		return nil, fmt.Errorf("bench: telemetry: %w", err)
 	}
 
-	type op struct {
-		key  []byte
-		size int
-	}
-	gen := workload.NewWorkloadM(o.Scale, o.Seed)
-	lanes := make([][]op, shards)
-	var total int64
-	for {
-		next, ok := gen.Next()
-		if !ok {
-			break
-		}
-		lane := db.ShardFor(next.Key)
-		lanes[lane] = append(lanes[lane], op{key: next.Key, size: next.N})
-		total++
-	}
-
-	t := &Telemetry{DB: db, opsTotal: total, start: time.Now(), errs: make([]error, shards)}
-	for i := range lanes {
-		t.wg.Add(1)
-		go func(i int) {
-			defer t.wg.Done()
-			var buf []byte
-			filler := workload.NewValueFiller(1)
-			for _, p := range lanes[i] {
-				buf = filler.Fill(buf, p.size)
-				if err := db.Put(p.key, buf); err != nil {
-					t.errs[i] = err
-					return
-				}
-				t.opsDone.Add(1)
-			}
-		}(i)
-	}
+	t := &Telemetry{DB: db, opsTotal: int64(o.Scale), start: time.Now(), done: make(chan struct{})}
+	go func() {
+		defer close(t.done)
+		_, t.err = DriveScenario(db, workload.NewWorkloadM(o.Scale, o.Seed), 1, nil)
+	}()
 	return t, nil
 }
 
-// Wait blocks until every feeder finishes, then flushes the drained state
-// to NAND so exports cover the whole workload. The DB stays open for final
-// scrapes and exports; the caller closes it.
+// Wait blocks until the run finishes, then flushes the drained state to NAND
+// so exports cover the whole workload. The DB stays open for final scrapes
+// and exports; the caller closes it.
 func (t *Telemetry) Wait() error {
-	t.wg.Wait()
-	for i, err := range t.errs {
-		if err != nil {
-			return fmt.Errorf("bench: telemetry: shard %d: %w", i, err)
-		}
+	<-t.done
+	if t.err != nil {
+		return fmt.Errorf("bench: telemetry: %w", t.err)
 	}
 	if err := t.DB.Flush(); err != nil {
 		return fmt.Errorf("bench: telemetry: flush: %w", err)
@@ -119,10 +84,11 @@ type Progress struct {
 }
 
 // Progress snapshots the run's live state; safe to call concurrently with
-// the feeders (the scrape path of the -listen HTTP endpoints).
+// the run (the scrape path of the -listen HTTP endpoints). Workload M is all
+// Puts, so the acknowledged Puts are the ops done.
 func (t *Telemetry) Progress() Progress {
 	stats := t.DB.Stats()
-	done := t.opsDone.Load()
+	done := stats.Host.Puts
 	wall := time.Since(t.start)
 	p := Progress{
 		OpsDone:           done,

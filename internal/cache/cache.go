@@ -15,10 +15,10 @@ import (
 	"bandslim/internal/sim"
 )
 
-// DefaultHitLatency is the device-DRAM access cost charged per cache hit
-// when Config.HitLatency is zero. ~2µs covers the firmware lookup plus a
-// DRAM row fetch — two orders of magnitude under a NAND page read.
-const DefaultHitLatency = 2 * sim.Microsecond
+// HitLatency is the device-DRAM access cost charged per cache hit. ~2µs
+// covers the firmware lookup plus a DRAM row fetch — two orders of magnitude
+// under a NAND page read.
+const HitLatency = 2 * sim.Microsecond
 
 // Config sizes the tiered read path. The zero value disables every tier, so
 // existing configurations keep seed-identical behavior and timing.
@@ -31,9 +31,6 @@ type Config struct {
 	Pages int
 	// Policy selects the replacement policy shared by both device tiers.
 	Policy Kind
-	// HitLatency is the simulated device-DRAM access time charged per hit.
-	// Zero means DefaultHitLatency.
-	HitLatency sim.Duration
 	// NegativeEntries caps the host-side recent-miss ring per driver. Zero
 	// disables the negative cache.
 	NegativeEntries int
@@ -45,22 +42,11 @@ func (c Config) DeviceEnabled() bool { return c.ValueBytes > 0 || c.Pages > 0 }
 // Enabled reports whether any tier — device or host — is configured.
 func (c Config) Enabled() bool { return c.DeviceEnabled() || c.NegativeEntries > 0 }
 
-// EffectiveHitLatency resolves the zero-value default.
-func (c Config) EffectiveHitLatency() sim.Duration {
-	if c.HitLatency > 0 {
-		return c.HitLatency
-	}
-	return DefaultHitLatency
-}
-
 // Validate rejects configurations the stack cannot honor.
 func (c Config) Validate() error {
 	if c.ValueBytes < 0 || c.Pages < 0 || c.NegativeEntries < 0 {
 		return fmt.Errorf("cache: negative capacity (values=%d pages=%d negative=%d)",
 			c.ValueBytes, c.Pages, c.NegativeEntries)
-	}
-	if c.HitLatency < 0 {
-		return fmt.Errorf("cache: negative hit latency %v", c.HitLatency)
 	}
 	switch c.Policy {
 	case LRU, TwoQ:

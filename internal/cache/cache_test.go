@@ -44,7 +44,6 @@ func TestConfigValidate(t *testing.T) {
 		{ValueBytes: -1},
 		{Pages: -1},
 		{NegativeEntries: -1},
-		{HitLatency: -1},
 		{Policy: Kind(99)},
 	}
 	for i, c := range bad {
@@ -57,9 +56,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if !(Config{NegativeEntries: 8}).Enabled() || (Config{NegativeEntries: 8}).DeviceEnabled() {
 		t.Error("negative-only config misclassified")
-	}
-	if (Config{}).EffectiveHitLatency() != DefaultHitLatency {
-		t.Error("zero HitLatency must resolve to the default")
 	}
 }
 

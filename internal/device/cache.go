@@ -2,8 +2,8 @@ package device
 
 // Device-DRAM read-cache wiring: the value tier intercepts execRead before
 // the LSM walk, and cachingStore interposes the page tier between the tree
-// and its PageStore. Both charge the configured device-DRAM hit latency on
-// the virtual clock instead of NAND + channel occupancy, and both are
+// and its PageStore. Both charge the device-DRAM hit latency (cache.HitLatency)
+// on the virtual clock instead of NAND + channel occupancy, and both are
 // strictly invalidated on every mutation so the simulation stays
 // semantically identical to a cache-less device.
 
@@ -38,7 +38,7 @@ func (s *cachingStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 			return nil, t, err
 		}
 		d.stats.PageCacheHits.Inc()
-		end := t.Add(d.cacheLat)
+		end := t.Add(cache.HitLatency)
 		if d.tr != nil {
 			d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvCacheHit, Start: t, End: end, Bytes: int64(s.inner.PageSize())})
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"bandslim/internal/cache"
 	"bandslim/internal/nand"
 	"bandslim/internal/sim"
 	"bandslim/internal/trace"
@@ -82,7 +83,7 @@ func TestPageCacheHitFollowsFTLGC(t *testing.T) {
 	if hits, misses := dev.stats.PageCacheHits.Value(), dev.stats.PageCacheMisses.Value(); hits != 1 || misses != 1 {
 		t.Fatalf("read after the migration: %d hits, %d misses; want 1 and 1", hits, misses)
 	}
-	if n, want := dev.flash.Stats().PageReads.Value()-flashReads, sim.Time(7).Add(dev.cacheLat); n != 0 || end != want {
+	if n, want := dev.flash.Stats().PageReads.Value()-flashReads, sim.Time(7).Add(cache.HitLatency); n != 0 || end != want {
 		t.Fatalf("a page-cache hit read the flash %d times and ended at %v, want 0 and %v", n, end, want)
 	}
 	if !bytes.Equal(got, image) {

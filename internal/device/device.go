@@ -120,10 +120,9 @@ type Device struct {
 	jnl  journal
 	// Device-DRAM read cache: vcache serves whole vLog entries before the
 	// LSM walk, pstore interposes the SSTable-page tier (pass-through when
-	// detached), cacheLat is the per-hit DRAM access charge.
-	vcache   *cache.Values
-	pstore   *cachingStore
-	cacheLat sim.Duration
+	// detached). Each hit charges cache.HitLatency.
+	vcache *cache.Values
+	pstore *cachingStore
 
 	// Scratch reused across commands. The controller executes commands one at
 	// a time (single-owner firmware), and §3.3.1's contract of one open write
@@ -188,18 +187,17 @@ func New(cfg Config, clock *sim.Clock, link *pcie.Link, hostMem *nvme.HostMemory
 		return nil, err
 	}
 	d := &Device{
-		cfg:      cfg,
-		clock:    clock,
-		link:     link,
-		eng:      eng,
-		flash:    flash,
-		ftl:      f,
-		vlog:     v,
-		tree:     tree,
-		hostMem:  hostMem,
-		qp:       nvme.NewQueuePair(cfg.QueueDepth),
-		pstore:   pstore,
-		cacheLat: cfg.Cache.EffectiveHitLatency(),
+		cfg:     cfg,
+		clock:   clock,
+		link:    link,
+		eng:     eng,
+		flash:   flash,
+		ftl:     f,
+		vlog:    v,
+		tree:    tree,
+		hostMem: hostMem,
+		qp:      nvme.NewQueuePair(cfg.QueueDepth),
+		pstore:  pstore,
 	}
 	pstore.dev = d
 	if cfg.Cache.ValueBytes > 0 {
@@ -688,7 +686,7 @@ func (d *Device) execRead(t sim.Time, cmd nvme.Command) (int, sim.Time, error) {
 			// Device-DRAM hit: charge the DRAM access instead of the LSM
 			// walk + vLog read, then DMA out as usual.
 			d.stats.CacheHits.Inc()
-			end = t.Add(d.cacheLat)
+			end = t.Add(cache.HitLatency)
 			if d.tr != nil {
 				d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvCacheHit, Op: byte(cmd.Opcode()), Start: t, End: end, Bytes: int64(len(value))})
 			}

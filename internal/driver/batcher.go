@@ -13,7 +13,7 @@ import (
 // batching amortizes per-command overhead but (i) everything buffered on the
 // host is lost on power failure — the peak of that window is tracked in
 // BatcherStats — and (ii) the device pays an unpacking pass per record.
-// Stack.PutBatch flushes before it returns, so its records are durable; the
+// PutBatch flushes before it returns, so its records are durable; the
 // ablation-batch experiment drives one directly to measure the window.
 type Batcher struct {
 	d       *Driver
@@ -137,4 +137,135 @@ func (b *Batcher) discard() {
 	b.keys = b.keys[:0]
 	b.keyArena = b.keyArena[:0]
 	b.payload = b.payload[:0]
+}
+
+// DefaultBatchOps is the record cap of the batcher behind PutBatch.
+const DefaultBatchOps = 128
+
+// at maps batch position n to its key index: lane[n], or n itself when lane
+// is nil (the whole key set).
+func at(lane []int, n int) int {
+	if lane == nil {
+		return n
+	}
+	return lane[n]
+}
+
+// span reports how many keys a batch over lane covers.
+func span(keys [][]byte, lane []int) int {
+	if lane == nil {
+		return len(keys)
+	}
+	return len(lane)
+}
+
+// PutBatch writes the lane-indexed subset of keys/values (nil lane = all)
+// through the host-side batcher as bulk OpKVBatchWrite commands and flushes,
+// so every accepted record is durable on return.
+func (d *Driver) PutBatch(keys, values [][]byte, lane []int) error {
+	if d.batch == nil {
+		b, err := d.NewBatcher(DefaultBatchOps)
+		if err != nil {
+			return err
+		}
+		d.batch = b
+	}
+	for n, total := 0, span(keys, lane); n < total; n++ {
+		i := at(lane, n)
+		if err := d.batch.Put(keys[i], values[i]); err != nil {
+			return err
+		}
+	}
+	return d.batch.Flush()
+}
+
+// resolved books key i's outcome on the batch-read path. A hit has already
+// filled vals[i]; a not-found under a non-nil miss empties the lane and sets
+// miss[i]; any other error — or a not-found when miss is nil — is returned
+// and ends the batch.
+func resolved(i int, vals [][]byte, miss []bool, err error) error {
+	if err != nil {
+		if st, ok := nvme.StatusOf(err); miss == nil || !ok || st != nvme.StatusKeyNotFound {
+			return err
+		}
+		vals[i] = vals[i][:0]
+	}
+	if miss != nil {
+		miss[i] = err != nil
+	}
+	return nil
+}
+
+// GetBatch resolves the lane-indexed subset of keys (nil lane = all), copying
+// each value into the matching caller-owned lane (vals[i], grown as needed).
+// A nil miss is strict: the first absent key fails the batch, leaving lanes
+// past it untouched. A non-nil miss (len(keys) entries) is sparse: an absent
+// key sets miss[i] and empties vals[i] instead. Reads are serial below a
+// window depth of 2; above it they ride the asynchronous submission window —
+// up to QueueDepth in flight, completions reaped out of order and claimed in
+// submission order — landing results exactly where the serial path places
+// them. Written closure-free: the steady-state batch-read path must not
+// allocate.
+func (d *Driver) GetBatch(keys, vals [][]byte, miss []bool, lane []int) error {
+	err := d.getBatch(keys, vals, miss, lane)
+	if err != nil {
+		// Leave the rings empty for the next operation.
+		d.drainWindow()
+	}
+	return err
+}
+
+func (d *Driver) getBatch(keys, vals [][]byte, miss []bool, lane []int) error {
+	depth := d.sub.depth()
+	total := span(keys, lane)
+	if depth < 2 {
+		for n := 0; n < total; n++ {
+			i := at(lane, n)
+			v, err := d.Get(keys[i])
+			if err == nil {
+				vals[i] = append(vals[i][:0], v...)
+			}
+			if err := resolved(i, vals, miss, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	d.winH, d.winI = d.winH[:0], d.winI[:0]
+	head, next := 0, 0
+	for {
+		// Reap the oldest in-flight read while the window is full, or once
+		// every key has been submitted.
+		for head < len(d.winH) && (len(d.winH)-head >= depth || next == total) {
+			h, i := d.winH[head], d.winI[head]
+			head++
+			v, err := d.waitGetInto(h, vals[i])
+			if err == nil {
+				vals[i] = v
+			}
+			if err := resolved(i, vals, miss, err); err != nil {
+				return err
+			}
+		}
+		if next == total {
+			return nil
+		}
+		i := at(lane, next)
+		next++
+		// A known-missing key resolves host-side: no command is built and no
+		// simulated time passes, exactly as Get short-circuits the serial
+		// path.
+		if d.negativeKnown(keys[i]) {
+			if err := resolved(i, vals, miss, errNegativeHit); err != nil {
+				return err
+			}
+			continue
+		}
+		h, err := d.startGet(keys[i])
+		if err != nil {
+			return err
+		}
+		d.winH = append(d.winH, h)
+		d.winI = append(d.winI, i)
+	}
 }

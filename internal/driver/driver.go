@@ -99,27 +99,14 @@ func DefaultThresholds() Thresholds {
 // other field non-zero, e.g. Thresholds{Alpha: 1, Beta: 1}.
 func (t Thresholds) IsZero() bool { return t == Thresholds{} }
 
-// RetryPolicy governs how the driver reacts to retryable completions
-// (transient transfer errors, nvme.StatusTransient). Each retry re-submits
-// the same command after an exponentially growing host-side backoff.
-type RetryPolicy struct {
-	// MaxRetries bounds the re-submissions per command. Negative disables
-	// retry entirely; the zero value is the "use defaults" sentinel.
-	MaxRetries int
-	// Backoff is the wait before the first retry, at least 0; it doubles
-	// per attempt.
-	Backoff sim.Duration
-}
-
-// DefaultRetryPolicy retries four times starting at 10 µs — enough to ride
-// out any plan-injected transient burst shorter than five occurrences.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 4, Backoff: 10 * sim.Microsecond}
-}
-
-// IsZero reports whether the policy is the "use defaults" sentinel. A caller
-// who deliberately wants no retries sets MaxRetries negative.
-func (r RetryPolicy) IsZero() bool { return r == RetryPolicy{} }
+// A retryable completion (a transient transfer error, nvme.StatusTransient)
+// re-submits the same command up to maxRetries times, each after a host-side
+// backoff that starts at retryBackoff and doubles per attempt — enough to
+// ride out any plan-injected transient burst shorter than five occurrences.
+const (
+	maxRetries   = 4
+	retryBackoff = 10 * sim.Microsecond
+)
 
 // Config is the driver's host-side configuration, validated and applied once
 // by New.
@@ -129,8 +116,6 @@ type Config struct {
 	// Submission is the submission policy (see SubmissionConfig); the zero
 	// value is the paper's synchronous passthrough.
 	Submission SubmissionConfig
-	// Retry is the retry policy; the zero value means DefaultRetryPolicy.
-	Retry RetryPolicy
 	// NegativeEntries sizes the host-side negative cache's recent-miss ring;
 	// zero disables the cache.
 	NegativeEntries int
@@ -140,9 +125,6 @@ type Config struct {
 func (c Config) validate(sqSize int) error {
 	if err := c.Submission.validate(sqSize); err != nil {
 		return err
-	}
-	if c.Retry.Backoff < 0 {
-		return &ConfigError{Field: "Retry.Backoff", Reason: fmt.Sprintf("must be >= 0, got %v", c.Retry.Backoff)}
 	}
 	if c.NegativeEntries < 0 {
 		return &ConfigError{Field: "Cache.NegativeEntries", Reason: fmt.Sprintf("must be >= 0, got %d", c.NegativeEntries)}
@@ -172,7 +154,8 @@ type Stats struct {
 	PerMethod *metrics.HistogramSet
 }
 
-// Driver is the host-side key-value driver bound to one device.
+// Driver is the host-side key-value driver bound to one device: the one op
+// engine of a shard, point ops and batches alike.
 type Driver struct {
 	clock *sim.Clock
 	link  *pcie.Link
@@ -187,7 +170,6 @@ type Driver struct {
 	sub    SubmissionConfig
 	method Method
 	thr    Thresholds
-	retry  RetryPolicy
 	nextID uint16
 	stats  Stats
 	tr     trace.Tracer
@@ -220,6 +202,12 @@ type Driver struct {
 	keyScratch []byte
 	// cmdScratch backs the per-op command lists (inline heads and tails).
 	cmdScratch []nvme.Command
+
+	// batch backs PutBatch, created on first use.
+	batch *Batcher
+	// winH/winI are the windowed GetBatch FIFO scratch (startGet handles and
+	// their key indices), reused across batches.
+	winH, winI []int
 }
 
 // New binds a driver to a device sharing the same clock, link and host
@@ -237,7 +225,6 @@ func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.De
 		sub:    cfg.Submission,
 		method: cfg.Method,
 		thr:    cfg.Thresholds,
-		retry:  cfg.Retry,
 		frames: make([]frame, cfg.Submission.depth()),
 		stats: Stats{
 			WriteResponse: metrics.NewHistogram(),
@@ -245,9 +232,6 @@ func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.De
 			PerOp:         metrics.NewHistogramSet(),
 			PerMethod:     metrics.NewHistogramSet(),
 		},
-	}
-	if d.retry.IsZero() {
-		d.retry = DefaultRetryPolicy()
 	}
 	if cfg.Submission.async() {
 		d.slotStage = make([]nvme.PRPList, cfg.Submission.depth())
@@ -496,8 +480,8 @@ const MaxValueSize = 64 * 1024
 func (d *Driver) Get(key []byte) ([]byte, error) {
 	// Known-miss fast path: no command is built, nothing reaches the wire,
 	// and no simulated time passes — the host answers from its own cache.
-	if d.NegativeKnown(key) {
-		return nil, ErrNegativeHit
+	if d.negativeKnown(key) {
+		return nil, errNegativeHit
 	}
 	start := d.clock.Now()
 	prp := d.staging()

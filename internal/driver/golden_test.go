@@ -162,7 +162,7 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 		v, err := d.Get([]byte("absent"))
 		read("get", []byte("absent"), nil, v, err)
 	}
-	if d.WindowDepth() >= 2 {
+	if d.sub.depth() >= 2 {
 		// Only a windowAll section reads the value above MaxValueSize through
 		// the window (it fails like the synchronous Get); the other sections
 		// leave it out, so adding that read moved none of their lines.
@@ -178,18 +178,18 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 		wait := func() {
 			h, i := handles[head], idx[head]
 			head++
-			v, err := d.WaitGetInto(h, nil)
+			v, err := d.waitGetInto(h, nil)
 			read("wget", batch[i], want[i], v, err)
 		}
 		for i, key := range batch {
-			if len(handles)-head >= d.WindowDepth() {
+			if len(handles)-head >= d.sub.depth() {
 				wait()
 			}
-			if d.NegativeKnown(key) {
+			if d.negativeKnown(key) {
 				fmt.Fprintf(w, "wget %s: negative hit\n", key)
 				continue
 			}
-			h, err := d.StartGet(key)
+			h, err := d.startGet(key)
 			if err != nil {
 				fmt.Fprintf(w, "wget %s: start: %s\n", key, goldenErr(err))
 				continue

@@ -24,12 +24,12 @@ import (
 	"bandslim/internal/pool"
 )
 
-// ErrNegativeHit is the preallocated not-found error short-circuited Gets
+// errNegativeHit is the preallocated not-found error short-circuited Gets
 // return, so the negative-hit path allocates nothing. It is
 // indistinguishable from a device-reported miss under nvme.StatusOf; the
-// windowed batch paths return it for negative hits when no miss slice
-// absorbs not-founds.
-var ErrNegativeHit error = &nvme.StatusError{Status: nvme.StatusKeyNotFound}
+// windowed GetBatch returns it for negative hits when no miss slice absorbs
+// not-founds.
+var errNegativeHit error = &nvme.StatusError{Status: nvme.StatusKeyNotFound}
 
 // negCache is the recent-miss ring plus its bloom admission filter.
 type negCache struct {
@@ -150,11 +150,11 @@ func (n *negCache) clear() {
 	n.next = 0
 }
 
-// NegativeKnown reports whether key is a known-missing key the caller may
+// negativeKnown reports whether key is a known-missing key the caller may
 // fail fast on without issuing any NVMe command. A true return counts as a
 // negative-cache hit; callers must then report the op as not found (the
-// windowed batch paths do exactly this before StartGet).
-func (d *Driver) NegativeKnown(key []byte) bool {
+// windowed GetBatch does exactly this before startGet).
+func (d *Driver) negativeKnown(key []byte) bool {
 	if d.neg == nil || !d.neg.known(key) {
 		return false
 	}

@@ -10,12 +10,11 @@
 //
 // A dispatch owns a wait frame for as long as its commands are in flight; a
 // synchronous call or a burst opens one and completes it before returning.
-// With QueueDepth >= 2 the driver also exposes StartGet/WaitGetInto: up to
-// QueueDepth reads ride the SQ/CQ pair at once, each in its own frame with
-// its own staging slot; completions reap out of order, matched back by
-// command ID. The batch-read paths sit on top of this window, so
-// channel/way parallelism in the simulated NAND array expresses itself
-// host-side.
+// With QueueDepth >= 2, GetBatch keeps a window of reads in flight through
+// startGet/waitGetInto: up to QueueDepth reads ride the SQ/CQ pair at once,
+// each in its own frame with its own staging slot; completions reap out of
+// order, matched back by command ID, so channel/way parallelism in the
+// simulated NAND array expresses itself host-side.
 package driver
 
 import (
@@ -33,8 +32,8 @@ import (
 type SubmissionConfig struct {
 	// QueueDepth bounds the commands in flight on the SQ/CQ pair. 0 and 1
 	// both mean the synchronous passthrough; >= 2 enables the asynchronous
-	// window behind the batch-read paths. It must leave room in the device's
-	// ring (at most device QueueDepth - 1).
+	// window behind GetBatch. It must leave room in the device's ring (at
+	// most device QueueDepth - 1).
 	QueueDepth int
 
 	// DoorbellBatch coalesces SQ doorbell MMIOs: the window rings once per
@@ -119,9 +118,6 @@ func (c SubmissionConfig) validate(sqSize int) error {
 // Submission reports the active submission policy.
 func (d *Driver) Submission() SubmissionConfig { return d.sub }
 
-// WindowDepth reports the effective in-flight window (1 = synchronous).
-func (d *Driver) WindowDepth() int { return d.sub.depth() }
-
 // kind selects a dispatch's device sweep and when it is charged. Every kind
 // charges max(start + RTT + (n−1)·PipelineInterval, Ready + RTT) for its n
 // commands, Ready being the latest completion's.
@@ -161,15 +157,11 @@ type frame struct {
 }
 
 // retryStep decides whether frame f's retryable completion gets another
-// attempt. Once the policy's retries are spent it counts the command as
-// exhausted and says no; otherwise it counts and traces the retry, waits out
-// the backoff on the host clock and doubles it. A negative MaxRetries never
-// retries.
+// attempt. Once maxRetries are spent it counts the command as exhausted and
+// says no; otherwise it counts and traces the retry, waits out the backoff on
+// the host clock and doubles it.
 func (d *Driver) retryStep(f *frame) bool {
-	if d.retry.MaxRetries < 0 {
-		return false
-	}
-	if f.attempts >= d.retry.MaxRetries {
+	if f.attempts >= maxRetries {
 		d.stats.RetriesExhausted.Inc()
 		return false
 	}
@@ -220,7 +212,7 @@ func (d *Driver) open(h int, k kind, cmds ...nvme.Command) error {
 	}
 	f := &d.frames[h] // a free frame is zero (release clears it)
 	f.used, f.kind, f.cid, f.n, f.left = true, k, cmds[0].CommandID(), len(cmds), len(cmds)
-	f.cmd, f.start, f.backoff = cmds[0], d.clock.Now(), d.retry.Backoff
+	f.cmd, f.start, f.backoff = cmds[0], d.clock.Now(), retryBackoff
 	d.inflight++
 	return nil
 }
@@ -253,8 +245,8 @@ func (d *Driver) ring(k kind) error {
 }
 
 // complete awaits frame h and, while retry is set and its answer is
-// retryable, re-submits the frame's command under the retry policy and
-// awaits it again. A call or burst is charged after every attempt; a window
+// retryable, re-submits the frame's command (see retryStep) and awaits it
+// again. A call or burst is charged after every attempt; a window
 // frame only when it is claimed.
 func (d *Driver) complete(h int, retry bool) error {
 	f := &d.frames[h]
@@ -360,14 +352,11 @@ func (d *Driver) slotStaging(i int) nvme.PRPList {
 	return d.slotStage[i]
 }
 
-// StartGet submits an asynchronous read for key and returns its frame
-// handle; the result is claimed with WaitGetInto. Callers bound their
-// outstanding StartGets by WindowDepth (the batch paths do) — exceeding it
-// fails. Requires QueueDepth >= 2.
-func (d *Driver) StartGet(key []byte) (int, error) {
-	if !d.sub.async() {
-		return 0, &ConfigError{Field: "Submission.QueueDepth", Reason: "StartGet requires QueueDepth >= 2"}
-	}
+// startGet submits an asynchronous read for key and returns its frame
+// handle; the result is claimed with waitGetInto. The caller (GetBatch)
+// keeps at most the window depth outstanding — exceeding it fails — and
+// calls it only with QueueDepth >= 2.
+func (d *Driver) startGet(key []byte) (int, error) {
 	h, err := d.free()
 	if err != nil {
 		return 0, err
@@ -395,17 +384,14 @@ func (d *Driver) release(h int) {
 	d.inflight--
 }
 
-// WaitGetInto claims the result of StartGet handle h, gathering the value
+// waitGetInto claims the result of startGet handle h, gathering the value
 // into dst (grown as needed) and returning the filled slice. The host clock
 // advances to the completion's arrival plus one round trip — out-of-order
 // completions each charge their own arrival, so waits on an already-ready
 // frame cost nothing extra. Missing keys surface as nvme.StatusKeyNotFound
 // errors, exactly like Get.
-func (d *Driver) WaitGetInto(h int, dst []byte) ([]byte, error) {
+func (d *Driver) waitGetInto(h int, dst []byte) ([]byte, error) {
 	f := &d.frames[h]
-	if !f.used {
-		return nil, fmt.Errorf("driver: WaitGetInto on idle frame %d", h)
-	}
 	err := d.complete(h, true)
 	var data []byte
 	if err == nil {
@@ -416,11 +402,11 @@ func (d *Driver) WaitGetInto(h int, dst []byte) ([]byte, error) {
 	return data, err
 }
 
-// DrainWindow completes and discards every outstanding frame — the error
+// drainWindow completes and discards every outstanding frame — the error
 // path's cleanup, leaving the rings empty for the next operation. Nothing is
 // retried and statuses are ignored (the triggering error already surfaced);
 // the clock advances past every straggler's arrival.
-func (d *Driver) DrainWindow() {
+func (d *Driver) drainWindow() {
 	for h := range d.frames {
 		f := &d.frames[h]
 		if !f.used {

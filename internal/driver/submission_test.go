@@ -17,38 +17,13 @@ import (
 	"bandslim/internal/trace"
 )
 
-// windowedGetAll pumps keys through the async window the way the batch
-// paths do — submit until the window fills, reap the oldest, keep going —
-// and returns each key's value in key order.
-func windowedGetAll(t *testing.T, d *Driver, keys [][]byte) [][]byte {
+// windowedGetAll pumps keys through the async window with a strict GetBatch:
+// submit until the window fills, reap the oldest, keep going.
+func windowedGetAll(t *testing.T, d *Driver, keys [][]byte) {
 	t.Helper()
-	depth := d.WindowDepth()
-	out := make([][]byte, len(keys))
-	var handles, idx []int
-	head := 0
-	wait := func() {
-		h, i := handles[head], idx[head]
-		head++
-		v, err := d.WaitGetInto(h, nil)
-		if err != nil {
-			t.Fatalf("WaitGetInto(key %d): %v", i, err)
-		}
-		out[i] = append([]byte(nil), v...)
+	if err := d.GetBatch(keys, make([][]byte, len(keys)), nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	for i := range keys {
-		if len(handles)-head >= depth {
-			wait()
-		}
-		h, err := d.StartGet(keys[i])
-		if err != nil {
-			t.Fatalf("StartGet(key %d): %v", i, err)
-		}
-		handles, idx = append(handles, h), append(idx, i)
-	}
-	for head < len(handles) {
-		wait()
-	}
-	return out
 }
 
 // newWindowed builds an adaptive driver over a NAND-backed device with
@@ -70,7 +45,6 @@ func TestSubmissionConfigValidation(t *testing.T) {
 		{"negative_doorbell", Config{Submission: SubmissionConfig{DoorbellBatch: -2}}, "Submission.DoorbellBatch"},
 		{"negative_coalesce", Config{Submission: SubmissionConfig{QueueDepth: 4, CoalesceInterval: -1}}, "Submission.CoalesceInterval"},
 		{"coalesce_without_window", Config{Submission: SubmissionConfig{QueueDepth: 1, CoalesceInterval: sim.Microsecond}}, "Submission.CoalesceInterval"},
-		{"negative_backoff", Config{Retry: RetryPolicy{MaxRetries: 2, Backoff: -1}}, "Retry.Backoff"},
 		{"negative_cache_entries", Config{NegativeEntries: -1}, "Cache.NegativeEntries"},
 	}
 	for _, tc := range cases {
@@ -94,15 +68,15 @@ func TestSubmissionConfigValidation(t *testing.T) {
 
 func TestSubmissionZeroValueIsSync(t *testing.T) {
 	d, _, _ := newStack(t, MethodAdaptive, false)
-	if d.sub.burst() || d.WindowDepth() != 1 {
-		t.Fatalf("zero-value submission: burst=%v WindowDepth=%d, want sync passthrough",
-			d.sub.burst(), d.WindowDepth())
+	if d.sub.burst() || d.sub.depth() != 1 {
+		t.Fatalf("zero-value submission: burst=%v depth=%d, want sync passthrough",
+			d.sub.burst(), d.sub.depth())
 	}
 	// PipelinedSubmission is depth-1 burst mode: bursts, but no window.
 	d, _, _ = newWindowed(t, PipelinedSubmission())
-	if !d.sub.burst() || d.WindowDepth() != 1 {
-		t.Fatalf("PipelinedSubmission: burst=%v WindowDepth=%d, want burst at depth 1",
-			d.sub.burst(), d.WindowDepth())
+	if !d.sub.burst() || d.sub.depth() != 1 {
+		t.Fatalf("PipelinedSubmission: burst=%v depth=%d, want burst at depth 1",
+			d.sub.burst(), d.sub.depth())
 	}
 }
 
@@ -130,28 +104,28 @@ func TestWindowedGetOutOfOrderCompletion(t *testing.T) {
 	}
 	handles := make([]int, len(keys))
 	for i := range keys {
-		h, err := d.StartGet(keys[i])
+		h, err := d.startGet(keys[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		handles[i] = h
 	}
 	for i, h := range handles {
-		got, err := d.WaitGetInto(h, nil)
+		got, err := d.waitGetInto(h, nil)
 		if err != nil {
-			t.Fatalf("WaitGetInto(%d): %v", i, err)
+			t.Fatalf("waitGetInto(%d): %v", i, err)
 		}
 		if !bytes.Equal(got, want[i]) {
 			t.Fatalf("key %d: got %d bytes, want %d — completion matched to wrong frame?",
 				i, len(got), len(want[i]))
 		}
 	}
-	// The window must be empty again: a fresh StartGet succeeds at slot 0.
-	h, err := d.StartGet(keys[0])
+	// The window must be empty again: a fresh startGet succeeds at slot 0.
+	h, err := d.startGet(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WaitGetInto(h, nil); err != nil {
+	if _, err := d.waitGetInto(h, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,22 +139,22 @@ func TestWindowedGetPerKeyOrdering(t *testing.T) {
 	if err := d.Put(key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	h1, err := d.StartGet(key)
+	h1, err := d.startGet(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := d.WaitGetInto(h1, nil)
+	v1, err := d.waitGetInto(h1, nil)
 	if err != nil || string(v1) != "v1" {
 		t.Fatalf("windowed read before overwrite: %q, %v", v1, err)
 	}
 	if err := d.Put(key, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := d.StartGet(key)
+	h2, err := d.startGet(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := d.WaitGetInto(h2, nil)
+	v2, err := d.waitGetInto(h2, nil)
 	if err != nil || string(v2) != "v2" {
 		t.Fatalf("windowed read after overwrite: %q, %v", v2, err)
 	}
@@ -191,20 +165,20 @@ func TestWindowedGetMiss(t *testing.T) {
 	if err := d.Put([]byte("present"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.StartGet([]byte("absent"))
+	h, err := d.startGet([]byte("absent"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.WaitGetInto(h, nil)
+	_, err = d.waitGetInto(h, nil)
 	if st, ok := nvme.StatusOf(err); !ok || st != nvme.StatusKeyNotFound {
 		t.Fatalf("missing key through the window: %v, want key-not-found status", err)
 	}
 	// The miss released its frame; the window keeps working.
-	h, err = d.StartGet([]byte("present"))
+	h, err = d.startGet([]byte("present"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.WaitGetInto(h, nil); err != nil || string(v) != "x" {
+	if v, err := d.waitGetInto(h, nil); err != nil || string(v) != "x" {
 		t.Fatalf("window broken after miss: %q, %v", v, err)
 	}
 }
@@ -303,24 +277,24 @@ func TestDrainWindowAfterError(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := d.StartGet([]byte(fmt.Sprintf("dr%02d", i))); err != nil {
+		if _, err := d.startGet([]byte(fmt.Sprintf("dr%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Simulate a caller bailing out mid-batch.
-	d.DrainWindow()
+	d.drainWindow()
 	if d.inflight != 0 {
-		t.Fatalf("InFlight = %d after DrainWindow, want 0", d.inflight)
+		t.Fatalf("InFlight = %d after drainWindow, want 0", d.inflight)
 	}
 	// Scalar and windowed paths both still work.
 	if v, err := d.Get([]byte("dr05")); err != nil || v[0] != 5 {
 		t.Fatalf("Get after drain: %v", err)
 	}
-	h, err := d.StartGet([]byte("dr00"))
+	h, err := d.startGet([]byte("dr00"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.WaitGetInto(h, nil); err != nil || v[0] != 0 {
+	if v, err := d.waitGetInto(h, nil); err != nil || v[0] != 0 {
 		t.Fatalf("windowed Get after drain: %v", err)
 	}
 }
@@ -343,26 +317,26 @@ func TestWindowedReadAboveStaging(t *testing.T) {
 	}
 	// Slot 1's staging run directly follows slot 0's: a warm-up read takes
 	// slot 0 and the neighbour slot 1, then the oversized read reuses slot 0.
-	warm, err := d.StartGet([]byte("warm"))
+	warm, err := d.startGet([]byte("warm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hNear, err := d.StartGet([]byte("near"))
+	hNear, err := d.startGet([]byte("near"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WaitGetInto(warm, nil); err != nil {
+	if _, err := d.waitGetInto(warm, nil); err != nil {
 		t.Fatal(err)
 	}
-	hBig, err := d.StartGet(big)
+	hBig, err := d.startGet(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.WaitGetInto(hBig, nil)
+	_, err = d.waitGetInto(hBig, nil)
 	if st, ok := nvme.StatusOf(err); !ok || st != syncStatus {
 		t.Fatalf("windowed read of an oversized value: %v, want status %v", err, syncStatus)
 	}
-	if v, err := d.WaitGetInto(hNear, nil); err != nil || !bytes.Equal(v, near) {
+	if v, err := d.waitGetInto(hNear, nil); err != nil || !bytes.Equal(v, near) {
 		t.Fatalf("neighbouring windowed read: %v, %v; want its own %d bytes", v, err, len(near))
 	}
 }

@@ -295,36 +295,26 @@ type ScheduleEntry struct {
 	Occurrence uint64
 }
 
-// Resolve replays every rule's trigger over its first maxOcc in-window
-// occurrences and returns which occurrences fire, per rule. Time-armed (At)
-// rules resolve to an empty list — their firing point is a simulated instant,
-// not an occurrence index. The result is the exact schedule an identically
-// salted Injector produces when every occurrence lands inside the rule's
-// window.
+// Resolve steps each rule of an identically salted Injector over its first
+// maxOcc occurrences, all at the start of the rule's window, and returns
+// which occurrences fire, per rule. Time-armed (At) rules resolve to an empty
+// list — their firing point is a simulated instant, not an occurrence index.
+// The result is the exact schedule the Injector produces when every
+// occurrence lands inside the rule's window. Like NewInjector, it takes a
+// validated plan.
 func (p *Plan) Resolve(salt uint64, maxOcc int) [][]uint64 {
+	in := NewInjector(p, salt)
 	out := make([][]uint64, len(p.Rules))
-	for i, r := range p.Rules {
-		rng := sim.NewRNG(mix(p.Seed, i, salt))
-		var fires []uint64
-		switch {
-		case r.At != 0:
-			// Time-armed; no occurrence schedule.
-		case r.Nth > 0:
-			if r.Nth <= maxOcc {
-				fires = append(fires, uint64(r.Nth))
-			}
-		case r.Every > 0:
-			for n := uint64(r.Every); n <= uint64(maxOcc); n += uint64(r.Every) {
-				fires = append(fires, n)
-			}
-		default:
-			for n := uint64(1); n <= uint64(maxOcc); n++ {
-				if rng.Float64() < r.P {
-					fires = append(fires, n)
-				}
+	for i := range in.rules {
+		rs := &in.rules[i]
+		if rs.At != 0 {
+			continue
+		}
+		for n := uint64(1); n <= uint64(maxOcc); n++ {
+			if rs.step(rs.From) {
+				out[i] = append(out[i], n)
 			}
 		}
-		out[i] = fires
 	}
 	return out
 }

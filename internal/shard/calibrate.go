@@ -26,7 +26,7 @@ func ProbePut(m driver.Method, size, n int) (sim.Duration, error) {
 	key := []byte{0, 0, 0, 0}
 	for i := 0; i < n; i++ {
 		key[0], key[1] = byte(i>>8), byte(i)
-		if err := st.Put(key, value); err != nil {
+		if err := st.Drv.Put(key, value); err != nil {
 			return 0, err
 		}
 	}

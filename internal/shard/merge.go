@@ -11,8 +11,9 @@ import (
 // Cursor is one key-ordered stream feeding a MergeIterator — a positioned
 // device iterator. Each call copies the stream's current pair into key and
 // value (grown as needed), returns the filled slices, and advances;
-// driver.ErrIterEnd signals exhaustion. Stack.Next is the canonical Cursor;
-// a front-end wraps it in whatever serializes access to the stack.
+// driver.ErrIterEnd signals exhaustion. A front-end builds one from
+// driver.Driver.Next, copying each pair out of the driver's read buffer under
+// whatever serializes access to the stack.
 type Cursor func(key, value []byte) ([]byte, []byte, error)
 
 // MergeIterator streams key-value pairs in key order by k-way merging N

@@ -46,42 +46,35 @@ func TestStackConstruction(t *testing.T) {
 	}
 }
 
-// The engine's point ops, with AfterOp firing exactly once per op.
+// The stack's driver serves the point ops on the stack's clock and link.
 func TestShardPutGetDelete(t *testing.T) {
 	s := newTestStack(t)
-	ops := 0
-	s.AfterOp = func() { ops++ }
-	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+	d := s.Drv
+	if err := d.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get([]byte("k"))
+	got, err := d.Get([]byte("k"))
 	if err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	dst := make([]byte, 0, 8)
-	if got, err = s.GetInto([]byte("k"), dst); err != nil || string(got) != "v" || &got[0] != &dst[:1][0] {
-		t.Fatalf("GetInto = %q, %v (must fill the caller's buffer)", got, err)
-	}
-	if err := s.Delete([]byte("k")); err != nil {
+	if err := d.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get([]byte("k")); err == nil {
+	if _, err := d.Get([]byte("k")); err == nil {
 		t.Fatal("deleted key still readable")
 	}
-	if err := s.Flush(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Clock.Now() <= 0 {
-		t.Fatal("stack clock did not advance")
-	}
-	if ops != 6 {
-		t.Fatalf("AfterOp fired %d times over 6 ops", ops)
+	if s.Clock.Now() <= 0 || s.Link.HostToDeviceBytes() == 0 {
+		t.Fatal("the driver's ops left the stack's clock or link untouched")
 	}
 }
 
-// The engine's one batch pair: lanes select key subsets, a nil miss is
-// strict, a non-nil miss absorbs absent keys (including a negative-cache
-// hit), and the serial and windowed paths land identical results.
+// The stack wires Submission and Device.Cache.NegativeEntries into the
+// driver's batch pair: lanes select key subsets, a nil miss is strict, a
+// non-nil miss absorbs absent keys (including a negative-cache hit), and the
+// serial and windowed paths land identical results.
 func TestStackBatchLanes(t *testing.T) {
 	for _, depth := range []int{1, 8} {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
@@ -94,8 +87,7 @@ func TestStackBatchLanes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			polls := 0
-			s.AfterOp = func() { polls++ }
+			d := s.Drv
 			keys := make([][]byte, 12)
 			vals := make([][]byte, len(keys))
 			for i := range keys {
@@ -103,21 +95,14 @@ func TestStackBatchLanes(t *testing.T) {
 				vals[i] = bytes.Repeat([]byte{byte(i)}, 40+i)
 			}
 			even := []int{0, 2, 4, 6, 8, 10}
-			if err := s.PutBatch(keys, vals, even); err != nil {
+			if err := d.PutBatch(keys, vals, even); err != nil {
 				t.Fatal(err)
-			}
-			if polls != 1 {
-				t.Fatalf("PutBatch fired AfterOp %d times, want 1", polls)
 			}
 			// Strict over the written lane: every lane fills, odd lanes stay
 			// untouched.
 			got := make([][]byte, len(keys))
-			polls = 0
-			if err := s.GetBatch(keys, got, nil, even); err != nil {
+			if err := d.GetBatch(keys, got, nil, even); err != nil {
 				t.Fatal(err)
-			}
-			if polls != len(even) {
-				t.Fatalf("GetBatch fired AfterOp %d times over %d keys", polls, len(even))
 			}
 			for i := range keys {
 				if i%2 == 0 && !bytes.Equal(got[i], vals[i]) {
@@ -128,7 +113,7 @@ func TestStackBatchLanes(t *testing.T) {
 				}
 			}
 			// Strict over everything: the first absent key fails the batch.
-			if err := s.GetBatch(keys, got, nil, nil); err == nil {
+			if err := d.GetBatch(keys, got, nil, nil); err == nil {
 				t.Fatal("strict GetBatch over absent keys succeeded")
 			}
 			// Sparse over everything, three times: the repeats resolve the odd
@@ -137,7 +122,7 @@ func TestStackBatchLanes(t *testing.T) {
 			// would fail them.
 			miss := make([]bool, len(keys))
 			for r := 0; r < 3; r++ {
-				if err := s.GetBatch(keys, got, miss, nil); err != nil {
+				if err := d.GetBatch(keys, got, miss, nil); err != nil {
 					t.Fatal(err)
 				}
 				for i := range keys {
@@ -149,7 +134,7 @@ func TestStackBatchLanes(t *testing.T) {
 					}
 				}
 			}
-			if s.Drv.Stats().NegativeHits.Value() == 0 {
+			if d.Stats().NegativeHits.Value() == 0 {
 				t.Fatal("repeated misses never hit the negative cache")
 			}
 		})
@@ -201,16 +186,28 @@ func TestPartitionerSingleShard(t *testing.T) {
 	}
 }
 
+// cursor is st's Cursor the way bandslim.DB builds one: the driver's NEXT,
+// copied out of its read buffer.
+func cursor(st *Stack) Cursor {
+	return func(key, value []byte) ([]byte, []byte, error) {
+		k, v, err := st.Drv.Next()
+		if err == nil {
+			k, v = append(key[:0], k...), append(value[:0], v...)
+		}
+		return k, v, err
+	}
+}
+
 // seekAll positions every stack's device iterator at start and returns the
 // stacks' cursors, the way a front-end builds a MergeIterator.
 func seekAll(t *testing.T, stacks []*Stack, start []byte) []Cursor {
 	t.Helper()
 	cursors := make([]Cursor, len(stacks))
 	for i, st := range stacks {
-		if err := st.Seek(start); err != nil {
+		if err := st.Drv.Seek(start); err != nil {
 			t.Fatal(err)
 		}
-		cursors[i] = st.Next
+		cursors[i] = cursor(st)
 	}
 	return cursors
 }
@@ -224,7 +221,7 @@ func TestMergeIteratorGlobalOrder(t *testing.T) {
 	var want []string
 	for i := 0; i < 90; i++ {
 		key := []byte(fmt.Sprintf("mk%03d", i))
-		if err := shards[p.Shard(key)].Put(key, []byte{byte(i)}); err != nil {
+		if err := shards[p.Shard(key)].Drv.Put(key, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, string(key))
@@ -263,7 +260,7 @@ func TestMergeIteratorSeekMidRange(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		key := []byte(fmt.Sprintf("sk%02d", i))
-		if err := shards[p.Shard(key)].Put(key, []byte{byte(i)}); err != nil {
+		if err := shards[p.Shard(key)].Drv.Put(key, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,19 +306,20 @@ func TestMergeIteratorEmpty(t *testing.T) {
 func TestMergeIteratorCursorError(t *testing.T) {
 	st := newTestStack(t)
 	for i := 0; i < 4; i++ {
-		if err := st.Put([]byte(fmt.Sprintf("ek%d", i)), []byte{byte(i)}); err != nil {
+		if err := st.Drv.Put([]byte(fmt.Sprintf("ek%d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Seek([]byte{0}); err != nil {
+	if err := st.Drv.Seek([]byte{0}); err != nil {
 		t.Fatal(err)
 	}
+	next := cursor(st)
 	boom, calls := errors.New("cursor gone"), 0
 	failing := func(key, value []byte) ([]byte, []byte, error) {
 		if calls++; calls > 2 {
 			return nil, nil, boom
 		}
-		return st.Next(key, value)
+		return next(key, value)
 	}
 	mi, err := NewMergeIterator([]Cursor{failing})
 	if err != nil {

@@ -193,7 +193,9 @@ func (n Name) String() string {
 // Event is one timestamped occurrence in the simulated stack. The struct is
 // flat and pointer-free so emitting never allocates.
 type Event struct {
-	// Seq is the emission order within one Recorder (assigned on Emit).
+	// Seq is the emission order of the event's shard within one Recorder
+	// (assigned on Emit, from 1 per shard), so a recorder shared by several
+	// shards numbers each shard's stream without gaps.
 	Seq uint64
 	// Shard is the id of the stack that emitted the event (0 for a DB).
 	Shard int32
@@ -232,9 +234,9 @@ type Tracer interface {
 type Recorder struct {
 	mu      sync.Mutex
 	buf     []Event
-	start   int // index of the oldest event
-	n       int // events currently held
-	seq     uint64
+	start   int              // index of the oldest event
+	n       int              // events currently held
+	seq     map[int32]uint64 // last Seq stamped, per shard
 	dropped int64
 }
 
@@ -243,15 +245,15 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{buf: make([]Event, capacity), seq: map[int32]uint64{}}
 }
 
-// Emit stores the event, stamping its sequence number. Oldest events are
-// evicted once the ring is full.
+// Emit stores the event, stamping the next sequence number of its shard.
+// Oldest events are evicted once the ring is full.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
-	r.seq++
-	ev.Seq = r.seq
+	ev.Seq = r.seq[ev.Shard] + 1
+	r.seq[ev.Shard] = ev.Seq
 	if r.n == len(r.buf) {
 		r.buf[r.start] = ev
 		r.start = (r.start + 1) % len(r.buf)

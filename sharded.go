@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bandslim/internal/driver"
 	"bandslim/internal/shard"
 	"bandslim/internal/timeseries"
 )
@@ -28,8 +29,8 @@ type ShardedConfig struct {
 	TraceCapacity int
 }
 
-// dbShard is one shard of a DB: the op engine and the mutex every access to
-// it holds.
+// dbShard is one shard of a DB: the stack, whose driver is the op engine, and
+// the mutex every access to it holds.
 type dbShard struct {
 	mu      sync.Mutex
 	closed  bool
@@ -59,11 +60,7 @@ func OpenSharded(cfg ShardedConfig) (*DB, error) {
 		}
 		sh := &dbShard{st: st, rings: ringsOf(opts.Tracer)}
 		if interval := cfg.PerShard.MetricsInterval; interval > 0 {
-			// Simulated-time metric samples due since the last operation are
-			// recorded after every engine op: a single comparison when no
-			// boundary was crossed.
 			sh.sampler = timeseries.NewSampler(interval, db.descs, func() timeseries.Snapshot { return snapshot(st, db.rows) })
-			st.AfterOp = func() { sh.sampler.Poll(st.Clock.Now()) }
 		}
 		// A shared PerShard.Tracer ring is shard 0's ring; count it once.
 		if i == 0 || cfg.TraceCapacity > 0 {
@@ -74,46 +71,61 @@ func OpenSharded(cfg ShardedConfig) (*DB, error) {
 	return db, nil
 }
 
-// lock takes the shard's mutex and returns its stack, or releases the mutex
-// and fails with ErrClosed after Close. On success the caller unlocks sh.mu.
-// Operations that return values call it directly: a closure through do costs
-// a hot Get about 50 ns.
-func (sh *dbShard) lock() (*shard.Stack, error) {
+// lock takes the shard's mutex and returns its driver, or releases the mutex
+// and fails with ErrClosed after Close. On success the caller releases the
+// shard with unlock. Operations that return values call it directly: a
+// closure through do costs a hot Get about 50 ns.
+func (sh *dbShard) lock() (*driver.Driver, error) {
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
 		return nil, ErrClosed
 	}
-	return sh.st, nil
+	return sh.st.Drv, nil
 }
 
-// do runs op on the shard's stack under its lock, or fails with ErrClosed
+// unlock ends an operation: it records the simulated-time metric samples due
+// since the last operation, if the shard has a sampler (a single comparison
+// when no boundary was crossed), then releases the mutex.
+func (sh *dbShard) unlock() {
+	if sh.sampler != nil {
+		sh.sampler.Poll(sh.st.Clock.Now())
+	}
+	sh.mu.Unlock()
+}
+
+// do runs op on the shard's driver under its lock, or fails with ErrClosed
 // after Close.
-func (sh *dbShard) do(op func(*shard.Stack) error) error {
-	st, err := sh.lock()
+func (sh *dbShard) do(op func(*driver.Driver) error) error {
+	drv, err := sh.lock()
 	if err != nil {
 		return err
 	}
-	defer sh.mu.Unlock()
-	return op(st)
+	defer sh.unlock()
+	return op(drv)
 }
 
-// next is the shard's shard.Cursor: Stack.Next under the lock, so the pair is
-// copied out of the driver's read buffer before another operation can run.
+// next is the shard's shard.Cursor: Driver.Next under the lock, copying the
+// pair into key and value (grown as needed) before another operation can
+// reuse the driver's read buffer.
 func (sh *dbShard) next(key, value []byte) ([]byte, []byte, error) {
-	st, err := sh.lock()
+	drv, err := sh.lock()
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sh.mu.Unlock()
-	return st.Next(key, value)
+	defer sh.unlock()
+	k, v, err := drv.Next()
+	if err == nil {
+		k, v = append(key[:0], k...), append(value[:0], v...)
+	}
+	return k, v, err
 }
 
 func (db *DB) shardFor(key []byte) *dbShard { return db.shards[db.part.Shard(key)] }
 
 // each runs op on every shard in index order. The first error wins; later
 // shards still run.
-func (db *DB) each(op func(*shard.Stack) error) error {
+func (db *DB) each(op func(*driver.Driver) error) error {
 	var first error
 	for _, sh := range db.shards {
 		if err := sh.do(op); err != nil && first == nil {
@@ -137,9 +149,9 @@ func (db *DB) peek(read func(i int, sh *dbShard)) {
 // on its shard in index order, one shard lock at a time. The first error
 // wins; later lanes still run. On several shards an empty batch touches none;
 // one shard runs the whole batch as its lane (a nil lane).
-func (db *DB) fanOut(keys [][]byte, run func(st *shard.Stack, lane []int) error) error {
+func (db *DB) fanOut(keys [][]byte, run func(drv *driver.Driver, lane []int) error) error {
 	if len(db.shards) == 1 {
-		return db.shards[0].do(func(st *shard.Stack) error { return run(st, nil) })
+		return db.shards[0].do(func(drv *driver.Driver) error { return run(drv, nil) })
 	}
 	db.freeMu.Lock()
 	var lanes [][]int
@@ -162,7 +174,7 @@ func (db *DB) fanOut(keys [][]byte, run func(st *shard.Stack, lane []int) error)
 		if len(lane) == 0 {
 			continue
 		}
-		if err := db.shards[i].do(func(st *shard.Stack) error { return run(st, lane) }); err != nil && first == nil {
+		if err := db.shards[i].do(func(drv *driver.Driver) error { return run(drv, lane) }); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -197,6 +209,3 @@ func (db *DB) Submission() SubmissionConfig {
 	defer sh.mu.Unlock()
 	return sh.st.Drv.Submission()
 }
-
-// ShardFor reports which shard index serves key.
-func (db *DB) ShardFor(key []byte) int { return db.part.Shard(key) }

@@ -84,9 +84,9 @@ func TestShardedPartitionStable(t *testing.T) {
 	counts := make([]int, 4)
 	for i := 0; i < 512; i++ {
 		key := []byte(fmt.Sprintf("pk%04d", i))
-		sh := s.ShardFor(key)
-		if sh != s.ShardFor(key) {
-			t.Fatal("ShardFor is unstable")
+		sh := s.part.Shard(key)
+		if sh != s.part.Shard(key) {
+			t.Fatal("the partition is unstable")
 		}
 		counts[sh]++
 	}

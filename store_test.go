@@ -64,7 +64,7 @@ func TestStoreAfterClose(t *testing.T) {
 			}
 			// The snapshot methods, each called below.
 			snapshots := []string{"Close", "Now", "Stats", "Series", "WritePrometheus", "Blame",
-				"VLogFreeBytes", "Submission", "ShardStats", "ShardFor", "TraceEvents", "ResetTrace"}
+				"VLogFreeBytes", "Submission", "ShardStats", "TraceEvents", "ResetTrace"}
 			checked := map[string]bool{}
 			for _, c := range closedOps {
 				checked[c.op] = true
@@ -120,7 +120,7 @@ func TestStoreAfterClose(t *testing.T) {
 			for i := 0; i < len(db.shards); i++ {
 				puts += db.ShardStats(i).Host.Puts
 			}
-			if puts != 1 || db.ShardStats(db.ShardFor(key)).Host.Puts != 1 {
+			if puts != 1 || db.ShardStats(db.part.Shard(key)).Host.Puts != 1 {
 				t.Errorf("ShardStats after Close sum to %d puts", puts)
 			}
 			if len(db.TraceEvents()) == 0 || stats.Trace.Dropped != 0 {
@@ -171,7 +171,7 @@ func TestVLogMethodsSumShards(t *testing.T) {
 		// Without a tracer or fault plan the shard id changes nothing, so a
 		// one-shard DB fed shard i's keys in order is shard i.
 		one := openSharded(t, 1, nil)
-		churn(one, func(key []byte) bool { return sdb.ShardFor(key) == i })
+		churn(one, func(key []byte) bool { return sdb.part.Shard(key) == i })
 		checkFree(one)
 		n, err := one.CompactVLog(pages)
 		if err != nil {
