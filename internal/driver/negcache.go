@@ -22,6 +22,7 @@ package driver
 import (
 	"bandslim/internal/nvme"
 	"bandslim/internal/pool"
+	"bandslim/internal/sim"
 )
 
 // errNegativeHit is the preallocated not-found error short-circuited Gets
@@ -37,53 +38,21 @@ type negCache struct {
 	keys  [][]byte // ring of arena-backed key copies
 	next  int      // ring cursor (oldest slot, overwritten on insert)
 	cap   int
-	bloom []uint64
-	mask  uint64 // bloom bit-index mask (bit count is a power of two)
+	bloom sim.Bloom
 	arena pool.Bytes
 }
 
-// bloomBitsPerEntry oversizes the filter relative to the ring so admission
+// bloomKeysPerEntry oversizes the filter relative to the ring so admission
 // stays selective even when the miss working set exceeds the ring.
-const bloomBitsPerEntry = 16
+const bloomKeysPerEntry = 2
 
 func newNegCache(entries int) *negCache {
-	bits := 64
-	for bits < entries*bloomBitsPerEntry {
-		bits <<= 1
-	}
 	return &negCache{
 		idx:   make(map[string]int, entries),
 		keys:  make([][]byte, entries),
 		cap:   entries,
-		bloom: make([]uint64, bits/64),
-		mask:  uint64(bits - 1),
+		bloom: make(sim.Bloom, sim.BloomWords(entries*bloomKeysPerEntry)),
 	}
-}
-
-// hash is FNV-1a 64; the two bloom probes derive from its halves
-// (Kirsch-Mitzenmacher double hashing).
-func negHash(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (n *negCache) bloomHas(key []byte) bool {
-	h := negHash(key)
-	i1 := h & n.mask
-	i2 := (h>>32 | h<<32) & n.mask
-	return n.bloom[i1/64]&(1<<(i1%64)) != 0 && n.bloom[i2/64]&(1<<(i2%64)) != 0
-}
-
-func (n *negCache) bloomSet(key []byte) {
-	h := negHash(key)
-	i1 := h & n.mask
-	i2 := (h>>32 | h<<32) & n.mask
-	n.bloom[i1/64] |= 1 << (i1 % 64)
-	n.bloom[i2/64] |= 1 << (i2 % 64)
 }
 
 // known reports whether key is in the exact ring (zero-allocation lookup).
@@ -99,8 +68,8 @@ func (n *negCache) learn(key []byte) bool {
 	if n.known(key) {
 		return false
 	}
-	if !n.bloomHas(key) {
-		n.bloomSet(key)
+	if h := sim.KeyHash(key); !n.bloom.Has(h) {
+		n.bloom.Add(h)
 		return false
 	}
 	n.insert(key)
@@ -144,9 +113,7 @@ func (n *negCache) clear() {
 		n.keys[s] = nil
 		delete(n.idx, k)
 	}
-	for i := range n.bloom {
-		n.bloom[i] = 0
-	}
+	n.bloom.Reset()
 	n.next = 0
 }
 

@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"testing"
 
@@ -122,17 +121,21 @@ func BenchmarkCompaction(b *testing.B) {
 			for _, pg := range t.pages {
 				tr.alloc.free(pg)
 			}
+			tr.build.filters = append(tr.build.filters, t.filter)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
 }
+
+// coldKeys is how many keys benchColdTree holds: benchKey(0..coldKeys-1).
+const coldKeys = 96 * 1024
 
 // benchColdTree is a three-deep tree (L0 + L1 + L2) of n hashed keys of the
 // given length under an empty MemTable, and 1024 of its keys spread over all
 // three levels.
 func benchColdTree(b *testing.B, keyLen int) (*Tree, [][]byte) {
 	tr := benchTree(b)
-	const n = 96 * 1024
+	const n = coldKeys
 	tr.levels[2] = benchTables(b, tr, keyLen, 0, n/2, DefaultConfig().TablePages)
 	tr.levels[1] = benchTables(b, tr, keyLen, n/2, n-4096, DefaultConfig().TablePages)
 	tr.levels[0] = benchTables(b, tr, keyLen, n-4096, n, 0)
@@ -143,17 +146,27 @@ func benchColdTree(b *testing.B, keyLen int) (*Tree, [][]byte) {
 	return tr, keys
 }
 
-// BenchmarkColdGet is a point lookup that misses the MemTable and searches one
-// page per level of a three-deep tree, with the benchmark's 8-byte keys and
-// with keys of MaxKeySize.
+// BenchmarkColdGet is a point lookup that misses the MemTable in a three-deep
+// tree, with the benchmark's 8-byte keys and with keys of MaxKeySize: for a
+// key the tree holds, the filters pass one table and that table's page is
+// searched; for an absent key (absent8) every filter rules its table out.
 func BenchmarkColdGet(b *testing.B) {
-	for _, keyLen := range []int{8, MaxKeySize} {
-		b.Run(fmt.Sprintf("key%d", keyLen), func(b *testing.B) {
-			tr, keys := benchColdTree(b, keyLen)
+	for _, tc := range []struct {
+		name   string
+		keyLen int
+		absent bool
+	}{{"key8", 8, false}, {"key16", MaxKeySize, false}, {"absent8", 8, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr, keys := benchColdTree(b, tc.keyLen)
+			if tc.absent {
+				for i := range keys {
+					keys[i] = benchKey(coldKeys+i, tc.keyLen)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok, _, err := tr.Get(0, keys[i%len(keys)]); err != nil || !ok {
+				if _, ok, _, err := tr.Get(0, keys[i%len(keys)]); err != nil || ok == tc.absent {
 					b.Fatalf("Get: found=%v err=%v", ok, err)
 				}
 			}

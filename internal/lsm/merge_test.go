@@ -51,11 +51,13 @@ type storeOp struct {
 // hostileStore is a PageStore that records every call and honours the
 // ReadPage contract to the letter and no further: the view it returns is one
 // scratch page, overwritten by the next read and poisoned by the next write.
-// A tree that keeps a view across a store call reads garbage here.
+// A tree that keeps a view across a store call reads garbage here. With
+// failAt set it also fails the failAt-th page write from now.
 type hostileStore struct {
 	*memStore
 	ops     []storeOp
 	scratch []byte
+	failAt  int
 }
 
 func newHostileStore(pages int) *hostileStore {
@@ -70,12 +72,19 @@ func (s *hostileStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) 
 }
 
 func (s *hostileStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, error) {
+	if s.failAt > 0 {
+		if s.failAt--; s.failAt == 0 {
+			return t, errHostileWrite
+		}
+	}
 	s.ops = append(s.ops, storeOp{write: true, page: page, at: t})
 	for i := range s.scratch {
 		s.scratch[i] = 0xDB
 	}
 	return s.memStore.WritePage(t, page, data)
 }
+
+var errHostileWrite = errors.New("hostile store: page write failed")
 
 // referenceMerge is the merge this package shipped before the cursor merge,
 // kept as the oracle: it materialises every input table as []Entry with a
@@ -364,7 +373,8 @@ func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 // the offsets are staged in the tree's scratch and copied once, exact-sized,
 // at finish. A one-page table costs eight allocations — the builder, the
 // handle, the page list, the first-key list and its one key, smallest, largest
-// and the index — whether the page has no restart or a dozen.
+// and the index — whether the page has no restart or a dozen. Its filter
+// costs none once a freed table's filter is on the free list.
 func TestTableBuildAllocs(t *testing.T) {
 	store := newMemStore(16)
 	tr, err := NewTree(smallTreeConfig(), store)
@@ -382,6 +392,7 @@ func TestTableBuildAllocs(t *testing.T) {
 			for _, pg := range table.pages {
 				tr.alloc.free(pg) // the next build reuses the page, and memStore its image
 			}
+			tr.build.filters = append(tr.build.filters, table.filter)
 		})
 		allocs-- // buildTables' own result slice
 		if len(table.pages) != 1 || len(table.pageRestarts(0)) != (n-1)/restartInterval {

@@ -1,9 +1,14 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"bandslim/internal/sim"
+	"bandslim/internal/vlog"
 )
 
 // ROADMAP item 3(ii): is the number of times the tree rewrites an entry the
@@ -57,6 +62,50 @@ func TestRewritesPerEntryMatchTheClosedForm(t *testing.T) {
 			}
 			if was <= hi {
 				t.Errorf("lowest-first: %.2f rewrites per entry, inside the band's upper limit %.2f", was, hi)
+			}
+		})
+	}
+}
+
+// A table's filter answers an absent key falsely at the closed-form rate of a
+// bloom filter, (1-e^{-kn/m})^k for n keys, m bits and k probes, within 30 %
+// over 100 k probes, whether the keys are sequential big-endian integers or
+// Mix64 outputs (the benchmark's keys): the hash leaves no structure of
+// either for the probes to collide on.
+func TestFilterFalsePositivesMatchTheClosedForm(t *testing.T) {
+	const n, probes = 20_000, 100_000
+	for _, tc := range []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"sequential", func(i int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(i)) }},
+		{"mix64", func(i int) []byte { return binary.BigEndian.AppendUint64(nil, sim.Mix64(uint64(i))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, _ := newTestTree(t)
+			entries := make([]Entry, n)
+			for i := range entries {
+				entries[i] = Entry{Key: tc.key(i), Addr: vlog.Addr(i), Size: 8}
+			}
+			slices.SortFunc(entries, func(a, b Entry) int { return bytes.Compare(a.Key, b.Key) })
+			table := buildTables(t, tr, entries, 0)[0]
+			for _, e := range entries {
+				if !table.filter.Has(sim.KeyHash(e.Key)) {
+					t.Fatalf("the filter rules out %x, one of its own keys", e.Key)
+				}
+			}
+			fp := 0
+			for i := n; i < n+probes; i++ {
+				if table.filter.Has(sim.KeyHash(tc.key(i))) {
+					fp++
+				}
+			}
+			m, k := float64(len(table.filter)*64), float64(sim.BloomProbes)
+			want := math.Pow(1-math.Exp(-k*n/m), k)
+			got := float64(fp) / probes
+			t.Logf("%d keys in %.0f bits: false-positive rate %.4f, closed form %.4f", n, m, got, want)
+			if got < 0.7*want || got > 1.3*want {
+				t.Errorf("false-positive rate %.4f outside [%.4f, %.4f]", got, 0.7*want, 1.3*want)
 			}
 		})
 	}

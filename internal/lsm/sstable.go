@@ -153,15 +153,19 @@ var errEndOfPage = fmt.Errorf("lsm: end of page")
 const restartInterval = 16
 
 // SSTable is one immutable sorted run. Pages hold the encoded entries; the
-// in-memory handle keeps the page list and a sparse index, as in-device
-// LSM-trees keep their level lists in DRAM. The index is two-level: the first
-// key of each page picks the page, the restart offsets pick the stretch of it
-// to walk. Its modelled DRAM is the first key plus 2 B per restartInterval
-// entries per page — about 108 B for a full 16 KiB page of 8-byte keys — which
-// any device-DRAM budget (caches, filters) has to count beside its own.
+// in-memory handle keeps the page list, a sparse index and a bloom filter, as
+// in-device LSM-trees keep their level lists in DRAM. The index is two-level:
+// the first key of each page picks the page, the restart offsets pick the
+// stretch of it to walk. Its modelled DRAM is the first key plus 2 B per
+// restartInterval entries per page — about 108 B for a full 16 KiB page of
+// 8-byte keys — and the filter's sim.BloomBitsPerKey bits, about 1.25 B, per
+// entry; any device-DRAM budget (caches) has to count both beside its own.
 type SSTable struct {
 	pages    []int    // region-relative page numbers, in key order
 	firstKey [][]byte // first key of each page
+	// filter holds sim.KeyHash of every entry, tombstones included: a point
+	// lookup it rules out reads no page. Nothing else consults it.
+	filter sim.Bloom
 	// restarts holds, for every page, the byte offsets of its entries number
 	// restartInterval, 2*restartInterval, ... (entry 0 sits at offset 0 and is
 	// not recorded). One allocation: restarts[:len(pages)+1] are the bounds,
@@ -298,10 +302,35 @@ func searchPage(data, key []byte, restarts []uint16) (Entry, bool, error) {
 // the handle get it, owned by the tree so that one serves every table it
 // builds: page is the PageSize image being filled, of which only page[:used]
 // is ever meaningful; restarts collects the restart offsets of the table so
-// far, each page's run closed by a 0 (no restart sits at offset 0).
+// far, each page's run closed by a 0 (no restart sits at offset 0); hashes
+// the sim.KeyHash of each of its entries. filters is the free list of filter
+// storage: the filters of the tables a commit freed, which the next tables
+// built are given instead of new words.
 type tableScratch struct {
 	page     []byte
 	restarts []uint16
+	hashes   []uint64
+	filters  []sim.Bloom
+}
+
+// filter returns an empty filter for keys keys, in the smallest free storage
+// that holds it or, when none does, in new storage.
+func (s *tableScratch) filter(keys int) sim.Bloom {
+	words, best := sim.BloomWords(keys), -1
+	for i, f := range s.filters {
+		if cap(f) >= words && (best < 0 || cap(f) < cap(s.filters[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make(sim.Bloom, words)
+	}
+	f := s.filters[best][:words]
+	last := len(s.filters) - 1
+	s.filters[best], s.filters[last] = s.filters[last], nil
+	s.filters = s.filters[:last]
+	f.Reset()
+	return f
 }
 
 // tableBuilder streams sorted entries into pages through a PageStore.
@@ -317,7 +346,7 @@ type tableBuilder struct {
 }
 
 func newTableBuilder(store PageStore, alloc *pageAllocator, scratch *tableScratch) *tableBuilder {
-	scratch.restarts = scratch.restarts[:0]
+	scratch.restarts, scratch.hashes = scratch.restarts[:0], scratch.hashes[:0]
 	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{}, scratch: scratch}
 }
 
@@ -338,6 +367,7 @@ func (b *tableBuilder) add(t sim.Time, e Entry) error {
 	}
 	b.used += encodeEntry(b.scratch.page[b.used:], e)
 	b.inPage++
+	b.scratch.hashes = append(b.scratch.hashes, sim.KeyHash(e.Key))
 	if b.table.smallest == nil {
 		b.table.smallest = append([]byte(nil), e.Key...)
 	}
@@ -395,6 +425,10 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 		next++
 	}
 	b.table.restarts = restarts
+	b.table.filter = b.scratch.filter(len(b.scratch.hashes))
+	for _, h := range b.scratch.hashes {
+		b.table.filter.Add(h)
+	}
 	b.table.largest = append([]byte(nil), b.last...)
 	return b.table, b.end, nil
 }

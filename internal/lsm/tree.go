@@ -55,6 +55,11 @@ type Stats struct {
 	Compactions  metrics.Counter // L0 merges and level pushes, trivial moves included
 	PagesWritten metrics.Counter // meta pages of every table written: WAF's index term
 	TrivialMoves metrics.Counter // level pushes that re-linked the victim instead of merging it
+	// FilterSkips counts the tables a Get's filter probe ruled out, each a
+	// page read not made; FilterFalsePositives the probes that passed on a
+	// table whose page then did not hold the key.
+	FilterSkips          metrics.Counter
+	FilterFalsePositives metrics.Counter
 }
 
 // Tree is the LSM index. Values never live here — only (addr, size) pairs
@@ -74,8 +79,8 @@ type Tree struct {
 	// push to measure it against.
 	pushLevel func(tr *Tree, t sim.Time, lvl int) (sim.Time, error)
 	// build is the staging area every tableBuilder fills; slab holds the
-	// input page images of the merge in progress (grown to the largest merge
-	// seen, never past it).
+	// input page images of the merge in progress (sized by the first merge,
+	// then grown in steps of slabGrain pages).
 	build tableScratch
 	slab  []byte
 	// reclaims counts the commits that freed pages. An open Iterator holds
@@ -89,10 +94,13 @@ type Tree struct {
 	// Restore rolls back to that snapshot after a power cut, and a Flush that
 	// fails without one rolls itself back the same way. Pages vacated by
 	// compaction are only trimmed at commit (pendingFree), so the committed
-	// catalog's tables are always intact on flash.
-	pendingFree []int
-	committed   catalog
-	onDurable   func()
+	// catalog's tables are always intact on flash; their filters join the
+	// filter free list then too (pendingFilters), so the committed tables'
+	// filters are never handed to a new table.
+	pendingFree    []int
+	pendingFilters []sim.Bloom
+	committed      catalog
+	onDurable      func()
 }
 
 // catalog is the durable view of the tree: everything needed to rebuild it
@@ -133,6 +141,9 @@ func (tr *Tree) commit() {
 		_ = tr.store.TrimPage(pg)
 	}
 	tr.pendingFree = tr.pendingFree[:0]
+	tr.build.filters = append(tr.build.filters, tr.pendingFilters...)
+	clear(tr.pendingFilters)
+	tr.pendingFilters = tr.pendingFilters[:0]
 	tr.committed = tr.snapshotCatalog()
 	if tr.onDurable != nil {
 		tr.onDurable()
@@ -161,6 +172,8 @@ func (tr *Tree) rollback() {
 	tr.pointer = append(tr.pointer[:0], tr.committed.pointer...)
 	tr.alloc.restore(tr.committed.alloc)
 	tr.pendingFree = tr.pendingFree[:0]
+	clear(tr.pendingFilters)
+	tr.pendingFilters = tr.pendingFilters[:0]
 }
 
 // NewTree builds an empty tree over the store.
@@ -180,7 +193,9 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		pointer: make([][]byte, cfg.MaxLevels),
 
 		pushLevel: (*Tree).compactLevel,
-		build:     tableScratch{page: make([]byte, store.PageSize())},
+		// Room for the hashes of a flush's table and of a merge's table of
+		// 8-byte keys at the default geometry, so neither regrows them.
+		build: tableScratch{page: make([]byte, store.PageSize()), hashes: make([]uint64, 0, 2*cfg.MemTableEntries)},
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -188,6 +203,17 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 
 // Stats exposes the tree's tallies.
 func (tr *Tree) Stats() *Stats { return &tr.stats }
+
+// FilterBytes reports the device DRAM the live tables' filters hold.
+func (tr *Tree) FilterBytes() int64 {
+	var words int
+	for _, level := range tr.levels {
+		for _, table := range level {
+			words += len(table.filter)
+		}
+	}
+	return int64(words) * 8
+}
 
 // Put records key → (addr, size). It may trigger a MemTable flush and
 // cascading compactions, whose NAND time is charged to the returned
@@ -263,17 +289,19 @@ func (tr *Tree) wrote(table *SSTable) {
 // Get resolves a key to its vLog location, searching MemTable, then L0
 // newest-first, then each deeper level. The boolean reports presence; a
 // present tombstone means "deleted". An entry found in the MemTable has its
-// Key in the MemTable's slab, which the next write may recycle.
+// Key in the MemTable's slab, which the next write may recycle. A table whose
+// filter rules the key out costs no page read.
 func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
 	if e, ok := tr.mem.Get(key); ok {
 		return e, true, t, nil
 	}
+	h := sim.KeyHash(key)
 	end := t
 	for _, table := range tr.levels[0] {
 		if !table.overlaps(key, key) {
 			continue
 		}
-		e, ok, rEnd, err := tr.searchTable(t, table, key)
+		e, ok, rEnd, err := tr.probeTable(t, table, key, h)
 		if err != nil {
 			return Entry{}, false, t, err
 		}
@@ -289,7 +317,7 @@ func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
 		if table == nil {
 			continue
 		}
-		e, ok, rEnd, err := tr.searchTable(t, table, key)
+		e, ok, rEnd, err := tr.probeTable(t, table, key, h)
 		if err != nil {
 			return Entry{}, false, t, err
 		}
@@ -314,6 +342,21 @@ func (tr *Tree) findInLevel(lvl int, key []byte) *SSTable {
 		return tables[i]
 	}
 	return nil
+}
+
+// probeTable searches a table for key, whose sim.KeyHash is h, unless the
+// table's filter rules it out. The probe itself costs no simulated time, as
+// the fence keys and restart offsets beside it do not.
+func (tr *Tree) probeTable(t sim.Time, table *SSTable, key []byte, h uint64) (Entry, bool, sim.Time, error) {
+	if !table.filter.Has(h) {
+		tr.stats.FilterSkips.Inc()
+		return Entry{}, false, t, nil
+	}
+	e, ok, end, err := tr.searchTable(t, table, key)
+	if err == nil && !ok {
+		tr.stats.FilterFalsePositives.Inc()
+	}
+	return e, ok, end, err
 }
 
 // searchTable reads the one candidate page and searches it, in place, for the
@@ -422,6 +465,13 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	return end, nil
 }
 
+// slabGrain is the step, in pages, the merge slab grows by once a merge has
+// outgrown it: a level's merges grow a table or so at a time as the level
+// fills, and regrowing the slab to each one's exact size allocated more than
+// the merges copied. The first merge sizes it exactly, so a small tree never
+// holds a slab of slabGrain pages it does not need.
+const slabGrain = 32
+
 // mergeRun is one sorted input of a merge: the page images of one or more
 // input tables, walked entry by entry.
 type mergeRun struct {
@@ -490,7 +540,12 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		need += len(table.pages) * ps
 	}
 	if cap(tr.slab) < need {
-		tr.slab = make([]byte, need)
+		size := need
+		if tr.slab != nil {
+			grain := slabGrain * ps
+			size = (need + grain - 1) / grain * grain
+		}
+		tr.slab = make([]byte, size)
 	}
 	slab := tr.slab[:need]
 	// Consecutive inputs whose key ranges ascend without overlap (the tables
@@ -585,13 +640,15 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 	return out, end, nil
 }
 
-// freeTables schedules every input table's pages for release. The frees are
-// deferred to the next catalog commit: until then the pages stay allocated
-// and untrimmed, so a crash between compaction and commit can roll back to
-// the previous catalog with all its tables readable.
+// freeTables schedules every input table's pages and filter for release. The
+// frees are deferred to the next catalog commit: until then the pages stay
+// allocated and untrimmed and the filters in use, so a crash between
+// compaction and commit can roll back to the previous catalog with all its
+// tables readable.
 func (tr *Tree) freeTables(tables []*SSTable) {
 	for _, table := range tables {
 		tr.pendingFree = append(tr.pendingFree, table.pages...)
+		tr.pendingFilters = append(tr.pendingFilters, table.filter)
 	}
 }
 

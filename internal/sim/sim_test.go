@@ -203,3 +203,30 @@ func TestRNGShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("shuffle lost elements, sum=%d", sum)
 	}
 }
+
+// Keys that differ only in length or in trailing zero bytes compare apart, so
+// they must hash apart; a filter holds every hash added and none after Reset.
+func TestBloomKeyHashAndReset(t *testing.T) {
+	keys := []string{"\x00", "a", "a\x00", "a\x00\x00", "ab", "abcdefgh", "abcdefgh\x00", "abcdefghabcdefgh"}
+	f := make(Bloom, BloomWords(len(keys)))
+	seen := map[uint64]string{}
+	for _, k := range keys {
+		h := KeyHash([]byte(k))
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("KeyHash(%q) == KeyHash(%q)", k, prev)
+		}
+		seen[h] = k
+		f.Add(h)
+	}
+	for h, k := range seen {
+		if !f.Has(h) {
+			t.Fatalf("the filter lost %q", k)
+		}
+	}
+	f.Reset()
+	for h, k := range seen {
+		if f.Has(h) {
+			t.Fatalf("%q survived Reset", k)
+		}
+	}
+}

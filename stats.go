@@ -63,6 +63,13 @@ type DeviceStats struct {
 	// SSTable written by a flush or a compaction.
 	IndexPageWrites int64
 	TrivialMoves    int64 // level pushes that re-linked a table instead of rewriting it
+	// FilterSkips counts SSTables a Get's bloom filter ruled out (each a page
+	// read not made); FilterFalsePositives the filter passes whose page did
+	// not hold the key. FilterBytes is the device DRAM the live tables'
+	// filters hold.
+	FilterSkips          int64
+	FilterFalsePositives int64
+	FilterBytes          int64
 }
 
 // AdaptiveStats count the adaptive method's per-value transfer decisions.
@@ -321,6 +328,12 @@ var baseRows = []row{
 		func(s *Stats) *int64 { return &s.Device.IndexPageWrites }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().PagesWritten.Value() }),
 	counter("lsm_trivial_moves", "LSM-tree level pushes that re-linked a table into the next level without rewriting it.",
 		func(s *Stats) *int64 { return &s.Device.TrivialMoves }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().TrivialMoves.Value() }),
+	counter("lsm_filter_skips", "SSTables a GET's bloom filter ruled out, so no page was read.",
+		func(s *Stats) *int64 { return &s.Device.FilterSkips }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().FilterSkips.Value() }),
+	counter("lsm_filter_false_positives", "SSTable pages a GET read because the bloom filter passed, that did not hold the key.",
+		func(s *Stats) *int64 { return &s.Device.FilterFalsePositives }, func(st *shard.Stack) int64 { return st.Dev.Tree().Stats().FilterFalsePositives.Value() }),
+	{Desc: gaugeDesc("lsm_filter_bytes", timeseries.AggSum, "Device DRAM bytes held by the live SSTables' bloom filters."),
+		field: func(s *Stats) *int64 { return &s.Device.FilterBytes }, read: func(st *shard.Stack) int64 { return st.Dev.Tree().FilterBytes() }},
 	counter("adaptive_inline", "Adaptive method: values sent inline.",
 		func(s *Stats) *int64 { return &s.Adaptive.Inline }, func(st *shard.Stack) int64 { return st.Drv.Stats().InlineChosen.Value() }),
 	counter("adaptive_prp", "Adaptive method: values sent via PRP DMA.",
