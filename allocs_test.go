@@ -213,7 +213,9 @@ func TestFillAllocBudget(t *testing.T) {
 // TestColdGetAllocs: a Get that finds nothing in DRAM — MemTable empty, no
 // cache — walks SSTable pages on flash level by level and then reads the
 // value's vLog page. Every one of those pages is borrowed from the flash
-// model and searched in place, so the read allocates nothing.
+// model and searched in place, so the read allocates nothing. A Get of an
+// absent key is answered by the tables' filters and comes back as the shared
+// not-found error, so it allocates nothing either.
 func TestColdGetAllocs(t *testing.T) {
 	for trName, tr := range tracers() {
 		for _, kind := range storeKinds {
@@ -231,25 +233,44 @@ func TestColdGetAllocs(t *testing.T) {
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				dst := make([]byte, 0, 128)
-				i := 0
-				get := func() {
-					key = fillKey(key, i*7919%nkeys)
-					v, err := s.GetInto(key, dst)
-					if err != nil || len(v) != 128 {
-						t.Fatalf("GetInto: %d bytes, %v", len(v), err)
+				t.Run("present", func(t *testing.T) {
+					dst := make([]byte, 0, 128)
+					i := 0
+					get := func() {
+						key = fillKey(key, i*7919%nkeys)
+						v, err := s.GetInto(key, dst)
+						if err != nil || len(v) != 128 {
+							t.Fatalf("GetInto: %d bytes, %v", len(v), err)
+						}
+						dst = v
+						i++
 					}
-					dst = v
-					i++
-				}
-				for r := 0; r < 64; r++ { // grow the read scratch on every device
+					for r := 0; r < 64; r++ { // grow the read scratch on every device
+						get()
+					}
+					reads := s.Stats().Device.NANDPageReads
+					assertZeroAllocs(t, "cold GetInto", 400, get)
+					if got := s.Stats().Device.NANDPageReads - reads; got < 400 {
+						t.Errorf("%d NAND page reads over 401 Gets: the reads were not cold", got)
+					}
+				})
+				t.Run("absent", func(t *testing.T) {
+					i := 0
+					get := func() {
+						// fillKey is a bijection, so keys past nkeys were never written.
+						key = fillKey(key, nkeys+i*7919%nkeys)
+						if _, err := s.GetInto(key, nil); !bandslim.IsNotFound(err) {
+							t.Fatalf("GetInto(absent): %v, want not-found", err)
+						}
+						i++
+					}
 					get()
-				}
-				reads := s.Stats().Device.NANDPageReads
-				assertZeroAllocs(t, "cold GetInto", 400, get)
-				if got := s.Stats().Device.NANDPageReads - reads; got < 400 {
-					t.Errorf("%d NAND page reads over 401 Gets: the reads were not cold", got)
-				}
+					skips := s.Stats().Device.FilterSkips
+					assertZeroAllocs(t, "cold GetInto of an absent key", 400, get)
+					if got := s.Stats().Device.FilterSkips - skips; got < 400 {
+						t.Errorf("%d filter skips over 401 absent Gets: the filters did not answer", got)
+					}
+				})
 			})
 		}
 	}
@@ -516,16 +537,16 @@ func TestShardedAllocsSteadyState(t *testing.T) {
 
 // TestCacheHitAllocsSteadyState proves the tiered read path stays
 // allocation-free once warm: a device value-cache hit (map lookup, DRAM
-// latency charge, DMA out) and a host-side negative-cache hit (ring lookup,
-// preallocated not-found error) must both cost zero allocations, with and
-// without a tracer attached. The fills themselves may allocate — they are
-// the miss path — so the working set is read once before measuring.
+// latency charge, DMA out) and a cold Get of an absent key (value-tier miss,
+// filters rule out every table, shared not-found error) must both cost zero
+// allocations, with and without a tracer attached. The fills themselves may
+// allocate — they are the miss path — so the working set is read once before
+// measuring.
 func TestCacheHitAllocsSteadyState(t *testing.T) {
 	cacheCfg := bandslim.CacheConfig{
-		ValueBytes:      1 << 20,
-		Pages:           32,
-		Policy:          bandslim.Cache2Q,
-		NegativeEntries: 128,
+		ValueBytes: 1 << 20,
+		Pages:      32,
+		Policy:     bandslim.Cache2Q,
 	}
 	for trName, tr := range tracers() {
 		t.Run(trName, func(t *testing.T) {
@@ -567,22 +588,23 @@ func TestCacheHitAllocsSteadyState(t *testing.T) {
 				t.Error("measured reads never hit the value cache")
 			}
 
-			// Negative-cache hits: two misses arm and admit the key, every
-			// later Get resolves host-side from the recent-miss ring.
-			ghost := []byte("ck-ghost")
-			for r := 0; r < 3; r++ {
-				if _, err := db.Get(ghost); !bandslim.IsNotFound(err) {
-					t.Fatalf("Get(ghost): %v, want not-found", err)
-				}
+			// Absent keys: after a flush every Get of one misses the value
+			// tier and goes to the device, whose table filters answer it.
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
 			}
-			nbase := db.Stats().Cache.NegHits
-			assertZeroAllocs(t, "Get negative hit", 400, func() {
+			ghost := []byte("ck-ghost")
+			if _, err := db.Get(ghost); !bandslim.IsNotFound(err) {
+				t.Fatalf("Get(ghost): %v, want not-found", err)
+			}
+			mbase := db.Stats().Cache.Misses
+			assertZeroAllocs(t, "Get absent key", 400, func() {
 				if _, err := db.Get(ghost); !bandslim.IsNotFound(err) {
 					t.Fatalf("Get(ghost): %v, want not-found", err)
 				}
 			})
-			if hits := db.Stats().Cache.NegHits - nbase; hits == 0 {
-				t.Error("measured misses never hit the negative cache")
+			if misses := db.Stats().Cache.Misses - mbase; misses == 0 {
+				t.Error("measured misses never reached the device")
 			}
 		})
 	}
@@ -596,9 +618,8 @@ func TestShardedCacheHitAllocsSteadyState(t *testing.T) {
 		t.Run(trName, func(t *testing.T) {
 			cfg := allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr)
 			cfg.Cache = bandslim.CacheConfig{
-				ValueBytes:      1 << 20,
-				Policy:          bandslim.CacheLRU,
-				NegativeEntries: 128,
+				ValueBytes: 1 << 20,
+				Policy:     bandslim.CacheLRU,
 			}
 			s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: cfg})
 			if err != nil {

@@ -104,11 +104,10 @@ func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission(
 type ConfigError = driver.ConfigError
 
 // CacheConfig sizes the tiered read path: the simulated device-DRAM read
-// cache (a value tier for vLog entries and a page tier for SSTable pages,
-// both behind a pluggable eviction policy) plus the host-side negative cache
-// that short-circuits known-missing keys before any NVMe command is built.
-// The zero value disables every tier and keeps the simulation byte-identical
-// to a cache-free build.
+// cache, a value tier for vLog entries and a page tier for SSTable pages,
+// both behind a pluggable eviction policy. Absent keys need no tier: the
+// device's SSTable filters answer them. The zero value disables every tier
+// and keeps the simulation byte-identical to a cache-free build.
 type CacheConfig = cache.Config
 
 // CachePolicy selects the device read cache's eviction policy.
@@ -127,8 +126,8 @@ const (
 func ParseCachePolicy(s string) (CachePolicy, error) { return cache.ParseKind(s) }
 
 // ServingCacheConfig returns the serving-profile cache sizing: a 4 MiB LRU
-// value tier, a 64-page SSTable tier, and a 1024-entry negative cache — the
-// operating point bandslim-server's --cache flag enables.
+// value tier and a 64-page SSTable tier — the operating point
+// bandslim-server's --cache flag enables.
 func ServingCacheConfig() CacheConfig { return cache.ServingProfile() }
 
 // SimTime is a point on the simulated clock (nanoseconds since open); DB.Now
@@ -189,11 +188,10 @@ type Config struct {
 	// retries a transient completion four times, with a backoff that starts at
 	// 10 µs and doubles.
 	Faults *FaultPlan
-	// Cache arms the tiered read path: device-DRAM value/page caches plus
-	// the host-side negative cache. The zero value (the default) disables
-	// every tier at zero cost — timings, allocations, and exporter output
-	// stay byte-identical to a cache-free run. Validated at Open. A non-zero
-	// Cache here overrides Device.Cache.
+	// Cache arms the tiered read path: device-DRAM value/page caches. The
+	// zero value (the default) disables every tier at zero cost — timings,
+	// allocations, and exporter output stay byte-identical to a cache-free
+	// run. Validated at Open. A non-zero Cache here overrides Device.Cache.
 	Cache CacheConfig
 }
 

@@ -171,12 +171,7 @@ func RunCacheSweep(o Options) (*Table, []CachePoint, error) {
 			off.HitRate, off.HotP50Us, off.HotP99Us, off.ColdP99Us, off.SimKops, 1.0)
 		for _, pol := range cachePolicies {
 			for _, size := range cacheSizes {
-				cc := bandslim.CacheConfig{
-					ValueBytes:      size,
-					Pages:           64,
-					Policy:          pol,
-					NegativeEntries: 1024,
-				}
+				cc := bandslim.CacheConfig{ValueBytes: size, Pages: 64, Policy: pol}
 				p, err := runCachePoint(o, cc, skew, pol.String())
 				if err != nil {
 					return nil, nil, err

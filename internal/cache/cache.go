@@ -1,11 +1,10 @@
-// Package cache models the device-DRAM read-cache tier of a KV-SSD plus the
-// host-side negative-result cache. The device tier is value-granular for
-// vLog entries and page-granular for SSTable pages; both sit behind the same
-// pluggable replacement policies and charge a device-DRAM latency on the
-// virtual clock instead of NAND + channel occupancy. Everything here is
-// deterministic and allocation-free on the hit path: entry storage comes
-// from internal/pool arenas and lookups use Go's zero-copy
-// map[string(bytes)] form.
+// Package cache models the device-DRAM read-cache tier of a KV-SSD. The
+// tier is value-granular for vLog entries and page-granular for SSTable
+// pages; both sit behind the same pluggable replacement policies and charge
+// a device-DRAM latency on the virtual clock instead of NAND + channel
+// occupancy. Everything here is deterministic and allocation-free on the hit
+// path: entry storage comes from internal/pool arenas and lookups use Go's
+// zero-copy map[string(bytes)] form.
 package cache
 
 import (
@@ -31,22 +30,15 @@ type Config struct {
 	Pages int
 	// Policy selects the replacement policy shared by both device tiers.
 	Policy Kind
-	// NegativeEntries caps the host-side recent-miss ring per driver. Zero
-	// disables the negative cache.
-	NegativeEntries int
 }
 
 // DeviceEnabled reports whether any device-DRAM tier is configured.
 func (c Config) DeviceEnabled() bool { return c.ValueBytes > 0 || c.Pages > 0 }
 
-// Enabled reports whether any tier — device or host — is configured.
-func (c Config) Enabled() bool { return c.DeviceEnabled() || c.NegativeEntries > 0 }
-
 // Validate rejects configurations the stack cannot honor.
 func (c Config) Validate() error {
-	if c.ValueBytes < 0 || c.Pages < 0 || c.NegativeEntries < 0 {
-		return fmt.Errorf("cache: negative capacity (values=%d pages=%d negative=%d)",
-			c.ValueBytes, c.Pages, c.NegativeEntries)
+	if c.ValueBytes < 0 || c.Pages < 0 {
+		return fmt.Errorf("cache: negative capacity (values=%d pages=%d)", c.ValueBytes, c.Pages)
 	}
 	switch c.Policy {
 	case LRU, TwoQ:
@@ -57,14 +49,12 @@ func (c Config) Validate() error {
 }
 
 // ServingProfile is the documented starting point for a cache-enabled
-// bandslim-server: a 4 MiB value tier, a 64-page SSTable tier under LRU, and
-// a 1024-entry host negative ring.
+// bandslim-server: a 4 MiB value tier and a 64-page SSTable tier under LRU.
 func ServingProfile() Config {
 	return Config{
-		ValueBytes:      4 << 20,
-		Pages:           64,
-		Policy:          LRU,
-		NegativeEntries: 1024,
+		ValueBytes: 4 << 20,
+		Pages:      64,
+		Policy:     LRU,
 	}
 }
 

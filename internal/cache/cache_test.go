@@ -43,7 +43,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{ValueBytes: -1},
 		{Pages: -1},
-		{NegativeEntries: -1},
 		{Policy: Kind(99)},
 	}
 	for i, c := range bad {
@@ -51,11 +50,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d validated", i)
 		}
 	}
-	if (Config{}).Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	if !(Config{NegativeEntries: 8}).Enabled() || (Config{NegativeEntries: 8}).DeviceEnabled() {
-		t.Error("negative-only config misclassified")
+	if (Config{}).DeviceEnabled() || !ServingProfile().DeviceEnabled() {
+		t.Error("config misclassified")
 	}
 }
 

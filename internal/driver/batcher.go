@@ -72,10 +72,6 @@ func (b *Batcher) Put(key, value []byte) error {
 			return err
 		}
 	}
-	// From this point the key may become resident (once the batch flushes),
-	// so the negative cache must stop short-circuiting it now — a Get
-	// between buffer and flush reads through and learns the truth.
-	b.d.negForget(key)
 	// The arena never reallocates in steady state (capacity covers
 	// maxOps*MaxKeySize), so the sub-slices in b.keys stay valid.
 	start := len(b.keyArena)
@@ -252,15 +248,6 @@ func (d *Driver) getBatch(keys, vals [][]byte, miss []bool, lane []int) error {
 		}
 		i := at(lane, next)
 		next++
-		// A known-missing key resolves host-side: no command is built and no
-		// simulated time passes, exactly as Get short-circuits the serial
-		// path.
-		if d.negativeKnown(keys[i]) {
-			if err := resolved(i, vals, miss, errNegativeHit); err != nil {
-				return err
-			}
-			continue
-		}
 		h, err := d.startGet(keys[i])
 		if err != nil {
 			return err

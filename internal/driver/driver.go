@@ -116,20 +116,11 @@ type Config struct {
 	// Submission is the submission policy (see SubmissionConfig); the zero
 	// value is the paper's synchronous passthrough.
 	Submission SubmissionConfig
-	// NegativeEntries sizes the host-side negative cache's recent-miss ring;
-	// zero disables the cache.
-	NegativeEntries int
 }
 
 // validate checks the config against the device ring size sqSize.
 func (c Config) validate(sqSize int) error {
-	if err := c.Submission.validate(sqSize); err != nil {
-		return err
-	}
-	if c.NegativeEntries < 0 {
-		return &ConfigError{Field: "Cache.NegativeEntries", Reason: fmt.Sprintf("must be >= 0, got %d", c.NegativeEntries)}
-	}
-	return nil
+	return c.Submission.validate(sqSize)
 }
 
 // Stats tallies host-side activity.
@@ -146,8 +137,6 @@ type Stats struct {
 	Retries          metrics.Counter // retryable completions re-submitted
 	RetriesExhausted metrics.Counter // commands that failed every retry
 	Recoveries       metrics.Counter // device mounts performed after power loss
-	NegativeHits     metrics.Counter // Gets short-circuited by the negative cache
-	NegativeLearned  metrics.Counter // keys admitted to the recent-miss ring
 	// PerOp breaks command round-trip latency down by NVMe opcode;
 	// PerMethod breaks PUT response time down by the transfer mode chosen.
 	PerOp     *metrics.HistogramSet
@@ -173,9 +162,6 @@ type Driver struct {
 	nextID uint16
 	stats  Stats
 	tr     trace.Tracer
-	// neg is the host-side negative cache (nil when disabled): known-miss
-	// Gets fail fast here without issuing any NVMe command. See negcache.go.
-	neg *negCache
 
 	// Dispatch state (see submission.go): one wait frame per dispatch in
 	// flight — at least one, the window depth under QueueDepth >= 2 — the
@@ -197,9 +183,6 @@ type Driver struct {
 	// readBuf receives gathered GET/NEXT/Identify payloads. Get and Next
 	// return views into it, valid until the next driver operation.
 	readBuf []byte
-	// keyScratch re-extracts a read command's key on the not-found path (the
-	// negative cache learns from it without allocating).
-	keyScratch []byte
 	// cmdScratch backs the per-op command lists (inline heads and tails).
 	cmdScratch []nvme.Command
 
@@ -235,9 +218,6 @@ func New(clock *sim.Clock, link *pcie.Link, mem *nvme.HostMemory, dev *device.De
 	}
 	if cfg.Submission.async() {
 		d.slotStage = make([]nvme.PRPList, cfg.Submission.depth())
-	}
-	if cfg.NegativeEntries > 0 {
-		d.neg = newNegCache(cfg.NegativeEntries)
 	}
 	return d, nil
 }
@@ -385,9 +365,6 @@ func (d *Driver) stagePayload(value []byte) (prp nvme.PRPList, fresh bool, err e
 // Put writes one key-value pair, choosing the transfer strategy per the
 // configured method, and records the response time.
 func (d *Driver) Put(key, value []byte) error {
-	// The key may exist from here on; forgetting before any device work
-	// keeps the negative cache safe even if the write fails mid-way.
-	d.negForget(key)
 	start := d.clock.Now()
 	mode := d.choose(len(value))
 	var err error
@@ -478,11 +455,6 @@ const MaxValueSize = 64 * 1024
 // and must be copied by callers that retain it (caller-owned semantics; the
 // DB layer's GetInto does the copy for concurrent use).
 func (d *Driver) Get(key []byte) ([]byte, error) {
-	// Known-miss fast path: no command is built, nothing reaches the wire,
-	// and no simulated time passes — the host answers from its own cache.
-	if d.negativeKnown(key) {
-		return nil, errNegativeHit
-	}
 	start := d.clock.Now()
 	prp := d.staging()
 	cmd, err := d.readCommand(key, prp)
@@ -493,7 +465,7 @@ func (d *Driver) Get(key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := d.finishGet(&cmd, comp, prp, d.readBuf, start)
+	data, err := d.finishGet(comp, prp, d.readBuf, start)
 	if err != nil {
 		return nil, err
 	}
@@ -501,17 +473,12 @@ func (d *Driver) Get(key []byte) ([]byte, error) {
 	return data, nil
 }
 
-// finishGet books a read's completion, synchronous or windowed. A not-found
-// feeds the negative cache; a hit gathers exactly the bytes the device
-// reported (stale staging bytes beyond them are never read) from the staged
-// run into dst and counts the Get, its response time since start and its
-// EvGet span.
-func (d *Driver) finishGet(cmd *nvme.Command, comp nvme.Completion, stage nvme.PRPList, dst []byte, start sim.Time) ([]byte, error) {
+// finishGet books a read's completion, synchronous or windowed. A hit
+// gathers exactly the bytes the device reported (stale staging bytes beyond
+// them are never read) from the staged run into dst and counts the Get, its
+// response time since start and its EvGet span.
+func (d *Driver) finishGet(comp nvme.Completion, stage nvme.PRPList, dst []byte, start sim.Time) ([]byte, error) {
 	if err := comp.Status.Err(); err != nil {
-		if comp.Status == nvme.StatusKeyNotFound && d.neg != nil {
-			d.keyScratch = cmd.AppendKey(d.keyScratch[:0])
-			d.negLearn(d.keyScratch)
-		}
 		return nil, err
 	}
 	n := int(comp.Result)
@@ -538,9 +505,6 @@ func (d *Driver) Delete(key []byte) error {
 	if _, err := d.call(cmd); err != nil {
 		return err
 	}
-	// The device acknowledged the tombstone: the key is now authoritatively
-	// missing, so it enters the ring without bloom admission.
-	d.negInsert(key)
 	d.stats.Deletes.Inc()
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{Cat: trace.CatDriver, Name: trace.EvDelete, Op: byte(nvme.OpKVDelete), Start: start, End: d.clock.Now()})
@@ -643,9 +607,6 @@ func (d *Driver) Recover() error {
 	// pre-cut completions are void; reset the window rather than reaping it.
 	clear(d.frames)
 	d.inflight, d.unrung = 0, 0
-	// Journal replay can restore writes whose acknowledgment the power cut
-	// swallowed, so every learned miss is suspect.
-	d.negClear()
 	end, err := d.dev.Mount(d.clock.Now())
 	d.clock.AdvanceTo(end.Add(d.link.Model.CommandRoundTrip))
 	d.stats.Recoveries.Inc()

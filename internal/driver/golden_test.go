@@ -111,7 +111,7 @@ func TestCommandStreamGolden(t *testing.T) {
 // results, Stats, link ledger and trace to w.
 func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 	t.Helper()
-	dc := Config{Method: c.m, Thresholds: DefaultThresholds(), Submission: c.sub, NegativeEntries: 8}
+	dc := Config{Method: c.m, Thresholds: DefaultThresholds(), Submission: c.sub}
 	d, dev, link := newStackWith(t, dc, true, func(cfg *device.Config) {
 		if c.ring != 0 {
 			cfg.QueueDepth = c.ring
@@ -156,8 +156,7 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 		v, err := d.Get(keys[i])
 		read("get", keys[i], values[i], v, err)
 	}
-	// A miss arms the bloom filter, a repeat admits the key, the third Get
-	// is a negative hit.
+	// Repeated misses: every one is a device round trip.
 	for i := 0; i < 3; i++ {
 		v, err := d.Get([]byte("absent"))
 		read("get", []byte("absent"), nil, v, err)
@@ -184,10 +183,6 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 		for i, key := range batch {
 			if len(handles)-head >= d.sub.depth() {
 				wait()
-			}
-			if d.negativeKnown(key) {
-				fmt.Fprintf(w, "wget %s: negative hit\n", key)
-				continue
 			}
 			h, err := d.startGet(key)
 			if err != nil {
@@ -231,7 +226,7 @@ func goldenScript(t *testing.T, w io.Writer, c goldenCase) {
 		{"puts", s.Puts.Value()}, {"gets", s.Gets.Value()}, {"deletes", s.Deletes.Value()}, {"scans", scans},
 		{"inline", s.InlineChosen.Value()}, {"prp", s.PRPChosen.Value()}, {"hybrid", s.HybridChosen.Value()},
 		{"commands", s.CommandsIssued.Value()}, {"retries", s.Retries.Value()}, {"retries_exhausted", s.RetriesExhausted.Value()},
-		{"recoveries", s.Recoveries.Value()}, {"neg_hits", s.NegativeHits.Value()}, {"neg_learned", s.NegativeLearned.Value()},
+		{"recoveries", s.Recoveries.Value()},
 	} {
 		fmt.Fprintf(w, "stat %s %d\n", c.name, c.v)
 	}

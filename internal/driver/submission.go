@@ -396,7 +396,7 @@ func (d *Driver) waitGetInto(h int, dst []byte) ([]byte, error) {
 	var data []byte
 	if err == nil {
 		d.charge(f)
-		data, err = d.finishGet(&f.cmd, f.comp, d.slotStage[h], dst, f.start)
+		data, err = d.finishGet(f.comp, d.slotStage[h], dst, f.start)
 	}
 	d.release(h)
 	return data, err

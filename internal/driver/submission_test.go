@@ -45,7 +45,6 @@ func TestSubmissionConfigValidation(t *testing.T) {
 		{"negative_doorbell", Config{Submission: SubmissionConfig{DoorbellBatch: -2}}, "Submission.DoorbellBatch"},
 		{"negative_coalesce", Config{Submission: SubmissionConfig{QueueDepth: 4, CoalesceInterval: -1}}, "Submission.CoalesceInterval"},
 		{"coalesce_without_window", Config{Submission: SubmissionConfig{QueueDepth: 1, CoalesceInterval: sim.Microsecond}}, "Submission.CoalesceInterval"},
-		{"negative_cache_entries", Config{NegativeEntries: -1}, "Cache.NegativeEntries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -69,9 +69,9 @@ func (e *StatusError) Error() string {
 }
 
 // StatusOf extracts the NVMe status from an error chain, if any. The
-// unwrapped case is a direct type assertion so steady-state miss
-// classification (the negative-cache hit path) allocates nothing;
-// errors.As, which boxes its target, only runs for wrapped chains.
+// unwrapped case is a direct type assertion so classifying a steady-state
+// miss (a Get of an absent key) allocates nothing; errors.As, which boxes
+// its target, only runs for wrapped chains.
 func StatusOf(err error) (Status, bool) {
 	if se, ok := err.(*StatusError); ok {
 		return se.Status, true
@@ -83,10 +83,24 @@ func StatusOf(err error) (Status, bool) {
 	return StatusSuccess, false
 }
 
-// Err converts a status into a Go error (nil for success).
+// statusErrs holds one shared error per known failure status, so a routine
+// failure — a not-found above all — converts to an error without allocating.
+// Callers only read a StatusError, so sharing one is safe.
+var statusErrs = [...]*StatusError{
+	{StatusInvalidField}, {StatusTransient}, {StatusPowerLoss}, {StatusKeyNotFound},
+	{StatusCapacity}, {StatusInternal}, {StatusMedia}, {StatusIterEnd}, {StatusIterInvalid},
+}
+
+// Err converts a status into a Go error (nil for success). A known status
+// returns its shared error; only an unknown one allocates.
 func (s Status) Err() error {
 	if s == StatusSuccess {
 		return nil
+	}
+	for _, e := range statusErrs {
+		if e.Status == s {
+			return e
+		}
 	}
 	return &StatusError{Status: s}
 }

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,21 @@ func TestStatusStringsAndErr(t *testing.T) {
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("Status(%#x).String() = %q, want %q", uint16(s), got, want)
+		}
+	}
+	// Every status String names converts to a shared error that StatusOf
+	// reads back without allocating; an unnamed status still converts,
+	// freshly.
+	for s := Status(1); s < 0x400; s++ {
+		got, ok := StatusOf(s.Err())
+		if !ok || got != s {
+			t.Fatalf("StatusOf(%v.Err()) = %v, %v", s, got, ok)
+		}
+		if strings.HasPrefix(s.String(), "Status(") {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = StatusOf(s.Err()) }); n != 0 {
+			t.Errorf("%v.Err() allocates %.0f times", s, n)
 		}
 	}
 }

@@ -390,9 +390,10 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 		}
 		// Deletes are upserted tombstones below, so redis's "number of keys
 		// removed" needs an existence probe first. One sparse batch probes
-		// every key at once — it rides the shard fan-out, the windowed read
-		// path, and the driver's negative cache (a known-missing key costs no
-		// NVMe command at all), instead of a full serial read per key.
+		// every key at once — it rides the shard fan-out and the windowed
+		// read path, instead of a full serial read per key. A missing key
+		// costs one read command, which the device's table filters answer
+		// without a NAND page read.
 		c.keys = c.keys[:0]
 		c.keys = append(c.keys, args[1:]...)
 		n := len(c.keys)

@@ -659,14 +659,12 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 	})
 }
 
-// TestDelCommandBudget pins the NVMe cost of the DEL existence probe: with
-// the negative cache armed, repeatedly deleting a missing key stops issuing
-// commands once the key is admitted to the recent-miss ring, and a mixed
-// multi-key DEL pays nothing for the known-missing keys.
+// TestDelCommandBudget pins the NVMe cost of the DEL existence probe: once
+// the store is flushed, every DEL of a missing key costs one read command
+// that the tables' filters answer without a NAND page read, and an existing
+// key adds only its delete.
 func TestDelCommandBudget(t *testing.T) {
-	cfg := bandslim.DefaultConfig()
-	cfg.Cache = bandslim.CacheConfig{NegativeEntries: 64}
-	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 1, PerShard: cfg})
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 1, PerShard: bandslim.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,37 +678,44 @@ func TestDelCommandBudget(t *testing.T) {
 			t.Fatalf("%v: %+v, want :%d", args, rep, want)
 		}
 	}
-
-	// Admission: the first DEL's probe reads through and arms the bloom
-	// filter, the second admits the key to the recent-miss ring. Both cost
-	// one read command.
-	expectInt(0, "DEL", "ghost")
-	expectInt(0, "DEL", "ghost")
-	settled := db.Stats().Host.Commands
-
-	// From here the probe short-circuits host-side: zero NVMe commands.
-	for i := 0; i < 3; i++ {
-		expectInt(0, "DEL", "ghost")
+	// cost runs one DEL and reports the commands it issued and the NAND
+	// pages it read.
+	cost := func(want int64, args ...string) (cmds, pages int64) {
+		t.Helper()
+		before := db.Stats()
+		expectInt(want, args...)
+		after := db.Stats()
+		return after.Host.Commands - before.Host.Commands, after.Device.NANDPageReads - before.Device.NANDPageReads
 	}
-	if got := db.Stats().Host.Commands; got != settled {
-		t.Errorf("cached-miss DELs issued %d commands, want 0", got-settled)
+
+	for i := 0; i < 64; i++ {
+		c.expectSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every probe of a missing key is one read the filters answer. The key
+	// sorts inside the flushed table's range (k39 < k3ghost < k40), so it is
+	// the filter that rules the table out, not its fences.
+	const ghost = "k3ghost"
+	for i := 0; i < 3; i++ {
+		if cmds, pages := cost(0, "DEL", ghost); cmds != 1 || pages != 0 {
+			t.Errorf("DEL of a missing key issued %d commands and read %d NAND pages, want 1 and 0", cmds, pages)
+		}
 	}
 
 	// An existing key costs exactly probe + delete.
 	c.expectSimple("OK", "SET", "real", "v")
-	before := db.Stats().Host.Commands
-	expectInt(1, "DEL", "real")
-	if got := db.Stats().Host.Commands - before; got != 2 {
-		t.Errorf("DEL of an existing key issued %d commands, want 2 (probe + delete)", got)
+	if cmds, _ := cost(1, "DEL", "real"); cmds != 2 {
+		t.Errorf("DEL of an existing key issued %d commands, want 2 (probe + delete)", cmds)
 	}
 
-	// A mixed multi-key DEL pays the same two commands: the known-missing
-	// key resolves host-side inside the sparse probe batch.
+	// A mixed multi-key DEL probes both keys in one sparse batch and deletes
+	// the one that exists.
 	c.expectSimple("OK", "SET", "real", "v2")
-	before = db.Stats().Host.Commands
-	expectInt(1, "DEL", "real", "ghost")
-	if got := db.Stats().Host.Commands - before; got != 2 {
-		t.Errorf("mixed DEL issued %d commands, want 2 (probe + delete)", got)
+	if cmds, _ := cost(1, "DEL", "real", ghost); cmds != 3 {
+		t.Errorf("mixed DEL issued %d commands, want 3 (two probes + delete)", cmds)
 	}
 }
 

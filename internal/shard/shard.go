@@ -70,10 +70,9 @@ func NewStack(o Options) (*Stack, error) {
 		return nil, err
 	}
 	drv, err := driver.New(clock, link, mem, dev, driver.Config{
-		Method:          o.Method,
-		Thresholds:      o.Thresholds,
-		Submission:      o.Submission,
-		NegativeEntries: o.Device.Cache.NegativeEntries,
+		Method:     o.Method,
+		Thresholds: o.Thresholds,
+		Submission: o.Submission,
 	})
 	if err != nil {
 		return nil, err

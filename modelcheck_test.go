@@ -135,22 +135,20 @@ func mcSubmission(seed uint64) bandslim.SubmissionConfig {
 // mcCache derives the read-cache configuration for a sequence: seeds rotate
 // through {off, LRU value+page tiers, 2Q value tier}, decorrelated from the
 // mcSubmission rotation (seed/3 vs seed), so every (depth, cache) pair
-// appears. The on-configs also arm the negative cache — the model must not
-// be able to tell any of them apart from the cache-free stack.
+// appears. The model must not be able to tell any of them apart from the
+// cache-free stack.
 func mcCache(seed uint64) bandslim.CacheConfig {
 	switch (seed / 3) % 3 {
 	case 1:
 		return bandslim.CacheConfig{
-			ValueBytes:      64 << 10,
-			Pages:           8,
-			Policy:          bandslim.CacheLRU,
-			NegativeEntries: 32,
+			ValueBytes: 64 << 10,
+			Pages:      8,
+			Policy:     bandslim.CacheLRU,
 		}
 	case 2:
 		return bandslim.CacheConfig{
-			ValueBytes:      16 << 10,
-			Policy:          bandslim.Cache2Q,
-			NegativeEntries: 16,
+			ValueBytes: 16 << 10,
+			Policy:     bandslim.Cache2Q,
 		}
 	default:
 		return bandslim.CacheConfig{}

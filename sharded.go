@@ -47,7 +47,7 @@ func OpenSharded(cfg ShardedConfig) (*DB, error) {
 	}
 	opts := stackOptions(cfg.PerShard)
 	db := &DB{shards: make([]*dbShard, cfg.Shards), part: part,
-		rows: exportedRows(cfg.PerShard.Faults != nil, opts.Device.Cache.Enabled())}
+		rows: exportedRows(cfg.PerShard.Faults != nil, opts.Device.Cache.DeviceEnabled())}
 	db.descs = rowDescs(db.rows)
 	for i := range db.shards {
 		opts.ShardID = i

@@ -95,8 +95,8 @@ type FaultStats struct {
 }
 
 // CacheStats count the tiered read path's activity: device-DRAM value and
-// SSTable-page tiers, the strict invalidation protocol, and the host-side
-// negative cache. All-zero unless Config.Cache arms a tier.
+// SSTable-page tiers and the strict invalidation protocol. All-zero unless
+// Config.Cache arms a tier.
 type CacheStats struct {
 	Hits          int64 // value-tier hits (reads served from device DRAM)
 	Misses        int64 // value-tier misses (reads that walked the LSM)
@@ -104,8 +104,11 @@ type CacheStats struct {
 	PageMisses    int64 // SSTable-page-tier misses
 	Evictions     int64 // entries evicted across both device tiers
 	Invalidations int64 // entries dropped by the strict invalidation protocol
-	NegHits       int64 // Gets short-circuited host-side by the negative cache
-	NegLearned    int64 // keys admitted to the recent-miss ring
+	// Deprecated: NegHits always reads 0. Absent keys are answered by the
+	// device's per-SSTable filters; there is no host-side negative cache.
+	NegHits int64
+	// Deprecated: NegLearned always reads 0, for the same reason.
+	NegLearned int64
 }
 
 // ServerStats count the network front-end's activity: connections, commands
@@ -404,10 +407,6 @@ var cacheRows = []row{
 		func(s *Stats) *int64 { return &s.Cache.Evictions }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheEvictions.Value() }),
 	counter("cache_invalidations", "Cache entries dropped by the strict invalidation protocol.",
 		func(s *Stats) *int64 { return &s.Cache.Invalidations }, func(st *shard.Stack) int64 { return st.Dev.Stats().CacheInvalidations.Value() }),
-	counter("cache_negative_hits", "GETs short-circuited host-side by the negative cache.",
-		func(s *Stats) *int64 { return &s.Cache.NegHits }, func(st *shard.Stack) int64 { return st.Drv.Stats().NegativeHits.Value() }),
-	counter("cache_negative_learned", "Keys admitted to the negative cache's recent-miss ring.",
-		func(s *Stats) *int64 { return &s.Cache.NegLearned }, func(st *shard.Stack) int64 { return st.Drv.Stats().NegativeLearned.Value() }),
 }
 
 // stackRows is every row a stack feeds — what Stats carries whether or not

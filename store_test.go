@@ -230,7 +230,7 @@ func TestNowAndVLogFreeBytesBesideWriter(t *testing.T) {
 
 // storeScript drives one fixed op sequence through st: point ops, PutBatch,
 // strict and sparse batch reads at st's window depth with absent keys
-// (repeated, so the negative cache answers some), a scan, and — when the
+// (repeated), a scan, and — when the
 // config arms a fault plan — Recover after every power cut. It reports how
 // many recoveries it performed.
 func storeScript(t *testing.T, st *DB) (recoveries int) {
