@@ -413,7 +413,7 @@ func TestNextAllocsSteadyState(t *testing.T) {
 // TestWindowedGetBatchAllocsSteadyState proves the submission window
 // recycles everything per batch at both a saturated depth (8) and a depth
 // that swallows the whole batch (32): wait frames and PRP staging come from
-// internal/pool-reused slices on the driver, the FIFO scratch lives on the
+// reused slices on the driver, the FIFO scratch lives on the
 // DB, and completion sweeps reuse the device's sort buffer — so a
 // steady-state GetBatch through the async window allocates nothing. The
 // tracer-off runs also pin down the latency-attribution boundary events
@@ -588,16 +588,32 @@ func TestCacheHitAllocsSteadyState(t *testing.T) {
 				t.Error("measured reads never hit the value cache")
 			}
 
+			// A Flush drops the value tier. The reads that refill it reuse the
+			// slots and slab storage the tier kept, so a pass over the
+			// working set after a Flush allocates nothing either.
+			mbase := db.Stats().Cache.Misses
+			const refills = 4
+			assertZeroAllocs(t, "Get refilling the value tier after Flush", refills, func() {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					if v, err := db.Get(k); err != nil || len(v) != 128 {
+						t.Fatalf("Get(%s): %d bytes, %v", k, len(v), err)
+					}
+				}
+			})
+			if misses := db.Stats().Cache.Misses - mbase; misses < (refills+1)*nkeys {
+				t.Errorf("%d misses over %d refills of %d keys: the Flush did not drop the tier", misses, refills+1, nkeys)
+			}
+
 			// Absent keys: after a flush every Get of one misses the value
 			// tier and goes to the device, whose table filters answer it.
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			ghost := []byte("ck-ghost")
 			if _, err := db.Get(ghost); !bandslim.IsNotFound(err) {
 				t.Fatalf("Get(ghost): %v, want not-found", err)
 			}
-			mbase := db.Stats().Cache.Misses
+			mbase = db.Stats().Cache.Misses
 			assertZeroAllocs(t, "Get absent key", 400, func() {
 				if _, err := db.Get(ghost); !bandslim.IsNotFound(err) {
 					t.Fatalf("Get(ghost): %v, want not-found", err)

@@ -2,15 +2,17 @@
 // tier is value-granular for vLog entries and page-granular for SSTable
 // pages; both sit behind the same pluggable replacement policies and charge
 // a device-DRAM latency on the virtual clock instead of NAND + channel
-// occupancy. Everything here is deterministic and allocation-free on the hit
-// path: entry storage comes from internal/pool arenas and lookups use Go's
-// zero-copy map[string(bytes)] form.
+// occupancy. Everything here is deterministic, a hit never allocates, and once
+// a tier has reached its working size neither does a miss, an eviction or a
+// reset: the value tier indexes by keys held inline (map[vkey]int) and carves
+// values from a slab it keeps, and the page tier keeps page numbers only.
 package cache
 
 import (
 	"fmt"
+	"math"
 
-	"bandslim/internal/pool"
+	"bandslim/internal/nvme"
 	"bandslim/internal/sim"
 )
 
@@ -58,24 +60,60 @@ func ServingProfile() Config {
 	}
 }
 
-// ventry is one resident value-cache entry; key and val are arena-backed.
-type ventry struct {
-	key, val []byte
+// vkey is a value-tier key held inline, so the index allocates nothing: its
+// bytes zero-padded to nvme.MaxKeySize, the longest key a command carries,
+// and its length.
+type vkey struct {
+	b [nvme.MaxKeySize]byte
+	n uint8
 }
 
+// vkeyOf returns key's index form. A longer key gets a length no resident
+// key has, so it misses.
+func vkeyOf(key []byte) (k vkey) {
+	k.n = uint8(copy(k.b[:], key))
+	if len(key) > len(k.b) {
+		k.n = math.MaxUint8
+	}
+	return k
+}
+
+// ventry is one value-tier slot.
+type ventry struct {
+	key  vkey
+	val  []byte // a slab chunk cut to the value's length, or an exact-size allocation
+	slab bool   // val goes back to the slab when the entry leaves
+	live bool
+}
+
+const (
+	// slabBlock is the size of the blocks the value tier carves.
+	slabBlock = 64 << 10
+	// slabClass is the chunk size step: a value takes a chunk of its length
+	// rounded up to a multiple of it.
+	slabClass = 16
+)
+
 // Values is the value-granular device tier: full vLog entries keyed by user
-// key, bounded by payload bytes. Get is zero-allocation; Put and Invalidate
-// run on miss/mutation paths where structural allocation is acceptable
-// (though entry buffers still recycle through the arena).
+// key, bounded by payload bytes. Keys are held inline and values carved from
+// a slab the tier keeps, so once the tier has reached its working size no
+// admission, eviction, invalidation or Reset allocates, and a hit never
+// does.
 type Values struct {
 	pol      Policy
-	idx      map[string]int
+	idx      map[vkey]int
 	ents     []ventry
 	free     []int
 	used     int // resident key+value bytes
 	capBytes int
 	maxEntry int // admission bound: larger values bypass the cache
-	arena    pool.Bytes
+	// The slab: blocks of up to slabBlock bytes, at most 2*capBytes in all,
+	// carved front to back into chunks, and per-class lists of the chunks
+	// entries gave back. A value the slab cannot place gets an exact-size
+	// allocation it never takes back.
+	held  int        // bytes of blocks allocated
+	cur   []byte     // the newest block's uncarved tail
+	spare [][][]byte // free chunks by class, each cut to length 0
 }
 
 // NewValues builds the value tier with capBytes of payload budget under pol.
@@ -86,16 +124,16 @@ func NewValues(capBytes int, pol Policy) *Values {
 	}
 	return &Values{
 		pol:      pol,
-		idx:      make(map[string]int),
+		idx:      make(map[vkey]int),
 		capBytes: capBytes,
 		maxEntry: maxEntry,
 	}
 }
 
 // Get returns the cached value for key. The returned slice aliases the
-// cache's arena and is only valid until the next mutation.
+// tier's slab and is only valid until the next mutation.
 func (c *Values) Get(key []byte) ([]byte, bool) {
-	s, ok := c.idx[string(key)] // compiler-optimized: no string alloc
+	s, ok := c.idx[vkeyOf(key)]
 	if !ok {
 		return nil, false
 	}
@@ -104,19 +142,22 @@ func (c *Values) Get(key []byte) ([]byte, bool) {
 }
 
 // Put admits a key/value copy, evicting until it fits. It returns how many
-// entries were evicted and whether the value was admitted (oversized values
-// are rejected so one cold scan cannot claim the whole budget).
+// entries were evicted and whether the value was admitted: oversized values
+// are rejected so one cold scan cannot claim the whole budget, and so are
+// keys longer than nvme.MaxKeySize. A rejected value still drops the entry
+// it would have replaced.
 func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
-	if c == nil || c.capBytes <= 0 {
+	if c == nil || c.capBytes <= 0 || len(key) > nvme.MaxKeySize {
 		return 0, false
+	}
+	k := vkeyOf(key)
+	if s, ok := c.idx[k]; ok {
+		c.dropSlot(s)
+		c.pol.Remove(s)
 	}
 	need := len(key) + len(val)
 	if len(val) > c.maxEntry || need > c.capBytes {
 		return 0, false
-	}
-	if s, ok := c.idx[string(key)]; ok {
-		c.dropSlot(s)
-		c.pol.Remove(s)
 	}
 	for c.used+need > c.capBytes {
 		v := c.pol.Evict()
@@ -128,9 +169,10 @@ func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
 	}
 	s := c.allocSlot()
 	e := &c.ents[s]
-	e.key = append(c.arena.Get(len(key))[:0], key...)
-	e.val = append(c.arena.Get(len(val))[:0], val...)
-	c.idx[string(e.key)] = s
+	e.key, e.live = k, true
+	e.val, e.slab = c.carve(len(val))
+	copy(e.val, val)
+	c.idx[k] = s
 	c.pol.Admit(s)
 	c.used += need
 	return evicted, true
@@ -141,7 +183,7 @@ func (c *Values) Invalidate(key []byte) bool {
 	if c == nil {
 		return false
 	}
-	s, ok := c.idx[string(key)]
+	s, ok := c.idx[vkeyOf(key)]
 	if !ok {
 		return false
 	}
@@ -150,21 +192,19 @@ func (c *Values) Invalidate(key []byte) bool {
 	return true
 }
 
-// Reset empties the tier (device DRAM is volatile: power cuts clear it).
+// Reset empties the tier (device DRAM is volatile: power cuts clear it). It
+// walks the slots in index order, so the free-slot order it leaves is
+// deterministic, and keeps the slab, so refilling allocates nothing.
 func (c *Values) Reset() {
 	if c == nil {
 		return
 	}
-	for k, s := range c.idx {
-		e := &c.ents[s]
-		c.arena.Put(e.key)
-		c.arena.Put(e.val)
-		e.key, e.val = nil, nil
-		c.free = append(c.free, s)
-		delete(c.idx, k)
+	for s := range c.ents {
+		if c.ents[s].live {
+			c.dropSlot(s)
+		}
 	}
 	c.pol.Reset()
-	c.used = 0
 }
 
 // Len reports resident entries.
@@ -182,12 +222,45 @@ func (c *Values) allocSlot() int {
 
 func (c *Values) dropSlot(s int) {
 	e := &c.ents[s]
-	c.used -= len(e.key) + len(e.val)
-	delete(c.idx, string(e.key))
-	c.arena.Put(e.key)
-	c.arena.Put(e.val)
-	e.key, e.val = nil, nil
+	c.used -= int(e.key.n) + len(e.val)
+	delete(c.idx, e.key)
+	if e.slab {
+		c.release(e.val)
+	}
+	*e = ventry{}
 	c.free = append(c.free, s)
+}
+
+// carve returns n bytes of value storage and whether they are a slab chunk.
+func (c *Values) carve(n int) ([]byte, bool) {
+	size := (n + slabClass - 1) / slabClass * slabClass
+	if cl := size / slabClass; cl < len(c.spare) && len(c.spare[cl]) > 0 {
+		last := len(c.spare[cl]) - 1
+		chunk := c.spare[cl][last]
+		c.spare[cl] = c.spare[cl][:last]
+		return chunk[:n], true
+	}
+	block := min(slabBlock, 2*c.capBytes/slabClass*slabClass)
+	if len(c.cur) < size && size <= block && c.held+block <= 2*c.capBytes {
+		c.release(c.cur)
+		c.cur = make([]byte, block)
+		c.held += block
+	}
+	if len(c.cur) < size {
+		return make([]byte, n), false
+	}
+	chunk := c.cur[:n:size]
+	c.cur = c.cur[size:]
+	return chunk, true
+}
+
+// release files a chunk, or a block's uncarved tail, under its size class.
+func (c *Values) release(chunk []byte) {
+	cl := cap(chunk) / slabClass
+	for len(c.spare) <= cl {
+		c.spare = append(c.spare, nil)
+	}
+	c.spare[cl] = append(c.spare[cl], chunk[:0])
 }
 
 // Pages is the page-granular device tier: which SSTable pages device DRAM

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"bandslim/internal/nvme"
 )
 
 func TestParseKind(t *testing.T) {
@@ -257,6 +260,55 @@ func TestValuesAdmissionControl(t *testing.T) {
 	if _, ok := c.Get([]byte("small")); !ok {
 		t.Fatal("resident entry lost to rejected admission")
 	}
+	// A refused overwrite still drops the value it would have replaced: the
+	// tier must not serve a key's old value once it has seen a newer one.
+	if evicted, admitted := c.Put([]byte("small"), make([]byte, 300)); admitted || evicted != 0 {
+		t.Fatalf("oversized overwrite admitted=%v evicted=%d", admitted, evicted)
+	}
+	if _, ok := c.Get([]byte("small")); ok || c.Len() != 0 || c.used != 0 {
+		t.Fatalf("stale value still resident after a refused overwrite: len=%d used=%d", c.Len(), c.used)
+	}
+}
+
+// TestValuesSlabBound drives value sizes that shift across size classes
+// through a small tier and checks that the slab never holds more than twice
+// the tier's budget, and that every resident value reads back intact,
+// whether it sits in the slab or in an allocation past the bound.
+func TestValuesSlabBound(t *testing.T) {
+	// 300 KiB admits values larger than a slab block.
+	for _, capBytes := range []int{1 << 10, 40 << 10, 300 << 10} {
+		for _, k := range []Kind{LRU, TwoQ} {
+			t.Run(fmt.Sprintf("%d/%v", capBytes, k), func(t *testing.T) {
+				c := NewValues(capBytes, NewPolicy(k))
+				limit := 2 * capBytes
+				val := make([]byte, c.maxEntry)
+				for i := 0; i < 6000; i++ {
+					// Sizes sweep up through the classes, then back down,
+					// in phases of 100 Puts over 64 keys.
+					phase := i / 100 % 30
+					if phase >= 15 {
+						phase = 29 - phase
+					}
+					n := 1 + (phase*c.maxEntry/14+i%7)%c.maxEntry
+					key := []byte(fmt.Sprintf("sb%02d", i%64))
+					for j := range val[:n] {
+						val[j] = byte(i + j)
+					}
+					c.Put(key, val[:n])
+					if c.held > limit {
+						t.Fatalf("put %d: slab holds %d bytes, bound %d", i, c.held, limit)
+					}
+					got, ok := c.Get(key)
+					if !ok || len(got) != n || got[0] != byte(i) || got[n-1] != byte(i+n-1) {
+						t.Fatalf("put %d: read back %d bytes, %v", i, len(got), ok)
+					}
+				}
+				if c.held == 0 {
+					t.Fatal("the slab was never used")
+				}
+			})
+		}
+	}
 }
 
 func TestValuesReset(t *testing.T) {
@@ -307,8 +359,9 @@ func TestPagesBasic(t *testing.T) {
 	}
 }
 
-// TestValuesHitPathAllocs pins the tentpole's zero-alloc promise at the
-// package level: steady-state Get on a warm cache allocates nothing.
+// TestValuesHitPathAllocs pins the tiers' zero-alloc promise at the package
+// level: a steady-state Get on a warm cache allocates nothing, and neither do
+// an invalidation, a refill after Reset or an admission into a full tier.
 func TestValuesHitPathAllocs(t *testing.T) {
 	c := NewValues(1<<20, NewPolicy(TwoQ))
 	keys := make([][]byte, 16)
@@ -326,6 +379,52 @@ func TestValuesHitPathAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Values.Get allocates %.2f per op, want 0", avg)
 	}
+	// Invalidating a resident key and admitting it again reuses its slot
+	// and its slab chunk.
+	val := make([]byte, 128)
+	i = 0
+	if avg := testing.AllocsPerRun(400, func() {
+		k := keys[i%len(keys)]
+		if !c.Invalidate(k) {
+			t.Fatal("resident key not invalidated")
+		}
+		c.Put(k, val)
+		i++
+	}); avg != 0 {
+		t.Errorf("Values.Invalidate allocates %.2f per op, want 0", avg)
+	}
+	// Reset keeps the slots and the slab, so refilling allocates nothing.
+	if avg := testing.AllocsPerRun(50, func() {
+		c.Reset()
+		for _, k := range keys {
+			c.Put(k, val)
+		}
+		if c.Len() != len(keys) {
+			t.Fatalf("refill holds %d entries, want %d", c.Len(), len(keys))
+		}
+	}); avg != 0 {
+		t.Errorf("Values refill after Reset allocates %.2f per run, want 0", avg)
+	}
+	// A full tier admitting keys it does not hold evicts one entry per
+	// admission and recycles its storage.
+	churn := make([][]byte, 2*len(keys))
+	for j := range churn {
+		churn[j] = []byte(fmt.Sprintf("ck%02d", j))
+	}
+	full := NewValues(len(keys)*(4+128), NewPolicy(TwoQ))
+	for _, k := range churn[:len(keys)] {
+		full.Put(k, val)
+	}
+	i = len(keys)
+	if avg := testing.AllocsPerRun(400, func() {
+		if evicted, ok := full.Put(churn[i%len(churn)], val); !ok || evicted != 1 {
+			t.Fatalf("put into a full tier: evicted=%d admitted=%v", evicted, ok)
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("Values.Put allocates %.2f per op at capacity, want 0", avg)
+	}
+
 	p := NewPages(16, NewPolicy(LRU))
 	for pg := 0; pg < 16; pg++ {
 		p.Put(pg)
@@ -350,4 +449,173 @@ func TestValuesHitPathAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Pages.Put allocates %.2f per op at capacity, want 0", avg)
 	}
+}
+
+// refValues is the value tier as it was before keys moved inline and values
+// into a slab: a map[string]int index and one buffer per key and per value
+// (plain make here, where free lists of pooled buffers used to be). It
+// carries one fix the slab tier also has: a value refused for its size still
+// drops the entry it would have replaced. FuzzValues holds the slab tier to
+// it.
+type refValues struct {
+	pol      Policy
+	idx      map[string]int
+	ents     []refEntry
+	free     []int
+	used     int
+	capBytes int
+	maxEntry int
+}
+
+type refEntry struct{ key, val []byte }
+
+func newRefValues(capBytes int, pol Policy) *refValues {
+	maxEntry := capBytes / 4
+	if maxEntry < 1 {
+		maxEntry = capBytes
+	}
+	return &refValues{pol: pol, idx: make(map[string]int), capBytes: capBytes, maxEntry: maxEntry}
+}
+
+func (c *refValues) Get(key []byte) ([]byte, bool) {
+	s, ok := c.idx[string(key)]
+	if !ok {
+		return nil, false
+	}
+	c.pol.Touch(s)
+	return c.ents[s].val, true
+}
+
+func (c *refValues) Put(key, val []byte) (evicted int, admitted bool) {
+	if c.capBytes <= 0 {
+		return 0, false
+	}
+	if s, ok := c.idx[string(key)]; ok {
+		c.dropSlot(s)
+		c.pol.Remove(s)
+	}
+	need := len(key) + len(val)
+	if len(val) > c.maxEntry || need > c.capBytes {
+		return 0, false
+	}
+	for c.used+need > c.capBytes {
+		v := c.pol.Evict()
+		if v < 0 {
+			return evicted, false
+		}
+		c.dropSlot(v)
+		evicted++
+	}
+	var s int
+	if n := len(c.free); n > 0 {
+		s, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		c.ents = append(c.ents, refEntry{})
+		s = len(c.ents) - 1
+	}
+	c.ents[s] = refEntry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
+	c.idx[string(key)] = s
+	c.pol.Admit(s)
+	c.used += need
+	return evicted, true
+}
+
+func (c *refValues) Invalidate(key []byte) bool {
+	s, ok := c.idx[string(key)]
+	if !ok {
+		return false
+	}
+	c.dropSlot(s)
+	c.pol.Remove(s)
+	return true
+}
+
+func (c *refValues) Reset() {
+	for k, s := range c.idx {
+		c.ents[s] = refEntry{}
+		c.free = append(c.free, s)
+		delete(c.idx, k)
+	}
+	c.pol.Reset()
+	c.used = 0
+}
+
+func (c *refValues) dropSlot(s int) {
+	e := &c.ents[s]
+	c.used -= len(e.key) + len(e.val)
+	delete(c.idx, string(e.key))
+	c.ents[s] = refEntry{}
+	c.free = append(c.free, s)
+}
+
+// FuzzValues runs one op stream through the value tier and through
+// refValues and requires the same answer from both at every step: each
+// return value, Len and the resident byte count. A program's first byte
+// picks the policy, its second the budget; then every three bytes are one
+// op (put, get, invalidate or reset), a key of 0 to 17 bytes from a small
+// alphabet so keys repeat, and a value size reaching past the admission
+// bound. A key too long to hold inline goes to the slab tier only, which
+// must refuse it.
+func FuzzValues(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 9, 1, 3, 0, 0, 3, 255, 1, 3, 0})
+	f.Add([]byte{1, 40, 0, 2, 60, 0, 34, 60, 0, 66, 60, 3, 2, 0, 7, 0, 0, 0, 17, 200, 6, 34, 0})
+	f.Add([]byte{0, 255, 0, 17, 10, 0, 49, 10, 1, 17, 0, 6, 49, 0, 7, 0, 0, 0, 17, 10})
+	f.Add([]byte{1, 9, 0, 16, 20, 3, 16, 0, 0, 17, 20, 3, 17, 0, 6, 16, 0, 3, 16, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 2 {
+			return
+		}
+		kind := Kind(prog[0] & 1)
+		capBytes := 16 + int(prog[1])*8
+		c := NewValues(capBytes, NewPolicy(kind))
+		ref := newRefValues(capBytes, NewPolicy(kind))
+		val := make([]byte, capBytes/4+32)
+		for i := 2; i+2 < len(prog); i += 3 {
+			op, kb, vb := prog[i]%8, prog[i+1], prog[i+2]
+			key := bytes.Repeat([]byte{'a' + kb>>5&3}, int(kb&31)%18)
+			n := int(vb) * len(val) / 255
+			for j := range val[:n] {
+				val[j] = byte(i + j)
+			}
+			if len(key) > nvme.MaxKeySize {
+				if _, ok := c.Get(key); ok {
+					t.Fatalf("op %d: long key hit", i)
+				}
+				if evicted, admitted := c.Put(key, val[:n]); admitted || evicted != 0 {
+					t.Fatalf("op %d: long key put evicted=%d admitted=%v", i, evicted, admitted)
+				}
+				if c.Invalidate(key) {
+					t.Fatalf("op %d: long key invalidated", i)
+				}
+				continue
+			}
+			switch {
+			case op < 3:
+				e1, a1 := c.Put(key, val[:n])
+				e2, a2 := ref.Put(key, val[:n])
+				if e1 != e2 || a1 != a2 {
+					t.Fatalf("op %d: Put(%q, %d B) = %d, %v; reference %d, %v", i, key, n, e1, a1, e2, a2)
+				}
+			case op < 6:
+				v1, ok1 := c.Get(key)
+				v2, ok2 := ref.Get(key)
+				if ok1 != ok2 || !bytes.Equal(v1, v2) {
+					t.Fatalf("op %d: Get(%q) = %d B, %v; reference %d B, %v", i, key, len(v1), ok1, len(v2), ok2)
+				}
+			case op == 6:
+				if got, want := c.Invalidate(key), ref.Invalidate(key); got != want {
+					t.Fatalf("op %d: Invalidate(%q) = %v; reference %v", i, key, got, want)
+				}
+			default:
+				c.Reset()
+				ref.Reset()
+			}
+			if c.Len() != len(ref.idx) || c.used != ref.used {
+				t.Fatalf("op %d: len %d used %d; reference len %d used %d", i, c.Len(), c.used, len(ref.idx), ref.used)
+			}
+			if c.held > 2*capBytes {
+				t.Fatalf("op %d: slab holds %d bytes, bound %d", i, c.held, 2*capBytes)
+			}
+		}
+	})
 }

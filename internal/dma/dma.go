@@ -27,7 +27,7 @@ func PageAligned(n int64) bool { return n%pcie.MemoryPageSize == 0 }
 // MemcpyModel prices device-side memory copies.
 type MemcpyModel struct {
 	// BytesPerSecond is the copy bandwidth of the device CPU
-	// (Cortex-A9-class, ~1 GB/s by default).
+	// (Cortex-A9-class, 100 MB/s by default).
 	BytesPerSecond float64
 	// Fixed is the per-copy overhead.
 	Fixed sim.Duration

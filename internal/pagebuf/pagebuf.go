@@ -27,7 +27,6 @@ import (
 	"bandslim/internal/dma"
 	"bandslim/internal/metrics"
 	"bandslim/internal/pcie"
-	"bandslim/internal/pool"
 	"bandslim/internal/sim"
 	"bandslim/internal/trace"
 )
@@ -132,10 +131,10 @@ type Buffer struct {
 	lastFlushEnd sim.Time
 	stats        Stats
 	tr           trace.Tracer
-	// pagePool recycles flushed page buffers back into page(); recycled pages
-	// are zeroed before reuse so gap bytes stay deterministic (identical to
-	// freshly allocated pages).
-	pagePool pool.Bytes
+	// spare holds up to maxSparePages flushed page buffers for page() to
+	// reuse; a reused page is zeroed first so gap bytes stay deterministic
+	// (identical to a freshly allocated page).
+	spare [][]byte
 	// zero is a shared all-zeros page served for in-window pages that were
 	// never written (OpenPage) and flushed without content. It is read-only by
 	// contract: OpenPage callers must not modify returned slices, and the
@@ -183,15 +182,22 @@ func alignUp(addr int64) int64 {
 	return (addr + p - 1) / p * p
 }
 
+// maxSparePages bounds the flushed page buffers a Buffer keeps for reuse.
+const maxSparePages = 8
+
 // page materializes (or returns) an open logical page. New pages come from
-// the recycle pool and are zeroed, so a reused page is indistinguishable from
+// the spare list and are zeroed, so a reused page is indistinguishable from
 // a fresh allocation.
 func (b *Buffer) page(no int64) []byte {
 	p, ok := b.pages[no]
 	if !ok {
-		p = b.pagePool.Get(b.cfg.PageSize)
-		for i := range p {
-			p[i] = 0
+		if n := len(b.spare); n > 0 {
+			p = b.spare[n-1]
+			b.spare[n-1] = nil
+			b.spare = b.spare[:n-1]
+			clear(p)
+		} else {
+			p = make([]byte, b.cfg.PageSize)
 		}
 		b.pages[no] = p
 	}
@@ -429,7 +435,9 @@ func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 	}
 	if ok {
 		delete(b.pages, no)
-		b.pagePool.Put(data)
+		if len(b.spare) < maxSparePages {
+			b.spare = append(b.spare, data)
+		}
 	}
 	b.minOpen++
 	b.stats.Flushes.Inc()

@@ -552,3 +552,45 @@ func TestMemcpyTimeChargedForPiggyback(t *testing.T) {
 		t.Fatal("piggyback placement charged no memcpy time")
 	}
 }
+
+// TestFlushedPagesReused pins the spare-page list: a flushed page comes back
+// zeroed, and a steady stream of page-filling placements, each of which
+// flushes the page before it, allocates nothing.
+func TestFlushedPagesReused(t *testing.T) {
+	const pageSize = 16 * 1024
+	b, rec := newBuf(t, PolicyAll, 4)
+	full := bytes.Repeat([]byte{0xFF}, pageSize)
+	for i := 0; i < 4; i++ {
+		if _, _, err := b.PlacePiggybacked(0, full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(b.spare) == 0 {
+		t.Fatal("no flushed page kept for reuse")
+	}
+	addr, _, err := b.PlacePiggybacked(0, []byte("tail"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	page := rec.pages[addr/pageSize]
+	if addr%pageSize != 0 || string(page[:4]) != "tail" || !bytes.Equal(page[4:], make([]byte, pageSize-4)) {
+		t.Fatalf("reused page at %d not zeroed past its 4 written bytes", addr)
+	}
+
+	eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
+	drop := func(t sim.Time, _ int64, _ []byte) (sim.Time, error) { return t, nil }
+	steady, err := New(Config{PageSize: pageSize, MaxEntries: 4, Policy: PolicyAll}, eng, drop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, _, err := steady.PlacePiggybacked(0, full); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a page-filling placement allocates %.2f objects in steady state, want 0", avg)
+	}
+}
