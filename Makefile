@@ -38,7 +38,8 @@ golden:
 	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out results/golden/bench_smoke.prom -series-out results/golden/bench_smoke_series.csv
 
 # Server smoke: boot bandslim-server on a loopback port, drive
-# PING/SET/GET/DEL/INFO through a real client connection, and require a
+# PING/SET/GET/DEL/MSET/MGET/INFO and a pipelined SET/GET/MGET burst through a
+# real client connection, and require a
 # clean drain — the end-to-end check on the RESP front-end. Runs with the
 # serving cache profile so the tiered read path is exercised end to end.
 server-smoke:

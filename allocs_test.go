@@ -415,7 +415,7 @@ func TestNextAllocsSteadyState(t *testing.T) {
 // that swallows the whole batch (32): wait frames and PRP staging come from
 // reused slices on the driver, the FIFO scratch lives on the
 // DB, and completion sweeps reuse the device's sort buffer — so a
-// steady-state GetBatch through the async window allocates nothing. The
+// steady-state GetBatchSparse through the async window allocates nothing. The
 // tracer-off runs also pin down the latency-attribution boundary events
 // (completion readiness stamping, CQ-post timing): attribution support must
 // cost zero allocations when tracing is disabled.
@@ -447,15 +447,16 @@ func TestWindowedGetBatchAllocsSteadyState(t *testing.T) {
 				// Warm the window: frames, per-slot PRP staging, FIFO
 				// scratch, and the device's completion sweep all grow on
 				// first use.
+				miss := make([]bool, nkeys)
 				for r := 0; r < 4; r++ {
-					if _, err := db.GetBatch(keys, vals); err != nil {
+					if _, err := db.GetBatchSparse(keys, vals, miss); err != nil {
 						t.Fatal(err)
 					}
 				}
-				assertZeroAllocs(t, fmt.Sprintf("GetBatch depth=%d", depth), 400, func() {
-					out, err := db.GetBatch(keys, vals)
-					if err != nil || len(out[nkeys-1]) != 128 {
-						t.Fatalf("GetBatch: %v", err)
+				assertZeroAllocs(t, fmt.Sprintf("GetBatchSparse depth=%d", depth), 400, func() {
+					out, err := db.GetBatchSparse(keys, vals, miss)
+					if err != nil || miss[nkeys-1] || len(out[nkeys-1]) != 128 {
+						t.Fatalf("GetBatchSparse: %v", err)
 					}
 				})
 			})

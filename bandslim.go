@@ -99,6 +99,17 @@ type SubmissionConfig = driver.SubmissionConfig
 // PUTs submit as one doorbell burst; reads keep the synchronous passthrough.
 func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission() }
 
+// WindowedSubmission returns the windowed policy at depth: up to depth reads
+// in flight, doorbells batched 8 submissions to an MMIO write, completions
+// coalesced on a 2 µs grid. Below depth 2 it is the zero value, the paper's
+// synchronous passthrough.
+func WindowedSubmission(depth int) SubmissionConfig {
+	if depth <= 1 {
+		return SubmissionConfig{}
+	}
+	return SubmissionConfig{QueueDepth: depth, DoorbellBatch: 8, CoalesceInterval: 2 * sim.Microsecond}
+}
+
 // ConfigError reports a submission or cache setting that failed validation;
 // Open and OpenSharded return it wrapped — match with errors.As.
 type ConfigError = driver.ConfigError
@@ -124,6 +135,14 @@ const (
 
 // ParseCachePolicy parses a policy name ("lru", "2q").
 func ParseCachePolicy(s string) (CachePolicy, error) { return cache.ParseKind(s) }
+
+// ParseMethod parses a transfer method name in any case: baseline (or prp),
+// piggyback, hybrid, adaptive, sgl.
+func ParseMethod(s string) (TransferMethod, error) { return driver.ParseMethod(s) }
+
+// ParsePolicy parses a packing policy name in any case: block, all, select
+// (or selective), backfill.
+func ParsePolicy(s string) (PackingPolicy, error) { return pagebuf.ParsePolicy(s) }
 
 // ServingCacheConfig returns the serving-profile cache sizing: a 4 MiB LRU
 // value tier and a 64-page SSTable tier — the operating point
@@ -154,7 +173,9 @@ type Config struct {
 	// Thresholds{Alpha: 1, Beta: 1}.
 	Thresholds Thresholds
 	// Device tunes the simulated hardware. Leave zero to use the default
-	// Cosmos+-like platform.
+	// Cosmos+-like platform; to change part of it, start from DefaultConfig()
+	// — a Device with fields set but a zero Geometry fails Open with a
+	// ConfigError.
 	Device device.Config
 	// DisableNAND turns off persistence, isolating transfer behaviour as
 	// the paper's §4.2 experiments do.
@@ -249,10 +270,15 @@ type DB struct {
 	free   [][][]int
 }
 
-// stackOptions normalizes a Config into the engine's options.
-func stackOptions(cfg Config) shard.Options {
+// stackOptions normalizes a Config into the engine's options. An all-zero
+// Device means device.DefaultConfig(); one that sets other fields but leaves
+// Geometry zero is refused rather than silently replaced by the defaults.
+func stackOptions(cfg Config) (shard.Options, error) {
 	dcfg := cfg.Device
 	if dcfg.Geometry == (nand.Geometry{}) {
+		if dcfg != (device.Config{}) {
+			return shard.Options{}, &ConfigError{Field: "Device.Geometry", Reason: "zero while other Device fields are set; start from DefaultConfig()"}
+		}
 		dcfg = device.DefaultConfig()
 	}
 	dcfg.Buffer.Policy = cfg.Policy
@@ -271,7 +297,7 @@ func stackOptions(cfg Config) shard.Options {
 		Submission: cfg.Submission,
 		Tracer:     cfg.Tracer,
 		Faults:     cfg.Faults,
-	}
+	}, nil
 }
 
 // Open builds a one-shard DB: OpenSharded with Shards: 1.
@@ -347,54 +373,23 @@ func (db *DB) PutBatch(keys, values [][]byte) error {
 	return db.fanOut(keys, func(drv *driver.Driver, lane []int) error { return drv.PutBatch(keys, values, lane) })
 }
 
-// GetBatch resolves every key, copying each value into the matching vals
-// lane (vals[i], grown as needed; a nil vals allocates one) under its shard's
-// lock. The filled slice-of-slices is returned; values are caller-owned
-// copies, so passing the returned slice back in makes the steady state
-// allocation-free. With a submission window configured
+// GetBatchSparse resolves keys in bulk, copying each value into the matching
+// vals lane (vals[i], grown as needed; a nil vals allocates one) under its
+// shard's lock, and returns the filled slice-of-slices. An absent key sets
+// miss[i] and empties vals[i]; miss must have len(keys) entries. Values are
+// caller-owned copies, so passing the returned slice back in makes the steady
+// state allocation-free. With a submission window configured
 // (Config.Submission.QueueDepth >= 2) the reads ride it, up to that many in
-// flight per shard. An absent key fails the batch; lanes after the failing key
-// on its shard are left untouched.
-func (db *DB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
-	vals, err := batchLanes("GetBatch", keys, vals, len(keys))
-	if err != nil {
-		return vals, err
-	}
-	return vals, db.getBatch(keys, vals, nil)
-}
-
-// GetBatchSparse resolves keys in bulk like GetBatch, but a missing key sets
-// miss[i] (leaving vals[i] empty) instead of failing the whole batch. miss
-// must have len(keys) entries. This is the lookup the serving front-end rides
-// for MGET and coalesced GET runs: absent keys become null replies, not
-// errors.
+// flight per shard. Any other failure ends the batch; lanes after the failing
+// key on its shard are left untouched.
 func (db *DB) GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error) {
-	vals, err := batchLanes("GetBatchSparse", keys, vals, len(miss))
-	if err != nil {
-		return vals, err
-	}
-	return vals, db.getBatch(keys, vals, miss)
-}
-
-// batchLanes validates a batch read's arguments: one vals lane per key (a nil
-// vals allocates them) and, on the sparse form, one miss flag per key.
-func batchLanes(op string, keys, vals [][]byte, nmiss int) ([][]byte, error) {
 	if vals == nil {
 		vals = make([][]byte, len(keys))
 	}
-	switch {
-	case len(vals) != len(keys):
-		return vals, fmt.Errorf("bandslim: %s got %d keys, %d dst lanes", op, len(keys), len(vals))
-	case nmiss != len(keys):
-		return vals, fmt.Errorf("bandslim: %s got %d keys, %d miss flags", op, len(keys), nmiss)
+	if len(vals) != len(keys) || len(miss) != len(keys) {
+		return vals, fmt.Errorf("bandslim: GetBatchSparse got %d keys, %d dst lanes, %d miss flags", len(keys), len(vals), len(miss))
 	}
-	return vals, nil
-}
-
-// getBatch resolves keys shard lane by shard lane; a nil miss is strict, a
-// non-nil miss sparse.
-func (db *DB) getBatch(keys, vals [][]byte, miss []bool) error {
-	return db.fanOut(keys, func(drv *driver.Driver, lane []int) error { return drv.GetBatch(keys, vals, miss, lane) })
+	return vals, db.fanOut(keys, func(drv *driver.Driver, lane []int) error { return drv.GetBatch(keys, vals, miss, lane) })
 }
 
 // Delete removes a key from its shard.

@@ -635,6 +635,22 @@ func TestOpenZeroDeviceConfigGetsDefaults(t *testing.T) {
 	}
 }
 
+// A Device that sets a field but leaves Geometry zero cannot take the
+// default geometry without dropping that field, so Open refuses it with a
+// ConfigError naming Device.Geometry.
+func TestOpenRefusesPartialDeviceConfig(t *testing.T) {
+	var cfg Config
+	cfg.Device.LSM.MemTableEntries = 256
+	db, err := Open(cfg)
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Device.Geometry" {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with only Device.LSM.MemTableEntries set = %v, want a ConfigError on Device.Geometry", err)
+	}
+}
+
 // Open answers a device setting no hardware has with an error, never a panic
 // or a run on nonsense timings.
 func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {

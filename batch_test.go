@@ -24,6 +24,23 @@ func batchKV(n int) (keys, values [][]byte) {
 	return keys, values
 }
 
+// getAll reads keys in one GetBatchSparse into vals and fails the test on an
+// error or a miss.
+func getAll(t *testing.T, db *bandslim.DB, keys, vals [][]byte) [][]byte {
+	t.Helper()
+	miss := make([]bool, len(keys))
+	got, err := db.GetBatchSparse(keys, vals, miss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range miss {
+		if m {
+			t.Fatalf("key %s: written but reported missing", keys[i])
+		}
+	}
+	return got
+}
+
 func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	db, err := bandslim.Open(bandslim.DefaultConfig())
 	if err != nil {
@@ -35,10 +52,7 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	if err := db.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.GetBatch(keys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := getAll(t, db, keys, nil)
 	for i := range keys {
 		if !bytes.Equal(got[i], values[i]) {
 			t.Fatalf("key %s: got %d bytes, want %d", keys[i], len(got[i]), len(values[i]))
@@ -53,10 +67,7 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	if err := db.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := db.GetBatch(keys, got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got2 := getAll(t, db, keys, got)
 	for i := range keys {
 		if !bytes.Equal(got2[i], values[i]) {
 			t.Fatalf("key %s: overwrite not visible through reused lanes", keys[i])
@@ -86,10 +97,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 	if err := s.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetBatch(keys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := getAll(t, s, keys, nil)
 	for i := range keys {
 		if !bytes.Equal(got[i], values[i]) {
 			t.Fatalf("key %s: cross-shard batch read mismatch (%d vs %d bytes)",
@@ -112,10 +120,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 	if err := s.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.GetBatch(keys, got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = getAll(t, s, keys, got)
 	for i := range keys {
 		if !bytes.Equal(got[i], values[i]) {
 			t.Fatalf("key %s: sharded batch overwrite mismatch", keys[i])
@@ -140,21 +145,14 @@ func TestBatchArgumentErrors(t *testing.T) {
 	if err := db.PutBatch(keys, one); err == nil {
 		t.Error("DB.PutBatch accepted mismatched key/value counts")
 	}
-	if _, err := db.GetBatch(keys, one); err == nil {
-		t.Error("DB.GetBatch accepted mismatched key/lane counts")
+	if _, err := db.GetBatchSparse(keys, one, make([]bool, 2)); err == nil {
+		t.Error("DB.GetBatchSparse accepted mismatched key/lane counts")
 	}
 	if err := s.PutBatch(keys, one); err == nil {
 		t.Error("sharded DB.PutBatch accepted mismatched key/value counts")
 	}
-	if _, err := s.GetBatch(keys, one); err == nil {
-		t.Error("sharded DB.GetBatch accepted mismatched key/lane counts")
-	}
-
-	if _, err := db.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
-		t.Error("DB.GetBatch of an absent key succeeded")
-	}
-	if _, err := s.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
-		t.Error("sharded DB.GetBatch of an absent key succeeded")
+	if _, err := s.GetBatchSparse(keys, one, make([]bool, 2)); err == nil {
+		t.Error("sharded DB.GetBatchSparse accepted mismatched key/lane counts")
 	}
 }
 
@@ -242,9 +240,7 @@ func TestBatchPathDeterminism(t *testing.T) {
 			if err := s.PutBatch(keys, values); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.GetBatch(keys, nil); err != nil {
-				t.Fatal(err)
-			}
+			getAll(t, s, keys, nil)
 		}
 		var prom bytes.Buffer
 		if err := s.WritePrometheus(&prom); err != nil {

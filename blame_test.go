@@ -25,7 +25,7 @@ func blameWorkload(t *testing.T, s *DB) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.GetBatch(keys, nil); err != nil {
+	if _, err := s.GetBatchSparse(keys, nil, make([]bool, nkeys)); err != nil {
 		t.Fatal(err)
 	}
 	// Sparse batch with guaranteed misses: every third key never written.

@@ -36,8 +36,6 @@ import (
 	"strings"
 
 	"bandslim"
-	"bandslim/internal/driver"
-	"bandslim/internal/pagebuf"
 	"bandslim/internal/sim"
 )
 
@@ -63,12 +61,12 @@ func main() {
 	)
 	flag.Parse()
 
-	method, err := driver.ParseMethod(*methodName)
+	method, err := bandslim.ParseMethod(*methodName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	policy, err := pagebuf.ParsePolicy(*policyName)
+	policy, err := bandslim.ParsePolicy(*policyName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

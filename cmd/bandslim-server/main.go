@@ -32,14 +32,16 @@
 // commands, close every connection, and then close the DB.
 //
 // -smoke runs a self-test instead of serving: start the server on a
-// loopback port, drive PING/SET/GET/DEL/INFO through a client connection,
-// shut down cleanly, and exit non-zero on any mismatch.
+// loopback port, drive PING/SET/GET/DEL/MSET/MGET/INFO and one pipelined
+// SET/GET/MGET burst through a client connection, shut down cleanly, and exit
+// non-zero on any mismatch.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -86,29 +88,6 @@ func main() {
 	}
 }
 
-// submissionForWindow derives the per-shard NVMe submission policy from the
-// per-connection in-flight window, so -window is one coherent knob spanning
-// the network edge and the simulated device: the shard queue depth tracks
-// the window (capped at 32, the useful concurrency of the simulated NAND
-// array), doorbells batch up to 8 submissions per MMIO write, and
-// completions coalesce on a 2µs interrupt grid. A window of 1 degenerates
-// to the paper's synchronous testbed. INFO reports the mapping under
-// submission_*.
-func submissionForWindow(window int) bandslim.SubmissionConfig {
-	depth := window
-	if depth > 32 {
-		depth = 32
-	}
-	if depth <= 1 {
-		return bandslim.SubmissionConfig{}
-	}
-	return bandslim.SubmissionConfig{
-		QueueDepth:       depth,
-		DoorbellBatch:    8,
-		CoalesceInterval: 2 * bandslim.SimMicrosecond,
-	}
-}
-
 // parseCache maps the -cache flag to a cache config: off, the serving
 // profile, or the serving profile with a specific eviction policy.
 func parseCache(name string) (bandslim.CacheConfig, error) {
@@ -127,23 +106,8 @@ func parseCache(name string) (bandslim.CacheConfig, error) {
 	return cc, nil
 }
 
-// parseMethod maps the -method flag to a transfer method.
-func parseMethod(name string) (bandslim.TransferMethod, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return bandslim.Baseline, nil
-	case "piggyback":
-		return bandslim.Piggyback, nil
-	case "hybrid":
-		return bandslim.Hybrid, nil
-	case "adaptive":
-		return bandslim.Adaptive, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", name)
-}
-
 func run(addr string, shards, window int, method, cacheProfile, metricsListen, pprofListen string, traceCap int, drainTimeout time.Duration, smoke, quiet bool) error {
-	m, err := parseMethod(method)
+	m, err := bandslim.ParseMethod(method)
 	if err != nil {
 		return err
 	}
@@ -153,7 +117,12 @@ func run(addr string, shards, window int, method, cacheProfile, metricsListen, p
 	}
 	cfg := bandslim.DefaultConfig()
 	cfg.Method = m
-	cfg.Submission = submissionForWindow(window)
+	// -window is one knob spanning the network edge and the simulated device:
+	// the shards' submission depth tracks it, capped at 32 (the useful
+	// concurrency of the simulated NAND array). A window of 1 degenerates to
+	// the paper's synchronous testbed. INFO reports the policy under
+	// submission_*.
+	cfg.Submission = bandslim.WindowedSubmission(min(window, 32))
 	cfg.Cache = cc
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:        shards,
@@ -253,64 +222,72 @@ func run(addr string, shards, window int, method, cacheProfile, metricsListen, p
 	}
 }
 
-// runSmoke drives one client session over loopback and checks every reply.
-// With tracing on it also requires INFO's # Trace section: ring health plus
-// the latency-attribution headline reconstructed from the live ring.
+// runSmoke drives one client session over loopback and checks every reply
+// byte for byte. With tracing on it also requires INFO's # Trace section:
+// ring health plus the latency-attribution headline reconstructed from the
+// live ring.
 func runSmoke(addr string, traced bool) error {
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return err
 	}
 	defer nc.Close()
-	r, w := resp.NewReader(nc), resp.NewWriter(nc)
-	do := func(args ...string) (resp.Reply, error) {
-		w.Array(len(args))
-		for _, a := range args {
-			w.BulkString(a)
+	w := resp.NewWriter(nc)
+	// exchange sends cmds in one write and requires the replies to be want.
+	exchange := func(want string, cmds ...[]string) error {
+		for _, args := range cmds {
+			w.Array(len(args))
+			for _, a := range args {
+				w.BulkString(a)
+			}
 		}
 		if err := w.Flush(); err != nil {
-			return resp.Reply{}, err
+			return err
 		}
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		return r.ReadReply()
-	}
-	expect := func(check func(resp.Reply) bool, args ...string) error {
-		rep, err := do(args...)
-		if err != nil {
-			return fmt.Errorf("%v: %w", args, err)
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(nc, got); err != nil {
+			return fmt.Errorf("%v: %w", cmds, err)
 		}
-		if !check(rep) {
-			return fmt.Errorf("%v: unexpected reply %+v (%q)", args, rep, rep.Str)
+		if string(got) != want {
+			return fmt.Errorf("%v: replied %q, want %q", cmds, got, want)
 		}
 		return nil
 	}
-	simple := func(want string) func(resp.Reply) bool {
-		return func(rep resp.Reply) bool { return rep.Kind == resp.KindSimple && string(rep.Str) == want }
-	}
-	bulk := func(want string) func(resp.Reply) bool {
-		return func(rep resp.Reply) bool { return rep.Kind == resp.KindBulk && !rep.Null && string(rep.Str) == want }
-	}
-	steps := []error{
-		expect(simple("PONG"), "PING"),
-		expect(simple("OK"), "SET", "smoke-key", "smoke-value"),
-		expect(bulk("smoke-value"), "GET", "smoke-key"),
-		expect(func(rep resp.Reply) bool { return rep.Kind == resp.KindBulk && rep.Null }, "GET", "no-such-key"),
-		expect(func(rep resp.Reply) bool { return rep.Kind == resp.KindInteger && rep.Int == 1 }, "DEL", "smoke-key"),
-		expect(func(rep resp.Reply) bool {
-			if rep.Kind != resp.KindBulk || !strings.Contains(string(rep.Str), "sim_time_ns:") {
-				return false
-			}
-			if !traced {
-				return true
-			}
-			return strings.Contains(string(rep.Str), "trace_buffered:") &&
-				strings.Contains(string(rep.Str), "blame_ops:")
-		}, "INFO"),
-	}
-	for _, err := range steps {
-		if err != nil {
+	for _, st := range []struct {
+		want string
+		cmds [][]string
+	}{
+		{"+PONG\r\n", [][]string{{"PING"}}},
+		{"+OK\r\n", [][]string{{"SET", "smoke-key", "smoke-value"}}},
+		{"$11\r\nsmoke-value\r\n", [][]string{{"GET", "smoke-key"}}},
+		{"$-1\r\n", [][]string{{"GET", "no-such-key"}}},
+		{":1\r\n", [][]string{{"DEL", "smoke-key"}}},
+		{"+OK\r\n", [][]string{{"MSET", "smoke-m1", "m1-value", "smoke-m2", "m2-value"}}},
+		{"*2\r\n$8\r\nm1-value\r\n$-1\r\n", [][]string{{"MGET", "smoke-m1", "no-such-key"}}},
+		// One pipelined write, which the server can serve as one burst: a
+		// write run, then a read run.
+		{"+OK\r\n$7\r\nb-value\r\n*2\r\n$8\r\nm1-value\r\n$7\r\nb-value\r\n",
+			[][]string{{"SET", "smoke-b", "b-value"}, {"GET", "smoke-b"}, {"MGET", "smoke-m1", "smoke-b"}}},
+	} {
+		if err := exchange(st.want, st.cmds...); err != nil {
 			return err
 		}
+	}
+
+	w.Array(1)
+	w.BulkString("INFO")
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	rep, err := resp.NewReader(nc).ReadReply()
+	if err != nil {
+		return fmt.Errorf("INFO: %w", err)
+	}
+	info := string(rep.Str)
+	if rep.Kind != resp.KindBulk || !strings.Contains(info, "sim_time_ns:") ||
+		traced && !(strings.Contains(info, "trace_buffered:") && strings.Contains(info, "blame_ops:")) {
+		return fmt.Errorf("INFO: unexpected reply %+v (%q)", rep, rep.Str)
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ var reachExempt = map[string]string{
 	"bench.Table.Column":  "one figure curve by column name; the figure-shape tests read it beside Cell",
 	"nand.Array.clock":    "benchmark/ladder.go passes nand.New a clock; the parameter and its field go with a change to that harness",
 
-	"bandslim.ConfigError":              "the typed class of a rejected setting; callers match Open's error with errors.As",
 	"bandslim.ErrIteratorInvalidated":   "the typed end of an iterator whose snapshot compaction freed; callers match it with errors.Is",
 	"bandslim.IsMedia":                  "the typed class of an unrecovered NAND media error; callers branch on it",
 	"bandslim.IsNoSpace":                "the typed class of a full device; callers branch on it",

@@ -60,7 +60,7 @@ type BlamePoint struct {
 // reads with misses, deletes) and attributes every op.
 func runBlamePoint(o Options, depth int) (BlamePoint, error) {
 	cfg := headlineConfig()
-	cfg.Submission = qdSubmission(depth)
+	cfg.Submission = bandslim.WindowedSubmission(depth)
 	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
 		Shards:        blameShards,
 		PerShard:      cfg,
@@ -95,17 +95,14 @@ func runBlamePoint(o Options, depth int) (BlamePoint, error) {
 	miss := make([]bool, blameChunk)
 	for at := 0; at < nkeys; at += blameChunk {
 		end := min(at+blameChunk, nkeys)
-		batch := order[at:end]
+		batch, absent := order[at:end], 0
 		if at%(8*blameChunk) == 0 {
-			// Swap one key for a never-written one: the sparse miss path.
+			// Swap one key for a never-written one: the miss path.
 			batch = append([][]byte(nil), batch...)
 			batch[0] = []byte(fmt.Sprintf("bl-miss%05d", at))
-			if _, err := s.GetBatchSparse(batch, dst[:len(batch)], miss[:len(batch)]); err != nil {
-				return BlamePoint{}, fmt.Errorf("bench: blame depth=%d: sparse read: %w", depth, err)
-			}
-			continue
+			absent = 1
 		}
-		if _, err := s.GetBatch(batch, dst[:end-at]); err != nil {
+		if err := readBack(s, batch, dst[:len(batch)], miss[:len(batch)], absent); err != nil {
 			return BlamePoint{}, fmt.Errorf("bench: blame depth=%d: read: %w", depth, err)
 		}
 	}

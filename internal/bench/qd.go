@@ -20,7 +20,7 @@ var qdDepths = []int{1, 2, 4, 8, 16, 32}
 // qdShards is the fixed shard count of the sweep's baseline stack.
 const qdShards = 4
 
-// qdChunk is the keys-per-GetBatch call during the read phase.
+// qdChunk is the keys-per-GetBatchSparse call during the read phase.
 const qdChunk = 256
 
 // QDPoint is one depth measurement, shaped for BENCH_qd.json. All fields
@@ -38,24 +38,12 @@ type QDPoint struct {
 	SpeedupVsSync float64 `json:"speedup_vs_sync"` // SimKops / depth-1 SimKops
 }
 
-// qdSubmission maps a sweep depth to the submission policy under test.
-func qdSubmission(depth int) bandslim.SubmissionConfig {
-	if depth <= 1 {
-		return bandslim.SubmissionConfig{}
-	}
-	return bandslim.SubmissionConfig{
-		QueueDepth:       depth,
-		DoorbellBatch:    8,
-		CoalesceInterval: 2 * sim.Microsecond,
-	}
-}
-
 // runQDPoint builds a fresh 4-shard stack at the given depth, loads the
 // keyspace, then reads every key back in qdChunk batches and reports the
 // read phase in simulated terms.
 func runQDPoint(o Options, depth int) (QDPoint, error) {
 	cfg := headlineConfig()
-	cfg.Submission = qdSubmission(depth)
+	cfg.Submission = bandslim.WindowedSubmission(depth)
 	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: qdShards, PerShard: cfg})
 	if err != nil {
 		return QDPoint{}, err
@@ -77,14 +65,13 @@ func runQDPoint(o Options, depth int) (QDPoint, error) {
 	order := shuffled(keys, rng)
 	loaded := s.Stats()
 	dst := make([][]byte, qdChunk)
+	miss := make([]bool, qdChunk)
 	var ops int64
 	for at := 0; at < nkeys; at += qdChunk {
 		end := min(at+qdChunk, nkeys)
-		out, err := s.GetBatch(order[at:end], dst[:end-at])
-		if err != nil {
+		if err := readBack(s, order[at:end], dst[:end-at], miss[:end-at], 0); err != nil {
 			return QDPoint{}, fmt.Errorf("bench: qd depth=%d: read: %w", depth, err)
 		}
-		copy(dst, out)
 		ops += int64(end - at)
 	}
 	st := s.Stats()
@@ -113,7 +100,7 @@ func RunQDSweep(o Options) (*Table, []QDPoint, error) {
 		XLabel:  "depth",
 		Columns: []string{"sim_kops", "sim_us_op", "read_p99_us", "mmio_KiB", "speedup_vs_sync"},
 		Notes: []string{
-			fmt.Sprintf("scale=%d keys, %d shards, read phase in %d-key GetBatch chunks", o.Scale, qdShards, qdChunk),
+			fmt.Sprintf("scale=%d keys, %d shards, read phase in %d-key GetBatchSparse chunks", o.Scale, qdShards, qdChunk),
 			"depth 1 = the paper's synchronous testbed; depth N = async window with doorbell batching + 2µs coalescing",
 			"all values simulated and deterministic for a given -scale/-seed",
 		},

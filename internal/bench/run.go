@@ -129,6 +129,20 @@ func loadKeyspace(db *bandslim.DB, prefix string, n, spread, chunk int, rng *sim
 	return keys, vals, nil
 }
 
+// readBack reads keys in one GetBatchSparse into dst. The first absent keys
+// must miss and every other key, one written earlier, must hit.
+func readBack(db *bandslim.DB, keys, dst [][]byte, miss []bool, absent int) error {
+	if _, err := db.GetBatchSparse(keys, dst, miss); err != nil {
+		return err
+	}
+	for i, m := range miss {
+		if m != (i < absent) {
+			return fmt.Errorf("key %q: miss = %v", keys[i], m)
+		}
+	}
+	return nil
+}
+
 // shuffled returns a copy of keys in a seeded uniform-random order.
 func shuffled(keys [][]byte, rng *sim.RNG) [][]byte {
 	order := append([][]byte(nil), keys...)

@@ -176,32 +176,28 @@ func (d *Driver) PutBatch(keys, values [][]byte, lane []int) error {
 }
 
 // resolved books key i's outcome on the batch-read path. A hit has already
-// filled vals[i]; a not-found under a non-nil miss empties the lane and sets
-// miss[i]; any other error — or a not-found when miss is nil — is returned
-// and ends the batch.
+// filled vals[i]; a not-found empties the lane and sets miss[i]; any other
+// error is returned and ends the batch.
 func resolved(i int, vals [][]byte, miss []bool, err error) error {
 	if err != nil {
-		if st, ok := nvme.StatusOf(err); miss == nil || !ok || st != nvme.StatusKeyNotFound {
+		if st, ok := nvme.StatusOf(err); !ok || st != nvme.StatusKeyNotFound {
 			return err
 		}
 		vals[i] = vals[i][:0]
 	}
-	if miss != nil {
-		miss[i] = err != nil
-	}
+	miss[i] = err != nil
 	return nil
 }
 
 // GetBatch resolves the lane-indexed subset of keys (nil lane = all), copying
 // each value into the matching caller-owned lane (vals[i], grown as needed).
-// A nil miss is strict: the first absent key fails the batch, leaving lanes
-// past it untouched. A non-nil miss (len(keys) entries) is sparse: an absent
-// key sets miss[i] and empties vals[i] instead. Reads are serial below a
-// window depth of 2; above it they ride the asynchronous submission window —
-// up to QueueDepth in flight, completions reaped out of order and claimed in
-// submission order — landing results exactly where the serial path places
-// them. Written closure-free: the steady-state batch-read path must not
-// allocate.
+// An absent key sets miss[i] (len(keys) entries) and empties vals[i]; any
+// other failure ends the batch, leaving lanes past it untouched. Reads are
+// serial below a window depth of 2; above it they ride the asynchronous
+// submission window — up to QueueDepth in flight, completions reaped out of
+// order and claimed in submission order — landing results exactly where the
+// serial path places them. Written closure-free: the steady-state batch-read
+// path must not allocate.
 func (d *Driver) GetBatch(keys, vals [][]byte, miss []bool, lane []int) error {
 	err := d.getBatch(keys, vals, miss, lane)
 	if err != nil {

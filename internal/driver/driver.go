@@ -16,6 +16,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"bandslim/internal/device"
 	"bandslim/internal/metrics"
@@ -61,18 +62,19 @@ func (m Method) String() string {
 	}
 }
 
-// ParseMethod converts a method name back to a Method.
+// ParseMethod converts a method name, in any case, back to a Method; "prp"
+// also names the baseline.
 func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "Baseline", "baseline", "prp":
+	switch strings.ToLower(s) {
+	case "baseline", "prp":
 		return MethodBaseline, nil
-	case "Piggyback", "piggyback":
+	case "piggyback":
 		return MethodPiggyback, nil
-	case "Hybrid", "hybrid":
+	case "hybrid":
 		return MethodHybrid, nil
-	case "Adaptive", "adaptive":
+	case "adaptive":
 		return MethodAdaptive, nil
-	case "SGL", "sgl":
+	case "sgl":
 		return MethodSGL, nil
 	}
 	return 0, fmt.Errorf("driver: unknown method %q", s)

@@ -17,12 +17,18 @@ import (
 	"bandslim/internal/trace"
 )
 
-// windowedGetAll pumps keys through the async window with a strict GetBatch:
-// submit until the window fills, reap the oldest, keep going.
+// windowedGetAll pumps keys, every one written, through the async window
+// with GetBatch: submit until the window fills, reap the oldest, keep going.
 func windowedGetAll(t *testing.T, d *Driver, keys [][]byte) {
 	t.Helper()
-	if err := d.GetBatch(keys, make([][]byte, len(keys)), nil, nil); err != nil {
+	miss := make([]bool, len(keys))
+	if err := d.GetBatch(keys, make([][]byte, len(keys)), miss, nil); err != nil {
 		t.Fatal(err)
+	}
+	for i, m := range miss {
+		if m {
+			t.Fatalf("key %q reported missing", keys[i])
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package pagebuf
 
 import (
 	"fmt"
+	"strings"
 
 	"bandslim/internal/dma"
 	"bandslim/internal/metrics"
@@ -57,16 +58,17 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts a policy name (as printed by String) back to a Policy.
+// ParsePolicy converts a policy name (as printed by String, in any case) back
+// to a Policy; "selective" also names PolicySelective.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "Block", "block":
+	switch strings.ToLower(s) {
+	case "block":
 		return PolicyBlock, nil
-	case "All", "all":
+	case "all":
 		return PolicyAll, nil
-	case "Select", "select", "Selective", "selective":
+	case "select", "selective":
 		return PolicySelective, nil
-	case "Backfill", "backfill":
+	case "backfill":
 		return PolicyBackfill, nil
 	}
 	return 0, fmt.Errorf("pagebuf: unknown policy %q", s)

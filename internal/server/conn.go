@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"time"
 
@@ -11,61 +13,13 @@ import (
 	"bandslim/internal/resp"
 )
 
-// verb is the detailed command identity; opcode (the stats/latency bucket)
-// is derived from it. Handshake commands stock clients send (COMMAND, QUIT,
-// SELECT, ECHO) share the opOther bucket.
-type verb int
-
-const (
-	vPing verb = iota
-	vSet
-	vGet
-	vDel
-	vMSet
-	vMGet
-	vScan
-	vInfo
-	vShutdown
-	vEcho
-	vQuit
-	vCommand
-	vSelect
-	vUnknown
-)
-
-// opcodeOf buckets a verb for stats and latency digests.
-func opcodeOf(v verb) opcode {
-	switch v {
-	case vPing:
-		return opPing
-	case vSet:
-		return opSet
-	case vGet:
-		return opGet
-	case vDel:
-		return opDel
-	case vMSet:
-		return opMSet
-	case vMGet:
-		return opMGet
-	case vScan:
-		return opScan
-	case vInfo:
-		return opInfo
-	case vShutdown:
-		return opShutdown
-	default:
-		return opOther
-	}
-}
-
 // classify resolves a command name case-insensitively without allocating
 // (the scratch array stays on the stack and `switch string(...)` does not
 // escape).
-func classify(name []byte) verb {
+func classify(name []byte) opcode {
 	var up [8]byte // longest recognized name: SHUTDOWN
 	if len(name) > len(up) {
-		return vUnknown
+		return opUnknown
 	}
 	for i := 0; i < len(name); i++ {
 		ch := name[i]
@@ -76,33 +30,33 @@ func classify(name []byte) verb {
 	}
 	switch string(up[:len(name)]) {
 	case "PING":
-		return vPing
+		return opPing
 	case "SET":
-		return vSet
+		return opSet
 	case "GET":
-		return vGet
+		return opGet
 	case "DEL":
-		return vDel
+		return opDel
 	case "MSET":
-		return vMSet
+		return opMSet
 	case "MGET":
-		return vMGet
+		return opMGet
 	case "SCAN":
-		return vScan
+		return opScan
 	case "INFO":
-		return vInfo
+		return opInfo
 	case "SHUTDOWN":
-		return vShutdown
+		return opShutdown
 	case "ECHO":
-		return vEcho
+		return opEcho
 	case "QUIT":
-		return vQuit
+		return opQuit
 	case "COMMAND":
-		return vCommand
+		return opCommand
 	case "SELECT":
-		return vSelect
+		return opSelect
 	default:
-		return vUnknown
+		return opUnknown
 	}
 }
 
@@ -110,7 +64,6 @@ func classify(name []byte) verb {
 // slot-owned argument copies (the resp.Reader's views die at the next
 // ReadCommand, so the reader copies into lanes the slot reuses forever).
 type cmd struct {
-	verb verb
 	op   opcode
 	n    int      // argument count, including the command name
 	args [][]byte // lanes; args[i][:] reuses capacity across commands
@@ -129,8 +82,7 @@ func (cm *cmd) capture(args [][]byte) {
 	cm.n = len(args)
 	cm.fail = nil
 	if cm.n > 0 {
-		cm.verb = classify(args[0])
-		cm.op = opcodeOf(cm.verb)
+		cm.op = classify(args[0])
 	}
 }
 
@@ -271,10 +223,34 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// execute serves one burst in order, coalescing runs of simple SETs into a
-// PutBatch and runs of GETs into a GetBatchSparse so the shard fan-out and
-// the NVMe batch path carry pipelined load. Reports whether the connection
-// should close after the flush (QUIT, SHUTDOWN, protocol error).
+// batch is the DB batch a command joins: a write is SET key value or an MSET
+// of whole pairs, a read GET key or an MGET with keys. Anything else, a
+// wrong-arity form included, runs alone.
+type batch int
+
+const (
+	alone batch = iota
+	writes
+	reads
+)
+
+func (cm *cmd) batch() batch {
+	switch {
+	case cm.fail != nil:
+		return alone
+	case cm.op == opSet && cm.n == 3, cm.op == opMSet && cm.n >= 3 && cm.n%2 == 1:
+		return writes
+	case cm.op == opGet && cm.n == 2, cm.op == opMGet && cm.n >= 2:
+		return reads
+	}
+	return alone
+}
+
+// execute serves one burst in order. Each run of writes becomes one
+// PutBatch and each run of reads one GetBatchSparse, so the shard fan-out
+// and the NVMe batch path carry pipelined load; every other command runs
+// alone. Reports whether the connection should close after the flush (QUIT,
+// SHUTDOWN, protocol error).
 func (c *conn) execute(burst []*cmd) (closeAfter bool) {
 	for i := 0; i < len(burst); {
 		cm := burst[i]
@@ -287,84 +263,88 @@ func (c *conn) execute(burst []*cmd) (closeAfter bool) {
 			i++
 			continue
 		}
-		switch {
-		case cm.verb == vSet && cm.n == 3:
-			j := i + 1
-			for j < len(burst) && burst[j].fail == nil && burst[j].verb == vSet && burst[j].n == 3 {
-				j++
-			}
-			c.runSet(burst[i:j])
-			i = j
-		case cm.verb == vGet && cm.n == 2:
-			j := i + 1
-			for j < len(burst) && burst[j].fail == nil && burst[j].verb == vGet && burst[j].n == 2 {
-				j++
-			}
-			c.runGet(burst[i:j])
-			i = j
-		default:
+		b := cm.batch()
+		if b == alone {
 			if c.executeOne(cm) {
 				closeAfter = true
 			}
 			i++
+			continue
 		}
+		j := i + 1
+		for j < len(burst) && burst[j].batch() == b {
+			j++
+		}
+		c.runBatch(burst[i:j], b)
+		i = j
 	}
 	return closeAfter
 }
 
-// runSet serves a coalesced run of SET key value commands as one PutBatch.
-func (c *conn) runSet(run []*cmd) {
-	c.keys = c.keys[:0]
-	c.vals = c.vals[:0]
+// runBatch serves a run of writes as one PutBatch or a run of reads as one
+// GetBatchSparse, then gives each command its own reply: +OK per write, a
+// bulk or null per GET, an array of them per MGET. A failed batch answers
+// every command in the run with the error.
+func (c *conn) runBatch(run []*cmd, b batch) {
+	c.keys, c.vals = c.keys[:0], c.vals[:0]
 	for _, cm := range run {
-		c.keys = append(c.keys, cm.args[1])
-		c.vals = append(c.vals, cm.args[2])
-	}
-	c.s.cmds[opSet].Add(int64(len(run)))
-	if err := c.db.PutBatch(c.keys, c.vals); err != nil {
-		for range run {
-			c.writeDBErr(err)
-		}
-		return
-	}
-	for range run {
-		c.w.Simple("OK")
-	}
-}
-
-// runGet serves a coalesced run of GET key commands as one GetBatchSparse;
-// misses become null bulks, exactly as single GETs would reply.
-func (c *conn) runGet(run []*cmd) {
-	c.keys = c.keys[:0]
-	for _, cm := range run {
-		c.keys = append(c.keys, cm.args[1])
-	}
-	n := len(run)
-	c.get = growLanes(c.get, n)
-	c.miss = growBools(c.miss, n)
-	c.s.cmds[opGet].Add(int64(n))
-	if _, err := c.db.GetBatchSparse(c.keys, c.get, c.miss); err != nil {
-		for range run {
-			c.writeDBErr(err)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		if c.miss[i] {
-			c.w.Null()
+		c.s.cmds[cm.op].Add(1)
+		if b == writes {
+			for i := 1; i < cm.n; i += 2 {
+				c.keys = append(c.keys, cm.args[i])
+				c.vals = append(c.vals, cm.args[i+1])
+			}
 		} else {
-			c.w.Bulk(c.get[i])
+			c.keys = append(c.keys, cm.args[1:cm.n]...)
+		}
+	}
+	var err error
+	if b == writes {
+		err = c.db.PutBatch(c.keys, c.vals)
+	} else {
+		err = c.probe(c.keys)
+	}
+	if err != nil {
+		for range run {
+			c.writeDBErr(err)
+		}
+		return
+	}
+	at := 0
+	for _, cm := range run {
+		if b == writes {
+			c.w.Simple("OK")
+			continue
+		}
+		if cm.op == opMGet {
+			c.w.Array(cm.n - 1)
+		}
+		for end := at + cm.n - 1; at < end; at++ {
+			if c.miss[at] {
+				c.w.Null()
+			} else {
+				c.w.Bulk(c.get[at])
+			}
 		}
 	}
 }
 
-// executeOne serves every non-coalesced command. Reports whether the
+// probe reads keys in one GetBatchSparse into the connection's get and miss
+// lanes. Growing get keeps the lanes it has, whose capacity is reused.
+func (c *conn) probe(keys [][]byte) error {
+	c.get = slices.Grow(c.get[:0], len(keys))[:len(keys)]
+	c.miss = slices.Grow(c.miss[:0], len(keys))[:len(keys)]
+	_, err := c.db.GetBatchSparse(keys, c.get, c.miss)
+	return err
+}
+
+// executeOne serves a command that joins no batch. Reports whether the
 // connection should close after this burst's flush.
 func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
-	c.s.cmds[cm.op].Add(1)
+	c.s.cmds[cm.op.counted()].Add(1)
 	args := cm.args[:cm.n]
-	switch cm.verb {
-	case vPing:
+	switch cm.op {
+	case opPing:
 		switch cm.n {
 		case 1:
 			c.w.Simple("PONG")
@@ -373,17 +353,21 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 		default:
 			c.wrongArity("ping")
 		}
-	case vEcho:
+	case opEcho:
 		if cm.n != 2 {
 			c.wrongArity("echo")
 			break
 		}
 		c.w.Bulk(args[1])
-	case vSet:
+	case opSet:
 		c.wrongArity("set")
-	case vGet:
+	case opGet:
 		c.wrongArity("get")
-	case vDel:
+	case opMSet:
+		c.wrongArity("mset")
+	case opMGet:
+		c.wrongArity("mget")
+	case opDel:
 		if cm.n < 2 {
 			c.wrongArity("del")
 			break
@@ -394,17 +378,12 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 		// read path, instead of a full serial read per key. A missing key
 		// costs one read command, which the device's table filters answer
 		// without a NAND page read.
-		c.keys = c.keys[:0]
-		c.keys = append(c.keys, args[1:]...)
-		n := len(c.keys)
-		c.get = growLanes(c.get, n)
-		c.miss = growBools(c.miss, n)
-		if _, err := c.db.GetBatchSparse(c.keys, c.get, c.miss); err != nil {
+		if err := c.probe(args[1:]); err != nil {
 			c.writeDBErr(err)
 			return false
 		}
 		removed := 0
-		for i, key := range c.keys {
+		for i, key := range args[1:] {
 			if c.miss[i] {
 				continue
 			}
@@ -415,58 +394,20 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 			removed++
 		}
 		c.w.Int(int64(removed))
-	case vMSet:
-		if cm.n < 3 || cm.n%2 == 0 {
-			c.wrongArity("mset")
-			break
-		}
-		c.keys = c.keys[:0]
-		c.vals = c.vals[:0]
-		for i := 1; i < cm.n; i += 2 {
-			c.keys = append(c.keys, args[i])
-			c.vals = append(c.vals, args[i+1])
-		}
-		if err := c.db.PutBatch(c.keys, c.vals); err != nil {
-			c.writeDBErr(err)
-			break
-		}
-		c.w.Simple("OK")
-	case vMGet:
-		if cm.n < 2 {
-			c.wrongArity("mget")
-			break
-		}
-		c.keys = c.keys[:0]
-		c.keys = append(c.keys, args[1:]...)
-		n := len(c.keys)
-		c.get = growLanes(c.get, n)
-		c.miss = growBools(c.miss, n)
-		if _, err := c.db.GetBatchSparse(c.keys, c.get, c.miss); err != nil {
-			c.writeDBErr(err)
-			break
-		}
-		c.w.Array(n)
-		for i := 0; i < n; i++ {
-			if c.miss[i] {
-				c.w.Null()
-			} else {
-				c.w.Bulk(c.get[i])
-			}
-		}
-	case vScan:
+	case opScan:
 		c.scan(cm)
-	case vInfo:
+	case opInfo:
 		c.infoReply()
-	case vShutdown:
+	case opShutdown:
 		c.w.Simple("OK")
 		c.s.beginShutdown()
 		closeAfter = true
-	case vQuit:
+	case opQuit:
 		c.w.Simple("OK")
 		closeAfter = true
-	case vCommand:
+	case opCommand:
 		c.w.Array(0) // enough for redis-cli's handshake probe
-	case vSelect:
+	case opSelect:
 		c.w.Simple("OK") // single keyspace; accept and ignore
 	default:
 		c.s.errs.Add(1)
@@ -487,7 +428,7 @@ func (c *conn) scan(cm *cmd) {
 	}
 	count := 10
 	if cm.n == 4 {
-		if classifyOption(args[2]) != "count" {
+		if !bytes.EqualFold(args[2], []byte("count")) {
 			c.s.errs.Add(1)
 			c.w.Error("ERR syntax error")
 			return
@@ -598,45 +539,4 @@ func (c *conn) writeDBErr(err error) {
 		return
 	}
 	c.w.Error("ERR " + err.Error())
-}
-
-// classifyOption lowercases a short option token on the stack.
-func classifyOption(b []byte) string {
-	var low [8]byte
-	if len(b) > len(low) {
-		return ""
-	}
-	for i := 0; i < len(b); i++ {
-		ch := b[i]
-		if 'A' <= ch && ch <= 'Z' {
-			ch += 'a' - 'A'
-		}
-		low[i] = ch
-	}
-	switch string(low[:len(b)]) {
-	case "count":
-		return "count"
-	case "match":
-		return "match"
-	}
-	return ""
-}
-
-// growLanes resizes a slice-of-lanes to n entries, keeping existing lane
-// buffers so their capacity keeps being reused.
-func growLanes(s [][]byte, n int) [][]byte {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([][]byte, n)
-	copy(out, s)
-	return out
-}
-
-// growBools resizes a bool scratch to n entries.
-func growBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
 }

@@ -7,12 +7,13 @@
 // ring of preallocated command slots. The reader acquires a slot before it
 // parses — when all slots are in flight it stops reading, which propagates
 // backpressure to the client through TCP flow control. The writer drains
-// every queued slot per wakeup and coalesces the burst: consecutive SETs
-// become one PutBatch, consecutive GETs one GetBatchSparse, split into shard
-// lanes by the DB batch path and run inline on the writer goroutine
-// one shard lock at a time (so two connections' bursts interleave shard by
-// shard), with a single output flush per burst. Pipelined clients therefore
-// get batch-path service automatically.
+// every queued slot per wakeup and coalesces the burst: each run of writes
+// (SET, MSET) becomes one PutBatch and each run of reads (GET, MGET) one
+// GetBatchSparse, the DB's one batch read, whose miss flags become null
+// replies. The DB splits a batch into shard lanes and runs them inline on the
+// writer goroutine one shard lock at a time (so two connections' bursts
+// interleave shard by shard), with a single output flush per burst.
+// Pipelined clients therefore get batch-path service automatically.
 //
 // Clocking is hybrid, after OpenCXD: the network edge (accept, parse, reply)
 // runs on the wall clock and feeds wall-time latency digests, while the
@@ -54,8 +55,9 @@ type Config struct {
 // DefaultWindow is the per-connection in-flight command window.
 const DefaultWindow = 128
 
-// opcode indexes the command dispatch table and the per-opcode latency
-// digests.
+// opcode is a command's identity. The counted commands come first, each with
+// its own counter and latency digest; the handshake commands stock clients
+// send, and unknown names, follow opOther and share its counter and digest.
 type opcode int
 
 const (
@@ -68,12 +70,22 @@ const (
 	opScan
 	opInfo
 	opShutdown
-	opOther // handshake commands (COMMAND, QUIT, SELECT, ECHO) and unknowns
-	numOpcodes
+	opOther
+	opEcho
+	opQuit
+	opCommand
+	opSelect
+	opUnknown
 )
 
+// numCounted sizes the per-opcode counters and latency digests.
+const numCounted = opOther + 1
+
+// counted is the counter and digest op is booked under.
+func (op opcode) counted() opcode { return min(op, opOther) }
+
 // opNames label the per-opcode latency histogram families.
-var opNames = [numOpcodes]string{
+var opNames = [numCounted]string{
 	"ping", "set", "get", "del", "mset", "mget", "scan", "info", "shutdown", "other",
 }
 
@@ -100,7 +112,7 @@ type Server struct {
 	// update them without a lock.
 	accepted atomic.Int64
 	active   atomic.Int64
-	cmds     [numOpcodes]atomic.Int64
+	cmds     [numCounted]atomic.Int64
 	errs     atomic.Int64
 	stalls   atomic.Int64
 	bytesIn  atomic.Int64
@@ -110,7 +122,7 @@ type Server struct {
 	// by connection writers under latMu (Observe is alloc-free, so the
 	// critical section is tiny).
 	latMu sync.Mutex
-	lat   [numOpcodes]*metrics.Histogram
+	lat   [numCounted]*metrics.Histogram
 }
 
 // New validates cfg and returns an unstarted server.
@@ -295,7 +307,7 @@ func (s *Server) Stats() bandslim.ServerStats {
 // observeLatency records one wall-clock parse-to-reply sample.
 func (s *Server) observeLatency(op opcode, d time.Duration) {
 	s.latMu.Lock()
-	s.lat[op].Observe(float64(d.Nanoseconds()))
+	s.lat[op.counted()].Observe(float64(d.Nanoseconds()))
 	s.latMu.Unlock()
 }
 
@@ -316,8 +328,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	s.latMu.Lock()
-	hists := make([]timeseries.Hist, 0, numOpcodes)
-	for op := opcode(0); op < numOpcodes; op++ {
+	hists := make([]timeseries.Hist, 0, numCounted)
+	for op := opcode(0); op < numCounted; op++ {
 		if s.lat[op].Count() == 0 {
 			continue
 		}

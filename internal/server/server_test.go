@@ -640,6 +640,24 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 		run(t, db, newBurst(templates...), templates)
 	})
 
+	t.Run("mset_mget_pipeline", func(t *testing.T) {
+		cfg := bandslim.DefaultConfig()
+		cfg.DisableNAND = true
+		db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		templates := [][][]byte{
+			args("MSET", "mk00", "steady-value", "mk01", "steady-value", "mk02", "steady-value"),
+			args("SET", "mk03", "steady-value"),
+			args("MGET", "mk00", "mk01", "absent", "mk03"),
+			args("GET", "mk02"),
+			args("MGET", "mk01"),
+		}
+		run(t, db, newBurst(templates...), templates)
+	})
+
 	t.Run("get_pipeline", func(t *testing.T) {
 		db := testDB(t, 2)
 		defer db.Close()
@@ -657,6 +675,86 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 		}
 		run(t, db, newBurst(templates...), templates)
 	})
+}
+
+// TestBurstMatchesOnePerBurst is the batch path's differential check: one
+// burst that mixes writes, reads, DEL, PING and a wrong-arity MSET must give,
+// byte for byte, the replies and ServerStats of the same commands sent one
+// per burst, and those replies must be the ones listed here. The reads hit,
+// miss, and read keys written earlier in the same burst, so a run that
+// reorders, merges or drops replies fails it.
+func TestBurstMatchesOnePerBurst(t *testing.T) {
+	script := [][]string{
+		{"SET", "a", "1"},
+		{"MSET", "b", "2", "c", "3"},
+		{"SET", "a", "4"},
+		{"GET", "a"},
+		{"MGET", "b", "nope", "c"},
+		{"GET", "nope"},
+		{"MSET", "d"},
+		{"MGET", "c", "d"},
+		{"DEL", "b", "nope"},
+		{"PING"},
+		{"GET", "b"},
+		{"MSET", "e", "5", "f", "6"},
+		{"SET", "g", "7"},
+		{"MGET", "e", "g", "a"},
+		{"GET", "f"},
+	}
+	const want = "+OK\r\n+OK\r\n+OK\r\n" +
+		"$1\r\n4\r\n" +
+		"*3\r\n$1\r\n2\r\n$-1\r\n$1\r\n3\r\n" +
+		"$-1\r\n" +
+		"-ERR wrong number of arguments for 'mset' command\r\n" +
+		"*2\r\n$1\r\n3\r\n$-1\r\n" +
+		":1\r\n" +
+		"+PONG\r\n" +
+		"$-1\r\n" +
+		"+OK\r\n+OK\r\n" +
+		"*3\r\n$1\r\n5\r\n$1\r\n7\r\n$1\r\n4\r\n" +
+		"$1\r\n6\r\n"
+	// run serves the script in bursts of size commands and returns the
+	// replies and the server counters.
+	run := func(size int) (string, bandslim.ServerStats) {
+		db := testDB(t, 2)
+		defer db.Close()
+		s, err := New(Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		c := &conn{s: s, db: db, w: resp.NewWriter(&out)}
+		for at := 0; at < len(script); at += size {
+			var burst []*cmd
+			for _, line := range script[at:min(at+size, len(script))] {
+				cm := &cmd{}
+				args := make([][]byte, len(line))
+				for i, a := range line {
+					args[i] = []byte(a)
+				}
+				cm.capture(args)
+				burst = append(burst, cm)
+			}
+			if c.execute(burst) {
+				t.Fatal("burst requested close")
+			}
+		}
+		if err := c.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), s.Stats()
+	}
+	single, singleStats := run(1)
+	if single != want {
+		t.Fatalf("one command per burst replied\n%q\nwant\n%q", single, want)
+	}
+	burst, burstStats := run(len(script))
+	if burst != single {
+		t.Errorf("one burst replied\n%q\none command per burst replied\n%q", burst, single)
+	}
+	if burstStats != singleStats {
+		t.Errorf("one burst counted %+v\none command per burst counted %+v", burstStats, singleStats)
+	}
 }
 
 // TestDelCommandBudget pins the NVMe cost of the DEL existence probe: once

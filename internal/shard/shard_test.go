@@ -10,6 +10,7 @@ import (
 
 	"bandslim/internal/device"
 	"bandslim/internal/driver"
+	"bandslim/internal/fault"
 	"bandslim/internal/nand"
 )
 
@@ -71,10 +72,16 @@ func TestShardPutGetDelete(t *testing.T) {
 	}
 }
 
-// The stack wires Submission into the driver's batch pair: lanes select key
-// subsets, a nil miss is strict, a non-nil miss absorbs absent keys, and the
-// serial and windowed paths land identical results.
+// The stack wires Submission into the driver's batch read: lanes select key
+// subsets, an absent key sets its miss flag, a failed batch leaves the window
+// empty, and the serial and windowed paths land identical results.
 func TestStackBatchLanes(t *testing.T) {
+	// Every read transfer fails transiently, more often than the retries
+	// absorb.
+	plan, err := fault.ParsePlan("dma.out every=1 transient")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, depth := range []int{1, 8} {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			o := testOptions()
@@ -96,28 +103,29 @@ func TestStackBatchLanes(t *testing.T) {
 			if err := d.PutBatch(keys, vals, even); err != nil {
 				t.Fatal(err)
 			}
-			// Strict over the written lane: every lane fills, odd lanes stay
+			// Over the written lane: every lane fills, odd lanes stay
 			// untouched.
 			got := make([][]byte, len(keys))
-			if err := d.GetBatch(keys, got, nil, even); err != nil {
+			miss := make([]bool, len(keys))
+			if err := d.GetBatch(keys, got, miss, even); err != nil {
 				t.Fatal(err)
 			}
 			for i := range keys {
-				if i%2 == 0 && !bytes.Equal(got[i], vals[i]) {
-					t.Fatalf("lane %d = %x", i, got[i])
+				if i%2 == 0 && (miss[i] || !bytes.Equal(got[i], vals[i])) {
+					t.Fatalf("lane %d = %x, miss %v", i, got[i], miss[i])
 				}
 				if i%2 == 1 && got[i] != nil {
 					t.Fatalf("lane %d outside the batch was written", i)
 				}
 			}
-			// Strict over everything: the first absent key fails the batch.
-			if err := d.GetBatch(keys, got, nil, nil); err == nil {
-				t.Fatal("strict GetBatch over absent keys succeeded")
+			s.Dev.SetInjector(fault.NewInjector(plan, 0))
+			if err := d.GetBatch(keys, got, miss, even); err == nil {
+				t.Fatal("a batch whose reads fail past the retry budget succeeded")
 			}
-			// Sparse over everything, three times. At depth 8 these batches
-			// keep the whole window in flight, so a read the failed batch left
+			s.Dev.SetInjector(nil)
+			// Over everything, three times. At depth 8 these batches keep
+			// the whole window in flight, so a read the failed batch left
 			// there would fail them.
-			miss := make([]bool, len(keys))
 			for r := 0; r < 3; r++ {
 				if err := d.GetBatch(keys, got, miss, nil); err != nil {
 					t.Fatal(err)

@@ -19,6 +19,7 @@ package timeseries
 
 import (
 	"fmt"
+	"slices"
 
 	"bandslim/internal/metrics"
 	"bandslim/internal/sim"
@@ -45,15 +46,38 @@ const (
 	AggMax
 	// AggMean averages readings over all shards (utilizations).
 	AggMean
+	// AggWeighted averages readings weighted by each shard's reading of the
+	// column Desc.Weight names (see WeightedMean).
+	AggWeighted
 )
 
 // Desc declares one scalar metric: its series/CSV column name (snake_case,
 // unprefixed), kind, cross-shard aggregation, and Prometheus HELP text.
+// Weight names the weight column of an AggWeighted metric.
 type Desc struct {
-	Name string
-	Kind Kind
-	Agg  Agg
-	Help string
+	Name   string
+	Kind   Kind
+	Agg    Agg
+	Help   string
+	Weight string
+}
+
+// WeightedMean is AggWeighted's fold of per-shard readings vs under weights
+// ws: sum(v·w)/sum(w), 0 when no shard has weight, and a lone reading as it
+// is.
+func WeightedMean(vs, ws []float64) float64 {
+	if len(vs) == 1 {
+		return vs[0]
+	}
+	var sum, weight float64
+	for i, v := range vs {
+		sum += v * ws[i]
+		weight += ws[i]
+	}
+	if weight == 0 {
+		return 0
+	}
+	return sum / weight
 }
 
 // HistKey identifies one latency distribution: a metric family name plus an
@@ -205,6 +229,13 @@ func MergeSnapshots(descs []Desc, snaps []Snapshot) Snapshot {
 				vals[i] += sn.Values[i]
 			}
 			vals[i] /= float64(len(snaps))
+		case AggWeighted:
+			w := slices.IndexFunc(descs, func(o Desc) bool { return o.Name == d.Weight })
+			vs, ws := make([]float64, len(snaps)), make([]float64, len(snaps))
+			for j, sn := range snaps {
+				vs[j], ws[j] = sn.Values[i], sn.Values[w]
+			}
+			vals[i] = WeightedMean(vs, ws)
 		}
 	}
 	var keys []HistKey

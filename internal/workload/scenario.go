@@ -80,15 +80,6 @@ type ScenarioConfig struct {
 	Ops int
 	// Seed drives every random choice the scenario makes.
 	Seed uint64
-	// Theta is the Zipfian exponent for skewed key choice (0 = 0.99, the
-	// YCSB default operating point).
-	Theta float64
-	// ValueMin and ValueMax bound the uniform value-size draw
-	// (0, 0 = 64..1024 bytes).
-	ValueMin, ValueMax int
-	// ScanMax caps scan lengths, drawn uniformly from [1, ScanMax]
-	// (0 = 64).
-	ScanMax int
 	// Shifts re-seat the zipfian head mid-run, keyed on run-phase op index.
 	Shifts HotShifts
 }
@@ -132,35 +123,22 @@ func (hs HotShifts) Offset(i int) int {
 	return off
 }
 
-// withDefaults fills the zero-value knobs.
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Theta == 0 {
-		c.Theta = 0.99
-	}
-	if c.ValueMin == 0 && c.ValueMax == 0 {
-		c.ValueMin, c.ValueMax = 64, 1024
-	}
-	if c.ScanMax == 0 {
-		c.ScanMax = 64
-	}
-	return c
-}
+// The scenario shape every caller runs: the YCSB default Zipfian exponent,
+// uniform value sizes of valueMin..valueMax bytes, and scan lengths drawn
+// uniformly from [1, scanMax].
+const (
+	theta              = 0.99
+	valueMin, valueMax = 64, 1024
+	scanMax            = 64
+)
 
 // Validate checks the configuration's invariants.
 func (c ScenarioConfig) Validate() error {
-	c = c.withDefaults()
 	if c.Records < 1 {
 		return fmt.Errorf("workload: scenario needs Records >= 1, got %d", c.Records)
 	}
 	if c.Ops < 0 {
 		return fmt.Errorf("workload: negative Ops %d", c.Ops)
-	}
-	if c.ValueMin < 1 || c.ValueMax < c.ValueMin {
-		return fmt.Errorf("workload: need 1 <= ValueMin <= ValueMax, got %d..%d",
-			c.ValueMin, c.ValueMax)
-	}
-	if c.ScanMax < 1 {
-		return fmt.Errorf("workload: ScanMax must be >= 1, got %d", c.ScanMax)
 	}
 	return c.Shifts.Validate()
 }
@@ -254,7 +232,6 @@ func NewScenario(name string, cfg ScenarioConfig) (*YCSB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	cum := make([]float64, len(classes))
 	sum := 0.0
 	for i, c := range classes {
@@ -262,7 +239,7 @@ func NewScenario(name string, cfg ScenarioConfig) (*YCSB, error) {
 		cum[i] = sum
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	zipf, err := NewZipfian(cfg.Records, cfg.Theta, rng.Split().Uint64())
+	zipf, err := NewZipfian(cfg.Records, theta, rng.Split().Uint64())
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +287,7 @@ func (y *YCSB) chooseKey(c opClass, i int) int {
 
 // valueSize draws a run-phase value size.
 func (y *YCSB) valueSize() int {
-	return y.cfg.ValueMin + y.rng.Intn(y.cfg.ValueMax-y.cfg.ValueMin+1)
+	return valueMin + y.rng.Intn(valueMax-valueMin+1)
 }
 
 // Next implements Scenario.
@@ -342,7 +319,7 @@ func (y *YCSB) Next() (ScenarioOp, bool) {
 		y.count++
 	case class.kind == OpScan:
 		op.Key = scenarioKey(y.chooseKey(class, idx))
-		op.N = 1 + y.rng.Intn(y.cfg.ScanMax)
+		op.N = 1 + y.rng.Intn(scanMax)
 	case class.kind == OpPut || class.kind == OpRMW:
 		op.Key = scenarioKey(y.chooseKey(class, idx))
 		op.N = y.valueSize()

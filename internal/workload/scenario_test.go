@@ -44,7 +44,6 @@ func TestNewScenarioValidation(t *testing.T) {
 	bad := []ScenarioConfig{
 		{Records: 0, Ops: 10},
 		{Records: 10, Ops: -1},
-		{Records: 10, Ops: 10, ValueMin: 8, ValueMax: 4},
 		{Records: 10, Ops: 10, Shifts: HotShifts{{Rotate: -1}}},
 	}
 	for i, cfg := range bad {

@@ -45,7 +45,10 @@ func OpenSharded(cfg ShardedConfig) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bandslim: %w", err)
 	}
-	opts := stackOptions(cfg.PerShard)
+	opts, err := stackOptions(cfg.PerShard)
+	if err != nil {
+		return nil, fmt.Errorf("bandslim: %w", err)
+	}
 	db := &DB{shards: make([]*dbShard, cfg.Shards), part: part,
 		rows: exportedRows(cfg.PerShard.Faults != nil, opts.Device.Cache.DeviceEnabled())}
 	db.descs = rowDescs(db.rows)

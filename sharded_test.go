@@ -312,28 +312,15 @@ func TestShardedWindowStorm(t *testing.T) {
 			vals := make([][]byte, nkeys)
 			miss := make([]bool, nkeys)
 			for round := 0; round < 25; round++ {
-				if g%2 == 0 {
-					out, err := s.GetBatch(keys, vals)
-					if err != nil {
-						t.Errorf("storm GetBatch: %v", err)
+				out, err := s.GetBatchSparse(keys, vals, miss)
+				if err != nil {
+					t.Errorf("storm GetBatchSparse: %v", err)
+					return
+				}
+				for i := range out {
+					if miss[i] || len(out[i]) != 96 || out[i][0] != byte(i) {
+						t.Errorf("storm GetBatchSparse: key %d missing or holds %d bytes", i, len(out[i]))
 						return
-					}
-					for i := range out {
-						if len(out[i]) != 96 || out[i][0] != byte(i) {
-							t.Errorf("storm GetBatch: key %d holds %d bytes", i, len(out[i]))
-							return
-						}
-					}
-				} else {
-					if _, err := s.GetBatchSparse(keys, vals, miss); err != nil {
-						t.Errorf("storm GetBatchSparse: %v", err)
-						return
-					}
-					for i := range miss {
-						if miss[i] {
-							t.Errorf("storm GetBatchSparse: key %d reported missing", i)
-							return
-						}
 					}
 				}
 			}

@@ -154,7 +154,7 @@ type Stats struct {
 // Stats aggregates a point-in-time snapshot across the shards: counters and
 // byte ledgers sum exactly, latency distributions merge exactly (see
 // metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
-// BufferUtil is the flush-weighted mean. Shards are snapshotted one after
+// BufferUtil is the flush-weighted mean, as in the exposition and the series. Shards are snapshotted one after
 // another, each under its own lock. It stays readable after Close.
 func (db *DB) Stats() Stats {
 	if len(db.shards) == 1 {
@@ -164,7 +164,7 @@ func (db *DB) Stats() Stats {
 	}
 	var out Stats
 	write, read := metrics.NewHistogram(), metrics.NewHistogram()
-	var weighted float64
+	var utils, flushes []float64
 	db.peek(func(_ int, sh *dbShard) {
 		p := stackStats(sh.st)
 		write.Merge(sh.st.Drv.Stats().WriteResponse)
@@ -177,14 +177,13 @@ func (db *DB) Stats() Stats {
 		out.Host.Elapsed = max(out.Host.Elapsed, p.Host.Elapsed)
 		// VLogFlushes is the page buffer's flushed-page count: the weight of
 		// the shard's BufferUtil.
-		weighted += p.Device.BufferUtil * float64(p.Device.VLogFlushes)
+		utils = append(utils, p.Device.BufferUtil)
+		flushes = append(flushes, float64(p.Device.VLogFlushes))
 	})
 	out.Host.WriteResp = latencySummary(write)
 	out.Host.ReadResp = latencySummary(read)
 	out.Host.ThroughputKops = throughputKops(out.Host)
-	if out.Device.VLogFlushes > 0 {
-		out.Device.BufferUtil = weighted / float64(out.Device.VLogFlushes)
-	}
+	out.Device.BufferUtil = timeseries.WeightedMean(utils, flushes)
 	out.Trace = db.rings.health()
 	return out
 }
@@ -345,8 +344,9 @@ var baseRows = []row{
 		func(s *Stats) *int64 { return &s.Adaptive.Hybrid }, func(st *shard.Stack) int64 { return st.Drv.Stats().HybridChosen.Value() }),
 	gauge("sim_time_ns", timeseries.AggMax, "Simulated time of the snapshot, ns.",
 		nil, func(st *shard.Stack) float64 { return float64(st.Clock.Now()) }),
-	gauge("buffer_util", timeseries.AggMean, "Payload bytes per flushed NAND byte in the vLog page buffer.",
-		nil, func(st *shard.Stack) float64 { return st.Dev.Buffer().Utilization() }),
+	{Desc: timeseries.Desc{Name: "buffer_util", Kind: timeseries.KindGauge, Agg: timeseries.AggWeighted, Weight: "vlog_flushes",
+		Help: "Payload bytes per flushed NAND byte in the vLog page buffer."},
+		live: func(st *shard.Stack) float64 { return st.Dev.Buffer().Utilization() }},
 	gauge("buffer_wp", timeseries.AggSum, "Page-buffer write pointer (vLog byte offset).",
 		nil, func(st *shard.Stack) float64 { return float64(st.Dev.Buffer().WP()) }),
 	gauge("buffer_frontier", timeseries.AggSum, "Page-buffer placement frontier (vLog byte offset).",

@@ -177,17 +177,74 @@ func TestShardedStatsFoldEveryRow(t *testing.T) {
 	if agg.Host.Elapsed != maxElapsed {
 		t.Errorf("Elapsed: aggregate %v, max shard %v", agg.Host.Elapsed, maxElapsed)
 	}
-	// buffer_util has two aggregations today, pinned here as they are: Stats
-	// weights each shard by the pages it flushed, the exposition's AggMean
-	// row averages the shards unweighted. Unifying them changes exported
-	// numbers, so it is a behaviour change for a later PR, not a refactor.
-	if want := weighted / float64(agg.Device.VLogFlushes); agg.Device.BufferUtil != want {
+	// Stats and the exposition both weight each shard by the pages it
+	// flushed.
+	want := weighted / float64(agg.Device.VLogFlushes)
+	if agg.Device.BufferUtil != want {
 		t.Errorf("Stats BufferUtil = %v, want the flush-weighted mean %v", agg.Device.BufferUtil, want)
 	}
-	if got, want := expositionValue(t, s, "buffer_util"), unweighted/float64(len(parts)); got != want {
-		t.Errorf("exposition buffer_util = %v, want the unweighted mean %v", got, want)
+	if got := expositionValue(t, s, "buffer_util"); got != want {
+		t.Errorf("exposition buffer_util = %v, want the flush-weighted mean %v", got, want)
 	}
-	if agg.Device.BufferUtil == unweighted/float64(len(parts)) {
-		t.Error("the shards flushed equal page counts: the two buffer_util aggregations cannot be told apart")
+	if want == unweighted/float64(len(parts)) {
+		t.Error("the shards flushed equal page counts: a plain mean would pass too")
+	}
+}
+
+// On a 2-shard DB whose shards flush different page counts at different
+// utilizations, Stats, the exposition and every sample of the merged series
+// report buffer_util as the flush-weighted mean of the shards.
+func TestBufferUtilFlushWeighted(t *testing.T) {
+	s := openSharded(t, 2, func(c *Config) { c.MetricsInterval = 200 * SimMicrosecond })
+	for i := 0; i < 3000; i++ {
+		size := 20
+		switch {
+		case i%7 == 0:
+			size = 3000
+		case i%3 == 0:
+			size = 300
+		}
+		if err := s.Put([]byte(fmt.Sprintf("u%05d", i)), make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p0, p1 := s.ShardStats(0).Device, s.ShardStats(1).Device
+	if p0.VLogFlushes == p1.VLogFlushes || p0.BufferUtil == p1.BufferUtil {
+		t.Fatalf("shards too balanced to tell a weighted mean from a plain one: %+v / %+v", p0, p1)
+	}
+	want := (p0.BufferUtil*float64(p0.VLogFlushes) + p1.BufferUtil*float64(p1.VLogFlushes)) / float64(p0.VLogFlushes+p1.VLogFlushes)
+	if got := s.Stats().Device.BufferUtil; got != want {
+		t.Errorf("Stats BufferUtil = %v, want %v", got, want)
+	}
+	if got := expositionValue(t, s, "buffer_util"); got != want {
+		t.Errorf("exposition buffer_util = %v, want %v", got, want)
+	}
+
+	merged := s.Series()
+	util := slices.IndexFunc(merged.Descs, func(d timeseries.Desc) bool { return d.Name == "buffer_util" })
+	flushes := slices.IndexFunc(merged.Descs, func(d timeseries.Desc) bool { return d.Name == "vlog_flushes" })
+	parts := []timeseries.Series{s.shards[0].sampler.Series(), s.shards[1].sampler.Series()}
+	weighted := 0
+	for k, sm := range merged.Samples {
+		var sum, weight float64
+		for _, p := range parts {
+			v := p.Samples[min(k, len(p.Samples)-1)].Values
+			sum += v[util] * v[flushes]
+			weight += v[flushes]
+		}
+		want := 0.0
+		if weight > 0 {
+			want = sum / weight
+			weighted++
+		}
+		if sm.Values[util] != want {
+			t.Fatalf("series sample %d: buffer_util %v, want %v", k, sm.Values[util], want)
+		}
+	}
+	if weighted == 0 {
+		t.Fatal("no series sample saw a flush")
 	}
 }

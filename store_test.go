@@ -53,7 +53,6 @@ func TestStoreAfterClose(t *testing.T) {
 				{"Get", one(db.Get(key))},
 				{"GetInto", one(db.GetInto(key, nil))},
 				{"PutBatch", db.PutBatch(keys, keys)},
-				{"GetBatch", one(db.GetBatch(keys, nil))},
 				{"GetBatchSparse", one(db.GetBatchSparse(keys, nil, make([]bool, 1)))},
 				{"Delete", db.Delete(key)},
 				{"NewIterator", one(db.NewIterator(nil))},
@@ -229,8 +228,7 @@ func TestNowAndVLogFreeBytesBesideWriter(t *testing.T) {
 }
 
 // storeScript drives one fixed op sequence through st: point ops, PutBatch,
-// strict and sparse batch reads at st's window depth with absent keys
-// (repeated), a scan, and — when the
+// batch reads at st's window depth with absent keys (repeated), a scan, and — when the
 // config arms a fault plan — Recover after every power cut. It reports how
 // many recoveries it performed.
 func storeScript(t *testing.T, st *DB) (recoveries int) {
@@ -283,8 +281,6 @@ func storeScript(t *testing.T, st *DB) (recoveries int) {
 		probe = append(probe, key(i))
 	}
 	lanes, miss := make([][]byte, len(probe)), make([]bool, len(probe))
-	_, err := st.GetBatch(bkeys, lanes[:len(bkeys)])
-	must("GetBatch", err)
 	for round := 0; round < 3; round++ {
 		_, err := st.GetBatchSparse(probe, lanes, miss)
 		must("GetBatchSparse", err)
@@ -293,11 +289,6 @@ func storeScript(t *testing.T, st *DB) (recoveries int) {
 				t.Fatalf("miss[%d] = %v", i, miss[i])
 			}
 		}
-	}
-	if _, err = st.GetBatch(probe, lanes); err == nil {
-		t.Fatal("strict GetBatch over absent keys succeeded")
-	} else if !IsNotFound(err) {
-		must("strict GetBatch", err)
 	}
 
 	it, err := st.NewIterator(key(50))
