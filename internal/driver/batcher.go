@@ -16,10 +16,9 @@ import (
 // PutBatch flushes before it returns, so its records are durable; the
 // ablation-batch experiment drives one directly to measure the window.
 type Batcher struct {
-	d       *Driver
-	maxOps  int
-	maxSize int
-	keys    [][]byte
+	d      *Driver
+	maxOps int
+	keys   [][]byte
 	// keyArena backs every buffered key in one contiguous allocation; keys
 	// holds sub-slices into it. This removes the per-Put key copy allocation
 	// (one arena append instead of a fresh []byte per record).
@@ -43,15 +42,23 @@ func (d *Driver) NewBatcher(maxOps int) (*Batcher, error) {
 		return nil, fmt.Errorf("driver: batch size must be >= 1")
 	}
 	// Preallocate from the size hints so steady-state Put never grows: the
-	// payload is bounded by maxSize and the arena by maxOps full-size keys.
+	// payload is bounded by batchCapacity and the arena by maxOps full-size keys.
 	return &Batcher{
 		d:        d,
 		maxOps:   maxOps,
-		maxSize:  MaxValueSize - 4096,
 		keys:     make([][]byte, 0, maxOps),
 		keyArena: make([]byte, 0, maxOps*nvme.MaxKeySize),
-		payload:  make([]byte, 0, MaxValueSize-4096),
+		payload:  make([]byte, 0, batchCapacity),
 	}, nil
+}
+
+// batchCapacity bounds one bulk write's payload.
+const batchCapacity = MaxValueSize - 4096
+
+// Batchable reports whether Put accepts the record: a key of 1 to
+// nvme.MaxKeySize bytes whose framed record fits one batch payload.
+func Batchable(key, value []byte) bool {
+	return len(key) > 0 && len(key) <= nvme.MaxKeySize && device.BatchRecordOverhead+len(key)+len(value) <= batchCapacity
 }
 
 // Stats exposes the batching tallies.
@@ -64,10 +71,10 @@ func (b *Batcher) Put(key, value []byte) error {
 		return fmt.Errorf("driver: batch key length %d out of range", len(key))
 	}
 	need := device.BatchRecordOverhead + len(key) + len(value)
-	if need > b.maxSize {
+	if need > batchCapacity {
 		return fmt.Errorf("driver: record of %d bytes exceeds batch capacity", need)
 	}
-	if len(b.payload)+need > b.maxSize {
+	if len(b.payload)+need > batchCapacity {
 		if err := b.Flush(); err != nil {
 			return err
 		}
@@ -157,7 +164,8 @@ func span(keys [][]byte, lane []int) int {
 
 // PutBatch writes the lane-indexed subset of keys/values (nil lane = all)
 // through the host-side batcher as bulk OpKVBatchWrite commands and flushes,
-// so every accepted record is durable on return.
+// so every accepted record is durable on return. A refused record discards
+// the records buffered before it, which were never acknowledged.
 func (d *Driver) PutBatch(keys, values [][]byte, lane []int) error {
 	if d.batch == nil {
 		b, err := d.NewBatcher(DefaultBatchOps)
@@ -169,6 +177,7 @@ func (d *Driver) PutBatch(keys, values [][]byte, lane []int) error {
 	for n, total := 0, span(keys, lane); n < total; n++ {
 		i := at(lane, n)
 		if err := d.batch.Put(keys[i], values[i]); err != nil {
+			d.batch.discard()
 			return err
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"bandslim/internal/device"
 )
 
 func TestBatcherValidation(t *testing.T) {
@@ -23,6 +25,43 @@ func TestBatcherValidation(t *testing.T) {
 	}
 	if err := b.Put([]byte("k"), make([]byte, 1<<20)); err == nil {
 		t.Fatal("oversized record accepted")
+	}
+	// Batchable is Put's acceptance test, without buffering anything.
+	for _, rec := range []struct {
+		key, value []byte
+		ok         bool
+	}{
+		{nil, []byte("v"), false},
+		{make([]byte, 17), []byte("v"), false},
+		{[]byte("k"), make([]byte, 1<<20), false},
+		{make([]byte, 16), make([]byte, batchCapacity-device.BatchRecordOverhead-16), true},
+		{make([]byte, 16), make([]byte, batchCapacity-device.BatchRecordOverhead-15), false},
+	} {
+		if got := Batchable(rec.key, rec.value); got != rec.ok {
+			t.Errorf("Batchable(%d-byte key, %d-byte value) = %v, want %v", len(rec.key), len(rec.value), got, rec.ok)
+		}
+		if err := b.Put(rec.key, rec.value); (err == nil) != rec.ok {
+			t.Errorf("Put(%d-byte key, %d-byte value) = %v, Batchable says %v", len(rec.key), len(rec.value), err, rec.ok)
+		}
+	}
+}
+
+// A record PutBatch refuses must not leave the records buffered before it
+// to ride out with the next batch: the caller was told the batch failed.
+func TestPutBatchRefusalDiscardsBuffered(t *testing.T) {
+	d, _, _ := newStack(t, MethodBaseline, true)
+	keys := [][]byte{[]byte("early"), make([]byte, 17)}
+	if err := d.PutBatch(keys, [][]byte{[]byte("v"), []byte("v")}, nil); err == nil {
+		t.Fatal("PutBatch accepted a 17-byte key")
+	}
+	if err := d.PutBatch([][]byte{[]byte("later")}, [][]byte{[]byte("w")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Get([]byte("later")); err != nil {
+		t.Fatalf("later: %v", err)
+	}
+	if _, err := d.Get([]byte("early")); err == nil {
+		t.Fatal("a record of the refused batch became durable with the next one")
 	}
 }
 

@@ -10,54 +10,18 @@ import (
 	"time"
 
 	"bandslim"
+	"bandslim/internal/driver"
 	"bandslim/internal/resp"
 )
 
-// classify resolves a command name case-insensitively without allocating
-// (the scratch array stays on the stack and `switch string(...)` does not
-// escape).
+// classify resolves a command name case-insensitively without allocating.
 func classify(name []byte) opcode {
-	var up [8]byte // longest recognized name: SHUTDOWN
-	if len(name) > len(up) {
-		return opUnknown
-	}
-	for i := 0; i < len(name); i++ {
-		ch := name[i]
-		if 'a' <= ch && ch <= 'z' {
-			ch -= 'a' - 'A'
+	for op, n := range opNames {
+		if opcode(op) != opOther && bytes.EqualFold(name, []byte(n)) {
+			return opcode(op)
 		}
-		up[i] = ch
 	}
-	switch string(up[:len(name)]) {
-	case "PING":
-		return opPing
-	case "SET":
-		return opSet
-	case "GET":
-		return opGet
-	case "DEL":
-		return opDel
-	case "MSET":
-		return opMSet
-	case "MGET":
-		return opMGet
-	case "SCAN":
-		return opScan
-	case "INFO":
-		return opInfo
-	case "SHUTDOWN":
-		return opShutdown
-	case "ECHO":
-		return opEcho
-	case "QUIT":
-		return opQuit
-	case "COMMAND":
-		return opCommand
-	case "SELECT":
-		return opSelect
-	default:
-		return opUnknown
-	}
+	return opUnknown
 }
 
 // cmd is one slot of a connection's in-flight ring: a parsed command with
@@ -246,6 +210,26 @@ func (cm *cmd) batch() batch {
 	return alone
 }
 
+// joins reports whether a batch command may share its batch: the batch path
+// accepts each of its keys, and for a write each record. One it would refuse
+// runs as a batch of its own, so the error reaches that command alone.
+func (cm *cmd) joins() bool {
+	step := 1
+	if cm.op == opSet || cm.op == opMSet {
+		step = 2
+	}
+	for i := 1; i < cm.n; i += step {
+		var value []byte
+		if step == 2 {
+			value = cm.args[i+1]
+		}
+		if !driver.Batchable(cm.args[i], value) {
+			return false
+		}
+	}
+	return true
+}
+
 // execute serves one burst in order. Each run of writes becomes one
 // PutBatch and each run of reads one GetBatchSparse, so the shard fan-out
 // and the NVMe batch path carry pipelined load; every other command runs
@@ -272,50 +256,50 @@ func (c *conn) execute(burst []*cmd) (closeAfter bool) {
 			continue
 		}
 		j := i + 1
-		for j < len(burst) && burst[j].batch() == b {
+		for cm.joins() && j < len(burst) && burst[j].batch() == b && burst[j].joins() {
 			j++
 		}
-		c.runBatch(burst[i:j], b)
+		if b == writes {
+			c.runWrites(burst[i:j])
+		} else {
+			c.runReads(burst[i:j])
+		}
 		i = j
 	}
 	return closeAfter
 }
 
-// runBatch serves a run of writes as one PutBatch or a run of reads as one
-// GetBatchSparse, then gives each command its own reply: +OK per write, a
-// bulk or null per GET, an array of them per MGET. A failed batch answers
-// every command in the run with the error.
-func (c *conn) runBatch(run []*cmd, b batch) {
+// runWrites serves a run of writes as one PutBatch, +OK per command.
+func (c *conn) runWrites(run []*cmd) {
 	c.keys, c.vals = c.keys[:0], c.vals[:0]
 	for _, cm := range run {
 		c.s.cmds[cm.op].Add(1)
-		if b == writes {
-			for i := 1; i < cm.n; i += 2 {
-				c.keys = append(c.keys, cm.args[i])
-				c.vals = append(c.vals, cm.args[i+1])
-			}
-		} else {
-			c.keys = append(c.keys, cm.args[1:cm.n]...)
+		for i := 1; i < cm.n; i += 2 {
+			c.keys = append(c.keys, cm.args[i])
+			c.vals = append(c.vals, cm.args[i+1])
 		}
 	}
-	var err error
-	if b == writes {
-		err = c.db.PutBatch(c.keys, c.vals)
-	} else {
-		err = c.probe(c.keys)
+	if c.failed(run, c.db.PutBatch(c.keys, c.vals)) {
+		return
 	}
-	if err != nil {
-		for range run {
-			c.writeDBErr(err)
-		}
+	for range run {
+		c.w.Simple("OK")
+	}
+}
+
+// runReads serves a run of reads as one GetBatchSparse: a bulk or null per
+// GET, an array of them per MGET.
+func (c *conn) runReads(run []*cmd) {
+	c.keys = c.keys[:0]
+	for _, cm := range run {
+		c.s.cmds[cm.op].Add(1)
+		c.keys = append(c.keys, cm.args[1:cm.n]...)
+	}
+	if c.failed(run, c.probe(c.keys)) {
 		return
 	}
 	at := 0
 	for _, cm := range run {
-		if b == writes {
-			c.w.Simple("OK")
-			continue
-		}
 		if cm.op == opMGet {
 			c.w.Array(cm.n - 1)
 		}
@@ -327,6 +311,16 @@ func (c *conn) runBatch(run []*cmd, b batch) {
 			}
 		}
 	}
+}
+
+// failed answers every command in a run with the batch's error, if any.
+func (c *conn) failed(run []*cmd, err error) bool {
+	if err != nil {
+		for range run {
+			c.writeDBErr(err)
+		}
+	}
+	return err != nil
 }
 
 // probe reads keys in one GetBatchSparse into the connection's get and miss

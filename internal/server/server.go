@@ -10,7 +10,8 @@
 // every queued slot per wakeup and coalesces the burst: each run of writes
 // (SET, MSET) becomes one PutBatch and each run of reads (GET, MGET) one
 // GetBatchSparse, the DB's one batch read, whose miss flags become null
-// replies. The DB splits a batch into shard lanes and runs them inline on the
+// replies; a command with a key the batch path refuses runs as its own
+// batch, so its error reaches it alone. The DB splits a batch into shard lanes and runs them inline on the
 // writer goroutine one shard lock at a time (so two connections' bursts
 // interleave shard by shard), with a single output flush per burst.
 // Pipelined clients therefore get batch-path service automatically.
@@ -84,9 +85,11 @@ const numCounted = opOther + 1
 // counted is the counter and digest op is booked under.
 func (op opcode) counted() opcode { return min(op, opOther) }
 
-// opNames label the per-opcode latency histogram families.
-var opNames = [numCounted]string{
+// opNames are the command names by opcode. The counted ones label the
+// latency histogram families; "other" names no command.
+var opNames = [opUnknown]string{
 	"ping", "set", "get", "del", "mset", "mget", "scan", "info", "shutdown", "other",
+	"echo", "quit", "command", "select",
 }
 
 // Server is a RESP front-end over one DB. Create with New, start with

@@ -684,6 +684,7 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 // miss, and read keys written earlier in the same burst, so a run that
 // reorders, merges or drops replies fails it.
 func TestBurstMatchesOnePerBurst(t *testing.T) {
+	long := strings.Repeat("k", 17) // one byte past the NVMe key field
 	script := [][]string{
 		{"SET", "a", "1"},
 		{"MSET", "b", "2", "c", "3"},
@@ -700,6 +701,16 @@ func TestBurstMatchesOnePerBurst(t *testing.T) {
 		{"SET", "g", "7"},
 		{"MGET", "e", "g", "a"},
 		{"GET", "f"},
+		// A key the batch path refuses fails only its own command, not
+		// the run around it.
+		{"SET", "h", "8"},
+		{"MSET", "i", "9", long, "x"},
+		{"SET", "j", "0"},
+		{"SET", "big", strings.Repeat("v", 64<<10)},
+		{"SET", long, "x"},
+		{"GET", "h"},
+		{"MGET", "j", long},
+		{"GET", "j"},
 	}
 	const want = "+OK\r\n+OK\r\n+OK\r\n" +
 		"$1\r\n4\r\n" +
@@ -712,7 +723,15 @@ func TestBurstMatchesOnePerBurst(t *testing.T) {
 		"$-1\r\n" +
 		"+OK\r\n+OK\r\n" +
 		"*3\r\n$1\r\n5\r\n$1\r\n7\r\n$1\r\n4\r\n" +
-		"$1\r\n6\r\n"
+		"$1\r\n6\r\n" +
+		"+OK\r\n" +
+		"-ERR driver: batch key length 17 out of range\r\n" +
+		"+OK\r\n" +
+		"-ERR driver: record of 65544 bytes exceeds batch capacity\r\n" +
+		"-ERR driver: batch key length 17 out of range\r\n" +
+		"$1\r\n8\r\n" +
+		"-ERR nvme: key length 17 exceeds 16\r\n" +
+		"$1\r\n0\r\n"
 	// run serves the script in bursts of size commands and returns the
 	// replies and the server counters.
 	run := func(size int) (string, bandslim.ServerStats) {
