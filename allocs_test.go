@@ -759,3 +759,51 @@ func TestShardedBatchAllocsTwoCallers(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenHeapBudget: host memory follows the written blocks, not the
+// device's capacity. An empty DB on the default 32 GiB geometry holds well
+// under a megabyte; one on the paper's 1 TiB geometry (4 channels × 8 ways ×
+// 8192 blocks of 256 16 KiB pages) holds a few dozen bytes per block, where
+// dense maps and page states would take over 500 MiB, and still round-trips
+// a value.
+func TestOpenHeapBudget(t *testing.T) {
+	paper := bandslim.DefaultConfig()
+	paper.Device.Geometry.BlocksPerWay = 8192
+	if c := paper.Device.Geometry.CapacityBytes(); c != 1<<40 {
+		t.Fatalf("paper geometry holds %d bytes, want 1 TiB", c)
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    bandslim.Config
+		budget uint64
+	}{
+		{"default", bandslim.DefaultConfig(), 1 << 20},
+		{"paper_1TiB", paper, 24 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			db, err := bandslim.Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			if held := m1.HeapAlloc - min(m0.HeapAlloc, m1.HeapAlloc); held > tc.budget {
+				t.Errorf("an empty DB holds %.2f MiB of heap; budget %.2f MiB", float64(held)/(1<<20), float64(tc.budget)/(1<<20))
+			}
+			key, value := []byte("heap-key"), []byte("a value on a device that has written one block")
+			if err := db.Put(key, value); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := db.Get(key); err != nil || string(got) != string(value) {
+				t.Fatalf("Get after Flush: %q, %v; want %q", got, err, value)
+			}
+		})
+	}
+}

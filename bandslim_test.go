@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -678,6 +679,23 @@ func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {
 				t.Fatal("Open accepted the config")
 			}
 		})
+	}
+}
+
+// The FTL numbers pages with int32s, so a geometry of more than 2^31-1
+// pages is refused at Open, naming the count, rather than opened with page
+// numbers that wrap. Four blocks of 2^29 pages keep the refusal cheap to
+// reach.
+func TestOpenRefusesGeometryPastInt32Pages(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Device.Geometry = nand.Geometry{Channels: 1, WaysPerChannel: 1, BlocksPerWay: 4, PagesPerBlock: 1 << 29, PageSize: 512}
+	db, err := Open(cfg)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted 2^31 physical pages")
+	}
+	if !strings.Contains(err.Error(), "2147483648") {
+		t.Fatalf("Open error %q does not name the page count 2147483648", err)
 	}
 }
 

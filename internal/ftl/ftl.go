@@ -7,11 +7,17 @@
 // The vLog of the paper's KV-SSD is "a linear, logical NAND flash address
 // space ... mapped to physical NAND pages by the FTL" (§2.1); this package is
 // that mapping.
+//
+// The map is built as it is written: the logical-to-physical table is a
+// directory of fixed-size chunks, each made at the first remap into it, and a
+// block's reverse map is made at its first write, so host memory follows the
+// pages a run has written, not the device's capacity.
 package ftl
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"bandslim/internal/fault"
 	"bandslim/internal/metrics"
@@ -20,6 +26,14 @@ import (
 )
 
 const unmapped = int32(-1)
+
+// The logical-to-physical map is cut into chunks of chunkPages logical pages
+// (4 KiB of map each).
+const (
+	chunkShift = 10
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
 
 // ErrNoSpace reports that the device has run out of room: every error that
 // means "full" anywhere below the controller wraps it, and the controller
@@ -57,16 +71,30 @@ type FTL struct {
 	cfg   Config
 	geo   nand.Geometry
 
-	l2p        []int32 // logical page -> physical page index
-	p2l        []int32 // physical page index -> logical page (or -1)
-	validCount []int32 // per physical block: live pages
-	freeBlocks [][]int // per way: stack of free block numbers
-	bad        []bool  // per physical block: retired after a media failure
+	// l2p maps logical page lpn to its physical page index in chunk
+	// lpn>>chunkShift, entry lpn&chunkMask. A nil chunk maps none of its
+	// pages; a chunk is made, all unmapped, at the first remap into it.
+	// logical is the logical capacity in pages.
+	l2p     []*[chunkPages]int32
+	logical int
+	blocks  []blockInfo // per physical block, index way*BlocksPerWay+block
+	// freeBlocks is each way's pool of erased blocks, consumed in order.
+	freeBlocks [][]int
 	active     []activeBlock
 	nextWay    int    // round-robin write striping cursor
 	inGC       bool   // guards against re-entrant emergency GC
 	gcPage     []byte // the page GC migrates through
 	stats      Stats
+}
+
+// blockInfo is the FTL's record of one physical block.
+type blockInfo struct {
+	// p2l maps each page of the block to the logical page it holds, or
+	// unmapped; nil until the block's first write.
+	p2l   []int32
+	valid int32 // mapped pages
+	bad   bool  // retired after a media failure
+	free  bool  // in its way's freeBlocks
 }
 
 type activeBlock struct {
@@ -87,31 +115,27 @@ func New(flash *nand.Array, cfg Config) (*FTL, error) {
 	if geo.BlocksPerWay <= cfg.GCFreeBlockLow+1 {
 		return nil, fmt.Errorf("ftl: geometry too small for GC reserve")
 	}
+	if n := geo.Pages(); n > math.MaxInt32 {
+		return nil, fmt.Errorf("ftl: %d physical pages exceed the map's int32 page numbers (at most %d)", n, math.MaxInt32)
+	}
+	logical := geo.Pages() * (100 - cfg.OverprovisionPct) / 100
 	f := &FTL{
 		flash:      flash,
 		cfg:        cfg,
 		geo:        geo,
-		l2p:        make([]int32, 0),
-		p2l:        make([]int32, geo.Pages()),
-		validCount: make([]int32, geo.Blocks()),
+		l2p:        make([]*[chunkPages]int32, (logical+chunkMask)>>chunkShift),
+		logical:    logical,
+		blocks:     make([]blockInfo, geo.Blocks()),
 		freeBlocks: make([][]int, geo.Ways()),
-		bad:        make([]bool, geo.Blocks()),
 		active:     make([]activeBlock, geo.Ways()),
 		gcPage:     make([]byte, geo.PageSize),
 	}
-	logicalPages := geo.Pages() * (100 - cfg.OverprovisionPct) / 100
-	f.l2p = make([]int32, logicalPages)
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
 	for w := 0; w < geo.Ways(); w++ {
-		f.freeBlocks[w] = make([]int, 0, geo.BlocksPerWay)
-		// Push in reverse so blocks are consumed in ascending order.
-		for b := geo.BlocksPerWay - 1; b >= 0; b-- {
-			f.freeBlocks[w] = append(f.freeBlocks[w], b)
+		// The pool is consumed from the front, highest block first.
+		f.freeBlocks[w] = make([]int, geo.BlocksPerWay)
+		for i := range f.freeBlocks[w] {
+			f.freeBlocks[w][i] = geo.BlocksPerWay - 1 - i
+			f.blocks[w*geo.BlocksPerWay+i].free = true
 		}
 		f.active[w] = activeBlock{block: -1}
 	}
@@ -119,7 +143,7 @@ func New(flash *nand.Array, cfg Config) (*FTL, error) {
 }
 
 // LogicalPages reports the logical capacity in pages.
-func (f *FTL) LogicalPages() int { return len(f.l2p) }
+func (f *FTL) LogicalPages() int { return f.logical }
 
 // PageSize reports the NAND page size.
 func (f *FTL) PageSize() int { return f.geo.PageSize }
@@ -147,7 +171,23 @@ func (f *FTL) physIndex(way, block, page int) int {
 	return (way*f.geo.BlocksPerWay+block)*f.geo.PagesPerBlock + page
 }
 
-func (f *FTL) blockIndexOf(physPage int) int { return physPage / f.geo.PagesPerBlock }
+// blockOf returns the record of the block holding physPage and the page's
+// number within it.
+func (f *FTL) blockOf(physPage int) (*blockInfo, int) {
+	bi := physPage / f.geo.PagesPerBlock
+	return &f.blocks[bi], physPage - bi*f.geo.PagesPerBlock
+}
+
+// unmappedTable returns n > 0 map entries, all unmapped, filled by doubling
+// copies rather than one store at a time.
+func unmappedTable(n int) []int32 {
+	m := make([]int32, n)
+	m[0] = unmapped
+	for k := 1; k < n; k *= 2 {
+		copy(m[k:], m[:k])
+	}
+	return m
+}
 
 // allocPage returns the next physical page on the given way, opening a fresh
 // block from the free pool when the active block fills. When the pool is
@@ -171,6 +211,7 @@ func (f *FTL) allocPage(t sim.Time, way int) (int, sim.Time, error) {
 		// erases spread across the way instead of recycling one block.
 		ab.block = f.freeBlocks[way][0]
 		f.freeBlocks[way] = f.freeBlocks[way][1:]
+		f.blocks[way*f.geo.BlocksPerWay+ab.block].free = false
 		ab.nextPage = 0
 	}
 	p := f.physIndex(way, ab.block, ab.nextPage)
@@ -181,8 +222,8 @@ func (f *FTL) allocPage(t sim.Time, way int) (int, sim.Time, error) {
 // Write stores one logical page out-of-place and returns the program
 // completion time. Data shorter than a page is zero-padded by the flash.
 func (f *FTL) Write(t sim.Time, lpn int, data []byte) (sim.Time, error) {
-	if lpn < 0 || lpn >= len(f.l2p) {
-		return t, fmt.Errorf("ftl: logical page %d out of range [0,%d)", lpn, len(f.l2p))
+	if lpn < 0 || lpn >= f.logical {
+		return t, fmt.Errorf("ftl: logical page %d out of range [0,%d)", lpn, f.logical)
 	}
 	end, phys, err := f.program(t, data)
 	if err != nil {
@@ -255,21 +296,32 @@ func (f *FTL) retireActive(way int) {
 	if ab.block < 0 {
 		return
 	}
-	f.bad[way*f.geo.BlocksPerWay+ab.block] = true
+	f.blocks[way*f.geo.BlocksPerWay+ab.block].bad = true
 	f.stats.BadBlocks.Inc()
 	ab.block = -1
 }
 
-// remap points lpn at phys, invalidating any prior mapping.
+// remap points lpn at phys, invalidating any prior mapping. It makes lpn's
+// map chunk and phys's reverse map if this is the first remap into them.
 func (f *FTL) remap(lpn, phys int) error {
-	if old := f.l2p[lpn]; old != unmapped {
+	chunk := f.l2p[lpn>>chunkShift]
+	if chunk == nil {
+		chunk = (*[chunkPages]int32)(unmappedTable(chunkPages))
+		f.l2p[lpn>>chunkShift] = chunk
+	}
+	slot := &chunk[lpn&chunkMask]
+	if old := *slot; old != unmapped {
 		if err := f.invalidate(int(old)); err != nil {
 			return err
 		}
 	}
-	f.l2p[lpn] = int32(phys)
-	f.p2l[phys] = int32(lpn)
-	f.validCount[f.blockIndexOf(phys)]++
+	*slot = int32(phys)
+	blk, pg := f.blockOf(phys)
+	if blk.p2l == nil {
+		blk.p2l = unmappedTable(f.geo.PagesPerBlock)
+	}
+	blk.p2l[pg] = int32(lpn)
+	blk.valid++
 	return nil
 }
 
@@ -277,17 +329,21 @@ func (f *FTL) remap(lpn, phys int) error {
 // page and the flash drops the payload nothing can address any more, instead
 // of holding it until GC gets round to erasing the block.
 func (f *FTL) invalidate(phys int) error {
-	f.p2l[phys] = unmapped
-	f.validCount[f.blockIndexOf(phys)]--
+	blk, pg := f.blockOf(phys)
+	blk.p2l[pg] = unmapped
+	blk.valid--
 	return f.flash.Discard(f.addrOf(phys))
 }
 
 // lookup returns the physical page lpn maps to, or unmapped.
 func (f *FTL) lookup(lpn int) (int32, error) {
-	if lpn < 0 || lpn >= len(f.l2p) {
+	if lpn < 0 || lpn >= f.logical {
 		return unmapped, fmt.Errorf("ftl: logical page %d out of range", lpn)
 	}
-	return f.l2p[lpn], nil
+	if chunk := f.l2p[lpn>>chunkShift]; chunk != nil {
+		return chunk[lpn&chunkMask], nil
+	}
+	return unmapped, nil
 }
 
 // Read fetches a logical page. Unmapped pages read as zeros (like an
@@ -357,7 +413,7 @@ func (f *FTL) Trim(lpn int) error {
 	if err != nil || old == unmapped {
 		return err
 	}
-	f.l2p[lpn] = unmapped
+	f.l2p[lpn>>chunkShift][lpn&chunkMask] = unmapped
 	return f.invalidate(int(old))
 }
 
@@ -401,11 +457,12 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 	bestWear := 0
 	activeBlk := f.active[way].block
 	slots := int32(f.availableSlots(way))
-	for b := 0; b < f.geo.BlocksPerWay; b++ {
-		if b == activeBlk || f.bad[way*f.geo.BlocksPerWay+b] || f.isFree(way, b) {
+	blocks := f.blocks[way*f.geo.BlocksPerWay : (way+1)*f.geo.BlocksPerWay]
+	for b := range blocks {
+		if b == activeBlk || blocks[b].bad || blocks[b].free {
 			continue
 		}
-		v := f.validCount[way*f.geo.BlocksPerWay+b]
+		v := blocks[b].valid
 		if v > slots || v > best {
 			continue
 		}
@@ -429,12 +486,11 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 	f.inGC = true
 	defer func() { f.inGC = false }()
 	// Migrate live pages within the same way so reclamation is local.
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		phys := f.physIndex(way, victim, p)
-		lpn := f.p2l[phys]
+	for p, lpn := range blocks[victim].p2l {
 		if lpn == unmapped {
 			continue
 		}
+		phys := f.physIndex(way, victim, p)
 		// Copy the page out up to its extent, so the new copy keeps exactly
 		// the bytes the old one did and every view of it stays as long.
 		addr := f.addrOf(phys)
@@ -466,19 +522,11 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 		// Erase media failure: retire the victim instead of returning it to
 		// the free pool. Its live pages were already migrated, so reporting
 		// the round as productive lets the caller try another victim.
-		f.bad[way*f.geo.BlocksPerWay+victim] = true
+		blocks[victim].bad = true
 		f.stats.BadBlocks.Inc()
 		return true, nil
 	}
 	f.freeBlocks[way] = append(f.freeBlocks[way], victim)
+	blocks[victim].free = true
 	return true, nil
-}
-
-func (f *FTL) isFree(way, block int) bool {
-	for _, b := range f.freeBlocks[way] {
-		if b == block {
-			return true
-		}
-	}
-	return false
 }

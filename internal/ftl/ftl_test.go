@@ -3,6 +3,8 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +51,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(fl, DefaultConfig()); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+	// 2^31 physical pages do not fit the map's int32 page numbers.
+	huge, err := nand.New(nand.Geometry{Channels: 1, WaysPerChannel: 1, BlocksPerWay: 4, PagesPerBlock: 1 << 29, PageSize: 512}, nand.DefaultLatency(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(huge, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "2147483648") {
+		t.Fatalf("2^31 physical pages: %v, want an error naming the count", err)
 	}
 }
 
@@ -458,13 +468,20 @@ func TestGCMigratesPagesByteForByte(t *testing.T) {
 	// device with live data, so GC's victims are the two blocks.
 	write(0, table)
 	write(1, sparse)
-	phys0, phys1 := f.l2p[0], f.l2p[1]
+	mapped := func(lpn int) int32 {
+		phys, err := f.lookup(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phys
+	}
+	phys0, phys1 := mapped(0), mapped(1)
 	for round := 0; round < 2; round++ {
 		for lpn := 2; lpn < 16; lpn++ {
 			write(lpn, []byte{byte(lpn)})
 		}
 	}
-	for lpn := 16; f.l2p[0] == phys0 || f.l2p[1] == phys1; lpn++ {
+	for lpn := 16; mapped(0) == phys0 || mapped(1) == phys1; lpn++ {
 		if lpn == f.LogicalPages() {
 			t.Fatal("device full and GC never migrated both pages")
 		}
@@ -497,4 +514,397 @@ func TestOutOfBlocksIsErrNoSpace(t *testing.T) {
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("last error %v, want ErrNoSpace", err)
 	}
+}
+
+// denseFTL is the FTL as it was before its map was built as it is written:
+// a dense logical-to-physical table, a dense reverse map, a valid count per
+// block and a free-pool scan for GC's victims, over a flash of its own. It
+// keeps the FTL's placement and GC policy (fault handling aside: FuzzFTL
+// injects none), so given the same calls the FTL must map every logical page
+// to the same physical page, and pool, open and erase the same blocks.
+type denseFTL struct {
+	flash      *nand.Array
+	geo        nand.Geometry
+	low        int // GCFreeBlockLow
+	l2p, p2l   []int32
+	validCount []int32
+	freeBlocks [][]int
+	active     []activeBlock
+	nextWay    int
+	inGC       bool
+	gcPage     []byte
+}
+
+func newDenseFTL(flash *nand.Array, cfg Config) *denseFTL {
+	geo := flash.Geometry()
+	d := &denseFTL{
+		flash:      flash,
+		geo:        geo,
+		low:        cfg.GCFreeBlockLow,
+		l2p:        unmappedTable(geo.Pages() * (100 - cfg.OverprovisionPct) / 100),
+		p2l:        unmappedTable(geo.Pages()),
+		validCount: make([]int32, geo.Blocks()),
+		freeBlocks: make([][]int, geo.Ways()),
+		active:     make([]activeBlock, geo.Ways()),
+		gcPage:     make([]byte, geo.PageSize),
+	}
+	for w := range d.freeBlocks {
+		for b := geo.BlocksPerWay - 1; b >= 0; b-- {
+			d.freeBlocks[w] = append(d.freeBlocks[w], b)
+		}
+		d.active[w].block = -1
+	}
+	return d
+}
+
+func (d *denseFTL) addr(phys int) nand.PageAddr {
+	perWay := d.geo.BlocksPerWay * d.geo.PagesPerBlock
+	way, rem := phys/perWay, phys%perWay
+	return nand.PageAddr{
+		Channel: way / d.geo.WaysPerChannel,
+		Way:     way % d.geo.WaysPerChannel,
+		Block:   rem / d.geo.PagesPerBlock,
+		Page:    rem % d.geo.PagesPerBlock,
+	}
+}
+
+func (d *denseFTL) blockAddr(way, block int) nand.BlockAddr {
+	return nand.BlockAddr{Channel: way / d.geo.WaysPerChannel, Way: way % d.geo.WaysPerChannel, Block: block}
+}
+
+func (d *denseFTL) slots(way int) int {
+	slots := len(d.freeBlocks[way]) * d.geo.PagesPerBlock
+	if ab := d.active[way]; ab.block >= 0 {
+		slots += d.geo.PagesPerBlock - ab.nextPage
+	}
+	return slots
+}
+
+func (d *denseFTL) write(lpn int, data []byte) error {
+	way, best := d.nextWay, -1
+	for i := range d.freeBlocks {
+		w := (d.nextWay + i) % len(d.freeBlocks)
+		if s := d.slots(w); s > best {
+			way, best = w, s
+		}
+	}
+	d.nextWay = (way + 1) % len(d.freeBlocks)
+	phys, err := d.programOnWay(way, data)
+	if err != nil {
+		return err
+	}
+	d.remap(lpn, phys)
+	for len(d.freeBlocks[way]) < d.low {
+		if ok, err := d.gcOnce(way); err != nil || !ok {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *denseFTL) programOnWay(way int, data []byte) (int, error) {
+	ab := &d.active[way]
+	if ab.block < 0 || ab.nextPage >= d.geo.PagesPerBlock {
+		if len(d.freeBlocks[way]) == 0 && !d.inGC {
+			if ok, err := d.gcOnce(way); err != nil || !ok {
+				return 0, errors.Join(ErrNoSpace, err)
+			}
+		}
+		if len(d.freeBlocks[way]) == 0 {
+			return 0, ErrNoSpace
+		}
+		ab.block, d.freeBlocks[way] = d.freeBlocks[way][0], d.freeBlocks[way][1:]
+		ab.nextPage = 0
+	}
+	phys := (way*d.geo.BlocksPerWay+ab.block)*d.geo.PagesPerBlock + ab.nextPage
+	ab.nextPage++
+	_, err := d.flash.Program(0, d.addr(phys), data)
+	return phys, err
+}
+
+func (d *denseFTL) remap(lpn, phys int) {
+	if old := d.l2p[lpn]; old != unmapped {
+		d.invalidate(int(old))
+	}
+	d.l2p[lpn], d.p2l[phys] = int32(phys), int32(lpn)
+	d.validCount[phys/d.geo.PagesPerBlock]++
+}
+
+func (d *denseFTL) invalidate(phys int) {
+	d.p2l[phys] = unmapped
+	d.validCount[phys/d.geo.PagesPerBlock]--
+	if err := d.flash.Discard(d.addr(phys)); err != nil {
+		panic(err)
+	}
+}
+
+func (d *denseFTL) trim(lpn int) {
+	if old := d.l2p[lpn]; old != unmapped {
+		d.l2p[lpn] = unmapped
+		d.invalidate(int(old))
+	}
+}
+
+func (d *denseFTL) isFree(way, block int) bool {
+	for _, b := range d.freeBlocks[way] {
+		if b == block {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *denseFTL) gcOnce(way int) (bool, error) {
+	victim, best, bestWear := -1, int32(d.geo.PagesPerBlock), 0
+	slots := int32(d.slots(way))
+	for b := 0; b < d.geo.BlocksPerWay; b++ {
+		if b == d.active[way].block || d.isFree(way, b) {
+			continue
+		}
+		v := d.validCount[way*d.geo.BlocksPerWay+b]
+		if v > slots || v > best {
+			continue
+		}
+		wear, err := d.flash.EraseCount(d.blockAddr(way, b))
+		if err != nil {
+			return false, err
+		}
+		if v < best || (v == best && wear < bestWear) {
+			victim, best, bestWear = b, v, wear
+		}
+	}
+	if victim < 0 {
+		return false, nil
+	}
+	d.inGC = true
+	defer func() { d.inGC = false }()
+	for p := 0; p < d.geo.PagesPerBlock; p++ {
+		phys := (way*d.geo.BlocksPerWay+victim)*d.geo.PagesPerBlock + p
+		lpn := d.p2l[phys]
+		if lpn == unmapped {
+			continue
+		}
+		addr := d.addr(phys)
+		n, err := d.flash.Extent(addr)
+		if err == nil {
+			_, err = d.flash.ReadAt(0, addr, d.gcPage[:n], 0)
+		}
+		if err != nil {
+			return false, err
+		}
+		newPhys, err := d.programOnWay(way, d.gcPage[:n])
+		if err != nil {
+			return false, err
+		}
+		d.remap(int(lpn), newPhys)
+	}
+	if _, err := d.flash.Erase(0, d.blockAddr(way, victim)); err != nil {
+		return false, err
+	}
+	d.freeBlocks[way] = append(d.freeBlocks[way], victim)
+	return true, nil
+}
+
+// view and viewAt read lpn through the dense map, without a flash operation.
+func (d *denseFTL) view(lpn int) ([]byte, error) {
+	if phys := d.l2p[lpn]; phys != unmapped {
+		return d.flash.View(d.addr(int(phys)))
+	}
+	return d.flash.ZeroPage(), nil
+}
+
+func (d *denseFTL) viewAt(lpn int, dst []byte) {
+	clear(dst)
+	if phys := d.l2p[lpn]; phys != unmapped {
+		if err := d.flash.ViewAt(d.addr(int(phys)), dst, 0); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// fuzzGeometry spans four map chunks of logical pages (4096 physical pages,
+// 20% overprovisioned: 3276 logical) over two ways of eight blocks, so a few
+// thousand writes reach GC. Its pages hold two 4 KiB sectors, so a page can
+// be stored with a gap.
+var (
+	fuzzGeometry = nand.Geometry{Channels: 1, WaysPerChannel: 2, BlocksPerWay: 8, PagesPerBlock: 256, PageSize: 8192}
+	fuzzConfig   = Config{OverprovisionPct: 20, GCFreeBlockLow: 2}
+)
+
+// fuzzPage is what FuzzFTL writes to lpn as its ver-th write: a few non-zero
+// bytes, and for every third page a few more at the start of the second
+// sector, which leaves a gap.
+func fuzzPage(lpn, ver int) []byte {
+	n := 1 + (7*lpn+ver)%61
+	p := make([]byte, n)
+	if (lpn+ver)%3 == 0 {
+		p = make([]byte, fuzzGeometry.PageSize)
+		for i := 0; i < n; i++ {
+			p[4096+i] = byte(lpn-ver+i) | 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		p[i] = byte(lpn+ver+i) | 1
+	}
+	return p
+}
+
+// runFTLOps plays ops against an FTL and a denseFTL in lockstep, four bytes
+// per call: a kind, a logical page (two bytes, big-endian, modulo the
+// capacity) and a count or offset. After every call, checkAgainstDense holds
+// the two to the same answers, map and block pools.
+func runFTLOps(tb testing.TB, ops []byte) *FTL {
+	tb.Helper()
+	newFlash := func() *nand.Array {
+		fl, err := nand.New(fuzzGeometry, nand.DefaultLatency(), sim.NewClock())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return fl
+	}
+	f, err := New(newFlash(), fuzzConfig)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := newDenseFTL(newFlash(), fuzzConfig)
+	versions := make(map[int]int)
+	got, want := make([]byte, fuzzGeometry.PageSize), make([]byte, fuzzGeometry.PageSize)
+	for i := 0; i+3 < len(ops); i += 4 {
+		lpn := (int(ops[i+1])<<8 | int(ops[i+2])) % f.LogicalPages()
+		arg := int(ops[i+3])
+		switch ops[i] % 6 {
+		case 0, 1: // a run of 1 to 512 writes from lpn on
+			for n := 0; n <= 2*arg+1; n++ {
+				l := (lpn + n) % f.LogicalPages()
+				data := fuzzPage(l, versions[l])
+				versions[l]++
+				_, errF := f.Write(0, l, data)
+				errD := d.write(l, data)
+				if (errF == nil) != (errD == nil) {
+					tb.Fatalf("write of lpn %d: FTL %v, dense reference %v", l, errF, errD)
+				}
+				if errF != nil {
+					return f
+				}
+			}
+		case 2: // a run of 1 to 64 trims from lpn on
+			for n := 0; n <= arg%64; n++ {
+				l := (lpn + n) % f.LogicalPages()
+				if err := f.Trim(l); err != nil {
+					tb.Fatal(err)
+				}
+				d.trim(l)
+			}
+		case 3:
+			gotV, _, errF := f.Read(0, lpn)
+			wantV, errD := d.view(lpn)
+			if (errF == nil) != (errD == nil) || !bytes.Equal(gotV, wantV) {
+				tb.Fatalf("Read of lpn %d: %d bytes, %v; dense reference %d bytes, %v", lpn, len(gotV), errF, len(wantV), errD)
+			}
+		case 4:
+			off := arg * 32
+			n := min(len(got)-off, 1+arg*29)
+			if _, err := f.ReadAt(0, lpn, got[:n], off); err != nil {
+				tb.Fatalf("ReadAt of lpn %d: %v", lpn, err)
+			}
+			d.viewAt(lpn, want)
+			if !bytes.Equal(got[:n], want[off:off+n]) {
+				tb.Fatalf("ReadAt of lpn %d, bytes [%d,%d) differ from the dense reference", lpn, off, off+n)
+			}
+		case 5:
+			gotV, errF := f.View(lpn)
+			wantV, errD := d.view(lpn)
+			if (errF == nil) != (errD == nil) || !bytes.Equal(gotV, wantV) {
+				tb.Fatalf("View of lpn %d: %d bytes, %v; dense reference %d bytes, %v", lpn, len(gotV), errF, len(wantV), errD)
+			}
+		}
+		checkAgainstDense(tb, f, d, got, want)
+	}
+	return f
+}
+
+// checkAgainstDense compares every logical page's mapping and contents with
+// the dense reference, and the block pools, and walks the FTL's invariants:
+// each block's valid count is the number of mapped pages it holds and its
+// reverse map names them; the flash holds one payload per mapped page; a
+// block is flagged free exactly when it sits in its way's pool, and a free
+// block holds no mapped page.
+func checkAgainstDense(tb testing.TB, f *FTL, d *denseFTL, got, want []byte) {
+	tb.Helper()
+	holds := make([]int32, len(f.blocks))
+	mapped := 0
+	for lpn := 0; lpn < f.LogicalPages(); lpn++ {
+		phys, err := f.lookup(lpn)
+		if err != nil || phys != d.l2p[lpn] {
+			tb.Fatalf("lpn %d maps to %d (%v); dense reference %d", lpn, phys, err, d.l2p[lpn])
+		}
+		if phys == unmapped {
+			continue
+		}
+		mapped++
+		blk, pg := f.blockOf(int(phys))
+		holds[int(phys)/f.geo.PagesPerBlock]++
+		if blk.p2l == nil || blk.p2l[pg] != int32(lpn) {
+			tb.Fatalf("lpn %d maps to page %d, whose reverse map does not name it", lpn, phys)
+		}
+		gotV, errF := f.View(lpn)
+		wantV, errD := d.view(lpn)
+		if errors.Is(errF, nand.ErrSparsePage) && errors.Is(errD, nand.ErrSparsePage) {
+			errF = f.ViewAt(lpn, got, 0)
+			d.viewAt(lpn, want)
+			gotV, wantV, errD = got, want, nil
+		}
+		if errF != nil || errD != nil || !bytes.Equal(gotV, wantV) {
+			tb.Fatalf("lpn %d reads %d bytes (%v); dense reference %d bytes (%v)", lpn, len(gotV), errF, len(wantV), errD)
+		}
+	}
+	for bi := range f.blocks {
+		blk := &f.blocks[bi]
+		reverse := int32(0)
+		for _, lpn := range blk.p2l {
+			if lpn != unmapped {
+				reverse++
+			}
+		}
+		if blk.valid != holds[bi] || reverse != holds[bi] || d.validCount[bi] != holds[bi] {
+			tb.Fatalf("block %d holds %d mapped pages; valid count %d, reverse map %d, dense reference %d", bi, holds[bi], blk.valid, reverse, d.validCount[bi])
+		}
+		way, b := bi/f.geo.BlocksPerWay, bi%f.geo.BlocksPerWay
+		if pooled := slices.Contains(f.freeBlocks[way], b); blk.free != pooled || (blk.free && holds[bi] > 0) {
+			tb.Fatalf("block %d: free flag %v, in the pool %v, holding %d mapped pages", bi, blk.free, pooled, holds[bi])
+		}
+	}
+	if held, _, _ := f.flash.Payloads(); held != mapped {
+		tb.Fatalf("flash holds %d payloads for %d mapped pages", held, mapped)
+	}
+	for w := range f.freeBlocks {
+		if !slices.Equal(f.freeBlocks[w], d.freeBlocks[w]) || f.active[w] != d.active[w] {
+			tb.Fatalf("way %d: pool %v, active %+v; dense reference %v, %+v", w, f.freeBlocks[w], f.active[w], d.freeBlocks[w], d.active[w])
+		}
+	}
+}
+
+// fuzzRun is the four bytes of one FuzzFTL call.
+func fuzzRun(kind byte, lpn int, arg byte) []byte {
+	return []byte{kind, byte(lpn >> 8), byte(lpn), arg}
+}
+
+// FuzzFTL plays random Write, Trim, Read, ReadAt and View calls against the
+// FTL and denseFTL, the map in its dense form, in lockstep (see runFTLOps and
+// checkAgainstDense). The first seed churns a hot range, dropping cold pages
+// in between, until GC has migrated live pages and erased blocks many times
+// over, with trims and reads between.
+func FuzzFTL(f *testing.F) {
+	var churn []byte
+	for i := 0; i < 24; i++ {
+		churn = slices.Concat(churn, fuzzRun(0, 600*(i%3), 255), fuzzRun(1, 2000+37*i, 3), fuzzRun(2, 97*i, byte(i)),
+			fuzzRun(3, 600*(i%3)+i, 0), fuzzRun(4, 1000+i, byte(7*i)), fuzzRun(5, 2900+i, 0))
+	}
+	if ftl := runFTLOps(f, churn); ftl.Stats().GCWrites.Value() == 0 || ftl.flash.Stats().BlockErases.Value() < 20 {
+		f.Fatalf("the churn seed migrated %d pages and erased %d blocks; it must do both", ftl.Stats().GCWrites.Value(), ftl.flash.Stats().BlockErases.Value())
+	}
+	f.Add(churn)
+	f.Add(fuzzRun(0, 0, 0))
+	f.Add(append(fuzzRun(0, 3270, 20), fuzzRun(5, 3275, 0)...))
+	f.Fuzz(func(t *testing.T, ops []byte) { runFTLOps(t, ops) })
 }

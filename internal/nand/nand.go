@@ -12,6 +12,10 @@
 // that allocation, not a copy, when the kept bytes are one run from the
 // start of the page; ReadAt and ViewAt copy any byte range of any page. See
 // Array.Program for what is kept and Array.Read for how long a view lives.
+//
+// Page states follow the written blocks: a block's table of them is built at
+// its first Program, so a block never programmed costs 32 bytes, its erase
+// count and an empty table, however many pages it has.
 package nand
 
 import (
@@ -37,9 +41,10 @@ type Geometry struct {
 }
 
 // DefaultGeometry is a scaled Cosmos+ layout: 4 channels × 8 ways with 16 KiB
-// pages. BlocksPerWay is kept modest (only pages holding live data have a
-// payload, but state and mapping tables are dense) while preserving
-// the real page size and parallelism. Capacity: 4*8*256*256*16 KiB = 32 GiB.
+// pages. BlocksPerWay is kept modest, so that runs fill a fair share of the
+// device, while preserving the real page size and parallelism; host memory
+// does not bound it (payloads, page states and the FTL's tables exist only
+// for what a run writes). Capacity: 4*8*256*256*16 KiB = 32 GiB.
 func DefaultGeometry() Geometry {
 	return Geometry{
 		Channels:       4,
@@ -125,15 +130,17 @@ type Stats struct {
 	EraseFaults   metrics.Counter
 }
 
-// Array is the flash device: geometry, latencies, per-way timelines, dense
-// page state, and the payloads of the pages that still hold live data.
+// Array is the flash device: geometry, latencies, per-way timelines, the
+// state of every block, and the payloads of the pages that still hold live
+// data.
 type Array struct {
-	geo   Geometry
-	lat   Latency
-	clock *sim.Clock
-	ways  []sim.BusyLine // index: channel*WaysPerChannel + way
-	state []pageState    // dense, one per physical page
-	wear  []int32        // erase count per block
+	geo    Geometry
+	lat    Latency
+	clock  *sim.Clock
+	ways   []sim.BusyLine // index: channel*WaysPerChannel + way
+	blocks []block        // index: way index*BlocksPerWay + block
+	// maxWear is the highest erase count of any block.
+	maxWear int32
 	// data maps a programmed page's index to its payload (see store). free
 	// holds released full-page buffers for the next Program of more than
 	// half a page, at most one erase block's worth so a burst of discards
@@ -153,6 +160,14 @@ type Array struct {
 	// inj is the plan-driven injector consulted before every operation
 	// commits (nil: no injection, a single pointer check per op).
 	inj *fault.Injector
+}
+
+// block is one erase block's state.
+type block struct {
+	// pages holds each page's state; nil until the block's first Program,
+	// and every page of a nil table is erased.
+	pages []pageState
+	wear  int32 // erase count
 }
 
 type pageState byte
@@ -200,16 +215,15 @@ func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
 	}
 	sectors := (geo.PageSize + sectorSize - 1) / sectorSize
 	return &Array{
-		geo:   geo,
-		lat:   lat,
-		clock: clock,
-		ways:  make([]sim.BusyLine, geo.Ways()),
-		state: make([]pageState, geo.Pages()),
-		wear:  make([]int32, geo.Blocks()),
-		data:  make(map[int][]byte),
-		zero:  make([]byte, geo.PageSize),
-		lens:  make([]int, sectors),
-		hdr:   2 * sectors,
+		geo:    geo,
+		lat:    lat,
+		clock:  clock,
+		ways:   make([]sim.BusyLine, geo.Ways()),
+		blocks: make([]block, geo.Blocks()),
+		data:   make(map[int][]byte),
+		zero:   make([]byte, geo.PageSize),
+		lens:   make([]int, sectors),
+		hdr:    2 * sectors,
 	}, nil
 }
 
@@ -242,14 +256,24 @@ func (a *Array) SetTracer(tr trace.Tracer) { a.tr = tr }
 
 func (a *Array) wayIndex(ch, way int) int { return ch*a.geo.WaysPerChannel + way }
 
-func (a *Array) pageIndex(p PageAddr) (int, error) {
+// locate returns page p's index in the array and its block.
+func (a *Array) locate(p PageAddr) (int, *block, error) {
 	if p.Channel < 0 || p.Channel >= a.geo.Channels ||
 		p.Way < 0 || p.Way >= a.geo.WaysPerChannel ||
 		p.Block < 0 || p.Block >= a.geo.BlocksPerWay ||
 		p.Page < 0 || p.Page >= a.geo.PagesPerBlock {
-		return 0, fmt.Errorf("%w: %v", ErrBadAddr, p)
+		return 0, nil, fmt.Errorf("%w: %v", ErrBadAddr, p)
 	}
-	return ((a.wayIndex(p.Channel, p.Way)*a.geo.BlocksPerWay)+p.Block)*a.geo.PagesPerBlock + p.Page, nil
+	bi := a.wayIndex(p.Channel, p.Way)*a.geo.BlocksPerWay + p.Block
+	return bi*a.geo.PagesPerBlock + p.Page, &a.blocks[bi], nil
+}
+
+// state reports the state of page pg of the block.
+func (b *block) state(pg int) pageState {
+	if b.pages == nil {
+		return pageErased
+	}
+	return b.pages[pg]
 }
 
 func (a *Array) blockIndex(b BlockAddr) (int, error) {
@@ -388,14 +412,14 @@ func (a *Array) releasePayload(idx int) {
 // that ends a whole 4 KiB sector (store has the details). The flash is
 // charged for a whole page all the same.
 func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
-	idx, err := a.pageIndex(p)
+	idx, blk, err := a.locate(p)
 	if err != nil {
 		return t, err
 	}
 	if len(data) > a.geo.PageSize {
 		return t, fmt.Errorf("nand: program of %d bytes exceeds page size %d", len(data), a.geo.PageSize)
 	}
-	if a.state[idx] != pageErased {
+	if blk.state(p.Page) != pageErased {
 		return t, fmt.Errorf("%w: %v", ErrNotErased, p)
 	}
 	if eff, ok := a.inj.Check(fault.SiteNandProgram, t); ok {
@@ -404,7 +428,10 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 		return t, faultErr(eff, p)
 	}
 	a.data[idx] = a.store(data)
-	a.state[idx] = pageProgrammed
+	if blk.pages == nil { // the block's first Program
+		blk.pages = make([]pageState, a.geo.PagesPerBlock)
+	}
+	blk.pages[p.Page] = pageProgrammed
 	a.stats.PageWrites.Inc()
 	way := a.wayIndex(p.Channel, p.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Prog)
@@ -523,11 +550,11 @@ func (a *Array) ViewAt(p PageAddr, dst []byte, off int) error {
 // payload returns page p's payload (never nil for a programmed page): nil for
 // an erased page, ErrDiscarded for a discarded one.
 func (a *Array) payload(p PageAddr) ([]byte, error) {
-	idx, err := a.pageIndex(p)
+	idx, blk, err := a.locate(p)
 	if err != nil {
 		return nil, err
 	}
-	switch a.state[idx] {
+	switch blk.state(p.Page) {
 	case pageDiscarded:
 		return nil, fmt.Errorf("%w: %v", ErrDiscarded, p)
 	case pageErased:
@@ -591,12 +618,12 @@ func (a *Array) Payloads() (held, spare int, stored int64) {
 // its logical mapping. Discarding an erased or already discarded page is a
 // no-op.
 func (a *Array) Discard(p PageAddr) error {
-	idx, err := a.pageIndex(p)
+	idx, blk, err := a.locate(p)
 	if err != nil {
 		return err
 	}
-	if a.state[idx] == pageProgrammed {
-		a.state[idx] = pageDiscarded
+	if blk.state(p.Page) == pageProgrammed {
+		blk.pages[p.Page] = pageDiscarded
 		a.releasePayload(idx)
 	}
 	return nil
@@ -614,14 +641,16 @@ func (a *Array) Erase(t sim.Time, b BlockAddr) (sim.Time, error) {
 		a.stats.EraseFaults.Inc()
 		return t, faultErr(eff, b)
 	}
+	blk := &a.blocks[bi]
 	base := bi * a.geo.PagesPerBlock
-	for i := 0; i < a.geo.PagesPerBlock; i++ {
-		if a.state[base+i] == pageProgrammed {
+	for i, s := range blk.pages {
+		if s == pageProgrammed {
 			a.releasePayload(base + i)
 		}
-		a.state[base+i] = pageErased
 	}
-	a.wear[bi]++
+	clear(blk.pages)
+	blk.wear++
+	a.maxWear = max(a.maxWear, blk.wear)
 	a.stats.BlockErases.Inc()
 	way := a.wayIndex(b.Channel, b.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Erase)
@@ -637,16 +666,8 @@ func (a *Array) EraseCount(b BlockAddr) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int(a.wear[bi]), nil
+	return int(a.blocks[bi].wear), nil
 }
 
 // MaxWear reports the highest erase count across all blocks.
-func (a *Array) MaxWear() int {
-	var m int32
-	for _, w := range a.wear {
-		if w > m {
-			m = w
-		}
-	}
-	return int(m)
-}
+func (a *Array) MaxWear() int { return int(a.maxWear) }

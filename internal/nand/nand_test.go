@@ -28,8 +28,8 @@ func pageOf(b BlockAddr, i int) PageAddr {
 
 // isErased reports whether page p is in the erased state.
 func isErased(a *Array, p PageAddr) bool {
-	idx, err := a.pageIndex(p)
-	return err == nil && a.state[idx] == pageErased
+	_, blk, err := a.locate(p)
+	return err == nil && blk.state(p.Page) == pageErased
 }
 
 // failPrograms makes every n-th program from now on fail with a media fault.
@@ -155,6 +155,23 @@ func TestEraseResetsPagesAndWear(t *testing.T) {
 	}
 	if a.MaxWear() != 1 {
 		t.Fatalf("MaxWear = %d", a.MaxWear())
+	}
+	// MaxWear is the highest count, not the last or the sum: another block
+	// (never programmed) erased twice leads, and a third erased once does
+	// not take the lead from it.
+	other, third := BlockAddr{Channel: 1, Way: 0, Block: 3}, BlockAddr{Channel: 1, Way: 1, Block: 0}
+	for _, e := range []BlockAddr{other, other, third} {
+		if _, err := a.Erase(0, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := a.EraseCount(other); n != 2 || a.MaxWear() != 2 {
+		t.Fatalf("after erasing %v twice: EraseCount = %d, MaxWear = %d, want 2 and 2", other, n, a.MaxWear())
+	}
+	for i := 0; i < 8; i++ {
+		if !isErased(a, pageOf(other, i)) {
+			t.Fatalf("page %d of a never-programmed block not erased after Erase", i)
+		}
 	}
 	// Reprogramming after erase works.
 	if _, err := a.Program(0, pageOf(b, 0), []byte{7}); err != nil {
