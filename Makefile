@@ -77,10 +77,10 @@ determinism:
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
 # cursor, the MemTable against a sorted reference, the RESP command parser,
-# the workload-trace parser, the NAND page store's round trip, the device
-# value tier against its old map-and-buffers form, and the FTL against its
-# old dense map, seeded from the committed testdata corpora and the targets'
-# own seeds.
+# the workload-trace parser, the NAND page store's round trip, the NAND
+# payload slab against exact page copies, the device value tier against its
+# old map-and-buffers form, and the FTL against its old dense map, seeded
+# from the committed testdata corpora and the targets' own seeds.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s ./internal/lsm
@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s ./internal/nand
+	$(GO) test -run=NONE -fuzz=FuzzPayloadSlab -fuzztime=5s ./internal/nand
 	$(GO) test -run=NONE -fuzz=FuzzValues -fuzztime=5s ./internal/cache
 	$(GO) test -run=NONE -fuzz=FuzzFTL -fuzztime=5s ./internal/ftl
 

@@ -31,7 +31,7 @@ func buildTables(tb testing.TB, tr *Tree, entries []Entry, tablePages int) []*SS
 		if err := b.add(0, e); err != nil {
 			tb.Fatal(err)
 		}
-		if tablePages > 0 && len(b.table.pages) >= tablePages {
+		if tablePages > 0 && b.pages() >= tablePages {
 			finish()
 		}
 	}
@@ -158,7 +158,7 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
 		}
-		if len(builder.table.pages) >= tr.cfg.TablePages {
+		if builder.pages() >= tr.cfg.TablePages {
 			if err := finish(); err != nil {
 				return nil, end, err
 			}
@@ -369,37 +369,51 @@ func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 	}
 }
 
-// A table's restart index is one allocation however many restarts it holds:
-// the offsets are staged in the tree's scratch and copied once, exact-sized,
-// at finish. A one-page table costs eight allocations — the builder, the
-// handle, the page list, the first-key list and its one key, smallest, largest
-// and the index — whether the page has no restart or a dozen. Its filter
-// costs none once a freed table's filter is on the free list.
+// A table's handle costs a fixed number of allocations however many restarts
+// and pages it holds: the page list, the first keys and the restart offsets
+// are staged in the tree's scratch and copied once, exact-sized, at finish.
+// A table costs six allocations — the builder, the handle, the page list, the
+// first-key list, the one slab of its keys (first keys, smallest and
+// largest) and the restart index — whether it has one page or eight, and
+// whether a page has no restart or a dozen. Its filter costs none once a
+// freed table's filter is on the free list.
 func TestTableBuildAllocs(t *testing.T) {
-	store := newMemStore(16)
-	tr, err := NewTree(smallTreeConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var entries []Entry
 	for i := 0; i < 200; i++ {
 		entries = append(entries, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8})
 	}
-	for _, n := range []int{restartInterval, len(entries)} {
+	for _, tc := range []struct{ pageSize, n, pages int }{
+		{4096, restartInterval, 1},
+		{4096, len(entries), 1},
+		{512, len(entries), 8}, // ~26 entries a page
+	} {
+		store := newMemStore(16)
+		store.pageSize = tc.pageSize
+		tr, err := NewTree(smallTreeConfig(), store)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var table *SSTable
 		allocs := testing.AllocsPerRun(20, func() {
-			table = buildTables(t, tr, entries[:n], 0)[0]
+			table = buildTables(t, tr, entries[:tc.n], 0)[0]
 			for _, pg := range table.pages {
 				tr.alloc.free(pg) // the next build reuses the page, and memStore its image
 			}
 			tr.build.filters = append(tr.build.filters, table.filter)
 		})
 		allocs-- // buildTables' own result slice
-		if len(table.pages) != 1 || len(table.pageRestarts(0)) != (n-1)/restartInterval {
-			t.Fatalf("%d entries: %d pages, restarts %v", n, len(table.pages), table.pageRestarts(0))
+		if len(table.pages) != tc.pages {
+			t.Fatalf("%d entries on %d-byte pages: %d pages, want %d", tc.n, tc.pageSize, len(table.pages), tc.pages)
 		}
-		if allocs != 8 {
-			t.Errorf("building a one-page table of %d entries (%d restarts) costs %.0f allocations, want 8", n, len(table.pageRestarts(0)), allocs)
+		if tc.pages == 1 && len(table.pageRestarts(0)) != (tc.n-1)/restartInterval {
+			t.Fatalf("%d entries: restarts %v", tc.n, table.pageRestarts(0))
+		}
+		if !bytes.Equal(table.smallest, entries[0].Key) || !bytes.Equal(table.largest, entries[tc.n-1].Key) {
+			t.Fatalf("%d entries: key range [%q, %q], want [%q, %q]", tc.n, table.smallest, table.largest, entries[0].Key, entries[tc.n-1].Key)
+		}
+		if allocs != 6 {
+			t.Errorf("building a %d-page table of %d entries (%d restarts) costs %.0f allocations, want 6",
+				len(table.pages), tc.n, len(table.restarts)-len(table.pages)-1, allocs)
 		}
 	}
 }

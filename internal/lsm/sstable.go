@@ -301,13 +301,16 @@ func searchPage(data, key []byte, restarts []uint16) (Entry, bool, error) {
 // tableScratch is what a tableBuilder stages a table in before the store and
 // the handle get it, owned by the tree so that one serves every table it
 // builds: page is the PageSize image being filled, of which only page[:used]
-// is ever meaningful; restarts collects the restart offsets of the table so
-// far, each page's run closed by a 0 (no restart sits at offset 0); hashes
-// the sim.KeyHash of each of its entries. filters is the free list of filter
-// storage: the filters of the tables a commit freed, which the next tables
-// built are given instead of new words.
+// is ever meaningful; pages the pages the table has written so far, and
+// fences the first key of each, after a length byte; restarts collects the
+// restart offsets of the table so far, each page's run closed by a 0 (no
+// restart sits at offset 0); hashes the sim.KeyHash of each of its entries.
+// filters is the free list of filter storage: the filters of the tables a
+// commit freed, which the next tables built are given instead of new words.
 type tableScratch struct {
 	page     []byte
+	pages    []int
+	fences   []byte
 	restarts []uint16
 	hashes   []uint64
 	filters  []sim.Bloom
@@ -346,9 +349,13 @@ type tableBuilder struct {
 }
 
 func newTableBuilder(store PageStore, alloc *pageAllocator, scratch *tableScratch) *tableBuilder {
+	scratch.pages, scratch.fences = scratch.pages[:0], scratch.fences[:0]
 	scratch.restarts, scratch.hashes = scratch.restarts[:0], scratch.hashes[:0]
 	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{}, scratch: scratch}
 }
+
+// pages reports how many pages the table has written so far.
+func (b *tableBuilder) pages() int { return len(b.scratch.pages) }
 
 // add appends one entry (entries must arrive in strictly increasing key
 // order, and their keys stay untouched until finish; the caller guarantees
@@ -361,16 +368,13 @@ func (b *tableBuilder) add(t sim.Time, e Entry) error {
 		}
 	}
 	if b.used == 0 {
-		b.table.firstKey = append(b.table.firstKey, append([]byte(nil), e.Key...))
+		b.scratch.fences = append(append(b.scratch.fences, byte(len(e.Key))), e.Key...)
 	} else if b.inPage%restartInterval == 0 {
 		b.scratch.restarts = append(b.scratch.restarts, uint16(b.used))
 	}
 	b.used += encodeEntry(b.scratch.page[b.used:], e)
 	b.inPage++
 	b.scratch.hashes = append(b.scratch.hashes, sim.KeyHash(e.Key))
-	if b.table.smallest == nil {
-		b.table.smallest = append([]byte(nil), e.Key...)
-	}
 	b.last = e.Key
 	b.table.entries++
 	return nil
@@ -392,13 +396,17 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 	if end > b.end {
 		b.end = end
 	}
-	b.table.pages = append(b.table.pages, page)
+	b.scratch.pages = append(b.scratch.pages, page)
 	b.scratch.restarts = append(b.scratch.restarts, 0)
 	b.used, b.inPage = 0, 0
 	return nil
 }
 
-// finish flushes the tail page and returns the table (nil if empty).
+// finish flushes the tail page and returns the table (nil if empty). The
+// handle gets what the scratch staged in a fixed number of exact-sized
+// allocations, however many pages the table has: the page list, the restart
+// index, and one slab of its keys — the first key of every page, of which
+// the first is also the smallest, and then the largest.
 func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if err := b.flushPage(t); err != nil {
 		return nil, b.end, err
@@ -410,10 +418,10 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	// per page and one more.
 	staged := b.scratch.restarts
 	if len(staged)+1 > math.MaxUint16 {
-		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, len(b.table.pages))
+		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, b.pages())
 	}
 	restarts := make([]uint16, len(staged)+1)
-	page, next := 0, len(b.table.pages)+1
+	page, next := 0, b.pages()+1
 	restarts[0] = uint16(next)
 	for _, off := range staged {
 		if off == 0 {
@@ -429,7 +437,20 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	for _, h := range b.scratch.hashes {
 		b.table.filter.Add(h)
 	}
-	b.table.largest = append([]byte(nil), b.last...)
+	n := b.pages()
+	b.table.pages = make([]int, n)
+	copy(b.table.pages, b.scratch.pages)
+	keys := make([]byte, 0, len(b.scratch.fences)-n+len(b.last))
+	b.table.firstKey = make([][]byte, n)
+	for i, f := 0, b.scratch.fences; i < n; i++ {
+		kl, lo := int(f[0]), len(keys)
+		keys = append(keys, f[1:1+kl]...)
+		b.table.firstKey[i] = keys[lo:len(keys):len(keys)]
+		f = f[1+kl:]
+	}
+	keys = append(keys, b.last...)
+	b.table.smallest = b.table.firstKey[0]
+	b.table.largest = keys[len(keys)-len(b.last):]
 	return b.table, b.end, nil
 }
 

@@ -626,7 +626,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
 		}
-		if len(builder.table.pages) >= tr.cfg.TablePages {
+		if builder.pages() >= tr.cfg.TablePages {
 			if err := finish(); err != nil {
 				return nil, end, err
 			}

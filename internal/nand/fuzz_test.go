@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"bandslim/internal/sim"
 )
@@ -156,3 +158,190 @@ func hasZeroRun(b []byte, n int) bool {
 }
 
 func hasNonZero(b []byte) bool { return len(b) > 0 && !bytes.Equal(b, make([]byte, len(b))) }
+
+// slabGeometries are FuzzPayloadSlab's arrays: 16 pages each, of 1000 bytes
+// (4000-byte slab blocks, 16-byte classes only) or of three sectors (48 KiB
+// blocks, classes past 1 KiB too, pages kept with gaps).
+var slabGeometries = []Geometry{
+	{Channels: 1, WaysPerChannel: 2, BlocksPerWay: 2, PagesPerBlock: 4, PageSize: 1000},
+	{Channels: 1, WaysPerChannel: 2, BlocksPerWay: 2, PagesPerBlock: 4, PageSize: 3 * sectorSize},
+}
+
+// slabSizes returns the page lengths FuzzPayloadSlab programs on a page of
+// the given size: empty, class edges of the slab (16-byte steps up to 1 KiB,
+// then 16 per doubling) below half a page, half a page and either side of
+// it, and a page a few bytes short of whole, and whole.
+func slabSizes(page int) []int {
+	var sizes []int
+	for _, n := range []int{0, 1, 15, 16, 17, 100, 250, 1009, 1024, 1025, 2000, 4096, 4097} {
+		if 2*n < page {
+			sizes = append(sizes, n)
+		}
+	}
+	return append(sizes, page/2-1, page/2, page/2+1, page-3, page)
+}
+
+// FuzzPayloadSlab drives Program, Discard and Erase over a tiny array with
+// sub-page and whole-page payloads of random sizes, against a reference that
+// keeps an exact copy of every page, and checks after every step:
+//   - every page reads as the reference says through Read, ReadAt and
+//     Extent: a programmed one byte-identical, an erased one as zeros, a
+//     discarded one as ErrDiscarded;
+//   - a payload just released — by Discard or Erase — is poison through its
+//     stale view;
+//   - no two held payloads share a byte of memory, sector tables included,
+//     however the slab reused their chunks across size classes.
+//
+// The first byte picks the geometry. Each step after it is three bytes: the
+// operation, the page, and the size (an index into slabSizes, with its top
+// bit cutting a zero run into sector 0's tail, which on a three-sector page
+// keeps it with a gap).
+func FuzzPayloadSlab(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 5, 0, 1, 6, 1, 0, 0, 0, 2, 4, 2, 1, 0, 0, 4, 12})
+	f.Add([]byte{1, 0, 0, 14, 0, 1, 3, 1, 0, 0, 0, 2, 17, 0, 3, 130, 3, 3, 0, 1, 1, 0, 0, 4, 8})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		geo := slabGeometries[int(prog[0])%len(slabGeometries)]
+		prog = prog[1:]
+		a, err := New(geo, DefaultLatency(), sim.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := slabSizes(geo.PageSize)
+		pages := geo.Pages()
+		addr := func(i int) PageAddr {
+			per := geo.PagesPerBlock * geo.BlocksPerWay
+			return PageAddr{Way: i / per, Block: i % per / geo.PagesPerBlock, Page: i % geo.PagesPerBlock}
+		}
+		ref := make([][]byte, pages) // nil: erased
+		discarded := make([]bool, pages)
+		rng := rand.New(rand.NewSource(int64(len(prog))))
+		got := make([]byte, geo.PageSize)
+		for i := 0; i+2 < len(prog); i += 3 {
+			op, pi, sb := prog[i]%4, int(prog[i+1])%pages, prog[i+2]
+			p := addr(pi)
+			switch op {
+			case 0, 1: // Program, twice as often as the rest
+				if ref[pi] != nil || discarded[pi] {
+					if _, err := a.Program(0, p, nil); !errors.Is(err, ErrNotErased) {
+						t.Fatalf("step %d: program of a used page: %v", i, err)
+					}
+					// Program the next erased page instead, if any.
+					for k := 0; k < pages && (ref[pi] != nil || discarded[pi]); k++ {
+						pi = (pi + 1) % pages
+					}
+					if ref[pi] != nil || discarded[pi] {
+						break
+					}
+					p = addr(pi)
+				}
+				size := sizes[int(sb&0x7F)%len(sizes)]
+				page := make([]byte, geo.PageSize)
+				for j := range page[:size] {
+					page[j] = byte(rng.Intn(255) + 1)
+				}
+				if sb&0x80 != 0 {
+					clear(page[max(min(size, sectorSize)-minGap, 0):min(size, sectorSize)])
+				}
+				if _, err := a.Program(0, p, page[:size]); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				ref[pi] = page
+			case 2: // Discard
+				stale, _ := a.payload(p)
+				if err := a.Discard(p); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				if ref[pi] != nil {
+					checkPoisoned(t, i, stale)
+					ref[pi], discarded[pi] = nil, true
+				}
+			case 3: // Erase the page's block
+				b := BlockAddr{Channel: p.Channel, Way: p.Way, Block: p.Block}
+				first := pi - p.Page
+				var stale [][]byte
+				for j := first; j < first+geo.PagesPerBlock; j++ {
+					if ref[j] != nil {
+						buf, _ := a.payload(addr(j))
+						stale = append(stale, buf)
+					}
+				}
+				if _, err := a.Erase(0, b); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				for _, buf := range stale {
+					checkPoisoned(t, i, buf)
+				}
+				for j := first; j < first+geo.PagesPerBlock; j++ {
+					ref[j], discarded[j] = nil, false
+				}
+			}
+
+			held := 0
+			for j := range ref {
+				q := addr(j)
+				if discarded[j] {
+					if _, err := a.ReadAt(0, q, got, 0); !errors.Is(err, ErrDiscarded) {
+						t.Fatalf("step %d: ReadAt of discarded page %v: %v", i, q, err)
+					}
+					continue
+				}
+				want, viewLen := ref[j], -1 // -1: the extent
+				if want == nil {
+					want, viewLen = a.zero, geo.PageSize
+				} else {
+					held++
+				}
+				if _, err := a.ReadAt(0, q, got, 0); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("step %d: ReadAt of page %v: %v, bytes differ", i, q, err)
+				}
+				ext, err := a.Extent(q)
+				if err != nil || hasNonZero(want[ext:]) {
+					t.Fatalf("step %d: page %v has non-zero bytes past its extent %d (%v)", i, q, ext, err)
+				}
+				if viewLen < 0 {
+					viewLen = ext
+				}
+				if view, _, err := a.Read(0, q); err == nil && (len(view) != viewLen || !bytes.Equal(view, want[:viewLen])) {
+					t.Fatalf("step %d: Read of page %v: a %d-byte view, want %d, bytes differ", i, q, len(view), viewLen)
+				} else if err != nil && !errors.Is(err, ErrSparsePage) {
+					t.Fatalf("step %d: Read of page %v: %v", i, q, err)
+				}
+			}
+			if n, _, _ := a.Payloads(); n != held {
+				t.Fatalf("step %d: %d payloads held, reference %d", i, n, held)
+			}
+			checkDisjoint(t, i, a)
+		}
+	})
+}
+
+// checkPoisoned fails unless every byte of a released payload is poison.
+func checkPoisoned(t *testing.T, step int, buf []byte) {
+	t.Helper()
+	for j, b := range buf {
+		if b != poison {
+			t.Fatalf("step %d: stale view byte %d of %d = %#x, want poison", step, j, len(buf), b)
+		}
+	}
+}
+
+// checkDisjoint fails if the memory of any two held payloads — each up to
+// its capacity, where a sector table lives — overlaps.
+func checkDisjoint(t *testing.T, step int, a *Array) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for _, buf := range a.data {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+		spans = append(spans, span{lo, lo + uintptr(cap(buf))})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("step %d: payloads at [%#x,%#x) and [%#x,%#x) overlap", step, spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+}

@@ -8,9 +8,12 @@
 // is erased), and it holds only what a read can see as non-zero. BandSlim
 // aligns every DMA value to a 4 KiB host page (§3.3), so a flushed vLog page
 // is mostly zero sector tails; Program keeps each 4 KiB sector's bytes up to
-// such a tail, in one allocation per page. Read and View hand out a view of
-// that allocation, not a copy, when the kept bytes are one run from the
-// start of the page; ReadAt and ViewAt copy any byte range of any page. See
+// such a tail. A payload of more than half a page takes a full-page buffer; a
+// smaller one a chunk carved from a slab the array keeps, so that once the
+// slab has grown to the live set a Program allocates nothing. Released
+// buffers and chunks are poisoned and reused. Read and View hand out a view
+// of the payload, not a copy, when the kept bytes are one run from the start
+// of the page; ReadAt and ViewAt copy any byte range of any page. See
 // Array.Program for what is kept and Array.Read for how long a view lives.
 //
 // Page states follow the written blocks: a block's table of them is built at
@@ -150,6 +153,12 @@ type Array struct {
 	free   [][]byte
 	stored int64
 	zero   []byte
+	// The slab every payload of at most half a page is carved from: cur is
+	// the uncarved tail of its newest block (slabPages pages long), chunks
+	// the free chunks released payloads gave back, by size class (see
+	// slabClass), each cut to length 0.
+	cur    []byte
+	chunks [][][]byte
 	// lens is the scratch Program works out what each sector of a page keeps
 	// in (a page spans len(lens) sectors, the last possibly short), hdr the
 	// size of a payload's sector table.
@@ -181,9 +190,31 @@ const (
 )
 
 // poison overwrites a released payload so a view held past its lifetime
-// decodes as corrupt, never as the old contents. Any value above the largest
-// legal SSTable key length (16) works.
+// decodes as corrupt, never as the old contents — until its buffer or chunk
+// is reused, when the view shows the new page's bytes instead. Any value
+// above the largest legal SSTable key length (16) works.
 const poison = 0xDB
+
+// slabPages is the size of the blocks the payload slab carves, in pages:
+// 64 KiB at the default 16 KiB page. A chunk is at most a little over half a
+// page, so every one fits a block except on pages of a few bytes, where a
+// chunk that does not gets an exact-size allocation instead.
+const slabPages = 4
+
+// slabClass returns the size class of a chunk that holds size bytes, and the
+// class's chunk size: 16-byte steps up to 1 KiB, then 16 steps per doubling.
+// Rounding up wastes at most 1/16 of a chunk, and payloads a few bytes apart
+// share a class and so each other's released chunks.
+func slabClass(size int) (cl, chunk int) {
+	if size <= 1024 {
+		cl = (size + 15) / 16
+		return cl, cl * 16
+	}
+	k := bits.Len(uint(size-1)) - 1 // 1<<k < size <= 2<<k
+	step := 1 << (k - 4)
+	j := (size - 1<<k + step - 1) / step
+	return 64 + 16*(k-10) + j, 1<<k + j*step
+}
 
 // sectorSize is the unit Program trims: the host memory page BandSlim aligns
 // DMA values to, so the zero padding of a flushed vLog page sits in sector
@@ -364,16 +395,18 @@ func (a *Array) sectorLen(buf []byte, s int) int {
 
 // takePayload returns a payload buffer of n kept bytes (and room for the
 // sector table unless n is a whole page), contents unspecified. Over half a
-// page it is a full-page buffer, from the free list when one waits there;
-// otherwise, or when the table does not fit in a page, an exact-size
-// allocation.
+// page it is a full-page buffer, from the free list when one waits there; at
+// most half a page, a slab chunk (see carve); when the table does not fit in
+// a page, an exact-size allocation.
 func (a *Array) takePayload(n int) []byte {
 	size := n + a.hdr
-	if n == a.geo.PageSize {
+	switch {
+	case n == a.geo.PageSize:
 		size = n
-	}
-	if 2*n <= a.geo.PageSize || size > a.geo.PageSize {
+	case size > a.geo.PageSize:
 		return make([]byte, n, size)
+	case a.small(n):
+		return a.carve(n, size)
 	}
 	if k := len(a.free); k > 0 {
 		buf := a.free[k-1]
@@ -384,9 +417,67 @@ func (a *Array) takePayload(n int) []byte {
 	return make([]byte, n, a.geo.PageSize)
 }
 
+// small reports whether a payload of n kept bytes lives in the slab: at most
+// half a page, with its sector table.
+func (a *Array) small(n int) bool { return 2*n <= a.geo.PageSize && n+a.hdr <= a.geo.PageSize }
+
+// carve returns a slab chunk of n bytes with room for size: a free chunk of
+// size's class, else the next one cut from the newest block, else the
+// smallest free chunk of a larger class, and only when none of those is
+// there a chunk of a new block. So the slab grows only when the chunks it
+// holds are all in use or too small.
+func (a *Array) carve(n, size int) []byte {
+	cl, chunk := slabClass(size)
+	if cl < len(a.chunks) && len(a.chunks[cl]) > 0 {
+		return a.pop(cl, n)
+	}
+	if len(a.cur) < chunk {
+		for c := cl + 1; c < len(a.chunks); c++ {
+			if len(a.chunks[c]) > 0 {
+				return a.pop(c, n)
+			}
+		}
+		block := slabPages * a.geo.PageSize
+		if chunk > block {
+			return make([]byte, n, size)
+		}
+		a.file(a.cur)
+		a.cur = make([]byte, block)
+	}
+	buf := a.cur[:n:chunk]
+	a.cur = a.cur[chunk:]
+	return buf
+}
+
+// pop takes the newest free chunk of class cl, cut to n bytes.
+func (a *Array) pop(cl, n int) []byte {
+	list := a.chunks[cl]
+	buf := list[len(list)-1]
+	list[len(list)-1] = nil
+	a.chunks[cl] = list[:len(list)-1]
+	return buf[:n]
+}
+
+// file puts a free chunk — a released payload's, or a block's uncarved tail —
+// on the list of the largest class it holds; one too short for any class is
+// dropped.
+func (a *Array) file(buf []byte) {
+	cl, chunk := slabClass(cap(buf))
+	if chunk > cap(buf) {
+		cl--
+	}
+	if cl <= 0 {
+		return
+	}
+	for len(a.chunks) <= cl {
+		a.chunks = append(a.chunks, nil)
+	}
+	a.chunks[cl] = append(a.chunks[cl], buf[:0])
+}
+
 // releasePayload ends the life of programmed page idx's payload: poisoned, so
-// that a stale view cannot be mistaken for data, and a full-page buffer kept
-// for reuse while the free list has room.
+// that a stale view cannot be mistaken for data, then a slab chunk goes back
+// to its class and a full-page buffer to the free list while that has room.
 func (a *Array) releasePayload(idx int) {
 	buf := a.data[idx]
 	delete(a.data, idx)
@@ -397,7 +488,10 @@ func (a *Array) releasePayload(idx int) {
 			copy(buf[n:], buf[:n])
 		}
 	}
-	if cap(buf) == a.geo.PageSize && len(a.free) < a.geo.PagesPerBlock {
+	switch {
+	case a.small(len(buf)):
+		a.file(buf)
+	case cap(buf) == a.geo.PageSize && len(a.free) < a.geo.PagesPerBlock:
 		a.free = append(a.free, buf[:0])
 	}
 }
@@ -449,7 +543,8 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 // for such a page are its first len(view) bytes: everything past the end of
 // the view reads as zero. An erased page's view is a shared, PageSize-long
 // zero page. The view is valid until the page is discarded or its block
-// erased; a caller that keeps the bytes longer, or across any call that can
+// erased, when its memory is poisoned and then reused for another page's
+// payload; a caller that keeps the bytes longer, or across any call that can
 // discard or erase, copies them. A page whose kept bytes have gaps has no
 // view and is ErrSparsePage (read it with ReadAt). Reading a discarded page
 // is ErrDiscarded: its contents no longer exist. Neither refusal is a flash
@@ -605,9 +700,10 @@ func (a *Array) ZeroPage() []byte { return a.zero }
 // Payloads reports how many pages currently hold a payload, how many
 // released full-page buffers wait on the free list, and how many bytes the
 // held payloads keep. The array's host memory follows the kept bytes — a
-// payload over half a page sits in a full-page buffer, a smaller one takes
-// its own size plus a few bytes of sector table — plus (spare + 1) pages,
-// whatever has been programmed and died since.
+// payload over half a page sits in a full-page buffer, a smaller one in a
+// slab chunk of its size plus a few bytes of sector table, rounded up to its
+// class — plus (spare + 1) pages and the slab's free chunks and uncarved
+// tail, whatever has been programmed and died since.
 func (a *Array) Payloads() (held, spare int, stored int64) {
 	return len(a.data), len(a.free), a.stored
 }
