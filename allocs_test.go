@@ -359,9 +359,9 @@ func TestDeleteAllocsSteadyState(t *testing.T) {
 }
 
 // TestInsertAllocsSteadyState: a Put of a key the MemTable does not hold is a
-// skiplist insert, not an overwrite, and it allocates nothing either once a
-// flush has recycled the table with its slab grown. NAND stays on: with it
-// off the device writes no index, and there would be no insert to measure.
+// new slab node, not an overwrite, and it allocates nothing either once a
+// flush has recycled the table. NAND stays on: with it off the device writes
+// no index, and there would be no insert to measure.
 func TestInsertAllocsSteadyState(t *testing.T) {
 	for trName, tr := range tracers() {
 		t.Run(trName, func(t *testing.T) {

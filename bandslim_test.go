@@ -699,6 +699,22 @@ func TestOpenRefusesGeometryPastInt32Pages(t *testing.T) {
 	}
 }
 
+// The MemTable's arrays are sized from MemTableEntries when the tree is
+// built, so a size no host can hold is refused at Open, naming the setting,
+// rather than attempted.
+func TestOpenRefusesOversizedMemTable(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Device.LSM.MemTableEntries = 1 << 40
+	db, err := Open(cfg)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted a MemTable of 2^40 entries")
+	}
+	if !strings.Contains(err.Error(), "MemTableEntries") {
+		t.Fatalf("Open error %q does not name MemTableEntries", err)
+	}
+}
+
 func TestIdentifyAPI(t *testing.T) {
 	db := openSmall(t, nil)
 	id, err := db.Identify()

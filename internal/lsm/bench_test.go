@@ -51,32 +51,42 @@ func benchTree(b *testing.B) *Tree {
 }
 
 // BenchmarkMemTablePut is a MemTable's life under a hashed-key fill: Puts of
-// MemTableEntries distinct 8-byte keys, then the recycle a Flush does, over
-// and over. ns/op and allocs/op are per Put.
+// MemTableEntries distinct 8-byte keys, the in-order drain a Flush makes of
+// them, then the recycle, over and over. ns/op and allocs/op are per Put, so
+// the drain's sort is on the Puts' account.
 func BenchmarkMemTablePut(b *testing.B) {
 	n := DefaultConfig().MemTableEntries
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = benchKey(i, 8)
 	}
-	m := NewMemTable()
+	m := NewMemTable(n)
+	var drained vlog.Addr
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%n == 0 {
-			m = m.recycle()
+	for i := 0; i < b.N; {
+		for _, k := range keys[:min(n, b.N-i)] {
+			if err := m.Put(k, vlog.Addr(i), 64, false); err != nil {
+				b.Fatal(err)
+			}
+			i++
 		}
-		if err := m.Put(keys[i%n], vlog.Addr(i), 64, false); err != nil {
-			b.Fatal(err)
+		for it := m.Iterator(); it.Next(); {
+			drained += it.Entry().Addr
 		}
+		m = m.recycle()
 	}
+	benchSink = int(drained)
 }
+
+// benchSink keeps a benchmark's results live.
+var benchSink int
 
 // BenchmarkMemTableGet looks up the keys of a full MemTable in turn.
 func BenchmarkMemTableGet(b *testing.B) {
 	n := DefaultConfig().MemTableEntries
 	keys := make([][]byte, n)
-	m := NewMemTable()
+	m := NewMemTable(n)
 	for i := range keys {
 		keys[i] = benchKey(i, 8)
 		if err := m.Put(keys[i], vlog.Addr(i), 64, false); err != nil {
@@ -90,6 +100,44 @@ func BenchmarkMemTableGet(b *testing.B) {
 			b.Fatalf("key %x missing", keys[i%n])
 		}
 	}
+}
+
+// BenchmarkMemTableLiveScan is a scan left open under writes: a table half
+// filled with 8-byte hashed keys is Seek'd to its start, then each op Puts a
+// new key and advances the scan one step, which has to find its place again
+// in the order the Put extended. A full table is refilled off the clock.
+func BenchmarkMemTableLiveScan(b *testing.B) {
+	n := DefaultConfig().MemTableEntries
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = benchKey(i, 8)
+	}
+	var m *MemTable
+	var it *MemIterator
+	var seen vlog.Addr
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(n/2) == 0 {
+			b.StopTimer()
+			m = NewMemTable(n)
+			for j := 0; j < n; j += 2 {
+				if err := m.Put(keys[j], vlog.Addr(j), 64, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			it = m.Iterator()
+			it.Seek(nil)
+			b.StartTimer()
+		}
+		if err := m.Put(keys[2*(i%(n/2))+1], vlog.Addr(i), 64, false); err != nil {
+			b.Fatal(err)
+		}
+		if it.Next() {
+			seen += it.Entry().Addr
+		}
+	}
+	benchSink = int(seen)
 }
 
 // BenchmarkCompaction is one L0→L1 compaction at the steady-state shape of a

@@ -59,15 +59,27 @@ func FuzzDecodeEntry(f *testing.F) {
 // that many key bytes. A length of 0 or past MaxKeySize must be refused by Put
 // and is still a legal Get or Seek target. A Seek pins the table, so a later
 // recycle starts a fresh one; without a Seek the table is reset in place.
+//
+// Two ops check the live view: one Seeks an iterator that stays open across
+// the ops that follow, the other advances it one step, which must yield the
+// reference's first key past the last one it yielded (at or past the Seek
+// target for the first), reading the table it was opened on as it is now —
+// or as it was when recycled — and, once it has ended, nothing more.
 func FuzzMemTable(f *testing.F) {
 	f.Add([]byte("\x00\x02ab\x00\x03ab\x00\x01\x04ab\x00\x01\x00\x03ab\x01\x02\x03ab\x00\x03\x01a\x04\x00\x00\x02ab\x03\x00"))
 	f.Add(append([]byte{0, 16}, bytes.Repeat([]byte{0xFF}, 16)...))
 	f.Add([]byte("\x00\x01k\x00\x11kkkkkkkkkkkkkkkkk\x03\x11kkkkkkkkkkkkkkkkk\x02\x01k\x04\x00\x00\x01k"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMemTable()
+		m := NewMemTable(8)
 		var ref []Entry
+		// The live scan: its iterator, its table's reference once that table
+		// is recycled, and where its next entry lies.
+		var live *MemIterator
+		var liveRef []Entry
+		var liveFrom []byte
+		var livePast, liveDone bool
 		for seq := 0; len(data) >= 2; seq++ {
-			op, kl := data[0]%5, min(int(data[1])%(MaxKeySize+4), len(data)-2)
+			op, kl := data[0]%7, min(int(data[1])%(MaxKeySize+4), len(data)-2)
 			k := data[2 : 2+kl]
 			data = data[2+kl:]
 			i := sort.Search(len(ref), func(i int) bool { return bytes.Compare(ref[i].Key, k) >= 0 })
@@ -97,7 +109,37 @@ func FuzzMemTable(f *testing.F) {
 					t.Fatalf("Seek(%x): %v", k, err)
 				}
 			case 4:
-				m, ref = m.recycle(), ref[:0]
+				if live != nil && live.m == m {
+					liveRef = ref
+				}
+				m, ref = m.recycle(), nil
+			case 5:
+				live = m.Iterator()
+				live.Seek(k)
+				liveFrom, livePast, liveDone = append([]byte(nil), k...), false, false
+			case 6:
+				if live == nil {
+					break
+				}
+				r := liveRef
+				if live.m == m {
+					r = ref
+				}
+				j := sort.Search(len(r), func(j int) bool {
+					c := bytes.Compare(r[j].Key, liveFrom)
+					return c > 0 || c == 0 && !livePast
+				})
+				ok := live.Next()
+				if want := !liveDone && j < len(r); ok != want {
+					t.Fatalf("live Next after %x (past %v) = %v, want %v", liveFrom, livePast, ok, want)
+				}
+				if ok {
+					if e := live.Entry(); !sameEntry(e, r[j]) {
+						t.Fatalf("live Next after %x (past %v) yielded %x → %d, want %x → %d", liveFrom, livePast, e.Key, e.Addr, r[j].Key, r[j].Addr)
+					}
+					liveFrom, livePast = r[j].Key, true
+				}
+				liveDone = !ok
 			}
 		}
 		if err := memTail(m.Iterator(), ref); err != nil {

@@ -17,9 +17,12 @@ var ErrIteratorInvalidated = errors.New("lsm: iterator invalidated by compaction
 // of [22] the paper builds on). Duplicate keys resolve newest-first and
 // tombstoned keys are skipped.
 //
-// The iterator is a snapshot of the tree at Seek time. Writes that only add
-// tables leave it intact; once a compaction's page frees are committed it
-// fails with ErrIteratorInvalidated at its next page load.
+// Its tables are the ones the tree held at Seek time; its MemTable source is
+// a live view of the table it opened on (MemIterator), so a key written to
+// that table past the scan's position shows up, while a later table's keys
+// do not. Writes that only add tables leave it intact; once a compaction's
+// page frees are committed it fails with ErrIteratorInvalidated at its next
+// page load.
 type Iterator struct {
 	tree     *Tree
 	reclaims uint64 // tree.reclaims at Seek
@@ -146,8 +149,8 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 }
 
 // step advances the merged view to the next live key. Every source stands at
-// or past the Seek key from its first entry on (the MemTable seeks its skip
-// list, a table enters its first page through the restart search), so there
+// or past the Seek key from its first entry on (the MemTable searches its key
+// order, a table enters its first page through the restart search), so there
 // is nothing to skip but older duplicates and tombstones.
 func (it *Iterator) step(t sim.Time) {
 	for {

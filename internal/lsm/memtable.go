@@ -1,12 +1,14 @@
 // Package lsm implements the in-device, key-value-separated LSM-tree of the
-// paper's KV-SSD (§2.1): a skiplist MemTable holding key → (vLog address,
-// size) entries, SSTables serialized onto NAND meta pages, leveled
-// compaction that never rewrites values (the point of KV separation), and
-// merged iterators backing the SEEK/NEXT interface.
+// paper's KV-SSD (§2.1): a hash-indexed MemTable holding key → (vLog address,
+// size) entries, put in key order once per flush, SSTables serialized onto
+// NAND meta pages, leveled compaction that never rewrites values (the point
+// of KV separation), and merged iterators backing the SEEK/NEXT interface.
 package lsm
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"bandslim/internal/vlog"
 )
@@ -20,13 +22,10 @@ type Entry struct {
 	Tombstone bool
 }
 
-const (
-	maxHeight = 12
-	// MaxKeySize mirrors the NVMe command's inline key capacity.
-	MaxKeySize = 16
-)
+// MaxKeySize mirrors the NVMe command's inline key capacity.
+const MaxKeySize = 16
 
-// memKey is a key as the skiplist compares it: its first MaxKeySize bytes as
+// memKey is a key as the MemTable compares it: its first MaxKeySize bytes as
 // two big-endian words, zero-padded, then its length. Zero padding with the
 // length as the tie-break orders keys exactly as bytes.Compare does ("ab" <
 // "ab\x00" < "ab\x00\x01" < "ab\x01"), so a compare is at most three integer
@@ -45,138 +44,88 @@ func makeMemKey(k []byte) memKey {
 	return mk
 }
 
-// memNode is one slot of a MemTable's slab. It holds no pointer — links are
-// slab indices, and index 0, the head's slot, doubles as nil — so the slab is
-// one allocation the collector never scans.
+// hash mixes every bit of the key into the low bits the index masks.
+func (k memKey) hash() uint64 {
+	h := (k.w0 ^ uint64(k.n)) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ k.w1) * 0xBF58476D1CE4E5B9
+	return h ^ h>>32
+}
+
+// memNode is one slot of a MemTable's slab. It holds no pointer, so the slab
+// is one allocation the collector never scans.
 type memNode struct {
-	w0, w1 uint64 // the key's memKey words
-	addr   vlog.Addr
-	size   uint32
-	next   uint32 // successor at level 0
-	tower  uint32 // links[tower+lvl-1] is the successor at level lvl >= 1
-	klen   uint8
-	tomb   bool
-	key    [MaxKeySize]byte // backs the Entry.Key handed out
+	w    [2]uint64 // the key's memKey words
+	addr vlog.Addr
+	size uint32
+	klen uint8
+	tomb bool
+	key  [MaxKeySize]byte // backs the Entry.Key handed out
 }
 
 // before reports whether n's key sorts before k.
 func (n *memNode) before(k memKey) bool {
-	if n.w0 != k.w0 {
-		return n.w0 < k.w0
+	if n.w[0] != k.w0 {
+		return n.w[0] < k.w0
 	}
-	if n.w1 != k.w1 {
-		return n.w1 < k.w1
+	if n.w[1] != k.w1 {
+		return n.w[1] < k.w1
 	}
 	return int(n.klen) < k.n
 }
 
-func (n *memNode) is(k memKey) bool {
-	return n.w0 == k.w0 && n.w1 == k.w1 && int(n.klen) == k.n
-}
+func (n *memNode) is(k memKey) bool { return n.w[0] == k.w0 && n.w[1] == k.w1 && int(n.klen) == k.n }
 
-// MemTable is a skiplist-ordered write buffer. The device's DRAM is battery
-// backed, so the MemTable is durable the moment a value is inserted (§2.2).
+// MemTable is the write buffer. The device's DRAM is battery backed, so the
+// MemTable is durable the moment a value is inserted (§2.2).
 //
-// Every node lives in one slab grown by append, 56 B a node, and the links
-// above level 0 in a second one, 4 B a level (a third of a level per node on
-// average). The tree recycles a flushed table, keeping both slabs' capacity,
-// so once they have reached their working size an insert allocates nothing.
+// Nodes sit in one slab in insertion order, 48 B a node, found by key through
+// an open-addressing hash index. Key order is built only when something reads
+// in order — a flush's drain, an iterator — by a radix sort of slab indices;
+// nodes inserted after that are sorted alone and merged in. Every array is
+// sized once, at the first Put, for the table's entries, and the tree
+// recycles a flushed table, so a table's life, flush included, allocates
+// nothing after that.
 type MemTable struct {
-	slab   []memNode // slab[0] is the head
-	links  []uint32  // links[:maxHeight-1] is the head's tower
-	height int
-	rng    simRNG
+	entries int
+	slab    []memNode
+	// index holds slab index + 1 per used slot (0: empty), probed linearly
+	// from a key's hash; a power of two at least twice the slab, it is sparse.
+	index []uint32
+	// order is slab[:len(order)] in key order; scratch is the sort's second
+	// buffer.
+	order, scratch []uint32
 	// pinned marks a table a MemIterator was placed in with Seek: the
 	// iterator may outlive the table's flush, so the table is never recycled.
 	pinned bool
 }
 
-// simRNG is a tiny xorshift so the skiplist is deterministic per table.
-type simRNG struct{ s uint64 }
+// NewMemTable returns an empty table for entries entries. Its arrays are
+// made at its first Put.
+func NewMemTable(entries int) *MemTable { return &MemTable{entries: entries} }
 
-func (r *simRNG) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-// NewMemTable returns an empty table.
-func NewMemTable() *MemTable {
-	m := &MemTable{}
-	m.reset()
-	return m
-}
-
-// reset empties the table and keeps its slabs' capacity. A reset table draws
-// the same heights as a fresh one.
-func (m *MemTable) reset() {
-	m.slab = append(m.slab[:0], memNode{})
-	m.links = m.links[:0]
-	m.newTower(maxHeight - 1)
-	m.height = 1
-	m.rng = simRNG{s: 0x9E3779B97F4A7C15}
-}
-
-// recycle returns an empty table for the tree's next writes: m itself, reset,
-// unless an iterator pinned it, in which case m stays as that iterator sees it
-// and a fresh table takes its place.
+// recycle returns an empty table for the tree's next writes: m itself, reset
+// with its arrays kept, unless an iterator pinned it, in which case m stays
+// as that iterator sees it and a fresh table takes its place.
 func (m *MemTable) recycle() *MemTable {
 	if m.pinned {
-		return NewMemTable()
+		return NewMemTable(m.entries)
 	}
-	m.reset()
+	m.slab, m.order = m.slab[:0], m.order[:0]
+	clear(m.index)
 	return m
 }
 
 // Len reports the number of entries (including tombstones).
-func (m *MemTable) Len() int { return len(m.slab) - 1 }
+func (m *MemTable) Len() int { return len(m.slab) }
 
-func (m *MemTable) randomHeight() int {
-	h := 1
-	for h < maxHeight && m.rng.next()&3 == 0 {
-		h++
-	}
-	return h
-}
-
-// newTower appends n nil links and returns the offset of the first. It
-// appends one at a time: append(links, make(...)...) allocates the made
-// slice in race-instrumented builds.
-func (m *MemTable) newTower(n int) uint32 {
-	off := uint32(len(m.links))
-	for ; n > 0; n-- {
-		m.links = append(m.links, 0)
-	}
-	return off
-}
-
-// link is node n's successor slot at level lvl. The pointer is good until the
-// next insert grows a slab.
-func (m *MemTable) link(n uint32, lvl int) *uint32 {
-	if lvl == 0 {
-		return &m.slab[n].next
-	}
-	return &m.links[m.slab[n].tower+uint32(lvl-1)]
-}
-
-// findBefore returns the last node whose key sorts before k, and when prev is
-// non-nil records that node for every level below the table's height.
-func (m *MemTable) findBefore(k memKey, prev *[maxHeight]uint32) uint32 {
-	n := uint32(0)
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for {
-			nx := *m.link(n, lvl)
-			if nx == 0 || !m.slab[nx].before(k) {
-				break
-			}
-			n = nx
-		}
-		if prev != nil {
-			prev[lvl] = n
+// slot returns the index slot holding k, or the empty slot where k belongs.
+func (m *MemTable) slot(k memKey) int {
+	mask := len(m.index) - 1
+	for s := int(k.hash()) & mask; ; s = (s + 1) & mask {
+		if i := m.index[s]; i == 0 || m.slab[i-1].is(k) {
+			return s
 		}
 	}
-	return n
 }
 
 // entry is node i's Entry. Its Key is a view into the slab, good until the
@@ -192,52 +141,155 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("lsm: key length %d out of range [1,%d]", len(key), MaxKeySize)
 	}
+	if 2*(len(m.slab)+1) > len(m.index) {
+		m.grow()
+	}
 	k := makeMemKey(key)
-	var prev [maxHeight]uint32 // levels at or above the height stay 0: the head
-	if c := m.slab[m.findBefore(k, &prev)].next; c != 0 && m.slab[c].is(k) {
-		n := &m.slab[c]
+	s := m.slot(k)
+	if i := m.index[s]; i != 0 {
+		n := &m.slab[i-1]
 		n.addr, n.size, n.tomb = addr, size, tombstone
 		return nil
 	}
-	h := m.randomHeight()
-	m.height = max(m.height, h)
-	node := memNode{w0: k.w0, w1: k.w1, addr: addr, size: size, klen: uint8(len(key)), tomb: tombstone}
-	copy(node.key[:], key)
-	if h > 1 {
-		node.tower = m.newTower(h - 1)
-	}
-	i := uint32(len(m.slab))
-	m.slab = append(m.slab, node)
-	for lvl := 0; lvl < h; lvl++ {
-		from := m.link(prev[lvl], lvl)
-		*m.link(i, lvl) = *from
-		*from = i
-	}
+	m.slab = append(m.slab, memNode{w: [2]uint64{k.w0, k.w1}, addr: addr, size: size, klen: uint8(len(key)), tomb: tombstone})
+	copy(m.slab[len(m.slab)-1].key[:], key)
+	m.index[s] = uint32(len(m.slab))
 	return nil
+}
+
+// grow makes the table's arrays at its first Put, sized for its entries, and
+// doubles them if a failed flush left the tree writing past that.
+func (m *MemTable) grow() {
+	n := max(m.entries, 2*len(m.slab))
+	m.slab = append(make([]memNode, 0, n), m.slab...)
+	m.order = append(make([]uint32, 0, n), m.order...)
+	m.scratch = make([]uint32, n)
+	m.index = make([]uint32, 2<<bits.Len(uint(n-1)))
+	for i := range m.slab {
+		m.index[m.slot(m.slab[i].memKey())] = uint32(i + 1)
+	}
 }
 
 // Get looks a key up. The second result reports whether the key is present
 // (a tombstone is present — the entry's Tombstone field distinguishes it).
 // The entry's Key is good until the table is recycled.
 func (m *MemTable) Get(key []byte) (Entry, bool) {
-	k := makeMemKey(key)
-	if c := m.slab[m.findBefore(k, nil)].next; c != 0 && m.slab[c].is(k) {
-		return m.entry(c), true
+	if m.Len() > 0 {
+		if i := m.index[m.slot(makeMemKey(key))]; i != 0 {
+			return m.entry(i - 1), true
+		}
 	}
 	return Entry{}, false
 }
 
-// Iterator returns an in-order iterator positioned before the first entry.
-func (m *MemTable) Iterator() *MemIterator {
-	return &MemIterator{m: m}
+// sort extends order over the whole slab: the nodes past it are sorted on
+// their own and merged in, the largest first, each after a binary search of
+// the ordered nodes below it and one block move of the ones above.
+func (m *MemTable) sort() {
+	s, n := len(m.order), len(m.slab)
+	if s == n {
+		return
+	}
+	m.order = m.order[:n]
+	tail := m.order[s:]
+	for j := range tail {
+		tail[j] = uint32(s + j)
+	}
+	sorted := m.radixSort(s, tail, m.scratch[:len(tail)])
+	if s == 0 {
+		copy(m.order, sorted)
+		return
+	}
+	tail = m.scratch[:len(tail)]
+	copy(tail, sorted)
+	hi := s
+	for j := len(tail) - 1; j >= 0; j-- {
+		lo := m.search(m.order[:hi], m.slab[tail[j]].memKey(), false)
+		copy(m.order[lo+j+1:], m.order[lo:hi])
+		m.order[lo+j], hi = tail[j], lo
+	}
 }
 
-// MemIterator walks a MemTable in key order. It is a live view: an insert
-// that lands past its position shows up. It holds a slab index, not a node,
-// so inserts that grow the slab leave it valid.
+// radixSort sorts a, the slab indices from from on, by key, with b (as long)
+// the second buffer, and returns whichever holds the result. It makes one
+// stable counting pass per key byte, least significant first — the length,
+// then w[1]'s, then w[0]'s — and skips a byte every node shares, so keys with
+// a common prefix cost only the passes of the bytes that differ.
+func (m *MemTable) radixSort(from int, a, b []uint32) []uint32 {
+	nodes := m.slab[from:]
+	var vary [2]uint64 // the bits in which some node differs from the first
+	var varyLen uint8
+	for i := range nodes {
+		vary[0] |= nodes[i].w[0] ^ nodes[0].w[0]
+		vary[1] |= nodes[i].w[1] ^ nodes[0].w[1]
+		varyLen |= nodes[i].klen ^ nodes[0].klen
+	}
+	if varyLen != 0 {
+		m.radixPass(nodes, a, b, 2, 0)
+		a, b = b, a
+	}
+	for w := 1; w >= 0; w-- {
+		for shift := uint(0); shift < 64; shift += 8 {
+			if uint8(vary[w]>>shift) != 0 {
+				m.radixPass(nodes, a, b, w, shift)
+				a, b = b, a
+			}
+		}
+	}
+	return a
+}
+
+// radixPass stably sorts src, the indices of nodes, into dst by one key byte:
+// w[word]'s at shift, or the length if word is 2.
+func (m *MemTable) radixPass(nodes []memNode, src, dst []uint32, word int, shift uint) {
+	var at [256]uint32
+	for i := range nodes {
+		at[nodes[i].digit(word, shift)]++
+	}
+	var sum uint32
+	for d, c := range at {
+		at[d], sum = sum, sum+c
+	}
+	for _, i := range src {
+		d := m.slab[i].digit(word, shift)
+		dst[at[d]] = i
+		at[d]++
+	}
+}
+
+func (n *memNode) digit(word int, shift uint) uint8 {
+	if word == 2 {
+		return n.klen
+	}
+	return uint8(n.w[word] >> shift)
+}
+
+func (n *memNode) memKey() memKey { return memKey{n.w[0], n.w[1], int(n.klen)} }
+
+// search returns the first position in order, a key-ordered run of slab
+// indices, whose key sorts at or past k — strictly past it if strict.
+func (m *MemTable) search(order []uint32, k memKey, strict bool) int {
+	return sort.Search(len(order), func(h int) bool {
+		n := &m.slab[order[h]]
+		return !n.before(k) && !(strict && n.is(k))
+	})
+}
+
+// Iterator returns an in-order iterator positioned before the first entry.
+func (m *MemTable) Iterator() *MemIterator { return &MemIterator{m: m, cur: -1} }
+
+// MemIterator walks a MemTable in key order. It is a live view: each Next
+// yields the first key past the last one yielded, so an insert that lands
+// past its position shows up. After an insert it finds its place again in
+// the table's extended order.
 type MemIterator struct {
-	m    *MemTable
-	n    uint32 // current node; 0, the head, before the first Next
+	m   *MemTable
+	pos int // order index of the next entry, while the table holds at entries
+	at  int
+	cur int // slab index of the current entry; -1 before the first
+	// from is where the first entry is searched: the Seek target, or the
+	// zero key, which sorts before every key.
+	from memKey
 	done bool
 }
 
@@ -246,18 +298,31 @@ func (it *MemIterator) Next() bool {
 	if it.done {
 		return false
 	}
-	it.n = it.m.slab[it.n].next
-	it.done = it.n == 0
-	return !it.done
+	m := it.m
+	if it.at != len(m.slab) {
+		m.sort()
+		k, past := it.from, it.cur >= 0
+		if past {
+			k = m.slab[it.cur].memKey()
+		}
+		it.pos, it.at = m.search(m.order, k, past), len(m.slab)
+	}
+	if it.pos == len(m.order) {
+		it.done = true
+		return false
+	}
+	it.cur = int(m.order[it.pos])
+	it.pos++
+	return true
 }
 
 // Entry returns the current entry. Valid only after Next reported true.
-func (it *MemIterator) Entry() Entry { return it.m.entry(it.n) }
+func (it *MemIterator) Entry() Entry { return it.m.entry(uint32(it.cur)) }
 
 // Seek positions the iterator so the next call to Next returns the first
 // entry with key >= target. It pins the table, which the tree then never
 // recycles, so the iterator outlives the table's flush.
 func (it *MemIterator) Seek(target []byte) {
 	it.m.pinned = true
-	it.n, it.done = it.m.findBefore(makeMemKey(target), nil), false
+	it.from, it.cur, it.at, it.done = makeMemKey(target), -1, -1, false
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestMemTablePutGet(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	if err := m.Put([]byte("abc"), 100, 32, false); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMemTablePutGet(t *testing.T) {
 }
 
 func TestMemTableUpdateInPlace(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	m.Put([]byte("k"), 1, 1, false)
 	m.Put([]byte("k"), 2, 2, false)
 	if m.Len() != 1 {
@@ -41,7 +41,7 @@ func TestMemTableUpdateInPlace(t *testing.T) {
 }
 
 func TestMemTableTombstone(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	m.Put([]byte("k"), 1, 1, false)
 	m.Put([]byte("k"), 0, 0, true)
 	e, ok := m.Get([]byte("k"))
@@ -51,7 +51,7 @@ func TestMemTableTombstone(t *testing.T) {
 }
 
 func TestMemTableKeyValidation(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	if err := m.Put(nil, 0, 0, false); err == nil {
 		t.Fatal("empty key accepted")
 	}
@@ -64,7 +64,7 @@ func TestMemTableKeyValidation(t *testing.T) {
 }
 
 func TestMemTableKeyIsCopied(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	k := []byte("abc")
 	m.Put(k, 1, 1, false)
 	k[0] = 'x'
@@ -74,7 +74,7 @@ func TestMemTableKeyIsCopied(t *testing.T) {
 }
 
 func TestMemTableIteratorOrder(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for i, k := range keys {
 		m.Put([]byte(k), 0, uint32(i), false)
@@ -97,7 +97,7 @@ func TestMemTableIteratorOrder(t *testing.T) {
 }
 
 func TestMemTableIteratorSeek(t *testing.T) {
-	m := NewMemTable()
+	m := NewMemTable(16)
 	for _, k := range []string{"a", "c", "e", "g"} {
 		m.Put([]byte(k), 0, 0, false)
 	}
@@ -113,6 +113,36 @@ func TestMemTableIteratorSeek(t *testing.T) {
 	it.Seek([]byte("z"))
 	if it.Next() {
 		t.Fatal("Seek past end yielded an entry")
+	}
+}
+
+// Once a table has been made, its whole life under the tree — filled to the
+// entries it was sized for, drained in key order as a flush drains it, and
+// recycled — allocates nothing.
+func TestMemTableRecycleAllocs(t *testing.T) {
+	n := DefaultConfig().MemTableEntries
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = benchKey(i, 8)
+	}
+	m := NewMemTable(n)
+	drained := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		for i, k := range keys {
+			if err := m.Put(k, vlog.Addr(i), 64, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for it := m.Iterator(); it.Next(); {
+			drained++
+		}
+		m = m.recycle()
+	})
+	if allocs != 0 {
+		t.Errorf("a MemTable's fill, drain and recycle allocated %v times", allocs)
+	}
+	if drained != 6*n {
+		t.Errorf("drained %d entries over six lives of %d", drained, n)
 	}
 }
 
@@ -199,15 +229,16 @@ func TestMemTableMatchesMapProperty(t *testing.T) {
 			append(bytes.Repeat(p, MaxKeySize+1), 0xFF))
 	}
 	f := func(ops []uint16) bool {
-		recycled := NewMemTable()
-		for i, op := range ops { // other keys, other heights
+		// Other keys and values first, outgrowing the 4 entries it is made for.
+		recycled := NewMemTable(4)
+		for i, op := range ops {
 			recycled.Put(keys[(int(op)*7+i)%len(keys)], 1, 1, op%3 == 0)
 		}
 		if recycled.recycle() != recycled {
 			t.Error("an unpinned table was not recycled in place")
 			return false
 		}
-		fresh := NewMemTable()
+		fresh := NewMemTable(len(keys))
 		ref := make(map[string]Entry)
 		for i, op := range ops {
 			e := Entry{Key: keys[int(op)%len(keys)], Addr: vlog.Addr(i), Size: uint32(i), Tombstone: op%5 == 0}

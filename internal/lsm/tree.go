@@ -41,11 +41,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxMemTableEntries bounds Config.MemTableEntries. A full MemTable flushes
+// as one table, whose restart index holds at most math.MaxUint16 restarts,
+// one per restartInterval entries (about 1.04 M entries); and NewTree sizes
+// the MemTable's arrays from the setting, so it must be one a host can hold.
+const MaxMemTableEntries = 1 << 19
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.MemTableEntries < 1 || c.L0CompactionTrigger < 2 ||
 		c.LevelTableBase < 1 || c.MaxLevels < 2 || c.TablePages < 1 {
 		return fmt.Errorf("lsm: invalid config %+v", c)
+	}
+	if c.MemTableEntries > MaxMemTableEntries {
+		return fmt.Errorf("lsm: MemTableEntries %d above the maximum %d", c.MemTableEntries, MaxMemTableEntries)
 	}
 	return nil
 }
@@ -188,7 +197,7 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		cfg:     cfg,
 		store:   store,
 		alloc:   newPageAllocator(store.Pages()),
-		mem:     NewMemTable(),
+		mem:     NewMemTable(cfg.MemTableEntries),
 		levels:  make([][]*SSTable, cfg.MaxLevels),
 		pointer: make([][]byte, cfg.MaxLevels),
 

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -103,13 +104,47 @@ func levelTables(tr *Tree) []int {
 func pagesInUse(a *pageAllocator) int { return a.next - len(a.freeList) }
 
 func TestTreeConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	for _, ok := range []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.MemTableEntries = 1 },
+		func(c *Config) { c.MemTableEntries = MaxMemTableEntries },
+	} {
+		cfg := DefaultConfig()
+		ok(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", cfg, err)
+		}
+	}
+	for name, bad := range map[string]func(*Config){
+		"MaxLevels=1":              func(c *Config) { c.MaxLevels = 1 },
+		"MemTableEntries=0":        func(c *Config) { c.MemTableEntries = 0 },
+		"MemTableEntries past max": func(c *Config) { c.MemTableEntries = MaxMemTableEntries + 1 },
+		"MemTableEntries=1<<40":    func(c *Config) { c.MemTableEntries = 1 << 40 },
+		"L0CompactionTrigger=1":    func(c *Config) { c.L0CompactionTrigger = 1 },
+	} {
+		cfg := DefaultConfig()
+		bad(&cfg)
+		if _, err := NewTree(cfg, newMemStore(10)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// A full MemTable of the largest size Validate accepts flushes as one table.
+func TestMaxMemTableFlushesAsOneTable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemTableEntries = MaxMemTableEntries
+	tr, err := NewTree(cfg, newMemStore(1<<16))
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig()
-	bad.MaxLevels = 1
-	if _, err := NewTree(bad, newMemStore(10)); err == nil {
-		t.Fatal("MaxLevels=1 accepted")
+	for i := 0; i < MaxMemTableEntries; i++ {
+		if _, err := tr.Put(0, binary.BigEndian.AppendUint32(nil, uint32(i)*2654435761), vlog.Addr(i), 1); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	if got := levelTables(tr); tr.mem.Len() != 0 || got[0] != 1 {
+		t.Fatalf("levels %v with %d entries left in the MemTable, want one L0 table", got, tr.mem.Len())
 	}
 }
 
