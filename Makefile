@@ -79,7 +79,8 @@ determinism:
 # cursor, the MemTable against a sorted reference, the RESP command parser,
 # the workload-trace parser, the NAND page store's round trip, the NAND
 # payload slab against exact page copies, the device value tier against its
-# old map-and-buffers form, and the FTL against its old dense map, seeded
+# old map-and-buffers form, the device page tier against its old map, and the
+# FTL against its old dense map, seeded
 # from the committed testdata corpora and the targets' own seeds.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s ./internal/nand
 	$(GO) test -run=NONE -fuzz=FuzzPayloadSlab -fuzztime=5s ./internal/nand
 	$(GO) test -run=NONE -fuzz=FuzzValues -fuzztime=5s ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzPages -fuzztime=5s ./internal/cache
 	$(GO) test -run=NONE -fuzz=FuzzFTL -fuzztime=5s ./internal/ftl
 
 # Every simulated artifact under results/ — the figure, ablation, breakdown,

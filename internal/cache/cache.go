@@ -4,11 +4,12 @@
 // a device-DRAM latency on the virtual clock instead of NAND + channel
 // occupancy. Everything here is deterministic, a hit never allocates, and once
 // a tier has reached its working size neither does a miss, an eviction or a
-// reset: the value tier indexes by keys held inline (map[vkey]int) and carves
-// values from a slab it keeps, and the page tier keeps page numbers only.
+// reset: both tiers find slots by keys held inline in one index, the value
+// tier carves values from a slab it keeps, and the page tier keeps numbers.
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -60,27 +61,116 @@ func ServingProfile() Config {
 	}
 }
 
-// vkey is a value-tier key held inline, so the index allocates nothing: its
-// bytes zero-padded to nvme.MaxKeySize, the longest key a command carries,
-// and its length.
+// vkey is an index key held inline, so the index allocates nothing: a key's
+// bytes zero-padded to nvme.MaxKeySize, the longest key a command carries, as
+// two words, and its length; or a page number (pageKey).
 type vkey struct {
-	b [nvme.MaxKeySize]byte
-	n uint8
+	w0, w1 uint64
+	n      uint8
 }
 
 // vkeyOf returns key's index form. A longer key gets a length no resident
 // key has, so it misses.
-func vkeyOf(key []byte) (k vkey) {
-	k.n = uint8(copy(k.b[:], key))
-	if len(key) > len(k.b) {
-		k.n = math.MaxUint8
+func vkeyOf(key []byte) vkey {
+	var b [nvme.MaxKeySize]byte
+	n := uint8(copy(b[:], key))
+	if len(key) > len(b) {
+		n = math.MaxUint8
 	}
-	return k
+	return vkey{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), n}
 }
 
-// ventry is one value-tier slot.
+// pageKey returns page number page's index form.
+func pageKey(page int) vkey { return vkey{w0: uint64(page)} }
+
+// hash is the MemTable's key hash: every bit reaches the low bits masked.
+func (k vkey) hash() uint64 {
+	h := (k.w0 ^ uint64(k.n)) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ k.w1) * 0xBF58476D1CE4E5B9
+	return h ^ h>>32
+}
+
+// index maps keys to slots. It is open addressing over a power-of-two table
+// of slot+1 (0: empty), probed linearly from the key's hash and doubled
+// before it is half full; a deletion shifts the rest of its probe run back,
+// so there are no tombstones. The slots hold the keys, so the table holds
+// none, and a freed slot is the next one reused.
+type index struct {
+	tab  []int32
+	keys []vkey // slot -> key
+	free []int  // slots not in use
+	n    int    // slots in use
+}
+
+// pos returns the table position holding k, or the empty one where k goes.
+func (x *index) pos(k vkey) int {
+	mask := len(x.tab) - 1
+	for i := int(k.hash()) & mask; ; i = (i + 1) & mask {
+		if s := x.tab[i]; s == 0 || x.keys[s-1] == k {
+			return i
+		}
+	}
+}
+
+// get returns the slot holding k, or -1.
+func (x *index) get(k vkey) int {
+	if x.n == 0 {
+		return -1
+	}
+	return int(x.tab[x.pos(k)]) - 1
+}
+
+// put files k, which no slot in use holds, in a free slot and returns it; a
+// new slot is len(keys)-1.
+func (x *index) put(k vkey) int {
+	if 2*(x.n+1) > len(x.tab) {
+		old := x.tab
+		x.tab = make([]int32, max(16, 2*len(old)))
+		for _, t := range old {
+			if t != 0 {
+				x.tab[x.pos(x.keys[t-1])] = t
+			}
+		}
+	}
+	s := len(x.keys)
+	if n := len(x.free); n > 0 {
+		s, x.free = x.free[n-1], x.free[:n-1]
+	} else {
+		x.keys = append(x.keys, vkey{})
+	}
+	x.keys[s] = k
+	x.tab[x.pos(k)] = int32(s + 1)
+	x.n++
+	return s
+}
+
+// drop frees slot s. Each later entry of its probe run whose home position
+// is not between the gap and itself moves into the gap.
+func (x *index) drop(s int) {
+	mask := len(x.tab) - 1
+	gap := x.pos(x.keys[s])
+	for j := (gap + 1) & mask; x.tab[j] != 0; j = (j + 1) & mask {
+		if home := int(x.keys[x.tab[j]-1].hash()) & mask; (j-home)&mask >= (j-gap)&mask {
+			x.tab[gap], gap = x.tab[j], j
+		}
+	}
+	x.tab[gap] = 0
+	x.n--
+	x.free = append(x.free, s)
+}
+
+// reset frees every slot, listed so that they are reused in slot order.
+func (x *index) reset() {
+	clear(x.tab)
+	x.n = 0
+	x.free = x.free[:0]
+	for s := len(x.keys) - 1; s >= 0; s-- {
+		x.free = append(x.free, s)
+	}
+}
+
+// ventry is one value-tier slot; its key is the index's.
 type ventry struct {
-	key  vkey
 	val  []byte // a slab chunk cut to the value's length, or an exact-size allocation
 	slab bool   // val goes back to the slab when the entry leaves
 	live bool
@@ -101,9 +191,8 @@ const (
 // does.
 type Values struct {
 	pol      Policy
-	idx      map[vkey]int
+	idx      index
 	ents     []ventry
-	free     []int
 	used     int // resident key+value bytes
 	capBytes int
 	maxEntry int // admission bound: larger values bypass the cache
@@ -124,7 +213,6 @@ func NewValues(capBytes int, pol Policy) *Values {
 	}
 	return &Values{
 		pol:      pol,
-		idx:      make(map[vkey]int),
 		capBytes: capBytes,
 		maxEntry: maxEntry,
 	}
@@ -133,8 +221,8 @@ func NewValues(capBytes int, pol Policy) *Values {
 // Get returns the cached value for key. The returned slice aliases the
 // tier's slab and is only valid until the next mutation.
 func (c *Values) Get(key []byte) ([]byte, bool) {
-	s, ok := c.idx[vkeyOf(key)]
-	if !ok {
+	s := c.idx.get(vkeyOf(key))
+	if s < 0 {
 		return nil, false
 	}
 	c.pol.Touch(s)
@@ -151,7 +239,7 @@ func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
 		return 0, false
 	}
 	k := vkeyOf(key)
-	if s, ok := c.idx[k]; ok {
+	if s := c.idx.get(k); s >= 0 {
 		c.dropSlot(s)
 		c.pol.Remove(s)
 	}
@@ -167,12 +255,14 @@ func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
 		c.dropSlot(v)
 		evicted++
 	}
-	s := c.allocSlot()
+	s := c.idx.put(k)
+	if s == len(c.ents) {
+		c.ents = append(c.ents, ventry{})
+	}
 	e := &c.ents[s]
-	e.key, e.live = k, true
+	e.live = true
 	e.val, e.slab = c.carve(len(val))
 	copy(e.val, val)
-	c.idx[k] = s
 	c.pol.Admit(s)
 	c.used += need
 	return evicted, true
@@ -183,8 +273,8 @@ func (c *Values) Invalidate(key []byte) bool {
 	if c == nil {
 		return false
 	}
-	s, ok := c.idx[vkeyOf(key)]
-	if !ok {
+	s := c.idx.get(vkeyOf(key))
+	if s < 0 {
 		return false
 	}
 	c.dropSlot(s)
@@ -208,27 +298,16 @@ func (c *Values) Reset() {
 }
 
 // Len reports resident entries.
-func (c *Values) Len() int { return len(c.idx) }
-
-func (c *Values) allocSlot() int {
-	if n := len(c.free); n > 0 {
-		s := c.free[n-1]
-		c.free = c.free[:n-1]
-		return s
-	}
-	c.ents = append(c.ents, ventry{})
-	return len(c.ents) - 1
-}
+func (c *Values) Len() int { return c.idx.n }
 
 func (c *Values) dropSlot(s int) {
 	e := &c.ents[s]
-	c.used -= int(e.key.n) + len(e.val)
-	delete(c.idx, e.key)
+	c.used -= int(c.idx.keys[s].n) + len(e.val)
+	c.idx.drop(s)
 	if e.slab {
 		c.release(e.val)
 	}
 	*e = ventry{}
-	c.free = append(c.free, s)
 }
 
 // carve returns n bytes of value storage and whether they are a slab chunk.
@@ -271,28 +350,22 @@ func (c *Values) release(chunk []byte) {
 // invalidate on every write and trim.
 type Pages struct {
 	pol      Policy
-	idx      map[int]int
-	pageOf   []int // slot -> page number, for eviction bookkeeping
-	free     []int
+	idx      index // keys are pageKeys
 	capPages int
 }
 
 // NewPages builds the page tier holding up to capPages pages under pol.
 func NewPages(capPages int, pol Policy) *Pages {
-	return &Pages{
-		pol:      pol,
-		idx:      make(map[int]int),
-		capPages: capPages,
-	}
+	return &Pages{pol: pol, capPages: capPages}
 }
 
 // Get reports whether page is resident, touching it if so.
 func (c *Pages) Get(page int) bool {
-	s, ok := c.idx[page]
-	if ok {
+	s := c.idx.get(pageKey(page))
+	if s >= 0 {
 		c.pol.Touch(s)
 	}
-	return ok
+	return s >= 0
 }
 
 // Put admits page, evicting at capacity. It returns how many pages were
@@ -301,22 +374,19 @@ func (c *Pages) Put(page int) (evicted int) {
 	if c == nil || c.capPages <= 0 {
 		return 0
 	}
-	if s, ok := c.idx[page]; ok {
-		c.dropSlot(s)
+	if s := c.idx.get(pageKey(page)); s >= 0 {
+		c.idx.drop(s)
 		c.pol.Remove(s)
 	}
-	for len(c.idx) >= c.capPages {
+	for c.idx.n >= c.capPages {
 		v := c.pol.Evict()
 		if v < 0 {
 			return evicted
 		}
-		c.dropSlot(v)
+		c.idx.drop(v)
 		evicted++
 	}
-	s := c.allocSlot()
-	c.pageOf[s] = page
-	c.idx[page] = s
-	c.pol.Admit(s)
+	c.pol.Admit(c.idx.put(pageKey(page)))
 	return evicted
 }
 
@@ -327,11 +397,11 @@ func (c *Pages) Invalidate(page int) bool {
 	if c == nil {
 		return false
 	}
-	s, ok := c.idx[page]
-	if !ok {
+	s := c.idx.get(pageKey(page))
+	if s < 0 {
 		return false
 	}
-	c.dropSlot(s)
+	c.idx.drop(s)
 	c.pol.Remove(s)
 	return true
 }
@@ -341,25 +411,6 @@ func (c *Pages) Reset() {
 	if c == nil {
 		return
 	}
-	for p, s := range c.idx {
-		c.free = append(c.free, s)
-		delete(c.idx, p)
-	}
+	c.idx.reset()
 	c.pol.Reset()
-}
-
-func (c *Pages) allocSlot() int {
-	if n := len(c.free); n > 0 {
-		s := c.free[n-1]
-		c.free = c.free[:n-1]
-		return s
-	}
-	c.pageOf = append(c.pageOf, -1)
-	return len(c.pageOf) - 1
-}
-
-func (c *Pages) dropSlot(s int) {
-	delete(c.idx, c.pageOf[s])
-	c.pageOf[s] = -1
-	c.free = append(c.free, s)
 }

@@ -347,15 +347,15 @@ func TestPagesBasic(t *testing.T) {
 	// Page numbers are recycled by the LSM: re-putting a page re-admits it
 	// without growing the tier.
 	c.Put(10)
-	if !c.Get(10) || len(c.idx) != 2 {
-		t.Fatalf("after re-put: resident %v, len %d", c.Get(10), len(c.idx))
+	if !c.Get(10) || c.idx.n != 2 {
+		t.Fatalf("after re-put: resident %v, len %d", c.Get(10), c.idx.n)
 	}
 	if !c.Invalidate(10) || c.Invalidate(10) {
 		t.Fatal("invalidate bookkeeping wrong")
 	}
 	c.Reset()
-	if len(c.idx) != 0 {
-		t.Fatalf("len after reset: %d", len(c.idx))
+	if c.idx.n != 0 {
+		t.Fatalf("len after reset: %d", c.idx.n)
 	}
 }
 
@@ -548,14 +548,37 @@ func (c *refValues) dropSlot(s int) {
 	c.free = append(c.free, s)
 }
 
+// checkIndex fails unless the index files exactly the live slots, each
+// under its own key.
+func checkIndex(t *testing.T, op int, x *index, live []bool) {
+	t.Helper()
+	n := 0
+	for s, ok := range live {
+		if !ok {
+			continue
+		}
+		n++
+		if got := x.get(x.keys[s]); got != s {
+			t.Fatalf("op %d: slot %d found as %d through the index", op, s, got)
+		}
+	}
+	if x.n != n {
+		t.Fatalf("op %d: index holds %d slots, %d are live", op, x.n, n)
+	}
+}
+
 // FuzzValues runs one op stream through the value tier and through
 // refValues and requires the same answer from both at every step: each
-// return value, Len and the resident byte count. A program's first byte
-// picks the policy, its second the budget; then every three bytes are one
-// op (put, get, invalidate or reset), a key of 0 to 17 bytes from a small
-// alphabet so keys repeat, and a value size reaching past the admission
-// bound. A key too long to hold inline goes to the slab tier only, which
-// must refuse it.
+// return value, Len and the resident byte count; and that the index finds
+// every live slot under its key. A program's first byte picks the policy, its
+// second the budget; then every three bytes are one op (put, get, invalidate
+// or reset), a key of 0 to 17 bytes from a small alphabet so keys repeat, and
+// a value size reaching past the admission bound. A key too long to hold
+// inline goes to the slab tier only, which must refuse it. The committed
+// corpus puts all 65 keys the fuzzer can name, led by keys whose probe runs
+// wrap past the end of the first table, so the index doubles to 256
+// positions, then drops them in an order unrelated to their positions, so
+// deletions shift runs back.
 func FuzzValues(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 9, 1, 3, 0, 0, 3, 255, 1, 3, 0})
 	f.Add([]byte{1, 40, 0, 2, 60, 0, 34, 60, 0, 66, 60, 3, 2, 0, 7, 0, 0, 0, 17, 200, 6, 34, 0})
@@ -613,9 +636,179 @@ func FuzzValues(f *testing.F) {
 			if c.Len() != len(ref.idx) || c.used != ref.used {
 				t.Fatalf("op %d: len %d used %d; reference len %d used %d", i, c.Len(), c.used, len(ref.idx), ref.used)
 			}
+			live := make([]bool, len(c.ents))
+			for s := range c.ents {
+				live[s] = c.ents[s].live
+			}
+			checkIndex(t, i, &c.idx, live)
 			if c.held > 2*capBytes {
 				t.Fatalf("op %d: slab holds %d bytes, bound %d", i, c.held, 2*capBytes)
 			}
 		}
 	})
+}
+
+// refPages is the page tier as it was before it shared the value tier's
+// index: a map[int]int from page number to slot. FuzzPages holds the tier to
+// it.
+type refPages struct {
+	pol      Policy
+	idx      map[int]int
+	pageOf   []int
+	free     []int
+	capPages int
+}
+
+func (c *refPages) Get(page int) bool {
+	s, ok := c.idx[page]
+	if ok {
+		c.pol.Touch(s)
+	}
+	return ok
+}
+
+func (c *refPages) Put(page int) (evicted int) {
+	if s, ok := c.idx[page]; ok {
+		c.dropSlot(s)
+		c.pol.Remove(s)
+	}
+	for len(c.idx) >= c.capPages {
+		v := c.pol.Evict()
+		if v < 0 {
+			return evicted
+		}
+		c.dropSlot(v)
+		evicted++
+	}
+	var s int
+	if n := len(c.free); n > 0 {
+		s, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		c.pageOf = append(c.pageOf, -1)
+		s = len(c.pageOf) - 1
+	}
+	c.pageOf[s] = page
+	c.idx[page] = s
+	c.pol.Admit(s)
+	return evicted
+}
+
+func (c *refPages) Invalidate(page int) bool {
+	s, ok := c.idx[page]
+	if !ok {
+		return false
+	}
+	c.dropSlot(s)
+	c.pol.Remove(s)
+	return true
+}
+
+func (c *refPages) Reset() {
+	for p, s := range c.idx {
+		c.free = append(c.free, s)
+		delete(c.idx, p)
+	}
+	c.pol.Reset()
+}
+
+func (c *refPages) dropSlot(s int) {
+	delete(c.idx, c.pageOf[s])
+	c.pageOf[s] = -1
+	c.free = append(c.free, s)
+}
+
+// FuzzPages runs one op stream through the page tier and through refPages
+// and requires the same answer from both at every step, the same resident
+// count, and an index that finds every live slot under its page. A program's
+// first byte picks the policy, its second the capacity (1 to 64 pages); then
+// every two bytes are one op (put, get, invalidate or reset) on a page number
+// below 96, so numbers recycle. The committed corpus churns every number
+// through a full 64-page tier under each policy.
+func FuzzPages(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 5, 0, 6, 3, 5, 3, 6, 6, 6, 0, 5, 7, 0, 3, 5})
+	f.Add([]byte{1, 3, 0, 1, 0, 2, 3, 1, 0, 3, 0, 4, 3, 1, 3, 2, 6, 1, 0, 1, 7, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 2 {
+			return
+		}
+		kind := Kind(prog[0] & 1)
+		capPages := 1 + int(prog[1])%64
+		c := NewPages(capPages, NewPolicy(kind))
+		ref := &refPages{pol: NewPolicy(kind), idx: make(map[int]int), capPages: capPages}
+		for i := 2; i+1 < len(prog); i += 2 {
+			op, page := prog[i]%8, int(prog[i+1])%96
+			switch {
+			case op < 3:
+				if got, want := c.Put(page), ref.Put(page); got != want {
+					t.Fatalf("op %d: Put(%d) evicted %d; reference %d", i, page, got, want)
+				}
+			case op < 6:
+				if got, want := c.Get(page), ref.Get(page); got != want {
+					t.Fatalf("op %d: Get(%d) = %v; reference %v", i, page, got, want)
+				}
+			case op == 6:
+				if got, want := c.Invalidate(page), ref.Invalidate(page); got != want {
+					t.Fatalf("op %d: Invalidate(%d) = %v; reference %v", i, page, got, want)
+				}
+			default:
+				c.Reset()
+				ref.Reset()
+			}
+			if c.idx.n != len(ref.idx) || c.idx.n > capPages {
+				t.Fatalf("op %d: %d pages resident; reference %d, capacity %d", i, c.idx.n, len(ref.idx), capPages)
+			}
+			live := make([]bool, len(c.idx.keys))
+			for s := range live {
+				live[s] = true
+			}
+			for _, s := range c.idx.free {
+				live[s] = false
+			}
+			checkIndex(t, i, &c.idx, live)
+		}
+	})
+}
+
+// TestIndexWrapsAndShifts files keys whose probe runs cross the end of a
+// 16-position table and deletes them in every order: after each deletion the
+// index must still find every remaining slot, so a backward shift may move an
+// entry across the end but never past its home.
+func TestIndexWrapsAndShifts(t *testing.T) {
+	var keys []vkey
+	need := map[int]int{15: 3, 0: 2, 14: 1} // home position -> keys wanted
+	for p := 0; len(keys) < 6; p++ {
+		if h := int(pageKey(p).hash()) & 15; need[h] > 0 {
+			need[h]--
+			keys = append(keys, pageKey(p))
+		}
+	}
+	order := []int{0, 1, 2, 3, 4, 5}
+	var permute func(k int)
+	permute = func(k int) {
+		if k < len(order) {
+			for i := k; i < len(order); i++ {
+				order[k], order[i] = order[i], order[k]
+				permute(k + 1)
+				order[k], order[i] = order[i], order[k]
+			}
+			return
+		}
+		var x index
+		live := make([]bool, len(keys))
+		for _, k := range keys {
+			live[x.put(k)] = true
+		}
+		if len(x.tab) != 16 || x.tab[0] == 0 || x.tab[1] == 0 {
+			t.Fatalf("table %v: the probe runs do not wrap", x.tab)
+		}
+		for _, s := range order {
+			x.drop(s)
+			live[s] = false
+			checkIndex(t, s, &x, live)
+			if got := x.get(keys[s]); got != -1 {
+				t.Fatalf("deleted slot %d still found as %d", s, got)
+			}
+		}
+	}
+	permute(0)
 }

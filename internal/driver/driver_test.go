@@ -162,6 +162,41 @@ func TestNextAboveMaxValueSizeStaysInStaging(t *testing.T) {
 	}
 }
 
+// A Put above MaxValueSize stages its value in fresh host pages (BuildPRP)
+// and frees them when the command completes. They are the arena's topmost
+// pages, so the arena shrinks back each time: a thousand such Puts leave the
+// next free address where the first one left it, and the staging run the
+// small Puts between them use stays one run of consecutive addresses.
+func TestOversizedPutsKeepHostMemoryBounded(t *testing.T) {
+	d, _, _ := newStack(t, MethodBaseline, true)
+	big := bytes.Repeat([]byte{0xB1}, MaxValueSize+1)
+	var top uint64
+	for i := 0; i < 1000; i++ {
+		if err := d.Put([]byte("big"), big); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put([]byte("small"), []byte("staged")); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			top = d.mem.AllocPage()
+			d.mem.FreePage(top)
+		}
+	}
+	if got := d.mem.AllocPage(); got != top {
+		t.Fatalf("next host page %#x after 1000 oversized Puts, %#x after one", got, top)
+	}
+	stage := d.staging()
+	for i, p := range stage.Pages {
+		if want := stage.Pages[0] + uint64(i)*pcie.MemoryPageSize; p != want {
+			t.Fatalf("staging page %d at %#x, want %#x", i, p, want)
+		}
+	}
+	if got, err := d.Get([]byte("small")); err != nil || string(got) != "staged" {
+		t.Fatalf("staged value read back as %q, %v", got, err)
+	}
+}
+
 // Traffic: a 32 B baseline PUT moves 64 B command + 4 KiB DMA (TAF 130);
 // the same PUT via piggybacking moves one 64 B command — a 97.9%+ saving
 // excluding doorbells, matching Fig. 8.

@@ -247,36 +247,49 @@ func (h *Histogram) Clone() *Histogram {
 
 // HistogramSet keys histograms by label (an opcode, a transfer method),
 // creating them on first observation. Iteration order is insertion order, so
-// exports built from a deterministic run are themselves deterministic. The
-// zero value is NOT ready; use NewHistogramSet.
+// exports built from a deterministic run are themselves deterministic. A set
+// holds a handful of labels, so a lookup scans them. The zero value is an
+// empty set.
 type HistogramSet struct {
-	names []string
-	m     map[string]*Histogram
+	hs []namedHistogram // in first-observation order
+}
+
+type namedHistogram struct {
+	name string
+	h    *Histogram
 }
 
 // NewHistogramSet returns an empty set.
-func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{m: make(map[string]*Histogram)}
-}
+func NewHistogramSet() *HistogramSet { return &HistogramSet{} }
 
 // Observe records one sample under name, creating the histogram if needed.
 func (s *HistogramSet) Observe(name string, x float64) {
-	h, ok := s.m[name]
-	if !ok {
+	h := s.Get(name)
+	if h == nil {
 		h = NewHistogram()
-		s.m[name] = h
-		s.names = append(s.names, name)
+		s.hs = append(s.hs, namedHistogram{name, h})
 	}
 	h.Observe(x)
 }
 
 // Get returns the histogram for name, or nil if nothing was observed under
 // it.
-func (s *HistogramSet) Get(name string) *Histogram { return s.m[name] }
+func (s *HistogramSet) Get(name string) *Histogram {
+	for i := range s.hs {
+		if s.hs[i].name == name {
+			return s.hs[i].h
+		}
+	}
+	return nil
+}
 
 // Names lists the labels in first-observation order.
 func (s *HistogramSet) Names() []string {
-	return append([]string(nil), s.names...)
+	names := make([]string, len(s.hs))
+	for i, nh := range s.hs {
+		names[i] = nh.name
+	}
+	return names
 }
 
 // FormatBytes renders a byte count with a binary-unit suffix ("3.88 GiB").

@@ -334,9 +334,13 @@ func checkDisjoint(t *testing.T, step int, a *Array) {
 	t.Helper()
 	type span struct{ lo, hi uintptr }
 	var spans []span
-	for _, buf := range a.data {
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
-		spans = append(spans, span{lo, lo + uintptr(cap(buf))})
+	for _, b := range a.blocks {
+		for _, pg := range b.pages {
+			if pg.state() == pageProgrammed {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(pg)))
+				spans = append(spans, span{lo, lo + uintptr(cap(pg))})
+			}
+		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	for i := 1; i < len(spans); i++ {

@@ -16,9 +16,10 @@
 // of the page; ReadAt and ViewAt copy any byte range of any page. See
 // Array.Program for what is kept and Array.Read for how long a view lives.
 //
-// Page states follow the written blocks: a block's table of them is built at
-// its first Program, so a block never programmed costs 32 bytes, its erase
-// count and an empty table, however many pages it has.
+// Page records follow the written blocks: a block's table of them — each
+// page's state and payload — is built at its first Program, so a block never
+// programmed costs 32 bytes, its erase count and an empty table, however many
+// pages it has, and a page's payload is found by its address alone.
 package nand
 
 import (
@@ -133,9 +134,9 @@ type Stats struct {
 	EraseFaults   metrics.Counter
 }
 
-// Array is the flash device: geometry, latencies, per-way timelines, the
-// state of every block, and the payloads of the pages that still hold live
-// data.
+// Array is the flash device: geometry, latencies, per-way timelines, and the
+// state of every block, including the payloads of its pages that still hold
+// live data, each in the page's record.
 type Array struct {
 	geo    Geometry
 	lat    Latency
@@ -144,12 +145,10 @@ type Array struct {
 	blocks []block        // index: way index*BlocksPerWay + block
 	// maxWear is the highest erase count of any block.
 	maxWear int32
-	// data maps a programmed page's index to its payload (see store). free
-	// holds released full-page buffers for the next Program of more than
-	// half a page, at most one erase block's worth so a burst of discards
-	// cannot pin memory; stored is the bytes every held payload keeps,
-	// summed; zero is the shared image every erased page reads as.
-	data   map[int][]byte
+	// free holds released full-page buffers for the next Program of more
+	// than half a page, at most one erase block's worth so a burst of
+	// discards cannot pin memory; stored is the bytes every held payload
+	// keeps, summed; zero is the shared image every erased page reads as.
 	free   [][]byte
 	stored int64
 	zero   []byte
@@ -173,11 +172,17 @@ type Array struct {
 
 // block is one erase block's state.
 type block struct {
-	// pages holds each page's state; nil until the block's first Program,
+	// pages holds each page's record; nil until the block's first Program,
 	// and every page of a nil table is erased.
-	pages []pageState
+	pages []pageRec
 	wear  int32 // erase count
 }
+
+// pageRec is one page's record, and the slice alone tells its state: nil
+// while erased, the payload (see store) while programmed, and non-nil with
+// capacity 0 once discarded. A payload always has room for its sector table
+// unless it is a whole page, so its capacity is never 0.
+type pageRec []byte
 
 type pageState byte
 
@@ -251,7 +256,6 @@ func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
 		clock:  clock,
 		ways:   make([]sim.BusyLine, geo.Ways()),
 		blocks: make([]block, geo.Blocks()),
-		data:   make(map[int][]byte),
 		zero:   make([]byte, geo.PageSize),
 		lens:   make([]int, sectors),
 		hdr:    2 * sectors,
@@ -287,16 +291,15 @@ func (a *Array) SetTracer(tr trace.Tracer) { a.tr = tr }
 
 func (a *Array) wayIndex(ch, way int) int { return ch*a.geo.WaysPerChannel + way }
 
-// locate returns page p's index in the array and its block.
-func (a *Array) locate(p PageAddr) (int, *block, error) {
+// locate returns page p's block.
+func (a *Array) locate(p PageAddr) (*block, error) {
 	if p.Channel < 0 || p.Channel >= a.geo.Channels ||
 		p.Way < 0 || p.Way >= a.geo.WaysPerChannel ||
 		p.Block < 0 || p.Block >= a.geo.BlocksPerWay ||
 		p.Page < 0 || p.Page >= a.geo.PagesPerBlock {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadAddr, p)
+		return nil, fmt.Errorf("%w: %v", ErrBadAddr, p)
 	}
-	bi := a.wayIndex(p.Channel, p.Way)*a.geo.BlocksPerWay + p.Block
-	return bi*a.geo.PagesPerBlock + p.Page, &a.blocks[bi], nil
+	return &a.blocks[a.wayIndex(p.Channel, p.Way)*a.geo.BlocksPerWay+p.Block], nil
 }
 
 // state reports the state of page pg of the block.
@@ -304,7 +307,17 @@ func (b *block) state(pg int) pageState {
 	if b.pages == nil {
 		return pageErased
 	}
-	return b.pages[pg]
+	return b.pages[pg].state()
+}
+
+func (r pageRec) state() pageState {
+	switch {
+	case r == nil:
+		return pageErased
+	case cap(r) == 0:
+		return pageDiscarded
+	}
+	return pageProgrammed
 }
 
 func (a *Array) blockIndex(b BlockAddr) (int, error) {
@@ -475,12 +488,10 @@ func (a *Array) file(buf []byte) {
 	a.chunks[cl] = append(a.chunks[cl], buf[:0])
 }
 
-// releasePayload ends the life of programmed page idx's payload: poisoned, so
+// releasePayload ends the life of a programmed page's payload: poisoned, so
 // that a stale view cannot be mistaken for data, then a slab chunk goes back
 // to its class and a full-page buffer to the free list while that has room.
-func (a *Array) releasePayload(idx int) {
-	buf := a.data[idx]
-	delete(a.data, idx)
+func (a *Array) releasePayload(buf []byte) {
 	a.stored -= int64(len(buf))
 	if len(buf) > 0 {
 		buf[0] = poison
@@ -506,7 +517,7 @@ func (a *Array) releasePayload(idx int) {
 // that ends a whole 4 KiB sector (store has the details). The flash is
 // charged for a whole page all the same.
 func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
-	idx, blk, err := a.locate(p)
+	blk, err := a.locate(p)
 	if err != nil {
 		return t, err
 	}
@@ -521,11 +532,10 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 		a.stats.ProgramFaults.Inc()
 		return t, faultErr(eff, p)
 	}
-	a.data[idx] = a.store(data)
 	if blk.pages == nil { // the block's first Program
-		blk.pages = make([]pageState, a.geo.PagesPerBlock)
+		blk.pages = make([]pageRec, a.geo.PagesPerBlock)
 	}
-	blk.pages[p.Page] = pageProgrammed
+	blk.pages[p.Page] = a.store(data)
 	a.stats.PageWrites.Inc()
 	way := a.wayIndex(p.Channel, p.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Prog)
@@ -645,7 +655,7 @@ func (a *Array) ViewAt(p PageAddr, dst []byte, off int) error {
 // payload returns page p's payload (never nil for a programmed page): nil for
 // an erased page, ErrDiscarded for a discarded one.
 func (a *Array) payload(p PageAddr) ([]byte, error) {
-	idx, blk, err := a.locate(p)
+	blk, err := a.locate(p)
 	if err != nil {
 		return nil, err
 	}
@@ -655,7 +665,7 @@ func (a *Array) payload(p PageAddr) ([]byte, error) {
 	case pageErased:
 		return nil, nil
 	}
-	return a.data[idx], nil
+	return blk.pages[p.Page], nil
 }
 
 // Extent reports where page p's kept bytes end: everything from there on
@@ -703,9 +713,17 @@ func (a *Array) ZeroPage() []byte { return a.zero }
 // payload over half a page sits in a full-page buffer, a smaller one in a
 // slab chunk of its size plus a few bytes of sector table, rounded up to its
 // class — plus (spare + 1) pages and the slab's free chunks and uncarved
-// tail, whatever has been programmed and died since.
+// tail, whatever has been programmed and died since. It counts the held
+// pages by walking the written blocks' page records.
 func (a *Array) Payloads() (held, spare int, stored int64) {
-	return len(a.data), len(a.free), a.stored
+	for _, b := range a.blocks {
+		for _, pg := range b.pages {
+			if pg.state() == pageProgrammed {
+				held++
+			}
+		}
+	}
+	return held, len(a.free), a.stored
 }
 
 // Discard declares a programmed page's contents dead: the payload is
@@ -714,13 +732,13 @@ func (a *Array) Payloads() (held, spare int, stored int64) {
 // its logical mapping. Discarding an erased or already discarded page is a
 // no-op.
 func (a *Array) Discard(p PageAddr) error {
-	idx, blk, err := a.locate(p)
+	blk, err := a.locate(p)
 	if err != nil {
 		return err
 	}
 	if blk.state(p.Page) == pageProgrammed {
-		blk.pages[p.Page] = pageDiscarded
-		a.releasePayload(idx)
+		a.releasePayload(blk.pages[p.Page])
+		blk.pages[p.Page] = pageRec{}
 	}
 	return nil
 }
@@ -738,10 +756,9 @@ func (a *Array) Erase(t sim.Time, b BlockAddr) (sim.Time, error) {
 		return t, faultErr(eff, b)
 	}
 	blk := &a.blocks[bi]
-	base := bi * a.geo.PagesPerBlock
-	for i, s := range blk.pages {
-		if s == pageProgrammed {
-			a.releasePayload(base + i)
+	for _, pg := range blk.pages {
+		if pg.state() == pageProgrammed {
+			a.releasePayload(pg)
 		}
 	}
 	clear(blk.pages)

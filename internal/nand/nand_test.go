@@ -30,7 +30,7 @@ func pageOf(b BlockAddr, i int) PageAddr {
 
 // isErased reports whether page p is in the erased state.
 func isErased(a *Array, p PageAddr) bool {
-	_, blk, err := a.locate(p)
+	blk, err := a.locate(p)
 	return err == nil && blk.state(p.Page) == pageErased
 }
 

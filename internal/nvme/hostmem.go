@@ -11,40 +11,54 @@ import (
 // PRP entries look and behave like the real thing (page-aligned, one page
 // each). The backing store is real bytes, so values round-trip through the
 // simulated DMA engine intact.
+// Addresses only grow, so pages allocated in one run are consecutive; freeing
+// the topmost pages trims the arena and hands their addresses out again, so
+// pages allocated and freed per operation do not grow it.
 type HostMemory struct {
-	pages map[uint64][]byte
-	next  uint64
+	pages [][]byte // page (addr-hostMemBase)/MemoryPageSize; nil: not mapped
 }
 
+// hostMemBase is the first page's address; address 0 stays unmapped.
+const hostMemBase = pcie.MemoryPageSize
+
 // NewHostMemory returns an empty host memory arena.
-func NewHostMemory() *HostMemory {
-	return &HostMemory{pages: make(map[uint64][]byte), next: 0x1000}
-}
+func NewHostMemory() *HostMemory { return &HostMemory{} }
 
 // AllocPage allocates one pinned 4 KiB page and returns its address.
 func (m *HostMemory) AllocPage() uint64 {
-	addr := m.next
-	m.next += pcie.MemoryPageSize
-	m.pages[addr] = make([]byte, pcie.MemoryPageSize)
-	return addr
+	m.pages = append(m.pages, make([]byte, pcie.MemoryPageSize))
+	return hostMemBase + uint64(len(m.pages)-1)*pcie.MemoryPageSize
 }
 
 // FreePage releases a page. Freeing an unknown address panics: that is a
 // driver bug, not a runtime condition.
 func (m *HostMemory) FreePage(addr uint64) {
-	if _, ok := m.pages[addr]; !ok {
+	i, ok := m.index(addr)
+	if !ok {
 		panic(fmt.Sprintf("nvme: FreePage of unmapped address %#x", addr))
 	}
-	delete(m.pages, addr)
+	m.pages[i] = nil
+	for len(m.pages) > 0 && m.pages[len(m.pages)-1] == nil {
+		m.pages = m.pages[:len(m.pages)-1]
+	}
 }
 
 // Page returns the backing bytes of a page for reading or writing.
 func (m *HostMemory) Page(addr uint64) ([]byte, error) {
-	p, ok := m.pages[addr]
+	i, ok := m.index(addr)
 	if !ok {
 		return nil, fmt.Errorf("nvme: access to unmapped host page %#x", addr)
 	}
-	return p, nil
+	return m.pages[i], nil
+}
+
+// index returns the arena slot of the mapped page at addr.
+func (m *HostMemory) index(addr uint64) (int, bool) {
+	i := (addr - hostMemBase) / pcie.MemoryPageSize
+	if addr%pcie.MemoryPageSize != 0 || addr < hostMemBase || i >= uint64(len(m.pages)) || m.pages[i] == nil {
+		return 0, false
+	}
+	return int(i), true
 }
 
 // PRPList describes a payload in host memory as a list of page addresses,

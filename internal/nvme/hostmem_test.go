@@ -18,15 +18,84 @@ func TestHostMemoryAllocFree(t *testing.T) {
 	if a%pcie.MemoryPageSize != 0 || b%pcie.MemoryPageSize != 0 {
 		t.Fatal("page addresses not 4 KiB aligned")
 	}
-	if len(m.pages) != 2 {
-		t.Fatalf("live pages = %d", len(m.pages))
+	if livePages(m) != 2 {
+		t.Fatalf("live pages = %d", livePages(m))
 	}
 	m.FreePage(a)
-	if len(m.pages) != 1 {
-		t.Fatalf("live pages after free = %d", len(m.pages))
+	if livePages(m) != 1 {
+		t.Fatalf("live pages after free = %d", livePages(m))
 	}
 	if _, err := m.Page(a); err == nil {
 		t.Fatal("freed page still accessible")
+	}
+}
+
+// livePages counts the mapped pages of m.
+func livePages(m *HostMemory) int {
+	n := 0
+	for _, p := range m.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Freeing the topmost pages shrinks the arena and hands their addresses out
+// again; a page freed below a live one is a hole until the pages above it go
+// too. Addresses stay in increasing order, so a run allocated together is
+// consecutive.
+func TestHostMemoryTrimsFromTheTop(t *testing.T) {
+	m := NewHostMemory()
+	a, b, c := m.AllocPage(), m.AllocPage(), m.AllocPage()
+	m.FreePage(b)
+	if len(m.pages) != 3 || livePages(m) != 2 {
+		t.Fatalf("after freeing the middle page: %d slots, %d live", len(m.pages), livePages(m))
+	}
+	if _, err := m.Page(b); err == nil {
+		t.Fatal("a freed hole is still accessible")
+	}
+	m.FreePage(c)
+	if len(m.pages) != 1 {
+		t.Fatalf("freeing the top page left %d slots, want 1", len(m.pages))
+	}
+	if got := m.AllocPage(); got != b {
+		t.Fatalf("next page %#x, want the trimmed address %#x", got, b)
+	}
+	run := AllocStaging(m, 3*pcie.MemoryPageSize)
+	for i, p := range run.Pages {
+		if p != c+uint64(i)*pcie.MemoryPageSize {
+			t.Fatalf("staging page %d at %#x, want %#x", i, p, c+uint64(i)*pcie.MemoryPageSize)
+		}
+	}
+	for _, bad := range []uint64{0, a + 1, c + 8*pcie.MemoryPageSize} {
+		if _, err := m.Page(bad); err == nil {
+			t.Fatalf("unmapped address %#x accessible", bad)
+		}
+	}
+}
+
+// A value staged and freed per operation, past a persistent staging run,
+// reuses the same addresses: a thousand rounds leave the arena at the length
+// one round reached.
+func TestBuildPRPFreeStaysAtHighWater(t *testing.T) {
+	m := NewHostMemory()
+	stage := AllocStaging(m, 16*pcie.MemoryPageSize)
+	v := make([]byte, 17*pcie.MemoryPageSize+1)
+	highCap := 0
+	for i := 0; i < 1000; i++ {
+		l, err := BuildPRP(m, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			highCap = cap(m.pages)
+		}
+		l.Free(m)
+	}
+	if len(m.pages) != len(stage.Pages) || cap(m.pages) != highCap {
+		t.Fatalf("arena holds %d slots (capacity %d) after 1000 rounds; staging is %d pages, the first round's capacity %d",
+			len(m.pages), cap(m.pages), len(stage.Pages), highCap)
 	}
 }
 
@@ -63,7 +132,7 @@ func TestBuildPRPSmallValue(t *testing.T) {
 		t.Fatalf("gathered %q", got)
 	}
 	l.Free(m)
-	if len(m.pages) != 0 {
+	if livePages(m) != 0 {
 		t.Fatal("pages leaked after Free")
 	}
 }
@@ -168,7 +237,7 @@ func TestPRPRoundTripProperty(t *testing.T) {
 			return false
 		}
 		l.Free(m)
-		return len(m.pages) == 0
+		return livePages(m) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

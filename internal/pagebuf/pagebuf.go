@@ -114,15 +114,23 @@ func (c Config) Validate() error {
 
 // Buffer is the NAND page buffer. It is single-owner (the device controller)
 // and not safe for concurrent use, like the firmware structure it models.
+//
+// Open page no sits in ring[no % len(ring)] (nil: never written); only the
+// len(ring) pages from minOpen have a slot. Between placements the window
+// spans at most MaxEntries pages, and one value of up to ringValueBytes adds
+// at most ringValueBytes/PageSize + 2 more, so the ring starts at that sum. A
+// placement reaching further (a larger value, or a window a failed flush left
+// over-full) regrows it first.
 type Buffer struct {
 	cfg   Config
 	eng   *dma.Engine
 	flush FlushFunc
 
-	pages    map[int64][]byte // open logical pages, lazily materialized
-	minOpen  int64            // lowest open page number; all below are flushed
-	wp       int64            // write pointer (vLog byte offset)
-	frontier int64            // end of the highest placement so far
+	ring     [][]byte // open logical pages, lazily materialized
+	open     int      // ring slots holding a page
+	minOpen  int64    // lowest open page number; all below are flushed
+	wp       int64    // write pointer (vLog byte offset)
+	frontier int64    // end of the highest placement so far
 	dlt      *DLT
 	// lastFlushEnd is when the in-flight NAND program completes. The
 	// buffer is battery-backed DRAM, so a request triggering a flush waits
@@ -156,7 +164,7 @@ func New(cfg Config, eng *dma.Engine, flush FlushFunc) (*Buffer, error) {
 		cfg:   cfg,
 		eng:   eng,
 		flush: flush,
-		pages: make(map[int64][]byte),
+		ring:  make([][]byte, cfg.MaxEntries+ringValueBytes/cfg.PageSize+2),
 		dlt:   NewDLT(cfg.DLTCap),
 		zero:  make([]byte, cfg.PageSize),
 	}, nil
@@ -175,7 +183,7 @@ func (b *Buffer) WP() int64 { return b.wp }
 func (b *Buffer) Frontier() int64 { return b.frontier }
 
 // OpenPages reports how many buffer entries are currently open.
-func (b *Buffer) OpenPages() int { return len(b.pages) }
+func (b *Buffer) OpenPages() int { return b.open }
 
 func (b *Buffer) pageOf(addr int64) int64 { return addr / int64(b.cfg.PageSize) }
 
@@ -187,28 +195,42 @@ func alignUp(addr int64) int64 {
 // maxSparePages bounds the flushed page buffers a Buffer keeps for reuse.
 const maxSparePages = 8
 
+// ringValueBytes is the largest value the ring is first sized for, the
+// driver's MaxValueSize.
+const ringValueBytes = 64 << 10
+
+// slot returns the ring slot of page no, which must be open and in the ring.
+func (b *Buffer) slot(no int64) *[]byte { return &b.ring[no%int64(len(b.ring))] }
+
 // page materializes (or returns) an open logical page. New pages come from
 // the spare list and are zeroed, so a reused page is indistinguishable from
 // a fresh allocation.
 func (b *Buffer) page(no int64) []byte {
-	p, ok := b.pages[no]
-	if !ok {
+	p := b.slot(no)
+	if *p == nil {
 		if n := len(b.spare); n > 0 {
-			p = b.spare[n-1]
+			*p = b.spare[n-1]
 			b.spare[n-1] = nil
 			b.spare = b.spare[:n-1]
-			clear(p)
+			clear(*p)
 		} else {
-			p = make([]byte, b.cfg.PageSize)
+			*p = make([]byte, b.cfg.PageSize)
 		}
-		b.pages[no] = p
+		b.open++
 	}
-	return p
+	return *p
 }
 
 // writeBytes copies value into the vLog byte space at addr, spanning pages
-// as needed.
+// as needed, and regrows the ring first if they reach past it.
 func (b *Buffer) writeBytes(addr int64, value []byte) {
+	if n := b.pageOf(addr+int64(len(value))-1) - b.minOpen + 1; n > int64(len(b.ring)) {
+		ring := make([][]byte, n)
+		for no := b.minOpen; no < b.minOpen+int64(len(b.ring)); no++ {
+			ring[no%n] = *b.slot(no)
+		}
+		b.ring = ring
+	}
 	off := 0
 	for off < len(value) {
 		pno := b.pageOf(addr + int64(off))
@@ -234,16 +256,17 @@ func (b *Buffer) OpenPage(no int64) ([]byte, bool) {
 	if no < b.minOpen {
 		return nil, false
 	}
-	p, ok := b.pages[no]
-	if !ok {
-		// Within the open window but never written: logically zeros. The
-		// shared zero page is served without allocating; callers only read.
-		if no <= b.pageOf(b.frontier) {
-			return b.zero, true
+	if no-b.minOpen < int64(len(b.ring)) {
+		if p := *b.slot(no); p != nil {
+			return p, true
 		}
-		return nil, false
 	}
-	return p, true
+	// Within the open window but never written: logically zeros. The shared
+	// zero page is served without allocating; callers only read.
+	if no <= b.pageOf(b.frontier) {
+		return b.zero, true
+	}
+	return nil, false
 }
 
 // PlacePiggybacked packs a value delivered through NVMe command fields and
@@ -415,7 +438,8 @@ func (b *Buffer) openWindow() int64 {
 // this page's own program — the battery-backed buffer absorbs that latency.
 func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 	no := b.minOpen
-	data, ok := b.pages[no]
+	data := *b.slot(no)
+	ok := data != nil
 	if !ok {
 		// Never-written page: flush the shared zero page. The flush path
 		// copies what it stores (NAND programs duplicate the data), so the
@@ -436,7 +460,8 @@ func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 		b.tr.Emit(trace.Event{Cat: trace.CatPageBuf, Name: trace.EvFlush, Start: handoff, End: end, Bytes: int64(b.cfg.PageSize), Arg: no})
 	}
 	if ok {
-		delete(b.pages, no)
+		*b.slot(no) = nil
+		b.open--
 		if len(b.spare) < maxSparePages {
 			b.spare = append(b.spare, data)
 		}

@@ -594,3 +594,91 @@ func TestFlushedPagesReused(t *testing.T) {
 		t.Errorf("a page-filling placement allocates %.2f objects in steady state, want 0", avg)
 	}
 }
+
+// stored reads n bytes at vLog address addr back from wherever they are: the
+// flushed pages below the window, the ring within it.
+func stored(b *Buffer, rec *flushRecorder, addr int64, n int) []byte {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		pos := addr + int64(len(out))
+		page, ok := b.OpenPage(b.pageOf(pos))
+		if !ok {
+			page = rec.pages[b.pageOf(pos)]
+		}
+		in := int(pos % int64(b.cfg.PageSize))
+		out = append(out, page[in:min(len(page), in+n-len(out))]...)
+	}
+	return out
+}
+
+// The ring is sized for the widest window one placement can open: MaxEntries
+// pages plus those a value of ringValueBytes (the driver's MaxValueSize)
+// spans past them. Under every policy, at the smallest entry cap and the
+// paper's, a window filled by maximum-size DMA values between piggybacked
+// ones never makes it regrow, and every value reads back.
+func TestRingHoldsMaxValuesInAFullWindow(t *testing.T) {
+	for _, entries := range []int{2, 512} {
+		for _, pol := range []Policy{PolicyBlock, PolicyAll, PolicySelective, PolicyBackfill} {
+			b, rec := newBuf(t, pol, entries)
+			size := len(b.ring)
+			if want := entries + ringValueBytes/b.cfg.PageSize + 2; size != want {
+				t.Fatalf("%v/%d: ring of %d pages, want %d", pol, entries, size, want)
+			}
+			type placed struct {
+				addr int64
+				val  []byte
+			}
+			var vals []placed
+			for i := 0; i < entries/2+8; i++ {
+				big := bytes.Repeat([]byte{byte(2*i + 1)}, ringValueBytes)
+				addr, _, err := b.PlaceDMA(0, big)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals = append(vals, placed{addr, big})
+				small := bytes.Repeat([]byte{byte(2*i + 2)}, 100+i)
+				if addr, _, err = b.PlacePiggybacked(0, small); err != nil {
+					t.Fatal(err)
+				}
+				vals = append(vals, placed{addr, small})
+				if b.openWindow() > int64(entries) || len(b.ring) != size {
+					t.Fatalf("%v/%d: window %d pages, ring %d (was %d)", pol, entries, b.openWindow(), len(b.ring), size)
+				}
+			}
+			for i, v := range vals {
+				if got := stored(b, rec, v.addr, len(v.val)); !bytes.Equal(got, v.val) {
+					t.Fatalf("%v/%d: value %d at %d does not read back", pol, entries, i, v.addr)
+				}
+			}
+		}
+	}
+}
+
+// A placement reaching past the ring — a value over ringValueBytes — regrows
+// it with the open pages in place, and a write below the window is a driver
+// bug that panics as before.
+func TestRingRegrowsAndRejectsFlushedPages(t *testing.T) {
+	b, rec := newBuf(t, PolicyBackfill, 2)
+	small := []byte("kept across the regrowth")
+	addr, _, err := b.PlacePiggybacked(0, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Repeat([]byte{0x5A}, 4*ringValueBytes)
+	hugeAddr, _, err := b.PlaceDMA(0, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.ring) <= 2+ringValueBytes/b.cfg.PageSize+2 {
+		t.Fatalf("ring of %d pages did not regrow", len(b.ring))
+	}
+	if !bytes.Equal(stored(b, rec, addr, len(small)), small) || !bytes.Equal(stored(b, rec, hugeAddr, len(huge)), huge) {
+		t.Fatal("values do not read back after the ring regrew")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write into a flushed page did not panic")
+		}
+	}()
+	b.writeBytes(0, small)
+}
