@@ -199,7 +199,8 @@ type Config struct {
 	// histograms are snapshotted every MetricsInterval simulated
 	// nanoseconds. Read the result with DB.Series and
 	// export it with WriteSeriesCSV; WritePrometheus works with or without
-	// the sampler. Zero (the default) disables sampling entirely.
+	// the sampler. Zero (the default) disables sampling entirely; a negative
+	// interval fails Open with a ConfigError.
 	MetricsInterval sim.Duration
 	// Faults, when non-nil, arms the deterministic fault injector: the plan's
 	// rules fire NAND media errors, transient transfer errors, and power cuts
@@ -272,8 +273,12 @@ type DB struct {
 
 // stackOptions normalizes a Config into the engine's options. An all-zero
 // Device means device.DefaultConfig(); one that sets other fields but leaves
-// Geometry zero is refused rather than silently replaced by the defaults.
+// Geometry zero is refused rather than silently replaced by the defaults, and
+// so is a negative MetricsInterval.
 func stackOptions(cfg Config) (shard.Options, error) {
+	if cfg.MetricsInterval < 0 {
+		return shard.Options{}, &ConfigError{Field: "MetricsInterval", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.MetricsInterval)}
+	}
 	dcfg := cfg.Device
 	if dcfg.Geometry == (nand.Geometry{}) {
 		if dcfg != (device.Config{}) {

@@ -652,6 +652,27 @@ func TestOpenRefusesPartialDeviceConfig(t *testing.T) {
 	}
 }
 
+// A negative sampling interval or trace capacity has no meaning, so
+// OpenSharded refuses each with a ConfigError naming the field.
+func TestOpenShardedRefusesNegativeObservability(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   ShardedConfig
+	}{
+		{"MetricsInterval", ShardedConfig{Shards: 1, PerShard: Config{MetricsInterval: -1}}},
+		{"TraceCapacity", ShardedConfig{Shards: 2, TraceCapacity: -1}},
+	} {
+		db, err := OpenSharded(c.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field {
+			if err == nil {
+				db.Close()
+			}
+			t.Errorf("OpenSharded with a negative %s = %v, want a ConfigError on it", c.field, err)
+		}
+	}
+}
+
 // Open answers a device setting no hardware has with an error, never a panic
 // or a run on nonsense timings.
 func TestOpenRejectsNegativeDeviceSettings(t *testing.T) {

@@ -1,6 +1,6 @@
 // Command bandslim-cli is an interactive shell against a simulated BandSlim
-// KV-SSD: PUT/GET/DEL/SCAN/FLUSH/STATS against the full stack, with the
-// simulated clock and traffic ledger visible after every command.
+// KV-SSD: PUT/GET/DEL/SCAN/FLUSH/COMPACT/STATS/INFO against the full stack,
+// with the simulated clock and traffic ledger visible after every command.
 //
 // Usage:
 //
@@ -18,9 +18,11 @@
 //	del <key>               delete a key
 //	scan <start> [n]        list up to n pairs from start (default 10)
 //	flush                   force buffers to NAND
+//	compact [pages]         garbage-collect the oldest vLog pages (default 16)
 //	stats                   print the Prometheus exposition of every metric
+//	info                    print the device's identify data
 //	help                    this text
-//	quit                    exit
+//	quit, exit              leave the shell
 //
 // With -metrics-out/-series-out the session's final metric state and sampled
 // series are exported on exit, so an interactive exploration leaves the same

@@ -150,7 +150,9 @@ func shuffled(keys [][]byte, rng *sim.RNG) [][]byte {
 	return order
 }
 
-// pct reports the nearest-rank q-quantile of a latency class in µs.
+// pct reports the q-quantile of a latency class in µs: the sorted sample at
+// index ⌊q·(n−1)⌋, rounding down, not the nearest rank (for three samples its
+// p99 is the second).
 func pct(lat []sim.Duration, q float64) float64 {
 	if len(lat) == 0 {
 		return 0

@@ -4,14 +4,13 @@
 // a device-DRAM latency on the virtual clock instead of NAND + channel
 // occupancy. Everything here is deterministic, a hit never allocates, and once
 // a tier has reached its working size neither does a miss, an eviction or a
-// reset: both tiers find slots by keys held inline in one index, the value
-// tier carves values from a slab it keeps, and the page tier keeps numbers.
+// reset: both tiers find slots by keys held inline (sim.Key) in one index, the
+// value tier carves values from a bounded sim.Slab it keeps, and the page tier
+// keeps numbers.
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"bandslim/internal/nvme"
 	"bandslim/internal/sim"
@@ -61,34 +60,8 @@ func ServingProfile() Config {
 	}
 }
 
-// vkey is an index key held inline, so the index allocates nothing: a key's
-// bytes zero-padded to nvme.MaxKeySize, the longest key a command carries, as
-// two words, and its length; or a page number (pageKey).
-type vkey struct {
-	w0, w1 uint64
-	n      uint8
-}
-
-// vkeyOf returns key's index form. A longer key gets a length no resident
-// key has, so it misses.
-func vkeyOf(key []byte) vkey {
-	var b [nvme.MaxKeySize]byte
-	n := uint8(copy(b[:], key))
-	if len(key) > len(b) {
-		n = math.MaxUint8
-	}
-	return vkey{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), n}
-}
-
-// pageKey returns page number page's index form.
-func pageKey(page int) vkey { return vkey{w0: uint64(page)} }
-
-// hash is the MemTable's key hash: every bit reaches the low bits masked.
-func (k vkey) hash() uint64 {
-	h := (k.w0 ^ uint64(k.n)) * 0x9E3779B97F4A7C15
-	h = (h ^ h>>32 ^ k.w1) * 0xBF58476D1CE4E5B9
-	return h ^ h>>32
-}
+// pageKey returns page number page's index key.
+func pageKey(page int) sim.Key { return sim.Key{W0: uint64(page)} }
 
 // index maps keys to slots. It is open addressing over a power-of-two table
 // of slot+1 (0: empty), probed linearly from the key's hash and doubled
@@ -97,15 +70,15 @@ func (k vkey) hash() uint64 {
 // none, and a freed slot is the next one reused.
 type index struct {
 	tab  []int32
-	keys []vkey // slot -> key
-	free []int  // slots not in use
-	n    int    // slots in use
+	keys []sim.Key // slot -> key
+	free []int     // slots not in use
+	n    int       // slots in use
 }
 
 // pos returns the table position holding k, or the empty one where k goes.
-func (x *index) pos(k vkey) int {
+func (x *index) pos(k sim.Key) int {
 	mask := len(x.tab) - 1
-	for i := int(k.hash()) & mask; ; i = (i + 1) & mask {
+	for i := int(k.Hash()) & mask; ; i = (i + 1) & mask {
 		if s := x.tab[i]; s == 0 || x.keys[s-1] == k {
 			return i
 		}
@@ -113,7 +86,7 @@ func (x *index) pos(k vkey) int {
 }
 
 // get returns the slot holding k, or -1.
-func (x *index) get(k vkey) int {
+func (x *index) get(k sim.Key) int {
 	if x.n == 0 {
 		return -1
 	}
@@ -122,7 +95,7 @@ func (x *index) get(k vkey) int {
 
 // put files k, which no slot in use holds, in a free slot and returns it; a
 // new slot is len(keys)-1.
-func (x *index) put(k vkey) int {
+func (x *index) put(k sim.Key) int {
 	if 2*(x.n+1) > len(x.tab) {
 		old := x.tab
 		x.tab = make([]int32, max(16, 2*len(old)))
@@ -136,7 +109,7 @@ func (x *index) put(k vkey) int {
 	if n := len(x.free); n > 0 {
 		s, x.free = x.free[n-1], x.free[:n-1]
 	} else {
-		x.keys = append(x.keys, vkey{})
+		x.keys = append(x.keys, sim.Key{})
 	}
 	x.keys[s] = k
 	x.tab[x.pos(k)] = int32(s + 1)
@@ -150,7 +123,7 @@ func (x *index) drop(s int) {
 	mask := len(x.tab) - 1
 	gap := x.pos(x.keys[s])
 	for j := (gap + 1) & mask; x.tab[j] != 0; j = (j + 1) & mask {
-		if home := int(x.keys[x.tab[j]-1].hash()) & mask; (j-home)&mask >= (j-gap)&mask {
+		if home := int(x.keys[x.tab[j]-1].Hash()) & mask; (j-home)&mask >= (j-gap)&mask {
 			x.tab[gap], gap = x.tab[j], j
 		}
 	}
@@ -176,14 +149,6 @@ type ventry struct {
 	live bool
 }
 
-const (
-	// slabBlock is the size of the blocks the value tier carves.
-	slabBlock = 64 << 10
-	// slabClass is the chunk size step: a value takes a chunk of its length
-	// rounded up to a multiple of it.
-	slabClass = 16
-)
-
 // Values is the value-granular device tier: full vLog entries keyed by user
 // key, bounded by payload bytes. Keys are held inline and values carved from
 // a slab the tier keeps, so once the tier has reached its working size no
@@ -196,13 +161,10 @@ type Values struct {
 	used     int // resident key+value bytes
 	capBytes int
 	maxEntry int // admission bound: larger values bypass the cache
-	// The slab: blocks of up to slabBlock bytes, at most 2*capBytes in all,
-	// carved front to back into chunks, and per-class lists of the chunks
-	// entries gave back. A value the slab cannot place gets an exact-size
-	// allocation it never takes back.
-	held  int        // bytes of blocks allocated
-	cur   []byte     // the newest block's uncarved tail
-	spare [][][]byte // free chunks by class, each cut to length 0
+	// slab holds values in blocks of up to 64 KiB, at most 2*capBytes in
+	// all. A value the slab cannot place gets an exact-size allocation it
+	// never takes back.
+	slab sim.Slab
 }
 
 // NewValues builds the value tier with capBytes of payload budget under pol.
@@ -215,13 +177,14 @@ func NewValues(capBytes int, pol Policy) *Values {
 		pol:      pol,
 		capBytes: capBytes,
 		maxEntry: maxEntry,
+		slab:     sim.NewSlab(min(64<<10, 2*capBytes), 2*capBytes),
 	}
 }
 
 // Get returns the cached value for key. The returned slice aliases the
 // tier's slab and is only valid until the next mutation.
 func (c *Values) Get(key []byte) ([]byte, bool) {
-	s := c.idx.get(vkeyOf(key))
+	s := c.idx.get(sim.KeyOf(key))
 	if s < 0 {
 		return nil, false
 	}
@@ -238,7 +201,7 @@ func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
 	if c == nil || c.capBytes <= 0 || len(key) > nvme.MaxKeySize {
 		return 0, false
 	}
-	k := vkeyOf(key)
+	k := sim.KeyOf(key)
 	if s := c.idx.get(k); s >= 0 {
 		c.dropSlot(s)
 		c.pol.Remove(s)
@@ -261,7 +224,7 @@ func (c *Values) Put(key, val []byte) (evicted int, admitted bool) {
 	}
 	e := &c.ents[s]
 	e.live = true
-	e.val, e.slab = c.carve(len(val))
+	e.val, e.slab = c.slab.Get(len(val), len(val))
 	copy(e.val, val)
 	c.pol.Admit(s)
 	c.used += need
@@ -273,7 +236,7 @@ func (c *Values) Invalidate(key []byte) bool {
 	if c == nil {
 		return false
 	}
-	s := c.idx.get(vkeyOf(key))
+	s := c.idx.get(sim.KeyOf(key))
 	if s < 0 {
 		return false
 	}
@@ -302,44 +265,12 @@ func (c *Values) Len() int { return c.idx.n }
 
 func (c *Values) dropSlot(s int) {
 	e := &c.ents[s]
-	c.used -= int(c.idx.keys[s].n) + len(e.val)
+	c.used -= c.idx.keys[s].N + len(e.val)
 	c.idx.drop(s)
 	if e.slab {
-		c.release(e.val)
+		c.slab.Put(e.val)
 	}
 	*e = ventry{}
-}
-
-// carve returns n bytes of value storage and whether they are a slab chunk.
-func (c *Values) carve(n int) ([]byte, bool) {
-	size := (n + slabClass - 1) / slabClass * slabClass
-	if cl := size / slabClass; cl < len(c.spare) && len(c.spare[cl]) > 0 {
-		last := len(c.spare[cl]) - 1
-		chunk := c.spare[cl][last]
-		c.spare[cl] = c.spare[cl][:last]
-		return chunk[:n], true
-	}
-	block := min(slabBlock, 2*c.capBytes/slabClass*slabClass)
-	if len(c.cur) < size && size <= block && c.held+block <= 2*c.capBytes {
-		c.release(c.cur)
-		c.cur = make([]byte, block)
-		c.held += block
-	}
-	if len(c.cur) < size {
-		return make([]byte, n), false
-	}
-	chunk := c.cur[:n:size]
-	c.cur = c.cur[size:]
-	return chunk, true
-}
-
-// release files a chunk, or a block's uncarved tail, under its size class.
-func (c *Values) release(chunk []byte) {
-	cl := cap(chunk) / slabClass
-	for len(c.spare) <= cl {
-		c.spare = append(c.spare, nil)
-	}
-	c.spare[cl] = append(c.spare[cl], chunk[:0])
 }
 
 // Pages is the page-granular device tier: which SSTable pages device DRAM

@@ -3,9 +3,14 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bandslim/internal/nvme"
+	"bandslim/internal/sim"
 )
 
 func TestParseKind(t *testing.T) {
@@ -271,16 +276,15 @@ func TestValuesAdmissionControl(t *testing.T) {
 }
 
 // TestValuesSlabBound drives value sizes that shift across size classes
-// through a small tier and checks that the slab never holds more than twice
-// the tier's budget, and that every resident value reads back intact,
-// whether it sits in the slab or in an allocation past the bound.
+// through a small tier and checks that every resident value reads back
+// intact, whether it sits in the slab or in an allocation past the slab's
+// bound of twice the tier's budget (which sim's TestSlabBound holds it to).
 func TestValuesSlabBound(t *testing.T) {
 	// 300 KiB admits values larger than a slab block.
 	for _, capBytes := range []int{1 << 10, 40 << 10, 300 << 10} {
 		for _, k := range []Kind{LRU, TwoQ} {
 			t.Run(fmt.Sprintf("%d/%v", capBytes, k), func(t *testing.T) {
 				c := NewValues(capBytes, NewPolicy(k))
-				limit := 2 * capBytes
 				val := make([]byte, c.maxEntry)
 				for i := 0; i < 6000; i++ {
 					// Sizes sweep up through the classes, then back down,
@@ -295,16 +299,17 @@ func TestValuesSlabBound(t *testing.T) {
 						val[j] = byte(i + j)
 					}
 					c.Put(key, val[:n])
-					if c.held > limit {
-						t.Fatalf("put %d: slab holds %d bytes, bound %d", i, c.held, limit)
-					}
 					got, ok := c.Get(key)
 					if !ok || len(got) != n || got[0] != byte(i) || got[n-1] != byte(i+n-1) {
 						t.Fatalf("put %d: read back %d bytes, %v", i, len(got), ok)
 					}
 				}
-				if c.held == 0 {
-					t.Fatal("the slab was never used")
+				inSlab := false
+				for _, e := range c.ents {
+					inSlab = inSlab || e.slab
+				}
+				if !inSlab {
+					t.Fatal("no resident value sits in the slab")
 				}
 			})
 		}
@@ -576,9 +581,9 @@ func checkIndex(t *testing.T, op int, x *index, live []bool) {
 // a value size reaching past the admission bound. A key too long to hold
 // inline goes to the slab tier only, which must refuse it. The committed
 // corpus puts all 65 keys the fuzzer can name, led by keys whose probe runs
-// wrap past the end of the first table, so the index doubles to 256
-// positions, then drops them in an order unrelated to their positions, so
-// deletions shift runs back.
+// wrap past the end of the first table (TestValuesCorpusWraps checks that
+// they still do), so the index doubles to 256 positions, then drops them in
+// an order unrelated to their positions, so deletions shift runs back.
 func FuzzValues(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 9, 1, 3, 0, 0, 3, 255, 1, 3, 0})
 	f.Add([]byte{1, 40, 0, 2, 60, 0, 34, 60, 0, 66, 60, 3, 2, 0, 7, 0, 0, 0, 17, 200, 6, 34, 0})
@@ -595,7 +600,7 @@ func FuzzValues(f *testing.F) {
 		val := make([]byte, capBytes/4+32)
 		for i := 2; i+2 < len(prog); i += 3 {
 			op, kb, vb := prog[i]%8, prog[i+1], prog[i+2]
-			key := bytes.Repeat([]byte{'a' + kb>>5&3}, int(kb&31)%18)
+			key := fuzzKey(kb)
 			n := int(vb) * len(val) / 255
 			for j := range val[:n] {
 				val[j] = byte(i + j)
@@ -641,11 +646,44 @@ func FuzzValues(f *testing.F) {
 				live[s] = c.ents[s].live
 			}
 			checkIndex(t, i, &c.idx, live)
-			if c.held > 2*capBytes {
-				t.Fatalf("op %d: slab holds %d bytes, bound %d", i, c.held, 2*capBytes)
-			}
 		}
 	})
+}
+
+// fuzzKey is the key FuzzValues names by kb: 0 to 17 repeats of one of four
+// letters.
+func fuzzKey(kb byte) []byte { return bytes.Repeat([]byte{'a' + kb>>5&3}, int(kb&31)%18) }
+
+// TestValuesCorpusWraps replays the puts that open each committed FuzzValues
+// program into an index. Its lead keys were chosen so that, while the table
+// still has its first 16 positions, some probe run wraps past the end: a
+// change to the key's packing or hash that stops them wrapping fails here
+// instead of quietly taking that case out of fuzz-smoke.
+func TestValuesCorpusWraps(t *testing.T) {
+	for _, name := range []string{"many_keys_wrap_lru", "many_keys_wrap_2q"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzValues", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		prog, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-value corpus file (%v)", name, err)
+		}
+		var x index
+		wrapped := false
+		for i := 2; i+2 < len(prog) && prog[i]%8 < 3 && len(x.tab) <= 16; i += 3 {
+			if k := sim.KeyOf(fuzzKey(prog[i+1])); x.get(k) < 0 {
+				x.put(k)
+			}
+			for pos, s := range x.tab {
+				wrapped = wrapped || len(x.tab) == 16 && s != 0 && pos < int(x.keys[s-1].Hash())&15
+			}
+		}
+		if !wrapped {
+			t.Errorf("%s: no probe run of its lead keys wraps the 16-position table", name)
+		}
+	}
 }
 
 // refPages is the page tier as it was before it shared the value tier's
@@ -774,10 +812,10 @@ func FuzzPages(f *testing.F) {
 // index must still find every remaining slot, so a backward shift may move an
 // entry across the end but never past its home.
 func TestIndexWrapsAndShifts(t *testing.T) {
-	var keys []vkey
+	var keys []sim.Key
 	need := map[int]int{15: 3, 0: 2, 14: 1} // home position -> keys wanted
 	for p := 0; len(keys) < 6; p++ {
-		if h := int(pageKey(p).hash()) & 15; need[h] > 0 {
+		if h := int(pageKey(p).Hash()) & 15; need[h] > 0 {
 			need[h]--
 			keys = append(keys, pageKey(p))
 		}

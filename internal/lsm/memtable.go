@@ -1,8 +1,9 @@
 // Package lsm implements the in-device, key-value-separated LSM-tree of the
 // paper's KV-SSD (§2.1): a hash-indexed MemTable holding key → (vLog address,
-// size) entries, put in key order once per flush, SSTables serialized onto
-// NAND meta pages, leveled compaction that never rewrites values (the point
-// of KV separation), and merged iterators backing the SEEK/NEXT interface.
+// size) entries, found and ordered by their inline form (sim.Key) and put in
+// key order once per flush, SSTables serialized onto NAND meta pages, leveled
+// compaction that never rewrites values (the point of KV separation), and
+// merged iterators backing the SEEK/NEXT interface.
 package lsm
 
 import (
@@ -10,6 +11,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
 
@@ -25,55 +27,16 @@ type Entry struct {
 // MaxKeySize mirrors the NVMe command's inline key capacity.
 const MaxKeySize = 16
 
-// memKey is a key as the MemTable compares it: its first MaxKeySize bytes as
-// two big-endian words, zero-padded, then its length. Zero padding with the
-// length as the tie-break orders keys exactly as bytes.Compare does ("ab" <
-// "ab\x00" < "ab\x00\x01" < "ab\x01"), so a compare is at most three integer
-// compares. A Seek target longer than MaxKeySize keeps its whole length,
-// which still sorts it after every stored key that is a prefix of it.
-type memKey struct {
-	w0, w1 uint64
-	n      int
-}
-
-func makeMemKey(k []byte) memKey {
-	mk := memKey{w0: keyPrefix(k), n: len(k)}
-	if len(k) > 8 {
-		mk.w1 = keyPrefix(k[8:])
-	}
-	return mk
-}
-
-// hash mixes every bit of the key into the low bits the index masks.
-func (k memKey) hash() uint64 {
-	h := (k.w0 ^ uint64(k.n)) * 0x9E3779B97F4A7C15
-	h = (h ^ h>>32 ^ k.w1) * 0xBF58476D1CE4E5B9
-	return h ^ h>>32
-}
-
 // memNode is one slot of a MemTable's slab. It holds no pointer, so the slab
 // is one allocation the collector never scans.
 type memNode struct {
-	w    [2]uint64 // the key's memKey words
+	w    [2]uint64 // the key's sim.Key words
 	addr vlog.Addr
 	size uint32
 	klen uint8
 	tomb bool
 	key  [MaxKeySize]byte // backs the Entry.Key handed out
 }
-
-// before reports whether n's key sorts before k.
-func (n *memNode) before(k memKey) bool {
-	if n.w[0] != k.w0 {
-		return n.w[0] < k.w0
-	}
-	if n.w[1] != k.w1 {
-		return n.w[1] < k.w1
-	}
-	return int(n.klen) < k.n
-}
-
-func (n *memNode) is(k memKey) bool { return n.w[0] == k.w0 && n.w[1] == k.w1 && int(n.klen) == k.n }
 
 // MemTable is the write buffer. The device's DRAM is battery backed, so the
 // MemTable is durable the moment a value is inserted (§2.2).
@@ -119,10 +82,10 @@ func (m *MemTable) recycle() *MemTable {
 func (m *MemTable) Len() int { return len(m.slab) }
 
 // slot returns the index slot holding k, or the empty slot where k belongs.
-func (m *MemTable) slot(k memKey) int {
+func (m *MemTable) slot(k sim.Key) int {
 	mask := len(m.index) - 1
-	for s := int(k.hash()) & mask; ; s = (s + 1) & mask {
-		if i := m.index[s]; i == 0 || m.slab[i-1].is(k) {
+	for s := int(k.Hash()) & mask; ; s = (s + 1) & mask {
+		if i := m.index[s]; i == 0 || m.slab[i-1].simKey() == k {
 			return s
 		}
 	}
@@ -144,14 +107,14 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 	if 2*(len(m.slab)+1) > len(m.index) {
 		m.grow()
 	}
-	k := makeMemKey(key)
+	k := sim.KeyOf(key)
 	s := m.slot(k)
 	if i := m.index[s]; i != 0 {
 		n := &m.slab[i-1]
 		n.addr, n.size, n.tomb = addr, size, tombstone
 		return nil
 	}
-	m.slab = append(m.slab, memNode{w: [2]uint64{k.w0, k.w1}, addr: addr, size: size, klen: uint8(len(key)), tomb: tombstone})
+	m.slab = append(m.slab, memNode{w: [2]uint64{k.W0, k.W1}, addr: addr, size: size, klen: uint8(len(key)), tomb: tombstone})
 	copy(m.slab[len(m.slab)-1].key[:], key)
 	m.index[s] = uint32(len(m.slab))
 	return nil
@@ -166,7 +129,7 @@ func (m *MemTable) grow() {
 	m.scratch = make([]uint32, n)
 	m.index = make([]uint32, 2<<bits.Len(uint(n-1)))
 	for i := range m.slab {
-		m.index[m.slot(m.slab[i].memKey())] = uint32(i + 1)
+		m.index[m.slot(m.slab[i].simKey())] = uint32(i + 1)
 	}
 }
 
@@ -175,7 +138,7 @@ func (m *MemTable) grow() {
 // The entry's Key is good until the table is recycled.
 func (m *MemTable) Get(key []byte) (Entry, bool) {
 	if m.Len() > 0 {
-		if i := m.index[m.slot(makeMemKey(key))]; i != 0 {
+		if i := m.index[m.slot(sim.KeyOf(key))]; i != 0 {
 			return m.entry(i - 1), true
 		}
 	}
@@ -204,7 +167,7 @@ func (m *MemTable) sort() {
 	copy(tail, sorted)
 	hi := s
 	for j := len(tail) - 1; j >= 0; j-- {
-		lo := m.search(m.order[:hi], m.slab[tail[j]].memKey(), false)
+		lo := m.search(m.order[:hi], m.slab[tail[j]].simKey(), false)
 		copy(m.order[lo+j+1:], m.order[lo:hi])
 		m.order[lo+j], hi = tail[j], lo
 	}
@@ -264,14 +227,14 @@ func (n *memNode) digit(word int, shift uint) uint8 {
 	return uint8(n.w[word] >> shift)
 }
 
-func (n *memNode) memKey() memKey { return memKey{n.w[0], n.w[1], int(n.klen)} }
+func (n *memNode) simKey() sim.Key { return sim.Key{W0: n.w[0], W1: n.w[1], N: int(n.klen)} }
 
 // search returns the first position in order, a key-ordered run of slab
 // indices, whose key sorts at or past k — strictly past it if strict.
-func (m *MemTable) search(order []uint32, k memKey, strict bool) int {
+func (m *MemTable) search(order []uint32, k sim.Key, strict bool) int {
 	return sort.Search(len(order), func(h int) bool {
-		n := &m.slab[order[h]]
-		return !n.before(k) && !(strict && n.is(k))
+		c := m.slab[order[h]].simKey().Compare(k)
+		return c > 0 || c == 0 && !strict
 	})
 }
 
@@ -289,7 +252,7 @@ type MemIterator struct {
 	cur int // slab index of the current entry; -1 before the first
 	// from is where the first entry is searched: the Seek target, or the
 	// zero key, which sorts before every key.
-	from memKey
+	from sim.Key
 	done bool
 }
 
@@ -303,7 +266,7 @@ func (it *MemIterator) Next() bool {
 		m.sort()
 		k, past := it.from, it.cur >= 0
 		if past {
-			k = m.slab[it.cur].memKey()
+			k = m.slab[it.cur].simKey()
 		}
 		it.pos, it.at = m.search(m.order, k, past), len(m.slab)
 	}
@@ -324,5 +287,5 @@ func (it *MemIterator) Entry() Entry { return it.m.entry(uint32(it.cur)) }
 // recycles, so the iterator outlives the table's flush.
 func (it *MemIterator) Seek(target []byte) {
 	it.m.pinned = true
-	it.from, it.cur, it.at, it.done = makeMemKey(target), -1, -1, false
+	it.from, it.cur, it.at, it.done = sim.KeyOf(target), -1, -1, false
 }

@@ -213,7 +213,7 @@ func TestVictimRotates(t *testing.T) {
 func keySpaceCovered(level []*SSTable) float64 {
 	var span float64
 	for _, table := range level {
-		span += float64(keyPrefix(table.largest) - keyPrefix(table.smallest))
+		span += float64(sim.KeyOf(table.largest).W0 - sim.KeyOf(table.smallest).W0)
 	}
 	return span / (1 << 64)
 }

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -482,36 +481,14 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 const slabGrain = 32
 
 // mergeRun is one sorted input of a merge: the page images of one or more
-// input tables, walked entry by entry.
+// input tables, walked entry by entry. The merge compares heads several times
+// per entry, and their inline forms make each compare a few integer ones.
 type mergeRun struct {
 	pages []byte // images not yet opened, PageSize each
 	cur   pageCursor
-	e     Entry  // head entry; its Key is a view into the slab
-	head  uint64 // keyPrefix(e.Key)
-	ok    bool   // false once the run is exhausted
-}
-
-// keyPrefix packs the first eight bytes of a key, zero-padded, so that two
-// keys whose prefixes differ order the way the prefixes do; equal prefixes
-// decide nothing. The merge compares heads several times per entry, and this
-// turns all but the ties into integer compares.
-func keyPrefix(k []byte) uint64 {
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
-	}
-	var p uint64
-	for i, b := range k {
-		p |= uint64(b) << (56 - 8*i)
-	}
-	return p
-}
-
-// before reports whether r's head key sorts before o's.
-func (r *mergeRun) before(o *mergeRun) bool {
-	if r.head != o.head {
-		return r.head < o.head
-	}
-	return bytes.Compare(r.e.Key, o.e.Key) < 0
+	e     Entry   // head entry; its Key is a view into the slab
+	head  sim.Key // sim.KeyOf(e.Key)
+	ok    bool    // false once the run is exhausted
 }
 
 // advance moves the run's head to its next entry.
@@ -519,7 +496,7 @@ func (r *mergeRun) advance(pageSize int) error {
 	for {
 		ok, err := r.cur.next(&r.e)
 		if ok || err != nil {
-			r.head, r.ok = keyPrefix(r.e.Key), ok
+			r.head, r.ok = sim.KeyOf(r.e.Key), ok
 			return err
 		}
 		if len(r.pages) == 0 {
@@ -610,7 +587,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		// Pick the smallest key; ties resolved by run order (newest first).
 		best := -1
 		for i := range runs {
-			if runs[i].ok && (best < 0 || runs[i].before(&runs[best])) {
+			if runs[i].ok && (best < 0 || runs[i].head.Compare(runs[best].head) < 0) {
 				best = i
 			}
 		}
@@ -620,7 +597,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		e, head := runs[best].e, runs[best].head
 		// Step every run past this key: the winner, and its older duplicates.
 		for i := range runs {
-			for runs[i].ok && runs[i].head == head && bytes.Equal(runs[i].e.Key, e.Key) {
+			for runs[i].ok && runs[i].head == head {
 				if err := runs[i].advance(ps); err != nil {
 					return nil, end, err
 				}

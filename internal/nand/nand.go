@@ -9,7 +9,7 @@
 // aligns every DMA value to a 4 KiB host page (§3.3), so a flushed vLog page
 // is mostly zero sector tails; Program keeps each 4 KiB sector's bytes up to
 // such a tail. A payload of more than half a page takes a full-page buffer; a
-// smaller one a chunk carved from a slab the array keeps, so that once the
+// smaller one a chunk carved from a sim.Slab the array keeps, so that once the
 // slab has grown to the live set a Program allocates nothing. Released
 // buffers and chunks are poisoned and reused. Read and View hand out a view
 // of the payload, not a copy, when the kept bytes are one run from the start
@@ -25,6 +25,7 @@ package nand
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"bandslim/internal/fault"
@@ -152,12 +153,9 @@ type Array struct {
 	free   [][]byte
 	stored int64
 	zero   []byte
-	// The slab every payload of at most half a page is carved from: cur is
-	// the uncarved tail of its newest block (slabPages pages long), chunks
-	// the free chunks released payloads gave back, by size class (see
-	// slabClass), each cut to length 0.
-	cur    []byte
-	chunks [][][]byte
+	// slab is what every payload of at most half a page is carved from, in
+	// blocks of slabPages pages, unbounded.
+	slab sim.Slab
 	// lens is the scratch Program works out what each sector of a page keeps
 	// in (a page spans len(lens) sectors, the last possibly short), hdr the
 	// size of a payload's sector table.
@@ -206,21 +204,6 @@ const poison = 0xDB
 // chunk that does not gets an exact-size allocation instead.
 const slabPages = 4
 
-// slabClass returns the size class of a chunk that holds size bytes, and the
-// class's chunk size: 16-byte steps up to 1 KiB, then 16 steps per doubling.
-// Rounding up wastes at most 1/16 of a chunk, and payloads a few bytes apart
-// share a class and so each other's released chunks.
-func slabClass(size int) (cl, chunk int) {
-	if size <= 1024 {
-		cl = (size + 15) / 16
-		return cl, cl * 16
-	}
-	k := bits.Len(uint(size-1)) - 1 // 1<<k < size <= 2<<k
-	step := 1 << (k - 4)
-	j := (size - 1<<k + step - 1) / step
-	return 64 + 16*(k-10) + j, 1<<k + j*step
-}
-
 // sectorSize is the unit Program trims: the host memory page BandSlim aligns
 // DMA values to, so the zero padding of a flushed vLog page sits in sector
 // tails. minGap is the shortest zero tail worth cutting; it is longer than
@@ -257,6 +240,7 @@ func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
 		ways:   make([]sim.BusyLine, geo.Ways()),
 		blocks: make([]block, geo.Blocks()),
 		zero:   make([]byte, geo.PageSize),
+		slab:   sim.NewSlab(slabPages*geo.PageSize, math.MaxInt),
 		lens:   make([]int, sectors),
 		hdr:    2 * sectors,
 	}, nil
@@ -409,8 +393,8 @@ func (a *Array) sectorLen(buf []byte, s int) int {
 // takePayload returns a payload buffer of n kept bytes (and room for the
 // sector table unless n is a whole page), contents unspecified. Over half a
 // page it is a full-page buffer, from the free list when one waits there; at
-// most half a page, a slab chunk (see carve); when the table does not fit in
-// a page, an exact-size allocation.
+// most half a page, a slab chunk; when the table does not fit in a page, an
+// exact-size allocation.
 func (a *Array) takePayload(n int) []byte {
 	size := n + a.hdr
 	switch {
@@ -419,7 +403,8 @@ func (a *Array) takePayload(n int) []byte {
 	case size > a.geo.PageSize:
 		return make([]byte, n, size)
 	case a.small(n):
-		return a.carve(n, size)
+		buf, _ := a.slab.Get(n, size)
+		return buf
 	}
 	if k := len(a.free); k > 0 {
 		buf := a.free[k-1]
@@ -434,60 +419,6 @@ func (a *Array) takePayload(n int) []byte {
 // half a page, with its sector table.
 func (a *Array) small(n int) bool { return 2*n <= a.geo.PageSize && n+a.hdr <= a.geo.PageSize }
 
-// carve returns a slab chunk of n bytes with room for size: a free chunk of
-// size's class, else the next one cut from the newest block, else the
-// smallest free chunk of a larger class, and only when none of those is
-// there a chunk of a new block. So the slab grows only when the chunks it
-// holds are all in use or too small.
-func (a *Array) carve(n, size int) []byte {
-	cl, chunk := slabClass(size)
-	if cl < len(a.chunks) && len(a.chunks[cl]) > 0 {
-		return a.pop(cl, n)
-	}
-	if len(a.cur) < chunk {
-		for c := cl + 1; c < len(a.chunks); c++ {
-			if len(a.chunks[c]) > 0 {
-				return a.pop(c, n)
-			}
-		}
-		block := slabPages * a.geo.PageSize
-		if chunk > block {
-			return make([]byte, n, size)
-		}
-		a.file(a.cur)
-		a.cur = make([]byte, block)
-	}
-	buf := a.cur[:n:chunk]
-	a.cur = a.cur[chunk:]
-	return buf
-}
-
-// pop takes the newest free chunk of class cl, cut to n bytes.
-func (a *Array) pop(cl, n int) []byte {
-	list := a.chunks[cl]
-	buf := list[len(list)-1]
-	list[len(list)-1] = nil
-	a.chunks[cl] = list[:len(list)-1]
-	return buf[:n]
-}
-
-// file puts a free chunk — a released payload's, or a block's uncarved tail —
-// on the list of the largest class it holds; one too short for any class is
-// dropped.
-func (a *Array) file(buf []byte) {
-	cl, chunk := slabClass(cap(buf))
-	if chunk > cap(buf) {
-		cl--
-	}
-	if cl <= 0 {
-		return
-	}
-	for len(a.chunks) <= cl {
-		a.chunks = append(a.chunks, nil)
-	}
-	a.chunks[cl] = append(a.chunks[cl], buf[:0])
-}
-
 // releasePayload ends the life of a programmed page's payload: poisoned, so
 // that a stale view cannot be mistaken for data, then a slab chunk goes back
 // to its class and a full-page buffer to the free list while that has room.
@@ -501,7 +432,7 @@ func (a *Array) releasePayload(buf []byte) {
 	}
 	switch {
 	case a.small(len(buf)):
-		a.file(buf)
+		a.slab.Put(buf)
 	case cap(buf) == a.geo.PageSize && len(a.free) < a.geo.PagesPerBlock:
 		a.free = append(a.free, buf[:0])
 	}

@@ -3,8 +3,6 @@ package nand
 import (
 	"bytes"
 	"errors"
-	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -598,104 +596,5 @@ func TestFaultedProgramTakesNoPayload(t *testing.T) {
 	}
 	if held, spare, stored := a.Payloads(); held != 0 || spare != 1 || stored != 0 {
 		t.Fatalf("after a faulted program: %d held, %d spare, %d bytes stored; want 0, 1, 0", held, spare, stored)
-	}
-}
-
-// The slab keeps what its payloads give back, sorted by size class, so under
-// churn of random sizes its free chunks could pile up in classes the live set
-// has moved away from. 200 k Program/Discard steps of 1 B to half a page,
-// holding the live set at 1024 pages, must leave the array's heap — after a
-// GC, so only what it holds counts — within 1.5× the bytes its payloads keep
-// plus one slab block.
-func TestSlabChurnFootprint(t *testing.T) {
-	geo := Geometry{Channels: 1, WaysPerChannel: 1, BlocksPerWay: 64, PagesPerBlock: 64, PageSize: 16 * 1024}
-	const steps, maxLive = 200_000, 1024
-	rng := rand.New(rand.NewSource(1))
-	data := bytes.Repeat([]byte{0xA5}, geo.PageSize/2)
-	live := make([]int, 0, maxLive) // page indices holding a payload
-	at := make([]int, geo.Pages())  // page index -> position in live, -1 if none
-	for i := range at {
-		at[i] = -1
-	}
-	addr := func(i int) PageAddr { return PageAddr{Block: i / geo.PagesPerBlock, Page: i % geo.PagesPerBlock} }
-	drop := func(i int) {
-		last := live[len(live)-1]
-		live[at[i]], at[last] = last, at[i]
-		live, at[i] = live[:len(live)-1], -1
-	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	a, err := New(geo, DefaultLatency(), sim.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0 // the page the next Program writes
-	for step := 0; step < steps; step++ {
-		if len(live) == maxLive {
-			i := live[rng.Intn(len(live))]
-			if err := a.Discard(addr(i)); err != nil {
-				t.Fatal(err)
-			}
-			drop(i)
-			continue
-		}
-		if next%geo.PagesPerBlock == 0 && step >= geo.Pages() { // wrapped: reuse the block
-			for i := next; i < next+geo.PagesPerBlock; i++ {
-				if at[i] >= 0 {
-					drop(i)
-				}
-			}
-			if _, err := a.Erase(0, BlockAddr{Block: next / geo.PagesPerBlock}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := a.Program(0, addr(next), data[:1+rng.Intn(len(data))]); err != nil {
-			t.Fatal(err)
-		}
-		at[next] = len(live)
-		live = append(live, next)
-		next = (next + 1) % geo.Pages()
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	held, _, stored := a.Payloads()
-	heap := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
-	t.Logf("%d payloads keep %d B; the array holds %d B of heap (%.3f×)", held, stored, heap, float64(heap)/float64(stored))
-	if held != len(live) {
-		t.Fatalf("%d payloads held, %d live", held, len(live))
-	}
-	if bound := stored*3/2 + int64(slabPages*geo.PageSize); heap > bound {
-		t.Errorf("after %d steps the array holds %d B of heap for %d kept bytes; bound %d", steps, heap, stored, bound)
-	}
-	runtime.KeepAlive(a)
-}
-
-// Every size up to a page has a class whose chunk holds it with less than
-// 1/16 of the chunk (or 16 bytes) to spare, chunk sizes grow with the class,
-// and file puts a chunk of any capacity — a block's uncarved tail can be any
-// multiple of 16 — under the largest class whose chunk it holds.
-func TestSlabClasses(t *testing.T) {
-	a := testArray(t)
-	chunkOf := []int{0} // class -> chunk size
-	for size := 1; size <= a.geo.PageSize; size++ {
-		cl, chunk := slabClass(size)
-		if chunk < size || chunk-size >= max(16, chunk/16) {
-			t.Fatalf("size %d: class %d of %d-byte chunks", size, cl, chunk)
-		}
-		switch {
-		case cl == len(chunkOf) && chunk > chunkOf[cl-1]:
-			chunkOf = append(chunkOf, chunk)
-		case cl >= len(chunkOf) || chunkOf[cl] != chunk:
-			t.Fatalf("size %d: class %d of %d-byte chunks after %d classes", size, cl, chunk, len(chunkOf))
-		}
-	}
-	for size := 16; size <= a.geo.PageSize; size += 16 {
-		a.chunks = nil
-		a.file(make([]byte, 0, size))
-		cl := len(a.chunks) - 1
-		if cl < 1 || len(a.chunks[cl]) != 1 || chunkOf[cl] > size || cl+1 < len(chunkOf) && chunkOf[cl+1] <= size {
-			t.Fatalf("a %d-byte chunk filed under class %d", size, cl)
-		}
 	}
 }

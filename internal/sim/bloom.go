@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // Bloom filter geometry: BloomBitsPerKey bits per key and BloomProbes probes
 // per key give a false-positive rate of (1-e^{-7/10})^7, about 0.8 %.
@@ -55,22 +52,3 @@ func (f Bloom) geometry(h uint64) (m, d uint64) {
 
 // Reset empties the filter.
 func (f Bloom) Reset() { clear(f) }
-
-// KeyHash is the hash a key is filtered by: Mix64 folded over the key's
-// big-endian 8-byte words, the last zero-padded, starting from its length —
-// the packing the LSM MemTable compares keys in.
-func KeyHash(k []byte) uint64 {
-	h := uint64(len(k)) * 0x9E3779B97F4A7C15
-	for len(k) >= 8 {
-		h = Mix64(h ^ binary.BigEndian.Uint64(k))
-		k = k[8:]
-	}
-	if len(k) > 0 {
-		var w uint64
-		for i, b := range k {
-			w |= uint64(b) << (56 - 8*i)
-		}
-		h = Mix64(h ^ w)
-	}
-	return h
-}

@@ -25,7 +25,8 @@ type ShardedConfig struct {
 	PerShard Config
 	// TraceCapacity, when > 0, gives every shard its own ring-buffered
 	// recorder of that capacity and overrides PerShard.Tracer. Read the
-	// merged stream with TraceEvents.
+	// merged stream with TraceEvents. A negative capacity fails with a
+	// ConfigError.
 	TraceCapacity int
 }
 
@@ -44,6 +45,9 @@ func OpenSharded(cfg ShardedConfig) (*DB, error) {
 	part, err := shard.NewPartitioner(cfg.Shards, partitionSeed)
 	if err != nil {
 		return nil, fmt.Errorf("bandslim: %w", err)
+	}
+	if cfg.TraceCapacity < 0 {
+		return nil, fmt.Errorf("bandslim: %w", &ConfigError{Field: "TraceCapacity", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.TraceCapacity)})
 	}
 	opts, err := stackOptions(cfg.PerShard)
 	if err != nil {
