@@ -76,23 +76,26 @@ determinism:
 	rm -rf .determinism
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
-# cursor, the MemTable against a sorted reference, the RESP command parser,
-# the workload-trace parser, the NAND page store's round trip, the NAND
-# payload slab against exact page copies, the device value tier against its
-# old map-and-buffers form, the device page tier against its old map, and the
-# FTL against its old dense map, seeded
-# from the committed testdata corpora and the targets' own seeds.
+# cursor, the MemTable against a sorted reference, the RESP command parser
+# alone and in server-style bursts, the workload-trace parser, the NAND page
+# store's round trip, the NAND payload slab against exact page copies, the
+# device value tier against its old map-and-buffers form, the device page tier
+# against its old map, and the FTL against its old dense map, seeded from the
+# committed testdata corpora and the targets' own seeds. New inputs are not
+# minimized (-fuzzminimizetime=0): minimizing spent a slow target's whole
+# budget, leaving it to re-run its corpus and fuzz almost nothing.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault
-	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=5s ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
-	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload
-	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s ./internal/nand
-	$(GO) test -run=NONE -fuzz=FuzzPayloadSlab -fuzztime=5s ./internal/nand
-	$(GO) test -run=NONE -fuzz=FuzzValues -fuzztime=5s ./internal/cache
-	$(GO) test -run=NONE -fuzz=FuzzPages -fuzztime=5s ./internal/cache
-	$(GO) test -run=NONE -fuzz=FuzzFTL -fuzztime=5s ./internal/ftl
+	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s -fuzzminimizetime=0 ./internal/fault
+	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
+	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
+	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
+	$(GO) test -run=NONE -fuzz=FuzzRESPBurst -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
+	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s -fuzzminimizetime=0 ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s -fuzzminimizetime=0 ./internal/nand
+	$(GO) test -run=NONE -fuzz=FuzzPayloadSlab -fuzztime=5s -fuzzminimizetime=0 ./internal/nand
+	$(GO) test -run=NONE -fuzz=FuzzValues -fuzztime=5s -fuzzminimizetime=0 ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzPages -fuzztime=5s -fuzzminimizetime=0 ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzFTL -fuzztime=5s -fuzzminimizetime=0 ./internal/ftl
 
 # Every simulated artifact under results/ — the figure, ablation, breakdown,
 # read and scan CSVs plus BENCH_qd|blame|cache|ycsb.json — comes from this one

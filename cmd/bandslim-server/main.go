@@ -9,9 +9,10 @@
 //
 // Supported commands: PING, ECHO, SET, GET, DEL, MSET, MGET, SCAN, INFO,
 // SHUTDOWN, QUIT (plus COMMAND and SELECT for client handshakes). Pipelined
-// commands are coalesced per event-loop tick onto the sharded batch path;
-// per-connection in-flight windows (-window) bound memory and push
-// backpressure onto clients through TCP flow control.
+// commands are coalesced per burst onto the sharded batch path; the
+// per-connection burst window (-window) bounds each burst, and a connection
+// is not read while its burst executes, which pushes backpressure onto
+// clients through TCP flow control.
 //
 // -cache enables the tiered read path: a simulated device-DRAM value/page
 // cache on each shard's device. GETs and DEL existence probes of absent
@@ -70,7 +71,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":6379", "TCP listen address")
 		shards        = flag.Int("shards", 4, "simulated device shards")
-		window        = flag.Int("window", server.DefaultWindow, "per-connection in-flight command window")
+		window        = flag.Int("window", server.DefaultWindow, "per-connection burst window: most commands one burst executes")
 		method        = flag.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
 		cacheProfile  = flag.String("cache", "off", "read cache: off|serving|lru|2q (serving = 4MiB device-DRAM value cache + 64-page cache; a policy name uses the serving profile with that eviction policy)")
 		metricsListen = flag.String("metrics-listen", "", "serve /metrics on this address (empty: off)")

@@ -53,6 +53,7 @@ type iterSource struct {
 	cur    pageCursor
 	done   bool
 	head   Entry
+	key    sim.Key // sim.KeyOf(head.Key)
 	hasCur bool
 }
 
@@ -104,6 +105,7 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 	if s.mem != nil {
 		if s.mem.Next() {
 			s.head = s.mem.Entry()
+			s.key = sim.KeyOf(s.head.Key)
 			s.hasCur = true
 		} else {
 			s.done = true
@@ -117,6 +119,7 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 			return err
 		}
 		if ok {
+			s.key = sim.KeyOf(s.head.Key)
 			s.hasCur = true
 			return nil
 		}
@@ -163,7 +166,7 @@ func (it *Iterator) step(t sim.Time) {
 				best = i
 				continue
 			}
-			c := bytes.Compare(s.head.Key, it.sources[best].head.Key)
+			c := s.key.Compare(it.sources[best].key)
 			if c < 0 || (c == 0 && s.prio < it.sources[best].prio) {
 				best = i
 			}
@@ -172,7 +175,7 @@ func (it *Iterator) step(t sim.Time) {
 			it.valid = false
 			return
 		}
-		e := it.sources[best].head
+		e, key := it.sources[best].head, it.sources[best].key
 		// Copy the winning key out of its source's page: consuming the key
 		// below can advance that source past a page boundary, which
 		// overwrites the page backing e.Key.
@@ -180,7 +183,7 @@ func (it *Iterator) step(t sim.Time) {
 		e.Key = it.keyBuf
 		// Consume this key from every source holding it.
 		for _, s := range it.sources {
-			for s.hasCur && bytes.Equal(s.head.Key, e.Key) {
+			for s.hasCur && s.key == key {
 				if err := s.advance(it, t); err != nil {
 					it.err = err
 					it.valid = false

@@ -368,6 +368,46 @@ func TestIteratorSkipsTombstonesAndDuplicates(t *testing.T) {
 	}
 }
 
+// Keys equal but for trailing zero bytes share their inline words and
+// differ only in length. Spread over two tables and the MemTable, the newer
+// sources holding the longer keys and the MemTable also overwriting the
+// shortest, they must scan in key order, each once and newest first.
+func TestIteratorOrdersKeysByLength(t *testing.T) {
+	tr := recycleTree(t)
+	for _, put := range []struct {
+		key   string
+		addr  vlog.Addr
+		flush bool
+	}{
+		{"k", 90, true},
+		{"k\x00", 1, true},
+		{"k\x00\x00", 2, false},
+		{"k", 0, false},
+	} {
+		if _, err := tr.Put(0, []byte(put.key), put.addr, 8); err != nil {
+			t.Fatal(err)
+		}
+		if put.flush {
+			if _, err := tr.Flush(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	it, err := tr.Seek(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"k", "k\x00", "k\x00\x00"} {
+		if !it.Valid() || string(it.Entry().Key) != want || it.Entry().Addr != vlog.Addr(i) {
+			t.Fatalf("entry %d is %q → %d (valid %v), want %q → %d", i, it.Entry().Key, it.Entry().Addr, it.Valid(), want, i)
+		}
+		it.Next(0)
+	}
+	if it.Valid() || it.Err() != nil {
+		t.Fatalf("scan went on past the last key: %q, %v", it.Entry().Key, it.Err())
+	}
+}
+
 func TestIteratorSeekPastEnd(t *testing.T) {
 	tr, _ := newTestTree(t)
 	tr.Put(0, []byte("a"), 1, 1)

@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"testing/iotest"
@@ -102,6 +103,99 @@ func FuzzRESPParse(f *testing.F) {
 					t.Fatalf("round trip changed command %d arg %d", i, j)
 				}
 			}
+		}
+	})
+}
+
+// chunkReader delivers data in reads sized by sizes, cycled (each size byte
+// s reads s+1 bytes; no sizes means one read of everything).
+type chunkReader struct {
+	data, sizes []byte
+	i           int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(c.data)
+	if len(c.sizes) > 0 {
+		n = int(c.sizes[c.i%len(c.sizes)]) + 1
+		c.i++
+	}
+	n = copy(p, c.data[:min(n, len(c.data))])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// FuzzRESPBurst parses a stream as the server does — a blocking ReadCommand,
+// then ReadBufferedCommand until no whole command is buffered — over an
+// arbitrary read chunking, and checks it against ReadCommand alone over the
+// same chunking: the same commands, the same first error, and every view a
+// burst returned still holding its bytes when the burst ends.
+func FuzzRESPBurst(f *testing.F) {
+	seeds := [][]byte{
+		[]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"),
+		[]byte("PING\r\nSET k v\r\n\r\nGET k\r\n*1\r\n$4\r\nPING\r\n"),
+		[]byte("*1\r\n$4\r\nPING\r\n*1\r\n:3\r\n*1\r\n$4\r\nPING\r\n"),
+		[]byte("*2\r\n$3\r\nGET\r\n$999999999999\r\n"),
+		[]byte("\r\n\r\n*1\r\n$0\r\n\r\n*0\r\n"),
+	}
+	for _, s := range seeds {
+		f.Add(s, []byte(nil))
+		f.Add(s, []byte{0})
+		f.Add(s, []byte{6, 2, 17})
+	}
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		var alone []string
+		rd := NewReader(&chunkReader{data: data, sizes: sizes})
+		var errAlone error
+		for {
+			args, err := rd.ReadCommand()
+			if err != nil {
+				errAlone = err
+				break
+			}
+			alone = append(alone, fmt.Sprintf("%q", args))
+		}
+
+		var burst []string
+		rd = NewReader(&chunkReader{data: data, sizes: sizes})
+		var errBurst error
+		var views [][]byte
+		var held []string
+		for errBurst == nil {
+			args, err := rd.ReadCommand()
+			views, held = views[:0], held[:0]
+			for err == nil {
+				burst = append(burst, fmt.Sprintf("%q", args))
+				for _, a := range args {
+					views = append(views, a)
+					held = append(held, string(a))
+				}
+				var ok bool
+				if args, ok, err = rd.ReadBufferedCommand(); !ok && err == nil {
+					break
+				}
+			}
+			for i, v := range views {
+				if string(v) != held[i] {
+					t.Fatalf("a view of the burst changed from %q to %q before the burst ended", held[i], v)
+				}
+			}
+			errBurst = err
+		}
+
+		if len(burst) != len(alone) {
+			t.Fatalf("burst parse yielded %d commands, ReadCommand alone %d", len(burst), len(alone))
+		}
+		for i := range alone {
+			if burst[i] != alone[i] {
+				t.Fatalf("command %d: burst parse %s, ReadCommand alone %s", i, burst[i], alone[i])
+			}
+		}
+		if errBurst.Error() != errAlone.Error() {
+			t.Fatalf("burst parse failed with %v, ReadCommand alone with %v", errBurst, errAlone)
 		}
 	})
 }

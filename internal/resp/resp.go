@@ -7,10 +7,12 @@
 // The codec is built for the server's zero-allocation steady state:
 //
 //   - Reader parses out of one growable internal buffer and returns
-//     argument slices as views into it — valid until the next Read* call.
-//     Refills compact consumed bytes instead of reallocating, so once the
-//     buffer has grown to the connection's working command size, parsing
-//     allocates nothing.
+//     argument slices as views into it. Refills compact consumed bytes
+//     instead of reallocating, so once the buffer has grown to the
+//     connection's working command size, parsing allocates nothing.
+//     ReadBufferedCommand never refills, so a pipelined burst — one
+//     ReadCommand, then every command already buffered behind it — is parsed
+//     in place and every view in it stays valid until the next ReadCommand.
 //   - Writer appends into one reusable buffer flushed explicitly, so a
 //     pipelined burst of replies becomes a single socket write and integer
 //     headers are formatted with strconv.AppendInt (no intermediate
@@ -64,7 +66,8 @@ func IsProtocol(err error) bool {
 
 // Reader incrementally parses RESP values from an io.Reader. It is not safe
 // for concurrent use. Slices returned by ReadCommand and ReadReply are views
-// into the internal buffer, valid until the next Read* call.
+// into the internal buffer, valid until the next ReadCommand or ReadReply
+// call; ReadBufferedCommand keeps every earlier view valid.
 //
 // Refills may compact or grow the buffer mid-command, which would shift any
 // view taken earlier, so the multibulk parser records each argument as a
@@ -78,9 +81,15 @@ type Reader struct {
 	off   int // parse position within buf
 	end   int // filled extent of buf
 	spans []span
-	args  [][]byte
-	n     int64 // total bytes consumed from r
+	args  [][]byte // the views of every command since the last ReadCommand
+	n     int64    // total bytes consumed from r
+	// buffered makes fill fail with errPartial instead of reading: set while
+	// ReadBufferedCommand parses, so nothing it returned moves.
+	buffered bool
 }
+
+// errPartial stops a ReadBufferedCommand parse at the end of the buffer.
+var errPartial = errors.New("resp: command not wholly buffered")
 
 // span locates one parsed argument relative to Reader.mark.
 type span struct{ off, n int }
@@ -94,11 +103,18 @@ func NewReader(r io.Reader) *Reader {
 // BytesRead reports the total bytes consumed from the underlying reader.
 func (r *Reader) BytesRead() int64 { return r.n }
 
+// Buffered reports the bytes read from the underlying reader and not yet
+// parsed.
+func (r *Reader) Buffered() int { return r.end - r.off }
+
 // fill reads more bytes from the underlying reader, compacting bytes before
 // mark first and growing the buffer only when the live region spans it.
 // Compaction shifts buf[mark:end] to the front, so spans relative to mark
 // stay valid.
 func (r *Reader) fill() error {
+	if r.buffered {
+		return errPartial
+	}
 	if r.mark > 0 {
 		r.end = copy(r.buf, r.buf[r.mark:r.end])
 		r.off -= r.mark
@@ -232,10 +248,34 @@ func (r *Reader) peek() (byte, error) {
 // ReadCommand parses one client command: a RESP array of bulk strings, or —
 // when the first byte is not '*' — an inline command split on spaces and
 // tabs. The returned argument slices are views into the internal buffer,
-// valid until the next Read* call; an empty inline line yields a zero-length
-// command the caller should skip. io.EOF before the first byte of a command
-// means a clean close.
+// valid until the next ReadCommand or ReadReply call; an empty inline line
+// yields a zero-length command the caller should skip. io.EOF before the
+// first byte of a command means a clean close.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	r.args = r.args[:0]
+	return r.readCommand()
+}
+
+// ReadBufferedCommand parses the next command only if it is wholly in the
+// buffer, without reading from the underlying reader: ok is false when it is
+// not (nothing is consumed), and err is a protocol error found in the
+// buffered bytes. Because the buffer does not move, the views it returns and
+// every view returned since the last ReadCommand stay valid until the next
+// ReadCommand or ReadReply call.
+func (r *Reader) ReadBufferedCommand() (args [][]byte, ok bool, err error) {
+	off, base := r.off, len(r.args)
+	r.buffered = true
+	args, err = r.readCommand()
+	r.buffered = false
+	if err == errPartial {
+		r.off, r.args = off, r.args[:base]
+		return nil, false, nil
+	}
+	return args, err == nil, err
+}
+
+// readCommand parses one command, appending its views to args.
+func (r *Reader) readCommand() ([][]byte, error) {
 	r.mark = r.off
 	c, err := r.peek()
 	if err != nil {
@@ -291,11 +331,11 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	}
 	// The whole command is buffered now; no further refill can shift it, so
 	// the spans materialize into stable views.
-	r.args = r.args[:0]
+	base := len(r.args)
 	for _, sp := range r.spans {
 		r.args = append(r.args, r.buf[r.mark+sp.off:r.mark+sp.off+sp.n])
 	}
-	return r.args, nil
+	return r.args[base:len(r.args):len(r.args)], nil
 }
 
 // readInline parses one inline command line into whitespace-separated
@@ -306,7 +346,7 @@ func (r *Reader) readInline() ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.args = r.args[:0]
+	base := len(r.args)
 	i := 0
 	for i < len(line) {
 		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
@@ -317,13 +357,13 @@ func (r *Reader) readInline() ([][]byte, error) {
 			i++
 		}
 		if i > start {
-			if len(r.args) == MaxArgs {
+			if len(r.args)-base == MaxArgs {
 				return nil, protoErr("too many inline arguments")
 			}
 			r.args = append(r.args, line[start:i])
 		}
 	}
-	return r.args, nil
+	return r.args[base:len(r.args):len(r.args)], nil
 }
 
 // ReplyKind tags what a ReadReply call decoded.

@@ -24,34 +24,25 @@ func classify(name []byte) opcode {
 	return opUnknown
 }
 
-// cmd is one slot of a connection's in-flight ring: a parsed command with
-// slot-owned argument copies (the resp.Reader's views die at the next
-// ReadCommand, so the reader copies into lanes the slot reuses forever).
+// cmd is one command of a burst. Its arguments are views into the
+// connection's read buffer, which holds still until the burst is answered.
 type cmd struct {
 	op   opcode
-	n    int      // argument count, including the command name
-	args [][]byte // lanes; args[i][:] reuses capacity across commands
-	t0   time.Time
-	fail error // protocol error carried to the writer, which reports and closes
+	args [][]byte // including the command name; empty for an empty inline line
+	fail error    // protocol error: reported in stream order, then the connection closes
 }
 
-// capture copies parsed argument views into the slot's lanes.
-func (cm *cmd) capture(args [][]byte) {
-	for len(cm.args) < len(args) {
-		cm.args = append(cm.args, nil)
-	}
-	for i, a := range args {
-		cm.args[i] = append(cm.args[i][:0], a...)
-	}
-	cm.n = len(args)
-	cm.fail = nil
-	if cm.n > 0 {
+// parsed is the burst entry for one parse result.
+func parsed(args [][]byte, err error) cmd {
+	cm := cmd{args: args, fail: err}
+	if len(args) > 0 {
 		cm.op = classify(args[0])
 	}
+	return cm
 }
 
-// conn is one client connection: a reader goroutine parsing into the slot
-// ring and a writer goroutine draining, coalescing, and replying.
+// conn is one client connection, served by one goroutine: read a burst,
+// execute it, answer it with one write.
 type conn struct {
 	s  *Server
 	db *bandslim.DB
@@ -59,132 +50,66 @@ type conn struct {
 	r  *resp.Reader
 	w  *resp.Writer
 
-	// The slot ring. Readers take from free, push parsed slots to pending;
-	// the writer drains pending and returns slots to free. Both channels
-	// hold every slot, so slot sends never block.
-	free    chan *cmd
-	pending chan *cmd
-
-	// Writer-side scratch, reused across bursts.
-	burst []*cmd
-	keys  [][]byte // key references into slot lanes
+	// Scratch reused across bursts.
+	burst []cmd
+	keys  [][]byte // key references into the burst's arguments
 	vals  [][]byte // value references (SET/MSET)
 	get   [][]byte // GetBatchSparse destination lanes (owned, reused)
 	miss  []bool
 	info  []byte // INFO reply scratch
+
+	in, out int64 // bytes read and written as last added to the server's counters
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
-		s:       s,
-		db:      s.cfg.DB,
-		nc:      nc,
-		r:       resp.NewReader(nc),
-		w:       resp.NewWriter(nc),
-		free:    make(chan *cmd, s.window),
-		pending: make(chan *cmd, s.window),
-		burst:   make([]*cmd, 0, s.window),
-	}
-	for i := 0; i < s.window; i++ {
-		c.free <- &cmd{}
-	}
-	return c
+	return &conn{s: s, db: s.cfg.DB, nc: nc, r: resp.NewReader(nc), w: resp.NewWriter(nc)}
 }
 
-// serve runs the connection to completion. writeLoop only returns once
-// readLoop has closed and drained pending, so by the time serve finishes
-// both goroutines are done.
+// serve runs the connection to completion.
 func (c *conn) serve() {
-	go c.readLoop()
-	c.writeLoop()
+	for c.serveBurst() {
+	}
+	c.s.bytesIn.Add(c.r.BytesRead() - c.in) // a command cut short by the close
 	c.nc.Close()
 	c.s.finish(c)
 }
 
-// readLoop parses commands into slots. It acquires a slot before reading:
-// with every slot in flight it blocks here instead of reading more bytes,
-// which is the backpressure path (the kernel buffer fills, TCP flow control
-// pushes back on the client).
-func (c *conn) readLoop() {
-	defer close(c.pending)
-	var lastIn int64
-	for {
-		var slot *cmd
-		select {
-		case slot = <-c.free:
-		default:
-			c.s.stalls.Add(1)
-			slot = <-c.free
-		}
-		args, err := c.r.ReadCommand()
-		if in := c.r.BytesRead(); in != lastIn {
-			c.s.bytesIn.Add(in - lastIn)
-			lastIn = in
-		}
-		if err != nil {
-			if resp.IsProtocol(err) {
-				// Ship the error through the ring so the writer can
-				// report it in stream order before closing.
-				slot.n = 0
-				slot.fail = err
-				slot.t0 = time.Now()
-				c.pending <- slot
-			}
-			return
-		}
-		slot.capture(args)
-		slot.t0 = time.Now()
-		c.pending <- slot
+// serveBurst reads one burst — the next command, blocking, then every
+// command already wholly buffered behind it, up to the window — executes it
+// with batch coalescing and flushes the replies once, so pipelined clients
+// ride the DB batch path without asking. The socket is not read while the
+// burst executes: that is the backpressure path (the kernel buffer fills and
+// TCP flow control pushes back on the client). Reports whether the
+// connection stays open.
+func (c *conn) serveBurst() bool {
+	args, err := c.r.ReadCommand()
+	t0 := time.Now()
+	if err != nil && !resp.IsProtocol(err) {
+		return false // EOF, a closed socket or Shutdown's read deadline
 	}
-}
-
-// writeLoop drains the ring: each wakeup collects every already-parsed slot
-// into one burst, executes it with batch coalescing, and flushes the socket
-// once. Pipelined clients therefore ride the DB batch path without asking.
-func (c *conn) writeLoop() {
-	var lastOut int64
-	for {
-		first, ok := <-c.pending
-		if !ok {
-			c.w.Flush()
-			return
+	c.burst = append(c.burst[:0], parsed(args, err))
+	for err == nil && len(c.burst) < c.s.window {
+		var ok bool
+		if args, ok, err = c.r.ReadBufferedCommand(); !ok && err == nil {
+			break
 		}
-		c.burst = append(c.burst[:0], first)
-	collect:
-		for len(c.burst) < c.s.window {
-			select {
-			case cm, ok := <-c.pending:
-				if !ok {
-					break collect
-				}
-				c.burst = append(c.burst, cm)
-			default:
-				break collect
-			}
-		}
-		closeAfter := c.execute(c.burst)
-		err := c.w.Flush()
-		if out := c.w.BytesWritten(); out != lastOut {
-			c.s.bytesOut.Add(out - lastOut)
-			lastOut = out
-		}
-		now := time.Now()
-		for _, cm := range c.burst {
-			if cm.n > 0 && cm.fail == nil {
-				c.s.observeLatency(cm.op, now.Sub(cm.t0))
-			}
-			c.free <- cm
-		}
-		if err != nil || closeAfter {
-			// Unblock the reader (it exits on the closed socket), then
-			// drain pending so its final sends cannot strand slots.
-			c.nc.Close()
-			for cm := range c.pending {
-				c.free <- cm
-			}
-			return
-		}
+		c.burst = append(c.burst, parsed(args, err))
 	}
+	if len(c.burst) == c.s.window && c.r.Buffered() > 0 {
+		c.s.stalls.Add(1)
+	}
+	if in := c.r.BytesRead(); in != c.in {
+		c.s.bytesIn.Add(in - c.in)
+		c.in = in
+	}
+	served, closeAfter := c.execute(c.burst)
+	err = c.w.Flush()
+	if out := c.w.BytesWritten(); out != c.out {
+		c.s.bytesOut.Add(out - c.out)
+		c.out = out
+	}
+	c.s.observeBurst(c.burst[:served], time.Since(t0))
+	return err == nil && !closeAfter
 }
 
 // batch is the DB batch a command joins: a write is SET key value or an MSET
@@ -199,12 +124,13 @@ const (
 )
 
 func (cm *cmd) batch() batch {
+	n := len(cm.args)
 	switch {
 	case cm.fail != nil:
 		return alone
-	case cm.op == opSet && cm.n == 3, cm.op == opMSet && cm.n >= 3 && cm.n%2 == 1:
+	case cm.op == opSet && n == 3, cm.op == opMSet && n >= 3 && n%2 == 1:
 		return writes
-	case cm.op == opGet && cm.n == 2, cm.op == opMGet && cm.n >= 2:
+	case cm.op == opGet && n == 2, cm.op == opMGet && n >= 2:
 		return reads
 	}
 	return alone
@@ -218,7 +144,7 @@ func (cm *cmd) joins() bool {
 	if cm.op == opSet || cm.op == opMSet {
 		step = 2
 	}
-	for i := 1; i < cm.n; i += step {
+	for i := 1; i < len(cm.args); i += step {
 		var value []byte
 		if step == 2 {
 			value = cm.args[i+1]
@@ -233,26 +159,27 @@ func (cm *cmd) joins() bool {
 // execute serves one burst in order. Each run of writes becomes one
 // PutBatch and each run of reads one GetBatchSparse, so the shard fan-out
 // and the NVMe batch path carry pipelined load; every other command runs
-// alone. Reports whether the connection should close after the flush (QUIT,
-// SHUTDOWN, protocol error).
-func (c *conn) execute(burst []*cmd) (closeAfter bool) {
+// alone. It stops at the first command that closes the connection (QUIT,
+// SHUTDOWN, protocol error), leaving the rest of the burst unserved, and
+// reports how many commands it served and whether to close after the flush.
+func (c *conn) execute(burst []cmd) (served int, closeAfter bool) {
 	for i := 0; i < len(burst); {
-		cm := burst[i]
+		cm := &burst[i]
 		if cm.fail != nil {
 			c.s.errs.Add(1)
 			c.w.Error("ERR " + cm.fail.Error())
-			return true
+			return i, true
 		}
-		if cm.n == 0 { // empty inline line: ignored, like redis
+		if len(cm.args) == 0 { // empty inline line: ignored, like redis
 			i++
 			continue
 		}
 		b := cm.batch()
 		if b == alone {
-			if c.executeOne(cm) {
-				closeAfter = true
-			}
 			i++
+			if c.executeOne(cm) {
+				return i, true
+			}
 			continue
 		}
 		j := i + 1
@@ -266,17 +193,18 @@ func (c *conn) execute(burst []*cmd) (closeAfter bool) {
 		}
 		i = j
 	}
-	return closeAfter
+	return len(burst), false
 }
 
 // runWrites serves a run of writes as one PutBatch, +OK per command.
-func (c *conn) runWrites(run []*cmd) {
+func (c *conn) runWrites(run []cmd) {
 	c.keys, c.vals = c.keys[:0], c.vals[:0]
-	for _, cm := range run {
+	for i := range run {
+		cm := &run[i]
 		c.s.cmds[cm.op].Add(1)
-		for i := 1; i < cm.n; i += 2 {
-			c.keys = append(c.keys, cm.args[i])
-			c.vals = append(c.vals, cm.args[i+1])
+		for a := 1; a < len(cm.args); a += 2 {
+			c.keys = append(c.keys, cm.args[a])
+			c.vals = append(c.vals, cm.args[a+1])
 		}
 	}
 	if c.failed(run, c.db.PutBatch(c.keys, c.vals)) {
@@ -289,21 +217,22 @@ func (c *conn) runWrites(run []*cmd) {
 
 // runReads serves a run of reads as one GetBatchSparse: a bulk or null per
 // GET, an array of them per MGET.
-func (c *conn) runReads(run []*cmd) {
+func (c *conn) runReads(run []cmd) {
 	c.keys = c.keys[:0]
-	for _, cm := range run {
-		c.s.cmds[cm.op].Add(1)
-		c.keys = append(c.keys, cm.args[1:cm.n]...)
+	for i := range run {
+		c.s.cmds[run[i].op].Add(1)
+		c.keys = append(c.keys, run[i].args[1:]...)
 	}
 	if c.failed(run, c.probe(c.keys)) {
 		return
 	}
 	at := 0
-	for _, cm := range run {
+	for i := range run {
+		cm := &run[i]
 		if cm.op == opMGet {
-			c.w.Array(cm.n - 1)
+			c.w.Array(len(cm.args) - 1)
 		}
-		for end := at + cm.n - 1; at < end; at++ {
+		for end := at + len(cm.args) - 1; at < end; at++ {
 			if c.miss[at] {
 				c.w.Null()
 			} else {
@@ -314,7 +243,7 @@ func (c *conn) runReads(run []*cmd) {
 }
 
 // failed answers every command in a run with the batch's error, if any.
-func (c *conn) failed(run []*cmd, err error) bool {
+func (c *conn) failed(run []cmd, err error) bool {
 	if err != nil {
 		for range run {
 			c.writeDBErr(err)
@@ -332,14 +261,14 @@ func (c *conn) probe(keys [][]byte) error {
 	return err
 }
 
-// executeOne serves a command that joins no batch. Reports whether the
-// connection should close after this burst's flush.
+// executeOne serves a command that joins no batch. Reports whether it
+// closes the connection.
 func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 	c.s.cmds[cm.op.counted()].Add(1)
-	args := cm.args[:cm.n]
+	args := cm.args
 	switch cm.op {
 	case opPing:
-		switch cm.n {
+		switch len(args) {
 		case 1:
 			c.w.Simple("PONG")
 		case 2:
@@ -348,7 +277,7 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 			c.wrongArity("ping")
 		}
 	case opEcho:
-		if cm.n != 2 {
+		if len(args) != 2 {
 			c.wrongArity("echo")
 			break
 		}
@@ -362,7 +291,7 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 	case opMGet:
 		c.wrongArity("mget")
 	case opDel:
-		if cm.n < 2 {
+		if len(args) < 2 {
 			c.wrongArity("del")
 			break
 		}
@@ -415,13 +344,13 @@ func (c *conn) executeOne(cm *cmd) (closeAfter bool) {
 // first element). The reply is redis-shaped: [next-cursor, [keys...]], with
 // next-cursor "0" when the keyspace is exhausted.
 func (c *conn) scan(cm *cmd) {
-	args := cm.args[:cm.n]
-	if cm.n != 2 && cm.n != 4 {
+	args := cm.args
+	if len(args) != 2 && len(args) != 4 {
 		c.wrongArity("scan")
 		return
 	}
 	count := 10
-	if cm.n == 4 {
+	if len(args) == 4 {
 		if !bytes.EqualFold(args[2], []byte("count")) {
 			c.s.errs.Add(1)
 			c.w.Error("ERR syntax error")
@@ -444,7 +373,8 @@ func (c *conn) scan(cm *cmd) {
 		c.writeDBErr(err)
 		return
 	}
-	keys := make([][]byte, 0, count)
+	// The count is the client's: cap the preallocation, append grows past it.
+	keys := make([][]byte, 0, min(count, 1024))
 	var next []byte
 	for it.Valid() {
 		if len(keys) == count {

@@ -3,21 +3,23 @@
 // SHUTDOWN, plus the handshake commands stock clients send), so redis-cli and
 // standard load generators drive a BandSlim stack unmodified.
 //
-// Each connection gets a reader/writer goroutine pair joined by a bounded
-// ring of preallocated command slots. The reader acquires a slot before it
-// parses — when all slots are in flight it stops reading, which propagates
-// backpressure to the client through TCP flow control. The writer drains
-// every queued slot per wakeup and coalesces the burst: each run of writes
+// Each connection is served by one goroutine, one burst at a time: a
+// blocking read of the next command, then every command already wholly
+// buffered behind it (up to the window), parsed in place. The socket is not
+// read while the burst executes, which propagates backpressure to the client
+// through TCP flow control. Each burst is coalesced: each run of writes
 // (SET, MSET) becomes one PutBatch and each run of reads (GET, MGET) one
 // GetBatchSparse, the DB's one batch read, whose miss flags become null
 // replies; a command with a key the batch path refuses runs as its own
-// batch, so its error reaches it alone. The DB splits a batch into shard lanes and runs them inline on the
-// writer goroutine one shard lock at a time (so two connections' bursts
-// interleave shard by shard), with a single output flush per burst.
-// Pipelined clients therefore get batch-path service automatically.
+// batch, so its error reaches it alone. The DB splits a batch into shard
+// lanes and runs them inline on the connection's goroutine one shard lock at
+// a time (so two connections' bursts interleave shard by shard), and the
+// burst's replies leave in one write. Pipelined clients therefore get
+// batch-path service automatically.
 //
 // Clocking is hybrid, after OpenCXD: the network edge (accept, parse, reply)
-// runs on the wall clock and feeds wall-time latency digests, while the
+// runs on the wall clock and feeds wall-time latency digests, stamped when a
+// burst's first read returns and booked once the burst is flushed, while the
 // device underneath advances on its own deterministic virtual clock. INFO
 // and /metrics report both timebases side by side.
 package server
@@ -43,9 +45,9 @@ type Config struct {
 	// process owning both shuts the server down first, then the DB.
 	DB *bandslim.DB
 
-	// Window bounds in-flight parsed commands per connection (the slot
-	// ring). When every slot is in flight the reader stops reading — TCP
-	// backpressure. Default 128.
+	// Window bounds the commands one burst of a connection executes; the
+	// rest wait in the read buffer and the socket, which is not read while a
+	// burst executes — TCP backpressure. Default 128.
 	Window int
 
 	// Logf, when set, receives one line per lifecycle event (listen,
@@ -53,7 +55,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultWindow is the per-connection in-flight command window.
+// DefaultWindow is the per-connection burst window.
 const DefaultWindow = 128
 
 // opcode is a command's identity. The counted commands come first, each with
@@ -121,9 +123,9 @@ type Server struct {
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
 
-	// Wall-clock parse-to-reply latency per opcode, nanoseconds. Observed
-	// by connection writers under latMu (Observe is alloc-free, so the
-	// critical section is tiny).
+	// Wall-clock read-to-reply latency per opcode, nanoseconds. Observed
+	// by connections once per burst under latMu (Observe is alloc-free, so
+	// the critical section is tiny).
 	latMu sync.Mutex
 	lat   [numCounted]*metrics.Histogram
 }
@@ -196,7 +198,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		// Register under connMu with a done check so a conn accepted just as
 		// the listener closed cannot slip in after Shutdown's deadline sweep:
 		// either it registers before the sweep (and gets swept), or it
-		// observes done closed here and is refused — never a reader that
+		// observes done closed here and is refused — never a connection that
 		// Shutdown does not know to kick, never a connWG.Add racing the Wait.
 		s.connMu.Lock()
 		select {
@@ -232,11 +234,11 @@ func (s *Server) beginShutdown() {
 	}
 }
 
-// Shutdown stops accepting, unblocks every reader, drains in-flight
-// commands, and waits for all connection goroutines to exit. If ctx expires
-// first the remaining connections are force-closed and waited for. Safe to
-// call concurrently and more than once; the DB itself is left open for the
-// owner to close.
+// Shutdown stops accepting, unblocks every connection's read, lets each
+// finish the burst it is executing, and waits for all connection goroutines
+// to exit. If ctx expires first the remaining connections are force-closed
+// and waited for. Safe to call concurrently and more than once; the DB
+// itself is left open for the owner to close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.shutdown(ctx, false)
 }
@@ -253,8 +255,9 @@ func (s *Server) shutdown(ctx context.Context, fromWatcher bool) error {
 			s.ln.Close()
 		}
 	})
-	// Kick every blocked reader off its socket; writers then drain the
-	// slots already in flight and exit.
+	// Kick every connection blocked in a read off its socket; one executing
+	// a burst answers it, and the commands it has already buffered, before
+	// its next socket read fails and it exits.
 	s.connMu.Lock()
 	for c := range s.conns {
 		c.nc.SetReadDeadline(time.Now())
@@ -307,16 +310,22 @@ func (s *Server) Stats() bandslim.ServerStats {
 	}
 }
 
-// observeLatency records one wall-clock parse-to-reply sample.
-func (s *Server) observeLatency(op opcode, d time.Duration) {
+// observeBurst records one wall-clock read-to-reply sample, d, for each
+// command of a served burst.
+func (s *Server) observeBurst(burst []cmd, d time.Duration) {
+	ns := float64(d.Nanoseconds())
 	s.latMu.Lock()
-	s.lat[op.counted()].Observe(float64(d.Nanoseconds()))
+	for i := range burst {
+		if len(burst[i].args) > 0 {
+			s.lat[burst[i].op.counted()].Observe(ns)
+		}
+	}
 	s.latMu.Unlock()
 }
 
 // latencyHelp names the wall-clock histogram family in the exposition.
 var latencyHelp = map[string]string{
-	"server_cmd_latency_ns": "Wall-clock parse-to-reply command latency by opcode, ns.",
+	"server_cmd_latency_ns": "Wall-clock read-to-reply command latency by opcode, ns.",
 }
 
 // WriteMetrics writes one combined Prometheus exposition: the DB's simulated

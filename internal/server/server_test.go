@@ -5,10 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +123,14 @@ func (c *client) expectSimple(want string, args ...string) {
 	rep := c.do(args...)
 	if rep.Kind != resp.KindSimple || string(rep.Str) != want {
 		c.t.Fatalf("%v: got %+v (%q), want +%s", args, rep, rep.Str, want)
+	}
+}
+
+// expectOK reads one reply, which must be +OK.
+func (c *client) expectOK() {
+	c.t.Helper()
+	if rep := c.reply(); rep.Kind != resp.KindSimple || string(rep.Str) != "OK" {
+		c.t.Fatalf("got %+v (%q), want +OK", rep, rep.Str)
 	}
 }
 
@@ -312,6 +323,25 @@ func TestServeScan(t *testing.T) {
 			t.Fatalf("SCAN key %d = %q, want %q", i, got[i], want[i])
 		}
 	}
+
+	// COUNT is the client's number: the largest one pages like any other
+	// and sizes no allocation.
+	rep := c.do("SCAN", "0", "COUNT", strconv.FormatInt(math.MaxInt64, 10))
+	if rep.Kind != resp.KindArray || rep.N != 2 {
+		t.Fatalf("SCAN COUNT MaxInt64 header: %+v", rep)
+	}
+	if cur := c.reply(); string(cur.Str) != "0" {
+		t.Fatalf("SCAN COUNT MaxInt64 cursor %q, want 0", cur.Str)
+	}
+	keys := c.reply()
+	if keys.Kind != resp.KindArray || keys.N != len(want) {
+		t.Fatalf("SCAN COUNT MaxInt64 keys: %+v, want %d", keys, len(want))
+	}
+	for i := range want {
+		if k := c.reply(); string(k.Str) != want[i] {
+			t.Fatalf("SCAN COUNT MaxInt64 key %d = %q, want %q", i, k.Str, want[i])
+		}
+	}
 }
 
 func TestServeProtocolErrorCloses(t *testing.T) {
@@ -331,6 +361,137 @@ func TestServeProtocolErrorCloses(t *testing.T) {
 	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := c.r.ReadReply(); err == nil {
 		t.Fatal("connection still open after protocol error")
+	}
+}
+
+// TestExecuteStopsAtClose: a command pipelined behind QUIT or SHUTDOWN in
+// the same burst is not run, whatever the burst's timing.
+func TestExecuteStopsAtClose(t *testing.T) {
+	for _, closing := range []string{"QUIT", "SHUTDOWN"} {
+		t.Run(closing, func(t *testing.T) {
+			db := testDB(t, 1)
+			defer db.Close()
+			s, err := New(Config{DB: db})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			c := &conn{s: s, db: db, w: resp.NewWriter(&out)}
+			served, closeAfter := c.execute(burstOf([]string{"SET", "a", "1"}, []string{closing}, []string{"SET", "b", "2"}))
+			if err := c.w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if served != 2 || !closeAfter {
+				t.Errorf("served %d commands, close %v; want 2, true", served, closeAfter)
+			}
+			if out.String() != "+OK\r\n+OK\r\n" {
+				t.Errorf("replied %q, want %q", out.String(), "+OK\r\n+OK\r\n")
+			}
+			if _, err := db.Get([]byte("b")); err == nil {
+				t.Error("the SET pipelined behind " + closing + " ran")
+			}
+		})
+	}
+}
+
+// TestServeQuitEndsBurst is TestExecuteStopsAtClose over a socket: one write
+// carries SET, QUIT and SET, and only the first SET lands.
+func TestServeQuitEndsBurst(t *testing.T) {
+	db := testDB(t, 1)
+	_, addr, _ := startServer(t, db, 0)
+	c := dial(t, addr)
+	c.send("SET", "a", "1")
+	c.send("QUIT")
+	c.send("SET", "b", "2")
+	c.flush()
+	c.expectOK()
+	c.expectOK()
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rep, err := c.r.ReadReply(); err == nil {
+		t.Fatalf("reply %+v after QUIT, want the connection closed", rep)
+	}
+	if rep := dial(t, addr).do("GET", "b"); !rep.Null {
+		t.Fatalf("GET b: %+v, want null: the SET behind QUIT ran", rep)
+	}
+}
+
+// countingListener counts the socket writes and the bytes read on the
+// connections it accepts.
+type countingListener struct {
+	net.Listener
+	writes, read atomic.Int64
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: nc, l: l}, nil
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.read.Add(int64(n))
+	return n, err
+}
+
+// startCounting is startServer behind a countingListener.
+func startCounting(t *testing.T, db *bandslim.DB) (*Server, *countingListener) {
+	t.Helper()
+	s, err := New(Config{DB: db, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+		db.Close()
+	})
+	return s, ln
+}
+
+// TestServeOneWritePerBurst: sixteen commands pipelined in one client write
+// run as one burst and are answered with one socket write.
+func TestServeOneWritePerBurst(t *testing.T) {
+	_, ln := startCounting(t, testDB(t, 2))
+	c := dial(t, ln.Addr().String())
+	for i := 0; i < 8; i++ {
+		c.send("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		c.send("GET", fmt.Sprintf("k%d", i))
+	}
+	c.flush()
+	for i := 0; i < 8; i++ {
+		c.expectOK()
+		if rep := c.reply(); string(rep.Str) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("GET k%d: %+v (%q)", i, rep, rep.Str)
+		}
+	}
+	if got := ln.writes.Load(); got != 1 {
+		t.Errorf("16 pipelined commands were answered in %d socket writes, want 1", got)
 	}
 }
 
@@ -440,6 +601,49 @@ func TestShutdownDrainsAndDoesNotLeak(t *testing.T) {
 		if runtime.NumGoroutine() <= before {
 			break
 		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShutdownWithPartialCommand: a connection blocked reading the rest of a
+// half-sent command is kicked by Shutdown, which returns with every server
+// goroutine gone.
+func TestShutdownWithPartialCommand(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	s, ln := startCounting(t, testDB(t, 1))
+	c := dial(t, ln.Addr().String())
+	c.expectSimple("OK", "SET", "k", "v")
+	const half = "*3\r\n$3\r\nSET\r\n$1\r\nk"
+	if _, err := c.nc.Write([]byte(half)); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the server has read the half command into its buffer.
+	sent := s.Stats().BytesIn + int64(len(half))
+	deadline := time.Now().Add(5 * time.Second)
+	for ln.read.Load() < sent {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never read the half command")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rep, err := c.r.ReadReply(); err == nil {
+		t.Fatalf("reply %+v to a half command", rep)
+	}
+	c.nc.Close()
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutine leak: %d before, %d after\n%s",
@@ -569,53 +773,63 @@ func TestWriteMetrics(t *testing.T) {
 	}
 }
 
+// loopSource answers every Read with one whole burst of wire bytes, so a
+// connection reading it serves the same burst forever.
+type loopSource []byte
+
+func (l loopSource) Read(p []byte) (int, error) {
+	if len(p) < len(l) {
+		return 0, io.ErrShortBuffer
+	}
+	return copy(p, l), nil
+}
+
+// burstOf makes one burst of commands, each given as its arguments.
+func burstOf(lines ...[]string) []cmd {
+	burst := make([]cmd, len(lines))
+	for i, line := range lines {
+		args := make([][]byte, len(line))
+		for j, a := range line {
+			args[j] = []byte(a)
+		}
+		burst[i] = parsed(args, nil)
+	}
+	return burst
+}
+
 // TestServeBurstAllocsSteadyState guards the acceptance criterion: the
-// steady-state service path (argument capture, coalesced execution, reply
+// steady-state service path (the burst's parse, coalesced execution, reply
 // encoding, latency observation) adds zero allocations per op beyond the DB
-// path it sits on. It drives the same code the writer goroutine runs, minus
-// the channel hops (which do not allocate).
+// path it sits on. It drives the connection's own loop body over a source
+// that delivers the same pipelined burst on every read.
 func TestServeBurstAllocsSteadyState(t *testing.T) {
-	newBurst := func(parts ...[][]byte) []*cmd {
-		burst := make([]*cmd, len(parts))
-		for i, args := range parts {
-			burst[i] = &cmd{}
-			burst[i].capture(args)
-		}
-		return burst
-	}
-	args := func(ss ...string) [][]byte {
-		out := make([][]byte, len(ss))
-		for i, s := range ss {
-			out[i] = []byte(s)
-		}
-		return out
-	}
-	run := func(t *testing.T, db *bandslim.DB, burst []*cmd, templates [][][]byte) {
+	run := func(t *testing.T, db *bandslim.DB, lines [][]string) {
 		t.Helper()
 		s, err := New(Config{DB: db})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &conn{s: s, db: db, w: resp.NewWriter(io.Discard)}
-		step := func() {
-			// The reader's work: re-capture arguments into slot lanes.
-			for i, tmpl := range templates {
-				burst[i].capture(tmpl)
-				burst[i].t0 = time.Now()
-			}
-			// The writer's work: coalesced execute, flush, observe.
-			if closeAfter := c.execute(burst); closeAfter {
-				t.Fatal("burst requested close")
-			}
-			if err := c.w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			now := time.Now()
-			for _, cm := range burst {
-				s.observeLatency(cm.op, now.Sub(cm.t0))
+		var wire bytes.Buffer
+		w := resp.NewWriter(&wire)
+		for _, line := range lines {
+			w.Array(len(line))
+			for _, a := range line {
+				w.BulkString(a)
 			}
 		}
-		for i := 0; i < 8; i++ { // warm lanes, scratch, and DB pools
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c := &conn{s: s, db: db, r: resp.NewReader(loopSource(wire.Bytes())), w: resp.NewWriter(io.Discard)}
+		step := func() {
+			if !c.serveBurst() {
+				t.Fatal("burst closed the connection")
+			}
+			if len(c.burst) != len(lines) {
+				t.Fatalf("served a burst of %d commands, want %d", len(c.burst), len(lines))
+			}
+		}
+		for i := 0; i < 8; i++ { // warm scratch, lanes and DB pools
 			step()
 		}
 		if avg := testing.AllocsPerRun(300, step); avg != 0 {
@@ -633,11 +847,11 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		var templates [][][]byte
+		var lines [][]string
 		for i := 0; i < 8; i++ {
-			templates = append(templates, args("SET", fmt.Sprintf("sk%02d", i), "steady-value"))
+			lines = append(lines, []string{"SET", fmt.Sprintf("sk%02d", i), "steady-value"})
 		}
-		run(t, db, newBurst(templates...), templates)
+		run(t, db, lines)
 	})
 
 	t.Run("mset_mget_pipeline", func(t *testing.T) {
@@ -648,32 +862,31 @@ func TestServeBurstAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		templates := [][][]byte{
-			args("MSET", "mk00", "steady-value", "mk01", "steady-value", "mk02", "steady-value"),
-			args("SET", "mk03", "steady-value"),
-			args("MGET", "mk00", "mk01", "absent", "mk03"),
-			args("GET", "mk02"),
-			args("MGET", "mk01"),
-		}
-		run(t, db, newBurst(templates...), templates)
+		run(t, db, [][]string{
+			{"MSET", "mk00", "steady-value", "mk01", "steady-value", "mk02", "steady-value"},
+			{"SET", "mk03", "steady-value"},
+			{"MGET", "mk00", "mk01", "absent", "mk03"},
+			{"GET", "mk02"},
+			{"MGET", "mk01"},
+		})
 	})
 
 	t.Run("get_pipeline", func(t *testing.T) {
 		db := testDB(t, 2)
 		defer db.Close()
-		var templates [][][]byte
+		var lines [][]string
 		for i := 0; i < 8; i++ {
 			k := fmt.Sprintf("gk%02d", i)
 			if err := db.Put([]byte(k), []byte("warm-value")); err != nil {
 				t.Fatal(err)
 			}
-			templates = append(templates, args("GET", k))
+			lines = append(lines, []string{"GET", k})
 		}
-		templates = append(templates, args("PING")) // break + restart a run
+		lines = append(lines, []string{"PING"}) // break + restart a run
 		for i := 0; i < 4; i++ {
-			templates = append(templates, args("GET", fmt.Sprintf("gk%02d", i)))
+			lines = append(lines, []string{"GET", fmt.Sprintf("gk%02d", i)})
 		}
-		run(t, db, newBurst(templates...), templates)
+		run(t, db, lines)
 	})
 }
 
@@ -744,17 +957,7 @@ func TestBurstMatchesOnePerBurst(t *testing.T) {
 		var out bytes.Buffer
 		c := &conn{s: s, db: db, w: resp.NewWriter(&out)}
 		for at := 0; at < len(script); at += size {
-			var burst []*cmd
-			for _, line := range script[at:min(at+size, len(script))] {
-				cm := &cmd{}
-				args := make([][]byte, len(line))
-				for i, a := range line {
-					args[i] = []byte(a)
-				}
-				cm.capture(args)
-				burst = append(burst, cm)
-			}
-			if c.execute(burst) {
+			if _, closeAfter := c.execute(burstOf(script[at:min(at+size, len(script))]...)); closeAfter {
 				t.Fatal("burst requested close")
 			}
 		}

@@ -124,7 +124,7 @@ type ServerStats struct {
 	Ping, Set, Get, Del, MSet, MGet, Scan, Info, Shutdown, Other int64
 
 	Errors   int64 // RESP error replies written
-	Stalls   int64 // backpressure stalls: reader blocked on a full in-flight window
+	Stalls   int64 // backpressure stalls: bursts cut at the window with bytes still buffered
 	BytesIn  int64 // bytes read off client sockets
 	BytesOut int64 // bytes written to client sockets
 }
@@ -458,7 +458,7 @@ var serverRows = []row{
 		func(s *Stats) *int64 { return &s.Server.Other }, nil),
 	counter("server_errors", "RESP error replies written.",
 		func(s *Stats) *int64 { return &s.Server.Errors }, nil),
-	counter("server_backpressure_stalls", "Reader stalls on a full in-flight window.",
+	counter("server_backpressure_stalls", "Bursts cut at the in-flight window with bytes still buffered.",
 		func(s *Stats) *int64 { return &s.Server.Stalls }, nil),
 	counter("server_bytes_in", "Bytes read off client sockets.",
 		func(s *Stats) *int64 { return &s.Server.BytesIn }, nil),
