@@ -76,7 +76,8 @@ determinism:
 	rm -rf .determinism
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
-# cursor, the MemTable against a sorted reference, the RESP command parser
+# cursor, the MemTable against a sorted reference, the compaction merge
+# against the materialising merge kept beside it, the RESP command parser
 # alone and in server-style bursts, the workload-trace parser, the NAND page
 # store's round trip, the NAND payload slab against exact page copies, the
 # device value tier against its old map-and-buffers form, the device page tier
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s -fuzzminimizetime=0 ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
 	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
+	$(GO) test -run=NONE -fuzz=FuzzMerge -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzRESPBurst -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s -fuzzminimizetime=0 ./internal/workload

@@ -27,16 +27,24 @@ func benchKey(i, keyLen int) []byte {
 	return binary.BigEndian.AppendUint64(k, x*0x9E3779B97F4A7C15)[:keyLen]
 }
 
+// benchEntries is the entries of keys [from, to) that keep admits (nil: all)
+// in key order, each a tombstone where tomb says so (nil: none).
+func benchEntries(keyLen, from, to int, keep, tomb func(i int) bool) []Entry {
+	entries := make([]Entry, 0, to-from)
+	for i := from; i < to; i++ {
+		if keep == nil || keep(i) {
+			entries = append(entries, Entry{Key: benchKey(i, keyLen), Addr: vlog.Addr(i), Size: 64, Tombstone: tomb != nil && tomb(i)})
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
+	return entries
+}
+
 // benchTables builds tables holding keys [from, to) in key order, cut every
 // tablePages pages (0: one table).
 func benchTables(b *testing.B, tr *Tree, keyLen, from, to, tablePages int) []*SSTable {
 	b.Helper()
-	entries := make([]Entry, 0, to-from)
-	for i := from; i < to; i++ {
-		entries = append(entries, Entry{Key: benchKey(i, keyLen), Addr: vlog.Addr(i), Size: 64})
-	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
-	return buildTables(b, tr, entries, tablePages)
+	return buildTables(b, tr, benchEntries(keyLen, from, to, nil, nil), tablePages)
 }
 
 func benchTree(b *testing.B) *Tree {
@@ -152,8 +160,51 @@ func BenchmarkCompaction(b *testing.B) {
 		inputs = append(inputs, benchTables(b, tr, 8, next, next+cfg.MemTableEntries, 0)...)
 		next += cfg.MemTableEntries
 	}
-	l1 := benchTables(b, tr, 8, next, next+32*1024, cfg.TablePages)
-	inputs = append(inputs, l1...)
+	inputs = append(inputs, benchTables(b, tr, 8, next, next+32*1024, cfg.TablePages)...)
+	benchMerge(b, tr, inputs, false)
+}
+
+// benchPageEntries is how many 8-byte-key entries fill one benchPageSize page.
+const benchPageEntries = benchPageSize / (entryFixed + 8)
+
+// BenchmarkCompactionLevelPush is one level push at the steady-state shape of
+// a hashed-key fill: a full 8-page victim over the eight full next-level
+// tables its key range overlaps, every key unique, into the bottom level. The
+// eight tables chain into one run, so the merge picks between two heads.
+func BenchmarkCompactionLevelPush(b *testing.B) {
+	tr := benchTree(b)
+	pages := DefaultConfig().TablePages
+	n := 9 * pages * benchPageEntries // every ninth key is the victim's
+	victim := buildTables(b, tr, benchEntries(8, 0, n, func(i int) bool { return i%9 == 0 }, nil), 0)
+	below := buildTables(b, tr, benchEntries(8, 0, n, func(i int) bool { return i%9 != 0 }, nil), pages)
+	if len(victim) != 1 || len(victim[0].pages) != pages || len(below) != 8 {
+		b.Fatalf("victim of %d tables (%d pages), %d tables below: not the shape", len(victim), len(victim[0].pages), len(below))
+	}
+	benchMerge(b, tr, append(victim, below...), true)
+}
+
+// BenchmarkCompactionOverwrite is BenchmarkCompaction's L0 shape under
+// overwrites, into the bottom level: each L0 table shares half its keys with
+// the next, the newest shares all of its keys and the one after it half of
+// its keys with L1, and one key in twenty is a tombstone, so the merge skips
+// older duplicates and drops tombstones as well as copying.
+func BenchmarkCompactionOverwrite(b *testing.B) {
+	tr := benchTree(b)
+	cfg := DefaultConfig()
+	tomb := func(i int) bool { return i%20 == 7 }
+	var inputs []*SSTable
+	half := cfg.MemTableEntries / 2
+	for i := cfg.L0CompactionTrigger - 1; i >= 0; i-- {
+		inputs = append(inputs, buildTables(b, tr, benchEntries(8, i*half, i*half+cfg.MemTableEntries, nil, tomb), 0)...)
+	}
+	from := (cfg.L0CompactionTrigger + 1) * half
+	inputs = append(inputs, buildTables(b, tr, benchEntries(8, from-cfg.MemTableEntries, from-cfg.MemTableEntries+32*1024, nil, tomb), cfg.TablePages)...)
+	benchMerge(b, tr, inputs, true)
+}
+
+// benchMerge times merges of inputs on tr, each one's output tables released
+// as a commit would, and reports the time per input entry.
+func benchMerge(b *testing.B, tr *Tree, inputs []*SSTable, bottom bool) {
 	entries := 0
 	for _, t := range inputs {
 		entries += t.entries
@@ -161,16 +212,11 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := tr.merge(0, inputs, false)
+		out, _, err := tr.merge(0, inputs, bottom)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, t := range out {
-			for _, pg := range t.pages {
-				tr.alloc.free(pg)
-			}
-			tr.build.filters = append(tr.build.filters, t.filter)
-		}
+		releaseTables(tr, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
 
@@ -189,7 +190,8 @@ func FuzzDecodePage(f *testing.F) {
 	alloc := newPageAllocator(16)
 	b := newTableBuilder(store, alloc, &tableScratch{page: make([]byte, store.PageSize())})
 	for i := 0; i < 50; i++ {
-		b.add(0, Entry{Key: []byte{byte(i), byte(i + 1)}, Addr: vlog.Addr(i), Size: uint32(i)})
+		k := []byte{byte(i), byte(i + 1)}
+		b.add(0, Entry{Key: k, Addr: vlog.Addr(i), Size: uint32(i)}, sim.KeyOf(k))
 	}
 	table, _, err := b.finish(0)
 	if err != nil || table == nil {
@@ -284,6 +286,141 @@ func FuzzDecodePage(f *testing.F) {
 			if err := c.seek(k, trueRestarts); err != nil || c.off != want {
 				t.Fatalf("seek(%x) with the page's own restarts %v: offset %d err %v, a walk says %d", k, trueRestarts, c.off, err, want)
 			}
+		}
+	})
+}
+
+// fuzzMergeInputs decodes a FuzzMerge input into a page size and groups of
+// key-ordered entries, each group one input table or, if chained, a run of
+// one-page tables. The first byte picks the page size (128–512 B); then each
+// group is a header byte — entry count, and whether the group is chained —
+// and two bytes per entry: the key's first and last byte, and its length
+// (1–16) with the tombstone bit. Keys of one first byte and different
+// lengths whose last byte is zero differ only by trailing zero bytes, and the
+// key space is small enough that groups share keys. At most 9 groups are
+// decoded; FuzzMerge keeps at most 9 tables.
+func fuzzMergeInputs(data []byte) (pageSize int, groups [][]Entry, chained []bool) {
+	if len(data) == 0 {
+		return 0, nil, nil
+	}
+	pageSize, data = 128+int(data[0])%385, data[1:]
+	var addr vlog.Addr
+	for len(data) > 0 && len(groups) < 9 {
+		h := data[0]
+		n := min(int(h%32)+1, (len(data)-1)/2)
+		var es []Entry
+		for i := 1; i < 1+2*n; i += 2 {
+			k := make([]byte, int(data[i+1]%16)+1)
+			k[0] = data[i] & 7
+			k[len(k)-1] |= data[i] >> 3 & 3
+			addr += 7
+			es = append(es, Entry{Key: k, Addr: addr, Size: uint32(addr) * 3, Tombstone: data[i+1] >= 0xC0})
+		}
+		data = data[1+2*n:]
+		slices.SortStableFunc(es, func(a, b Entry) int { return bytes.Compare(a.Key, b.Key) })
+		es = slices.CompactFunc(es, func(a, b Entry) bool { return bytes.Equal(a.Key, b.Key) })
+		if len(es) > 0 {
+			groups, chained = append(groups, es), append(chained, h&0x40 != 0)
+		}
+	}
+	return pageSize, groups, chained
+}
+
+// fuzzEntries returns the image of every input page from each of its
+// entries on, in input order: a view into the store's own copy.
+func fuzzEntries(store *memStore, inputs []*SSTable) [][]byte {
+	var at [][]byte
+	for _, table := range inputs {
+		for _, pg := range table.pages {
+			page := store.pages[pg]
+			for off := 0; off < len(page); {
+				_, _, _, _, n, err := parseEntry(page[off:])
+				if err != nil {
+					break
+				}
+				at, off = append(at, page[off:]), off+n
+			}
+		}
+	}
+	return at
+}
+
+// FuzzMerge runs the merge and the materialising reference merge kept in
+// merge_test.go over the same decoded inputs, both into the bottom level and
+// not, and requires the same output tables byte for byte: pages, fence keys,
+// restart index and filter words, and the same finish time, counters and
+// pages in use. Every third input entry carries the reserved flag bits of
+// the input's last byte, which both must drop. Then it damages one entry of
+// one input page, picked by that byte too, and requires the merge to fail.
+func FuzzMerge(f *testing.F) {
+	f.Add([]byte("\x00\x05aAbBcCdDeE\x45aAbBcCdDeEfF"))
+	f.Add([]byte("\xff\x4a\x01\x10\x09\x11\x11\x12\x19\x13\x21\x14\x29\x15\x31\x16\x39\x17\x41\x1f\x49\x0f\x51\xcf\x08\x01\x08\x02\x08\x03\x08\x0f"))
+	f.Add([]byte("\x80\x47\x00\x00\x00\x01\x00\x02\x00\x07\x00\x08\x00\x0f\x08\x00\x07\x03\x00\xc0\x00\xc1\x00\xc7\x00\xcf"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pageSize, groups, chained := fuzzMergeInputs(data)
+		if len(groups) == 0 {
+			return
+		}
+		build := func() (*Tree, *memStore, []*SSTable) {
+			store := newMemStore(4096)
+			store.pageSize = pageSize
+			tr, err := NewTree(smallTreeConfig(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inputs []*SSTable
+			for i, es := range groups {
+				pages := 0
+				if chained[i] {
+					pages = 1
+				}
+				inputs = append(inputs, buildTables(t, tr, es, pages)...)
+			}
+			inputs = inputs[:min(len(inputs), 9)]
+			for i, e := range fuzzEntries(store, inputs) {
+				if i%3 == 0 {
+					e[int(e[0])+entryFixed-1] |= data[len(data)-1] &^ flagTombstone
+				}
+			}
+			return tr, store, inputs
+		}
+		for _, bottom := range []bool{false, true} {
+			tr, store, inputs := build()
+			ref, refStore, refInputs := build()
+			got, gotEnd, err := tr.merge(3, inputs, bottom)
+			if err != nil {
+				t.Fatalf("bottom=%v: merge: %v", bottom, err)
+			}
+			want, wantEnd, err := referenceMerge(ref, 3, refInputs, bottom)
+			if err != nil {
+				t.Fatalf("bottom=%v: reference: %v", bottom, err)
+			}
+			if len(got) != len(want) || gotEnd != wantEnd || tr.stats != ref.stats || pagesInUse(tr.alloc) != pagesInUse(ref.alloc) {
+				t.Fatalf("bottom=%v: %d tables ending %v, counters %+v; reference %d ending %v, %+v",
+					bottom, len(got), gotEnd, tr.stats, len(want), wantEnd, ref.stats)
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if g.entries != w.entries || !bytes.Equal(g.smallest, w.smallest) || !bytes.Equal(g.largest, w.largest) ||
+					!slices.Equal(g.pages, w.pages) || !slices.EqualFunc(g.firstKey, w.firstKey, bytes.Equal) ||
+					!slices.Equal(g.restarts, w.restarts) || !slices.Equal(g.filter, w.filter) {
+					t.Fatalf("bottom=%v: table %d = %+v, reference %+v", bottom, i, g, w)
+				}
+				for _, pg := range g.pages {
+					if !bytes.Equal(store.pages[pg], refStore.pages[pg]) {
+						t.Fatalf("bottom=%v: table %d page %d = %x, reference %x", bottom, i, pg, store.pages[pg], refStore.pages[pg])
+					}
+				}
+			}
+		}
+
+		// Damage: the key length of one entry of one input page becomes the
+		// poison byte of a released page.
+		tr, store, inputs := build()
+		entries := fuzzEntries(store, inputs)
+		entries[int(data[len(data)-1])%len(entries)][0] = 0xDB
+		if _, _, err := tr.merge(3, inputs, data[len(data)-1]&1 != 0); err == nil {
+			t.Fatal("merge over a damaged entry succeeded")
 		}
 	})
 }

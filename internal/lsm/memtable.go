@@ -282,6 +282,9 @@ func (it *MemIterator) Next() bool {
 // Entry returns the current entry. Valid only after Next reported true.
 func (it *MemIterator) Entry() Entry { return it.m.entry(uint32(it.cur)) }
 
+// key returns the current entry's inline key, as Entry does its entry.
+func (it *MemIterator) key() sim.Key { return it.m.slab[it.cur].simKey() }
+
 // Seek positions the iterator so the next call to Next returns the first
 // entry with key >= target. It pins the table, which the tree then never
 // recycles, so the iterator outlives the table's flush.

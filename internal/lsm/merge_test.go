@@ -28,7 +28,7 @@ func buildTables(tb testing.TB, tr *Tree, entries []Entry, tablePages int) []*SS
 		if b == nil {
 			b = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
-		if err := b.add(0, e); err != nil {
+		if err := b.add(0, e, sim.KeyOf(e.Key)); err != nil {
 			tb.Fatal(err)
 		}
 		if tablePages > 0 && b.pages() >= tablePages {
@@ -155,7 +155,7 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 		if builder == nil {
 			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
-		if err := builder.add(t, e); err != nil {
+		if err := builder.add(t, e, sim.KeyOf(e.Key)); err != nil {
 			return nil, end, err
 		}
 		if builder.pages() >= tr.cfg.TablePages {
@@ -657,5 +657,44 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 				t.Fatalf("lookup of %q in a released page (restarts %v): found=%v err=%v", k, r, ok, err)
 			}
 		}
+	}
+}
+
+// releaseTables hands a merge's output tables back as a commit would: their
+// pages to the allocator, their filters to the free list.
+func releaseTables(tr *Tree, tables []*SSTable) {
+	for _, table := range tables {
+		for _, pg := range table.pages {
+			tr.alloc.free(pg)
+		}
+		tr.build.filters = append(tr.build.filters, table.filter)
+	}
+}
+
+// A merge's runs, heads and slab are the tree's, kept from one merge to the
+// next: run again on the same tree, a merge allocates only its output tables'
+// handles, six allocations each (TestTableBuildAllocs), and its result slice.
+// For the shape below — three overlapping tables over five chained ones, into
+// nine output tables — that is 55 allocations.
+func TestMergeReusesScratch(t *testing.T) {
+	store := newMemStore(4096)
+	store.pageSize = 512
+	tr, err := NewTree(smallTreeConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := mergeCase(t, tr, rand.New(rand.NewSource(3)), 3, 5)
+	var out []*SSTable
+	merge := func() {
+		out, _, err = tr.merge(0, inputs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releaseTables(tr, out)
+	}
+	merge()
+	allocs := testing.AllocsPerRun(5, merge)
+	if want := float64(6*len(out) + 1); allocs != want || len(out) != 9 {
+		t.Fatalf("a repeated merge into %d tables made %.0f allocations, want %.0f into 9", len(out), allocs, want)
 	}
 }

@@ -90,13 +90,13 @@ func TestFilterFalsePositivesMatchTheClosedForm(t *testing.T) {
 			slices.SortFunc(entries, func(a, b Entry) int { return bytes.Compare(a.Key, b.Key) })
 			table := buildTables(t, tr, entries, 0)[0]
 			for _, e := range entries {
-				if !table.filter.Has(sim.KeyHash(e.Key)) {
+				if !table.filter.Has(sim.KeyOf(e.Key).FilterHash()) {
 					t.Fatalf("the filter rules out %x, one of its own keys", e.Key)
 				}
 			}
 			fp := 0
 			for i := n; i < n+probes; i++ {
-				if table.filter.Has(sim.KeyHash(tc.key(i))) {
+				if table.filter.Has(sim.KeyOf(tc.key(i)).FilterHash()) {
 					fp++
 				}
 			}

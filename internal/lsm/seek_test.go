@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
 
@@ -151,7 +152,7 @@ func TestRestartIndexLimits(t *testing.T) {
 	}
 	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
 	for i := 0; i < 3*(1<<16); i++ {
-		if err := b.add(0, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8}); err != nil {
+		if err := b.add(0, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8}, sim.KeyOf(key(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

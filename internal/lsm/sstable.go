@@ -163,8 +163,9 @@ const restartInterval = 16
 type SSTable struct {
 	pages    []int    // region-relative page numbers, in key order
 	firstKey [][]byte // first key of each page
-	// filter holds sim.KeyHash of every entry, tombstones included: a point
-	// lookup it rules out reads no page. Nothing else consults it.
+	// filter holds the sim.Key.FilterHash of every entry, tombstones
+	// included: a point lookup it rules out reads no page. Nothing else
+	// consults it.
 	filter sim.Bloom
 	// restarts holds, for every page, the byte offsets of its entries number
 	// restartInterval, 2*restartInterval, ... (entry 0 sits at offset 0 and is
@@ -304,7 +305,8 @@ func searchPage(data, key []byte, restarts []uint16) (Entry, bool, error) {
 // is ever meaningful; pages the pages the table has written so far, and
 // fences the first key of each, after a length byte; restarts collects the
 // restart offsets of the table so far, each page's run closed by a 0 (no
-// restart sits at offset 0); hashes the sim.KeyHash of each of its entries.
+// restart sits at offset 0); hashes the sim.Key.FilterHash of each of its
+// entries.
 // filters is the free list of filter storage: the filters of the tables a
 // commit freed, which the next tables built are given instead of new words.
 type tableScratch struct {
@@ -342,9 +344,9 @@ type tableBuilder struct {
 	alloc   *pageAllocator
 	table   *SSTable
 	scratch *tableScratch
-	used    int    // bytes of scratch.page filled
-	inPage  int    // entries in scratch.page
-	last    []byte // the newest key added: the caller's slice, good until finish
+	used    int     // bytes of scratch.page filled
+	inPage  int     // entries in scratch.page
+	last    sim.Key // the newest key added
 	end     sim.Time
 }
 
@@ -357,27 +359,50 @@ func newTableBuilder(store PageStore, alloc *pageAllocator, scratch *tableScratc
 // pages reports how many pages the table has written so far.
 func (b *tableBuilder) pages() int { return len(b.scratch.pages) }
 
-// add appends one entry (entries must arrive in strictly increasing key
-// order, and their keys stay untouched until finish; the caller guarantees
-// both).
-func (b *tableBuilder) add(t sim.Time, e Entry) error {
-	need := encodedLen(e)
-	if b.used+need > len(b.scratch.page) {
+// add appends e, whose inline key is k. Entries must arrive in strictly
+// increasing key order; the caller guarantees it.
+func (b *tableBuilder) add(t sim.Time, e Entry, k sim.Key) error {
+	dst, err := b.reserve(t, k, encodedLen(e))
+	if err != nil {
+		return err
+	}
+	encodeEntry(dst, e)
+	return nil
+}
+
+// addEncoded appends the entry enc encodes, a parsed entry whose inline key
+// is k, under add's conditions. Its bytes are copied as they are but for the
+// flag byte, masked to the tombstone bit as encodeEntry writes it.
+func (b *tableBuilder) addEncoded(t sim.Time, enc []byte, k sim.Key) error {
+	dst, err := b.reserve(t, k, len(enc))
+	if err != nil {
+		return err
+	}
+	copy(dst, enc)
+	dst[len(dst)-1] &= flagTombstone
+	return nil
+}
+
+// reserve books the next entry, whose inline key is k and whose encoding
+// takes n bytes, and returns the n bytes of the page it goes in.
+func (b *tableBuilder) reserve(t sim.Time, k sim.Key, n int) ([]byte, error) {
+	if b.used+n > len(b.scratch.page) {
 		if err := b.flushPage(t); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if b.used == 0 {
-		b.scratch.fences = append(append(b.scratch.fences, byte(len(e.Key))), e.Key...)
+		b.scratch.fences = k.AppendBytes(append(b.scratch.fences, byte(k.N)))
 	} else if b.inPage%restartInterval == 0 {
 		b.scratch.restarts = append(b.scratch.restarts, uint16(b.used))
 	}
-	b.used += encodeEntry(b.scratch.page[b.used:], e)
+	dst := b.scratch.page[b.used : b.used+n]
+	b.used += n
 	b.inPage++
-	b.scratch.hashes = append(b.scratch.hashes, sim.KeyHash(e.Key))
-	b.last = e.Key
+	b.scratch.hashes = append(b.scratch.hashes, k.FilterHash())
+	b.last = k
 	b.table.entries++
-	return nil
+	return dst, nil
 }
 
 func (b *tableBuilder) flushPage(t sim.Time) error {
@@ -440,7 +465,7 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	n := b.pages()
 	b.table.pages = make([]int, n)
 	copy(b.table.pages, b.scratch.pages)
-	keys := make([]byte, 0, len(b.scratch.fences)-n+len(b.last))
+	keys := make([]byte, 0, len(b.scratch.fences)-n+b.last.N)
 	b.table.firstKey = make([][]byte, n)
 	for i, f := 0, b.scratch.fences; i < n; i++ {
 		kl, lo := int(f[0]), len(keys)
@@ -448,9 +473,9 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 		b.table.firstKey[i] = keys[lo:len(keys):len(keys)]
 		f = f[1+kl:]
 	}
-	keys = append(keys, b.last...)
+	keys = b.last.AppendBytes(keys)
 	b.table.smallest = b.table.firstKey[0]
-	b.table.largest = keys[len(keys)-len(b.last):]
+	b.table.largest = keys[len(keys)-b.last.N:]
 	return b.table, b.end, nil
 }
 

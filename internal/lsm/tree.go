@@ -91,6 +91,10 @@ type Tree struct {
 	// then grown in steps of slabGrain pages).
 	build tableScratch
 	slab  []byte
+	// runs and heads are the merge's inputs and their head keys, kept from
+	// one merge to the next like slab.
+	runs  []mergeRun
+	heads []sim.Key
 	// reclaims counts the commits that freed pages. An open Iterator holds
 	// page numbers of the tables it was built over; once any page has been
 	// freed those numbers may name recycled pages, so an iterator older than
@@ -267,7 +271,7 @@ func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
 	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
 	it := tr.mem.Iterator()
 	for it.Next() {
-		if err := b.add(t, it.Entry()); err != nil {
+		if err := b.add(t, it.Entry(), it.key()); err != nil {
 			return t, err
 		}
 	}
@@ -303,7 +307,7 @@ func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
 	if e, ok := tr.mem.Get(key); ok {
 		return e, true, t, nil
 	}
-	h := sim.KeyHash(key)
+	h := sim.KeyOf(key).FilterHash()
 	end := t
 	for _, table := range tr.levels[0] {
 		if !table.overlaps(key, key) {
@@ -352,7 +356,7 @@ func (tr *Tree) findInLevel(lvl int, key []byte) *SSTable {
 	return nil
 }
 
-// probeTable searches a table for key, whose sim.KeyHash is h, unless the
+// probeTable searches a table for key, whose filter hash is h, unless the
 // table's filter rules it out. The probe itself costs no simulated time, as
 // the fence keys and restart offsets beside it do not.
 func (tr *Tree) probeTable(t sim.Time, table *SSTable, key []byte, h uint64) (Entry, bool, sim.Time, error) {
@@ -481,30 +485,36 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 const slabGrain = 32
 
 // mergeRun is one sorted input of a merge: the page images of one or more
-// input tables, walked entry by entry. The merge compares heads several times
-// per entry, and their inline forms make each compare a few integer ones.
+// input tables, consecutive in the slab, and its head entry, parsed in place.
+// The head's key is not here but in the tree's heads, at the run's index, so
+// that the pick scans one flat slice of inline keys.
 type mergeRun struct {
-	pages []byte // images not yet opened, PageSize each
-	cur   pageCursor
-	e     Entry   // head entry; its Key is a view into the slab
-	head  sim.Key // sim.KeyOf(e.Key)
-	ok    bool    // false once the run is exhausted
+	off, n  int  // the head's offset in the slab and its encoded length
+	tomb    bool // the head is a tombstone
+	pageEnd int  // end of the head's page in the slab
+	stop    int  // end of the run's last page in the slab
 }
 
-// advance moves the run's head to its next entry.
-func (r *mergeRun) advance(pageSize int) error {
+// advance parses the entry at off, moving on to the run's next page of ps
+// bytes where this one's entries end, into the run's head and *key. ok is
+// false once the run is exhausted.
+func (r *mergeRun) advance(slab []byte, off, ps int, key *sim.Key) (ok bool, err error) {
 	for {
-		ok, err := r.cur.next(&r.e)
-		if ok || err != nil {
-			r.head, r.ok = sim.KeyOf(r.e.Key), ok
-			return err
+		if off < r.pageEnd {
+			kl, _, _, tomb, n, err := parseEntry(slab[off:r.pageEnd])
+			if err == nil {
+				*key = sim.KeyOf(slab[off+1 : off+1+kl])
+				r.off, r.n, r.tomb = off, n, tomb
+				return true, nil
+			}
+			if err != errEndOfPage {
+				return false, err
+			}
 		}
-		if len(r.pages) == 0 {
-			r.ok = false
-			return nil
+		if r.pageEnd == r.stop {
+			return false, nil
 		}
-		r.cur = pageCursor{data: r.pages[:pageSize]}
-		r.pages = r.pages[pageSize:]
+		off, r.pageEnd = r.pageEnd, r.pageEnd+ps
 	}
 }
 
@@ -517,7 +527,9 @@ func (r *mergeRun) advance(pageSize int) error {
 // charged to the request that triggered the compaction, as synchronous
 // firmware does), and copied into the slab: the outputs' writes can make FTL
 // GC move an input page, which kills the store's view of it. Only then are
-// entries merged, straight from the slab into the table builder.
+// entries merged, straight from the slab into the table builder: each is
+// parsed once, as it becomes its run's head, and its encoded bytes are copied
+// once, into the output page.
 func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, sim.Time, error) {
 	end := t
 	ps := tr.store.PageSize()
@@ -538,10 +550,9 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 	// taken from one level >= 1) chain into a single run, which keeps the
 	// pick below at L0CompactionTrigger+1 candidates however wide the overlap.
 	// A run spans whole inputs, so run order is still newest-first.
-	runs := make([]mergeRun, 0, len(inputs))
+	runs := tr.runs[:0]
 	off := 0
 	for i, table := range inputs {
-		lo := off
 		for _, pg := range table.pages {
 			data, e, err := tr.store.ReadPage(t, pg)
 			if err != nil {
@@ -555,18 +566,29 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			off += ps
 		}
 		if i > 0 && bytes.Compare(inputs[i-1].largest, table.smallest) < 0 {
-			last := &runs[len(runs)-1]
-			last.pages = last.pages[:len(last.pages)+off-lo]
+			runs[len(runs)-1].stop = off
 		} else {
-			runs = append(runs, mergeRun{pages: slab[lo:off]})
+			// No page open yet: the first advance opens the one at start.
+			start := off - len(table.pages)*ps
+			runs = append(runs, mergeRun{pageEnd: start, stop: off})
 		}
 	}
-	for i := range runs {
-		if err := runs[i].advance(ps); err != nil {
+	heads := slices.Grow(tr.heads[:0], len(runs))[:len(runs)]
+	tr.runs, tr.heads = runs, heads
+	for i := 0; i < len(runs); {
+		ok, err := runs[i].advance(slab, runs[i].pageEnd, ps, &heads[i])
+		if err != nil {
 			return nil, end, err
 		}
+		if ok {
+			i++
+		} else {
+			runs, heads = slices.Delete(runs, i, i+1), slices.Delete(heads, i, i+1)
+		}
 	}
-	var out []*SSTable
+	// Room for a table per TablePages pages read, and one more: a merge
+	// writes about as many pages as it reads, often fewer.
+	out := make([]*SSTable, 0, need/ps/tr.cfg.TablePages+1)
 	var builder *tableBuilder
 	finish := func() error {
 		table, bEnd, err := builder.finish(t)
@@ -583,33 +605,37 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		}
 		return nil
 	}
-	for {
-		// Pick the smallest key; ties resolved by run order (newest first).
-		best := -1
-		for i := range runs {
-			if runs[i].ok && (best < 0 || runs[i].head.Compare(runs[best].head) < 0) {
-				best = i
+	// prev is the key taken last; no entry's key is empty, so the zero Key
+	// matches none.
+	var prev sim.Key
+	for len(runs) > 0 {
+		// The smallest head wins, the newest run on a tie: an older
+		// duplicate comes to the front only after the newest, and is
+		// skipped then.
+		best, key := 0, heads[0]
+		for i := 1; i < len(heads); i++ {
+			if heads[i].Less(key) {
+				best, key = i, heads[i]
 			}
 		}
-		if best < 0 {
-			break
+		r := &runs[best]
+		at, n, tomb := r.off, r.n, r.tomb
+		ok, err := r.advance(slab, at+n, ps, &heads[best])
+		if err != nil {
+			return nil, end, err
 		}
-		e, head := runs[best].e, runs[best].head
-		// Step every run past this key: the winner, and its older duplicates.
-		for i := range runs {
-			for runs[i].ok && runs[i].head == head {
-				if err := runs[i].advance(ps); err != nil {
-					return nil, end, err
-				}
-			}
+		if !ok {
+			runs, heads = slices.Delete(runs, best, best+1), slices.Delete(heads, best, best+1)
 		}
-		if e.Tombstone && bottom {
+		dup := key == prev
+		prev = key
+		if dup || tomb && bottom {
 			continue
 		}
 		if builder == nil {
 			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
 		}
-		if err := builder.add(t, e); err != nil {
+		if err := builder.addEncoded(t, slab[at:at+n], key); err != nil {
 			return nil, end, err
 		}
 		if builder.pages() >= tr.cfg.TablePages {

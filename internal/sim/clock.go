@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-time substrate on which the
 // whole KV-SSD simulation runs: a virtual clock, busy-resource timelines, and
 // splittable pseudo-random number generators; and, once each, the device-side
-// primitives several layers share: the inline key (Key, KeyHash), the bloom
+// primitives several layers share: the inline key (Key, with its filter hash), the bloom
 // filter (Bloom) and the size-classed byte slab (Slab).
 //
 // All simulated components share one *Clock and advance it explicitly; no

@@ -29,6 +29,15 @@ func KeyOf(k []byte) Key {
 	return key
 }
 
+// AppendBytes appends the key k holds to b: all of it for a key of at most 16
+// bytes, the first 16 bytes of a longer one.
+func (k Key) AppendBytes(b []byte) []byte {
+	var w [16]byte
+	binary.BigEndian.PutUint64(w[:], k.W0)
+	binary.BigEndian.PutUint64(w[8:], k.W1)
+	return append(b, w[:min(k.N, len(w))]...)
+}
+
 // prefix packs the first eight bytes of k big-endian, zero-padded.
 func prefix(k []byte) uint64 {
 	if len(k) >= 8 {
@@ -53,6 +62,18 @@ func (k Key) Compare(o Key) int {
 	return cmp.Compare(k.N, o.N)
 }
 
+// Less reports whether k sorts before o: Compare(o) < 0, decided by the
+// first word that differs.
+func (k Key) Less(o Key) bool {
+	if k.W0 != o.W0 {
+		return k.W0 < o.W0
+	}
+	if k.W1 != o.W1 {
+		return k.W1 < o.W1
+	}
+	return k.N < o.N
+}
+
 // Hash is the key's hash for open-addressing tables: every bit of both words
 // and the length reaches the low bits a table masks.
 func (k Key) Hash() uint64 {
@@ -61,17 +82,16 @@ func (k Key) Hash() uint64 {
 	return h ^ h>>32
 }
 
-// KeyHash is the hash a key is filtered by: Mix64 folded over each of the
+// FilterHash is the hash a key is filtered by: Mix64 folded over each of the
 // key's words that holds one of its bytes, starting from its length. A key
 // longer than 16 bytes hashes by its first 16 and its length.
-func KeyHash(k []byte) uint64 {
-	key := KeyOf(k)
-	h := uint64(key.N) * 0x9E3779B97F4A7C15
-	if key.N > 0 {
-		h = Mix64(h ^ key.W0)
+func (k Key) FilterHash() uint64 {
+	h := uint64(k.N) * 0x9E3779B97F4A7C15
+	if k.N > 0 {
+		h = Mix64(h ^ k.W0)
 	}
-	if key.N > 8 {
-		h = Mix64(h ^ key.W1)
+	if k.N > 8 {
+		h = Mix64(h ^ k.W1)
 	}
 	return h
 }

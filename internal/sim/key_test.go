@@ -22,11 +22,11 @@ func keysUpTo(n int, alphabet []byte) [][]byte {
 	return keys
 }
 
-// A Key compares as bytes.Compare compares the keys it holds — exhaustively
-// over the keys of up to 3 bytes of an alphabet with a zero byte, whose
-// padding is where a packing goes wrong, and over random keys of up to 16
-// bytes that share long prefixes — and two Keys are equal only for equal
-// keys.
+// A Key compares as bytes.Compare compares the keys it holds, and Less
+// agrees — exhaustively over the keys of up to 3 bytes of an alphabet with a
+// zero byte, whose padding is where a packing goes wrong, and over random
+// keys of up to 16 bytes that share long prefixes — and two Keys are equal
+// only for equal keys.
 func TestKeyComparesAsBytes(t *testing.T) {
 	keys := keysUpTo(3, []byte{0, 1, 0xFF})
 	rng := rand.New(rand.NewSource(1))
@@ -41,8 +41,8 @@ func TestKeyComparesAsBytes(t *testing.T) {
 	for _, a := range keys {
 		for _, b := range keys {
 			ka, kb := KeyOf(a), KeyOf(b)
-			if got, want := ka.Compare(kb), bytes.Compare(a, b); got != want {
-				t.Fatalf("KeyOf(%x).Compare(KeyOf(%x)) = %d, bytes.Compare %d", a, b, got, want)
+			if got, want := ka.Compare(kb), bytes.Compare(a, b); got != want || ka.Less(kb) != (want < 0) {
+				t.Fatalf("KeyOf(%x).Compare(KeyOf(%x)) = %d (Less %v), bytes.Compare %d", a, b, got, ka.Less(kb), want)
 			}
 			if (ka == kb) != bytes.Equal(a, b) {
 				t.Fatalf("KeyOf(%x) == KeyOf(%x) is %v", a, b, ka == kb)
@@ -79,11 +79,12 @@ func TestKeyLongTargetSortsAfterItsPrefixes(t *testing.T) {
 	}
 }
 
-// refKeyHash is KeyHash as it was written over the key's bytes: Mix64
-// folded over its big-endian 8-byte words, the last zero-padded, starting
-// from its length.
+// refKeyHash is the filter hash written over the key's bytes: Mix64 folded
+// over the big-endian 8-byte words of the key's first 16 bytes, the last
+// zero-padded, starting from its whole length.
 func refKeyHash(k []byte) uint64 {
 	h := uint64(len(k)) * 0x9E3779B97F4A7C15
+	k = k[:min(len(k), 16)]
 	for len(k) >= 8 {
 		h = Mix64(h ^ binary.BigEndian.Uint64(k))
 		k = k[8:]
@@ -98,18 +99,49 @@ func refKeyHash(k []byte) uint64 {
 	return h
 }
 
-// KeyHash decides which filter bits a key sets, and so which page reads a
-// lookup skips: it must keep refKeyHash's exact output for every key the
-// device stores, of every length from 0 to 16.
+// FilterHash decides which filter bits a key sets, and so which page reads a
+// lookup skips: taken from the key's inline words, it must keep refKeyHash's
+// exact output for every key — of every length from 0 to 16, longer than 16,
+// and apart from another only in trailing zero bytes, which share its words
+// and differ in length alone.
 func TestKeyHashMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for n := 0; n <= 16; n++ {
+	check := func(k []byte) {
+		t.Helper()
+		if got, want := KeyOf(k).FilterHash(), refKeyHash(k); got != want {
+			t.Fatalf("KeyOf(%x).FilterHash() = %#x, reference %#x", k, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 40, 255} {
 		k := make([]byte, n)
 		for i := 0; i < 200; i++ {
-			if got, want := KeyHash(k), refKeyHash(k); got != want {
-				t.Fatalf("KeyHash(%x) = %#x, reference %#x", k, got, want)
-			}
+			check(k)
 			rng.Read(k)
+		}
+	}
+	seen := map[uint64][]byte{}
+	for _, base := range [][]byte{{}, []byte("a"), []byte("abcdefg"), []byte("abcdefgh"), []byte("abcdefghijklmno")} {
+		for pad := 0; len(base)+pad <= 20; pad++ {
+			k := append(append([]byte(nil), base...), make([]byte, pad)...)
+			check(k)
+			if h := KeyOf(k).FilterHash(); len(k) <= 16 {
+				if prev, dup := seen[h]; dup && !bytes.Equal(prev, k) {
+					t.Fatalf("%x and %x, apart only in trailing zeros, share a filter hash", prev, k)
+				}
+				seen[h] = k
+			}
+		}
+	}
+}
+
+// A key of at most 16 bytes is held whole, so AppendBytes gives back exactly
+// the bytes KeyOf took, trailing zero bytes included; a longer key gives back
+// its first 16.
+func TestKeyAppendBytesRoundTrip(t *testing.T) {
+	for _, k := range append(keysUpTo(3, []byte{0, 'a', 0xFF}), []byte("abcdefgh\x00"), make([]byte, 16), []byte("abcdefghijklmnop"), []byte("abcdefghijklmnopq")) {
+		want := k[:min(len(k), 16)]
+		if got := KeyOf(k).AppendBytes([]byte("x")); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("KeyOf(%x).AppendBytes appends %x, want %x", k, got[1:], want)
 		}
 	}
 }

@@ -211,9 +211,9 @@ func TestBloomKeyHashAndReset(t *testing.T) {
 	f := make(Bloom, BloomWords(len(keys)))
 	seen := map[uint64]string{}
 	for _, k := range keys {
-		h := KeyHash([]byte(k))
+		h := KeyOf([]byte(k)).FilterHash()
 		if prev, dup := seen[h]; dup {
-			t.Fatalf("KeyHash(%q) == KeyHash(%q)", k, prev)
+			t.Fatalf("FilterHash of %q == FilterHash of %q", k, prev)
 		}
 		seen[h] = k
 		f.Add(h)
