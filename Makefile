@@ -84,20 +84,22 @@ determinism:
 # against its old map, and the FTL against its old dense map, seeded from the
 # committed testdata corpora and the targets' own seeds. New inputs are not
 # minimized (-fuzzminimizetime=0): minimizing spent a slow target's whole
-# budget, leaving it to re-run its corpus and fuzz almost nothing.
+# budget, leaving it to re-run its corpus and fuzz almost nothing. A target
+# that fails prints its whole output; one that passes prints one line, the
+# execs it made in its budget.
+FUZZ_SMOKE = ./internal/fault:FuzzParsePlan ./internal/lsm:FuzzDecodePage \
+	./internal/lsm:FuzzMemTable ./internal/lsm:FuzzMerge \
+	./internal/resp:FuzzRESPParse ./internal/resp:FuzzRESPBurst \
+	./internal/workload:FuzzTraceParse ./internal/nand:FuzzPageRoundTrip \
+	./internal/nand:FuzzPayloadSlab ./internal/cache:FuzzValues \
+	./internal/cache:FuzzPages ./internal/ftl:FuzzFTL
+
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s -fuzzminimizetime=0 ./internal/fault
-	$(GO) test -run=NONE -fuzz=FuzzDecodePage -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzMerge -fuzztime=5s -fuzzminimizetime=0 ./internal/lsm
-	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
-	$(GO) test -run=NONE -fuzz=FuzzRESPBurst -fuzztime=5s -fuzzminimizetime=0 ./internal/resp
-	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s -fuzzminimizetime=0 ./internal/workload
-	$(GO) test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=5s -fuzzminimizetime=0 ./internal/nand
-	$(GO) test -run=NONE -fuzz=FuzzPayloadSlab -fuzztime=5s -fuzzminimizetime=0 ./internal/nand
-	$(GO) test -run=NONE -fuzz=FuzzValues -fuzztime=5s -fuzzminimizetime=0 ./internal/cache
-	$(GO) test -run=NONE -fuzz=FuzzPages -fuzztime=5s -fuzzminimizetime=0 ./internal/cache
-	$(GO) test -run=NONE -fuzz=FuzzFTL -fuzztime=5s -fuzzminimizetime=0 ./internal/ftl
+	@for t in $(FUZZ_SMOKE); do \
+		out=$$($(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=0 $${t%%:*} 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+		execs=$$(printf '%s\n' "$$out" | sed -n 's/^fuzz: elapsed: \([^,]*\), execs: \([0-9]*\) .*/\2 execs in \1/p' | tail -n 1); \
+		echo "fuzz-smoke: $${t#*:} ($${t%%:*}): $${execs:-no exec count}"; \
+	done
 
 # Every simulated artifact under results/ — the figure, ablation, breakdown,
 # read and scan CSVs plus BENCH_qd|blame|cache|ycsb.json — comes from this one

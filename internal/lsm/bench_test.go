@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
 
@@ -104,7 +105,7 @@ func BenchmarkMemTableGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := m.Get(keys[i%n]); !ok {
+		if _, ok := m.Get(sim.KeyOf(keys[i%n])); !ok {
 			b.Fatalf("key %x missing", keys[i%n])
 		}
 	}
@@ -135,7 +136,7 @@ func BenchmarkMemTableLiveScan(b *testing.B) {
 				}
 			}
 			it = m.Iterator()
-			it.Seek(nil)
+			it.Seek(sim.Key{})
 			b.StartTimer()
 		}
 		if err := m.Put(keys[2*(i%(n/2))+1], vlog.Addr(i), 64, false); err != nil {
@@ -274,7 +275,7 @@ func BenchmarkSeek(b *testing.B) {
 	tr, keys := benchColdTree(b, 8)
 	var tables []*SSTable // tables[i] is the L2 table covering keys[i]
 	for _, key := range keys {
-		if table := tr.findInLevel(2, key); table != nil {
+		if table := tr.findInLevel(2, sim.KeyOf(key)); table != nil {
 			keys[len(tables)] = key
 			tables = append(tables, table)
 		}
@@ -286,7 +287,7 @@ func BenchmarkSeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key := keys[i%len(tables)]
 		*src = iterSource{table: tables[i%len(tables)], page: src.page}
-		src.seekTable(key)
+		src.seekTable(sim.KeyOf(key))
 		if err := src.advance(it, 0); err != nil || !src.hasCur || bytes.Compare(src.head.Key, key) < 0 {
 			b.Fatalf("seek: head %x for %x, err %v", src.head.Key, key, err)
 		}

@@ -100,12 +100,12 @@ func FuzzMemTable(f *testing.F) {
 					ref = slices.Insert(ref, i, e)
 				}
 			case 2:
-				if e, ok := m.Get(k); ok != found || ok && !sameEntry(e, ref[i]) {
+				if e, ok := m.Get(sim.KeyOf(k)); ok != found || ok && !sameEntry(e, ref[i]) {
 					t.Fatalf("Get(%x) = %x → %d %v, want found=%v", k, e.Key, e.Addr, ok, found)
 				}
 			case 3:
 				it := m.Iterator()
-				it.Seek(k)
+				it.Seek(sim.KeyOf(k))
 				if err := memTail(it, ref[i:]); err != nil {
 					t.Fatalf("Seek(%x): %v", k, err)
 				}
@@ -116,7 +116,7 @@ func FuzzMemTable(f *testing.F) {
 				m, ref = m.recycle(), nil
 			case 5:
 				live = m.Iterator()
-				live.Seek(k)
+				live.Seek(sim.KeyOf(k))
 				liveFrom, livePast, liveDone = append([]byte(nil), k...), false, false
 			case 6:
 				if live == nil {
@@ -188,7 +188,7 @@ func withRestarts(entries []byte, restarts []uint16) []byte {
 func FuzzDecodePage(f *testing.F) {
 	store := newMemStore(16)
 	alloc := newPageAllocator(16)
-	b := newTableBuilder(store, alloc, &tableScratch{page: make([]byte, store.PageSize())})
+	b := (&tableBuilder{store: store, alloc: alloc, page: make([]byte, store.PageSize())}).start()
 	for i := 0; i < 50; i++ {
 		k := []byte{byte(i), byte(i + 1)}
 		b.add(0, Entry{Key: k, Addr: vlog.Addr(i), Size: uint32(i)}, sim.KeyOf(k))
@@ -249,7 +249,7 @@ func FuzzDecodePage(f *testing.F) {
 		if end > len(data) {
 			t.Fatalf("cursor ran to %d of %d bytes", end, len(data))
 		}
-		if _, found, err := searchPage(data, beyond, nil); walkErr != nil && !sawBeyond && (err == nil || found) {
+		if _, found, err := searchPage(data, sim.KeyOf(beyond), nil); walkErr != nil && !sawBeyond && (err == nil || found) {
 			t.Fatalf("lookup past a corrupt entry (%v) answered found=%v err=%v", walkErr, found, err)
 		}
 
@@ -263,7 +263,7 @@ func FuzzDecodePage(f *testing.F) {
 		fuzzed := fuzzRestarts(data)
 		for _, k := range probes {
 			c := pageCursor{data: data}
-			if err := c.seek(k, fuzzed); err == nil {
+			if err := c.seek(sim.KeyOf(k), fuzzed); err == nil {
 				var e Entry
 				if c.off > len(data) {
 					t.Fatalf("seek(%x, %v) ran to %d of %d bytes", k, fuzzed, c.off, len(data))
@@ -283,7 +283,7 @@ func FuzzDecodePage(f *testing.F) {
 				}
 			}
 			c = pageCursor{data: data}
-			if err := c.seek(k, trueRestarts); err != nil || c.off != want {
+			if err := c.seek(sim.KeyOf(k), trueRestarts); err != nil || c.off != want {
 				t.Fatalf("seek(%x) with the page's own restarts %v: offset %d err %v, a walk says %d", k, trueRestarts, c.off, err, want)
 			}
 		}
@@ -401,8 +401,8 @@ func FuzzMerge(f *testing.F) {
 			}
 			for i := range got {
 				g, w := got[i], want[i]
-				if g.entries != w.entries || !bytes.Equal(g.smallest, w.smallest) || !bytes.Equal(g.largest, w.largest) ||
-					!slices.Equal(g.pages, w.pages) || !slices.EqualFunc(g.firstKey, w.firstKey, bytes.Equal) ||
+				if g.entries != w.entries || g.smallest != w.smallest || g.largest != w.largest ||
+					!slices.Equal(g.pages, w.pages) || !slices.Equal(g.fences, w.fences) ||
 					!slices.Equal(g.restarts, w.restarts) || !slices.Equal(g.filter, w.filter) {
 					t.Fatalf("bottom=%v: table %d = %+v, reference %+v", bottom, i, g, w)
 				}

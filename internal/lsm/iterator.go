@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"errors"
 
 	"bandslim/internal/sim"
@@ -45,8 +44,9 @@ type iterSource struct {
 	table   *SSTable
 	pageIdx int
 	// start is the Seek key until the source has loaded its first page, which
-	// it enters at the first entry >= start instead of at byte 0.
-	start []byte
+	// it enters at the first entry >= start instead of at byte 0; then, or
+	// when Seek had no key, the zero Key, which sorts before every key.
+	start sim.Key
 	// page is the source's own copy of the page under cur: the store's view
 	// does not outlive the next store call, and a scan interleaves sources.
 	page   []byte
@@ -61,18 +61,19 @@ type iterSource struct {
 // NAND reads performed while positioning are reflected in End().
 func (tr *Tree) Seek(t sim.Time, start []byte) (*Iterator, error) {
 	it := &Iterator{tree: tr, reclaims: tr.reclaims, end: t}
+	k := sim.KeyOf(start)
 	prio := 0
 	mi := tr.mem.Iterator()
-	mi.Seek(start)
+	mi.Seek(k)
 	it.sources = append(it.sources, &iterSource{prio: prio, mem: mi})
 	prio++
 	for lvl := 0; lvl < len(tr.levels); lvl++ {
 		for _, table := range tr.levels[lvl] {
-			if bytes.Compare(table.largest, start) < 0 {
+			if table.largest.Less(k) {
 				continue
 			}
 			src := &iterSource{prio: prio, table: table}
-			src.seekTable(start)
+			src.seekTable(k)
 			it.sources = append(it.sources, src)
 			prio++
 		}
@@ -88,7 +89,7 @@ func (tr *Tree) Seek(t sim.Time, start []byte) (*Iterator, error) {
 
 // seekTable positions a table source at the first page that may hold start;
 // advance finds start's place within it when it loads the page.
-func (s *iterSource) seekTable(start []byte) {
+func (s *iterSource) seekTable(start sim.Key) {
 	pi := s.table.pageForKey(start)
 	if pi < 0 {
 		pi = 0
@@ -140,9 +141,9 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 		}
 		s.page = append(s.page[:0], data...)
 		s.cur = pageCursor{data: s.page}
-		if s.start != nil {
+		if s.start != (sim.Key{}) {
 			err := s.cur.seek(s.start, s.table.pageRestarts(s.pageIdx))
-			s.start = nil
+			s.start = sim.Key{}
 			if err != nil {
 				return err
 			}

@@ -136,9 +136,9 @@ func (m *MemTable) grow() {
 // Get looks a key up. The second result reports whether the key is present
 // (a tombstone is present — the entry's Tombstone field distinguishes it).
 // The entry's Key is good until the table is recycled.
-func (m *MemTable) Get(key []byte) (Entry, bool) {
+func (m *MemTable) Get(k sim.Key) (Entry, bool) {
 	if m.Len() > 0 {
-		if i := m.index[m.slot(sim.KeyOf(key))]; i != 0 {
+		if i := m.index[m.slot(k)]; i != 0 {
 			return m.entry(i - 1), true
 		}
 	}
@@ -288,7 +288,7 @@ func (it *MemIterator) key() sim.Key { return it.m.slab[it.cur].simKey() }
 // Seek positions the iterator so the next call to Next returns the first
 // entry with key >= target. It pins the table, which the tree then never
 // recycles, so the iterator outlives the table's flush.
-func (it *MemIterator) Seek(target []byte) {
+func (it *MemIterator) Seek(target sim.Key) {
 	it.m.pinned = true
-	it.from, it.cur, it.at, it.done = sim.KeyOf(target), -1, -1, false
+	it.from, it.cur, it.at, it.done = target, -1, -1, false
 }

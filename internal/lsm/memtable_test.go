@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
 
@@ -15,11 +16,11 @@ func TestMemTablePutGet(t *testing.T) {
 	if err := m.Put([]byte("abc"), 100, 32, false); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := m.Get([]byte("abc"))
+	e, ok := m.Get(sim.KeyOf([]byte("abc")))
 	if !ok || e.Addr != 100 || e.Size != 32 || e.Tombstone {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
-	if _, ok := m.Get([]byte("zzz")); ok {
+	if _, ok := m.Get(sim.KeyOf([]byte("zzz"))); ok {
 		t.Fatal("missing key found")
 	}
 	if m.Len() != 1 {
@@ -34,7 +35,7 @@ func TestMemTableUpdateInPlace(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d after update", m.Len())
 	}
-	e, _ := m.Get([]byte("k"))
+	e, _ := m.Get(sim.KeyOf([]byte("k")))
 	if e.Addr != 2 || e.Size != 2 {
 		t.Fatalf("update lost: %+v", e)
 	}
@@ -44,7 +45,7 @@ func TestMemTableTombstone(t *testing.T) {
 	m := NewMemTable(16)
 	m.Put([]byte("k"), 1, 1, false)
 	m.Put([]byte("k"), 0, 0, true)
-	e, ok := m.Get([]byte("k"))
+	e, ok := m.Get(sim.KeyOf([]byte("k")))
 	if !ok || !e.Tombstone {
 		t.Fatal("tombstone not recorded")
 	}
@@ -68,7 +69,7 @@ func TestMemTableKeyIsCopied(t *testing.T) {
 	k := []byte("abc")
 	m.Put(k, 1, 1, false)
 	k[0] = 'x'
-	if _, ok := m.Get([]byte("abc")); !ok {
+	if _, ok := m.Get(sim.KeyOf([]byte("abc"))); !ok {
 		t.Fatal("caller mutation corrupted stored key")
 	}
 }
@@ -102,15 +103,15 @@ func TestMemTableIteratorSeek(t *testing.T) {
 		m.Put([]byte(k), 0, 0, false)
 	}
 	it := m.Iterator()
-	it.Seek([]byte("d"))
+	it.Seek(sim.KeyOf([]byte("d")))
 	if !it.Next() || string(it.Entry().Key) != "e" {
 		t.Fatalf("Seek(d) then Next gave %q", it.Entry().Key)
 	}
-	it.Seek([]byte("c"))
+	it.Seek(sim.KeyOf([]byte("c")))
 	if !it.Next() || string(it.Entry().Key) != "c" {
 		t.Fatal("Seek to existing key must include it")
 	}
-	it.Seek([]byte("z"))
+	it.Seek(sim.KeyOf([]byte("z")))
 	if it.Next() {
 		t.Fatal("Seek past end yielded an entry")
 	}
@@ -196,7 +197,7 @@ func memTableHolds(m *MemTable, want []Entry, probes [][]byte) error {
 		return fmt.Errorf("Len %d, want %d", m.Len(), len(want))
 	}
 	for _, w := range want {
-		if e, ok := m.Get(w.Key); !ok || !sameEntry(e, w) {
+		if e, ok := m.Get(sim.KeyOf(w.Key)); !ok || !sameEntry(e, w) {
 			return fmt.Errorf("Get(%x) = %x → %d %v, want → %d", w.Key, e.Key, e.Addr, ok, w.Addr)
 		}
 	}
@@ -205,11 +206,11 @@ func memTableHolds(m *MemTable, want []Entry, probes [][]byte) error {
 	}
 	for _, p := range probes {
 		i := sort.Search(len(want), func(i int) bool { return bytes.Compare(want[i].Key, p) >= 0 })
-		if _, ok := m.Get(p); ok != (i < len(want) && bytes.Equal(want[i].Key, p)) {
+		if _, ok := m.Get(sim.KeyOf(p)); ok != (i < len(want) && bytes.Equal(want[i].Key, p)) {
 			return fmt.Errorf("Get(%x) found=%v", p, ok)
 		}
 		it := m.Iterator()
-		it.Seek(p)
+		it.Seek(sim.KeyOf(p))
 		if err := memTail(it, want[i:]); err != nil {
 			return fmt.Errorf("Seek(%x): %v", p, err)
 		}

@@ -26,12 +26,12 @@ func buildTables(tb testing.TB, tr *Tree, entries []Entry, tablePages int) []*SS
 	}
 	for _, e := range entries {
 		if b == nil {
-			b = newTableBuilder(tr.store, tr.alloc, &tr.build)
+			b = tr.build.start()
 		}
 		if err := b.add(0, e, sim.KeyOf(e.Key)); err != nil {
 			tb.Fatal(err)
 		}
-		if tablePages > 0 && b.pages() >= tablePages {
+		if tablePages > 0 && len(b.pages) >= tablePages {
 			finish()
 		}
 	}
@@ -153,12 +153,12 @@ func referenceMerge(tr *Tree, t sim.Time, inputs []*SSTable, bottom bool) ([]*SS
 			continue
 		}
 		if builder == nil {
-			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
+			builder = tr.build.start()
 		}
 		if err := builder.add(t, e, sim.KeyOf(e.Key)); err != nil {
 			return nil, end, err
 		}
-		if builder.pages() >= tr.cfg.TablePages {
+		if len(builder.pages) >= tr.cfg.TablePages {
 			if err := finish(); err != nil {
 				return nil, end, err
 			}
@@ -303,8 +303,8 @@ func TestMergeMatchesReference(t *testing.T) {
 		}
 		for i := range got {
 			g, w := got[i], want[i]
-			if g.entries != w.entries || !bytes.Equal(g.smallest, w.smallest) || !bytes.Equal(g.largest, w.largest) ||
-				fmt.Sprint(g.pages) != fmt.Sprint(w.pages) || fmt.Sprint(g.firstKey) != fmt.Sprint(w.firstKey) {
+			if g.entries != w.entries || g.smallest != w.smallest || g.largest != w.largest ||
+				fmt.Sprint(g.pages) != fmt.Sprint(w.pages) || fmt.Sprint(g.fences) != fmt.Sprint(w.fences) {
 				t.Fatalf("seed %d: table %d = %+v, reference %+v", seed, i, g, w)
 			}
 			for _, pg := range g.pages {
@@ -327,10 +327,10 @@ func TestMergeMatchesReference(t *testing.T) {
 }
 
 // walkRestarts recomputes a page's restart offsets the slow way: a full walk
-// from byte 0, noting where every restartInterval-th entry starts.
-func walkRestarts(tb testing.TB, page []byte) []uint16 {
+// from byte 0, noting where every restartInterval-th entry starts. It also
+// returns the page's first and last keys, copied out.
+func walkRestarts(tb testing.TB, page []byte) (restarts []uint16, first, last []byte) {
 	tb.Helper()
-	var restarts []uint16
 	c := pageCursor{data: page}
 	for i := 0; ; i++ {
 		from := c.off
@@ -340,43 +340,58 @@ func walkRestarts(tb testing.TB, page []byte) []uint16 {
 			tb.Fatal(err)
 		}
 		if !ok {
-			return restarts
+			return restarts, first, last
 		}
-		if i > 0 && i%restartInterval == 0 {
+		if i == 0 {
+			first = append([]byte(nil), e.Key...)
+		} else if i%restartInterval == 0 {
 			restarts = append(restarts, uint16(from))
 		}
+		last = append(last[:0], e.Key...)
 	}
 }
 
-// checkRestarts requires the handle's restart index to be exactly what a walk
-// of the table's pages on the store finds, in one exact-sized slice.
+// checkRestarts requires the handle's index to be exactly what a walk of the
+// table's pages on the store finds: the restart index, in one exact-sized
+// slice; each page's fence, its first key; and the bounds, the first key of
+// the first page and the last key of the last.
 func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 	tb.Helper()
 	total := len(table.pages) + 1
+	if len(table.fences) != len(table.pages) {
+		tb.Fatalf("table on pages %v: %d fences", table.pages, len(table.fences))
+	}
+	var last []byte
 	for i, pg := range table.pages {
 		page, _, err := store.ReadPage(0, pg)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		want := walkRestarts(tb, page)
+		want, first, pageLast := walkRestarts(tb, page)
 		if got := table.pageRestarts(i); fmt.Sprint(got) != fmt.Sprint(want) {
 			tb.Fatalf("table on pages %v, page %d: restarts %v, a walk finds %v", table.pages, i, got, want)
 		}
+		if table.fences[i] != sim.KeyOf(first) {
+			tb.Fatalf("table on pages %v, page %d: fence %v, the page starts at %q", table.pages, i, table.fences[i], first)
+		}
 		total += len(want)
+		last = pageLast
 	}
 	if len(table.restarts) != total || cap(table.restarts) != total {
 		tb.Fatalf("table on pages %v: restart index len %d cap %d, want exactly %d", table.pages, len(table.restarts), cap(table.restarts), total)
 	}
+	if table.smallest != table.fences[0] || table.largest != sim.KeyOf(last) {
+		tb.Fatalf("table on pages %v: bounds [%v, %v], its keys run from %v to %q", table.pages, table.smallest, table.largest, table.fences[0], last)
+	}
 }
 
 // A table's handle costs a fixed number of allocations however many restarts
-// and pages it holds: the page list, the first keys and the restart offsets
-// are staged in the tree's scratch and copied once, exact-sized, at finish.
-// A table costs six allocations — the builder, the handle, the page list, the
-// first-key list, the one slab of its keys (first keys, smallest and
-// largest) and the restart index — whether it has one page or eight, and
-// whether a page has no restart or a dozen. Its filter costs none once a
-// freed table's filter is on the free list.
+// and pages it holds: the page list, the fences and the restart offsets are
+// staged in the tree's builder and copied once, exact-sized, at finish. A
+// table costs four allocations — the handle, the page list, the fences and
+// the restart index — whether it has one page or eight, and whether a page
+// has no restart or a dozen. The builder is the tree's and costs none, nor
+// does the filter once a freed table's filter is on the free list.
 func TestTableBuildAllocs(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 200; i++ {
@@ -408,20 +423,20 @@ func TestTableBuildAllocs(t *testing.T) {
 		if tc.pages == 1 && len(table.pageRestarts(0)) != (tc.n-1)/restartInterval {
 			t.Fatalf("%d entries: restarts %v", tc.n, table.pageRestarts(0))
 		}
-		if !bytes.Equal(table.smallest, entries[0].Key) || !bytes.Equal(table.largest, entries[tc.n-1].Key) {
-			t.Fatalf("%d entries: key range [%q, %q], want [%q, %q]", tc.n, table.smallest, table.largest, entries[0].Key, entries[tc.n-1].Key)
+		if table.smallest != sim.KeyOf(entries[0].Key) || table.largest != sim.KeyOf(entries[tc.n-1].Key) {
+			t.Fatalf("%d entries: key range [%v, %v], want [%q, %q]", tc.n, table.smallest, table.largest, entries[0].Key, entries[tc.n-1].Key)
 		}
-		if allocs != 6 {
-			t.Errorf("building a %d-page table of %d entries (%d restarts) costs %.0f allocations, want 6",
+		if allocs != 4 {
+			t.Errorf("building a %d-page table of %d entries (%d restarts) costs %.0f allocations, want 4",
 				len(table.pages), tc.n, len(table.restarts)-len(table.pages)-1, allocs)
 		}
 	}
 }
 
 // treeRestartsMatchPages is the tree-level half of TestMergeMatchesReference:
-// the restart index of every table a tree builds — by flush, by compactL0, by
-// compactLevel — matches its pages, and still does after Restore rolls the
-// tree back to a catalog that shares those handles.
+// the restart index, fences and bounds of every table a tree builds — by
+// flush, by compactL0, by compactLevel — match its pages, and still do after
+// Restore rolls the tree back to a catalog that shares those handles.
 func treeRestartsMatchPages(t *testing.T) {
 	store := newMemStore(8192)
 	store.pageSize = 512 // ~27 entries a page: restarts on every full page
@@ -590,7 +605,7 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 	// Searches that never come near entry 40 answer; the ones that walk
 	// 32..47 into it fail. A miss fails the same way as a hit.
 	for i, wantErr := range map[int]bool{2: false, 16: false, 35: false, 39: false, 40: true, 45: true, 48: false, 70: false, 99: false} {
-		e, ok, err := searchPage(page, key(i), restarts)
+		e, ok, err := searchPage(page, sim.KeyOf(key(i)), restarts)
 		if wantErr && (err == nil || ok) {
 			t.Fatalf("key %d, searched through the damage: found=%v err=%v", i, ok, err)
 		}
@@ -598,16 +613,16 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 			t.Fatalf("key %d, searched clear of the damage: %+v found=%v err=%v", i, e, ok, err)
 		}
 	}
-	if _, ok, err := searchPage(page, append(key(44), '!'), restarts); err == nil || ok {
+	if _, ok, err := searchPage(page, sim.KeyOf(append(key(44), '!')), restarts); err == nil || ok {
 		t.Fatalf("absent key searched through the damage: found=%v err=%v", ok, err)
 	}
-	if _, ok, err := searchPage(page, []byte("zzz"), restarts); err != nil || ok {
+	if _, ok, err := searchPage(page, sim.KeyOf([]byte("zzz")), restarts); err != nil || ok {
 		t.Fatalf("absent key past every entry: found=%v err=%v", ok, err)
 	}
 	// A damaged restart entry fails the searches that probe it.
 	probed := append([]byte(nil), page...)
 	probed[restarts[3]] = 0xDB // entry 64: the first probe of six
-	if _, ok, err := searchPage(probed, key(2), restarts); err == nil || ok {
+	if _, ok, err := searchPage(probed, sim.KeyOf(key(2)), restarts); err == nil || ok {
 		t.Fatalf("search probing a damaged restart: found=%v err=%v", ok, err)
 	}
 
@@ -653,7 +668,7 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 	stale := bytes.Repeat([]byte{0xDB}, store.PageSize())
 	for _, r := range [][]uint16{restarts, nil, {19}} {
 		for _, k := range [][]byte{key(0), key(50), key(99), {0}, []byte("zzz"), bytes.Repeat([]byte{0xFF}, MaxKeySize)} {
-			if _, ok, err := searchPage(stale, k, r); err == nil || ok {
+			if _, ok, err := searchPage(stale, sim.KeyOf(k), r); err == nil || ok {
 				t.Fatalf("lookup of %q in a released page (restarts %v): found=%v err=%v", k, r, ok, err)
 			}
 		}
@@ -673,9 +688,9 @@ func releaseTables(tr *Tree, tables []*SSTable) {
 
 // A merge's runs, heads and slab are the tree's, kept from one merge to the
 // next: run again on the same tree, a merge allocates only its output tables'
-// handles, six allocations each (TestTableBuildAllocs), and its result slice.
-// For the shape below — three overlapping tables over five chained ones, into
-// nine output tables — that is 55 allocations.
+// handles, four allocations each (TestTableBuildAllocs), and its result
+// slice. For the shape below — three overlapping tables over five chained
+// ones, into nine output tables — that is 37 allocations.
 func TestMergeReusesScratch(t *testing.T) {
 	store := newMemStore(4096)
 	store.pageSize = 512
@@ -694,7 +709,7 @@ func TestMergeReusesScratch(t *testing.T) {
 	}
 	merge()
 	allocs := testing.AllocsPerRun(5, merge)
-	if want := float64(6*len(out) + 1); allocs != want || len(out) != 9 {
+	if want := float64(4*len(out) + 1); allocs != want || len(out) != 9 {
 		t.Fatalf("a repeated merge into %d tables made %.0f allocations, want %.0f into 9", len(out), allocs, want)
 	}
 }

@@ -158,8 +158,8 @@ func TestVictimRotates(t *testing.T) {
 		if _, err := tr.compactLevel(0, 1); err != nil {
 			t.Fatal(err)
 		}
-		if got := tr.pointer[1]; bytes.Compare(got, key(wantSmallest)) < 0 || bytes.Compare(got, key(wantSmallest+9)) > 0 {
-			t.Fatalf("pushed the table ending at %q, want the one starting at %q", got, key(wantSmallest))
+		if got := tr.pointer[1]; got.Less(sim.KeyOf(key(wantSmallest))) || sim.KeyOf(key(wantSmallest+9)).Less(got) {
+			t.Fatalf("pushed the table ending at %v, want the one starting at %q", got, key(wantSmallest))
 		}
 		if e, ok, _, err := tr.Get(0, key(wantSmallest)); err != nil || !ok || e.Addr != vlog.Addr(wantSmallest) {
 			t.Fatalf("key %d after its table was pushed: %+v %v %v", wantSmallest, e, ok, err)
@@ -213,7 +213,7 @@ func TestVictimRotates(t *testing.T) {
 func keySpaceCovered(level []*SSTable) float64 {
 	var span float64
 	for _, table := range level {
-		span += float64(sim.KeyOf(table.largest).W0 - sim.KeyOf(table.smallest).W0)
+		span += float64(table.largest.W0 - table.smallest.W0)
 	}
 	return span / (1 << 64)
 }
@@ -307,8 +307,8 @@ func TestFailedFlushLeavesNothing(t *testing.T) {
 		if got := pagesInUse(tr.alloc); got != inUse {
 			t.Fatalf("write %d of %d failed: %d meta pages in use, %d before the Put", n, writes, got, inUse)
 		}
-		if got := levelTables(tr); !slices.Equal(got, levels) || !slices.EqualFunc(tr.pointer, pointer, bytes.Equal) || len(tr.pendingFree) != 0 {
-			t.Fatalf("write %d of %d failed: levels %v (were %v), pointers %q (were %q), %d pending frees", n, writes, got, levels, tr.pointer, pointer, len(tr.pendingFree))
+		if got := levelTables(tr); !slices.Equal(got, levels) || !slices.Equal(tr.pointer, pointer) || len(tr.pendingFree) != 0 {
+			t.Fatalf("write %d of %d failed: levels %v (were %v), pointers %v (were %v), %d pending frees", n, writes, got, levels, tr.pointer, pointer, len(tr.pendingFree))
 		}
 		for i := 0; i < put; i++ {
 			if e, ok, _, err := tr.Get(0, cascadeKey(i)); err != nil || !ok || e.Addr != vlog.Addr(i) {
@@ -374,7 +374,7 @@ func TestCompactionPointerSurvivesRestore(t *testing.T) {
 		}
 		t.Fatalf("after Restore the tree wrote %d pages, the tree that never lost power %d; they part at write %d", len(store.log), len(want), at)
 	}
-	if steady.stats.TrivialMoves.Value() == 0 || slices.EqualFunc(steady.pointer, pointer, bytes.Equal) {
+	if steady.stats.TrivialMoves.Value() == 0 || slices.Equal(steady.pointer, pointer) {
 		t.Fatalf("the %d Puts after the cut never moved a pointer (%d trivial moves): nothing was compared", more, steady.stats.TrivialMoves.Value())
 	}
 }

@@ -117,10 +117,10 @@ func TestSeekMatchesLinearWalk(t *testing.T) {
 			for _, k := range probes {
 				wantOff, want, wantFound := linearSeek(t, page, k)
 				c := pageCursor{data: page}
-				if err := c.seek(k, restarts); err != nil || c.off != wantOff {
+				if err := c.seek(sim.KeyOf(k), restarts); err != nil || c.off != wantOff {
 					t.Fatalf("seed %d page %d (%d entries): seek(%x) = offset %d err %v, the walk stops at %d", seed, pi, inPage, k, c.off, err, wantOff)
 				}
-				got, found, err := searchPage(page, k, restarts)
+				got, found, err := searchPage(page, sim.KeyOf(k), restarts)
 				if err != nil || found != wantFound {
 					t.Fatalf("seed %d page %d: searchPage(%x) found=%v err=%v, the walk found=%v", seed, pi, k, found, err, wantFound)
 				}
@@ -150,7 +150,7 @@ func TestRestartIndexLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
+	b := tr.build.start()
 	for i := 0; i < 3*(1<<16); i++ {
 		if err := b.add(0, Entry{Key: key(i), Addr: vlog.Addr(i), Size: 8}, sim.KeyOf(key(i))); err != nil {
 			t.Fatal(err)

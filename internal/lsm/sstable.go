@@ -1,10 +1,11 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"bandslim/internal/ftl"
 	"bandslim/internal/sim"
@@ -121,18 +122,36 @@ func encodeEntry(dst []byte, e Entry) int {
 	return i + 1
 }
 
+// entryKeyLen checks the header of the entry src starts with — not the end
+// of the page's entries (a 0 keyLen sentinel), a key of at most MaxKeySize,
+// and the whole entry within src — and returns its key length, or 0 when the
+// check fails; headerError then says why. Every entry anything reads from a
+// page has passed it.
+func entryKeyLen(src []byte) int {
+	if len(src) > 0 {
+		if kl := int(src[0]); uint(kl-1) < MaxKeySize && len(src) >= entryFixed+kl {
+			return kl
+		}
+	}
+	return 0
+}
+
+// headerError is the error of an entry header entryKeyLen refuses.
+func headerError(src []byte) error {
+	switch {
+	case len(src) < 1:
+		return fmt.Errorf("lsm: truncated entry header")
+	case src[0] == 0:
+		return errEndOfPage
+	}
+	return fmt.Errorf("lsm: corrupt entry (keyLen %d, %d bytes left)", src[0], len(src))
+}
+
 // parseEntry validates one encoded entry and returns its fields without
 // materializing the key (the key occupies src[1 : 1+kl]).
 func parseEntry(src []byte) (kl int, addr vlog.Addr, size uint32, tomb bool, n int, err error) {
-	if len(src) < 1 {
-		return 0, 0, 0, false, 0, fmt.Errorf("lsm: truncated entry header")
-	}
-	kl = int(src[0])
-	if kl == 0 {
-		return 0, 0, 0, false, 0, errEndOfPage
-	}
-	if kl > MaxKeySize || len(src) < entryFixed+kl {
-		return 0, 0, 0, false, 0, fmt.Errorf("lsm: corrupt entry (keyLen %d, %d bytes left)", kl, len(src))
+	if kl = entryKeyLen(src); kl == 0 {
+		return 0, 0, 0, false, 0, headerError(src)
 	}
 	i := 1 + kl
 	// addr + size + flags are 10 bytes, so the 8-byte load stays inside them.
@@ -155,14 +174,16 @@ const restartInterval = 16
 // SSTable is one immutable sorted run. Pages hold the encoded entries; the
 // in-memory handle keeps the page list, a sparse index and a bloom filter, as
 // in-device LSM-trees keep their level lists in DRAM. The index is two-level:
-// the first key of each page picks the page, the restart offsets pick the
-// stretch of it to walk. Its modelled DRAM is the first key plus 2 B per
-// restartInterval entries per page — about 108 B for a full 16 KiB page of
+// the first key of each page (its fence) picks the page, the restart offsets
+// pick the stretch of it to walk. Its modelled DRAM is the first key plus 2 B
+// per restartInterval entries per page — about 108 B for a full 16 KiB page of
 // 8-byte keys — and the filter's sim.BloomBitsPerKey bits, about 1.25 B, per
 // entry; any device-DRAM budget (caches) has to count both beside its own.
+// The host holds the fences and the bounds as sim.Keys, 24 B each, which
+// compare without touching a byte of any key.
 type SSTable struct {
-	pages    []int    // region-relative page numbers, in key order
-	firstKey [][]byte // first key of each page
+	pages  []int     // region-relative page numbers, in key order
+	fences []sim.Key // first key of each page
 	// filter holds the sim.Key.FilterHash of every entry, tombstones
 	// included: a point lookup it rules out reads no page. Nothing else
 	// consults it.
@@ -172,8 +193,8 @@ type SSTable struct {
 	// not recorded). One allocation: restarts[:len(pages)+1] are the bounds,
 	// page i's offsets being restarts[restarts[i]:restarts[i+1]].
 	restarts []uint16
-	smallest []byte
-	largest  []byte
+	smallest sim.Key
+	largest  sim.Key
 	entries  int
 }
 
@@ -183,28 +204,14 @@ func (t *SSTable) pageRestarts(i int) []uint16 {
 }
 
 // overlaps reports whether the table's key range intersects [lo, hi].
-func (t *SSTable) overlaps(lo, hi []byte) bool {
-	if len(t.smallest) == 0 {
-		return false
-	}
-	return bytes.Compare(t.largest, lo) >= 0 && bytes.Compare(t.smallest, hi) <= 0
+func (t *SSTable) overlaps(lo, hi sim.Key) bool {
+	return !t.largest.Less(lo) && !hi.Less(t.smallest)
 }
 
-// pageForKey returns the index of the page that may contain key (the last
-// page whose first key is <= key), or -1 when the key precedes the table.
-func (t *SSTable) pageForKey(key []byte) int {
-	lo, hi := 0, len(t.firstKey)-1
-	best := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(t.firstKey[mid], key) <= 0 {
-			best = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return best
+// pageForKey returns the index of the page that may contain k (the last page
+// whose fence is <= k), or -1 when the key precedes the table.
+func (t *SSTable) pageForKey(k sim.Key) int {
+	return sort.Search(len(t.fences), func(i int) bool { return k.Less(t.fences[i]) }) - 1
 }
 
 // pageCursor walks the entries of one page image in place. It is the only
@@ -233,41 +240,43 @@ func (c *pageCursor) next(e *Entry) (ok bool, err error) {
 	return true, nil
 }
 
-// seek moves the cursor to the first entry whose key is >= key, so that next
+// seek moves the cursor to the first entry whose key is >= k, so that next
 // yields it, or to the end of the page when there is none. restarts are the
 // page's restart offsets (SSTable.pageRestarts): a binary search over the
-// entries they name finds the last one not above key, and the walk from there
+// entries they name finds the last one not above k, and the walk from there
 // covers at most restartInterval entries. Every entry the search compares
-// against has passed parseEntry, and an entry on that path that does not
-// parse fails the seek; entries off the path are not looked at.
-func (c *pageCursor) seek(key []byte, restarts []uint16) error {
+// against has passed the header check parseEntry makes (entryKeyLen), and an
+// entry on that path that fails it fails the seek; entries off the path are
+// not looked at, and only the one the cursor lands on is decoded in full, by
+// next.
+func (c *pageCursor) seek(k sim.Key, restarts []uint16) error {
 	c.off = 0
-	lo, hi := 0, len(restarts) // restarts[:lo] name keys <= key, restarts[hi:] keys > key
+	lo, hi := 0, len(restarts) // restarts[:lo] name keys <= k, restarts[hi:] keys > k
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		off := int(restarts[mid])
 		if off >= len(c.data) {
 			return fmt.Errorf("lsm: restart offset %d beyond the page (%d bytes)", off, len(c.data))
 		}
-		k, _, err := c.keyAt(off)
+		key, _, err := c.keyAt(off)
 		if err != nil {
 			return fmt.Errorf("lsm: restart offset %d: %w", off, err)
 		}
-		if bytes.Compare(k, key) <= 0 {
-			lo, c.off = mid+1, off
-		} else {
+		if k.Less(key) {
 			hi = mid
+		} else {
+			lo, c.off = mid+1, off
 		}
 	}
 	for c.off < len(c.data) {
-		k, n, err := c.keyAt(c.off)
+		key, n, err := c.keyAt(c.off)
 		if err != nil {
 			if err == errEndOfPage {
 				err = nil
 			}
 			return err
 		}
-		if bytes.Compare(k, key) >= 0 {
+		if !key.Less(k) {
 			return nil
 		}
 		c.off += n
@@ -275,89 +284,83 @@ func (c *pageCursor) seek(key []byte, restarts []uint16) error {
 	return nil
 }
 
-// keyAt validates the entry at off and returns its key, a view into the page,
-// and its encoded length.
-func (c *pageCursor) keyAt(off int) (key []byte, n int, err error) {
-	kl, _, _, _, n, err := parseEntry(c.data[off:])
-	if err != nil {
-		return nil, 0, err
+// keyAt checks the header of the entry at off and returns its inline key and
+// its encoded length.
+func (c *pageCursor) keyAt(off int) (key sim.Key, n int, err error) {
+	src := c.data[off:]
+	kl := entryKeyLen(src)
+	if kl == 0 {
+		return sim.Key{}, 0, headerError(src)
 	}
-	return c.data[off+1 : off+1+kl], n, nil
+	return sim.KeyOf(src[1 : 1+kl]), entryFixed + kl, nil
 }
 
-// searchPage looks key up in a page image whose restart offsets are restarts.
-func searchPage(data, key []byte, restarts []uint16) (Entry, bool, error) {
+// searchPage looks k up in a page image whose restart offsets are restarts.
+// The entry's Key is a view into the page.
+func searchPage(data []byte, k sim.Key, restarts []uint16) (Entry, bool, error) {
 	c := pageCursor{data: data}
-	if err := c.seek(key, restarts); err != nil {
+	if err := c.seek(k, restarts); err != nil {
 		return Entry{}, false, err
 	}
 	var e Entry
-	if ok, err := c.next(&e); !ok || !bytes.Equal(e.Key, key) {
+	if ok, err := c.next(&e); !ok || sim.KeyOf(e.Key) != k {
 		return Entry{}, false, err
 	}
-	e.Key = key // the caller's key, not the view into the page
 	return e, true, nil
 }
 
-// tableScratch is what a tableBuilder stages a table in before the store and
-// the handle get it, owned by the tree so that one serves every table it
-// builds: page is the PageSize image being filled, of which only page[:used]
-// is ever meaningful; pages the pages the table has written so far, and
-// fences the first key of each, after a length byte; restarts collects the
-// restart offsets of the table so far, each page's run closed by a 0 (no
-// restart sits at offset 0); hashes the sim.Key.FilterHash of each of its
-// entries.
+// tableBuilder streams sorted entries into pages through a PageStore. The
+// tree owns one, which builds every table it writes, one at a time, and
+// stages each in storage it keeps from one table to the next before the store
+// and the handle get it: page is the PageSize image being filled, of which
+// only page[:used] is ever meaningful; pages the pages the table has written
+// so far, and fences the first key of each; restarts collects the restart
+// offsets of the table so far, each page's run closed by a 0 (no restart sits
+// at offset 0); hashes the sim.Key.FilterHash of each of its entries.
 // filters is the free list of filter storage: the filters of the tables a
 // commit freed, which the next tables built are given instead of new words.
-type tableScratch struct {
+type tableBuilder struct {
+	store    PageStore
+	alloc    *pageAllocator
 	page     []byte
 	pages    []int
-	fences   []byte
+	fences   []sim.Key
 	restarts []uint16
 	hashes   []uint64
 	filters  []sim.Bloom
+	table    *SSTable // the table being built
+	used     int      // bytes of page filled
+	inPage   int      // entries in page
+	last     sim.Key  // the newest key added
+	end      sim.Time
+}
+
+// start opens a new table, dropping whatever a table left unfinished staged.
+func (b *tableBuilder) start() *tableBuilder {
+	b.pages, b.fences, b.restarts, b.hashes = b.pages[:0], b.fences[:0], b.restarts[:0], b.hashes[:0]
+	b.table, b.used, b.inPage, b.end = &SSTable{}, 0, 0, 0
+	return b
 }
 
 // filter returns an empty filter for keys keys, in the smallest free storage
 // that holds it or, when none does, in new storage.
-func (s *tableScratch) filter(keys int) sim.Bloom {
+func (b *tableBuilder) filter(keys int) sim.Bloom {
 	words, best := sim.BloomWords(keys), -1
-	for i, f := range s.filters {
-		if cap(f) >= words && (best < 0 || cap(f) < cap(s.filters[best])) {
+	for i, f := range b.filters {
+		if cap(f) >= words && (best < 0 || cap(f) < cap(b.filters[best])) {
 			best = i
 		}
 	}
 	if best < 0 {
 		return make(sim.Bloom, words)
 	}
-	f := s.filters[best][:words]
-	last := len(s.filters) - 1
-	s.filters[best], s.filters[last] = s.filters[last], nil
-	s.filters = s.filters[:last]
+	f := b.filters[best][:words]
+	last := len(b.filters) - 1
+	b.filters[best], b.filters[last] = b.filters[last], nil
+	b.filters = b.filters[:last]
 	f.Reset()
 	return f
 }
-
-// tableBuilder streams sorted entries into pages through a PageStore.
-type tableBuilder struct {
-	store   PageStore
-	alloc   *pageAllocator
-	table   *SSTable
-	scratch *tableScratch
-	used    int     // bytes of scratch.page filled
-	inPage  int     // entries in scratch.page
-	last    sim.Key // the newest key added
-	end     sim.Time
-}
-
-func newTableBuilder(store PageStore, alloc *pageAllocator, scratch *tableScratch) *tableBuilder {
-	scratch.pages, scratch.fences = scratch.pages[:0], scratch.fences[:0]
-	scratch.restarts, scratch.hashes = scratch.restarts[:0], scratch.hashes[:0]
-	return &tableBuilder{store: store, alloc: alloc, table: &SSTable{}, scratch: scratch}
-}
-
-// pages reports how many pages the table has written so far.
-func (b *tableBuilder) pages() int { return len(b.scratch.pages) }
 
 // add appends e, whose inline key is k. Entries must arrive in strictly
 // increasing key order; the caller guarantees it.
@@ -386,20 +389,20 @@ func (b *tableBuilder) addEncoded(t sim.Time, enc []byte, k sim.Key) error {
 // reserve books the next entry, whose inline key is k and whose encoding
 // takes n bytes, and returns the n bytes of the page it goes in.
 func (b *tableBuilder) reserve(t sim.Time, k sim.Key, n int) ([]byte, error) {
-	if b.used+n > len(b.scratch.page) {
+	if b.used+n > len(b.page) {
 		if err := b.flushPage(t); err != nil {
 			return nil, err
 		}
 	}
 	if b.used == 0 {
-		b.scratch.fences = k.AppendBytes(append(b.scratch.fences, byte(k.N)))
+		b.fences = append(b.fences, k)
 	} else if b.inPage%restartInterval == 0 {
-		b.scratch.restarts = append(b.scratch.restarts, uint16(b.used))
+		b.restarts = append(b.restarts, uint16(b.used))
 	}
-	dst := b.scratch.page[b.used : b.used+n]
+	dst := b.page[b.used : b.used+n]
 	b.used += n
 	b.inPage++
-	b.scratch.hashes = append(b.scratch.hashes, k.FilterHash())
+	b.hashes = append(b.hashes, k.FilterHash())
 	b.last = k
 	b.table.entries++
 	return dst, nil
@@ -413,7 +416,7 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 	if err != nil {
 		return err
 	}
-	end, err := b.store.WritePage(t, page, b.scratch.page[:b.used])
+	end, err := b.store.WritePage(t, page, b.page[:b.used])
 	if err != nil {
 		b.alloc.free(page)
 		return err
@@ -421,17 +424,16 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 	if end > b.end {
 		b.end = end
 	}
-	b.scratch.pages = append(b.scratch.pages, page)
-	b.scratch.restarts = append(b.scratch.restarts, 0)
+	b.pages = append(b.pages, page)
+	b.restarts = append(b.restarts, 0)
 	b.used, b.inPage = 0, 0
 	return nil
 }
 
 // finish flushes the tail page and returns the table (nil if empty). The
-// handle gets what the scratch staged in a fixed number of exact-sized
-// allocations, however many pages the table has: the page list, the restart
-// index, and one slab of its keys — the first key of every page, of which
-// the first is also the smallest, and then the largest.
+// handle gets what the builder staged in a fixed number of exact-sized
+// allocations, however many pages the table has: the page list, the fences
+// and the restart index.
 func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if err := b.flushPage(t); err != nil {
 		return nil, b.end, err
@@ -441,12 +443,12 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	}
 	// The staged list holds one terminator per page, the handle's one bound
 	// per page and one more.
-	staged := b.scratch.restarts
+	staged := b.restarts
 	if len(staged)+1 > math.MaxUint16 {
-		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, b.pages())
+		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, len(b.pages))
 	}
 	restarts := make([]uint16, len(staged)+1)
-	page, next := 0, b.pages()+1
+	page, next := 0, len(b.pages)+1
 	restarts[0] = uint16(next)
 	for _, off := range staged {
 		if off == 0 {
@@ -458,24 +460,13 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 		next++
 	}
 	b.table.restarts = restarts
-	b.table.filter = b.scratch.filter(len(b.scratch.hashes))
-	for _, h := range b.scratch.hashes {
+	b.table.filter = b.filter(len(b.hashes))
+	for _, h := range b.hashes {
 		b.table.filter.Add(h)
 	}
-	n := b.pages()
-	b.table.pages = make([]int, n)
-	copy(b.table.pages, b.scratch.pages)
-	keys := make([]byte, 0, len(b.scratch.fences)-n+b.last.N)
-	b.table.firstKey = make([][]byte, n)
-	for i, f := 0, b.scratch.fences; i < n; i++ {
-		kl, lo := int(f[0]), len(keys)
-		keys = append(keys, f[1:1+kl]...)
-		b.table.firstKey[i] = keys[lo:len(keys):len(keys)]
-		f = f[1+kl:]
-	}
-	keys = b.last.AppendBytes(keys)
-	b.table.smallest = b.table.firstKey[0]
-	b.table.largest = keys[len(keys)-b.last.N:]
+	b.table.pages = slices.Clone(b.pages)
+	b.table.fences = slices.Clone(b.fences)
+	b.table.smallest, b.table.largest = b.fences[0], b.last
 	return b.table, b.end, nil
 }
 

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -78,18 +77,19 @@ type Tree struct {
 	alloc  *pageAllocator
 	mem    *MemTable
 	levels [][]*SSTable // levels[0]: newest first; deeper: sorted by smallest
-	// pointer[lvl] is the largest key of the table lvl last pushed down (nil:
-	// none yet): the next push takes the first table past it, so a level is
-	// evicted round-robin over the key space instead of from its low end.
-	pointer [][]byte
+	// pointer[lvl] is the largest key of the table lvl last pushed down (the
+	// zero Key, which sorts before every key: none yet): the next push takes
+	// the first table past it, so a level is evicted round-robin over the key
+	// space instead of from its low end.
+	pointer []sim.Key
 	stats   Stats
 	// pushLevel is compactLevel; the policy tests swap in a lowest-table-first
 	// push to measure it against.
 	pushLevel func(tr *Tree, t sim.Time, lvl int) (sim.Time, error)
-	// build is the staging area every tableBuilder fills; slab holds the
-	// input page images of the merge in progress (sized by the first merge,
-	// then grown in steps of slabGrain pages).
-	build tableScratch
+	// build builds every table the tree writes; slab holds the input page
+	// images of the merge in progress (sized by the first merge, then grown
+	// in steps of slabGrain pages).
+	build tableBuilder
 	slab  []byte
 	// runs and heads are the merge's inputs and their head keys, kept from
 	// one merge to the next like slab.
@@ -119,7 +119,7 @@ type Tree struct {
 // at mount, as firmware would persist in a superblock.
 type catalog struct {
 	levels  [][]*SSTable // SSTables are immutable; sharing pointers is safe
-	pointer [][]byte     // keys are immutable too
+	pointer []sim.Key
 	alloc   allocState
 }
 
@@ -196,18 +196,19 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 	if store.PageSize() > math.MaxUint16+1 {
 		return nil, fmt.Errorf("lsm: page size %d beyond the %d a restart offset can address", store.PageSize(), math.MaxUint16+1)
 	}
+	alloc := newPageAllocator(store.Pages())
 	tr := &Tree{
 		cfg:     cfg,
 		store:   store,
-		alloc:   newPageAllocator(store.Pages()),
+		alloc:   alloc,
 		mem:     NewMemTable(cfg.MemTableEntries),
 		levels:  make([][]*SSTable, cfg.MaxLevels),
-		pointer: make([][]byte, cfg.MaxLevels),
+		pointer: make([]sim.Key, cfg.MaxLevels),
 
 		pushLevel: (*Tree).compactLevel,
 		// Room for the hashes of a flush's table and of a merge's table of
 		// 8-byte keys at the default geometry, so neither regrows them.
-		build: tableScratch{page: make([]byte, store.PageSize()), hashes: make([]uint64, 0, 2*cfg.MemTableEntries)},
+		build: tableBuilder{store: store, alloc: alloc, page: make([]byte, store.PageSize()), hashes: make([]uint64, 0, 2*cfg.MemTableEntries)},
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -268,7 +269,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 }
 
 func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
-	b := newTableBuilder(tr.store, tr.alloc, &tr.build)
+	b := tr.build.start()
 	it := tr.mem.Iterator()
 	for it.Next() {
 		if err := b.add(t, it.Entry(), it.key()); err != nil {
@@ -301,19 +302,21 @@ func (tr *Tree) wrote(table *SSTable) {
 // Get resolves a key to its vLog location, searching MemTable, then L0
 // newest-first, then each deeper level. The boolean reports presence; a
 // present tombstone means "deleted". An entry found in the MemTable has its
-// Key in the MemTable's slab, which the next write may recycle. A table whose
-// filter rules the key out costs no page read.
+// Key in the MemTable's slab, which the next write may recycle; one found in a
+// table has the caller's key. A table whose filter rules the key out costs no
+// page read.
 func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
-	if e, ok := tr.mem.Get(key); ok {
+	k := sim.KeyOf(key)
+	if e, ok := tr.mem.Get(k); ok {
 		return e, true, t, nil
 	}
-	h := sim.KeyOf(key).FilterHash()
+	h := k.FilterHash()
 	end := t
 	for _, table := range tr.levels[0] {
-		if !table.overlaps(key, key) {
+		if !table.overlaps(k, k) {
 			continue
 		}
-		e, ok, rEnd, err := tr.probeTable(t, table, key, h)
+		e, ok, rEnd, err := tr.probeTable(t, table, key, k, h)
 		if err != nil {
 			return Entry{}, false, t, err
 		}
@@ -325,11 +328,11 @@ func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
 		}
 	}
 	for lvl := 1; lvl < len(tr.levels); lvl++ {
-		table := tr.findInLevel(lvl, key)
+		table := tr.findInLevel(lvl, k)
 		if table == nil {
 			continue
 		}
-		e, ok, rEnd, err := tr.probeTable(t, table, key, h)
+		e, ok, rEnd, err := tr.probeTable(t, table, key, k, h)
 		if err != nil {
 			return Entry{}, false, t, err
 		}
@@ -344,37 +347,38 @@ func (tr *Tree) Get(t sim.Time, key []byte) (Entry, bool, sim.Time, error) {
 }
 
 // findInLevel binary-searches a sorted (non-overlapping) level for the table
-// covering key.
-func (tr *Tree) findInLevel(lvl int, key []byte) *SSTable {
+// covering k.
+func (tr *Tree) findInLevel(lvl int, k sim.Key) *SSTable {
 	tables := tr.levels[lvl]
-	i := sort.Search(len(tables), func(i int) bool {
-		return bytes.Compare(tables[i].largest, key) >= 0
-	})
-	if i < len(tables) && bytes.Compare(tables[i].smallest, key) <= 0 {
+	i := sort.Search(len(tables), func(i int) bool { return !tables[i].largest.Less(k) })
+	if i < len(tables) && !k.Less(tables[i].smallest) {
 		return tables[i]
 	}
 	return nil
 }
 
-// probeTable searches a table for key, whose filter hash is h, unless the
-// table's filter rules it out. The probe itself costs no simulated time, as
-// the fence keys and restart offsets beside it do not.
-func (tr *Tree) probeTable(t sim.Time, table *SSTable, key []byte, h uint64) (Entry, bool, sim.Time, error) {
+// probeTable searches a table for key, whose inline form is k and filter hash
+// h, unless the table's filter rules it out. The probe itself costs no
+// simulated time, as the fence keys and restart offsets beside it do not.
+func (tr *Tree) probeTable(t sim.Time, table *SSTable, key []byte, k sim.Key, h uint64) (Entry, bool, sim.Time, error) {
 	if !table.filter.Has(h) {
 		tr.stats.FilterSkips.Inc()
 		return Entry{}, false, t, nil
 	}
-	e, ok, end, err := tr.searchTable(t, table, key)
-	if err == nil && !ok {
+	e, ok, end, err := tr.searchTable(t, table, k)
+	switch {
+	case ok:
+		e.Key = key
+	case err == nil:
 		tr.stats.FilterFalsePositives.Inc()
 	}
 	return e, ok, end, err
 }
 
-// searchTable reads the one candidate page and searches it, in place, for the
-// key: a binary search over the page's restart points, then a short walk.
-func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool, sim.Time, error) {
-	pi := table.pageForKey(key)
+// searchTable reads the one candidate page and searches it, in place, for k:
+// a binary search over the page's restart points, then a short walk.
+func (tr *Tree) searchTable(t sim.Time, table *SSTable, k sim.Key) (Entry, bool, sim.Time, error) {
+	pi := table.pageForKey(k)
 	if pi < 0 {
 		return Entry{}, false, t, nil
 	}
@@ -382,7 +386,7 @@ func (tr *Tree) searchTable(t sim.Time, table *SSTable, key []byte) (Entry, bool
 	if err != nil {
 		return Entry{}, false, t, err
 	}
-	e, ok, err := searchPage(data, key, table.pageRestarts(pi))
+	e, ok, err := searchPage(data, k, table.pageRestarts(pi))
 	if err != nil {
 		return Entry{}, false, t, err
 	}
@@ -448,13 +452,8 @@ func (tr *Tree) compactL0(t sim.Time) (sim.Time, error) {
 // victim that overlaps nothing below is re-linked as it is: no page is read,
 // written or freed.
 func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
-	level := tr.levels[lvl]
-	vi := 0
-	if after := tr.pointer[lvl]; after != nil {
-		vi = sort.Search(len(level), func(i int) bool {
-			return bytes.Compare(level[i].smallest, after) > 0
-		}) % len(level)
-	}
+	level, after := tr.levels[lvl], tr.pointer[lvl]
+	vi := sort.Search(len(level), func(i int) bool { return after.Less(level[i].smallest) }) % len(level)
 	victim := level[vi]
 	over, rest := splitOverlap(tr.levels[lvl+1], victim.smallest, victim.largest)
 	out, end := []*SSTable{victim}, t
@@ -565,7 +564,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			clear(slab[off+n : off+ps])
 			off += ps
 		}
-		if i > 0 && bytes.Compare(inputs[i-1].largest, table.smallest) < 0 {
+		if i > 0 && inputs[i-1].largest.Less(table.smallest) {
 			runs[len(runs)-1].stop = off
 		} else {
 			// No page open yet: the first advance opens the one at start.
@@ -589,7 +588,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 	// Room for a table per TablePages pages read, and one more: a merge
 	// writes about as many pages as it reads, often fewer.
 	out := make([]*SSTable, 0, need/ps/tr.cfg.TablePages+1)
-	var builder *tableBuilder
+	var builder *tableBuilder // the table open, if any
 	finish := func() error {
 		table, bEnd, err := builder.finish(t)
 		builder = nil
@@ -633,12 +632,12 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			continue
 		}
 		if builder == nil {
-			builder = newTableBuilder(tr.store, tr.alloc, &tr.build)
+			builder = tr.build.start()
 		}
 		if err := builder.addEncoded(t, slab[at:at+n], key); err != nil {
 			return nil, end, err
 		}
-		if builder.pages() >= tr.cfg.TablePages {
+		if len(builder.pages) >= tr.cfg.TablePages {
 			if err := finish(); err != nil {
 				return nil, end, err
 			}
@@ -665,12 +664,12 @@ func (tr *Tree) freeTables(tables []*SSTable) {
 }
 
 // keyRange reports the smallest and largest keys across tables.
-func keyRange(tables []*SSTable) (lo, hi []byte) {
-	for _, t := range tables {
-		if lo == nil || bytes.Compare(t.smallest, lo) < 0 {
+func keyRange(tables []*SSTable) (lo, hi sim.Key) {
+	for i, t := range tables {
+		if i == 0 || t.smallest.Less(lo) {
 			lo = t.smallest
 		}
-		if hi == nil || bytes.Compare(t.largest, hi) > 0 {
+		if i == 0 || hi.Less(t.largest) {
 			hi = t.largest
 		}
 	}
@@ -679,9 +678,9 @@ func keyRange(tables []*SSTable) (lo, hi []byte) {
 
 // splitOverlap partitions a sorted level into tables overlapping [lo,hi] and
 // the rest.
-func splitOverlap(tables []*SSTable, lo, hi []byte) (over, rest []*SSTable) {
+func splitOverlap(tables []*SSTable, lo, hi sim.Key) (over, rest []*SSTable) {
 	for _, t := range tables {
-		if lo != nil && t.overlaps(lo, hi) {
+		if t.overlaps(lo, hi) {
 			over = append(over, t)
 		} else {
 			rest = append(rest, t)
@@ -694,8 +693,6 @@ func splitOverlap(tables []*SSTable, lo, hi []byte) (over, rest []*SSTable) {
 // key. Levels ≥1 are non-overlapping by construction.
 func insertSorted(level, add []*SSTable) []*SSTable {
 	out := append(append([]*SSTable(nil), level...), add...)
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].smallest, out[j].smallest) < 0
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].smallest.Less(out[j].smallest) })
 	return out
 }

@@ -1,11 +1,11 @@
 package shard
 
 import (
-	"bytes"
 	"container/heap"
 	"errors"
 
 	"bandslim/internal/driver"
+	"bandslim/internal/sim"
 )
 
 // Cursor is one key-ordered stream feeding a MergeIterator — a positioned
@@ -35,17 +35,21 @@ type MergeIterator struct {
 
 // source holds one cursor's current pair in source-owned reused buffers, so
 // the pair stays valid while the caller interleaves other operations (and
-// the heap retains it across other cursors' advances).
+// the heap retains it across other cursors' advances), and the key's inline
+// form, which the heap orders by: a device key is at most 16 bytes, which
+// sim.Key orders exactly as bytes.Compare does.
 type source struct {
 	id    int
 	next  Cursor
 	key   []byte
 	value []byte
+	k     sim.Key
 }
 
 // advance loads the cursor's next pair into the source's buffers.
 func (s *source) advance() (err error) {
 	s.key, s.value, err = s.next(s.key, s.value)
+	s.k = sim.KeyOf(s.key)
 	return err
 }
 
@@ -53,8 +57,8 @@ type sourceHeap []*source
 
 func (h sourceHeap) Len() int { return len(h) }
 func (h sourceHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].key, h[j].key); c != 0 {
-		return c < 0
+	if h[i].k != h[j].k {
+		return h[i].k.Less(h[j].k)
 	}
 	return h[i].id < h[j].id
 }

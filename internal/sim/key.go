@@ -29,15 +29,6 @@ func KeyOf(k []byte) Key {
 	return key
 }
 
-// AppendBytes appends the key k holds to b: all of it for a key of at most 16
-// bytes, the first 16 bytes of a longer one.
-func (k Key) AppendBytes(b []byte) []byte {
-	var w [16]byte
-	binary.BigEndian.PutUint64(w[:], k.W0)
-	binary.BigEndian.PutUint64(w[8:], k.W1)
-	return append(b, w[:min(k.N, len(w))]...)
-}
-
 // prefix packs the first eight bytes of k big-endian, zero-padded.
 func prefix(k []byte) uint64 {
 	if len(k) >= 8 {

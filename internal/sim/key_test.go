@@ -133,15 +133,3 @@ func TestKeyHashMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// A key of at most 16 bytes is held whole, so AppendBytes gives back exactly
-// the bytes KeyOf took, trailing zero bytes included; a longer key gives back
-// its first 16.
-func TestKeyAppendBytesRoundTrip(t *testing.T) {
-	for _, k := range append(keysUpTo(3, []byte{0, 'a', 0xFF}), []byte("abcdefgh\x00"), make([]byte, 16), []byte("abcdefghijklmnop"), []byte("abcdefghijklmnopq")) {
-		want := k[:min(len(k), 16)]
-		if got := KeyOf(k).AppendBytes([]byte("x")); !bytes.Equal(got[1:], want) || got[0] != 'x' {
-			t.Fatalf("KeyOf(%x).AppendBytes appends %x, want %x", k, got[1:], want)
-		}
-	}
-}
