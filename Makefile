@@ -54,26 +54,16 @@ server-smoke:
 modelcheck:
 	$(GO) test -run 'TestModelCheck|TestCrashSweep|TestFaultRaceSharded|TestChaosUnderLoad' -count=1 -timeout 600s .
 
-# Determinism of the CLI-only chains. (Every experiment's own two-run diff is
-# the tier-1 test TestEveryExperimentRunsAndRepeats in internal/bench.)
-# (1) a captured trace analyzed twice must produce byte-identical attribution
-# CSV; (2) recording a scenario twice must produce byte-identical trace files;
-# (3) a recorded trace replayed against a fresh stack must produce a
-# byte-identical Prometheus exposition to the live run — the replay-fidelity
-# acceptance check; (4) `trace stat` must parse what `record` wrote.
+# The determinism gate: every producer of a simulated artifact (each registry
+# experiment, the expositions and series, the trace JSONL, the blame CSV, the
+# batch and scenario drives, record against replay, and the CLI's analyze and
+# trace subcommands) runs twice in process and must publish byte-identical
+# files; record and replay must publish the same files. It is three tier-1
+# tests: TestDeterminism (root package and cmd/bandslim-cli, a new producer
+# is one more row), TestReplayEquivalence (root) and internal/bench's
+# TestEveryExperimentRunsAndRepeats (one subtest per registry ID).
 determinism:
-	rm -rf .determinism && mkdir .determinism
-	$(GO) run ./cmd/bandslim-bench -trace-jsonl .determinism/trace.jsonl -shards 2 -scale 1000 -seed 42
-	$(GO) run ./cmd/bandslim-cli analyze -csv .determinism/blame1.csv -top 0 .determinism/trace.jsonl > /dev/null
-	$(GO) run ./cmd/bandslim-cli analyze -csv .determinism/blame2.csv -top 0 .determinism/trace.jsonl > /dev/null
-	diff -u .determinism/blame1.csv .determinism/blame2.csv
-	$(GO) run ./cmd/bandslim-cli trace record -scenario mixed -records 300 -ops 1000 -seed 42 -o .determinism/run1.trace -metrics-out .determinism/live.prom > /dev/null
-	$(GO) run ./cmd/bandslim-cli trace record -scenario mixed -records 300 -ops 1000 -seed 42 -o .determinism/run2.trace > /dev/null
-	diff -u .determinism/run1.trace .determinism/run2.trace
-	$(GO) run ./cmd/bandslim-cli trace replay -metrics-out .determinism/replay.prom .determinism/run1.trace > /dev/null
-	diff -u .determinism/live.prom .determinism/replay.prom
-	$(GO) run ./cmd/bandslim-cli trace stat .determinism/run1.trace > /dev/null
-	rm -rf .determinism
+	$(GO) test -count=1 -run '^(TestDeterminism|TestReplayEquivalence|TestEveryExperimentRunsAndRepeats)$$' . ./internal/bench ./cmd/bandslim-cli
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
 # cursor, the MemTable against a sorted reference, the compaction merge
@@ -117,7 +107,7 @@ artifacts:
 	$(call artifacts,results)
 
 # Artifact gate: regenerate into a scratch directory and require each file to
-# be byte-identical to its committed copy. The determinism gates only diff run
+# be byte-identical to its committed copy. The determinism gate only diffs run
 # against run; this one catches a committed artifact going stale. The blame
 # and cache sweeps also hard-fail on their own invariants (zero attribution
 # residual; hot-read p99 at least 3x better than cache-off).

@@ -221,43 +221,3 @@ func TestGetBatchSparse(t *testing.T) {
 	check("DB", db.GetBatchSparse)
 	check("sharded DB", s.GetBatchSparse)
 }
-
-// TestBatchPathDeterminism replays the same batched workload twice and
-// requires byte-identical exported metrics: the batch fast path must not
-// introduce any run-to-run nondeterminism into simulated time.
-func TestBatchPathDeterminism(t *testing.T) {
-	run := func() (string, string) {
-		s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-			Shards:   4,
-			PerShard: bandslim.DefaultConfig(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		keys, values := batchKV(300)
-		for round := 0; round < 3; round++ {
-			if err := s.PutBatch(keys, values); err != nil {
-				t.Fatal(err)
-			}
-			getAll(t, s, keys, nil)
-		}
-		var prom bytes.Buffer
-		if err := s.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		var csv bytes.Buffer
-		if err := bandslim.WriteSeriesCSV(&csv, s.Series()); err != nil {
-			t.Fatal(err)
-		}
-		return prom.String(), csv.String()
-	}
-	prom1, csv1 := run()
-	prom2, csv2 := run()
-	if prom1 != prom2 {
-		t.Error("batched workload: WritePrometheus output differs between identical runs")
-	}
-	if csv1 != csv2 {
-		t.Error("batched workload: WriteSeriesCSV output differs between identical runs")
-	}
-}

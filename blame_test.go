@@ -141,33 +141,23 @@ func TestBlameResidualZeroAcrossDepths(t *testing.T) {
 	}
 }
 
-// Two identical runs must render byte-identical CSV and breakdown output —
-// the property `make determinism` checks on the CLI's analyze output.
-func TestBlameOutputsDeterministic(t *testing.T) {
-	capture := func() ([]byte, []byte) {
-		s := openBlameSharded(t, 8)
-		blameWorkload(t, s)
-		rep := s.Blame()
-		var csv, brk bytes.Buffer
-		if err := WriteBlameCSV(&csv, rep); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBlameBreakdown(&brk, rep, 5); err != nil {
-			t.Fatal(err)
-		}
-		return csv.Bytes(), brk.Bytes()
+// DeterminismBlame renders blameWorkload's attribution CSV and breakdown: a
+// row of TestDeterminism, the library side of the CLI's analyze row.
+func DeterminismBlame(t *testing.T) map[string][]byte {
+	s := openBlameSharded(t, 8)
+	blameWorkload(t, s)
+	rep := s.Blame()
+	var csv, brk bytes.Buffer
+	if err := WriteBlameCSV(&csv, rep); err != nil {
+		t.Fatal(err)
 	}
-	csv1, brk1 := capture()
-	csv2, brk2 := capture()
-	if !bytes.Equal(csv1, csv2) {
-		t.Error("identical runs produced different blame CSV")
+	if err := WriteBlameBreakdown(&brk, rep, 5); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(brk1, brk2) {
-		t.Error("identical runs produced different blame breakdown")
+	if !strings.HasPrefix(csv.String(), "op,stage,count,total_ns,share,mean_ns,p50_ns,p99_ns,max_ns\n") {
+		t.Errorf("CSV header mismatch: %q", strings.SplitN(csv.String(), "\n", 2)[0])
 	}
-	if !strings.HasPrefix(string(csv1), "op,stage,count,total_ns,share,mean_ns,p50_ns,p99_ns,max_ns\n") {
-		t.Errorf("CSV header mismatch: %q", strings.SplitN(string(csv1), "\n", 2)[0])
-	}
+	return map[string][]byte{"blame.csv": csv.Bytes(), "breakdown": brk.Bytes()}
 }
 
 // A trace written to JSONL and read back must analyze to the identical
@@ -380,29 +370,6 @@ func TestTraceStatsAndPrometheusSurface(t *testing.T) {
 	}
 	if st := db.Stats(); st.Trace != (TraceStats{}) {
 		t.Errorf("untraced Stats reports trace health %+v", st.Trace)
-	}
-}
-
-// Satellite: WriteServerPrometheus must be byte-deterministic for equal
-// inputs — two identical runs of a serving process diff clean.
-func TestWriteServerPrometheusDeterministic(t *testing.T) {
-	stats := ServerStats{
-		Accepted: 12, Active: 3, Ping: 7, Set: 100, Get: 250, Del: 4,
-		MSet: 9, MGet: 31, Scan: 2, Info: 1, Other: 5,
-		Errors: 6, Stalls: 2, BytesIn: 123456, BytesOut: 654321,
-	}
-	var a, b bytes.Buffer
-	if err := WriteServerPrometheus(&a, stats); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteServerPrometheus(&b, stats); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() == 0 {
-		t.Fatal("empty server exposition")
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("identical ServerStats produced different exposition")
 	}
 }
 

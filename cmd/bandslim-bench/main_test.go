@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bandslim"
 	"bandslim/internal/bench"
 )
 
@@ -63,6 +64,27 @@ func TestPointsExperimentWritesOnlyJSON(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "qd.csv")); !os.IsNotExist(err) {
 		t.Fatalf("qd.csv written beside BENCH_qd.json (stat err %v)", err)
+	}
+}
+
+// -trace-jsonl writes bench.CaptureTrace's events as JSONL, the input of
+// bandslim-cli analyze.
+func TestTraceJSONLWritesCapture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	var out bytes.Buffer
+	if err := run([]string{"-trace-jsonl", path, "-shards", "2", "-scale", "1000", "-seed", "42"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	events, err := bench.CaptureTrace(bench.Options{Scale: 1000, Seed: 42}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := bandslim.WriteTraceJSONL(&want, events); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("-trace-jsonl wrote %d bytes (%v), want the %d-byte capture", len(got), err, want.Len())
 	}
 }
 

@@ -18,59 +18,49 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"bandslim/internal/fault"
 )
 
-func runFaults(args []string) {
-	fs := flag.NewFlagSet("faults", flag.ExitOnError)
+func (c *cli) faults(args []string) error {
+	fs := flag.NewFlagSet("faults", flag.ContinueOnError)
 	salt := fs.Uint64("salt", 0, "injector salt (= shard id; 0 for a one-shard DB)")
 	maxOcc := fs.Int("max-occ", 100, "resolve each rule over its first N in-window site occurrences")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bandslim-cli faults [-salt N] [-max-occ N] <plan-file|->")
-		fs.PrintDefaults()
+	if err := c.parse(fs, args, "bandslim-cli faults [-salt N] [-max-occ N] <plan-file|->", 1); err != nil {
+		return err
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+	if *maxOcc < 1 {
+		return fmt.Errorf("%w: -max-occ %d (want >= 1)", errUsage, *maxOcc)
 	}
-	if fs.NArg() != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	var (
-		text []byte
-		err  error
-	)
-	if name := fs.Arg(0); name == "-" {
-		text, err = io.ReadAll(os.Stdin)
-	} else {
-		text, err = os.ReadFile(name)
-	}
+	var text []byte
+	err := c.readArg(fs.Arg(0), func(r io.Reader) (err error) {
+		text, err = io.ReadAll(r)
+		return err
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bandslim-cli: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	plan, err := fault.ParsePlan(string(text))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bandslim-cli: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("plan: seed=%d rules=%d salt=%d\n", plan.Seed, len(plan.Rules), *salt)
+	out := c.out
+	fmt.Fprintf(out, "plan: seed=%d rules=%d salt=%d\n", plan.Seed, len(plan.Rules), *salt)
 	schedule := plan.Resolve(*salt, *maxOcc)
 	for i, r := range plan.Rules {
-		fmt.Printf("rule %d: %s\n", i, fault.FormatRule(r))
+		fmt.Fprintf(out, "rule %d: %s\n", i, fault.FormatRule(r))
 		switch {
 		case r.At != 0:
-			fmt.Printf("  fires at simulated instant (time-armed), not on an occurrence index\n")
+			fmt.Fprintf(out, "  fires at simulated instant (time-armed), not on an occurrence index\n")
 		case len(schedule[i]) == 0:
-			fmt.Printf("  no firings in the first %d occurrences\n", *maxOcc)
+			fmt.Fprintf(out, "  no firings in the first %d occurrences\n", *maxOcc)
 		default:
-			fmt.Printf("  fires on occurrence")
+			fmt.Fprintf(out, "  fires on occurrence")
 			for _, n := range schedule[i] {
-				fmt.Printf(" %d", n)
+				fmt.Fprintf(out, " %d", n)
 			}
-			fmt.Printf(" (of first %d)\n", *maxOcc)
+			fmt.Fprintf(out, " (of first %d)\n", *maxOcc)
 		}
 	}
+	return nil
 }

@@ -31,8 +31,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,40 +44,125 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "faults" {
-		runFaults(os.Args[2:])
-		return
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		runAnalyze(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		runTrace(os.Args[2:])
-		return
-	}
-	var (
-		methodName = flag.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
-		policyName = flag.String("policy", "backfill", "packing policy: block|all|select|backfill")
-		intervalUs = flag.Int64("metrics-interval-us", 100, "simulated metrics sampling interval, µs (0 disables the sampler)")
-		metricsOut = flag.String("metrics-out", "", "write the final Prometheus exposition here on exit")
-		seriesOut  = flag.String("series-out", "", "write the sampled metric series CSV here on exit")
-	)
-	flag.Parse()
+}
 
+// errUsage marks a usage or flag error: main exits 2 on it, 1 on any other.
+var errUsage = errors.New("usage")
+
+// cli carries the streams every subcommand reads and prints to.
+type cli struct {
+	in       io.Reader
+	out, log io.Writer
+}
+
+// run is the whole command: a subcommand when args[0] names one, else the
+// interactive shell over stdin. Every failure comes back as the error; -h
+// is a success.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	c := &cli{in: stdin, out: stdout, log: stderr}
+	sub := ""
+	if len(args) > 0 {
+		sub = args[0]
+	}
+	var err error
+	switch sub {
+	case "faults":
+		err = c.faults(args[1:])
+	case "analyze":
+		err = c.analyze(args[1:])
+	case "trace":
+		err = c.trace(args[1:])
+	default:
+		err = c.shell(args)
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	return err
+}
+
+// parse parses a subcommand's flags, printing usage and flag errors to the
+// log, and requires nargs positional arguments.
+func (c *cli) parse(fs *flag.FlagSet, args []string, usage string, nargs int) error {
+	fs.SetOutput(c.log)
+	fs.Usage = func() {
+		fmt.Fprintln(c.log, "usage:", usage)
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() != nargs {
+		fs.Usage()
+		return fmt.Errorf("%w: %s takes %d argument(s), got %d", errUsage, fs.Name(), nargs, fs.NArg())
+	}
+	return nil
+}
+
+// readArg hands read the file named by an input argument, "-" meaning stdin.
+func (c *cli) readArg(name string, read func(io.Reader) error) error {
+	if name == "-" {
+		return read(c.in)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return read(f)
+}
+
+// writeFile renders into path and reports the path, plus note, on human.
+func writeFile(human io.Writer, path, note string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(human, "wrote %s%s\n", path, note)
+	return nil
+}
+
+// shell runs the interactive shell over c.in, then the exports its flags ask
+// for.
+func (c *cli) shell(args []string) error {
+	fs := flag.NewFlagSet("bandslim-cli", flag.ContinueOnError)
+	var (
+		methodName = fs.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
+		policyName = fs.String("policy", "backfill", "packing policy: block|all|select|backfill")
+		intervalUs = fs.Int64("metrics-interval-us", 100, "simulated metrics sampling interval, µs (0 disables the sampler)")
+		metricsOut = fs.String("metrics-out", "", "write the final Prometheus exposition here on exit")
+		seriesOut  = fs.String("series-out", "", "write the sampled metric series CSV here on exit")
+	)
+	if err := c.parse(fs, args, "bandslim-cli [flags] | faults | analyze | trace ...", 0); err != nil {
+		return err
+	}
 	method, err := bandslim.ParseMethod(*methodName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	policy, err := bandslim.ParsePolicy(*policyName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if *seriesOut != "" && *intervalUs <= 0 {
-		fmt.Fprintln(os.Stderr, "bandslim-cli: -series-out needs -metrics-interval-us > 0")
-		os.Exit(1)
+		return errors.New("-series-out needs -metrics-interval-us > 0")
 	}
 	cfg := bandslim.DefaultConfig()
 	cfg.Method = method
@@ -85,110 +172,93 @@ func main() {
 	}
 	db, err := bandslim.Open(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	// LIFO: Close runs first so the exports include the final flush
-	// (Series and WritePrometheus stay usable after Close).
-	defer exportMetrics(db, *metricsOut, *seriesOut)
-	defer db.Close()
 
-	fmt.Printf("bandslim-cli: %v transfer, %v packing. Type 'help'.\n", method, policy)
-	sc := bufio.NewScanner(os.Stdin)
+	fmt.Fprintf(c.out, "bandslim-cli: %v transfer, %v packing. Type 'help'.\n", method, policy)
+	sc := bufio.NewScanner(c.in)
 	for {
-		fmt.Printf("[t=%v] > ", db.Now())
+		fmt.Fprintf(c.out, "[t=%v] > ", db.Now())
 		if !sc.Scan() {
 			break
 		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if done := dispatch(db, fields); done {
+		if fields := strings.Fields(sc.Text()); len(fields) > 0 && c.dispatch(db, fields) {
 			break
 		}
 	}
-}
-
-// exportMetrics writes the session's final exposition and sampled series,
-// sharing the exporters (and file shapes) with bandslim-bench.
-func exportMetrics(db *bandslim.DB, metricsOut, seriesOut string) {
-	writeTo := func(path string, write func(f *os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-			return
-		}
-		if err := write(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-			return
-		}
-		fmt.Println("wrote", path)
+	// Close first so the exports include the final flush (Series and
+	// WritePrometheus stay usable after Close).
+	if err := db.Close(); err != nil {
+		return err
 	}
-	if metricsOut != "" {
-		writeTo(metricsOut, func(f *os.File) error { return db.WritePrometheus(f) })
+	if *metricsOut != "" {
+		if err := writeFile(c.out, *metricsOut, "", db.WritePrometheus); err != nil {
+			return err
+		}
 	}
-	if seriesOut != "" {
-		writeTo(seriesOut, func(f *os.File) error {
-			return bandslim.WriteSeriesCSV(f, db.Series())
+	if *seriesOut != "" {
+		err := writeFile(c.out, *seriesOut, "", func(w io.Writer) error {
+			return bandslim.WriteSeriesCSV(w, db.Series())
 		})
+		if err != nil {
+			return err
+		}
 	}
+	return sc.Err()
 }
 
 // dispatch executes one command line; it reports whether the shell should
 // exit.
-func dispatch(db *bandslim.DB, fields []string) bool {
+func (c *cli) dispatch(db *bandslim.DB, fields []string) bool {
+	out := c.out
 	switch fields[0] {
 	case "put":
 		if len(fields) != 3 {
-			fmt.Println("usage: put <key> <value>")
+			fmt.Fprintln(out, "usage: put <key> <value>")
 			return false
 		}
 		if err := db.Put([]byte(fields[1]), []byte(fields[2])); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 	case "putn":
 		if len(fields) != 3 {
-			fmt.Println("usage: putn <key> <bytes>")
+			fmt.Fprintln(out, "usage: putn <key> <bytes>")
 			return false
 		}
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n < 0 {
-			fmt.Println("bad size:", fields[2])
+			fmt.Fprintln(out, "bad size:", fields[2])
 			return false
 		}
 		if err := db.Put([]byte(fields[1]), make([]byte, n)); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 	case "get":
 		if len(fields) != 2 {
-			fmt.Println("usage: get <key>")
+			fmt.Fprintln(out, "usage: get <key>")
 			return false
 		}
 		v, err := db.Get([]byte(fields[1]))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return false
 		}
 		if len(v) > 64 {
-			fmt.Printf("%q... (%d bytes)\n", v[:64], len(v))
+			fmt.Fprintf(out, "%q... (%d bytes)\n", v[:64], len(v))
 		} else {
-			fmt.Printf("%q\n", v)
+			fmt.Fprintf(out, "%q\n", v)
 		}
 	case "del":
 		if len(fields) != 2 {
-			fmt.Println("usage: del <key>")
+			fmt.Fprintln(out, "usage: del <key>")
 			return false
 		}
 		if err := db.Delete([]byte(fields[1])); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 	case "scan":
 		if len(fields) < 2 {
-			fmt.Println("usage: scan <start> [n]")
+			fmt.Fprintln(out, "usage: scan <start> [n]")
 			return false
 		}
 		limit := 10
@@ -199,24 +269,24 @@ func dispatch(db *bandslim.DB, fields []string) bool {
 		}
 		it, err := db.NewIterator([]byte(fields[1]))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return false
 		}
 		for i := 0; i < limit && it.Valid(); i++ {
 			v := it.Value()
 			if len(v) > 32 {
-				fmt.Printf("  %q = %q... (%d bytes)\n", it.Key(), v[:32], len(v))
+				fmt.Fprintf(out, "  %q = %q... (%d bytes)\n", it.Key(), v[:32], len(v))
 			} else {
-				fmt.Printf("  %q = %q\n", it.Key(), v)
+				fmt.Fprintf(out, "  %q = %q\n", it.Key(), v)
 			}
 			it.Next()
 		}
 		if it.Err() != nil {
-			fmt.Println("scan error:", it.Err())
+			fmt.Fprintln(out, "scan error:", it.Err())
 		}
 	case "flush":
 		if err := db.Flush(); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 	case "compact":
 		pages := 16
@@ -227,31 +297,31 @@ func dispatch(db *bandslim.DB, fields []string) bool {
 		}
 		n, err := db.CompactVLog(pages)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return false
 		}
-		fmt.Printf("relocated %d live values; vLog free: %d KiB\n", n, db.VLogFreeBytes()/1024)
+		fmt.Fprintf(out, "relocated %d live values; vLog free: %d KiB\n", n, db.VLogFreeBytes()/1024)
 	case "stats":
-		if err := db.WritePrometheus(os.Stdout); err != nil {
-			fmt.Println("error:", err)
+		if err := db.WritePrometheus(out); err != nil {
+			fmt.Fprintln(out, "error:", err)
 		}
 	case "info":
 		id, err := db.Identify()
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return false
 		}
-		fmt.Printf("%s (serial %s)\n", id.Model, id.Serial)
-		fmt.Printf("capacity %d MiB (vLog %d MiB), %d ch x %d way, %d B pages\n",
+		fmt.Fprintf(out, "%s (serial %s)\n", id.Model, id.Serial)
+		fmt.Fprintf(out, "capacity %d MiB (vLog %d MiB), %d ch x %d way, %d B pages\n",
 			id.CapacityBytes>>20, id.VLogBytes>>20, id.Channels, id.WaysPerChannel, id.NANDPageSize)
-		fmt.Printf("packing %s, inline %d/%d B, KV command set: %v\n",
+		fmt.Fprintf(out, "packing %s, inline %d/%d B, KV command set: %v\n",
 			id.PackingPolicy, id.InlineWriteBytes, id.InlineXferBytes, id.KVCommandSet)
 	case "help":
-		fmt.Println("commands: put putn get del scan flush compact info stats help quit")
+		fmt.Fprintln(out, "commands: put putn get del scan flush compact info stats help quit")
 	case "quit", "exit":
 		return true
 	default:
-		fmt.Println("unknown command; try 'help'")
+		fmt.Fprintln(out, "unknown command; try 'help'")
 	}
 	return false
 }

@@ -14,14 +14,13 @@ package main
 // through the identical execution engine on an identically configured fresh
 // stack: because the simulation is deterministic, the replayed run's Stats
 // and Prometheus exposition are byte-identical to the recorded run's
-// (-metrics-out on both sides makes that diffable — `make determinism` does
-// exactly that). `stat` summarizes a trace without running it.
+// (-metrics-out on both sides makes that diffable; TestDeterminism diffs
+// them). `stat` summarizes a trace without running it.
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -31,22 +30,19 @@ import (
 	"bandslim/internal/workload"
 )
 
-func runTrace(args []string) {
+func (c *cli) trace(args []string) error {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: bandslim-cli trace record|replay|stat ...")
-		os.Exit(2)
+		return fmt.Errorf("%w: bandslim-cli trace record|replay|stat ...", errUsage)
 	}
 	switch args[0] {
 	case "record":
-		runTraceRecord(args[1:])
+		return c.traceRecord(args[1:])
 	case "replay":
-		runTraceReplay(args[1:])
+		return c.traceReplay(args[1:])
 	case "stat":
-		runTraceStat(args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "bandslim-cli: unknown trace action %q (want record, replay, or stat)\n", args[0])
-		os.Exit(2)
+		return c.traceStat(args[1:])
 	}
+	return fmt.Errorf("%w: unknown trace action %q (want record, replay, or stat)", errUsage, args[0])
 }
 
 // traceStack opens the fixed stack configuration record and replay share:
@@ -58,54 +54,33 @@ func traceStack(shards int) (*bandslim.DB, error) {
 	return bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 }
 
-// writeExposition renders the stack's final Prometheus exposition, shared
-// by record and replay so the two files are diffable. Progress messages go
-// to human, which is stderr when the trace itself is being streamed to
-// stdout.
-func writeExposition(db *bandslim.DB, path string, human io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(human, "wrote", path)
-	return nil
-}
-
-// driveAndReport runs a scenario, closes the stack, and exports artifacts.
+// driveAndReport runs a scenario, closes the stack, and writes its final
+// exposition to metricsOut, so that record's and replay's files are
+// diffable. Progress messages go to human, which is stderr when the trace
+// itself is being streamed to stdout.
 func driveAndReport(db *bandslim.DB, s workload.Scenario, seed uint64,
-	rec *workload.Trace, metricsOut string, human io.Writer) {
+	rec *workload.Trace, metricsOut string, human io.Writer) error {
 	res, err := bench.DriveScenario(db, s, seed, rec)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		db.Close()
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := db.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
-	if err := writeExposition(db, metricsOut, human); err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+	if metricsOut != "" {
+		if err := writeFile(human, metricsOut, "", db.WritePrometheus); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(human, "%s: %d ops (%d reads, %d updates, %d scans, %d rmws, %d deletes), "+
 		"%d misses, %.1f KiB written, %.3f ms simulated, %.1f sim Kops\n",
 		s.Name(), res.Ops, res.Reads, res.Updates, res.Scans, res.RMWs, res.Deletes,
 		res.Misses, float64(res.BytesWritten)/1024, res.Elapsed.Micros()/1000, res.SimKops())
+	return nil
 }
 
-func runTraceRecord(args []string) {
-	fs := flag.NewFlagSet("trace record", flag.ExitOnError)
+func (c *cli) traceRecord(args []string) error {
+	fs := flag.NewFlagSet("trace record", flag.ContinueOnError)
 	scenario := fs.String("scenario", "a", "scenario: a..f, ycsb-a..ycsb-f, or mixed")
 	records := fs.Int("records", 1000, "initial keyspace size (load-phase inserts)")
 	ops := fs.Int("ops", 2000, "run-phase operations")
@@ -113,16 +88,12 @@ func runTraceRecord(args []string) {
 	shards := fs.Int("shards", 1, "shard count")
 	out := fs.String("o", "", "trace output path (- for stdout); required")
 	metricsOut := fs.String("metrics-out", "", "write the live run's Prometheus exposition here")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bandslim-cli trace record -scenario a -o trace.out [flags]")
-		fs.PrintDefaults()
+	if err := c.parse(fs, args, "bandslim-cli trace record -scenario a -o trace.out [flags]", 0); err != nil {
+		return err
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if *out == "" || fs.NArg() != 0 {
+	if *out == "" {
 		fs.Usage()
-		os.Exit(2)
+		return fmt.Errorf("%w: trace record needs -o", errUsage)
 	}
 	s, err := workload.NewScenario(*scenario, workload.ScenarioConfig{
 		Records: *records,
@@ -130,104 +101,66 @@ func runTraceRecord(args []string) {
 		Seed:    *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+		return err
 	}
 	db, err := traceStack(*shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+		return err
 	}
 	// When the trace streams to stdout, human-readable progress must not
 	// pollute it — a piped `record -o - | replay -` would otherwise choke
 	// on the summary line.
-	human := io.Writer(os.Stdout)
+	human := c.out
 	if *out == "-" {
-		human = os.Stderr
+		human = c.log
 	}
 	var tr workload.Trace
-	driveAndReport(db, s, *seed, &tr, *metricsOut, human)
-	w := io.Writer(os.Stdout)
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(human, "wrote %s (%d ops)\n", *out, len(tr.Ops))
-		}()
-		w = f
+	if err := driveAndReport(db, s, *seed, &tr, *metricsOut, human); err != nil {
+		return err
 	}
-	if err := workload.WriteTrace(w, &tr); err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+	render := func(w io.Writer) error { return workload.WriteTrace(w, &tr) }
+	if *out == "-" {
+		return render(c.out)
 	}
+	return writeFile(human, *out, fmt.Sprintf(" (%d ops)", len(tr.Ops)), render)
 }
 
-// readTraceArg parses the one trace-file argument ("-" = stdin).
-func readTraceArg(fs *flag.FlagSet) *workload.Trace {
-	if fs.NArg() != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	var (
-		r   io.Reader
-		err error
-	)
-	if name := fs.Arg(0); name == "-" {
-		r = os.Stdin
-	} else {
-		f, ferr := os.Open(name)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "bandslim-cli:", ferr)
-			os.Exit(1)
-		}
-		defer f.Close()
-		r = f
-	}
-	tr, err := workload.ParseTrace(r)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
-	return tr
+// readTrace parses the trace file named by an input argument.
+func (c *cli) readTrace(name string) (tr *workload.Trace, err error) {
+	err = c.readArg(name, func(r io.Reader) error {
+		tr, err = workload.ParseTrace(r)
+		return err
+	})
+	return tr, err
 }
 
-func runTraceReplay(args []string) {
-	fs := flag.NewFlagSet("trace replay", flag.ExitOnError)
+func (c *cli) traceReplay(args []string) error {
+	fs := flag.NewFlagSet("trace replay", flag.ContinueOnError)
 	shards := fs.Int("shards", 1, "shard count (must match the recorded run's)")
 	metricsOut := fs.String("metrics-out", "", "write the replayed run's Prometheus exposition here")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bandslim-cli trace replay [-shards K] [-metrics-out out.prom] <trace|->")
-		fs.PrintDefaults()
+	if err := c.parse(fs, args, "bandslim-cli trace replay [-shards K] [-metrics-out out.prom] <trace|->", 1); err != nil {
+		return err
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+	tr, err := c.readTrace(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-	tr := readTraceArg(fs)
 	db, err := traceStack(*shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
+		return err
 	}
-	driveAndReport(db, workload.NewReplay(tr), tr.Seed, nil, *metricsOut, os.Stdout)
+	return driveAndReport(db, workload.NewReplay(tr), tr.Seed, nil, *metricsOut, c.out)
 }
 
-func runTraceStat(args []string) {
-	fs := flag.NewFlagSet("trace stat", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bandslim-cli trace stat <trace|->")
-		fs.PrintDefaults()
+func (c *cli) traceStat(args []string) error {
+	fs := flag.NewFlagSet("trace stat", flag.ContinueOnError)
+	if err := c.parse(fs, args, "bandslim-cli trace stat <trace|->", 1); err != nil {
+		return err
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+	tr, err := c.readTrace(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-	tr := readTraceArg(fs)
 	var (
 		counts [5]int
 		keys   = map[string]struct{}{}
@@ -240,7 +173,7 @@ func runTraceStat(args []string) {
 			bytes += int64(op.N)
 		}
 	}
-	fmt.Printf("trace: v%d, seed %d, %d ops\n", workload.TraceVersion, tr.Seed, len(tr.Ops))
+	fmt.Fprintf(c.out, "trace: v%d, seed %d, %d ops\n", workload.TraceVersion, tr.Seed, len(tr.Ops))
 	var kinds []string
 	for k, n := range counts {
 		if n > 0 {
@@ -248,6 +181,7 @@ func runTraceStat(args []string) {
 		}
 	}
 	sort.Strings(kinds)
-	fmt.Printf("  ops: %s\n", strings.Join(kinds, " "))
-	fmt.Printf("  distinct keys: %d, payload bytes: %d\n", len(keys), bytes)
+	fmt.Fprintf(c.out, "  ops: %s\n", strings.Join(kinds, " "))
+	fmt.Fprintf(c.out, "  distinct keys: %d, payload bytes: %d\n", len(keys), bytes)
+	return nil
 }

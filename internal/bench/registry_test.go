@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -34,11 +36,13 @@ func published(t *testing.T, id string, o Options) (Result, map[string][]byte) {
 	return res, files
 }
 
-// TestEveryExperimentRunsAndRepeats is the determinism gate: every ID the
-// registry lists runs through Run, produces the tables it should, and
-// publishes byte-identical artifacts when run again with the same options —
-// nothing host-side (scheduling, map order, wall clock) may leak into a
-// simulated result.
+// TestEveryExperimentRunsAndRepeats is the registry's part of the
+// determinism gate (the root package's TestDeterminism holds every other
+// producer): every ID the registry lists runs through Run, produces the
+// tables it should, and publishes byte-identical artifacts when run again
+// with the same options — nothing host-side (scheduling, map order, wall
+// clock) may leak into a simulated result. A suite runs once: its CSVs must
+// be its members' first-run CSVs, concatenated in registry order.
 func TestEveryExperimentRunsAndRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -49,35 +53,60 @@ func TestEveryExperimentRunsAndRepeats(t *testing.T) {
 	tables := map[string]int{"fig3": 2, "fig4": 2, "fig10": 4, "fig12": 4, "thresholds": 2, "all": 15, "ablations": 10}
 	withPoints := map[string]bool{"qd": true, "blame": true, "cache": true, "ycsb": true}
 	o := Options{Scale: 300, Seed: 42}
+	csv := map[string]string{} // member → its first run's CSVs, concatenated
 	seen := map[string]bool{}
-	for _, id := range Experiments() {
-		if seen[id] {
-			t.Fatalf("experiment id %s listed twice", id)
+	for _, e := range registry {
+		if seen[e.id] {
+			t.Fatalf("experiment id %s listed twice", e.id)
 		}
-		seen[id] = true
-		t.Run(id, func(t *testing.T) {
-			res, first := published(t, id, o)
-			want := tables[id]
-			if want == 0 {
-				want = 1
-			}
-			if len(res.Tables) != want {
+		seen[e.id] = true
+		t.Run(e.id, func(t *testing.T) {
+			res, first := published(t, e.id, o)
+			if want := max(tables[e.id], 1); len(res.Tables) != want {
 				t.Fatalf("produced %d tables, want %d", len(res.Tables), want)
 			}
-			if (res.Points != nil) != withPoints[id] {
-				t.Fatalf("points published = %v, want %v", res.Points != nil, withPoints[id])
+			if (res.Points != nil) != withPoints[e.id] {
+				t.Fatalf("points published = %v, want %v", res.Points != nil, withPoints[e.id])
 			}
-			_, second := published(t, id, o)
+			var got strings.Builder
+			for _, tb := range res.Tables {
+				got.WriteString(tb.CSV())
+			}
+			if e.run == nil {
+				var want strings.Builder
+				for _, m := range registry {
+					if m.suite == e.id {
+						want.WriteString(csv[m.id])
+					}
+				}
+				if got.String() != want.String() {
+					t.Errorf("CSVs are not the members' in registry order: %s", firstDiff(want.String(), got.String()))
+				}
+				return
+			}
+			csv[e.id] = got.String()
+			_, second := published(t, e.id, o)
 			if len(first) != len(second) {
 				t.Fatalf("published %d files, then %d", len(first), len(second))
 			}
 			for name, a := range first {
-				if !bytes.Equal(a, second[name]) {
-					t.Errorf("%s differs between two identical runs:\n%s\n---\n%s", name, a, second[name])
+				if b := second[name]; !bytes.Equal(a, b) {
+					t.Errorf("%s differs between two identical runs: %s", name, firstDiff(string(a), string(b)))
 				}
 			}
 		})
 	}
+}
+
+// firstDiff quotes the line at which b first departs from a.
+func firstDiff(a, b string) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	start := strings.LastIndexByte(a[:i], '\n') + 1
+	lineOf := func(s string) string { s, _, _ = strings.Cut(s[start:], "\n"); return s }
+	return fmt.Sprintf("line %d: %q, then %q", strings.Count(a[:i], "\n")+1, lineOf(a), lineOf(b))
 }
 
 // The submission window's point: throughput climbs and doorbell traffic

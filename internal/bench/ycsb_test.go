@@ -9,7 +9,7 @@ import (
 	"bandslim/internal/workload"
 )
 
-// mixedScenario builds the all-kinds scenario the drive tests use.
+// mixedScenario builds the all-kinds scenario the record-replay test drives.
 func mixedScenario(t *testing.T, seed uint64) workload.Scenario {
 	t.Helper()
 	s, err := workload.NewScenario("mixed", workload.ScenarioConfig{Records: 150, Ops: 400, Seed: seed})
@@ -65,29 +65,6 @@ func TestDriveScenarioRecordReplay(t *testing.T) {
 			t.Fatalf("shards=%d: replay diverged from live run:\nlive   %+v\nreplay %+v",
 				shards, live, replay)
 		}
-	}
-}
-
-// TestDriveScenarioDeterminism re-runs the same scenario on fresh stacks and
-// expects bit-identical results and recorded traces.
-func TestDriveScenarioDeterminism(t *testing.T) {
-	run := func() (ScenarioResult, string) {
-		db := openDrive(t, 1)
-		defer closeDrive(t, db)
-		var tr workload.Trace
-		res, err := DriveScenario(db, mixedScenario(t, 4), 4, &tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, workload.FormatTrace(&tr)
-	}
-	resA, trA := run()
-	resB, trB := run()
-	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("results diverged:\n%+v\n%+v", resA, resB)
-	}
-	if trA != trB {
-		t.Fatal("recorded traces diverged across identical runs")
 	}
 }
 

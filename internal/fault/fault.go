@@ -300,8 +300,8 @@ type ScheduleEntry struct {
 // which occurrences fire, per rule. Time-armed (At) rules resolve to an empty
 // list — their firing point is a simulated instant, not an occurrence index.
 // The result is the exact schedule the Injector produces when every
-// occurrence lands inside the rule's window. Like NewInjector, it takes a
-// validated plan.
+// occurrence lands inside the rule's window; maxOcc <= 0 resolves to empty
+// schedules. Like NewInjector, it takes a validated plan.
 func (p *Plan) Resolve(salt uint64, maxOcc int) [][]uint64 {
 	in := NewInjector(p, salt)
 	out := make([][]uint64, len(p.Rules))
@@ -310,9 +310,9 @@ func (p *Plan) Resolve(salt uint64, maxOcc int) [][]uint64 {
 		if rs.At != 0 {
 			continue
 		}
-		for n := uint64(1); n <= uint64(maxOcc); n++ {
+		for n := 1; n <= maxOcc; n++ {
 			if rs.step(rs.From) {
-				out[i] = append(out[i], n)
+				out[i] = append(out[i], uint64(n))
 			}
 		}
 	}

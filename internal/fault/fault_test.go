@@ -225,4 +225,11 @@ func TestResolveMatchesInjector(t *testing.T) {
 			t.Errorf("rule %d: injector fired %v, Resolve said %v", ri, got, sched[ri])
 		}
 	}
+	// A bound below one resolves no occurrence rather than wrapping around.
+	first := &Plan{Rules: []Rule{{Site: SiteNandErase, Effect: EffectMedia, Nth: 1}}}
+	for _, bound := range []int{0, -1} {
+		if s := first.Resolve(3, bound); len(s[0]) != 0 {
+			t.Errorf("Resolve(3, %d) fires on %v", bound, s[0])
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Aggregation and rendering over reconstructed operations: per-opcode ×
 // per-stage histograms, the top-K slowest-op forensics list, the critical-
 // path digest, and the deterministic table/CSV writers the CLI and the
-// `make determinism` gate consume.
+// TestDeterminism gate consume.
 package spans
 
 import (
@@ -160,7 +160,7 @@ func formatFloat(v float64) string {
 // an e2e row followed by one row per stage, per op kind in first-observation
 // order. share is the stage's fraction of the kind's total latency; the
 // distribution columns come from the stage histograms. Deterministic:
-// `make determinism` diffs this byte-for-byte.
+// TestDeterminism diffs this byte-for-byte.
 func WriteCSV(w io.Writer, r *Report) error {
 	a := Summarize(r)
 	bw := bufio.NewWriter(w)

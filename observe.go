@@ -120,7 +120,7 @@ func BlameCriticalPaths(r *BlameReport) []BlameCriticalPath {
 }
 
 // WriteBlameCSV writes the per-op-kind × per-stage breakdown as a CSV table.
-// Byte-deterministic for identical runs (`make determinism` diffs it).
+// Byte-deterministic for identical runs (TestDeterminism diffs it).
 func WriteBlameCSV(w io.Writer, r *BlameReport) error { return spans.WriteCSV(w, r) }
 
 // WriteBlameBreakdown writes the human-readable attribution report: stage

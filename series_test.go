@@ -94,34 +94,22 @@ func TestSeriesRecordsTrajectory(t *testing.T) {
 	}
 }
 
-func TestExportsDeterministic(t *testing.T) {
-	capture := func() ([]byte, []byte) {
-		db := openSmall(t, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
-		metricsWorkload(t, db.Put, db.Get, db.Flush)
-		var prom bytes.Buffer
-		if err := db.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		var csv bytes.Buffer
-		if err := WriteSeriesCSV(&csv, db.Series()); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return prom.Bytes(), csv.Bytes()
+// DeterminismExports renders metricsWorkload's exposition and series CSV: a
+// row of TestDeterminism.
+func DeterminismExports(t *testing.T) map[string][]byte {
+	db := openSmall(t, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
+	metricsWorkload(t, db.Put, db.Get, db.Flush)
+	var prom, csv bytes.Buffer
+	if err := db.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
 	}
-	p1, c1 := capture()
-	p2, c2 := capture()
-	if len(p1) == 0 || len(c1) == 0 {
-		t.Fatal("exports are empty")
+	if err := WriteSeriesCSV(&csv, db.Series()); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(p1, p2) {
-		t.Fatal("same-seed runs produced different Prometheus exposition")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Fatal("same-seed runs produced different series CSV")
-	}
+	return map[string][]byte{"exposition": prom.Bytes(), "series.csv": csv.Bytes()}
 }
 
 func TestShardedCountersSumAcrossShards(t *testing.T) {
