@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench-smoke golden server-smoke modelcheck fuzz-smoke determinism artifacts artifacts-check compaction benchmark-check ci
+.PHONY: all build test race vet fmt bench-smoke golden modelcheck fuzz-smoke determinism artifacts artifacts-check compaction benchmark-check ci
 
 all: build
 
@@ -36,14 +36,6 @@ SMOKE_FLAGS = -shards 2 -scale 1000 -seed 42 -metrics-interval-us 100
 # metrics change.
 golden:
 	$(GO) run ./cmd/bandslim-bench $(SMOKE_FLAGS) -metrics-out results/golden/bench_smoke.prom -series-out results/golden/bench_smoke_series.csv
-
-# Server smoke: boot bandslim-server on a loopback port, drive
-# PING/SET/GET/DEL/MSET/MGET/INFO and a pipelined SET/GET/MGET burst through a
-# real client connection, and require a
-# clean drain — the end-to-end check on the RESP front-end. Runs with the
-# serving cache profile so the tiered read path is exercised end to end.
-server-smoke:
-	$(GO) run ./cmd/bandslim-server -smoke -quiet -trace 65536 -cache serving -pprof 127.0.0.1:0
 
 # Model-based differential harness + crash-consistency sweep: 1000+ seeded
 # op sequences against an in-memory reference model, with and without fault
@@ -130,4 +122,4 @@ compaction:
 benchmark-check:
 	cd benchmark && $(GO) test ./...
 
-ci: fmt build vet test race bench-smoke server-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke
+ci: fmt build vet test race bench-smoke modelcheck determinism artifacts-check benchmark-check fuzz-smoke

@@ -28,18 +28,18 @@
 // match, on its own listener otherwise). -trace N attaches per-shard trace
 // rings of N events: INFO grows a # Trace section with ring health and the
 // live latency-attribution headline, and /metrics gains the blame families.
+// Every address is bound before anything is served, and lifecycle lines,
+// each bound address among them, go to stderr.
 //
 // SIGINT/SIGTERM (or the SHUTDOWN command) stop accepting, drain in-flight
-// commands, close every connection, and then close the DB.
-//
-// -smoke runs a self-test instead of serving: start the server on a
-// loopback port, drive PING/SET/GET/DEL/MSET/MGET/INFO and one pipelined
-// SET/GET/MGET burst through a client connection, shut down cleanly, and exit
-// non-zero on any mismatch.
+// commands, close every connection, and then close the DB. The exit status
+// is 0 after a clean drain, 2 for a usage or flag error, and 1 for any other
+// failure (an address that cannot be bound among them).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,13 +49,29 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"bandslim"
-	"bandslim/internal/resp"
 	"bandslim/internal/server"
 )
+
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bandslim-server:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a usage or flag error: main exits 2 on it, 1 on any other.
+var errUsage = errors.New("usage")
 
 // registerPprof mounts the net/http/pprof handlers on a non-default mux, so
 // profiling shares (or avoids) the metrics listener per the -pprof flag.
@@ -65,28 +81,6 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-func main() {
-	var (
-		addr          = flag.String("addr", ":6379", "TCP listen address")
-		shards        = flag.Int("shards", 4, "simulated device shards")
-		window        = flag.Int("window", server.DefaultWindow, "per-connection burst window: most commands one burst executes")
-		method        = flag.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
-		cacheProfile  = flag.String("cache", "off", "read cache: off|serving|lru|2q (serving = 4MiB device-DRAM value cache + 64-page cache; a policy name uses the serving profile with that eviction policy)")
-		metricsListen = flag.String("metrics-listen", "", "serve /metrics on this address (empty: off)")
-		pprofListen   = flag.String("pprof", "", "serve net/http/pprof on this address (empty: off; reuses -metrics-listen's mux when equal)")
-		traceCap      = flag.Int("trace", 0, "per-shard trace ring capacity in events (0: tracing off; enables INFO blame and /metrics blame families)")
-		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight commands at shutdown")
-		smoke         = flag.Bool("smoke", false, "run a loopback self-test and exit")
-		quiet         = flag.Bool("quiet", false, "suppress lifecycle logging")
-	)
-	flag.Parse()
-
-	if err := run(*addr, *shards, *window, *method, *cacheProfile, *metricsListen, *pprofListen, *traceCap, *drainTimeout, *smoke, *quiet); err != nil {
-		fmt.Fprintf(os.Stderr, "bandslim-server: %v\n", err)
-		os.Exit(1)
-	}
 }
 
 // parseCache maps the -cache flag to a cache config: off, the serving
@@ -107,12 +101,39 @@ func parseCache(name string) (bandslim.CacheConfig, error) {
 	return cc, nil
 }
 
-func run(addr string, shards, window int, method, cacheProfile, metricsListen, pprofListen string, traceCap int, drainTimeout time.Duration, smoke, quiet bool) error {
-	m, err := bandslim.ParseMethod(method)
+// run is the whole command: it serves until ctx is cancelled or a client
+// sends SHUTDOWN, drains, and returns nil. Every failure comes back as the
+// error; -h is a success.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bandslim-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr          = fs.String("addr", ":6379", "TCP listen address")
+		shards        = fs.Int("shards", 4, "simulated device shards")
+		window        = fs.Int("window", server.DefaultWindow, "per-connection burst window: most commands one burst executes")
+		method        = fs.String("method", "adaptive", "transfer method: baseline|piggyback|hybrid|adaptive")
+		cacheProfile  = fs.String("cache", "off", "read cache: off|serving|lru|2q (serving = 4MiB device-DRAM value cache + 64-page cache; a policy name uses the serving profile with that eviction policy)")
+		metricsListen = fs.String("metrics-listen", "", "serve /metrics on this address (empty: off)")
+		pprofListen   = fs.String("pprof", "", "serve net/http/pprof on this address (empty: off; reuses -metrics-listen's mux when equal)")
+		traceCap      = fs.Int("trace", 0, "per-shard trace ring capacity in events (0: tracing off; enables INFO blame and /metrics blame families)")
+		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight commands at shutdown")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
+	}
+
+	m, err := bandslim.ParseMethod(*method)
 	if err != nil {
 		return err
 	}
-	cc, err := parseCache(cacheProfile)
+	cc, err := parseCache(*cacheProfile)
 	if err != nil {
 		return err
 	}
@@ -123,38 +144,57 @@ func run(addr string, shards, window int, method, cacheProfile, metricsListen, p
 	// concurrency of the simulated NAND array). A window of 1 degenerates to
 	// the paper's synchronous testbed. INFO reports the policy under
 	// submission_*.
-	cfg.Submission = bandslim.WindowedSubmission(min(window, 32))
+	cfg.Submission = bandslim.WindowedSubmission(min(*window, 32))
 	cfg.Cache = cc
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-		Shards:        shards,
+		Shards:        *shards,
 		PerShard:      cfg,
-		TraceCapacity: traceCap,
+		TraceCapacity: *traceCap,
 	})
 	if err != nil {
 		return err
 	}
 	defer db.Close()
 
-	logf := func(format string, args ...any) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	logf := func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
+	srv, err := server.New(server.Config{DB: db, Window: *window, Logf: logf})
+	if err != nil {
+		return err
+	}
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("-addr: %w", err)
+	}
+	defer ln.Close()
+	var httpServers []*http.Server
+	var httpWG sync.WaitGroup
+	defer func() {
+		for _, h := range httpServers {
+			h.Close()
 		}
+		httpWG.Wait()
+	}()
+	// serveHTTP binds flagAddr before serving mux there, so an address that
+	// cannot be bound fails the command instead of a background goroutine.
+	serveHTTP := func(flagName, flagAddr, path string, mux *http.ServeMux) error {
+		hl, err := net.Listen("tcp", flagAddr)
+		if err != nil {
+			return fmt.Errorf("-%s: %w", flagName, err)
+		}
+		h := &http.Server{Handler: mux}
+		httpServers = append(httpServers, h)
+		httpWG.Add(1)
+		go func() {
+			defer httpWG.Done()
+			if err := h.Serve(hl); !errors.Is(err, http.ErrServerClosed) {
+				logf("bandslim-server: %s: %v", path, err)
+			}
+		}()
+		logf("bandslim-server: serving %s on %s", path, hl.Addr())
+		return nil
 	}
-	srv, err := server.New(server.Config{DB: db, Window: window, Logf: logf})
-	if err != nil {
-		return err
-	}
-
-	if smoke {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-
-	var msrv *http.Server
-	if metricsListen != "" {
+	if *metricsListen != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -162,133 +202,37 @@ func run(addr string, shards, window int, method, cacheProfile, metricsListen, p
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
-		if pprofListen == metricsListen {
+		if *pprofListen == *metricsListen {
 			registerPprof(mux)
 		}
-		msrv = &http.Server{Addr: metricsListen, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logf("bandslim-server: metrics listener: %v", err)
-			}
-		}()
-		defer msrv.Close()
+		if err := serveHTTP("metrics-listen", *metricsListen, "/metrics", mux); err != nil {
+			return err
+		}
 	}
-	if pprofListen != "" && pprofListen != metricsListen {
+	if *pprofListen != "" && *pprofListen != *metricsListen {
 		mux := http.NewServeMux()
 		registerPprof(mux)
-		psrv := &http.Server{Addr: pprofListen, Handler: mux}
-		go func() {
-			if err := psrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logf("bandslim-server: pprof listener: %v", err)
-			}
-		}()
-		defer psrv.Close()
+		if err := serveHTTP("pprof", *pprofListen, "/debug/pprof/", mux); err != nil {
+			return err
+		}
 	}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	if smoke {
-		err := runSmoke(ln.Addr().String(), traceCap > 0)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if serr := srv.Shutdown(ctx); err == nil {
-			err = serr
-		}
-		if serr := <-serveErr; err == nil {
-			err = serr
-		}
-		if err == nil {
-			fmt.Println("server smoke: ok")
-		}
-		return err
-	}
-
-	// Serve until a signal or the SHUTDOWN command stops us.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	// Serve until ctx is cancelled or the SHUTDOWN command closes the
+	// listener; either way the drain finishes before the DB closes.
+	var serveErr error
+	served := make(chan struct{})
+	go func() {
+		serveErr = srv.Serve(ln)
+		close(served)
+	}()
 	select {
-	case sig := <-sigs:
-		logf("bandslim-server: %v, draining", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		return <-serveErr
-	case err := <-serveErr:
-		// Serve returned on its own: accept failure, or SHUTDOWN command
-		// (which runs the drain itself before Serve returns).
-		return err
+	case <-ctx.Done():
+		logf("bandslim-server: stopping, draining")
+	case <-served:
 	}
-}
-
-// runSmoke drives one client session over loopback and checks every reply
-// byte for byte. With tracing on it also requires INFO's # Trace section:
-// ring health plus the latency-attribution headline reconstructed from the
-// live ring.
-func runSmoke(addr string, traced bool) error {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer nc.Close()
-	w := resp.NewWriter(nc)
-	// exchange sends cmds in one write and requires the replies to be want.
-	exchange := func(want string, cmds ...[]string) error {
-		for _, args := range cmds {
-			w.Array(len(args))
-			for _, a := range args {
-				w.BulkString(a)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		got := make([]byte, len(want))
-		if _, err := io.ReadFull(nc, got); err != nil {
-			return fmt.Errorf("%v: %w", cmds, err)
-		}
-		if string(got) != want {
-			return fmt.Errorf("%v: replied %q, want %q", cmds, got, want)
-		}
-		return nil
-	}
-	for _, st := range []struct {
-		want string
-		cmds [][]string
-	}{
-		{"+PONG\r\n", [][]string{{"PING"}}},
-		{"+OK\r\n", [][]string{{"SET", "smoke-key", "smoke-value"}}},
-		{"$11\r\nsmoke-value\r\n", [][]string{{"GET", "smoke-key"}}},
-		{"$-1\r\n", [][]string{{"GET", "no-such-key"}}},
-		{":1\r\n", [][]string{{"DEL", "smoke-key"}}},
-		{"+OK\r\n", [][]string{{"MSET", "smoke-m1", "m1-value", "smoke-m2", "m2-value"}}},
-		{"*2\r\n$8\r\nm1-value\r\n$-1\r\n", [][]string{{"MGET", "smoke-m1", "no-such-key"}}},
-		// One pipelined write, which the server can serve as one burst: a
-		// write run, then a read run.
-		{"+OK\r\n$7\r\nb-value\r\n*2\r\n$8\r\nm1-value\r\n$7\r\nb-value\r\n",
-			[][]string{{"SET", "smoke-b", "b-value"}, {"GET", "smoke-b"}, {"MGET", "smoke-m1", "smoke-b"}}},
-	} {
-		if err := exchange(st.want, st.cmds...); err != nil {
-			return err
-		}
-	}
-
-	w.Array(1)
-	w.BulkString("INFO")
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	rep, err := resp.NewReader(nc).ReadReply()
-	if err != nil {
-		return fmt.Errorf("INFO: %w", err)
-	}
-	info := string(rep.Str)
-	if rep.Kind != resp.KindBulk || !strings.Contains(info, "sim_time_ns:") ||
-		traced && !(strings.Contains(info, "trace_buffered:") && strings.Contains(info, "blame_ops:")) {
-		return fmt.Errorf("INFO: unexpected reply %+v (%q)", rep, rep.Str)
-	}
-	return nil
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
+	defer cancel()
+	err = srv.Shutdown(dctx)
+	<-served
+	return errors.Join(serveErr, err)
 }

@@ -84,6 +84,32 @@ func ExampleDB_Stats() {
 	// reduction: 98.5%
 }
 
+// A sharded DB spreads keys over independent simulated devices by hash:
+// ShardStats reads one shard's counters, and Stats folds every shard's.
+func ExampleDB_ShardStats() {
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 4, PerShard: bandslim.DefaultConfig()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	for i := 0; i < 1000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		fmt.Printf("shard %d: %d puts\n", i, db.ShardStats(i).Host.Puts)
+	}
+	fmt.Println("all shards:", db.Stats().Host.Puts)
+	// Output:
+	// shard 0: 256 puts
+	// shard 1: 245 puts
+	// shard 2: 267 puts
+	// shard 3: 232 puts
+	// all shards: 1000
+}
+
 // PutBatch ships bulk ingest as batched OpKVBatchWrite commands and flushes
 // before it returns, so one call amortizes command round trips without the
 // volatile host window of Dotori/KV-CSD-style batching.

@@ -128,6 +128,8 @@ type Server struct {
 	// the critical section is tiny).
 	latMu sync.Mutex
 	lat   [numCounted]*metrics.Histogram
+
+	doneOnce sync.Once // logs the first drain to finish; a later Shutdown logs nothing
 }
 
 // New validates cfg and returns an unstarted server.
@@ -284,7 +286,7 @@ func (s *Server) shutdown(ctx context.Context, fromWatcher bool) error {
 	if !fromWatcher {
 		s.serveWG.Wait()
 	}
-	s.logf("server: shut down (%d connections served)", s.accepted.Load())
+	s.doneOnce.Do(func() { s.logf("server: shut down (%d connections served)", s.accepted.Load()) })
 	return err
 }
 

@@ -196,13 +196,19 @@ type MetricSeries = timeseries.Series
 // max-gauges take the max, mean-gauges average, and latency histograms merge
 // bucket-exactly. It is empty (Len() == 0) unless Config.MetricsInterval was
 // set at open. The series remains readable after Close and includes the final
-// flush.
+// flush. Its samples may share slices with the sampler's history: treat them
+// as read-only.
 func (db *DB) Series() MetricSeries {
 	if db.shards[0].sampler == nil {
 		return MetricSeries{}
 	}
 	parts := make([]timeseries.Series, len(db.shards))
 	db.peek(func(i int, sh *dbShard) { parts[i] = sh.sampler.Series() })
+	if len(parts) == 1 {
+		// The merge of one series is the identity: every fold, the weighted
+		// mean included, passes a lone reading through.
+		return parts[0]
+	}
 	return timeseries.MergeSeries(parts...)
 }
 
@@ -241,8 +247,12 @@ func writeExposition(w io.Writer, descs []timeseries.Desc, snap timeseries.Snaps
 // DB.WritePrometheus to form one valid exposition; embedded runs that never
 // call it keep byte-identical exporter output.
 func WriteServerPrometheus(w io.Writer, s ServerStats) error {
-	snap := timeseries.Snapshot{Values: rowValues(serverRows, &Stats{Server: s}, nil)}
-	return timeseries.WritePrometheus(w, "bandslim", serverDescs, snap, nil)
+	st := Stats{Server: s}
+	values := make([]float64, len(serverRows))
+	for i, r := range serverRows {
+		values[i] = float64(*r.field(&st))
+	}
+	return timeseries.WritePrometheus(w, "bandslim", serverDescs, timeseries.Snapshot{Values: values}, nil)
 }
 
 // WriteSeriesCSV writes a metric series as one CSV table: a t_us time axis,

@@ -3,9 +3,11 @@ package bandslim
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"bandslim/internal/sim"
+	"bandslim/internal/timeseries"
 )
 
 // metricsWorkload drives enough mixed-size PUTs and GETs to advance the
@@ -110,6 +112,30 @@ func DeterminismExports(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{"exposition": prom.Bytes(), "series.csv": csv.Bytes()}
+}
+
+// A one-shard DB's Series is its sampler's series as it is, and skipping
+// the merge moves no exported byte.
+func TestOneShardSeriesIsTheSamplers(t *testing.T) {
+	db := openSmall(t, func(c *Config) { c.MetricsInterval = 50 * sim.Microsecond })
+	metricsWorkload(t, db.Put, db.Get, db.Flush)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := db.Series(), db.shards[0].sampler.Series()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("one-shard Series differs from the sampler's series")
+	}
+	var direct, merged bytes.Buffer
+	if err := WriteSeriesCSV(&direct, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSeriesCSV(&merged, timeseries.MergeSeries(want)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), merged.Bytes()) {
+		t.Fatal("the series CSV differs with and without the one-shard merge")
+	}
 }
 
 func TestShardedCountersSumAcrossShards(t *testing.T) {

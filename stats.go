@@ -151,41 +151,19 @@ type Stats struct {
 	Trace    TraceStats
 }
 
-// Stats aggregates a point-in-time snapshot across the shards: counters and
-// byte ledgers sum exactly, latency distributions merge exactly (see
-// metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
-// BufferUtil is the flush-weighted mean, as in the exposition and the series. Shards are snapshotted one after
-// another, each under its own lock. It stays readable after Close.
+// Stats aggregates a point-in-time snapshot across the shards. Each row folds
+// by its Desc.Agg, as in the exposition and the series: counters and byte
+// ledgers sum exactly, Elapsed (the sim_time_ns gauge) is the max over shard
+// clocks, and BufferUtil is the flush-weighted mean; the response latency
+// distributions merge exactly (see metrics.Histogram.Merge). Shards are
+// snapshotted one after another, each under its own lock. It stays readable
+// after Close.
 func (db *DB) Stats() Stats {
-	if len(db.shards) == 1 {
-		// One shard: the merge is the identity (and skips the weighted-mean
-		// rounding below).
-		return db.ShardStats(0)
-	}
-	var out Stats
-	write, read := metrics.NewHistogram(), metrics.NewHistogram()
-	var utils, flushes []float64
-	db.peek(func(_ int, sh *dbShard) {
-		p := stackStats(sh.st)
-		write.Merge(sh.st.Drv.Stats().WriteResponse)
-		read.Merge(sh.st.Drv.Stats().ReadResponse)
-		for _, r := range stackRows {
-			if r.field != nil {
-				*r.field(&out) += *r.field(&p)
-			}
-		}
-		out.Host.Elapsed = max(out.Host.Elapsed, p.Host.Elapsed)
-		// VLogFlushes is the page buffer's flushed-page count: the weight of
-		// the shard's BufferUtil.
-		utils = append(utils, p.Device.BufferUtil)
-		flushes = append(flushes, float64(p.Device.VLogFlushes))
-	})
-	out.Host.WriteResp = latencySummary(write)
-	out.Host.ReadResp = latencySummary(read)
-	out.Host.ThroughputKops = throughputKops(out.Host)
-	out.Device.BufferUtil = timeseries.WeightedMean(utils, flushes)
-	out.Trace = db.rings.health()
-	return out
+	snaps := make([]timeseries.Snapshot, len(db.shards))
+	db.peek(func(i int, sh *dbShard) { snaps[i] = snapshot(sh.st, stackRows) })
+	s := foldStats(snaps)
+	s.Trace = db.rings.health()
+	return s
 }
 
 // ShardStats snapshots shard i's counters (for per-shard balance checks),
@@ -195,27 +173,43 @@ func (db *DB) ShardStats(i int) Stats {
 	sh := db.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s := stackStats(sh.st)
+	s := foldStats([]timeseries.Snapshot{snapshot(sh.st, stackRows)})
 	s.Trace = sh.rings.health()
 	return s
 }
 
-// stackStats flattens one stack's counters into a Stats: every row's field,
-// then the handful of fields that are not plain sums. The caller holds the
-// mutex that serializes access to the stack.
-func stackStats(st *shard.Stack) Stats {
+// stackDescs is stackRows' descriptor column. simTimeCol and bufferUtilCol
+// locate the two gauges a Stats carries as Host.Elapsed and
+// Device.BufferUtil.
+var (
+	stackDescs    = rowDescs(stackRows)
+	simTimeCol    = slices.IndexFunc(stackDescs, func(d timeseries.Desc) bool { return d.Name == "sim_time_ns" })
+	bufferUtilCol = slices.IndexFunc(stackDescs, func(d timeseries.Desc) bool { return d.Name == "buffer_util" })
+)
+
+// foldStats folds per-shard snapshots of stackRows into a Stats through
+// timeseries.MergeSnapshots, so each metric's fold is the one its row
+// declares: every row's field, then the fields derived from a gauge or a
+// merged histogram.
+func foldStats(snaps []timeseries.Snapshot) Stats {
+	snap := timeseries.MergeSnapshots(stackDescs, snaps)
 	var s Stats
-	for _, r := range stackRows {
+	for i, r := range stackRows {
 		if r.field != nil {
-			*r.field(&s) = r.read(st)
+			*r.field(&s) = int64(snap.Values[i])
 		}
 	}
-	ds := st.Drv.Stats()
-	s.Host.WriteResp = latencySummary(ds.WriteResponse)
-	s.Host.ReadResp = latencySummary(ds.ReadResponse)
-	s.Host.Elapsed = st.Clock.Now().Sub(0)
+	s.Host.Elapsed = sim.Duration(snap.Values[simTimeCol])
+	s.Device.BufferUtil = snap.Values[bufferUtilCol]
+	for _, h := range snap.Hists {
+		switch h.Key {
+		case timeseries.HistKey{Name: "write_response_ns"}:
+			s.Host.WriteResp = latencySummary(h.H)
+		case timeseries.HistKey{Name: "read_response_ns"}:
+			s.Host.ReadResp = latencySummary(h.H)
+		}
+	}
 	s.Host.ThroughputKops = throughputKops(s.Host)
-	s.Device.BufferUtil = st.Dev.Buffer().Utilization()
 	return s
 }
 
@@ -228,8 +222,8 @@ func throughputKops(h HostStats) float64 {
 }
 
 // row declares one scalar metric, once: its exposition descriptor, where its
-// value lives in a Stats, and how it is read off a live stack. stackStats, the
-// shard merge, the sampler snapshot and the exposition are loops over rows, so
+// value lives in a Stats, and how it is read off a live stack. The sampler
+// snapshot, the shard fold behind Stats and the exposition are loops over rows, so
 // adding a metric is a Stats field plus one row (DESIGN.md §5.3); a field left
 // without a row fails TestEveryStatsFieldHasOneRow.
 type row struct {
@@ -258,19 +252,6 @@ func counter(name, help string, field func(*Stats) *int64, read func(*shard.Stac
 
 func gauge(name string, agg timeseries.Agg, help string, field func(*Stats) *int64, live func(*shard.Stack) float64) row {
 	return row{Desc: gaugeDesc(name, agg, help), field: field, live: live}
-}
-
-// rowValues reads rows in order: a row's Stats field, else its live gauge.
-func rowValues(rows []row, s *Stats, st *shard.Stack) []float64 {
-	values := make([]float64, len(rows))
-	for i, r := range rows {
-		if r.field != nil {
-			values[i] = float64(*r.field(s))
-		} else {
-			values[i] = r.live(st)
-		}
-	}
-	return values
 }
 
 // rowDescs is the rows' descriptor column, in order.
@@ -539,13 +520,19 @@ var histHelp = map[string]string{
 	"put_method_response_ns": "PUT response time by chosen transfer method, ns.",
 }
 
-// snapshot reads a stack's full metric state as a timeseries snapshot: the
-// rows' scalars (the flattened Stats tree and the live gauges) and
-// clones of every latency histogram. The caller holds the shard's lock (the
-// sampler calls it from inside an operation).
+// snapshot reads a stack's full metric state as a timeseries snapshot: each
+// row's scalar, read straight off the stack, and clones of every latency
+// histogram. The caller holds the shard's lock (the sampler calls it from
+// inside an operation).
 func snapshot(st *shard.Stack, rows []row) timeseries.Snapshot {
-	s := stackStats(st)
-	values := rowValues(rows, &s, st)
+	values := make([]float64, len(rows))
+	for i, r := range rows {
+		if r.read != nil {
+			values[i] = float64(r.read(st))
+		} else {
+			values[i] = r.live(st)
+		}
+	}
 	ds := st.Drv.Stats()
 	hists := []timeseries.Hist{
 		{Key: timeseries.HistKey{Name: "write_response_ns"}, H: ds.WriteResponse.Clone()},
