@@ -1,13 +1,13 @@
 package bandslim_test
 
-// Benchmark harness: one testing.B benchmark per paper table/figure (each
-// regenerates the experiment at reduced scale and reports the headline
-// series as custom metrics), plus micro-benchmarks of the simulator's hot
-// paths. Run with:
+// Benchmark harness: BenchmarkExperiments regenerates every paper figure at
+// reduced scale (one sub-benchmark per figure, reporting its headline cells
+// as custom metrics), plus micro-benchmarks of the simulator's hot paths.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The per-figure benchmarks report simulated quantities via b.ReportMetric
+// The figure sub-benchmarks report simulated quantities via b.ReportMetric
 // (e.g. PCIe bytes per op, simulated response microseconds) so regressions
 // in the modelled behaviour are as visible as wall-clock regressions.
 
@@ -23,113 +23,57 @@ import (
 // benchScale keeps each figure regeneration to a few hundred ms.
 const benchScale = 2000
 
-func reportCells(b *testing.B, t *bench.Table, row, col, metric string, scale float64) {
-	b.Helper()
-	v, err := t.Cell(row, col)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(v*scale, metric)
+// figMetric is one custom metric of BenchmarkExperiments: the cell at (row,
+// col) of a table or, when base names a column, the percentage by which that
+// cell falls below base's cell in the same row.
+type figMetric struct {
+	name, table, row, col, base string
 }
 
-// BenchmarkFig3 regenerates Fig. 3: baseline PCIe traffic cascade and TAF.
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, taf, err := bench.RunFig3(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportCells(b, taf, "32", "TAF", "TAF32B", 1)
-			reportCells(b, a, "1", "response_us", "resp1K_us", 1)
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates Fig. 4: NAND I/O counts and WAF.
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, waf, err := bench.RunFig4(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportCells(b, waf, "32", "WAF", "WAF32B", 1)
-			reportCells(b, a, "16", "response_us", "resp16K_us", 1)
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Fig. 8: Baseline vs Piggyback transfer.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.RunFig8(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			bt, _ := t.Cell("32", "Baseline_traffic_GB")
-			pt, _ := t.Cell("32", "Piggyback_traffic_GB")
-			b.ReportMetric(100*(1-pt/bt), "traffic_reduction_%")
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates Fig. 9: hybrid transfer on over-page values.
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.RunFig9(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			bt, _ := t.Cell("32", "Baseline_traffic_GB")
-			ht, _ := t.Cell("32", "Hybrid_traffic_GB")
-			b.ReportMetric(100*(1-ht/bt), "traffic_reduction_%")
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates Fig. 10: transfer methods across W(B)..W(M).
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := bench.RunFig10(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportCells(b, tables[1], "Adaptive", "W(M)", "adaptiveWM_Kops", 1)
-			reportCells(b, tables[0], "Piggyback", "W(M)", "piggyWM_resp_us", 1)
-		}
-	}
-}
-
-// BenchmarkFig11 regenerates Fig. 11: fine-grained packing NAND reductions.
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.RunFig11(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			bn, _ := t.Cell("32", "Baseline_nand_io")
-			pn, _ := t.Cell("32", "Packing_nand_io")
-			b.ReportMetric(100*(1-pn/bn), "nand_reduction_%")
-		}
-	}
-}
-
-// BenchmarkFig12 regenerates Fig. 12: the four packing policies.
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := bench.RunFig12(bench.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportCells(b, tables[1], "Backfill", "W(B)", "backfillWB_Kops", 1)
-			reportCells(b, tables[1], "All", "W(C)", "allWC_Kops", 1)
-		}
+// BenchmarkExperiments regenerates each paper figure through bench.Run, one
+// sub-benchmark per registry ID, and reports the figure's headline cells.
+func BenchmarkExperiments(b *testing.B) {
+	for _, fig := range []struct {
+		id      string
+		metrics []figMetric
+	}{
+		{"fig3", []figMetric{{"TAF32B", "fig3b", "32", "TAF", ""}, {"resp1K_us", "fig3a", "1", "response_us", ""}}},
+		{"fig4", []figMetric{{"WAF32B", "fig4b", "32", "WAF", ""}, {"resp16K_us", "fig4a", "16", "response_us", ""}}},
+		{"fig8", []figMetric{{"traffic_reduction_%", "fig8", "32", "Piggyback_traffic_GB", "Baseline_traffic_GB"}}},
+		{"fig9", []figMetric{{"traffic_reduction_%", "fig9", "32", "Hybrid_traffic_GB", "Baseline_traffic_GB"}}},
+		{"fig10", []figMetric{{"adaptiveWM_Kops", "fig10b", "Adaptive", "W(M)", ""}, {"piggyWM_resp_us", "fig10a", "Piggyback", "W(M)", ""}}},
+		{"fig11", []figMetric{{"nand_reduction_%", "fig11", "32", "Packing_nand_io", "Baseline_nand_io"}}},
+		{"fig12", []figMetric{{"backfillWB_Kops", "fig12b", "Backfill", "W(B)", ""}, {"allWC_Kops", "fig12b", "All", "W(C)", ""}}},
+	} {
+		b.Run(fig.id, func(b *testing.B) {
+			var res bench.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = bench.Run(fig.id, bench.Options{Scale: benchScale}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cell := func(table, row, col string) float64 {
+				for _, t := range res.Tables {
+					if t.ID == table {
+						v, err := t.Cell(row, col)
+						if err != nil {
+							b.Fatal(err)
+						}
+						return v
+					}
+				}
+				b.Fatalf("%s published no table %s", fig.id, table)
+				return 0
+			}
+			for _, m := range fig.metrics {
+				v := cell(m.table, m.row, m.col)
+				if m.base != "" {
+					v = 100 * (1 - v/cell(m.table, m.row, m.base))
+				}
+				b.ReportMetric(v, m.name)
+			}
+		})
 	}
 }
 

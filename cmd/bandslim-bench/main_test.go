@@ -35,10 +35,11 @@ func TestTableExperimentWritesCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := bench.RunFig8(bench.Options{Scale: 200, Seed: 42})
+	res, err := bench.Run("fig8", bench.Options{Scale: 200, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := res.Tables[0]
 	if string(got) != tb.CSV() {
 		t.Fatalf("fig8.csv:\n%s\nwant:\n%s", got, tb.CSV())
 	}

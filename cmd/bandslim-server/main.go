@@ -129,6 +129,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
 	}
 
+	if *window < 1 {
+		return fmt.Errorf("-window %d: want at least 1", *window)
+	}
 	m, err := bandslim.ParseMethod(*method)
 	if err != nil {
 		return err

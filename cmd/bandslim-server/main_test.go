@@ -220,6 +220,7 @@ func TestBadArgumentsFailBeforeListening(t *testing.T) {
 		{[]string{"-method", "warp"}, false},
 		{[]string{"-cache", "huge"}, false},
 		{[]string{"-window", "-1"}, false},
+		{[]string{"-window", "0"}, false},
 		{[]string{"-shards", "0"}, false},
 	} {
 		var log logBuf

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"bandslim"
 	"bandslim/internal/nand"
@@ -14,36 +15,27 @@ import (
 // DLT sizing, buffer-entry cap, adaptive coefficients, NAND parallelism) and
 // quantifies its contribution.
 
-// RunAblationSGL compares PRP, SGL, and piggybacking across value sizes,
+// ablationSGL compares PRP, SGL, and piggybacking across value sizes,
 // reproducing the §2.5 argument for ruling SGL out: its setup cost only
 // amortizes above the Linux 32 KB sgl_threshold, far beyond KVS value sizes.
-func RunAblationSGL(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-sgl", Title: "Transfer Mechanisms: PRP vs SGL vs Piggyback (NAND off)",
-		XLabel: "value size (B)",
-		Columns: []string{
-			"PRP_traffic_KB_op", "SGL_traffic_KB_op", "Piggy_traffic_KB_op",
-			"PRP_resp_us", "SGL_resp_us", "Piggy_resp_us",
-		},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops per point", o.Scale),
-			"SGL beats PRP only above ~32KB (the Linux sgl_threshold, §2.5)",
-		},
+func ablationSGL(o Options) grid {
+	setups := []axis{method("PRP", bandslim.Baseline), method("SGL", bandslim.SGL), method("Piggy", bandslim.Piggyback)}
+	return grid{
+		xlabel: "value size (B)",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, false)},
+		rows:   fills(o, 64, 512, 4096, 8192, 16384, 32768, 49152),
+		setups: setups,
+		tables: []gridTable{{
+			id: "ablation-sgl", title: "Transfer Mechanisms: PRP vs SGL vs Piggyback (NAND off)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops per point", o.Scale),
+				"SGL beats PRP only above ~32KB (the Linux sgl_threshold, §2.5)",
+			},
+			cols: append(series(setups, "traffic_KB_op", func(r runResult) float64 {
+				return float64(r.Stats.PCIe.Bytes) / float64(r.Ops) / 1024
+			}), series(setups, "resp_us", respUs)...),
+		}},
 	}
-	for _, size := range []int{64, 512, 4096, 8192, 16384, 32768, 49152} {
-		var traffic, resp []float64
-		for _, m := range []bandslim.TransferMethod{bandslim.Baseline, bandslim.SGL, bandslim.Piggyback} {
-			res, err := runWith(workload.NewFillSeq(o.Scale, size), benchConfig(m, bandslim.Block, false))
-			if err != nil {
-				return nil, err
-			}
-			traffic = append(traffic, float64(res.Stats.PCIe.Bytes)/float64(res.Ops)/1024)
-			resp = append(resp, res.Stats.Host.WriteResp.Mean.Micros())
-		}
-		t.AddRow(sizeLabel(size), append(traffic, resp...)...)
-	}
-	return t, nil
 }
 
 // RunAblationBatch compares Dotori/KV-CSD-style host-side batching against
@@ -54,10 +46,8 @@ func RunAblationBatch(o Options) (*Table, error) {
 	o = o.normalized()
 	t := &Table{
 		ID: "ablation-batch", Title: "Host-side Batching vs BandSlim (W(M), NAND on)",
-		XLabel: "config",
-		Columns: []string{
-			"traffic_B_op", "mean_us_op", "Kops", "nand_pages", "at_risk_ops",
-		},
+		XLabel:  "config",
+		Columns: []string{"traffic_B_op", "mean_us_op", "Kops", "nand_pages", "at_risk_ops"},
 		Notes: []string{
 			fmt.Sprintf("scale=%d ops", o.Scale),
 			"at_risk_ops: peak records buffered volatile on the host (lost on power failure)",
@@ -84,13 +74,8 @@ func RunAblationBatch(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(row.label,
-			float64(res.Stats.PCIe.Bytes)/float64(res.Ops),
-			res.Stats.Host.WriteResp.Mean.Micros(),
-			res.Stats.Host.ThroughputKops,
-			float64(res.Stats.Device.NANDPageWrites),
-			0, // durable per PUT
-		)
+		// at_risk_ops is 0: durable per PUT.
+		t.AddRow(row.label, float64(res.Stats.PCIe.Bytes)/float64(res.Ops), respUs(res), kops(res), nandIO(res), 0)
 	}
 	return t, nil
 }
@@ -137,166 +122,126 @@ func batchPoint(o Options, batch int) ([]float64, error) {
 	}, nil
 }
 
-// RunAblationDLT sweeps the DMA Log Table capacity under W(B): a tiny DLT
+// ablationDLT sweeps the DMA Log Table capacity under W(B): a tiny DLT
 // retires entries early, abandoning backfillable gaps (§3.3.3 caps it at 512
 // to match the buffer entries).
-func RunAblationDLT(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-dlt", Title: "DMA Log Table Capacity (Backfill, W(B), NAND on)",
-		XLabel:  "DLT entries",
-		Columns: []string{"nand_pages", "backfill_jumps", "Kops"},
-		Notes:   []string{fmt.Sprintf("scale=%d ops", o.Scale), "paper sizes the DLT at 512 entries (§3.3.3)"},
+func ablationDLT(o Options) grid {
+	return grid{
+		xlabel: "DLT entries",
+		base:   point{seeded(o, workload.NewWorkloadB), headlineConfig()},
+		rows:   axes([]int{2, 8, 64, 512}, strconv.Itoa, func(p *point, n int) { p.cfg.Device.Buffer.DLTCap = n }),
+		tables: []gridTable{{
+			id: "ablation-dlt", title: "DMA Log Table Capacity (Backfill, W(B), NAND on)",
+			notes: []string{fmt.Sprintf("scale=%d ops", o.Scale), "paper sizes the DLT at 512 entries (§3.3.3)"},
+			cols: []column{
+				{"nand_pages", 0, nandIO},
+				{"backfill_jumps", 0, func(r runResult) float64 { return float64(r.Stats.Device.BackfillJumps) }},
+				{"Kops", 0, kops},
+			},
+		}},
 	}
-	for _, cap := range []int{2, 8, 64, 512} {
-		cfg := benchConfig(bandslim.Adaptive, bandslim.BackfillPacking, true)
-		cfg.Device.Buffer.DLTCap = cap
-		res, err := runWith(workload.NewWorkloadB(o.Scale, o.Seed), cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", cap),
-			float64(res.Stats.Device.NANDPageWrites),
-			float64(res.Stats.Device.BackfillJumps),
-			res.Stats.Host.ThroughputKops)
-	}
-	return t, nil
 }
 
-// RunAblationBuffer sweeps the NAND page buffer entry cap under the
-// DMA-heavy W(C): fewer open entries force fragmented flushes (the
-// constraint §4.3 blames for Backfill's W(C) dip).
-func RunAblationBuffer(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-buffer", Title: "NAND Page Buffer Entry Cap (Backfill, W(C), NAND on)",
-		XLabel:  "buffer entries",
-		Columns: []string{"nand_pages", "forced_flushes", "resp_us"},
-		Notes:   []string{fmt.Sprintf("scale=%d ops", o.Scale)},
+// ablationBuffer sweeps the NAND page buffer entry cap under the DMA-heavy
+// W(C): fewer open entries force fragmented flushes (the constraint §4.3
+// blames for Backfill's W(C) dip).
+func ablationBuffer(o Options) grid {
+	return grid{
+		xlabel: "buffer entries",
+		base:   point{seeded(o, workload.NewWorkloadC), headlineConfig()},
+		rows: axes([]int{8, 32, 128, 512}, strconv.Itoa, func(p *point, n int) {
+			p.cfg.Device.Buffer.MaxEntries, p.cfg.Device.Buffer.DLTCap = n, n
+		}),
+		tables: []gridTable{{
+			id: "ablation-buffer", title: "NAND Page Buffer Entry Cap (Backfill, W(C), NAND on)",
+			notes: []string{fmt.Sprintf("scale=%d ops", o.Scale)},
+			cols: []column{
+				{"nand_pages", 0, nandIO},
+				{"forced_flushes", 0, func(r runResult) float64 { return float64(r.Stats.Device.ForcedFlushes) }},
+				{"resp_us", 0, respUs},
+			},
+		}},
 	}
-	for _, entries := range []int{8, 32, 128, 512} {
-		cfg := benchConfig(bandslim.Adaptive, bandslim.BackfillPacking, true)
-		cfg.Device.Buffer.MaxEntries = entries
-		cfg.Device.Buffer.DLTCap = entries
-		res, err := runWith(workload.NewWorkloadC(o.Scale, o.Seed), cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", entries),
-			float64(res.Stats.Device.NANDPageWrites),
-			float64(res.Stats.Device.ForcedFlushes),
-			res.Stats.Host.WriteResp.Mean.Micros())
-	}
-	return t, nil
 }
 
-// RunAblationAlpha sweeps the α coefficient of the adaptive method on W(M):
+// ablationAlpha sweeps the α coefficient of the adaptive method on W(M):
 // larger α favours piggybacking (less traffic, more trailing-command
 // latency), the user-preference dial of §3.2.
-func RunAblationAlpha(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-alpha", Title: "Adaptive Coefficient α: traffic vs response (W(M), NAND off)",
-		XLabel:  "alpha",
-		Columns: []string{"traffic_MB", "resp_us", "inline_fraction"},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops; threshold1=128B", o.Scale),
-			"α>1 trades response time for PCIe traffic reduction (§3.2)",
-		},
+func ablationAlpha(o Options) grid {
+	return grid{
+		xlabel: "alpha",
+		base:   point{seeded(o, workload.NewWorkloadM), benchConfig(bandslim.Adaptive, bandslim.Block, false)},
+		rows: axes([]float64{0.25, 0.5, 1, 2, 4, 8}, func(a float64) string { return fmt.Sprintf("%.2f", a) },
+			func(p *point, a float64) { p.cfg.Thresholds.Alpha = a }),
+		tables: []gridTable{{
+			id: "ablation-alpha", title: "Adaptive Coefficient α: traffic vs response (W(M), NAND off)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops; threshold1=128B", o.Scale),
+				"α>1 trades response time for PCIe traffic reduction (§3.2)",
+			},
+			cols: []column{
+				{"traffic_MB", 0, func(r runResult) float64 { return mb(r.Stats.PCIe.Bytes) }},
+				{"resp_us", 0, respUs},
+				{"inline_fraction", 0, func(r runResult) float64 { return float64(r.Stats.Adaptive.Inline) / float64(r.Ops) }},
+			},
+		}},
 	}
-	for _, alpha := range []float64{0.25, 0.5, 1, 2, 4, 8} {
-		cfg := benchConfig(bandslim.Adaptive, bandslim.Block, false)
-		cfg.Thresholds.Alpha = alpha
-		res, err := runWith(workload.NewWorkloadM(o.Scale, o.Seed), cfg)
-		if err != nil {
-			return nil, err
-		}
-		inline := float64(res.Stats.Adaptive.Inline) / float64(res.Ops)
-		t.AddRow(fmt.Sprintf("%.2f", alpha),
-			mb(res.Stats.PCIe.Bytes),
-			res.Stats.Host.WriteResp.Mean.Micros(),
-			inline)
-	}
-	return t, nil
 }
 
-// RunAblationNAND sweeps the flash array's parallelism on a page-sized
+// ablationNAND sweeps the flash array's parallelism on a page-sized
 // fillseq: write responses are bound by the vLog's flush pipeline, so
 // channel/way counts shift the backpressure point.
-func RunAblationNAND(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-nand", Title: "NAND Parallelism (fillseq 16 KiB values, NAND on)",
-		XLabel:  "channels x ways",
-		Columns: []string{"resp_us", "Kops", "way_count"},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops", o.Scale),
-			"flat across geometries: the vLog flush pipeline issues one page at a",
-			"time (sequential append), so tPROG — not array parallelism — bounds",
-			"page-sized writes; this is why Fig. 4's responses are NAND-dominated",
-		},
+func ablationNAND(o Options) grid {
+	return grid{
+		xlabel: "channels x ways",
+		base:   point{fillSeq(o, 16*1024), benchConfig(bandslim.Baseline, bandslim.Block, true)},
+		rows: axes([][2]int{{1, 1}, {2, 2}, {4, 4}, {4, 8}, {8, 8}}, func(g [2]int) string { return fmt.Sprintf("%dx%d", g[0], g[1]) },
+			func(p *point, g [2]int) {
+				p.cfg.Device.Geometry = nand.Geometry{Channels: g[0], WaysPerChannel: g[1], BlocksPerWay: 256, PagesPerBlock: 128, PageSize: 16 * 1024}
+			}),
+		tables: []gridTable{{
+			id: "ablation-nand", title: "NAND Parallelism (fillseq 16 KiB values, NAND on)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops", o.Scale),
+				"flat across geometries: the vLog flush pipeline issues one page at a",
+				"time (sequential append), so tPROG — not array parallelism — bounds",
+				"page-sized writes; this is why Fig. 4's responses are NAND-dominated",
+			},
+			cols: []column{{"resp_us", 0, respUs}, {"Kops", 0, kops}, {"way_count", 0, func(r runResult) float64 {
+				g := r.Config.Device.Geometry
+				return float64(g.Channels * g.WaysPerChannel)
+			}}},
+		}},
 	}
-	for _, g := range []struct{ ch, ways int }{{1, 1}, {2, 2}, {4, 4}, {4, 8}, {8, 8}} {
-		cfg := benchConfig(bandslim.Baseline, bandslim.Block, true)
-		cfg.Device.Geometry = nand.Geometry{
-			Channels:       g.ch,
-			WaysPerChannel: g.ways,
-			BlocksPerWay:   256,
-			PagesPerBlock:  128,
-			PageSize:       16 * 1024,
-		}
-		res, err := runWith(workload.NewFillSeq(o.Scale, 16*1024), cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%dx%d", g.ch, g.ways),
-			res.Stats.Host.WriteResp.Mean.Micros(),
-			res.Stats.Host.ThroughputKops,
-			float64(g.ch*g.ways))
-	}
-	return t, nil
 }
 
-// RunAblationPipeline explores lifting the passthrough serialization the
-// paper blames for piggybacking's large-value collapse (§4.2): with burst
+// ablationPipeline explores lifting the passthrough serialization the paper
+// blames for piggybacking's large-value collapse (§4.2): with burst
 // submission, trailing transfer commands pay a pipeline interval instead of
 // a full round trip, so inline transfer stays competitive far beyond the
 // 128 B threshold — and MMIO traffic shrinks to two doorbells per PUT.
-func RunAblationPipeline(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "ablation-pipeline", Title: "Serialized vs Pipelined Piggybacking (NAND off)",
-		XLabel: "value size (B)",
-		Columns: []string{
-			"PRP_resp_us", "PiggySerial_resp_us", "PiggyPipe_resp_us", "PiggyPipe_mmio_B_op",
-		},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops per point", o.Scale),
-			"the paper's testbed serializes commands; pipelining is the future-work fix",
-		},
+func ablationPipeline(o Options) grid {
+	setups := []axis{
+		method("PRP", bandslim.Baseline),
+		method("PiggySerial", bandslim.Piggyback),
+		{"PiggyPipe", func(p *point) { p.cfg.Method, p.cfg.Submission = bandslim.Piggyback, bandslim.PipelinedSubmission() }},
 	}
-	for _, size := range []int{32, 128, 512, 1024, 2048, 4096} {
-		base, err := runWith(workload.NewFillSeq(o.Scale, size), benchConfig(bandslim.Baseline, bandslim.Block, false))
-		if err != nil {
-			return nil, err
-		}
-		serial, err := runWith(workload.NewFillSeq(o.Scale, size), benchConfig(bandslim.Piggyback, bandslim.Block, false))
-		if err != nil {
-			return nil, err
-		}
-		pipeCfg := benchConfig(bandslim.Piggyback, bandslim.Block, false)
-		pipeCfg.Submission = bandslim.PipelinedSubmission()
-		pipe, err := runWith(workload.NewFillSeq(o.Scale, size), pipeCfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sizeLabel(size),
-			base.Stats.Host.WriteResp.Mean.Micros(),
-			serial.Stats.Host.WriteResp.Mean.Micros(),
-			pipe.Stats.Host.WriteResp.Mean.Micros(),
-			float64(pipe.Stats.PCIe.MMIOBytes)/float64(pipe.Ops))
+	return grid{
+		xlabel: "value size (B)",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, false)},
+		rows:   fills(o, 32, 128, 512, 1024, 2048, 4096),
+		setups: setups,
+		tables: []gridTable{{
+			id: "ablation-pipeline", title: "Serialized vs Pipelined Piggybacking (NAND off)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops per point", o.Scale),
+				"the paper's testbed serializes commands; pipelining is the future-work fix",
+			},
+			cols: append(series(setups, "resp_us", respUs), column{"PiggyPipe_mmio_B_op", 2, func(r runResult) float64 {
+				return float64(r.Stats.PCIe.MMIOBytes) / float64(r.Ops)
+			}}),
+		}},
 	}
-	return t, nil
 }
 
 // RunScanPath measures range-scan behaviour per packing policy — an
@@ -358,37 +303,31 @@ func scanPoint(o Options, policy bandslim.PackingPolicy) (reads, us float64, err
 		elapsed.Micros() / float64(scanned), nil
 }
 
-// RunBreakdown decomposes the mean PUT response into its simulated
-// components — wire transfer, device memcpy, and NAND flush backpressure —
-// per packing policy on W(B). It makes visible *why* each policy wins or
-// loses: Block drowns in flush waits, All pays memcpy, the selective
-// policies pay neither.
-func RunBreakdown(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "breakdown", Title: "PUT Response Breakdown by Packing Policy (W(B), NAND on)",
-		XLabel:  "policy",
-		Columns: []string{"total_us", "memcpy_us", "flushwait_us", "transfer_us"},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops; per-request averages", o.Scale),
-			"transfer_us = total - memcpy - flushwait (wire + command round trips)",
-		},
+// breakdown decomposes the mean PUT response into its simulated components
+// — wire transfer, device memcpy, and NAND flush backpressure — per packing
+// policy on W(B). It makes visible *why* each policy wins or loses: Block
+// drowns in flush waits, All pays memcpy, the selective policies pay
+// neither.
+func breakdown(o Options) grid {
+	flushWaitUs := func(r runResult) float64 { return r.Stats.Device.FlushWaitTime.Micros() / float64(r.Ops) }
+	return grid{
+		xlabel: "policy",
+		base:   point{seeded(o, workload.NewWorkloadB), benchConfig(bandslim.Adaptive, bandslim.Block, true)},
+		rows:   policies("Block", "All", "Select", "Backfill"),
+		tables: []gridTable{{
+			id: "breakdown", title: "PUT Response Breakdown by Packing Policy (W(B), NAND on)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops; per-request averages", o.Scale),
+				"transfer_us = total - memcpy - flushwait (wire + command round trips)",
+			},
+			cols: []column{
+				{"total_us", 0, respUs},
+				{"memcpy_us", 0, memcpyUs},
+				{"flushwait_us", 0, flushWaitUs},
+				{"transfer_us", 0, func(r runResult) float64 { return max(respUs(r)-memcpyUs(r)-flushWaitUs(r), 0) }},
+			},
+		}},
 	}
-	for _, p := range []string{"Block", "All", "Select", "Backfill"} {
-		res, err := runWith(workload.NewWorkloadB(o.Scale, o.Seed), benchConfig(bandslim.Adaptive, policyFor[p], true))
-		if err != nil {
-			return nil, err
-		}
-		total := res.Stats.Host.WriteResp.Mean.Micros()
-		memcpy := res.Stats.Device.MemcpyTime.Micros() / float64(res.Ops)
-		flushWait := res.Stats.Device.FlushWaitTime.Micros() / float64(res.Ops)
-		transfer := total - memcpy - flushWait
-		if transfer < 0 {
-			transfer = 0
-		}
-		t.AddRow(p, total, memcpy, flushWait, transfer)
-	}
-	return t, nil
 }
 
 // RunReadPath measures GET behaviour across value sizes — an extension

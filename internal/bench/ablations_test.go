@@ -6,10 +6,7 @@ func TestAblationSGLShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationSGL(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-sgl", Options{Scale: 500})["ablation-sgl"]
 	prp, _ := tb.Column("PRP_resp_us")
 	sgl, _ := tb.Column("SGL_resp_us")
 	// SGL loses badly at KVS-typical sizes (rows 0..3: 64 B..8 KiB)...
@@ -66,10 +63,7 @@ func TestAblationDLTShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationDLT(Options{Scale: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-dlt", Options{Scale: 3000})["ablation-dlt"]
 	// Throughput must not degrade as the DLT grows to the paper's 512.
 	k2, _ := tb.Cell("2", "Kops")
 	k512, _ := tb.Cell("512", "Kops")
@@ -87,10 +81,7 @@ func TestAblationBufferShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationBuffer(Options{Scale: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-buffer", Options{Scale: 2000})["ablation-buffer"]
 	r8, _ := tb.Cell("8", "resp_us")
 	r512, _ := tb.Cell("512", "resp_us")
 	if r512 > r8 {
@@ -102,10 +93,7 @@ func TestAblationAlphaShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationAlpha(Options{Scale: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-alpha", Options{Scale: 2000})["ablation-alpha"]
 	traffic, _ := tb.Column("traffic_MB")
 	inline, _ := tb.Column("inline_fraction")
 	// Traffic strictly decreases and the inline fraction strictly grows
@@ -124,10 +112,7 @@ func TestAblationNANDRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationNAND(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-nand", Options{Scale: 500})["ablation-nand"]
 	resp, _ := tb.Column("resp_us")
 	// 16 KiB writes stay tPROG-bound (~400 µs) across geometries.
 	for i, r := range resp {
@@ -141,10 +126,7 @@ func TestAblationPipelineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunAblationPipeline(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "ablation-pipeline", Options{Scale: 500})["ablation-pipeline"]
 	serial, _ := tb.Column("PiggySerial_resp_us")
 	pipe, _ := tb.Column("PiggyPipe_resp_us")
 	prp, _ := tb.Column("PRP_resp_us")
@@ -174,10 +156,7 @@ func TestBreakdownShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunBreakdown(Options{Scale: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "breakdown", Options{Scale: 2000})["breakdown"]
 	// Block's response is flush-wait dominated; All's extra cost over the
 	// selective policies is memcpy; components never exceed the total.
 	for _, p := range []string{"Block", "All", "Select", "Backfill"} {

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"bandslim"
 	"bandslim/internal/shard"
-	"bandslim/internal/workload"
 )
 
 // valueSizesFig8 are the x points of Fig. 8 and Fig. 11.
@@ -19,280 +19,181 @@ func sizeLabel(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// RunFig3 reproduces Fig. 3: (a) total PCIe traffic and average transfer
-// response for 1–16 KiB values on the baseline KV-SSD with NAND I/O
+// fig3a and fig3b reproduce Fig. 3: (a) total PCIe traffic and average
+// transfer response for 1–16 KiB values on the baseline KV-SSD with NAND I/O
 // disabled, and (b) the Traffic Amplification Factor for 32 B–1 KiB values.
-func RunFig3(o Options) (*Table, *Table, error) {
-	o = o.normalized()
-	a := &Table{
-		ID: "fig3a", Title: "Total PCIe Traffic & Avg. Response Time (Baseline)",
-		XLabel:  "value size (KB)",
-		Columns: []string{"traffic_GB", "response_us"},
-		Notes: []string{
+func fig3a(o Options) grid {
+	return baselineFills(false, "value size (KB)", kibFills(o), gridTable{
+		id: "fig3a", title: "Total PCIe Traffic & Avg. Response Time (Baseline)",
+		notes: []string{
 			fmt.Sprintf("scale=%d ops per point (paper: 1M); traffic scales linearly", o.Scale),
 			"traffic doubles at every 4 KiB boundary (page-unit PRP transfers)",
 		},
-	}
-	for kb := 1; kb <= 16; kb++ {
-		res, err := run(workload.NewFillSeq(o.Scale, kb*1024), bandslim.Baseline, bandslim.Block, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.AddRow(fmt.Sprintf("%d", kb),
-			gb(res.Stats.PCIe.Bytes),
-			res.Stats.Host.WriteResp.Mean.Micros())
-	}
-	b := &Table{
-		ID: "fig3b", Title: "PCIe Traffic Amplification Factor (Baseline)",
-		XLabel:  "value size (B)",
-		Columns: []string{"TAF"},
-		Notes:   []string{"paper: 130.0 / 65.0 / 32.5 / 16.3 / 8.1 / 4.1"},
-	}
-	for _, size := range []int{32, 64, 128, 256, 512, 1024} {
-		res, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Baseline, bandslim.Block, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.AddRow(sizeLabel(size), res.Stats.TrafficAmplification(res.PayloadBytes))
-	}
-	return a, b, nil
+		cols: []column{{"traffic_GB", 0, trafficGB}, {"response_us", 0, respUs}},
+	})
 }
 
-// RunFig4 reproduces Fig. 4: (a) total NAND page writes and average write
-// response for 1–16 KiB values with NAND enabled, and (b) the Write
+func fig3b(o Options) grid {
+	return baselineFills(false, "value size (B)", fills(o, 32, 64, 128, 256, 512, 1024), gridTable{
+		id: "fig3b", title: "PCIe Traffic Amplification Factor (Baseline)",
+		notes: []string{"paper: 130.0 / 65.0 / 32.5 / 16.3 / 8.1 / 4.1"},
+		cols:  []column{{"TAF", 0, func(r runResult) float64 { return r.Stats.TrafficAmplification(r.PayloadBytes) }}},
+	})
+}
+
+// fig4a and fig4b reproduce Fig. 4: (a) total NAND page writes and average
+// write response for 1–16 KiB values with NAND enabled, and (b) the Write
 // Amplification Factor for 32 B–1 KiB values (which includes LSM-tree
 // flush/compaction writes, as the paper notes).
-func RunFig4(o Options) (*Table, *Table, error) {
-	o = o.normalized()
-	a := &Table{
-		ID: "fig4a", Title: "Total NAND Page Writes & Avg. Write Response (Baseline)",
-		XLabel:  "value size (KB)",
-		Columns: []string{"nand_io", "response_us"},
-		Notes: []string{
+func fig4a(o Options) grid {
+	return baselineFills(true, "value size (KB)", kibFills(o), gridTable{
+		id: "fig4a", title: "Total NAND Page Writes & Avg. Write Response (Baseline)",
+		notes: []string{
 			fmt.Sprintf("scale=%d ops per point (paper: 1M); counts scale linearly", o.Scale),
 			"write responses are NAND-program dominated (>10x transfer responses)",
 		},
-	}
-	for kb := 1; kb <= 16; kb++ {
-		res, err := run(workload.NewFillSeq(o.Scale, kb*1024), bandslim.Baseline, bandslim.Block, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.AddRow(fmt.Sprintf("%d", kb),
-			float64(res.Stats.Device.NANDPageWrites),
-			res.Stats.Host.WriteResp.Mean.Micros())
-	}
-	b := &Table{
-		ID: "fig4b", Title: "NAND Write Amplification Factor (Baseline)",
-		XLabel:  "value size (B)",
-		Columns: []string{"WAF"},
-		Notes:   []string{"paper: 129.9 / 64.9 / 32.4 / 16.2 / 8.1 / 4.0 (incl. compaction writes)"},
-	}
-	for _, size := range []int{32, 64, 128, 256, 512, 1024} {
-		res, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Baseline, bandslim.Block, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.AddRow(sizeLabel(size), res.Stats.WriteAmplification(res.PayloadBytes, 16*1024))
-	}
-	return a, b, nil
+		cols: []column{{"nand_io", 0, nandIO}, {"response_us", 0, respUs}},
+	})
 }
 
-// RunFig8 reproduces Fig. 8: total PCIe traffic and average response for
+func fig4b(o Options) grid {
+	return baselineFills(true, "value size (B)", fills(o, 32, 64, 128, 256, 512, 1024), gridTable{
+		id: "fig4b", title: "NAND Write Amplification Factor (Baseline)",
+		notes: []string{"paper: 129.9 / 64.9 / 32.4 / 16.2 / 8.1 / 4.0 (incl. compaction writes)"},
+		cols:  []column{{"WAF", 0, func(r runResult) float64 { return r.Stats.WriteAmplification(r.PayloadBytes, 16*1024) }}},
+	})
+}
+
+// baselineFills is one Fig. 3/4 panel: fillseq on the stock Baseline +
+// Block stack.
+func baselineFills(nandOn bool, xlabel string, rows []axis, t gridTable) grid {
+	base := point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, nandOn)}
+	return grid{xlabel: xlabel, base: base, rows: rows, tables: []gridTable{t}}
+}
+
+// kibFills are the x rows of Fig. 3(a)/4(a): fillseq of 1–16 KiB values,
+// labelled in KiB.
+func kibFills(o Options) []axis {
+	return axes([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, strconv.Itoa,
+		func(p *point, kb int) { p.scenario = fillSeq(o, kb*1024) })
+}
+
+// fig8 reproduces Fig. 8: total PCIe traffic and average response for
 // Baseline vs Piggyback across 4 B–4 KiB values, NAND disabled.
-func RunFig8(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "fig8", Title: "PCIe Traffic & Response: Baseline vs Piggyback (NAND off)",
-		XLabel: "value size (B)",
-		Columns: []string{
-			"Baseline_traffic_GB", "Piggyback_traffic_GB",
-			"Baseline_resp_us", "Piggyback_resp_us",
-		},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops per point (paper: 1M)", o.Scale),
-			"piggyback traffic overtakes baseline at 4K (trailing-command overhead)",
-		},
+func fig8(o Options) grid {
+	setups := []axis{method("Baseline", bandslim.Baseline), method("Piggyback", bandslim.Piggyback)}
+	return grid{
+		xlabel: "value size (B)",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, false)},
+		rows:   fills(o, valueSizesFig8...),
+		setups: setups,
+		tables: []gridTable{{
+			id: "fig8", title: "PCIe Traffic & Response: Baseline vs Piggyback (NAND off)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops per point (paper: 1M)", o.Scale),
+				"piggyback traffic overtakes baseline at 4K (trailing-command overhead)",
+			},
+			cols: append(series(setups, "traffic_GB", trafficGB), series(setups, "resp_us", respUs)...),
+		}},
 	}
-	for _, size := range valueSizesFig8 {
-		base, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Baseline, bandslim.Block, false)
-		if err != nil {
-			return nil, err
-		}
-		pig, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Piggyback, bandslim.Block, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sizeLabel(size),
-			gb(base.Stats.PCIe.Bytes), gb(pig.Stats.PCIe.Bytes),
-			base.Stats.Host.WriteResp.Mean.Micros(), pig.Stats.Host.WriteResp.Mean.Micros())
-	}
-	return t, nil
 }
 
-// RunFig9 reproduces Fig. 9: PCIe traffic (a) and response (b) for values of
+// fig9 reproduces Fig. 9: PCIe traffic (a) and response (b) for values of
 // 4 KiB plus trailing bytes from 4 B to 4 KiB, under Baseline, Piggyback and
 // Hybrid, NAND disabled.
-func RunFig9(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "fig9", Title: "Hybrid Transfer: 4K+trailing-byte values (NAND off)",
-		XLabel: "trailing bytes after 4KB",
-		Columns: []string{
-			"Baseline_traffic_GB", "Piggyback_traffic_GB", "Hybrid_traffic_GB",
-			"Baseline_resp_us", "Piggyback_resp_us", "Hybrid_resp_us",
-		},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops per point (paper: 1M)", o.Scale),
-			"hybrid: first 4K by page-unit DMA, tail piggybacked in 56B commands",
-		},
+func fig9(o Options) grid {
+	setups := []axis{method("Baseline", bandslim.Baseline), method("Piggyback", bandslim.Piggyback), method("Hybrid", bandslim.Hybrid)}
+	return grid{
+		xlabel: "trailing bytes after 4KB",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, false)},
+		rows:   axes(valueSizesFig8, sizeLabel, func(p *point, tail int) { p.scenario = fillSeq(o, 4096+tail) }),
+		setups: setups,
+		tables: []gridTable{{
+			id: "fig9", title: "Hybrid Transfer: 4K+trailing-byte values (NAND off)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops per point (paper: 1M)", o.Scale),
+				"hybrid: first 4K by page-unit DMA, tail piggybacked in 56B commands",
+			},
+			cols: append(series(setups, "traffic_GB", trafficGB), series(setups, "resp_us", respUs)...),
+		}},
 	}
-	for _, tail := range valueSizesFig8 {
-		size := 4096 + tail
-		base, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Baseline, bandslim.Block, false)
-		if err != nil {
-			return nil, err
-		}
-		pig, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Piggyback, bandslim.Block, false)
-		if err != nil {
-			return nil, err
-		}
-		hyb, err := run(workload.NewFillSeq(o.Scale, size), bandslim.Hybrid, bandslim.Block, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sizeLabel(tail),
-			gb(base.Stats.PCIe.Bytes), gb(pig.Stats.PCIe.Bytes), gb(hyb.Stats.PCIe.Bytes),
-			base.Stats.Host.WriteResp.Mean.Micros(), pig.Stats.Host.WriteResp.Mean.Micros(), hyb.Stats.Host.WriteResp.Mean.Micros())
-	}
-	return t, nil
 }
 
-// RunFig10 reproduces Fig. 10: response time (a), throughput (b), PCIe
-// traffic (c) and host MMIO traffic (d) for Workloads B, C, D, M under
-// Baseline, Piggyback and Adaptive transfer, NAND disabled (§4.2).
-func RunFig10(o Options) ([]*Table, error) {
-	o = o.normalized()
-	methods := []struct {
-		name string
-		m    bandslim.TransferMethod
-	}{
-		{"Baseline", bandslim.Baseline},
-		{"Piggyback", bandslim.Piggyback},
-		{"Adaptive", bandslim.Adaptive},
-	}
-	mk := func(id, title string, unit string) *Table {
-		return &Table{
-			ID: id, Title: title, XLabel: "method",
-			Columns: workloadLabels,
-			Notes:   []string{fmt.Sprintf("scale=%d ops (paper: 1M); values in %s", o.Scale, unit)},
-		}
-	}
-	resp := mk("fig10a", "Average Response Time by Transfer Method", "us")
-	thr := mk("fig10b", "Average Throughput by Transfer Method", "Kops/s")
-	traf := mk("fig10c", "Total PCIe Traffic by Transfer Method", "GB")
-	traf.Notes = append(traf.Notes,
+// fig10 reproduces Fig. 10: response time (a), throughput (b), PCIe traffic
+// (c) and host MMIO traffic (d) for Workloads B, C, D, M under Baseline,
+// Piggyback and Adaptive transfer, NAND disabled (§4.2).
+func fig10(o Options) grid {
+	traffic := byWorkload(o, "fig10c", "Total PCIe Traffic by Transfer Method", "GB",
+		func(r runResult) float64 { return gb(r.Stats.PCIe.TotalBytes) })
+	traffic.notes = append(traffic.notes,
 		"counts all TLPs (commands, DMA, completions, doorbells), as Intel PCM does")
-	mmio := mk("fig10d", "Total Host MMIO Traffic by Transfer Method", "MB")
-	for _, m := range methods {
-		cells := struct{ resp, thr, traf, mmio []float64 }{}
-		for wi := range workloadLabels {
-			gen := workloadsBCDM(o)[wi]
-			res, err := run(gen, m.m, bandslim.Block, false)
-			if err != nil {
-				return nil, err
-			}
-			cells.resp = append(cells.resp, res.Stats.Host.WriteResp.Mean.Micros())
-			cells.thr = append(cells.thr, res.Stats.Host.ThroughputKops)
-			cells.traf = append(cells.traf, gb(res.Stats.PCIe.TotalBytes))
-			cells.mmio = append(cells.mmio, mb(res.Stats.PCIe.MMIOBytes))
-		}
-		resp.AddRow(m.name, cells.resp...)
-		thr.AddRow(m.name, cells.thr...)
-		traf.AddRow(m.name, cells.traf...)
-		mmio.AddRow(m.name, cells.mmio...)
-	}
-	return []*Table{resp, thr, traf, mmio}, nil
-}
-
-// RunFig11 reproduces Fig. 11: NAND page I/O counts (a) and write response
-// (b) for 4 B–4 KiB fillseq under four configurations — Baseline (PRP +
-// Block), Piggyback (inline + Block), Packing (PRP + All Packing), and
-// Piggy+Pack (inline + All Packing) — with NAND enabled.
-func RunFig11(o Options) (*Table, error) {
-	o = o.normalized()
-	t := &Table{
-		ID: "fig11", Title: "NAND Page I/O & Write Response (All Packing, NAND on)",
-		XLabel: "value size (B)",
-		Columns: []string{
-			"Baseline_nand_io", "Piggyback_nand_io", "Packing_nand_io", "PiggyPack_nand_io",
-			"Baseline_resp_us", "Piggyback_resp_us", "Packing_resp_us", "PiggyPack_resp_us",
-		},
-		Notes: []string{
-			fmt.Sprintf("scale=%d ops per point (paper: 10M); counts scale linearly", o.Scale),
-			"NAND I/O includes LSM flush/compaction writes",
+	return grid{
+		xlabel: "method",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, false)},
+		rows:   []axis{method("Baseline", bandslim.Baseline), method("Piggyback", bandslim.Piggyback), method("Adaptive", bandslim.Adaptive)},
+		setups: workloads(o),
+		tables: []gridTable{
+			byWorkload(o, "fig10a", "Average Response Time by Transfer Method", "us", respUs),
+			byWorkload(o, "fig10b", "Average Throughput by Transfer Method", "Kops/s", kops),
+			traffic,
+			byWorkload(o, "fig10d", "Total Host MMIO Traffic by Transfer Method", "MB",
+				func(r runResult) float64 { return mb(r.Stats.PCIe.MMIOBytes) }),
 		},
 	}
-	configs := []struct {
-		method bandslim.TransferMethod
-		policy bandslim.PackingPolicy
-	}{
-		{bandslim.Baseline, bandslim.Block},
-		{bandslim.Piggyback, bandslim.Block},
-		{bandslim.Baseline, bandslim.AllPacking},
-		{bandslim.Piggyback, bandslim.AllPacking},
-	}
-	for _, size := range valueSizesFig8 {
-		var nandIO, resp []float64
-		for _, c := range configs {
-			res, err := run(workload.NewFillSeq(o.Scale, size), c.method, c.policy, true)
-			if err != nil {
-				return nil, err
-			}
-			nandIO = append(nandIO, float64(res.Stats.Device.NANDPageWrites))
-			resp = append(resp, res.Stats.Host.WriteResp.Mean.Micros())
-		}
-		t.AddRow(sizeLabel(size), append(nandIO, resp...)...)
-	}
-	return t, nil
 }
 
-// RunFig12 reproduces Fig. 12: response time (a), throughput (b), NAND I/O
+// fig11 reproduces Fig. 11: NAND page I/O counts (a) and write response (b)
+// for 4 B–4 KiB fillseq under four configurations — Baseline (PRP + Block),
+// Piggyback (inline + Block), Packing (PRP + All Packing), and Piggy+Pack
+// (inline + All Packing) — with NAND enabled.
+func fig11(o Options) grid {
+	setups := []axis{
+		method("Baseline", bandslim.Baseline),
+		method("Piggyback", bandslim.Piggyback),
+		{"Packing", func(p *point) { p.cfg.Policy = bandslim.AllPacking }},
+		{"PiggyPack", func(p *point) { p.cfg.Method, p.cfg.Policy = bandslim.Piggyback, bandslim.AllPacking }},
+	}
+	return grid{
+		xlabel: "value size (B)",
+		base:   point{cfg: benchConfig(bandslim.Baseline, bandslim.Block, true)},
+		rows:   fills(o, valueSizesFig8...),
+		setups: setups,
+		tables: []gridTable{{
+			id: "fig11", title: "NAND Page I/O & Write Response (All Packing, NAND on)",
+			notes: []string{
+				fmt.Sprintf("scale=%d ops per point (paper: 10M); counts scale linearly", o.Scale),
+				"NAND I/O includes LSM flush/compaction writes",
+			},
+			cols: append(series(setups, "nand_io", nandIO), series(setups, "resp_us", respUs)...),
+		}},
+	}
+}
+
+// fig12 reproduces Fig. 12: response time (a), throughput (b), NAND I/O
 // count (c), and average per-request memcpy time (d) for the four packing
 // policies under adaptive transfer, across Workloads B, C, D, M.
-func RunFig12(o Options) ([]*Table, error) {
-	o = o.normalized()
-	policies := []string{"Block", "All", "Select", "Backfill"}
-	mk := func(id, title, unit string) *Table {
-		return &Table{
-			ID: id, Title: title, XLabel: "policy",
-			Columns: workloadLabels,
-			Notes:   []string{fmt.Sprintf("scale=%d ops (paper: 1M); values in %s", o.Scale, unit)},
-		}
+func fig12(o Options) grid {
+	return grid{
+		xlabel: "policy",
+		base:   point{cfg: benchConfig(bandslim.Adaptive, bandslim.Block, true)},
+		rows:   policies("Block", "All", "Select", "Backfill"),
+		setups: workloads(o),
+		tables: []gridTable{
+			byWorkload(o, "fig12a", "Average Response Time by Packing Policy", "us", respUs),
+			byWorkload(o, "fig12b", "Average Throughput by Packing Policy", "Kops/s", kops),
+			byWorkload(o, "fig12c", "Total NAND I/O by Packing Policy", "pages", nandIO),
+			byWorkload(o, "fig12d", "Average Memcpy Time per Request", "us", memcpyUs),
+		},
 	}
-	resp := mk("fig12a", "Average Response Time by Packing Policy", "us")
-	thr := mk("fig12b", "Average Throughput by Packing Policy", "Kops/s")
-	nandIO := mk("fig12c", "Total NAND I/O by Packing Policy", "pages")
-	memcpy := mk("fig12d", "Average Memcpy Time per Request", "us")
-	for _, p := range policies {
-		var r, th, ni, mc []float64
-		for wi := range workloadLabels {
-			gen := workloadsBCDM(o)[wi]
-			res, err := run(gen, bandslim.Adaptive, policyFor[p], true)
-			if err != nil {
-				return nil, err
-			}
-			r = append(r, res.Stats.Host.WriteResp.Mean.Micros())
-			th = append(th, res.Stats.Host.ThroughputKops)
-			ni = append(ni, float64(res.Stats.Device.NANDPageWrites))
-			mc = append(mc, res.Stats.Device.MemcpyTime.Micros()/float64(res.Ops))
-		}
-		resp.AddRow(p, r...)
-		thr.AddRow(p, th...)
-		nandIO.AddRow(p, ni...)
-		memcpy.AddRow(p, mc...)
+}
+
+// byWorkload is a Fig. 10/12 panel: one column per workload setup.
+func byWorkload(o Options, id, title, unit string, cell func(runResult) float64) gridTable {
+	return gridTable{
+		id: id, title: title,
+		notes: []string{fmt.Sprintf("scale=%d ops (paper: 1M); values in %s", o.Scale, unit)},
+		cols:  series(workloads(o), "", cell),
 	}
-	return []*Table{resp, thr, nandIO, memcpy}, nil
 }
 
 // RunThresholds reproduces the exploratory calibration of §3.2/§4.1: the PUT

@@ -10,6 +10,23 @@ import (
 // fast options keep the suite quick; shapes are scale-invariant.
 func fast() Options { return Options{Scale: 2000, Seed: 42} }
 
+// workloadLabels are the column names of Fig. 10/12.
+var workloadLabels = []string{"W(B)", "W(C)", "W(D)", "W(M)"}
+
+// tablesOf runs one experiment and returns its tables by ID.
+func tablesOf(t *testing.T, id string, o Options) map[string]*Table {
+	t.Helper()
+	res, err := Run(id, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*Table{}
+	for _, tb := range res.Tables {
+		byID[tb.ID] = tb
+	}
+	return byID
+}
+
 func TestTableHelpers(t *testing.T) {
 	tb := &Table{ID: "x", Title: "T", XLabel: "size", Columns: []string{"a", "b"}}
 	tb.AddRow("1", 1.5, 2)
@@ -68,10 +85,7 @@ func TestFig3TAFMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	_, tafs, err := RunFig3(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tafs := tablesOf(t, "fig3", Options{Scale: 500})["fig3b"]
 	want := map[string]float64{
 		"32": 130.0, "64": 65.0, "128": 32.5, "256": 16.25, "512": 8.125, "1K": 4.0625,
 	}
@@ -92,10 +106,7 @@ func TestFig3TrafficCascades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	a, _, err := RunFig3(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tablesOf(t, "fig3", Options{Scale: 500})["fig3a"]
 	traffic, err := a.Column("traffic_GB")
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +134,8 @@ func TestFig4WAFTracksTAF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	a, wafs, err := RunFig4(Options{Scale: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig4 := tablesOf(t, "fig4", Options{Scale: 500})
+	a, wafs := fig4["fig4a"], fig4["fig4b"]
 	waf32, err := wafs.Cell("32", "WAF")
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +156,7 @@ func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunFig8(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "fig8", fast())["fig8"]
 	bt, _ := tb.Column("Baseline_traffic_GB")
 	pt, _ := tb.Column("Piggyback_traffic_GB")
 	br, _ := tb.Column("Baseline_resp_us")
@@ -195,10 +201,7 @@ func TestFig9Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunFig9(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "fig9", fast())["fig9"]
 	bt, _ := tb.Column("Baseline_traffic_GB")
 	pt, _ := tb.Column("Piggyback_traffic_GB")
 	ht, _ := tb.Column("Hybrid_traffic_GB")
@@ -238,11 +241,8 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tables, err := RunFig10(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, thr, traf, mmio := tables[0], tables[1], tables[2], tables[3]
+	fig10 := tablesOf(t, "fig10", fast())
+	resp, thr, traf, mmio := fig10["fig10a"], fig10["fig10b"], fig10["fig10c"], fig10["fig10d"]
 	for _, w := range workloadLabels {
 		at, _ := thr.Cell("Adaptive", w)
 		bt, _ := thr.Cell("Baseline", w)
@@ -297,10 +297,7 @@ func TestFig11Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tb, err := RunFig11(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tablesOf(t, "fig11", fast())["fig11"]
 	bn, _ := tb.Column("Baseline_nand_io")
 	pn, _ := tb.Column("Packing_nand_io")
 	ppn, _ := tb.Column("PiggyPack_nand_io")
@@ -336,11 +333,8 @@ func TestFig12Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	tables, err := RunFig12(Options{Scale: 6000, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, thr, nandIO, memcpy := tables[0], tables[1], tables[2], tables[3]
+	fig12 := tablesOf(t, "fig12", Options{Scale: 6000, Seed: 42})
+	thr, nandIO, memcpy := fig12["fig12b"], fig12["fig12c"], fig12["fig12d"]
 	// Block is the worst throughput in every workload.
 	for _, w := range workloadLabels {
 		blk, _ := thr.Cell("Block", w)
@@ -404,19 +398,13 @@ func TestHeadlineClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiment")
 	}
-	f8, err := RunFig8(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8 := tablesOf(t, "fig8", fast())["fig8"]
 	bt, _ := f8.Cell("32", "Baseline_traffic_GB")
 	pt, _ := f8.Cell("32", "Piggyback_traffic_GB")
 	if red := 1 - pt/bt; red < 0.979 {
 		t.Errorf("headline traffic reduction %.4f < 0.979", red)
 	}
-	f11, err := RunFig11(fast())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f11 := tablesOf(t, "fig11", fast())["fig11"]
 	bn, _ := f11.Cell("32", "Baseline_nand_io")
 	pn, _ := f11.Cell("32", "PiggyPack_nand_io")
 	if red := 1 - pn/bn; red < 0.981 {

@@ -33,21 +33,21 @@ type experiment struct {
 // registry is the one list of experiments: Experiments, Run, the suites and
 // the CLI's -list all read it, in this order.
 var registry = []experiment{
-	{"fig3", "all", pair(RunFig3)},
-	{"fig4", "all", pair(RunFig4)},
-	{"fig8", "all", one(RunFig8)},
-	{"fig9", "all", one(RunFig9)},
-	{"fig10", "all", many(RunFig10)},
-	{"fig11", "all", one(RunFig11)},
-	{"fig12", "all", many(RunFig12)},
-	{"ablation-sgl", "ablations", one(RunAblationSGL)},
+	{"fig3", "all", grids(fig3a, fig3b)},
+	{"fig4", "all", grids(fig4a, fig4b)},
+	{"fig8", "all", grids(fig8)},
+	{"fig9", "all", grids(fig9)},
+	{"fig10", "all", grids(fig10)},
+	{"fig11", "all", grids(fig11)},
+	{"fig12", "all", grids(fig12)},
+	{"ablation-sgl", "ablations", grids(ablationSGL)},
 	{"ablation-batch", "ablations", one(RunAblationBatch)},
-	{"ablation-dlt", "ablations", one(RunAblationDLT)},
-	{"ablation-buffer", "ablations", one(RunAblationBuffer)},
-	{"ablation-alpha", "ablations", one(RunAblationAlpha)},
-	{"ablation-nand", "ablations", one(RunAblationNAND)},
-	{"ablation-pipeline", "ablations", one(RunAblationPipeline)},
-	{"breakdown", "ablations", one(RunBreakdown)},
+	{"ablation-dlt", "ablations", grids(ablationDLT)},
+	{"ablation-buffer", "ablations", grids(ablationBuffer)},
+	{"ablation-alpha", "ablations", grids(ablationAlpha)},
+	{"ablation-nand", "ablations", grids(ablationNAND)},
+	{"ablation-pipeline", "ablations", grids(ablationPipeline)},
+	{"breakdown", "ablations", grids(breakdown)},
 	{"read", "ablations", one(RunReadPath)},
 	{"scan", "ablations", one(RunScanPath)},
 	{"qd", "", sweep(RunQDSweep)},
@@ -100,13 +100,6 @@ func one(f func(Options) (*Table, error)) func(Options) (Result, error) {
 	return func(o Options) (Result, error) {
 		t, err := f(o)
 		return Result{Tables: []*Table{t}}, err
-	}
-}
-
-func pair(f func(Options) (*Table, *Table, error)) func(Options) (Result, error) {
-	return func(o Options) (Result, error) {
-		a, b, err := f(o)
-		return Result{Tables: []*Table{a, b}}, err
 	}
 }
 

@@ -69,11 +69,7 @@ type runResult struct {
 	Stats        bandslim.Stats
 	PayloadBytes int64
 	Ops          int64
-}
-
-// run drives a workload through a fresh stack.
-func run(gen workload.Scenario, method bandslim.TransferMethod, policy bandslim.PackingPolicy, nandOn bool) (runResult, error) {
-	return runWith(gen, benchConfig(method, policy, nandOn))
+	Config       bandslim.Config // the stack the run drove
 }
 
 // runWith drives a workload through a stack built from an explicit config.
@@ -106,7 +102,7 @@ func runWith(gen workload.Scenario, cfg bandslim.Config) (runResult, error) {
 	s.Host.ThroughputKops = timing.Host.ThroughputKops
 	s.Device.FlushWaitTime = timing.Device.FlushWaitTime
 	s.Device.MemcpyTime = timing.Device.MemcpyTime
-	return runResult{Stats: s, PayloadBytes: res.BytesWritten, Ops: res.Ops}, nil
+	return runResult{Stats: s, PayloadBytes: res.BytesWritten, Ops: res.Ops, Config: cfg}, nil
 }
 
 // loadKeyspace writes n keys "<prefix>%07d" to db in chunk-sized PutBatch
@@ -177,19 +173,6 @@ var policyFor = map[string]bandslim.PackingPolicy{
 	"Select":   pagebuf.PolicySelective,
 	"Backfill": pagebuf.PolicyBackfill,
 }
-
-// workloadsBCDM builds the four mixed workloads of §4.1.
-func workloadsBCDM(o Options) []workload.Scenario {
-	return []workload.Scenario{
-		workload.NewWorkloadB(o.Scale, o.Seed),
-		workload.NewWorkloadC(o.Scale, o.Seed),
-		workload.NewWorkloadD(o.Scale, o.Seed),
-		workload.NewWorkloadM(o.Scale, o.Seed),
-	}
-}
-
-// workloadLabels are the paper's column names for Fig. 10/12.
-var workloadLabels = []string{"W(B)", "W(C)", "W(D)", "W(M)"}
 
 // gb converts bytes to the paper's GB-scale axis (decimal).
 func gb(n int64) float64 { return float64(n) / 1e9 }

@@ -1,8 +1,12 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§4): one runner per figure, emitting the same rows/series the
-// paper plots, as aligned text tables and CSV. The shapes — who wins, by
-// what factor, where the crossovers fall — are asserted by this package's
-// tests; absolute values are simulation-calibrated (see DESIGN.md §3).
+// evaluation (§4) as aligned text tables and CSV, one registry row per
+// experiment (registry.go). Most experiments are grids (grid.go): a base
+// point — a scenario on a stack from benchConfig — edited by x rows and
+// column setups, each (row, setup) run once on a fresh stack and read by the
+// tables' column extractors. Host batching, scans, reads, the thresholds and
+// the point sweeps are hand-written. The shapes — who wins, by what factor,
+// where the crossovers fall — are asserted by this package's tests; absolute
+// values are simulation-calibrated (see DESIGN.md §3).
 package bench
 
 import (

@@ -95,29 +95,32 @@ func (w *Welford) Merge(other *Welford) {
 // approximate percentiles. It is designed for latency values in nanoseconds:
 // buckets grow by ~8% so percentile error stays under a few percent.
 type Histogram struct {
-	buckets []int64
-	bounds  []float64
-	under   int64 // samples below bounds[0]
+	bounds  []float64    // histBounds, shared and read-only
+	buckets [histN]int64 // bucket i holds [bounds[i], bounds[i+1]); the last is open above
+	under   int64        // samples below bounds[0]
 	w       Welford
 }
 
 const (
 	histMin    = 1.0     // 1 ns
 	histMax    = 1e12    // 1000 s
-	histGrowth = 1.08006 // ~240 buckets across the range
+	histGrowth = 1.08006 // ~8% per bucket
+	histN      = 359     // bounds from histMin, each histGrowth times the last, below histMax
 )
 
+// histBounds is the one bucket layout every histogram shares: built once,
+// never written.
+var histBounds = func() (bounds [histN]float64) {
+	b := histMin
+	for i := range bounds {
+		bounds[i] = b
+		b *= histGrowth
+	}
+	return bounds
+}()
+
 // NewHistogram returns an empty histogram covering 1ns..1000s.
-func NewHistogram() *Histogram {
-	var bounds []float64
-	for b := histMin; b < histMax; b *= histGrowth {
-		bounds = append(bounds, b)
-	}
-	return &Histogram{
-		buckets: make([]int64, len(bounds)+1),
-		bounds:  bounds,
-	}
-}
+func NewHistogram() *Histogram { return &Histogram{bounds: histBounds[:]} }
 
 // Observe records one sample (e.g. nanoseconds).
 func (h *Histogram) Observe(x float64) {
@@ -184,7 +187,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if cum > target {
 		return h.clamp(h.bounds[0] / 2)
 	}
-	for i, c := range h.buckets {
+	for i, c := range &h.buckets {
 		cum += c
 		if cum > target {
 			// Bucket i holds samples in [bounds[i], bounds[i+1]).
@@ -230,7 +233,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
-	for i, c := range other.buckets {
+	for i, c := range &other.buckets {
 		h.buckets[i] += c
 	}
 	h.under += other.under

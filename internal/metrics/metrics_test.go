@@ -362,3 +362,27 @@ func TestCumulativeBucketsShape(t *testing.T) {
 		t.Fatalf("Sum = %v", h.Sum())
 	}
 }
+
+// histSink makes the histograms TestHistogramAllocs builds escape, as a
+// caller's would.
+var histSink *Histogram
+
+// Every histogram shares one read-only bounds array and keeps its buckets
+// inline, so a new histogram or a clone is one allocation.
+func TestHistogramAllocs(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(42)
+	for name, f := range map[string]func(){
+		"NewHistogram": func() { histSink = NewHistogram() },
+		"Clone":        func() { histSink = h.Clone() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", name, n)
+		}
+	}
+	// histN is the count of bounds from histMin, growing by histGrowth, that
+	// fall below histMax.
+	if last := histBounds[histN-1]; last >= histMax || last*histGrowth < histMax {
+		t.Errorf("histN = %d does not end the bounds at histMax: last %g", histN, last)
+	}
+}

@@ -114,3 +114,36 @@ func TestFreeBytesShrinksAndRecovers(t *testing.T) {
 		t.Fatal("FreeBytes did not recover after reclaim")
 	}
 }
+
+// Contains bounds a journal record by the reclaimed tail below and the append
+// frontier above, each inclusive of its edge and refusing one byte past it.
+func TestContainsBounds(t *testing.T) {
+	v := newVLog(t, pagebuf.PolicyAll)
+	v.AppendPiggybacked(0, make([]byte, 20000))
+	if _, err := v.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	v.AppendPiggybacked(0, make([]byte, 100))
+	if err := v.AdvanceTail(16 * 1024); err != nil {
+		t.Fatal(err)
+	}
+	tail, front := v.Tail(), v.Buffer().Frontier()
+	if tail == 0 || front <= tail+2 {
+		t.Fatalf("tail %d, frontier %d: want a live range above a reclaimed tail", tail, front)
+	}
+	for _, c := range []struct {
+		name string
+		addr int64
+		n    int
+		want bool
+	}{
+		{"one byte below the tail", tail - 1, 2, false},
+		{"at the tail", tail, 2, true},
+		{"ending at the frontier", front - 2, 2, true},
+		{"one byte past the frontier", front - 1, 2, false},
+	} {
+		if got := v.Contains(Addr(c.addr), c.n); got != c.want {
+			t.Errorf("%s: Contains(%d, %d) = %v, want %v (tail %d, frontier %d)", c.name, c.addr, c.n, got, c.want, tail, front)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,34 @@ func TestValueFillerDeterministicPerSeed(t *testing.T) {
 	if len(big) != 50 {
 		t.Fatalf("reused fill length %d", len(big))
 	}
+	// The same bytes and the same RNG stream as a byte at a time, for every
+	// tail length, into one reused buffer.
+	f, ref := NewValueFiller(9), sim.NewRNG(9)
+	var buf []byte
+	for size := 0; size <= 33; size++ {
+		buf = f.Fill(buf, size)
+		if want := byteAtATimeFill(ref, size); !bytes.Equal(buf, want) {
+			t.Fatalf("size %d: Fill = %x, want %x", size, buf, want)
+		}
+	}
+	if got, want := f.rng.Uint64(), ref.Uint64(); got != want {
+		t.Fatalf("RNG streams diverged: next draw %x, want %x", got, want)
+	}
+}
+
+// byteAtATimeFill is the reference fill: one draw up front and one after
+// every 8th byte, each byte the next of the current draw's little-endian
+// bytes.
+func byteAtATimeFill(rng *sim.RNG, size int) []byte {
+	buf := make([]byte, size)
+	x := rng.Uint64()
+	for i := range buf {
+		buf[i] = byte(x >> (8 * (uint(i) % 8)))
+		if i%8 == 7 {
+			x = rng.Uint64()
+		}
+	}
+	return buf
 }
 
 // Property: every write-only stream yields exactly n puts with unique keys.
