@@ -59,7 +59,8 @@ determinism:
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the SSTable page
 # cursor, the MemTable against a sorted reference, the compaction merge
-# against the materialising merge kept beside it, the RESP command parser
+# against the materialising merge kept beside it, the in-place level edit
+# against the split-and-sort kept beside it, the RESP command parser
 # alone and in server-style bursts, the workload-trace parser, the NAND page
 # store's round trip, the NAND payload slab against exact page copies, the
 # device value tier against its old map-and-buffers form, the device page tier
@@ -71,6 +72,7 @@ determinism:
 # execs it made in its budget.
 FUZZ_SMOKE = ./internal/fault:FuzzParsePlan ./internal/lsm:FuzzDecodePage \
 	./internal/lsm:FuzzMemTable ./internal/lsm:FuzzMerge \
+	./internal/lsm:FuzzLevelEdit \
 	./internal/resp:FuzzRESPParse ./internal/resp:FuzzRESPBurst \
 	./internal/workload:FuzzTraceParse ./internal/nand:FuzzPageRoundTrip \
 	./internal/nand:FuzzPayloadSlab ./internal/cache:FuzzValues \
@@ -109,7 +111,7 @@ artifacts-check:
 	for f in .artifacts/*; do diff -u results/$${f##*/} $$f || exit 1; done
 	rm -rf .artifacts
 
-# The index write path as a design space (ROADMAP item 1(b)): key order x L0
+# The index write path as a design space (ROADMAP item 12): key order x L0
 # trigger x L1 tables x table pages at the paper's 1 M Puts per cell, each row
 # beside the closed-form band of internal/lsm/oracle.go. ~2 min and ~0.5 GB;
 # run by hand after a change to compaction, not part of artifacts-check or ci.

@@ -178,3 +178,59 @@ func TestCircularLogOutlivesCapacity(t *testing.T) {
 		t.Fatal("no pages reclaimed despite wrap pressure")
 	}
 }
+
+// A vLog GC journals each relocated value's new address and then advances the
+// tail past the old one, so the journal holds, for every value it moved, a
+// record that points below the tail. Mount replays the journal into an empty
+// MemTable: it must skip those stale records, re-index the rest, and leave
+// every key reading its value.
+func TestMountSkipsStaleJournalRecords(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Buffer.MaxEntries = 4 // the buffer retires pages to NAND as they fill
+	dev, _, _, mem := newDev(t, cfg)
+	want := map[string][]byte{}
+	const n = 40 // ~5 vLog pages, under MemTableEntries: no tree flush, so every record stays journaled
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("s%02d", i)
+		v := bytes.Repeat([]byte{byte(i + 1)}, 2000)
+		putInline(t, dev, key, v)
+		want[key] = v
+	}
+	pageSize := int64(dev.cfg.Buffer.PageSize)
+	if dev.VLog().Buffer().FlushedBelow() < 2*pageSize || dev.jnl.len() != n {
+		t.Fatalf("flushed below %d, %d records journaled: the setup wants 2+ vLog pages on NAND and %d records",
+			dev.VLog().Buffer().FlushedBelow(), dev.jnl.len(), n)
+	}
+	tail := dev.VLog().Tail()
+	moved, _, err := dev.CompactVLog(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 || dev.VLog().Tail() != tail+pageSize || dev.jnl.len() != n+moved {
+		t.Fatalf("compaction moved %d values, tail %d -> %d, %d records: want values moved off one page and one record each",
+			moved, tail, dev.VLog().Tail(), dev.jnl.len())
+	}
+	stale := 0
+	for _, r := range dev.jnl.recs {
+		if int64(r.addr) < dev.VLog().Tail() {
+			stale++
+		}
+	}
+	if stale != moved {
+		t.Fatalf("%d journal records point below the tail, want the %d the compaction superseded", stale, moved)
+	}
+
+	replayed := dev.stats.ReplayedRecords.Value()
+	dev.powerCut(0)
+	if _, err := dev.Mount(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.stats.ReplayedRecords.Value() - replayed; got != int64(n) {
+		t.Fatalf("mount replayed %d records, want %d: the %d live of %d journaled", got, n, n, n+moved)
+	}
+	for key, v := range want {
+		if got, st := readBack(t, dev, mem, key); st != nvme.StatusSuccess || !bytes.Equal(got, v) {
+			t.Fatalf("key %s after mount: status %v, %d bytes", key, st, len(got))
+		}
+	}
+}

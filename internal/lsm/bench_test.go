@@ -208,7 +208,15 @@ func BenchmarkCompactionOverwrite(b *testing.B) {
 func benchMerge(b *testing.B, tr *Tree, inputs []*SSTable, bottom bool) {
 	entries := 0
 	for _, t := range inputs {
-		entries += t.entries
+		for _, pg := range t.pages {
+			data, _, _ := tr.store.ReadPage(0, pg)
+			c := pageCursor{data: data}
+			for e := (Entry{}); ; entries++ {
+				if ok, _ := c.next(&e); !ok {
+					break
+				}
+			}
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -142,8 +142,8 @@ func filterStorage(tr *Tree) map[*uint64]bool {
 			out[&table.filter[0]] = true
 		}
 	}
-	for _, f := range append(tr.pendingFilters, tr.build.filters...) {
-		out[&f[:1][0]] = true
+	for _, table := range append(tr.pendingTables, tr.build.free...) {
+		out[&table.filter[:1][0]] = true
 	}
 	return out
 }

@@ -20,8 +20,8 @@ var ErrIteratorInvalidated = errors.New("lsm: iterator invalidated by compaction
 // a live view of the table it opened on (MemIterator), so a key written to
 // that table past the scan's position shows up, while a later table's keys
 // do not. Writes that only add tables leave it intact; once a compaction's
-// page frees are committed it fails with ErrIteratorInvalidated at its next
-// page load.
+// frees are committed it fails with ErrIteratorInvalidated the next time a
+// table source reads its handle, to load a page or to find it has none left.
 type Iterator struct {
 	tree     *Tree
 	reclaims uint64 // tree.reclaims at Seek
@@ -124,13 +124,16 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 			s.hasCur = true
 			return nil
 		}
+		// A commit that freed pages also freed their tables' handles, which
+		// the tree then refills for new tables: once one has, no handle of
+		// the source's may be read, not even for its page count.
+		if it.tree.reclaims != it.reclaims {
+			return ErrIteratorInvalidated
+		}
 		if s.pageIdx >= len(s.table.pages) {
 			s.done = true
 			s.hasCur = false
 			return nil
-		}
-		if it.tree.reclaims != it.reclaims {
-			return ErrIteratorInvalidated
 		}
 		data, end, err := it.tree.store.ReadPage(t, s.table.pages[s.pageIdx])
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bandslim/internal/sim"
@@ -303,7 +304,7 @@ func TestMergeMatchesReference(t *testing.T) {
 		}
 		for i := range got {
 			g, w := got[i], want[i]
-			if g.entries != w.entries || g.smallest != w.smallest || g.largest != w.largest ||
+			if g.smallest != w.smallest || g.largest != w.largest ||
 				fmt.Sprint(g.pages) != fmt.Sprint(w.pages) || fmt.Sprint(g.fences) != fmt.Sprint(w.fences) {
 				t.Fatalf("seed %d: table %d = %+v, reference %+v", seed, i, g, w)
 			}
@@ -352,9 +353,10 @@ func walkRestarts(tb testing.TB, page []byte) (restarts []uint16, first, last []
 }
 
 // checkRestarts requires the handle's index to be exactly what a walk of the
-// table's pages on the store finds: the restart index, in one exact-sized
-// slice; each page's fence, its first key; and the bounds, the first key of
-// the first page and the last key of the last.
+// table's pages on the store finds: the restart index, one slice of exactly
+// that length (a recycled handle's storage may hold more); each page's fence,
+// its first key; and the bounds, the first key of the first page and the last
+// key of the last.
 func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 	tb.Helper()
 	total := len(table.pages) + 1
@@ -377,21 +379,20 @@ func checkRestarts(tb testing.TB, store PageStore, table *SSTable) {
 		total += len(want)
 		last = pageLast
 	}
-	if len(table.restarts) != total || cap(table.restarts) != total {
-		tb.Fatalf("table on pages %v: restart index len %d cap %d, want exactly %d", table.pages, len(table.restarts), cap(table.restarts), total)
+	if len(table.restarts) != total {
+		tb.Fatalf("table on pages %v: restart index len %d, want %d", table.pages, len(table.restarts), total)
 	}
 	if table.smallest != table.fences[0] || table.largest != sim.KeyOf(last) {
 		tb.Fatalf("table on pages %v: bounds [%v, %v], its keys run from %v to %q", table.pages, table.smallest, table.largest, table.fences[0], last)
 	}
 }
 
-// A table's handle costs a fixed number of allocations however many restarts
-// and pages it holds: the page list, the fences and the restart offsets are
-// staged in the tree's builder and copied once, exact-sized, at finish. A
-// table costs four allocations — the handle, the page list, the fences and
-// the restart index — whether it has one page or eight, and whether a page
-// has no restart or a dozen. The builder is the tree's and costs none, nor
-// does the filter once a freed table's filter is on the free list.
+// A table costs no allocation once a freed handle of its size is on the
+// builder's free list, whether it has one page or eight, and whether a page
+// has no restart or a dozen: the page list, the fences and the restart offsets
+// are staged in the tree's builder and copied once, at finish, into the
+// handle's own page list, fences, restart index and filter. The builder is the
+// tree's and costs none either.
 func TestTableBuildAllocs(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 200; i++ {
@@ -409,14 +410,16 @@ func TestTableBuildAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var table *SSTable
-		allocs := testing.AllocsPerRun(20, func() {
-			table = buildTables(t, tr, entries[:tc.n], 0)[0]
-			for _, pg := range table.pages {
-				tr.alloc.free(pg) // the next build reuses the page, and memStore its image
+		const builds = 20
+		// One run of all the builds, so that the count is exact.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range builds {
+				tables := buildTables(t, tr, entries[:tc.n], 0)
+				table = tables[0]
+				releaseTables(tr, tables)
 			}
-			tr.build.filters = append(tr.build.filters, table.filter)
 		})
-		allocs-- // buildTables' own result slice
+		allocs -= builds // buildTables' own result slices
 		if len(table.pages) != tc.pages {
 			t.Fatalf("%d entries on %d-byte pages: %d pages, want %d", tc.n, tc.pageSize, len(table.pages), tc.pages)
 		}
@@ -426,8 +429,8 @@ func TestTableBuildAllocs(t *testing.T) {
 		if table.smallest != sim.KeyOf(entries[0].Key) || table.largest != sim.KeyOf(entries[tc.n-1].Key) {
 			t.Fatalf("%d entries: key range [%v, %v], want [%q, %q]", tc.n, table.smallest, table.largest, entries[0].Key, entries[tc.n-1].Key)
 		}
-		if allocs != 4 {
-			t.Errorf("building a %d-page table of %d entries (%d restarts) costs %.0f allocations, want 4",
+		if allocs != 0 {
+			t.Errorf("building a %d-page table of %d entries (%d restarts) from a freed handle costs %.0f allocations, want 0",
 				len(table.pages), tc.n, len(table.restarts)-len(table.pages)-1, allocs)
 		}
 	}
@@ -578,6 +581,72 @@ func TestIteratorInvalidatedByReclaim(t *testing.T) {
 	}
 }
 
+// A commit hands the handles of the tables it freed to the builder, which
+// refills them for the next tables built. An iterator over a freed table then
+// holds a handle that describes another table, with other pages and fewer of
+// them, so it must stop before reading the handle at all: its scan yields the
+// freed table's keys in order and ends in ErrIteratorInvalidated, never
+// cleanly and short, and never with the new table's keys.
+func TestIteratorInvalidatedByRecycledHandle(t *testing.T) {
+	store := newMemStore(4096)
+	store.pageSize = 128 // six entries a page: the first table has 17
+	cfg := smallTreeConfig()
+	cfg.MemTableEntries, cfg.L0CompactionTrigger = 100, 2
+	tr, err := NewTree(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(keys []int) {
+		for _, k := range keys {
+			if _, err := tr.Put(0, key(k), vlog.Addr(k), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tr.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first, second, small []int
+	for i := 0; i < 100; i++ {
+		first, second = append(first, 2*i), append(second, 2*i+1)
+	}
+	for i := 0; i < 5; i++ {
+		small = append(small, 1000+i)
+	}
+	put(first)
+	table := tr.levels[0][0]
+	it, err := tr.Seek(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for ; scanned < 60; scanned++ { // into the table's tenth page
+		if !it.Valid() || !bytes.Equal(it.Entry().Key, key(first[scanned])) {
+			t.Fatalf("position %d: valid=%v key %q err %v", scanned, it.Valid(), it.Entry().Key, it.Err())
+		}
+		it.Next(0)
+	}
+	reclaims := tr.reclaims
+	put(second) // L0 compacts: the commit frees the iterator's table
+	if tr.reclaims == reclaims || !slices.Contains(tr.build.free, table) {
+		t.Fatalf("the compaction freed no handle of the iterator's (reclaims %d -> %d)", reclaims, tr.reclaims)
+	}
+	put(small) // built in one freed handle
+	put(small) // built in the other, then compacted
+	if table.smallest != sim.KeyOf(key(small[0])) || len(table.pages) >= 10 {
+		t.Fatalf("the freed handle was not refilled for a shorter table (keys from %v, %d pages)", table.smallest, len(table.pages))
+	}
+	for ; it.Valid(); it.Next(0) {
+		if scanned >= len(first) || !bytes.Equal(it.Entry().Key, key(first[scanned])) {
+			t.Fatalf("position %d after the handle was refilled: key %q", scanned, it.Entry().Key)
+		}
+		scanned++
+	}
+	if !errors.Is(it.Err(), ErrIteratorInvalidated) {
+		t.Fatalf("scan across a refilled handle ended after %d of %d keys with err %v, want ErrIteratorInvalidated", scanned, len(first), it.Err())
+	}
+}
+
 // A page that is not what it should be. A lookup is a restart search and a
 // short walk, so it fails exactly when that path touches a damaged entry; a
 // released flash page (every byte the 0xDB poison) fails every lookup whatever
@@ -675,22 +744,25 @@ func TestCursorRejectsCorruptPages(t *testing.T) {
 	}
 }
 
-// releaseTables hands a merge's output tables back as a commit would: their
-// pages to the allocator, their filters to the free list.
+// releaseTables hands tables back as a commit that freed them would: their
+// pages to the allocator, their handles to the free list. (The memStore keeps
+// a page's image until it is trimmed, so the next write to it reuses that.)
 func releaseTables(tr *Tree, tables []*SSTable) {
 	for _, table := range tables {
 		for _, pg := range table.pages {
 			tr.alloc.free(pg)
 		}
-		tr.build.filters = append(tr.build.filters, table.filter)
+		tr.build.free = append(tr.build.free, table)
 	}
+	clear(tr.build.handed)
+	tr.build.handed = tr.build.handed[:0]
 }
 
-// A merge's runs, heads and slab are the tree's, kept from one merge to the
-// next: run again on the same tree, a merge allocates only its output tables'
-// handles, four allocations each (TestTableBuildAllocs), and its result
-// slice. For the shape below — three overlapping tables over five chained
-// ones, into nine output tables — that is 37 allocations.
+// A merge's runs, heads, slab and result list are the tree's, kept from one
+// merge to the next, and its output tables are built in the handles the last
+// one's released (TestTableBuildAllocs): run again on the same tree, a merge
+// allocates nothing. The shape below is three overlapping tables over five
+// chained ones, into nine output tables.
 func TestMergeReusesScratch(t *testing.T) {
 	store := newMemStore(4096)
 	store.pageSize = 512
@@ -707,9 +779,13 @@ func TestMergeReusesScratch(t *testing.T) {
 		}
 		releaseTables(tr, out)
 	}
-	merge()
-	allocs := testing.AllocsPerRun(5, merge)
-	if want := float64(4*len(out) + 1); allocs != want || len(out) != 9 {
-		t.Fatalf("a repeated merge into %d tables made %.0f allocations, want %.0f into 9", len(out), allocs, want)
+	// One run of five merges, so that the count is exact.
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 5 {
+			merge()
+		}
+	})
+	if allocs != 0 || len(out) != 9 {
+		t.Fatalf("a repeated merge into %d tables made %.0f allocations, want 0 into 9", len(out), allocs)
 	}
 }

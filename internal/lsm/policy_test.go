@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"bandslim/internal/ftl"
 	"bandslim/internal/sim"
 	"bandslim/internal/vlog"
 )
@@ -231,7 +232,9 @@ type pageWrite struct {
 	sum  uint64
 }
 
-var errScripted = errors.New("scripted write failure")
+// errScripted is the meta region running out of space, the failure a write
+// meets on a healthy device.
+var errScripted = fmt.Errorf("scripted write failure: %w", ftl.ErrNoSpace)
 
 func (s *scriptedStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, error) {
 	if s.failAt > 0 {
@@ -280,9 +283,12 @@ func findCascade(t *testing.T) (put, writes int) {
 }
 
 // A Flush that fails without a power cut, at any page write of a cascade
-// through three levels, leaves nothing behind: every acknowledged key still
-// reads, no page stays allocated, and once the store works again the tree
-// carries on as if the failure had not happened.
+// through three levels, leaves nothing behind: the levels are the committed
+// catalog's, pointer for pointer, and every one of their handles still
+// describes its table's pages; every handle that was free still is, and none
+// is both free and in a level; every acknowledged key still reads, no page
+// stays allocated, and once the store works again the tree carries on as if
+// the failure had not happened.
 func TestFailedFlushLeavesNothing(t *testing.T) {
 	put, writes := findCascade(t)
 	if writes < 8 {
@@ -299,16 +305,43 @@ func TestFailedFlushLeavesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		inUse, levels, pointer := pagesInUse(tr.alloc), levelTables(tr), slices.Clone(tr.pointer)
+		inUse, pointer, free := pagesInUse(tr.alloc), slices.Clone(tr.pointer), slices.Clone(tr.build.free)
+		levels := make([][]*SSTable, len(tr.levels))
+		for lvl, level := range tr.levels {
+			levels[lvl] = slices.Clone(level)
+		}
+		if len(free) == 0 {
+			t.Fatal("no free handles before the failing Flush: nothing to keep")
+		}
 		store.failAt = n
-		if _, err := tr.Put(0, cascadeKey(put), vlog.Addr(put), 8); !errors.Is(err, errScripted) {
+		if _, err := tr.Put(0, cascadeKey(put), vlog.Addr(put), 8); !errors.Is(err, ftl.ErrNoSpace) {
 			t.Fatalf("write %d of %d failed but the Put returned %v", n, writes, err)
 		}
 		if got := pagesInUse(tr.alloc); got != inUse {
 			t.Fatalf("write %d of %d failed: %d meta pages in use, %d before the Put", n, writes, got, inUse)
 		}
-		if got := levelTables(tr); !slices.Equal(got, levels) || !slices.Equal(tr.pointer, pointer) || len(tr.pendingFree) != 0 {
-			t.Fatalf("write %d of %d failed: levels %v (were %v), pointers %v (were %v), %d pending frees", n, writes, got, levels, tr.pointer, pointer, len(tr.pendingFree))
+		if !slices.Equal(tr.pointer, pointer) || len(tr.pendingFree) != 0 {
+			t.Fatalf("write %d of %d failed: pointers %v (were %v), %d pending frees", n, writes, tr.pointer, pointer, len(tr.pendingFree))
+		}
+		inLevel := map[*SSTable]bool{}
+		for lvl, level := range tr.levels {
+			if !slices.Equal(level, levels[lvl]) || !slices.Equal(level, tr.committed.levels[lvl]) {
+				t.Fatalf("write %d of %d failed: L%d holds %d tables, %d before and %d committed", n, writes, lvl, len(level), len(levels[lvl]), len(tr.committed.levels[lvl]))
+			}
+			for _, table := range level {
+				checkRestarts(t, store.memStore, table)
+				inLevel[table] = true
+			}
+		}
+		for _, table := range free {
+			if !slices.Contains(tr.build.free, table) {
+				t.Fatalf("write %d of %d failed: a handle left the free list", n, writes)
+			}
+		}
+		for _, table := range tr.build.free {
+			if inLevel[table] {
+				t.Fatalf("write %d of %d failed: a handle is both free and in a level", n, writes)
+			}
 		}
 		for i := 0; i < put; i++ {
 			if e, ok, _, err := tr.Get(0, cascadeKey(i)); err != nil || !ok || e.Addr != vlog.Addr(i) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"bandslim/internal/ftl"
@@ -180,7 +179,9 @@ const restartInterval = 16
 // 8-byte keys — and the filter's sim.BloomBitsPerKey bits, about 1.25 B, per
 // entry; any device-DRAM budget (caches) has to count both beside its own.
 // The host holds the fences and the bounds as sim.Keys, 24 B each, which
-// compare without touching a byte of any key.
+// compare without touching a byte of any key. A handle is immutable while its
+// table is live; once a commit frees the table, the tree's tableBuilder
+// refills the handle, slices and filter included, for a table built later.
 type SSTable struct {
 	pages  []int     // region-relative page numbers, in key order
 	fences []sim.Key // first key of each page
@@ -190,12 +191,11 @@ type SSTable struct {
 	filter sim.Bloom
 	// restarts holds, for every page, the byte offsets of its entries number
 	// restartInterval, 2*restartInterval, ... (entry 0 sits at offset 0 and is
-	// not recorded). One allocation: restarts[:len(pages)+1] are the bounds,
-	// page i's offsets being restarts[restarts[i]:restarts[i+1]].
+	// not recorded). One slice: restarts[:len(pages)+1] are the bounds, page
+	// i's offsets being restarts[restarts[i]:restarts[i+1]].
 	restarts []uint16
 	smallest sim.Key
 	largest  sim.Key
-	entries  int
 }
 
 // pageRestarts returns the restart offsets of the table's i-th page.
@@ -317,8 +317,11 @@ func searchPage(data []byte, k sim.Key, restarts []uint16) (Entry, bool, error) 
 // so far, and fences the first key of each; restarts collects the restart
 // offsets of the table so far, each page's run closed by a 0 (no restart sits
 // at offset 0); hashes the sim.Key.FilterHash of each of its entries.
-// filters is the free list of filter storage: the filters of the tables a
-// commit freed, which the next tables built are given instead of new words.
+// free is the free list of table handles: the tables a commit freed, each
+// with its page list, fences, restart index and filter, which finish refills
+// for the next tables built instead of allocating new ones; handed holds the
+// handles finish has given out since the last commit, which a rollback puts
+// back on the list.
 type tableBuilder struct {
 	store    PageStore
 	alloc    *pageAllocator
@@ -327,39 +330,45 @@ type tableBuilder struct {
 	fences   []sim.Key
 	restarts []uint16
 	hashes   []uint64
-	filters  []sim.Bloom
-	table    *SSTable // the table being built
-	used     int      // bytes of page filled
-	inPage   int      // entries in page
-	last     sim.Key  // the newest key added
+	free     []*SSTable
+	handed   []*SSTable
+	used     int     // bytes of page filled
+	inPage   int     // entries in page
+	entries  int     // entries in the table
+	last     sim.Key // the newest key added
 	end      sim.Time
 }
 
 // start opens a new table, dropping whatever a table left unfinished staged.
 func (b *tableBuilder) start() *tableBuilder {
 	b.pages, b.fences, b.restarts, b.hashes = b.pages[:0], b.fences[:0], b.restarts[:0], b.hashes[:0]
-	b.table, b.used, b.inPage, b.end = &SSTable{}, 0, 0, 0
+	b.used, b.inPage, b.entries, b.end = 0, 0, 0, 0
 	return b
 }
 
-// filter returns an empty filter for keys keys, in the smallest free storage
-// that holds it or, when none does, in new storage.
-func (b *tableBuilder) filter(keys int) sim.Bloom {
+// handle returns a handle with an empty filter for keys keys: the free handle
+// whose filter storage is the smallest that holds it or, when none does, a
+// new handle with new storage.
+func (b *tableBuilder) handle(keys int) *SSTable {
 	words, best := sim.BloomWords(keys), -1
-	for i, f := range b.filters {
-		if cap(f) >= words && (best < 0 || cap(f) < cap(b.filters[best])) {
+	for i, h := range b.free {
+		if cap(h.filter) >= words && (best < 0 || cap(h.filter) < cap(b.free[best].filter)) {
 			best = i
 		}
 	}
+	var h *SSTable
 	if best < 0 {
-		return make(sim.Bloom, words)
+		h = &SSTable{filter: make(sim.Bloom, words)}
+	} else {
+		h = b.free[best]
+		last := len(b.free) - 1
+		b.free[best], b.free[last] = b.free[last], nil
+		b.free = b.free[:last]
+		h.filter = h.filter[:words]
+		h.filter.Reset()
 	}
-	f := b.filters[best][:words]
-	last := len(b.filters) - 1
-	b.filters[best], b.filters[last] = b.filters[last], nil
-	b.filters = b.filters[:last]
-	f.Reset()
-	return f
+	b.handed = append(b.handed, h)
+	return h
 }
 
 // add appends e, whose inline key is k. Entries must arrive in strictly
@@ -404,7 +413,7 @@ func (b *tableBuilder) reserve(t sim.Time, k sim.Key, n int) ([]byte, error) {
 	b.inPage++
 	b.hashes = append(b.hashes, k.FilterHash())
 	b.last = k
-	b.table.entries++
+	b.entries++
 	return dst, nil
 }
 
@@ -431,23 +440,28 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 }
 
 // finish flushes the tail page and returns the table (nil if empty). The
-// handle gets what the builder staged in a fixed number of exact-sized
-// allocations, however many pages the table has: the page list, the fences
-// and the restart index.
+// handle, a free one when there is one, gets what the builder staged: the
+// page list, the fences and the restart index, each refilled in the handle's
+// own storage when that holds it.
 func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if err := b.flushPage(t); err != nil {
 		return nil, b.end, err
 	}
-	if b.table.entries == 0 {
+	if b.entries == 0 {
 		return nil, b.end, nil
 	}
 	// The staged list holds one terminator per page, the handle's one bound
 	// per page and one more.
 	staged := b.restarts
 	if len(staged)+1 > math.MaxUint16 {
-		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.table.entries, len(b.pages))
+		return nil, b.end, fmt.Errorf("lsm: table of %d entries on %d pages outgrows its restart index", b.entries, len(b.pages))
 	}
-	restarts := make([]uint16, len(staged)+1)
+	table := b.handle(len(b.hashes))
+	restarts := table.restarts
+	if cap(restarts) < len(staged)+1 {
+		restarts = make([]uint16, len(staged)+1)
+	}
+	restarts = restarts[:len(staged)+1] // every slot is written below
 	page, next := 0, len(b.pages)+1
 	restarts[0] = uint16(next)
 	for _, off := range staged {
@@ -459,15 +473,14 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 		restarts[next] = off
 		next++
 	}
-	b.table.restarts = restarts
-	b.table.filter = b.filter(len(b.hashes))
+	table.restarts = restarts
 	for _, h := range b.hashes {
-		b.table.filter.Add(h)
+		table.filter.Add(h)
 	}
-	b.table.pages = slices.Clone(b.pages)
-	b.table.fences = slices.Clone(b.fences)
-	b.table.smallest, b.table.largest = b.fences[0], b.last
-	return b.table, b.end, nil
+	table.pages = append(table.pages[:0], b.pages...)
+	table.fences = append(table.fences[:0], b.fences...)
+	table.smallest, table.largest = b.fences[0], b.last
+	return table, b.end, nil
 }
 
 // pageAllocator hands out meta-region pages with free-list reuse.
@@ -498,14 +511,15 @@ func (a *pageAllocator) alloc() (int, error) {
 func (a *pageAllocator) free(p int) { a.freeList = append(a.freeList, p) }
 
 // allocState is a restorable copy of the allocator, captured in the tree's
-// committed catalog.
+// committed catalog; save refills it in its own storage.
 type allocState struct {
 	next     int
 	freeList []int
 }
 
-func (a *pageAllocator) snapshot() allocState {
-	return allocState{next: a.next, freeList: append([]int(nil), a.freeList...)}
+func (s *allocState) save(a *pageAllocator) {
+	s.next = a.next
+	s.freeList = append(s.freeList[:0], a.freeList...)
 }
 
 func (a *pageAllocator) restore(s allocState) {

@@ -92,9 +92,12 @@ type Tree struct {
 	build tableBuilder
 	slab  []byte
 	// runs and heads are the merge's inputs and their head keys, kept from
-	// one merge to the next like slab.
-	runs  []mergeRun
-	heads []sim.Key
+	// one merge to the next like slab; inputs is a compaction's input tables
+	// and out a merge's output tables, kept the same way.
+	runs   []mergeRun
+	heads  []sim.Key
+	inputs []*SSTable
+	out    []*SSTable
 	// reclaims counts the commits that freed pages. An open Iterator holds
 	// page numbers of the tables it was built over; once any page has been
 	// freed those numbers may name recycled pages, so an iterator older than
@@ -102,42 +105,35 @@ type Tree struct {
 	reclaims uint64
 
 	// Crash-atomicity state. The catalog (levels + compaction pointers +
-	// allocator) is snapshotted at the end of every successful Flush;
-	// Restore rolls back to that snapshot after a power cut, and a Flush that
-	// fails without one rolls itself back the same way. Pages vacated by
-	// compaction are only trimmed at commit (pendingFree), so the committed
-	// catalog's tables are always intact on flash; their filters join the
-	// filter free list then too (pendingFilters), so the committed tables'
-	// filters are never handed to a new table.
-	pendingFree    []int
-	pendingFilters []sim.Bloom
-	committed      catalog
-	onDurable      func()
+	// allocator) is copied into committed at the end of every successful
+	// Flush; Restore rolls back to that copy after a power cut, and a Flush
+	// that fails without one rolls itself back the same way. Both copies are
+	// refilled in the storage they already have. Pages vacated by compaction
+	// are only trimmed at commit (pendingFree), so the committed catalog's
+	// tables are always intact on flash; their handles, filters included, join
+	// the builder's free list then too (pendingTables), so a table of the
+	// committed catalog is never handed out again while it can be restored.
+	pendingFree   []int
+	pendingTables []*SSTable
+	committed     catalog
+	onDurable     func()
 }
 
 // catalog is the durable view of the tree: everything needed to rebuild it
 // at mount, as firmware would persist in a superblock.
 type catalog struct {
-	levels  [][]*SSTable // SSTables are immutable; sharing pointers is safe
+	levels  [][]*SSTable // a table is immutable until commit frees it; sharing pointers is safe
 	pointer []sim.Key
 	alloc   allocState
 }
 
-// snapshotCatalog deep-copies the level structure (table pointers shared).
-func (tr *Tree) snapshotCatalog() catalog {
-	return catalog{
-		levels:  copyLevels(tr.levels),
-		pointer: slices.Clone(tr.pointer),
-		alloc:   tr.alloc.snapshot(),
+// save copies the tree's catalog into c, table pointers shared.
+func (c *catalog) save(tr *Tree) {
+	for i, level := range tr.levels {
+		c.levels[i] = append(c.levels[i][:0], level...)
 	}
-}
-
-func copyLevels(levels [][]*SSTable) [][]*SSTable {
-	out := make([][]*SSTable, len(levels))
-	for i, lvl := range levels {
-		out[i] = slices.Clone(lvl)
-	}
-	return out
+	c.pointer = append(c.pointer[:0], tr.pointer...)
+	c.alloc.save(tr.alloc)
 }
 
 // commit applies the deferred page frees and snapshots the catalog. Called
@@ -153,10 +149,12 @@ func (tr *Tree) commit() {
 		_ = tr.store.TrimPage(pg)
 	}
 	tr.pendingFree = tr.pendingFree[:0]
-	tr.build.filters = append(tr.build.filters, tr.pendingFilters...)
-	clear(tr.pendingFilters)
-	tr.pendingFilters = tr.pendingFilters[:0]
-	tr.committed = tr.snapshotCatalog()
+	tr.build.free = append(tr.build.free, tr.pendingTables...)
+	clear(tr.pendingTables)
+	tr.pendingTables = tr.pendingTables[:0]
+	clear(tr.build.handed)
+	tr.build.handed = tr.build.handed[:0]
+	tr.committed.save(tr)
 	if tr.onDurable != nil {
 		tr.onDurable()
 	}
@@ -179,13 +177,21 @@ func (tr *Tree) Restore() {
 // rollback returns everything but the MemTable to the committed catalog.
 // Restoring the allocator is what hands back the pages written since: they
 // are in no catalog, and their numbers are rewritten before they are read.
+// The handles of the tables built since go back on the free list the same
+// way: they are in no catalog either.
 func (tr *Tree) rollback() {
-	tr.levels = copyLevels(tr.committed.levels)
+	for i, level := range tr.committed.levels {
+		clear(tr.levels[i])
+		tr.levels[i] = append(tr.levels[i][:0], level...)
+	}
 	tr.pointer = append(tr.pointer[:0], tr.committed.pointer...)
 	tr.alloc.restore(tr.committed.alloc)
 	tr.pendingFree = tr.pendingFree[:0]
-	clear(tr.pendingFilters)
-	tr.pendingFilters = tr.pendingFilters[:0]
+	clear(tr.pendingTables)
+	tr.pendingTables = tr.pendingTables[:0]
+	tr.build.free = append(tr.build.free, tr.build.handed...)
+	clear(tr.build.handed)
+	tr.build.handed = tr.build.handed[:0]
 }
 
 // NewTree builds an empty tree over the store.
@@ -210,7 +216,8 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		// 8-byte keys at the default geometry, so neither regrows them.
 		build: tableBuilder{store: store, alloc: alloc, page: make([]byte, store.PageSize()), hashes: make([]uint64, 0, 2*cfg.MemTableEntries)},
 	}
-	tr.committed = tr.snapshotCatalog()
+	tr.committed = catalog{levels: make([][]*SSTable, cfg.MaxLevels)}
+	tr.committed.save(tr)
 	return tr, nil
 }
 
@@ -281,7 +288,7 @@ func (tr *Tree) flush(t sim.Time) (sim.Time, error) {
 		return t, err
 	}
 	if table != nil {
-		tr.levels[0] = append([]*SSTable{table}, tr.levels[0]...)
+		tr.levels[0] = slices.Insert(tr.levels[0], 0, table)
 		tr.wrote(table)
 	}
 	cEnd, err := tr.maybeCompact(t)
@@ -429,16 +436,17 @@ func (tr *Tree) maybeCompact(t sim.Time) (sim.Time, error) {
 
 // compactL0 merges every L0 table with the overlapping span of L1.
 func (tr *Tree) compactL0(t sim.Time) (sim.Time, error) {
-	inputs := append([]*SSTable(nil), tr.levels[0]...)
-	lo, hi := keyRange(inputs)
-	over, rest := splitOverlap(tr.levels[1], lo, hi)
-	inputs = append(inputs, over...)
+	lo, hi := keyRange(tr.levels[0])
+	i, j := overlapSpan(tr.levels[1], lo, hi)
+	inputs := append(append(tr.inputs[:0], tr.levels[0]...), tr.levels[1][i:j]...)
+	tr.inputs = inputs
 	out, end, err := tr.merge(t, inputs, 1 == len(tr.levels)-1)
 	if err != nil {
 		return t, err
 	}
-	tr.levels[0] = nil
-	tr.levels[1] = insertSorted(rest, out)
+	clear(tr.levels[0])
+	tr.levels[0] = tr.levels[0][:0]
+	tr.levels[1] = slices.Replace(tr.levels[1], i, j, out...)
 	tr.freeTables(inputs)
 	tr.stats.Compactions.Inc()
 	return end, nil
@@ -455,12 +463,13 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	level, after := tr.levels[lvl], tr.pointer[lvl]
 	vi := sort.Search(len(level), func(i int) bool { return after.Less(level[i].smallest) }) % len(level)
 	victim := level[vi]
-	over, rest := splitOverlap(tr.levels[lvl+1], victim.smallest, victim.largest)
-	out, end := []*SSTable{victim}, t
-	if len(over) == 0 {
+	i, j := overlapSpan(tr.levels[lvl+1], victim.smallest, victim.largest)
+	inputs := append(append(tr.inputs[:0], victim), tr.levels[lvl+1][i:j]...)
+	tr.inputs = inputs
+	out, end := inputs[:1], t
+	if i == j {
 		tr.stats.TrivialMoves.Inc()
 	} else {
-		inputs := append([]*SSTable{victim}, over...)
 		var err error
 		out, end, err = tr.merge(t, inputs, lvl+1 == len(tr.levels)-1)
 		if err != nil {
@@ -471,7 +480,7 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	tr.stats.Compactions.Inc()
 	// The victim leaves its level only now: a merge that failed left it there.
 	tr.levels[lvl] = slices.Delete(level, vi, vi+1)
-	tr.levels[lvl+1] = insertSorted(rest, out)
+	tr.levels[lvl+1] = slices.Replace(tr.levels[lvl+1], i, j, out...)
 	tr.pointer[lvl] = victim.largest
 	return end, nil
 }
@@ -585,9 +594,8 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			runs, heads = slices.Delete(runs, i, i+1), slices.Delete(heads, i, i+1)
 		}
 	}
-	// Room for a table per TablePages pages read, and one more: a merge
-	// writes about as many pages as it reads, often fewer.
-	out := make([]*SSTable, 0, need/ps/tr.cfg.TablePages+1)
+	// The output list is the tree's, good until the next merge.
+	out := tr.out[:0]
 	var builder *tableBuilder // the table open, if any
 	finish := func() error {
 		table, bEnd, err := builder.finish(t)
@@ -648,19 +656,20 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			return nil, end, err
 		}
 	}
+	tr.out = out
 	return out, end, nil
 }
 
-// freeTables schedules every input table's pages and filter for release. The
+// freeTables schedules every input table's pages and handle for release. The
 // frees are deferred to the next catalog commit: until then the pages stay
-// allocated and untrimmed and the filters in use, so a crash between
+// allocated and untrimmed and the handles untouched, so a crash between
 // compaction and commit can roll back to the previous catalog with all its
 // tables readable.
 func (tr *Tree) freeTables(tables []*SSTable) {
 	for _, table := range tables {
 		tr.pendingFree = append(tr.pendingFree, table.pages...)
-		tr.pendingFilters = append(tr.pendingFilters, table.filter)
 	}
+	tr.pendingTables = append(tr.pendingTables, tables...)
 }
 
 // keyRange reports the smallest and largest keys across tables.
@@ -676,23 +685,14 @@ func keyRange(tables []*SSTable) (lo, hi sim.Key) {
 	return lo, hi
 }
 
-// splitOverlap partitions a sorted level into tables overlapping [lo,hi] and
-// the rest.
-func splitOverlap(tables []*SSTable, lo, hi sim.Key) (over, rest []*SSTable) {
-	for _, t := range tables {
-		if t.overlaps(lo, hi) {
-			over = append(over, t)
-		} else {
-			rest = append(rest, t)
-		}
-	}
-	return over, rest
-}
-
-// insertSorted merges new tables into a level, keeping it sorted by smallest
-// key. Levels ≥1 are non-overlapping by construction.
-func insertSorted(level, add []*SSTable) []*SSTable {
-	out := append(append([]*SSTable(nil), level...), add...)
-	sort.Slice(out, func(i, j int) bool { return out[i].smallest.Less(out[j].smallest) })
-	return out
+// overlapSpan returns the span [i, j) of a sorted, disjoint level (any level
+// >= 1) whose tables overlap [lo, hi]: as the level's tables ascend in both
+// bounds, the overlapping ones are consecutive. Every key of the tables a
+// merge or a move puts in the span's place lies between the tables before i
+// and those from j on, so replacing the span with them, in place, keeps the
+// level sorted.
+func overlapSpan(level []*SSTable, lo, hi sim.Key) (i, j int) {
+	i = sort.Search(len(level), func(k int) bool { return !level[k].largest.Less(lo) })
+	j = i + sort.Search(len(level)-i, func(k int) bool { return hi.Less(level[i+k].smallest) })
+	return i, j
 }

@@ -614,3 +614,62 @@ func TestPageAllocatorReuse(t *testing.T) {
 		t.Fatalf("inUse = %d", pagesInUse(a))
 	}
 }
+
+// keepStore is a memStore whose trimmed pages keep their images for the next
+// write to them, as a trimmed flash page keeps its cells until it is
+// programmed again: once every page number has been written its calls
+// allocate nothing, so an allocation count over it is the tree's own.
+type keepStore struct{ *memStore }
+
+func (keepStore) TrimPage(int) error { return nil }
+
+// Once a tree's shape stops growing — a fixed working set overwritten in a
+// fixed order — a Flush and the compactions it runs allocate nothing: the
+// MemTable is reset in place, tables are built in the handles earlier commits
+// freed, the committed catalog is copied into its own storage, and levels are
+// edited in place. A run is the L0CompactionTrigger flushes that fill L0, the
+// last of which compacts it into L1 and pushes whatever overflows below.
+func TestSteadyStateFlushAllocs(t *testing.T) {
+	store := keepStore{newMemStore(1 << 14)}
+	store.pageSize = 512
+	cfg := smallTreeConfig()
+	cfg.TablePages = 1
+	tr, err := NewTree(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 400)
+	for i := range keys {
+		keys[i] = cascadeKey(i)
+	}
+	next := 0
+	run := func() {
+		for range cfg.L0CompactionTrigger * cfg.MemTableEntries {
+			if _, err := tr.Put(0, keys[next%len(keys)], vlog.Addr(next), 8); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	for range 200 {
+		run()
+	}
+	if tables := levelTables(tr); tables[2] == 0 {
+		t.Fatalf("levels %v: the working set never reached L2", tables)
+	}
+	const runs = 50
+	compactions := tr.stats.Compactions.Value()
+	// One call of all the runs, so that the count is exact.
+	allocs := testing.AllocsPerRun(1, func() {
+		for range runs {
+			run()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d steady-state runs of %d flushes each made %.0f allocations, want 0", runs, cfg.L0CompactionTrigger, allocs)
+	}
+	// AllocsPerRun calls the function twice: once to warm up, once counted.
+	if got := tr.stats.Compactions.Value() - compactions; got <= 2*runs {
+		t.Fatalf("%d runs compacted %d times: want an L0 compaction each and level pushes besides", 2*runs, got)
+	}
+}

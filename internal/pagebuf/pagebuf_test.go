@@ -11,11 +11,15 @@ import (
 	"bandslim/internal/sim"
 )
 
-// flushRecorder captures flushed pages for inspection.
+// flushRecorder captures flushed pages, and the time each flush was handed
+// off at, for inspection. With fail set it fails every flush after the first
+// failAfter.
 type flushRecorder struct {
-	pages map[int64][]byte
-	order []int64
-	fail  bool
+	pages     map[int64][]byte
+	order     []int64
+	at        []sim.Time
+	fail      bool
+	failAfter int
 }
 
 func newRecorder() *flushRecorder {
@@ -23,13 +27,14 @@ func newRecorder() *flushRecorder {
 }
 
 func (r *flushRecorder) flush(t sim.Time, pageNo int64, data []byte) (sim.Time, error) {
-	if r.fail {
+	if r.fail && len(r.order) >= r.failAfter {
 		return t, errFlush
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	r.pages[pageNo] = cp
 	r.order = append(r.order, pageNo)
+	r.at = append(r.at, t)
 	return t.Add(400 * sim.Microsecond), nil
 }
 
@@ -373,19 +378,76 @@ func TestBackfillForcedFlushUnderEntryCap(t *testing.T) {
 	}
 }
 
-// A full DLT retires its oldest entry rather than failing.
+// A full DLT retires its oldest entry rather than failing: the WP gives up
+// the gap before that region and moves past its end, so a piggybacked value
+// placed next lands after the region, never on it.
 func TestBackfillDLTOverflowRetiresOldest(t *testing.T) {
 	rec := newRecorder()
 	eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
-	b, err := New(Config{PageSize: 16 * 1024, MaxEntries: 64, Policy: PolicyBackfill, DLTCap: 4}, eng, rec.flush)
+	b, err := New(Config{PageSize: 16 * 1024, MaxEntries: 64, Policy: PolicyBackfill, DLTCap: 2}, eng, rec.flush)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Push fails on a full table, so ten placements through four entries
-	// succeed only if the overflow retires entries.
+	region := bytes.Repeat([]byte{0xAA}, 2048)
+	// Two regions fill the table; the third retires the oldest, [0, 2048).
+	for _, want := range []int64{0, 4096, 8192} {
+		if addr, _, err := b.PlaceDMA(0, region); err != nil || addr != want {
+			t.Fatalf("DMA region at %d (err %v), want %d", addr, err, want)
+		}
+	}
+	if b.WP() != 2048 {
+		t.Fatalf("WP %d after the full DLT retired [0, 2048), want 2048", b.WP())
+	}
+	if addr, _, err := b.PlacePiggybacked(0, make([]byte, 100)); err != nil || addr != 2048 {
+		t.Fatalf("piggybacked value at %d (err %v), want 2048, just past the retired region", addr, err)
+	}
+	if got, err := buffered(b, 0, len(region)); err != nil || !bytes.Equal(got, region) {
+		t.Fatalf("retired region overwritten (err %v)", err)
+	}
+	// Push fails on a full table, so more placements through two entries
+	// succeed only if every overflow retires one.
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.PlaceDMA(0, make([]byte, 2048)); err != nil {
+		if _, _, err := b.PlaceDMA(0, region); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A placement that retires several pages at once returns when the last of
+// them was handed off: each page waits for the program before it, so that is
+// the latest handoff, whether the pages were complete (the WP passed them) or
+// forced out by the entry cap.
+func TestRetiredPagesReturnLatestHandoff(t *testing.T) {
+	eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
+	for _, c := range []struct {
+		name   string
+		policy Policy
+		place  func(b *Buffer) (sim.Time, error)
+		forced bool
+	}{
+		{"complete pages", PolicyAll, func(b *Buffer) (sim.Time, error) {
+			_, end, err := b.PlacePiggybacked(0, make([]byte, 2*16*1024+100))
+			return end, err
+		}, false},
+		{"entry cap", PolicyBackfill, func(b *Buffer) (sim.Time, error) {
+			_, end, err := b.PlaceDMA(0, make([]byte, 3*16*1024+100))
+			return end, err
+		}, true},
+	} {
+		rec := newRecorder()
+		b, err := New(Config{PageSize: 16 * 1024, MaxEntries: 2, Policy: c.policy}, eng, rec.flush)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, err := c.place(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forced := b.Stats().ForcedFlushes.Value() > 0; len(rec.at) != 2 || forced != c.forced {
+			t.Fatalf("%s: %d flushes (forced: %v), want 2 (forced: %v)", c.name, len(rec.at), forced, c.forced)
+		}
+		if rec.at[1] <= rec.at[0] || end != rec.at[1] {
+			t.Fatalf("%s: flushes handed off at %v, placement returned %v: want the later", c.name, rec.at, end)
 		}
 	}
 }
@@ -419,6 +481,31 @@ func TestFlushAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = before
+}
+
+// FlushAll retires every open page, however many, and returns when the last
+// program completes; one that fails part-way returns when the last page it
+// did flush was handed off.
+func TestFlushAllRetiresEveryPage(t *testing.T) {
+	const program = 400 * sim.Microsecond // flushRecorder's
+	b, rec := newBuf(t, PolicyBackfill, 8)
+	b.PlaceDMA(0, make([]byte, 3*16*1024)) // the WP stays at 0: three pages open, none complete
+	end, err := b.FlushAll(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.at) != 3 || b.OpenPages() != 0 || end != rec.at[2].Add(program) {
+		t.Fatalf("FlushAll: %d flushes handed off at %v, %d pages left open, returned %v: want 3, none, the last program's end",
+			len(rec.at), rec.at, b.OpenPages(), end)
+	}
+
+	b, rec = newBuf(t, PolicyBackfill, 8)
+	rec.fail, rec.failAfter = true, 2
+	b.PlaceDMA(0, make([]byte, 3*16*1024))
+	end, err = b.FlushAll(0)
+	if err == nil || len(rec.at) != 2 || end != rec.at[1] {
+		t.Fatalf("FlushAll failing at the third page: err %v, flushes handed off at %v, returned %v: want the second handoff", err, rec.at, end)
+	}
 }
 
 func TestFlushFailurePropagates(t *testing.T) {

@@ -2,8 +2,10 @@ package vlog
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"bandslim/internal/ftl"
 	"bandslim/internal/pagebuf"
 )
 
@@ -144,6 +146,71 @@ func TestContainsBounds(t *testing.T) {
 	} {
 		if got := v.Contains(Addr(c.addr), c.n); got != c.want {
 			t.Errorf("%s: Contains(%d, %d) = %v, want %v (tail %d, frontier %d)", c.name, c.addr, c.n, got, c.want, tail, front)
+		}
+	}
+}
+
+// reclaimedVLog is a four-page vLog whose first page has been reclaimed: its
+// tail and its frontier both sit above zero, one page apart.
+func reclaimedVLog(t *testing.T) *VLog {
+	t.Helper()
+	v := smallRegionVLog(t, 4)
+	if _, _, err := v.AppendPiggybacked(0, bytes.Repeat([]byte{7}, 20000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AdvanceTail(16 * 1024); err != nil {
+		t.Fatal(err)
+	}
+	if v.Tail() != 16*1024 || v.Buffer().Frontier() != 2*16*1024 {
+		t.Fatalf("tail %d, frontier %d: want one page and two", v.Tail(), v.Buffer().Frontier())
+	}
+	return v
+}
+
+// An append fits while the frontier, the value and one page of slack stay
+// within the tail plus the region's capacity: the value that fills that room
+// exactly is taken, one byte more is refused with ErrNoSpace.
+func TestAppendRoomBoundary(t *testing.T) {
+	v := reclaimedVLog(t)
+	room := v.Tail() + v.CapacityBytes() - v.Buffer().Frontier() - 16*1024
+	if room != v.FreeBytes() || room <= 0 {
+		t.Fatalf("room %d, FreeBytes %d", room, v.FreeBytes())
+	}
+	if _, _, err := v.AppendPiggybacked(0, make([]byte, room+1)); !errors.Is(err, ftl.ErrNoSpace) {
+		t.Fatalf("append of %d bytes into %d of room: err %v, want ErrNoSpace", room+1, room, err)
+	}
+	if _, _, err := v.AppendDMA(0, make([]byte, room)); err != nil {
+		t.Fatalf("append of exactly the %d bytes of room: %v", room, err)
+	}
+}
+
+// ReadInto serves a range inside [tail, frontier), each edge inclusive, and
+// refuses one that reaches a byte past either.
+func TestReadIntoRange(t *testing.T) {
+	v := reclaimedVLog(t)
+	if _, _, err := v.AppendPiggybacked(0, bytes.Repeat([]byte{9}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	tail, front := v.Tail(), v.Buffer().Frontier()
+	for _, c := range []struct {
+		name string
+		addr int64
+		want byte // the bytes read; 0: refused
+	}{
+		{"at the tail", tail, 7},
+		{"one byte below the tail", tail - 1, 0},
+		{"ending at the frontier", front - 2, 9},
+		{"one byte past the frontier", front - 1, 0},
+	} {
+		got, _, err := v.ReadInto(0, Addr(c.addr), 2, nil)
+		switch {
+		case c.want == 0 && err == nil:
+			t.Errorf("%s: read [%d, %d) served %v, want refused (tail %d, frontier %d)", c.name, c.addr, c.addr+2, got, tail, front)
+		case c.want != 0 && (err != nil || !bytes.Equal(got, []byte{c.want, c.want})):
+			t.Errorf("%s: read [%d, %d) = %v, err %v, want two %d bytes", c.name, c.addr, c.addr+2, got, err, c.want)
 		}
 	}
 }
