@@ -62,7 +62,8 @@ determinism:
 # against the materialising merge kept beside it, the in-place level edit
 # against the split-and-sort kept beside it, the RESP command parser
 # alone and in server-style bursts, the workload-trace parser, the NAND page
-# store's round trip, the NAND payload slab against exact page copies, the
+# store's round trip, the NAND payload slab against exact page copies, a NAND
+# program given the page buffer's sector ends against one without them, the
 # device value tier against its old map-and-buffers form, the device page tier
 # against its old map, and the FTL against its old dense map, seeded from the
 # committed testdata corpora and the targets' own seeds. New inputs are not
@@ -75,7 +76,8 @@ FUZZ_SMOKE = ./internal/fault:FuzzParsePlan ./internal/lsm:FuzzDecodePage \
 	./internal/lsm:FuzzLevelEdit \
 	./internal/resp:FuzzRESPParse ./internal/resp:FuzzRESPBurst \
 	./internal/workload:FuzzTraceParse ./internal/nand:FuzzPageRoundTrip \
-	./internal/nand:FuzzPayloadSlab ./internal/cache:FuzzValues \
+	./internal/nand:FuzzPayloadSlab ./internal/nand:FuzzProgramExtents \
+	./internal/cache:FuzzValues \
 	./internal/cache:FuzzPages ./internal/ftl:FuzzFTL
 
 fuzz-smoke:

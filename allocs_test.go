@@ -32,12 +32,23 @@ func allocConfig(method bandslim.TransferMethod, policy bandslim.PackingPolicy, 
 	return cfg
 }
 
-// assertZeroAllocs runs fn under testing.AllocsPerRun and fails on any
-// per-run allocation.
+// assertZeroAllocs calls fn once to warm up and then runs times, as
+// testing.AllocsPerRun does, and fails on any allocation in those runs. It
+// counts them all: AllocsPerRun reports the whole-number part of the mean,
+// which passes a fn that allocates fewer times than it runs.
 func assertZeroAllocs(t *testing.T, what string, runs int, fn func()) {
 	t.Helper()
-	if avg := testing.AllocsPerRun(runs, fn); avg != 0 {
-		t.Errorf("%s allocates %.2f objects per op in steady state, want 0", what, avg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&ms)
+	if n := ms.Mallocs - before; n != 0 {
+		t.Errorf("%s made %d allocations in %d steady-state runs, want 0", what, n, runs)
 	}
 }
 
@@ -380,8 +391,12 @@ func TestInsertAllocsSteadyState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The Put that fills the MemTable flushes it.
-			for i < bandslim.DefaultConfig().Device.LSM.MemTableEntries {
+			// The Put that fills the MemTable flushes it. A way's first
+			// program builds its block's page table and reverse map (host
+			// memory follows the written blocks), so the warm-up goes on
+			// until every way has been programmed.
+			cfg := bandslim.DefaultConfig().Device
+			for i < cfg.LSM.MemTableEntries || db.Stats().Device.NANDPageWrites < int64(cfg.Geometry.Ways()) {
 				put()
 			}
 			if db.Stats().Device.IndexPageWrites == 0 {
@@ -526,6 +541,11 @@ func TestShardedAllocsSteadyState(t *testing.T) {
 			defer g.Close()
 			for _, k := range keys {
 				if err := g.Put(k, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys { // a first read grows each shard's read scratch
+				if _, err := g.Get(k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -708,7 +728,7 @@ func TestShardedBatchAllocsTwoCallers(t *testing.T) {
 	measure := func(t *testing.T, what string, batch func(prefix string) func()) {
 		t.Helper()
 		fg, bg := batch("a"), batch("b")
-		for r := 0; r < 8; r++ { // warm pools, scratch, and both lane sets
+		for r := 0; r < 8; r++ { // warm pools, scratch, and one lane set
 			fg()
 			bg()
 		}
@@ -724,6 +744,11 @@ func TestShardedBatchAllocsTwoCallers(t *testing.T) {
 				}
 			}
 		}()
+		// Batches that overlap take a lane set each: warm the second one,
+		// and its lanes, with both callers running.
+		for r := 0; r < 200; r++ {
+			fg()
+		}
 		assertZeroAllocs(t, what, 400, fg)
 		close(stop)
 		<-done

@@ -375,40 +375,47 @@ func TestValuesHitPathAllocs(t *testing.T) {
 		c.Put(keys[i], make([]byte, 128))
 	}
 	i := 0
-	if avg := testing.AllocsPerRun(400, func() {
-		v, ok := c.Get(keys[i%len(keys)])
-		if !ok || len(v) != 128 {
-			t.Fatal("miss on warm cache")
+	// Each check is one call of all its runs, so that the count is exact.
+	if n := testing.AllocsPerRun(1, func() {
+		for range 400 {
+			v, ok := c.Get(keys[i%len(keys)])
+			if !ok || len(v) != 128 {
+				t.Fatal("miss on warm cache")
+			}
+			i++
 		}
-		i++
-	}); avg != 0 {
-		t.Errorf("Values.Get allocates %.2f per op, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Values.Get allocates %.0f times in 400 ops, want 0", n)
 	}
 	// Invalidating a resident key and admitting it again reuses its slot
 	// and its slab chunk.
 	val := make([]byte, 128)
 	i = 0
-	if avg := testing.AllocsPerRun(400, func() {
-		k := keys[i%len(keys)]
-		if !c.Invalidate(k) {
-			t.Fatal("resident key not invalidated")
+	if n := testing.AllocsPerRun(1, func() {
+		for range 400 {
+			k := keys[i%len(keys)]
+			if !c.Invalidate(k) {
+				t.Fatal("resident key not invalidated")
+			}
+			c.Put(k, val)
+			i++
 		}
-		c.Put(k, val)
-		i++
-	}); avg != 0 {
-		t.Errorf("Values.Invalidate allocates %.2f per op, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Values.Invalidate allocates %.0f times in 400 ops, want 0", n)
 	}
 	// Reset keeps the slots and the slab, so refilling allocates nothing.
-	if avg := testing.AllocsPerRun(50, func() {
-		c.Reset()
-		for _, k := range keys {
-			c.Put(k, val)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 50 {
+			c.Reset()
+			for _, k := range keys {
+				c.Put(k, val)
+			}
+			if c.Len() != len(keys) {
+				t.Fatalf("refill holds %d entries, want %d", c.Len(), len(keys))
+			}
 		}
-		if c.Len() != len(keys) {
-			t.Fatalf("refill holds %d entries, want %d", c.Len(), len(keys))
-		}
-	}); avg != 0 {
-		t.Errorf("Values refill after Reset allocates %.2f per run, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Values refill after Reset allocates %.0f times in 50 runs, want 0", n)
 	}
 	// A full tier admitting keys it does not hold evicts one entry per
 	// admission and recycles its storage.
@@ -421,13 +428,15 @@ func TestValuesHitPathAllocs(t *testing.T) {
 		full.Put(k, val)
 	}
 	i = len(keys)
-	if avg := testing.AllocsPerRun(400, func() {
-		if evicted, ok := full.Put(churn[i%len(churn)], val); !ok || evicted != 1 {
-			t.Fatalf("put into a full tier: evicted=%d admitted=%v", evicted, ok)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 400 {
+			if evicted, ok := full.Put(churn[i%len(churn)], val); !ok || evicted != 1 {
+				t.Fatalf("put into a full tier: evicted=%d admitted=%v", evicted, ok)
+			}
+			i++
 		}
-		i++
-	}); avg != 0 {
-		t.Errorf("Values.Put allocates %.2f per op at capacity, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Values.Put allocates %.0f times in 400 ops at capacity, want 0", n)
 	}
 
 	p := NewPages(16, NewPolicy(LRU))
@@ -435,24 +444,28 @@ func TestValuesHitPathAllocs(t *testing.T) {
 		p.Put(pg)
 	}
 	i = 0
-	if avg := testing.AllocsPerRun(400, func() {
-		if !p.Get(i % 16) {
-			t.Fatal("miss on warm page cache")
+	if n := testing.AllocsPerRun(1, func() {
+		for range 400 {
+			if !p.Get(i % 16) {
+				t.Fatal("miss on warm page cache")
+			}
+			i++
 		}
-		i++
-	}); avg != 0 {
-		t.Errorf("Pages.Get allocates %.2f per op, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Pages.Get allocates %.0f times in 400 ops, want 0", n)
 	}
 	// A full tier churning through new page numbers recycles its slots: the
 	// steady-state miss path allocates nothing either.
 	pg := 16
-	if avg := testing.AllocsPerRun(400, func() {
-		if p.Put(pg) != 1 {
-			t.Fatal("a full tier admitted a page without evicting one")
+	if n := testing.AllocsPerRun(1, func() {
+		for range 400 {
+			if p.Put(pg) != 1 {
+				t.Fatal("a full tier admitted a page without evicting one")
+			}
+			pg++
 		}
-		pg++
-	}); avg != 0 {
-		t.Errorf("Pages.Put allocates %.2f per op at capacity, want 0", avg)
+	}); n != 0 {
+		t.Errorf("Pages.Put allocates %.0f times in 400 ops at capacity, want 0", n)
 	}
 }
 

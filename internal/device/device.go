@@ -377,12 +377,14 @@ func (d *Device) execute(t sim.Time, cmd nvme.Command) (nvme.Completion, sim.Tim
 		return comp, t
 	}
 	if err != nil {
-		if errors.Is(err, fault.ErrPowerCut) {
+		// classify answers the device's own sentinels, not-found first,
+		// before it unwraps anything: errors.Is on the hot miss path costs
+		// a runtime type-assertion cache that now and then allocates.
+		if comp.Status = classify(err); comp.Status == nvme.StatusPowerLoss {
 			// The cut happened mid-command, somewhere down the stack; all
 			// volatile state is gone as of now.
 			d.powerCut(t)
 		}
-		comp.Status = classify(err)
 	}
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvExec, Op: byte(cmd.Opcode()), Start: t, End: end, Arg: int64(cmd.CommandID())})

@@ -81,9 +81,8 @@ type FTL struct {
 	// freeBlocks is each way's pool of erased blocks, consumed in order.
 	freeBlocks [][]int
 	active     []activeBlock
-	nextWay    int    // round-robin write striping cursor
-	inGC       bool   // guards against re-entrant emergency GC
-	gcPage     []byte // the page GC migrates through
+	nextWay    int  // round-robin write striping cursor
+	inGC       bool // guards against re-entrant emergency GC
 	stats      Stats
 }
 
@@ -128,7 +127,6 @@ func New(flash *nand.Array, cfg Config) (*FTL, error) {
 		blocks:     make([]blockInfo, geo.Blocks()),
 		freeBlocks: make([][]int, geo.Ways()),
 		active:     make([]activeBlock, geo.Ways()),
-		gcPage:     make([]byte, geo.PageSize),
 	}
 	for w := 0; w < geo.Ways(); w++ {
 		// The pool is consumed from the front, highest block first.
@@ -222,10 +220,16 @@ func (f *FTL) allocPage(t sim.Time, way int) (int, sim.Time, error) {
 // Write stores one logical page out-of-place and returns the program
 // completion time. Data shorter than a page is zero-padded by the flash.
 func (f *FTL) Write(t sim.Time, lpn int, data []byte) (sim.Time, error) {
+	return f.WriteSectors(t, lpn, data, nil)
+}
+
+// WriteSectors is Write for data whose sector ends the caller knows, passed
+// on to the flash (see nand.Array.ProgramSectors); nil ends is Write.
+func (f *FTL) WriteSectors(t sim.Time, lpn int, data []byte, ends []uint16) (sim.Time, error) {
 	if lpn < 0 || lpn >= f.logical {
 		return t, fmt.Errorf("ftl: logical page %d out of range [0,%d)", lpn, f.logical)
 	}
-	end, phys, err := f.program(t, data)
+	end, phys, err := f.program(t, data, ends)
 	if err != nil {
 		return t, err
 	}
@@ -242,7 +246,7 @@ func (f *FTL) Write(t sim.Time, lpn int, data []byte) (sim.Time, error) {
 // broken by a rotating cursor, so balanced ways stripe round-robin) and
 // programs it. Free-space-aware placement keeps any single way from filling
 // with live data while others hold all the dead pages.
-func (f *FTL) program(t sim.Time, data []byte) (sim.Time, int, error) {
+func (f *FTL) program(t sim.Time, data []byte, ends []uint16) (sim.Time, int, error) {
 	way, bestSlots := f.nextWay, -1
 	for i := 0; i < f.geo.Ways(); i++ {
 		w := (f.nextWay + i) % f.geo.Ways()
@@ -251,7 +255,7 @@ func (f *FTL) program(t sim.Time, data []byte) (sim.Time, int, error) {
 		}
 	}
 	f.nextWay = (way + 1) % f.geo.Ways()
-	return f.programOnWay(t, way, data)
+	return f.programOnWay(t, way, data, ends, -1)
 }
 
 // maxProgramRetries bounds write redirection: a media failure retires the
@@ -259,20 +263,26 @@ func (f *FTL) program(t sim.Time, data []byte) (sim.Time, int, error) {
 // consecutive retirements the failure is reported as persistent.
 const maxProgramRetries = 4
 
-// programOnWay programs a page on a specific way. GC uses this to migrate a
-// victim's live pages within the victim's own way, which guarantees each GC
-// round frees at least the victim's dead-page count.
+// programOnWay programs a page on a specific way: data with its sector ends
+// or, when from is a physical page, from's payload, moved. GC uses this to
+// migrate a victim's live pages within the victim's own way, which guarantees
+// each GC round frees at least the victim's dead-page count.
 //
 // A media failure retires the active block (grown bad block) and redirects
 // the write into a freshly opened block. Power cuts and transient faults
 // propagate untouched: neither indicts the block.
-func (f *FTL) programOnWay(t sim.Time, way int, data []byte) (sim.Time, int, error) {
+func (f *FTL) programOnWay(t sim.Time, way int, data []byte, ends []uint16, from int) (sim.Time, int, error) {
 	for attempt := 0; ; attempt++ {
 		phys, _, err := f.allocPage(t, way)
 		if err != nil {
 			return t, 0, err
 		}
-		end, err := f.flash.Program(t, f.addrOf(phys), data)
+		var end sim.Time
+		if from >= 0 {
+			end, err = f.flash.Move(t, f.addrOf(from), f.addrOf(phys))
+		} else {
+			end, err = f.flash.ProgramSectors(t, f.addrOf(phys), data, ends)
+		}
 		if err == nil {
 			return end, phys, nil
 		}
@@ -350,8 +360,9 @@ func (f *FTL) lookup(lpn int) (int32, error) {
 // unwritten LBA on a block SSD). The result is the flash's read-only view
 // (see nand.Array.Read): the page's first len(view) bytes, the rest zeros,
 // or nand.ErrSparsePage for a page with gaps (read it with ReadAt). The view
-// dies when the logical page is next written or trimmed and when GC migrates
-// it, so a caller keeping the bytes across any FTL call copies them.
+// lives until the logical page is next written or trimmed: GC moves the
+// payload it views to the page's new home (nand.Array.Move), so a migration
+// does not end it.
 func (f *FTL) Read(t sim.Time, lpn int) ([]byte, sim.Time, error) {
 	phys, err := f.lookup(lpn)
 	switch {
@@ -491,17 +502,12 @@ func (f *FTL) gcOnce(t sim.Time, way int) (bool, error) {
 			continue
 		}
 		phys := f.physIndex(way, victim, p)
-		// Copy the page out up to its extent, so the new copy keeps exactly
-		// the bytes the old one did and every view of it stays as long.
-		addr := f.addrOf(phys)
-		n, err := f.flash.Extent(addr)
-		if err == nil {
-			_, err = f.flash.ReadAt(t, addr, f.gcPage[:n], 0)
-		}
-		if err != nil {
+		// The page is read, as the flash must, but nothing comes to the host:
+		// the program moves the payload itself, so every view of it lives on.
+		if _, err := f.flash.ReadAt(t, f.addrOf(phys), nil, 0); err != nil {
 			return false, fmt.Errorf("ftl: GC read: %w", err)
 		}
-		_, newPhys, err := f.programOnWay(t, way, f.gcPage[:n])
+		_, newPhys, err := f.programOnWay(t, way, nil, nil, phys)
 		if err != nil {
 			return false, fmt.Errorf("ftl: GC program: %w", err)
 		}

@@ -439,7 +439,7 @@ func TestPayloadsFollowTheMap(t *testing.T) {
 	}
 }
 
-// GC moves a page's payload byte for byte: the copy keeps what the old page
+// GC moves a page's payload as it is: the new page keeps what the old page
 // kept, so a page stored as one run keeps a view exactly as long — the zero
 // bytes an SSTable page's last entry ends with included — and a page with
 // gaps still has none and reads back the same by range.
@@ -499,6 +499,140 @@ func TestGCMigratesPagesByteForByte(t *testing.T) {
 	}
 }
 
+// inject makes the nth check of site on fl from now on fail with eff.
+func inject(fl *nand.Array, site fault.Site, eff fault.Effect, nth int) {
+	fl.SetInjector(fault.NewInjector(&fault.Plan{Rules: []fault.Rule{{Site: site, Effect: eff, Nth: nth}}}, 0))
+}
+
+// gcFixture is a one-way flash of 8 blocks of 4 pages holding lpn 0's data
+// and three pages that died beside it in one block; the next block is open
+// with three pages written, so gcOnce's one victim is the first block and
+// its one live page is lpn 0.
+func gcFixture(t *testing.T, data []byte) (*FTL, *nand.Array) {
+	t.Helper()
+	geo := nand.Geometry{Channels: 1, WaysPerChannel: 1, BlocksPerWay: 8, PagesPerBlock: 4, PageSize: 4096}
+	fl, err := nand.New(geo, nand.DefaultLatency(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(fl, Config{OverprovisionPct: 25, GCFreeBlockLow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lpn := range []int{0, 1, 2, 3, 1, 2, 3} {
+		page := []byte{byte(i)}
+		if lpn == 0 {
+			page = data
+		}
+		if _, err := f.Write(0, lpn, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.active[0].nextPage != 3 || f.blocks[7].valid != 1 {
+		t.Fatalf("fixture: active block at page %d, first block %d valid pages; want 3 and 1", f.active[0].nextPage, f.blocks[7].valid)
+	}
+	return f, fl
+}
+
+// GC moves a live page's payload instead of copying it: a view taken before
+// gcOnce reads the same bytes, at the same address, after it — the victim's
+// erase does not poison it — while the page is charged one read and one
+// program as before. A relocation whose program hits a media fault retires
+// the block and moves the page into a fresh one, reading it only once.
+func TestGCMovesThePayloadItsViewsRead(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		data := bytes.Repeat([]byte{0x42}, 3000)
+		f, fl := gcFixture(t, data)
+		view, err := f.View(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := f.lookup(0)
+		reads, writes := fl.Stats().PageReads.Value(), fl.Stats().PageWrites.Value()
+		if faulted {
+			inject(fl, fault.SiteNandProgram, fault.EffectMedia, 1)
+		}
+		if ok, err := f.gcOnce(0, 0); !ok || err != nil {
+			t.Fatalf("faulted=%v: gcOnce = %v, %v", faulted, ok, err)
+		}
+		after, _ := f.lookup(0)
+		now, err := f.View(0)
+		if after == before || err != nil || &now[0] != &view[0] || !bytes.Equal(view, data) {
+			t.Fatalf("faulted=%v: lpn 0 at %d then %d; the view taken before GC no longer reads its page (%v)", faulted, before, after, err)
+		}
+		fails := int64(0)
+		if faulted {
+			fails = 1
+		}
+		if r, w := fl.Stats().PageReads.Value()-reads, fl.Stats().PageWrites.Value()-writes; r != 1 || w != 1+fails {
+			t.Fatalf("faulted=%v: the migration made %d reads and %d programs, want 1 and %d", faulted, r, w, 1+fails)
+		}
+		if s := f.Stats(); s.GCWrites.Value() != 1 || s.ProgramFaults.Value() != fails || s.BadBlocks.Value() != fails {
+			t.Fatalf("faulted=%v: %d GC writes, %d program faults, %d bad blocks", faulted, s.GCWrites.Value(), s.ProgramFaults.Value(), s.BadBlocks.Value())
+		}
+	}
+}
+
+// GC declines a victim whose live pages would not fit where it can move
+// them: here every block but one is wholly live, and the one holding a dead
+// page has three live ones with two erased pages left on its way, so the
+// write that finds the way short of free blocks goes ahead without a
+// migration rather than failing one halfway.
+func TestGCDeclinesAVictimThatDoesNotFit(t *testing.T) {
+	geo := nand.Geometry{Channels: 1, WaysPerChannel: 1, BlocksPerWay: 4, PagesPerBlock: 4, PageSize: 4096}
+	fl, err := nand.New(geo, nand.DefaultLatency(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(fl, Config{OverprovisionPct: 10, GCFreeBlockLow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpn := 0; lpn <= 12; lpn++ { // three blocks, and the last one opened
+		if _, err := f.Write(0, lpn, []byte{byte(lpn)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Trim(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(0, 13, []byte{13}); err != nil {
+		t.Fatalf("a write with a victim too big to move: %v", err)
+	}
+	if n := f.Stats().GCWrites.Value(); n != 0 || f.availableSlots(0) != 2 {
+		t.Fatalf("%d pages migrated, %d slots left; want 0 and 2", n, f.availableSlots(0))
+	}
+}
+
+// A transient fault or a power cut says nothing of the media: a program or
+// a GC erase that meets one fails the write with that fault's identity and
+// retires no block, where a media failure would retire it.
+func TestTransientFaultsIndictNoBlock(t *testing.T) {
+	for _, eff := range []fault.Effect{fault.EffectTransient, fault.EffectPowerCut} {
+		want := fault.ErrTransient
+		if eff == fault.EffectPowerCut {
+			want = fault.ErrPowerCut
+		}
+		f := newFTL(t)
+		inject(f.flash, fault.SiteNandProgram, eff, 1)
+		if _, err := f.Write(0, 0, []byte{1}); !errors.Is(err, want) {
+			t.Fatalf("%v program: %v, want %v", eff, err, want)
+		}
+		if s := f.Stats(); s.ProgramFaults.Value() != 0 || s.BadBlocks.Value() != 0 {
+			t.Fatalf("%v program: %d program faults, %d bad blocks; want none", eff, s.ProgramFaults.Value(), s.BadBlocks.Value())
+		}
+
+		f, _ = gcFixture(t, []byte{1})
+		inject(f.flash, fault.SiteNandErase, eff, 1)
+		if ok, err := f.gcOnce(0, 0); ok || !errors.Is(err, want) {
+			t.Fatalf("%v GC erase: gcOnce = %v, %v; want false, %v", eff, ok, err, want)
+		}
+		if f.Stats().BadBlocks.Value() != 0 || f.blocks[7].bad {
+			t.Fatalf("%v GC erase retired the victim", eff)
+		}
+	}
+}
+
 // Running out of blocks is a typed answer: every program fails here, each
 // failure retires a block, and once none are left the write reports
 // ErrNoSpace instead of an anonymous error.
@@ -521,7 +655,10 @@ func TestOutOfBlocksIsErrNoSpace(t *testing.T) {
 // block and a free-pool scan for GC's victims, over a flash of its own. It
 // keeps the FTL's placement and GC policy (fault handling aside: FuzzFTL
 // injects none), so given the same calls the FTL must map every logical page
-// to the same physical page, and pool, open and erase the same blocks.
+// to the same physical page, and pool, open and erase the same blocks. It
+// migrates a page the way the FTL did before it moved payloads: a copy of the
+// page's first Extent bytes, programmed anew, which must read as the moved
+// payload does.
 type denseFTL struct {
 	flash      *nand.Array
 	geo        nand.Geometry
@@ -714,11 +851,13 @@ func (d *denseFTL) view(lpn int) ([]byte, error) {
 }
 
 func (d *denseFTL) viewAt(lpn int, dst []byte) {
-	clear(dst)
-	if phys := d.l2p[lpn]; phys != unmapped {
-		if err := d.flash.ViewAt(d.addr(int(phys)), dst, 0); err != nil {
-			panic(err)
-		}
+	phys := d.l2p[lpn]
+	if phys == unmapped {
+		clear(dst)
+		return
+	}
+	if err := d.flash.ViewAt(d.addr(int(phys)), dst, 0); err != nil {
+		panic(err)
 	}
 }
 
@@ -731,17 +870,21 @@ var (
 	fuzzConfig   = Config{OverprovisionPct: 20, GCFreeBlockLow: 2}
 )
 
-// fuzzPage is what FuzzFTL writes to lpn as its ver-th write: a few non-zero
+// fuzzPage is what FuzzFTL writes to lpn as its ver-th write, built in buf
+// (a page long), with where its bytes end in each sector: a few non-zero
 // bytes, and for every third page a few more at the start of the second
 // sector, which leaves a gap.
-func fuzzPage(lpn, ver int) []byte {
+func fuzzPage(buf []byte, ends []uint16, lpn, ver int) []byte {
 	n := 1 + (7*lpn+ver)%61
-	p := make([]byte, n)
+	p := buf[:n]
+	ends[0], ends[1] = uint16(n), 0
 	if (lpn+ver)%3 == 0 {
-		p = make([]byte, fuzzGeometry.PageSize)
+		p = buf[:4096+n]
+		clear(p)
 		for i := 0; i < n; i++ {
 			p[4096+i] = byte(lpn-ver+i) | 1
 		}
+		ends[1] = uint16(n)
 	}
 	for i := 0; i < n; i++ {
 		p[i] = byte(lpn+ver+i) | 1
@@ -752,7 +895,9 @@ func fuzzPage(lpn, ver int) []byte {
 // runFTLOps plays ops against an FTL and a denseFTL in lockstep, four bytes
 // per call: a kind, a logical page (two bytes, big-endian, modulo the
 // capacity) and a count or offset. After every call, checkAgainstDense holds
-// the two to the same answers, map and block pools.
+// the two to the same map, block pools and payload count, and to the same
+// contents of every page the call remapped — written, trimmed or moved by
+// GC; after the last call, to the same contents of every page.
 func runFTLOps(tb testing.TB, ops []byte) *FTL {
 	tb.Helper()
 	newFlash := func() *nand.Array {
@@ -769,22 +914,34 @@ func runFTLOps(tb testing.TB, ops []byte) *FTL {
 	d := newDenseFTL(newFlash(), fuzzConfig)
 	versions := make(map[int]int)
 	got, want := make([]byte, fuzzGeometry.PageSize), make([]byte, fuzzGeometry.PageSize)
-	for i := 0; i+3 < len(ops); i += 4 {
+	page, ends := make([]byte, fuzzGeometry.PageSize), make([]uint16, 2)
+	// seen is each logical page's mapping at the last check, which only
+	// compares the contents of the pages mapped elsewhere since.
+	seen := unmappedTable(f.LogicalPages())
+	// An input's calls stop once they have made maxWrites writes: a few times
+	// the device's capacity, past the churn seed's 12 400, so that no input
+	// costs the fuzzer more than a fraction of a second.
+	const maxWrites = 1 << 14
+	writes := 0
+ops:
+	for i := 0; i+3 < len(ops) && writes < maxWrites; i += 4 {
 		lpn := (int(ops[i+1])<<8 | int(ops[i+2])) % f.LogicalPages()
 		arg := int(ops[i+3])
 		switch ops[i] % 6 {
-		case 0, 1: // a run of 1 to 512 writes from lpn on
+		case 0, 1: // a run of 2 to 512 writes from lpn on
 			for n := 0; n <= 2*arg+1; n++ {
+				writes++
 				l := (lpn + n) % f.LogicalPages()
-				data := fuzzPage(l, versions[l])
+				data := fuzzPage(page, ends, l, versions[l])
 				versions[l]++
-				_, errF := f.Write(0, l, data)
+				// The FTL takes the sector ends, the reference finds them.
+				_, errF := f.WriteSectors(0, l, data, ends)
 				errD := d.write(l, data)
 				if (errF == nil) != (errD == nil) {
 					tb.Fatalf("write of lpn %d: FTL %v, dense reference %v", l, errF, errD)
 				}
 				if errF != nil {
-					return f
+					break ops
 				}
 			}
 		case 2: // a run of 1 to 64 trims from lpn on
@@ -818,18 +975,20 @@ func runFTLOps(tb testing.TB, ops []byte) *FTL {
 				tb.Fatalf("View of lpn %d: %d bytes, %v; dense reference %d bytes, %v", lpn, len(gotV), errF, len(wantV), errD)
 			}
 		}
-		checkAgainstDense(tb, f, d, got, want)
+		checkAgainstDense(tb, f, d, got, want, seen)
 	}
+	checkAgainstDense(tb, f, d, got, want, nil)
 	return f
 }
 
-// checkAgainstDense compares every logical page's mapping and contents with
-// the dense reference, and the block pools, and walks the FTL's invariants:
-// each block's valid count is the number of mapped pages it holds and its
-// reverse map names them; the flash holds one payload per mapped page; a
-// block is flagged free exactly when it sits in its way's pool, and a free
-// block holds no mapped page.
-func checkAgainstDense(tb testing.TB, f *FTL, d *denseFTL, got, want []byte) {
+// checkAgainstDense compares every logical page's mapping with the dense
+// reference, and the block pools, and walks the FTL's invariants: each
+// block's valid count is the number of mapped pages it holds and its reverse
+// map names them; the flash holds one payload per mapped page; a block is
+// flagged free exactly when it sits in its way's pool, and a free block holds
+// no mapped page. It compares the contents of every mapped page whose mapping
+// differs from seen, which it then updates, or of every one with seen nil.
+func checkAgainstDense(tb testing.TB, f *FTL, d *denseFTL, got, want []byte, seen []int32) {
 	tb.Helper()
 	holds := make([]int32, len(f.blocks))
 	mapped := 0
@@ -837,6 +996,10 @@ func checkAgainstDense(tb testing.TB, f *FTL, d *denseFTL, got, want []byte) {
 		phys, err := f.lookup(lpn)
 		if err != nil || phys != d.l2p[lpn] {
 			tb.Fatalf("lpn %d maps to %d (%v); dense reference %d", lpn, phys, err, d.l2p[lpn])
+		}
+		remapped := seen == nil || seen[lpn] != phys
+		if seen != nil {
+			seen[lpn] = phys
 		}
 		if phys == unmapped {
 			continue
@@ -847,12 +1010,22 @@ func checkAgainstDense(tb testing.TB, f *FTL, d *denseFTL, got, want []byte) {
 		if blk.p2l == nil || blk.p2l[pg] != int32(lpn) {
 			tb.Fatalf("lpn %d maps to page %d, whose reverse map does not name it", lpn, phys)
 		}
+		if !remapped {
+			continue
+		}
+		// Past the kept bytes' end every byte reads as zero on both sides,
+		// so bytes are compared up to it.
+		n, errF := f.flash.Extent(f.addrOf(int(phys)))
+		nD, errD := d.flash.Extent(d.addr(int(phys)))
+		if errF != nil || errD != nil || n != nD {
+			tb.Fatalf("lpn %d keeps %d bytes (%v); dense reference %d (%v)", lpn, n, errF, nD, errD)
+		}
 		gotV, errF := f.View(lpn)
 		wantV, errD := d.view(lpn)
 		if errors.Is(errF, nand.ErrSparsePage) && errors.Is(errD, nand.ErrSparsePage) {
-			errF = f.ViewAt(lpn, got, 0)
-			d.viewAt(lpn, want)
-			gotV, wantV, errD = got, want, nil
+			errF = f.ViewAt(lpn, got[:n], 0)
+			d.viewAt(lpn, want[:n])
+			gotV, wantV, errD = got[:n], want[:n], nil
 		}
 		if errF != nil || errD != nil || !bytes.Equal(gotV, wantV) {
 			tb.Fatalf("lpn %d reads %d bytes (%v); dense reference %d bytes (%v)", lpn, len(gotV), errF, len(wantV), errD)

@@ -278,7 +278,7 @@ func BenchmarkColdGet(b *testing.B) {
 }
 
 // BenchmarkSeek is what a Seek pays to place one table source: the first page
-// that may hold the key, copied out of the store and entered at the key.
+// that may hold the key, read from the store and entered at the key.
 func BenchmarkSeek(b *testing.B) {
 	tr, keys := benchColdTree(b, 8)
 	var tables []*SSTable // tables[i] is the L2 table covering keys[i]
@@ -294,7 +294,7 @@ func BenchmarkSeek(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := keys[i%len(tables)]
-		*src = iterSource{table: tables[i%len(tables)], page: src.page}
+		*src = iterSource{table: tables[i%len(tables)]}
 		src.seekTable(sim.KeyOf(key))
 		if err := src.advance(it, 0); err != nil || !src.hasCur || bytes.Compare(src.head.Key, key) < 0 {
 			b.Fatalf("seek: head %x for %x, err %v", src.head.Key, key, err)

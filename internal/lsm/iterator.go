@@ -19,18 +19,20 @@ var ErrIteratorInvalidated = errors.New("lsm: iterator invalidated by compaction
 // Its tables are the ones the tree held at Seek time; its MemTable source is
 // a live view of the table it opened on (MemIterator), so a key written to
 // that table past the scan's position shows up, while a later table's keys
-// do not. Writes that only add tables leave it intact; once a compaction's
-// frees are committed it fails with ErrIteratorInvalidated the next time a
-// table source reads its handle, to load a page or to find it has none left.
+// do not. Its table sources read the store's views of their pages, which
+// outlive FTL GC but not the trim of a freed page. Writes that only add
+// tables leave it intact; once a compaction's frees are committed it fails
+// with ErrIteratorInvalidated at its next step that would read a table
+// source's page or handle.
 type Iterator struct {
 	tree     *Tree
 	reclaims uint64 // tree.reclaims at Seek
 	sources  []*iterSource
 	current  Entry
-	// keyBuf backs current.Key for table-sourced entries: source entries are
-	// views into per-source page copies, which advancing a source past a
-	// page boundary overwrites, so the winning key is copied out before the
-	// sources consume past it.
+	// keyBuf backs current.Key: a source's entry is a view into a store page
+	// or the MemTable's slab, which a commit that frees pages or a flush
+	// overwrites before the caller's next step, so the winning key is copied
+	// out.
 	keyBuf []byte
 	valid  bool
 	end    sim.Time
@@ -47,9 +49,7 @@ type iterSource struct {
 	// it enters at the first entry >= start instead of at byte 0; then, or
 	// when Seek had no key, the zero Key, which sorts before every key.
 	start sim.Key
-	// page is the source's own copy of the page under cur: the store's view
-	// does not outlive the next store call, and a scan interleaves sources.
-	page   []byte
+	// cur walks the store's view of the source's current page.
 	cur    pageCursor
 	done   bool
 	head   Entry
@@ -124,12 +124,6 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 			s.hasCur = true
 			return nil
 		}
-		// A commit that freed pages also freed their tables' handles, which
-		// the tree then refills for new tables: once one has, no handle of
-		// the source's may be read, not even for its page count.
-		if it.tree.reclaims != it.reclaims {
-			return ErrIteratorInvalidated
-		}
 		if s.pageIdx >= len(s.table.pages) {
 			s.done = true
 			s.hasCur = false
@@ -142,8 +136,7 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 		if end > it.end {
 			it.end = end
 		}
-		s.page = append(s.page[:0], data...)
-		s.cur = pageCursor{data: s.page}
+		s.cur = pageCursor{data: data}
 		if s.start != (sim.Key{}) {
 			err := s.cur.seek(s.start, s.table.pageRestarts(s.pageIdx))
 			s.start = sim.Key{}
@@ -160,6 +153,18 @@ func (s *iterSource) advance(it *Iterator, t sim.Time) error {
 // order, a table enters its first page through the restart search), so there
 // is nothing to skip but older duplicates and tombstones.
 func (it *Iterator) step(t sim.Time) {
+	// A commit that freed pages trimmed them, poisoning their views, and freed
+	// their tables' handles, which the tree then refills for new tables: once
+	// one has, no table source may read its page or its handle again.
+	if it.tree.reclaims != it.reclaims {
+		for _, s := range it.sources {
+			if s.table != nil && !s.done {
+				it.err = ErrIteratorInvalidated
+				it.valid = false
+				return
+			}
+		}
+	}
 	for {
 		best := -1
 		for i, s := range it.sources {
@@ -180,9 +185,6 @@ func (it *Iterator) step(t sim.Time) {
 			return
 		}
 		e, key := it.sources[best].head, it.sources[best].key
-		// Copy the winning key out of its source's page: consuming the key
-		// below can advance that source past a page boundary, which
-		// overwrites the page backing e.Key.
 		it.keyBuf = append(it.keyBuf[:0], e.Key...)
 		e.Key = it.keyBuf
 		// Consume this key from every source holding it.

@@ -50,26 +50,46 @@ type storeOp struct {
 }
 
 // hostileStore is a PageStore that records every call and honours the
-// ReadPage contract to the letter and no further: the view it returns is one
-// scratch page, overwritten by the next read and poisoned by the next write.
-// A tree that keeps a view across a store call reads garbage here. With
-// failAt set it also fails the failAt-th page write from now.
+// ReadPage contract to the letter and no further: the view it lends of a page
+// is a copy of its own, poisoned when that page is next written or trimmed.
+// A tree that keeps a view past its page's rewrite or trim reads garbage here.
+// With failAt set it also fails the failAt-th page write from now.
 type hostileStore struct {
 	*memStore
-	ops     []storeOp
-	scratch []byte
-	failAt  int
+	ops    []storeOp
+	lent   map[int][]byte // the view lent of each page since its last write or trim
+	failAt int
 }
 
 func newHostileStore(pages int) *hostileStore {
-	return &hostileStore{memStore: newMemStore(pages)}
+	return &hostileStore{memStore: newMemStore(pages), lent: make(map[int][]byte)}
 }
 
 func (s *hostileStore) ReadPage(t sim.Time, page int) ([]byte, sim.Time, error) {
 	data, end, err := s.memStore.ReadPage(t, page)
 	s.ops = append(s.ops, storeOp{page: page, at: t})
-	s.scratch = append(s.scratch[:0], data...)
-	return s.scratch, end, err
+	if err != nil {
+		return nil, end, err
+	}
+	view, ok := s.lent[page]
+	if !ok {
+		view = append([]byte(nil), data...)
+		s.lent[page] = view
+	}
+	return view, end, nil
+}
+
+// revoke poisons the view lent of page, if any.
+func (s *hostileStore) revoke(page int) {
+	for i := range s.lent[page] {
+		s.lent[page][i] = 0xDB
+	}
+	delete(s.lent, page)
+}
+
+func (s *hostileStore) TrimPage(page int) error {
+	s.revoke(page)
+	return s.memStore.TrimPage(page)
 }
 
 func (s *hostileStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, error) {
@@ -79,9 +99,7 @@ func (s *hostileStore) WritePage(t sim.Time, page int, data []byte) (sim.Time, e
 		}
 	}
 	s.ops = append(s.ops, storeOp{write: true, page: page, at: t})
-	for i := range s.scratch {
-		s.scratch[i] = 0xDB
-	}
+	s.revoke(page)
 	return s.memStore.WritePage(t, page, data)
 }
 
@@ -489,8 +507,8 @@ func treeRestartsMatchPages(t *testing.T) {
 }
 
 // The whole tree on the hostile store: lookups, scans and cascading
-// compactions never depend on a view outliving the next store call.
-func TestTreeHoldsNoViewAcrossStoreCalls(t *testing.T) {
+// compactions never depend on a view outliving its page's next write or trim.
+func TestTreeHoldsNoViewPastItsPage(t *testing.T) {
 	store := newHostileStore(8192)
 	tr, err := NewTree(smallTreeConfig(), store)
 	if err != nil {
@@ -523,8 +541,8 @@ func TestTreeHoldsNoViewAcrossStoreCalls(t *testing.T) {
 }
 
 // An open iterator survives writes that only add tables, and stops with
-// ErrIteratorInvalidated — not with recycled pages' keys — at its first page
-// load after a compaction's frees were committed.
+// ErrIteratorInvalidated — not with recycled pages' keys — at its first step
+// after a compaction's frees were committed.
 func TestIteratorInvalidatedByReclaim(t *testing.T) {
 	store := newMemStore(4096)
 	store.pageSize = 128 // several pages per table: a scan keeps loading

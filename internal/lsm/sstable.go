@@ -17,10 +17,12 @@ import (
 //
 // ReadPage returns a read-only view of the page's first len(view) bytes (at
 // most PageSize; the rest of the page reads as zero, and an SSTable page's
-// view holds the whole image written) that is only good until the next call
-// on the store (a write can make FTL GC move the page, a read can evict it
-// from the device page cache): the tree decodes it in place at once or
-// copies it. WritePage copies data before returning.
+// view holds the whole image written) that stays good until that page is
+// next written or trimmed: FTL GC moves a page's payload, view and all, and
+// the device page cache only keeps page numbers. The tree keeps views over a
+// merge, whose inputs are freed only at the next commit, and an iterator
+// keeps its sources' views until a commit frees pages. WritePage copies data
+// before returning.
 type PageStore interface {
 	WritePage(t sim.Time, page int, data []byte) (sim.Time, error)
 	ReadPage(t sim.Time, page int) ([]byte, sim.Time, error)

@@ -86,13 +86,12 @@ type Tree struct {
 	// pushLevel is compactLevel; the policy tests swap in a lowest-table-first
 	// push to measure it against.
 	pushLevel func(tr *Tree, t sim.Time, lvl int) (sim.Time, error)
-	// build builds every table the tree writes; slab holds the input page
-	// images of the merge in progress (sized by the first merge, then grown
-	// in steps of slabGrain pages).
+	// build builds every table the tree writes; views holds the store's views
+	// of the input pages of the merge in progress, in input order.
 	build tableBuilder
-	slab  []byte
+	views [][]byte
 	// runs and heads are the merge's inputs and their head keys, kept from
-	// one merge to the next like slab; inputs is a compaction's input tables
+	// one merge to the next like views; inputs is a compaction's input tables
 	// and out a merge's output tables, kept the same way.
 	runs   []mergeRun
 	heads  []sim.Key
@@ -215,6 +214,10 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 		// Room for the hashes of a flush's table and of a merge's table of
 		// 8-byte keys at the default geometry, so neither regrows them.
 		build: tableBuilder{store: store, alloc: alloc, page: make([]byte, store.PageSize()), hashes: make([]uint64, 0, 2*cfg.MemTableEntries)},
+		// Room for the input pages of an L0 merge that takes a full L1, or
+		// of a level push that overlaps a fanout of tables, so that neither
+		// regrows the list.
+		views: make([][]byte, 0, (cfg.L0CompactionTrigger+cfg.LevelTableBase+levelFanout)*cfg.TablePages),
 	}
 	tr.committed = catalog{levels: make([][]*SSTable, cfg.MaxLevels)}
 	tr.committed.save(tr)
@@ -485,33 +488,27 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	return end, nil
 }
 
-// slabGrain is the step, in pages, the merge slab grows by once a merge has
-// outgrown it: a level's merges grow a table or so at a time as the level
-// fills, and regrowing the slab to each one's exact size allocated more than
-// the merges copied. The first merge sizes it exactly, so a small tree never
-// holds a slab of slabGrain pages it does not need.
-const slabGrain = 32
-
-// mergeRun is one sorted input of a merge: the page images of one or more
-// input tables, consecutive in the slab, and its head entry, parsed in place.
-// The head's key is not here but in the tree's heads, at the run's index, so
-// that the pick scans one flat slice of inline keys.
+// mergeRun is one sorted input of a merge: the views of the pages of one or
+// more input tables, consecutive in the tree's views, and its head entry,
+// parsed in place. The head's key is not here but in the tree's heads, at the
+// run's index, so that the pick scans one flat slice of inline keys.
 type mergeRun struct {
-	off, n  int  // the head's offset in the slab and its encoded length
-	tomb    bool // the head is a tombstone
-	pageEnd int  // end of the head's page in the slab
-	stop    int  // end of the run's last page in the slab
+	page   []byte // the view of the head's page
+	off, n int    // the head's offset in page and its encoded length
+	tomb   bool   // the head is a tombstone
+	next   int    // index in views of the run's next page
+	stop   int    // index in views past the run's last page
 }
 
-// advance parses the entry at off, moving on to the run's next page of ps
-// bytes where this one's entries end, into the run's head and *key. ok is
-// false once the run is exhausted.
-func (r *mergeRun) advance(slab []byte, off, ps int, key *sim.Key) (ok bool, err error) {
+// advance parses the entry at off, moving on to the run's next page of views
+// where this one's entries end, into the run's head and *key. ok is false
+// once the run is exhausted.
+func (r *mergeRun) advance(views [][]byte, off int, key *sim.Key) (ok bool, err error) {
 	for {
-		if off < r.pageEnd {
-			kl, _, _, tomb, n, err := parseEntry(slab[off:r.pageEnd])
+		if off < len(r.page) {
+			kl, _, _, tomb, n, err := parseEntry(r.page[off:])
 			if err == nil {
-				*key = sim.KeyOf(slab[off+1 : off+1+kl])
+				*key = sim.KeyOf(r.page[off+1 : off+1+kl])
 				r.off, r.n, r.tomb = off, n, tomb
 				return true, nil
 			}
@@ -519,10 +516,11 @@ func (r *mergeRun) advance(slab []byte, off, ps int, key *sim.Key) (ok bool, err
 				return false, err
 			}
 		}
-		if r.pageEnd == r.stop {
+		if r.next == r.stop {
 			return false, nil
 		}
-		off, r.pageEnd = r.pageEnd, r.pageEnd+ps
+		r.page, off = views[r.next], 0
+		r.next++
 	}
 }
 
@@ -533,33 +531,23 @@ func (r *mergeRun) advance(slab []byte, off, ps int, key *sim.Key) (ok bool, err
 // It runs in two phases, and the split is what the device sees. First every
 // page of every input is read, in input order and all at time t (reads
 // charged to the request that triggered the compaction, as synchronous
-// firmware does), and copied into the slab: the outputs' writes can make FTL
-// GC move an input page, which kills the store's view of it. Only then are
-// entries merged, straight from the slab into the table builder: each is
-// parsed once, as it becomes its run's head, and its encoded bytes are copied
-// once, into the output page.
+// firmware does), and the store's view of each is kept: the inputs are freed
+// only at the next commit, and the outputs' writes, which can make FTL GC
+// move an input page, leave its view as it was. Only then are entries
+// merged, straight from the views into the table builder: each is parsed
+// once, as it becomes its run's head, and its encoded bytes are copied once,
+// into the output page.
 func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, sim.Time, error) {
 	end := t
-	ps := tr.store.PageSize()
-	need := 0
-	for _, table := range inputs {
-		need += len(table.pages) * ps
-	}
-	if cap(tr.slab) < need {
-		size := need
-		if tr.slab != nil {
-			grain := slabGrain * ps
-			size = (need + grain - 1) / grain * grain
-		}
-		tr.slab = make([]byte, size)
-	}
-	slab := tr.slab[:need]
 	// Consecutive inputs whose key ranges ascend without overlap (the tables
 	// taken from one level >= 1) chain into a single run, which keeps the
 	// pick below at L0CompactionTrigger+1 candidates however wide the overlap.
 	// A run spans whole inputs, so run order is still newest-first.
-	runs := tr.runs[:0]
-	off := 0
+	views, runs := tr.views[:0], tr.runs[:0]
+	defer func() {
+		clear(views)
+		tr.views = views[:0]
+	}()
 	for i, table := range inputs {
 		for _, pg := range table.pages {
 			data, e, err := tr.store.ReadPage(t, pg)
@@ -569,22 +557,19 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			if e > end {
 				end = e
 			}
-			n := copy(slab[off:off+ps], data)
-			clear(slab[off+n : off+ps])
-			off += ps
+			views = append(views, data)
 		}
 		if i > 0 && inputs[i-1].largest.Less(table.smallest) {
-			runs[len(runs)-1].stop = off
+			runs[len(runs)-1].stop = len(views)
 		} else {
-			// No page open yet: the first advance opens the one at start.
-			start := off - len(table.pages)*ps
-			runs = append(runs, mergeRun{pageEnd: start, stop: off})
+			// No page open yet: the first advance opens the one at next.
+			runs = append(runs, mergeRun{next: len(views) - len(table.pages), stop: len(views)})
 		}
 	}
 	heads := slices.Grow(tr.heads[:0], len(runs))[:len(runs)]
 	tr.runs, tr.heads = runs, heads
 	for i := 0; i < len(runs); {
-		ok, err := runs[i].advance(slab, runs[i].pageEnd, ps, &heads[i])
+		ok, err := runs[i].advance(views, 0, &heads[i])
 		if err != nil {
 			return nil, end, err
 		}
@@ -626,8 +611,8 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			}
 		}
 		r := &runs[best]
-		at, n, tomb := r.off, r.n, r.tomb
-		ok, err := r.advance(slab, at+n, ps, &heads[best])
+		page, at, n, tomb := r.page, r.off, r.n, r.tomb
+		ok, err := r.advance(views, at+n, &heads[best])
 		if err != nil {
 			return nil, end, err
 		}
@@ -642,7 +627,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 		if builder == nil {
 			builder = tr.build.start()
 		}
-		if err := builder.addEncoded(t, slab[at:at+n], key); err != nil {
+		if err := builder.addEncoded(t, page[at:at+n], key); err != nil {
 			return nil, end, err
 		}
 		if len(builder.pages) >= tr.cfg.TablePages {

@@ -376,8 +376,12 @@ func TestHistogramAllocs(t *testing.T) {
 		"NewHistogram": func() { histSink = NewHistogram() },
 		"Clone":        func() { histSink = h.Clone() },
 	} {
-		if n := testing.AllocsPerRun(100, f); n != 1 {
-			t.Errorf("%s: %v allocations, want 1", name, n)
+		if n := testing.AllocsPerRun(1, func() {
+			for range 100 {
+				f()
+			}
+		}); n != 100 {
+			t.Errorf("%s: %v allocations in 100 calls, want 100", name, n)
 		}
 	}
 	// histN is the count of bounds from histMin, growing by histGrowth, that

@@ -27,8 +27,9 @@ var fuzzGeometries = []Geometry{
 //   - a View that succeeds is a prefix of it with only zeros after, as long
 //     as Extent says, and a page without a zero run of minGap bytes always
 //     has one;
-//   - a copy programmed from the page's first Extent bytes, as FTL GC makes
-//     it, is stored exactly as large and reads the same;
+//   - a copy programmed from the page's first Extent bytes, as the dense
+//     FTL reference in ftl's tests migrates a page, is stored exactly as
+//     large and reads the same;
 //   - a discarded page's stale view shows poison.
 func FuzzPageRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint16(1000), int64(1), []byte{0, 1, 0})
@@ -67,7 +68,7 @@ func FuzzPageRoundTrip(f *testing.F) {
 		}
 		view := checkPage(t, a, p, page, rng, !hasZeroRun(page[:size], minGap))
 
-		// The GC copy: the page up to its extent, programmed elsewhere.
+		// The copy: the page up to its extent, programmed elsewhere.
 		ext, err := a.Extent(p)
 		if err != nil {
 			t.Fatal(err)
@@ -348,4 +349,82 @@ func checkDisjoint(t *testing.T, step int, a *Array) {
 			t.Fatalf("step %d: payloads at [%#x,%#x) and [%#x,%#x) overlap", step, spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
 		}
 	}
+}
+
+// FuzzProgramExtents is the oracle for ProgramSectors: a page programmed with
+// its sector ends must be kept exactly as Program keeps it from the bytes
+// alone — the same Extent, the same bytes through View and ViewAt, the same
+// kept-byte count. Each sector takes three bytes of spec (cycled; none: the
+// seed's draws): how much of it is filled with non-zero bytes, how long a
+// zero run ends the fill (a value ending in zeros), and how far past the
+// sector's last non-zero byte its end lies, up to the sector's end; n cuts
+// the data short of the page.
+func FuzzProgramExtents(f *testing.F) {
+	f.Add(uint8(2), uint16(16*1024), int64(1), []byte{0, 0, 0})
+	f.Add(uint8(2), uint16(16*1024), int64(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint8(1), uint16(3*sectorSize), int64(3), []byte{9, 0, 9, 2, 3, 0, 5, 5, 5})
+	f.Add(uint8(0), uint16(1000), int64(4), []byte{8, 1, 2})
+	f.Add(uint8(2), uint16(9000), int64(5), []byte{})
+	f.Add(uint8(2), uint16(16*1024-3), int64(6), []byte{9, 0, 0})
+	f.Fuzz(func(t *testing.T, shape uint8, n uint16, seed int64, spec []byte) {
+		geo := fuzzGeometries[int(shape)%len(fuzzGeometries)]
+		a, err := New(geo, DefaultLatency(), sim.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		draw := func(i int) int {
+			if len(spec) == 0 {
+				return rng.Intn(256)
+			}
+			return int(spec[i%len(spec)])
+		}
+		page := make([]byte, geo.PageSize)
+		ends := make([]uint16, len(a.lens))
+		for s := range ends {
+			lo := s * sectorSize
+			size := min(sectorSize, geo.PageSize-lo)
+			fill := []int{0, 1, 63, 64, 65, size / 2, size - 64, size - 63, size - 1, size}[draw(3*s)%10]
+			fill = max(0, min(fill, size))
+			for i := lo; i < lo+fill; i++ {
+				page[i] = byte(rng.Intn(255) + 1)
+			}
+			zeros := []int{0, 1, 63, 64, 65, 500}[draw(3*s+1)%6]
+			clear(page[lo+max(0, fill-zeros) : lo+fill])
+			last := trimZeros(page[lo : lo+size])
+			ends[s] = uint16(min(size, last+[]int{0, 1, 7, 64, 4096}[draw(3*s+2)%5]))
+		}
+		data := page[:int(n)%(geo.PageSize+1)]
+		p, q := PageAddr{Page: 1}, PageAddr{Page: 2}
+		if _, err := a.Program(0, p, data); err != nil {
+			t.Fatal(err)
+		}
+		held, _, stored := a.Payloads()
+		if _, err := a.ProgramSectors(0, q, data, ends); err != nil {
+			t.Fatal(err)
+		}
+		if h, _, both := a.Payloads(); h != held+1 || both-stored != stored {
+			t.Fatalf("with ends the page keeps %d bytes, without %d", both-stored, stored)
+		}
+		pe, errP := a.Extent(p)
+		qe, errQ := a.Extent(q)
+		if pe != qe || errP != nil || errQ != nil {
+			t.Fatalf("Extent with ends %d (%v), without %d (%v)", qe, errQ, pe, errP)
+		}
+		pv, errP := a.View(p)
+		qv, errQ := a.View(q)
+		if !bytes.Equal(pv, qv) || (errP == nil) != (errQ == nil) {
+			t.Fatalf("View with ends: %d bytes (%v); without: %d bytes (%v)", len(qv), errQ, len(pv), errP)
+		}
+		pb, qb := make([]byte, geo.PageSize), make([]byte, geo.PageSize)
+		if err := a.ViewAt(p, pb, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.ViewAt(q, qb, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pb, qb) || !bytes.Equal(pb[:len(data)], data) {
+			t.Fatal("the page programmed with ends reads other bytes than the one without")
+		}
+	})
 }

@@ -8,13 +8,17 @@
 // is erased), and it holds only what a read can see as non-zero. BandSlim
 // aligns every DMA value to a 4 KiB host page (§3.3), so a flushed vLog page
 // is mostly zero sector tails; Program keeps each 4 KiB sector's bytes up to
-// such a tail. A payload of more than half a page takes a full-page buffer; a
-// smaller one a chunk carved from a sim.Slab the array keeps, so that once the
-// slab has grown to the live set a Program allocates nothing. Released
-// buffers and chunks are poisoned and reused. Read and View hand out a view
-// of the payload, not a copy, when the kept bytes are one run from the start
-// of the page; ReadAt and ViewAt copy any byte range of any page. See
-// Array.Program for what is kept and Array.Read for how long a view lives.
+// such a tail, and ProgramSectors takes where the page buffer's writes into
+// each sector end, so the tail is not searched for from the sector's end. A
+// payload of more than half a page takes a full-page buffer; a smaller one a
+// chunk carved from a sim.Slab the array keeps, so that once the slab has
+// grown to the live set a Program allocates nothing. Released buffers and
+// chunks are poisoned and reused. Move hands a payload from one page to
+// another, which is how the FTL migrates a live page: the payload is neither
+// copied nor released. Read and View hand out a view of the payload, not a
+// copy, when the kept bytes are one run from the start of the page; ReadAt
+// and ViewAt copy any byte range of any page. See Array.Program for what is
+// kept and Array.Read for how long a view lives.
 //
 // Page records follow the written blocks: a block's table of them — each
 // page's state and payload — is built at its first Program, so a block never
@@ -321,10 +325,10 @@ func (a *Array) blockIndex(b BlockAddr) (int, error) {
 // would not fit in a page beside them, data is taken as zero-padded to the
 // page first, so that the page is kept whole or a whole sector's zero tail
 // makes the room.
-func (a *Array) store(data []byte) []byte {
-	total := a.keep(data, len(data))
+func (a *Array) store(data []byte, ends []uint16) []byte {
+	total := a.keep(data, len(data), ends)
 	if total > a.geo.PageSize-a.hdr {
-		total = a.keep(data, a.geo.PageSize)
+		total = a.keep(data, a.geo.PageSize, ends)
 	}
 	buf := a.takePayload(total)
 	a.stored += int64(total)
@@ -345,14 +349,19 @@ func (a *Array) store(data []byte) []byte {
 // keep sets a.lens to what each sector keeps of the page's first n bytes —
 // data, zero-padded to n — and returns their sum: a sector keeps its part of
 // them, less a zero tail of at least minGap bytes if the part is the whole
-// sector.
-func (a *Array) keep(data []byte, n int) int {
+// sector. The tail is found scanning back from the sector's end or, given
+// ends, from where its written bytes end, past which it holds only zeros.
+func (a *Array) keep(data []byte, n int, ends []uint16) int {
 	total := 0
 	for s := range a.lens {
 		lo := s * sectorSize
 		k := max(min(n-lo, sectorSize), 0)
 		if k == sectorSize {
-			if nz := trimZeros(data[min(lo, len(data)):min(lo+k, len(data))]); k-nz >= minGap {
+			hi := min(lo+k, len(data))
+			if ends != nil {
+				hi = min(hi, lo+int(ends[s]))
+			}
+			if nz := trimZeros(data[min(lo, len(data)):hi]); k-nz >= minGap {
 				k = nz
 			}
 		}
@@ -448,32 +457,86 @@ func (a *Array) releasePayload(buf []byte) {
 // that ends a whole 4 KiB sector (store has the details). The flash is
 // charged for a whole page all the same.
 func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
+	return a.ProgramSectors(t, p, data, nil)
+}
+
+// ProgramSectors is Program for a caller that knows where the bytes it put in
+// each sector of data end: ends[s] is the length of sector s's written part,
+// and every byte of the sector from there on must be zero. The page is kept,
+// charged and reported exactly as Program would keep it; the zero tails are
+// only looked for from the ends back, not from the sectors' ends. nil ends is
+// Program; otherwise there is one per sector of the page.
+func (a *Array) ProgramSectors(t sim.Time, p PageAddr, data []byte, ends []uint16) (sim.Time, error) {
 	blk, err := a.locate(p)
+	switch {
+	case err != nil:
+		return t, err
+	case len(data) > a.geo.PageSize:
+		return t, fmt.Errorf("nand: program of %d bytes exceeds page size %d", len(data), a.geo.PageSize)
+	case ends != nil && len(ends) != len(a.lens):
+		return t, fmt.Errorf("nand: %d sector ends for a page of %d sectors", len(ends), len(a.lens))
+	}
+	if err := a.claim(t, p, blk); err != nil {
+		return t, err
+	}
+	blk.pages[p.Page] = a.store(data, ends)
+	return a.programmed(t, p), nil
+}
+
+// Move programs the erased page dst with the payload of the programmed page
+// src, which passes to dst without a copy: src is left discarded, and every
+// view of the payload keeps reading the same bytes. It is the program half of
+// a page migration, charged, faulted, counted and traced as a Program of dst;
+// the read half is the caller's ReadAt of src, for which an empty range
+// suffices. A program that fails leaves the payload with src.
+func (a *Array) Move(t sim.Time, src, dst PageAddr) (sim.Time, error) {
+	from, err := a.locate(src)
 	if err != nil {
 		return t, err
 	}
-	if len(data) > a.geo.PageSize {
-		return t, fmt.Errorf("nand: program of %d bytes exceeds page size %d", len(data), a.geo.PageSize)
+	if from.state(src.Page) != pageProgrammed {
+		return t, fmt.Errorf("nand: move from %v, which holds no payload", src)
 	}
+	blk, err := a.locate(dst)
+	if err != nil {
+		return t, err
+	}
+	if err := a.claim(t, dst, blk); err != nil {
+		return t, err
+	}
+	blk.pages[dst.Page], from.pages[src.Page] = from.pages[src.Page], pageRec{}
+	return a.programmed(t, dst), nil
+}
+
+// claim readies page p of blk for a program at t: the page must be erased,
+// and the program's fault site may fail the attempt, which still occupies the
+// op slot. On success the block has its table of page records.
+func (a *Array) claim(t sim.Time, p PageAddr, blk *block) error {
 	if blk.state(p.Page) != pageErased {
-		return t, fmt.Errorf("%w: %v", ErrNotErased, p)
+		return fmt.Errorf("%w: %v", ErrNotErased, p)
 	}
 	if eff, ok := a.inj.Check(fault.SiteNandProgram, t); ok {
 		a.stats.PageWrites.Inc() // the attempt still occupies the op slot
 		a.stats.ProgramFaults.Inc()
-		return t, faultErr(eff, p)
+		return faultErr(eff, p)
 	}
 	if blk.pages == nil { // the block's first Program
 		blk.pages = make([]pageRec, a.geo.PagesPerBlock)
 	}
-	blk.pages[p.Page] = a.store(data)
+	return nil
+}
+
+// programmed performs the flash operation of a program of page p, whose
+// record claim readied and the caller filled: the counter, the way's time
+// and the trace event. It returns the completion time.
+func (a *Array) programmed(t sim.Time, p PageAddr) sim.Time {
 	a.stats.PageWrites.Inc()
 	way := a.wayIndex(p.Channel, p.Way)
 	start, end := a.ways[way].Schedule(t, a.lat.Prog)
 	if a.tr != nil {
 		a.tr.Emit(trace.Event{Cat: trace.CatNAND, Name: trace.EvProgram, Start: start, End: end, Bytes: int64(a.geo.PageSize), Arg: int64(way)})
 	}
-	return end, nil
+	return end
 }
 
 // Read returns the contents of a programmed page and the completion time of
@@ -483,13 +546,14 @@ func (a *Array) Program(t sim.Time, p PageAddr, data []byte) (sim.Time, error) {
 // The returned slice is a read-only view of the page's kept bytes, which
 // for such a page are its first len(view) bytes: everything past the end of
 // the view reads as zero. An erased page's view is a shared, PageSize-long
-// zero page. The view is valid until the page is discarded or its block
-// erased, when its memory is poisoned and then reused for another page's
-// payload; a caller that keeps the bytes longer, or across any call that can
-// discard or erase, copies them. A page whose kept bytes have gaps has no
-// view and is ErrSparsePage (read it with ReadAt). Reading a discarded page
-// is ErrDiscarded: its contents no longer exist. Neither refusal is a flash
-// operation.
+// zero page. The view belongs to the payload, not to the page: a Move takes
+// it along, and it stays valid until the page that then holds the payload is
+// discarded or its block erased, when its memory is poisoned and then reused
+// for another page's payload. A caller that keeps the bytes longer, or across
+// a call that can discard the payload's page, copies them. A page whose kept
+// bytes have gaps has no view and is ErrSparsePage (read it with ReadAt).
+// Reading a discarded page is ErrDiscarded: its contents no longer exist.
+// Neither refusal is a flash operation.
 func (a *Array) Read(t sim.Time, p PageAddr) ([]byte, sim.Time, error) {
 	data, err := a.View(p)
 	if err != nil {
@@ -601,8 +665,8 @@ func (a *Array) payload(p PageAddr) ([]byte, error) {
 
 // Extent reports where page p's kept bytes end: everything from there on
 // reads as zero (an erased page's extent is 0). Programming a page's first
-// Extent bytes stores exactly the payload it has, which is how the FTL
-// migrates a page without changing what any view of it looks like.
+// Extent bytes stores exactly the payload it has: a copy of the page that
+// reads, and keeps, what a Move would hand over.
 func (a *Array) Extent(p PageAddr) (int, error) {
 	buf, err := a.payload(p)
 	if err != nil || buf == nil || a.whole(buf) {

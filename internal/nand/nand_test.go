@@ -598,3 +598,93 @@ func TestFaultedProgramTakesNoPayload(t *testing.T) {
 		t.Fatalf("after a faulted program: %d held, %d spare, %d bytes stored; want 0, 1, 0", held, spare, stored)
 	}
 }
+
+// Move hands a payload to another page without copying it: the view lent
+// before reads the same bytes after, now as the new page's, the old page is
+// discarded, the kept bytes stay counted once, and the move is charged,
+// counted and traced as a program of the new page.
+func TestMoveHandsOverThePayload(t *testing.T) {
+	a := testArray(t)
+	rec := trace.NewRecorder(16)
+	a.SetTracer(rec)
+	src, dst := PageAddr{Block: 1, Page: 0}, PageAddr{Channel: 1, Way: 1, Block: 2, Page: 0}
+	data := bytes.Repeat([]byte{7}, 5000)
+	if _, err := a.Program(0, src, data); err != nil {
+		t.Fatal(err)
+	}
+	lent, err := a.View(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _, stored := a.Payloads()
+	writes := a.Stats().PageWrites.Value()
+	end, err := a.Move(10, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.Time(10).Add(a.lat.Prog); end != want {
+		t.Fatalf("move ended at %v, want a program's %v", end, want)
+	}
+	moved, err := a.View(dst)
+	if err != nil || &moved[0] != &lent[0] || !bytes.Equal(lent, data) {
+		t.Fatalf("the moved page's view (%v) is not the payload lent before, reading the same bytes", err)
+	}
+	if _, err := a.View(src); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("View of the moved-from page: %v, want ErrDiscarded", err)
+	}
+	if h, _, s := a.Payloads(); h != held || s != stored {
+		t.Fatalf("after the move: %d held, %d bytes stored; want %d and %d", h, s, held, stored)
+	}
+	if got := a.Stats().PageWrites.Value() - writes; got != 1 {
+		t.Fatalf("the move counted %d page writes, want 1", got)
+	}
+	if evs := rec.Events(); len(evs) != 2 || evs[1].Name != trace.EvProgram || evs[1].Start != 10 || evs[1].Arg != int64(a.wayIndex(dst.Channel, dst.Way)) {
+		t.Fatalf("trace %+v: want the source's program, then the move's on the destination's way", evs)
+	}
+	if _, err := a.Move(0, src, PageAddr{Page: 3}); err == nil {
+		t.Fatal("a move from a discarded page succeeded")
+	}
+	if _, err := a.Move(0, dst, dst); !errors.Is(err, ErrNotErased) {
+		t.Fatalf("a move onto a programmed page: %v, want ErrNotErased", err)
+	}
+}
+
+// A move whose program faults leaves the payload with the source page: it
+// still reads, through the view lent before, and the destination stays
+// erased for no payload; the attempt counts as a faulted program.
+func TestFaultedMoveKeepsThePayload(t *testing.T) {
+	a := testArray(t)
+	src, dst := PageAddr{Page: 0}, PageAddr{Page: 1}
+	if _, err := a.Program(0, src, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	lent, _ := a.View(src)
+	held, spare, stored := a.Payloads()
+	failPrograms(a, 1)
+	if _, err := a.Move(0, src, dst); !errors.Is(err, ErrIOFault) {
+		t.Fatalf("err = %v, want ErrIOFault", err)
+	}
+	if got, err := a.View(src); err != nil || &got[0] != &lent[0] || string(got) != "kept" {
+		t.Fatalf("the source after a faulted move: %q, %v; want its payload", got, err)
+	}
+	if !isErased(a, dst) {
+		t.Fatal("a faulted move left its destination programmed")
+	}
+	if h, sp, s := a.Payloads(); h != held || sp != spare || s != stored {
+		t.Fatalf("after a faulted move: %d held, %d spare, %d stored; want %d, %d, %d", h, sp, s, held, spare, stored)
+	}
+	if s := a.Stats(); s.PageWrites.Value() != 2 || s.ProgramFaults.Value() != 1 {
+		t.Fatalf("%d page writes, %d program faults; want 2 and 1", s.PageWrites.Value(), s.ProgramFaults.Value())
+	}
+}
+
+// ProgramSectors takes one end per sector of the page, or none.
+func TestProgramSectorsChecksTheEnds(t *testing.T) {
+	a := testArray(t)
+	if _, err := a.ProgramSectors(0, PageAddr{}, []byte{1}, make([]uint16, 3)); err == nil {
+		t.Fatal("three sector ends for a four-sector page were taken")
+	}
+	if !isErased(a, PageAddr{}) || a.Stats().PageWrites.Value() != 0 {
+		t.Fatal("a refused program touched the page")
+	}
+}

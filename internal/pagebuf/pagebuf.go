@@ -75,7 +75,9 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // FlushFunc persists one logical NAND page of the value log. pageNo is the
-// logical page number within the vLog; data is exactly one NAND page.
+// logical page number within the vLog; data is exactly one NAND page. For
+// the length of the call, the buffer's SectorEnds(pageNo) says where the bytes
+// written to each of data's sectors end.
 type FlushFunc func(t sim.Time, pageNo int64, data []byte) (sim.Time, error)
 
 // Stats tallies buffer activity.
@@ -120,13 +122,17 @@ func (c Config) Validate() error {
 // spans at most MaxEntries pages, and one value of up to ringValueBytes adds
 // at most ringValueBytes/PageSize + 2 more, so the ring starts at that sum. A
 // placement reaching further (a larger value, or a window a failed flush left
-// over-full) regrows it first.
+// over-full) regrows it first. Beside the ring, ends records for each slot
+// and each 4 KiB sector of its page where the bytes written there end: every
+// byte from there to the sector's end is zero.
 type Buffer struct {
 	cfg   Config
 	eng   *dma.Engine
 	flush FlushFunc
 
 	ring     [][]byte // open logical pages, lazily materialized
+	ends     []uint16 // slot i's sector ends at [i*sectors, (i+1)*sectors)
+	sectors  int      // sectors per page
 	open     int      // ring slots holding a page
 	minOpen  int64    // lowest open page number; all below are flushed
 	wp       int64    // write pointer (vLog byte offset)
@@ -142,8 +148,8 @@ type Buffer struct {
 	stats        Stats
 	tr           trace.Tracer
 	// spare holds up to maxSparePages flushed page buffers for page() to
-	// reuse; a reused page is zeroed first so gap bytes stay deterministic
-	// (identical to a freshly allocated page).
+	// reuse, each zeroed where its ends said it was written as it came
+	// back, so that it is identical to a freshly allocated page.
 	spare [][]byte
 	// zero is a shared all-zeros page served for in-window pages that were
 	// never written (OpenPage) and flushed without content. It is read-only by
@@ -160,13 +166,16 @@ func New(cfg Config, eng *dma.Engine, flush FlushFunc) (*Buffer, error) {
 	if cfg.DLTCap == 0 {
 		cfg.DLTCap = cfg.MaxEntries
 	}
+	slots, sectors := cfg.MaxEntries+ringValueBytes/cfg.PageSize+2, cfg.PageSize/pcie.MemoryPageSize
 	return &Buffer{
-		cfg:   cfg,
-		eng:   eng,
-		flush: flush,
-		ring:  make([][]byte, cfg.MaxEntries+ringValueBytes/cfg.PageSize+2),
-		dlt:   NewDLT(cfg.DLTCap),
-		zero:  make([]byte, cfg.PageSize),
+		cfg:     cfg,
+		eng:     eng,
+		flush:   flush,
+		ring:    make([][]byte, slots),
+		ends:    make([]uint16, slots*sectors),
+		sectors: sectors,
+		dlt:     NewDLT(cfg.DLTCap),
+		zero:    make([]byte, cfg.PageSize),
 	}, nil
 }
 
@@ -202,9 +211,19 @@ const ringValueBytes = 64 << 10
 // slot returns the ring slot of page no, which must be open and in the ring.
 func (b *Buffer) slot(no int64) *[]byte { return &b.ring[no%int64(len(b.ring))] }
 
+// SectorEnds reports where the bytes written to each 4 KiB sector of open
+// page no end, as offsets into the sector: past them the sector holds only
+// zeros (a page never written ends at 0 everywhere). The slice is the
+// buffer's and changes with the next placement; the vLog reads it while the
+// page is being flushed, to spare the flash looking for the zero tails.
+func (b *Buffer) SectorEnds(no int64) []uint16 {
+	i := int(no%int64(len(b.ring))) * b.sectors
+	return b.ends[i : i+b.sectors]
+}
+
 // page materializes (or returns) an open logical page. New pages come from
-// the spare list and are zeroed, so a reused page is indistinguishable from
-// a fresh allocation.
+// the spare list, which holds them zeroed, so a reused page is
+// indistinguishable from a fresh allocation.
 func (b *Buffer) page(no int64) []byte {
 	p := b.slot(no)
 	if *p == nil {
@@ -212,7 +231,6 @@ func (b *Buffer) page(no int64) []byte {
 			*p = b.spare[n-1]
 			b.spare[n-1] = nil
 			b.spare = b.spare[:n-1]
-			clear(*p)
 		} else {
 			*p = make([]byte, b.cfg.PageSize)
 		}
@@ -222,14 +240,16 @@ func (b *Buffer) page(no int64) []byte {
 }
 
 // writeBytes copies value into the vLog byte space at addr, spanning pages
-// as needed, and regrows the ring first if they reach past it.
+// as needed and recording where it ends in each sector, and regrows the ring
+// first if the pages reach past it.
 func (b *Buffer) writeBytes(addr int64, value []byte) {
 	if n := b.pageOf(addr+int64(len(value))-1) - b.minOpen + 1; n > int64(len(b.ring)) {
-		ring := make([][]byte, n)
+		ring, ends := make([][]byte, n), make([]uint16, int(n)*b.sectors)
 		for no := b.minOpen; no < b.minOpen+int64(len(b.ring)); no++ {
 			ring[no%n] = *b.slot(no)
+			copy(ends[int(no%n)*b.sectors:], b.SectorEnds(no))
 		}
-		b.ring = ring
+		b.ring, b.ends = ring, ends
 	}
 	off := 0
 	for off < len(value) {
@@ -241,6 +261,11 @@ func (b *Buffer) writeBytes(addr int64, value []byte) {
 		inPage := int((addr + int64(off)) % int64(b.cfg.PageSize))
 		n := copy(p[inPage:], value[off:])
 		off += n
+		const sector = pcie.MemoryPageSize
+		ends, end := b.SectorEnds(pno), inPage+n
+		for s := inPage / sector; s*sector < end; s++ {
+			ends[s] = max(ends[s], uint16(min(end-s*sector, sector)))
+		}
 	}
 }
 
@@ -441,9 +466,10 @@ func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 	data := *b.slot(no)
 	ok := data != nil
 	if !ok {
-		// Never-written page: flush the shared zero page. The flush path
-		// copies what it stores (NAND programs duplicate the data), so the
-		// shared page is never retained or mutated downstream.
+		// Never-written page: flush the shared zero page, whose sector ends
+		// are all 0. The flush path copies what it stores (NAND programs
+		// duplicate the data), so the shared page is never retained or
+		// mutated downstream.
 		data = b.zero
 	}
 	handoff := t
@@ -459,13 +485,18 @@ func (b *Buffer) flushOldest(t sim.Time) (sim.Time, error) {
 	if b.tr != nil {
 		b.tr.Emit(trace.Event{Cat: trace.CatPageBuf, Name: trace.EvFlush, Start: handoff, End: end, Bytes: int64(b.cfg.PageSize), Arg: no})
 	}
+	ends := b.SectorEnds(no)
 	if ok {
 		*b.slot(no) = nil
 		b.open--
 		if len(b.spare) < maxSparePages {
+			for s, e := range ends {
+				clear(data[s*pcie.MemoryPageSize : s*pcie.MemoryPageSize+int(e)])
+			}
 			b.spare = append(b.spare, data)
 		}
 	}
+	clear(ends)
 	b.minOpen++
 	b.stats.Flushes.Inc()
 	return handoff, nil

@@ -3,6 +3,7 @@ package pagebuf
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -673,12 +674,14 @@ func TestFlushedPagesReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := steady.PlacePiggybacked(0, full); err != nil {
-			t.Fatal(err)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 100 {
+			if _, _, err := steady.PlacePiggybacked(0, full); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("a page-filling placement allocates %.2f objects in steady state, want 0", avg)
+	}); n != 0 {
+		t.Errorf("100 page-filling placements in steady state made %.0f allocations, want 0", n)
 	}
 }
 
@@ -768,4 +771,88 @@ func TestRingRegrowsAndRejectsFlushedPages(t *testing.T) {
 		}
 	}()
 	b.writeBytes(0, small)
+}
+
+// SectorEnds is a promise the flash relies on: in a page handed to the flush,
+// every byte of a sector at or past its recorded end is zero. Random streams
+// of piggybacked and DMA values under every policy — backfilled gaps, forced
+// flushes of a two-entry window, values spanning pages, a value that regrows
+// the ring, values ending in zeros, and pages reused from the spare list —
+// keep it for every flushed page, and every value reads back.
+func TestSectorEndsBoundWhatFlushesWrite(t *testing.T) {
+	const pageSize, sector = 16 * 1024, pcie.MemoryPageSize
+	for _, pol := range []Policy{PolicyBlock, PolicyAll, PolicySelective, PolicyBackfill} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var b *Buffer
+			flushed, pages := 0, map[int64][]byte{}
+			flush := func(t0 sim.Time, no int64, data []byte) (sim.Time, error) {
+				ends := b.SectorEnds(no)
+				if len(ends) != pageSize/sector {
+					t.Fatalf("%v: page %d flushed with %d sector ends", pol, no, len(ends))
+				}
+				for s, e := range ends {
+					if tail := data[s*sector+int(e) : (s+1)*sector]; !bytes.Equal(tail, make([]byte, len(tail))) {
+						t.Fatalf("%v seed %d: page %d sector %d holds non-zero bytes past its end %d", pol, seed, no, s, e)
+					}
+				}
+				pages[no] = append([]byte(nil), data...)
+				flushed++
+				return t0, nil
+			}
+			eng := dma.NewEngine(pcie.NewLink(pcie.DefaultCostModel()), dma.DefaultMemcpyModel())
+			var err error
+			if b, err = New(Config{PageSize: pageSize, MaxEntries: 2, Policy: pol}, eng, flush); err != nil {
+				t.Fatal(err)
+			}
+			type placed struct {
+				addr int64
+				val  []byte
+			}
+			var vals []placed
+			for i := 0; i < 300; i++ {
+				size := 1 + rng.Intn(200)
+				if rng.Intn(3) == 0 {
+					size = 1 + rng.Intn(3*pageSize)
+				}
+				if i == 150 {
+					size = 3 * ringValueBytes // past the ring: it regrows
+				}
+				val := make([]byte, size)
+				for j := range val {
+					val[j] = byte(rng.Intn(255) + 1)
+				}
+				clear(val[size-rng.Intn(size+1)/2:]) // a zero tail
+				place := b.PlacePiggybacked
+				if size > 200 {
+					place = b.PlaceDMA
+				}
+				addr, _, err := place(0, val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals = append(vals, placed{addr, val})
+			}
+			if _, err := b.FlushAll(0); err != nil {
+				t.Fatal(err)
+			}
+			if len(b.ring) == 2+ringValueBytes/pageSize+2 {
+				t.Fatalf("%v: the ring never regrew", pol)
+			}
+			if pol == PolicyBackfill && (b.stats.ForcedFlushes.Value() == 0 || b.stats.BackfillJumps.Value() == 0) {
+				t.Fatalf("backfill: %d forced flushes, %d jumps over DMA regions; the stream must make both",
+					b.stats.ForcedFlushes.Value(), b.stats.BackfillJumps.Value())
+			}
+			for i, v := range vals {
+				got := make([]byte, 0, len(v.val))
+				for pos := v.addr; len(got) < len(v.val); pos = v.addr + int64(len(got)) {
+					page := pages[pos/pageSize][pos%pageSize:]
+					got = append(got, page[:min(len(page), len(v.val)-len(got))]...)
+				}
+				if !bytes.Equal(got, v.val) {
+					t.Fatalf("%v seed %d: value %d at %d does not read back", pol, seed, i, v.addr)
+				}
+			}
+		}
+	}
 }

@@ -70,13 +70,14 @@ func (v *VLog) lpnOf(pageNo int64) int {
 	return v.baseLPN + int(pageNo%int64(v.maxPages))
 }
 
-// flushPage persists one vLog page through the FTL.
+// flushPage persists one vLog page through the FTL, with the page buffer's
+// sector ends, so the flash need not search the page for its zero tails.
 func (v *VLog) flushPage(t sim.Time, pageNo int64, data []byte) (sim.Time, error) {
 	tailPage := v.tail / int64(v.pageSize)
 	if pageNo-tailPage >= int64(v.maxPages) {
 		return t, fmt.Errorf("vlog: page %d wraps onto live tail page %d", pageNo, tailPage)
 	}
-	return v.ftl.Write(t, v.lpnOf(pageNo), data)
+	return v.ftl.WriteSectors(t, v.lpnOf(pageNo), data, v.buf.SectorEnds(pageNo))
 }
 
 // Buffer exposes the underlying page buffer (for policy stats).
