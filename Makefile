@@ -68,9 +68,11 @@ determinism:
 # against its old map, and the FTL against its old dense map, seeded from the
 # committed testdata corpora and the targets' own seeds. New inputs are not
 # minimized (-fuzzminimizetime=0): minimizing spent a slow target's whole
-# budget, leaving it to re-run its corpus and fuzz almost nothing. A target
-# that fails prints its whole output; one that passes prints one line, the
-# execs it made in its budget.
+# budget, leaving it to re-run its corpus and fuzz almost nothing. The fuzz
+# cache is cleared first, so each count starts from the committed corpora and
+# not from whatever earlier runs on this machine left under $GOCACHE/fuzz. A
+# target that fails prints its whole output; one that passes prints one line,
+# the execs it made in its budget.
 FUZZ_SMOKE = ./internal/fault:FuzzParsePlan ./internal/lsm:FuzzDecodePage \
 	./internal/lsm:FuzzMemTable ./internal/lsm:FuzzMerge \
 	./internal/lsm:FuzzLevelEdit \
@@ -81,6 +83,7 @@ FUZZ_SMOKE = ./internal/fault:FuzzParsePlan ./internal/lsm:FuzzDecodePage \
 	./internal/cache:FuzzPages ./internal/ftl:FuzzFTL
 
 fuzz-smoke:
+	@$(GO) clean -fuzzcache
 	@for t in $(FUZZ_SMOKE); do \
 		out=$$($(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=0 $${t%%:*} 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
 		execs=$$(printf '%s\n' "$$out" | sed -n 's/^fuzz: elapsed: \([^,]*\), execs: \([0-9]*\) .*/\2 execs in \1/p' | tail -n 1); \

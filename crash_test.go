@@ -121,7 +121,7 @@ func crashVerify(t *testing.T, db *bandslim.DB, acked map[string][]byte, cut boo
 		}
 		if want, ok := acked[key]; ok {
 			if want == nil {
-				// Acked delete: a later unacked put may have been journaled,
+				// Acked delete: a later unacked put may have been indexed,
 				// so presence is legal — but it must not be a torn value;
 				// nothing to compare against, so just record it in the dump.
 			} else if got == nil {

@@ -136,7 +136,7 @@ func ExampleDB_PutBatch() {
 
 // A fault plan injects transient link errors and cuts power mid-run. The
 // driver retries the transients; after the cut, Recover remounts the device
-// and replays its battery-backed journal, so every acknowledged write
+// and reads back its battery-backed MemTable, so every acknowledged write
 // survives.
 func ExampleDB_Recover() {
 	plan, err := bandslim.ParseFaultPlan(`

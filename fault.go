@@ -23,11 +23,11 @@ import (
 //   - Transient errors surface as retryable NVMe completions; the driver
 //     re-submits up to four times, after a backoff that starts at 10 µs and
 //     doubles.
-//   - Power cuts freeze the device: every volatile structure (MemTable,
-//     open command, iterator, SQ/CQ rings) is lost, while battery-backed
-//     state (the vLog page buffer and the index journal) survives, matching
+//   - Power cuts freeze the device: every volatile structure (open command,
+//     iterator, SQ/CQ rings, read caches) is lost, while battery-backed
+//     state (the vLog page buffer and the LSM MemTable) survives, matching
 //     the paper's platform (§2.2). DB.Recover mounts the device again and
-//     replays the journal, restoring every acknowledged write.
+//     reads the MemTable back, restoring every acknowledged write.
 //
 // Plans come from ParseFaultPlan's text format:
 //
@@ -89,11 +89,11 @@ func IsNotFound(err error) bool {
 }
 
 // Recover remounts every shard's device after a power cut: fresh queues, the
-// LSM index rolled back to its last durable flush, and the battery-backed
-// index journal replayed — restoring every acknowledged write. Unacknowledged
-// operations that were in flight when power was lost are atomically present
-// or absent. Mounting a shard that never lost power is a harmless no-op, so
+// LSM catalog rolled back to its last durable flush, and the battery-backed
+// MemTable read back — which holds every acknowledged write since.
+// Unacknowledged operations that were in flight when power was lost are
+// atomically present or absent. Mounting a shard that never lost power is a harmless no-op, so
 // Recover is safe whenever any operation reports IsPowerLoss. The first error
-// wins; a plan can cut power again during replay, and a subsequent Recover
-// resumes where replay stopped.
+// wins; a plan can cut power again during the mount's flush, and a
+// subsequent Recover resumes it.
 func (db *DB) Recover() error { return db.each((*driver.Driver).Recover) }

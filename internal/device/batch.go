@@ -92,7 +92,6 @@ func (d *Device) execBatchWrite(t sim.Time, cmd nvme.Command) (int, sim.Time, er
 			if err != nil {
 				return count, end, err
 			}
-			d.jnl.append(key, addr, uint32(len(value)), false)
 			end, err = d.tree.Put(e, key, addr, uint32(len(value)))
 			if err != nil {
 				return count, end, err

@@ -73,7 +73,7 @@ func DefaultConfig() Config {
 type Stats struct {
 	PowerCuts       metrics.Counter // power-cut faults taken
 	Mounts          metrics.Counter // recovery mounts performed
-	ReplayedRecords metrics.Counter // journal records replayed at mount
+	ReplayedRecords metrics.Counter // MemTable entries replayed at mount
 
 	// Device-DRAM read-cache tallies (zero while the cache is disabled).
 	CacheHits          metrics.Counter // value-tier hits (reads served from DRAM)
@@ -114,10 +114,8 @@ type Device struct {
 	tr      trace.Tracer
 	inj     *fault.Injector
 	// dead latches after a power cut: every command completes with
-	// StatusPowerLoss until Mount. jnl is the battery-backed index journal
-	// replayed at mount (see journal.go).
+	// StatusPowerLoss until Mount.
 	dead bool
-	jnl  journal
 	// Device-DRAM read cache: vcache serves whole vLog entries before the
 	// LSM walk, pstore interposes the SSTable-page tier (pass-through when
 	// detached). Each hit charges cache.HitLatency.
@@ -203,9 +201,6 @@ func New(cfg Config, clock *sim.Clock, link *pcie.Link, hostMem *nvme.HostMemory
 	if cfg.Cache.ValueBytes > 0 {
 		d.vcache = cache.NewValues(cfg.Cache.ValueBytes, cache.NewPolicy(cfg.Cache.Policy))
 	}
-	// A committed tree flush is the durability point: acknowledged records
-	// are on flash, so the battery-backed journal empties.
-	tree.SetOnDurable(d.jnl.reset)
 	return d, nil
 }
 
@@ -420,7 +415,7 @@ func classify(err error) nvme.Status {
 // open pending write, the device-side iterator, and (conceptually) the SQ/CQ
 // rings are lost; the dead latch makes every subsequent command complete
 // with StatusPowerLoss until Mount. Battery-backed state — the vLog page
-// buffer and the index journal — survives, as the paper's platform rides out
+// buffer and the LSM MemTable — survives, as the paper's platform rides out
 // power loss (§2.2).
 func (d *Device) powerCut(t sim.Time) {
 	if d.dead {
@@ -429,7 +424,7 @@ func (d *Device) powerCut(t sim.Time) {
 	d.dead = true
 	d.pending = nil
 	d.iter = nil
-	// Device DRAM is volatile: both cache tiers vanish with the power.
+	// The cache tiers are modelled volatile: both vanish with the power.
 	d.dropCaches()
 	d.stats.PowerCuts.Inc()
 	if d.tr != nil {
@@ -437,13 +432,16 @@ func (d *Device) powerCut(t sim.Time) {
 	}
 }
 
-// Mount brings a power-cut device back into service: fresh SQ/CQ rings, the
-// LSM catalog rolled back to its last durable point, and the battery-backed
-// index journal replayed into a fresh MemTable — which restores every
-// acknowledged write. The returned time includes the replay's device work.
+// Mount brings a power-cut device back into service: fresh SQ/CQ rings and
+// the LSM catalog rolled back to its last durable point. The MemTable, in
+// battery-backed DRAM, kept every acknowledged write since that point; Mount
+// reads it back in first-write order, one device memcpy per entry, checks
+// each value address against the vLog's live range, and flushes the table if
+// the cut interrupted the flush of a full one. The returned time includes that
+// device work.
 //
-// If a fault fires during replay (plans can do that), the journal still
-// holds every record not yet durable, so a subsequent Mount resumes cleanly.
+// If a fault fires during the flush (plans can do that), the MemTable stays
+// as it was, so a subsequent Mount resumes cleanly.
 func (d *Device) Mount(t sim.Time) (sim.Time, error) {
 	d.dead = false
 	d.pending = nil
@@ -457,7 +455,7 @@ func (d *Device) Mount(t sim.Time) (sim.Time, error) {
 	if d.cfg.NANDEnabled {
 		d.tree.Restore()
 		var err error
-		end, err = d.replayJournal(t)
+		end, err = d.replayIndex(t)
 		if err != nil {
 			return end, err
 		}
@@ -468,54 +466,39 @@ func (d *Device) Mount(t sim.Time) (sim.Time, error) {
 	return end, nil
 }
 
-// replayJournal re-indexes every journal record through the journaled insert
-// path. Replay charges one device memcpy per record (reading it out of the
-// battery-backed region) and validates value addresses against the vLog's
-// live range before trusting them.
-func (d *Device) replayJournal(t sim.Time) (sim.Time, error) {
-	if d.jnl.len() == 0 {
-		return t, nil
-	}
-	// Snapshot first: re-appending goes through the live journal, and a tree
-	// flush during replay resets it (those records just became durable).
-	recs := append([]journalRecord(nil), d.jnl.recs...)
-	arena := append([]byte(nil), d.jnl.arena...)
-	d.jnl.reset()
+// indexRecordOverhead is the non-key size of one MemTable entry as Mount
+// reads it out of battery-backed DRAM: keyLen u8 + addr i64 + size u32 +
+// flags u8.
+const indexRecordOverhead = 1 + 8 + 4 + 1
+
+// errIndexOutsideVLog is a MemTable entry whose value lies outside the vLog's
+// live range. vLog GC re-indexes every value it moves before it reclaims the
+// old pages, so this is a broken invariant, not a stale entry to skip.
+var errIndexOutsideVLog = errors.New("device: index entry outside the vLog's live range")
+
+// replayIndex walks the MemTable for Mount: a memcpy, a replay event and a
+// count per entry, then the flush the cut may have interrupted.
+func (d *Device) replayIndex(t sim.Time) (sim.Time, error) {
 	end := t
-	for i, r := range recs {
-		key := arena[r.keyOff : r.keyOff+r.keyLen]
-		end = d.eng.Memcpy(end, r.keyLen+journalRecordOverhead)
-		if !r.tomb && !d.vlog.Contains(r.addr, int(r.size)) {
-			// Stale: vLog GC reclaimed this value's pages after the record
-			// was journaled — which only happens once a later record (the
-			// relocation, an overwrite, or a tombstone) superseded it. The
-			// later record is authoritative; skip this one.
-			continue
-		}
-		d.jnl.append(key, r.addr, r.size, r.tomb)
-		var err error
-		if r.tomb {
-			end, err = d.tree.Delete(end, key)
-		} else {
-			end, err = d.tree.Put(end, key, r.addr, r.size)
-		}
-		if err != nil {
-			// Keep the not-yet-replayed tail journaled so the next Mount
-			// can resume; the failing record is already re-appended above.
-			for _, rr := range recs[i+1:] {
-				d.jnl.append(arena[rr.keyOff:rr.keyOff+rr.keyLen], rr.addr, rr.size, rr.tomb)
-			}
-			if errors.Is(err, fault.ErrPowerCut) {
-				d.powerCut(end)
-			}
-			return end, err
+	err := d.tree.Unflushed(func(e lsm.Entry) error {
+		end = d.eng.Memcpy(end, len(e.Key)+indexRecordOverhead)
+		if !e.Tombstone && !d.vlog.Contains(e.Addr, int(e.Size)) {
+			return fmt.Errorf("%w: key %x at %d, %d bytes", errIndexOutsideVLog, e.Key, e.Addr, e.Size)
 		}
 		d.stats.ReplayedRecords.Inc()
 		if d.tr != nil {
-			d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvReplay, Start: end, End: end, Bytes: int64(r.size)})
+			d.tr.Emit(trace.Event{Cat: trace.CatDevice, Name: trace.EvReplay, Start: end, End: end, Bytes: int64(e.Size)})
 		}
+		return nil
+	})
+	if err != nil {
+		return end, err
 	}
-	return end, nil
+	end, err = d.tree.FlushIfFull(end)
+	if errors.Is(err, fault.ErrPowerCut) {
+		d.powerCut(end)
+	}
+	return end, err
 }
 
 var (
@@ -658,10 +641,9 @@ func (d *Device) commitWrite(pw *pendingWrite) (sim.Time, error) {
 		if err != nil {
 			return end, err
 		}
-		// Journal before indexing: once the value is in the battery-backed
-		// buffer and the record is journaled, the write survives power loss
-		// even if the tree insert below is interrupted.
-		d.jnl.append(pw.key, addr, uint32(len(pw.value)), false)
+		// Once the value is in the battery-backed buffer and its entry in
+		// the battery-backed MemTable, the write survives power loss, even
+		// if the flush the insert triggers is interrupted.
 		end, err = d.tree.Put(end, pw.key, addr, uint32(len(pw.value)))
 		if err != nil {
 			return end, err
@@ -737,7 +719,6 @@ func (d *Device) execDelete(t sim.Time, cmd nvme.Command) (sim.Time, error) {
 	d.invalidateValue(key)
 	end := t
 	if d.cfg.NANDEnabled {
-		d.jnl.append(key, 0, 0, true)
 		var err error
 		end, err = d.tree.Delete(t, key)
 		if err != nil {

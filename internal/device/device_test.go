@@ -318,6 +318,11 @@ func TestHybridWrite(t *testing.T) {
 	if comp.Status != nvme.StatusSuccess {
 		t.Fatalf("tail status %v", comp.Status)
 	}
+	// Placing the value costs one device copy, of the 32-byte tail only (the
+	// DMA head lands in place under the block policy).
+	if st := dev.Engine().Stats(); st.Memcpys.Value() != 1 || st.MemcpyTime.Value() != int64(smallConfig().Memcpy.Cost(32)) {
+		t.Fatalf("%d memcpys taking %d ns, want one of the 32-byte tail, %v", st.Memcpys.Value(), st.MemcpyTime.Value(), smallConfig().Memcpy.Cost(32))
+	}
 	// Verify content.
 	rbuf, _ := nvme.BuildPRP(mem, make([]byte, 8192))
 	var rd nvme.Command

@@ -63,13 +63,13 @@ func (d *Device) CompactVLog(t sim.Time, pages int) (int, sim.Time, error) {
 		if err != nil {
 			return 0, end, fmt.Errorf("device: GC append: %w", err)
 		}
-		// Relocation rewrites an acknowledged record's address; journal it so
-		// a post-GC power cut cannot resurrect the reclaimed location. The
+		// Relocation rewrites an acknowledged record's address in the
+		// battery-backed MemTable before the tail advances, so no index
+		// entry a post-GC mount reads points at the reclaimed location. The
 		// cached copy (keyed by user key) still holds the right bytes, but
 		// the strict invalidation protocol drops it anyway: cache entries
 		// conceptually reference the vLog location being reclaimed.
 		d.invalidateValue(e.Key)
-		d.jnl.append(e.Key, addr, e.Size, false)
 		end, err = d.tree.Put(aEnd, e.Key, addr, e.Size)
 		if err != nil {
 			return 0, end, fmt.Errorf("device: GC reindex: %w", err)

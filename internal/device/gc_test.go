@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bandslim/internal/lsm"
 	"bandslim/internal/nand"
 	"bandslim/internal/nvme"
 )
@@ -179,17 +180,15 @@ func TestCircularLogOutlivesCapacity(t *testing.T) {
 	}
 }
 
-// A vLog GC journals each relocated value's new address and then advances the
-// tail past the old one, so the journal holds, for every value it moved, a
-// record that points below the tail. Mount replays the journal into an empty
-// MemTable: it must skip those stale records, re-index the rest, and leave
-// every key reading its value.
-func TestMountSkipsStaleJournalRecords(t *testing.T) {
+// A vLog GC re-indexes each value it moves before it advances the tail past
+// the old copy, so no MemTable entry points below the tail, and a mount after
+// it replays one entry per key and every key reads its value.
+func TestMountAfterCompactVLog(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Buffer.MaxEntries = 4 // the buffer retires pages to NAND as they fill
 	dev, _, _, mem := newDev(t, cfg)
 	want := map[string][]byte{}
-	const n = 40 // ~5 vLog pages, under MemTableEntries: no tree flush, so every record stays journaled
+	const n = 40 // ~5 vLog pages, under MemTableEntries: no tree flush, every entry stays in the MemTable
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("s%02d", i)
 		v := bytes.Repeat([]byte{byte(i + 1)}, 2000)
@@ -197,27 +196,28 @@ func TestMountSkipsStaleJournalRecords(t *testing.T) {
 		want[key] = v
 	}
 	pageSize := int64(dev.cfg.Buffer.PageSize)
-	if dev.VLog().Buffer().FlushedBelow() < 2*pageSize || dev.jnl.len() != n {
-		t.Fatalf("flushed below %d, %d records journaled: the setup wants 2+ vLog pages on NAND and %d records",
-			dev.VLog().Buffer().FlushedBelow(), dev.jnl.len(), n)
+	if dev.VLog().Buffer().FlushedBelow() < 2*pageSize || dev.tree.Stats().PagesWritten.Value() != 0 {
+		t.Fatalf("flushed below %d, %d index pages written: the setup wants 2+ vLog pages on NAND and no tree flush",
+			dev.VLog().Buffer().FlushedBelow(), dev.tree.Stats().PagesWritten.Value())
 	}
 	tail := dev.VLog().Tail()
 	moved, _, err := dev.CompactVLog(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 || dev.VLog().Tail() != tail+pageSize || dev.jnl.len() != n+moved {
-		t.Fatalf("compaction moved %d values, tail %d -> %d, %d records: want values moved off one page and one record each",
-			moved, tail, dev.VLog().Tail(), dev.jnl.len())
+	if moved == 0 || dev.VLog().Tail() != tail+pageSize {
+		t.Fatalf("compaction moved %d values, tail %d -> %d: want values moved off one page", moved, tail, dev.VLog().Tail())
 	}
-	stale := 0
-	for _, r := range dev.jnl.recs {
-		if int64(r.addr) < dev.VLog().Tail() {
-			stale++
+	entries, below := 0, 0
+	dev.tree.Unflushed(func(e lsm.Entry) error {
+		entries++
+		if int64(e.Addr) < dev.VLog().Tail() {
+			below++
 		}
-	}
-	if stale != moved {
-		t.Fatalf("%d journal records point below the tail, want the %d the compaction superseded", stale, moved)
+		return nil
+	})
+	if entries != n || below != 0 {
+		t.Fatalf("the MemTable holds %d entries, %d below the tail: want %d, none below", entries, below, n)
 	}
 
 	replayed := dev.stats.ReplayedRecords.Value()
@@ -226,11 +226,59 @@ func TestMountSkipsStaleJournalRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := dev.stats.ReplayedRecords.Value() - replayed; got != int64(n) {
-		t.Fatalf("mount replayed %d records, want %d: the %d live of %d journaled", got, n, n, n+moved)
+		t.Fatalf("mount replayed %d entries, want %d", got, n)
 	}
 	for key, v := range want {
 		if got, st := readBack(t, dev, mem, key); st != nvme.StatusSuccess || !bytes.Equal(got, v) {
 			t.Fatalf("key %s after mount: status %v, %d bytes", key, st, len(got))
+		}
+	}
+}
+
+// Asked for more pages than have left the page buffer, CompactVLog reclaims
+// every flushed page and no more, and relocates the live values it moves in
+// their old address order, so the moved values keep their order in the log.
+func TestCompactVLogStopsAtTheFlushedPages(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Buffer.MaxEntries = 4 // the buffer retires pages to NAND as they fill
+	dev, _, _, mem := newDev(t, cfg)
+	const n = 40
+	want := map[string][]byte{}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("o%02d", i)
+		v := bytes.Repeat([]byte{byte(i + 1)}, 2000)
+		putInline(t, dev, key, v)
+		want[key] = v
+	}
+	flushed := dev.VLog().Buffer().FlushedBelow()
+	addr := func(key string) int64 {
+		e, ok, _, err := dev.tree.Get(0, []byte(key))
+		if err != nil || !ok {
+			t.Fatalf("key %s: found=%v err=%v", key, ok, err)
+		}
+		return int64(e.Addr)
+	}
+	var below []string // keys whose values start below the flushed boundary, in address order
+	for i := 0; i < n; i++ {
+		if key := fmt.Sprintf("o%02d", i); addr(key) < flushed {
+			below = append(below, key)
+		}
+	}
+	moved, _, err := dev.CompactVLog(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.VLog().Tail() != flushed || moved != len(below) {
+		t.Fatalf("tail %d after moving %d values, want the flushed boundary %d and %d values", dev.VLog().Tail(), moved, flushed, len(below))
+	}
+	for i := 1; i < len(below); i++ {
+		if addr(below[i-1]) >= addr(below[i]) {
+			t.Fatalf("relocated %s to %d, at or past %s at %d: not in address order", below[i-1], addr(below[i-1]), below[i], addr(below[i]))
+		}
+	}
+	for key, v := range want {
+		if got, st := readBack(t, dev, mem, key); st != nvme.StatusSuccess || !bytes.Equal(got, v) {
+			t.Fatalf("key %s after compaction: status %v, %d bytes", key, st, len(got))
 		}
 	}
 }

@@ -598,12 +598,13 @@ func (d *Driver) Identify() (device.IdentifyData, error) {
 	return device.ParseIdentify(data), nil
 }
 
-// Recover mounts the device after a power cut: fresh queues, the LSM index
-// rolled back to its last durable point, and the battery-backed journal
-// replayed — restoring every acknowledged write. The clock advances past the
-// replay work plus one command round trip (the host's re-attach handshake).
-// A fault plan can cut power again mid-replay; the returned error then
-// carries StatusPowerLoss semantics and a subsequent Recover resumes.
+// Recover mounts the device after a power cut: fresh queues, the LSM catalog
+// rolled back to its last durable point, and the battery-backed MemTable read
+// back — it holds every acknowledged write since. The clock advances past the
+// mount's device work plus one command round trip (the host's re-attach
+// handshake). A fault plan can cut power again during the mount's flush; the
+// returned error then carries StatusPowerLoss semantics and a subsequent
+// Recover resumes.
 func (d *Driver) Recover() error {
 	// The mount replaces the SQ/CQ rings, so any window frames referencing
 	// pre-cut completions are void; reset the window rather than reaping it.

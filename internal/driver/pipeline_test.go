@@ -104,7 +104,7 @@ func TestPowerFailureSemantics(t *testing.T) {
 		t.Fatalf("PeakAtRiskOps = %d, want 2", peak)
 	}
 	// Power fails: host DRAM, and the batch in it, is gone; the device
-	// remounts from its battery-backed journal.
+	// remounts with its battery-backed MemTable.
 	b.discard()
 	if err := d.Recover(); err != nil {
 		t.Fatal(err)

@@ -38,8 +38,11 @@ type memNode struct {
 	key  [MaxKeySize]byte // backs the Entry.Key handed out
 }
 
-// MemTable is the write buffer. The device's DRAM is battery backed, so the
-// MemTable is durable the moment a value is inserted (§2.2).
+// MemTable is the write buffer. It sits in the device's battery-backed DRAM
+// (§2.2), so an entry is durable the moment it is inserted: a power cut keeps
+// the table, Tree.Restore leaves it in place, and the device's mount reads it
+// back in first-write order (Tree.Unflushed). With the committed catalog it is
+// the whole index, one entry per key written since the last flush.
 //
 // Nodes sit in one slab in insertion order, 48 B a node, found by key through
 // an open-addressing hash index. Key order is built only when something reads

@@ -494,7 +494,7 @@ func treeRestartsMatchPages(t *testing.T) {
 		t.Fatalf("levels %v: compactL0 and compactLevel did not both run", lt)
 	}
 	check("after compactions")
-	for i := 0; i < 50; i++ { // uncommitted tail, lost by the rollback
+	for i := 0; i < 50; i++ { // an unflushed tail, which Restore keeps
 		tr.Put(0, key(n+i), 1, 8)
 	}
 	tr.Restore()

@@ -366,8 +366,8 @@ func TestFailedFlushLeavesNothing(t *testing.T) {
 }
 
 // The compaction pointers are part of the catalog: cut power on the last page
-// write of a cascade that has advanced them, Restore, replay the lost
-// MemTable and carry on — the tree writes exactly the pages, in the order, a
+// write of a cascade that has advanced them, Restore, flush the MemTable it
+// keeps and carry on — the tree writes exactly the pages, in the order, a
 // tree that never lost power writes from the same commit on.
 func TestCompactionPointerSurvivesRestore(t *testing.T) {
 	put, writes := findCascade(t)
@@ -392,10 +392,17 @@ func TestCompactionPointerSurvivesRestore(t *testing.T) {
 		t.Fatalf("the cut Put returned %v", err)
 	}
 	// What a power cut does that a failed write does not: the device mounts
-	// again, which rolls the tree back and replays the journaled MemTable.
+	// again, which rolls the tree back to its catalog, keeps the
+	// battery-backed MemTable, and flushes it, full as the cut Put left it.
 	tr.Restore()
+	if tr.mem.Len() != lost+1 {
+		t.Fatalf("Restore left %d MemTable entries, want the %d the cut flush held", tr.mem.Len(), lost+1)
+	}
 	store.log = store.log[:0]
-	for i := put - lost; i < put+more; i++ {
+	if _, err := tr.FlushIfFull(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := put + 1; i < put+more; i++ {
 		if _, err := tr.Put(0, cascadeKey(i), vlog.Addr(i), 8); err != nil {
 			t.Fatal(err)
 		}

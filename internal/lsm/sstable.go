@@ -322,7 +322,7 @@ func searchPage(data []byte, k sim.Key, restarts []uint16) (Entry, bool, error) 
 // free is the free list of table handles: the tables a commit freed, each
 // with its page list, fences, restart index and filter, which finish refills
 // for the next tables built instead of allocating new ones; handed holds the
-// handles finish has given out since the last commit, which a rollback puts
+// handles finish has given out since the last commit, which Restore puts
 // back on the list.
 type tableBuilder struct {
 	store    PageStore

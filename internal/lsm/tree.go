@@ -105,9 +105,9 @@ type Tree struct {
 
 	// Crash-atomicity state. The catalog (levels + compaction pointers +
 	// allocator) is copied into committed at the end of every successful
-	// Flush; Restore rolls back to that copy after a power cut, and a Flush
-	// that fails without one rolls itself back the same way. Both copies are
-	// refilled in the storage they already have. Pages vacated by compaction
+	// Flush; Restore rolls back to that copy, after a power cut or when a
+	// Flush fails. Both copies are refilled in the storage they already
+	// have. Pages vacated by compaction
 	// are only trimmed at commit (pendingFree), so the committed catalog's
 	// tables are always intact on flash; their handles, filters included, join
 	// the builder's free list then too (pendingTables), so a table of the
@@ -115,7 +115,6 @@ type Tree struct {
 	pendingFree   []int
 	pendingTables []*SSTable
 	committed     catalog
-	onDurable     func()
 }
 
 // catalog is the durable view of the tree: everything needed to rebuild it
@@ -154,31 +153,30 @@ func (tr *Tree) commit() {
 	clear(tr.build.handed)
 	tr.build.handed = tr.build.handed[:0]
 	tr.committed.save(tr)
-	if tr.onDurable != nil {
-		tr.onDurable()
+}
+
+// Unflushed calls fn with each MemTable entry in the order its key was first
+// written, and stops at the first error fn returns. An entry's Key is a view
+// into the MemTable, good until the next write.
+func (tr *Tree) Unflushed(fn func(Entry) error) error {
+	for i := range tr.mem.slab {
+		if err := fn(tr.mem.entry(uint32(i))); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// SetOnDurable registers a hook invoked every time the tree reaches a new
-// durable point (end of a successful Flush). The device uses it to clear its
-// battery-backed index journal.
-func (tr *Tree) SetOnDurable(fn func()) { tr.onDurable = fn }
-
-// Restore rolls the tree back to its last committed catalog: the MemTable
-// empties, partially flushed tables vanish, and deferred frees are dropped
-// (their pages were never trimmed, so the committed tables remain intact).
-// The device mount calls this before replaying its journal.
+// Restore rolls the tree back to its last committed catalog, after a power
+// cut or a failed Flush: partially flushed tables vanish and deferred frees
+// are dropped (their pages were never trimmed, so the committed tables remain
+// intact). The MemTable stays: it sits in battery-backed device DRAM, and
+// with the committed catalog it is the whole index. Restoring the allocator
+// is what hands back the pages written since: they are in no catalog, and
+// their numbers are rewritten before they are read. The handles of the tables
+// built since go back on the free list the same way: they are in no catalog
+// either.
 func (tr *Tree) Restore() {
-	tr.rollback()
-	tr.mem = tr.mem.recycle()
-}
-
-// rollback returns everything but the MemTable to the committed catalog.
-// Restoring the allocator is what hands back the pages written since: they
-// are in no catalog, and their numbers are rewritten before they are read.
-// The handles of the tables built since go back on the free list the same
-// way: they are in no catalog either.
-func (tr *Tree) rollback() {
 	for i, level := range tr.committed.levels {
 		clear(tr.levels[i])
 		tr.levels[i] = append(tr.levels[i][:0], level...)
@@ -254,6 +252,12 @@ func (tr *Tree) insert(t sim.Time, key []byte, addr vlog.Addr, size uint32, tomb
 	if err := tr.mem.Put(key, addr, size, tomb); err != nil {
 		return t, err
 	}
+	return tr.FlushIfFull(t)
+}
+
+// FlushIfFull flushes the MemTable once it holds MemTableEntries entries, as
+// the write that fills it does.
+func (tr *Tree) FlushIfFull(t sim.Time) (sim.Time, error) {
 	if tr.mem.Len() < tr.cfg.MemTableEntries {
 		return t, nil
 	}
@@ -270,7 +274,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 	}
 	end, err := tr.flush(t)
 	if err != nil {
-		tr.rollback()
+		tr.Restore()
 		return end, err
 	}
 	tr.mem = tr.mem.recycle()

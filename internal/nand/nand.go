@@ -230,6 +230,15 @@ var (
 	ErrSparsePage = fmt.Errorf("nand: page is stored with gaps; read it by range")
 )
 
+// sparsePageError is ErrSparsePage for one page. It formats the address only
+// in Error, so a caller that tests for ErrSparsePage and reads the page by
+// range instead pays nothing for the message.
+type sparsePageError struct{ page PageAddr }
+
+func (e *sparsePageError) Error() string { return ErrSparsePage.Error() + ": " + e.page.String() }
+
+func (e *sparsePageError) Unwrap() error { return ErrSparsePage }
+
 // New returns a flash array with the given geometry and latencies, sharing
 // the simulation clock.
 func New(geo Geometry, lat Latency, clock *sim.Clock) (*Array, error) {
@@ -607,7 +616,7 @@ func (a *Array) View(p PageAddr) ([]byte, error) {
 	case buf == nil:
 		return a.zero, nil
 	case !a.oneRun(buf):
-		return nil, fmt.Errorf("%w: %v", ErrSparsePage, p)
+		return nil, &sparsePageError{p}
 	}
 	return buf, nil
 }

@@ -349,8 +349,12 @@ func TestProgramKeepsSectorPrefixes(t *testing.T) {
 	if _, _, err := a.Read(0, p); !errors.Is(err, ErrSparsePage) {
 		t.Fatalf("Read of a page with gaps: %v, want ErrSparsePage", err)
 	}
-	if _, err := a.View(p); !errors.Is(err, ErrSparsePage) {
+	_, err = a.View(p)
+	if !errors.Is(err, ErrSparsePage) {
 		t.Fatalf("View of a page with gaps: %v, want ErrSparsePage", err)
+	}
+	if want := ErrSparsePage.Error() + ": " + p.String(); err.Error() != want {
+		t.Fatalf("View's error reads %q, want %q", err, want)
 	}
 	if n := a.Stats().PageReads.Value(); n != 0 {
 		t.Fatalf("refused reads charged %d flash reads", n)

@@ -98,7 +98,7 @@ const (
 	EvExec
 	// Fault injection and crash recovery: an injected fault firing, the
 	// power-cut truncation instant, a host-side resubmission, a device mount,
-	// and one replayed journal record.
+	// and one MemTable entry the mount read back.
 	EvFault
 	EvPowerCut
 	EvRetry

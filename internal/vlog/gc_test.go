@@ -117,7 +117,7 @@ func TestFreeBytesShrinksAndRecovers(t *testing.T) {
 	}
 }
 
-// Contains bounds a journal record by the reclaimed tail below and the append
+// Contains bounds an index entry by the reclaimed tail below and the append
 // frontier above, each inclusive of its edge and refusing one byte past it.
 func TestContainsBounds(t *testing.T) {
 	v := newVLog(t, pagebuf.PolicyAll)

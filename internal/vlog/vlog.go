@@ -156,7 +156,7 @@ func (v *VLog) AdvanceTail(newTail int64) error {
 
 // Contains reports whether [addr, addr+n) lies entirely inside the vLog's
 // live range (above the reclaimed tail, below the append frontier). Mount
-// replay uses it to validate journal records before re-indexing them.
+// checks each MemTable entry it reads back with it.
 func (v *VLog) Contains(addr Addr, n int) bool {
 	return int64(addr) >= v.tail && int64(addr)+int64(n) <= v.buf.Frontier()
 }

@@ -97,8 +97,8 @@ func mcValue(rng *sim.RNG) []byte {
 func mcKey(rng *sim.RNG) string { return fmt.Sprintf("k%02d", rng.Intn(24)) }
 
 // tinyFaultConfig builds a small, fast device so a thousand sequences stay
-// cheap: 16 MiB of flash and a 48-entry MemTable so flushes, compactions and
-// journal resets all happen inside a 40-op sequence.
+// cheap: 16 MiB of flash and a 48-entry MemTable so flushes and compactions
+// all happen inside a 40-op sequence.
 func tinyFaultConfig(plan *bandslim.FaultPlan) bandslim.Config {
 	cfg := bandslim.DefaultConfig()
 	cfg.Device.Geometry.Channels = 2

@@ -88,7 +88,7 @@ type FaultStats struct {
 	FTLRetries        int64 // FTL program redirect-retries after media faults
 	PowerCuts         int64 // power cuts taken by the device
 	Mounts            int64 // recovery mounts performed
-	ReplayedRecords   int64 // journal records replayed at mount
+	ReplayedRecords   int64 // MemTable entries replayed at mount
 	Retries           int64 // host re-submissions of retryable completions
 	RetriesExhausted  int64 // commands that failed every retry
 	Recoveries        int64 // host-initiated Recover calls
@@ -362,7 +362,7 @@ var faultRows = []row{
 		func(s *Stats) *int64 { return &s.Faults.PowerCuts }, func(st *shard.Stack) int64 { return st.Dev.Stats().PowerCuts.Value() }),
 	counter("device_mounts", "Recovery mounts performed.",
 		func(s *Stats) *int64 { return &s.Faults.Mounts }, func(st *shard.Stack) int64 { return st.Dev.Stats().Mounts.Value() }),
-	counter("device_replayed_records", "Journal records replayed at mount.",
+	counter("device_replayed_records", "MemTable entries replayed at mount.",
 		func(s *Stats) *int64 { return &s.Faults.ReplayedRecords }, func(st *shard.Stack) int64 { return st.Dev.Stats().ReplayedRecords.Value() }),
 	counter("host_retries", "Host re-submissions of retryable completions.",
 		func(s *Stats) *int64 { return &s.Faults.Retries }, func(st *shard.Stack) int64 { return st.Drv.Stats().Retries.Value() }),
